@@ -2,13 +2,13 @@
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, Topology};
-use ag_rlnc::{ArenaGrowth, DecoderArena, DecoderShard, Generation, RowPool};
+use ag_rlnc::{ArenaGrowth, DecoderShard, Generation};
 use ag_sim::{
     Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard, ShardableProtocol,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use crate::coded_nodes::CodedNodes;
 use crate::placement::Placement;
 
 /// Configuration for an [`AlgebraicGossip`] instance.
@@ -132,30 +132,22 @@ impl AgConfig {
 /// is topology-oblivious, which is exactly the Haeupler-style robustness
 /// the F9 experiments measure) follows the schedule.
 ///
-/// All `n` decoders live in one simulation-owned [`DecoderArena`] (every
-/// node's equations in a single slab preallocated at construction) and
-/// outgoing messages cycle through a [`RowPool`], so the engine's
-/// steady-state round loop performs **zero** per-message heap allocation —
-/// the property `bench_rlnc_throughput` pins with a counting allocator at
-/// `n = 10⁵` with 1 KiB payloads. Trajectories are bit-identical to the
-/// previous `Vec<Decoder>` storage (same elimination code, same RNG
-/// draws), which the golden-trajectory hashes verify end to end.
+/// All `n` decoders live in one simulation-owned [`ag_rlnc::DecoderArena`]
+/// and outgoing messages cycle through an [`ag_rlnc::RowPool`] — the RLNC
+/// wiring this protocol shares with [`crate::Tag`] and [`crate::TreeAg`] —
+/// so the engine's steady-state round loop performs **zero** per-message
+/// heap allocation, the property `bench_rlnc_throughput` pins with a
+/// counting allocator at `n = 10⁵` with 1 KiB payloads. The
+/// golden-trajectory hashes pin the per-round results of all three
+/// protocols end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.
 #[derive(Debug, Clone)]
 pub struct AlgebraicGossip<F: SlabField, T: Topology = Graph> {
     topology: T,
-    generation: Generation<F>,
-    decoders: DecoderArena<F>,
+    nodes: CodedNodes<F>,
     selector: PartnerSelector,
     action: Action,
-    coding_density: f64,
-    /// Recycles outgoing packed-row buffers through compose → outbox →
-    /// deliver (or dedup/loss drop) → back to the pool.
-    pool: RowPool,
-    /// How many buffers `pool` was pre-warmed with (recorded at
-    /// construction so the balance diagnostics never re-derive it).
-    pool_prewarm: usize,
 }
 
 impl<F: SlabField> AlgebraicGossip<F, Graph> {
@@ -211,11 +203,7 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     /// disconnect freely — surviving that is the point of the dynamic
     /// scenarios.
     pub fn on_topology(topology: T, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
-        if cfg.k == 0 {
-            return Err(GraphError::InvalidSize("k must be positive".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let generation = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
+        let generation = CodedNodes::random_generation(cfg, seed)?;
         Self::on_topology_with_generation(topology, cfg, generation, seed)
     }
 
@@ -231,89 +219,57 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
         generation: Generation<F>,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        if cfg.k != generation.k() || cfg.payload_len != generation.message_len() {
-            return Err(GraphError::InvalidSize(format!(
-                "config shape (k={}, r={}) does not match generation (k={}, r={})",
-                cfg.k,
-                cfg.payload_len,
-                generation.k(),
-                generation.message_len()
-            )));
-        }
         if !topology.is_connected_now() {
             return Err(GraphError::InvalidSize(
                 "dissemination requires a connected (initial) graph".into(),
             ));
         }
-        // Advance the RNG identically to `on_topology` so that placement
-        // and round-robin offsets agree between the two constructors.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
-        let hosts = cfg.placement.assign(topology.n(), cfg.k, &mut rng);
-        let mut decoders =
-            DecoderArena::with_growth(topology.n(), cfg.k, cfg.payload_len, cfg.arena_growth);
-        for (msg, &host) in hosts.iter().enumerate() {
-            decoders.seed_message(host, &generation, msg);
-        }
-        assert!(
-            cfg.coding_density > 0.0 && cfg.coding_density <= 1.0,
-            "coding density must be in (0, 1]"
-        );
-        let selector = PartnerSelector::new(&topology, cfg.comm_model, &mut rng);
-        // Pre-warm the message pool to the synchronous-round in-flight
-        // ceiling (one buffer per contact direction per node), so the
-        // round loop never allocates — not even while early-round traffic
-        // is still ramping up to its high-water mark.
         let directions =
             usize::from(cfg.action.sends_forward()) + usize::from(cfg.action.sends_backward());
-        let pool_prewarm = directions * topology.n();
-        let pool = RowPool::preallocated(pool_prewarm, decoders.row_bytes());
+        let (nodes, mut rng) = CodedNodes::new(topology.n(), cfg, generation, seed, directions)?;
+        let selector = PartnerSelector::new(&topology, cfg.comm_model, &mut rng);
         Ok(AlgebraicGossip {
             topology,
-            generation,
-            decoders,
+            nodes,
             selector,
             action: cfg.action,
-            coding_density: cfg.coding_density,
-            pool,
-            pool_prewarm,
         })
     }
 
     /// The ground-truth generation (for integrity checks).
     #[must_use]
     pub fn generation(&self) -> &Generation<F> {
-        &self.generation
+        &self.nodes.generation
     }
 
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.decoders.rank(v)
+        self.nodes.decoders.rank(v)
     }
 
     /// The sum of all node ranks — a convenient global progress measure.
     #[must_use]
     pub fn total_rank(&self) -> usize {
-        self.decoders.total_rank()
+        self.nodes.decoders.total_rank()
     }
 
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.decoders.decode(v)
+        self.nodes.decoders.decode(v)
     }
 
     /// Total innovative (helpful) receptions across all nodes.
     #[must_use]
     pub fn helpful_receptions(&self) -> u64 {
-        self.decoders.total_innovative()
+        self.nodes.decoders.total_innovative()
     }
 
     /// Total redundant receptions across all nodes.
     #[must_use]
     pub fn redundant_receptions(&self) -> u64 {
-        self.decoders.total_redundant()
+        self.nodes.decoders.total_redundant()
     }
 
     /// The topology view partners are drawn from.
@@ -322,7 +278,7 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
         &self.topology
     }
 
-    /// Message buffers currently resting in the [`RowPool`] — the
+    /// Message buffers currently resting in the [`ag_rlnc::RowPool`] — the
     /// pool-balance diagnostic. Between rounds no message is in flight,
     /// so this must equal the preallocated in-flight ceiling
     /// ([`AlgebraicGossip::pool_prewarm`]) for the entire run; a shrinking
@@ -330,14 +286,14 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     /// routing it back through `deliver`/`discard`.
     #[must_use]
     pub fn pool_idle(&self) -> usize {
-        self.pool.idle()
+        self.nodes.pool.idle()
     }
 
     /// The number of buffers the pool was pre-warmed with (one per
     /// contact direction per node, recorded at construction).
     #[must_use]
     pub fn pool_prewarm(&self) -> usize {
-        self.pool_prewarm
+        self.nodes.pool_prewarm
     }
 
     /// Heap bytes currently committed by the decoder arena — the
@@ -345,14 +301,14 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     /// under [`ArenaGrowth::Chunked`] vs the preallocated ceiling).
     #[must_use]
     pub fn arena_allocated_bytes(&self) -> usize {
-        self.decoders.allocated_bytes()
+        self.nodes.decoders.allocated_bytes()
     }
 }
 
 impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     /// Messages travel as packed augmented rows (the
     /// [`ag_rlnc::Recoder::emit_packed_row`] wire format), in plain
-    /// `Vec<u8>` buffers borrowed from the protocol's [`RowPool`] at
+    /// `Vec<u8>` buffers borrowed from the protocol's [`ag_rlnc::RowPool`] at
     /// `compose` and returned at `deliver` — or at
     /// [`Protocol::discard`] when the engine drops a message to
     /// same-sender dedup or loss. Every buffer's life ends back in the
@@ -383,41 +339,25 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     }
 
     fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<Vec<u8>> {
-        let mut row = self.pool.take();
-        let emitted = if self.coding_density < 1.0 {
-            self.decoders
-                .emit_sparse_packed_row_into(from, self.coding_density, rng, &mut row)
-        } else {
-            self.decoders.emit_packed_row_into(from, rng, &mut row)
-        };
-        if emitted {
-            Some(row)
-        } else {
-            // Rank-0 node: nothing to say; the buffer goes straight back.
-            self.pool.put(row);
-            None
-        }
+        self.nodes.compose(from, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, mut msg: Vec<u8>) {
-        // Reduce in place in the message buffer — no scratch copy — then
-        // recycle it for a future compose.
-        let _ = self.decoders.receive_packed_mut(to, &mut msg);
-        self.pool.put(msg);
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Vec<u8>) {
+        self.nodes.deliver(to, msg);
     }
 
     fn discard(&mut self, msg: Vec<u8>) {
-        self.pool.put(msg);
+        self.nodes.discard(msg);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.decoders.is_complete(node)
+        self.nodes.decoders.is_complete(node)
     }
 }
 
 /// One shard of [`AlgebraicGossip`] for the sharded engine: a
 /// [`DecoderShard`] over a contiguous node range plus a *stash* of message
-/// buffers pre-drawn from the protocol's [`RowPool`] on the main thread
+/// buffers pre-drawn from the protocol's [`ag_rlnc::RowPool`] on the main thread
 /// (the pool is `Rc`-based and must never cross threads).
 ///
 /// Buffer discipline: `compose` pops one stash buffer per call — the
@@ -429,7 +369,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 /// `pool_idle == pool_prewarm` still holds at every round boundary.
 pub struct AgShard<'a, F: SlabField> {
     dec: DecoderShard<'a, F>,
-    coding_density: f64,
+    density: Option<f64>,
     stash: Vec<Vec<u8>>,
     residue: Vec<Vec<u8>>,
 }
@@ -448,13 +388,10 @@ impl<F: SlabField + Send> ProtocolShard for AgShard<'_, F> {
             .stash
             .pop()
             .expect("stash holds one buffer per planned send");
-        let emitted = if self.coding_density < 1.0 {
-            self.dec
-                .emit_sparse_packed_row_into(from, self.coding_density, rng, &mut row)
-        } else {
-            self.dec.emit_packed_row_into(from, rng, &mut row)
-        };
-        if emitted {
+        if self
+            .dec
+            .emit_packed_row_into(from, self.density, rng, &mut row)
+        {
             Some(row)
         } else {
             // Rank-0 node: nothing to say; the buffer rides the residue
@@ -490,15 +427,20 @@ impl<F: SlabField + Send, T: Topology> ShardableProtocol for AlgebraicGossip<F, 
         bounds: &[(usize, usize)],
         send_counts: &[usize],
     ) -> Vec<AgShard<'_, F>> {
-        let pool = &self.pool;
-        let coding_density = self.coding_density;
-        self.decoders
+        let CodedNodes {
+            decoders,
+            density,
+            pool,
+            ..
+        } = &mut self.nodes;
+        let density = *density;
+        decoders
             .shards_mut(bounds)
             .into_iter()
             .zip(send_counts)
             .map(|(dec, &count)| AgShard {
                 dec,
-                coding_density,
+                density,
                 stash: (0..count).map(|_| pool.take()).collect(),
                 residue: Vec::new(),
             })
@@ -544,35 +486,33 @@ impl<F: SlabField, T: Topology> Protocol for PacketAlgebraicGossip<F, T> {
         _tag: u32,
         rng: &mut StdRng,
     ) -> Option<ag_rlnc::Packet<F>> {
-        if self.0.coding_density < 1.0 {
-            self.0
-                .decoders
-                .emit_sparse_packet(from, self.0.coding_density, rng)
-        } else {
-            self.0.decoders.emit_packet(from, rng)
-        }
+        let CodedNodes {
+            decoders, density, ..
+        } = &self.0.nodes;
+        let mut row = Vec::new();
+        decoders
+            .emit_packed_row_into(from, *density, rng, &mut row)
+            .then(|| ag_rlnc::Packet::from_packed_row(&row, decoders.k()))
     }
 
     fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: ag_rlnc::Packet<F>) {
         // The pre-rework `Decoder::receive` shape contract, verbatim.
+        let decoders = &mut self.0.nodes.decoders;
         assert_eq!(
             msg.generation_size(),
-            self.0.decoders.k(),
+            decoders.k(),
             "packet generation size mismatch"
         );
         assert_eq!(
             msg.payload_len(),
-            self.0.decoders.payload_len(),
+            decoders.payload_len(),
             "packet payload length mismatch"
         );
-        let _ = self
-            .0
-            .decoders
-            .receive_packed_slice(to, &msg.to_packed_row());
+        let _ = decoders.receive_packed_slice(to, &msg.to_packed_row());
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.0.decoders.is_complete(node)
+        self.0.nodes.decoders.is_complete(node)
     }
 }
 

@@ -57,6 +57,7 @@
 mod ag;
 mod baseline;
 mod broadcast;
+mod coded_nodes;
 mod crash;
 mod is_tree;
 mod oracle;

@@ -2,21 +2,22 @@
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, SpanningTree, Topology};
-use ag_rlnc::{Decoder, Generation, Packet, Recoder};
+use ag_rlnc::Generation;
 use ag_sim::{Action, ContactIntent, Protocol};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::ag::AgConfig;
+use crate::coded_nodes::CodedNodes;
 use crate::tree_protocol::TreeProtocol;
 
 /// The message type of [`Tag`]: Phase-1 (spanning tree) or Phase-2 (RLNC).
 #[derive(Debug, Clone)]
-pub enum TagMsg<M, F> {
+pub enum TagMsg<M> {
     /// A spanning-tree protocol message.
     Tree(M),
-    /// An algebraic-gossip coded packet.
-    Ag(Packet<F>),
+    /// An algebraic-gossip coded message: a packed row in a pooled buffer,
+    /// exactly as [`crate::AlgebraicGossip`] moves them.
+    Ag(Vec<u8>),
 }
 
 /// Contact tags distinguishing TAG's phases inside the engine.
@@ -54,8 +55,7 @@ const TAG_PHASE2: u32 = 2;
 pub struct Tag<F: SlabField, S, T: Topology = Graph> {
     topology: T,
     tree: S,
-    generation: Generation<F>,
-    decoders: Vec<Decoder<F>>,
+    nodes: CodedNodes<F>,
     wakeups: Vec<u64>,
 }
 
@@ -64,7 +64,9 @@ impl<F: SlabField, S: TreeProtocol> Tag<F, S, Graph> {
     ///
     /// `cfg.comm_model` is ignored (Phase 2's partner is always the
     /// parent; Phase 1 uses `S`'s own rule); `cfg.action` is ignored in
-    /// Phase 2, which is EXCHANGE per the paper's pseudo-code.
+    /// Phase 2, which is EXCHANGE per the paper's pseudo-code. Everything
+    /// else in `cfg` configures the RLNC state exactly as it does for
+    /// [`crate::AlgebraicGossip`].
     ///
     /// # Errors
     ///
@@ -112,11 +114,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
         cfg: &AgConfig,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        if cfg.k == 0 {
-            return Err(GraphError::InvalidSize("k must be positive".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let generation = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
+        let generation = CodedNodes::random_generation(cfg, seed)?;
         Self::on_topology_with_generation(topology, tree, cfg, generation, seed)
     }
 
@@ -133,15 +131,6 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
         generation: Generation<F>,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        if cfg.k != generation.k() || cfg.payload_len != generation.message_len() {
-            return Err(GraphError::InvalidSize(format!(
-                "config shape (k={}, r={}) does not match generation (k={}, r={})",
-                cfg.k,
-                cfg.payload_len,
-                generation.k(),
-                generation.message_len()
-            )));
-        }
         if !topology.is_connected_now() {
             return Err(GraphError::InvalidSize(
                 "dissemination requires a connected (initial) graph".into(),
@@ -154,22 +143,13 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
                 topology.n()
             )));
         }
-        // Advance the RNG identically to `on_topology` so placement agrees.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
-        let hosts = cfg.placement.assign(topology.n(), cfg.k, &mut rng);
-        let mut decoders: Vec<Decoder<F>> = (0..topology.n())
-            .map(|_| Decoder::new(cfg.k, cfg.payload_len))
-            .collect();
-        for (msg, &host) in hosts.iter().enumerate() {
-            decoders[host].seed_message(&generation, msg);
-        }
+        // Phase 2 is EXCHANGE: two messages per contact.
+        let (nodes, _) = CodedNodes::new(topology.n(), cfg, generation, seed, 2)?;
         let wakeups = vec![0; topology.n()];
         Ok(Tag {
             topology,
             tree,
-            generation,
-            decoders,
+            nodes,
             wakeups,
         })
     }
@@ -189,24 +169,24 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
     /// The ground-truth generation.
     #[must_use]
     pub fn generation(&self) -> &Generation<F> {
-        &self.generation
+        &self.nodes.generation
     }
 
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.decoders[v].rank()
+        self.nodes.decoders.rank(v)
     }
 
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.decoders[v].decode()
+        self.nodes.decoders.decode(v)
     }
 }
 
 impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
-    type Msg = TagMsg<S::Msg, F>;
+    type Msg = TagMsg<S::Msg>;
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
@@ -246,7 +226,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
     fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<Self::Msg> {
         match tag {
             TAG_PHASE1 => self.tree.compose(from, to, rng).map(TagMsg::Tree),
-            TAG_PHASE2 => Recoder::new(&self.decoders[from]).emit(rng).map(TagMsg::Ag),
+            TAG_PHASE2 => self.nodes.compose(from, rng).map(TagMsg::Ag),
             // ag-lint: allow(panic-policy) — the engine only feeds compose()
             // tags that this protocol's own contact() returned, and TAG
             // emits nothing but TAG_PHASE1/TAG_PHASE2.
@@ -260,14 +240,18 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
         // The message variant itself carries the phase.
         match msg {
             TagMsg::Tree(m) => self.tree.deliver(from, to, m),
-            TagMsg::Ag(p) => {
-                let _ = self.decoders[to].receive(p);
-            }
+            TagMsg::Ag(row) => self.nodes.deliver(to, row),
+        }
+    }
+
+    fn discard(&mut self, msg: Self::Msg) {
+        if let TagMsg::Ag(row) = msg {
+            self.nodes.discard(row);
         }
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.decoders[node].is_complete()
+        self.nodes.decoders.is_complete(node)
     }
 }
 

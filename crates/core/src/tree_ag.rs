@@ -9,12 +9,12 @@
 
 use ag_gf::SlabField;
 use ag_graph::{GraphError, NodeId, SpanningTree};
-use ag_rlnc::{Decoder, Generation, Packet, Recoder};
+use ag_rlnc::Generation;
 use ag_sim::{Action, ContactIntent, Protocol};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::ag::AgConfig;
+use crate::coded_nodes::CodedNodes;
 
 /// EXCHANGE algebraic gossip where every node's partner is its tree parent.
 ///
@@ -36,8 +36,7 @@ use crate::ag::AgConfig;
 #[derive(Debug, Clone)]
 pub struct TreeAg<F: SlabField> {
     tree: SpanningTree,
-    generation: Generation<F>,
-    decoders: Vec<Decoder<F>>,
+    nodes: CodedNodes<F>,
 }
 
 impl<F: SlabField> TreeAg<F> {
@@ -47,46 +46,37 @@ impl<F: SlabField> TreeAg<F> {
     ///
     /// Returns [`GraphError::InvalidSize`] if `k == 0`.
     pub fn new(tree: &SpanningTree, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
-        if cfg.k == 0 {
-            return Err(GraphError::InvalidSize("k must be positive".into()));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let generation = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
-        let hosts = cfg.placement.assign(tree.n(), cfg.k, &mut rng);
-        let mut decoders: Vec<Decoder<F>> = (0..tree.n())
-            .map(|_| Decoder::new(cfg.k, cfg.payload_len))
-            .collect();
-        for (msg, &host) in hosts.iter().enumerate() {
-            decoders[host].seed_message(&generation, msg);
-        }
+        let generation = CodedNodes::random_generation(cfg, seed)?;
+        // EXCHANGE with the parent: two messages per contact.
+        let (nodes, _) = CodedNodes::new(tree.n(), cfg, generation, seed, 2)?;
         Ok(TreeAg {
             tree: tree.clone(),
-            generation,
-            decoders,
+            nodes,
         })
     }
 
     /// The ground-truth generation.
     #[must_use]
     pub fn generation(&self) -> &Generation<F> {
-        &self.generation
+        &self.nodes.generation
     }
 
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.decoders[v].decode()
+        self.nodes.decoders.decode(v)
     }
 
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.decoders[v].rank()
+        self.nodes.decoders.rank(v)
     }
 }
 
 impl<F: SlabField> Protocol for TreeAg<F> {
-    type Msg = Packet<F>;
+    /// Packed rows in pooled buffers, as in [`crate::AlgebraicGossip`].
+    type Msg = Vec<u8>;
 
     fn num_nodes(&self) -> usize {
         self.tree.n()
@@ -101,16 +91,20 @@ impl<F: SlabField> Protocol for TreeAg<F> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<Packet<F>> {
-        Recoder::new(&self.decoders[from]).emit(rng)
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<Vec<u8>> {
+        self.nodes.compose(from, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Packet<F>) {
-        let _ = self.decoders[to].receive(msg);
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Vec<u8>) {
+        self.nodes.deliver(to, msg);
+    }
+
+    fn discard(&mut self, msg: Vec<u8>) {
+        self.nodes.discard(msg);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.decoders[node].is_complete()
+        self.nodes.decoders.is_complete(node)
     }
 }
 

@@ -16,9 +16,10 @@
 
 use ag_gf::Gf256;
 use ag_graph::builders;
-use ag_sim::{Engine, EngineConfig, ShardedEngine, TrajectoryHash};
+use ag_sim::{CommModel, Engine, EngineConfig, ShardedEngine, TrajectoryHash};
 use algebraic_gossip::{
-    AgConfig, AlgebraicGossip, Placement, ProtocolKind, RandomMessageGossip, RunSpec, TrialPlan,
+    AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind, RandomMessageGossip,
+    RunSpec, Tag, TreeAg, TrialPlan,
 };
 
 /// Pinned hash of the UniformAg rank trajectory for the run below.
@@ -31,6 +32,13 @@ const GOLDEN_BASELINE_TRAJECTORY: u64 = 0xE080_65FA_EB0B_DAEA;
 /// must be identical at every shard count and every thread count (CI
 /// re-runs this file under `RAYON_NUM_THREADS=1` and `=4`).
 const GOLDEN_SHARDED_AG_TRAJECTORY: u64 = 0xC2B0_ECC9_946E_1A35;
+/// Pinned hashes of the TAG + B_RR rank trajectory on `barbell(12)`,
+/// synchronous and asynchronous, and of TreeAg on a BFS tree of the 3×5
+/// grid. Recorded on the per-node `Vec<Decoder>` + `Packet` message path,
+/// before TAG and TreeAg moved onto the shared arena.
+const GOLDEN_TAG_SYNC_TRAJECTORY: u64 = 0xA938_EDBE_0F6A_29DA;
+const GOLDEN_TAG_ASYNC_TRAJECTORY: u64 = 0x5224_9EE2_CFBD_7B5D;
+const GOLDEN_TREE_AG_TRAJECTORY: u64 = 0x60AF_8EB1_ADB9_8F00;
 
 /// One AG protocol: uniform algebraic gossip over GF(256) on a 4×4 grid,
 /// k = 8 with payloads, synchronous rounds, all seeds fixed.
@@ -98,6 +106,76 @@ fn sharded_ag_trajectory(shards: usize) -> (u64, bool) {
         );
     }
     (hash.finish(), stats.completed)
+}
+
+/// TAG with B_RR as Phase 1 on `barbell(12)`, k = n = 12 with payloads,
+/// under the given engine config (all seeds fixed).
+fn tag_trajectory(engine: EngineConfig) -> u64 {
+    let g = builders::barbell(12).expect("barbell");
+    let cfg = AgConfig::new(12).with_payload_len(4);
+    let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 0xA11CE).expect("tree");
+    let mut proto = Tag::<Gf256, _>::new(&g, brr, &cfg, 0xA11CE).expect("protocol");
+    let mut hash = TrajectoryHash::new();
+    let stats =
+        Engine::new(engine.with_max_rounds(100_000)).run_observed(&mut proto, |round, p| {
+            hash.observe(round);
+            hash.observe((0..g.n()).map(|v| p.rank(v) as u64).sum());
+        });
+    assert!(stats.completed, "golden TAG run must complete");
+    for v in 0..g.n() {
+        assert_eq!(
+            proto.decoded(v).expect("complete node decodes"),
+            proto.generation().messages()
+        );
+    }
+    hash.finish()
+}
+
+/// TreeAg (Lemma 1's fixed-parent EXCHANGE) on the BFS tree of a 3×5 grid,
+/// k = 6 with payloads, synchronous rounds, all seeds fixed.
+fn tree_ag_trajectory() -> u64 {
+    let tree = builders::grid(3, 5)
+        .expect("grid")
+        .bfs_tree(0)
+        .into_spanning_tree();
+    let cfg = AgConfig::new(6).with_payload_len(4);
+    let mut proto = TreeAg::<Gf256>::new(&tree, &cfg, 0xA11CE).expect("protocol");
+    let mut hash = TrajectoryHash::new();
+    let stats = Engine::new(EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000))
+        .run_observed(&mut proto, |round, p| {
+            hash.observe(round);
+            hash.observe((0..tree.n()).map(|v| p.rank(v) as u64).sum());
+        });
+    assert!(stats.completed, "golden TreeAg run must complete");
+    for v in 0..tree.n() {
+        assert_eq!(
+            proto.decoded(v).expect("complete node decodes"),
+            proto.generation().messages()
+        );
+    }
+    hash.finish()
+}
+
+#[test]
+fn golden_tag_and_tree_ag_trajectories_are_pinned() {
+    for (name, hash, want) in [
+        (
+            "TAG+B_RR synchronous",
+            tag_trajectory(EngineConfig::synchronous(0xBEEF)),
+            GOLDEN_TAG_SYNC_TRAJECTORY,
+        ),
+        (
+            "TAG+B_RR asynchronous",
+            tag_trajectory(EngineConfig::asynchronous(0xBEEF)),
+            GOLDEN_TAG_ASYNC_TRAJECTORY,
+        ),
+        ("TreeAg", tree_ag_trajectory(), GOLDEN_TREE_AG_TRAJECTORY),
+    ] {
+        assert_eq!(
+            hash, want,
+            "{name} per-round rank trajectory changed: got {hash:#018X}"
+        );
+    }
 }
 
 #[test]

@@ -114,6 +114,7 @@ fn would_help_heavy_loop_is_allocation_free_after_warmup() {
     // Warm-up: one pass over every path so scratch buffers, kernel tables
     // and the emit-factor buffer reach steady-state capacity.
     let _ = sink.would_help(&probes[0]);
+    let _ = source.would_help(&probes[0]);
     let _ = arena.would_be_innovative_packed(0, &probes[0].to_packed_row());
     let _ = sink.is_helpful_node(&source);
     assert!(!sink.receive_packed_slice(&redundant[0]).is_innovative());

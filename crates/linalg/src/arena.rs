@@ -19,24 +19,19 @@
 //!   capacity up front, so inserting rows performs **zero heap allocation**
 //!   after construction — the policy the counting-allocator audits pin.
 //!
-//! The arena mirrors the [coefficient/payload split](crate::echelon) of
-//! `EchelonBasis`: per node there is an eagerly reduced coefficient slab
-//! (all rank/innovation decisions read only this), a payload slab whose
-//! rows are appended raw, and an elimination log replayed onto the payloads
-//! in fused multi-row passes only when payload bytes are observed.
-//!
-//! Elimination is literally the same code as `EchelonBasis` (the shared
-//! `core_ops` functions), so a packet stream replayed through both — or
-//! through either growth policy — produces bit-identical verdicts, pivots
-//! and stored bytes; the differential suites in `ag-rlnc` and the golden
-//! trajectory pins in `algebraic-gossip` lock that equivalence end to end.
+//! Each node is the same crate-private store (the `node` module: an
+//! eagerly reduced coefficient slab, raw payload tails and an elimination
+//! log replayed on demand) that an [`EchelonBasis`](crate::EchelonBasis)
+//! wraps one of. The arena adds indexing, the growth policy and one scratch
+//! set shared by all nodes; there is no second elimination, so an arena
+//! node and an owned basis cannot diverge. What the differential suites in
+//! `ag-rlnc` pin is that one implementation against the scalar
+//! [`crate::reference::ScalarBasis`] oracle.
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
-//! arena into disjoint contiguous [`BasisShard`]s. Per-node state lives in
-//! `RefCell`s purely so `&self` read paths (emit, probe, solution) can
-//! materialize payloads lazily; a shard accesses its nodes through
-//! `&mut [RefCell<…>]` + `get_mut`, which is `Send` without any locking —
-//! disjointness is enforced by the slice split, not at runtime.
+//! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of nodes,
+//! `Send` without any locking — disjointness is enforced by the slice
+//! split, not at runtime.
 //!
 //! # Examples
 //!
@@ -59,7 +54,7 @@ use std::marker::PhantomData;
 
 use ag_gf::SlabField;
 
-use crate::echelon::{core_ops, Insertion};
+use crate::node::{Dims, Insertion, NodeBasis, Scratch};
 
 /// How a [`BasisArena`] provisions per-node row storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -128,285 +123,6 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// Per-row byte widths, precomputed once per call tree so [`NodeBasis`]
-/// methods need no back-reference to the arena.
-#[derive(Debug, Clone, Copy)]
-struct Dims {
-    /// Pivot (coefficient) width in symbols — also the per-node row cap.
-    pivot_width: usize,
-    /// Bytes of the packed coefficient prefix of every row.
-    kb: usize,
-    /// Bytes of the payload tail of every row.
-    pb: usize,
-}
-
-/// Smallest chunk a growing slab reserves at a time: below this, geometric
-/// doubling degenerates into per-row reallocation.
-const MIN_CHUNK_BYTES: usize = 64;
-
-/// Grows `vec`'s capacity to hold `needed` bytes, reserving geometrically
-/// (at least doubling, at least [`MIN_CHUNK_BYTES`]) but never past the
-/// `full`-rank footprint. No-op when capacity already suffices — which is
-/// always, under [`ArenaGrowth::Preallocated`].
-fn reserve_chunked(vec: &mut Vec<u8>, needed: usize, full: usize) {
-    debug_assert!(needed <= full, "rank-bounded growth exceeded full rank");
-    if vec.capacity() >= needed {
-        return;
-    }
-    let target = needed
-        .max(vec.capacity().saturating_mul(2))
-        .max(MIN_CHUNK_BYTES)
-        .min(full);
-    vec.reserve_exact(target - vec.len());
-}
-
-/// One node's basis: reduced coefficient rows, raw payload tails, and the
-/// elimination log that materializes them on demand. All slabs are exactly
-/// `rank` rows long (the log holds `rank` events); capacity is governed by
-/// the arena's [`ArenaGrowth`] policy.
-#[derive(Debug, Clone)]
-struct NodeBasis {
-    /// Row-indexed pivot map: stored row `i` has pivot column
-    /// `pivot_cols[i]`. `rank == pivot_cols.len()`.
-    pivot_cols: Vec<usize>,
-    /// Reduced coefficient prefixes, `kb` bytes per row, fully reduced
-    /// (Gauss–Jordan) at all times.
-    coeff: Vec<u8>,
-    /// Payload tails, `pb` bytes per row. Rows `< flushed` are
-    /// materialized (reduced); later rows are raw as received.
-    pay: Vec<u8>,
-    /// Elimination events packed per [`core_ops::log_offset`]. Empty for
-    /// rank-only arenas (`pb == 0`): never written, never replayed.
-    log: Vec<u8>,
-    /// Events already replayed onto `pay`.
-    flushed: usize,
-}
-
-impl NodeBasis {
-    fn empty() -> Self {
-        NodeBasis {
-            pivot_cols: Vec::new(),
-            coeff: Vec::new(),
-            pay: Vec::new(),
-            log: Vec::new(),
-            flushed: 0,
-        }
-    }
-
-    #[inline]
-    fn rank(&self) -> usize {
-        self.pivot_cols.len()
-    }
-
-    /// Heap bytes currently reserved by this node's storage.
-    fn heap_bytes(&self) -> usize {
-        self.coeff.capacity()
-            + self.pay.capacity()
-            + self.log.capacity()
-            + self.pivot_cols.capacity() * std::mem::size_of::<usize>()
-    }
-
-    /// Reserves the full-rank footprint, so later inserts never allocate.
-    fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), ArenaError> {
-        let k = d.pivot_width;
-        let sb = F::SYMBOL_BYTES;
-        let reserve = |vec: &mut Vec<u8>, bytes: usize| {
-            vec.try_reserve_exact(bytes)
-                .map_err(|_| ArenaError::AllocationFailure { bytes })
-        };
-        reserve(&mut self.coeff, k * d.kb)?;
-        reserve(&mut self.pay, k * d.pb)?;
-        if d.pb > 0 {
-            reserve(&mut self.log, k * k * sb)?;
-        }
-        self.pivot_cols
-            .try_reserve_exact(k)
-            .map_err(|_| ArenaError::AllocationFailure {
-                bytes: k * std::mem::size_of::<usize>(),
-            })
-    }
-
-    /// Replays pending elimination events onto the payload rows, through
-    /// the same row-wise/blocked schedule choice as
-    /// [`EchelonBasis`](crate::EchelonBasis) (see [`crate::ReplayMode`]).
-    /// Idempotent; trivial for rank-only rows.
-    // ag-lint: hot-path
-    fn flush<F: SlabField>(&mut self, d: Dims, sc: &mut ArenaScratch) {
-        let rank = self.rank();
-        if d.pb == 0 {
-            self.flushed = rank;
-            return;
-        }
-        let pay = &mut self.pay[..rank * d.pb];
-        core_ops::flush_pending::<F>(
-            pay,
-            &self.log,
-            &mut self.flushed,
-            rank,
-            d.pb,
-            &mut sc.transform,
-            &mut sc.panel,
-        );
-    }
-
-    /// The insert hot path shared by the serial arena and the shards; the
-    /// same elimination calls, in the same order, as
-    /// [`EchelonBasis`](crate::EchelonBasis).
-    // ag-lint: hot-path
-    fn insert_packed<F: SlabField>(
-        &mut self,
-        d: Dims,
-        row: &mut [u8],
-        sc: &mut ArenaScratch,
-    ) -> Insertion {
-        let rank = self.rank();
-        let (crow, pay_in) = row.split_at_mut(d.kb);
-        let Some(pivot_col) =
-            core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, crow, &mut sc.factors)
-        else {
-            return Insertion::Redundant;
-        };
-        let k = d.pivot_width;
-        reserve_chunked(&mut self.coeff, (rank + 1) * d.kb, k * d.kb);
-        self.coeff.resize((rank + 1) * d.kb, 0);
-        let (existing, slot) = self.coeff.split_at_mut(rank * d.kb);
-        let pinv = core_ops::normalize_and_back_substitute::<F>(
-            existing,
-            rank,
-            pivot_col,
-            crow,
-            &mut sc.back,
-        );
-        slot.copy_from_slice(crow);
-        if d.pb > 0 {
-            // Payload: raw memcpy now, elimination deferred to the log.
-            let sb = F::SYMBOL_BYTES;
-            reserve_chunked(&mut self.pay, (rank + 1) * d.pb, k * d.pb);
-            self.pay.extend_from_slice(pay_in);
-            let lbase = core_ops::log_offset::<F>(rank);
-            let lend = lbase + (2 * rank + 1) * sb;
-            reserve_chunked(&mut self.log, lend, k * k * sb);
-            self.log.resize(lend, 0);
-            self.log[lbase..lbase + rank * sb].copy_from_slice(&sc.factors);
-            pinv.write_symbol(&mut self.log[lbase + rank * sb..]);
-            self.log[lbase + (rank + 1) * sb..lend].copy_from_slice(&sc.back);
-        } else {
-            // No payload means no log: the row is trivially materialized.
-            self.flushed = rank + 1;
-        }
-        if self.pivot_cols.capacity() == rank {
-            // Same rank-bounded discipline as the byte slabs: geometric,
-            // never past the full-rank row count.
-            let target = (rank * 2).max(4).min(k).max(rank + 1);
-            self.pivot_cols.reserve_exact(target - rank);
-        }
-        self.pivot_cols.push(pivot_col);
-        Insertion::Innovative
-    }
-
-    /// Non-mutating innovation probe against the coefficient slab only.
-    fn would_be_innovative<F: SlabField>(
-        &self,
-        d: Dims,
-        row: &[u8],
-        sc: &mut ArenaScratch,
-    ) -> bool {
-        let ArenaScratch { factors, probe, .. } = sc;
-        probe.clear();
-        probe.extend_from_slice(&row[..d.kb]);
-        core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, probe, factors).is_some()
-    }
-
-    fn copy_packed_row_into<F: SlabField>(
-        &mut self,
-        d: Dims,
-        i: usize,
-        sc: &mut ArenaScratch,
-        out: &mut Vec<u8>,
-    ) {
-        self.flush::<F>(d, sc);
-        out.clear();
-        out.extend_from_slice(&self.coeff[i * d.kb..(i + 1) * d.kb]);
-        out.extend_from_slice(&self.pay[i * d.pb..(i + 1) * d.pb]);
-    }
-
-    fn accumulate_rows_into<F: SlabField>(
-        &mut self,
-        d: Dims,
-        factors: &[u8],
-        sc: &mut ArenaScratch,
-        out: &mut [u8],
-    ) {
-        self.flush::<F>(d, sc);
-        let (oc, op) = out.split_at_mut(d.kb);
-        F::mul_add_multi(factors, &self.coeff, oc);
-        F::mul_add_multi(factors, &self.pay, op);
-    }
-
-    fn solution<F: SlabField>(&mut self, d: Dims, sc: &mut ArenaScratch) -> Option<Vec<Vec<F>>> {
-        let k = d.pivot_width;
-        if self.rank() != k {
-            return None;
-        }
-        self.flush::<F>(d, sc);
-        // Invert the row-indexed pivot map: a full basis has every column.
-        let mut row_of_col = vec![usize::MAX; k];
-        for (ri, &c) in self.pivot_cols.iter().enumerate() {
-            row_of_col[c] = ri;
-        }
-        let mut out = Vec::with_capacity(k);
-        for (c, &ri) in row_of_col.iter().enumerate() {
-            assert_ne!(ri, usize::MAX, "full basis has all pivots");
-            debug_assert!(
-                (0..k).all(|j| {
-                    let v: F = core_ops::col::<F>(&self.coeff[ri * d.kb..], j);
-                    if j == c {
-                        v == F::ONE
-                    } else {
-                        v.is_zero()
-                    }
-                }),
-                "fully reduced basis rows must be unit vectors"
-            );
-            out.push(F::unpack(&self.pay[ri * d.pb..(ri + 1) * d.pb]));
-        }
-        Some(out)
-    }
-}
-
-/// Reusable scratch buffers; transient, never part of logical state.
-#[derive(Debug, Clone)]
-struct ArenaScratch {
-    /// Row-indexed reduction multipliers.
-    factors: Vec<u8>,
-    /// Row-indexed back-substitution multipliers.
-    back: Vec<u8>,
-    /// Coefficient-prefix probe row for `&self` innovation verdicts.
-    probe: Vec<u8>,
-    /// Row copy for [`BasisArena::insert_packed_slice`].
-    insert: Vec<u8>,
-    /// Dense transform panel for blocked payload replay
-    /// ([`core_ops::flush_pending`]); shared across nodes — flushes are
-    /// serial per arena (or per shard).
-    transform: Vec<u8>,
-    /// Stride-padded source/destination payload panel for the blocked
-    /// replay GEMM.
-    panel: Vec<u8>,
-}
-
-impl ArenaScratch {
-    fn new() -> Self {
-        ArenaScratch {
-            factors: Vec::new(),
-            back: Vec::new(),
-            probe: Vec::new(),
-            insert: Vec::new(),
-            transform: Vec::new(),
-            panel: Vec::new(),
-        }
-    }
-}
-
 /// All of a simulation's echelon bases, rank-bounded per node — see the
 /// [module docs](self).
 ///
@@ -420,18 +136,16 @@ impl ArenaScratch {
 /// `n`), so [`BasisArena::try_with_growth`] reports them as [`ArenaError`].
 #[derive(Debug, Clone)]
 pub struct BasisArena<F> {
-    /// Per-node bases. `RefCell` so `&self` read paths can materialize
-    /// payloads lazily; shards take disjoint `&mut` slices instead.
-    nodes: Vec<RefCell<NodeBasis>>,
+    /// Per-node bases; shards take disjoint `&mut` slices of this.
+    nodes: Vec<NodeBasis>,
     /// Pivot (coefficient) width of every basis — also the per-node row
     /// cap.
     pivot_width: usize,
     /// Symbols per row (pivot prefix + augmented tail), fixed up front.
     row_elems: usize,
-    /// Storage policy.
-    growth: ArenaGrowth,
-    /// Reusable buffers (transient).
-    scratch: RefCell<ArenaScratch>,
+    /// Reusable buffers (transient), shared by all nodes — operations are
+    /// serial per arena.
+    scratch: RefCell<Scratch>,
     _field: PhantomData<F>,
 }
 
@@ -473,8 +187,8 @@ impl<F: SlabField> BasisArena<F> {
     /// Fallible constructor: checks the full-rank capacity math with
     /// `checked_mul` (returning [`ArenaError::CapacityOverflow`] with the
     /// exact byte count) and, under [`ArenaGrowth::Preallocated`], reserves
-    /// every node's storage via `try_reserve` (returning
-    /// [`ArenaError::AllocationFailure`] instead of aborting).
+    /// every node's storage and the shared scratch via `try_reserve`
+    /// (returning [`ArenaError::AllocationFailure`] instead of aborting).
     ///
     /// # Panics
     ///
@@ -515,60 +229,36 @@ impl<F: SlabField> BasisArena<F> {
             .and_then(|s| s.checked_mul(sb))
             .and_then(|b| b.checked_mul(nodes))
             .ok_or_else(overflow)?;
+        let refused = |bytes| ArenaError::AllocationFailure { bytes };
         let mut cells = Vec::new();
         cells
             .try_reserve_exact(nodes)
-            .map_err(|_| ArenaError::AllocationFailure {
-                bytes: nodes.saturating_mul(std::mem::size_of::<RefCell<NodeBasis>>()),
-            })?;
-        cells.extend((0..nodes).map(|_| RefCell::new(NodeBasis::empty())));
+            .map_err(|_| refused(nodes.saturating_mul(std::mem::size_of::<NodeBasis>())))?;
+        cells.resize_with(nodes, NodeBasis::default);
         let mut arena = BasisArena {
             nodes: cells,
             pivot_width,
             row_elems,
-            growth,
-            scratch: RefCell::new(ArenaScratch::new()),
+            scratch: RefCell::default(),
             _field: PhantomData,
         };
         if growth == ArenaGrowth::Preallocated {
             let dims = arena.dims();
-            for cell in &mut arena.nodes {
-                cell.get_mut().try_preallocate::<F>(dims)?;
+            for node in &mut arena.nodes {
+                node.try_preallocate::<F>(dims).map_err(refused)?;
             }
-            // Shared scratch at its full-rank footprint too. The insert
-            // path's row-indexed multiplier buffers (`factors`, `back`)
-            // grow with the highest rank seen so far across the whole
-            // arena, which crosses Vec capacity thresholds mid-run —
-            // reserving them up front is what keeps rounds past warm-up
-            // allocation-free, not just the per-node slabs.
-            let sc = arena.scratch.get_mut();
-            let reserve = |vec: &mut Vec<u8>, bytes: usize| {
-                vec.try_reserve_exact(bytes)
-                    .map_err(|_| ArenaError::AllocationFailure { bytes })
-            };
-            let k = pivot_width;
-            reserve(&mut sc.factors, k * sb)?;
-            reserve(&mut sc.back, k * sb)?;
-            reserve(&mut sc.probe, dims.kb)?;
-            reserve(&mut sc.insert, dims.kb + dims.pb)?;
-            if dims.pb > 0 {
-                // Blocked-replay scratch (transform: k×k symbols; panel:
-                // 2k stride-padded payload rows), so a blocked flush never
-                // allocates mid-run either.
-                reserve(&mut sc.transform, k * k * sb)?;
-                reserve(&mut sc.panel, 2 * k * core_ops::padded_stride::<F>(dims.pb))?;
-            }
+            arena
+                .scratch
+                .get_mut()
+                .try_preallocate::<F>(dims)
+                .map_err(refused)?;
         }
         Ok(arena)
     }
 
     #[inline]
     fn dims(&self) -> Dims {
-        Dims {
-            pivot_width: self.pivot_width,
-            kb: self.pivot_width * F::SYMBOL_BYTES,
-            pb: (self.row_elems - self.pivot_width) * F::SYMBOL_BYTES,
-        }
+        Dims::new::<F>(self.pivot_width, self.row_elems)
     }
 
     /// Number of per-node bases.
@@ -577,40 +267,16 @@ impl<F: SlabField> BasisArena<F> {
         self.nodes.len()
     }
 
-    /// The pivot (coefficient) width of every basis.
-    #[must_use]
-    pub fn pivot_width(&self) -> usize {
-        self.pivot_width
-    }
-
-    /// Symbols per row (pivot prefix + augmented tail).
-    #[must_use]
-    pub fn row_elems(&self) -> usize {
-        self.row_elems
-    }
-
     /// Bytes per row.
     #[must_use]
     pub fn row_bytes(&self) -> usize {
-        self.row_elems * F::SYMBOL_BYTES
+        self.dims().row_bytes()
     }
 
     /// Bytes of the packed coefficient prefix of every row.
     #[must_use]
     pub fn coeff_bytes(&self) -> usize {
-        self.pivot_width * F::SYMBOL_BYTES
-    }
-
-    /// Bytes of the payload tail of every row.
-    #[must_use]
-    pub fn pay_bytes(&self) -> usize {
-        (self.row_elems - self.pivot_width) * F::SYMBOL_BYTES
-    }
-
-    /// The storage policy this arena was built with.
-    #[must_use]
-    pub fn growth(&self) -> ArenaGrowth {
-        self.growth
+        self.dims().kb
     }
 
     /// Heap bytes currently reserved across every node's row storage
@@ -620,7 +286,7 @@ impl<F: SlabField> BasisArena<F> {
     pub fn allocated_bytes(&self) -> usize {
         self.nodes
             .iter()
-            .map(|c| c.borrow().heap_bytes() + std::mem::size_of::<RefCell<NodeBasis>>())
+            .map(|n| n.heap_bytes() + std::mem::size_of::<NodeBasis>())
             .sum()
     }
 
@@ -631,13 +297,20 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn rank(&self, node: usize) -> usize {
-        self.nodes[node].borrow().rank()
+        self.nodes[node].rank()
     }
 
     /// True once node `node`'s basis spans the full coefficient space.
     #[must_use]
     pub fn is_full(&self, node: usize) -> bool {
         self.rank(node) == self.pivot_width
+    }
+
+    /// Iterates over node `node`'s reduced coefficient prefixes, in
+    /// insertion order. Payloads are untouched — the view for helpfulness
+    /// scans between nodes.
+    pub fn coeff_rows(&self, node: usize) -> impl Iterator<Item = &[u8]> {
+        self.nodes[node].coeff().chunks_exact(self.coeff_bytes())
     }
 
     /// Materializes full row `i` of node `node` (coefficients + reduced
@@ -648,10 +321,10 @@ impl<F: SlabField> BasisArena<F> {
     ///
     /// Panics if `i >= rank(node)`.
     pub fn copy_packed_row_into(&self, node: usize, i: usize, out: &mut Vec<u8>) {
-        let mut nb = self.nodes[node].borrow_mut();
         let mut sc = self.scratch.borrow_mut();
-        assert!(i < nb.rank(), "row index out of bounds");
-        nb.copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
+        self.nodes[node]
+            .rows()
+            .copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
     }
 
     /// Accumulates `Σᵢ factors[i] · row_i` of node `node`'s stored rows
@@ -665,15 +338,18 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `factors` is not exactly `rank(node)` packed symbols or
     /// `out` is not exactly [`BasisArena::row_bytes`] long.
     pub fn accumulate_rows_into(&self, node: usize, factors: &[u8], out: &mut [u8]) {
-        let mut nb = self.nodes[node].borrow_mut();
         let mut sc = self.scratch.borrow_mut();
-        assert_eq!(
-            factors.len(),
-            nb.rank() * F::SYMBOL_BYTES,
-            "one packed factor per stored row"
-        );
-        assert_eq!(out.len(), self.row_bytes(), "out must be one full row");
-        nb.accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
+        self.nodes[node]
+            .rows()
+            .accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
+    }
+
+    /// Forces node `node`'s deferred payload elimination to settle now
+    /// instead of at the next read. Idempotent and invisible to results:
+    /// every read path settles on demand anyway.
+    pub fn settle(&self, node: usize) {
+        let mut sc = self.scratch.borrow_mut();
+        self.nodes[node].rows().settle::<F>(self.dims(), &mut sc);
     }
 
     /// Inserts a packed row into node `node`'s basis, reducing its
@@ -688,18 +364,8 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
     // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        let rb = self.row_bytes();
-        assert_eq!(
-            row.len(),
-            rb,
-            "packed row length mismatch: got {}, arena rows are {rb} bytes",
-            row.len()
-        );
         let dims = self.dims();
-        let BasisArena { nodes, scratch, .. } = self;
-        nodes[node]
-            .get_mut()
-            .insert_packed::<F>(dims, row, scratch.get_mut())
+        self.nodes[node].insert_packed::<F>(dims, row, self.scratch.get_mut())
     }
 
     /// Borrowing variant of [`BasisArena::insert_packed_mut`]: copies the
@@ -711,12 +377,8 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
     // ag-lint: hot-path
     pub fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
-        let mut buf = std::mem::take(&mut self.scratch.get_mut().insert);
-        buf.clear();
-        buf.extend_from_slice(row);
-        let outcome = self.insert_packed_mut(node, &mut buf);
-        self.scratch.get_mut().insert = buf;
-        outcome
+        let dims = self.dims();
+        self.nodes[node].insert_packed_slice::<F>(dims, row, self.scratch.get_mut())
     }
 
     /// Would this packed row raise node `node`'s rank? Non-mutating; `row`
@@ -731,10 +393,9 @@ impl<F: SlabField> BasisArena<F> {
     pub fn would_be_innovative_packed(&self, node: usize, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb, "row shorter than the packed pivot prefix");
-        let mut sc = self.scratch.borrow_mut();
-        self.nodes[node]
-            .borrow()
-            .would_be_innovative::<F>(self.dims(), row, &mut sc)
+        self.nodes[node].probe::<F>(&mut self.scratch.borrow_mut(), |p| {
+            p.extend_from_slice(&row[..kb]);
+        })
     }
 
     /// Once node `node` is full, extracts its solution exactly as
@@ -745,9 +406,7 @@ impl<F: SlabField> BasisArena<F> {
     #[must_use]
     pub fn solution(&self, node: usize) -> Option<Vec<Vec<F>>> {
         let mut sc = self.scratch.borrow_mut();
-        self.nodes[node]
-            .borrow_mut()
-            .solution::<F>(self.dims(), &mut sc)
+        self.nodes[node].rows().solution::<F>(self.dims(), &mut sc)
     }
 
     /// Splits the arena into disjoint contiguous shards for parallel round
@@ -770,14 +429,14 @@ impl<F: SlabField> BasisArena<F> {
                 start == consumed && end >= start && end <= total,
                 "shard bounds must partition the arena contiguously"
             );
-            let (cells, tail) = rest.split_at_mut(end - start);
+            let (nodes, tail) = rest.split_at_mut(end - start);
             rest = tail;
             consumed = end;
             out.push(BasisShard {
-                cells,
+                nodes,
                 start,
                 dims,
-                scratch: ArenaScratch::new(),
+                scratch: Scratch::default(),
                 _field: PhantomData,
             });
         }
@@ -788,16 +447,16 @@ impl<F: SlabField> BasisArena<F> {
 
 /// A disjoint contiguous slice of a [`BasisArena`], addressable by the
 /// original (global) node ids. `Send` by construction — per-node state is
-/// reached through `&mut [RefCell<…>]` + `get_mut`, no locks, no aliasing —
-/// so shards can run on worker threads while the arena itself stays single-
+/// reached through a `&mut` slice + `get_mut`, no locks, no aliasing — so
+/// shards can run on worker threads while the arena itself stays single-
 /// threaded. Each shard carries its own scratch buffers.
 #[derive(Debug)]
 pub struct BasisShard<'a, F> {
-    cells: &'a mut [RefCell<NodeBasis>],
-    /// Global id of `cells[0]`.
+    nodes: &'a mut [NodeBasis],
+    /// Global id of `nodes[0]`.
     start: usize,
     dims: Dims,
-    scratch: ArenaScratch,
+    scratch: Scratch,
     _field: PhantomData<F>,
 }
 
@@ -805,14 +464,14 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Global node ids covered: `start..start + len`.
     #[must_use]
     pub fn node_range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.cells.len()
+        self.start..self.start + self.nodes.len()
     }
 
     /// Node `node`'s current rank (`node` is a global id inside
     /// [`BasisShard::node_range`]).
     #[must_use]
     pub fn rank(&self, node: usize) -> usize {
-        self.cells[node - self.start].borrow().rank()
+        self.nodes[node - self.start].rank()
     }
 
     /// Shard-local [`BasisArena::insert_packed_mut`] — same elimination
@@ -823,23 +482,7 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Panics if `node` is outside the shard or the row length mismatches.
     // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        let rb = (self.dims.kb) + (self.dims.pb);
-        assert_eq!(
-            row.len(),
-            rb,
-            "packed row length mismatch: got {}, arena rows are {rb} bytes",
-            row.len()
-        );
-        let dims = self.dims;
-        let BasisShard {
-            cells,
-            start,
-            scratch,
-            ..
-        } = self;
-        cells[node - *start]
-            .get_mut()
-            .insert_packed::<F>(dims, row, scratch)
+        self.nodes[node - self.start].insert_packed::<F>(self.dims, row, &mut self.scratch)
     }
 
     /// Shard-local [`BasisArena::copy_packed_row_into`].
@@ -848,16 +491,9 @@ impl<F: SlabField> BasisShard<'_, F> {
     ///
     /// Panics if `node` is outside the shard or `i >= rank(node)`.
     pub fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
-        let dims = self.dims;
-        let BasisShard {
-            cells,
-            start,
-            scratch,
-            ..
-        } = self;
-        let nb = cells[node - *start].get_mut();
-        assert!(i < nb.rank(), "row index out of bounds");
-        nb.copy_packed_row_into::<F>(dims, i, scratch, out);
+        self.nodes[node - self.start]
+            .rows_mut()
+            .copy_packed_row_into::<F>(self.dims, i, &mut self.scratch, out);
     }
 
     /// Shard-local [`BasisArena::accumulate_rows_into`].
@@ -867,22 +503,9 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Panics if `node` is outside the shard, `factors` is not exactly
     /// `rank(node)` packed symbols, or `out` is not one full row.
     pub fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
-        let dims = self.dims;
-        let rb = dims.kb + dims.pb;
-        let BasisShard {
-            cells,
-            start,
-            scratch,
-            ..
-        } = self;
-        let nb = cells[node - *start].get_mut();
-        assert_eq!(
-            factors.len(),
-            nb.rank() * F::SYMBOL_BYTES,
-            "one packed factor per stored row"
-        );
-        assert_eq!(out.len(), rb, "out must be one full row");
-        nb.accumulate_rows_into::<F>(dims, factors, scratch, out);
+        self.nodes[node - self.start]
+            .rows_mut()
+            .accumulate_rows_into::<F>(self.dims, factors, &mut self.scratch, out);
     }
 }
 
@@ -900,9 +523,10 @@ mod tests {
         F::pack(&row)
     }
 
-    /// The load-bearing property: an arena node (under either growth
-    /// policy) and a standalone `EchelonBasis` fed the same stream stay
-    /// bit-identical — verdicts, ranks, stored rows, and solutions.
+    /// The two views of the one store: an arena node (row length fixed up
+    /// front, either growth policy, shared scratch) and a standalone
+    /// `EchelonBasis` (row length learned, own scratch) fed the same
+    /// stream agree on verdicts, ranks, stored rows, and solutions.
     fn differential_vs_echelon<F: SlabField>(
         seed: u64,
         k: usize,
@@ -918,7 +542,9 @@ mod tests {
             let node = rng.gen_range(0..nodes);
             let row = random_row::<F>(&mut rng, elems);
             let got = arena.insert_packed_slice(node, &row);
-            let want = bases[node].try_insert_packed(row).expect("shape-valid row");
+            let want = bases[node]
+                .try_insert_packed_slice(&row)
+                .expect("shape-valid row");
             assert_eq!(got, want);
             assert_eq!(arena.rank(node), bases[node].rank());
         }

@@ -1,62 +1,13 @@
-//! Incremental row-echelon basis: the RLNC decoder hot path.
+//! [`EchelonBasis`]: the single-sink view of the per-node store.
 //!
-//! # The coefficient/payload split
-//!
-//! Every inserted row is an augmented equation `[k coefficients | payload]`,
-//! but only the `k`-symbol coefficient prefix ever decides anything: pivot
-//! selection, innovation verdicts, rank. Since PR 6 the basis therefore
-//! stores the two parts separately:
-//!
-//! * **coefficient slab** — one packed `pivot_width`-symbol row per stored
-//!   equation, kept *eagerly* in reduced (Gauss–Jordan) form. Inserts,
-//!   [`EchelonBasis::would_be_innovative`] probes and
-//!   [`EchelonBasis::is_helped_by`] touch only this slab, so a reception
-//!   costs `O(rank · k)` regardless of payload size — and a *redundant*
-//!   reception does **zero** payload work.
-//! * **payload slab + elimination log** — payload tails are appended
-//!   verbatim (one `memcpy`) and the elimination applied to the coefficient
-//!   prefix is recorded instead of executed: per innovative insert the log
-//!   stores the row-indexed reduction multipliers, the pivot normalizer,
-//!   and the back-substitution multipliers. The log is *replayed* onto the
-//!   payload slab only when payload bytes are actually observed:
-//!   [`EchelonBasis::solution`], row materialization, a recoder combining
-//!   stored rows, or an explicit [`EchelonBasis::settle`].
-//!
-//! # Replay schedules
-//!
-//! Replay runs on one of two schedules, selected by the process-global
-//! [`crate::ReplayMode`] knob (`AG_LINALG_REPLAY`, default `Auto`):
-//!
-//! * **row-wise** — one logged event at a time, as fused multi-row passes
-//!   ([`SlabField::mul_add_multi`] gather + normalize +
-//!   [`SlabField::mul_add_scatter`] fan-out). `O(pending)` passes over the
-//!   payload slab; right for shallow flushes (a recode emit settling a few
-//!   events).
-//! * **blocked (BLAS-3)** — the whole pending suffix at once: the events
-//!   are first replayed onto a `rank × rank` *identity coefficient panel*
-//!   (L1-resident, `rank` symbols per row) to factor the batch into one
-//!   dense transform, which a single [`SlabField::mul_add_block`] GEMM —
-//!   register-blocked and tiled — applies to the payload rows through a
-//!   stride-padded scratch panel (odd multiple of 64 bytes per row, so
-//!   power-of-two payload sizes stop aliasing in L1). One pass over the
-//!   payloads instead of `O(pending)`; right for deep flushes (`decode`
-//!   after a full receive stream). `Auto` picks it exactly for deep,
-//!   dense pending suffixes (see `core_ops::use_blocked`).
-//!
-//! Either schedule executes the *same field operations* eager elimination
-//! would, merely batched and reordered within single output symbols; field
-//! arithmetic is exact and GF addition is XOR, so every materialized byte —
-//! and every verdict, which never depends on payloads at all — is
-//! bit-identical to the eager path. The `ag-rlnc` differential suite pins
-//! this against the preserved scalar [`crate::reference::ScalarBasis`]
-//! oracle, on both schedules.
-//!
-//! Elimination itself runs through the [`SlabField`] bulk kernels —
-//! runtime-dispatched through the `ag_gf::Kernel` ladder (product tables /
-//! SWAR / SIMD). The shared `core_ops` functions are also used by
-//! [`crate::BasisArena`], the simulation-wide arena that holds every
-//! node's basis in one preallocated slab, so the owned and arena-backed
-//! bases are bit-identical by construction.
+//! The store itself — the coefficient/payload split, the elimination log
+//! and its replay — is described and implemented once, in the
+//! crate-private `node` module. An [`EchelonBasis`] is *one* such node plus
+//! its dimensions and scratch: it learns its row length from the first
+//! stored row and rejects malformed rows with a typed [`BasisError`],
+//! where [`crate::BasisArena`] — the simulation view, a slice of the same
+//! nodes — fixes the row length up front and asserts. An owned basis and
+//! an arena node run the same code on the same layout.
 
 use std::cell::RefCell;
 use std::error::Error;
@@ -65,27 +16,7 @@ use std::marker::PhantomData;
 
 use ag_gf::SlabField;
 
-/// Outcome of inserting one equation into an [`EchelonBasis`].
-///
-/// In the paper's vocabulary (Definition 3), an [`Insertion::Innovative`]
-/// row is a *helpful message*: it increased the rank of the node that
-/// received it. A [`Insertion::Redundant`] row was already in the span and
-/// is discarded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Insertion {
-    /// The row increased the rank of the basis.
-    Innovative,
-    /// The row was linearly dependent on the existing basis and was dropped.
-    Redundant,
-}
-
-impl Insertion {
-    /// True for [`Insertion::Innovative`].
-    #[must_use]
-    pub fn is_innovative(self) -> bool {
-        matches!(self, Insertion::Innovative)
-    }
-}
+use crate::node::{Dims, Insertion, NodeBasis, Scratch};
 
 /// A malformed row rejected by [`EchelonBasis::try_insert`] before any
 /// elimination ran — the basis is untouched when one of these is returned.
@@ -139,324 +70,23 @@ impl fmt::Display for BasisError {
 
 impl Error for BasisError {}
 
-/// The shared Gauss–Jordan elimination core.
-///
-/// Both [`EchelonBasis`] (one growing basis, `Vec`-backed) and
-/// [`crate::BasisArena`] (all of a simulation's bases in one preallocated
-/// slab) run their eliminations through these functions, so the two are
-/// bit-identical by construction — the property the golden-trajectory and
-/// differential suites pin end to end.
-pub(crate) mod core_ops {
-    use ag_gf::SlabField;
-
-    /// Reads the symbol in column `c` of a packed row.
-    #[inline]
-    pub(crate) fn col<F: SlabField>(row: &[u8], c: usize) -> F {
-        F::read_symbol(&row[c * F::SYMBOL_BYTES..])
-    }
-
-    /// Reduces the coefficient prefix `crow` against the stored (reduced)
-    /// coefficient slab in one fused pass, leaving the row-indexed
-    /// elimination multipliers in `factors` (one packed symbol per stored
-    /// row; zero where the row was unused). Returns the leading pivot-free
-    /// nonzero column — the new pivot — or `None` when the row was
-    /// annihilated (already in the span).
-    ///
-    /// The multipliers can be assembled *before* any elimination runs
-    /// because the slab is in reduced form: stored rows carry zeros at
-    /// every pivot column but their own, so eliminating one pivot never
-    /// changes `crow`'s value at another pivot column — the multiplier for
-    /// stored row `ri` with pivot column `pivot_cols[ri]` is simply
-    /// `-crow[pivot_cols[ri]]` as received. For the same reason the
-    /// surviving value at every pivot-free column equals what sequential
-    /// column-order elimination would have produced, making the returned
-    /// pivot (and the verdict) identical to the scalar oracle's.
-    ///
-    /// `pivot_cols` is the row-indexed pivot map (`rank` entries, one per
-    /// stored row in insertion order) — iterating stored rows directly
-    /// keeps this gather `O(rank)` instead of scanning every column.
-    pub(crate) fn reduce_coeff<F: SlabField>(
-        pivot_cols: &[usize],
-        coeff: &[u8],
-        crow: &mut [u8],
-        factors: &mut Vec<u8>,
-    ) -> Option<usize> {
-        let sb = F::SYMBOL_BYTES;
-        let rank = pivot_cols.len();
-        factors.clear();
-        factors.resize(rank * sb, 0);
-        for (ri, &c) in pivot_cols.iter().enumerate() {
-            let x = col::<F>(crow, c);
-            if !x.is_zero() {
-                (-x).write_symbol(&mut factors[ri * sb..]);
-            }
-        }
-        F::mul_add_multi(factors, coeff, crow);
-        // Pivot columns were annihilated exactly, so the leading nonzero
-        // column is automatically pivot-free.
-        let lead = (0..crow.len() / sb).find(|&c| !col::<F>(crow, c).is_zero());
-        debug_assert!(
-            lead.is_none_or(|c| !pivot_cols.contains(&c)),
-            "pivot columns must be fully eliminated"
-        );
-        lead
-    }
-
-    /// Normalizes a fully reduced coefficient row (pivot entry becomes 1)
-    /// and back-substitutes it into every stored row in one fused scatter,
-    /// leaving the row-indexed back-substitution multipliers in `back`.
-    /// Returns the pivot normalizer `pinv`. The caller then appends `crow`
-    /// as the newest stored row and logs `(factors, pinv, back)` for the
-    /// deferred payload replay.
-    pub(crate) fn normalize_and_back_substitute<F: SlabField>(
-        coeff: &mut [u8],
-        rank: usize,
-        pivot_col: usize,
-        crow: &mut [u8],
-        back: &mut Vec<u8>,
-    ) -> F {
-        let sb = F::SYMBOL_BYTES;
-        let kb = crow.len();
-        let pinv = col::<F>(crow, pivot_col).inv().expect("pivot is nonzero");
-        F::mul_slice(pinv, crow);
-        back.clear();
-        back.resize(rank * sb, 0);
-        for r in 0..rank {
-            let g: F = col::<F>(&coeff[r * kb..], pivot_col);
-            if !g.is_zero() {
-                (-g).write_symbol(&mut back[r * sb..]);
-            }
-        }
-        F::mul_add_scatter(back, crow, &mut coeff[..rank * kb]);
-        pinv
-    }
-
-    /// Byte offset of logged event `e` in an elimination log.
-    ///
-    /// Event `e` records `[e reduce multipliers | pinv | e back-substitution
-    /// multipliers]` — `(2e + 1)` symbols — so the events pack contiguously
-    /// at offset `Σ_{i<e} (2i + 1) = e²` symbols.
-    #[inline]
-    pub(crate) fn log_offset<F: SlabField>(e: usize) -> usize {
-        e * e * F::SYMBOL_BYTES
-    }
-
-    /// Replays logged elimination event `e` onto the payload slab: the
-    /// exact field operations eager elimination would have applied to the
-    /// payload tails when stored row `e` was inserted, executed as two
-    /// fused passes. On entry `pay` rows `0..e` are materialized (reduced)
-    /// and row `e` still holds the raw received payload; on exit row `e`
-    /// is materialized too.
-    pub(crate) fn replay_event<F: SlabField>(
-        pay: &mut [u8],
-        log: &[u8],
-        e: usize,
-        pay_bytes: usize,
-    ) {
-        let sb = F::SYMBOL_BYTES;
-        let ev = &log[log_offset::<F>(e)..];
-        let (fwd, rest) = ev.split_at(e * sb);
-        let (pinv, back) = rest[..(e + 1) * sb].split_at(sb);
-        let (done, tail) = pay.split_at_mut(e * pay_bytes);
-        let row_e = &mut tail[..pay_bytes];
-        F::mul_add_multi(fwd, done, row_e);
-        F::mul_slice(F::read_symbol(pinv), row_e);
-        F::mul_add_scatter(back, row_e, done);
-    }
-
-    /// Pending-event count below which [`crate::ReplayMode::Auto`] stays
-    /// row-wise: the transform build and panel copies only amortize over a
-    /// batch of events.
-    pub(crate) const BLOCKED_MIN_PENDING: usize = 16;
-
-    /// Payload rows narrower than this replay row-wise under
-    /// [`crate::ReplayMode::Auto`]: the panel machinery exists to feed the
-    /// wide register-blocked kernels.
-    pub(crate) const BLOCKED_MIN_PAY_BYTES: usize = 64;
-
-    /// Source/destination panel row stride for the blocked replay scratch:
-    /// `pay_bytes` rounded up to a whole number of cache lines and forced
-    /// to an *odd* multiple of 64, so power-of-two payload sizes (the
-    /// common case) stop aliasing every panel row onto a handful of L1
-    /// sets — measured worth ~9% GEMM throughput on the k=128 / 1 KiB
-    /// decode shape (`bench_gf_block`). Falls back to `pay_bytes` exactly
-    /// if the symbol size ever failed to divide the cache line (no such
-    /// field today).
-    pub(crate) fn padded_stride<F: SlabField>(pay_bytes: usize) -> usize {
-        if 64 % F::SYMBOL_BYTES != 0 {
-            return pay_bytes;
-        }
-        let lines = pay_bytes.div_ceil(64);
-        (if lines.is_multiple_of(2) {
-            lines + 1
-        } else {
-            lines
-        }) * 64
-    }
-
-    /// Should this flush take the blocked schedule? Deterministic in the
-    /// basis state alone (pending-suffix shape plus log density), and both
-    /// schedules produce identical bytes, so the choice is invisible to
-    /// results.
-    pub(crate) fn use_blocked<F: SlabField>(
-        mode: crate::ReplayMode,
-        rank: usize,
-        flushed: usize,
-        pay_bytes: usize,
-        log: &[u8],
-    ) -> bool {
-        match mode {
-            crate::ReplayMode::Rowwise => false,
-            crate::ReplayMode::Blocked => rank > flushed,
-            crate::ReplayMode::Auto => {
-                let pending = rank - flushed;
-                if pending < BLOCKED_MIN_PENDING
-                    || pay_bytes < BLOCKED_MIN_PAY_BYTES
-                    || pending * 2 < rank
-                {
-                    return false;
-                }
-                // The dense panel multiply pays rank² multiplies whatever
-                // the log holds; a sparse log — e.g. a source node, whose
-                // unit-row inserts carry all-zero multipliers — replays
-                // row-wise in O(rank) *skipped* gathers instead. Require a
-                // quarter of the pending log bytes nonzero.
-                let region = &log[log_offset::<F>(flushed)..log_offset::<F>(rank)];
-                let nz = region.iter().filter(|&&b| b != 0).count();
-                nz * 4 >= region.len().max(1)
-            }
-        }
-    }
-
-    /// Replays every pending event `flushed..rank` as one blocked panel
-    /// application — the BLAS-3 replay schedule.
-    ///
-    /// The pending suffix of the log is first replayed onto an identity
-    /// panel of `rank × rank` packed symbols (L1-resident: coefficient
-    /// width, not payload width), factoring the whole suffix into one
-    /// dense transform `T` with final payload row `i = Σ_j T[i,j] ·
-    /// (current payload row j)`. Rows `< flushed` are already materialized
-    /// and enter as unit rows. The payload slab is then updated by a
-    /// single [`SlabField::mul_add_block`] panel multiply through a
-    /// stride-padded scratch panel (see [`padded_stride`]).
-    ///
-    /// Bit-identity with the row-wise schedule: building `T` performs, in
-    /// coefficient space, exactly the multiplier products sequential
-    /// replay would fold into the payload bytes; field multiplication is
-    /// exact and addition is XOR, so re-associating the accumulation into
-    /// a panel multiply reproduces the row-wise bytes bit for bit (pinned
-    /// by the differential suite and the golden trajectories).
-    pub(crate) fn replay_blocked<F: SlabField>(
-        pay: &mut [u8],
-        log: &[u8],
-        flushed: usize,
-        rank: usize,
-        pay_bytes: usize,
-        transform: &mut Vec<u8>,
-        panel: &mut Vec<u8>,
-    ) {
-        let sb = F::SYMBOL_BYTES;
-        let tb = rank * sb;
-        transform.clear();
-        transform.resize(rank * tb, 0);
-        for i in 0..rank {
-            F::ONE.write_symbol(&mut transform[i * tb + i * sb..]);
-        }
-        for e in flushed..rank {
-            replay_event::<F>(transform, log, e, tb);
-        }
-        // One blocked panel multiply from a stride-padded copy of the
-        // payload slab into a zeroed destination panel; the padding
-        // columns multiply zeros and are never copied back.
-        let ps = padded_stride::<F>(pay_bytes);
-        panel.clear();
-        panel.resize(2 * rank * ps, 0);
-        let (srcs, dsts) = panel.split_at_mut(rank * ps);
-        for (src_row, pay_row) in srcs.chunks_exact_mut(ps).zip(pay.chunks_exact(pay_bytes)) {
-            src_row[..pay_bytes].copy_from_slice(pay_row);
-        }
-        F::mul_add_block(transform, srcs, dsts, ps);
-        for (dst_row, pay_row) in dsts.chunks_exact(ps).zip(pay.chunks_exact_mut(pay_bytes)) {
-            pay_row.copy_from_slice(&dst_row[..pay_bytes]);
-        }
-    }
-
-    /// Settles every pending elimination event onto `pay` under the active
-    /// [`crate::ReplayMode`], leaving `flushed == rank`. `pay` must be
-    /// exactly `rank` rows. The shared flush entry point of
-    /// [`crate::EchelonBasis`] and the arena nodes.
-    // ag-lint: hot-path
-    pub(crate) fn flush_pending<F: SlabField>(
-        pay: &mut [u8],
-        log: &[u8],
-        flushed: &mut usize,
-        rank: usize,
-        pay_bytes: usize,
-        transform: &mut Vec<u8>,
-        panel: &mut Vec<u8>,
-    ) {
-        if *flushed >= rank {
-            return;
-        }
-        if use_blocked::<F>(crate::replay_mode(), rank, *flushed, pay_bytes, log) {
-            replay_blocked::<F>(pay, log, *flushed, rank, pay_bytes, transform, panel);
-            *flushed = rank;
-        } else {
-            while *flushed < rank {
-                replay_event::<F>(pay, log, *flushed, pay_bytes);
-                *flushed += 1;
-            }
-        }
-    }
-}
-
-/// Lazily maintained payload state: raw tails plus the elimination log
-/// that turns them into reduced rows on demand. Interior-mutable because
-/// materialization is triggered from `&self` read paths (solution, row
-/// views, recoder combination).
-#[derive(Debug, Clone)]
-struct PayLedger {
-    /// Payload tails, one `pay_bytes` row per stored row. Rows `< flushed`
-    /// are materialized (reduced); rows `>= flushed` are raw as received.
-    pay: Vec<u8>,
-    /// Elimination events, packed per [`core_ops::log_offset`].
-    log: Vec<u8>,
-    /// Number of events already replayed onto `pay`.
-    flushed: usize,
-}
-
-/// Reusable scratch buffers; transient, never part of logical state.
-#[derive(Debug, Clone)]
-struct Scratch {
-    /// Row-indexed reduction multipliers (`rank` symbols).
-    factors: Vec<u8>,
-    /// Row-indexed back-substitution multipliers (`rank` symbols).
-    back: Vec<u8>,
-    /// Coefficient-prefix probe row for `&self` innovation verdicts.
-    probe: Vec<u8>,
-    /// Row copy for the borrowing insert path.
-    insert: Vec<u8>,
-    /// Blocked-replay transform panel (`rank × rank` packed symbols).
-    transform: Vec<u8>,
-    /// Blocked-replay stride-padded source/destination payload panels.
-    panel: Vec<u8>,
-}
-
 /// A growing row-echelon basis of vectors of fixed width over `F`.
 ///
 /// Rows may carry an *augmented tail* (e.g. RLNC payload symbols) beyond the
 /// `pivot_width` leading coefficients: only the leading `pivot_width`
 /// entries participate in pivot selection, and since PR 6 the tails are not
-/// even eliminated eagerly — see the [module docs](self) for the
-/// coefficient/payload split. Observed state (verdicts, ranks, materialized
-/// rows, solutions) is bit-identical to eager Gauss–Jordan decoding.
+/// even eliminated eagerly: the elimination applied to the coefficient
+/// prefix is logged and replayed onto the payloads only when payload bytes
+/// are observed (see [`crate::ReplayMode`] for the replay schedules).
+/// Observed state (verdicts, ranks, materialized rows, solutions) is
+/// bit-identical to eager Gauss–Jordan decoding.
 ///
 /// Inserting a row costs `O(rank · pivot_width)` symbol operations over the
 /// coefficient slab plus one payload `memcpy`; the deferred payload
 /// elimination is paid once per stored row when payloads are next observed,
-/// in fused multi-row kernel passes. For simulations that hold one basis
-/// per node, [`crate::BasisArena`] provides the same split (literally the
-/// same `core_ops` code) over preallocated slabs shared by all nodes.
+/// in fused multi-row kernel passes. Storage grows with the rank, in
+/// geometric chunks capped at the full-rank footprint. This is the one-node
+/// view of the store a [`crate::BasisArena`] holds per node.
 ///
 /// # Examples
 ///
@@ -477,20 +107,8 @@ pub struct EchelonBasis<F> {
     /// Symbols per stored row (pivot prefix + augmented tail); fixed by the
     /// first stored row.
     row_elems: Option<usize>,
-    /// `pivots[c]` = index of the stored row whose pivot is column `c`.
-    pivots: Vec<Option<usize>>,
-    /// Row-indexed inverse of `pivots`: `pivot_cols[ri]` = pivot column of
-    /// stored row `ri`, in insertion order. Lets the reduction gather
-    /// iterate stored rows (`O(rank)`) instead of scanning every column.
-    pivot_cols: Vec<usize>,
-    /// Independent rows stored so far.
-    rank: usize,
-    /// Reduced coefficient prefixes, packed and contiguous: row `i`
-    /// occupies `coeff[i * kb .. (i + 1) * kb]` for `kb = pivot_width`
-    /// packed symbols. Always fully reduced (Gauss–Jordan).
-    coeff: Vec<u8>,
-    /// Raw payload tails + elimination log, replayed on demand.
-    ledger: RefCell<PayLedger>,
+    /// The stored rows.
+    node: NodeBasis,
     /// Reusable buffers (excluded from `PartialEq`).
     scratch: RefCell<Scratch>,
     _field: PhantomData<F>,
@@ -502,14 +120,11 @@ pub struct EchelonBasis<F> {
 /// histories never participate.
 impl<F: SlabField> PartialEq for EchelonBasis<F> {
     fn eq(&self, other: &Self) -> bool {
-        self.flush_payloads();
-        other.flush_payloads();
+        self.settle();
+        other.settle();
         self.pivot_width == other.pivot_width
             && self.row_elems == other.row_elems
-            && self.pivots == other.pivots
-            && self.rank == other.rank
-            && self.coeff == other.coeff
-            && self.ledger.borrow().pay == other.ledger.borrow().pay
+            && self.node.same_settled_rows(&other.node)
     }
 }
 
@@ -520,35 +135,24 @@ impl<F: SlabField> EchelonBasis<F> {
     /// coefficient entries.
     #[must_use]
     pub fn new(pivot_width: usize) -> Self {
-        let sb = F::SYMBOL_BYTES;
         EchelonBasis {
             pivot_width,
             row_elems: None,
-            pivots: vec![None; pivot_width],
-            pivot_cols: Vec::with_capacity(pivot_width),
-            rank: 0,
-            coeff: Vec::new(),
-            ledger: RefCell::new(PayLedger {
-                pay: Vec::new(),
-                log: Vec::new(),
-                flushed: 0,
-            }),
-            scratch: RefCell::new(Scratch {
-                factors: Vec::with_capacity(pivot_width * sb),
-                back: Vec::with_capacity(pivot_width * sb),
-                probe: Vec::with_capacity(pivot_width * sb),
-                insert: Vec::new(),
-                transform: Vec::new(),
-                panel: Vec::new(),
-            }),
+            node: NodeBasis::default(),
+            scratch: RefCell::default(),
             _field: PhantomData,
         }
+    }
+
+    /// Row widths once the first row fixed them; pivot-prefix-only before.
+    fn dims(&self) -> Dims {
+        Dims::new::<F>(self.pivot_width, self.row_elems.unwrap_or(self.pivot_width))
     }
 
     /// The number of independent rows stored so far.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.rank
+        self.node.rank()
     }
 
     /// The pivot (coefficient) width rows must have at minimum.
@@ -560,7 +164,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// True once the basis spans the full coefficient space.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.rank == self.pivot_width
+        self.rank() == self.pivot_width
     }
 
     /// Bytes per stored row (0 before the first row is stored).
@@ -579,8 +183,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// row is stored, or when rows are pivot-prefix-only).
     #[must_use]
     pub fn pay_bytes(&self) -> usize {
-        self.row_elems
-            .map_or(0, |re| (re - self.pivot_width) * F::SYMBOL_BYTES)
+        self.dims().pb
     }
 
     /// The reduced coefficient prefix of row `i` as a packed slab.
@@ -590,9 +193,9 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `i >= rank`.
     #[must_use]
     pub fn coeff_row(&self, i: usize) -> &[u8] {
-        assert!(i < self.rank, "row index out of bounds");
+        assert!(i < self.rank(), "row index out of bounds");
         let kb = self.coeff_bytes();
-        &self.coeff[i * kb..(i + 1) * kb]
+        &self.node.coeff()[i * kb..(i + 1) * kb]
     }
 
     /// Iterates over the stored rows' reduced coefficient prefixes, in
@@ -601,9 +204,7 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn coeff_rows(&self) -> impl Iterator<Item = &[u8]> {
         // `max(1)` only matters for a zero-width basis, where coeff is
         // empty anyway.
-        self.coeff
-            .chunks_exact(self.coeff_bytes().max(1))
-            .take(self.rank)
+        self.node.coeff().chunks_exact(self.coeff_bytes().max(1))
     }
 
     /// Materializes full row `i` (coefficients + reduced payload) into
@@ -613,13 +214,10 @@ impl<F: SlabField> EchelonBasis<F> {
     ///
     /// Panics if `i >= rank`.
     pub fn copy_packed_row_into(&self, i: usize, out: &mut Vec<u8>) {
-        assert!(i < self.rank, "row index out of bounds");
-        self.flush_payloads();
-        let pb = self.pay_bytes();
-        out.clear();
-        out.extend_from_slice(self.coeff_row(i));
-        let led = self.ledger.borrow();
-        out.extend_from_slice(&led.pay[i * pb..(i + 1) * pb]);
+        let mut sc = self.scratch.borrow_mut();
+        self.node
+            .rows()
+            .copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
     }
 
     /// Row `i` decoded back to field elements (materialized).
@@ -629,20 +227,16 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `i >= rank`.
     #[must_use]
     pub fn row(&self, i: usize) -> Vec<F> {
-        assert!(i < self.rank, "row index out of bounds");
-        self.flush_payloads();
-        let pb = self.pay_bytes();
-        let mut v = F::unpack(self.coeff_row(i));
-        let led = self.ledger.borrow();
-        v.extend(F::unpack(&led.pay[i * pb..(i + 1) * pb]));
-        v
+        let mut packed = Vec::new();
+        self.copy_packed_row_into(i, &mut packed);
+        F::unpack(&packed)
     }
 
     /// All stored rows, materialized as element vectors. Prefer
     /// [`EchelonBasis::coeff_rows`] on hot paths that only need headers.
     #[must_use]
     pub fn rows(&self) -> Vec<Vec<F>> {
-        (0..self.rank).map(|i| self.row(i)).collect()
+        (0..self.rank()).map(|i| self.row(i)).collect()
     }
 
     /// Accumulates the linear combination `Σᵢ factors[i] · row_i` of the
@@ -656,17 +250,10 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `factors` is not exactly `rank` packed symbols or `out` is
     /// not exactly [`EchelonBasis::row_bytes`] long.
     pub fn accumulate_rows_into(&self, factors: &[u8], out: &mut [u8]) {
-        assert_eq!(
-            factors.len(),
-            self.rank * F::SYMBOL_BYTES,
-            "one packed factor per stored row"
-        );
-        assert_eq!(out.len(), self.row_bytes(), "out must be one full row");
-        self.flush_payloads();
-        let (oc, op) = out.split_at_mut(self.coeff_bytes());
-        F::mul_add_multi(factors, &self.coeff, oc);
-        let led = self.ledger.borrow();
-        F::mul_add_multi(factors, &led.pay, op);
+        let mut sc = self.scratch.borrow_mut();
+        self.node
+            .rows()
+            .accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
     }
 
     /// Forces the deferred payload elimination to settle now instead of at
@@ -677,40 +264,8 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Idempotent, and invisible to results: every read path flushes on
     /// demand anyway.
     pub fn settle(&self) {
-        self.flush_payloads();
-    }
-
-    /// Replays every pending elimination event onto the payload slab,
-    /// row-wise or as one blocked panel application per the active
-    /// [`crate::ReplayMode`]. After this, payload rows are exactly what
-    /// eager elimination would have produced — both schedules are
-    /// bit-identical. Idempotent; a no-op when nothing is pending or rows
-    /// carry no payload.
-    // ag-lint: hot-path
-    fn flush_payloads(&self) {
-        let mut led = self.ledger.borrow_mut();
-        let pb = self.pay_bytes();
-        if pb == 0 {
-            led.flushed = self.rank;
-            return;
-        }
-        let led = &mut *led;
-        if led.flushed >= self.rank {
-            return;
-        }
         let mut sc = self.scratch.borrow_mut();
-        let Scratch {
-            transform, panel, ..
-        } = &mut *sc;
-        core_ops::flush_pending::<F>(
-            &mut led.pay,
-            &led.log,
-            &mut led.flushed,
-            self.rank,
-            pb,
-            transform,
-            panel,
-        );
+        self.node.rows().settle::<F>(self.dims(), &mut sc);
     }
 
     /// Inserts an equation. Returns whether it was innovative.
@@ -738,55 +293,26 @@ impl<F: SlabField> EchelonBasis<F> {
     /// [`BasisError::LengthMismatch`] when the length differs from the rows
     /// already stored.
     pub fn try_insert(&mut self, row: Vec<F>) -> Result<Insertion, BasisError> {
-        self.validate(row.len())?;
-        Ok(self.insert_validated(F::pack(&row)))
+        self.try_insert_packed_mut(&mut F::pack(&row))
     }
 
-    /// Like [`EchelonBasis::try_insert`] but accepting an already-packed
-    /// row slab — the zero-conversion entry point the RLNC decoder uses.
-    ///
-    /// # Errors
-    ///
-    /// The [`EchelonBasis::try_insert`] errors, plus
-    /// [`BasisError::Misaligned`] when `row.len()` is not a multiple of
-    /// [`SlabField::SYMBOL_BYTES`].
-    pub fn try_insert_packed(&mut self, row: Vec<u8>) -> Result<Insertion, BasisError> {
-        if !row.len().is_multiple_of(F::SYMBOL_BYTES) {
-            return Err(BasisError::Misaligned {
-                len: row.len(),
-                symbol_bytes: F::SYMBOL_BYTES,
-            });
-        }
-        self.validate(row.len() / F::SYMBOL_BYTES)?;
-        Ok(self.insert_validated(row))
-    }
-
-    /// Like [`EchelonBasis::try_insert_packed`] but *borrowing* the row:
-    /// the bytes are copied into an internal reusable scratch buffer and
-    /// reduced there, so a redundant insertion costs **zero heap
+    /// Like [`EchelonBasis::try_insert`] but *borrowing* an already-packed
+    /// row slab: the bytes are copied into an internal reusable scratch
+    /// buffer and reduced there, so a redundant insertion costs **zero heap
     /// allocations** once the scratch has warmed up — the contract the
     /// engine's redundant-reception path relies on.
     ///
     /// # Errors
     ///
-    /// Exactly the [`EchelonBasis::try_insert_packed`] errors; the basis
-    /// (its logical state — scratch is transient) is unchanged on `Err`
-    /// *and* on a redundant insert.
+    /// The [`EchelonBasis::try_insert`] errors, plus
+    /// [`BasisError::Misaligned`] when `row.len()` is not a multiple of
+    /// [`SlabField::SYMBOL_BYTES`]. The basis (its logical state — scratch
+    /// is transient) is unchanged on `Err` *and* on a redundant insert.
     // ag-lint: hot-path
     pub fn try_insert_packed_slice(&mut self, row: &[u8]) -> Result<Insertion, BasisError> {
-        if !row.len().is_multiple_of(F::SYMBOL_BYTES) {
-            return Err(BasisError::Misaligned {
-                len: row.len(),
-                symbol_bytes: F::SYMBOL_BYTES,
-            });
-        }
-        self.validate(row.len() / F::SYMBOL_BYTES)?;
-        let mut buf = std::mem::take(&mut self.scratch.get_mut().insert);
-        buf.clear();
-        buf.extend_from_slice(row);
-        let outcome = self.insert_validated_slice(&mut buf);
-        self.scratch.get_mut().insert = buf;
-        Ok(outcome)
+        self.checked_insert(row.len(), |node, d, sc| {
+            node.insert_packed_slice::<F>(d, row, sc)
+        })
     }
 
     /// Like [`EchelonBasis::try_insert_packed_slice`] but reducing directly
@@ -798,79 +324,48 @@ impl<F: SlabField> EchelonBasis<F> {
     ///
     /// # Errors
     ///
-    /// Exactly the [`EchelonBasis::try_insert_packed`] errors; the basis's
-    /// logical state is unchanged on `Err` and on a redundant insert.
+    /// Exactly the [`EchelonBasis::try_insert_packed_slice`] errors; the
+    /// basis's logical state is unchanged on `Err` and on a redundant
+    /// insert.
     // ag-lint: hot-path
     pub fn try_insert_packed_mut(&mut self, row: &mut [u8]) -> Result<Insertion, BasisError> {
-        if !row.len().is_multiple_of(F::SYMBOL_BYTES) {
+        self.checked_insert(row.len(), |node, d, sc| node.insert_packed::<F>(d, row, sc))
+    }
+
+    /// Shape-checks a packed row of `bytes` bytes, runs `insert` on the
+    /// store, and lets the first stored row fix the row length — shared by
+    /// every insertion entry point.
+    // ag-lint: hot-path
+    fn checked_insert(
+        &mut self,
+        bytes: usize,
+        insert: impl FnOnce(&mut NodeBasis, Dims, &mut Scratch) -> Insertion,
+    ) -> Result<Insertion, BasisError> {
+        if !bytes.is_multiple_of(F::SYMBOL_BYTES) {
             return Err(BasisError::Misaligned {
-                len: row.len(),
+                len: bytes,
                 symbol_bytes: F::SYMBOL_BYTES,
             });
         }
-        self.validate(row.len() / F::SYMBOL_BYTES)?;
-        Ok(self.insert_validated_slice(row))
-    }
-
-    /// Shape checks shared by every insertion entry point.
-    fn validate(&self, elems: usize) -> Result<(), BasisError> {
+        let elems = bytes / F::SYMBOL_BYTES;
         if elems < self.pivot_width {
             return Err(BasisError::RowTooShort {
                 len: elems,
                 pivot_width: self.pivot_width,
             });
         }
-        if let Some(expected) = self.row_elems {
-            if elems != expected {
-                return Err(BasisError::LengthMismatch {
-                    expected,
-                    got: elems,
-                });
-            }
+        if let Some(expected) = self.row_elems.filter(|&e| e != elems) {
+            return Err(BasisError::LengthMismatch {
+                expected,
+                got: elems,
+            });
         }
-        Ok(())
-    }
-
-    /// The elimination core; `row` is packed and already shape-checked.
-    fn insert_validated(&mut self, mut row: Vec<u8>) -> Insertion {
-        self.insert_validated_slice(&mut row)
-    }
-
-    /// Borrowed-buffer elimination core. Only the coefficient prefix of
-    /// `row` is reduced in place; the payload tail is left exactly as
-    /// passed (it is copied raw — its elimination is deferred to the log).
-    // ag-lint: hot-path
-    fn insert_validated_slice(&mut self, row: &mut [u8]) -> Insertion {
-        let sb = F::SYMBOL_BYTES;
-        let kb = self.pivot_width * sb;
-        let (crow, pay_in) = row.split_at_mut(kb);
-        let sc = self.scratch.get_mut();
-        let Some(pivot_col) =
-            core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, crow, &mut sc.factors)
-        else {
-            return Insertion::Redundant;
-        };
-        let pinv = core_ops::normalize_and_back_substitute::<F>(
-            &mut self.coeff,
-            self.rank,
-            pivot_col,
-            crow,
-            &mut sc.back,
-        );
-        self.coeff.extend_from_slice(crow);
-        // Payload: raw memcpy now, elimination deferred to the log.
-        let led = self.ledger.get_mut();
-        led.pay.extend_from_slice(pay_in);
-        led.log.extend_from_slice(&sc.factors);
-        let at = led.log.len();
-        led.log.resize(at + sb, 0);
-        pinv.write_symbol(&mut led.log[at..]);
-        led.log.extend_from_slice(&sc.back);
-        self.pivots[pivot_col] = Some(self.rank);
-        self.pivot_cols.push(pivot_col);
-        self.row_elems = Some(row.len() / sb);
-        self.rank += 1;
-        Insertion::Innovative
+        let d = Dims::new::<F>(self.pivot_width, elems);
+        let outcome = insert(&mut self.node, d, self.scratch.get_mut());
+        if outcome.is_innovative() {
+            self.row_elems = Some(elems);
+        }
+        Ok(outcome)
     }
 
     /// Would `row` be innovative, without mutating the basis?
@@ -880,14 +375,16 @@ impl<F: SlabField> EchelonBasis<F> {
     /// independent of `y`'s subspace. Only the coefficient prefix is
     /// consulted, through reusable scratch buffers — the probe is
     /// allocation-free once warmed up and never touches payload state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is shorter than the pivot prefix.
     #[must_use]
     pub fn would_be_innovative(&self, row: &[F]) -> bool {
         assert!(row.len() >= self.pivot_width);
-        let mut sc = self.scratch.borrow_mut();
-        let Scratch { factors, probe, .. } = &mut *sc;
-        probe.clear();
-        F::pack_into(&row[..self.pivot_width], probe);
-        core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, probe, factors).is_some()
+        let prefix = &row[..self.pivot_width];
+        self.node
+            .probe::<F>(&mut self.scratch.borrow_mut(), |p| F::pack_into(prefix, p))
     }
 
     /// Packed-slab variant of [`EchelonBasis::would_be_innovative`]; `row`
@@ -900,11 +397,9 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn would_be_innovative_packed(&self, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb);
-        let mut sc = self.scratch.borrow_mut();
-        let Scratch { factors, probe, .. } = &mut *sc;
-        probe.clear();
-        probe.extend_from_slice(&row[..kb]);
-        core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, probe, factors).is_some()
+        self.node.probe::<F>(&mut self.scratch.borrow_mut(), |p| {
+            p.extend_from_slice(&row[..kb]);
+        })
     }
 
     /// True iff `other`'s span contains a vector outside `self`'s span,
@@ -927,29 +422,8 @@ impl<F: SlabField> EchelonBasis<F> {
     /// every tail, then the rows are read out in pivot order.
     #[must_use]
     pub fn solution(&self) -> Option<Vec<Vec<F>>> {
-        if !self.is_full() {
-            return None;
-        }
-        self.flush_payloads();
-        let pb = self.pay_bytes();
-        let led = self.ledger.borrow();
-        let mut out = Vec::with_capacity(self.pivot_width);
-        for c in 0..self.pivot_width {
-            let ri = self.pivots[c].expect("full basis has all pivots");
-            debug_assert!(
-                (0..self.pivot_width).all(|j| {
-                    let v: F = core_ops::col::<F>(self.coeff_row(ri), j);
-                    if j == c {
-                        v == F::ONE
-                    } else {
-                        v.is_zero()
-                    }
-                }),
-                "fully reduced basis rows must be unit vectors"
-            );
-            out.push(F::unpack(&led.pay[ri * pb..(ri + 1) * pb]));
-        }
-        Some(out)
+        let mut sc = self.scratch.borrow_mut();
+        self.node.rows().solution::<F>(self.dims(), &mut sc)
     }
 }
 
@@ -1075,13 +549,15 @@ mod tests {
             let row: Vec<Gf256> = (0..8).map(|_| Gf256::random(&mut rng)).collect();
             b.insert(row);
         }
-        // Every pivot column must be zero in all other rows (Gauss-Jordan).
-        for (c, &p) in b.pivots.iter().enumerate() {
-            if let Some(ri) = p {
-                for (j, row) in b.rows().iter().enumerate() {
-                    if j != ri {
-                        assert!(row[c].is_zero(), "column {c} not eliminated in row {j}");
-                    }
+        // Every pivot column — a reduced row's leading nonzero — must be
+        // zero in all other rows (Gauss-Jordan).
+        let rows = b.rows();
+        for (ri, row) in rows.iter().enumerate() {
+            let c = row.iter().position(|x| !x.is_zero()).expect("stored row");
+            assert_eq!(row[c], Gf256::ONE, "pivot of row {ri} not normalized");
+            for (j, other) in rows.iter().enumerate() {
+                if j != ri {
+                    assert!(other[c].is_zero(), "column {c} not eliminated in row {j}");
                 }
             }
         }
@@ -1123,7 +599,7 @@ mod tests {
         );
         assert_eq!(b, before, "failed insert must not mutate the basis");
         assert_eq!(
-            b.try_insert_packed(vec![0u8; 3]),
+            b.try_insert_packed_slice(&[0u8; 3]),
             Ok(Insertion::Redundant),
             "aligned zero row is simply redundant"
         );
@@ -1170,7 +646,7 @@ mod tests {
         for _ in 0..3 * k {
             let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
             assert_eq!(eager.insert(row.clone()), lazy.insert(row));
-            // `rows()` flushes `eager`'s payload ledger every step.
+            // `rows()` settles `eager`'s payload tails every step.
             let _ = eager.rows();
             assert_eq!(eager.rank(), lazy.rank());
         }
@@ -1228,88 +704,5 @@ mod tests {
         // Expected insertions to fill GF(2) rank k is about k + 1.6.
         assert!(inserted < 100, "took {inserted} inserts");
         let _ = rng.gen::<u8>();
-    }
-
-    /// The blocked (transform-panel GEMM) replay schedule against the
-    /// row-wise event replay, byte for byte, from every flush frontier —
-    /// including the mid-suffix entry where rows `< flushed` are already
-    /// materialized and enter the transform as unit rows.
-    #[test]
-    fn blocked_replay_matches_rowwise_from_every_frontier() {
-        let mut rng = StdRng::seed_from_u64(23);
-        // Shapes straddle the Auto thresholds and the kernel tile sizes:
-        // tiny panels, odd payload widths, and a >16-deep pending suffix.
-        for (k, r) in [(3usize, 5usize), (8, 64), (17, 37), (24, 200)] {
-            let mut b = EchelonBasis::<Gf256>::new(k);
-            for _ in 0..4 * k {
-                let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
-                b.insert(row);
-            }
-            let rank = b.rank();
-            let pb = r;
-            let led = b.ledger.borrow();
-            assert_eq!(led.flushed, 0, "inserts must not flush");
-            for frontier in 0..=rank {
-                // Materialize rows < frontier row-wise on both copies,
-                // then settle the rest through each schedule.
-                let mut rowwise = led.pay.clone();
-                for e in 0..frontier {
-                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
-                }
-                let mut blocked = rowwise.clone();
-                for e in frontier..rank {
-                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
-                }
-                let (mut transform, mut panel) = (Vec::new(), Vec::new());
-                core_ops::replay_blocked::<Gf256>(
-                    &mut blocked[..rank * pb],
-                    &led.log,
-                    frontier,
-                    rank,
-                    pb,
-                    &mut transform,
-                    &mut panel,
-                );
-                assert_eq!(
-                    rowwise, blocked,
-                    "schedules diverged at k={k} r={r} frontier={frontier}"
-                );
-            }
-        }
-    }
-
-    /// The Auto-mode schedule choice: deterministic in the basis state,
-    /// row-wise for shallow/narrow/sparse pending suffixes, blocked for
-    /// deep dense ones. (Both schedules are bit-identical — this pins the
-    /// heuristic itself so the hot path is predictable.)
-    #[test]
-    fn auto_mode_picks_blocked_only_for_deep_dense_suffixes() {
-        use crate::ReplayMode;
-        let deep = core_ops::BLOCKED_MIN_PENDING;
-        let wide = core_ops::BLOCKED_MIN_PAY_BYTES;
-        let dense_log = vec![0xABu8; core_ops::log_offset::<Gf256>(2 * deep)];
-        let sparse_log = vec![0u8; core_ops::log_offset::<Gf256>(2 * deep)];
-        let pick = |mode, rank, flushed, pb, log: &[u8]| {
-            core_ops::use_blocked::<Gf256>(mode, rank, flushed, pb, log)
-        };
-        // Forced modes ignore the heuristic entirely.
-        assert!(pick(ReplayMode::Blocked, 1, 0, 1, &dense_log));
-        assert!(!pick(ReplayMode::Rowwise, 2 * deep, 0, wide, &dense_log));
-        // Auto: deep + wide + dense → blocked.
-        assert!(pick(ReplayMode::Auto, 2 * deep, 0, wide, &dense_log));
-        // Too shallow a suffix, too narrow a row, or a mostly-flushed
-        // basis (pending < rank/2) stays row-wise…
-        assert!(!pick(
-            ReplayMode::Auto,
-            2 * deep,
-            2 * deep - deep + 1,
-            wide,
-            &dense_log
-        ));
-        assert!(!pick(ReplayMode::Auto, deep - 1, 0, wide, &dense_log));
-        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide - 1, &dense_log));
-        // …and so does a sparse log (a source node's identity inserts):
-        // row-wise replay skips zero multipliers in O(rank).
-        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide, &sparse_log));
     }
 }

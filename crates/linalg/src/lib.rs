@@ -7,15 +7,12 @@
 //!
 //! * [`Matrix`] — a dense row-major matrix over any [`ag_gf::SlabField`],
 //!   with Gaussian elimination, rank, inversion and solving,
-//! * [`EchelonBasis`] — an *incremental* row-echelon basis: the decoder hot
-//!   path that inserts one received equation at a time and reports whether
-//!   it was innovative (a "helpful message" in the paper's terminology),
-//! * [`BasisArena`] — a simulation-wide arena holding every node's basis
-//!   with rank-bounded storage ([`ArenaGrowth::Chunked`]) or fully
-//!   preallocated rows for allocation-free insertion
-//!   ([`ArenaGrowth::Preallocated`]), splittable into `Send`
-//!   [`BasisShard`]s for parallel round execution (same elimination code
-//!   as [`EchelonBasis`], bit-identical results),
+//! * one *incremental* row-echelon basis — the decoder hot path that
+//!   inserts one received equation at a time and reports whether it was
+//!   innovative (a "helpful message" in the paper's terminology) — behind
+//!   two views: [`EchelonBasis`] holds one node, [`BasisArena`] all of a
+//!   simulation's ([`ArenaGrowth`] picks rank-bounded or preallocated
+//!   storage; `Send` [`BasisShard`]s split it for parallel rounds),
 //! * [`reference::ScalarBasis`] — the preserved scalar elimination path,
 //!   used by differential tests and the `bench_decoder_slab` baseline.
 //!
@@ -48,10 +45,12 @@
 mod arena;
 mod echelon;
 mod matrix;
+mod node;
 pub mod reference;
 mod replay;
 
 pub use arena::{ArenaError, ArenaGrowth, BasisArena, BasisShard};
-pub use echelon::{BasisError, EchelonBasis, Insertion};
+pub use echelon::{BasisError, EchelonBasis};
 pub use matrix::{Matrix, ShapeError};
+pub use node::Insertion;
 pub use replay::{replay_mode, set_replay_mode, ReplayMode};

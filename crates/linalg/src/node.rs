@@ -1,0 +1,846 @@
+//! The one per-node RLNC store: [`NodeBasis`].
+//!
+//! A node's learned subspace is held exactly once in this workspace — here.
+//! [`crate::EchelonBasis`] is one `NodeBasis` plus its dimensions and
+//! scratch; [`crate::BasisArena`] and [`crate::BasisShard`] index into a
+//! slice of them. Insert, flush, probe, row copy, recode gather and
+//! solution are each written once, below, over the pure slab functions in
+//! [`core_ops`].
+//!
+//! # The coefficient/payload split
+//!
+//! Every inserted row is an augmented equation `[k coefficients | payload]`,
+//! but only the `k`-symbol coefficient prefix ever decides anything: pivot
+//! selection, innovation verdicts, rank. The two parts are therefore stored
+//! separately:
+//!
+//! * **coefficient slab** — one packed `pivot_width`-symbol row per stored
+//!   equation, kept *eagerly* in reduced (Gauss–Jordan) form. Inserts and
+//!   probes touch only this slab, so a reception costs `O(rank · k)`
+//!   regardless of payload size — and a *redundant* reception does **zero**
+//!   payload work.
+//! * **payload slab + elimination log** ([`Tails`]) — payload tails are
+//!   appended verbatim (one `memcpy`) and the elimination applied to the
+//!   coefficient prefix is recorded instead of executed: per innovative
+//!   insert the log stores the row-indexed reduction multipliers, the pivot
+//!   normalizer, and the back-substitution multipliers. The log is
+//!   *replayed* onto the payload slab only when payload bytes are actually
+//!   observed (solution, row materialization, a recoder combining stored
+//!   rows, an explicit settle), on the schedule [`crate::ReplayMode`]
+//!   selects.
+//!
+//! Either schedule executes the *same field operations* eager elimination
+//! would, merely batched and reordered within single output symbols; field
+//! arithmetic is exact and GF addition is XOR, so every materialized byte —
+//! and every verdict, which never depends on payloads at all — is
+//! bit-identical to the eager path. The `ag-rlnc` differential suite pins
+//! this against the preserved scalar [`crate::reference::ScalarBasis`]
+//! oracle, on both schedules.
+//!
+//! Only the lazily materialised part sits behind a `RefCell`, so `&self`
+//! read paths can settle payloads on demand while pivots and coefficient
+//! rows stay plainly borrowable. [`NodeBasis::rows`] unlocks it through
+//! `&self` (one borrow-flag check: the serial arena and `EchelonBasis`),
+//! [`NodeBasis::rows_mut`] through `&mut self` (none: the shards).
+
+use std::cell::{RefCell, RefMut};
+use std::ops::DerefMut;
+
+use ag_gf::SlabField;
+
+/// Outcome of inserting one equation into an
+/// [`EchelonBasis`](crate::EchelonBasis) or a [`crate::BasisArena`] node.
+///
+/// In the paper's vocabulary (Definition 3), an [`Insertion::Innovative`]
+/// row is a *helpful message*: it increased the rank of the node that
+/// received it. A [`Insertion::Redundant`] row was already in the span and
+/// is discarded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Insertion {
+    /// The row increased the rank of the basis.
+    Innovative,
+    /// The row was linearly dependent on the existing basis and was dropped.
+    Redundant,
+}
+
+impl Insertion {
+    /// True for [`Insertion::Innovative`].
+    #[must_use]
+    pub fn is_innovative(self) -> bool {
+        matches!(self, Insertion::Innovative)
+    }
+}
+
+/// The Gauss–Jordan elimination core: pure functions over packed slabs,
+/// called only by [`NodeBasis`] (one call site per operation).
+pub(crate) mod core_ops {
+    use ag_gf::SlabField;
+
+    /// Reads the symbol in column `c` of a packed row.
+    #[inline]
+    pub(crate) fn col<F: SlabField>(row: &[u8], c: usize) -> F {
+        F::read_symbol(&row[c * F::SYMBOL_BYTES..])
+    }
+
+    /// Reduces the coefficient prefix `crow` against the stored (reduced)
+    /// coefficient slab in one fused pass, leaving the row-indexed
+    /// elimination multipliers in `factors` (one packed symbol per stored
+    /// row; zero where the row was unused). Returns the leading pivot-free
+    /// nonzero column — the new pivot — or `None` when the row was
+    /// annihilated (already in the span).
+    ///
+    /// The multipliers can be assembled *before* any elimination runs
+    /// because the slab is in reduced form: stored rows carry zeros at
+    /// every pivot column but their own, so eliminating one pivot never
+    /// changes `crow`'s value at another pivot column — the multiplier for
+    /// stored row `ri` with pivot column `pivot_cols[ri]` is simply
+    /// `-crow[pivot_cols[ri]]` as received. For the same reason the
+    /// surviving value at every pivot-free column equals what sequential
+    /// column-order elimination would have produced, making the returned
+    /// pivot (and the verdict) identical to the scalar oracle's.
+    ///
+    /// `pivot_cols` is the row-indexed pivot map (`rank` entries, one per
+    /// stored row in insertion order) — iterating stored rows directly
+    /// keeps this gather `O(rank)` instead of scanning every column.
+    pub(crate) fn reduce_coeff<F: SlabField>(
+        pivot_cols: &[usize],
+        coeff: &[u8],
+        crow: &mut [u8],
+        factors: &mut Vec<u8>,
+    ) -> Option<usize> {
+        let sb = F::SYMBOL_BYTES;
+        let rank = pivot_cols.len();
+        factors.clear();
+        factors.resize(rank * sb, 0);
+        for (ri, &c) in pivot_cols.iter().enumerate() {
+            let x = col::<F>(crow, c);
+            if !x.is_zero() {
+                (-x).write_symbol(&mut factors[ri * sb..]);
+            }
+        }
+        F::mul_add_multi(factors, coeff, crow);
+        // Pivot columns were annihilated exactly, so the leading nonzero
+        // column is automatically pivot-free.
+        let lead = (0..crow.len() / sb).find(|&c| !col::<F>(crow, c).is_zero());
+        debug_assert!(
+            lead.is_none_or(|c| !pivot_cols.contains(&c)),
+            "pivot columns must be fully eliminated"
+        );
+        lead
+    }
+
+    /// Normalizes a fully reduced coefficient row (pivot entry becomes 1)
+    /// and back-substitutes it into every stored row in one fused scatter,
+    /// leaving the row-indexed back-substitution multipliers in `back`.
+    /// Returns the pivot normalizer `pinv`. The caller then appends `crow`
+    /// as the newest stored row and logs `(factors, pinv, back)` for the
+    /// deferred payload replay.
+    pub(crate) fn normalize_and_back_substitute<F: SlabField>(
+        coeff: &mut [u8],
+        rank: usize,
+        pivot_col: usize,
+        crow: &mut [u8],
+        back: &mut Vec<u8>,
+    ) -> F {
+        let sb = F::SYMBOL_BYTES;
+        let kb = crow.len();
+        let pinv = col::<F>(crow, pivot_col).inv().expect("pivot is nonzero");
+        F::mul_slice(pinv, crow);
+        back.clear();
+        back.resize(rank * sb, 0);
+        for r in 0..rank {
+            let g: F = col::<F>(&coeff[r * kb..], pivot_col);
+            if !g.is_zero() {
+                (-g).write_symbol(&mut back[r * sb..]);
+            }
+        }
+        F::mul_add_scatter(back, crow, &mut coeff[..rank * kb]);
+        pinv
+    }
+
+    /// Byte offset of logged event `e` in an elimination log.
+    ///
+    /// Event `e` records `[e reduce multipliers | pinv | e back-substitution
+    /// multipliers]` — `(2e + 1)` symbols — so the events pack contiguously
+    /// at offset `Σ_{i<e} (2i + 1) = e²` symbols.
+    #[inline]
+    pub(crate) fn log_offset<F: SlabField>(e: usize) -> usize {
+        e * e * F::SYMBOL_BYTES
+    }
+
+    /// Replays logged elimination event `e` onto the payload slab: the
+    /// exact field operations eager elimination would have applied to the
+    /// payload tails when stored row `e` was inserted, executed as two
+    /// fused passes. On entry `pay` rows `0..e` are materialized (reduced)
+    /// and row `e` still holds the raw received payload; on exit row `e`
+    /// is materialized too.
+    pub(crate) fn replay_event<F: SlabField>(
+        pay: &mut [u8],
+        log: &[u8],
+        e: usize,
+        pay_bytes: usize,
+    ) {
+        let sb = F::SYMBOL_BYTES;
+        let ev = &log[log_offset::<F>(e)..];
+        let (fwd, rest) = ev.split_at(e * sb);
+        let (pinv, back) = rest[..(e + 1) * sb].split_at(sb);
+        let (done, tail) = pay.split_at_mut(e * pay_bytes);
+        let row_e = &mut tail[..pay_bytes];
+        F::mul_add_multi(fwd, done, row_e);
+        F::mul_slice(F::read_symbol(pinv), row_e);
+        F::mul_add_scatter(back, row_e, done);
+    }
+
+    /// Pending-event count below which [`crate::ReplayMode::Auto`] stays
+    /// row-wise: the transform build and panel copies only amortize over a
+    /// batch of events.
+    pub(crate) const BLOCKED_MIN_PENDING: usize = 16;
+
+    /// Payload rows narrower than this replay row-wise under
+    /// [`crate::ReplayMode::Auto`]: the panel machinery exists to feed the
+    /// wide register-blocked kernels.
+    pub(crate) const BLOCKED_MIN_PAY_BYTES: usize = 64;
+
+    /// Source/destination panel row stride for the blocked replay scratch:
+    /// `pay_bytes` rounded up to a whole number of cache lines and forced
+    /// to an *odd* multiple of 64, so power-of-two payload sizes (the
+    /// common case) stop aliasing every panel row onto a handful of L1
+    /// sets — measured worth ~9% GEMM throughput on the k=128 / 1 KiB
+    /// decode shape (`bench_gf_block`). Falls back to `pay_bytes` exactly
+    /// if the symbol size ever failed to divide the cache line (no such
+    /// field today).
+    pub(crate) fn padded_stride<F: SlabField>(pay_bytes: usize) -> usize {
+        if 64 % F::SYMBOL_BYTES != 0 {
+            return pay_bytes;
+        }
+        let lines = pay_bytes.div_ceil(64);
+        (if lines.is_multiple_of(2) {
+            lines + 1
+        } else {
+            lines
+        }) * 64
+    }
+
+    /// Should this flush take the blocked schedule? Deterministic in the
+    /// basis state alone (pending-suffix shape plus log density), and both
+    /// schedules produce identical bytes, so the choice is invisible to
+    /// results.
+    pub(crate) fn use_blocked<F: SlabField>(
+        mode: crate::ReplayMode,
+        rank: usize,
+        flushed: usize,
+        pay_bytes: usize,
+        log: &[u8],
+    ) -> bool {
+        match mode {
+            crate::ReplayMode::Rowwise => false,
+            crate::ReplayMode::Blocked => rank > flushed,
+            crate::ReplayMode::Auto => {
+                let pending = rank - flushed;
+                if pending < BLOCKED_MIN_PENDING
+                    || pay_bytes < BLOCKED_MIN_PAY_BYTES
+                    || pending * 2 < rank
+                {
+                    return false;
+                }
+                // The dense panel multiply pays rank² multiplies whatever
+                // the log holds; a sparse log — e.g. a source node, whose
+                // unit-row inserts carry all-zero multipliers — replays
+                // row-wise in O(rank) *skipped* gathers instead. Require a
+                // quarter of the pending log bytes nonzero.
+                let region = &log[log_offset::<F>(flushed)..log_offset::<F>(rank)];
+                let nz = region.iter().filter(|&&b| b != 0).count();
+                nz * 4 >= region.len().max(1)
+            }
+        }
+    }
+
+    /// Replays every pending event `flushed..rank` as one blocked panel
+    /// application — the BLAS-3 replay schedule.
+    ///
+    /// The pending suffix of the log is first replayed onto an identity
+    /// panel of `rank × rank` packed symbols (L1-resident: coefficient
+    /// width, not payload width), factoring the whole suffix into one
+    /// dense transform `T` with final payload row `i = Σ_j T[i,j] ·
+    /// (current payload row j)`. Rows `< flushed` are already materialized
+    /// and enter as unit rows. The payload slab is then updated by a
+    /// single [`SlabField::mul_add_block`] panel multiply through a
+    /// stride-padded scratch panel (see [`padded_stride`]).
+    ///
+    /// Bit-identity with the row-wise schedule: building `T` performs, in
+    /// coefficient space, exactly the multiplier products sequential
+    /// replay would fold into the payload bytes; field multiplication is
+    /// exact and addition is XOR, so re-associating the accumulation into
+    /// a panel multiply reproduces the row-wise bytes bit for bit (pinned
+    /// by the differential suite and the golden trajectories).
+    pub(crate) fn replay_blocked<F: SlabField>(
+        pay: &mut [u8],
+        log: &[u8],
+        flushed: usize,
+        rank: usize,
+        pay_bytes: usize,
+        transform: &mut Vec<u8>,
+        panel: &mut Vec<u8>,
+    ) {
+        let sb = F::SYMBOL_BYTES;
+        let tb = rank * sb;
+        transform.clear();
+        transform.resize(rank * tb, 0);
+        for i in 0..rank {
+            F::ONE.write_symbol(&mut transform[i * tb + i * sb..]);
+        }
+        for e in flushed..rank {
+            replay_event::<F>(transform, log, e, tb);
+        }
+        // One blocked panel multiply from a stride-padded copy of the
+        // payload slab into a zeroed destination panel; the padding
+        // columns multiply zeros and are never copied back.
+        let ps = padded_stride::<F>(pay_bytes);
+        panel.clear();
+        panel.resize(2 * rank * ps, 0);
+        let (srcs, dsts) = panel.split_at_mut(rank * ps);
+        for (src_row, pay_row) in srcs.chunks_exact_mut(ps).zip(pay.chunks_exact(pay_bytes)) {
+            src_row[..pay_bytes].copy_from_slice(pay_row);
+        }
+        F::mul_add_block(transform, srcs, dsts, ps);
+        for (dst_row, pay_row) in dsts.chunks_exact(ps).zip(pay.chunks_exact_mut(pay_bytes)) {
+            pay_row.copy_from_slice(&dst_row[..pay_bytes]);
+        }
+    }
+
+    /// Settles every pending elimination event onto `pay` under the active
+    /// [`crate::ReplayMode`], leaving `flushed == rank`. `pay` must be
+    /// exactly `rank` rows.
+    // ag-lint: hot-path
+    pub(crate) fn flush_pending<F: SlabField>(
+        pay: &mut [u8],
+        log: &[u8],
+        flushed: &mut usize,
+        rank: usize,
+        pay_bytes: usize,
+        transform: &mut Vec<u8>,
+        panel: &mut Vec<u8>,
+    ) {
+        if *flushed >= rank {
+            return;
+        }
+        if use_blocked::<F>(crate::replay_mode(), rank, *flushed, pay_bytes, log) {
+            replay_blocked::<F>(pay, log, *flushed, rank, pay_bytes, transform, panel);
+            *flushed = rank;
+        } else {
+            while *flushed < rank {
+                replay_event::<F>(pay, log, *flushed, pay_bytes);
+                *flushed += 1;
+            }
+        }
+    }
+}
+
+/// Per-row widths, precomputed once per call tree so [`NodeBasis`] methods
+/// need no back-reference to the view that owns the node.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dims {
+    /// Pivot (coefficient) width in symbols — also the per-node row cap.
+    pub(crate) pivot_width: usize,
+    /// Bytes of the packed coefficient prefix of every row.
+    pub(crate) kb: usize,
+    /// Bytes of the payload tail of every row.
+    pub(crate) pb: usize,
+}
+
+impl Dims {
+    /// Widths for rows of `row_elems >= pivot_width` symbols over `F`.
+    pub(crate) fn new<F: SlabField>(pivot_width: usize, row_elems: usize) -> Self {
+        Dims {
+            pivot_width,
+            kb: pivot_width * F::SYMBOL_BYTES,
+            pb: (row_elems - pivot_width) * F::SYMBOL_BYTES,
+        }
+    }
+
+    /// Bytes per full row.
+    pub(crate) fn row_bytes(self) -> usize {
+        self.kb + self.pb
+    }
+}
+
+/// Smallest chunk a growing slab reserves at a time: below this, geometric
+/// doubling degenerates into per-row reallocation.
+const MIN_CHUNK_BYTES: usize = 64;
+
+/// Grows `vec`'s capacity to hold `needed` bytes, reserving geometrically
+/// (at least doubling, at least [`MIN_CHUNK_BYTES`]) but never past the
+/// `full`-rank footprint. No-op when capacity already suffices — which is
+/// always, once [`NodeBasis::try_preallocate`] has run.
+fn reserve_chunked(vec: &mut Vec<u8>, needed: usize, full: usize) {
+    debug_assert!(needed <= full, "rank-bounded growth exceeded full rank");
+    if vec.capacity() >= needed {
+        return;
+    }
+    let target = needed
+        .max(vec.capacity().saturating_mul(2))
+        .max(MIN_CHUNK_BYTES)
+        .min(full);
+    vec.reserve_exact(target - vec.len());
+}
+
+/// `try_reserve_exact`, reporting the refused size in bytes.
+fn try_reserve<T>(vec: &mut Vec<T>, additional: usize) -> Result<(), usize> {
+    vec.try_reserve_exact(additional)
+        .map_err(|_| additional.saturating_mul(std::mem::size_of::<T>()))
+}
+
+/// Reusable scratch buffers; transient, never part of logical state. One
+/// set per view: per `EchelonBasis`, per arena (shared by its nodes —
+/// operations are serial per arena), per shard.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    /// Row-indexed reduction multipliers (`rank` symbols).
+    factors: Vec<u8>,
+    /// Row-indexed back-substitution multipliers (`rank` symbols).
+    back: Vec<u8>,
+    /// Coefficient-prefix probe row for `&self` innovation verdicts.
+    probe: Vec<u8>,
+    /// Row copy for [`NodeBasis::insert_packed_slice`].
+    insert: Vec<u8>,
+    /// Blocked-replay transform panel (`rank × rank` packed symbols).
+    transform: Vec<u8>,
+    /// Blocked-replay stride-padded source/destination payload panels.
+    panel: Vec<u8>,
+}
+
+impl Scratch {
+    /// Reserves every buffer at its full-rank footprint. The row-indexed
+    /// multiplier buffers grow with the highest rank seen so far, which
+    /// crosses `Vec` capacity thresholds mid-run — reserving them (and the
+    /// blocked-replay panels) up front is what keeps rounds past warm-up
+    /// allocation-free, not just the per-node slabs. `Err` carries the
+    /// size in bytes of the reservation the allocator refused.
+    pub(crate) fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), usize> {
+        let k = d.pivot_width;
+        let sb = F::SYMBOL_BYTES;
+        try_reserve(&mut self.factors, k * sb)?;
+        try_reserve(&mut self.back, k * sb)?;
+        try_reserve(&mut self.probe, d.kb)?;
+        try_reserve(&mut self.insert, d.row_bytes())?;
+        if d.pb > 0 {
+            try_reserve(&mut self.transform, k * k * sb)?;
+            try_reserve(&mut self.panel, 2 * k * core_ops::padded_stride::<F>(d.pb))?;
+        }
+        Ok(())
+    }
+}
+
+/// The lazily materialised part of a node: raw payload tails plus the
+/// elimination log that turns them into reduced rows on demand.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tails {
+    /// Payload tails, `pb` bytes per stored row. Rows `< flushed` are
+    /// materialized (reduced); later rows are raw as received.
+    pay: Vec<u8>,
+    /// Elimination events packed per [`core_ops::log_offset`]. Empty for
+    /// rank-only rows (`pb == 0`): never written, never replayed.
+    log: Vec<u8>,
+    /// Events already replayed onto `pay`.
+    flushed: usize,
+}
+
+/// One node's basis: reduced coefficient rows, raw payload tails, and the
+/// elimination log that materializes them on demand. All slabs are exactly
+/// `rank` rows long (the log holds `rank` events). Storage grows in
+/// rank-bounded geometric chunks unless [`NodeBasis::try_preallocate`]
+/// reserved the full-rank footprint first.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NodeBasis {
+    /// Row-indexed pivot map: stored row `i` has pivot column
+    /// `pivot_cols[i]`. `rank == pivot_cols.len()`.
+    pivot_cols: Vec<usize>,
+    /// Reduced coefficient prefixes, `kb` bytes per row, fully reduced
+    /// (Gauss–Jordan) at all times.
+    coeff: Vec<u8>,
+    /// Interior-mutable because materialization is triggered from `&self`
+    /// read paths (solution, row views, recoder combination).
+    tails: RefCell<Tails>,
+}
+
+impl NodeBasis {
+    /// Independent rows stored so far.
+    #[inline]
+    pub(crate) fn rank(&self) -> usize {
+        self.pivot_cols.len()
+    }
+
+    /// The reduced coefficient slab: `rank` rows of `kb` bytes, in
+    /// insertion order.
+    pub(crate) fn coeff(&self) -> &[u8] {
+        &self.coeff
+    }
+
+    /// Heap bytes currently reserved by this node's storage.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let tails = self.tails.borrow();
+        self.coeff.capacity()
+            + tails.pay.capacity()
+            + tails.log.capacity()
+            + self.pivot_cols.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// Reserves the full-rank footprint, so later inserts never allocate.
+    /// `Err` carries the size in bytes of the refused reservation.
+    pub(crate) fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), usize> {
+        let k = d.pivot_width;
+        let tails = self.tails.get_mut();
+        try_reserve(&mut self.coeff, k * d.kb)?;
+        try_reserve(&mut tails.pay, k * d.pb)?;
+        if d.pb > 0 {
+            try_reserve(&mut tails.log, k * k * F::SYMBOL_BYTES)?;
+        }
+        try_reserve(&mut self.pivot_cols, k)
+    }
+
+    /// Inserts a packed row, reducing its coefficient prefix **in place**
+    /// in the caller's buffer (the payload tail is left exactly as passed:
+    /// it is copied raw and its elimination deferred to the log). The one
+    /// insert of the workspace, and the one place the row length is
+    /// asserted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not exactly one full row.
+    // ag-lint: hot-path
+    pub(crate) fn insert_packed<F: SlabField>(
+        &mut self,
+        d: Dims,
+        row: &mut [u8],
+        sc: &mut Scratch,
+    ) -> Insertion {
+        let rb = d.row_bytes();
+        assert_eq!(
+            row.len(),
+            rb,
+            "packed row length mismatch: got {}, stored rows are {rb} bytes",
+            row.len()
+        );
+        let rank = self.rank();
+        let (crow, pay_in) = row.split_at_mut(d.kb);
+        let Some(pivot_col) =
+            core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, crow, &mut sc.factors)
+        else {
+            return Insertion::Redundant;
+        };
+        let k = d.pivot_width;
+        if self.pivot_cols.capacity() == rank {
+            // Same rank-bounded discipline as the byte slabs: geometric,
+            // never past the full-rank row count.
+            let target = (rank * 2).max(4).min(k).max(rank + 1);
+            self.pivot_cols.reserve_exact(target - rank);
+        }
+        reserve_chunked(&mut self.coeff, (rank + 1) * d.kb, k * d.kb);
+        self.coeff.resize((rank + 1) * d.kb, 0);
+        let (existing, slot) = self.coeff.split_at_mut(rank * d.kb);
+        let pinv = core_ops::normalize_and_back_substitute::<F>(
+            existing,
+            rank,
+            pivot_col,
+            crow,
+            &mut sc.back,
+        );
+        slot.copy_from_slice(crow);
+        let Tails { pay, log, flushed } = self.tails.get_mut();
+        if d.pb > 0 {
+            // Payload: raw memcpy now, elimination deferred to the log.
+            let sb = F::SYMBOL_BYTES;
+            reserve_chunked(pay, (rank + 1) * d.pb, k * d.pb);
+            pay.extend_from_slice(pay_in);
+            let lbase = core_ops::log_offset::<F>(rank);
+            let lend = lbase + (2 * rank + 1) * sb;
+            reserve_chunked(log, lend, k * k * sb);
+            log.resize(lend, 0);
+            log[lbase..lbase + rank * sb].copy_from_slice(&sc.factors);
+            pinv.write_symbol(&mut log[lbase + rank * sb..]);
+            log[lbase + (rank + 1) * sb..lend].copy_from_slice(&sc.back);
+        } else {
+            // No payload means no log: the row is trivially materialized.
+            *flushed = rank + 1;
+        }
+        self.pivot_cols.push(pivot_col);
+        Insertion::Innovative
+    }
+
+    /// Borrowing variant of [`NodeBasis::insert_packed`]: the row is copied
+    /// into the scratch's reusable buffer and reduced there, so the
+    /// caller's bytes survive and a redundant insert costs zero heap
+    /// allocations once the scratch has warmed up.
+    // ag-lint: hot-path
+    pub(crate) fn insert_packed_slice<F: SlabField>(
+        &mut self,
+        d: Dims,
+        row: &[u8],
+        sc: &mut Scratch,
+    ) -> Insertion {
+        let mut buf = std::mem::take(&mut sc.insert);
+        buf.clear();
+        buf.extend_from_slice(row);
+        let outcome = self.insert_packed::<F>(d, &mut buf, sc);
+        sc.insert = buf;
+        outcome
+    }
+
+    /// Would the packed coefficient prefix `fill` writes (into a cleared
+    /// scratch row) raise this node's rank? Non-mutating, allocation-free
+    /// once the scratch is warm, and never touches payload state.
+    pub(crate) fn probe<F: SlabField>(
+        &self,
+        sc: &mut Scratch,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
+        let Scratch { factors, probe, .. } = sc;
+        probe.clear();
+        fill(probe);
+        core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, probe, factors).is_some()
+    }
+
+    /// Materialized-state equality of two *settled* nodes: same pivots,
+    /// same coefficient rows, same payload rows. Log histories never
+    /// participate.
+    pub(crate) fn same_settled_rows(&self, other: &Self) -> bool {
+        self.pivot_cols == other.pivot_cols
+            && self.coeff == other.coeff
+            && self.tails.borrow().pay == other.tails.borrow().pay
+    }
+
+    /// Unlocks the payload tails through `&self`: one borrow-flag check,
+    /// which panics if a [`Rows`] of this node is still alive.
+    pub(crate) fn rows(&self) -> Rows<'_, RefMut<'_, Tails>> {
+        Rows {
+            pivot_cols: &self.pivot_cols,
+            coeff: &self.coeff,
+            tails: self.tails.borrow_mut(),
+        }
+    }
+
+    /// Unlocks the payload tails through `&mut self`: no flag check — how
+    /// a shard reaches its nodes.
+    pub(crate) fn rows_mut(&mut self) -> Rows<'_, &mut Tails> {
+        Rows {
+            pivot_cols: &self.pivot_cols,
+            coeff: &self.coeff,
+            tails: self.tails.get_mut(),
+        }
+    }
+}
+
+/// One node's rows with the payload tails unlocked — the read side of the
+/// store (settle, row copy, recode gather, solution), written once for
+/// both ways of reaching the tails (see [`NodeBasis::rows`] and
+/// [`NodeBasis::rows_mut`]). Every method settles pending payload
+/// elimination first.
+pub(crate) struct Rows<'a, T> {
+    pivot_cols: &'a [usize],
+    coeff: &'a [u8],
+    tails: T,
+}
+
+impl<T: DerefMut<Target = Tails>> Rows<'_, T> {
+    /// Replays every pending elimination event onto the payload slab,
+    /// row-wise or as one blocked panel application per the active
+    /// [`crate::ReplayMode`], and returns the settled slab. After this,
+    /// payload rows are exactly what eager elimination would have produced
+    /// — both schedules are bit-identical. Idempotent; trivial when nothing
+    /// is pending or rows carry no payload.
+    // ag-lint: hot-path
+    pub(crate) fn settle<F: SlabField>(&mut self, d: Dims, sc: &mut Scratch) -> &[u8] {
+        let rank = self.pivot_cols.len();
+        let Tails { pay, log, flushed } = &mut *self.tails;
+        if d.pb == 0 {
+            *flushed = rank;
+        } else {
+            core_ops::flush_pending::<F>(
+                pay,
+                log,
+                flushed,
+                rank,
+                d.pb,
+                &mut sc.transform,
+                &mut sc.panel,
+            );
+        }
+        pay
+    }
+
+    /// Materializes full row `i` (coefficients + reduced payload) into
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= rank`.
+    pub(crate) fn copy_packed_row_into<F: SlabField>(
+        &mut self,
+        d: Dims,
+        i: usize,
+        sc: &mut Scratch,
+        out: &mut Vec<u8>,
+    ) {
+        assert!(i < self.pivot_cols.len(), "row index out of bounds");
+        out.clear();
+        out.extend_from_slice(&self.coeff[i * d.kb..(i + 1) * d.kb]);
+        out.extend_from_slice(&self.settle::<F>(d, sc)[i * d.pb..(i + 1) * d.pb]);
+    }
+
+    /// Accumulates `Σᵢ factors[i] · row_i` of the stored rows into `out`
+    /// (`out += …`): two fused gathers, one over the coefficient slab and
+    /// one over the settled payload slab. Zero factors are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factors` is not exactly `rank` packed symbols or `out` is
+    /// not exactly one full row.
+    pub(crate) fn accumulate_rows_into<F: SlabField>(
+        &mut self,
+        d: Dims,
+        factors: &[u8],
+        sc: &mut Scratch,
+        out: &mut [u8],
+    ) {
+        assert_eq!(
+            factors.len(),
+            self.pivot_cols.len() * F::SYMBOL_BYTES,
+            "one packed factor per stored row"
+        );
+        assert_eq!(out.len(), d.row_bytes(), "out must be one full row");
+        let (oc, op) = out.split_at_mut(d.kb);
+        F::mul_add_multi(factors, self.coeff, oc);
+        F::mul_add_multi(factors, self.settle::<F>(d, sc), op);
+    }
+
+    /// Once full, the solution: row `i` of the result is the tail of the
+    /// equation whose coefficient vector is the `i`-th unit vector. `None`
+    /// while rank < pivot width.
+    pub(crate) fn solution<F: SlabField>(
+        &mut self,
+        d: Dims,
+        sc: &mut Scratch,
+    ) -> Option<Vec<Vec<F>>> {
+        let k = d.pivot_width;
+        if self.pivot_cols.len() != k {
+            return None;
+        }
+        // Invert the row-indexed pivot map: a full basis has every column.
+        let mut row_of_col = vec![usize::MAX; k];
+        for (ri, &c) in self.pivot_cols.iter().enumerate() {
+            row_of_col[c] = ri;
+        }
+        let coeff = self.coeff;
+        let pay = self.settle::<F>(d, sc);
+        let mut out = Vec::with_capacity(k);
+        for (c, &ri) in row_of_col.iter().enumerate() {
+            assert_ne!(ri, usize::MAX, "full basis has all pivots");
+            debug_assert!(
+                (0..k).all(|j| {
+                    let v: F = core_ops::col::<F>(&coeff[ri * d.kb..], j);
+                    if j == c {
+                        v == F::ONE
+                    } else {
+                        v.is_zero()
+                    }
+                }),
+                "fully reduced basis rows must be unit vectors"
+            );
+            out.push(F::unpack(&pay[ri * d.pb..(ri + 1) * d.pb]));
+        }
+        Some(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ag_gf::{Field, Gf256};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The blocked (transform-panel GEMM) replay schedule against the
+    /// row-wise event replay, byte for byte, from every flush frontier —
+    /// including the mid-suffix entry where rows `< flushed` are already
+    /// materialized and enter the transform as unit rows.
+    #[test]
+    fn blocked_replay_matches_rowwise_from_every_frontier() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // Shapes straddle the Auto thresholds and the kernel tile sizes:
+        // tiny panels, odd payload widths, and a >16-deep pending suffix.
+        for (k, r) in [(3usize, 5usize), (8, 64), (17, 37), (24, 200)] {
+            let d = Dims::new::<Gf256>(k, k + r);
+            let mut b = NodeBasis::default();
+            let mut sc = Scratch::default();
+            for _ in 0..4 * k {
+                let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
+                b.insert_packed::<Gf256>(d, &mut Gf256::pack(&row), &mut sc);
+            }
+            let rank = b.rank();
+            let pb = r;
+            let led = b.tails.borrow();
+            assert_eq!(led.flushed, 0, "inserts must not flush");
+            for frontier in 0..=rank {
+                // Materialize rows < frontier row-wise on both copies,
+                // then settle the rest through each schedule.
+                let mut rowwise = led.pay.clone();
+                for e in 0..frontier {
+                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
+                }
+                let mut blocked = rowwise.clone();
+                for e in frontier..rank {
+                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
+                }
+                let (mut transform, mut panel) = (Vec::new(), Vec::new());
+                core_ops::replay_blocked::<Gf256>(
+                    &mut blocked[..rank * pb],
+                    &led.log,
+                    frontier,
+                    rank,
+                    pb,
+                    &mut transform,
+                    &mut panel,
+                );
+                assert_eq!(
+                    rowwise, blocked,
+                    "schedules diverged at k={k} r={r} frontier={frontier}"
+                );
+            }
+        }
+    }
+
+    /// The Auto-mode schedule choice: deterministic in the basis state,
+    /// row-wise for shallow/narrow/sparse pending suffixes, blocked for
+    /// deep dense ones. (Both schedules are bit-identical — this pins the
+    /// heuristic itself so the hot path is predictable.)
+    #[test]
+    fn auto_mode_picks_blocked_only_for_deep_dense_suffixes() {
+        use crate::ReplayMode;
+        let deep = core_ops::BLOCKED_MIN_PENDING;
+        let wide = core_ops::BLOCKED_MIN_PAY_BYTES;
+        let dense_log = vec![0xABu8; core_ops::log_offset::<Gf256>(2 * deep)];
+        let sparse_log = vec![0u8; core_ops::log_offset::<Gf256>(2 * deep)];
+        let pick = |mode, rank, flushed, pb, log: &[u8]| {
+            core_ops::use_blocked::<Gf256>(mode, rank, flushed, pb, log)
+        };
+        // Forced modes ignore the heuristic entirely.
+        assert!(pick(ReplayMode::Blocked, 1, 0, 1, &dense_log));
+        assert!(!pick(ReplayMode::Rowwise, 2 * deep, 0, wide, &dense_log));
+        // Auto: deep + wide + dense → blocked.
+        assert!(pick(ReplayMode::Auto, 2 * deep, 0, wide, &dense_log));
+        // Too shallow a suffix, too narrow a row, or a mostly-flushed
+        // basis (pending < rank/2) stays row-wise…
+        assert!(!pick(
+            ReplayMode::Auto,
+            2 * deep,
+            2 * deep - deep + 1,
+            wide,
+            &dense_log
+        ));
+        assert!(!pick(ReplayMode::Auto, deep - 1, 0, wide, &dense_log));
+        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide - 1, &dense_log));
+        // …and so does a sparse log (a source node's identity inserts):
+        // row-wise replay skips zero multipliers in O(rank).
+        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide, &sparse_log));
+    }
+}

@@ -15,7 +15,7 @@
 
 use ag_gf::Field;
 
-use crate::echelon::Insertion;
+use crate::Insertion;
 
 /// A growing row-echelon basis with scalar (element-at-a-time) elimination.
 ///

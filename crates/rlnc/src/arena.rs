@@ -1,19 +1,19 @@
 //! All of a simulation's decoders in one arena: allocation-free RLNC.
 //!
-//! [`DecoderArena`] is the n-node counterpart of [`Decoder`]: per-node
-//! rank/receive/decode semantics identical to a `Vec<Decoder<F>>` (the
-//! differential suite in `tests/differential_decoder.rs` pins this packet
-//! for packet), but every node's equations live in one
-//! [`ag_linalg::BasisArena`] slab preallocated at construction. Combined
-//! with the [`crate::RowPool`] message buffers and the borrowing
-//! receive/emit entry points, a simulation's steady-state round loop
-//! performs zero per-message heap allocation.
+//! [`DecoderArena`] is the only RLNC decoder state in the workspace: every
+//! node's equations live in one [`ag_linalg::BasisArena`], with rank-bounded
+//! (or, for the allocation audits, fully preallocated) row storage. A
+//! [`Decoder`](crate::Decoder) is a one-node arena behind the
+//! [`Packet`](crate::Packet) API; the differential suite in
+//! `tests/differential_decoder.rs` pins this one store against the scalar
+//! oracle packet for packet. Combined with the [`crate::RowPool`] message
+//! buffers and the borrowing receive/emit entry points, a simulation's
+//! steady-state round loop performs zero per-message heap allocation.
 //!
-//! Recoding lives here too ([`DecoderArena::emit_packed_row_into`] and
-//! friends) rather than on a borrowed [`crate::Recoder`], because the
-//! recoder would need a per-node `Decoder` to borrow; the draw sequence and
-//! combination arithmetic are the recoder's exactly, which the differential
-//! tests verify under shared RNG streams.
+//! Recoding lives here too: the dense and the sparse coefficient draws and
+//! the combination that follows are written once (`emit`, below) and serve
+//! the serial arena, its [`DecoderShard`]s and, through the one-node
+//! arena, [`crate::Recoder`].
 
 use std::cell::RefCell;
 
@@ -23,7 +23,105 @@ use rand::Rng;
 
 use crate::decoder::Reception;
 use crate::generation::Generation;
-use crate::packet::Packet;
+
+/// One node's reception counters (seeds excluded).
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    innovative: u64,
+    redundant: u64,
+}
+
+impl Counts {
+    /// Counts one delivered row by the basis's verdict on it.
+    fn record(&mut self, outcome: Insertion) -> Reception {
+        match outcome {
+            Insertion::Innovative => {
+                self.innovative += 1;
+                Reception::Innovative
+            }
+            Insertion::Redundant => {
+                self.redundant += 1;
+                Reception::Redundant
+            }
+        }
+    }
+}
+
+/// What an emit reads of a node's stored rows. Implemented by the serial
+/// arena (through `&`: its scratch is interior-mutable) and by a shard
+/// (through `&mut`), so the draw-and-combine loop is written once.
+trait StoredRows {
+    fn rank(&self, node: usize) -> usize;
+    fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]);
+    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>);
+}
+
+impl<F: SlabField> StoredRows for &BasisArena<F> {
+    fn rank(&self, node: usize) -> usize {
+        BasisArena::rank(self, node)
+    }
+    fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
+        BasisArena::accumulate_rows_into(self, node, factors, out);
+    }
+    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
+        BasisArena::copy_packed_row_into(self, node, i, out);
+    }
+}
+
+impl<F: SlabField> StoredRows for BasisShard<'_, F> {
+    fn rank(&self, node: usize) -> usize {
+        BasisShard::rank(self, node)
+    }
+    fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
+        BasisShard::accumulate_rows_into(self, node, factors, out);
+    }
+    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
+        BasisShard::copy_packed_row_into(self, node, i, out);
+    }
+}
+
+/// The one recode-emit, behind [`DecoderArena::emit_packed_row_into`] (which
+/// documents the draws) and its shard twin. `factors` is the caller's
+/// reusable packed-coefficient buffer.
+// ag-lint: hot-path
+fn emit<F: SlabField, R: Rng + ?Sized>(
+    rows: &mut impl StoredRows,
+    node: usize,
+    row_bytes: usize,
+    density: Option<f64>,
+    factors: &mut Vec<u8>,
+    rng: &mut R,
+    out: &mut Vec<u8>,
+) -> bool {
+    assert!(
+        density.is_none_or(|p| p > 0.0 && p <= 1.0),
+        "coding density must be in (0, 1]"
+    );
+    out.clear();
+    let rank = rows.rank(node);
+    if rank == 0 {
+        return false;
+    }
+    factors.clear();
+    factors.resize(rank * F::SYMBOL_BYTES, 0);
+    let mut picked_any = false;
+    for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
+        match density {
+            None => F::random(rng).write_symbol(slot),
+            Some(p) if rng.gen_bool(p) => F::random_nonzero(rng).write_symbol(slot),
+            Some(_) => continue,
+        }
+        picked_any = true;
+    }
+    if picked_any {
+        out.resize(row_bytes, 0);
+        rows.accumulate_rows_into(node, factors, out);
+    } else {
+        // Degenerate sparse draw: forward one stored row unmodified.
+        rows.copy_packed_row_into(node, rng.gen_range(0..rank), out);
+    }
+    true
+}
 
 /// `n` decoders for one generation, backed by a single contiguous arena.
 ///
@@ -40,7 +138,7 @@ use crate::packet::Packet;
 /// arena.seed_all_messages(0, &g); // node 0 is the source
 /// let mut buf = Vec::new();
 /// while !arena.is_complete(1) {
-///     assert!(arena.emit_packed_row_into(0, &mut rng, &mut buf));
+///     assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
 ///     arena.receive_packed_slice(1, &buf);
 /// }
 /// assert_eq!(arena.decode(1).unwrap(), g.messages());
@@ -50,13 +148,12 @@ pub struct DecoderArena<F> {
     k: usize,
     payload_len: usize,
     basis: BasisArena<F>,
-    innovative: Vec<u64>,
-    redundant: Vec<u64>,
-    /// Reusable row buffer for seeding and the slice-receive path.
+    counts: Vec<Counts>,
+    /// Reusable row buffer for seeding and the borrowing receive paths.
     scratch: Vec<u8>,
-    /// Reusable packed recoding-factor buffer for the emit paths
-    /// (interior-mutable: emits take `&self`).
-    emit_factors: RefCell<Vec<u8>>,
+    /// Reusable packed `k`-symbol buffer for the `&self` paths: recoding
+    /// factors on emit, the coefficient prefix on a helpfulness probe.
+    ksyms: RefCell<Vec<u8>>,
 }
 
 impl<F: SlabField> DecoderArena<F> {
@@ -109,13 +206,12 @@ impl<F: SlabField> DecoderArena<F> {
             k,
             payload_len,
             basis: BasisArena::try_with_growth(nodes, k, k + payload_len, growth)?,
-            innovative: vec![0; nodes],
-            redundant: vec![0; nodes],
+            counts: vec![Counts::default(); nodes],
             scratch: Vec::with_capacity((k + payload_len) * F::SYMBOL_BYTES),
             // Full-rank capacity up front: emits must not allocate even as
             // ranks grow mid-run (the completion-run allocation audit
             // snapshots every round).
-            emit_factors: RefCell::new(Vec::with_capacity(k * F::SYMBOL_BYTES)),
+            ksyms: RefCell::new(Vec::with_capacity(k * F::SYMBOL_BYTES)),
         })
     }
 
@@ -166,13 +262,13 @@ impl<F: SlabField> DecoderArena<F> {
     /// Node `node`'s innovative receptions so far (excluding seeds).
     #[must_use]
     pub fn innovative_count(&self, node: usize) -> u64 {
-        self.innovative[node]
+        self.counts[node].innovative
     }
 
     /// Node `node`'s redundant receptions so far.
     #[must_use]
     pub fn redundant_count(&self, node: usize) -> u64 {
-        self.redundant[node]
+        self.counts[node].redundant
     }
 
     /// Sum of all nodes' ranks — the global progress measure.
@@ -184,20 +280,36 @@ impl<F: SlabField> DecoderArena<F> {
     /// Total innovative receptions across all nodes.
     #[must_use]
     pub fn total_innovative(&self) -> u64 {
-        self.innovative.iter().sum()
+        self.counts.iter().map(|c| c.innovative).sum()
     }
 
     /// Total redundant receptions across all nodes.
     #[must_use]
     pub fn total_redundant(&self) -> u64 {
-        self.redundant.iter().sum()
+        self.counts.iter().map(|c| c.redundant).sum()
+    }
+
+    /// The per-node bases, for the read paths a one-node
+    /// [`Decoder`](crate::Decoder) adds (settle, helpfulness scans).
+    pub(crate) fn basis(&self) -> &BasisArena<F> {
+        &self.basis
+    }
+
+    /// Lets `build` write one packed row into the arena's reusable buffer,
+    /// then inserts it into node `node`, reducing it there.
+    // ag-lint: hot-path
+    fn insert_built(&mut self, node: usize, build: impl FnOnce(&mut Vec<u8>)) -> Insertion {
+        let mut row = std::mem::take(&mut self.scratch);
+        row.clear();
+        build(&mut row);
+        let outcome = self.basis.insert_packed_mut(node, &mut row);
+        self.scratch = row;
+        outcome
     }
 
     /// Seeds node `node` with source message `index`: inserts the unit
     /// equation `e_index · x = x_index`. Counts as neither innovative nor
-    /// redundant traffic, exactly like [`Decoder::seed_message`].
-    ///
-    /// [`Decoder::seed_message`]: crate::Decoder::seed_message
+    /// redundant traffic.
     ///
     /// # Panics
     ///
@@ -210,13 +322,12 @@ impl<F: SlabField> DecoderArena<F> {
             self.payload_len,
             "payload length mismatch"
         );
-        let mut row = std::mem::take(&mut self.scratch);
-        row.clear();
-        row.resize(self.k * F::SYMBOL_BYTES, 0);
-        F::ONE.write_symbol(&mut row[index * F::SYMBOL_BYTES..]);
-        F::pack_into(generation.message(index), &mut row);
-        let _ = self.basis.insert_packed_mut(node, &mut row);
-        self.scratch = row;
+        let k = self.k;
+        let _ = self.insert_built(node, |row| {
+            row.resize(k * F::SYMBOL_BYTES, 0);
+            F::ONE.write_symbol(&mut row[index * F::SYMBOL_BYTES..]);
+            F::pack_into(generation.message(index), row);
+        });
     }
 
     /// Seeds node `node` with *all* messages (a full source).
@@ -227,11 +338,10 @@ impl<F: SlabField> DecoderArena<F> {
     }
 
     /// Delivers a packed augmented row to node `node`, reducing it in the
-    /// arena's internal scratch — the borrowing receive of the engine hot
-    /// path. Verdicts, rank growth and counters behave exactly as
-    /// [`Decoder::receive_packed_slice`].
-    ///
-    /// [`Decoder::receive_packed_slice`]: crate::Decoder::receive_packed_slice
+    /// arena's internal scratch so the caller keeps its bytes. A
+    /// *redundant* reception costs zero heap allocations; an innovative
+    /// one only grows the node's storage. Verdicts, rank growth and
+    /// counters behave exactly as [`DecoderArena::receive_packed_mut`].
     ///
     /// # Panics
     ///
@@ -239,12 +349,19 @@ impl<F: SlabField> DecoderArena<F> {
     /// [`DecoderArena::row_bytes`].
     // ag-lint: hot-path
     pub fn receive_packed_slice(&mut self, node: usize, row: &[u8]) -> Reception {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend_from_slice(row);
-        let outcome = self.receive_packed_mut(node, &mut scratch);
-        self.scratch = scratch;
-        outcome
+        self.receive_built(node, |buf| buf.extend_from_slice(row))
+    }
+
+    /// [`DecoderArena::receive_packed_slice`] for a row `build` writes
+    /// straight into the arena's buffer (a packet being packed).
+    // ag-lint: hot-path
+    pub(crate) fn receive_built(
+        &mut self,
+        node: usize,
+        build: impl FnOnce(&mut Vec<u8>),
+    ) -> Reception {
+        let outcome = self.insert_built(node, build);
+        self.counts[node].record(outcome)
     }
 
     /// Zero-copy receive: reduces the row **in place** in the caller's
@@ -258,127 +375,53 @@ impl<F: SlabField> DecoderArena<F> {
     /// [`DecoderArena::row_bytes`].
     // ag-lint: hot-path
     pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Reception {
-        assert_eq!(
-            row.len(),
-            self.row_bytes(),
-            "packed row length mismatch: got {}, arena expects {}",
-            row.len(),
-            self.row_bytes()
-        );
-        match self.basis.insert_packed_mut(node, row) {
-            Insertion::Innovative => {
-                self.innovative[node] += 1;
-                Reception::Innovative
-            }
-            Insertion::Redundant => {
-                self.redundant[node] += 1;
-                Reception::Redundant
-            }
-        }
+        let outcome = self.basis.insert_packed_mut(node, row);
+        self.counts[node].record(outcome)
+    }
+
+    /// Would a packet with these `k` coefficients raise node `node`'s
+    /// rank? Non-mutating and allocation-free; payload state is untouched.
+    pub(crate) fn would_help(&self, node: usize, coefficients: &[F]) -> bool {
+        let mut prefix = self.ksyms.borrow_mut();
+        prefix.clear();
+        F::pack_into(coefficients, &mut prefix);
+        self.basis.would_be_innovative_packed(node, &prefix)
     }
 
     /// Emits one coded packed row from node `node` into `out` (cleared and
     /// sized to the row width): a fresh random combination over everything
-    /// the node stores, drawing coefficients exactly like
-    /// [`Recoder::emit_packed_row`] under the same RNG state. Returns
-    /// `false` — leaving `out` empty — when the node stores nothing yet.
+    /// the node stores. Returns `false` — leaving `out` empty — when the
+    /// node stores nothing yet. Settles any payload elimination the node
+    /// had deferred.
     ///
-    /// [`Recoder::emit_packed_row`]: crate::Recoder::emit_packed_row
+    /// `density: None` is the paper's dense combination: one uniform
+    /// coefficient per stored row, in insertion order, zeros included.
+    /// `Some(p)` is sparse recoding: each stored row participates with
+    /// probability `p`, with a uniform *nonzero* coefficient; an empty
+    /// sample forwards one uniformly chosen stored row verbatim, so the
+    /// packet is never informationless.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(
         &self,
         node: usize,
+        density: Option<f64>,
         rng: &mut R,
         out: &mut Vec<u8>,
     ) -> bool {
-        out.clear();
-        let rank = self.basis.rank(node);
-        if rank == 0 {
-            return false;
-        }
-        out.resize(self.row_bytes(), 0);
-        let mut factors = self.emit_factors.borrow_mut();
-        factors.clear();
-        factors.resize(rank * F::SYMBOL_BYTES, 0);
-        // One uniform draw per stored row, in insertion order — the exact
-        // sequence `Recoder` draws under the same RNG state.
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            F::random(rng).write_symbol(slot);
-        }
-        self.basis.accumulate_rows_into(node, &factors, out);
-        true
-    }
-
-    /// Sparse-recoding emit, drawing exactly like
-    /// [`Recoder::emit_sparse_packed_row`] under the same RNG state.
-    ///
-    /// [`Recoder::emit_sparse_packed_row`]: crate::Recoder::emit_sparse_packed_row
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    // ag-lint: hot-path
-    pub fn emit_sparse_packed_row_into<R: Rng + ?Sized>(
-        &self,
-        node: usize,
-        density: f64,
-        rng: &mut R,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        assert!(
-            density > 0.0 && density <= 1.0,
-            "coding density must be in (0, 1]"
-        );
-        out.clear();
-        let rank = self.basis.rank(node);
-        if rank == 0 {
-            return false;
-        }
-        let mut factors = self.emit_factors.borrow_mut();
-        factors.clear();
-        factors.resize(rank * F::SYMBOL_BYTES, 0);
-        let mut picked_any = false;
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            if !rng.gen_bool(density) {
-                continue;
-            }
-            picked_any = true;
-            F::random_nonzero(rng).write_symbol(slot);
-        }
-        if picked_any {
-            out.resize(self.row_bytes(), 0);
-            self.basis.accumulate_rows_into(node, &factors, out);
-        } else {
-            self.basis
-                .copy_packed_row_into(node, rng.gen_range(0..rank), out);
-        }
-        true
-    }
-
-    /// [`Packet`]-shaped emit (allocating), for the preserved pre-rework
-    /// message path — same draws as [`DecoderArena::emit_packed_row_into`].
-    #[must_use]
-    pub fn emit_packet<R: Rng + ?Sized>(&self, node: usize, rng: &mut R) -> Option<Packet<F>> {
-        let mut row = Vec::new();
-        self.emit_packed_row_into(node, rng, &mut row)
-            .then(|| Packet::from_packed_row(&row, self.k))
-    }
-
-    /// [`Packet`]-shaped sparse emit (allocating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    #[must_use]
-    pub fn emit_sparse_packet<R: Rng + ?Sized>(
-        &self,
-        node: usize,
-        density: f64,
-        rng: &mut R,
-    ) -> Option<Packet<F>> {
-        let mut row = Vec::new();
-        self.emit_sparse_packed_row_into(node, density, rng, &mut row)
-            .then(|| Packet::from_packed_row(&row, self.k))
+        let factors = &mut self.ksyms.borrow_mut();
+        emit::<F, R>(
+            &mut &self.basis,
+            node,
+            self.row_bytes(),
+            density,
+            factors,
+            rng,
+            out,
+        )
     }
 
     /// Solves node `node`'s system once complete; `None` before rank `k`.
@@ -399,26 +442,22 @@ impl<F: SlabField> DecoderArena<F> {
     /// Panics if `bounds` is not an ordered contiguous partition.
     pub fn shards_mut(&mut self, bounds: &[(usize, usize)]) -> Vec<DecoderShard<'_, F>> {
         let row_bytes = self.row_bytes();
-        let basis_shards = self.basis.shards_mut(bounds);
-        let mut innovative = self.innovative.as_mut_slice();
-        let mut redundant = self.redundant.as_mut_slice();
-        let mut out = Vec::with_capacity(bounds.len());
-        for basis in basis_shards {
-            let len = basis.node_range().len();
-            let (inno, irest) = innovative.split_at_mut(len);
-            let (redu, rrest) = redundant.split_at_mut(len);
-            innovative = irest;
-            redundant = rrest;
-            out.push(DecoderShard {
-                start: basis.node_range().start,
-                basis,
-                innovative: inno,
-                redundant: redu,
-                row_bytes,
-                emit_factors: Vec::new(),
-            });
-        }
-        out
+        let mut counts = self.counts.as_mut_slice();
+        self.basis
+            .shards_mut(bounds)
+            .into_iter()
+            .map(|basis| {
+                let (mine, rest) =
+                    std::mem::take(&mut counts).split_at_mut(basis.node_range().len());
+                counts = rest;
+                DecoderShard {
+                    basis,
+                    counts: mine,
+                    row_bytes,
+                    factors: Vec::new(),
+                }
+            })
+            .collect()
     }
 }
 
@@ -430,13 +469,11 @@ impl<F: SlabField> DecoderArena<F> {
 #[derive(Debug)]
 pub struct DecoderShard<'a, F> {
     basis: BasisShard<'a, F>,
-    /// Global id of the first node in this shard.
-    start: usize,
-    innovative: &'a mut [u64],
-    redundant: &'a mut [u64],
+    /// Counters of the shard's nodes, indexed from the shard's first node.
+    counts: &'a mut [Counts],
     row_bytes: usize,
     /// Shard-local packed recoding-factor buffer.
-    emit_factors: Vec<u8>,
+    factors: Vec<u8>,
 }
 
 impl<F: SlabField> DecoderShard<'_, F> {
@@ -461,95 +498,27 @@ impl<F: SlabField> DecoderShard<'_, F> {
     /// Panics if `node` is outside the shard or the row length mismatches.
     // ag-lint: hot-path
     pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Reception {
-        assert_eq!(
-            row.len(),
-            self.row_bytes,
-            "packed row length mismatch: got {}, arena expects {}",
-            row.len(),
-            self.row_bytes
-        );
-        match self.basis.insert_packed_mut(node, row) {
-            Insertion::Innovative => {
-                self.innovative[node - self.start] += 1;
-                Reception::Innovative
-            }
-            Insertion::Redundant => {
-                self.redundant[node - self.start] += 1;
-                Reception::Redundant
-            }
-        }
+        let outcome = self.basis.insert_packed_mut(node, row);
+        self.counts[node - self.basis.node_range().start].record(outcome)
     }
 
-    /// Shard-local [`DecoderArena::emit_packed_row_into`] — one uniform
-    /// draw per stored row, in insertion order, exactly the serial
-    /// sequence.
+    /// Shard-local [`DecoderArena::emit_packed_row_into`] — the same
+    /// draws, in exactly the serial sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(
         &mut self,
         node: usize,
+        density: Option<f64>,
         rng: &mut R,
         out: &mut Vec<u8>,
     ) -> bool {
-        out.clear();
-        let rank = self.basis.rank(node);
-        if rank == 0 {
-            return false;
-        }
-        out.resize(self.row_bytes, 0);
-        let mut factors = std::mem::take(&mut self.emit_factors);
-        factors.clear();
-        factors.resize(rank * F::SYMBOL_BYTES, 0);
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            F::random(rng).write_symbol(slot);
-        }
-        self.basis.accumulate_rows_into(node, &factors, out);
-        self.emit_factors = factors;
-        true
-    }
-
-    /// Shard-local [`DecoderArena::emit_sparse_packed_row_into`] — same
-    /// draw sequence as the serial sparse emit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    // ag-lint: hot-path
-    pub fn emit_sparse_packed_row_into<R: Rng + ?Sized>(
-        &mut self,
-        node: usize,
-        density: f64,
-        rng: &mut R,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        assert!(
-            density > 0.0 && density <= 1.0,
-            "coding density must be in (0, 1]"
-        );
-        out.clear();
-        let rank = self.basis.rank(node);
-        if rank == 0 {
-            return false;
-        }
-        let mut factors = std::mem::take(&mut self.emit_factors);
-        factors.clear();
-        factors.resize(rank * F::SYMBOL_BYTES, 0);
-        let mut picked_any = false;
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            if !rng.gen_bool(density) {
-                continue;
-            }
-            picked_any = true;
-            F::random_nonzero(rng).write_symbol(slot);
-        }
-        if picked_any {
-            out.resize(self.row_bytes, 0);
-            self.basis.accumulate_rows_into(node, &factors, out);
-        } else {
-            self.basis
-                .copy_packed_row_into(node, rng.gen_range(0..rank), out);
-        }
-        self.emit_factors = factors;
-        true
+        let row_bytes = self.row_bytes;
+        let factors = &mut self.factors;
+        emit::<F, R>(&mut self.basis, node, row_bytes, density, factors, rng, out)
     }
 }
 
@@ -561,7 +530,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The arena must track a `Vec<Decoder>` bit for bit when both consume
+    /// Node `v` of an n-node arena and a one-node `Decoder` (the same store
+    /// behind the `Packet` API) must agree bit for bit when both consume
     /// identical streams — including the RNG draw sequence of emits.
     #[test]
     fn arena_tracks_vec_of_decoders_under_shared_rng() {
@@ -585,7 +555,7 @@ mod tests {
         for _ in 0..200 {
             let from = traffic_rng.gen_range(0..nodes);
             let to = (from + 1 + traffic_rng.gen_range(0..nodes - 1)) % nodes;
-            let emitted_a = arena.emit_packed_row_into(from, &mut rng_a, &mut buf);
+            let emitted_a = arena.emit_packed_row_into(from, None, &mut rng_a, &mut buf);
             let emitted_b = Recoder::new(&decoders[from]).emit_packed_row(&mut rng_b);
             assert_eq!(emitted_a, emitted_b.is_some(), "emit disagreement");
             let Some(row_b) = emitted_b else { continue };
@@ -618,7 +588,7 @@ mod tests {
         let mut buf = Vec::new();
         for density in [0.05, 0.4, 1.0] {
             for _ in 0..20 {
-                assert!(arena.emit_sparse_packed_row_into(0, density, &mut rng_a, &mut buf));
+                assert!(arena.emit_packed_row_into(0, Some(density), &mut rng_a, &mut buf));
                 let want = Recoder::new(&d)
                     .emit_sparse_packed_row(density, &mut rng_b)
                     .unwrap();
@@ -638,7 +608,7 @@ mod tests {
         let mut buf = Vec::new();
         let mut sent = 0;
         while !arena.is_complete(1) {
-            assert!(arena.emit_packed_row_into(0, &mut rng, &mut buf));
+            assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
             arena.receive_packed_slice(1, &buf);
             sent += 1;
             assert!(sent < 200, "GF(2) source-to-sink failed to converge");
@@ -652,9 +622,8 @@ mod tests {
         let arena = DecoderArena::<Gf256>::new(1, 3, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let mut buf = vec![1, 2, 3];
-        assert!(!arena.emit_packed_row_into(0, &mut rng, &mut buf));
+        assert!(!arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
         assert!(buf.is_empty(), "failed emit must leave the buffer cleared");
-        assert!(arena.emit_packet(0, &mut rng).is_none());
     }
 
     #[test]
@@ -664,7 +633,7 @@ mod tests {
         let mut arena = DecoderArena::<Gf256>::new(2, 2, 1);
         arena.seed_all_messages(0, &g);
         let mut buf = Vec::new();
-        assert!(arena.emit_packed_row_into(0, &mut rng, &mut buf));
+        assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
         let before = buf.clone();
         let _ = arena.receive_packed_mut(1, &mut buf);
         assert_eq!(buf.len(), before.len(), "length preserved for reuse");
@@ -702,21 +671,13 @@ mod tests {
             for _ in 0..300 {
                 let from = traffic.gen_range(0..nodes);
                 let to = (from + 1 + traffic.gen_range(0..nodes - 1)) % nodes;
-                let density = if traffic.gen_bool(0.5) { 1.0 } else { 0.3 };
-                let a = if density < 1.0 {
-                    serial.emit_sparse_packed_row_into(from, density, &mut rng_a, &mut buf_a)
-                } else {
-                    serial.emit_packed_row_into(from, &mut rng_a, &mut buf_a)
-                };
+                let density = traffic.gen_bool(0.5).then_some(0.3);
+                let a = serial.emit_packed_row_into(from, density, &mut rng_a, &mut buf_a);
                 let sf = shards
                     .iter_mut()
                     .position(|s| s.node_range().contains(&from))
                     .unwrap();
-                let b = if density < 1.0 {
-                    shards[sf].emit_sparse_packed_row_into(from, density, &mut rng_b, &mut buf_b)
-                } else {
-                    shards[sf].emit_packed_row_into(from, &mut rng_b, &mut buf_b)
-                };
+                let b = shards[sf].emit_packed_row_into(from, density, &mut rng_b, &mut buf_b);
                 assert_eq!(a, b, "emit disagreement");
                 assert_eq!(buf_a, buf_b, "emitted bytes diverged");
                 if !a {
@@ -754,9 +715,9 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(4);
         let mut buf = Vec::new();
         while !chunked.is_complete(1) {
-            assert!(chunked.emit_packed_row_into(0, &mut rng_a, &mut buf));
+            assert!(chunked.emit_packed_row_into(0, None, &mut rng_a, &mut buf));
             chunked.receive_packed_slice(1, &buf);
-            assert!(prealloc.emit_packed_row_into(0, &mut rng_b, &mut buf));
+            assert!(prealloc.emit_packed_row_into(0, None, &mut rng_b, &mut buf));
             prealloc.receive_packed_slice(1, &buf);
         }
         assert_eq!(chunked.decode(1), prealloc.decode(1));

@@ -1,27 +1,25 @@
 //! The progressive Gauss–Jordan decoder: a node's stored equations.
 //!
-//! The decoder is a thin counting shell around [`EchelonBasis`], which
-//! since PR 6 keeps coefficient vectors and payloads split: receptions and
+//! A [`Decoder`] is the single-sink library view of the workspace's one
+//! RLNC store: a one-node [`DecoderArena`] behind the [`Packet`] API, with
+//! typed shape errors where untrusted packets enter. Receptions and
 //! helpfulness queries ([`Decoder::would_help`],
 //! [`Decoder::is_helpful_node`]) read and reduce only the `k`-symbol
 //! coefficient headers — allocation-free through reusable scratch — while
 //! payload elimination is logged and replayed in fused batches when
 //! [`Decoder::decode`], a recoder emit, or an explicit [`Decoder::settle`]
-//! actually observes payload bytes. Deep pending batches settle as one
-//! blocked (BLAS-3) panel multiply, shallow ones row by row — the
-//! schedule is `ag_linalg::ReplayMode` (`AG_LINALG_REPLAY`, default
-//! `Auto`). Verdicts and decoded bytes are bit-identical to eager
-//! elimination on either schedule (the differential suites pin this
-//! against the scalar oracle); only the *when* and the *grouping* of the
-//! payload arithmetic change.
+//! actually observes payload bytes (`ag_linalg::ReplayMode` has the replay
+//! schedules). Verdicts and decoded bytes are bit-identical to eager
+//! elimination (the differential suites pin this against the scalar
+//! oracle); only the *when* and the *grouping* of the payload arithmetic
+//! change.
 
-use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
 use ag_gf::SlabField;
-use ag_linalg::{EchelonBasis, Insertion};
 
+use crate::arena::DecoderArena;
 use crate::generation::Generation;
 use crate::packet::Packet;
 
@@ -42,15 +40,6 @@ impl Reception {
     #[must_use]
     pub fn is_innovative(self) -> bool {
         matches!(self, Reception::Innovative)
-    }
-}
-
-impl From<Insertion> for Reception {
-    fn from(i: Insertion) -> Self {
-        match i {
-            Insertion::Innovative => Reception::Innovative,
-            Insertion::Redundant => Reception::Redundant,
-        }
     }
 }
 
@@ -101,9 +90,10 @@ impl Error for CodingError {}
 ///
 /// The decoder accepts [`Packet`]s, tracks its rank, answers the paper's
 /// helpfulness queries, and solves for the source messages once the rank
-/// reaches `k`. Internally the equations live in a packed
-/// [`EchelonBasis`], so every elimination runs on the [`SlabField`] bulk
-/// kernels.
+/// reaches `k`. Internally the equations live in a one-node
+/// [`DecoderArena`] — the same packed store, growing with the rank, that a
+/// simulation holds for all its nodes — so every elimination runs on the
+/// [`SlabField`] bulk kernels.
 ///
 /// # Examples
 ///
@@ -120,18 +110,8 @@ impl Error for CodingError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Decoder<F> {
-    k: usize,
-    payload_len: usize,
-    basis: EchelonBasis<F>,
-    innovative_count: u64,
-    redundant_count: u64,
-    /// Reusable packed recoding-factor buffer for the [`crate::Recoder`]
-    /// emit paths (interior-mutable: recoders borrow the decoder shared).
-    emit_factors: RefCell<Vec<u8>>,
-    /// Reusable packed-row buffer for [`Decoder::try_receive`]: packets
-    /// are packed here and reduced in place, so a reception performs no
-    /// heap allocation.
-    recv_row: Vec<u8>,
+    /// The store; this decoder is its node 0.
+    arena: DecoderArena<F>,
 }
 
 impl<F: SlabField> Decoder<F> {
@@ -143,18 +123,8 @@ impl<F: SlabField> Decoder<F> {
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(k: usize, payload_len: usize) -> Self {
-        assert!(k > 0, "generation size must be positive");
         Decoder {
-            k,
-            payload_len,
-            basis: EchelonBasis::new(k),
-            innovative_count: 0,
-            redundant_count: 0,
-            // Full-rank capacity up front: emits must not allocate even as
-            // the rank grows mid-run (the steady-state allocation audits
-            // cover recode emits).
-            emit_factors: RefCell::new(Vec::with_capacity(k * F::SYMBOL_BYTES)),
-            recv_row: Vec::with_capacity((k + payload_len) * F::SYMBOL_BYTES),
+            arena: DecoderArena::new(1, k, payload_len),
         }
     }
 
@@ -163,67 +133,56 @@ impl<F: SlabField> Decoder<F> {
     #[must_use]
     pub fn with_all_messages(generation: &Generation<F>) -> Self {
         let mut d = Decoder::new(generation.k(), generation.message_len());
-        for i in 0..generation.k() {
-            d.seed_message(generation, i);
-        }
+        d.arena.seed_all_messages(0, generation);
         d
     }
 
     /// Seeds the decoder with source message `index` of the generation:
-    /// inserts the unit equation `e_index · x = x_index`.
+    /// inserts the unit equation `e_index · x = x_index`. Seeding counts as
+    /// neither innovative nor redundant traffic.
     ///
     /// # Panics
     ///
     /// Panics if `index >= k` or the generation shape differs from the
     /// decoder's.
     pub fn seed_message(&mut self, generation: &Generation<F>, index: usize) {
-        assert_eq!(generation.k(), self.k, "generation size mismatch");
-        assert_eq!(
-            generation.message_len(),
-            self.payload_len,
-            "payload length mismatch"
-        );
-        let mut row = vec![F::ZERO; self.k];
-        row[index] = F::ONE;
-        row.extend_from_slice(generation.message(index));
-        // Seeding counts as neither innovative nor redundant traffic.
-        let _ = self.basis.insert(row);
+        self.arena.seed_message(0, generation, index);
     }
 
     /// The generation size `k`.
     #[must_use]
     pub fn k(&self) -> usize {
-        self.k
+        self.arena.k()
     }
 
     /// Payload length `r` in symbols.
     #[must_use]
     pub fn payload_len(&self) -> usize {
-        self.payload_len
+        self.arena.payload_len()
     }
 
     /// Current rank (the "dimension of the node" in the paper).
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.basis.rank()
+        self.arena.rank(0)
     }
 
     /// True once the node can decode every message (rank = k).
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.basis.is_full()
+        self.arena.is_complete(0)
     }
 
     /// Number of innovative receptions so far (excluding seeds).
     #[must_use]
     pub fn innovative_count(&self) -> u64 {
-        self.innovative_count
+        self.arena.innovative_count(0)
     }
 
     /// Number of redundant receptions so far.
     #[must_use]
     pub fn redundant_count(&self) -> u64 {
-        self.redundant_count
+        self.arena.redundant_count(0)
     }
 
     /// Delivers a packet; reports whether it was helpful.
@@ -236,21 +195,34 @@ impl<F: SlabField> Decoder<F> {
     pub fn receive(&mut self, packet: Packet<F>) -> Reception {
         match self.try_receive(&packet) {
             Ok(outcome) => outcome,
-            Err(CodingError::GenerationSizeMismatch { .. }) => {
-                // ag-lint: allow(panic-policy) — documented receive()
-                // panic contract; try_receive is the typed-error twin.
-                panic!("packet generation size mismatch")
-            }
-            Err(CodingError::PayloadLengthMismatch { .. }) => {
-                // ag-lint: allow(panic-policy) — documented receive()
-                // panic contract; try_receive is the typed-error twin.
-                panic!("packet payload length mismatch")
-            }
+            // ag-lint: allow(panic-policy) — documented receive() panic
+            // contract; try_receive is the typed-error twin.
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Is `packet` coded for this decoder's `(k, r)`?
+    fn check_shape(&self, packet: &Packet<F>) -> Result<(), CodingError> {
+        if packet.generation_size() != self.k() {
+            return Err(CodingError::GenerationSizeMismatch {
+                expected: self.k(),
+                got: packet.generation_size(),
+            });
+        }
+        if packet.payload_len() != self.payload_len() {
+            return Err(CodingError::PayloadLengthMismatch {
+                expected: self.payload_len(),
+                got: packet.payload_len(),
+            });
+        }
+        Ok(())
     }
 
     /// Delivers a packet, rejecting shape mismatches with a typed error —
     /// the decoder's state (basis, rank, counters) is untouched on `Err`.
+    /// The packet is packed into a reusable row buffer and reduced there,
+    /// so a reception performs no heap allocation beyond the growth of the
+    /// stored rows themselves.
     ///
     /// # Errors
     ///
@@ -259,57 +231,19 @@ impl<F: SlabField> Decoder<F> {
     /// a different `(k, r)` than this decoder's.
     // ag-lint: hot-path
     pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Reception, CodingError> {
-        if packet.generation_size() != self.k {
-            return Err(CodingError::GenerationSizeMismatch {
-                expected: self.k,
-                got: packet.generation_size(),
-            });
-        }
-        if packet.payload_len() != self.payload_len {
-            return Err(CodingError::PayloadLengthMismatch {
-                expected: self.payload_len,
-                got: packet.payload_len(),
-            });
-        }
-        let mut row = std::mem::take(&mut self.recv_row);
-        packet.write_packed_row_into(&mut row);
-        let outcome: Reception = self
-            .basis
-            .try_insert_packed_mut(&mut row)
-            .expect("shape-checked row is valid for the basis")
-            .into();
-        self.recv_row = row;
-        match outcome {
-            Reception::Innovative => self.innovative_count += 1,
-            Reception::Redundant => self.redundant_count += 1,
-        }
-        Ok(outcome)
+        self.check_shape(packet)?;
+        Ok(self
+            .arena
+            .receive_built(0, |row| packet.write_packed_row_into(row)))
     }
 
     /// Delivers an already-packed augmented row (the output of
-    /// [`crate::Recoder::emit_packed_row`]) with zero format conversion —
-    /// the simulation hot path. Elimination, rank growth and the
-    /// innovative/redundant counters behave exactly as
-    /// [`Decoder::receive`] on the equivalent [`Packet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row's byte length does not match this decoder's
-    /// `(k + r) · SYMBOL_BYTES` shape.
-    // ag-lint: hot-path
-    pub fn receive_packed_row(&mut self, row: Vec<u8>) -> Reception {
-        self.receive_packed_slice(&row)
-    }
-
-    /// Borrowing variant of [`Decoder::receive_packed_row`]: the row is
-    /// reduced in the basis's internal reusable scratch buffer, so a
-    /// *redundant* reception costs zero heap allocations — an innovative
-    /// one only grows the basis storage itself, which happens at most `k`
-    /// times per decoder. This is what the engine's delivery path calls,
-    /// letting it keep ownership of (and recycle) its message buffers.
-    ///
-    /// Same elimination, counters and verdicts as
-    /// [`Decoder::receive_packed_row`] on equal bytes.
+    /// [`crate::Recoder::emit_packed_row`]) with zero format conversion.
+    /// The row is reduced in an internal reusable buffer, so the caller
+    /// keeps (and can recycle) its bytes, and a *redundant* reception costs
+    /// zero heap allocations. Elimination, rank growth and the
+    /// innovative/redundant counters behave exactly as [`Decoder::receive`]
+    /// on the equivalent [`Packet`].
     ///
     /// # Panics
     ///
@@ -317,47 +251,34 @@ impl<F: SlabField> Decoder<F> {
     /// `(k + r) · SYMBOL_BYTES` shape.
     // ag-lint: hot-path
     pub fn receive_packed_slice(&mut self, row: &[u8]) -> Reception {
-        let expected = (self.k + self.payload_len) * F::SYMBOL_BYTES;
-        assert_eq!(
-            row.len(),
-            expected,
-            "packed row length mismatch: got {}, decoder expects {expected}",
-            row.len()
-        );
-        let outcome: Reception = self
-            .basis
-            .try_insert_packed_slice(row)
-            .expect("shape-checked row is valid for the basis")
-            .into();
-        match outcome {
-            Reception::Innovative => self.innovative_count += 1,
-            Reception::Redundant => self.redundant_count += 1,
-        }
-        outcome
+        self.arena.receive_packed_slice(0, row)
     }
 
-    /// Would this packet be helpful, without consuming it?
+    /// Would this packet be helpful, without consuming it? `false` for
+    /// every packet [`Decoder::try_receive`] would reject: a packet coded
+    /// for another `(k, r)` cannot help this decoder. Allocation-free.
     #[must_use]
     pub fn would_help(&self, packet: &Packet<F>) -> bool {
-        self.basis.would_be_innovative(packet.coefficients())
+        self.check_shape(packet).is_ok() && self.arena.would_help(0, packet.coefficients())
     }
 
     /// The paper's Definition 3: is node `other` a *helpful node* for
     /// `self`? True iff `other`'s subspace is not contained in `self`'s,
     /// i.e. a random combination from `other` **can** be innovative here.
+    /// Touches only coefficient headers on both sides.
     #[must_use]
     pub fn is_helpful_node(&self, other: &Decoder<F>) -> bool {
-        self.basis.is_helped_by(&other.basis)
+        let mine = self.arena.basis();
+        other
+            .arena
+            .basis()
+            .coeff_rows(0)
+            .any(|row| mine.would_be_innovative_packed(0, row))
     }
 
-    /// The underlying packed basis, exposed for recoding.
-    pub(crate) fn basis(&self) -> &EchelonBasis<F> {
-        &self.basis
-    }
-
-    /// The reusable recoding-factor buffer, exposed for recoding.
-    pub(crate) fn emit_factors(&self) -> &RefCell<Vec<u8>> {
-        &self.emit_factors
+    /// The one-node store, exposed for recoding.
+    pub(crate) fn arena(&self) -> &DecoderArena<F> {
+        &self.arena
     }
 
     /// Forces the deferred payload elimination to settle now instead of at
@@ -366,7 +287,7 @@ impl<F: SlabField> Decoder<F> {
     /// [`ag_linalg::ReplayMode::Blocked`]/`Auto` — during idle time off the
     /// receive path. Idempotent and invisible to results.
     pub fn settle(&self) {
-        self.basis.settle();
+        self.arena.basis().settle(0);
     }
 
     /// Solves the system once complete; `None` before rank `k`.
@@ -374,7 +295,7 @@ impl<F: SlabField> Decoder<F> {
     /// Row `i` of the output is source message `x_i`.
     #[must_use]
     pub fn decode(&self) -> Option<Vec<Vec<F>>> {
-        self.basis.solution()
+        self.arena.decode(0)
     }
 }
 
@@ -474,8 +395,7 @@ mod tests {
 
     /// Regression test for the borrowing receive path: a redundant packed
     /// row delivered through [`Decoder::receive_packed_slice`] must leave
-    /// the basis bit-identical (only the redundancy counter moves), and
-    /// the slice and owned entry points must agree verdict for verdict.
+    /// the basis bit-identical (only the redundancy counter moves).
     #[test]
     fn receive_packed_slice_redundant_row_leaves_basis_untouched() {
         let mut d = Decoder::<Gf256>::new(3, 2);
@@ -489,7 +409,16 @@ mod tests {
             d.receive_packed_slice(&p2.to_packed_row()),
             Reception::Innovative
         );
-        let before_rows: Vec<Vec<Gf256>> = (0..d.rank()).map(|i| d.basis().row(i)).collect();
+        let stored_rows = |d: &Decoder<Gf256>| -> Vec<Vec<u8>> {
+            (0..d.rank())
+                .map(|i| {
+                    let mut row = Vec::new();
+                    d.arena().basis().copy_packed_row_into(0, i, &mut row);
+                    row
+                })
+                .collect()
+        };
+        let before_rows = stored_rows(&d);
 
         // The sum of the two inserted equations: redundant by construction.
         let dep = pkt(&[1, 3, 2], &[3, 12]);
@@ -499,18 +428,40 @@ mod tests {
         );
         assert_eq!(d.rank(), 2);
         assert_eq!(d.redundant_count(), 1);
-        let after_rows: Vec<Vec<Gf256>> = (0..d.rank()).map(|i| d.basis().row(i)).collect();
-        assert_eq!(after_rows, before_rows, "redundant row mutated the basis");
+        assert_eq!(
+            stored_rows(&d),
+            before_rows,
+            "redundant row mutated the basis"
+        );
+    }
 
-        // The slice path tracks the owned path exactly on a twin decoder.
-        let mut owned = Decoder::<Gf256>::new(3, 2);
-        for p in [&p1, &p2, &dep] {
-            let _ = owned.receive_packed_row(p.to_packed_row());
-        }
-        assert_eq!(owned.rank(), d.rank());
-        assert_eq!(owned.innovative_count(), d.innovative_count());
-        assert_eq!(owned.redundant_count(), d.redundant_count());
-        assert_eq!(owned.decode(), d.decode());
+    /// `would_help` must answer `false`, without panicking, for a packet
+    /// `try_receive` rejects. The in-shape twin of each `bad` packet below
+    /// *is* helpful, so a `false` is the shape check and not the span.
+    fn assert_would_help_rejects(bad: Packet<Gf256>) {
+        let mut d = Decoder::<Gf256>::new(3, 1);
+        d.receive(pkt(&[1, 0, 0], &[9]));
+        assert!(d.would_help(&pkt(&[0, 1, 0], &[5])), "in-shape twin helps");
+        assert!(d.clone().try_receive(&bad).is_err());
+        assert!(!d.would_help(&bad));
+    }
+
+    /// Too few coefficients must not reach the basis's prefix assert.
+    #[test]
+    fn would_help_rejects_fewer_than_k_coefficients() {
+        assert_would_help_rejects(pkt(&[0, 1], &[5]));
+    }
+
+    /// Extra coefficients must not be truncated to the first `k`.
+    #[test]
+    fn would_help_rejects_more_than_k_coefficients() {
+        assert_would_help_rejects(pkt(&[0, 1, 0, 0], &[5]));
+    }
+
+    /// The payload length is part of the shape, though a probe never reads it.
+    #[test]
+    fn would_help_rejects_payload_length_mismatch() {
+        assert_would_help_rejects(pkt(&[0, 1, 0], &[5, 6]));
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! gossip (as opposed to store-and-forward rumor spreading).
 //!
 //! For simulations, [`DecoderArena`] holds all `n` nodes' decoders in one
-//! preallocated slab and [`RowPool`] recycles the packed-row message
-//! buffers, together making the steady-state gossip round loop free of
-//! per-message heap allocation (see `bench_rlnc_throughput`).
+//! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API) and
+//! [`RowPool`] recycles the packed-row message buffers, together making
+//! the steady-state gossip round loop free of per-message heap allocation
+//! (see `bench_rlnc_throughput`).
 //!
 //! # Examples
 //!

@@ -61,7 +61,7 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     /// directly — the wire format of the simulation hot path. Skipping the
     /// unpack-to-[`Packet`]/repack round trip (and its allocations) is
     /// what lets a rank-only contact cost one allocation end to end; feed
-    /// the row to [`Decoder::receive_packed_row`]. Draws the same
+    /// the row to [`Decoder::receive_packed_slice`]. Draws the same
     /// coefficients as [`Recoder::emit`] under the same RNG state.
     #[must_use]
     pub fn emit_packed_row<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<Vec<u8>> {
@@ -76,29 +76,12 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     /// the node stores nothing yet. Draws the same coefficients as
     /// [`Recoder::emit`] under the same RNG state.
     ///
-    /// The drawn factors are packed into the decoder's reusable buffer and
-    /// the combination runs as two fused multi-row gathers (coefficient
-    /// slab, then payload slab) via
-    /// [`ag_linalg::EchelonBasis::accumulate_rows_into`] — which also
-    /// settles any payload elimination the basis had deferred.
+    /// This is the dense [`crate::DecoderArena::emit_packed_row_into`] on
+    /// the decoder's one-node store, which also settles any payload
+    /// elimination the node had deferred.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u8>) -> bool {
-        let basis = self.decoder.basis();
-        out.clear();
-        if basis.rank() == 0 {
-            return false;
-        }
-        out.resize(basis.row_bytes(), 0);
-        let mut factors = self.decoder.emit_factors().borrow_mut();
-        factors.clear();
-        factors.resize(basis.rank() * F::SYMBOL_BYTES, 0);
-        // One uniform draw per stored row, in insertion order — the exact
-        // sequence the eager per-row axpy loop drew (zeros included).
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            F::random(rng).write_symbol(slot);
-        }
-        basis.accumulate_rows_into(&factors, out);
-        true
+        self.decoder.arena().emit_packed_row_into(0, None, rng, out)
     }
 
     /// Emits a *sparse* coded packet: each stored row participates with
@@ -152,34 +135,9 @@ impl<'a, F: SlabField> Recoder<'a, F> {
         rng: &mut R,
         out: &mut Vec<u8>,
     ) -> bool {
-        assert!(
-            density > 0.0 && density <= 1.0,
-            "coding density must be in (0, 1]"
-        );
-        let basis = self.decoder.basis();
-        out.clear();
-        if basis.rank() == 0 {
-            return false;
-        }
-        let mut factors = self.decoder.emit_factors().borrow_mut();
-        factors.clear();
-        factors.resize(basis.rank() * F::SYMBOL_BYTES, 0);
-        let mut picked_any = false;
-        for slot in factors.chunks_exact_mut(F::SYMBOL_BYTES) {
-            if !rng.gen_bool(density) {
-                continue;
-            }
-            picked_any = true;
-            F::random_nonzero(rng).write_symbol(slot);
-        }
-        if picked_any {
-            out.resize(basis.row_bytes(), 0);
-            basis.accumulate_rows_into(&factors, out);
-        } else {
-            // Degenerate draw: forward one stored row unmodified.
-            basis.copy_packed_row_into(rng.gen_range(0..basis.rank()), out);
-        }
-        true
+        self.decoder
+            .arena()
+            .emit_packed_row_into(0, Some(density), rng, out)
     }
 
     /// Emits a packet guaranteed to be *helpful to `target`* whenever the
@@ -204,10 +162,10 @@ impl<'a, F: SlabField> Recoder<'a, F> {
                 }
             }
         }
-        let basis = self.decoder.basis();
+        let basis = self.decoder.arena().basis();
         let mut buf = Vec::new();
-        (0..basis.rank()).find_map(|i| {
-            basis.copy_packed_row_into(i, &mut buf);
+        (0..self.decoder.rank()).find_map(|i| {
+            basis.copy_packed_row_into(0, i, &mut buf);
             let p = Packet::from_packed_row(&buf, self.decoder.k());
             target.would_help(&p).then_some(p)
         })

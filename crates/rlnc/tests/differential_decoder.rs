@@ -275,7 +275,7 @@ fn lazy_interleaved_stream<F: SlabField>(
             // events; the bytes must still match the scalar recombination.
             2 | 3 => {
                 let row_a = Recoder::new(&packed[0]).emit_packed_row(&mut emit_a);
-                let emitted_b = arena.emit_packed_row_into(0, &mut emit_b, &mut buf);
+                let emitted_b = arena.emit_packed_row_into(0, None, &mut emit_b, &mut buf);
                 let pkt_c = scalar_emit::<F>(scalar[0].rows(), k, r, &mut emit_c);
                 prop_assert_eq!(row_a.is_some(), emitted_b);
                 prop_assert_eq!(row_a.is_some(), pkt_c.is_some());
