@@ -20,9 +20,9 @@
 //! The ring sits exactly on the Δn bound, the barbell shows the bound is
 //! attained with Δ = Θ(n) (the Ω(n²) bridge bottleneck), and the expander
 //! shows how loose Δn can be — the separations only emerge as n grows,
-//! which is why `bench_engine_scale` re-runs these sweeps at up to 10⁵
-//! nodes on the reworked engine loop (rank-only packets, `payload_len =
-//! 0`, so the decoder cost stays flat while the loop scales).
+//! which is why the sweeps run rank-only packets (`payload_len = 0`: the
+//! decoder cost stays flat while the loop scales) and why
+//! `AG_BENCH_SCALE=full` lengthens the ladders.
 
 use std::fmt::Write as _;
 
@@ -295,13 +295,13 @@ pub fn run(scale: Scale) -> ExperimentReport {
          The ring tracks its Δn bound (both linear); the barbell attains the\n\
          quadratic worst case; complete/random-regular show the Δn bound loose\n\
          by a factor ~n (measured slope ≈ 0). Scale these sweeps up with:\n\
-         cargo run --release -p ag-bench --bin bench_engine_scale",
+         AG_BENCH_SCALE=full cargo run --release -p ag-bench --bin fig_stopping_time",
         summary.render()
     );
     let _ = writeln!(
         md,
-        "### F8 summary\n\n{}\nLarger ladders (up to 10⁵ nodes) are measured by the\n\
-         `bench_engine_scale` binary and recorded in `BENCH_engine_scale.json`.\n",
+        "### F8 summary\n\n{}\n`AG_BENCH_SCALE=full` runs longer ladders; the same rank-only loop at\n\
+         n = 10⁵ is the `gossip-rank` workload of `BENCHMARK.json`.\n",
         summary.render_markdown()
     );
 

@@ -448,74 +448,6 @@ impl<F: SlabField + Send, T: Topology> ShardableProtocol for AlgebraicGossip<F, 
     }
 }
 
-/// The pre-rework message path of [`AlgebraicGossip`], frozen for the
-/// `bench_engine_scale` comparison: contacts move [`Packet`]s that are
-/// unpacked on emit and repacked on receive, exactly as the protocol did
-/// before the engine rework switched its wire format to packed rows.
-///
-/// Same seeds draw the same coefficients and run the same eliminations, so
-/// a run of this protocol under `ag_sim::reference::ReferenceEngine` must
-/// produce [`ag_sim::RunStats`] bit-identical to [`AlgebraicGossip`] under
-/// the fast `ag_sim::Engine` — the scale bench asserts exactly that while
-/// timing the two stacks. Like `ag_sim::reference`, do not "optimize"
-/// this: its value is paying the pre-rework per-message conversion costs.
-///
-/// [`Packet`]: ag_rlnc::Packet
-#[derive(Debug, Clone)]
-pub struct PacketAlgebraicGossip<F: SlabField, T: Topology = Graph>(pub AlgebraicGossip<F, T>);
-
-impl<F: SlabField, T: Topology> Protocol for PacketAlgebraicGossip<F, T> {
-    type Msg = ag_rlnc::Packet<F>;
-
-    fn num_nodes(&self) -> usize {
-        self.0.topology.n()
-    }
-
-    fn on_round_start(&mut self, round: u64) {
-        self.0.on_round_start(round);
-    }
-
-    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
-        self.0.on_wakeup(node, rng)
-    }
-
-    fn compose(
-        &self,
-        from: NodeId,
-        _to: NodeId,
-        _tag: u32,
-        rng: &mut StdRng,
-    ) -> Option<ag_rlnc::Packet<F>> {
-        let CodedNodes {
-            decoders, density, ..
-        } = &self.0.nodes;
-        let mut row = Vec::new();
-        decoders
-            .emit_packed_row_into(from, *density, rng, &mut row)
-            .then(|| ag_rlnc::Packet::from_packed_row(&row, decoders.k()))
-    }
-
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: ag_rlnc::Packet<F>) {
-        // The pre-rework `Decoder::receive` shape contract, verbatim.
-        let decoders = &mut self.0.nodes.decoders;
-        assert_eq!(
-            msg.generation_size(),
-            decoders.k(),
-            "packet generation size mismatch"
-        );
-        assert_eq!(
-            msg.payload_len(),
-            decoders.payload_len(),
-            "packet payload length mismatch"
-        );
-        let _ = decoders.receive_packed_slice(to, &msg.to_packed_row());
-    }
-
-    fn node_complete(&self, node: NodeId) -> bool {
-        self.0.nodes.decoders.is_complete(node)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

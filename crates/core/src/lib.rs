@@ -69,7 +69,7 @@ mod tag;
 mod tree_ag;
 mod tree_protocol;
 
-pub use ag::{AgConfig, AgShard, AlgebraicGossip, PacketAlgebraicGossip};
+pub use ag::{AgConfig, AgShard, AlgebraicGossip};
 pub use ag_rlnc::ArenaGrowth;
 pub use ag_sim::{Action, CommModel, TimeModel};
 pub use baseline::{RandomMessageGossip, RawMsg};

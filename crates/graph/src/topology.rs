@@ -594,8 +594,8 @@ mod tests {
     #[test]
     fn advancing_in_steps_equals_advancing_at_once() {
         // Epoch e's view is a function of (graph, schedule, e), not of the
-        // advancement pattern — required for Engine/ReferenceEngine
-        // differential identity.
+        // advancement pattern — required for the engine/oracle
+        // differential identity (`ag-sim`'s `differential_engine`).
         let g = builders::grid(4, 4).unwrap();
         let schedule = ChurnSchedule::Flip { count: 3, seed: 3 };
         let mut stepped = ScheduledTopology::new(&g, schedule.clone());

@@ -1,17 +1,38 @@
 //! The simulation engine: drives a [`Protocol`] under either time model.
 //!
-//! The round loop is built for large `n`: all per-round scratch (wakeup
-//! intents, the outbox, dedup state) lives in buffers reused across rounds,
-//! same-sender deduplication is resolved analytically from the intent table
-//! instead of hashing `(from, to)` pairs, and the completion sweep walks an
-//! explicit list of still-incomplete nodes rather than all `n` flags.
-//! Messages the engine decides not to deliver (dedup, loss) are handed back
-//! through [`Protocol::discard`], so protocols that pool their message
-//! buffers (algebraic gossip's `RowPool`) stay allocation-free even on
-//! rounds with drops. The pre-refactor loop is preserved verbatim in
-//! [`crate::reference`] so differential tests and the `bench_engine_scale`
-//! binary can prove the fast loop computes bit-identical results, faster.
+//! The paper's synchronous round (every node wakes, messages are composed
+//! from start-of-round state, delivery happens at the round boundary) is
+//! written once, in `Engine::sync_round`. That function owns everything
+//! that *orders* a round: the round-start hook, the wakeups, the
+//! ascending-slot merge with same-sender dedup, loss injection, the
+//! [`RunStats`] accounting and the completion sweep. The two data-parallel
+//! phases, composing the slots and applying the surviving messages, sit
+//! behind the crate-private `SyncExecutor`. [`Engine`] runs them `Inline`:
+//! each slot is composed through `&P` when the merge reaches it and the
+//! outbox is delivered through `&mut P`, with no slot plan, per-slot
+//! message table or shards. [`crate::ShardedEngine`] fans them out over
+//! rayon workers and hands the merge the same slots.
+//!
+//! Wakeups and loss draws come from the engine's main RNG, in node order
+//! and in outbox order. Every composition *slot* draws from its own
+//! `slot_rng`, a pure function of `(seed, round, slot)`: a message's
+//! randomness never depends on which other messages were composed, by
+//! whom, or in what order. That makes the two executors bit-identical and
+//! a trajectory mismatch localisable to a `(round, slot)`. The
+//! asynchronous loop (one wakeup per timeslot, immediate delivery) is
+//! inherently sequential and draws everything from the main RNG.
+//!
+//! The round loop is built for large `n`: all per-round scratch lives in
+//! buffers reused across rounds, same-sender dedup is resolved
+//! analytically from the intent table instead of hashing `(from, to)`
+//! pairs, and the completion sweep walks an explicit list of
+//! still-incomplete nodes. Messages the engine decides not to deliver are
+//! handed back through [`Protocol::discard`], so protocols that pool their
+//! message buffers stay allocation-free even on rounds with drops.
+//! `tests/differential_engine.rs` checks the loop against a structurally
+//! different oracle that derives the slot keys on its own.
 
+use ag_graph::seedmix::{splitmix64, GOLDEN_GAMMA};
 use ag_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,17 +167,87 @@ impl<P: Protocol, F: FnMut(u64, &P)> Observe<P> for FnObserver<F> {
     }
 }
 
+/// One routed message: `(from, to, tag, msg)`.
+pub(crate) type Delivery<M> = (NodeId, NodeId, u32, M);
+/// One planned composition: `(slot, from, to, tag)`.
+pub(crate) type Planned = (usize, NodeId, NodeId, u32);
+
+/// The private RNG of one composition slot: a pure function of
+/// `(seed, round, slot)`, and the only place that key is derived.
+#[inline]
+pub(crate) fn slot_rng(seed: u64, round: u64, slot: usize) -> StdRng {
+    let round_key = splitmix64(seed ^ round.wrapping_mul(GOLDEN_GAMMA));
+    StdRng::seed_from_u64(splitmix64(
+        round_key ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA),
+    ))
+}
+
+/// The compositions node `v`'s intent asks for: slot `2v` carries the
+/// forward message `v → partner`, slot `2v + 1` the backward message
+/// `partner → v`; `None` where the action does not send that way.
+/// Ascending slot order is the round's one message order.
+#[inline]
+pub(crate) fn slot_plan(v: NodeId, intent: ContactIntent) -> [Option<Planned>; 2] {
+    let (u, action, tag) = (intent.partner, intent.action, intent.tag);
+    debug_assert_ne!(u, v, "self-contact");
+    [
+        action.sends_forward().then_some((2 * v, v, u, tag)),
+        action.sends_backward().then_some((2 * v + 1, u, v, tag)),
+    ]
+}
+
+/// How the two data-parallel phases of a synchronous round are executed.
+/// `Engine::sync_round` owns everything else; an executor may not touch
+/// the engine RNG or the stats, and must compose slot `s` of round `r`
+/// from pre-round state with `slot_rng(seed, r, s)` and nothing else.
+pub(crate) trait SyncExecutor<P: Protocol> {
+    /// Called once per round, after the wakeups and before the merge.
+    fn prepare(&mut self, proto: &mut P, intents: &[Option<ContactIntent>], seed: u64, round: u64);
+
+    /// The message composed for a planned slot of round `round`. The merge
+    /// asks for every planned slot exactly once, in ascending order.
+    fn take_slot(&mut self, proto: &P, seed: u64, round: u64, planned: Planned) -> Option<P::Msg>;
+
+    /// Applies the round's surviving messages; each receiver sees its
+    /// messages in `outbox` (ascending-slot) order. Leaves `outbox` empty.
+    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>);
+}
+
+/// The serial executor: composes each slot through `&P` when the merge
+/// reaches it and delivers through `&mut P`. Holds nothing.
+pub(crate) struct Inline;
+
+impl<P: Protocol> SyncExecutor<P> for Inline {
+    #[inline]
+    fn prepare(&mut self, _: &mut P, _: &[Option<ContactIntent>], _seed: u64, _round: u64) {}
+
+    // ag-lint: hot-path
+    #[inline]
+    fn take_slot(&mut self, proto: &P, seed: u64, round: u64, planned: Planned) -> Option<P::Msg> {
+        let (slot, from, to, tag) = planned;
+        proto.compose(from, to, tag, &mut slot_rng(seed, round, slot))
+    }
+
+    // ag-lint: hot-path
+    #[inline]
+    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>) {
+        for (from, to, tag, msg) in outbox.drain(..) {
+            proto.deliver(from, to, tag, msg);
+        }
+    }
+}
+
 /// Reusable synchronous-round scratch: allocated once per run, reused by
 /// every round, so the steady-state loop performs no engine-side heap
 /// allocation (messages themselves are owned by the protocol).
 struct SyncScratch<M> {
     /// Start-of-round contact intents, one slot per node.
     intents: Vec<Option<ContactIntent>>,
-    /// Composed messages awaiting loss + delivery.
-    outbox: Vec<(NodeId, NodeId, u32, M)>,
-    /// `fwd_live[v]`: v's intent put its forward message into the outbox.
+    /// Messages that survived dedup and loss, awaiting delivery.
+    outbox: Vec<Delivery<M>>,
+    /// `fwd_live[v]`: v's forward message took its `(from, to)` pair.
     fwd_live: Vec<bool>,
-    /// `bwd_live[w]`: w's intent put its backward message into the outbox.
+    /// `bwd_live[w]`: w's backward message took its `(from, to)` pair.
     bwd_live: Vec<bool>,
 }
 
@@ -243,7 +334,7 @@ impl Engine {
     /// Produces bit-identical [`RunStats`] to [`Engine::run_observed`]
     /// under the same seed: observers never touch engine randomness.
     pub fn run_batch<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_inner(proto, NoObserver)
+        self.run_with(proto, Inline, NoObserver)
     }
 
     /// Like [`Engine::run`] but invokes `observer(round, proto)` after
@@ -261,12 +352,16 @@ impl Engine {
         proto: &mut P,
         observer: impl FnMut(u64, &P),
     ) -> RunStats {
-        self.run_inner(proto, FnObserver(observer))
+        self.run_with(proto, Inline, FnObserver(observer))
     }
 
-    pub(crate) fn run_inner<P: Protocol, O: Observe<P>>(
+    /// The one outer loop: initial completion scan, then synchronous
+    /// rounds through `exec` or asynchronous timeslots, until every node
+    /// is complete or the budget is spent.
+    pub(crate) fn run_with<P: Protocol, X: SyncExecutor<P>, O: Observe<P>>(
         &mut self,
         proto: &mut P,
+        mut exec: X,
         mut obs: O,
     ) -> RunStats {
         let n = proto.num_nodes();
@@ -292,7 +387,7 @@ impl Engine {
                 let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
                 let mut scratch = SyncScratch::new(n);
                 while stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
+                    self.sync_round(proto, &mut exec, &mut stats, &mut scratch, &mut pending);
                     if O::ENABLED {
                         obs.observe(stats.rounds, proto);
                     }
@@ -331,23 +426,28 @@ impl Engine {
         stats
     }
 
-    /// One synchronous round: wakeups → compose everything from pre-round
-    /// state → dedup/loss → deliver.
+    /// One synchronous round: wakeups → every slot composed from pre-round
+    /// state → merge (dedup, loss) in ascending slot order → deliver →
+    /// completion sweep. `exec` decides only *where* slots are composed
+    /// and messages applied.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
-    /// `(from, to)` can occur at most twice in the outbox — once as the
-    /// *forward* message of `from`'s own intent and once as the *backward*
-    /// message of `to`'s intent (each node files exactly one intent). The
-    /// outbox is filled in node order with forward before backward, so
-    /// "keep the first per pair" reduces to two O(1) lookups against the
-    /// intent table. Duplicates are dropped at compose time; `compose` is
-    /// still invoked for them so the RNG stream (and hence every seeded
-    /// trajectory) is identical to the reference loop, which composed
-    /// everything and deduplicated during delivery.
+    /// `(from, to)` can occur at most twice — once as the *forward*
+    /// message of `from`'s own intent and once as the *backward* message
+    /// of `to`'s intent (each node files exactly one intent). The merge
+    /// runs in node order with forward before backward, so "keep the first
+    /// per pair" reduces to two O(1) lookups against the intent table. A
+    /// duplicate's slot is still taken: whether it counts as
+    /// `dedup_dropped` or as `empty_sends` depends on what it composed.
+    ///
+    /// Loss is drawn on the main RNG as each dedup survivor is merged, so
+    /// the draws follow outbox order and the outbox holds only messages
+    /// that will be delivered.
     // ag-lint: hot-path
-    fn sync_round<P: Protocol>(
+    fn sync_round<P: Protocol, X: SyncExecutor<P>>(
         &mut self,
         proto: &mut P,
+        exec: &mut X,
         stats: &mut RunStats,
         scratch: &mut SyncScratch<P::Msg>,
         pending: &mut Vec<NodeId>,
@@ -359,83 +459,47 @@ impl Engine {
             fwd_live,
             bwd_live,
         } = scratch;
+        let round = stats.rounds + 1;
         // 0. Round-start hook (epoch advance for dynamic topologies).
-        proto.on_round_start(stats.rounds + 1);
-        // 1. Every node wakes and declares its contact.
+        proto.on_round_start(round);
+        // 1. Every node wakes and declares its contact: serial, in node
+        //    order, on the main RNG.
         intents.clear();
         intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
-        // 2. Compose all messages against the (still unmodified) round-
-        //    start data state, resolving same-sender dedup on the fly.
+        let seed = self.config.seed;
+        exec.prepare(proto, intents, seed, round);
+        // 2. Merge the slots in ascending order against the (still
+        //    unmodified) round-start data state.
         let dedup = self.config.dedup_same_sender;
-        if dedup {
-            fwd_live.iter_mut().for_each(|b| *b = false);
-            bwd_live.iter_mut().for_each(|b| *b = false);
-        }
+        fwd_live.fill(false);
+        bwd_live.fill(false);
         for v in 0..n {
             let Some(intent) = intents[v] else { continue };
             let u = intent.partner;
-            debug_assert_ne!(u, v, "self-contact");
-            if intent.action.sends_forward() {
-                match proto.compose(v, u, intent.tag, &mut self.rng) {
-                    Some(m) => {
-                        // (v → u) already in the outbox iff u's intent
-                        // emitted it backward at an earlier position.
-                        let dup = dedup
-                            && u < v
-                            && bwd_live[u]
-                            && matches!(intents[u], Some(i) if i.partner == v);
-                        if dup {
-                            stats.dedup_dropped += 1;
-                            proto.discard(m);
-                        } else {
-                            if dedup {
-                                fwd_live[v] = true;
-                            }
-                            outbox.push((v, u, intent.tag, m));
-                        }
-                    }
-                    None => stats.empty_sends += 1,
-                }
+            // One of v's two pairs can already be taken only by an earlier
+            // node that contacted v back; asked only of composed messages.
+            let taken_by = |live: &[bool]| {
+                dedup && u < v && live[u] && matches!(intents[u], Some(i) if i.partner == v)
+            };
+            let [forward, backward] = slot_plan(v, intent);
+            if let Some(planned) = forward {
+                // (v → u) is taken iff u's intent emitted it backward.
+                let msg = exec.take_slot(proto, seed, round, planned);
+                fwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(bwd_live));
             }
-            if intent.action.sends_backward() {
-                match proto.compose(u, v, intent.tag, &mut self.rng) {
-                    Some(m) => {
-                        // (u → v) already in the outbox iff u's intent
-                        // emitted it forward at an earlier position.
-                        let dup = dedup
-                            && u < v
-                            && fwd_live[u]
-                            && matches!(intents[u], Some(i) if i.partner == v);
-                        if dup {
-                            stats.dedup_dropped += 1;
-                            proto.discard(m);
-                        } else {
-                            if dedup {
-                                bwd_live[v] = true;
-                            }
-                            outbox.push((u, v, intent.tag, m));
-                        }
-                    }
-                    None => stats.empty_sends += 1,
-                }
+            if let Some(planned) = backward {
+                // (u → v) is taken iff u's intent emitted it forward.
+                let msg = exec.take_slot(proto, seed, round, planned);
+                bwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(fwd_live));
             }
         }
-        // 3. Loss injection, then delivery.
-        let lossy = self.config.loss_prob > 0.0;
-        for (from, to, tag, msg) in outbox.drain(..) {
-            if lossy && self.rng.gen_bool(self.config.loss_prob) {
-                stats.lost += 1;
-                proto.discard(msg);
-                continue;
-            }
-            proto.deliver(from, to, tag, msg);
-            stats.messages_delivered += 1;
-        }
+        // 3. Delivery.
+        stats.messages_delivered += outbox.len() as u64;
+        exec.deliver_all(proto, outbox);
         stats.rounds += 1;
         stats.timeslots += n as u64;
         // 4. Completion sweep over the still-incomplete nodes only (all of
         //    them are dirty: every node woke, and any may have received).
-        let round = stats.rounds;
         pending.retain(|&v| {
             if proto.node_complete(v) {
                 stats.node_completion_rounds[v] = Some(round);
@@ -444,6 +508,40 @@ impl Engine {
                 true
             }
         });
+    }
+
+    /// Merge-time accounting for one composed slot: nothing composed is an
+    /// empty send, a same-sender duplicate is a dedup drop, a survivor
+    /// that fails the loss draw is lost, and everything else joins the
+    /// outbox. Returns whether the message took its `(from, to)` pair for
+    /// the round, i.e. survived dedup, lost or not.
+    // ag-lint: hot-path
+    #[inline]
+    fn admit<P: Protocol>(
+        &mut self,
+        proto: &mut P,
+        stats: &mut RunStats,
+        outbox: &mut Vec<Delivery<P::Msg>>,
+        (_, from, to, tag): Planned,
+        msg: Option<P::Msg>,
+        dup: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some(msg) = msg else {
+            stats.empty_sends += 1;
+            return false;
+        };
+        if dup() {
+            stats.dedup_dropped += 1;
+            proto.discard(msg);
+            return false;
+        }
+        if self.config.loss_prob > 0.0 && self.rng.gen_bool(self.config.loss_prob) {
+            stats.lost += 1;
+            proto.discard(msg);
+        } else {
+            outbox.push((from, to, tag, msg));
+        }
+        true
     }
 
     /// One asynchronous timeslot: a uniformly random node wakes; both

@@ -21,13 +21,23 @@
 //! Protocols implement the [`Protocol`] trait; [`Engine`] drives them under
 //! either time model, injects optional message loss (an ablation beyond the
 //! paper's lossless model), and returns [`RunStats`] with split drop
-//! accounting (`dedup_dropped` vs `lost`). The engine's round loop is
-//! built for large-n sweeps — persistent per-round scratch, hash-free
-//! same-sender dedup, an incomplete-node completion sweep, and the
-//! observer-free [`Engine::run_batch`] hot path; the pre-rework loop is
-//! preserved in [`reference`] and differentially tested against it.
+//! accounting (`dedup_dropped` vs `lost`).
 //!
-//! Both engines call [`Protocol::on_round_start`] once before every round
+//! The synchronous round is written once (in the `engine` module) and run
+//! by two executors. [`Engine`] composes and delivers inline, slot by
+//! slot; its loop is built for large-n sweeps — persistent per-round
+//! scratch, hash-free same-sender dedup, an incomplete-node completion
+//! sweep, and the observer-free [`Engine::run_batch`] hot path.
+//! [`ShardedEngine`] partitions the node set across rayon workers for the
+//! compose and deliver phases of very large runs; protocols opt in via
+//! [`ShardableProtocol`]. Wakeups and loss draw from the engine's main
+//! RNG; every composed message draws from an RNG private to
+//! `(seed, round, slot)`. The two executors are therefore bit-identical,
+//! at every shard count and thread count, and both are differentially
+//! tested against a structurally different oracle loop that lives in
+//! `tests/oracle`.
+//!
+//! The engine calls [`Protocol::on_round_start`] once before every round
 //! (and at every n-timeslot boundary of the asynchronous model) — the
 //! epoch-advance hook that lets protocols run over a *time-varying*
 //! [`ag_graph::Topology`] ([`ag_graph::ScheduledTopology`] with seeded
@@ -36,18 +46,10 @@
 //! so degree changes under churn never skip or repeat neighbors; static
 //! graphs implement the view with no-ops and keep their exact
 //! pre-abstraction behavior.
-//!
-//! For synchronous runs at very large n, [`ShardedEngine`] partitions the
-//! node set across rayon workers and composes shards in parallel behind a
-//! deterministic slot-ordered merge: protocols opt in via
-//! [`ShardableProtocol`], and the result is a pure function of
-//! `(seed, round, slot)` — bit-identical at every shard count and thread
-//! count (see the module docs in `sharded`).
 
 mod comm;
 mod engine;
 mod protocol;
-pub mod reference;
 mod sharded;
 mod stats;
 

@@ -77,7 +77,7 @@ pub trait Protocol {
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
 
-    /// Round-start hook: both engines call this exactly once before round
+    /// Round-start hook: the engine calls this exactly once before round
     /// `round` (1-based) begins — ahead of every wakeup of a synchronous
     /// round, and ahead of the first timeslot of each asynchronous round
     /// group. This is the epoch-advance point for dynamic topologies:
@@ -103,6 +103,12 @@ pub trait Protocol {
     /// Composes the message `from → to` for a contact with the given tag,
     /// reading only committed (pre-round) data state. `None` = nothing to
     /// send in this direction (e.g. an empty RLNC node).
+    ///
+    /// Under the synchronous model `rng` is private to
+    /// `(seed, round, slot)`, where the slot identifies the waking node
+    /// and the direction: what one message draws never shifts the stream
+    /// another message, a wakeup or a loss draw sees. Under the
+    /// asynchronous model it is the engine's main RNG.
     fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<Self::Msg>;
 
     /// Delivers a previously composed message into `to`'s data state.
@@ -114,8 +120,7 @@ pub trait Protocol {
     /// `RowPool`) override this to recycle the allocation, which is what
     /// keeps their round loop allocation-free even on rounds with dropped
     /// messages. Must not mutate any state the simulation can observe:
-    /// drop accounting lives in the engine's `RunStats`, and both engines
-    /// invoke this hook identically.
+    /// drop accounting lives in the engine's `RunStats`.
     fn discard(&mut self, msg: Self::Msg) {
         drop(msg);
     }

@@ -1,35 +1,26 @@
-//! The sharded synchronous round loop: compose and deliver in parallel,
-//! merge deterministically.
+//! The sharded executor of the synchronous round: compose and deliver in
+//! parallel, merge deterministically.
 //!
 //! # Determinism contract
 //!
-//! [`ShardedEngine`] partitions the node set into `num_shards` contiguous
-//! shards and runs the two data-parallel phases of a synchronous round —
-//! message *composition* (grouped by sender shard) and message *delivery*
-//! (grouped by receiver shard) — on rayon workers. Everything that orders
-//! the round is a **pure function of `(seed, round, slot)`** and never of
-//! scheduling:
+//! [`ShardedEngine`] runs the same round as [`crate::Engine`]: the round
+//! body in the `engine` module, serial on the main engine RNG. It replaces
+//! only *where* the two data-parallel phases run: the node set is
+//! partitioned into `num_shards` contiguous shards, message *composition*
+//! is grouped by sender shard and message *delivery* by receiver shard,
+//! and both fan out over rayon workers.
 //!
-//! * Wakeups, loss draws, dedup resolution and the delivery order run
-//!   serially on the main engine RNG, exactly like [`crate::Engine`].
-//! * Every composition *slot* (slot `2v` = the forward message of node
-//!   `v`'s intent, slot `2v + 1` = the backward message) gets its own
-//!   `StdRng` seeded `splitmix64(round_key ^ slot · GOLDEN_GAMMA)` with
-//!   `round_key = splitmix64(seed ^ round · GOLDEN_GAMMA)`, so a
-//!   message's randomness does not depend on which worker composed it, or
-//!   on how many workers exist.
-//! * The merge replays the slots in ascending order, which is precisely
-//!   the serial engine's compose order, so the same-sender dedup rule
-//!   picks the same survivor it would pick serially.
+//! Every composition slot draws from its own RNG, a pure function of
+//! `(seed, round, slot)`, so a message's randomness does not depend on
+//! which worker composed it, or on how many workers exist. The merge takes
+//! the slots in ascending order whoever composed them, and each receiver
+//! shard applies its messages in that same order.
 //!
-//! Consequently the output is **bit-identical across shard counts and
-//! thread counts**: `num_shards = 1` is the serial reference, and any
-//! `num_shards ≥ 2` under any `RAYON_NUM_THREADS` reproduces it exactly.
-//! (The per-slot RNG discipline means the *stream* differs from
-//! [`crate::Engine`]'s single interleaved RNG, whose compose draw counts
-//! are data-dependent and therefore unparallelizable; protocols that draw
-//! no compose/wakeup randomness — like the relay in the tests below —
-//! produce identical stats under both engines.)
+//! Consequently the output is **bit-identical to the serial [`Engine`] at
+//! every shard count and thread count**, on every [`ShardableProtocol`]
+//! whose shards compose and deliver what the protocol itself would:
+//! `differential_sharded`, the golden trajectory and the unit tests below
+//! assert serial ≡ 1 shard ≡ S shards.
 //!
 //! Protocols opt in by implementing [`ShardableProtocol`]: splitting their
 //! per-node state into [`ProtocolShard`]s that are `Send` and own disjoint
@@ -42,13 +33,14 @@
 //! delivery — inherently sequential — so [`ShardedEngine`] delegates those
 //! runs to the serial [`crate::Engine`] unchanged.
 
-use ag_graph::seedmix::{splitmix64, GOLDEN_GAMMA};
 use ag_graph::NodeId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use crate::engine::{Engine, EngineConfig, FnObserver, NoObserver, Observe, TimeModel};
+use crate::engine::{
+    slot_plan, slot_rng, Delivery, Engine, EngineConfig, FnObserver, Inline, NoObserver, Observe,
+    Planned, SyncExecutor, TimeModel,
+};
 use crate::protocol::{ContactIntent, Protocol};
 use crate::stats::RunStats;
 
@@ -109,60 +101,129 @@ pub trait ShardableProtocol: Protocol<Msg: Send> {
     ) -> Vec<Self::Shard<'_>>;
 }
 
-/// One routed message: `(from, to, tag, msg)`.
-type Delivery<M> = (NodeId, NodeId, u32, M);
 /// A compose shard's return: slot-indexed results plus pooled-buffer
-/// residue for the serial merge to discard.
+/// residue for the main thread to discard.
 type ComposeResult<M> = (Vec<(usize, Option<M>)>, Vec<M>);
 /// A delivery shard's return: the drained input list (handed back so its
 /// capacity is reused) plus residue.
 type DeliverResult<M> = (Vec<Delivery<M>>, Vec<M>);
 
-/// Per-round scratch for the sharded loop, reused across rounds.
-struct ShardScratch<M> {
-    /// Start-of-round contact intents, one slot per node.
-    intents: Vec<Option<ContactIntent>>,
-    /// Slot plan: `slots[2v]` = forward of `v`'s intent, `slots[2v+1]` =
-    /// backward, as `(from, to, tag)`.
-    slots: Vec<Option<(NodeId, NodeId, u32)>>,
-    /// Composed messages, indexed by slot.
-    composed: Vec<Option<M>>,
-    /// Post-merge outbox awaiting loss + delivery partitioning.
-    outbox: Vec<Delivery<M>>,
-    /// Same-sender dedup state (see [`crate::Engine`]).
-    fwd_live: Vec<bool>,
-    bwd_live: Vec<bool>,
-    /// Per-sender-shard compose worklists (slot indices, ascending).
-    worklists: Vec<Vec<usize>>,
-    /// Per-receiver-shard delivery lists, in outbox (slot) order.
-    delivery: Vec<Vec<Delivery<M>>>,
+/// The sharded [`SyncExecutor`]: the partition plus per-round scratch,
+/// reused across rounds.
+struct ShardExec<M> {
+    /// `bounds[s] = (start, end)`: shard `s`'s contiguous node range.
+    bounds: Vec<(usize, usize)>,
     /// `node_shard[v]`: the shard owning node `v`.
     node_shard: Vec<usize>,
+    /// Per-sender-shard compose worklists, ascending by slot.
+    worklists: Vec<Vec<Planned>>,
+    /// Composed messages, indexed by slot; all `None` between rounds (the
+    /// merge takes every slot `prepare` files).
+    composed: Vec<Option<M>>,
+    /// Per-receiver-shard delivery lists, in outbox (slot) order.
+    delivery: Vec<Vec<Delivery<M>>>,
 }
 
-impl<M> ShardScratch<M> {
-    fn new(n: usize, bounds: &[(usize, usize)]) -> Self {
+impl<M> ShardExec<M> {
+    fn new(n: usize, num_shards: usize) -> Self {
+        let shards = num_shards.clamp(1, n.max(1));
+        let bounds: Vec<(usize, usize)> = (0..shards)
+            .map(|s| (s * n / shards, (s + 1) * n / shards))
+            .collect();
         let mut node_shard = vec![0; n];
         for (s, &(start, end)) in bounds.iter().enumerate() {
-            for owner in &mut node_shard[start..end] {
-                *owner = s;
-            }
+            node_shard[start..end].fill(s);
         }
-        ShardScratch {
-            intents: Vec::with_capacity(n),
-            slots: Vec::with_capacity(2 * n),
-            composed: Vec::with_capacity(2 * n),
-            outbox: Vec::with_capacity(2 * n),
-            fwd_live: vec![false; n],
-            bwd_live: vec![false; n],
+        ShardExec {
             worklists: bounds.iter().map(|_| Vec::new()).collect(),
             delivery: bounds.iter().map(|_| Vec::new()).collect(),
+            composed: (0..2 * n).map(|_| None).collect(),
+            bounds,
             node_shard,
         }
     }
 }
 
-/// Drives a [`ShardableProtocol`] with the sharded synchronous round loop.
+impl<P: ShardableProtocol> SyncExecutor<P> for ShardExec<P::Msg> {
+    /// Parallel compose: groups the round's slots by sender shard, lets
+    /// each shard walk its worklist with per-slot RNGs, and files the
+    /// results by slot for the merge.
+    fn prepare(&mut self, proto: &mut P, intents: &[Option<ContactIntent>], seed: u64, round: u64) {
+        for wl in &mut self.worklists {
+            wl.clear();
+        }
+        for (v, intent) in intents.iter().enumerate() {
+            let Some(intent) = *intent else { continue };
+            for planned @ (_, from, ..) in slot_plan(v, intent).into_iter().flatten() {
+                self.worklists[self.node_shard[from]].push(planned);
+            }
+        }
+        let send_counts: Vec<usize> = self.worklists.iter().map(Vec::len).collect();
+        // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
+        let jobs: Vec<(P::Shard<'_>, &[Planned])> = proto
+            .make_shards(&self.bounds, &send_counts)
+            .into_iter()
+            .zip(self.worklists.iter().map(Vec::as_slice))
+            .collect();
+        let results: Vec<ComposeResult<P::Msg>> = jobs
+            .into_par_iter()
+            .map(|(mut shard, worklist)| {
+                let mut out = Vec::with_capacity(worklist.len());
+                for &(slot, from, to, tag) in worklist {
+                    let mut slot_rng = slot_rng(seed, round, slot);
+                    out.push((slot, shard.compose(from, to, tag, &mut slot_rng)));
+                }
+                (out, shard.into_residue())
+            })
+            .collect();
+        // ag-lint: sharded-phase(end)
+        for (outs, residue) in results {
+            for (slot, msg) in outs {
+                self.composed[slot] = msg;
+            }
+            for msg in residue {
+                proto.discard(msg);
+            }
+        }
+    }
+
+    fn take_slot(&mut self, _: &P, _seed: u64, _round: u64, (slot, ..): Planned) -> Option<P::Msg> {
+        self.composed[slot].take()
+    }
+
+    /// Parallel delivery: partitions the outbox by receiver shard, each
+    /// shard applying its list in outbox (slot) order.
+    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>) {
+        for (from, to, tag, msg) in outbox.drain(..) {
+            self.delivery[self.node_shard[to]].push((from, to, tag, msg));
+        }
+        let zero_counts = vec![0usize; self.bounds.len()];
+        let jobs: Vec<_> = proto
+            .make_shards(&self.bounds, &zero_counts)
+            .into_iter()
+            .zip(self.delivery.iter_mut().map(std::mem::take))
+            .collect();
+        let results: Vec<DeliverResult<P::Msg>> = jobs
+            .into_par_iter()
+            .map(|(mut shard, mut list)| {
+                for (from, to, tag, msg) in list.drain(..) {
+                    shard.deliver(from, to, tag, msg);
+                }
+                (list, shard.into_residue())
+            })
+            .collect();
+        for (s, (list, residue)) in results.into_iter().enumerate() {
+            // Hand the (drained) list back so its capacity is reused.
+            self.delivery[s] = list;
+            for msg in residue {
+                proto.discard(msg);
+            }
+        }
+    }
+}
+
+/// Drives a [`ShardableProtocol`] through the synchronous round with the
+/// sharded executor.
 ///
 /// Construction mirrors [`Engine`]; `num_shards` picks the partition
 /// width (clamped to `[1, n]` at run time). Output is a pure function of
@@ -203,9 +264,8 @@ impl<M> ShardScratch<M> {
 /// ```
 #[derive(Debug)]
 pub struct ShardedEngine {
-    config: EngineConfig,
+    engine: Engine,
     num_shards: usize,
-    rng: StdRng,
 }
 
 impl ShardedEngine {
@@ -218,8 +278,7 @@ impl ShardedEngine {
     pub fn new(config: EngineConfig, num_shards: usize) -> Self {
         assert!(num_shards > 0, "shard count must be positive");
         ShardedEngine {
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
+            engine: Engine::new(config),
             num_shards,
         }
     }
@@ -227,7 +286,7 @@ impl ShardedEngine {
     /// The configuration.
     #[must_use]
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        self.engine.config()
     }
 
     /// The configured shard count (before clamping to the node count).
@@ -259,247 +318,17 @@ impl ShardedEngine {
     fn run_inner<P: ShardableProtocol, O: Observe<P>>(
         &mut self,
         proto: &mut P,
-        mut obs: O,
+        obs: O,
     ) -> RunStats {
-        if self.config.time_model == TimeModel::Asynchronous {
+        match self.engine.config().time_model {
             // One wakeup per timeslot with immediate delivery is
-            // inherently sequential: delegate to the serial engine
-            // (bit-identical to running it directly).
-            return Engine::new(self.config).run_inner(proto, obs);
-        }
-        let n = proto.num_nodes();
-        assert!(n > 0, "protocol must have at least one node");
-        let mut stats = RunStats::new(n);
-        let mut incomplete = n;
-        for v in 0..n {
-            if proto.node_complete(v) {
-                stats.node_completion_rounds[v] = Some(0);
-                incomplete -= 1;
+            // inherently sequential: the serial engine runs it.
+            TimeModel::Asynchronous => self.engine.run_with(proto, Inline, obs),
+            TimeModel::Synchronous => {
+                let exec = ShardExec::new(proto.num_nodes(), self.num_shards);
+                self.engine.run_with(proto, exec, obs)
             }
         }
-        if incomplete == 0 {
-            stats.completed = true;
-            return stats;
-        }
-        let mut pending: Vec<NodeId> = (0..n)
-            .filter(|&v| stats.node_completion_rounds[v].is_none())
-            .collect();
-        let shards = self.num_shards.min(n);
-        let bounds: Vec<(usize, usize)> = (0..shards)
-            .map(|s| (s * n / shards, (s + 1) * n / shards))
-            .collect();
-        let mut scratch = ShardScratch::new(n, &bounds);
-        while stats.rounds < self.config.max_rounds {
-            self.sync_round(proto, &mut stats, &mut scratch, &mut pending, &bounds);
-            if O::ENABLED {
-                obs.observe(stats.rounds, proto);
-            }
-            if pending.is_empty() {
-                stats.completed = true;
-                break;
-            }
-        }
-        stats
-    }
-
-    /// One sharded synchronous round. Semantically identical to
-    /// [`Engine`]'s round (wakeups → compose from pre-round state →
-    /// dedup/loss → deliver), with compose and deliver fanned out across
-    /// shards and merged back in slot order.
-    fn sync_round<P: ShardableProtocol>(
-        &mut self,
-        proto: &mut P,
-        stats: &mut RunStats,
-        scratch: &mut ShardScratch<P::Msg>,
-        pending: &mut Vec<NodeId>,
-        bounds: &[(usize, usize)],
-    ) {
-        let n = proto.num_nodes();
-        let round = stats.rounds + 1;
-        let ShardScratch {
-            intents,
-            slots,
-            composed,
-            outbox,
-            fwd_live,
-            bwd_live,
-            worklists,
-            delivery,
-            node_shard,
-        } = scratch;
-        // 0. Round-start hook (epoch advance for dynamic topologies).
-        proto.on_round_start(round);
-        // 1. Every node wakes and declares its contact — serial, on the
-        //    main engine RNG, in node order (the wakeup stream must not
-        //    depend on sharding).
-        intents.clear();
-        intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
-        // 2. Slot plan: slot 2v is the forward message of v's intent,
-        //    slot 2v+1 the backward one. Ascending slot order is exactly
-        //    the serial engine's compose order.
-        slots.clear();
-        slots.resize(2 * n, None);
-        for (v, intent) in intents.iter().enumerate() {
-            let Some(intent) = intent else { continue };
-            let u = intent.partner;
-            debug_assert_ne!(u, v, "self-contact");
-            if intent.action.sends_forward() {
-                slots[2 * v] = Some((v, u, intent.tag));
-            }
-            if intent.action.sends_backward() {
-                slots[2 * v + 1] = Some((u, v, intent.tag));
-            }
-        }
-        // 3. Group slots into per-sender-shard worklists (ascending
-        //    within each shard).
-        for wl in worklists.iter_mut() {
-            wl.clear();
-        }
-        for (slot, plan) in slots.iter().enumerate() {
-            if let Some((from, _, _)) = plan {
-                worklists[node_shard[*from]].push(slot);
-            }
-        }
-        let send_counts: Vec<usize> = worklists.iter().map(Vec::len).collect();
-        // 4. Parallel compose: each shard walks its worklist; every slot
-        //    draws from its own (seed, round, slot)-keyed RNG, so the
-        //    message content is independent of scheduling.
-        // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
-        let round_key = splitmix64(self.config.seed ^ round.wrapping_mul(GOLDEN_GAMMA));
-        let plan: &[Option<(NodeId, NodeId, u32)>] = slots;
-        let jobs: Vec<(P::Shard<'_>, &[usize])> = proto
-            .make_shards(bounds, &send_counts)
-            .into_iter()
-            .zip(worklists.iter().map(Vec::as_slice))
-            .collect();
-        let results: Vec<ComposeResult<P::Msg>> = jobs
-            .into_par_iter()
-            .map(|(mut shard, worklist)| {
-                let mut out = Vec::with_capacity(worklist.len());
-                for &slot in worklist {
-                    let (from, to, tag) = plan[slot].expect("worklist slots are planned");
-                    let mut slot_rng = StdRng::seed_from_u64(splitmix64(
-                        round_key ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA),
-                    ));
-                    out.push((slot, shard.compose(from, to, tag, &mut slot_rng)));
-                }
-                (out, shard.into_residue())
-            })
-            .collect();
-        // ag-lint: sharded-phase(end)
-        composed.clear();
-        composed.resize_with(2 * n, || None);
-        for (outs, residue) in results {
-            for (slot, msg) in outs {
-                composed[slot] = msg;
-            }
-            for msg in residue {
-                proto.discard(msg);
-            }
-        }
-        // 5. Merge in slot order, replicating the serial engine's
-        //    same-sender dedup exactly (see Engine::sync_round: a pair
-        //    (from, to) occurs at most twice, and "keep the first" is two
-        //    O(1) intent-table lookups).
-        let dedup = self.config.dedup_same_sender;
-        if dedup {
-            fwd_live.iter_mut().for_each(|b| *b = false);
-            bwd_live.iter_mut().for_each(|b| *b = false);
-        }
-        for v in 0..n {
-            let Some(intent) = intents[v] else { continue };
-            let u = intent.partner;
-            if intent.action.sends_forward() {
-                match composed[2 * v].take() {
-                    Some(m) => {
-                        let dup = dedup
-                            && u < v
-                            && bwd_live[u]
-                            && matches!(intents[u], Some(i) if i.partner == v);
-                        if dup {
-                            stats.dedup_dropped += 1;
-                            proto.discard(m);
-                        } else {
-                            if dedup {
-                                fwd_live[v] = true;
-                            }
-                            outbox.push((v, u, intent.tag, m));
-                        }
-                    }
-                    None => stats.empty_sends += 1,
-                }
-            }
-            if intent.action.sends_backward() {
-                match composed[2 * v + 1].take() {
-                    Some(m) => {
-                        let dup = dedup
-                            && u < v
-                            && fwd_live[u]
-                            && matches!(intents[u], Some(i) if i.partner == v);
-                        if dup {
-                            stats.dedup_dropped += 1;
-                            proto.discard(m);
-                        } else {
-                            if dedup {
-                                bwd_live[v] = true;
-                            }
-                            outbox.push((u, v, intent.tag, m));
-                        }
-                    }
-                    None => stats.empty_sends += 1,
-                }
-            }
-        }
-        // 6. Loss injection on the main RNG in outbox (slot) order, then
-        //    partition survivors by receiver shard.
-        let lossy = self.config.loss_prob > 0.0;
-        for dl in delivery.iter_mut() {
-            dl.clear();
-        }
-        for (from, to, tag, msg) in outbox.drain(..) {
-            if lossy && self.rng.gen_bool(self.config.loss_prob) {
-                stats.lost += 1;
-                proto.discard(msg);
-                continue;
-            }
-            stats.messages_delivered += 1;
-            delivery[node_shard[to]].push((from, to, tag, msg));
-        }
-        // 7. Parallel delivery, each shard in its list's (slot) order.
-        let zero_counts = vec![0usize; bounds.len()];
-        let jobs: Vec<_> = proto
-            .make_shards(bounds, &zero_counts)
-            .into_iter()
-            .zip(delivery.iter_mut().map(std::mem::take))
-            .collect();
-        let results: Vec<DeliverResult<P::Msg>> = jobs
-            .into_par_iter()
-            .map(|(mut shard, mut list)| {
-                for (from, to, tag, msg) in list.drain(..) {
-                    shard.deliver(from, to, tag, msg);
-                }
-                (list, shard.into_residue())
-            })
-            .collect();
-        for (s, (list, residue)) in results.into_iter().enumerate() {
-            // Hand the (drained) list back so its capacity is reused.
-            delivery[s] = list;
-            for msg in residue {
-                proto.discard(msg);
-            }
-        }
-        stats.rounds += 1;
-        stats.timeslots += n as u64;
-        // 8. Completion sweep over the still-incomplete nodes only.
-        let round = stats.rounds;
-        pending.retain(|&v| {
-            if proto.node_complete(v) {
-                stats.node_completion_rounds[v] = Some(round);
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 
@@ -507,10 +336,10 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::protocol::Action;
+    use rand::Rng;
 
     /// The engine tests' relay ring, made shardable: node v pushes its
-    /// value to v+1 mod n, receivers take the max. Draws no randomness,
-    /// so sharded stats must be bit-identical to the serial [`Engine`].
+    /// value to v+1 mod n, receivers take the max. Draws no randomness.
     struct Relay {
         values: Vec<u8>,
     }
@@ -727,41 +556,23 @@ mod tests {
     }
 
     #[test]
-    fn rng_free_protocol_matches_serial_engine_exactly() {
-        // Relay draws no wakeup/compose randomness, so the sharded
-        // engine's per-slot RNG discipline is invisible: stats must be
-        // bit-identical to the serial Engine, at every shard count.
-        for shards in [1, 2, 3, 6, 9] {
-            let mut serial = Relay::new(6);
-            let want = Engine::new(EngineConfig::synchronous(1)).run(&mut serial);
-            let mut proto = Relay::new(6);
-            let got = ShardedEngine::new(EngineConfig::synchronous(1), shards).run(&mut proto);
-            assert_eq!(got, want, "shards = {shards}");
-            assert_eq!(proto.values, serial.values);
-        }
-    }
-
-    #[test]
-    fn shard_count_never_changes_the_run() {
-        // Random partners + random payload contents + exchange dedup +
-        // loss: the full merge surface. Every shard count reproduces the
-        // 1-shard (serial reference) run bit-for-bit.
-        let run = |shards: usize| {
-            let cfg = EngineConfig::synchronous(0xD15EA5E)
-                .with_loss(0.1)
-                .with_max_rounds(400);
+    fn noisy_protocol_matches_serial_engine_exactly() {
+        // Random partners (main RNG) + random payload contents (per-slot
+        // RNGs) + exchange dedup + loss: the full merge surface. The
+        // serial Engine and every shard count agree on stats and state.
+        let cfg = EngineConfig::synchronous(0xD15EA5E)
+            .with_loss(0.1)
+            .with_max_rounds(400);
+        let mut serial = NoisyExchange::new(23);
+        let want = Engine::new(cfg).run(&mut serial);
+        assert!(want.completed);
+        assert!(want.dedup_dropped > 0, "dedup must be exercised");
+        assert!(want.lost > 0, "loss must be exercised");
+        for shards in [1, 2, 3, 7, 23, 64] {
             let mut proto = NoisyExchange::new(23);
-            let stats = ShardedEngine::new(cfg, shards).run(&mut proto);
-            (stats, proto.values)
-        };
-        let (want_stats, want_values) = run(1);
-        assert!(want_stats.completed);
-        assert!(want_stats.dedup_dropped > 0, "dedup must be exercised");
-        assert!(want_stats.lost > 0, "loss must be exercised");
-        for shards in [2, 3, 7, 23, 64] {
-            let (stats, values) = run(shards);
-            assert_eq!(stats, want_stats, "shards = {shards}");
-            assert_eq!(values, want_values, "shards = {shards}");
+            let got = ShardedEngine::new(cfg, shards).run(&mut proto);
+            assert_eq!(got, want, "shards = {shards}");
+            assert_eq!(proto.values, serial.values, "shards = {shards}");
         }
     }
 

@@ -1,19 +1,27 @@
-//! Differential lock for the round-loop rework: the fast [`Engine`] and
-//! the frozen pre-refactor [`ReferenceEngine`] must produce bit-identical
-//! [`RunStats`] and observer traces for every protocol, graph, time model,
-//! action, loss rate and dedup setting.
+//! Differential lock for the round loop: [`Engine`] and the test-only
+//! oracle loop in `oracle/` ([`ReferenceEngine`]) must produce
+//! bit-identical [`RunStats`] and observer traces for every protocol,
+//! graph, time model, action, loss rate and dedup setting.
 //!
-//! The fast loop replaced per-round allocations with persistent scratch,
-//! hash-set dedup with an analytic rule over the intent table, and the
-//! O(n) completion sweep with an incomplete-node list — all of which must
-//! be *invisible* in the results. This suite is the engine-level analogue
-//! of `crates/rlnc/tests/differential_decoder.rs`.
+//! The engine keeps persistent scratch, resolves same-sender dedup with an
+//! analytic rule over the intent table while it merges, composes slot by
+//! slot, and sweeps an incomplete-node list; the oracle allocates per
+//! round, composes everything first, dedups through a hash set at delivery
+//! time and sweeps all `n` flags. None of that may be visible in the
+//! results. The oracle also derives the per-slot compose keys on its own,
+//! so the [`AlgebraicGossip`] lane below (whose `compose` draws
+//! coefficients) fails if either side's keying drifts. This suite is the
+//! engine-level analogue of `crates/rlnc/tests/differential_decoder.rs`.
 
+mod oracle;
+
+use ag_gf::Gf2;
 use ag_graph::{builders, ChurnSchedule, Graph, NodeId, ScheduledTopology, Topology};
-use ag_sim::reference::ReferenceEngine;
 use ag_sim::{
     Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol, RunStats,
 };
+use algebraic_gossip::{AgConfig, AlgebraicGossip};
+use oracle::ReferenceEngine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -252,9 +260,9 @@ fn dedup_storm_matches_reference() {
     );
 }
 
-/// Mid-round asynchronous completions: the final-observation fix must
-/// behave identically in both engines (the reference got the same fix so
-/// the perf comparison isolates loop structure).
+/// Mid-round asynchronous completions: the final observation (ceiling
+/// round number, completed state) is part of the contract the oracle
+/// shares with the engine.
 #[test]
 fn async_final_observation_matches_reference() {
     let graph = builders::cycle(7).expect("cycle");
@@ -267,4 +275,59 @@ fn async_final_observation_matches_reference() {
         assert_eq!(fast_trace, slow_trace, "traces diverged at seed {seed}");
         assert_eq!(fast_trace.last().map(|&(r, _)| r), Some(fast.rounds));
     }
+}
+
+/// The compose-drawing lane. `Flood` ignores its compose RNG, so every
+/// lane above is blind to *which* stream a message's randomness comes
+/// from. Pooled algebraic gossip over GF(2) is not: each EXCHANGE draws
+/// fresh coefficients, and at q = 2 about half of all draws are
+/// unhelpful, so the rank and helpful/redundant trajectories move with
+/// any change to the per-slot keys on either side. Loss and dedup are
+/// both active (and asserted to fire), so the main-RNG loss draws and the
+/// discard path of the `RowPool` are compared as well.
+#[test]
+fn compose_drawing_protocol_matches_reference() {
+    type AgTrace = Vec<(u64, [u64; 3])>;
+    let fingerprint = |p: &AlgebraicGossip<Gf2>| {
+        [
+            p.total_rank() as u64,
+            p.helpful_receptions(),
+            p.redundant_receptions(),
+        ]
+    };
+    let mut graph_rng = StdRng::seed_from_u64(0xA6);
+    let graphs = [
+        builders::complete(10).expect("complete"),
+        builders::erdos_renyi_connected(17, 0.3, &mut graph_rng).expect("connected G(n,p)"),
+    ];
+    let (mut total_dedup_drops, mut total_lost) = (0, 0);
+    for (graph, comm) in graphs
+        .iter()
+        .flat_map(|g| [(g, CommModel::Uniform), (g, CommModel::RoundRobin)])
+    {
+        for seed in 0..12u64 {
+            let ag_cfg = AgConfig::new(6).with_payload_len(3).with_comm_model(comm);
+            let cfg = EngineConfig::synchronous(seed)
+                .with_loss(0.2)
+                .with_max_rounds(20_000);
+            let build = || AlgebraicGossip::<Gf2>::new(graph, &ag_cfg, seed ^ 0xC0DE).expect("ag");
+            let (mut fast_proto, mut ref_proto) = (build(), build());
+            let (mut fast_trace, mut ref_trace) = (AgTrace::new(), AgTrace::new());
+            let fast = Engine::new(cfg)
+                .run_observed(&mut fast_proto, |r, p| fast_trace.push((r, fingerprint(p))));
+            let slow = ReferenceEngine::new(cfg)
+                .run_observed(&mut ref_proto, |r, p| ref_trace.push((r, fingerprint(p))));
+            assert!(fast.completed, "AG must finish at seed {seed}");
+            assert_eq!(fast, slow, "stats diverged at seed {seed}");
+            assert_eq!(fast_trace, ref_trace, "traces diverged at seed {seed}");
+            for v in 0..graph.n() {
+                assert_eq!(fast_proto.decoded(v), ref_proto.decoded(v));
+            }
+            assert_eq!(fast_proto.pool_idle(), fast_proto.pool_prewarm());
+            total_dedup_drops += fast.dedup_dropped;
+            total_lost += fast.lost;
+        }
+    }
+    assert!(total_dedup_drops > 0, "dedup must be exercised");
+    assert!(total_lost > 0, "loss must be exercised");
 }

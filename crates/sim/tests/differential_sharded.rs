@@ -1,13 +1,17 @@
-//! Differential lock for the sharded round loop: [`ShardedEngine`] must
-//! produce bit-identical results at every shard count.
+//! Differential lock for the sharded executor: [`ShardedEngine`] must
+//! produce results bit-identical to the serial [`Engine`] at every shard
+//! count.
 //!
-//! `num_shards = 1` is the serial reference — the whole round runs on one
-//! shard with the exact same per-slot RNG discipline — so "sharded vs
-//! serial" reduces to "S shards vs 1 shard". Each lane runs the real
+//! The reference lane is the serial engine itself, which composes through
+//! `AlgebraicGossip::compose` / `WithCrashes` where the sharded lanes go
+//! through `AgShard::compose` / `CrashShard`, so the comparison also locks
+//! each shard type to the protocol it splits. Each lane runs the real
 //! pooled algebraic-gossip protocol (the dev-only dependency cycle that
 //! also powers `proptest_engine_invariants`) over random connected
-//! graphs, both communication models, loss on/off, and the crash wrapper,
-//! and asserts:
+//! graphs, both communication models, GF(256) and GF(2) (at q = 2 about
+//! half of all coefficient draws are unhelpful, so the rank trace moves
+//! with any change to a compose stream), loss on/off, and the crash
+//! wrapper, and asserts:
 //!
 //! * identical [`RunStats`],
 //! * identical per-round observer traces (round, total rank) and their
@@ -24,9 +28,9 @@
 //! CI runs this suite with `PROPTEST_CASES=256` under
 //! `RAYON_NUM_THREADS ∈ {1, 4}`; the case count honors that env var.
 
-use ag_gf::Gf256;
+use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::builders;
-use ag_sim::{CommModel, EngineConfig, RunStats, ShardedEngine, TrajectoryHash};
+use ag_sim::{CommModel, Engine, EngineConfig, RunStats, ShardedEngine, TrajectoryHash};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, ArenaGrowth, CrashPlan, Placement, WithCrashes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,9 +43,10 @@ fn cases() -> u32 {
         .unwrap_or(24)
 }
 
-/// One full sharded run; returns stats, the hashed trace, the raw trace,
-/// and the decoded check. Asserts pool balance at every round boundary.
-fn run_sharded(
+/// One full run, sharded (`shards = Some(s)`) or on the serial engine
+/// (`None`); returns stats, the hashed trace and the raw trace, and checks
+/// the decoded messages. Asserts pool balance at every round boundary.
+fn run_lane<F: SlabField + Send>(
     n: usize,
     k: usize,
     comm: CommModel,
@@ -49,7 +54,7 @@ fn run_sharded(
     crashes: bool,
     cfg: EngineConfig,
     proto_seed: u64,
-    shards: usize,
+    shards: Option<usize>,
 ) -> (RunStats, u64, Vec<(u64, u64)>) {
     let mut graph_rng = StdRng::seed_from_u64(proto_seed);
     let graph = builders::erdos_renyi_connected(n, 0.4, &mut graph_rng)
@@ -59,7 +64,7 @@ fn run_sharded(
         .with_comm_model(comm)
         .with_placement(Placement::Spread)
         .with_arena_growth(growth);
-    let inner = AlgebraicGossip::<Gf256>::new(&graph, &ag_cfg, proto_seed).expect("protocol");
+    let inner = AlgebraicGossip::<F>::new(&graph, &ag_cfg, proto_seed).expect("protocol");
     let prewarm = inner.pool_prewarm();
     // Crash a deterministic fraction at staggered wakeups; survivors must
     // still account for every pooled buffer.
@@ -71,28 +76,32 @@ fn run_sharded(
     let mut proto = WithCrashes::new(inner, plan);
     let mut hash = TrajectoryHash::new();
     let mut trace = Vec::new();
-    let stats = ShardedEngine::new(cfg, shards).run_observed(&mut proto, |round, p| {
+    let observer = |round: u64, p: &WithCrashes<AlgebraicGossip<F>>| {
         assert_eq!(
             p.inner().pool_idle(),
             prewarm,
-            "shards = {shards}: pooled buffer leaked by round {round}"
+            "shards = {shards:?}: pooled buffer leaked by round {round}"
         );
         let rank = p.inner().total_rank() as u64;
         hash.observe(round);
         hash.observe(rank);
         trace.push((round, rank));
-    });
+    };
+    let stats = match shards {
+        Some(s) => ShardedEngine::new(cfg, s).run_observed(&mut proto, observer),
+        None => Engine::new(cfg).run_observed(&mut proto, observer),
+    };
     assert_eq!(
         proto.inner().pool_idle(),
         prewarm,
-        "shards = {shards}: pool did not end balanced"
+        "shards = {shards:?}: pool did not end balanced"
     );
     if stats.completed {
         for v in proto.survivors() {
             assert_eq!(
                 proto.inner().decoded(v).expect("survivor decodes"),
                 proto.inner().generation().messages(),
-                "shards = {shards}: node {v} decoded wrong messages"
+                "shards = {shards:?}: node {v} decoded wrong messages"
             );
         }
     }
@@ -102,15 +111,16 @@ fn run_sharded(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The tentpole lock: every shard count reproduces the 1-shard run
+    /// The tentpole lock: every shard count reproduces the serial engine
     /// bit-for-bit — stats, trace, hash — over random graphs × both comm
-    /// models × loss × crashes.
+    /// models × both fields × loss × crashes.
     #[test]
     fn shard_count_is_invisible(
         seed in any::<u64>(),
         n in 6usize..20,
         k in 2usize..6,
         comm_pick in 0u8..2,
+        binary_field in any::<bool>(),
         lossy in any::<bool>(),
         crashes in any::<bool>(),
     ) {
@@ -119,9 +129,13 @@ proptest! {
         if lossy {
             cfg = cfg.with_loss(0.2);
         }
-        let want = run_sharded(n, k, comm, ArenaGrowth::Chunked, crashes, cfg, seed ^ 0xA6, 1);
-        for shards in [3usize, 7] {
-            let got = run_sharded(n, k, comm, ArenaGrowth::Chunked, crashes, cfg, seed ^ 0xA6, shards);
+        let lane = |shards| {
+            let run = if binary_field { run_lane::<Gf2> } else { run_lane::<Gf256> };
+            run(n, k, comm, ArenaGrowth::Chunked, crashes, cfg, seed ^ 0xA6, shards)
+        };
+        let want = lane(None);
+        for shards in [1usize, 3, 7] {
+            let got = lane(Some(shards));
             prop_assert_eq!(&got.0, &want.0, "stats diverged at {} shards", shards);
             prop_assert_eq!(got.1, want.1, "trajectory hash diverged at {} shards", shards);
             prop_assert_eq!(&got.2, &want.2, "trace diverged at {} shards", shards);
@@ -139,10 +153,10 @@ proptest! {
         shards in 1usize..5,
     ) {
         let cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
-        let chunked = run_sharded(
-            n, k, CommModel::Uniform, ArenaGrowth::Chunked, false, cfg, seed ^ 0xC4, shards);
-        let prealloc = run_sharded(
-            n, k, CommModel::Uniform, ArenaGrowth::Preallocated, false, cfg, seed ^ 0xC4, shards);
+        let chunked = run_lane::<Gf256>(
+            n, k, CommModel::Uniform, ArenaGrowth::Chunked, false, cfg, seed ^ 0xC4, Some(shards));
+        let prealloc = run_lane::<Gf256>(
+            n, k, CommModel::Uniform, ArenaGrowth::Preallocated, false, cfg, seed ^ 0xC4, Some(shards));
         prop_assert_eq!(chunked, prealloc);
     }
 }

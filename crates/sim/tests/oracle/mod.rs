@@ -1,54 +1,31 @@
-//! The frozen pre-refactor round loop, preserved for differential testing
-//! and the `bench_engine_scale` perf baseline.
+//! The oracle round loop for `differential_engine`: test-only, and
+//! deliberately *not* the engine's structure.
 //!
-//! [`ReferenceEngine`] is the engine loop exactly as it existed before the
-//! large-`n` rework of [`crate::Engine`]: it allocates a fresh intent
-//! `Vec`, outbox `Vec` and dedup `HashSet` every synchronous round, sweeps
-//! all `n` completion flags each round, and always runs through the
-//! observer plumbing. Only the *accounting semantics* track the fixed
-//! engine (the `dedup_dropped`/`lost` counter split, the ceiling rounds
-//! convention, and the final mid-round observation under the asynchronous
-//! model), so that for any protocol and seed it must produce bit-identical
-//! [`RunStats`] and observer traces to [`crate::Engine`] — which is what
-//! `crates/sim/tests/differential_engine.rs` asserts and what makes the
-//! measured speedup in `BENCH_engine_scale.json` attributable to the loop
-//! structure alone.
+//! [`ReferenceEngine`] allocates a fresh intent `Vec`, outbox `Vec` and
+//! dedup `HashSet` every synchronous round, composes every slot before it
+//! looks at any of them, resolves same-sender dedup by hashing `(from, to)`
+//! at delivery time, and sweeps all `n` completion flags each round. It
+//! shares only the *contract* with [`ag_sim::Engine`]: wakeups and loss on
+//! the main RNG, every composed message on an RNG private to
+//! `(seed, round, slot)`, the `dedup_dropped`/`lost` counter split, the
+//! ceiling rounds convention, and the final mid-round observation under
+//! the asynchronous model. For any protocol and seed it must therefore
+//! produce bit-identical [`RunStats`] and observer traces.
 //!
-//! Do not "optimize" this module: its value is being slow in exactly the
-//! ways the old loop was.
+//! The slot key is derived here, from the public seed-mixing primitives,
+//! not through the engine's private `slot_rng`: a keying bug in the engine
+//! is then caught by the comparison instead of being shared with it.
+//!
+//! Do not "optimize" this module: its value is being structurally
+//! different from the loop it checks.
 
+use ag_graph::seedmix::{splitmix64, GOLDEN_GAMMA};
 use ag_graph::NodeId;
+use ag_sim::{EngineConfig, Protocol, RunStats, TimeModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{EngineConfig, TimeModel};
-use crate::protocol::Protocol;
-use crate::stats::RunStats;
-
-/// Drop-in, allocation-heavy counterpart of [`crate::Engine`].
-///
-/// # Examples
-///
-/// ```
-/// use ag_sim::reference::ReferenceEngine;
-/// use ag_sim::{Engine, EngineConfig};
-/// # use ag_sim::{ContactIntent, Protocol};
-/// # use ag_graph::NodeId;
-/// # use rand::rngs::StdRng;
-/// # struct Noop;
-/// # impl Protocol for Noop {
-/// #     type Msg = ();
-/// #     fn num_nodes(&self) -> usize { 2 }
-/// #     fn on_wakeup(&mut self, _: NodeId, _: &mut StdRng) -> Option<ContactIntent> { None }
-/// #     fn compose(&self, _: NodeId, _: NodeId, _: u32, _: &mut StdRng) -> Option<()> { None }
-/// #     fn deliver(&mut self, _: NodeId, _: NodeId, _: u32, _: ()) {}
-/// #     fn node_complete(&self, _: NodeId) -> bool { true }
-/// # }
-/// let cfg = EngineConfig::synchronous(7);
-/// let fast = Engine::new(cfg).run(&mut Noop);
-/// let slow = ReferenceEngine::new(cfg).run(&mut Noop);
-/// assert_eq!(fast, slow);
-/// ```
+/// Drop-in, allocation-heavy counterpart of [`ag_sim::Engine`].
 #[derive(Debug)]
 pub struct ReferenceEngine {
     config: EngineConfig,
@@ -65,20 +42,10 @@ impl ReferenceEngine {
         }
     }
 
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Runs the protocol to completion or budget; returns statistics.
-    pub fn run<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_observed(proto, |_, _: &P| {})
-    }
-
-    /// Like [`ReferenceEngine::run`] but invokes `observer(round, proto)`
-    /// after every completed round, with the same final mid-round
-    /// observation contract as [`crate::Engine::run_observed`].
+    /// Runs the protocol to completion or budget, invoking
+    /// `observer(round, proto)` after every completed round, with the same
+    /// final mid-round observation contract as
+    /// [`ag_sim::Engine::run_observed`].
     pub fn run_observed<P: Protocol>(
         &mut self,
         proto: &mut P,
@@ -86,7 +53,16 @@ impl ReferenceEngine {
     ) -> RunStats {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
-        let mut stats = RunStats::new(n);
+        let mut stats = RunStats {
+            completed: false,
+            rounds: 0,
+            timeslots: 0,
+            messages_delivered: 0,
+            dedup_dropped: 0,
+            lost: 0,
+            empty_sends: 0,
+            node_completion_rounds: vec![None; n],
+        };
         let mut complete = vec![false; n];
         let mut incomplete = n;
         for (v, flag) in complete.iter_mut().enumerate() {
@@ -136,8 +112,8 @@ impl ReferenceEngine {
         stats
     }
 
-    /// One synchronous round, pre-refactor shape: fresh per-round
-    /// allocations, hash-set dedup at delivery time, full O(n) sweep.
+    /// One synchronous round: fresh per-round allocations, hash-set dedup
+    /// at delivery time, full O(n) sweep.
     fn sync_round<P: Protocol>(
         &mut self,
         proto: &mut P,
@@ -146,27 +122,35 @@ impl ReferenceEngine {
         incomplete: &mut usize,
     ) {
         let n = proto.num_nodes();
+        let round = stats.rounds + 1;
         // 0. Round-start hook — like the drop accounting, a semantic
         //    contract shared with the fast engine: dynamic topologies must
         //    see identical epoch sequences under both loops.
-        proto.on_round_start(stats.rounds + 1);
+        proto.on_round_start(round);
         // 1. Every node wakes and declares its contact.
         let intents: Vec<_> = (0..n).map(|v| proto.on_wakeup(v, &mut self.rng)).collect();
         // 2. Compose all messages against the (still unmodified) round-
-        //    start data state.
+        //    start data state. Slot 2v is v's forward message, slot 2v+1
+        //    its backward one; each draws from its own keyed RNG.
+        let round_key = splitmix64(self.config.seed ^ round.wrapping_mul(GOLDEN_GAMMA));
+        let keyed = |slot: usize| {
+            StdRng::seed_from_u64(splitmix64(
+                round_key ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA),
+            ))
+        };
         let mut outbox: Vec<(NodeId, NodeId, u32, P::Msg)> = Vec::new();
         for (v, intent) in intents.iter().enumerate() {
             let Some(intent) = intent else { continue };
             let u = intent.partner;
             debug_assert_ne!(u, v, "self-contact");
             if intent.action.sends_forward() {
-                match proto.compose(v, u, intent.tag, &mut self.rng) {
+                match proto.compose(v, u, intent.tag, &mut keyed(2 * v)) {
                     Some(m) => outbox.push((v, u, intent.tag, m)),
                     None => stats.empty_sends += 1,
                 }
             }
             if intent.action.sends_backward() {
-                match proto.compose(u, v, intent.tag, &mut self.rng) {
+                match proto.compose(u, v, intent.tag, &mut keyed(2 * v + 1)) {
                     Some(m) => outbox.push((u, v, intent.tag, m)),
                     None => stats.empty_sends += 1,
                 }
@@ -208,8 +192,7 @@ impl ReferenceEngine {
         }
     }
 
-    /// One asynchronous timeslot (identical to the fast engine's — the
-    /// rework only touched the synchronous round and the outer loop).
+    /// One asynchronous timeslot: everything on the main RNG.
     fn async_slot<P: Protocol>(
         &mut self,
         proto: &mut P,
