@@ -7,11 +7,11 @@
 //! what the old k-rows-per-node preallocation would have pinned up front).
 //! Writes `BENCH_engine_shard.json` for future PRs to diff against.
 //!
-//! The determinism assertion is unconditional: on the 1-core CI container
-//! the rayon shim degrades to a serial loop, so `speedup ≈ 1x` across the
-//! ladder is expected and acceptable — what must hold everywhere is that
-//! shard count (and `RAYON_NUM_THREADS`) cannot change a single bit of
-//! the run.
+//! The determinism assertion is unconditional: what must hold everywhere
+//! is that shard count (and `RAYON_NUM_THREADS`) cannot change a single
+//! bit of the run. The timings depend on the rayon thread count, which the
+//! JSON records as `threads`: with one thread the shim degrades to a
+//! serial loop and `speedup ≈ 1x` across the ladder is expected.
 //!
 //! Usage: `cargo run --release -p ag-bench --bin bench_engine_shard`
 //! (optionally `AG_BENCH_SHARD_BIG_N=n`, `AG_BENCH_SHARD_PAYLOAD_N=n`,
@@ -195,6 +195,7 @@ fn main() {
 
     // --- JSON. ----------------------------------------------------------
     let mut json = String::from("{\n  \"bench\": \"engine_shard\",\n");
+    let _ = writeln!(json, "  \"threads\": {},", rayon::current_num_threads());
     let _ = writeln!(json, "  \"deterministic_match\": {deterministic_match},");
     let _ = writeln!(
         json,

@@ -60,6 +60,10 @@
 //!    allocations — the decoder arena and the pre-warmed `RowPool` make
 //!    the per-message path allocation-free outright. The run must
 //!    complete and the first nodes must decode the exact generation.
+//!    What it pins is the *inline* round: at this size the default engine
+//!    would fan the rounds out over the rayon pool, which allocates per
+//!    shard per round by design, so the audited run sits inside a
+//!    one-thread local pool, where the engine's rule picks inline.
 //!
 //! Usage: `cargo run --release -p ag-bench --bin bench_rlnc_throughput`
 //! (`AG_BENCH_SCALE=full` for the committed n = 10⁵ configuration,
@@ -405,7 +409,12 @@ fn main() {
         .fold(0.0f64, f64::max);
     let blocked_speedup = best_blocked_mib_s / PR6_BATCHED_BASELINE_MIB_S;
 
-    let run = completion_run(n);
+    // One-thread pool: the audit pins the inline round (see the module docs).
+    let run = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool")
+        .install(|| completion_run(n));
 
     let mut json = String::from("{\n  \"bench\": \"rlnc_throughput\",\n");
     let _ = writeln!(

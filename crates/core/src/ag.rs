@@ -5,6 +5,7 @@ use ag_graph::{Graph, GraphError, NodeId, Topology};
 use ag_rlnc::{ArenaGrowth, DecoderShard, Generation};
 use ag_sim::{
     Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard, ShardableProtocol,
+    SyncRound,
 };
 use rand::rngs::StdRng;
 
@@ -348,6 +349,19 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 
     fn discard(&mut self, msg: Vec<u8>) {
         self.nodes.discard(msg);
+    }
+
+    /// Every message is one packed row, so a round moves planned slots ×
+    /// `row_bytes`: the engine fans it out over the rayon pool when that
+    /// is worth a second core (1 KiB payloads from a few thousand nodes
+    /// up; rank-only rounds stay inline).
+    fn compose_round(&mut self, round: &mut SyncRound<Vec<u8>>) {
+        let row_bytes = self.nodes.decoders.row_bytes();
+        round.fan_out_compose(self, row_bytes);
+    }
+
+    fn deliver_round(&mut self, round: &mut SyncRound<Vec<u8>>) {
+        round.fan_out_deliver(self);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {

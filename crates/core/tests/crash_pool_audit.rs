@@ -12,6 +12,12 @@
 //! `compose` allocates a fresh buffer, and the per-round allocator deltas
 //! stop being zero.
 //!
+//! What is audited is the inline round, on any rayon pool: `WithCrashes`
+//! keeps `Protocol`'s default bulk hooks, and 2 · 96 rows of 40 bytes are
+//! far below the size from which the engine fans a round out (the
+//! fan-out allocates per shard per round by design; `bench_rlnc_throughput`
+//! audits its n = 10⁵ run inside a one-thread pool for that reason).
+//!
 //! One test only: the file has its own counting global allocator, and a
 //! sibling test running concurrently would pollute the per-round deltas.
 //! The helpfulness-probe audit lives in its own file

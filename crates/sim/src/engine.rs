@@ -6,19 +6,25 @@
 //! that *orders* a round: the round-start hook, the wakeups, the
 //! ascending-slot merge with same-sender dedup, loss injection, the
 //! [`RunStats`] accounting and the completion sweep. The two data-parallel
-//! phases, composing the slots and applying the surviving messages, sit
-//! behind the crate-private `SyncExecutor`. [`Engine`] runs them `Inline`:
-//! each slot is composed through `&P` when the merge reaches it and the
-//! outbox is delivered through `&mut P`, with no slot plan, per-slot
-//! message table or shards. [`crate::ShardedEngine`] fans them out over
-//! rayon workers and hands the merge the same slots.
+//! phases, composing the slots and applying the surviving messages, are
+//! reached through the protocol's bulk hooks,
+//! [`Protocol::compose_round`] and [`Protocol::deliver_round`]. Their
+//! defaults run the phases *inline*: each slot is composed through `&P`
+//! when the merge reaches it and the outbox is delivered through `&mut P`,
+//! with no slot plan, per-slot message table or shards. A
+//! [`crate::ShardableProtocol`] may override them to hand the round to the
+//! fan-out in the `sharded` module, which runs both phases on rayon
+//! workers whenever the round is big enough to pay for it and hands the
+//! merge the same slots. [`crate::ShardedEngine`] is that fan-out with the
+//! shard count forced.
 //!
 //! Wakeups and loss draws come from the engine's main RNG, in node order
 //! and in outbox order. Every composition *slot* draws from its own
 //! `slot_rng`, a pure function of `(seed, round, slot)`: a message's
 //! randomness never depends on which other messages were composed, by
-//! whom, or in what order. That makes the two executors bit-identical and
-//! a trajectory mismatch localisable to a `(round, slot)`. The
+//! whom, or in what order. That makes inline and fanned-out rounds
+//! bit-identical and a trajectory mismatch localisable to a
+//! `(round, slot)`. The
 //! asynchronous loop (one wakeup per timeslot, immediate delivery) is
 //! inherently sequential and draws everything from the main RNG.
 //!
@@ -38,6 +44,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::protocol::{ContactIntent, Protocol};
+use crate::sharded::FanOut;
 use crate::stats::RunStats;
 
 /// The paper's two time models (Section 2).
@@ -196,68 +203,85 @@ pub(crate) fn slot_plan(v: NodeId, intent: ContactIntent) -> [Option<Planned>; 2
     ]
 }
 
-/// How the two data-parallel phases of a synchronous round are executed.
-/// `Engine::sync_round` owns everything else; an executor may not touch
-/// the engine RNG or the stats, and must compose slot `s` of round `r`
-/// from pre-round state with `slot_rng(seed, r, s)` and nothing else.
-pub(crate) trait SyncExecutor<P: Protocol> {
-    /// Called once per round, after the wakeups and before the merge.
-    fn prepare(&mut self, proto: &mut P, intents: &[Option<ContactIntent>], seed: u64, round: u64);
-
-    /// The message composed for a planned slot of round `round`. The merge
-    /// asks for every planned slot exactly once, in ascending order.
-    fn take_slot(&mut self, proto: &P, seed: u64, round: u64, planned: Planned) -> Option<P::Msg>;
-
-    /// Applies the round's surviving messages; each receiver sees its
-    /// messages in `outbox` (ascending-slot) order. Leaves `outbox` empty.
-    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>);
+/// One synchronous round's engine-owned state, as the bulk hooks
+/// [`Protocol::compose_round`] and [`Protocol::deliver_round`] see it: the
+/// start-of-round contact intents, the outbox of surviving messages and,
+/// from the first fanned-out round on, the fan-out's scratch. Opaque
+/// outside this crate; a [`crate::ShardableProtocol`] passes it to
+/// [`SyncRound::fan_out_compose`] and [`SyncRound::fan_out_deliver`].
+///
+/// Allocated once per run and reused by every round, so the steady-state
+/// inline loop performs no engine-side heap allocation (messages
+/// themselves are owned by the protocol).
+#[derive(Debug)]
+pub struct SyncRound<M> {
+    /// Start-of-round contact intents, one slot per node.
+    pub(crate) intents: Vec<Option<ContactIntent>>,
+    /// Messages that survived dedup and loss, awaiting delivery.
+    pub(crate) outbox: Vec<Delivery<M>>,
+    /// `fwd_live[v]`: v's forward message took its `(from, to)` pair.
+    fwd_live: Vec<bool>,
+    /// `bwd_live[w]`: w's backward message took its `(from, to)` pair.
+    bwd_live: Vec<bool>,
+    /// The engine seed and the 1-based round: with a slot, the key of
+    /// every compose RNG.
+    pub(crate) seed: u64,
+    pub(crate) round: u64,
+    /// The fan-out's partition and scratch; `None` until a round fans out.
+    pub(crate) fan: Option<FanOut<M>>,
+    /// This round's slots were composed into `fan`'s table.
+    pub(crate) fanned: bool,
+    /// [`crate::ShardedEngine`]'s shard count; `None` lets the fan-out's
+    /// own rule decide, round by round.
+    pub(crate) forced_shards: Option<usize>,
 }
 
-/// The serial executor: composes each slot through `&P` when the merge
-/// reaches it and delivers through `&mut P`. Holds nothing.
-pub(crate) struct Inline;
-
-impl<P: Protocol> SyncExecutor<P> for Inline {
-    #[inline]
-    fn prepare(&mut self, _: &mut P, _: &[Option<ContactIntent>], _seed: u64, _round: u64) {}
-
-    // ag-lint: hot-path
-    #[inline]
-    fn take_slot(&mut self, proto: &P, seed: u64, round: u64, planned: Planned) -> Option<P::Msg> {
-        let (slot, from, to, tag) = planned;
-        proto.compose(from, to, tag, &mut slot_rng(seed, round, slot))
+impl<M> SyncRound<M> {
+    fn new(n: usize, seed: u64, forced_shards: Option<usize>) -> Self {
+        SyncRound {
+            intents: Vec::with_capacity(n),
+            outbox: Vec::with_capacity(2 * n),
+            fwd_live: vec![false; n],
+            bwd_live: vec![false; n],
+            seed,
+            round: 0,
+            fan: None,
+            fanned: false,
+            forced_shards,
+        }
     }
 
+    /// The inline delivery phase: every outbox message through
+    /// [`Protocol::deliver`], in outbox (ascending-slot) order.
     // ag-lint: hot-path
     #[inline]
-    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>) {
-        for (from, to, tag, msg) in outbox.drain(..) {
+    pub(crate) fn deliver_inline<P: Protocol<Msg = M> + ?Sized>(&mut self, proto: &mut P) {
+        for (from, to, tag, msg) in self.outbox.drain(..) {
             proto.deliver(from, to, tag, msg);
         }
     }
 }
 
-/// Reusable synchronous-round scratch: allocated once per run, reused by
-/// every round, so the steady-state loop performs no engine-side heap
-/// allocation (messages themselves are owned by the protocol).
-struct SyncScratch<M> {
-    /// Start-of-round contact intents, one slot per node.
-    intents: Vec<Option<ContactIntent>>,
-    /// Messages that survived dedup and loss, awaiting delivery.
-    outbox: Vec<Delivery<M>>,
-    /// `fwd_live[v]`: v's forward message took its `(from, to)` pair.
-    fwd_live: Vec<bool>,
-    /// `bwd_live[w]`: w's backward message took its `(from, to)` pair.
-    bwd_live: Vec<bool>,
+/// How `Engine::sync_round` reaches the two data-parallel phases:
+/// [`Engine`] goes through the protocol's bulk hooks, [`crate::ShardedEngine`]
+/// straight to the fan-out with its shard count forced. Either may not
+/// touch the engine RNG or the stats, and must compose slot `s` of round
+/// `r` from pre-round state with `slot_rng(seed, r, s)` and nothing else.
+pub(crate) struct Phases<P: Protocol> {
+    /// Called once per round, after the wakeups and before the merge.
+    pub(crate) compose: fn(&mut P, &mut SyncRound<P::Msg>),
+    /// Applies the round's surviving messages; leaves the outbox empty.
+    pub(crate) deliver: fn(&mut P, &mut SyncRound<P::Msg>),
+    pub(crate) forced_shards: Option<usize>,
 }
 
-impl<M> SyncScratch<M> {
-    fn new(n: usize) -> Self {
-        SyncScratch {
-            intents: Vec::with_capacity(n),
-            outbox: Vec::with_capacity(2 * n),
-            fwd_live: vec![false; n],
-            bwd_live: vec![false; n],
+impl<P: Protocol> Phases<P> {
+    /// The protocol's own bulk hooks; inline unless it overrides them.
+    fn hooks() -> Self {
+        Phases {
+            compose: P::compose_round,
+            deliver: P::deliver_round,
+            forced_shards: None,
         }
     }
 }
@@ -334,7 +358,7 @@ impl Engine {
     /// Produces bit-identical [`RunStats`] to [`Engine::run_observed`]
     /// under the same seed: observers never touch engine randomness.
     pub fn run_batch<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_with(proto, Inline, NoObserver)
+        self.run_with(proto, Phases::hooks(), NoObserver)
     }
 
     /// Like [`Engine::run`] but invokes `observer(round, proto)` after
@@ -352,16 +376,16 @@ impl Engine {
         proto: &mut P,
         observer: impl FnMut(u64, &P),
     ) -> RunStats {
-        self.run_with(proto, Inline, FnObserver(observer))
+        self.run_with(proto, Phases::hooks(), FnObserver(observer))
     }
 
     /// The one outer loop: initial completion scan, then synchronous
-    /// rounds through `exec` or asynchronous timeslots, until every node
+    /// rounds through `phases` or asynchronous timeslots, until every node
     /// is complete or the budget is spent.
-    pub(crate) fn run_with<P: Protocol, X: SyncExecutor<P>, O: Observe<P>>(
+    pub(crate) fn run_with<P: Protocol, O: Observe<P>>(
         &mut self,
         proto: &mut P,
-        mut exec: X,
+        phases: Phases<P>,
         mut obs: O,
     ) -> RunStats {
         let n = proto.num_nodes();
@@ -385,9 +409,9 @@ impl Engine {
                 // The incomplete set as an explicit list: the per-round
                 // completion sweep touches only these nodes, not all n.
                 let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
-                let mut scratch = SyncScratch::new(n);
+                let mut scratch = SyncRound::new(n, self.config.seed, phases.forced_shards);
                 while stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &mut exec, &mut stats, &mut scratch, &mut pending);
+                    self.sync_round(proto, &phases, &mut stats, &mut scratch, &mut pending);
                     if O::ENABLED {
                         obs.observe(stats.rounds, proto);
                     }
@@ -428,7 +452,7 @@ impl Engine {
 
     /// One synchronous round: wakeups → every slot composed from pre-round
     /// state → merge (dedup, loss) in ascending slot order → deliver →
-    /// completion sweep. `exec` decides only *where* slots are composed
+    /// completion sweep. `phases` decides only *where* slots are composed
     /// and messages applied.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
@@ -444,30 +468,44 @@ impl Engine {
     /// the draws follow outbox order and the outbox holds only messages
     /// that will be delivered.
     // ag-lint: hot-path
-    fn sync_round<P: Protocol, X: SyncExecutor<P>>(
+    fn sync_round<P: Protocol>(
         &mut self,
         proto: &mut P,
-        exec: &mut X,
+        phases: &Phases<P>,
         stats: &mut RunStats,
-        scratch: &mut SyncScratch<P::Msg>,
+        scratch: &mut SyncRound<P::Msg>,
         pending: &mut Vec<NodeId>,
     ) {
         let n = proto.num_nodes();
-        let SyncScratch {
-            intents,
-            outbox,
-            fwd_live,
-            bwd_live,
-        } = scratch;
         let round = stats.rounds + 1;
         // 0. Round-start hook (epoch advance for dynamic topologies).
         proto.on_round_start(round);
         // 1. Every node wakes and declares its contact: serial, in node
         //    order, on the main RNG.
+        let intents = &mut scratch.intents;
         intents.clear();
         intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
+        scratch.round = round;
+        scratch.fanned = false;
+        (phases.compose)(proto, scratch);
+        let SyncRound {
+            intents,
+            outbox,
+            fwd_live,
+            bwd_live,
+            fan,
+            fanned,
+            ..
+        } = scratch;
+        // A fanned-out compose filed every planned slot in its table; the
+        // inline one leaves each slot to be composed when the merge
+        // reaches it. The merge asks for every planned slot exactly once.
+        let mut table = fan.as_mut().filter(|_| *fanned).map(FanOut::table);
         let seed = self.config.seed;
-        exec.prepare(proto, intents, seed, round);
+        let mut take_slot = |proto: &P, (slot, from, to, tag): Planned| match &mut table {
+            Some(table) => table[slot].take(),
+            None => proto.compose(from, to, tag, &mut slot_rng(seed, round, slot)),
+        };
         // 2. Merge the slots in ascending order against the (still
         //    unmodified) round-start data state.
         let dedup = self.config.dedup_same_sender;
@@ -484,18 +522,19 @@ impl Engine {
             let [forward, backward] = slot_plan(v, intent);
             if let Some(planned) = forward {
                 // (v → u) is taken iff u's intent emitted it backward.
-                let msg = exec.take_slot(proto, seed, round, planned);
+                let msg = take_slot(proto, planned);
                 fwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(bwd_live));
             }
             if let Some(planned) = backward {
                 // (u → v) is taken iff u's intent emitted it forward.
-                let msg = exec.take_slot(proto, seed, round, planned);
+                let msg = take_slot(proto, planned);
                 bwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(fwd_live));
             }
         }
         // 3. Delivery.
         stats.messages_delivered += outbox.len() as u64;
-        exec.deliver_all(proto, outbox);
+        (phases.deliver)(proto, scratch);
+        debug_assert!(scratch.outbox.is_empty(), "deliver phase left messages");
         stats.rounds += 1;
         stats.timeslots += n as u64;
         // 4. Completion sweep over the still-incomplete nodes only (all of

@@ -23,18 +23,22 @@
 //! paper's lossless model), and returns [`RunStats`] with split drop
 //! accounting (`dedup_dropped` vs `lost`).
 //!
-//! The synchronous round is written once (in the `engine` module) and run
-//! by two executors. [`Engine`] composes and delivers inline, slot by
-//! slot; its loop is built for large-n sweeps — persistent per-round
-//! scratch, hash-free same-sender dedup, an incomplete-node completion
-//! sweep, and the observer-free [`Engine::run_batch`] hot path.
-//! [`ShardedEngine`] partitions the node set across rayon workers for the
-//! compose and deliver phases of very large runs; protocols opt in via
-//! [`ShardableProtocol`]. Wakeups and loss draw from the engine's main
-//! RNG; every composed message draws from an RNG private to
-//! `(seed, round, slot)`. The two executors are therefore bit-identical,
-//! at every shard count and thread count, and both are differentially
-//! tested against a structurally different oracle loop that lives in
+//! The synchronous round is written once (in the `engine` module). Its
+//! two data-parallel phases, composing the slots and applying the
+//! surviving messages, are reached through the bulk hooks
+//! [`Protocol::compose_round`] and [`Protocol::deliver_round`]. By default
+//! they run inline, slot by slot, in a loop built for large-n sweeps —
+//! persistent per-round scratch, hash-free same-sender dedup, an
+//! incomplete-node completion sweep, and the observer-free
+//! [`Engine::run_batch`] hot path. A [`ShardableProtocol`] overrides them
+//! to hand the round to the fan-out (the `sharded` module), and [`Engine`]
+//! then runs both phases on the rayon pool on every round big enough to
+//! pay for it; [`ShardedEngine`] is the same fan-out with the shard count
+//! forced. Wakeups and loss draw from the engine's main RNG; every
+//! composed message draws from an RNG private to `(seed, round, slot)`.
+//! Inline and fanned-out rounds are therefore bit-identical, at every
+//! shard count and thread count, and both are differentially tested
+//! against a structurally different oracle loop that lives in
 //! `tests/oracle`.
 //!
 //! The engine calls [`Protocol::on_round_start`] once before every round
@@ -54,7 +58,7 @@ mod sharded;
 mod stats;
 
 pub use comm::{CommModel, PartnerSelector};
-pub use engine::{Engine, EngineConfig, TimeModel};
+pub use engine::{Engine, EngineConfig, SyncRound, TimeModel};
 pub use protocol::{Action, ContactIntent, Protocol};
 pub use sharded::{ProtocolShard, ShardableProtocol, ShardedEngine};
 pub use stats::{RunStats, TrajectoryHash};

@@ -3,6 +3,8 @@
 use ag_graph::NodeId;
 use rand::rngs::StdRng;
 
+use crate::engine::SyncRound;
+
 /// The direction(s) of a gossip contact, from the initiator's viewpoint.
 ///
 /// "…either the node pushes information to the partner (PUSH), pulls
@@ -123,6 +125,36 @@ pub trait Protocol {
     /// drop accounting lives in the engine's `RunStats`.
     fn discard(&mut self, msg: Self::Msg) {
         drop(msg);
+    }
+
+    /// Bulk hook for the compose phase of a synchronous round: the engine
+    /// calls it once per round, after every wakeup and before the merge.
+    /// The default does nothing, which leaves every slot to be composed
+    /// inline through [`Protocol::compose`] at the moment the merge
+    /// reaches it. A [`crate::ShardableProtocol`] overrides it with one
+    /// line, `round.fan_out_compose(self, bytes_per_message)`, to let the
+    /// engine compose the round on the rayon pool when the round is big
+    /// enough to pay for it ([`SyncRound::fan_out_compose`] decides; the
+    /// results are bit-identical either way).
+    ///
+    /// Wrapper protocols need not forward this hook or
+    /// [`Protocol::deliver_round`]: a wrapper that keeps the defaults
+    /// stays correct and runs inline, through its own `compose` and
+    /// `deliver`, with the same results. It must not forward them to an
+    /// inner protocol unless its `compose`/`deliver` add nothing to the
+    /// inner ones, since the inner fan-out would bypass them.
+    fn compose_round(&mut self, round: &mut SyncRound<Self::Msg>) {
+        let _ = round;
+    }
+
+    /// Bulk hook for the delivery phase of a synchronous round: applies
+    /// the round's surviving messages, each receiver seeing its messages
+    /// in outbox (ascending-slot) order. The default delivers them one by
+    /// one through [`Protocol::deliver`]; a [`crate::ShardableProtocol`]
+    /// that overrides [`Protocol::compose_round`] overrides this with
+    /// `round.fan_out_deliver(self)`.
+    fn deliver_round(&mut self, round: &mut SyncRound<Self::Msg>) {
+        round.deliver_inline(self);
     }
 
     /// Has this node individually completed its task? Used for per-node

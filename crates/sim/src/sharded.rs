@@ -1,26 +1,46 @@
-//! The sharded executor of the synchronous round: compose and deliver in
-//! parallel, merge deterministically.
+//! The fan-out of the synchronous round: compose and deliver in parallel,
+//! merge deterministically.
+//!
+//! # Who fans out
+//!
+//! A [`ShardableProtocol`] overrides the bulk hooks
+//! [`Protocol::compose_round`] / [`Protocol::deliver_round`] to call
+//! [`SyncRound::fan_out_compose`] / [`SyncRound::fan_out_deliver`], and
+//! from then on the default [`crate::Engine`] decides round by round: a
+//! round fans out when it moves at least `FAN_OUT_MIN_ROUND_BYTES`
+//! (planned slots × bytes per message) and the rayon pool has more than
+//! one thread, over `SHARDS_PER_THREAD` shards per thread; any other round
+//! runs inline and the fan-out's scratch is never allocated.
+//! [`ShardedEngine`] is the same fan-out with the shard count forced, on
+//! every round, for any [`ShardableProtocol`] whether or not it overrides
+//! the hooks.
 //!
 //! # Determinism contract
 //!
-//! [`ShardedEngine`] runs the same round as [`crate::Engine`]: the round
-//! body in the `engine` module, serial on the main engine RNG. It replaces
-//! only *where* the two data-parallel phases run: the node set is
-//! partitioned into `num_shards` contiguous shards, message *composition*
-//! is grouped by sender shard and message *delivery* by receiver shard,
-//! and both fan out over rayon workers.
+//! A fanned-out round is the same round as an inline one: the round body
+//! in the `engine` module, serial on the main engine RNG. Only *where* the
+//! two data-parallel phases run changes: the node set is partitioned into
+//! contiguous shards, message *composition* is grouped by sender shard and
+//! message *delivery* by receiver shard, and both fan out over rayon
+//! workers.
 //!
 //! Every composition slot draws from its own RNG, a pure function of
 //! `(seed, round, slot)`, so a message's randomness does not depend on
-//! which worker composed it, or on how many workers exist. The merge takes
-//! the slots in ascending order whoever composed them, and each receiver
-//! shard applies its messages in that same order.
+//! which worker composed it, when, or on how many workers exist. The merge
+//! takes the slots in ascending order whoever composed them, and every
+//! receiver is handed its messages in that same order.
 //!
-//! Consequently the output is **bit-identical to the serial [`Engine`] at
+//! Within a shard the work is ordered node by node: a worker composes all
+//! of one sender's messages back to back, and applies all of one
+//! receiver's. A node's rows are then read from memory once per phase
+//! instead of once per message, which on the payload-bearing benchmark
+//! shape is worth about as much again as the second thread.
+//!
+//! Consequently the output is **bit-identical to the inline round at
 //! every shard count and thread count**, on every [`ShardableProtocol`]
 //! whose shards compose and deliver what the protocol itself would:
-//! `differential_sharded`, the golden trajectory and the unit tests below
-//! assert serial ≡ 1 shard ≡ S shards.
+//! `differential_sharded`, the golden trajectory, `thread_invisibility`
+//! and the unit tests below assert inline ≡ 1 shard ≡ S shards.
 //!
 //! Protocols opt in by implementing [`ShardableProtocol`]: splitting their
 //! per-node state into [`ProtocolShard`]s that are `Send` and own disjoint
@@ -30,16 +50,15 @@
 //! every round boundary.
 //!
 //! The asynchronous time model wakes one node per timeslot with immediate
-//! delivery — inherently sequential — so [`ShardedEngine`] delegates those
-//! runs to the serial [`crate::Engine`] unchanged.
+//! delivery — inherently sequential — so it never fans out.
 
 use ag_graph::NodeId;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
 
 use crate::engine::{
-    slot_plan, slot_rng, Delivery, Engine, EngineConfig, FnObserver, Inline, NoObserver, Observe,
-    Planned, SyncExecutor, TimeModel,
+    slot_plan, slot_rng, Delivery, Engine, EngineConfig, FnObserver, NoObserver, Observe, Phases,
+    Planned, SyncRound,
 };
 use crate::protocol::{ContactIntent, Protocol};
 use crate::stats::RunStats;
@@ -101,31 +120,67 @@ pub trait ShardableProtocol: Protocol<Msg: Send> {
     ) -> Vec<Self::Shard<'_>>;
 }
 
-/// A compose shard's return: slot-indexed results plus pooled-buffer
-/// residue for the main thread to discard.
-type ComposeResult<M> = (Vec<(usize, Option<M>)>, Vec<M>);
+/// One sender shard's composed slots, in the order it composed them.
+type Composed<M> = Vec<(usize, Option<M>)>;
+/// A compose shard's return: its (refilled) result list plus
+/// pooled-buffer residue for the main thread to discard.
+type ComposeResult<M> = (Composed<M>, Vec<M>);
 /// A delivery shard's return: the drained input list (handed back so its
 /// capacity is reused) plus residue.
 type DeliverResult<M> = (Vec<Delivery<M>>, Vec<M>);
 
-/// The sharded [`SyncExecutor`]: the partition plus per-round scratch,
-/// reused across rounds.
-struct ShardExec<M> {
+/// A round fans out only if it moves at least this many bytes (planned
+/// slots × bytes per message). On the measured ladder (CHANGES.md, PR 14)
+/// every shape from 2 MiB up wins 14–43 % of its wall time on 2 threads
+/// for 2–3 % more peak memory. Below it the picture is mixed: at half a
+/// MiB a small graph loses 30 % to the two thread fan-outs a round pays,
+/// and rank-only rounds, which move few bytes per node, would pay for the
+/// fan-out's per-node scratch with 15–77 % of their peak memory.
+const FAN_OUT_MIN_ROUND_BYTES: usize = 2 << 20;
+
+/// Shards per rayon thread of a fanned-out round: enough that the shared
+/// work queue evens out shards of unequal rank, few enough that a shard
+/// amortises its setup. The ladder is flat from 2 to 64 shards on 2
+/// threads and slower from 256 up.
+const SHARDS_PER_THREAD: usize = 8;
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread allocated a [`FanOut`]: lets the tests
+    /// assert that an inline run never touches the fan-out's scratch.
+    static FAN_OUT_ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The fan-out's partition plus per-round scratch, allocated by the first
+/// fanned-out round of a run and reused by every later one: a fanned-out
+/// round allocates per shard (the shards themselves, the job and result
+/// lists), never per message.
+#[derive(Debug)]
+pub(crate) struct FanOut<M> {
     /// `bounds[s] = (start, end)`: shard `s`'s contiguous node range.
     bounds: Vec<(usize, usize)>,
     /// `node_shard[v]`: the shard owning node `v`.
     node_shard: Vec<usize>,
-    /// Per-sender-shard compose worklists, ascending by slot.
+    /// Per-sender-shard compose worklists; each worker sorts its own by
+    /// sender.
     worklists: Vec<Vec<Planned>>,
+    /// `send_counts[s] = worklists[s].len()`, for `make_shards`.
+    send_counts: Vec<usize>,
+    /// All zero: the delivery phase composes nothing.
+    zero_counts: Vec<usize>,
+    /// Per-sender-shard result lists, lent to the workers and handed back.
+    outs: Vec<Composed<M>>,
     /// Composed messages, indexed by slot; all `None` between rounds (the
-    /// merge takes every slot `prepare` files).
+    /// merge takes every slot `compose` files).
     composed: Vec<Option<M>>,
     /// Per-receiver-shard delivery lists, in outbox (slot) order.
     delivery: Vec<Vec<Delivery<M>>>,
 }
 
-impl<M> ShardExec<M> {
+impl<M> FanOut<M> {
     fn new(n: usize, num_shards: usize) -> Self {
+        #[cfg(test)]
+        FAN_OUT_ALLOCATIONS.with(|c| c.set(c.get() + 1));
         let shards = num_shards.clamp(1, n.max(1));
         let bounds: Vec<(usize, usize)> = (0..shards)
             .map(|s| (s * n / shards, (s + 1) * n / shards))
@@ -134,21 +189,36 @@ impl<M> ShardExec<M> {
         for (s, &(start, end)) in bounds.iter().enumerate() {
             node_shard[start..end].fill(s);
         }
-        ShardExec {
+        FanOut {
             worklists: bounds.iter().map(|_| Vec::new()).collect(),
+            send_counts: Vec::with_capacity(shards),
+            zero_counts: vec![0; shards],
+            outs: bounds.iter().map(|_| Vec::new()).collect(),
             delivery: bounds.iter().map(|_| Vec::new()).collect(),
             composed: (0..2 * n).map(|_| None).collect(),
             bounds,
             node_shard,
         }
     }
+
+    /// The slot-indexed table the merge takes a fanned-out round's
+    /// messages from.
+    pub(crate) fn table(&mut self) -> &mut [Option<M>] {
+        &mut self.composed
+    }
 }
 
-impl<P: ShardableProtocol> SyncExecutor<P> for ShardExec<P::Msg> {
+impl<M: Send> FanOut<M> {
     /// Parallel compose: groups the round's slots by sender shard, lets
-    /// each shard walk its worklist with per-slot RNGs, and files the
-    /// results by slot for the merge.
-    fn prepare(&mut self, proto: &mut P, intents: &[Option<ContactIntent>], seed: u64, round: u64) {
+    /// each shard walk its worklist, sender by sender, with per-slot RNGs,
+    /// and files the results by slot for the merge.
+    fn compose<P: ShardableProtocol<Msg = M>>(
+        &mut self,
+        proto: &mut P,
+        intents: &[Option<ContactIntent>],
+        seed: u64,
+        round: u64,
+    ) {
         for wl in &mut self.worklists {
             wl.clear();
         }
@@ -158,18 +228,25 @@ impl<P: ShardableProtocol> SyncExecutor<P> for ShardExec<P::Msg> {
                 self.worklists[self.node_shard[from]].push(planned);
             }
         }
-        let send_counts: Vec<usize> = self.worklists.iter().map(Vec::len).collect();
+        self.send_counts.clear();
+        self.send_counts.extend(self.worklists.iter().map(Vec::len));
         // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
-        let jobs: Vec<(P::Shard<'_>, &[Planned])> = proto
-            .make_shards(&self.bounds, &send_counts)
+        let jobs: Vec<(P::Shard<'_>, &mut Vec<Planned>, Composed<M>)> = proto
+            .make_shards(&self.bounds, &self.send_counts)
             .into_iter()
-            .zip(self.worklists.iter().map(Vec::as_slice))
+            .zip(&mut self.worklists)
+            .zip(&mut self.outs)
+            .map(|((shard, worklist), out)| (shard, worklist, std::mem::take(out)))
             .collect();
-        let results: Vec<ComposeResult<P::Msg>> = jobs
+        let results: Vec<ComposeResult<M>> = jobs
             .into_par_iter()
-            .map(|(mut shard, worklist)| {
-                let mut out = Vec::with_capacity(worklist.len());
-                for &(slot, from, to, tag) in worklist {
+            .map(|(mut shard, worklist, mut out)| {
+                // Sender-major: a node's messages (its own and its replies
+                // to whoever contacted it) are composed back to back, so
+                // all but the first find its rows in cache. Any order is
+                // the same round: each slot has its own RNG.
+                worklist.sort_unstable_by_key(|&(slot, from, ..)| (from, slot));
+                for &(slot, from, to, tag) in worklist.iter() {
                     let mut slot_rng = slot_rng(seed, round, slot);
                     out.push((slot, shard.compose(from, to, tag, &mut slot_rng)));
                 }
@@ -177,41 +254,48 @@ impl<P: ShardableProtocol> SyncExecutor<P> for ShardExec<P::Msg> {
             })
             .collect();
         // ag-lint: sharded-phase(end)
-        for (outs, residue) in results {
-            for (slot, msg) in outs {
+        for (s, (mut out, residue)) in results.into_iter().enumerate() {
+            for (slot, msg) in out.drain(..) {
                 self.composed[slot] = msg;
             }
+            // Hand the (drained) list back so its capacity is reused.
+            self.outs[s] = out;
             for msg in residue {
                 proto.discard(msg);
             }
         }
     }
 
-    fn take_slot(&mut self, _: &P, _seed: u64, _round: u64, (slot, ..): Planned) -> Option<P::Msg> {
-        self.composed[slot].take()
-    }
-
     /// Parallel delivery: partitions the outbox by receiver shard, each
-    /// shard applying its list in outbox (slot) order.
-    fn deliver_all(&mut self, proto: &mut P, outbox: &mut Vec<Delivery<P::Msg>>) {
+    /// shard applying its list receiver by receiver, every receiver's
+    /// messages in outbox (slot) order.
+    fn deliver<P: ShardableProtocol<Msg = M>>(
+        &mut self,
+        proto: &mut P,
+        outbox: &mut Vec<Delivery<M>>,
+    ) {
         for (from, to, tag, msg) in outbox.drain(..) {
             self.delivery[self.node_shard[to]].push((from, to, tag, msg));
         }
-        let zero_counts = vec![0usize; self.bounds.len()];
+        // ag-lint: sharded-phase(begin) — delivery draws no randomness
         let jobs: Vec<_> = proto
-            .make_shards(&self.bounds, &zero_counts)
+            .make_shards(&self.bounds, &self.zero_counts)
             .into_iter()
             .zip(self.delivery.iter_mut().map(std::mem::take))
             .collect();
-        let results: Vec<DeliverResult<P::Msg>> = jobs
+        let results: Vec<DeliverResult<M>> = jobs
             .into_par_iter()
             .map(|(mut shard, mut list)| {
+                // Receiver-major, for the same reason; the sort is stable,
+                // so each receiver still sees its messages in outbox order.
+                list.sort_by_key(|&(_, to, ..)| to);
                 for (from, to, tag, msg) in list.drain(..) {
                     shard.deliver(from, to, tag, msg);
                 }
                 (list, shard.into_residue())
             })
             .collect();
+        // ag-lint: sharded-phase(end)
         for (s, (list, residue)) in results.into_iter().enumerate() {
             // Hand the (drained) list back so its capacity is reused.
             self.delivery[s] = list;
@@ -222,8 +306,63 @@ impl<P: ShardableProtocol> SyncExecutor<P> for ShardExec<P::Msg> {
     }
 }
 
-/// Drives a [`ShardableProtocol`] through the synchronous round with the
-/// sharded executor.
+impl<M: Send> SyncRound<M> {
+    /// The shard count this round fans out over, or `None` to run it
+    /// inline: [`ShardedEngine`]'s forced count, else the rule in the
+    /// module docs. The byte test comes first: it is the one most rounds
+    /// fail, and it reads nothing but the intents.
+    fn fan_out_shards(&self, msg_bytes: usize) -> Option<usize> {
+        if self.forced_shards.is_some() {
+            return self.forced_shards;
+        }
+        let planned: usize = self
+            .intents
+            .iter()
+            .flatten()
+            .map(|i| usize::from(i.action.sends_forward()) + usize::from(i.action.sends_backward()))
+            .sum();
+        if planned.saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
+            return None;
+        }
+        let threads = rayon::current_num_threads();
+        (threads > 1).then(|| threads * SHARDS_PER_THREAD)
+    }
+
+    /// The body of a [`ShardableProtocol`]'s [`Protocol::compose_round`]:
+    /// composes every planned slot of the round on the rayon pool, through
+    /// `proto`'s shards, if the round is worth fanning out — it moves
+    /// enough bytes at `msg_bytes` per message and the pool has a second
+    /// thread — and otherwise does nothing, leaving the slots to the
+    /// inline merge. The results are bit-identical either way.
+    pub fn fan_out_compose<P: ShardableProtocol<Msg = M>>(
+        &mut self,
+        proto: &mut P,
+        msg_bytes: usize,
+    ) {
+        let Some(shards) = self.fan_out_shards(msg_bytes) else {
+            return;
+        };
+        let n = self.intents.len();
+        self.fan
+            .get_or_insert_with(|| FanOut::new(n, shards))
+            .compose(proto, &self.intents, self.seed, self.round);
+        self.fanned = true;
+    }
+
+    /// The body of a [`ShardableProtocol`]'s [`Protocol::deliver_round`]:
+    /// applies the outbox on the rayon pool if this round's compose fanned
+    /// out, inline otherwise.
+    pub fn fan_out_deliver<P: ShardableProtocol<Msg = M>>(&mut self, proto: &mut P) {
+        match &mut self.fan {
+            Some(fan) if self.fanned => fan.deliver(proto, &mut self.outbox),
+            _ => self.deliver_inline(proto),
+        }
+    }
+}
+
+/// Drives a [`ShardableProtocol`] with every synchronous round fanned out
+/// over a fixed shard count: [`Engine`] with the fan-out's own rule
+/// switched off.
 ///
 /// Construction mirrors [`Engine`]; `num_shards` picks the partition
 /// width (clamped to `[1, n]` at run time). Output is a pure function of
@@ -320,15 +459,14 @@ impl ShardedEngine {
         proto: &mut P,
         obs: O,
     ) -> RunStats {
-        match self.engine.config().time_model {
-            // One wakeup per timeslot with immediate delivery is
-            // inherently sequential: the serial engine runs it.
-            TimeModel::Asynchronous => self.engine.run_with(proto, Inline, obs),
-            TimeModel::Synchronous => {
-                let exec = ShardExec::new(proto.num_nodes(), self.num_shards);
-                self.engine.run_with(proto, exec, obs)
-            }
-        }
+        // Straight to the fan-out, whatever the protocol's hooks do. The
+        // asynchronous loop never reaches the phases.
+        let phases = Phases {
+            compose: |proto, round| round.fan_out_compose(proto, 0),
+            deliver: |proto, round| round.fan_out_deliver(proto),
+            forced_shards: Some(self.num_shards),
+        };
+        self.engine.run_with(proto, phases, obs)
     }
 }
 
@@ -444,6 +582,9 @@ mod tests {
         /// Compose returns None once a node's value exceeds this (so the
         /// empty-send path and residue path both run).
         saturation: u64,
+        /// What the bulk hooks tell the fan-out rule one message weighs;
+        /// 0 keeps the default engine inline.
+        msg_bytes: usize,
     }
 
     impl NoisyExchange {
@@ -451,6 +592,7 @@ mod tests {
             NoisyExchange {
                 values: (0..n as u64).collect(),
                 saturation: u64::MAX,
+                msg_bytes: 0,
             }
         }
 
@@ -486,6 +628,15 @@ mod tests {
 
         fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u64) {
             self.values[to] = self.values[to].max(msg).wrapping_add(1);
+        }
+
+        fn compose_round(&mut self, round: &mut SyncRound<u64>) {
+            let msg_bytes = self.msg_bytes;
+            round.fan_out_compose(self, msg_bytes);
+        }
+
+        fn deliver_round(&mut self, round: &mut SyncRound<u64>) {
+            round.fan_out_deliver(self);
         }
 
         fn node_complete(&self, node: NodeId) -> bool {
@@ -560,9 +711,7 @@ mod tests {
         // Random partners (main RNG) + random payload contents (per-slot
         // RNGs) + exchange dedup + loss: the full merge surface. The
         // serial Engine and every shard count agree on stats and state.
-        let cfg = EngineConfig::synchronous(0xD15EA5E)
-            .with_loss(0.1)
-            .with_max_rounds(400);
+        let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
         let want = Engine::new(cfg).run(&mut serial);
         assert!(want.completed);
@@ -574,6 +723,61 @@ mod tests {
             assert_eq!(got, want, "shards = {shards}");
             assert_eq!(proto.values, serial.values, "shards = {shards}");
         }
+    }
+
+    fn lossy_cfg() -> EngineConfig {
+        EngineConfig::synchronous(0xD15EA5E)
+            .with_loss(0.1)
+            .with_max_rounds(400)
+    }
+
+    /// One default-engine run of the hook-overriding protocol inside a
+    /// local pool: how many times it allocated the fan-out's scratch, and
+    /// what it computed.
+    fn engine_run(threads: usize, msg_bytes: usize) -> (usize, RunStats, Vec<u64>) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("local pool");
+        pool.install(|| {
+            let mut proto = NoisyExchange::new(23);
+            proto.msg_bytes = msg_bytes;
+            let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
+            let stats = Engine::new(lossy_cfg()).run(&mut proto);
+            let allocated = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get) - before;
+            (allocated, stats, proto.values)
+        })
+    }
+
+    #[test]
+    fn default_engine_fans_out_by_the_rule_and_allocates_scratch_only_then() {
+        // 23 nodes, all EXCHANGE: 46 planned slots every round.
+        let at_rule = FAN_OUT_MIN_ROUND_BYTES.div_ceil(46);
+        let (allocated, want_stats, want_values) = engine_run(1, at_rule);
+        assert_eq!(allocated, 0, "one thread: inline whatever the round moves");
+        assert!(want_stats.completed && want_stats.rounds > 1);
+        for (threads, msg_bytes, want_allocated) in [
+            // Below the rule the fan-out's scratch is never touched…
+            (2, 0, 0),
+            (2, at_rule - 1, 0),
+            (4, at_rule - 1, 0),
+            // …at it, the first fanned-out round allocates it, once per run.
+            (2, at_rule, 1),
+            (4, at_rule, 1),
+        ] {
+            let (allocated, stats, values) = engine_run(threads, msg_bytes);
+            let lane = format!("{threads} threads, {msg_bytes} B/message");
+            assert_eq!(allocated, want_allocated, "{lane}");
+            assert_eq!(stats, want_stats, "{lane}");
+            assert_eq!(values, want_values, "{lane}");
+        }
+        // The forced fan-out agrees, and needs no second thread.
+        let mut proto = NoisyExchange::new(23);
+        assert_eq!(
+            ShardedEngine::new(lossy_cfg(), 5).run(&mut proto),
+            want_stats
+        );
+        assert_eq!(proto.values, want_values);
     }
 
     #[test]

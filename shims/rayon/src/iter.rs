@@ -174,23 +174,27 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = threads.min(items.len());
-    if threads <= 1 {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
         return items.into_iter().map(op).collect();
     }
     let len = items.len();
     let queue = Mutex::new(items.into_iter().enumerate());
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue poisoned").next();
-                match next {
-                    Some((index, item)) => {
-                        *slots[index].lock().expect("slot poisoned") = Some(op(item));
+        for _ in 0..workers {
+            scope.spawn(|| {
+                // Workers count as part of a `threads`-wide pool, so a
+                // nested parallel call sees the thread count this one got.
+                crate::in_pool(threads, || loop {
+                    let next = queue.lock().expect("queue poisoned").next();
+                    match next {
+                        Some((index, item)) => {
+                            *slots[index].lock().expect("slot poisoned") = Some(op(item));
+                        }
+                        None => break,
                     }
-                    None => break,
-                }
+                });
             });
         }
     });

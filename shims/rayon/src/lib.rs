@@ -10,7 +10,10 @@
 //!
 //! `RAYON_NUM_THREADS` is honored on every call (rayon itself reads it
 //! once at pool construction); `RAYON_NUM_THREADS=1` degrades to a plain
-//! serial loop on the calling thread.
+//! serial loop on the calling thread. A local [`ThreadPool`] overrides
+//! the environment for the code it [`ThreadPool::install`]s, as in rayon.
+
+use std::cell::Cell;
 
 pub mod iter;
 
@@ -21,9 +24,37 @@ pub mod prelude {
     };
 }
 
-/// Number of worker threads a parallel call will use.
+thread_local! {
+    /// Thread count of the pool this thread runs in: set for the duration
+    /// of [`ThreadPool::install`] and in every worker a parallel call
+    /// spawns; `None` outside any pool (the environment decides).
+    static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `op` with this thread counted as part of a `threads`-wide pool.
+pub(crate) fn in_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POOL_THREADS.with(|p| p.set(self.0));
+        }
+    }
+    let _restore = Restore(POOL_THREADS.with(|p| p.replace(Some(threads))));
+    op()
+}
+
+/// Number of worker threads a parallel call will use: the enclosing
+/// pool's, when the caller runs inside [`ThreadPool::install`] or on a
+/// worker of a parallel call (no environment read, no allocation);
+/// otherwise `RAYON_NUM_THREADS`, otherwise the machine's parallelism.
 #[must_use]
 pub fn current_num_threads() -> usize {
+    POOL_THREADS
+        .with(Cell::get)
+        .unwrap_or_else(default_num_threads)
+}
+
+fn default_num_threads() -> usize {
     std::env::var("RAYON_NUM_THREADS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
@@ -33,6 +64,69 @@ pub fn current_num_threads() -> usize {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
+}
+
+/// Builds a local [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+/// Error of [`ThreadPoolBuilder::build`]. The shim's pools hold no OS
+/// resources, so it is never returned; the type keeps call sites
+/// source-compatible with rayon.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError(());
+
+impl ThreadPoolBuilder {
+    /// A builder with the default thread count (see
+    /// [`current_num_threads`]).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the pool's thread count; 0 keeps the default.
+    #[must_use]
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool.
+    ///
+    /// # Errors
+    ///
+    /// Never, in this shim.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = match self.num_threads {
+            0 => default_num_threads(),
+            n => n,
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// A local pool: parallel calls made inside [`ThreadPool::install`] use
+/// its thread count instead of the environment's.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` inside the pool. The shim runs it on the calling thread
+    /// (rayon moves it to a worker, hence the `Send` bounds, kept so call
+    /// sites stay portable); what it shares with rayon is that
+    /// [`current_num_threads`] and every parallel call inside `op` see
+    /// this pool's thread count.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        in_pool(self.threads, op)
+    }
 }
 
 #[cfg(test)]
@@ -91,6 +185,40 @@ mod tests {
             let got = crate::iter::par_apply_with_threads(items.clone(), &op, threads);
             assert_eq!(got, want, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn install_overrides_thread_count_and_restores_it() {
+        let outside = crate::current_num_threads();
+        let pool = |n| {
+            crate::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build()
+                .unwrap()
+        };
+        pool(3).install(|| {
+            assert_eq!(crate::current_num_threads(), 3);
+            pool(1).install(|| assert_eq!(crate::current_num_threads(), 1));
+            assert_eq!(crate::current_num_threads(), 3);
+        });
+        assert_eq!(crate::current_num_threads(), outside);
+    }
+
+    #[test]
+    fn workers_inherit_the_pool_thread_count() {
+        // Nested parallel calls (a sharded round inside a trial worker)
+        // must see the pool they run in, not the environment.
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let seen: Vec<usize> = pool.install(|| {
+            (0..8usize)
+                .into_par_iter()
+                .map(|_| crate::current_num_threads())
+                .collect()
+        });
+        assert_eq!(seen, vec![3; 8]);
     }
 
     #[test]
