@@ -39,7 +39,9 @@ pub struct AgConfig {
     /// Who initially holds which message.
     pub placement: Placement,
     /// Sparse-recoding density in `(0, 1]`; `1.0` (default) is the
-    /// paper's dense combination over all stored rows.
+    /// paper's dense combination over all stored rows. A value outside
+    /// the interval makes the protocol constructors return
+    /// [`GraphError::InvalidSize`].
     pub coding_density: f64,
     /// How the decoder arena provisions per-node row storage. The default
     /// [`ArenaGrowth::Chunked`] allocates rows as rank grows (bit-identical
@@ -137,8 +139,8 @@ impl AgConfig {
 /// and outgoing messages cycle through an [`ag_rlnc::RowPool`] — the RLNC
 /// wiring this protocol shares with [`crate::Tag`] and [`crate::TreeAg`] —
 /// so the engine's steady-state round loop performs **zero** per-message
-/// heap allocation, the property `bench_rlnc_throughput` pins with a
-/// counting allocator at `n = 10⁵` with 1 KiB payloads. The
+/// heap allocation, the property `tests/alloc_audit.rs` pins with a
+/// counting allocator on a 1 KiB-payload run. The
 /// golden-trajectory hashes pin the per-round results of all three
 /// protocols end to end.
 ///
@@ -159,8 +161,9 @@ impl<F: SlabField> AlgebraicGossip<F, Graph> {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0` or the graph is
-    /// disconnected (dissemination could never complete).
+    /// Returns [`GraphError::InvalidSize`] if `k == 0`, the graph is
+    /// disconnected (dissemination could never complete) or
+    /// `cfg.coding_density` is outside `(0, 1]`.
     pub fn new(graph: &Graph, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         Self::on_topology(graph.clone(), cfg, seed)
     }

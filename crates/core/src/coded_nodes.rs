@@ -57,7 +57,7 @@ impl<F: SlabField> CodedNodes<F> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `cfg`'s shape does not match
-    /// the generation's.
+    /// the generation's or `cfg.coding_density` is outside `(0, 1]`.
     pub(crate) fn new(
         n: usize,
         cfg: &AgConfig,
@@ -74,10 +74,13 @@ impl<F: SlabField> CodedNodes<F> {
                 generation.message_len()
             )));
         }
-        assert!(
-            cfg.coding_density > 0.0 && cfg.coding_density <= 1.0,
-            "coding density must be in (0, 1]"
-        );
+        // `coding_density` is a public field, so `with_coding_density`'s
+        // assert is not the only way in (NaN fails both comparisons).
+        if !(cfg.coding_density > 0.0 && cfg.coding_density <= 1.0) {
+            return Err(GraphError::InvalidSize(
+                "coding density must be in (0, 1]".into(),
+            ));
+        }
         // Advance the RNG past the generation draw, so that placement (and
         // whatever the caller draws next) agrees between the random- and
         // given-generation constructors.

@@ -71,7 +71,8 @@ impl<F: SlabField, S: TreeProtocol> Tag<F, S, Graph> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `k == 0`, the graph is
-    /// disconnected, or `tree` is for a different node count.
+    /// disconnected, `tree` is for a different node count, or
+    /// `cfg.coding_density` is outside `(0, 1]`.
     pub fn new(graph: &Graph, tree: S, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         Self::on_topology(graph.clone(), tree, cfg, seed)
     }

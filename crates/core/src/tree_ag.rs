@@ -44,7 +44,8 @@ impl<F: SlabField> TreeAg<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0`.
+    /// Returns [`GraphError::InvalidSize`] if `k == 0` or
+    /// `cfg.coding_density` is outside `(0, 1]`.
     pub fn new(tree: &SpanningTree, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         let generation = CodedNodes::random_generation(cfg, seed)?;
         // EXCHANGE with the parent: two messages per contact.

@@ -3,11 +3,11 @@
 //! TAG composition with each of them.
 
 use ag_gf::Gf256;
-use ag_graph::{builders, Graph};
+use ag_graph::{builders, Graph, GraphError};
 use ag_sim::{Engine, EngineConfig};
 use algebraic_gossip::{
-    measure_tree_protocol, AgConfig, BroadcastTree, CommModel, IsTree, OracleTree, Tag,
-    TreeProtocol, TreeRunner,
+    measure_tree_protocol, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, IsTree, OracleTree,
+    Tag, TreeAg, TreeProtocol, TreeRunner,
 };
 
 fn graphs() -> Vec<(&'static str, Graph)> {
@@ -127,4 +127,27 @@ fn tree_protocol_default_completeness_logic() {
     assert!(b.spanning_tree().is_none());
     assert_eq!(b.root(), 2);
     assert_eq!(b.parent(2), None);
+}
+
+/// `AgConfig::coding_density` is a public field, so a value the builder
+/// would have refused can still reach the constructors: each must answer
+/// with the typed error, not a panic.
+#[test]
+fn out_of_range_coding_density_is_a_typed_error_in_every_constructor() {
+    let g = builders::cycle(6).unwrap();
+    let tree = g.bfs_tree(0).into_spanning_tree();
+    for density in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+        let cfg = AgConfig {
+            coding_density: density,
+            ..AgConfig::new(4)
+        };
+        let want = GraphError::InvalidSize("coding density must be in (0, 1]".into());
+        let ag = AlgebraicGossip::<Gf256>::new(&g, &cfg, 1).map(|_| ());
+        assert_eq!(ag, Err(want.clone()), "AlgebraicGossip, density {density}");
+        let oracle = OracleTree::new(&g, 0, 0).unwrap();
+        let tag = Tag::<Gf256, _>::new(&g, oracle, &cfg, 1).map(|_| ());
+        assert_eq!(tag, Err(want.clone()), "Tag, density {density}");
+        let tree_ag = TreeAg::<Gf256>::new(&tree, &cfg, 1).map(|_| ());
+        assert_eq!(tree_ag, Err(want), "TreeAg, density {density}");
+    }
 }

@@ -7,13 +7,17 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use crate::field::Field;
-use crate::kernel::Kernel;
+use crate::kernel::{select, Rung};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁸ + x⁴ + x³ + x + 1 (0x11B, the AES polynomial).
 const POLY: u16 = 0x11B;
 /// 0x03 = x + 1 is a generator of the multiplicative group for 0x11B.
 const GENERATOR: u8 = 0x03;
+/// Split-nibble SWAR loses to the prebuilt product table at every GF(2⁸) row
+/// length (its per-multiplier table build never amortizes), so without SIMD
+/// every row runs the reference kernel — see [`crate::kernel`].
+const SWAR_WINS: bool = false;
 
 /// An element of GF(2⁸): one byte.
 ///
@@ -116,7 +120,7 @@ impl Field for Gf256 {
 /// reference slab kernels index one 256-byte row per coefficient, turning
 /// each symbol of an axpy into a single dependent load plus an XOR —
 /// versus two table lookups, an add and a zero-test on the scalar log/exp
-/// path. The wide rungs (`crate::wide`, `crate::simd`) replace the row
+/// path. The SIMD kernels (`crate::simd`) replace the row
 /// with per-multiplier 16-entry nibble tables instead.
 pub(crate) fn mul_table() -> &'static [[u8; 256]; 256] {
     static FULL: OnceLock<Box<[[u8; 256]; 256]>> = OnceLock::new();
@@ -149,22 +153,16 @@ impl SlabField for Gf256 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        // Row-length routing (short rows → reference for table-build
-        // amortization, long rows demote SWAR) lives in
-        // `kernel::gf256_effective_kernel`; all rungs are bit-identical,
-        // so this is a pure throughput decision.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
-            Kernel::Reference => crate::reference::gf256_mul_slice(c.0, dst),
-            Kernel::Swar => crate::wide::gf256_mul_slice(c.0, dst),
-            Kernel::Simd => crate::simd::gf256_mul_slice(c.0, dst),
+        match select(dst.len(), SWAR_WINS) {
+            Rung::Simd => crate::simd::gf256_mul_slice(c.0, dst),
+            _ => crate::reference::gf256_mul_slice(c.0, dst),
         }
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
-            Kernel::Reference => crate::reference::gf256_mul_add_slice(c.0, src, dst),
-            Kernel::Swar => crate::wide::gf256_mul_add_slice(c.0, src, dst),
-            Kernel::Simd => crate::simd::gf256_mul_add_slice(c.0, src, dst),
+        match select(dst.len(), SWAR_WINS) {
+            Rung::Simd => crate::simd::gf256_mul_add_slice(c.0, src, dst),
+            _ => crate::reference::gf256_mul_add_slice(c.0, src, dst),
         }
     }
 
@@ -177,17 +175,14 @@ impl SlabField for Gf256 {
         if dst.is_empty() || factors.is_empty() {
             return;
         }
-        // Only the SIMD rung has a genuinely fused gather (GFNI keeps the
-        // destination tile in registers across sources); reference and
-        // SWAR loop single-row axpys, which is optimal for them because
-        // their per-coefficient tables must be rebuilt per source anyway.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), dst.len()) {
-            Kernel::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
+        // Only the SIMD kernels have a genuinely fused gather (GFNI keeps
+        // the destination tile in registers across sources); the reference
+        // kernel loops single-row axpys, one product-table row per source.
+        match select(dst.len(), SWAR_WINS) {
+            Rung::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
             _ => {
                 for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
-                    if f != 0 {
-                        Self::mul_add_slice(Gf256(f), row, dst);
-                    }
+                    crate::reference::gf256_mul_add_slice(f, row, dst);
                 }
             }
         }
@@ -198,14 +193,12 @@ impl SlabField for Gf256 {
         if r == 0 || c == 0 {
             return;
         }
-        // Only the SIMD rung has a genuinely blocked panel kernel (GFNI
-        // reuses each loaded source vector across a register panel of
-        // destination accumulators). Reference and SWAR fall back to the
-        // per-destination gather loop — for them the panel cannot beat the
-        // gather, since their per-coefficient tables are rebuilt per
-        // (i, j) product either way.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), row_bytes) {
-            Kernel::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
+        // Only the SIMD kernels have a genuinely blocked panel (GFNI reuses
+        // each loaded source vector across a register panel of destination
+        // accumulators); the reference kernel falls back to one gather per
+        // destination row.
+        match select(row_bytes, SWAR_WINS) {
+            Rung::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
             _ => {
                 for (panel_row, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(row_bytes))
                 {
@@ -224,16 +217,14 @@ impl SlabField for Gf256 {
         if src.is_empty() || factors.is_empty() {
             return;
         }
-        // The SIMD rung hoists the kernel dispatch and constant splat out
+        // The SIMD kernels hoist the level dispatch and constant splat out
         // of the per-row loop — back-substitution scatters one short pivot
         // row onto every stored row, where per-row dispatch would dominate.
-        match crate::kernel::gf256_effective_kernel(Kernel::active(), src.len()) {
-            Kernel::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
+        match select(src.len(), SWAR_WINS) {
+            Rung::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
             _ => {
                 for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
-                    if f != 0 {
-                        Self::mul_add_slice(Gf256(f), src, row);
-                    }
+                    crate::reference::gf256_mul_add_slice(f, src, row);
                 }
             }
         }

@@ -1,231 +1,39 @@
-//! Runtime kernel selection for the bulk slab operations.
+//! The one kernel-selection rule of the GF(2⁸)/GF(2⁴) slab operations.
 //!
-//! PR 2 made the [`crate::slab`] row primitives table-driven; this module
-//! makes the *implementation* of those primitives a runtime choice between
-//! three rungs of a ladder, so the old path survives unchanged for
-//! differential testing and benchmarking while the hot path runs as fast as
-//! the hardware allows:
-//!
-//! | rung | module | technique |
-//! |---|---|---|
-//! | [`Kernel::Reference`] | [`crate::reference`] | the PR 2 byte-at-a-time product-table kernels, preserved verbatim |
-//! | [`Kernel::Swar`] | [`crate::wide`] | split-nibble SWAR: per-multiplier 16-entry lo/hi nibble tables applied 8 bytes at a time through `u64` words (the scalar emulation of `PSHUFB`) |
-//! | [`Kernel::Simd`] | [`crate::simd`] | the same nibble tables through real `PSHUFB` (SSSE3/AVX2) or, for GF(2⁸), the `GF2P8MULB` instruction (GFNI) — x86-64 only, runtime-detected |
-//!
-//! GF(2) addition/axpy is a pure `u64` XOR on every rung and is not
-//! dispatched. All rungs are bit-identical by construction (multiplication
-//! by a constant is GF(2)-linear, and every rung evaluates the same linear
-//! map); the `proptest_kernels` suite pins them to each other and to the
-//! scalar [`crate::Field`] arithmetic on every field.
-//!
-//! # Selection
-//!
-//! The active kernel is resolved once, on first use:
-//!
-//! 1. an explicit [`set_kernel`] call wins (benchmarks use this to time
-//!    each rung in isolation),
-//! 2. else the `AG_GF_KERNEL` environment variable (`reference`, `swar`,
-//!    `simd`, or `auto`),
-//! 3. else the best rung the CPU supports ([`Kernel::detect_best`]).
-//!
-//! Selection is process-global and may be changed at any time; all rungs
-//! compute identical results, so switching mid-run affects throughput only.
+//! Three kernel modules compute the same bytes ([`crate::reference`]:
+//! product-table loads, [`crate::wide`]: SWAR nibble tables over `u64`
+//! words, [`crate::simd`]: `PSHUFB` / `GF2P8MULB`); which one runs is read
+//! off the row length and the CPU, never set by a caller.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+/// Rows shorter than this run the reference kernel on every CPU: the wide
+/// kernels pay a per-multiplier nibble-table build (~30 scalar products)
+/// that only amortizes over longer rows, while the reference kernel just
+/// indexes a prebuilt product row — which is what keeps rank-only
+/// simulations (rows of `k` bytes) fast.
+pub const SHORT_ROW_BYTES: usize = 64;
 
-/// One rung of the slab-kernel ladder. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// The PR 2 byte-at-a-time product-table kernels ([`crate::reference`]).
+/// The kernel module a bulk operation runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rung {
     Reference,
-    /// Portable SWAR split-nibble kernels over `u64` words ([`crate::wide`]).
-    Swar,
-    /// Runtime-detected x86-64 SIMD (`PSHUFB` / `GF2P8MULB`,
-    /// [`crate::simd`]); falls back to [`Kernel::Swar`] elsewhere.
+    Wide,
     Simd,
 }
 
-/// Rows shorter than this dispatch straight to the reference kernel
-/// regardless of the active rung: the wide rungs pay a per-multiplier
-/// nibble-table build (~30 scalar products) that only amortizes over
-/// longer rows, while the reference kernel just indexes a prebuilt
-/// 256-byte product row. Every rung computes identical bytes, so the
-/// cutoff is invisible to results — it exists purely so rank-only
-/// simulations (rows of `k` bytes) keep their PR 2 throughput.
-pub const SHORT_ROW_BYTES: usize = 64;
-
-/// GF(2⁸) rows at least this long route the [`Kernel::Swar`] rung to the
-/// reference product-table kernel — and the threshold is **zero**: the
-/// demotion is unconditional. The `bench_gf_block` single-row axpy sweep
-/// shows split-nibble SWAR losing to the prebuilt product table at *every*
-/// GF(2⁸) row length on the bench machine (swar/reference 0.52 at 64 B,
-/// 0.77 at the 1 KiB decode shape, 0.73 at 4 KiB, 0.86 at 1 MiB): the
-/// per-multiplier nibble-table build never amortizes against a kernel that
-/// just indexes a 256-byte product row. The earlier 4096-byte cutoff —
-/// tuned from an end-to-end decode number that bundled the old row-at-a-
-/// time replay — left the 1 KiB bench shape on SWAR, decoding at 79.96 vs
-/// 126.42 MiB/s reference. All rungs are bit-identical, so the routing is
-/// invisible to results; forcing `Kernel::Swar` remains meaningful for
-/// GF(2⁴), where SWAR beats reference on every measured shape (raw axpy
-/// 3658 vs 2060 MiB/s), and for the proptest lanes that pin the SWAR code
-/// paths directly.
-pub const GF256_SWAR_LONG_ROW_BYTES: usize = 0;
-
-/// The rung a GF(2⁸) bulk operation over `row_bytes` actually executes
-/// when `active` is the selected kernel. This is the single routing
-/// decision both [`crate::Gf256`] slab ops and the pinning tests consult:
-/// short rows always take reference (table-build amortization), and long
-/// rows demote [`Kernel::Swar`] to reference per
-/// [`GF256_SWAR_LONG_ROW_BYTES`].
-#[must_use]
-pub fn gf256_effective_kernel(active: Kernel, row_bytes: usize) -> Kernel {
-    let short = row_bytes < SHORT_ROW_BYTES;
-    // With the threshold at zero every SWAR row demotes; written as a
-    // saturating comparison so a re-tuned nonzero cutoff needs no code
-    // change here.
-    let swar_demoted =
-        active == Kernel::Swar && row_bytes.saturating_add(1) > GF256_SWAR_LONG_ROW_BYTES;
-    if short || swar_demoted {
-        Kernel::Reference
+/// Short rows take the reference kernel, longer ones SIMD where the CPU has
+/// it. Without SIMD, `swar_wins` says whether the field's SWAR kernel beats
+/// its product table: true for GF(2⁴) (half the bit steps per word), false
+/// for GF(2⁸), where the table build never amortizes at any row length.
+pub(crate) fn select(row_bytes: usize, swar_wins: bool) -> Rung {
+    if row_bytes < SHORT_ROW_BYTES {
+        Rung::Reference
+    } else if crate::simd::supported() {
+        Rung::Simd
+    } else if swar_wins {
+        Rung::Wide
     } else {
-        active
+        Rung::Reference
     }
-}
-
-/// `ACTIVE` sentinel: not yet resolved.
-const UNSET: u8 = u8::MAX;
-
-/// The resolved kernel, or [`UNSET`].
-static ACTIVE: AtomicU8 = AtomicU8::new(UNSET);
-
-impl Kernel {
-    /// All rungs, slowest first — the order benchmark ladders report.
-    pub const LADDER: [Kernel; 3] = [Kernel::Reference, Kernel::Swar, Kernel::Simd];
-
-    /// The kernel every [`crate::SlabField`] bulk operation currently
-    /// dispatches to.
-    #[must_use]
-    pub fn active() -> Kernel {
-        match ACTIVE.load(Ordering::Relaxed) {
-            UNSET => {
-                let k = Self::resolve();
-                ACTIVE.store(k as u8, Ordering::Relaxed);
-                k
-            }
-            v => Self::from_u8(v),
-        }
-    }
-
-    /// The fastest rung this CPU supports: [`Kernel::Simd`] when the
-    /// required instruction sets are present, else [`Kernel::Swar`].
-    #[must_use]
-    pub fn detect_best() -> Kernel {
-        if Kernel::Simd.is_supported() {
-            Kernel::Simd
-        } else {
-            Kernel::Swar
-        }
-    }
-
-    /// Can this rung run on the current CPU? `Reference` and `Swar` are
-    /// portable; `Simd` needs x86-64 with at least SSSE3.
-    #[must_use]
-    pub fn is_supported(self) -> bool {
-        match self {
-            Kernel::Reference | Kernel::Swar => true,
-            Kernel::Simd => crate::simd::supported(),
-        }
-    }
-
-    /// The rung's lower-case name (`reference` / `swar` / `simd`), as
-    /// accepted by the `AG_GF_KERNEL` environment variable.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Reference => "reference",
-            Kernel::Swar => "swar",
-            Kernel::Simd => "simd",
-        }
-    }
-
-    /// Parses a rung name; `None` for anything unknown (including `auto`,
-    /// which callers map to [`Kernel::detect_best`]).
-    #[must_use]
-    pub fn from_name(s: &str) -> Option<Kernel> {
-        match s.to_ascii_lowercase().as_str() {
-            "reference" => Some(Kernel::Reference),
-            "swar" => Some(Kernel::Swar),
-            "simd" => Some(Kernel::Simd),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> Kernel {
-        match v {
-            0 => Kernel::Reference,
-            1 => Kernel::Swar,
-            _ => Kernel::Simd,
-        }
-    }
-
-    /// First-use resolution: environment override, else detection. An
-    /// unsupported or unknown `AG_GF_KERNEL` value falls back to detection
-    /// rather than erroring — a simulation should not abort over a typo'd
-    /// tuning knob — but an unknown value is reported once on stderr so it
-    /// does not silently benchmark the wrong rung.
-    fn resolve() -> Kernel {
-        // ag-lint: allow(wall-clock) — AG_GF_KERNEL picks which proven-
-        // bit-identical rung runs; resolved once per process at first use,
-        // so the choice cannot vary mid-simulation.
-        if let Ok(v) = std::env::var("AG_GF_KERNEL") {
-            let (forced, warning) = classify_env_value(&v);
-            if let Some(w) = warning {
-                WARN_UNKNOWN_ENV.call_once(|| eprintln!("{w}"));
-            }
-            if let Some(k) = forced {
-                if k.is_supported() {
-                    return k;
-                }
-            }
-        }
-        Self::detect_best()
-    }
-}
-
-/// Emits the unknown-`AG_GF_KERNEL` warning at most once per process.
-static WARN_UNKNOWN_ENV: std::sync::Once = std::sync::Once::new();
-
-/// Classifies an `AG_GF_KERNEL` value for first-use resolution: the
-/// forced rung (`None` = fall through to detection) plus a warning line
-/// for stderr when the value is unknown. `auto` is a sanctioned spelling
-/// of "detect", never a typo. Split from the resolver so the warning
-/// path is testable without mutating the process environment.
-#[must_use]
-pub fn classify_env_value(v: &str) -> (Option<Kernel>, Option<String>) {
-    match Kernel::from_name(v) {
-        Some(k) => (Some(k), None),
-        None if v.eq_ignore_ascii_case("auto") => (None, None),
-        None => (
-            None,
-            Some(format!(
-                "ag-gf: unknown AG_GF_KERNEL value `{v}` \
-                 (expected reference/swar/simd/auto); falling back to detection"
-            )),
-        ),
-    }
-}
-
-/// Forces the active kernel for the whole process (used by the benchmark
-/// bins to time each rung in isolation). Unsupported rungs are clamped to
-/// [`Kernel::detect_best`]. Returns the kernel actually installed.
-pub fn set_kernel(kernel: Kernel) -> Kernel {
-    let k = if kernel.is_supported() {
-        kernel
-    } else {
-        Kernel::detect_best()
-    };
-    ACTIVE.store(k as u8, Ordering::Relaxed);
-    k
 }
 
 #[cfg(test)]
@@ -233,86 +41,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for k in Kernel::LADDER {
-            assert_eq!(Kernel::from_name(k.name()), Some(k));
+    fn rule_reads_only_row_length_and_cpu() {
+        let long = if crate::simd::supported() {
+            [Rung::Simd, Rung::Simd]
+        } else {
+            [Rung::Reference, Rung::Wide]
+        };
+        for (i, swar_wins) in [false, true].into_iter().enumerate() {
+            for short in [0, 1, SHORT_ROW_BYTES - 1] {
+                assert_eq!(select(short, swar_wins), Rung::Reference);
+            }
+            for len in [SHORT_ROW_BYTES, 1024, 1 << 20] {
+                assert_eq!(select(len, swar_wins), long[i]);
+            }
         }
-        assert_eq!(Kernel::from_name("REFERENCE"), Some(Kernel::Reference));
-        assert_eq!(Kernel::from_name("auto"), None);
-        assert_eq!(Kernel::from_name("nonsense"), None);
-    }
-
-    #[test]
-    fn env_classification_warns_on_typos_but_not_auto() {
-        for k in Kernel::LADDER {
-            assert_eq!(classify_env_value(k.name()), (Some(k), None));
-        }
-        assert_eq!(
-            classify_env_value("AUTO"),
-            (None, None),
-            "auto means detect, never a typo"
-        );
-        let (forced, warning) = classify_env_value("svar");
-        assert_eq!(forced, None, "typos fall back to detection");
-        let warning = warning.expect("unknown values must warn");
-        assert!(warning.contains("AG_GF_KERNEL"), "{warning}");
-        assert!(warning.contains("`svar`"), "{warning}");
-    }
-
-    #[test]
-    fn portable_rungs_always_supported() {
-        assert!(Kernel::Reference.is_supported());
-        assert!(Kernel::Swar.is_supported());
-    }
-
-    #[test]
-    fn detect_best_is_supported() {
-        assert!(Kernel::detect_best().is_supported());
-    }
-
-    #[test]
-    fn active_resolves_to_a_supported_kernel() {
-        assert!(Kernel::active().is_supported());
-    }
-
-    #[test]
-    fn gf256_swar_is_demoted_at_every_row_length() {
-        // The bench_gf_block axpy sweep shows SWAR losing to the reference
-        // product table at every GF(2⁸) row length (64 B through 1 MiB),
-        // so the demotion is unconditional: no bulk GF(2⁸) op ever runs
-        // the SWAR rung, under an explicit Swar selection and a fortiori
-        // under auto-detect. This pins the boundary at zero — the decode
-        // bench shape (1 KiB rows) regressed under the old 4096-byte
-        // cutoff (79.96 vs 126.42 MiB/s).
-        assert_eq!(
-            GF256_SWAR_LONG_ROW_BYTES, 0,
-            "demotion must be unconditional"
-        );
-        for row_bytes in [
-            1usize,
-            SHORT_ROW_BYTES - 1,
-            SHORT_ROW_BYTES,
-            1024,
-            1152,
-            4096,
-            1 << 20,
-        ] {
-            assert_eq!(
-                gf256_effective_kernel(Kernel::Swar, row_bytes),
-                Kernel::Reference,
-                "gf256 rows of {row_bytes} bytes must not run SWAR"
-            );
-        }
-        // The other rungs are untouched by the SWAR demotion.
-        assert_eq!(gf256_effective_kernel(Kernel::Simd, 1 << 20), Kernel::Simd);
-        assert_eq!(
-            gf256_effective_kernel(Kernel::Reference, 1024),
-            Kernel::Reference
-        );
-        // Short rows keep the PR 2 reference path on every rung.
-        assert_eq!(
-            gf256_effective_kernel(Kernel::Simd, SHORT_ROW_BYTES - 1),
-            Kernel::Reference
-        );
     }
 }

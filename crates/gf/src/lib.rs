@@ -15,10 +15,11 @@
 //! * [`Fp`] — prime fields GF(p) for any prime `p < 2³²`,
 //! * [`SlabField`] — bulk row arithmetic over packed byte slabs (the
 //!   [`slab`] module), which is what the decoder and recoder hot paths use,
-//! * [`Kernel`] — runtime selection between the slab-kernel rungs: the
-//!   preserved PR 2 table path ([`reference`]), portable SWAR split-nibble
-//!   `u64` kernels ([`wide`]), and runtime-detected x86-64 SIMD
-//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]).
+//! * three bit-identical GF(2⁸)/GF(2⁴) kernel modules behind it — the
+//!   product-table path ([`reference`]), portable SWAR split-nibble `u64`
+//!   kernels ([`wide`]) and runtime-detected x86-64 SIMD
+//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the row length
+//!   and the CPU by the one rule in [`kernel`].
 //!
 //! # Choosing a field
 //!
@@ -72,7 +73,6 @@ pub use gf16::Gf16;
 pub use gf2::Gf2;
 pub use gf256::Gf256;
 pub use gf65536::Gf65536;
-pub use kernel::{set_kernel, Kernel};
 pub use slab::SlabField;
 
 #[cfg(test)]

@@ -1,21 +1,20 @@
-//! The PR 2 product-table slab kernels, preserved as the reference rung.
+//! The product-table slab kernels.
 //!
-//! These are the byte-at-a-time kernels that [`crate::Gf256`] and
-//! [`crate::Gf16`] shipped with before the wide-word rework: one product-
-//! table row per multiplier, one bounds-elided load plus an XOR per byte.
-//! They are kept verbatim for two jobs:
+//! Byte-at-a-time kernels: one product-table row per multiplier, one
+//! bounds-elided load plus an XOR per byte. They do two jobs:
 //!
-//! 1. **Differential testing** — the `proptest_kernels` suite replays every
-//!    geometry through this rung, the SWAR rung ([`crate::wide`]) and the
-//!    SIMD rung ([`crate::simd`]) and asserts bit-identical output.
-//! 2. **Benchmarking** — `bench_rlnc_throughput` times the ladder against
-//!    this rung; the committed ≥ 2× decode-throughput gate is measured
-//!    relative to it.
+//! 1. **Production** — rows shorter than
+//!    [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) (every rank-only
+//!    simulation) run here on every CPU, and so does every GF(2⁸) row on a
+//!    CPU without SIMD: indexing a prebuilt table beats building nibble
+//!    tables per multiplier.
+//! 2. **Differential testing** — the `proptest_kernels` suite replays every
+//!    geometry through these kernels, [`crate::wide`] and [`crate::simd`]
+//!    and asserts bit-identical output.
 //!
-//! Select it at runtime with `AG_GF_KERNEL=reference` or
-//! [`crate::kernel::set_kernel`]. Like every rung, these functions are
-//! total in `c` (the 0 and 1 fast paths live here too, so a rung is a
-//! complete implementation on its own).
+//! Like every kernel module, these functions are total in `c` (the 0 and 1
+//! fast paths live here too, so each module is a complete implementation
+//! on its own).
 
 use crate::slab::xor_slice;
 
@@ -34,7 +33,7 @@ pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
     }
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁸) — the PR 2 axpy kernel.
+/// `dst[i] ^= c · src[i]` over GF(2⁸) — the table axpy kernel.
 ///
 /// # Panics
 ///
@@ -128,8 +127,8 @@ mod tests {
 
     #[test]
     fn gf16_kernels_mask_noncanonical_high_nibbles() {
-        // The PR 2 kernels read only the low nibble of each source byte;
-        // the wide rungs must match (pinned by proptest_kernels).
+        // These kernels read only the low nibble of each source byte; the
+        // wide and SIMD kernels must match (pinned by proptest_kernels).
         let src = [0xF3u8, 0x2A];
         let mut dst = [0u8; 2];
         gf16_mul_add_slice(2, &src, &mut dst);

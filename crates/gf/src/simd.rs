@@ -1,21 +1,22 @@
-//! The hardware rung of the kernel ladder: `PSHUFB` / `GF2P8MULB` slabs.
+//! The hardware kernels: `PSHUFB` / `GF2P8MULB` slabs.
 //!
-//! This module applies the same split-nibble decomposition as
-//! [`crate::wide`] — `c·b = LO[b & 0xF] ^ HI[b >> 4]` — but through the
-//! instruction the SWAR rung emulates: `PSHUFB` performs sixteen (SSSE3) or
-//! thirty-two (AVX2) parallel 16-entry table lookups per cycle. On CPUs
-//! with GFNI, GF(2⁸) skips the tables entirely: `GF2P8MULB` multiplies
-//! bytes directly in GF(2⁸) modulo `x⁸+x⁴+x³+x+1` (0x11B) — exactly the
-//! polynomial [`crate::Gf256`] is built on, so the instruction *is* the
-//! field.
+//! This module applies the split-nibble decomposition of [`crate::wide`] —
+//! `c·b = LO[b & 0xF] ^ HI[b >> 4]` — through the instruction built for it:
+//! `PSHUFB` performs sixteen (SSSE3) or thirty-two (AVX2) parallel 16-entry
+//! table lookups per cycle. On CPUs with GFNI, GF(2⁸) skips the tables
+//! entirely: `GF2P8MULB` multiplies bytes directly in GF(2⁸) modulo
+//! `x⁸+x⁴+x³+x+1` (0x11B) — exactly the polynomial [`crate::Gf256`] is
+//! built on, so the instruction *is* the field.
 //!
 //! Everything is runtime-detected (`is_x86_feature_detected!`) and compiled
-//! only on x86-64; other architectures transparently fall back to the SWAR
-//! rung, as does an x86-64 CPU without SSSE3. The detected level can be
-//! forced down with `AG_GF_SIMD=ssse3|avx2|gfni|gfni512` for ladder
-//! benchmarks. Sub-block tails (&lt; 16/32 bytes) run through the SWAR
-//! rung, which produces bit-identical bytes; `proptest_kernels` pins all
-//! rungs to each other across every block-boundary geometry.
+//! only on x86-64. The slab operations never dispatch here on a CPU without
+//! SSSE3 (see [`crate::kernel`]); called directly there, or on another
+//! architecture, the entry points stay total by delegating to the portable
+//! kernels ([`crate::reference`] for GF(2⁸), [`crate::wide`] for GF(2⁴)).
+//! Sub-block tails (&lt; 16/32 bytes) run through the scalar nibble tables,
+//! which produce bit-identical bytes; `proptest_kernels` and the per-level
+//! lane in this module's tests pin every level to the reference kernel
+//! across every block-boundary geometry.
 //!
 //! The fused gather kernel [`gf256_mul_add_multi`] accumulates many source
 //! rows into one destination per memory pass, keeping a tile of the
@@ -29,20 +30,20 @@
 
 use crate::slab::xor_slice;
 
-/// Is the SIMD rung available on this CPU at all (x86-64 with SSSE3+)?
+/// Are the SIMD kernels available on this CPU at all (x86-64 with SSSE3+)?
 #[must_use]
 pub fn supported() -> bool {
     detail::supported()
 }
 
-/// The detected instruction level, for benchmark reports: `"gfni"`,
-/// `"avx2"`, `"ssse3"`, or `"swar-fallback"` where the rung delegates.
+/// The detected instruction level, for benchmark reports: `"gfni512"`,
+/// `"gfni"`, `"avx2"`, `"ssse3"`, or `"portable"` where there is none.
 #[must_use]
 pub fn level_name() -> &'static str {
     detail::level_name()
 }
 
-/// `dst[i] = c · dst[i]` over GF(2⁸), SIMD rung.
+/// `dst[i] = c · dst[i]` over GF(2⁸), SIMD kernel.
 pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
     if c == 1 {
         return;
@@ -54,7 +55,7 @@ pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
     detail::gf256_mul_slice(c, dst);
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁸), SIMD rung.
+/// `dst[i] ^= c · src[i]` over GF(2⁸), SIMD kernel.
 ///
 /// # Panics
 ///
@@ -72,7 +73,7 @@ pub fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
 }
 
 /// Fused gather `dst[j] ^= Σᵢ factors[i] · srcs_row_i[j]` over GF(2⁸),
-/// SIMD rung. `srcs` holds one contiguous row of `dst.len()` bytes per
+/// SIMD kernel. `srcs` holds one contiguous row of `dst.len()` bytes per
 /// factor; zero factors are skipped.
 ///
 /// # Panics
@@ -91,7 +92,7 @@ pub fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
 }
 
 /// Blocked panel update `dsts_row_i ^= Σⱼ coefs[i·c + j] · srcs_row_j`
-/// over GF(2⁸), SIMD rung — the BLAS-3 kernel behind
+/// over GF(2⁸), SIMD kernel — the BLAS-3 kernel behind
 /// `SlabField::mul_add_block`. `coefs` holds `r · c` symbols row-major;
 /// `srcs` holds `c` rows and `dsts` holds `r` rows of `row_bytes` each.
 ///
@@ -131,7 +132,7 @@ pub fn gf256_mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes
     detail::gf256_mul_add_block(coefs, srcs, dsts, row_bytes);
 }
 
-/// Fused scatter `dsts_row_i ^= factors[i] · src` over GF(2⁸), SIMD rung.
+/// Fused scatter `dsts_row_i ^= factors[i] · src` over GF(2⁸), SIMD kernel.
 /// `dsts` holds one contiguous row of `src.len()` bytes per factor; zero
 /// factors are skipped. Hoists the kernel dispatch and constant splat out
 /// of the per-row loop — back-substitution applies one pivot row to every
@@ -153,7 +154,7 @@ pub fn gf256_mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
     detail::gf256_mul_add_scatter(factors, src, dsts);
 }
 
-/// `dst[i] = c · dst[i]` over GF(2⁴), SIMD rung.
+/// `dst[i] = c · dst[i]` over GF(2⁴), SIMD kernel.
 pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
     if c == 1 {
         return;
@@ -165,7 +166,7 @@ pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
     detail::gf16_mul_slice(c, dst);
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁴), SIMD rung.
+/// `dst[i] ^= c · src[i]` over GF(2⁴), SIMD kernel.
 ///
 /// # Panics
 ///
@@ -189,10 +190,10 @@ mod detail {
 
     use crate::wide::{self, gf16_nibble_tables, gf256_nibble_tables, NibbleTables};
 
-    /// Detected (or `AG_GF_SIMD`-forced) instruction level, best first.
+    /// Detected instruction level, weakest first.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub(super) enum Level {
-        /// No SSSE3: delegate every call to the SWAR rung.
+        /// No SSSE3: delegate every call to the portable kernels.
         None,
         Ssse3,
         Avx2,
@@ -205,7 +206,7 @@ mod detail {
     }
 
     fn detect() -> Level {
-        let best = if is_x86_feature_detected!("gfni")
+        if is_x86_feature_detected!("gfni")
             && is_x86_feature_detected!("avx512f")
             && is_x86_feature_detected!("avx512bw")
             && is_x86_feature_detected!("avx2")
@@ -219,29 +220,25 @@ mod detail {
             Level::Ssse3
         } else {
             Level::None
-        };
-        let forced =
-            // ag-lint: allow(wall-clock) — AG_GF_SIMD forces a *lower*
-            // SIMD level among rungs the differential suite pins as
-            // bit-identical; read once per process via the level() lock.
-            std::env::var("AG_GF_SIMD")
-                .ok()
-                .and_then(|v| match v.to_ascii_lowercase().as_str() {
-                    "ssse3" => Some(Level::Ssse3),
-                    "avx2" => Some(Level::Avx2),
-                    "gfni" => Some(Level::Gfni),
-                    "gfni512" => Some(Level::Gfni512),
-                    _ => None,
-                });
-        match forced {
-            // Only allow forcing *down*: forcing an unsupported level up
-            // would execute illegal instructions.
-            Some(f) if f <= best => f,
-            _ => best,
         }
     }
 
+    #[cfg(test)]
+    thread_local! {
+        /// Test-only: runs the calling thread at a level below the detected
+        /// one, so the kernels older CPUs execute are exercised here too.
+        pub(super) static FORCED: std::cell::Cell<Option<Level>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// The detected level, or — in this module's own tests only — a lower
+    /// one installed through `FORCED`; either way never above what the CPU
+    /// supports, which is what every `unsafe` call below relies on.
     pub(super) fn level() -> Level {
+        #[cfg(test)]
+        if let Some(forced) = FORCED.with(std::cell::Cell::get) {
+            return forced;
+        }
         static LEVEL: OnceLock<Level> = OnceLock::new();
         *LEVEL.get_or_init(detect)
     }
@@ -256,7 +253,7 @@ mod detail {
             Level::Gfni => "gfni",
             Level::Avx2 => "avx2",
             Level::Ssse3 => "ssse3",
-            Level::None => "swar-fallback",
+            Level::None => "portable",
         }
     }
 
@@ -269,7 +266,7 @@ mod detail {
             Level::Avx2 => unsafe { mul_add_avx2::<true>(&gf256_nibble_tables(c), src, dst) },
             // SAFETY: this arm runs only when detect() observed ssse3.
             Level::Ssse3 => unsafe { mul_add_ssse3::<true>(&gf256_nibble_tables(c), src, dst) },
-            Level::None => wide::gf256_mul_add_slice(c, src, dst),
+            Level::None => crate::reference::gf256_mul_add_slice(c, src, dst),
         }
     }
 
@@ -281,7 +278,7 @@ mod detail {
             Level::Avx2 => unsafe { mul_avx2::<true>(&gf256_nibble_tables(c), dst) },
             // SAFETY: this arm runs only when detect() observed ssse3.
             Level::Ssse3 => unsafe { mul_ssse3::<true>(&gf256_nibble_tables(c), dst) },
-            Level::None => wide::gf256_mul_slice(c, dst),
+            Level::None => crate::reference::gf256_mul_slice(c, dst),
         }
     }
 
@@ -1182,38 +1179,34 @@ mod detail {
 
 #[cfg(not(target_arch = "x86_64"))]
 mod detail {
-    //! Non-x86-64 hosts: the SIMD rung is a transparent alias of SWAR.
-    use crate::wide;
+    //! Non-x86-64 hosts: every entry point is an alias of a portable kernel.
+    use crate::{reference, wide};
 
     pub(super) fn supported() -> bool {
         false
     }
 
     pub(super) fn level_name() -> &'static str {
-        "swar-fallback"
+        "portable"
     }
 
     pub(super) fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-        wide::gf256_mul_add_slice(c, src, dst);
+        reference::gf256_mul_add_slice(c, src, dst);
     }
 
     pub(super) fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-        wide::gf256_mul_slice(c, dst);
+        reference::gf256_mul_slice(c, dst);
     }
 
     pub(super) fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
         for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
-            if f != 0 {
-                wide::gf256_mul_add_slice(f, row, dst);
-            }
+            reference::gf256_mul_add_slice(f, row, dst);
         }
     }
 
     pub(super) fn gf256_mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
         for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
-            if f != 0 {
-                wide::gf256_mul_add_slice(f, src, row);
-            }
+            reference::gf256_mul_add_slice(f, src, row);
         }
     }
 
@@ -1329,7 +1322,34 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn detection_reports_a_level() {
-        // On any x86-64 made this century the rung is at least SSSE3.
-        assert!(supported(), "SIMD rung unsupported: {}", level_name());
+        // On any x86-64 made this century there is at least SSSE3.
+        assert!(supported(), "no SIMD level detected: {}", level_name());
+    }
+
+    /// The kernels older CPUs execute, on this CPU: every level up to the
+    /// detected one (the delegating `None` included) is forced in turn on
+    /// this thread and driven through the four block-boundary checks above.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_level_the_cpu_has_matches_reference() {
+        use detail::{Level, FORCED};
+        let detected = detail::level();
+        let ladder = [
+            Level::None,
+            Level::Ssse3,
+            Level::Avx2,
+            Level::Gfni,
+            Level::Gfni512,
+        ];
+        // Never above `detected`: a forced level must be one the CPU has.
+        for level in ladder.into_iter().filter(|&l| l <= detected) {
+            FORCED.with(|f| f.set(Some(level)));
+            simd_matches_reference_across_block_boundaries();
+            simd_gf16_matches_reference_with_dirty_high_nibbles();
+            fused_multi_matches_reference_loop_across_tile_boundaries();
+            blocked_panel_matches_reference_loop_across_tile_boundaries();
+        }
+        // `--test-threads=1` runs the next test on this same thread.
+        FORCED.with(|f| f.set(None));
     }
 }

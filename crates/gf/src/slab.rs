@@ -21,19 +21,18 @@
 //! | Field | packing | fast path |
 //! |---|---|---|
 //! | [`Gf2`](crate::Gf2) | 1 byte/symbol | pure XOR (`u64`-chunked) |
-//! | [`Gf16`](crate::Gf16) | 1 byte/symbol | XOR add + kernel-ladder multiply |
-//! | [`Gf256`](crate::Gf256) | 1 byte/symbol | XOR add + kernel-ladder multiply |
+//! | [`Gf16`](crate::Gf16) | 1 byte/symbol | XOR add + table/SWAR/SIMD multiply |
+//! | [`Gf256`](crate::Gf256) | 1 byte/symbol | XOR add + table/SIMD multiply |
 //! | [`Gf65536`](crate::Gf65536) | 2 bytes/symbol LE | XOR add, scalar multiply |
 //! | [`Fp<P>`](crate::Fp) | 8 bytes/symbol LE | scalar fallback |
 //!
-//! "Kernel ladder" means the GF(2⁸)/GF(2⁴) multiply kernels are selected
-//! at runtime by [`crate::Kernel`] among three bit-identical rungs: the
-//! preserved per-`c` product-table loops ([`crate::reference`]), portable
-//! split-nibble SWAR over `u64` words ([`crate::wide`]), and
-//! runtime-detected x86-64 SIMD — `PSHUFB` nibble shuffles or the GFNI
-//! `GF2P8MULB` instruction ([`crate::simd`]). See the [`crate::kernel`]
-//! module docs for the selection rules and `bench_rlnc_throughput` for
-//! measured throughput per rung.
+//! The GF(2⁸)/GF(2⁴) multiply kernels exist three times, bit-identically:
+//! per-`c` product-table loops ([`crate::reference`]), portable split-nibble
+//! SWAR over `u64` words ([`crate::wide`], GF(2⁴) only) and runtime-detected
+//! x86-64 SIMD — `PSHUFB` nibble shuffles or the GFNI `GF2P8MULB`
+//! instruction ([`crate::simd`]). Which one a call runs is decided by the
+//! one rule in [`crate::kernel`] from the row length and the CPU; there is
+//! nothing to configure.
 //!
 //! # Packing invariants
 //!
@@ -189,7 +188,7 @@ pub trait SlabField: Field {
     /// may pass a sparse factor vector without pre-filtering.
     ///
     /// This is the batched-elimination kernel: one destination row is
-    /// accumulated from many sources per memory pass, which lets SIMD rungs
+    /// accumulated from many sources per memory pass, which lets SIMD kernels
     /// keep the accumulator in registers instead of re-reading `dst` once
     /// per source row.
     ///
@@ -229,12 +228,12 @@ pub trait SlabField: Field {
     /// rows, each exactly `row_bytes` long. Zero coefficients are skipped.
     ///
     /// Where [`SlabField::mul_add_multi`] re-streams every source row once
-    /// per destination, this kernel lets an optimized rung reuse each loaded
+    /// per destination, this kernel lets an optimized path reuse each loaded
     /// source vector across all `r` accumulators before it leaves registers
     /// and keep a source tile cache-resident across the whole destination
     /// panel — O(r·c) arithmetic per O(r+c) rows of memory traffic. The
     /// default implementation is the gather loop (one `mul_add_multi` per
-    /// destination row), which every rung must match bit for bit.
+    /// destination row), which every override must match bit for bit.
     ///
     /// # Panics
     ///
@@ -263,8 +262,8 @@ pub trait SlabField: Field {
     /// `src.len()` bytes each. Rows with a zero factor are untouched.
     ///
     /// This is the back-substitution kernel: one new pivot row is applied to
-    /// every stored row in a single pass. The default loop is kept even on
-    /// SIMD rungs — `src` stays cache-hot across iterations, so fusing the
+    /// every stored row in a single pass. The default loop is kept even by
+    /// fields with SIMD kernels — `src` stays cache-hot across iterations, so fusing the
     /// writes buys nothing the loop does not already get.
     ///
     /// # Panics

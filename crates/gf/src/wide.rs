@@ -1,4 +1,4 @@
-//! SWAR split-nibble slab kernels: 8 bytes per step through `u64` words.
+//! Split-nibble tables, and the GF(2⁴) SWAR kernels built on them.
 //!
 //! Multiplication by a fixed `c` in a binary extension field is GF(2)-linear
 //! in the operand, so the product of `c` with a whole byte splits along the
@@ -10,32 +10,34 @@
 //!
 //! where `LO[x] = c · x` and `HI[x] = c · (x << 4)` are two 16-entry
 //! *nibble tables* built per multiplier ([`NibbleTables`]). `PSHUFB` applies
-//! exactly this table pair 16/32 bytes at a time (see [`crate::simd`]); this
-//! module is its scalar emulation: by linearity again, each table is
-//! determined by its four power-of-two entries, so
+//! exactly this table pair 16/32 bytes at a time (see [`crate::simd`]).
+//!
+//! The SWAR kernels are the scalar emulation of that shuffle for GF(2⁴),
+//! whose symbols occupy the low nibble of their byte: by linearity again,
+//! `LO` is determined by its four power-of-two entries, so
 //!
 //! ```text
-//! c · b = Σ_{i=0..8} bit_i(b) · T[i],   T[i] = (i < 4 ? LO : HI)[1 << (i & 3)]
+//! c · b = Σ_{i=0..4} bit_i(b) · LO[1 << i]
 //! ```
 //!
-//! and a `u64` word of 8 packed bytes is multiplied with eight
+//! and a `u64` word of 8 packed symbols is multiplied with four
 //! shift-mask-multiply-XOR steps, no per-byte loads:
 //!
 //! ```text
-//! acc ^= ((w >> i) & 0x0101…01) * T[i]      // for i in 0..8
+//! acc ^= ((w >> i) & 0x0101…01) * LO[1 << i]      // for i in 0..4
 //! ```
 //!
 //! (`(w >> i) & 0x0101…01` extracts bit `i` of every byte lane;
-//! multiplying that 0/1 lane mask by the table byte broadcasts `T[i]` into
+//! multiplying that 0/1 lane mask by the table byte broadcasts it into
 //! exactly the lanes whose bit was set — lanes never carry into each other
-//! because `T[i] < 256`.) GF(2⁴) symbols occupy the low nibble of their
-//! byte, so only the four `LO` steps are needed and the high nibble is
-//! ignored — the same masking the reference kernel applies, at twice the
-//! step rate of GF(2⁸).
+//! because the table byte is `< 256`.) The high nibble is ignored — the same
+//! masking the reference kernel applies. GF(2⁸) has no SWAR kernel: eight
+//! steps per word plus the table build lose to the prebuilt product table
+//! of [`crate::reference`] at every row length.
 //!
 //! Loads go through `u64::from_le_bytes`, so slabs need no alignment; the
-//! sub-8-byte tail falls back to the nibble tables one byte at a time. The
-//! `proptest_kernels` suite pins this rung bit-identical to
+//! sub-8-byte tail falls back to the nibble table one byte at a time. The
+//! `proptest_kernels` suite pins these kernels bit-identical to
 //! [`crate::reference`] and [`crate::simd`] over every geometry (odd
 //! lengths, tails, empty rows, misaligned starts) and coefficient class.
 
@@ -46,8 +48,9 @@ use crate::{Gf16, Gf256};
 /// `hi[x] = c·(x << 4)`.
 ///
 /// 32 bytes per multiplier, built with 30 scalar products at the top of a
-/// row operation and amortized over its length. Shared by the SWAR rung
-/// (via the power-of-two entries) and the `PSHUFB` rung (verbatim).
+/// row operation and amortized over its length. Shared by the SWAR kernels
+/// (via the power-of-two entries of `lo`) and the `PSHUFB` kernels
+/// (verbatim).
 #[derive(Debug, Clone, Copy)]
 pub struct NibbleTables {
     /// Products of `c` with the 16 low-nibble values.
@@ -90,98 +93,28 @@ pub fn gf16_nibble_tables(c: u8) -> NibbleTables {
 /// Bit `0` of every byte lane.
 const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 
-/// The eight SWAR broadcast steps for one word: `Σ bit_i(w) · T[i]`.
-/// `BITS` is 8 for GF(2⁸) and 4 for GF(2⁴) (whose high nibble is ignored).
+/// The four SWAR broadcast steps for one word: `Σ bit_i(w) · t[i]` over the
+/// low nibble of every byte lane.
 #[inline]
-fn mul_word<const BITS: usize>(w: u64, t: &[u64; 8]) -> u64 {
+fn mul_word(w: u64, t: &[u64; 4]) -> u64 {
     let mut acc = 0u64;
-    for (i, &ti) in t.iter().enumerate().take(BITS) {
+    for (i, &ti) in t.iter().enumerate() {
         acc ^= ((w >> i) & LANE_LSB) * ti;
     }
     acc
 }
 
-/// Expands the power-of-two table entries into the per-bit multipliers
-/// `T[0..8]` consumed by [`mul_word`].
+/// Expands the power-of-two entries of `lo` into the per-bit multipliers
+/// consumed by [`mul_word`].
 #[inline]
-fn bit_multipliers(t: &NibbleTables) -> [u64; 8] {
-    [
-        u64::from(t.lo[1]),
-        u64::from(t.lo[2]),
-        u64::from(t.lo[4]),
-        u64::from(t.lo[8]),
-        u64::from(t.hi[1]),
-        u64::from(t.hi[2]),
-        u64::from(t.hi[4]),
-        u64::from(t.hi[8]),
-    ]
+fn bit_multipliers(lo: &[u8; 16]) -> [u64; 4] {
+    [1, 2, 4, 8].map(|x| u64::from(lo[x]))
 }
 
-/// Shared SWAR loop shape for `dst[i] ^= c·src[i]`.
-#[inline]
-fn mul_add_impl<const BITS: usize>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-    let tb = bit_multipliers(t);
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let w = u64::from_le_bytes(sc.try_into().expect("8-byte chunk"));
-        let acc = u64::from_le_bytes(dc[..8].try_into().expect("8-byte chunk"))
-            ^ mul_word::<BITS>(w, &tb);
-        dc.copy_from_slice(&acc.to_le_bytes());
-    }
-    for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= t.lo[(sb & 0xF) as usize] ^ t.hi[(sb >> 4) as usize];
-    }
-}
-
-/// Shared SWAR loop shape for `dst[i] = c·dst[i]`.
-#[inline]
-fn mul_impl<const BITS: usize>(t: &NibbleTables, dst: &mut [u8]) {
-    let tb = bit_multipliers(t);
-    let mut d = dst.chunks_exact_mut(8);
-    for dc in &mut d {
-        let w = u64::from_le_bytes(dc[..8].try_into().expect("8-byte chunk"));
-        dc.copy_from_slice(&mul_word::<BITS>(w, &tb).to_le_bytes());
-    }
-    for db in d.into_remainder() {
-        *db = t.lo[(*db & 0xF) as usize] ^ t.hi[(*db >> 4) as usize];
-    }
-}
-
-/// `dst[i] = c · dst[i]` over GF(2⁸), SWAR rung.
-pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    mul_impl::<8>(&gf256_nibble_tables(c), dst);
-}
-
-/// `dst[i] ^= c · src[i]` over GF(2⁸), SWAR rung.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(src, dst);
-        return;
-    }
-    mul_add_impl::<8>(&gf256_nibble_tables(c), src, dst);
-}
-
-/// `dst[i] = c · dst[i]` over GF(2⁴), SWAR rung — the full-byte
-/// (8-symbols-per-word) path that replaces the near-scalar nibble loop.
+/// `dst[i] = c · dst[i]` over GF(2⁴), 8 symbols per `u64` step.
 pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
     if c == 1 {
-        // Match the reference rung exactly: multiplying by 1 leaves even
+        // Match the reference kernel exactly: multiplying by 1 leaves even
         // non-canonical high nibbles untouched.
         return;
     }
@@ -189,10 +122,19 @@ pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
         dst.fill(0);
         return;
     }
-    mul_impl::<4>(&gf16_nibble_tables(c), dst);
+    let lo = gf16_nibble_tables(c).lo;
+    let tb = bit_multipliers(&lo);
+    let mut d = dst.chunks_exact_mut(8);
+    for dc in &mut d {
+        let w = u64::from_le_bytes(dc[..8].try_into().expect("8-byte chunk"));
+        dc.copy_from_slice(&mul_word(w, &tb).to_le_bytes());
+    }
+    for db in d.into_remainder() {
+        *db = lo[(*db & 0xF) as usize];
+    }
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁴), SWAR rung.
+/// `dst[i] ^= c · src[i]` over GF(2⁴), 8 symbols per `u64` step.
 ///
 /// # Panics
 ///
@@ -206,7 +148,18 @@ pub fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
         xor_slice(src, dst);
         return;
     }
-    mul_add_impl::<4>(&gf16_nibble_tables(c), src, dst);
+    let lo = gf16_nibble_tables(c).lo;
+    let tb = bit_multipliers(&lo);
+    let mut d = dst.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    for (dc, sc) in (&mut d).zip(&mut s) {
+        let w = u64::from_le_bytes(sc.try_into().expect("8-byte chunk"));
+        let acc = u64::from_le_bytes(dc[..8].try_into().expect("8-byte chunk")) ^ mul_word(w, &tb);
+        dc.copy_from_slice(&acc.to_le_bytes());
+    }
+    for (db, sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *db ^= lo[(sb & 0xF) as usize];
+    }
 }
 
 #[cfg(test)]
@@ -221,24 +174,6 @@ mod tests {
                 let want = (Gf256::new(c) * Gf256::new(b)).value();
                 assert_eq!(t.lo[(b & 0xF) as usize] ^ t.hi[(b >> 4) as usize], want);
             }
-        }
-    }
-
-    #[test]
-    fn gf256_swar_matches_reference_on_all_bytes() {
-        let src: Vec<u8> = (0..=255u8).collect();
-        for c in [0u8, 1, 2, 0x03, 0x57, 0xB7, 0xFF] {
-            let mut want = vec![0x5Au8; 256];
-            crate::reference::gf256_mul_add_slice(c, &src, &mut want);
-            let mut got = vec![0x5Au8; 256];
-            gf256_mul_add_slice(c, &src, &mut got);
-            assert_eq!(got, want, "axpy c={c}");
-
-            let mut want_mul = src.clone();
-            crate::reference::gf256_mul_slice(c, &mut want_mul);
-            let mut got_mul = src.clone();
-            gf256_mul_slice(c, &mut got_mul);
-            assert_eq!(got_mul, want_mul, "mul c={c}");
         }
     }
 
@@ -258,11 +193,17 @@ mod tests {
     fn tails_and_odd_lengths_match_reference() {
         let src: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(37)).collect();
         for len in [0usize, 1, 3, 7, 8, 9, 15, 17, 63] {
-            let mut want = vec![0x33u8; len];
-            crate::reference::gf256_mul_add_slice(0x1D, &src[..len], &mut want);
-            let mut got = vec![0x33u8; len];
-            gf256_mul_add_slice(0x1D, &src[..len], &mut got);
-            assert_eq!(got, want, "len={len}");
+            let mut want = vec![0x03u8; len];
+            crate::reference::gf16_mul_add_slice(0xD, &src[..len], &mut want);
+            let mut got = vec![0x03u8; len];
+            gf16_mul_add_slice(0xD, &src[..len], &mut got);
+            assert_eq!(got, want, "axpy len={len}");
+
+            let mut want_mul = src[..len].to_vec();
+            crate::reference::gf16_mul_slice(0xD, &mut want_mul);
+            let mut got_mul = src[..len].to_vec();
+            gf16_mul_slice(0xD, &mut got_mul);
+            assert_eq!(got_mul, want_mul, "mul len={len}");
         }
     }
 }

@@ -1,10 +1,10 @@
-//! Kernel-ladder differential proptests: every rung, every edge geometry.
+//! Kernel differential proptests: every kernel module, every edge geometry.
 //!
-//! The three slab-kernel rungs — [`ag_gf::reference`] (the PR 2 product-
-//! table path), [`ag_gf::wide`] (SWAR split-nibble `u64` kernels) and
+//! The slab-kernel modules — [`ag_gf::reference`] (product tables),
+//! [`ag_gf::wide`] (GF(2⁴) SWAR split-nibble `u64` kernels) and
 //! [`ag_gf::simd`] (runtime-detected `PSHUFB`/`GF2P8MULB`) — must be
 //! bit-identical on every input, or simulation trajectories would depend on
-//! the host CPU. These properties drive all rungs plus the scalar
+//! the host CPU. These properties drive all of them plus the scalar
 //! [`Field`]-arithmetic oracle over the geometries where wide kernels break
 //! in practice:
 //!
@@ -15,8 +15,13 @@
 //! * coefficients `c ∈ {0, 1, generator, random}`,
 //! * for GF(2⁴): non-canonical high nibbles in the source bytes.
 //!
+//! The dispatch lanes go through [`SlabField`] and draw row lengths on both
+//! sides of [`SHORT_ROW_BYTES`], so both arms of the selection rule
+//! (`ag_gf::kernel`) run on any CPU.
+//!
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
+use ag_gf::kernel::SHORT_ROW_BYTES;
 use ag_gf::{reference, simd, wide, Field, Gf16, Gf256, SlabField};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,8 +43,8 @@ fn coeff<F: Field>(sel: u8, generator: F, seed: u64) -> F {
     }
 }
 
-/// Runs one (c, geometry) draw through all three GF(2⁸) rungs and the
-/// scalar oracle. `off` misaligns the slab start inside a parent buffer.
+/// Runs one (c, geometry) draw through both GF(2⁸) kernels and the scalar
+/// oracle. `off` misaligns the slab start inside a parent buffer.
 fn gf256_rungs_agree(seed: u64, len: usize, off: usize, sel: u8) -> Result<(), TestCaseError> {
     let c = coeff(sel, Gf256::generator(), seed);
     let src_buf = bytes(seed, off + len);
@@ -59,13 +64,12 @@ fn gf256_rungs_agree(seed: u64, len: usize, off: usize, sel: u8) -> Result<(), T
 
     type MulAdd = fn(u8, &[u8], &mut [u8]);
     type Mul = fn(u8, &mut [u8]);
-    let rungs: [(&str, MulAdd, Mul); 3] = [
+    let rungs: [(&str, MulAdd, Mul); 2] = [
         (
             "reference",
             reference::gf256_mul_add_slice,
             reference::gf256_mul_slice,
         ),
-        ("swar", wide::gf256_mul_add_slice, wide::gf256_mul_slice),
         ("simd", simd::gf256_mul_add_slice, simd::gf256_mul_slice),
     ];
     for (name, mul_add, mul) in rungs {
@@ -270,8 +274,8 @@ fn block_matches_axpy_loop<F: SlabField>(
 
 /// The GF(2⁸) SIMD block entry point directly (not through dispatch)
 /// against the reference gather loop, with every slab misaligned inside a
-/// parent buffer — pins the GFNI-512/GFNI/AVX2/SSSE3 register panels,
-/// masked tails and leftover-row gathers no matter which rung is active.
+/// parent buffer — pins the detected level's register panels, masked tails
+/// and leftover-row gathers whatever the dispatch rule would have picked.
 fn gf256_simd_block_matches_reference(
     seed: u64,
     r: usize,
@@ -303,8 +307,8 @@ fn gf256_simd_block_matches_reference(
     Ok(())
 }
 
-/// The dispatched `SlabField` surface (whatever kernel is active) against
-/// the scalar oracle, for every field — pins the dispatch layer itself.
+/// The dispatched `SlabField` surface (whatever kernel the rule picks)
+/// against the scalar oracle, for every field — pins the dispatch itself.
 fn dispatch_matches_scalar<F: SlabField>(
     seed: u64,
     len: usize,
@@ -337,7 +341,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn gf256_kernel_ladder_is_bit_identical(
+    fn gf256_kernels_are_bit_identical(
         seed in any::<u64>(),
         len in 0usize..100,
         off in 0usize..8,
@@ -347,7 +351,7 @@ proptest! {
     }
 
     #[test]
-    fn gf16_kernel_ladder_is_bit_identical(
+    fn gf16_kernels_are_bit_identical(
         seed in any::<u64>(),
         len in 0usize..100,
         off in 0usize..8,
@@ -371,7 +375,7 @@ proptest! {
     fn fused_multi_matches_loop_gf16(
         seed in any::<u64>(),
         n in 0usize..12,
-        len in 0usize..80,
+        len in 0usize..2 * SHORT_ROW_BYTES,
         zero_mask in any::<u8>(),
     ) {
         fused_multi_matches_loop::<Gf16>(seed, n, len, zero_mask)?;
@@ -420,7 +424,7 @@ proptest! {
         seed in any::<u64>(),
         ri in 0usize..5,
         ci in 0usize..5,
-        len in 1usize..80,
+        len in 1usize..2 * SHORT_ROW_BYTES,
         force_mask in any::<u16>(),
     ) {
         let shapes = [1usize, 2, 3, 8, 17];
@@ -476,51 +480,75 @@ proptest! {
     fn scatter_matches_loop_gf16(
         seed in any::<u64>(),
         n in 0usize..10,
-        len in 0usize..80,
+        len in 0usize..2 * SHORT_ROW_BYTES,
     ) {
         scatter_matches_loop::<Gf16>(seed, n, len)?;
     }
 
     #[test]
-    fn dispatch_matches_scalar_gf2(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
+    fn dispatch_matches_scalar_gf2(
+        seed in any::<u64>(),
+        len in 0usize..2 * SHORT_ROW_BYTES,
+        sel in 0u8..4,
+    ) {
         dispatch_matches_scalar::<ag_gf::Gf2>(seed, len, sel)?;
     }
 
     #[test]
-    fn dispatch_matches_scalar_gf16(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
+    fn dispatch_matches_scalar_gf16(
+        seed in any::<u64>(),
+        len in 0usize..2 * SHORT_ROW_BYTES,
+        sel in 0u8..4,
+    ) {
         dispatch_matches_scalar::<Gf16>(seed, len, sel)?;
     }
 
     #[test]
-    fn dispatch_matches_scalar_gf256(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
+    fn dispatch_matches_scalar_gf256(
+        seed in any::<u64>(),
+        len in 0usize..2 * SHORT_ROW_BYTES,
+        sel in 0u8..4,
+    ) {
         dispatch_matches_scalar::<Gf256>(seed, len, sel)?;
     }
 
     #[test]
-    fn dispatch_matches_scalar_gf65536(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
+    fn dispatch_matches_scalar_gf65536(
+        seed in any::<u64>(),
+        len in 0usize..2 * SHORT_ROW_BYTES,
+        sel in 0u8..4,
+    ) {
         dispatch_matches_scalar::<ag_gf::Gf65536>(seed, len, sel)?;
     }
 
     #[test]
-    fn dispatch_matches_scalar_f257(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
+    fn dispatch_matches_scalar_f257(
+        seed in any::<u64>(),
+        len in 0usize..2 * SHORT_ROW_BYTES,
+        sel in 0u8..4,
+    ) {
         dispatch_matches_scalar::<ag_gf::F257>(seed, len, sel)?;
     }
 }
 
 /// Deterministic exhaustive pin: every GF(2⁸) multiplier × every source
-/// byte, all rungs, one 256-byte row — the same full-plane check the PR 2
-/// suite ran for the table kernel, now across the whole ladder.
+/// byte, both kernels and the dispatched op, one 256-byte row.
 #[test]
-fn gf256_all_multipliers_all_bytes_all_rungs() {
+fn gf256_all_multipliers_all_bytes_all_kernels() {
     let src: Vec<u8> = (0..=255u8).collect();
     for c in 0..=255u8 {
-        let mut want = vec![0u8; 256];
-        reference::gf256_mul_add_slice(c, &src, &mut want);
-        let mut swar = vec![0u8; 256];
-        wide::gf256_mul_add_slice(c, &src, &mut swar);
-        assert_eq!(swar, want, "swar c={c}");
+        let want: Vec<u8> = src
+            .iter()
+            .map(|&s| (Gf256::new(c) * Gf256::new(s)).value())
+            .collect();
+        let mut table = vec![0u8; 256];
+        reference::gf256_mul_add_slice(c, &src, &mut table);
+        assert_eq!(table, want, "reference c={c}");
         let mut sd = vec![0u8; 256];
         simd::gf256_mul_add_slice(c, &src, &mut sd);
         assert_eq!(sd, want, "simd c={c}");
+        let mut dispatched = vec![0u8; 256];
+        Gf256::mul_add_slice(Gf256::new(c), &src, &mut dispatched);
+        assert_eq!(dispatched, want, "dispatched c={c}");
     }
 }

@@ -25,8 +25,8 @@
 //! wraps one of. The arena adds indexing, the growth policy and one scratch
 //! set shared by all nodes; there is no second elimination, so an arena
 //! node and an owned basis cannot diverge. What the differential suites in
-//! `ag-rlnc` pin is that one implementation against the scalar
-//! [`crate::reference::ScalarBasis`] oracle.
+//! `ag-rlnc` pin is that one implementation against an eager scalar oracle
+//! kept in their test code.
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
 //! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of nodes,
@@ -550,18 +550,18 @@ mod tests {
         }
         let mut arena_row = Vec::new();
         let mut basis_row = Vec::new();
-        for node in 0..nodes {
-            assert_eq!(arena.is_full(node), bases[node].is_full());
+        for (node, basis) in bases.iter().enumerate() {
+            assert_eq!(arena.is_full(node), basis.is_full());
             for i in 0..arena.rank(node) {
                 arena.copy_packed_row_into(node, i, &mut arena_row);
-                bases[node].copy_packed_row_into(i, &mut basis_row);
+                basis.copy_packed_row_into(i, &mut basis_row);
                 assert_eq!(arena_row, basis_row, "materialized rows diverged");
                 let kb = arena.coeff_bytes();
-                let header: Vec<&[u8]> = bases[node].coeff_rows().collect();
+                let header: Vec<&[u8]> = basis.coeff_rows().collect();
                 assert_eq!(&arena_row[..kb], header[i], "coefficient rows diverged");
             }
             if arena.is_full(node) {
-                assert_eq!(arena.solution(node), bases[node].solution());
+                assert_eq!(arena.solution(node), basis.solution());
             }
         }
     }

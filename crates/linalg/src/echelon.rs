@@ -77,7 +77,8 @@ impl Error for BasisError {}
 /// entries participate in pivot selection, and since PR 6 the tails are not
 /// even eliminated eagerly: the elimination applied to the coefficient
 /// prefix is logged and replayed onto the payloads only when payload bytes
-/// are observed (see [`crate::ReplayMode`] for the replay schedules).
+/// are observed (row-wise or as one blocked panel multiply, picked per flush
+/// from the pending suffix's shape; both produce the same bytes).
 /// Observed state (verdicts, ranks, materialized rows, solutions) is
 /// bit-identical to eager Gauss–Jordan decoding.
 ///

@@ -12,9 +12,7 @@
 //!   innovative (a "helpful message" in the paper's terminology) — behind
 //!   two views: [`EchelonBasis`] holds one node, [`BasisArena`] all of a
 //!   simulation's ([`ArenaGrowth`] picks rank-bounded or preallocated
-//!   storage; `Send` [`BasisShard`]s split it for parallel rounds),
-//! * [`reference::ScalarBasis`] — the preserved scalar elimination path,
-//!   used by differential tests and the `bench_decoder_slab` baseline.
+//!   storage; `Send` [`BasisShard`]s split it for parallel rounds).
 //!
 //! # The slab layer
 //!
@@ -46,11 +44,8 @@ mod arena;
 mod echelon;
 mod matrix;
 mod node;
-pub mod reference;
-mod replay;
 
 pub use arena::{ArenaError, ArenaGrowth, BasisArena, BasisShard};
 pub use echelon::{BasisError, EchelonBasis};
 pub use matrix::{Matrix, ShapeError};
 pub use node::Insertion;
-pub use replay::{replay_mode, set_replay_mode, ReplayMode};

@@ -26,16 +26,16 @@
 //!   normalizer, and the back-substitution multipliers. The log is
 //!   *replayed* onto the payload slab only when payload bytes are actually
 //!   observed (solution, row materialization, a recoder combining stored
-//!   rows, an explicit settle), on the schedule [`crate::ReplayMode`]
-//!   selects.
+//!   rows, an explicit settle), row-wise or as one blocked panel multiply
+//!   — `core_ops::use_blocked` picks per flush from the pending suffix.
 //!
 //! Either schedule executes the *same field operations* eager elimination
 //! would, merely batched and reordered within single output symbols; field
 //! arithmetic is exact and GF addition is XOR, so every materialized byte —
 //! and every verdict, which never depends on payloads at all — is
-//! bit-identical to the eager path. The `ag-rlnc` differential suite pins
-//! this against the preserved scalar [`crate::reference::ScalarBasis`]
-//! oracle, on both schedules.
+//! bit-identical to the eager path. The `ag-rlnc` differential suites pin
+//! this against an eager scalar oracle (`crates/rlnc/tests/oracle`), on both
+//! schedules.
 //!
 //! Only the lazily materialised part sits behind a `RefCell`, so `&self`
 //! read paths can settle payloads on demand while pivots and coefficient
@@ -191,14 +191,13 @@ pub(crate) mod core_ops {
         F::mul_add_scatter(back, row_e, done);
     }
 
-    /// Pending-event count below which [`crate::ReplayMode::Auto`] stays
-    /// row-wise: the transform build and panel copies only amortize over a
-    /// batch of events.
+    /// Pending-event count below which a flush stays row-wise: the
+    /// transform build and panel copies only amortize over a batch of
+    /// events.
     pub(crate) const BLOCKED_MIN_PENDING: usize = 16;
 
-    /// Payload rows narrower than this replay row-wise under
-    /// [`crate::ReplayMode::Auto`]: the panel machinery exists to feed the
-    /// wide register-blocked kernels.
+    /// Payload rows narrower than this replay row-wise: the panel machinery
+    /// exists to feed the wide register-blocked kernels.
     pub(crate) const BLOCKED_MIN_PAY_BYTES: usize = 64;
 
     /// Source/destination panel row stride for the blocked replay scratch:
@@ -206,7 +205,7 @@ pub(crate) mod core_ops {
     /// to an *odd* multiple of 64, so power-of-two payload sizes (the
     /// common case) stop aliasing every panel row onto a handful of L1
     /// sets — measured worth ~9% GEMM throughput on the k=128 / 1 KiB
-    /// decode shape (`bench_gf_block`). Falls back to `pay_bytes` exactly
+    /// decode shape. Falls back to `pay_bytes` exactly
     /// if the symbol size ever failed to divide the cache line (no such
     /// field today).
     pub(crate) fn padded_stride<F: SlabField>(pay_bytes: usize) -> usize {
@@ -224,35 +223,27 @@ pub(crate) mod core_ops {
     /// Should this flush take the blocked schedule? Deterministic in the
     /// basis state alone (pending-suffix shape plus log density), and both
     /// schedules produce identical bytes, so the choice is invisible to
-    /// results.
+    /// results: blocked when the pending suffix is deep, is at least half
+    /// the basis, payload rows are wide and the pending multipliers dense.
     pub(crate) fn use_blocked<F: SlabField>(
-        mode: crate::ReplayMode,
         rank: usize,
         flushed: usize,
         pay_bytes: usize,
         log: &[u8],
     ) -> bool {
-        match mode {
-            crate::ReplayMode::Rowwise => false,
-            crate::ReplayMode::Blocked => rank > flushed,
-            crate::ReplayMode::Auto => {
-                let pending = rank - flushed;
-                if pending < BLOCKED_MIN_PENDING
-                    || pay_bytes < BLOCKED_MIN_PAY_BYTES
-                    || pending * 2 < rank
-                {
-                    return false;
-                }
-                // The dense panel multiply pays rank² multiplies whatever
-                // the log holds; a sparse log — e.g. a source node, whose
-                // unit-row inserts carry all-zero multipliers — replays
-                // row-wise in O(rank) *skipped* gathers instead. Require a
-                // quarter of the pending log bytes nonzero.
-                let region = &log[log_offset::<F>(flushed)..log_offset::<F>(rank)];
-                let nz = region.iter().filter(|&&b| b != 0).count();
-                nz * 4 >= region.len().max(1)
-            }
+        let pending = rank - flushed;
+        if pending < BLOCKED_MIN_PENDING || pay_bytes < BLOCKED_MIN_PAY_BYTES || pending * 2 < rank
+        {
+            return false;
         }
+        // The dense panel multiply pays rank² multiplies whatever the log
+        // holds; a sparse log — e.g. a source node, whose unit-row inserts
+        // carry all-zero multipliers — replays row-wise in O(rank)
+        // *skipped* gathers instead. Require a quarter of the pending log
+        // bytes nonzero.
+        let region = &log[log_offset::<F>(flushed)..log_offset::<F>(rank)];
+        let nz = region.iter().filter(|&&b| b != 0).count();
+        nz * 4 >= region.len().max(1)
     }
 
     /// Replays every pending event `flushed..rank` as one blocked panel
@@ -308,8 +299,8 @@ pub(crate) mod core_ops {
         }
     }
 
-    /// Settles every pending elimination event onto `pay` under the active
-    /// [`crate::ReplayMode`], leaving `flushed == rank`. `pay` must be
+    /// Settles every pending elimination event onto `pay` on the schedule
+    /// [`use_blocked`] picks, leaving `flushed == rank`. `pay` must be
     /// exactly `rank` rows.
     // ag-lint: hot-path
     pub(crate) fn flush_pending<F: SlabField>(
@@ -324,7 +315,7 @@ pub(crate) mod core_ops {
         if *flushed >= rank {
             return;
         }
-        if use_blocked::<F>(crate::replay_mode(), rank, *flushed, pay_bytes, log) {
+        if use_blocked::<F>(rank, *flushed, pay_bytes, log) {
             replay_blocked::<F>(pay, log, *flushed, rank, pay_bytes, transform, panel);
             *flushed = rank;
         } else {
@@ -643,8 +634,8 @@ pub(crate) struct Rows<'a, T> {
 
 impl<T: DerefMut<Target = Tails>> Rows<'_, T> {
     /// Replays every pending elimination event onto the payload slab,
-    /// row-wise or as one blocked panel application per the active
-    /// [`crate::ReplayMode`], and returns the settled slab. After this,
+    /// row-wise or as one blocked panel application (see
+    /// [`core_ops::use_blocked`]), and returns the settled slab. After this,
     /// payload rows are exactly what eager elimination would have produced
     /// — both schedules are bit-identical. Idempotent; trivial when nothing
     /// is pending or rows carry no payload.
@@ -755,29 +746,36 @@ impl<T: DerefMut<Target = Tails>> Rows<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ag_gf::{Field, Gf256};
+    use ag_gf::{Gf16, Gf2, Gf256};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A fresh node fed uniformly random rows until it holds `rank` of them.
+    fn random_node<F: SlabField>(d: Dims, rank: usize, rng: &mut StdRng) -> NodeBasis {
+        let mut b = NodeBasis::default();
+        let mut sc = Scratch::default();
+        let row_elems = d.row_bytes() / F::SYMBOL_BYTES;
+        while b.rank() < rank {
+            let row: Vec<F> = (0..row_elems).map(|_| F::random(rng)).collect();
+            b.insert_packed::<F>(d, &mut F::pack(&row), &mut sc);
+        }
+        b
+    }
 
     /// The blocked (transform-panel GEMM) replay schedule against the
     /// row-wise event replay, byte for byte, from every flush frontier —
     /// including the mid-suffix entry where rows `< flushed` are already
-    /// materialized and enter the transform as unit rows.
-    #[test]
-    fn blocked_replay_matches_rowwise_from_every_frontier() {
+    /// materialized and enter the transform as unit rows. Calls
+    /// `replay_blocked` directly, so shapes far below the rule's thresholds
+    /// are covered on every field.
+    fn blocked_matches_rowwise_from_every_frontier<F: SlabField>() {
         let mut rng = StdRng::seed_from_u64(23);
-        // Shapes straddle the Auto thresholds and the kernel tile sizes:
+        // Shapes straddle the rule's thresholds and the kernel tile sizes:
         // tiny panels, odd payload widths, and a >16-deep pending suffix.
         for (k, r) in [(3usize, 5usize), (8, 64), (17, 37), (24, 200)] {
-            let d = Dims::new::<Gf256>(k, k + r);
-            let mut b = NodeBasis::default();
-            let mut sc = Scratch::default();
-            for _ in 0..4 * k {
-                let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
-                b.insert_packed::<Gf256>(d, &mut Gf256::pack(&row), &mut sc);
-            }
-            let rank = b.rank();
-            let pb = r;
+            let d = Dims::new::<F>(k, k + r);
+            let b = random_node::<F>(d, k, &mut rng);
+            let (rank, pb) = (b.rank(), d.pb);
             let led = b.tails.borrow();
             assert_eq!(led.flushed, 0, "inserts must not flush");
             for frontier in 0..=rank {
@@ -785,14 +783,14 @@ mod tests {
                 // then settle the rest through each schedule.
                 let mut rowwise = led.pay.clone();
                 for e in 0..frontier {
-                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
+                    core_ops::replay_event::<F>(&mut rowwise[..rank * pb], &led.log, e, pb);
                 }
                 let mut blocked = rowwise.clone();
                 for e in frontier..rank {
-                    core_ops::replay_event::<Gf256>(&mut rowwise[..rank * pb], &led.log, e, pb);
+                    core_ops::replay_event::<F>(&mut rowwise[..rank * pb], &led.log, e, pb);
                 }
                 let (mut transform, mut panel) = (Vec::new(), Vec::new());
-                core_ops::replay_blocked::<Gf256>(
+                core_ops::replay_blocked::<F>(
                     &mut blocked[..rank * pb],
                     &led.log,
                     frontier,
@@ -809,38 +807,65 @@ mod tests {
         }
     }
 
-    /// The Auto-mode schedule choice: deterministic in the basis state,
-    /// row-wise for shallow/narrow/sparse pending suffixes, blocked for
-    /// deep dense ones. (Both schedules are bit-identical — this pins the
-    /// heuristic itself so the hot path is predictable.)
     #[test]
-    fn auto_mode_picks_blocked_only_for_deep_dense_suffixes() {
-        use crate::ReplayMode;
+    fn blocked_replay_matches_rowwise_from_every_frontier() {
+        blocked_matches_rowwise_from_every_frontier::<Gf256>();
+        blocked_matches_rowwise_from_every_frontier::<Gf16>();
+        blocked_matches_rowwise_from_every_frontier::<Gf2>();
+    }
+
+    /// What `use_blocked` says for the flushes of the `ag-rlnc`
+    /// `differential_blocked_replay` stream at generation size `k` and
+    /// payload width `pb`: bursts of 16 innovative rows, each followed by a
+    /// flush, on one node; and one flush of a whole never-settled log.
+    fn lane_picks<F: SlabField>(k: usize, pb: usize) -> Vec<bool> {
+        const BURST: usize = 16;
+        let d = Dims::new::<F>(k, k + pb / F::SYMBOL_BYTES);
+        let b = random_node::<F>(d, k, &mut StdRng::seed_from_u64(0xB10C));
+        let log = &b.tails.borrow().log;
+        let mut picks: Vec<bool> = (BURST..=k)
+            .step_by(BURST)
+            .map(|rank| core_ops::use_blocked::<F>(rank, rank - BURST, d.pb, log))
+            .collect();
+        picks.push(core_ops::use_blocked::<F>(k, 0, d.pb, log));
+        picks
+    }
+
+    /// The schedule choice: deterministic in the basis state, row-wise for
+    /// shallow/narrow/sparse pending suffixes, blocked for deep dense ones.
+    /// (Both schedules are bit-identical — this pins the rule itself, at its
+    /// thresholds and at exactly the shapes the `ag-rlnc` integration lanes
+    /// `differential_blocked_replay` run, which cannot observe it.)
+    #[test]
+    fn rule_picks_blocked_only_for_deep_dense_suffixes() {
         let deep = core_ops::BLOCKED_MIN_PENDING;
         let wide = core_ops::BLOCKED_MIN_PAY_BYTES;
         let dense_log = vec![0xABu8; core_ops::log_offset::<Gf256>(2 * deep)];
         let sparse_log = vec![0u8; core_ops::log_offset::<Gf256>(2 * deep)];
-        let pick = |mode, rank, flushed, pb, log: &[u8]| {
-            core_ops::use_blocked::<Gf256>(mode, rank, flushed, pb, log)
-        };
-        // Forced modes ignore the heuristic entirely.
-        assert!(pick(ReplayMode::Blocked, 1, 0, 1, &dense_log));
-        assert!(!pick(ReplayMode::Rowwise, 2 * deep, 0, wide, &dense_log));
-        // Auto: deep + wide + dense → blocked.
-        assert!(pick(ReplayMode::Auto, 2 * deep, 0, wide, &dense_log));
+        let pick =
+            |rank, flushed, pb, log: &[u8]| core_ops::use_blocked::<Gf256>(rank, flushed, pb, log);
+        // Deep + wide + dense → blocked.
+        assert!(pick(2 * deep, 0, wide, &dense_log));
         // Too shallow a suffix, too narrow a row, or a mostly-flushed
         // basis (pending < rank/2) stays row-wise…
-        assert!(!pick(
-            ReplayMode::Auto,
-            2 * deep,
-            2 * deep - deep + 1,
-            wide,
-            &dense_log
-        ));
-        assert!(!pick(ReplayMode::Auto, deep - 1, 0, wide, &dense_log));
-        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide - 1, &dense_log));
+        assert!(!pick(2 * deep, deep + 1, wide, &dense_log));
+        assert!(!pick(deep - 1, 0, wide, &dense_log));
+        assert!(!pick(2 * deep, 0, wide - 1, &dense_log));
         // …and so does a sparse log (a source node's identity inserts):
         // row-wise replay skips zero multipliers in O(rank).
-        assert!(!pick(ReplayMode::Auto, 2 * deep, 0, wide, &sparse_log));
+        assert!(!pick(2 * deep, 0, wide, &sparse_log));
+
+        // The integration lanes: k in 32..48, payloads of 64..96 bytes. The
+        // flushes after the bursts ending at rank 16 and 32 and the
+        // whole-log flush go blocked (the last, shorter burst up to k does
+        // not); under 64 payload bytes nothing does.
+        for (k, pb) in [(32usize, 64usize), (32, 95), (47, 64), (47, 95)] {
+            assert_eq!(lane_picks::<Gf256>(k, pb), [true, true, true], "{k} {pb}");
+            assert_eq!(lane_picks::<Gf16>(k, pb), [true, true, true], "{k} {pb}");
+            assert_eq!(lane_picks::<Gf2>(k, pb), [true, true, true], "{k} {pb}");
+        }
+        for (k, pb) in [(32usize, 1usize), (47, 63)] {
+            assert_eq!(lane_picks::<Gf256>(k, pb), [false, false, false]);
+        }
     }
 }

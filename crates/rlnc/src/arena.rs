@@ -567,9 +567,9 @@ mod tests {
             assert_eq!(arena.innovative_count(to), decoders[to].innovative_count());
             assert_eq!(arena.redundant_count(to), decoders[to].redundant_count());
         }
-        for v in 0..nodes {
-            assert_eq!(arena.is_complete(v), decoders[v].is_complete());
-            assert_eq!(arena.decode(v), decoders[v].decode());
+        for (v, decoder) in decoders.iter().enumerate() {
+            assert_eq!(arena.is_complete(v), decoder.is_complete());
+            assert_eq!(arena.decode(v), decoder.decode());
         }
     }
 

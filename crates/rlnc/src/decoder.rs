@@ -8,11 +8,10 @@
 //! coefficient headers — allocation-free through reusable scratch — while
 //! payload elimination is logged and replayed in fused batches when
 //! [`Decoder::decode`], a recoder emit, or an explicit [`Decoder::settle`]
-//! actually observes payload bytes (`ag_linalg::ReplayMode` has the replay
-//! schedules). Verdicts and decoded bytes are bit-identical to eager
-//! elimination (the differential suites pin this against the scalar
-//! oracle); only the *when* and the *grouping* of the payload arithmetic
-//! change.
+//! actually observes payload bytes. Verdicts and decoded bytes are
+//! bit-identical to eager elimination (the differential suites pin this
+//! against the scalar oracle); only the *when* and the *grouping* of the
+//! payload arithmetic change.
 
 use std::error::Error;
 use std::fmt;
@@ -283,9 +282,9 @@ impl<F: SlabField> Decoder<F> {
 
     /// Forces the deferred payload elimination to settle now instead of at
     /// the next read (recode emit, [`Decoder::decode`]). Lets a caller
-    /// schedule the batched replay — one blocked panel application under
-    /// [`ag_linalg::ReplayMode::Blocked`]/`Auto` — during idle time off the
-    /// receive path. Idempotent and invisible to results.
+    /// schedule the batched replay — one blocked panel application when the
+    /// pending suffix is deep and dense — during idle time off the receive
+    /// path. Idempotent and invisible to results.
     pub fn settle(&self) {
         self.arena.basis().settle(0);
     }

@@ -17,7 +17,7 @@
 //! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API) and
 //! [`RowPool`] recycles the packed-row message buffers, together making
 //! the steady-state gossip round loop free of per-message heap allocation
-//! (see `bench_rlnc_throughput`).
+//! (audited by `crates/core/tests/alloc_audit.rs`).
 //!
 //! # Examples
 //!

@@ -13,7 +13,8 @@
 //! (same-sender dedup, loss injection). Pre-warmed to the per-round
 //! in-flight ceiling ([`RowPool::preallocated`]), the round loop performs
 //! **zero** per-message heap allocation from the first round, which
-//! `bench_rlnc_throughput` asserts with a counting global allocator.
+//! `crates/core/tests/alloc_audit.rs` asserts with a counting global
+//! allocator.
 //!
 //! Messages stay plain `Vec<u8>`s on purpose: an earlier design wrapped
 //! them in a self-returning smart pointer (drop = return to pool), but

@@ -1,108 +1,55 @@
-//! Forced blocked-replay differential lane.
+//! Differential lanes sized so the shipped replay rule takes the blocked
+//! schedule.
 //!
-//! The default `cargo test` run resolves the payload-replay schedule to
-//! [`ReplayMode::Auto`], which only picks the blocked (BLAS-3) schedule
-//! once a basis accumulates a deep pending suffix — small differential
-//! streams would never leave the row-wise path. This binary forces
-//! [`ReplayMode::Blocked`] process-wide (it is its own test process, so
-//! the global knob cannot leak into other suites) and replays interleaved
-//! receive/emit/decode streams against the eager scalar oracle: every
-//! flush — recode emits from partially-eliminated bases, mid-stream and
-//! final decodes, arena solutions — runs through the transform-panel GEMM
-//! path, and every verdict, rank, emitted byte and decoded message must
-//! match [`ag_linalg::reference::ScalarBasis`] exactly.
+//! A flush replays its pending elimination log as one blocked
+//! (transform-panel GEMM) multiply only when the pending suffix is deep
+//! (≥ 16 events), is at least half the basis, payload rows are wide
+//! (≥ 64 bytes) and the logged multipliers are dense; the small streams of
+//! `differential_decoder` never leave the row-wise path. The streams here
+//! are shaped to: `k ≥ 32`, payloads of ≥ 64 bytes, receptions arriving in
+//! bursts of [`BURST`] innovative rows between recode emits (each emit
+//! flushes the burst), and a relay sink that only ever receives, so its
+//! final decode settles its whole log at once. One more lane keeps the
+//! payload under 64 bytes and so stays row-wise on the same schedule of
+//! calls. Every verdict, rank, emitted byte and decoded message must match
+//! the eager scalar oracle (`tests/oracle/mod.rs`) exactly.
 //!
-//! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass; CI
-//! additionally re-runs the main `differential_decoder` suite under
-//! `AG_LINALG_REPLAY=blocked` and `=rowwise`.
+//! Which schedule a flush takes is not observable from here. The unit test
+//! `rule_picks_blocked_only_for_deep_dense_suffixes` in
+//! `ag-linalg/src/node.rs` asserts the rule at exactly these shapes (same
+//! `k`, payload widths and [`BURST`], all three fields), so the lanes cannot
+//! silently fall off the path they are named for; keep the two in step.
+//!
+//! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
-use ag_gf::{Field, Gf16, Gf2, Gf256, SlabField};
-use ag_linalg::reference::ScalarBasis;
-use ag_linalg::{set_replay_mode, Insertion, ReplayMode};
-use ag_rlnc::{Decoder, DecoderArena, Generation, Packet, Reception, Recoder};
+use ag_gf::{Gf16, Gf2, Gf256, SlabField};
+use ag_rlnc::{Decoder, DecoderArena, Generation, Recoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Minimal scalar decoder mirror (see `differential_decoder.rs` for the
-/// full-featured twin): eager element-at-a-time elimination.
-struct ScalarDecoder<F> {
-    k: usize,
-    basis: ScalarBasis<F>,
-}
+mod oracle;
 
-impl<F: Field> ScalarDecoder<F> {
-    fn new(k: usize) -> Self {
-        ScalarDecoder {
-            k,
-            basis: ScalarBasis::new(k),
-        }
-    }
+use oracle::{scalar_emit, ScalarDecoder};
 
-    fn receive(&mut self, packet: Packet<F>) -> Reception {
-        match self.basis.insert(packet.into_row()) {
-            Insertion::Innovative => Reception::Innovative,
-            Insertion::Redundant => Reception::Redundant,
-        }
-    }
+/// Innovative receptions node 0 takes between two recode emits: the depth
+/// of the pending suffix every emit flushes.
+const BURST: usize = 16;
 
-    fn rank(&self) -> usize {
-        self.basis.rank()
-    }
-
-    fn rows(&self) -> &[Vec<F>] {
-        self.basis.rows()
-    }
-
-    fn decode(&self) -> Option<Vec<Vec<F>>> {
-        self.basis.solution()
-    }
-}
-
-/// Scalar mirror of `Recoder::emit_packed_row`: one uniform draw per
-/// stored row in insertion order (zeros included). Under a shared RNG
-/// state this must reproduce the packed emit byte for byte — here the
-/// packed emit settles its pending elimination through the forced blocked
-/// schedule first.
-fn scalar_emit<F: SlabField>(
-    rows: &[Vec<F>],
-    k: usize,
-    r: usize,
-    rng: &mut StdRng,
-) -> Option<Packet<F>> {
-    if rows.is_empty() {
-        return None;
-    }
-    let mut acc = vec![F::ZERO; k + r];
-    for row in rows {
-        let c = F::random(rng);
-        if c.is_zero() {
-            continue;
-        }
-        for (a, &x) in acc.iter_mut().zip(row.iter()) {
-            *a += c * x;
-        }
-    }
-    let payload = acc.split_off(k);
-    Some(Packet::new(acc, payload))
-}
-
-/// One interleaved stream under forced blocked replay: source recodings
-/// into node 0, relay emits (each forcing a blocked flush of a partially
-/// filled basis) into node 1, mid-stream decodes, final ground truth.
-fn blocked_stream<F: SlabField>(
-    seed: u64,
-    k: usize,
-    r: usize,
-    steps: usize,
-) -> Result<(), TestCaseError> {
-    set_replay_mode(ReplayMode::Blocked);
+/// One stream: source recodings into node 0 in bursts of [`BURST`]
+/// innovative rows; after each burst node 0 recodes twice into node 1 (the
+/// first emit flushes the burst, the second finds nothing pending); once
+/// node 0 is complete it keeps feeding node 1 until that completes too.
+/// Node 1 is never read before its final decode, which therefore settles
+/// its whole log in one flush. Three lanes in lockstep: `Decoder`s, a
+/// `DecoderArena`, and the scalar oracle.
+fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let generation = Generation::<F>::random(k, r, &mut rng);
     let source = Decoder::with_all_messages(&generation);
 
     let mut packed = [Decoder::<F>::new(k, r), Decoder::<F>::new(k, r)];
-    let mut scalar = [ScalarDecoder::<F>::new(k), ScalarDecoder::<F>::new(k)];
+    let mut scalar = [ScalarDecoder::<F>::new(k, r), ScalarDecoder::<F>::new(k, r)];
     let mut arena = DecoderArena::<F>::new(2, k, r);
 
     let mut emit_a = StdRng::seed_from_u64(seed ^ 0xB10C);
@@ -110,55 +57,40 @@ fn blocked_stream<F: SlabField>(
     let mut emit_c = emit_a.clone();
     let mut buf = Vec::new();
 
-    for step in 0..steps {
-        match step % 5 {
-            // Source recoding into node 0.
-            0 | 1 => {
-                let p = Recoder::new(&source).emit(&mut rng).expect("source emits");
-                let va = packed[0].try_receive(&p).expect("shape-valid packet");
-                let vb = arena.receive_packed_slice(0, &p.to_packed_row());
-                let vc = scalar[0].receive(p);
-                prop_assert_eq!(va, vc, "verdict diverged at step {}", step);
-                prop_assert_eq!(vb, vc, "arena verdict diverged at step {}", step);
-            }
-            // Relay emit from node 0's partially filled basis: the packed
-            // and arena emits settle pending events through the blocked
-            // schedule; the bytes must match the scalar recombination.
-            2 | 3 => {
-                let row_a = Recoder::new(&packed[0]).emit_packed_row(&mut emit_a);
-                let emitted_b = arena.emit_packed_row_into(0, None, &mut emit_b, &mut buf);
-                let pkt_c = scalar_emit::<F>(scalar[0].rows(), k, r, &mut emit_c);
-                prop_assert_eq!(row_a.is_some(), emitted_b);
-                prop_assert_eq!(row_a.is_some(), pkt_c.is_some());
-                let (Some(row_a), Some(pkt_c)) = (row_a, pkt_c) else {
-                    continue;
-                };
-                prop_assert_eq!(&row_a, &buf, "arena emit bytes diverged at step {}", step);
-                prop_assert_eq!(
-                    &row_a,
-                    &pkt_c.to_packed_row(),
-                    "blocked-flush emit bytes diverged at step {}",
-                    step
-                );
-                let va = packed[1].receive_packed_slice(&row_a);
-                let vb = arena.receive_packed_slice(1, &row_a);
-                let vc = scalar[1].receive(pkt_c);
-                prop_assert_eq!(va, vc, "relay verdict diverged at step {}", step);
-                prop_assert_eq!(vb, vc, "relay arena verdict diverged at step {}", step);
-            }
-            // Mid-stream decode attempts: a completed basis settles its
-            // whole remaining log in one blocked panel multiply here.
-            _ => {
-                for node in 0..2 {
-                    prop_assert_eq!(
-                        packed[node].decode(),
-                        scalar[node].decode(),
-                        "mid-stream decode diverged at step {}",
-                        step
-                    );
-                    prop_assert_eq!(arena.decode(node), scalar[node].decode());
-                }
-            }
+    let mut guard = 0usize;
+    while !packed[1].is_complete() {
+        guard += 1;
+        prop_assert!(guard < 64 * k, "relay sink did not converge");
+        // One burst into node 0 (fewer rows once it nears full rank).
+        let target = (packed[0].rank() + BURST).min(k);
+        while packed[0].rank() < target {
+            let p = Recoder::new(&source).emit(&mut rng).expect("source emits");
+            let va = packed[0].try_receive(&p).expect("shape-valid packet");
+            let vb = arena.receive_packed_slice(0, &p.to_packed_row());
+            let vc = scalar[0].receive(p);
+            prop_assert_eq!(va, vc, "verdict diverged at rank {}", scalar[0].rank());
+            prop_assert_eq!(vb, vc, "arena verdict diverged");
+        }
+        // Two relay emits from node 0 into node 1. The first settles the
+        // whole burst; its bytes must match the scalar recombination.
+        for _ in 0..2 {
+            let row_a = Recoder::new(&packed[0])
+                .emit_packed_row(&mut emit_a)
+                .expect("node 0 has rank");
+            prop_assert!(arena.emit_packed_row_into(0, None, &mut emit_b, &mut buf));
+            let pkt_c = scalar_emit::<F>(scalar[0].rows(), k, r, &mut emit_c).expect("has rank");
+            prop_assert_eq!(&row_a, &buf, "arena emit bytes diverged");
+            prop_assert_eq!(
+                &row_a,
+                &pkt_c.to_packed_row(),
+                "emit bytes diverged from scalar at rank {} (flush bug)",
+                scalar[0].rank()
+            );
+            let va = packed[1].receive_packed_slice(&row_a);
+            let vb = arena.receive_packed_slice(1, &row_a);
+            let vc = scalar[1].receive(pkt_c);
+            prop_assert_eq!(va, vc, "relay verdict diverged");
+            prop_assert_eq!(vb, vc, "relay arena verdict diverged");
         }
         for node in 0..2 {
             prop_assert_eq!(packed[node].rank(), scalar[node].rank());
@@ -166,48 +98,44 @@ fn blocked_stream<F: SlabField>(
         }
     }
 
+    // Node 1's first and only flush: rank k, nothing settled before.
     for node in 0..2 {
-        prop_assert_eq!(packed[node].decode(), scalar[node].decode());
-        prop_assert_eq!(arena.decode(node), scalar[node].decode());
-        if packed[node].is_complete() {
-            prop_assert_eq!(
-                packed[node].decode().expect("complete"),
-                generation.messages().to_vec()
-            );
-        }
+        let want = scalar[node].decode();
+        prop_assert_eq!(packed[node].decode(), want.clone(), "node {} decode", node);
+        prop_assert_eq!(arena.decode(node), want, "arena node {} decode", node);
+        prop_assert_eq!(
+            packed[node].decode().expect("both nodes completed"),
+            generation.messages().to_vec()
+        );
     }
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn gf256_blocked_replay_matches_scalar(
-        seed in any::<u64>(),
-        // Deep enough that full-rank flushes exceed the Auto thresholds
-        // too: the forced lane covers panel shapes Auto would also pick.
-        k in 1usize..24,
-        r in 1usize..12,
-    ) {
-        blocked_stream::<Gf256>(seed, k, r, 5 * k + 10)?;
+    fn gf256_blocked_flushes_match_scalar(seed in any::<u64>(), k in 32usize..48, r in 64usize..96) {
+        burst_stream::<Gf256>(seed, k, r)?;
     }
 
     #[test]
-    fn gf16_blocked_replay_matches_scalar(
-        seed in any::<u64>(),
-        k in 1usize..16,
-        r in 1usize..8,
-    ) {
-        blocked_stream::<Gf16>(seed, k, r, 5 * k + 10)?;
+    fn gf16_blocked_flushes_match_scalar(seed in any::<u64>(), k in 32usize..48, r in 64usize..96) {
+        burst_stream::<Gf16>(seed, k, r)?;
     }
 
     #[test]
-    fn gf2_blocked_replay_matches_scalar(
+    fn gf2_blocked_flushes_match_scalar(seed in any::<u64>(), k in 32usize..48, r in 64usize..96) {
+        burst_stream::<Gf2>(seed, k, r)?;
+    }
+
+    /// Same bursts, payload rows under 64 bytes: every flush stays row-wise.
+    #[test]
+    fn gf256_narrow_payload_stays_rowwise_and_matches_scalar(
         seed in any::<u64>(),
-        k in 1usize..16,
-        r in 1usize..8,
+        k in 32usize..48,
+        r in 1usize..64,
     ) {
-        blocked_stream::<Gf2>(seed, k, r, 5 * k + 10)?;
+        burst_stream::<Gf256>(seed, k, r)?;
     }
 }

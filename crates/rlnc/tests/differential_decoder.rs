@@ -1,8 +1,8 @@
 //! Differential test harness: the packed slab decoder vs the scalar
 //! reference (and the simulation-wide decoder arena), locked step for step.
 //!
-//! The `reference` module wraps [`ag_linalg::reference::ScalarBasis`] — the
-//! pre-slab element-at-a-time elimination, preserved verbatim — in a
+//! The shared `oracle` module (`tests/oracle/mod.rs`) wraps `ScalarBasis` —
+//! the pre-slab element-at-a-time elimination, preserved verbatim — in a
 //! decoder with the same receive/decode semantics as [`ag_rlnc::Decoder`].
 //! Every property replays one random packet stream through all
 //! implementations (including an [`ag_rlnc::DecoderArena`] slot, the
@@ -24,89 +24,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-mod reference {
-    //! The scalar decoder: `ag_rlnc::Decoder` semantics on `ScalarBasis`.
+mod oracle;
 
-    use ag_gf::Field;
-    use ag_linalg::reference::ScalarBasis;
-    use ag_linalg::Insertion;
-    use ag_rlnc::{Generation, Packet, Reception};
-
-    pub struct ScalarDecoder<F> {
-        k: usize,
-        payload_len: usize,
-        basis: ScalarBasis<F>,
-    }
-
-    impl<F: Field> ScalarDecoder<F> {
-        pub fn new(k: usize, payload_len: usize) -> Self {
-            ScalarDecoder {
-                k,
-                payload_len,
-                basis: ScalarBasis::new(k),
-            }
-        }
-
-        pub fn with_all_messages(generation: &Generation<F>) -> Self {
-            let mut d = ScalarDecoder::new(generation.k(), generation.message_len());
-            for i in 0..generation.k() {
-                d.seed_message(generation, i);
-            }
-            d
-        }
-
-        pub fn seed_message(&mut self, generation: &Generation<F>, index: usize) {
-            let mut row = vec![F::ZERO; self.k];
-            row[index] = F::ONE;
-            row.extend_from_slice(generation.message(index));
-            let _ = self.basis.insert(row);
-        }
-
-        /// Scalar mirror of `Decoder::receive`; packets are assumed
-        /// shape-valid (the differential driver checks shapes up front,
-        /// exactly like `Decoder::try_receive`).
-        pub fn receive(&mut self, packet: Packet<F>) -> Reception {
-            assert_eq!(packet.generation_size(), self.k);
-            assert_eq!(packet.payload_len(), self.payload_len);
-            match self.basis.insert(packet.into_row()) {
-                Insertion::Innovative => Reception::Innovative,
-                Insertion::Redundant => Reception::Redundant,
-            }
-        }
-
-        pub fn rank(&self) -> usize {
-            self.basis.rank()
-        }
-
-        pub fn is_complete(&self) -> bool {
-            self.basis.is_full()
-        }
-
-        pub fn would_help(&self, packet: &Packet<F>) -> bool {
-            self.basis.would_be_innovative(packet.coefficients())
-        }
-
-        /// The stored (eagerly reduced) rows — the oracle the lazy lane's
-        /// emit mirror recombines.
-        pub fn rows(&self) -> &[Vec<F>] {
-            self.basis.rows()
-        }
-
-        /// Scalar mirror of `Decoder::is_helpful_node`.
-        pub fn is_helped_by(&self, other: &ScalarDecoder<F>) -> bool {
-            other
-                .rows()
-                .iter()
-                .any(|row| self.basis.would_be_innovative(&row[..self.k]))
-        }
-
-        pub fn decode(&self) -> Option<Vec<Vec<F>>> {
-            self.basis.solution()
-        }
-    }
-}
-
-use reference::ScalarDecoder;
+use oracle::{scalar_emit, ScalarDecoder};
 
 /// Replays `steps` random packets (mostly source recodings, some junk) into
 /// a packed decoder and a scalar decoder and asserts identical behaviour.
@@ -193,34 +113,6 @@ fn differential_stream<F: SlabField>(
     // ceiling for the same stream.
     prop_assert!(arena.allocated_bytes() <= prealloc.allocated_bytes());
     Ok(())
-}
-
-/// Scalar mirror of `Recoder::emit`: one uniform draw per stored row in
-/// insertion order (zeros included), accumulated in scalar arithmetic.
-/// Under a shared RNG state this must reproduce the packed emit byte for
-/// byte — including when the packed basis still has payload elimination
-/// pending and the emit forces a mid-stream flush.
-fn scalar_emit<F: SlabField>(
-    rows: &[Vec<F>],
-    k: usize,
-    r: usize,
-    rng: &mut StdRng,
-) -> Option<Packet<F>> {
-    if rows.is_empty() {
-        return None;
-    }
-    let mut acc = vec![F::ZERO; k + r];
-    for row in rows {
-        let c = F::random(rng);
-        if c.is_zero() {
-            continue;
-        }
-        for (a, &x) in acc.iter_mut().zip(row.iter()) {
-            *a += c * x;
-        }
-    }
-    let payload = acc.split_off(k);
-    Some(Packet::new(acc, payload))
 }
 
 /// The lazy-elimination lane: interleaves receptions, recode-emits from

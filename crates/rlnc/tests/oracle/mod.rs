@@ -1,26 +1,28 @@
-//! The scalar reference implementation of the echelon basis.
+//! The eager scalar oracle of the `ag-rlnc` differential suites: test-only,
+//! and deliberately *not* the library's structure.
 //!
-//! [`ScalarBasis`] is the pre-slab `EchelonBasis`, preserved verbatim: rows
-//! are `Vec<F>` and every elimination step runs one [`Field`] multiply at a
-//! time. It exists for two jobs:
+//! [`ScalarBasis`] is the pre-slab echelon basis, preserved verbatim: rows
+//! are `Vec<F>`, every elimination step runs one [`Field`] multiply at a
+//! time, and payload tails are eliminated eagerly on every insert — no
+//! packed slabs, no coefficient/payload split, no log, no replay schedule.
+//! [`ScalarDecoder`] gives it `ag_rlnc::Decoder`'s receive/decode semantics
+//! and [`scalar_emit`] mirrors `Recoder::emit`, so a stream replayed
+//! through both sides must agree on every verdict, rank, emitted byte and
+//! decoded message.
 //!
-//! 1. **Differential testing** — `ag-rlnc`'s `differential_decoder` suite
-//!    replays every packet stream through both implementations and asserts
-//!    identical verdicts, rank trajectories and decoded messages.
-//! 2. **Benchmarking** — `ag-bench`'s `bench_decoder_slab` binary measures
-//!    the packed [`EchelonBasis`](crate::EchelonBasis) against this baseline
-//!    and records the speedup in `BENCH_decoder_slab.json`.
-//!
-//! Do not use it in protocol code; it is deliberately the slow path.
+//! Do not "optimize" this module: its value is being structurally
+//! different from the store it checks. Each suite uses a subset of it.
+#![allow(dead_code)]
 
-use ag_gf::Field;
-
-use crate::Insertion;
+use ag_gf::{Field, SlabField};
+use ag_linalg::Insertion;
+use ag_rlnc::{Generation, Packet, Reception};
+use rand::rngs::StdRng;
 
 /// A growing row-echelon basis with scalar (element-at-a-time) elimination.
 ///
-/// Semantically identical to [`EchelonBasis`](crate::EchelonBasis); see its
-/// docs for the invariants. Only the storage layout and inner loops differ.
+/// Semantically identical to `ag_linalg::EchelonBasis`; see its docs for
+/// the invariants. Only the storage layout and inner loops differ.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarBasis<F> {
     /// Width of the pivot (coefficient) prefix of every row.
@@ -34,7 +36,6 @@ pub struct ScalarBasis<F> {
 impl<F: Field> ScalarBasis<F> {
     /// Creates an empty basis whose rows have `pivot_width` leading
     /// coefficient entries.
-    #[must_use]
     pub fn new(pivot_width: usize) -> Self {
         ScalarBasis {
             pivot_width,
@@ -44,25 +45,16 @@ impl<F: Field> ScalarBasis<F> {
     }
 
     /// The number of independent rows stored so far.
-    #[must_use]
     pub fn rank(&self) -> usize {
         self.rows.len()
     }
 
-    /// The pivot (coefficient) width rows must have at minimum.
-    #[must_use]
-    pub fn pivot_width(&self) -> usize {
-        self.pivot_width
-    }
-
     /// True once the basis spans the full coefficient space.
-    #[must_use]
     pub fn is_full(&self) -> bool {
         self.rank() == self.pivot_width
     }
 
     /// The stored (reduced) rows.
-    #[must_use]
     pub fn rows(&self) -> &[Vec<F>] {
         &self.rows
     }
@@ -157,7 +149,6 @@ impl<F: Field> ScalarBasis<F> {
     }
 
     /// Would `row` be innovative, without mutating the basis?
-    #[must_use]
     pub fn would_be_innovative(&self, row: &[F]) -> bool {
         assert!(row.len() >= self.pivot_width);
         let mut tmp = row.to_vec();
@@ -166,7 +157,6 @@ impl<F: Field> ScalarBasis<F> {
 
     /// Once full, extracts the augmented tails in pivot order (the decoded
     /// source messages under RLNC augmentation).
-    #[must_use]
     pub fn solution(&self) -> Option<Vec<Vec<F>>> {
         if !self.is_full() {
             return None;
@@ -181,30 +171,126 @@ impl<F: Field> ScalarBasis<F> {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ag_gf::Gf256;
+/// The scalar decoder: `ag_rlnc::Decoder` semantics on [`ScalarBasis`].
+pub struct ScalarDecoder<F> {
+    k: usize,
+    payload_len: usize,
+    basis: ScalarBasis<F>,
+}
 
-    #[test]
-    fn scalar_basis_basics() {
-        let mut b = ScalarBasis::<Gf256>::new(2);
-        assert_eq!(
-            b.insert(vec![Gf256::new(1), Gf256::new(1), Gf256::new(2)]),
-            Insertion::Innovative
-        );
-        assert_eq!(
-            b.insert(vec![Gf256::new(2), Gf256::new(2), Gf256::new(4)]),
-            Insertion::Redundant
-        );
-        assert_eq!(
-            b.insert(vec![Gf256::new(0), Gf256::new(1), Gf256::new(5)]),
-            Insertion::Innovative
-        );
-        assert!(b.is_full());
-        assert_eq!(
-            b.solution().unwrap(),
-            vec![vec![Gf256::new(7)], vec![Gf256::new(5)]]
-        );
+impl<F: Field> ScalarDecoder<F> {
+    pub fn new(k: usize, payload_len: usize) -> Self {
+        ScalarDecoder {
+            k,
+            payload_len,
+            basis: ScalarBasis::new(k),
+        }
     }
+
+    pub fn with_all_messages(generation: &Generation<F>) -> Self {
+        let mut d = ScalarDecoder::new(generation.k(), generation.message_len());
+        for i in 0..generation.k() {
+            d.seed_message(generation, i);
+        }
+        d
+    }
+
+    pub fn seed_message(&mut self, generation: &Generation<F>, index: usize) {
+        let mut row = vec![F::ZERO; self.k];
+        row[index] = F::ONE;
+        row.extend_from_slice(generation.message(index));
+        let _ = self.basis.insert(row);
+    }
+
+    /// Scalar mirror of `Decoder::receive`; packets are assumed
+    /// shape-valid (the differential drivers check shapes up front,
+    /// exactly like `Decoder::try_receive`).
+    pub fn receive(&mut self, packet: Packet<F>) -> Reception {
+        assert_eq!(packet.generation_size(), self.k);
+        assert_eq!(packet.payload_len(), self.payload_len);
+        match self.basis.insert(packet.into_row()) {
+            Insertion::Innovative => Reception::Innovative,
+            Insertion::Redundant => Reception::Redundant,
+        }
+    }
+
+    pub fn rank(&self) -> usize {
+        self.basis.rank()
+    }
+
+    pub fn is_complete(&self) -> bool {
+        self.basis.is_full()
+    }
+
+    pub fn would_help(&self, packet: &Packet<F>) -> bool {
+        self.basis.would_be_innovative(packet.coefficients())
+    }
+
+    /// The stored (eagerly reduced) rows — what [`scalar_emit`] recombines.
+    pub fn rows(&self) -> &[Vec<F>] {
+        self.basis.rows()
+    }
+
+    /// Scalar mirror of `Decoder::is_helpful_node`.
+    pub fn is_helped_by(&self, other: &ScalarDecoder<F>) -> bool {
+        other
+            .rows()
+            .iter()
+            .any(|row| self.basis.would_be_innovative(&row[..self.k]))
+    }
+
+    pub fn decode(&self) -> Option<Vec<Vec<F>>> {
+        self.basis.solution()
+    }
+}
+
+/// Scalar mirror of `Recoder::emit`: one uniform draw per stored row in
+/// insertion order (zeros included), accumulated in scalar arithmetic.
+/// Under a shared RNG state this must reproduce the packed emit byte for
+/// byte — including when the packed basis still has payload elimination
+/// pending and the emit forces a mid-stream flush.
+pub fn scalar_emit<F: SlabField>(
+    rows: &[Vec<F>],
+    k: usize,
+    r: usize,
+    rng: &mut StdRng,
+) -> Option<Packet<F>> {
+    if rows.is_empty() {
+        return None;
+    }
+    let mut acc = vec![F::ZERO; k + r];
+    for row in rows {
+        let c = F::random(rng);
+        if c.is_zero() {
+            continue;
+        }
+        for (a, &x) in acc.iter_mut().zip(row.iter()) {
+            *a += c * x;
+        }
+    }
+    let payload = acc.split_off(k);
+    Some(Packet::new(acc, payload))
+}
+
+#[test]
+fn scalar_basis_basics() {
+    use ag_gf::Gf256;
+    let mut b = ScalarBasis::<Gf256>::new(2);
+    assert_eq!(
+        b.insert(vec![Gf256::new(1), Gf256::new(1), Gf256::new(2)]),
+        Insertion::Innovative
+    );
+    assert_eq!(
+        b.insert(vec![Gf256::new(2), Gf256::new(2), Gf256::new(4)]),
+        Insertion::Redundant
+    );
+    assert_eq!(
+        b.insert(vec![Gf256::new(0), Gf256::new(1), Gf256::new(5)]),
+        Insertion::Innovative
+    );
+    assert!(b.is_full());
+    assert_eq!(
+        b.solution().unwrap(),
+        vec![vec![Gf256::new(7)], vec![Gf256::new(5)]]
+    );
 }

@@ -43,14 +43,21 @@ fn cases() -> u32 {
         .unwrap_or(24)
 }
 
+/// The lanes' protocol configuration: 2-symbol payloads, spread placement.
+fn ag_cfg(k: usize, comm: CommModel, growth: ArenaGrowth) -> AgConfig {
+    AgConfig::new(k)
+        .with_payload_len(2)
+        .with_comm_model(comm)
+        .with_placement(Placement::Spread)
+        .with_arena_growth(growth)
+}
+
 /// One full run, sharded (`shards = Some(s)`) or on the serial engine
 /// (`None`); returns stats, the hashed trace and the raw trace, and checks
 /// the decoded messages. Asserts pool balance at every round boundary.
 fn run_lane<F: SlabField + Send>(
     n: usize,
-    k: usize,
-    comm: CommModel,
-    growth: ArenaGrowth,
+    ag_cfg: &AgConfig,
     crashes: bool,
     cfg: EngineConfig,
     proto_seed: u64,
@@ -59,12 +66,7 @@ fn run_lane<F: SlabField + Send>(
     let mut graph_rng = StdRng::seed_from_u64(proto_seed);
     let graph = builders::erdos_renyi_connected(n, 0.4, &mut graph_rng)
         .unwrap_or_else(|_| builders::cycle(n.max(3)).unwrap());
-    let ag_cfg = AgConfig::new(k)
-        .with_payload_len(2)
-        .with_comm_model(comm)
-        .with_placement(Placement::Spread)
-        .with_arena_growth(growth);
-    let inner = AlgebraicGossip::<F>::new(&graph, &ag_cfg, proto_seed).expect("protocol");
+    let inner = AlgebraicGossip::<F>::new(&graph, ag_cfg, proto_seed).expect("protocol");
     let prewarm = inner.pool_prewarm();
     // Crash a deterministic fraction at staggered wakeups; survivors must
     // still account for every pooled buffer.
@@ -129,9 +131,10 @@ proptest! {
         if lossy {
             cfg = cfg.with_loss(0.2);
         }
+        let ag = ag_cfg(k, comm, ArenaGrowth::Chunked);
         let lane = |shards| {
             let run = if binary_field { run_lane::<Gf2> } else { run_lane::<Gf256> };
-            run(n, k, comm, ArenaGrowth::Chunked, crashes, cfg, seed ^ 0xA6, shards)
+            run(n, &ag, crashes, cfg, seed ^ 0xA6, shards)
         };
         let want = lane(None);
         for shards in [1usize, 3, 7] {
@@ -153,10 +156,10 @@ proptest! {
         shards in 1usize..5,
     ) {
         let cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
-        let chunked = run_lane::<Gf256>(
-            n, k, CommModel::Uniform, ArenaGrowth::Chunked, false, cfg, seed ^ 0xC4, Some(shards));
-        let prealloc = run_lane::<Gf256>(
-            n, k, CommModel::Uniform, ArenaGrowth::Preallocated, false, cfg, seed ^ 0xC4, Some(shards));
-        prop_assert_eq!(chunked, prealloc);
+        let lane = |growth| {
+            let ag = ag_cfg(k, CommModel::Uniform, growth);
+            run_lane::<Gf256>(n, &ag, false, cfg, seed ^ 0xC4, Some(shards))
+        };
+        prop_assert_eq!(lane(ArenaGrowth::Chunked), lane(ArenaGrowth::Preallocated));
     }
 }

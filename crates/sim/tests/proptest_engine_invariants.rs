@@ -86,7 +86,7 @@ impl Protocol for CountingFlood {
 fn random_graph(seed: u64, n: usize, regular: bool) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     if regular {
-        let d = if n % 2 == 0 { 3 } else { 4 };
+        let d = if n.is_multiple_of(2) { 3 } else { 4 };
         builders::random_regular(n, d, &mut rng)
             .unwrap_or_else(|_| builders::cycle(n.max(3)).unwrap())
     } else {
@@ -190,12 +190,12 @@ proptest! {
                 violations.push(format!("round went {prev_round} -> {round}"));
             }
             prev_round = round;
-            for v in 0..n_nodes {
+            for (v, prev) in prev_complete.iter_mut().enumerate() {
                 let now = p.node_complete(v);
-                if prev_complete[v] && !now {
+                if *prev && !now {
                     violations.push(format!("node {v} reverted at round {round}"));
                 }
-                prev_complete[v] = now;
+                *prev = now;
             }
         });
         prop_assert!(stats.completed);

@@ -154,9 +154,8 @@ mod tests {
             Ok(())
         }
         proptest! {
-            #[test]
-            fn inner(b in any::<bool>()) {
-                helper(b || !b)?;
+            fn inner(_b in any::<bool>()) {
+                helper(true)?;
             }
         }
         inner();
@@ -166,7 +165,6 @@ mod tests {
     #[should_panic(expected = "failed at case")]
     fn failing_property_panics() {
         proptest! {
-            #[test]
             fn always_fails(x in 0u64..10) {
                 prop_assert!(x > 100, "x was {}", x);
             }
