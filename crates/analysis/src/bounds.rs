@@ -1,4 +1,4 @@
-//! Closed-form bounds from the paper and from Haeupler [13].
+//! Closed-form bounds from the paper and from Haeupler \[13\].
 
 /// Theorem 1: uniform algebraic gossip stops in `O((k + log n + D)·Δ)`
 /// rounds w.h.p. (both time models). This evaluates the bound expression
@@ -41,7 +41,7 @@ pub fn lower_bound_rounds(k: usize, diameter: u32, synchronous: bool) -> f64 {
     }
 }
 
-/// Haeupler's bound `O(k/γ + log²n / λ)` [13], where `γ` is a min-cut
+/// Haeupler's bound `O(k/γ + log²n / λ)` \[13\], where `γ` is a min-cut
 /// measure and `λ` a conductance measure of the graph.
 ///
 /// # Panics

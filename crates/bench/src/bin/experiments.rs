@@ -1,7 +1,16 @@
-//! Runs the full experiment suite and rewrites `EXPERIMENTS.md`.
+//! The paper's experiments, one binary.
 //!
-//! Usage: `cargo run --release -p ag-bench --bin all_experiments [out.md]`
-//! (set `AG_BENCH_SCALE=full` for the larger committed configuration).
+//! ```text
+//! cargo run --release -p ag-bench --bin experiments -- <id>
+//! cargo run --release -p ag-bench --bin experiments -- all [out.md]
+//! ```
+//!
+//! The first form prints one experiment: ids are the module names under
+//! `experiments/`, and an unknown id lists them. The second runs the whole
+//! suite and rewrites `EXPERIMENTS.md`. Set `AG_BENCH_SCALE=full` for the
+//! larger configuration. `dynamic_fig` also reads `AG_CHURN_RATES`,
+//! `AG_CHURN_SEED` and `AG_CHURN_PERIOD`; CI runs it and `stopping_time`
+//! at quick scale as the suite's smoke tests.
 
 // Timing harness: wall-clock reads are this binary's job; the
 // workspace-wide ban exists for simulation code.
@@ -10,15 +19,30 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ag_bench::{all_reports, Scale};
+use ag_bench::{ExperimentReport, Scale, EXPERIMENTS};
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+    let mut args = std::env::args().skip(1);
+    let id = args.next().unwrap_or_default();
     let scale = Scale::from_env();
+    if id == "all" {
+        let out_path = args.next().unwrap_or_else(|| "EXPERIMENTS.md".to_string());
+        write_suite(scale, &out_path);
+    } else if let Some((_, run)) = EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+        run(scale).print();
+    } else {
+        eprintln!("usage: experiments all [out.md] | experiments <id>, with <id> one of:");
+        for (name, _) in EXPERIMENTS {
+            eprintln!("  {name}");
+        }
+        std::process::exit(2);
+    }
+}
+
+/// Runs every experiment and rewrites the Markdown report at `out_path`.
+fn write_suite(scale: Scale, out_path: &str) {
     let started = Instant::now();
-    let reports = all_reports(scale);
+    let reports: Vec<ExperimentReport> = EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect();
     let elapsed = started.elapsed();
 
     let mut md = String::new();
@@ -29,7 +53,7 @@ fn main() {
          Spreading Using Algebraic Gossip* (Avin, Borokhovich, Censor-Hillel,\n\
          Lotker — PODC 2011). Regenerate this file with:\n\n\
          ```\n\
-         AG_BENCH_SCALE={} cargo run --release -p ag-bench --bin all_experiments\n\
+         AG_BENCH_SCALE={} cargo run --release -p ag-bench --bin experiments -- all\n\
          ```\n\n\
          All runs are seeded and deterministic. Stopping times are medians of\n\
          repeated trials; \"bound\" columns evaluate the paper's expressions\n\
@@ -61,6 +85,6 @@ fn main() {
         let _ = writeln!(md, "## [{}] {}\n", r.id, r.title);
         let _ = writeln!(md, "{}", r.markdown);
     }
-    std::fs::write(&out_path, md).expect("write EXPERIMENTS.md");
+    std::fs::write(out_path, md).expect("write EXPERIMENTS.md");
     println!("wrote {out_path} in {:.1}s", elapsed.as_secs_f64());
 }

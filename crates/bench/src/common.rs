@@ -8,7 +8,7 @@ use algebraic_gossip::{ProtocolKind, RunSpec, TrialPlan};
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small sizes / few trials — the `cargo bench` configuration.
+    /// Small sizes / few trials — the default, and what CI smokes.
     Quick,
     /// The sizes used for the committed `EXPERIMENTS.md`.
     Full,
@@ -52,7 +52,7 @@ impl Scale {
 /// Markdown section for `EXPERIMENTS.md`.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
-    /// DESIGN.md §5 experiment id (e.g. "T1", "F1").
+    /// Report id as the EXPERIMENTS.md index lists it (e.g. "T1", "F1").
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,

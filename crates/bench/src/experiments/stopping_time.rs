@@ -295,7 +295,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
          The ring tracks its Δn bound (both linear); the barbell attains the\n\
          quadratic worst case; complete/random-regular show the Δn bound loose\n\
          by a factor ~n (measured slope ≈ 0). Scale these sweeps up with:\n\
-         AG_BENCH_SCALE=full cargo run --release -p ag-bench --bin fig_stopping_time",
+         AG_BENCH_SCALE=full cargo run --release -p ag-bench --bin experiments -- stopping_time",
         summary.render()
     );
     let _ = writeln!(

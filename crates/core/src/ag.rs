@@ -2,7 +2,7 @@
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, Topology};
-use ag_rlnc::{ArenaGrowth, DecoderShard, Generation};
+use ag_rlnc::{DecoderShard, Generation};
 use ag_sim::{
     Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard, ShardableProtocol,
     SyncRound,
@@ -43,12 +43,6 @@ pub struct AgConfig {
     /// the interval makes the protocol constructors return
     /// [`GraphError::InvalidSize`].
     pub coding_density: f64,
-    /// How the decoder arena provisions per-node row storage. The default
-    /// [`ArenaGrowth::Chunked`] allocates rows as rank grows (bit-identical
-    /// trajectories, far less memory at large `n`);
-    /// [`ArenaGrowth::Preallocated`] reserves everything up front for
-    /// strictly allocation-free steady-state rounds.
-    pub arena_growth: ArenaGrowth,
 }
 
 impl AgConfig {
@@ -63,7 +57,6 @@ impl AgConfig {
             action: Action::Exchange,
             placement: Placement::Spread,
             coding_density: 1.0,
-            arena_growth: ArenaGrowth::default(),
         }
     }
 
@@ -109,13 +102,6 @@ impl AgConfig {
         self.coding_density = density;
         self
     }
-
-    /// Sets the decoder-arena growth policy (builder-style).
-    #[must_use]
-    pub fn with_arena_growth(mut self, growth: ArenaGrowth) -> Self {
-        self.arena_growth = growth;
-        self
-    }
 }
 
 /// The algebraic gossip protocol of Section 3.
@@ -138,11 +124,11 @@ impl AgConfig {
 /// All `n` decoders live in one simulation-owned [`ag_rlnc::DecoderArena`]
 /// and outgoing messages cycle through an [`ag_rlnc::RowPool`] — the RLNC
 /// wiring this protocol shares with [`crate::Tag`] and [`crate::TreeAg`] —
-/// so the engine's steady-state round loop performs **zero** per-message
-/// heap allocation, the property `tests/alloc_audit.rs` pins with a
-/// counting allocator on a 1 KiB-payload run. The
-/// golden-trajectory hashes pin the per-round results of all three
-/// protocols end to end.
+/// so the engine's round loop performs **zero** per-message heap
+/// allocation: a node's row storage grows with its rank and nothing else
+/// allocates, which `tests/alloc_audit.rs` bounds round by round with a
+/// counting allocator on a 1 KiB-payload run. The golden-trajectory hashes
+/// pin the per-round results of all three protocols end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.
 #[derive(Debug, Clone)]
@@ -299,14 +285,6 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     pub fn pool_prewarm(&self) -> usize {
         self.nodes.pool_prewarm
     }
-
-    /// Heap bytes currently committed by the decoder arena — the
-    /// memory-model measurement the sharding bench records (bytes/node
-    /// under [`ArenaGrowth::Chunked`] vs the preallocated ceiling).
-    #[must_use]
-    pub fn arena_allocated_bytes(&self) -> usize {
-        self.nodes.decoders.allocated_bytes()
-    }
 }
 
 impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
@@ -372,7 +350,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     }
 }
 
-/// One shard of [`AlgebraicGossip`] for the sharded engine: a
+/// One shard of [`AlgebraicGossip`] for the engine's fan-out: a
 /// [`DecoderShard`] over a contiguous node range plus a *stash* of message
 /// buffers pre-drawn from the protocol's [`ag_rlnc::RowPool`] on the main thread
 /// (the pool is `Rc`-based and must never cross threads).
@@ -420,10 +398,6 @@ impl<F: SlabField + Send> ProtocolShard for AgShard<'_, F> {
 
     fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, mut msg: Vec<u8>) {
         let _ = self.dec.receive_packed_mut(to, &mut msg);
-        self.residue.push(msg);
-    }
-
-    fn discard(&mut self, msg: Vec<u8>) {
         self.residue.push(msg);
     }
 

@@ -87,7 +87,7 @@ impl<F: SlabField> CodedNodes<F> {
         let mut rng = StdRng::seed_from_u64(seed);
         let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
         let hosts = cfg.placement.assign(n, cfg.k, &mut rng);
-        let mut decoders = DecoderArena::with_growth(n, cfg.k, cfg.payload_len, cfg.arena_growth);
+        let mut decoders = DecoderArena::new(n, cfg.k, cfg.payload_len);
         for (msg, &host) in hosts.iter().enumerate() {
             decoders.seed_message(host, &generation, msg);
         }

@@ -5,16 +5,18 @@
 //! any `k` independent equations suffice, no matter which nodes vanish.
 //! [`WithCrashes`] wraps any [`Protocol`]: crashed nodes stop initiating
 //! contacts, stop responding, and drop incoming messages. Completion is
-//! then defined over the *surviving* nodes.
+//! then defined over the *surviving* nodes. The wrapper keeps
+//! [`Protocol`]'s default bulk hooks, so a wrapped run always takes the
+//! engine's inline round, through the `compose` and `deliver` below.
 //!
 //! Note that survivors can only finish if the initial messages remain
 //! collectively reachable: if every holder of some message crashes before
 //! forwarding anything, that message is lost — exactly the real-world
-//! failure mode, and the `fig_ablation` experiment quantifies when coding
+//! failure mode, and the `ablation` experiment quantifies when coding
 //! has already spread enough redundancy to survive it.
 
 use ag_graph::NodeId;
-use ag_sim::{ContactIntent, Protocol, ProtocolShard, ShardableProtocol};
+use ag_sim::{ContactIntent, Protocol};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,68 +212,6 @@ impl<P: Protocol> Protocol for WithCrashes<P> {
     fn node_complete(&self, node: NodeId) -> bool {
         // Completion is over the survivors: crashed nodes are excused.
         self.crashed[node] || self.inner.node_complete(node)
-    }
-}
-
-/// One shard of [`WithCrashes`]: the inner protocol's shard plus a shared
-/// view of the crash flags. The flags only change inside `on_wakeup`,
-/// which the sharded engine runs serially before any shard exists, so a
-/// round's shards all see one consistent generation of deaths — exactly
-/// the serial wrapper's semantics.
-pub struct CrashShard<'a, S> {
-    inner: S,
-    crashed: &'a [bool],
-}
-
-impl<S: ProtocolShard> ProtocolShard for CrashShard<'_, S> {
-    type Msg = S::Msg;
-
-    fn compose(&mut self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<S::Msg> {
-        if self.crashed[from] {
-            // A dead node does not respond — and draws no randomness,
-            // matching the serial wrapper. The inner shard keeps its
-            // stash buffer; it returns to the pool with the residue.
-            return None;
-        }
-        self.inner.compose(from, to, tag, rng)
-    }
-
-    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: S::Msg) {
-        if self.crashed[to] {
-            // Dropped through the inner shard's discard so pooled buffers
-            // still flow back (see the serial wrapper's `deliver`).
-            self.inner.discard(msg);
-            return;
-        }
-        self.inner.deliver(from, to, tag, msg);
-    }
-
-    fn discard(&mut self, msg: S::Msg) {
-        self.inner.discard(msg);
-    }
-
-    fn into_residue(self) -> Vec<S::Msg> {
-        self.inner.into_residue()
-    }
-}
-
-impl<P: ShardableProtocol> ShardableProtocol for WithCrashes<P> {
-    type Shard<'a>
-        = CrashShard<'a, P::Shard<'a>>
-    where
-        Self: 'a;
-
-    fn make_shards(
-        &mut self,
-        bounds: &[(usize, usize)],
-        send_counts: &[usize],
-    ) -> Vec<CrashShard<'_, P::Shard<'_>>> {
-        let crashed = &self.crashed;
-        self.inner
-            .make_shards(bounds, send_counts)
-            .into_iter()
-            .map(|inner| CrashShard { inner, crashed })
-            .collect()
     }
 }
 

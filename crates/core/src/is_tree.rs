@@ -15,7 +15,8 @@
 //! protocol's internal list machinery, so it does **not** attain the
 //! polylog bound on low-conductance graphs (it is Θ(n) on the barbell, like
 //! any uniform-ish neighbor rule). The oracle in [`crate::OracleTree`]
-//! stands in for the exact bound; experiments report both. See DESIGN.md §4.
+//! stands in for the exact bound; experiments report both (T1.5 in the
+//! EXPERIMENTS.md index).
 
 use ag_graph::{Graph, GraphError, NodeId};
 use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector};

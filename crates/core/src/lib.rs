@@ -70,11 +70,10 @@ mod tree_ag;
 mod tree_protocol;
 
 pub use ag::{AgConfig, AgShard, AlgebraicGossip};
-pub use ag_rlnc::ArenaGrowth;
 pub use ag_sim::{Action, CommModel, TimeModel};
 pub use baseline::{RandomMessageGossip, RawMsg};
 pub use broadcast::BroadcastTree;
-pub use crash::{CrashPlan, CrashShard, WithCrashes};
+pub use crash::{CrashPlan, WithCrashes};
 pub use is_tree::{HeardSet, IsTree};
 pub use oracle::OracleTree;
 pub use placement::Placement;

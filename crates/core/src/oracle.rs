@@ -4,10 +4,11 @@
 //! Theorems 7 and 8 use the IS protocol *only as a black box* that
 //! delivers a spanning tree within `O(c((log n + log δ⁻¹)/Φ_c + c))`
 //! rounds. Reimplementing the full SODA'11 protocol is out of scope (see
-//! DESIGN.md §4); instead [`OracleTree`] delivers a BFS spanning tree after
-//! a configurable number of per-node wakeups — set to the theorem's bound
-//! for the family under test — so the *TAG side* of Theorems 7/8 is
-//! exercised exactly. The honest facsimile lives in [`crate::IsTree`].
+//! T1.5 in the EXPERIMENTS.md index); instead [`OracleTree`] delivers a BFS
+//! spanning tree after a configurable number of per-node wakeups — set to
+//! the theorem's bound for the family under test — so the *TAG side* of
+//! Theorems 7/8 is exercised exactly. The honest facsimile lives in
+//! [`crate::IsTree`].
 
 use ag_graph::{Graph, GraphError, NodeId};
 use ag_sim::ContactIntent;

@@ -35,7 +35,7 @@ pub enum ProtocolKind {
     /// TAG with the IS-style bitstring tree protocol (Section 6 facsimile).
     TagIs(NodeId),
     /// TAG with the oracle tree revealing after the given per-node wakeup
-    /// count (the [5]-bound stand-in; Theorems 7/8).
+    /// count (the \[5\]-bound stand-in; Theorems 7/8).
     TagOracle(NodeId, u64),
     /// The uncoded store-and-forward baseline (random message selection) —
     /// the comparator that quantifies the coding gain.
@@ -88,7 +88,9 @@ impl RunSpec {
 ///
 /// # Errors
 ///
-/// Propagates construction errors (disconnected graph, bad root, `k = 0`).
+/// Propagates construction errors (disconnected graph, bad root, `k = 0`)
+/// and returns [`GraphError::InvalidSize`] if `spec.engine.loss_prob` is
+/// outside `[0, 1]`.
 ///
 /// # Panics
 ///
@@ -98,6 +100,12 @@ pub fn run_protocol<F: SlabField>(
     graph: &Graph,
     spec: &RunSpec,
 ) -> Result<(RunStats, bool), GraphError> {
+    // `loss_prob` is a public field; `Engine::new` would panic on it.
+    if !(0.0..=1.0).contains(&spec.engine.loss_prob) {
+        return Err(GraphError::InvalidSize(
+            "loss probability must be in [0, 1]".into(),
+        ));
+    }
     let mut engine = Engine::new(spec.engine);
     match spec.kind {
         ProtocolKind::UniformAg => {
@@ -260,6 +268,30 @@ mod tests {
         let (stats, ok) = run_protocol::<Gf256>(&g, &spec).unwrap();
         assert!(!stats.completed);
         assert!(!ok);
+    }
+
+    /// `EngineConfig::loss_prob` is a public field, so a value `with_loss`
+    /// would have refused can still reach an engine: 1.5 used to panic
+    /// inside `gen_bool` on the first message, NaN and negatives to run
+    /// lossless without a word.
+    #[test]
+    fn out_of_range_loss_prob_is_refused_where_the_config_enters() {
+        let g = builders::cycle(6).unwrap();
+        for loss_prob in [f64::NAN, -0.1, 1.5] {
+            let mut spec = RunSpec::new(ProtocolKind::UniformAg, 3).with_seed(1);
+            spec.engine.loss_prob = loss_prob;
+            assert_eq!(
+                run_protocol::<Gf256>(&g, &spec),
+                Err(GraphError::InvalidSize(
+                    "loss probability must be in [0, 1]".into()
+                )),
+                "run_protocol, loss {loss_prob}"
+            );
+            assert!(
+                std::panic::catch_unwind(|| Engine::new(spec.engine)).is_err(),
+                "Engine::new, loss {loss_prob}"
+            );
+        }
     }
 
     #[test]

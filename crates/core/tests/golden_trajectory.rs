@@ -16,15 +16,15 @@
 
 use ag_gf::Gf256;
 use ag_graph::builders;
-use ag_sim::{CommModel, Engine, EngineConfig, ShardedEngine, TrajectoryHash};
+use ag_sim::{CommModel, Engine, EngineConfig, TrajectoryHash};
 use algebraic_gossip::{
     AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind, RandomMessageGossip,
     RunSpec, Tag, TreeAg, TrialPlan,
 };
 
 /// Pinned hash of the UniformAg rank trajectory for the run below: one
-/// value for the serial [`Engine`] and for [`ShardedEngine`] at every
-/// shard count and thread count (CI re-runs this file under
+/// value for the inline round and for the fan-out forced over every shard
+/// count, at every thread count (CI re-runs this file under
 /// `RAYON_NUM_THREADS=1` and `=4`).
 const GOLDEN_SHARDED_AG_TRAJECTORY: u64 = 0xC2B0_ECC9_946E_1A35;
 /// Pinned hash of the UncodedRandom holdings trajectory for the run below.
@@ -37,19 +37,25 @@ const GOLDEN_TAG_ASYNC_TRAJECTORY: u64 = 0x5224_9EE2_CFBD_7B5D;
 const GOLDEN_TREE_AG_TRAJECTORY: u64 = 0xBC79_2DE0_03D1_CB50;
 
 /// One AG protocol: uniform algebraic gossip over GF(256) on a 4×4 grid,
-/// k = 8 with payloads, synchronous rounds, all seeds fixed.
-fn ag_trajectory() -> (u64, bool) {
+/// k = 8 with payloads, synchronous rounds, all seeds fixed. `shards`
+/// forces every round through the fan-out over that many shards; `None`
+/// leaves the engine to its own rule, which keeps a run this small inline.
+fn ag_trajectory(shards: Option<usize>) -> (u64, bool) {
     let g = builders::grid(4, 4).expect("grid");
     let cfg = AgConfig::new(8)
         .with_payload_len(4)
         .with_placement(Placement::Spread);
     let mut proto = AlgebraicGossip::<Gf256>::new(&g, &cfg, 0xA11CE).expect("protocol");
     let mut hash = TrajectoryHash::new();
-    let stats = Engine::new(EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000))
-        .run_observed(&mut proto, |round, p| {
-            hash.observe(round);
-            hash.observe(p.total_rank() as u64);
-        });
+    let engine = Engine::new(EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000));
+    let stats = match shards {
+        Some(s) => engine.with_forced_shards(s),
+        None => engine,
+    }
+    .run_observed(&mut proto, |round, p| {
+        hash.observe(round);
+        hash.observe(p.total_rank() as u64);
+    });
     assert!(stats.completed, "golden AG run must complete");
     // Completed runs must also decode correctly — a hash collision can in
     // principle hide a wrong trajectory, but not wrong decoded bytes too.
@@ -74,33 +80,6 @@ fn baseline_trajectory() -> (u64, bool) {
             let held: u64 = (0..16).map(|v| p.held(v) as u64).sum();
             hash.observe(held);
         });
-    (hash.finish(), stats.completed)
-}
-
-/// The same protocol, config and seeds as [`ag_trajectory`], driven by the
-/// sharded engine with the given shard count.
-fn sharded_ag_trajectory(shards: usize) -> (u64, bool) {
-    let g = builders::grid(4, 4).expect("grid");
-    let cfg = AgConfig::new(8)
-        .with_payload_len(4)
-        .with_placement(Placement::Spread);
-    let mut proto = AlgebraicGossip::<Gf256>::new(&g, &cfg, 0xA11CE).expect("protocol");
-    let mut hash = TrajectoryHash::new();
-    let stats = ShardedEngine::new(
-        EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000),
-        shards,
-    )
-    .run_observed(&mut proto, |round, p| {
-        hash.observe(round);
-        hash.observe(p.total_rank() as u64);
-    });
-    assert!(stats.completed, "golden sharded AG run must complete");
-    for v in 0..g.n() {
-        assert_eq!(
-            proto.decoded(v).expect("complete node decodes"),
-            proto.generation().messages()
-        );
-    }
     (hash.finish(), stats.completed)
 }
 
@@ -176,12 +155,12 @@ fn golden_tag_and_tree_ag_trajectories_are_pinned() {
 
 #[test]
 fn golden_ag_rank_trajectory_is_pinned() {
-    let (hash, completed) = ag_trajectory();
+    let (hash, completed) = ag_trajectory(None);
     assert!(completed);
     assert_eq!(
         hash, GOLDEN_SHARDED_AG_TRAJECTORY,
         "UniformAg per-round rank trajectory changed: got {hash:#018X} — \
-         the serial engine no longer matches the sharded pin"
+         the inline round no longer matches the sharded pin"
     );
 }
 
@@ -198,10 +177,10 @@ fn golden_baseline_trajectory_is_pinned() {
 #[test]
 fn golden_sharded_trajectory_is_pinned_at_every_shard_count() {
     // Every shard count (including more shards than would ever be useful
-    // at n = 16) must reproduce the serial engine's pinned value
+    // at n = 16) must reproduce the inline round's pinned value
     // bit-for-bit — the determinism contract, pinned.
     for shards in [1usize, 2, 4, 16] {
-        let (hash, completed) = sharded_ag_trajectory(shards);
+        let (hash, completed) = ag_trajectory(Some(shards));
         assert!(completed);
         assert_eq!(
             hash, GOLDEN_SHARDED_AG_TRAJECTORY,
@@ -215,7 +194,7 @@ fn golden_sharded_trajectory_is_pinned_at_every_shard_count() {
 fn golden_runs_are_rerun_stable() {
     // The same seeds twice in one process (warm field tables) must agree —
     // separates "tables depend on init order" bugs from genuine pin breaks.
-    assert_eq!(ag_trajectory(), ag_trajectory());
+    assert_eq!(ag_trajectory(None), ag_trajectory(None));
     assert_eq!(baseline_trajectory(), baseline_trajectory());
 }
 

@@ -16,7 +16,7 @@
 //! * [`SlabField`] — bulk row arithmetic over packed byte slabs (the
 //!   [`slab`] module), which is what the decoder and recoder hot paths use,
 //! * three bit-identical GF(2⁸)/GF(2⁴) kernel modules behind it — the
-//!   product-table path ([`reference`]), portable SWAR split-nibble `u64`
+//!   product-table path ([`mod@reference`]), portable SWAR split-nibble `u64`
 //!   kernels ([`wide`]) and runtime-detected x86-64 SIMD
 //!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the row length
 //!   and the CPU by the one rule in [`kernel`].

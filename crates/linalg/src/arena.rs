@@ -4,26 +4,23 @@
 //! its own growing [`EchelonBasis`](crate::EchelonBasis) means `n`
 //! independently reallocating `Vec`s with no shared discipline — fine at
 //! experiment scale, but an allocation storm at `n = 10⁵`. [`BasisArena`]
-//! owns every node's rows behind one type with two growth policies
-//! ([`ArenaGrowth`]):
-//!
-//! - [`ArenaGrowth::Chunked`] (the default): each node starts empty and its
-//!   coefficient/payload/log storage grows in geometric chunks as its rank
-//!   actually grows, capped at the full-rank footprint. Most nodes sit far
-//!   below full rank for most of a run, so the arena's resident footprint
-//!   tracks `Σ rank(v)` instead of `n · pivot_width` — the difference
-//!   between n = 10⁵ and n = 10⁶ fitting in memory. Rank-only runs
-//!   (`row_elems == pivot_width`) skip the elimination log entirely: it
-//!   would never be replayed.
-//! - [`ArenaGrowth::Preallocated`]: every node reserves its full-rank
-//!   capacity up front, so inserting rows performs **zero heap allocation**
-//!   after construction — the policy the counting-allocator audits pin.
+//! owns every node's rows behind one type, and stores what the paper's
+//! node stores: the equations received so far. Each node starts empty and
+//! its coefficient/payload/log storage grows in geometric chunks as its
+//! rank actually grows, capped at the full-rank footprint, so a node
+//! allocates `O(log k)` times over a whole run and never once its rank
+//! has stopped growing. Most nodes sit far below full rank for most of a
+//! run, so the arena's resident footprint tracks `Σ rank(v)` instead of
+//! `n · pivot_width` — the difference between n = 10⁵ and n = 10⁶ fitting
+//! in memory. Rank-only runs (`row_elems == pivot_width`) skip the
+//! elimination log entirely: it would never be replayed.
 //!
 //! Each node is the same crate-private store (the `node` module: an
 //! eagerly reduced coefficient slab, raw payload tails and an elimination
 //! log replayed on demand) that an [`EchelonBasis`](crate::EchelonBasis)
-//! wraps one of. The arena adds indexing, the growth policy and one scratch
-//! set shared by all nodes; there is no second elimination, so an arena
+//! wraps one of. The arena adds indexing and one scratch set shared by all
+//! nodes, reserved at its full-rank size at construction (per arena, not
+//! per node); there is no second elimination, so an arena
 //! node and an owned basis cannot diverge. What the differential suites in
 //! `ag-rlnc` pin is that one implementation against an eager scalar oracle
 //! kept in their test code.
@@ -56,21 +53,7 @@ use ag_gf::SlabField;
 
 use crate::node::{Dims, Insertion, NodeBasis, Scratch};
 
-/// How a [`BasisArena`] provisions per-node row storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ArenaGrowth {
-    /// Rank-bounded growth: storage is reserved in geometric chunks as a
-    /// node's rank grows, capped at the full-rank footprint. Inserts that
-    /// cross a chunk boundary allocate; resident memory tracks actual
-    /// ranks.
-    #[default]
-    Chunked,
-    /// Full-rank capacity reserved per node at construction: inserts never
-    /// allocate. The policy for allocation-audited runs.
-    Preallocated,
-}
-
-/// Typed sizing failures from [`BasisArena::try_with_growth`].
+/// Typed sizing failures from [`BasisArena::try_new`].
 ///
 /// The capacity math (`nodes · pivot_width · row_elems · SYMBOL_BYTES`
 /// plus the `pivot_width²` log) runs through `checked_mul`, so impossible
@@ -123,8 +106,9 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// All of a simulation's echelon bases, rank-bounded per node — see the
-/// [module docs](self).
+/// All of a simulation's echelon bases, rank-bounded per node: each node's
+/// storage grows in geometric chunks as its rank grows, capped at the
+/// full-rank footprint.
 ///
 /// Unlike [`EchelonBasis`](crate::EchelonBasis), whose row length is
 /// learned from the first inserted row, an arena fixes `row_elems`
@@ -133,7 +117,7 @@ impl std::error::Error for ArenaError {}
 /// conditions, so the arena asserts rather than returning typed errors —
 /// the decoder layer above re-checks shapes where untrusted input enters.
 /// *Sizing* failures, in contrast, are data-dependent (they scale with
-/// `n`), so [`BasisArena::try_with_growth`] reports them as [`ArenaError`].
+/// `n`), so [`BasisArena::try_new`] reports them as [`ArenaError`].
 #[derive(Debug, Clone)]
 pub struct BasisArena<F> {
     /// Per-node bases; shards take disjoint `&mut` slices of this.
@@ -151,55 +135,35 @@ pub struct BasisArena<F> {
 
 impl<F: SlabField> BasisArena<F> {
     /// Creates an arena of `nodes` empty bases with `pivot_width` leading
-    /// coefficients and `row_elems` total symbols per row, growing storage
-    /// in rank-bounded chunks ([`ArenaGrowth::Chunked`]).
+    /// coefficients and `row_elems` total symbols per row.
     ///
     /// # Panics
     ///
     /// Panics if `pivot_width == 0`, `row_elems < pivot_width`, or the
-    /// full-rank capacity math fails (see [`BasisArena::try_with_growth`]
-    /// for the non-panicking form).
+    /// full-rank capacity math fails (see [`BasisArena::try_new`] for the
+    /// non-panicking form).
     #[must_use]
     pub fn new(nodes: usize, pivot_width: usize, row_elems: usize) -> Self {
-        Self::with_growth(nodes, pivot_width, row_elems, ArenaGrowth::default())
-    }
-
-    /// [`BasisArena::new`] with an explicit [`ArenaGrowth`] policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape violations and on [`ArenaError`].
-    #[must_use]
-    pub fn with_growth(
-        nodes: usize,
-        pivot_width: usize,
-        row_elems: usize,
-        growth: ArenaGrowth,
-    ) -> Self {
-        match Self::try_with_growth(nodes, pivot_width, row_elems, growth) {
+        match Self::try_new(nodes, pivot_width, row_elems) {
             Ok(arena) => arena,
             // ag-lint: allow(panic-policy) — documented panicking wrapper;
-            // try_with_growth is the typed-error twin.
+            // try_new is the typed-error twin.
             Err(e) => panic!("{e}"),
         }
     }
 
     /// Fallible constructor: checks the full-rank capacity math with
     /// `checked_mul` (returning [`ArenaError::CapacityOverflow`] with the
-    /// exact byte count) and, under [`ArenaGrowth::Preallocated`], reserves
-    /// every node's storage and the shared scratch via `try_reserve`
-    /// (returning [`ArenaError::AllocationFailure`] instead of aborting).
+    /// exact byte count) and reserves the node table and the shared scratch
+    /// via `try_reserve` (returning [`ArenaError::AllocationFailure`]
+    /// instead of aborting). Per-node rows are not reserved: they grow with
+    /// each node's rank.
     ///
     /// # Panics
     ///
     /// Panics if `pivot_width == 0` or `row_elems < pivot_width` — shape
     /// bugs, not sizing conditions.
-    pub fn try_with_growth(
-        nodes: usize,
-        pivot_width: usize,
-        row_elems: usize,
-        growth: ArenaGrowth,
-    ) -> Result<Self, ArenaError> {
+    pub fn try_new(nodes: usize, pivot_width: usize, row_elems: usize) -> Result<Self, ArenaError> {
         assert!(pivot_width > 0, "pivot width must be positive");
         assert!(
             row_elems >= pivot_width,
@@ -235,25 +199,17 @@ impl<F: SlabField> BasisArena<F> {
             .try_reserve_exact(nodes)
             .map_err(|_| refused(nodes.saturating_mul(std::mem::size_of::<NodeBasis>())))?;
         cells.resize_with(nodes, NodeBasis::default);
-        let mut arena = BasisArena {
+        let mut scratch = Scratch::default();
+        scratch
+            .try_preallocate::<F>(Dims::new::<F>(pivot_width, row_elems))
+            .map_err(refused)?;
+        Ok(BasisArena {
             nodes: cells,
             pivot_width,
             row_elems,
-            scratch: RefCell::default(),
+            scratch: RefCell::new(scratch),
             _field: PhantomData,
-        };
-        if growth == ArenaGrowth::Preallocated {
-            let dims = arena.dims();
-            for node in &mut arena.nodes {
-                node.try_preallocate::<F>(dims).map_err(refused)?;
-            }
-            arena
-                .scratch
-                .get_mut()
-                .try_preallocate::<F>(dims)
-                .map_err(refused)?;
-        }
-        Ok(arena)
+        })
     }
 
     #[inline]
@@ -524,19 +480,14 @@ mod tests {
     }
 
     /// The two views of the one store: an arena node (row length fixed up
-    /// front, either growth policy, shared scratch) and a standalone
+    /// front, shared scratch) and a standalone
     /// `EchelonBasis` (row length learned, own scratch) fed the same
     /// stream agree on verdicts, ranks, stored rows, and solutions.
-    fn differential_vs_echelon<F: SlabField>(
-        seed: u64,
-        k: usize,
-        tail: usize,
-        growth: ArenaGrowth,
-    ) {
+    fn differential_vs_echelon<F: SlabField>(seed: u64, k: usize, tail: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         let nodes = 3;
         let elems = k + tail;
-        let mut arena = BasisArena::<F>::with_growth(nodes, k, elems, growth);
+        let mut arena = BasisArena::<F>::new(nodes, k, elems);
         let mut bases: Vec<EchelonBasis<F>> = (0..nodes).map(|_| EchelonBasis::new(k)).collect();
         for _ in 0..6 * k {
             let node = rng.gen_range(0..nodes);
@@ -569,8 +520,7 @@ mod tests {
     #[test]
     fn arena_matches_echelon_gf256() {
         for seed in 0..4 {
-            differential_vs_echelon::<Gf256>(seed, 6, 3, ArenaGrowth::Chunked);
-            differential_vs_echelon::<Gf256>(seed, 6, 3, ArenaGrowth::Preallocated);
+            differential_vs_echelon::<Gf256>(seed, 6, 3);
         }
     }
 
@@ -579,43 +529,7 @@ mod tests {
         // GF(2) produces many redundant rows — exercises the annihilation
         // path heavily.
         for seed in 0..4 {
-            differential_vs_echelon::<Gf2>(seed, 8, 2, ArenaGrowth::Chunked);
-            differential_vs_echelon::<Gf2>(seed, 8, 2, ArenaGrowth::Preallocated);
-        }
-    }
-
-    /// The two growth policies are the same arena, byte for byte: only
-    /// capacity provisioning differs, never verdicts, rows or solutions.
-    #[test]
-    fn chunked_and_preallocated_are_bit_identical() {
-        let k = 7;
-        let r = 5;
-        for seed in 0..4u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-            let mut chunked = BasisArena::<Gf256>::with_growth(2, k, k + r, ArenaGrowth::Chunked);
-            let mut prealloc =
-                BasisArena::<Gf256>::with_growth(2, k, k + r, ArenaGrowth::Preallocated);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            for _ in 0..8 * k {
-                let node = rng.gen_range(0..2);
-                let row = random_row::<Gf256>(&mut rng, k + r);
-                assert_eq!(
-                    chunked.insert_packed_slice(node, &row),
-                    prealloc.insert_packed_slice(node, &row)
-                );
-                assert_eq!(chunked.rank(node), prealloc.rank(node));
-            }
-            for node in 0..2 {
-                for i in 0..chunked.rank(node) {
-                    chunked.copy_packed_row_into(node, i, &mut a);
-                    prealloc.copy_packed_row_into(node, i, &mut b);
-                    assert_eq!(a, b, "stored rows diverged across growth policies");
-                }
-                assert_eq!(chunked.solution(node), prealloc.solution(node));
-            }
-            // Chunked growth stays within the preallocated footprint.
-            assert!(chunked.allocated_bytes() <= prealloc.allocated_bytes());
+            differential_vs_echelon::<Gf2>(seed, 8, 2);
         }
     }
 
@@ -674,8 +588,7 @@ mod tests {
 
     #[test]
     fn capacity_overflow_is_typed_and_reports_bytes() {
-        let err = BasisArena::<Gf256>::try_with_growth(usize::MAX / 4, 8, 16, ArenaGrowth::Chunked)
-            .expect_err("must overflow");
+        let err = BasisArena::<Gf256>::try_new(usize::MAX / 4, 8, 16).expect_err("must overflow");
         assert!(matches!(err, ArenaError::CapacityOverflow { .. }));
         let msg = err.to_string();
         assert!(msg.contains("bytes"), "byte count missing from: {msg}");
@@ -687,18 +600,36 @@ mod tests {
         );
     }
 
+    /// Storage is rank-bounded: a node holds nothing before its first row,
+    /// never reserves past its full-rank footprint, and stops growing once
+    /// its rank does.
     #[test]
-    fn preallocated_inserts_do_not_grow_allocated_bytes() {
+    fn node_storage_grows_with_rank_and_stops_at_the_full_rank_footprint() {
         let mut rng = StdRng::seed_from_u64(3);
-        let k = 6;
-        let mut arena = BasisArena::<Gf256>::with_growth(2, k, k + 4, ArenaGrowth::Preallocated);
-        let before = arena.allocated_bytes();
+        let (k, r) = (6, 4);
+        let mut arena = BasisArena::<Gf256>::new(2, k, k + r);
+        let headers = arena.allocated_bytes();
+        assert_eq!(headers, 2 * std::mem::size_of::<NodeBasis>());
+        // Coefficients, payload, elimination log, pivot map.
+        let full_rank = k * k + k * r + k * k + k * std::mem::size_of::<usize>();
+        let mut last = headers;
         while !arena.is_full(0) || !arena.is_full(1) {
             let node = rng.gen_range(0..2);
-            let row = random_row::<Gf256>(&mut rng, k + 4);
-            arena.insert_packed_slice(node, &row);
+            let row = random_row::<Gf256>(&mut rng, k + r);
+            let grew = arena.insert_packed_slice(node, &row).is_innovative();
+            let now = arena.allocated_bytes();
+            assert!(
+                now >= last && (grew || now == last),
+                "redundant insert grew storage"
+            );
+            last = now;
         }
-        assert_eq!(arena.allocated_bytes(), before);
+        assert_eq!(last, headers + 2 * full_rank);
+        for node in 0..2 {
+            let row = random_row::<Gf256>(&mut rng, k + r);
+            assert_eq!(arena.insert_packed_slice(node, &row), Insertion::Redundant);
+        }
+        assert_eq!(arena.allocated_bytes(), last);
     }
 
     #[test]

@@ -361,8 +361,7 @@ const MIN_CHUNK_BYTES: usize = 64;
 
 /// Grows `vec`'s capacity to hold `needed` bytes, reserving geometrically
 /// (at least doubling, at least [`MIN_CHUNK_BYTES`]) but never past the
-/// `full`-rank footprint. No-op when capacity already suffices — which is
-/// always, once [`NodeBasis::try_preallocate`] has run.
+/// `full`-rank footprint. No-op when capacity already suffices.
 fn reserve_chunked(vec: &mut Vec<u8>, needed: usize, full: usize) {
     debug_assert!(needed <= full, "rank-bounded growth exceeded full rank");
     if vec.capacity() >= needed {
@@ -404,9 +403,10 @@ impl Scratch {
     /// Reserves every buffer at its full-rank footprint. The row-indexed
     /// multiplier buffers grow with the highest rank seen so far, which
     /// crosses `Vec` capacity thresholds mid-run — reserving them (and the
-    /// blocked-replay panels) up front is what keeps rounds past warm-up
-    /// allocation-free, not just the per-node slabs. `Err` carries the
-    /// size in bytes of the reservation the allocator refused.
+    /// blocked-replay panels) up front, once per arena, leaves rank growth
+    /// of a node's own slabs as the only thing an insert or a read can
+    /// allocate for. `Err` carries the size in bytes of the reservation
+    /// the allocator refused.
     pub(crate) fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), usize> {
         let k = d.pivot_width;
         let sb = F::SYMBOL_BYTES;
@@ -439,8 +439,9 @@ pub(crate) struct Tails {
 /// One node's basis: reduced coefficient rows, raw payload tails, and the
 /// elimination log that materializes them on demand. All slabs are exactly
 /// `rank` rows long (the log holds `rank` events). Storage grows in
-/// rank-bounded geometric chunks unless [`NodeBasis::try_preallocate`]
-/// reserved the full-rank footprint first.
+/// rank-bounded geometric chunks: four growable slabs (`pivot_cols`,
+/// `coeff`, `pay`, `log`), each reallocated `O(log k)` times on the way to
+/// full rank and never by an insert that gains no rank.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeBasis {
     /// Row-indexed pivot map: stored row `i` has pivot column
@@ -474,19 +475,6 @@ impl NodeBasis {
             + tails.pay.capacity()
             + tails.log.capacity()
             + self.pivot_cols.capacity() * std::mem::size_of::<usize>()
-    }
-
-    /// Reserves the full-rank footprint, so later inserts never allocate.
-    /// `Err` carries the size in bytes of the refused reservation.
-    pub(crate) fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), usize> {
-        let k = d.pivot_width;
-        let tails = self.tails.get_mut();
-        try_reserve(&mut self.coeff, k * d.kb)?;
-        try_reserve(&mut tails.pay, k * d.pb)?;
-        if d.pb > 0 {
-            try_reserve(&mut tails.log, k * k * F::SYMBOL_BYTES)?;
-        }
-        try_reserve(&mut self.pivot_cols, k)
     }
 
     /// Inserts a packed row, reducing its coefficient prefix **in place**

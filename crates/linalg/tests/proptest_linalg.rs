@@ -1,16 +1,85 @@
-//! Property-based tests for matrices and the incremental echelon basis.
+//! Property-based tests for the incremental echelon basis, checked against
+//! the dense-matrix oracle in `tests/oracle` (whole-matrix Gauss–Jordan
+//! elimination, no structure shared with the store under test).
 
-use ag_gf::{Field, Gf2, Gf256};
-use ag_linalg::{EchelonBasis, Matrix};
+use ag_gf::{Field, Gf16, Gf2, Gf256, SlabField, F257};
+use ag_linalg::{BasisArena, EchelonBasis};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+mod oracle;
+
+use oracle::Matrix;
 
 fn gf256_vec(len: usize) -> impl Strategy<Value = Vec<Gf256>> {
     proptest::collection::vec(any::<u8>().prop_map(Gf256::new), len)
 }
 
 fn gf256_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix<Gf256>> {
-    proptest::collection::vec(gf256_vec(cols), rows)
-        .prop_map(|rows| Matrix::from_rows(rows).expect("equal-length rows"))
+    proptest::collection::vec(gf256_vec(cols), rows).prop_map(|rows| Matrix::from_rows(&rows))
+}
+
+fn f257_rows(rows: &[&[u64]]) -> Vec<Vec<F257>> {
+    rows.iter()
+        .map(|r| r.iter().map(|&v| F257::from_u64(v)).collect())
+        .collect()
+}
+
+/// The oracle itself, on examples small enough to check by hand.
+#[test]
+fn oracle_known_examples() {
+    // [1 2; 3 4] over F257 has rank 2 and reduces to the identity.
+    let mut m = Matrix::from_rows(&f257_rows(&[&[1, 2], &[3, 4]]));
+    assert_eq!(m.rref(), 2);
+    assert_eq!(m, Matrix::from_rows(&f257_rows(&[&[1, 0], &[0, 1]])));
+    // x + 2y = 5, 3x + 4y = 11 ⇒ (x, y) = (1, 2).
+    let m = Matrix::from_rows(&f257_rows(&[&[1, 2], &[3, 4]]));
+    let b = [F257::from_u64(5), F257::from_u64(11)];
+    assert_eq!(m.solve(&b), Some(f257_rows(&[&[1, 2]]).remove(0)));
+    // Second row is 2× the first: rank 1, nothing to solve.
+    let singular = Matrix::from_rows(&f257_rows(&[&[1, 2], &[2, 4]]));
+    assert_eq!(singular.rank(), 1);
+    assert_eq!(singular.solve(&b), None);
+}
+
+/// ROADMAP 2(c): an arena node fed random augmented rows (random
+/// coefficients *and* random payloads, so dependent rows are generally
+/// inconsistent) agrees with the oracle on the rank of what it was fed and,
+/// once full, on the solution of the rows it kept.
+fn arena_matches_oracle<F: SlabField>(
+    seed: u64,
+    k: usize,
+    r: usize,
+    extra: usize,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut arena = BasisArena::<F>::new(1, k, k + r);
+    let mut fed: Vec<Vec<F>> = Vec::new();
+    let mut kept: Vec<Vec<F>> = Vec::new();
+    for _ in 0..k + extra {
+        let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
+        if arena.insert_packed_slice(0, &F::pack(&row)).is_innovative() {
+            kept.push(row.clone());
+        }
+        fed.push(row[..k].to_vec());
+        prop_assert_eq!(arena.rank(0), Matrix::from_rows(&fed).rank());
+    }
+    let Some(solution) = arena.solution(0) else {
+        prop_assert!(arena.rank(0) < k, "a full node must have a solution");
+        return Ok(());
+    };
+    // The kept rows are k independent equations A·X = B; column j of X is
+    // the oracle's solve against column j of B.
+    let coeffs: Vec<Vec<F>> = kept.iter().map(|row| row[..k].to_vec()).collect();
+    let a = Matrix::from_rows(&coeffs);
+    for j in 0..r {
+        let b: Vec<F> = kept.iter().map(|row| row[k + j]).collect();
+        let x = a.solve(&b).expect("kept rows are independent");
+        let got: Vec<F> = solution.iter().map(|message| message[j]).collect();
+        prop_assert_eq!(got, x, "payload column {}", j);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -32,32 +101,8 @@ proptest! {
     }
 
     #[test]
-    fn rank_invariant_under_transpose(m in gf256_matrix(4, 7)) {
-        prop_assert_eq!(m.rank(), m.transpose().rank());
-    }
-
-    #[test]
-    fn inverse_agrees_with_solve(m in gf256_matrix(4, 4), b in gf256_vec(4)) {
-        match m.inverse() {
-            Some(inv) => {
-                let x1 = inv.matvec(&b).unwrap();
-                let x2 = m.solve(&b).unwrap().expect("invertible => solvable");
-                prop_assert_eq!(x1, x2);
-            }
-            None => prop_assert!(m.rank() < 4),
-        }
-    }
-
-    #[test]
-    fn matmul_distributes_over_rank(m in gf256_matrix(3, 3)) {
-        // rank(M * M) <= rank(M)
-        let sq = m.matmul(&m).unwrap();
-        prop_assert!(sq.rank() <= m.rank());
-    }
-
-    #[test]
     fn echelon_rank_matches_matrix_rank(rows in proptest::collection::vec(gf256_vec(5), 1..10)) {
-        let m = Matrix::from_rows(rows.clone()).unwrap();
+        let m = Matrix::from_rows(&rows);
         let mut basis = EchelonBasis::<Gf256>::new(5);
         for r in rows {
             basis.insert(r);
@@ -79,12 +124,24 @@ proptest! {
     #[test]
     fn gf2_echelon_rank_matches(rows in proptest::collection::vec(
         proptest::collection::vec(any::<bool>().prop_map(Gf2::from), 6), 1..15)) {
-        let m = Matrix::from_rows(rows.clone()).unwrap();
+        let m = Matrix::from_rows(&rows);
         let mut basis = EchelonBasis::<Gf2>::new(6);
         for r in rows {
             basis.insert(r);
         }
         prop_assert_eq!(basis.rank(), m.rank());
+    }
+
+    #[test]
+    fn arena_rank_and_solution_match_the_oracle(
+        seed in any::<u64>(),
+        k in 1usize..9,
+        r in 0usize..5,
+        extra in 0usize..6,
+    ) {
+        arena_matches_oracle::<Gf2>(seed, k, r, extra)?;
+        arena_matches_oracle::<Gf16>(seed, k, r, extra)?;
+        arena_matches_oracle::<Gf256>(seed, k, r, extra)?;
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * derivations are *calls* — `splitmix64(…)` or a helper that bottoms
 //!   out in it (resolved transitively by the cross-file fixpoint in
-//!   [`crate::lib`]'s run pass);
+//!   `lib.rs`'s run pass);
 //! * seed-carrying values are *named like seeds* throughout this
 //!   codebase (`seed`, `seed0`, `config.seed`, `round_key`, `cell_key`) —
 //!   a convention the lint turns into a checked contract: an identifier

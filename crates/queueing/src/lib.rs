@@ -14,7 +14,7 @@
 //! This crate simulates every system in that chain exactly (the tree/line
 //! networks are continuous-time Markov chains because exponential service is
 //! memoryless) plus the Jackson-equilibrium construction of Lemma 7, and
-//! provides an empirical stochastic-dominance checker used by the `fig_queue`
+//! provides an empirical stochastic-dominance checker used by the `queue_fig`
 //! experiment.
 //!
 //! # Examples

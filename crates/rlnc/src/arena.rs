@@ -1,14 +1,15 @@
 //! All of a simulation's decoders in one arena: allocation-free RLNC.
 //!
 //! [`DecoderArena`] is the only RLNC decoder state in the workspace: every
-//! node's equations live in one [`ag_linalg::BasisArena`], with rank-bounded
-//! (or, for the allocation audits, fully preallocated) row storage. A
+//! node's equations live in one [`ag_linalg::BasisArena`], each node's row
+//! storage growing with its rank. A
 //! [`Decoder`](crate::Decoder) is a one-node arena behind the
 //! [`Packet`](crate::Packet) API; the differential suite in
 //! `tests/differential_decoder.rs` pins this one store against the scalar
 //! oracle packet for packet. Combined with the [`crate::RowPool`] message
 //! buffers and the borrowing receive/emit entry points, a simulation's
-//! steady-state round loop performs zero per-message heap allocation.
+//! round loop performs zero per-message heap allocation: a node allocates
+//! only when its rank grows past the chunk it last reserved.
 //!
 //! Recoding lives here too: the dense and the sparse coefficient draws and
 //! the combination that follows are written once (`emit`, below) and serve
@@ -18,7 +19,7 @@
 use std::cell::RefCell;
 
 use ag_gf::SlabField;
-use ag_linalg::{ArenaError, ArenaGrowth, BasisArena, BasisShard, Insertion};
+use ag_linalg::{ArenaError, BasisArena, BasisShard, Insertion};
 use rand::Rng;
 
 use crate::decoder::Reception;
@@ -158,32 +159,19 @@ pub struct DecoderArena<F> {
 
 impl<F: SlabField> DecoderArena<F> {
     /// An arena of `nodes` empty decoders for a generation of `k` messages
-    /// of `payload_len` symbols, with rank-bounded row storage
-    /// ([`ArenaGrowth::Chunked`]): each node's slabs grow in geometric
-    /// chunks as its rank grows, capped at the full-rank footprint.
+    /// of `payload_len` symbols. Row storage is rank-bounded: each node's
+    /// slabs grow in geometric chunks as its rank grows, capped at the
+    /// full-rank footprint.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0` or on [`ArenaError`].
     #[must_use]
     pub fn new(nodes: usize, k: usize, payload_len: usize) -> Self {
-        Self::with_growth(nodes, k, payload_len, ArenaGrowth::default())
-    }
-
-    /// [`DecoderArena::new`] with an explicit [`ArenaGrowth`] policy.
-    /// [`ArenaGrowth::Preallocated`] reserves full-rank capacity per node
-    /// up front so receptions never allocate — the policy the counting-
-    /// allocator audits run under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or on [`ArenaError`].
-    #[must_use]
-    pub fn with_growth(nodes: usize, k: usize, payload_len: usize, growth: ArenaGrowth) -> Self {
-        match Self::try_with_growth(nodes, k, payload_len, growth) {
+        match Self::try_new(nodes, k, payload_len) {
             Ok(arena) => arena,
             // ag-lint: allow(panic-policy) — documented panicking wrapper;
-            // try_with_growth is the typed-error twin.
+            // try_new is the typed-error twin.
             Err(e) => panic!("{e}"),
         }
     }
@@ -195,32 +183,18 @@ impl<F: SlabField> DecoderArena<F> {
     /// # Panics
     ///
     /// Panics if `k == 0` (a shape bug, not a sizing condition).
-    pub fn try_with_growth(
-        nodes: usize,
-        k: usize,
-        payload_len: usize,
-        growth: ArenaGrowth,
-    ) -> Result<Self, ArenaError> {
+    pub fn try_new(nodes: usize, k: usize, payload_len: usize) -> Result<Self, ArenaError> {
         assert!(k > 0, "generation size must be positive");
         Ok(DecoderArena {
             k,
             payload_len,
-            basis: BasisArena::try_with_growth(nodes, k, k + payload_len, growth)?,
+            basis: BasisArena::try_new(nodes, k, k + payload_len)?,
             counts: vec![Counts::default(); nodes],
             scratch: Vec::with_capacity((k + payload_len) * F::SYMBOL_BYTES),
-            // Full-rank capacity up front: emits must not allocate even as
-            // ranks grow mid-run (the completion-run allocation audit
-            // snapshots every round).
+            // Full-rank capacity up front, like the basis arena's shared
+            // scratch: emits must not allocate as ranks grow mid-run.
             ksyms: RefCell::new(Vec::with_capacity(k * F::SYMBOL_BYTES)),
         })
-    }
-
-    /// Heap bytes currently reserved by the per-node row storage — the
-    /// memory-model number (`allocated_bytes() / nodes()` is the measured
-    /// bytes/node the benches report).
-    #[must_use]
-    pub fn allocated_bytes(&self) -> usize {
-        self.basis.allocated_bytes()
     }
 
     /// Number of decoders.
@@ -647,7 +621,7 @@ mod tests {
     }
 
     /// Shard receive/emit must be byte-identical to the serial arena under
-    /// the same RNG streams — the property the sharded engine rests on.
+    /// the same RNG streams — the property the engine's fan-out rests on.
     #[test]
     fn shards_track_serial_arena_under_shared_rng() {
         let mut setup_rng = StdRng::seed_from_u64(21);
@@ -698,30 +672,5 @@ mod tests {
             assert_eq!(serial.redundant_count(v), sharded.redundant_count(v));
             assert_eq!(serial.decode(v), sharded.decode(v));
         }
-    }
-
-    /// Growth policy is invisible to decoder semantics; chunked stays
-    /// within the preallocated footprint.
-    #[test]
-    fn growth_policies_decode_identically() {
-        use ag_linalg::ArenaGrowth;
-        let mut rng = StdRng::seed_from_u64(17);
-        let g = Generation::<Gf256>::random(8, 4, &mut rng);
-        let mut chunked = DecoderArena::<Gf256>::with_growth(2, 8, 4, ArenaGrowth::Chunked);
-        let mut prealloc = DecoderArena::<Gf256>::with_growth(2, 8, 4, ArenaGrowth::Preallocated);
-        chunked.seed_all_messages(0, &g);
-        prealloc.seed_all_messages(0, &g);
-        let mut rng_a = StdRng::seed_from_u64(4);
-        let mut rng_b = StdRng::seed_from_u64(4);
-        let mut buf = Vec::new();
-        while !chunked.is_complete(1) {
-            assert!(chunked.emit_packed_row_into(0, None, &mut rng_a, &mut buf));
-            chunked.receive_packed_slice(1, &buf);
-            assert!(prealloc.emit_packed_row_into(0, None, &mut rng_b, &mut buf));
-            prealloc.receive_packed_slice(1, &buf);
-        }
-        assert_eq!(chunked.decode(1), prealloc.decode(1));
-        assert_eq!(chunked.decode(1).unwrap(), g.messages());
-        assert!(chunked.allocated_bytes() <= prealloc.allocated_bytes());
     }
 }

@@ -16,8 +16,9 @@
 //! For simulations, [`DecoderArena`] holds all `n` nodes' decoders in one
 //! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API) and
 //! [`RowPool`] recycles the packed-row message buffers, together making
-//! the steady-state gossip round loop free of per-message heap allocation
-//! (audited by `crates/core/tests/alloc_audit.rs`).
+//! the gossip round loop free of per-message heap allocation: a node's row
+//! storage grows with its rank and nothing else allocates, which
+//! `crates/core/tests/alloc_audit.rs` bounds round by round.
 //!
 //! # Examples
 //!
@@ -52,7 +53,7 @@ mod packet;
 mod pool;
 mod recoder;
 
-pub use ag_linalg::{ArenaError, ArenaGrowth};
+pub use ag_linalg::ArenaError;
 pub use arena::{DecoderArena, DecoderShard};
 pub use block::{BlockDecoder, BlockEncoder};
 pub use decoder::{CodingError, Decoder, Reception};

@@ -46,8 +46,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A shared pool of reusable byte buffers for packed-row messages. See the
-/// [module docs](self).
+/// A shared pool of reusable byte buffers for packed-row messages (the
+/// take/put discipline is described at the top of `pool.rs`).
 ///
 /// `Clone` is shallow: clones hand out buffers from the same free list.
 #[derive(Debug, Clone, Default)]

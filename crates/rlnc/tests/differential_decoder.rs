@@ -19,7 +19,7 @@
 //! `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
 use ag_gf::{Field, Gf16, Gf2, Gf256, SlabField};
-use ag_rlnc::{ArenaGrowth, CodingError, Decoder, DecoderArena, Generation, Packet, Recoder};
+use ag_rlnc::{CodingError, Decoder, DecoderArena, Generation, Packet, Recoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,12 +43,8 @@ fn differential_stream<F: SlabField>(
     let mut packed = Decoder::<F>::new(k, r);
     let mut scalar = ScalarDecoder::<F>::new(k, r);
     // Third lane: the same node as slot 0 of a DecoderArena — the
-    // simulation-wide storage must not change a single verdict. The
-    // default arena is rank-bounded (chunked growth)…
+    // simulation-wide storage must not change a single verdict.
     let mut arena = DecoderArena::<F>::new(1, k, r);
-    // …and the fourth lane pins the preallocated arena against it: the
-    // growth policy must be invisible in every verdict, rank and byte.
-    let mut prealloc = DecoderArena::<F>::with_growth(1, k, r, ArenaGrowth::Preallocated);
 
     for step in 0..steps {
         // Mix of streams: recodings of the full source, raw random rows
@@ -75,7 +71,6 @@ fn differential_stream<F: SlabField>(
             .try_receive(&packet)
             .expect("shape-valid packet must be accepted");
         let arena_verdict = arena.receive_packed_slice(0, &packet.to_packed_row());
-        let prealloc_verdict = prealloc.receive_packed_slice(0, &packet.to_packed_row());
         let want = scalar.receive(packet);
         prop_assert_eq!(verdict, want, "verdict diverged at step {}", step);
         prop_assert_eq!(
@@ -85,19 +80,12 @@ fn differential_stream<F: SlabField>(
             step
         );
         prop_assert_eq!(
-            prealloc_verdict,
-            want,
-            "preallocated-arena verdict diverged at step {}",
-            step
-        );
-        prop_assert_eq!(
             packed.rank(),
             scalar.rank(),
             "rank trajectory diverged at step {}",
             step
         );
         prop_assert_eq!(arena.rank(0), scalar.rank());
-        prop_assert_eq!(prealloc.rank(0), scalar.rank());
         prop_assert_eq!(packed.is_complete(), scalar.is_complete());
         prop_assert_eq!(arena.is_complete(0), scalar.is_complete());
     }
@@ -108,10 +96,6 @@ fn differential_stream<F: SlabField>(
     // correctness on consistent streams.)
     prop_assert_eq!(packed.decode(), scalar.decode());
     prop_assert_eq!(arena.decode(0), scalar.decode());
-    prop_assert_eq!(prealloc.decode(0), arena.decode(0));
-    // Chunked storage must never commit more heap than the preallocated
-    // ceiling for the same stream.
-    prop_assert!(arena.allocated_bytes() <= prealloc.allocated_bytes());
     Ok(())
 }
 

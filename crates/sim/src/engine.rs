@@ -15,8 +15,7 @@
 //! [`crate::ShardableProtocol`] may override them to hand the round to the
 //! fan-out in the `sharded` module, which runs both phases on rayon
 //! workers whenever the round is big enough to pay for it and hands the
-//! merge the same slots. [`crate::ShardedEngine`] is that fan-out with the
-//! shard count forced.
+//! merge the same slots.
 //!
 //! Wakeups and loss draws come from the engine's main RNG, in node order
 //! and in outbox order. Every composition *slot* draws from its own
@@ -146,8 +145,8 @@ impl EngineConfig {
 
 /// Per-round observation hook, monomorphized so the no-observer path
 /// compiles to nothing (no closure call, no round bookkeeping between
-/// asynchronous round boundaries). Shared with [`crate::ShardedEngine`].
-pub(crate) trait Observe<P: Protocol> {
+/// asynchronous round boundaries).
+trait Observe<P: Protocol> {
     /// Whether observations are wanted at all. `false` lets the loop skip
     /// observation-only work entirely.
     const ENABLED: bool;
@@ -155,7 +154,7 @@ pub(crate) trait Observe<P: Protocol> {
 }
 
 /// The [`Engine::run_batch`] hot path: observations statically disabled.
-pub(crate) struct NoObserver;
+struct NoObserver;
 
 impl<P: Protocol> Observe<P> for NoObserver {
     const ENABLED: bool = false;
@@ -164,7 +163,7 @@ impl<P: Protocol> Observe<P> for NoObserver {
 }
 
 /// Adapter for the `run_observed` closure.
-pub(crate) struct FnObserver<F>(pub(crate) F);
+struct FnObserver<F>(F);
 
 impl<P: Protocol, F: FnMut(u64, &P)> Observe<P> for FnObserver<F> {
     const ENABLED: bool = true;
@@ -231,8 +230,8 @@ pub struct SyncRound<M> {
     pub(crate) fan: Option<FanOut<M>>,
     /// This round's slots were composed into `fan`'s table.
     pub(crate) fanned: bool,
-    /// [`crate::ShardedEngine`]'s shard count; `None` lets the fan-out's
-    /// own rule decide, round by round.
+    /// The shard count [`Engine::with_forced_shards`] forces on every
+    /// fan-out; `None` lets the fan-out's own rule decide, round by round.
     pub(crate) forced_shards: Option<usize>,
 }
 
@@ -258,30 +257,6 @@ impl<M> SyncRound<M> {
     pub(crate) fn deliver_inline<P: Protocol<Msg = M> + ?Sized>(&mut self, proto: &mut P) {
         for (from, to, tag, msg) in self.outbox.drain(..) {
             proto.deliver(from, to, tag, msg);
-        }
-    }
-}
-
-/// How `Engine::sync_round` reaches the two data-parallel phases:
-/// [`Engine`] goes through the protocol's bulk hooks, [`crate::ShardedEngine`]
-/// straight to the fan-out with its shard count forced. Either may not
-/// touch the engine RNG or the stats, and must compose slot `s` of round
-/// `r` from pre-round state with `slot_rng(seed, r, s)` and nothing else.
-pub(crate) struct Phases<P: Protocol> {
-    /// Called once per round, after the wakeups and before the merge.
-    pub(crate) compose: fn(&mut P, &mut SyncRound<P::Msg>),
-    /// Applies the round's surviving messages; leaves the outbox empty.
-    pub(crate) deliver: fn(&mut P, &mut SyncRound<P::Msg>),
-    pub(crate) forced_shards: Option<usize>,
-}
-
-impl<P: Protocol> Phases<P> {
-    /// The protocol's own bulk hooks; inline unless it overrides them.
-    fn hooks() -> Self {
-        Phases {
-            compose: P::compose_round,
-            deliver: P::deliver_round,
-            forced_shards: None,
         }
     }
 }
@@ -323,16 +298,39 @@ impl<P: Protocol> Phases<P> {
 pub struct Engine {
     config: EngineConfig,
     rng: StdRng,
+    forced_shards: Option<usize>,
 }
 
 impl Engine {
     /// Creates an engine with its own seeded RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.loss_prob` is not in `[0, 1]`: the field is public,
+    /// so [`EngineConfig::with_loss`] is not the only way in.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&config.loss_prob),
+            "loss probability must be in [0,1]"
+        );
         Engine {
             rng: StdRng::seed_from_u64(config.seed),
             config,
+            forced_shards: None,
         }
+    }
+
+    /// Test seam: every synchronous round a protocol hands to the fan-out
+    /// runs over exactly `shards` shards (clamped to `[1, n]`), whatever
+    /// the round moves and however many threads there are. Results are
+    /// bit-identical with and without it; a protocol that keeps the
+    /// default bulk hooks never reaches the fan-out and is unaffected.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_forced_shards(mut self, shards: usize) -> Self {
+        self.forced_shards = Some(shards);
+        self
     }
 
     /// The configuration.
@@ -358,7 +356,7 @@ impl Engine {
     /// Produces bit-identical [`RunStats`] to [`Engine::run_observed`]
     /// under the same seed: observers never touch engine randomness.
     pub fn run_batch<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_with(proto, Phases::hooks(), NoObserver)
+        self.run_with(proto, NoObserver)
     }
 
     /// Like [`Engine::run`] but invokes `observer(round, proto)` after
@@ -376,18 +374,13 @@ impl Engine {
         proto: &mut P,
         observer: impl FnMut(u64, &P),
     ) -> RunStats {
-        self.run_with(proto, Phases::hooks(), FnObserver(observer))
+        self.run_with(proto, FnObserver(observer))
     }
 
     /// The one outer loop: initial completion scan, then synchronous
-    /// rounds through `phases` or asynchronous timeslots, until every node
-    /// is complete or the budget is spent.
-    pub(crate) fn run_with<P: Protocol, O: Observe<P>>(
-        &mut self,
-        proto: &mut P,
-        phases: Phases<P>,
-        mut obs: O,
-    ) -> RunStats {
+    /// rounds or asynchronous timeslots, until every node is complete or
+    /// the budget is spent.
+    fn run_with<P: Protocol, O: Observe<P>>(&mut self, proto: &mut P, mut obs: O) -> RunStats {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
         let mut stats = RunStats::new(n);
@@ -409,9 +402,9 @@ impl Engine {
                 // The incomplete set as an explicit list: the per-round
                 // completion sweep touches only these nodes, not all n.
                 let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
-                let mut scratch = SyncRound::new(n, self.config.seed, phases.forced_shards);
+                let mut scratch = SyncRound::new(n, self.config.seed, self.forced_shards);
                 while stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &phases, &mut stats, &mut scratch, &mut pending);
+                    self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
                     if O::ENABLED {
                         obs.observe(stats.rounds, proto);
                     }
@@ -452,8 +445,10 @@ impl Engine {
 
     /// One synchronous round: wakeups → every slot composed from pre-round
     /// state → merge (dedup, loss) in ascending slot order → deliver →
-    /// completion sweep. `phases` decides only *where* slots are composed
-    /// and messages applied.
+    /// completion sweep. The protocol's bulk hooks decide only *where*
+    /// slots are composed and messages applied: they may not touch the
+    /// engine RNG or the stats, and must compose slot `s` of round `r` from
+    /// pre-round state with `slot_rng(seed, r, s)` and nothing else.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
     /// `(from, to)` can occur at most twice — once as the *forward*
@@ -471,7 +466,6 @@ impl Engine {
     fn sync_round<P: Protocol>(
         &mut self,
         proto: &mut P,
-        phases: &Phases<P>,
         stats: &mut RunStats,
         scratch: &mut SyncRound<P::Msg>,
         pending: &mut Vec<NodeId>,
@@ -487,7 +481,7 @@ impl Engine {
         intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
         scratch.round = round;
         scratch.fanned = false;
-        (phases.compose)(proto, scratch);
+        proto.compose_round(scratch);
         let SyncRound {
             intents,
             outbox,
@@ -533,7 +527,7 @@ impl Engine {
         }
         // 3. Delivery.
         stats.messages_delivered += outbox.len() as u64;
-        (phases.deliver)(proto, scratch);
+        proto.deliver_round(scratch);
         debug_assert!(scratch.outbox.is_empty(), "deliver phase left messages");
         stats.rounds += 1;
         stats.timeslots += n as u64;

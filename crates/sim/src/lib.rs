@@ -33,9 +33,10 @@
 //! [`Engine::run_batch`] hot path. A [`ShardableProtocol`] overrides them
 //! to hand the round to the fan-out (the `sharded` module), and [`Engine`]
 //! then runs both phases on the rayon pool on every round big enough to
-//! pay for it; [`ShardedEngine`] is the same fan-out with the shard count
-//! forced. Wakeups and loss draw from the engine's main RNG; every
-//! composed message draws from an RNG private to `(seed, round, slot)`.
+//! pay for it. [`Engine`] is the only engine: tests that need a fixed
+//! shard count force one through a hidden builder on it. Wakeups and
+//! loss draw from the engine's main RNG; every composed message draws
+//! from an RNG private to `(seed, round, slot)`.
 //! Inline and fanned-out rounds are therefore bit-identical, at every
 //! shard count and thread count, and both are differentially tested
 //! against a structurally different oracle loop that lives in
@@ -60,5 +61,5 @@ mod stats;
 pub use comm::{CommModel, PartnerSelector};
 pub use engine::{Engine, EngineConfig, SyncRound, TimeModel};
 pub use protocol::{Action, ContactIntent, Protocol};
-pub use sharded::{ProtocolShard, ShardableProtocol, ShardedEngine};
+pub use sharded::{ProtocolShard, ShardableProtocol};
 pub use stats::{RunStats, TrajectoryHash};

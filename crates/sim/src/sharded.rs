@@ -10,10 +10,9 @@
 //! round fans out when it moves at least `FAN_OUT_MIN_ROUND_BYTES`
 //! (planned slots × bytes per message) and the rayon pool has more than
 //! one thread, over `SHARDS_PER_THREAD` shards per thread; any other round
-//! runs inline and the fan-out's scratch is never allocated.
-//! [`ShardedEngine`] is the same fan-out with the shard count forced, on
-//! every round, for any [`ShardableProtocol`] whether or not it overrides
-//! the hooks.
+//! runs inline and the fan-out's scratch is never allocated. Tests force
+//! the shard count instead, on every round, through the hidden
+//! `Engine::with_forced_shards` seam.
 //!
 //! # Determinism contract
 //!
@@ -56,12 +55,8 @@ use ag_graph::NodeId;
 use rand::rngs::StdRng;
 use rayon::prelude::*;
 
-use crate::engine::{
-    slot_plan, slot_rng, Delivery, Engine, EngineConfig, FnObserver, NoObserver, Observe, Phases,
-    Planned, SyncRound,
-};
+use crate::engine::{slot_plan, slot_rng, Delivery, Planned, SyncRound};
 use crate::protocol::{ContactIntent, Protocol};
-use crate::stats::RunStats;
 
 /// One shard's view of a [`ShardableProtocol`]: exclusive ownership of a
 /// contiguous node range, movable to a worker thread.
@@ -86,13 +81,6 @@ pub trait ProtocolShard: Send {
     /// Delivers a message into `to`'s data state. Spent message buffers
     /// that should return to a pool go into the shard's residue.
     fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg);
-
-    /// Reclaims a message this shard decided not to apply (e.g. a wrapper
-    /// suppressing delivery to a crashed node): the message joins the
-    /// shard's residue so its buffer still flows back to the protocol.
-    /// The engine itself never calls this — undelivered messages on the
-    /// main thread go through [`Protocol::discard`] directly.
-    fn discard(&mut self, msg: Self::Msg);
 
     /// Tears the shard down, returning every message buffer it still
     /// holds (unconsumed emit stash, spent delivery buffers). The engine
@@ -308,8 +296,8 @@ impl<M: Send> FanOut<M> {
 
 impl<M: Send> SyncRound<M> {
     /// The shard count this round fans out over, or `None` to run it
-    /// inline: [`ShardedEngine`]'s forced count, else the rule in the
-    /// module docs. The byte test comes first: it is the one most rounds
+    /// inline: the count a test forced, else the rule in the module
+    /// docs. The byte test comes first: it is the one most rounds
     /// fail, and it reads nothing but the intents.
     fn fan_out_shards(&self, msg_bytes: usize) -> Option<usize> {
         if self.forced_shards.is_some() {
@@ -360,217 +348,17 @@ impl<M: Send> SyncRound<M> {
     }
 }
 
-/// Drives a [`ShardableProtocol`] with every synchronous round fanned out
-/// over a fixed shard count: [`Engine`] with the fan-out's own rule
-/// switched off.
-///
-/// Construction mirrors [`Engine`]; `num_shards` picks the partition
-/// width (clamped to `[1, n]` at run time). Output is a pure function of
-/// the config — see the module docs for the determinism contract.
-///
-/// # Examples
-///
-/// ```
-/// use ag_sim::{EngineConfig, ShardedEngine};
-/// # use ag_sim::{ContactIntent, Protocol, ProtocolShard, ShardableProtocol};
-/// # use ag_graph::NodeId;
-/// # use rand::rngs::StdRng;
-/// # struct Noop;
-/// # struct NoopShard;
-/// # impl ProtocolShard for NoopShard {
-/// #     type Msg = ();
-/// #     fn compose(&mut self, _: NodeId, _: NodeId, _: u32, _: &mut StdRng) -> Option<()> { None }
-/// #     fn deliver(&mut self, _: NodeId, _: NodeId, _: u32, _: ()) {}
-/// #     fn discard(&mut self, _: ()) {}
-/// #     fn into_residue(self) -> Vec<()> { Vec::new() }
-/// # }
-/// # impl Protocol for Noop {
-/// #     type Msg = ();
-/// #     fn num_nodes(&self) -> usize { 2 }
-/// #     fn on_wakeup(&mut self, _: NodeId, _: &mut StdRng) -> Option<ContactIntent> { None }
-/// #     fn compose(&self, _: NodeId, _: NodeId, _: u32, _: &mut StdRng) -> Option<()> { None }
-/// #     fn deliver(&mut self, _: NodeId, _: NodeId, _: u32, _: ()) {}
-/// #     fn node_complete(&self, _: NodeId) -> bool { true }
-/// # }
-/// # impl ShardableProtocol for Noop {
-/// #     type Shard<'a> = NoopShard;
-/// #     fn make_shards(&mut self, bounds: &[(usize, usize)], _: &[usize]) -> Vec<NoopShard> {
-/// #         bounds.iter().map(|_| NoopShard).collect()
-/// #     }
-/// # }
-/// let stats = ShardedEngine::new(EngineConfig::synchronous(42), 4).run(&mut Noop);
-/// assert!(stats.completed);
-/// ```
-#[derive(Debug)]
-pub struct ShardedEngine {
-    engine: Engine,
-    num_shards: usize,
-}
-
-impl ShardedEngine {
-    /// Creates a sharded engine with its own seeded RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` is zero.
-    #[must_use]
-    pub fn new(config: EngineConfig, num_shards: usize) -> Self {
-        assert!(num_shards > 0, "shard count must be positive");
-        ShardedEngine {
-            engine: Engine::new(config),
-            num_shards,
-        }
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &EngineConfig {
-        self.engine.config()
-    }
-
-    /// The configured shard count (before clamping to the node count).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Runs the protocol to completion or budget; returns statistics.
-    pub fn run<P: ShardableProtocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_batch(proto)
-    }
-
-    /// The no-trace hot path, mirroring [`Engine::run_batch`].
-    pub fn run_batch<P: ShardableProtocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_inner(proto, NoObserver)
-    }
-
-    /// Like [`ShardedEngine::run`] but invokes `observer(round, proto)`
-    /// after every completed round, mirroring [`Engine::run_observed`].
-    pub fn run_observed<P: ShardableProtocol>(
-        &mut self,
-        proto: &mut P,
-        observer: impl FnMut(u64, &P),
-    ) -> RunStats {
-        self.run_inner(proto, FnObserver(observer))
-    }
-
-    fn run_inner<P: ShardableProtocol, O: Observe<P>>(
-        &mut self,
-        proto: &mut P,
-        obs: O,
-    ) -> RunStats {
-        // Straight to the fan-out, whatever the protocol's hooks do. The
-        // asynchronous loop never reaches the phases.
-        let phases = Phases {
-            compose: |proto, round| round.fan_out_compose(proto, 0),
-            deliver: |proto, round| round.fan_out_deliver(proto),
-            forced_shards: Some(self.num_shards),
-        };
-        self.engine.run_with(proto, phases, obs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig};
     use crate::protocol::Action;
+    use crate::stats::RunStats;
     use rand::Rng;
 
-    /// The engine tests' relay ring, made shardable: node v pushes its
-    /// value to v+1 mod n, receivers take the max. Draws no randomness.
-    struct Relay {
-        values: Vec<u8>,
-    }
-
-    impl Relay {
-        fn new(n: usize) -> Self {
-            let mut values = vec![0; n];
-            values[0] = 1;
-            Relay { values }
-        }
-    }
-
-    impl Protocol for Relay {
-        type Msg = u8;
-
-        fn num_nodes(&self) -> usize {
-            self.values.len()
-        }
-
-        fn on_wakeup(&mut self, node: NodeId, _rng: &mut StdRng) -> Option<ContactIntent> {
-            Some(ContactIntent {
-                partner: (node + 1) % self.values.len(),
-                action: Action::Push,
-                tag: 0,
-            })
-        }
-
-        fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<u8> {
-            Some(self.values[from])
-        }
-
-        fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u8) {
-            self.values[to] = self.values[to].max(msg);
-        }
-
-        fn node_complete(&self, node: NodeId) -> bool {
-            self.values[node] == 1
-        }
-    }
-
-    struct RelayShard<'a> {
-        values: &'a mut [u8],
-        start: usize,
-    }
-
-    impl ProtocolShard for RelayShard<'_> {
-        type Msg = u8;
-
-        fn compose(
-            &mut self,
-            from: NodeId,
-            _to: NodeId,
-            _tag: u32,
-            _rng: &mut StdRng,
-        ) -> Option<u8> {
-            Some(self.values[from - self.start])
-        }
-
-        fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u8) {
-            let v = &mut self.values[to - self.start];
-            *v = (*v).max(msg);
-        }
-
-        fn discard(&mut self, _msg: u8) {}
-
-        fn into_residue(self) -> Vec<u8> {
-            Vec::new()
-        }
-    }
-
-    impl ShardableProtocol for Relay {
-        type Shard<'a> = RelayShard<'a>;
-
-        fn make_shards(
-            &mut self,
-            bounds: &[(usize, usize)],
-            _send_counts: &[usize],
-        ) -> Vec<RelayShard<'_>> {
-            let mut rest: &mut [u8] = &mut self.values;
-            let mut taken = 0;
-            let mut shards = Vec::with_capacity(bounds.len());
-            for &(start, end) in bounds {
-                assert_eq!(start, taken, "bounds must be contiguous");
-                let (head, tail) = rest.split_at_mut(end - start);
-                shards.push(RelayShard {
-                    values: head,
-                    start,
-                });
-                rest = tail;
-                taken = end;
-            }
-            shards
-        }
+    /// The default engine with the fan-out forced over `shards` shards.
+    fn forced(cfg: EngineConfig, shards: usize) -> Engine {
+        Engine::new(cfg).with_forced_shards(shards)
     }
 
     /// A randomized exchange protocol exercising every seam the merge has
@@ -672,8 +460,6 @@ mod tests {
             *v = (*v).max(msg).wrapping_add(1);
         }
 
-        fn discard(&mut self, _msg: u64) {}
-
         fn into_residue(self) -> Vec<u64> {
             Vec::new()
         }
@@ -710,16 +496,17 @@ mod tests {
     fn noisy_protocol_matches_serial_engine_exactly() {
         // Random partners (main RNG) + random payload contents (per-slot
         // RNGs) + exchange dedup + loss: the full merge surface. The
-        // serial Engine and every shard count agree on stats and state.
+        // inline round and every forced shard count (0 clamps to 1, 64 to
+        // n) agree on stats and state.
         let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
         let want = Engine::new(cfg).run(&mut serial);
         assert!(want.completed);
         assert!(want.dedup_dropped > 0, "dedup must be exercised");
         assert!(want.lost > 0, "loss must be exercised");
-        for shards in [1, 2, 3, 7, 23, 64] {
+        for shards in [0, 1, 2, 3, 7, 23, 64] {
             let mut proto = NoisyExchange::new(23);
-            let got = ShardedEngine::new(cfg, shards).run(&mut proto);
+            let got = forced(cfg, shards).run(&mut proto);
             assert_eq!(got, want, "shards = {shards}");
             assert_eq!(proto.values, serial.values, "shards = {shards}");
         }
@@ -773,10 +560,7 @@ mod tests {
         }
         // The forced fan-out agrees, and needs no second thread.
         let mut proto = NoisyExchange::new(23);
-        assert_eq!(
-            ShardedEngine::new(lossy_cfg(), 5).run(&mut proto),
-            want_stats
-        );
+        assert_eq!(forced(lossy_cfg(), 5).run(&mut proto), want_stats);
         assert_eq!(proto.values, want_values);
     }
 
@@ -786,7 +570,7 @@ mod tests {
             let cfg = EngineConfig::synchronous(7).with_max_rounds(300);
             let mut proto = NoisyExchange::new(11);
             let mut rounds = Vec::new();
-            let stats = ShardedEngine::new(cfg, shards).run_observed(&mut proto, |round, p| {
+            let stats = forced(cfg, shards).run_observed(&mut proto, |round, p| {
                 rounds.push((round, p.values.iter().sum::<u64>()));
             });
             (stats, rounds)
@@ -800,13 +584,13 @@ mod tests {
 
     #[test]
     fn empty_sends_are_counted_once_per_silent_direction() {
-        // Saturated nodes stop composing; the sharded engine must count
-        // those the way the serial merge would.
+        // Saturated nodes stop composing; a fanned-out round must count
+        // those the way the inline merge would.
         let run = |shards: usize| {
             let cfg = EngineConfig::synchronous(3).with_max_rounds(50);
             let mut proto = NoisyExchange::new(9);
             proto.saturation = 40;
-            let stats = ShardedEngine::new(cfg, shards).run(&mut proto);
+            let stats = forced(cfg, shards).run(&mut proto);
             (stats, proto.values)
         };
         let want = run(1);
@@ -820,12 +604,15 @@ mod tests {
     }
 
     #[test]
-    fn async_model_delegates_to_serial_engine() {
-        let cfg = EngineConfig::asynchronous(5);
-        let mut serial = Relay::new(8);
+    fn async_model_never_fans_out() {
+        let cfg = EngineConfig::asynchronous(5).with_max_rounds(400);
+        let mut serial = NoisyExchange::new(8);
         let want = Engine::new(cfg).run(&mut serial);
-        let mut proto = Relay::new(8);
-        let got = ShardedEngine::new(cfg, 4).run(&mut proto);
+        assert!(want.completed);
+        let mut proto = NoisyExchange::new(8);
+        let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
+        let got = forced(cfg, 4).run(&mut proto);
+        assert_eq!(FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get), before);
         assert_eq!(got, want);
         assert_eq!(proto.values, serial.values);
     }
@@ -833,23 +620,18 @@ mod tests {
     #[test]
     fn run_batch_and_run_observed_agree() {
         let cfg = EngineConfig::synchronous(5).with_max_rounds(200);
-        let batch = ShardedEngine::new(cfg, 3).run_batch(&mut NoisyExchange::new(10));
-        let observed =
-            ShardedEngine::new(cfg, 3).run_observed(&mut NoisyExchange::new(10), |_, _| {});
+        let batch = forced(cfg, 3).run_batch(&mut NoisyExchange::new(10));
+        let observed = forced(cfg, 3).run_observed(&mut NoisyExchange::new(10), |_, _| {});
         assert_eq!(batch, observed);
     }
 
     #[test]
     fn already_complete_protocol_runs_zero_rounds() {
-        let mut proto = Relay::new(1);
-        let stats = ShardedEngine::new(EngineConfig::synchronous(0), 4).run(&mut proto);
+        let mut proto = NoisyExchange::new(4);
+        let target = proto.target();
+        proto.values.fill(target);
+        let stats = forced(EngineConfig::synchronous(0), 4).run(&mut proto);
         assert!(stats.completed);
         assert_eq!(stats.rounds, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be positive")]
-    fn zero_shards_rejected() {
-        let _ = ShardedEngine::new(EngineConfig::synchronous(0), 0);
     }
 }

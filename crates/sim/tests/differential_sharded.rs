@@ -1,37 +1,37 @@
-//! Differential lock for the sharded executor: [`ShardedEngine`] must
-//! produce results bit-identical to the serial [`Engine`] at every shard
-//! count.
+//! Differential lock for the fan-out: a synchronous round forced over S
+//! shards must produce results bit-identical to the inline round, at
+//! every S.
 //!
-//! The reference lane is the serial engine itself, which composes through
-//! `AlgebraicGossip::compose` / `WithCrashes` where the sharded lanes go
-//! through `AgShard::compose` / `CrashShard`, so the comparison also locks
-//! each shard type to the protocol it splits. Each lane runs the real
+//! The reference lane is the default [`Engine`], which at these sizes
+//! keeps every round inline and composes through
+//! `AlgebraicGossip::compose`; the forced lanes (`with_forced_shards`, the
+//! hidden test seam) go through `AgShard::compose`, so the comparison also
+//! locks the shard type to the protocol it splits. Each lane runs the real
 //! pooled algebraic-gossip protocol (the dev-only dependency cycle that
 //! also powers `proptest_engine_invariants`) over random connected
 //! graphs, both communication models, GF(256) and GF(2) (at q = 2 about
 //! half of all coefficient draws are unhelpful, so the rank trace moves
-//! with any change to a compose stream), loss on/off, and the crash
-//! wrapper, and asserts:
+//! with any change to a compose stream), loss on/off, and asserts:
 //!
 //! * identical [`RunStats`],
 //! * identical per-round observer traces (round, total rank) and their
 //!   [`TrajectoryHash`],
 //! * the pool-balance invariant `pool_idle == pool_prewarm` at **every**
 //!   round boundary — per-shard emit stashes must hand every buffer back
-//!   by the end of the round (the sharded analogue of the serial
-//!   `crash_pool_audit`),
+//!   by the end of the round,
 //! * identical decoded messages on completed runs.
 //!
-//! The chunked-growth lane additionally pins that the rank-bounded arena
-//! is trajectory-identical to the preallocated one under sharding.
+//! A protocol that keeps `Protocol`'s default bulk hooks never reaches the
+//! fan-out, so the seam must be inert on it: the crash wrapper lane pins
+//! that.
 //!
 //! CI runs this suite with `PROPTEST_CASES=256` under
 //! `RAYON_NUM_THREADS ∈ {1, 4}`; the case count honors that env var.
 
 use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::builders;
-use ag_sim::{CommModel, Engine, EngineConfig, RunStats, ShardedEngine, TrajectoryHash};
-use algebraic_gossip::{AgConfig, AlgebraicGossip, ArenaGrowth, CrashPlan, Placement, WithCrashes};
+use ag_sim::{CommModel, Engine, EngineConfig, Protocol, RunStats, TrajectoryHash};
+use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,78 +44,109 @@ fn cases() -> u32 {
 }
 
 /// The lanes' protocol configuration: 2-symbol payloads, spread placement.
-fn ag_cfg(k: usize, comm: CommModel, growth: ArenaGrowth) -> AgConfig {
+fn ag_cfg(k: usize, comm: CommModel) -> AgConfig {
     AgConfig::new(k)
         .with_payload_len(2)
         .with_comm_model(comm)
         .with_placement(Placement::Spread)
-        .with_arena_growth(growth)
 }
 
-/// One full run, sharded (`shards = Some(s)`) or on the serial engine
-/// (`None`); returns stats, the hashed trace and the raw trace, and checks
-/// the decoded messages. Asserts pool balance at every round boundary.
-fn run_lane<F: SlabField + Send>(
-    n: usize,
-    ag_cfg: &AgConfig,
-    crashes: bool,
-    cfg: EngineConfig,
-    proto_seed: u64,
-    shards: Option<usize>,
-) -> (RunStats, u64, Vec<(u64, u64)>) {
+/// The lanes' protocol on the lanes' graph, both drawn from `proto_seed`.
+fn protocol<F: SlabField>(n: usize, ag_cfg: &AgConfig, proto_seed: u64) -> AlgebraicGossip<F> {
     let mut graph_rng = StdRng::seed_from_u64(proto_seed);
     let graph = builders::erdos_renyi_connected(n, 0.4, &mut graph_rng)
         .unwrap_or_else(|_| builders::cycle(n.max(3)).unwrap());
-    let inner = AlgebraicGossip::<F>::new(&graph, ag_cfg, proto_seed).expect("protocol");
-    let prewarm = inner.pool_prewarm();
-    // Crash a deterministic fraction at staggered wakeups; survivors must
-    // still account for every pooled buffer.
-    let plan = if crashes {
-        CrashPlan::random_fraction(n, 0.2, 3, proto_seed ^ 0xDEAD)
-    } else {
-        CrashPlan::explicit(Vec::new())
-    };
-    let mut proto = WithCrashes::new(inner, plan);
+    AlgebraicGossip::<F>::new(&graph, ag_cfg, proto_seed).expect("protocol")
+}
+
+/// The default engine, with the fan-out forced over `shards` shards if
+/// given.
+fn engine(cfg: EngineConfig, shards: Option<usize>) -> Engine {
+    match shards {
+        Some(s) => Engine::new(cfg).with_forced_shards(s),
+        None => Engine::new(cfg),
+    }
+}
+
+/// What a lane reports: stats, the hashed trace and the raw trace.
+type Lane = (RunStats, u64, Vec<(u64, u64)>);
+
+/// Runs `proto` to completion, forced over `shards` shards (`Some(s)`) or
+/// left to the engine's own rule (`None`: inline at these sizes), tracing
+/// (round, total rank) and asserting pool balance at every round boundary
+/// and at the end. `ag` finds the algebraic-gossip protocol inside `proto`.
+fn traced_run<F: SlabField, P: Protocol>(
+    proto: &mut P,
+    cfg: EngineConfig,
+    shards: Option<usize>,
+    ag: impl Fn(&P) -> &AlgebraicGossip<F>,
+) -> Lane {
+    let prewarm = ag(proto).pool_prewarm();
     let mut hash = TrajectoryHash::new();
     let mut trace = Vec::new();
-    let observer = |round: u64, p: &WithCrashes<AlgebraicGossip<F>>| {
+    let stats = engine(cfg, shards).run_observed(proto, |round, p| {
         assert_eq!(
-            p.inner().pool_idle(),
+            ag(p).pool_idle(),
             prewarm,
             "shards = {shards:?}: pooled buffer leaked by round {round}"
         );
-        let rank = p.inner().total_rank() as u64;
+        let rank = ag(p).total_rank() as u64;
         hash.observe(round);
         hash.observe(rank);
         trace.push((round, rank));
-    };
-    let stats = match shards {
-        Some(s) => ShardedEngine::new(cfg, s).run_observed(&mut proto, observer),
-        None => Engine::new(cfg).run_observed(&mut proto, observer),
-    };
+    });
     assert_eq!(
-        proto.inner().pool_idle(),
+        ag(proto).pool_idle(),
         prewarm,
         "shards = {shards:?}: pool did not end balanced"
     );
-    if stats.completed {
-        for v in proto.survivors() {
+    (stats, hash.finish(), trace)
+}
+
+/// One full run of bare algebraic gossip, which overrides the bulk hooks;
+/// also checks the decoded messages.
+fn run_lane<F: SlabField + Send>(
+    n: usize,
+    ag_cfg: &AgConfig,
+    cfg: EngineConfig,
+    proto_seed: u64,
+    shards: Option<usize>,
+) -> Lane {
+    let mut proto = protocol::<F>(n, ag_cfg, proto_seed);
+    let lane = traced_run(&mut proto, cfg, shards, |p| p);
+    if lane.0.completed {
+        for v in 0..n {
             assert_eq!(
-                proto.inner().decoded(v).expect("survivor decodes"),
-                proto.inner().generation().messages(),
+                proto.decoded(v).expect("complete node decodes"),
+                proto.generation().messages(),
                 "shards = {shards:?}: node {v} decoded wrong messages"
             );
         }
     }
-    (stats, hash.finish(), trace)
+    lane
+}
+
+/// The same run under the crash wrapper, which keeps the default bulk
+/// hooks: a deterministic fraction crashes at staggered wakeups, and the
+/// survivors must still account for every pooled buffer.
+fn run_crash_lane(
+    n: usize,
+    ag_cfg: &AgConfig,
+    cfg: EngineConfig,
+    proto_seed: u64,
+    shards: Option<usize>,
+) -> Lane {
+    let plan = CrashPlan::random_fraction(n, 0.2, 3, proto_seed ^ 0xDEAD);
+    let mut proto = WithCrashes::new(protocol::<Gf256>(n, ag_cfg, proto_seed), plan);
+    traced_run(&mut proto, cfg, shards, WithCrashes::inner)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The tentpole lock: every shard count reproduces the serial engine
+    /// The tentpole lock: every shard count reproduces the inline round
     /// bit-for-bit — stats, trace, hash — over random graphs × both comm
-    /// models × both fields × loss × crashes.
+    /// models × both fields × loss.
     #[test]
     fn shard_count_is_invisible(
         seed in any::<u64>(),
@@ -124,17 +155,16 @@ proptest! {
         comm_pick in 0u8..2,
         binary_field in any::<bool>(),
         lossy in any::<bool>(),
-        crashes in any::<bool>(),
     ) {
         let comm = if comm_pick == 0 { CommModel::Uniform } else { CommModel::RoundRobin };
         let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
         if lossy {
             cfg = cfg.with_loss(0.2);
         }
-        let ag = ag_cfg(k, comm, ArenaGrowth::Chunked);
+        let ag = ag_cfg(k, comm);
         let lane = |shards| {
             let run = if binary_field { run_lane::<Gf2> } else { run_lane::<Gf256> };
-            run(n, &ag, crashes, cfg, seed ^ 0xA6, shards)
+            run(n, &ag, cfg, seed ^ 0xA6, shards)
         };
         let want = lane(None);
         for shards in [1usize, 3, 7] {
@@ -145,21 +175,22 @@ proptest! {
         }
     }
 
-    /// The rank-bounded-arena lane under sharding: chunked growth must be
-    /// verdict/rank/trajectory-identical to the preallocated arena (the
-    /// allocation pattern is the only difference).
+    /// The seam is inert on a protocol with default hooks: a crash-wrapped
+    /// run is the same run, pool balance included, with and without it.
     #[test]
-    fn chunked_arena_is_trajectory_identical_under_sharding(
+    fn forced_shards_are_inert_under_default_hooks(
         seed in any::<u64>(),
-        n in 6usize..16,
+        n in 6usize..20,
         k in 2usize..6,
-        shards in 1usize..5,
+        shards in 1usize..8,
+        lossy in any::<bool>(),
     ) {
-        let cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
-        let lane = |growth| {
-            let ag = ag_cfg(k, CommModel::Uniform, growth);
-            run_lane::<Gf256>(n, &ag, false, cfg, seed ^ 0xC4, Some(shards))
-        };
-        prop_assert_eq!(lane(ArenaGrowth::Chunked), lane(ArenaGrowth::Preallocated));
+        let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
+        if lossy {
+            cfg = cfg.with_loss(0.2);
+        }
+        let ag = ag_cfg(k, CommModel::Uniform);
+        let lane = |shards| run_crash_lane(n, &ag, cfg, seed ^ 0xC4, shards);
+        prop_assert_eq!(lane(Some(shards)), lane(None));
     }
 }

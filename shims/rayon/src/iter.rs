@@ -157,7 +157,7 @@ where
     par_apply_with_threads(items, op, crate::current_num_threads())
 }
 
-/// [`par_apply`] with an explicit worker count — the auditable core of the
+/// `par_apply` with an explicit worker count — the auditable core of the
 /// shim's determinism contract.
 ///
 /// The thread count influences **scheduling only**: items are pulled from

@@ -8,7 +8,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`gf`] | `ag-gf` | finite fields GF(2) … GF(2¹⁶), GF(p) |
-//! | [`linalg`] | `ag-linalg` | matrices, incremental echelon bases |
+//! | [`linalg`] | `ag-linalg` | incremental echelon bases, one node or all |
 //! | [`rlnc`] | `ag-rlnc` | coded packets, decoders, recoding |
 //! | [`graph`] | `ag-graph` | topologies, BFS, spanning trees, metrics |
 //! | [`sim`] | `ag-sim` | the gossip engine (time models, actions) |
@@ -35,8 +35,9 @@ mod tests {
         // Touch one item from each re-exported crate.
         use crate::gf::Field;
         let _ = crate::gf::Gf256::ONE;
-        let m = crate::linalg::Matrix::<crate::gf::Gf2>::identity(2);
-        assert_eq!(m.rank(), 2);
+        let mut basis = crate::linalg::EchelonBasis::<crate::gf::Gf2>::new(2);
+        assert!(basis.insert(vec![crate::gf::Gf2::ONE; 2]).is_innovative());
+        assert_eq!(basis.rank(), 1);
         let g = crate::graph::builders::path(3).unwrap();
         assert_eq!(g.n(), 3);
         let _ = crate::sim::EngineConfig::default();
