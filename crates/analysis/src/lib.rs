@@ -10,6 +10,20 @@
 //! rates, so [`regression`] provides least-squares and log-log slope fits
 //! to turn sweep measurements into exponents.
 
+// Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
+// an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod bounds;
 pub mod regression;
 pub mod stats;

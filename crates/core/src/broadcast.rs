@@ -105,18 +105,6 @@ impl<T: Topology> BroadcastTree<T> {
         self.action = action;
         self
     }
-
-    /// Is `v` informed yet?
-    #[must_use]
-    pub fn is_informed(&self, v: NodeId) -> bool {
-        self.informed[v]
-    }
-
-    /// Number of informed nodes.
-    #[must_use]
-    pub fn informed_count(&self) -> usize {
-        self.informed.iter().filter(|&&b| b).count()
-    }
 }
 
 impl<T: Topology> TreeProtocol for BroadcastTree<T> {

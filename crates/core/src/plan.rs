@@ -13,6 +13,9 @@
 //! (median/mean/min/max/CI) come from [`ag_analysis::Summary`] instead of
 //! per-call-site median code.
 
+// Seed-keying code: a narrowing `as` would collapse distinct seed domains.
+#![warn(clippy::cast_possible_truncation)]
+
 use ag_analysis::Summary;
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError};

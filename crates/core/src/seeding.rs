@@ -14,6 +14,9 @@
 //!   bijection, so distinct protocol seeds can never share an engine
 //!   seed, and the two streams of one trial are decorrelated.
 
+// Seed-keying code: a narrowing `as` would collapse distinct seed domains.
+#![warn(clippy::cast_possible_truncation)]
+
 /// Golden-ratio increment of the SplitMix64 sequence (the shared
 /// workspace definition — see [`ag_graph::seedmix`], which also feeds
 /// `ScheduledTopology`'s per-epoch churn streams).

@@ -228,9 +228,10 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
         match tag {
             TAG_PHASE1 => self.tree.compose(from, to, rng).map(TagMsg::Tree),
             TAG_PHASE2 => self.nodes.compose(from, rng).map(TagMsg::Ag),
-            // ag-lint: allow(panic-policy) — the engine only feeds compose()
-            // tags that this protocol's own contact() returned, and TAG
-            // emits nothing but TAG_PHASE1/TAG_PHASE2.
+            #[expect(
+                clippy::unreachable,
+                reason = "the engine only feeds compose() tags that this protocol's own contact() returned, and TAG emits nothing but TAG_PHASE1/TAG_PHASE2"
+            )]
             other => unreachable!("unknown TAG contact tag {other}"),
         }
     }

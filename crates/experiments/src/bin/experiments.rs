@@ -1,25 +1,25 @@
 //! The paper's experiments, one binary.
 //!
 //! ```text
-//! cargo run --release -p ag-bench --bin experiments -- <id>
-//! cargo run --release -p ag-bench --bin experiments -- all [out.md]
+//! cargo run --release -p ag-experiments -- <id>
+//! cargo run --release -p ag-experiments -- all [out.md]
 //! ```
 //!
 //! The first form prints one experiment: ids are the module names under
 //! `experiments/`, and an unknown id lists them. The second runs the whole
 //! suite and rewrites `EXPERIMENTS.md`. Set `AG_BENCH_SCALE=full` for the
-//! larger configuration. `dynamic_fig` also reads `AG_CHURN_RATES`,
-//! `AG_CHURN_SEED` and `AG_CHURN_PERIOD`; CI runs it and `stopping_time`
-//! at quick scale as the suite's smoke tests.
+//! larger configuration. CI runs `all` at quick scale and diffs the result
+//! against the committed file, the `Suite runtime` line apart.
 
-// Timing harness: wall-clock reads are this binary's job; the
-// workspace-wide ban exists for simulation code.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a command-line timing harness: it reads its arguments and the wall clock; the ban exists for simulation code"
+)]
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ag_bench::{ExperimentReport, Scale, EXPERIMENTS};
+use ag_experiments::{ExperimentReport, Scale, EXPERIMENTS};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -53,7 +53,7 @@ fn write_suite(scale: Scale, out_path: &str) {
          Spreading Using Algebraic Gossip* (Avin, Borokhovich, Censor-Hillel,\n\
          Lotker — PODC 2011). Regenerate this file with:\n\n\
          ```\n\
-         AG_BENCH_SCALE={} cargo run --release -p ag-bench --bin experiments -- all\n\
+         AG_BENCH_SCALE={} cargo run --release -p ag-experiments -- all\n\
          ```\n\n\
          All runs are seeded and deterministic. Stopping times are medians of\n\
          repeated trials; \"bound\" columns evaluate the paper's expressions\n\
@@ -61,17 +61,9 @@ fn write_suite(scale: Scale, out_path: &str) {
          flat across the sweep is what validates each Θ/O claim. The paper is\n\
          analytical, so the comparisons are shape-vs-shape, not absolute\n\
          numbers. Suite runtime: {:.1}s ({} scale).\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        },
+        scale.name(),
         elapsed.as_secs_f64(),
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        },
+        scale.name(),
     );
     let _ = writeln!(md, "## Experiment index\n");
     let _ = writeln!(md, "| id | paper artifact | verdict |");
@@ -82,8 +74,7 @@ fn write_suite(scale: Scale, out_path: &str) {
     let _ = writeln!(md);
     for r in &reports {
         r.print();
-        let _ = writeln!(md, "## [{}] {}\n", r.id, r.title);
-        let _ = writeln!(md, "{}", r.markdown);
+        md.push_str(&r.section());
     }
     std::fs::write(out_path, md).expect("write EXPERIMENTS.md");
     println!("wrote {out_path} in {:.1}s", elapsed.as_secs_f64());

@@ -8,9 +8,10 @@ use algebraic_gossip::{ProtocolKind, RunSpec, TrialPlan};
 /// How big to run the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Small sizes / few trials — the default, and what CI smokes.
+    /// Small sizes / few trials — the default, and the scale of the
+    /// committed `EXPERIMENTS.md`, which CI regenerates and diffs.
     Quick,
-    /// The sizes used for the committed `EXPERIMENTS.md`.
+    /// Larger sizes and more trials.
     Full,
 }
 
@@ -18,6 +19,10 @@ impl Scale {
     /// Reads `AG_BENCH_SCALE`: any capitalization of `full` upgrades,
     /// everything else (including unset or invalid values) stays `Quick`.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the harness's one knob; library code never reads the environment"
+    )]
     pub fn from_env() -> Self {
         Self::from_value(std::env::var("AG_BENCH_SCALE").ok().as_deref())
     }
@@ -31,6 +36,15 @@ impl Scale {
         }
     }
 
+    /// The value of `AG_BENCH_SCALE` that selects this scale.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// Number of trials per measured cell.
     #[must_use]
     pub fn trials(self) -> u64 {
@@ -39,34 +53,30 @@ impl Scale {
             Scale::Full => 7,
         }
     }
-
-    /// A [`TrialPlan`] carrying this scale's trial count — the default
-    /// way an experiment turns "one measured cell" into trials.
-    #[must_use]
-    pub fn plan(self, seed0: u64) -> TrialPlan {
-        TrialPlan::new(self.trials(), seed0)
-    }
 }
 
-/// One regenerated table/figure: id, title, rendered text (stdout) and a
-/// Markdown section for `EXPERIMENTS.md`.
+/// One regenerated table/figure: id, title and the Markdown section that
+/// goes to stdout and into `EXPERIMENTS.md`.
 #[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Report id as the EXPERIMENTS.md index lists it (e.g. "T1", "F1").
     pub id: &'static str,
     /// Human title.
     pub title: &'static str,
-    /// Plain-text rendering for the terminal.
-    pub text: String,
-    /// Markdown section body for EXPERIMENTS.md.
+    /// Markdown section body.
     pub markdown: String,
 }
 
 impl ExperimentReport {
-    /// Prints the plain-text rendering with a banner.
+    /// The section as `EXPERIMENTS.md` holds it: heading, then body.
+    #[must_use]
+    pub fn section(&self) -> String {
+        format!("## [{}] {}\n\n{}\n", self.id, self.title, self.markdown)
+    }
+
+    /// Prints the section.
     pub fn print(&self) {
-        println!("==== [{}] {} ====", self.id, self.title);
-        println!("{}", self.text);
+        print!("{}", self.section());
     }
 }
 
@@ -126,13 +136,6 @@ mod tests {
     // undefined behavior on glibc. from_value covers the parsing;
     // from_env is a one-line env read over it, exercised end-to-end by
     // the AG_BENCH_SCALE=FuLL runs in CI and the verify flow.
-
-    #[test]
-    fn scale_plans_carry_trial_counts() {
-        assert_eq!(Scale::Quick.plan(9).trials(), Scale::Quick.trials());
-        assert_eq!(Scale::Full.plan(9).trials(), Scale::Full.trials());
-        assert_eq!(Scale::Quick.plan(9).seed0(), 9);
-    }
 
     #[test]
     fn median_is_deterministic() {

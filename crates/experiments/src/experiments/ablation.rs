@@ -37,7 +37,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Full => 32,
     };
     let k = n;
-    let mut text = String::new();
     let mut md = String::new();
 
     // ---- A1: field size q. The helpfulness probability is ≥ 1 − 1/q, so
@@ -81,11 +80,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "A1  field size (uniform AG, cycle n = {n}, k = {k}): helpfulness prob ≥ 1−1/q:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### A1 Field-size ablation (cycle, n = {n}, k = {k})\n\n{}",
         t.render_markdown()
@@ -115,11 +109,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
             format!("{:.2}x", rounds / base),
         ]);
     }
-    let _ = writeln!(
-        text,
-        "A2  loss / dedup (uniform AG, grid, n = {n}, k = {k}): RLNC degrades\n    gracefully — loss p stretches time by ≈ 1/(1−p):\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### A2 Loss / dedup ablation (grid, n = {n}, k = {k})\n\n{}",
@@ -156,11 +145,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         });
         t.row(vec![format!("uniform {action:?}"), format!("{rounds:.0}")]);
     }
-    let _ = writeln!(
-        text,
-        "A3  communication model / action (uniform AG, barbell n = {n}, k = {k}):\n    RR crosses the bridge deterministically every Δ rounds, beating uniform;\n    PUSH/PULL move one message per contact vs EXCHANGE's two:\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### A3 Communication model / action (barbell, n = {n}, k = {k})\n\n{}",
@@ -206,11 +190,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "A4  coding gain vs the uncoded baseline (all-to-all on K_n):\n    the baseline's coupon-collector tail widens the gap as k grows:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### A4 Coding gain: RLNC vs uncoded random-message gossip (K_n, k = n)\n\n{}",
         t.render_markdown()
@@ -235,11 +214,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "A5  sparse recoding (uniform AG, K_{n}, k = {k}): lower density cuts\n    combination cost but raises the redundancy probability:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### A5 Sparse-recoding density (K_{n}, k = {k})\n\n{}",
         t.render_markdown()
@@ -256,7 +230,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
         // Crash injection wraps the protocol, so it cannot be expressed
         // as a RunSpec — route the custom trial body through the plan's
         // map() escape hatch instead (central seeds, parallel execution).
-        let outcomes = scale.plan(1600).map(|s| {
+        let outcomes = TrialPlan::new(trials, 1600).map(|s| {
             let inner = algebraic_gossip::AlgebraicGossip::<Gf256>::new(
                 &g,
                 &algebraic_gossip::AgConfig::new(k),
@@ -284,11 +258,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "A6  crash-stop robustness (uniform AG, K_{n}, k = {k}, crashes at round 3):\n    RLNC survives as long as every message's span reached a survivor:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### A6 Crash-stop robustness (K_{n}, k = {k})\n\n{}",
         t.render_markdown()
@@ -297,7 +266,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "A1-A6",
         title: "Ablations: field, loss, comm model, coding gain, density, crashes",
-        text,
         markdown: md,
     }
 }

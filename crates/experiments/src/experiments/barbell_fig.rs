@@ -19,7 +19,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Quick => vec![8, 16, 32, 64],
         Scale::Full => vec![8, 16, 32, 64, 96, 128],
     };
-    let mut text = String::new();
     let mut md = String::new();
 
     let mut t = TableBuilder::new(vec![
@@ -64,15 +63,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let fu = loglog_slope(&u_pts);
     let ft = loglog_slope(&g_pts);
     let _ = writeln!(
-        text,
-        "F6  barbell all-to-all (k = n), median sync rounds over {trials} trials:\n{}\
-         fitted exponents: uniform AG n^{:.2} (paper: Ω(n²)), TAG+BRR n^{:.2} (paper: Θ(n));\n\
-         the speedup column grows ~linearly in n, the paper's 'speedup ratio of n'.\n",
-        t.render(),
-        fu.slope,
-        ft.slope
-    );
-    let _ = writeln!(
         md,
         "### F6 Barbell separation (k = n, synchronous)\n\n{}\nFitted exponents: uniform AG `n^{:.2}` (paper: Ω(n²)), TAG+B_RR `n^{:.2}` (paper: Θ(n)).\n",
         t.render_markdown(),
@@ -83,7 +73,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F6",
         title: "Barbell: uniform AG Ω(n²) vs TAG Θ(n)",
-        text,
         markdown: md,
     }
 }

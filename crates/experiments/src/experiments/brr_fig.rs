@@ -30,7 +30,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Quick => 5,
         Scale::Full => 20,
     };
-    let mut text = String::new();
     let mut md = String::new();
 
     // ---- F3: BRR vs the 3n bound (sync, worst over seeds) and async. ---
@@ -83,11 +82,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         }
     }
     let _ = writeln!(
-        text,
-        "F3  Theorem 5: B_RR broadcast within 3n sync rounds (worst over {seeds} seeds):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### F3 Theorem 5: `B_RR` broadcast is `O(n)` (worst over {seeds} seeds)\n\n{}",
         t.render_markdown()
@@ -133,11 +127,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "F4  Lemma 2: max degree sum along shortest paths ≤ 3n everywhere:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### F4 Lemma 2: `Σ deg ≤ 3n` along every shortest path\n\n{}",
         t.render_markdown()
@@ -146,7 +135,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F3/F4",
         title: "Theorem 5 (B_RR) & Lemma 2 (degree sums)",
-        text,
         markdown: md,
     }
 }

@@ -31,70 +31,38 @@
 //!   stopping time. Plus the recovery scenario: a star whose hub crashes
 //!   after one round stalls forever statically, but completes under
 //!   rewiring churn — crash tolerance composes with dynamics.
-//!
-//! Env knobs (all optional, documented in the README): `AG_CHURN_RATES`
-//! (comma-separated rewire rates for F9a), `AG_CHURN_SEED` (base seed for
-//! every F9 schedule), `AG_CHURN_PERIOD` (up-window length for the F9c
-//! bridge adversary).
 
 use std::fmt::Write as _;
 
 use ag_analysis::{Summary, TableBuilder};
 use ag_gf::Gf256;
-use ag_graph::{builders, ChurnSchedule, Graph, ScheduledTopology};
+use ag_graph::{builders, ChurnSchedule, Graph, ScheduledTopology, Topology};
 use ag_sim::{Engine, EngineConfig};
 use algebraic_gossip::{
-    seeding, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement,
-    RandomMessageGossip, Tag, WithCrashes,
+    AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement, RandomMessageGossip,
+    Tag, TrialPlan, WithCrashes,
 };
 
 use crate::common::{ExperimentReport, Scale};
 
-/// Default base seed for every F9 schedule and trial plan.
+/// Base seed for every F9 schedule and trial plan.
 const F9_SEED: u64 = 0x0F9_0F9;
 
-/// Which protocol an F9 cell runs (the dynamic lanes construct protocols
-/// directly — `TrialPlan` is graph-typed — but reuse the central seed
-/// derivation so trials stay decorrelated exactly like every other
-/// experiment).
+/// The F9a rewire rates (fraction of edges rewired per round), the static
+/// baseline first.
+const REWIRE_RATES: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
+
+/// The F9c bridge adversary's up-window, in epochs.
+const BRIDGE_UP: u64 = 2;
+
+/// Which protocol an F9 cell runs. The dynamic lanes construct protocols
+/// directly, since `TrialPlan::run` is graph-typed, and take their seeds
+/// and their threads from `TrialPlan::map` like every other experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DynProto {
     Rlnc,
     Uncoded,
-}
-
-/// Reads `AG_CHURN_SEED`, defaulting to the built-in base seed.
-fn churn_seed() -> u64 {
-    std::env::var("AG_CHURN_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(F9_SEED)
-}
-
-/// Reads `AG_CHURN_RATES` (comma-separated), defaulting to the sweep.
-fn churn_rates() -> Vec<f64> {
-    let parsed = std::env::var("AG_CHURN_RATES").ok().and_then(|s| {
-        let rates: Option<Vec<f64>> = s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| (0.0..=1.0).contains(r))
-            })
-            .collect();
-        rates.filter(|r| !r.is_empty())
-    });
-    parsed.unwrap_or_else(|| vec![0.0, 0.05, 0.1, 0.2])
-}
-
-/// Reads `AG_CHURN_PERIOD` (the F9c bridge up-window), default 2.
-fn churn_period() -> u64 {
-    std::env::var("AG_CHURN_PERIOD")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&p| p > 0)
-        .unwrap_or(2)
+    Tag,
 }
 
 /// Median stopping time of `proto` on `graph` under `schedule`, over
@@ -108,29 +76,31 @@ fn median_dynamic_rounds(
     trials: u64,
     seed0: u64,
 ) -> f64 {
-    let rounds: Vec<u64> = (0..trials)
-        .map(|t| {
-            let pseed = seeding::trial_protocol_seed(seed0, t);
-            let eseed = seeding::engine_seed_for(pseed);
-            let ecfg = EngineConfig::synchronous(eseed).with_max_rounds(20_000_000);
-            let cfg = AgConfig::new(k);
-            let topo = ScheduledTopology::new(graph, schedule.clone());
-            let stats = match proto {
-                DynProto::Rlnc => {
-                    let mut p =
-                        AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, pseed).expect("spec");
-                    Engine::new(ecfg).run_batch(&mut p)
-                }
-                DynProto::Uncoded => {
-                    let mut p = RandomMessageGossip::<Gf256, _>::on_topology(topo, &cfg, pseed)
-                        .expect("spec");
-                    Engine::new(ecfg).run_batch(&mut p)
-                }
-            };
-            assert!(stats.completed, "F9 trial hit the round budget");
-            stats.rounds
-        })
-        .collect();
+    let rounds = TrialPlan::new(trials, seed0).map(|seeds| {
+        let mut engine =
+            Engine::new(EngineConfig::synchronous(seeds.engine).with_max_rounds(20_000_000));
+        let cfg = AgConfig::new(k);
+        let topo = ScheduledTopology::new(graph, schedule.clone());
+        let pseed = seeds.protocol;
+        let stats = match proto {
+            DynProto::Rlnc => engine.run_batch(
+                &mut AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, pseed).expect("spec"),
+            ),
+            DynProto::Uncoded => engine.run_batch(
+                &mut RandomMessageGossip::<Gf256, _>::on_topology(topo, &cfg, pseed).expect("spec"),
+            ),
+            DynProto::Tag => {
+                let tree =
+                    BroadcastTree::on_topology(topo.clone(), 0, CommModel::RoundRobin, pseed)
+                        .expect("tree");
+                engine.run_batch(
+                    &mut Tag::<Gf256, _, _>::on_topology(topo, tree, &cfg, pseed).expect("spec"),
+                )
+            }
+        };
+        assert!(stats.completed, "F9 trial hit the round budget");
+        stats.rounds
+    });
     Summary::of_u64(&rounds).median()
 }
 
@@ -140,7 +110,7 @@ fn f9a_families(scale: Scale) -> Vec<(&'static str, Graph, usize)> {
         Scale::Quick => (32, 6, 32),
         Scale::Full => (64, 8, 64),
     };
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(churn_seed());
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(F9_SEED);
     vec![
         ("ring", builders::cycle(ring_n).expect("cycle"), 4),
         (
@@ -157,14 +127,9 @@ fn f9a_families(scale: Scale) -> Vec<(&'static str, Graph, usize)> {
 }
 
 /// F9a: stopping time vs rewire rate, per family, RLNC vs uncoded.
-fn churn_rate_sweep(scale: Scale, text: &mut String, md: &mut String) {
+fn churn_rate_sweep(scale: Scale, md: &mut String) {
     let trials = scale.trials();
-    let rates = churn_rates();
-    let seed = churn_seed();
-    let _ = writeln!(
-        text,
-        "F9a  median stopping time vs rewire churn rate (sync, EXCHANGE, k = 4):\n"
-    );
+    let seed = F9_SEED;
     let _ = writeln!(
         md,
         "### F9a — churn-rate sweep (random rewires)\n\n\
@@ -188,34 +153,17 @@ fn churn_rate_sweep(scale: Scale, text: &mut String, md: &mut String) {
             "uncoded ratio".into(),
             "uncoded/RLNC".into(),
         ]);
-        // The ratio baseline is always the static (rate 0) run — even
-        // when a user-supplied `AG_CHURN_RATES` list omits rate 0.
-        let b_rlnc = median_dynamic_rounds(
-            &graph,
-            &ChurnSchedule::None,
-            DynProto::Rlnc,
-            k,
-            trials,
-            seed,
-        );
-        let b_unc = median_dynamic_rounds(
-            &graph,
-            &ChurnSchedule::None,
-            DynProto::Uncoded,
-            k,
-            trials,
-            seed,
-        );
-        for &rate in &rates {
-            let (rlnc, unc) = if rate == 0.0 {
-                (b_rlnc, b_unc) // the baseline cell itself
+        // The first rate is 0: the static run every ratio divides by.
+        let mut base: Option<(f64, f64)> = None;
+        for rate in REWIRE_RATES {
+            let schedule = if rate == 0.0 {
+                ChurnSchedule::None
             } else {
-                let schedule = ChurnSchedule::rewire(rate, seed);
-                (
-                    median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed),
-                    median_dynamic_rounds(&graph, &schedule, DynProto::Uncoded, k, trials, seed),
-                )
+                ChurnSchedule::rewire(rate, seed)
             };
+            let rlnc = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
+            let unc = median_dynamic_rounds(&graph, &schedule, DynProto::Uncoded, k, trials, seed);
+            let (b_rlnc, b_unc) = *base.get_or_insert((rlnc, unc));
             t.row(vec![
                 format!("{rate:.2}"),
                 format!("{rlnc:.0}"),
@@ -225,7 +173,6 @@ fn churn_rate_sweep(scale: Scale, text: &mut String, md: &mut String) {
                 format!("{:.2}", unc / rlnc),
             ]);
         }
-        let _ = writeln!(text, "{label} (n = {}):\n{}", graph.n(), t.render());
         let _ = writeln!(
             md,
             "#### F9a {label} (n = {})\n\n{}",
@@ -236,9 +183,9 @@ fn churn_rate_sweep(scale: Scale, text: &mut String, md: &mut String) {
 }
 
 /// F9b: the partition/heal adversary on the complete graph.
-fn partition_adversary(scale: Scale, text: &mut String, md: &mut String) {
+fn partition_adversary(scale: Scale, md: &mut String) {
     let trials = scale.trials();
-    let seed = churn_seed() ^ 0xB;
+    let seed = F9_SEED ^ 0xB;
     let n = match scale {
         Scale::Quick => 24,
         Scale::Full => 32,
@@ -255,7 +202,6 @@ fn partition_adversary(scale: Scale, text: &mut String, md: &mut String) {
         "uncoded/RLNC".into(),
     ]);
     let mut base: Option<(f64, f64)> = None;
-    let mut ratios = Vec::new();
     for &cut in blackouts {
         let schedule = if cut == 0 {
             ChurnSchedule::None
@@ -266,7 +212,6 @@ fn partition_adversary(scale: Scale, text: &mut String, md: &mut String) {
         let rlnc = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
         let unc = median_dynamic_rounds(&graph, &schedule, DynProto::Uncoded, k, trials, seed);
         let (b_rlnc, b_unc) = *base.get_or_insert((rlnc, unc));
-        ratios.push((cut, rlnc / b_rlnc, unc / b_unc, unc / rlnc));
         t.row(vec![
             if cut == 0 {
                 "static".into()
@@ -280,12 +225,6 @@ fn partition_adversary(scale: Scale, text: &mut String, md: &mut String) {
             format!("{:.2}", unc / rlnc),
         ]);
     }
-    let _ = writeln!(
-        text,
-        "F9b  alternating partition/heal on K_{n} (k = n all-to-all; cut `c` epochs\n\
-         per 1 healed):\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### F9b — adversarial partition/heal on K_{n} (k = n)\n\n\
@@ -305,45 +244,17 @@ fn partition_adversary(scale: Scale, text: &mut String, md: &mut String) {
 }
 
 /// F9c: bridge-cut adversary (uniform AG vs TAG) + crash-then-rewire.
-fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
+fn bridge_and_recovery(scale: Scale, md: &mut String) {
     let trials = scale.trials();
-    let seed = churn_seed() ^ 0xC;
+    let seed = F9_SEED ^ 0xC;
     let n = match scale {
         Scale::Quick => 16,
         Scale::Full => 24,
     };
-    let up = churn_period();
+    let up = BRIDGE_UP;
     let graph = builders::barbell(n).expect("barbell");
     let bridge = (n / 2 - 1, n / 2);
     let k = n;
-    // TAG is not covered by `median_dynamic_rounds` (extra tree protocol),
-    // so both protocols get a local trial loop on the shared seeds.
-    let run_cell = |schedule: &ChurnSchedule, tag: bool| -> f64 {
-        let rounds: Vec<u64> = (0..trials)
-            .map(|t| {
-                let pseed = seeding::trial_protocol_seed(seed, t);
-                let eseed = seeding::engine_seed_for(pseed);
-                let ecfg = EngineConfig::synchronous(eseed).with_max_rounds(20_000_000);
-                let cfg = AgConfig::new(k);
-                let topo = ScheduledTopology::new(&graph, schedule.clone());
-                let stats = if tag {
-                    let tree =
-                        BroadcastTree::on_topology(topo.clone(), 0, CommModel::RoundRobin, pseed)
-                            .expect("tree");
-                    let mut p =
-                        Tag::<Gf256, _, _>::on_topology(topo, tree, &cfg, pseed).expect("tag");
-                    Engine::new(ecfg).run_batch(&mut p)
-                } else {
-                    let mut p =
-                        AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, pseed).expect("ag");
-                    Engine::new(ecfg).run_batch(&mut p)
-                };
-                assert!(stats.completed, "F9c trial hit the round budget");
-                stats.rounds
-            })
-            .collect();
-        Summary::of_u64(&rounds).median()
-    };
     let cuts: &[u64] = &[0, 2 * up, 8 * up];
     let mut t = TableBuilder::new(vec![
         format!("bridge cut (per {up} up)"),
@@ -360,8 +271,8 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
         } else {
             ChurnSchedule::bridge_cut(bridge, up, cut)
         };
-        let ag = run_cell(&schedule, false);
-        let tag = run_cell(&schedule, true);
+        let ag = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
+        let tag = median_dynamic_rounds(&graph, &schedule, DynProto::Tag, k, trials, seed);
         let (b_ag, b_tag) = *base.get_or_insert((ag, tag));
         t.row(vec![
             if cut == 0 {
@@ -376,11 +287,6 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
             format!("{:.2}", tag / ag),
         ]);
     }
-    let _ = writeln!(
-        text,
-        "F9c  barbell({n}) bridge-cut adversary, k = n (bridge up {up} epochs, cut c):\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### F9c — barbell bridge-cut adversary: uniform AG vs TAG\n\n\
@@ -407,8 +313,8 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
     let cfg = AgConfig::new(3).with_placement(Placement::SingleSource(0));
     let plan = CrashPlan::explicit(vec![(0, 2)]);
     let budget = 3_000;
-    let pseed = seeding::trial_protocol_seed(seed ^ 0xD, 0);
-    let eseed = seeding::engine_seed_for(pseed);
+    let seeds = TrialPlan::new(1, seed ^ 0xD).seeds(0);
+    let (pseed, eseed) = (seeds.protocol, seeds.engine);
     let inner = AlgebraicGossip::<Gf256>::new(&star, &cfg, pseed).expect("static");
     let mut static_run = WithCrashes::new(inner, plan.clone());
     let s_static =
@@ -428,26 +334,11 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
         "rounds".into(),
         "surviving ranks".into(),
     ]);
-    let rank_sum = |p: &WithCrashes<AlgebraicGossip<Gf256>>| -> String {
-        format!(
-            "{}/{}",
-            p.survivors()
-                .iter()
-                .map(|&v| p.inner().rank(v))
-                .sum::<usize>(),
-            p.survivors().len() * 3
-        )
-    };
-    let rank_sum_dyn = |p: &WithCrashes<AlgebraicGossip<Gf256, ScheduledTopology>>| -> String {
-        format!(
-            "{}/{}",
-            p.survivors()
-                .iter()
-                .map(|&v| p.inner().rank(v))
-                .sum::<usize>(),
-            p.survivors().len() * 3
-        )
-    };
+    fn rank_sum<T: Topology>(p: &WithCrashes<AlgebraicGossip<Gf256, T>>) -> String {
+        let alive = p.survivors();
+        let ranks: usize = alive.iter().map(|&v| p.inner().rank(v)).sum();
+        format!("{ranks}/{}", alive.len() * 3)
+    }
     t.row(vec![
         "static star, hub crash".into(),
         "no (stalled)".into(),
@@ -458,14 +349,8 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
         "rewire 0.2, hub crash".into(),
         "yes".into(),
         format!("{}", s_dynamic.rounds),
-        rank_sum_dyn(&dynamic_run),
+        rank_sum(&dynamic_run),
     ]);
-    let _ = writeln!(
-        text,
-        "F9c' crash-then-rewire recovery (star, hub = single source dies after\n\
-         one answered round):\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### F9c′ — crash-then-rewire recovery\n\n\
@@ -482,7 +367,6 @@ fn bridge_and_recovery(scale: Scale, text: &mut String, md: &mut String) {
 /// Runs the F9 dynamic-topology suite.
 #[must_use]
 pub fn run(scale: Scale) -> ExperimentReport {
-    let mut text = String::new();
     let mut md = String::new();
     let _ = writeln!(
         md,
@@ -493,16 +377,14 @@ pub fn run(scale: Scale) -> ExperimentReport {
          under churn — any k independent equations decode, whichever\n\
          graphs delivered them — while the uncoded baseline keeps paying\n\
          its coupon-collector multiple at every churn rate and adversary\n\
-         severity. Knobs: `AG_CHURN_RATES`, `AG_CHURN_SEED`,\n\
-         `AG_CHURN_PERIOD` (see README).\n"
+         severity.\n"
     );
-    churn_rate_sweep(scale, &mut text, &mut md);
-    partition_adversary(scale, &mut text, &mut md);
-    bridge_and_recovery(scale, &mut text, &mut md);
+    churn_rate_sweep(scale, &mut md);
+    partition_adversary(scale, &mut md);
+    bridge_and_recovery(scale, &mut md);
     ExperimentReport {
         id: "F9",
         title: "Dynamic topologies: churn sweeps, adversarial schedules, recovery",
-        text,
         markdown: md,
     }
 }

@@ -25,7 +25,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let k = n;
     let full_rank = (n * k) as f64;
     let width = 64;
-    let mut text = String::new();
     let mut md = String::new();
 
     // Trace uniform AG.
@@ -50,15 +49,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let spark_u = sparkline(&downsample(&trace_u, width));
     let spark_t = sparkline(&downsample(&trace_t, width));
     let _ = writeln!(
-        text,
-        "F7  normalized total rank vs time, barbell n = {n}, k = {k} (sync):\n\n\
-         uniform AG ({} rounds):\n  |{spark_u}|\n\n\
-         TAG+B_RR  ({} rounds):\n  |{spark_t}|\n\n\
-         Uniform AG's long middle plateau is the Ω(n²) bridge bottleneck; TAG\n\
-         ramps straight to completion once Phase 1 ends.\n",
-        stats_u.rounds, stats_t.rounds
-    );
-    let _ = writeln!(
         md,
         "### F7 Rank evolution on the barbell (n = {n}, k = {k})\n\n\
          ```text\nuniform AG ({} rounds): |{spark_u}|\nTAG+B_RR   ({} rounds): |{spark_t}|\n```\n\n\
@@ -71,7 +61,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F7",
         title: "Rank-evolution traces on the barbell",
-        text,
         markdown: md,
     }
 }

@@ -26,7 +26,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let sample = |seed0: u64, n: u64, f: &(dyn Fn(&mut StdRng) -> f64 + Sync)| -> Vec<f64> {
         TrialPlan::new(n, seed0).map(|s| f(&mut StdRng::seed_from_u64(s.protocol)))
     };
-    let mut text = String::new();
     let mut md = String::new();
 
     // ---- F1: the dominance chain of Figure 1. --------------------------
@@ -74,11 +73,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "F1  Figure 1 chain on a binary-tree system (k = {k}, l_max = {lmax}, {trials} trials):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### F1 Figure 1: stochastic-dominance chain (k = {k}, l_max = {lmax}, {trials} trials)\n\n{}",
         t.render_markdown()
@@ -97,13 +91,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         t.row(vec![k.to_string(), format!("{m:.1}")]);
     }
     let fit_k = linear_fit(&pts_k);
-    let _ = writeln!(
-        text,
-        "F2(a)  Theorem 2, k-scaling (fit slope {:.2}, R² {:.3}):\n{}",
-        fit_k.slope,
-        fit_k.r_squared,
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### F2(a) Theorem 2 k-scaling — slope {:.2}, R² {:.3}\n\n{}",
@@ -124,13 +111,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         t.row(vec![l.to_string(), format!("{m:.1}")]);
     }
     let fit_l = linear_fit(&pts_l);
-    let _ = writeln!(
-        text,
-        "F2(b)  Theorem 2, l_max-scaling (fit slope {:.2}, R² {:.3}):\n{}",
-        fit_l.slope,
-        fit_l.r_squared,
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### F2(b) Theorem 2 l_max-scaling — slope {:.2}, R² {:.3}\n\n{}",
@@ -154,12 +134,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let times = sample(0xF2_C000, trials.min(800), &|rng| sys.drain_time(rng));
     let violations = times.iter().filter(|&&t| t > bound).count();
     let _ = writeln!(
-        text,
-        "F2(c)  Theorem 2 with the gossip service rate μ = 1/(2nΔ) on the 4x4 grid:\n       bound = (4k + 4·l_max + 16·ln n)/μ = {bound:.0} timeslots;\n       violations: {violations}/{} (Theorem 2 allows ≈ 2/n² ≈ {:.1}%)\n",
-        times.len(),
-        200.0 / (n * n) as f64
-    );
-    let _ = writeln!(
         md,
         "### F2(c) Theorem 2 at the gossip rate μ = 1/(2nΔ)\n\nBound {bound:.0} timeslots; violations {violations}/{} (allowed ≈ 2/n²).\n",
         times.len()
@@ -168,7 +142,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F1/F2",
         title: "Figure 1 & Theorem 2 — queueing reduction",
-        text,
         markdown: md,
     }
 }

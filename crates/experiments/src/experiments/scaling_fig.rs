@@ -19,7 +19,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Quick => vec![8, 16, 32, 64],
         Scale::Full => vec![8, 16, 32, 64, 128],
     };
-    let mut text = String::new();
     let mut md = String::new();
 
     // ---- t vs n at fixed k, per family (uniform AG, sync). -------------
@@ -57,14 +56,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         t.row(row);
     }
     let slopes: Vec<f64> = series.iter().map(|s| loglog_slope(s).slope).collect();
-    let _ = writeln!(
-        text,
-        "F5(a)  uniform AG, t vs n at k = {k_fixed} (sync), median rounds:\n{}\
-         fitted n-exponents: path {:.2}, cycle {:.2}, grid {:.2}, tree {:.2}, complete {:.2}\n\
-         (paper: D dominates ⇒ ≈1, 1, 0.5 — grid row uses fixed width 4 so D=Θ(n) ⇒ ≈1 —, ≈0 (log), ≈0)\n",
-        t.render(),
-        slopes[0], slopes[1], slopes[2], slopes[3], slopes[4]
-    );
     let _ = writeln!(
         md,
         "### F5(a) Uniform AG: t vs n at k = {k_fixed} (synchronous)\n\n{}\nFitted exponents: path {:.2}, cycle {:.2}, grid {:.2}, tree {:.2}, complete {:.2}.\n",
@@ -131,11 +122,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "F5(b)  uniform AG, t vs k at n = {n_fixed}: rounds grow additively in k\n       (path stopping time ≈ a·k + D for k ≫ D):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### F5(b) Uniform AG: t vs k at n = {n_fixed}\n\n{}",
         t.render_markdown()
@@ -174,11 +160,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let su = loglog_slope(&u_pts).slope;
     let st = loglog_slope(&g_pts).slope;
     let _ = writeln!(
-        text,
-        "F5(c)  all-to-all (k = n) on the path: both protocols are Θ(n)\n       (exponents: uniform {su:.2}, TAG {st:.2}):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### F5(c) All-to-all on the path — exponents: uniform {su:.2}, TAG {st:.2}\n\n{}",
         t.render_markdown()
@@ -187,7 +168,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F5",
         title: "Scaling curves: t vs n and t vs k",
-        text,
         markdown: md,
     }
 }

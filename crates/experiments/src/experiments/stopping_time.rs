@@ -218,7 +218,6 @@ pub fn ladder(family: SweepFamily, scale: Scale) -> Vec<usize> {
 #[must_use]
 pub fn run(scale: Scale) -> ExperimentReport {
     let trials = scale.trials();
-    let mut text = String::new();
     let mut md = String::new();
 
     let mut summary = TableBuilder::new(vec![
@@ -228,10 +227,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "tight exp.".into(),
         "Δn-bound exp.".into(),
     ]);
-    let _ = writeln!(
-        text,
-        "F8  median stopping time (rounds) vs n, uniform AG, rank-only\n         (k = {SWEEP_K} fixed; barbell all-to-all at k = n):\n"
-    );
     let _ = writeln!(
         md,
         "Median stopping time vs n (rank-only packets), uniform algebraic\n\
@@ -262,16 +257,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         let fit_s = fit_slope(&sync);
         let fit_a = fit_slope(&async_);
         let _ = writeln!(
-            text,
-            "{} (sync slope {:.2}, async slope {:.2}, tight {:.1}, Δn bound {:.1}):\n{}",
-            family.label(),
-            fit_s.slope,
-            fit_a.slope,
-            family.tight_exponent(),
-            family.delta_n_exponent(),
-            t.render()
-        );
-        let _ = writeln!(
             md,
             "### F8 {} — slopes: sync {:.2}, async {:.2} (tight {:.1}, Δn bound {:.1})\n\n{}",
             family.label(),
@@ -290,15 +275,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "summary — fitted exponents vs bounds:\n{}\
-         The ring tracks its Δn bound (both linear); the barbell attains the\n\
-         quadratic worst case; complete/random-regular show the Δn bound loose\n\
-         by a factor ~n (measured slope ≈ 0). Scale these sweeps up with:\n\
-         AG_BENCH_SCALE=full cargo run --release -p ag-bench --bin experiments -- stopping_time",
-        summary.render()
-    );
-    let _ = writeln!(
         md,
         "### F8 summary\n\n{}\n`AG_BENCH_SCALE=full` runs longer ladders; the same rank-only loop at\n\
          n = 10⁵ is the `gossip-rank` workload of `BENCHMARK.json`.\n",
@@ -308,7 +284,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "F8",
         title: "Stopping-time scaling suite: rounds vs n per family",
-        text,
         markdown: md,
     }
 }

@@ -36,7 +36,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Full => 32,
     };
     let trials = scale.trials();
-    let mut text = String::new();
     let mut md = String::new();
 
     // ---- Row 1: uniform AG on any graph, both time models. -------------
@@ -79,11 +78,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "T1.1  uniform AG vs O((k + ln n + D)·Δ), k = {k}, n = {n}:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### T1.1 Uniform AG: `O((k + log n + D)Δ)` (k = {k}, n = {n})\n\n{}",
         t.render_markdown()
@@ -115,14 +109,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let fit = linear_fit(&pts);
-    let _ = writeln!(
-        text,
-        "T1.2  Θ(k+D) on the path (Δ = 2): rounds ≈ {:.2}·(k+D) + {:.1},  R² = {:.3}\n{}",
-        fit.slope,
-        fit.intercept,
-        fit.r_squared,
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### T1.2 Constant max degree: `Θ(k + D)` (path, n = {n})\n\nFit: rounds ≈ {:.2}·(k+D) + {:.1}, R² = {:.3}\n\n{}",
@@ -166,11 +152,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "T1.3  TAG vs O(k + ln n + d(S) + 2·t(S)), S = B_RR, k = {k}:\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### T1.3 TAG: `O(k + log n + d(S) + t(S))` (k = {k}, n = {n})\n\n{}",
         t.render_markdown()
@@ -206,11 +187,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         }
         t.row(row);
     }
-    let _ = writeln!(
-        text,
-        "T1.4  TAG+B_RR with k = n: rounds/n must stay flat (Θ(n)):\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### T1.4 `k = Ω(n)` ⇒ TAG+B_RR finishes in `Θ(n)` on any graph\n\n{}",
@@ -255,11 +231,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "T1.5  barbell, k = ⌈log²n⌉: TAG+oracle t/k flat ⇒ Θ(k); the honest IS\n      facsimile is Θ(n) on the barbell (documented substitution):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### T1.5 Weak conductance: `Θ(k)` with the IS bound (barbell)\n\nThe oracle charges Phase 1 the `O(c(log n/Φ_c + c))` rounds of [5]; the\nconcrete facsimile (no polylog machinery) is honestly Θ(n) — see DESIGN.md §4.\n\n{}",
         t.render_markdown()
@@ -268,7 +239,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "T1",
         title: "Table 1 — main stopping-time results",
-        text,
         markdown: md,
     }
 }

@@ -30,7 +30,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         Scale::Full => (64, 1 << 16),
     };
     let trials = scale.trials();
-    let mut text = String::new();
     let mut md = String::new();
 
     // Formula comparison at large n (the table as printed in the paper).
@@ -72,11 +71,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
             predicted,
         ]);
     }
-    let _ = writeln!(
-        text,
-        "T2(a)  bound formulas at n = {n_formula}:\n{}",
-        t.render()
-    );
     let _ = writeln!(
         md,
         "### T2(a) Bound formulas at n = {n_formula}\n\n{}",
@@ -125,11 +119,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "T2(b)  measured uniform AG vs both bounds, exact γ and sweep-estimated λ\n       (n ≈ {n_measure}):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### T2(b) Measured uniform AG vs both bounds (n ≈ {n_measure})\n\nγ is the exact Stoer–Wagner min cut; λ the BFS-sweep conductance estimate.\n\n{}",
         t.render_markdown()
@@ -155,11 +144,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ]);
     }
     let _ = writeln!(
-        text,
-        "T2(c)  line improvement factor tracks log²n (k = n/4):\n{}",
-        t.render()
-    );
-    let _ = writeln!(
         md,
         "### T2(c) Improvement factor growth (line, k = n/4)\n\n{}",
         t.render_markdown()
@@ -168,7 +152,6 @@ pub fn run(scale: Scale) -> ExperimentReport {
     ExperimentReport {
         id: "T2",
         title: "Table 2 — comparison with Haeupler's bound",
-        text,
         markdown: md,
     }
 }

@@ -7,8 +7,9 @@
 //! Report ids ("T1", "F1", …) are the ones in the EXPERIMENTS.md index.
 //!
 //! Scale: every experiment takes a [`Scale`]; `Scale::Quick` keeps the
-//! whole suite to a few seconds (and is what CI smokes), `Scale::Full`
-//! uses larger n and more trials. Set `AG_BENCH_SCALE=full` to upgrade
+//! whole suite to a few seconds (and is what CI regenerates and diffs
+//! against the committed `EXPERIMENTS.md`), `Scale::Full` uses larger n
+//! and more trials. Set `AG_BENCH_SCALE=full` to upgrade
 //! the binary.
 
 pub mod common;

@@ -49,10 +49,24 @@
 //! assert_eq!(a * inv, Gf256::ONE);
 //! ```
 
-// In characteristic-2 fields XOR *is* addition and AND-style carry-less
-// products *are* multiplication; clippy's heuristic flags them as suspicious.
-#![allow(clippy::suspicious_arithmetic_impl)]
-#![allow(clippy::suspicious_op_assign_impl)]
+// Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
+// an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+#![allow(
+    clippy::suspicious_arithmetic_impl,
+    clippy::suspicious_op_assign_impl,
+    reason = "in characteristic-2 fields XOR is addition and carry-less AND-style products are multiplication"
+)]
 
 mod field;
 mod fp;

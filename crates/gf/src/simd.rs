@@ -26,7 +26,10 @@
 //! optimal there because the nibble tables must be rebuilt per source
 //! coefficient anyway.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the ISA kernels are this workspace's unsafe surface"
+)]
 
 use crate::slab::xor_slice;
 

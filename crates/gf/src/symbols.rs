@@ -79,8 +79,10 @@ pub fn bytes_to_symbols<F: Field>(bytes: &[u8]) -> Vec<F> {
             2 => 1,
             4 => 2,
             16 => 4,
-            // ag-lint: allow(panic-policy) — spb > 1 only for the three
-            // sub-byte field sizes matched above.
+            #[expect(
+                clippy::unreachable,
+                reason = "spb > 1 only for the three sub-byte field sizes matched above"
+            )]
             _ => unreachable!("symbols_per_byte covered these"),
         };
         let mask = (1u16 << bits) - 1;
@@ -129,8 +131,10 @@ pub fn symbols_to_bytes<F: Field>(symbols: &[F], byte_len: usize) -> Vec<u8> {
             2 => 1,
             4 => 2,
             16 => 4,
-            // ag-lint: allow(panic-policy) — spb > 1 only for the three
-            // sub-byte field sizes matched above.
+            #[expect(
+                clippy::unreachable,
+                reason = "spb > 1 only for the three sub-byte field sizes matched above"
+            )]
             _ => unreachable!("symbols_per_byte covered these"),
         };
         for group in symbols.chunks(spb).take(byte_len) {

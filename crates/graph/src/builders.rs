@@ -290,8 +290,10 @@ pub fn random_regular<R: Rng + ?Sized>(
         let mut stubs: Vec<NodeId> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
         stubs.shuffle(rng);
         let mut edges = Vec::with_capacity(n * d / 2);
-        // Insert-only duplicate-edge probe: order is never observed.
-        #[allow(clippy::disallowed_types)]
+        #[allow(
+            clippy::disallowed_types,
+            reason = "insert-only duplicate-edge probe: order is never observed"
+        )]
         let mut seen = std::collections::HashSet::new();
         for pair in stubs.chunks(2) {
             let (u, v) = (pair[0], pair[1]);

@@ -8,9 +8,10 @@
 //!   measures; the barbell's single bridge edge is the canonical low-
 //!   conductance cut that makes uniform gossip slow.
 
-// `HashSet` node sets are fine here: every consumer is either keyed
-// (`contains`) or order-independent (waived sum in `volume`).
-#![allow(clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "`HashSet` node sets: every consumer is keyed (`contains`) or order-independent (the waived sum in `volume`)"
+)]
 
 use std::collections::HashSet;
 
@@ -165,9 +166,10 @@ pub fn global_min_cut(g: &Graph) -> usize {
         best = best.min(weight_to_a[last]);
         // Contract `last` into `prev`.
         let (lp, ll) = (active[prev], active[last]);
-        // Indexing is deliberate: the body writes both w[lp][i] and
-        // w[i][lp], which no iterator borrow allows.
-        #[allow(clippy::needless_range_loop)]
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "the body writes both w[lp][i] and w[i][lp], which no iterator borrow allows"
+        )]
         for i in 0..n {
             w[lp][i] += w[ll][i];
             w[i][lp] = w[lp][i];

@@ -11,6 +11,9 @@
 //! construction (different seeds/salts), not by hoping parallel
 //! implementations never drift.
 
+// Seed-keying code: a narrowing `as` would collapse distinct seed domains.
+#![warn(clippy::cast_possible_truncation)]
+
 /// Golden-ratio increment of the SplitMix64 sequence. Odd, so
 /// `seed + index · GOLDEN_GAMMA` is a bijection of the index — distinct
 /// indices of one stream family can never collide.

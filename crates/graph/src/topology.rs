@@ -44,8 +44,13 @@
 //! assert_eq!(topo.edge_count(), 8); // rewires preserve the edge count
 //! ```
 
-// Keyed lookup only, never iterated — see lint.toml [rules.hash-iteration].
-#[allow(clippy::disallowed_types)]
+// Seed-keying code: a narrowing `as` would collapse distinct seed domains.
+#![warn(clippy::cast_possible_truncation)]
+
+#[allow(
+    clippy::disallowed_types,
+    reason = "keyed lookup only, never iterated (ag-lint `hash-iteration` checks that)"
+)]
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -275,8 +280,10 @@ impl ChurnSchedule {
 /// assert!(topo.has_edge(3, 4)); // healed again
 /// ```
 #[derive(Debug, Clone)]
-// `edge_pos` is keyed lookup only, never iterated.
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "`edge_pos` is keyed lookup only, never iterated"
+)]
 pub struct ScheduledTopology {
     /// Sorted neighbor lists of the current epoch's view.
     adj: Vec<Vec<NodeId>>,
@@ -365,9 +372,10 @@ impl ScheduledTopology {
         if self.edge_pos.contains_key(&key) {
             return false;
         }
-        let iu = self.adj[u].binary_search(&v).unwrap_err();
+        let absent = "edge_pos and adj agree: an edge missing from edge_pos is in neither list";
+        let iu = self.adj[u].binary_search(&v).expect_err(absent);
         self.adj[u].insert(iu, v);
-        let iv = self.adj[v].binary_search(&u).unwrap_err();
+        let iv = self.adj[v].binary_search(&u).expect_err(absent);
         self.adj[v].insert(iv, u);
         self.edge_pos.insert(key, self.edges.len());
         self.edges.push(key);
@@ -398,6 +406,10 @@ impl ScheduledTopology {
             ChurnSchedule::None => {}
             ChurnSchedule::Rewire { rate, seed } => {
                 let mut rng = epoch_rng(seed, epoch);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a float-to-int `as` saturates, and `rewire` keeps rate in [0, 1], so count <= edge count"
+                )]
                 let count = (rate * self.edges.len() as f64).round() as usize;
                 let n = self.adj.len();
                 for _ in 0..count {

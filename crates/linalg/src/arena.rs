@@ -146,8 +146,10 @@ impl<F: SlabField> BasisArena<F> {
     pub fn new(nodes: usize, pivot_width: usize, row_elems: usize) -> Self {
         match Self::try_new(nodes, pivot_width, row_elems) {
             Ok(arena) => arena,
-            // ag-lint: allow(panic-policy) — documented panicking wrapper;
-            // try_new is the typed-error twin.
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; try_new is the typed-error twin"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

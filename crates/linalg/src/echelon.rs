@@ -187,18 +187,6 @@ impl<F: SlabField> EchelonBasis<F> {
         self.dims().pb
     }
 
-    /// The reduced coefficient prefix of row `i` as a packed slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= rank`.
-    #[must_use]
-    pub fn coeff_row(&self, i: usize) -> &[u8] {
-        assert!(i < self.rank(), "row index out of bounds");
-        let kb = self.coeff_bytes();
-        &self.node.coeff()[i * kb..(i + 1) * kb]
-    }
-
     /// Iterates over the stored rows' reduced coefficient prefixes, in
     /// insertion order. Payloads are untouched — this is the hot-path view
     /// for helpfulness scans.
@@ -279,8 +267,10 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn insert(&mut self, row: Vec<F>) -> Insertion {
         match self.try_insert(row) {
             Ok(outcome) => outcome,
-            // ag-lint: allow(panic-policy) — documented panicking wrapper;
-            // try_insert is the typed-error twin.
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; try_insert is the typed-error twin"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -629,7 +619,6 @@ mod tests {
         for i in 0..b.rank() {
             b.copy_packed_row_into(i, &mut buf);
             assert_eq!(Gf256::unpack(&buf), b.row(i));
-            assert_eq!(&buf[..b.coeff_bytes()], b.coeff_row(i));
         }
         assert_eq!(b.rows().len(), 2);
     }

@@ -23,6 +23,20 @@
 //! [`EchelonBasis::try_insert`]) so a shape bug can never corrupt a basis
 //! mid-elimination.
 
+// Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
+// an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod arena;
 mod echelon;
 mod node;

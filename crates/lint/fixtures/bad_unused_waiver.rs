@@ -1,13 +1,13 @@
-//! Known-bad waiver hygiene: the first waiver's unwrap is long gone, so
+//! Known-bad waiver hygiene: the first waiver's hash set is long gone, so
 //! the waiver itself must fire; the second still suppresses a live
-//! unwrap and must stay silent.
+//! iteration and must stay silent.
 
-fn tidy(x: Option<u32>) -> u32 {
-    // ag-lint: allow(panic-policy) — historical unwrap, since removed
-    x.unwrap_or(0)
+fn tidy(sorted: &BTreeSet<u32>) -> u32 {
+    // ag-lint: allow(hash-iteration) — historical HashSet, since replaced
+    sorted.iter().sum()
 }
 
-fn live(x: Option<u32>) -> u32 {
-    // ag-lint: allow(panic-policy) — invariant: caller checks is_some first
-    x.unwrap()
+fn live(set: &HashSet<u32>) -> u32 {
+    // ag-lint: allow(hash-iteration) — a commutative sum: order-independent
+    set.iter().sum()
 }

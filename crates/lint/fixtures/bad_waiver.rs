@@ -1,10 +1,10 @@
 //! Known-bad: waivers that are themselves invalid — no reason, or an
 //! unknown rule name. Both must fire `invalid-waiver`.
 
-pub fn f(v: &[i32]) -> i32 {
-    // ag-lint: allow(panic-policy)
-    let a = v.first().unwrap();
+pub fn f(set: &HashSet<u32>) -> Option<u32> {
+    // ag-lint: allow(hash-iteration)
+    let a = set.iter().next().copied();
     // ag-lint: allow(made-up-rule) — the rule name does not exist.
-    let b = v.last().unwrap();
-    a + b
+    let b = set.iter().last().copied();
+    a.or(b)
 }

@@ -377,14 +377,17 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
 }
 
 /// Resolve the workspace-wide set of seed-derivation functions by
-/// fixpoint: start from the configured roots (`splitmix64`), then add any
+/// fixpoint: start from [`crate::policy::DERIVATION_ROOTS`], then add any
 /// function whose body calls a function already in the set, until stable.
 /// Deliberately over-approximate in the safe direction — a helper that
 /// merely *touches* the derivation chain counts as keyed, so the rule
 /// errs toward fewer false positives.
 #[must_use]
-pub fn derivation_fixpoint(indexes: &[&FileIndex], roots: &[String]) -> BTreeSet<String> {
-    let mut set: BTreeSet<String> = roots.iter().cloned().collect();
+pub fn derivation_fixpoint(indexes: &[&FileIndex]) -> BTreeSet<String> {
+    let mut set: BTreeSet<String> = crate::policy::DERIVATION_ROOTS
+        .iter()
+        .map(|r| (*r).to_owned())
+        .collect();
     loop {
         let mut changed = false;
         for idx in indexes {
@@ -520,7 +523,7 @@ mod tests {
             "}\n",
             "pub fn unrelated() -> u64 { 7 }\n",
         )));
-        let set = derivation_fixpoint(&[&a, &b], &["splitmix64".to_owned()]);
+        let set = derivation_fixpoint(&[&a, &b]);
         assert!(set.contains("derive_key"));
         assert!(set.contains("cell_key"), "transitive across files");
         assert!(!set.contains("unrelated"));

@@ -15,18 +15,16 @@ use crate::scan::ScannedFile;
 /// Longest justification excerpt kept in the table.
 const EXCERPT_MAX: usize = 180;
 
-/// Render the inventory for `(path, scanned-file, index)` triples
-/// (already filtered to the unsafe-audit scope and sorted by path).
-/// `bound_hints` is the bounds-provenance vocabulary used to compute the
-/// cited-bounds column.
+/// Render the inventory for `(path, scanned-file, index)` triples, sorted
+/// by path.
 #[must_use]
-pub fn render(files: &[(String, &ScannedFile, &FileIndex)], bound_hints: &[String]) -> String {
+pub fn render(files: &[(String, ScannedFile, FileIndex)]) -> String {
     // Site row plus its bounds-provenance columns: pointer ops performed
     // in the span, and the len/bound identifiers its SAFETY comment cites.
     let mut rows: Vec<(String, UnsafeSite, String, String)> = Vec::new();
     for (path, file, idx) in files {
         for site in unsafe_sites(file) {
-            let (ops, cited) = match bounds_summary(file, idx, site.line, bound_hints) {
+            let (ops, cited) = match bounds_summary(file, idx, site.line) {
                 Some((ops, _)) if ops.is_empty() => ("—".to_owned(), "—".to_owned()),
                 Some((ops, cited)) => {
                     let cited = if cited.is_empty() {
@@ -121,10 +119,10 @@ mod tests {
         let di = crate::index::index_file(&documented);
         let ui = crate::index::index_file(&undocumented);
         let files = vec![
-            ("a.rs".to_owned(), &documented, &di),
-            ("b.rs".to_owned(), &undocumented, &ui),
+            ("a.rs".to_owned(), documented, di),
+            ("b.rs".to_owned(), undocumented, ui),
         ];
-        let md = render(&files, &["len".to_owned()]);
+        let md = render(&files);
         assert!(md.contains("Total sites: 2"));
         assert!(
             md.contains("| 1 | `a.rs:2` | block | — | — | len \\| is checked above |"),
@@ -144,8 +142,8 @@ mod tests {
         );
         let file = scan(src);
         let idx = crate::index::index_file(&file);
-        let files = vec![("a.rs".to_owned(), &file, &idx)];
-        let md = render(&files, &["len".to_owned(), "n".to_owned()]);
+        let files = vec![("a.rs".to_owned(), file, idx)];
+        let md = render(&files);
         assert!(md.contains("`get_unchecked`, `add`"), "{md}");
         assert!(md.contains("| `n` |"), "{md}");
     }

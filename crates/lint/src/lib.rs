@@ -1,43 +1,46 @@
-//! `ag-lint` — the workspace's static-analysis pass.
+//! `ag-lint` — the workspace's static-analysis pass for what clippy
+//! cannot state.
 //!
 //! The repo's central claim is that simulation runs are a *pure function
 //! of the seed*: bit-identical across shard counts, thread counts and
 //! reruns. Runtime tests (golden pins, differential suites) defend that
-//! claim after the fact; this crate defends it *statically*, because the
-//! bug classes that break it are lexically recognizable:
+//! claim after the fact; static checks defend it before the code runs.
+//! Each policy has exactly one checker. Clippy owns the ones a stock lint
+//! states exactly (wall-clock and environment reads, truncating casts in
+//! seed-keying code, the no-`unwrap`/`panic!` policy; see `clippy.toml`,
+//! the library roots' `#![warn(clippy::…)]` heads and the README table).
+//! This crate owns the five that need this codebase's own structure:
 //!
-//! * iteration over hash-ordered collections (the exact latent bug PR 1
-//!   fixed in `RandomMessageGossip`, where `HashSet` iteration order
-//!   leaked into message picks),
-//! * wall-clock and environment reads inside the simulation stack,
-//! * truncating casts in seed-mixing/RNG-keying code.
+//! * `hash-iteration` — iteration over hash-ordered collections (the
+//!   exact latent bug PR 1 fixed in `RandomMessageGossip`, where `HashSet`
+//!   iteration order leaked into message picks); clippy can ban naming
+//!   the type, not iterating a field whose type was allowed,
+//! * `unsafe-audit` — every `unsafe` site carries a `// SAFETY:`
+//!   justification and is listed in a committed, drift-checked
+//!   `UNSAFE_INVENTORY.md`,
+//! * `rng-discipline` — every RNG keyed through the `seedmix` chain,
+//! * `alloc-discipline` — no allocating constructs inside
+//!   `// ag-lint: hot-path` zones,
+//! * `bounds-provenance` — pointer-arithmetic SAFETY comments must cite a
+//!   real len/bound from the enclosing scope.
 //!
-//! Two more families turn implicit repo policy into checked policy: every
-//! `unsafe` site must carry a `// SAFETY:` justification (and is listed
-//! in a committed, drift-checked `UNSAFE_INVENTORY.md`), and library code
-//! must not `unwrap`/`panic!` — `.expect("invariant")` with a real
-//! message, typed errors, or an explicit waiver are the only outs.
-//!
-//! v2 grew the pass into a two-phase analyzer. Phase 1 ([`index`]) builds
-//! a per-file symbol/region index (fn boundaries, call sites, annotated
-//! regions, unsafe spans) and a cross-file seed-derivation fixpoint;
-//! phase 2 adds three families over it: `rng-discipline` (every RNG
-//! keyed through the `seedmix` chain), `alloc-discipline` (no allocating
-//! constructs inside `// ag-lint: hot-path` zones) and
-//! `bounds-provenance` (pointer-arithmetic SAFETY comments must cite a
-//! real len/bound from the enclosing scope).
+//! It is a two-phase analyzer. Phase 1 ([`index`]) builds a per-file
+//! symbol/region index (fn boundaries, call sites, annotated regions,
+//! unsafe spans) and a cross-file seed-derivation fixpoint; phase 2
+//! ([`rules`]) runs the families over it.
 //!
 //! Everything is pure `std` (the container is offline), driven by a
-//! lightweight lexer/line scanner — no `syn`, no type information. The
-//! rules, their per-crate scopes and the waiver syntax live in the root
-//! `lint.toml`; see the README's static-analysis section for the rule
-//! table and `crates/lint/fixtures/` for known-good/known-bad examples
-//! every rule family is self-tested against.
+//! lightweight lexer/line scanner — no `syn`, no type information. There
+//! is no configuration: scopes and vocabularies are the constants in
+//! [`policy`], and the tool lints the workspace it was built in. See the
+//! README's static-analysis section for the policy table and
+//! `crates/lint/fixtures/` for the known-good/known-bad examples every
+//! family is self-tested against.
 
-pub mod config;
 pub mod dataflow;
 pub mod index;
 pub mod inventory;
+pub mod policy;
 pub mod rules;
 pub mod scan;
 
@@ -45,9 +48,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use config::Config;
 use index::FileIndex;
-use rules::{Finding, RuleId};
+use rules::Finding;
 use scan::{scan, ScannedFile};
 
 /// Result of linting a workspace.
@@ -63,15 +65,23 @@ pub struct Report {
     pub inventory: String,
 }
 
+/// The workspace this tool was built in: two levels above `crates/lint`.
+#[must_use]
+pub fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/lint sits two levels below the workspace root")
+}
+
 /// Run the whole pass over the workspace rooted at `root`.
-pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
+pub fn run(root: &Path) -> io::Result<Report> {
     let mut paths: Vec<String> = Vec::new();
-    for src_root in &cfg.source_roots {
+    for src_root in policy::SOURCE_ROOTS {
         collect_rs_files(root, Path::new(src_root), &mut paths)?;
     }
     paths.sort();
-    paths.dedup();
-    paths.retain(|p| !cfg.exclude.iter().any(|pat| config::glob_match(pat, p)));
+    paths.retain(|p| !policy::glob_match(policy::EXCLUDE, p));
 
     // Phase 1: scan and index every file, then resolve the workspace-wide
     // seed-derivation set by fixpoint (a helper in crates/graph that
@@ -84,26 +94,18 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
         scanned.push((rel.clone(), file, idx));
     }
     let indexes: Vec<&FileIndex> = scanned.iter().map(|(_, _, i)| i).collect();
-    let roots = cfg.rule(RuleId::RngDiscipline).derivation_roots;
-    let derivation = index::derivation_fixpoint(&indexes, &roots);
+    let derivation = index::derivation_fixpoint(&indexes);
 
     // Phase 2: run the rule families per file against the shared context.
     let mut findings = Vec::new();
     let mut waivers_honored = 0usize;
     for (rel, file, idx) in &scanned {
-        let (mut file_findings, honored) =
-            rules::lint_file_indexed(rel, file, idx, &derivation, cfg);
+        let (mut file_findings, honored) = rules::lint_file_indexed(rel, file, idx, &derivation);
         findings.append(&mut file_findings);
         waivers_honored += honored;
     }
 
-    let audit_files: Vec<(String, &ScannedFile, &FileIndex)> = scanned
-        .iter()
-        .filter(|(p, _, _)| cfg.applies(RuleId::UnsafeAudit, p))
-        .map(|(p, f, i)| (p.clone(), f, i))
-        .collect();
-    let hints = cfg.rule(RuleId::BoundsProvenance).bound_hints;
-    let inventory = inventory::render(&audit_files, &hints);
+    let inventory = inventory::render(&scanned);
 
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(Report {
@@ -115,8 +117,7 @@ pub fn run(root: &Path, cfg: &Config) -> io::Result<Report> {
 }
 
 /// Recursively collect `.rs` files under `root/dir` as workspace-relative
-/// `/`-separated paths. A missing source root is not an error (the
-/// config lists optional roots like `examples`).
+/// `/`-separated paths. A missing source root is not an error.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
     let abs = root.join(dir);
     if !abs.is_dir() {
@@ -141,10 +142,4 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Resul
         }
     }
     Ok(())
-}
-
-/// Load the `lint.toml` at `root`.
-pub fn load_config(root: &Path) -> io::Result<Config> {
-    let text = fs::read_to_string(root.join("lint.toml"))?;
-    Config::from_toml_str(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }

@@ -1,53 +1,41 @@
 //! The `ag-lint` CLI.
 //!
 //! ```text
-//! ag-lint [--root <dir>] [--write-inventory]
+//! ag-lint [--write-inventory]
 //! ```
 //!
-//! Reads `<root>/lint.toml` (default root: the nearest ancestor of the
-//! current directory containing one), lints every configured source
-//! root, and checks `UNSAFE_INVENTORY.md` for drift. Exit codes: 0 clean,
-//! 1 findings or inventory drift, 2 usage/config error.
+//! Lints the workspace it was built in and checks `UNSAFE_INVENTORY.md`
+//! for drift. Exit codes: 0 clean, 1 findings or inventory drift, 2
+//! usage or I/O error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ag_lint::policy::INVENTORY_PATH;
+
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a command-line tool reads its arguments"
+)]
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
     let mut write_inventory = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage("--root needs a directory"),
-            },
             "--write-inventory" => write_inventory = true,
             "--help" | "-h" => {
-                println!("usage: ag-lint [--root <dir>] [--write-inventory]");
+                println!("usage: ag-lint [--write-inventory]");
                 return ExitCode::SUCCESS;
             }
-            other => return usage(&format!("unknown argument `{other}`")),
+            other => {
+                eprintln!(
+                    "ag-lint: unknown argument `{other}`\nusage: ag-lint [--write-inventory]"
+                );
+                return ExitCode::from(2);
+            }
         }
     }
 
-    let root = match root.map_or_else(find_root, Ok) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("ag-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let cfg = match ag_lint::load_config(&root) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("ag-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = match ag_lint::run(&root, &cfg) {
+    let root = ag_lint::workspace_root();
+    let report = match ag_lint::run(root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ag-lint: {e}");
@@ -59,23 +47,22 @@ fn main() -> ExitCode {
         println!("{finding}");
     }
 
-    let inv_path = root.join(&cfg.inventory_path);
+    let inv_path = root.join(INVENTORY_PATH);
     let mut drift = false;
     if write_inventory {
         if let Err(e) = std::fs::write(&inv_path, &report.inventory) {
             eprintln!("ag-lint: cannot write {}: {e}", inv_path.display());
             return ExitCode::from(2);
         }
-        println!("ag-lint: wrote {}", cfg.inventory_path);
+        println!("ag-lint: wrote {INVENTORY_PATH}");
     } else {
         let on_disk = std::fs::read_to_string(&inv_path).unwrap_or_default();
         if on_disk != report.inventory {
             drift = true;
             println!(
-                "{}: inventory drift: the committed file does not match the \
+                "{INVENTORY_PATH}: inventory drift: the committed file does not match the \
                  unsafe sites in the tree — run `cargo run -p ag-lint -- \
-                 --write-inventory` and commit the result",
-                cfg.inventory_path
+                 --write-inventory` and commit the result"
             );
         }
     }
@@ -92,22 +79,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Walk up from the current directory to the nearest `lint.toml`.
-fn find_root() -> Result<PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| e.to_string())?;
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return Ok(dir);
-        }
-        if !dir.pop() {
-            return Err("no lint.toml found here or in any ancestor directory".to_owned());
-        }
-    }
-}
-
-fn usage(msg: &str) -> ExitCode {
-    eprintln!("ag-lint: {msg}\nusage: ag-lint [--root <dir>] [--write-inventory]");
-    ExitCode::from(2)
 }

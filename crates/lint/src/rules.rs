@@ -1,11 +1,15 @@
-//! The three rule families, plus waiver handling.
+//! The five rule families, plus waiver handling.
 //!
 //! Every rule is a scanner over [`crate::scan::ScannedFile`] — substring
 //! and token matching over comment-free, literal-free code text. That is
 //! deliberately weaker than type-aware analysis and deliberately stronger
 //! than reviewer vigilance: each family targets a bug class that is
-//! *lexically* recognizable in this codebase, and the fixture self-tests
-//! pin exactly what fires and what passes.
+//! *lexically* recognizable in this codebase and that clippy cannot state
+//! (the policies it can state — wall-clock and environment reads,
+//! truncating casts in seed-keying code, the panic policy — are clippy
+//! lints, see the README), and the fixture self-tests pin exactly what
+//! fires and what passes. Which files a family covers is in
+//! [`crate::policy`].
 //!
 //! * **`hash-iteration`** — iteration over `HashMap`/`HashSet` in the
 //!   simulation crates. Hash iteration order is randomized per process
@@ -14,19 +18,13 @@
 //!   PR 1 fixed in `RandomMessageGossip`). Keyed lookup stays legal: the
 //!   rule tracks which identifiers are hash-typed and fires only on
 //!   iteration forms (`iter`/`keys`/`values`/`drain`/`retain`/`for … in`).
-//! * **`wall-clock`** — `SystemTime`/`Instant::now`/`std::env` reads in
-//!   library crates. Time and environment are the two ambient inputs a
-//!   deterministic simulation must not consume outside the bench harness.
-//! * **`truncating-cast`** — `as u8/u16/u32/i8/i16/i32` in seed-mixing
-//!   and RNG-keying code, where silently dropping high bits collapses
-//!   distinct seed domains onto each other.
-//! * **`unsafe-audit`** — every `unsafe` fn/impl/block/trait must carry a
-//!   `// SAFETY:` comment stating its actual precondition.
-//! * **`panic-policy`** — no `unwrap`/`panic!`-family macros in library
-//!   code; `.expect("invariant message")` is the configurable escape
-//!   hatch, and indexing can additionally be forbidden per scope.
+//!   Clippy's `disallowed-types` can only ban *naming* the type; it cannot
+//!   see iteration over a field whose type was allowed for keyed lookup.
+//! * **`unsafe-audit`** — every `unsafe` fn/impl/block/trait, test code
+//!   included, must carry a `// SAFETY:` comment stating its actual
+//!   precondition.
 //!
-//! Three *cross-file* families (v2) run over the phase-1
+//! Three *cross-file* families run over the phase-1
 //! [`crate::index::FileIndex`] plus a workspace-wide derivation-function
 //! set resolved by fixpoint in [`crate::run`]:
 //!
@@ -41,14 +39,14 @@
 //! * **`alloc-discipline`** — functions/regions annotated
 //!   `// ag-lint: hot-path` may not contain allocating constructs
 //!   (`Vec::new`, `push`, `with_capacity`, `to_vec`, `clone`, `format!`,
-//!   `Box::new`, `collect`, …) except calls allowlisted in `lint.toml`
-//!   (`allow_calls`) — turning the counting-allocator audits into a
-//!   lint-time gate.
-//! * **`bounds-provenance`** — an unsafe span that does pointer
-//!   arithmetic (`get_unchecked`, `from_raw_parts`, `.add(…)`, …) must
-//!   cite, in its `// SAFETY:` comment, at least one len/bound identifier
-//!   that actually exists in the enclosing scope — tightening the
-//!   presence-only `unsafe-audit` check.
+//!   `Box::new`, `collect`, …) except the calls listed in
+//!   [`crate::policy::ALLOW_CALLS`] — turning the counting-allocator
+//!   audits into a lint-time gate.
+//! * **`bounds-provenance`** — an unsafe span (test code included) that
+//!   does pointer arithmetic (`get_unchecked`, `from_raw_parts`,
+//!   `.add(…)`, …) must cite, in its `// SAFETY:` comment, at least one
+//!   len/bound identifier that actually exists in the enclosing scope —
+//!   tightening the presence-only `unsafe-audit` check.
 //!
 //! Findings are suppressed by inline waivers with a mandatory reason —
 //! for example `// ag-lint: allow(hash-iteration) — order-independent sum`
@@ -62,36 +60,30 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::config::{Config, RuleCfg};
 use crate::dataflow;
 use crate::index::{index_file, FileIndex, Span};
+use crate::policy;
 use crate::scan::{is_ident_char, ScannedFile};
 
 /// Identifier of a rule family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     HashIteration,
-    WallClock,
-    TruncatingCast,
     UnsafeAudit,
-    PanicPolicy,
     RngDiscipline,
     AllocDiscipline,
     BoundsProvenance,
-    /// Malformed waivers; internal, never configured, never waivable.
+    /// Malformed waivers; internal, never waivable.
     InvalidWaiver,
     /// Well-formed waivers that suppress nothing; internal, unwaivable.
     UnusedWaiver,
 }
 
 impl RuleId {
-    /// All configurable rules, in reporting order.
-    pub const CONFIGURABLE: [RuleId; 8] = [
+    /// The rule families a waiver can name, in reporting order.
+    pub const FAMILIES: [RuleId; 5] = [
         RuleId::HashIteration,
-        RuleId::WallClock,
-        RuleId::TruncatingCast,
         RuleId::UnsafeAudit,
-        RuleId::PanicPolicy,
         RuleId::RngDiscipline,
         RuleId::AllocDiscipline,
         RuleId::BoundsProvenance,
@@ -101,10 +93,7 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::HashIteration => "hash-iteration",
-            RuleId::WallClock => "wall-clock",
-            RuleId::TruncatingCast => "truncating-cast",
             RuleId::UnsafeAudit => "unsafe-audit",
-            RuleId::PanicPolicy => "panic-policy",
             RuleId::RngDiscipline => "rng-discipline",
             RuleId::AllocDiscipline => "alloc-discipline",
             RuleId::BoundsProvenance => "bounds-provenance",
@@ -115,7 +104,7 @@ impl RuleId {
 
     #[must_use]
     pub fn parse(name: &str) -> Option<Self> {
-        Self::CONFIGURABLE.into_iter().find(|r| r.name() == name)
+        Self::FAMILIES.into_iter().find(|r| r.name() == name)
     }
 }
 
@@ -162,11 +151,10 @@ struct Waiver {
 /// workspace driver ([`crate::run`]) computes the fixpoint across all
 /// files instead and calls [`lint_file_indexed`] directly.
 #[must_use]
-pub fn lint_file(path: &str, file: &ScannedFile, cfg: &Config) -> (Vec<Finding>, usize) {
+pub fn lint_file(path: &str, file: &ScannedFile) -> (Vec<Finding>, usize) {
     let index = index_file(file);
-    let roots = cfg.rule(RuleId::RngDiscipline).derivation_roots;
-    let derivation = crate::index::derivation_fixpoint(&[&index], &roots);
-    lint_file_indexed(path, file, &index, &derivation, cfg)
+    let derivation = crate::index::derivation_fixpoint(&[&index]);
+    lint_file_indexed(path, file, &index, &derivation)
 }
 
 /// Lint one scanned file against its phase-1 index and the cross-file
@@ -178,29 +166,21 @@ pub fn lint_file_indexed(
     file: &ScannedFile,
     index: &FileIndex,
     derivation_fns: &BTreeSet<String>,
-    cfg: &Config,
 ) -> (Vec<Finding>, usize) {
     let mut raw: Vec<Finding> = Vec::new();
 
-    for rule in RuleId::CONFIGURABLE {
-        if !cfg.applies(rule, path) {
-            continue;
-        }
-        let rc = cfg.rule(rule);
-        match rule {
-            RuleId::HashIteration => check_hash_iteration(path, file, &rc, &mut raw),
-            RuleId::WallClock => check_wall_clock(path, file, &rc, &mut raw),
-            RuleId::TruncatingCast => check_truncating_cast(path, file, &rc, &mut raw),
-            RuleId::UnsafeAudit => check_unsafe(path, file, &rc, &mut raw),
-            RuleId::PanicPolicy => check_panic_policy(path, file, &rc, &mut raw),
-            RuleId::RngDiscipline => {
-                check_rng_discipline(path, file, index, derivation_fns, &rc, &mut raw);
-            }
-            RuleId::AllocDiscipline => check_alloc_discipline(path, file, index, &rc, &mut raw),
-            RuleId::BoundsProvenance => check_bounds_provenance(path, file, index, &rc, &mut raw),
-            RuleId::InvalidWaiver | RuleId::UnusedWaiver => unreachable!("not in CONFIGURABLE"),
-        }
+    let seeded = policy::in_scope(&policy::SEEDED, path);
+    if seeded {
+        check_hash_iteration(path, file, &mut raw);
     }
+    check_unsafe(path, file, &mut raw);
+    if seeded {
+        check_rng_discipline(path, file, index, derivation_fns, &mut raw);
+    }
+    if policy::in_scope(&policy::HOT, path) {
+        check_alloc_discipline(path, file, index, &mut raw);
+    }
+    check_bounds_provenance(path, file, index, &mut raw);
 
     // Waiver application: a finding on line L is suppressed when a
     // well-formed waiver naming its rule covers L. Every waiver that
@@ -416,16 +396,13 @@ fn ident_ending_at(code: &str, end: usize) -> Option<&str> {
         .then_some(ident)
 }
 
-/// Iterate non-test (unless `include_tests`) lines with their 1-based
+/// Iterate the lines outside `#[cfg(test)]` items with their 1-based
 /// numbers.
-fn code_lines<'a>(
-    file: &'a ScannedFile,
-    rc: &'a RuleCfg,
-) -> impl Iterator<Item = (usize, &'a str)> + 'a {
+fn code_lines(file: &ScannedFile) -> impl Iterator<Item = (usize, &str)> {
     file.lines
         .iter()
         .enumerate()
-        .filter(move |(_, l)| rc.include_tests || !l.in_test)
+        .filter(|(_, l)| !l.in_test)
         .map(|(i, l)| (i + 1, l.code.as_str()))
 }
 
@@ -455,7 +432,7 @@ const ITERATION_METHODS: [&str; 10] = [
     "into_values()",
 ];
 
-fn check_hash_iteration(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Finding>) {
+fn check_hash_iteration(path: &str, file: &ScannedFile, out: &mut Vec<Finding>) {
     // Pass 1: which identifiers are hash-typed? Collected from the whole
     // file (including tests — a field declared once is used everywhere).
     let mut names: Vec<String> = Vec::new();
@@ -466,7 +443,7 @@ fn check_hash_iteration(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut 
     names.dedup();
 
     // Pass 2: flag iteration forms over those identifiers.
-    for (lineno, code) in code_lines(file, rc) {
+    for (lineno, code) in code_lines(file) {
         for name in &names {
             for at in token_positions(code, name) {
                 let after = &code[at + name.len()..];
@@ -573,90 +550,6 @@ fn collect_hash_names(code: &str, names: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// wall-clock
-// ---------------------------------------------------------------------------
-
-fn check_wall_clock(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Finding>) {
-    for (lineno, code) in code_lines(file, rc) {
-        if has_token(code, "SystemTime") {
-            push(
-                out,
-                path,
-                lineno,
-                RuleId::WallClock,
-                "`SystemTime` in deterministic code: wall-clock reads make runs \
-                 irreproducible — time must come from the engine's round counter"
-                    .to_owned(),
-            );
-        }
-        if code.contains("Instant::now") {
-            push(
-                out,
-                path,
-                lineno,
-                RuleId::WallClock,
-                "`Instant::now()` in deterministic code: timing belongs in the \
-                 bench harness, not the simulation"
-                    .to_owned(),
-            );
-        }
-        for call in ["env::var(", "env::var_os(", "env::args(", "env::vars("] {
-            if let Some(at) = code.find(call) {
-                let before_ok =
-                    at == 0 || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '));
-                if before_ok || code[..at].ends_with("std::") {
-                    push(
-                        out,
-                        path,
-                        lineno,
-                        RuleId::WallClock,
-                        format!(
-                            "environment read (`{}…`) in deterministic code: ambient \
-                             configuration must flow through explicit parameters",
-                            call.trim_end_matches('(')
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// truncating-cast
-// ---------------------------------------------------------------------------
-
-const NARROW_TYPES: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-fn check_truncating_cast(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Finding>) {
-    for (lineno, code) in code_lines(file, rc) {
-        for at in token_positions(code, "as") {
-            let after = code[at + 2..].trim_start();
-            if let Some(ty) = NARROW_TYPES
-                .iter()
-                .find(|t| after.starts_with(**t) && !is_ident_char(nth_char(after, t.len())))
-            {
-                push(
-                    out,
-                    path,
-                    lineno,
-                    RuleId::TruncatingCast,
-                    format!(
-                        "truncating `as {ty}` cast in seed/RNG-keying code: \
-                         dropping high bits collapses seed domains — use \
-                         `try_from` or keep the full width"
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn nth_char(s: &str, n: usize) -> char {
-    s.chars().nth(n).unwrap_or(' ')
-}
-
-// ---------------------------------------------------------------------------
 // unsafe-audit
 // ---------------------------------------------------------------------------
 
@@ -756,11 +649,8 @@ fn find_safety_mark(file: &ScannedFile, idx: usize) -> Option<usize> {
     None
 }
 
-fn check_unsafe(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Finding>) {
+fn check_unsafe(path: &str, file: &ScannedFile, out: &mut Vec<Finding>) {
     for site in unsafe_sites(file) {
-        if !rc.include_tests && file.lines[site.line - 1].in_test {
-            continue;
-        }
         if site.justification.is_none() {
             push(
                 out,
@@ -773,78 +663,6 @@ fn check_unsafe(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Find
                      pointer/length provenance, alignment, …)",
                     site.kind
                 ),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// panic-policy
-// ---------------------------------------------------------------------------
-
-fn check_panic_policy(path: &str, file: &ScannedFile, rc: &RuleCfg, out: &mut Vec<Finding>) {
-    for (lineno, code) in code_lines(file, rc) {
-        if code.contains(".unwrap()") {
-            push(
-                out,
-                path,
-                lineno,
-                RuleId::PanicPolicy,
-                "`.unwrap()` in library code: return a typed error, or use \
-                 `.expect(\"<invariant>\")` to document why this cannot fail"
-                    .to_owned(),
-            );
-        }
-        for mac in ["panic!", "unreachable!", "todo!", "unimplemented!"] {
-            if has_token(code, mac.trim_end_matches('!')) && code.contains(mac) {
-                push(
-                    out,
-                    path,
-                    lineno,
-                    RuleId::PanicPolicy,
-                    format!(
-                        "`{mac}` in library code: return a typed error, or waive \
-                         with the documented panic contract as the reason"
-                    ),
-                );
-            }
-        }
-        if !rc.allow_expect && code.contains(".expect(") {
-            push(
-                out,
-                path,
-                lineno,
-                RuleId::PanicPolicy,
-                "`.expect(…)` is forbidden in this scope (allow_expect = false)".to_owned(),
-            );
-        }
-        if rc.forbid_indexing {
-            check_indexing(path, code, lineno, out);
-        }
-    }
-}
-
-/// Flag `expr[…]` indexing: a `[` directly preceded by an identifier
-/// character, `)` or `]`. Skips attributes (`#[…]`), macro bangs
-/// (`vec![…]`) and type syntax (`[u8; 32]`), none of which match the
-/// preceded-by test.
-fn check_indexing(path: &str, code: &str, lineno: usize, out: &mut Vec<Finding>) {
-    for (i, c) in code.char_indices() {
-        if c != '[' {
-            continue;
-        }
-        let Some(prev) = code[..i].chars().next_back() else {
-            continue;
-        };
-        if is_ident_char(prev) || prev == ')' || prev == ']' {
-            push(
-                out,
-                path,
-                lineno,
-                RuleId::PanicPolicy,
-                "indexing expression in a no-panic zone: use `get`/`get_mut` \
-                 or an iterator (indexing panics on out-of-bounds)"
-                    .to_owned(),
             );
         }
     }
@@ -865,10 +683,9 @@ fn check_rng_discipline(
     file: &ScannedFile,
     index: &FileIndex,
     derivation_fns: &BTreeSet<String>,
-    rc: &RuleCfg,
     out: &mut Vec<Finding>,
 ) {
-    for (lineno, code) in code_lines(file, rc) {
+    for (lineno, code) in code_lines(file) {
         for tok in AMBIENT_RNG {
             if has_token(code, tok) {
                 push(
@@ -943,7 +760,7 @@ fn check_rng_discipline(
         let bound = dataflow::region_bindings(file, *span);
         for i in span.start..=span.end.min(file.lines.len().saturating_sub(1)) {
             let line = &file.lines[i];
-            if !rc.include_tests && line.in_test {
+            if line.in_test {
                 continue;
             }
             let mut flagged: BTreeSet<&str> = BTreeSet::new();
@@ -1011,7 +828,6 @@ fn check_alloc_discipline(
     path: &str,
     file: &ScannedFile,
     index: &FileIndex,
-    rc: &RuleCfg,
     out: &mut Vec<Finding>,
 ) {
     let spans = index.hot_spans();
@@ -1024,7 +840,7 @@ fn check_alloc_discipline(
     for span in spans {
         for i in span.start..=span.end.min(file.lines.len().saturating_sub(1)) {
             let line = &file.lines[i];
-            if !rc.include_tests && line.in_test {
+            if line.in_test {
                 continue;
             }
             let code = &line.code;
@@ -1080,13 +896,10 @@ fn check_alloc_discipline(
                         continue;
                     }
                     let recv = ident_ending_at(code, at - 1);
-                    let allowed = rc.allow_calls.iter().any(|a| {
-                        a == m
-                            || recv.is_some_and(|r| {
-                                a.strip_suffix(m)
-                                    .and_then(|owner| owner.strip_suffix('.'))
-                                    .is_some_and(|owner| owner == r)
-                            })
+                    let allowed = recv.is_some_and(|r| {
+                        policy::ALLOW_CALLS
+                            .iter()
+                            .any(|a| a.split_once('.') == Some((r, m)))
                     });
                     if !allowed && seen.insert((i, at)) {
                         let on = recv.map(|r| format!(" on `{r}`")).unwrap_or_default();
@@ -1097,9 +910,8 @@ fn check_alloc_discipline(
                             RuleId::AllocDiscipline,
                             format!(
                                 "`.{m}(…)`{on} may allocate inside a hot-path zone — \
-                                 use preallocated scratch, or allowlist the call in \
-                                 lint.toml (`allow_calls`) with capacity reserved up \
-                                 front"
+                                 use preallocated scratch, or reserve the capacity up \
+                                 front and list the call in `policy::ALLOW_CALLS`"
                             ),
                         );
                     }
@@ -1143,13 +955,9 @@ fn check_bounds_provenance(
     path: &str,
     file: &ScannedFile,
     index: &FileIndex,
-    rc: &RuleCfg,
     out: &mut Vec<Finding>,
 ) {
     for us in &index.unsafe_spans {
-        if !rc.include_tests && file.lines[us.kw_line].in_test {
-            continue;
-        }
         let ops = ptr_ops_in(file, us.body);
         if ops.is_empty() {
             continue;
@@ -1158,7 +966,7 @@ fn check_bounds_provenance(
         let Some(just) = safety_comment(file, us.kw_line) else {
             continue;
         };
-        let cited = cited_bounds(file, index, us.kw_line, us.body, &just, &rc.bound_hints);
+        let cited = cited_bounds(file, index, us.kw_line, us.body, &just);
         if cited.is_empty() {
             push(
                 out,
@@ -1202,14 +1010,13 @@ fn ptr_ops_in(file: &ScannedFile, span: Span) -> Vec<&'static str> {
 }
 
 /// Identifiers in the SAFETY text that both exist in the enclosing scope
-/// and look like length/bound names per `bound_hints`.
+/// and look like length/bound names per [`policy::BOUND_HINTS`].
 fn cited_bounds(
     file: &ScannedFile,
     index: &FileIndex,
     kw_line: usize,
     body: Span,
     just: &str,
-    hints: &[String],
 ) -> Vec<String> {
     let scope = index
         .enclosing_fn(kw_line)
@@ -1228,11 +1035,11 @@ fn cited_bounds(
             continue;
         }
         let lower = id.to_ascii_lowercase();
-        let is_bound = hints.iter().any(|h| {
+        let is_bound = policy::BOUND_HINTS.iter().any(|h| {
             if h.len() <= 2 {
                 lower == *h
             } else {
-                lower.contains(h.as_str())
+                lower.contains(h)
             }
         });
         if is_bound && !out.iter().any(|o| o == id) {
@@ -1250,7 +1057,6 @@ pub fn bounds_summary(
     file: &ScannedFile,
     index: &FileIndex,
     line: usize,
-    hints: &[String],
 ) -> Option<(Vec<&'static str>, Vec<String>)> {
     let us = index.unsafe_spans.iter().find(|u| u.kw_line + 1 == line)?;
     let ops = ptr_ops_in(file, us.body);
@@ -1258,7 +1064,7 @@ pub fn bounds_summary(
         return Some((ops, Vec::new()));
     }
     let just = safety_comment(file, us.kw_line).unwrap_or_default();
-    let cited = cited_bounds(file, index, us.kw_line, us.body, &just, hints);
+    let cited = cited_bounds(file, index, us.kw_line, us.body, &just);
     Some((ops, cited))
 }
 
@@ -1267,12 +1073,8 @@ mod tests {
     use super::*;
     use crate::scan::scan;
 
-    fn cfg_with(rule: &str, extra: &str) -> Config {
-        Config::from_toml_str(&format!(
-            "source_roots = [\"crates\"]\n[rules.{rule}]\nscope = [\"**\"]\n{extra}"
-        ))
-        .expect("test config parses")
-    }
+    /// A path inside every family's scope.
+    const PATH: &str = "crates/sim/src/a.rs";
 
     #[test]
     fn hash_names_collected_from_decl_forms() {
@@ -1300,8 +1102,7 @@ mod tests {
             "fn bad(t: &T) -> usize { t.edge_pos.keys().count() }\n",
             "fn bad2(t: &T) { for _ in &t.edge_pos {} }\n",
         );
-        let cfg = cfg_with("hash-iteration", "");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(src), &cfg);
+        let (f, _) = lint_file(PATH, &scan(src));
         let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
         assert_eq!(lines, [3, 4], "findings: {f:?}");
     }
@@ -1317,45 +1118,12 @@ mod tests {
             "    set.iter().count() // ag-lint: allow(hash-iteration)\n",
             "}\n",
         );
-        let cfg = cfg_with("hash-iteration", "");
-        let (f, honored) = lint_file("crates/x/src/a.rs", &scan(src), &cfg);
+        let (f, honored) = lint_file(PATH, &scan(src));
         assert_eq!(honored, 1);
         // The reasonless waiver does not suppress, and is itself flagged.
         let rules: Vec<RuleId> = f.iter().map(|x| x.rule).collect();
         assert!(rules.contains(&RuleId::HashIteration));
         assert!(rules.contains(&RuleId::InvalidWaiver));
-    }
-
-    #[test]
-    fn panic_policy_fires_and_respects_expect_knob() {
-        let src = concat!(
-            "fn f() { x().unwrap(); }\n",
-            "fn g() { panic!(\"boom\"); }\n",
-            "fn h() { y().expect(\"invariant\"); }\n",
-            "#[cfg(test)]\n",
-            "mod tests { fn t() { z().unwrap(); } }\n",
-        );
-        let lax = cfg_with("panic-policy", "allow_expect = true\n");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(src), &lax);
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [1, 2]);
-
-        let strict = cfg_with("panic-policy", "allow_expect = false\n");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(src), &strict);
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [1, 2, 3]);
-    }
-
-    #[test]
-    fn indexing_knob_flags_subscripts_not_attrs_or_macros() {
-        let src = concat!(
-            "#[derive(Debug)]\n",
-            "fn f(xs: &[u8]) -> u8 { let v = vec![1u8]; xs[0] ^ v[0] }\n",
-        );
-        let on = cfg_with("panic-policy", "forbid_indexing = true\n");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(src), &on);
-        assert_eq!(f.len(), 2, "two subscripts: {f:?}");
-        let off = cfg_with("panic-policy", "");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(src), &off);
-        assert!(f.is_empty());
     }
 
     #[test]
@@ -1394,25 +1162,5 @@ mod tests {
             sites[0].justification.as_deref(),
             Some("the matched level was runtime-detected and never exceeds the CPU's features.")
         );
-    }
-
-    #[test]
-    fn wall_clock_and_truncating_cast_fire() {
-        let clock_src = concat!(
-            "fn f() { let t = std::time::Instant::now(); }\n",
-            "fn g() { let v = std::env::var(\"X\"); }\n",
-            "fn h() { let s = SystemTime::now(); }\n",
-        );
-        let cfg = cfg_with("wall-clock", "");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(clock_src), &cfg);
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [1, 2, 3]);
-
-        let cast_src = concat!(
-            "fn k(seed: u64) -> u32 { seed as u32 }\n",
-            "fn w(x: u32) -> u64 { x as u64 }\n",
-        );
-        let cfg = cfg_with("truncating-cast", "");
-        let (f, _) = lint_file("crates/x/src/a.rs", &scan(cast_src), &cfg);
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [1]);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The rules in [`crate::rules`] are substring matchers, which is only
 //! sound if the substrings they look for cannot hide inside string
-//! literals or comments (`"call .unwrap() here"` in a doc string must not
-//! fire the panic policy). This module does the one pass of real lexing
+//! literals or comments (`"call set.iter() here"` in a doc string must not
+//! fire `hash-iteration`). This module does the one pass of real lexing
 //! the tool needs: it splits every source line into *code text* (with
 //! comment bodies and literal contents blanked out) and *comment text*
 //! (where waivers and `// SAFETY:` justifications live), and tracks which
@@ -368,9 +368,9 @@ mod tests {
     #[test]
     fn doc_comments_are_excluded_from_plain_comment_text() {
         let f = scan(concat!(
-            "//! for example `// ag-lint: allow(panic-policy) — doc text`\n",
+            "//! for example `// ag-lint: allow(hash-iteration) — doc text`\n",
             "/// ag-lint: hot-path — also just documentation\n",
-            "// ag-lint: allow(panic-policy) — a live waiver\n",
+            "// ag-lint: allow(hash-iteration) — a live waiver\n",
             "let x = 1; /* block ag-lint: text */\n",
         ));
         assert!(f.lines[0].comment.contains("ag-lint:"));

@@ -6,60 +6,23 @@
 
 use std::path::Path;
 
-use ag_lint::config::Config;
-use ag_lint::rules::{lint_file, RuleId};
+use ag_lint::rules::{lint_file, Finding, RuleId};
 use ag_lint::scan::scan;
 
-/// Config scoping every rule to `fixtures/**` with self-test defaults.
-fn fixture_config(extra: &str) -> Config {
-    let toml = format!(
-        r#"
-version = 1
-source_roots = ["fixtures"]
+/// Fixtures are linted as if they sat in `ag-sim`'s sources, the one
+/// directory inside every family's scope, under the real policy table.
+const AS_IF_IN: &str = "crates/sim/src";
 
-[rules.hash-iteration]
-scope = ["fixtures/**"]
-
-[rules.wall-clock]
-scope = ["fixtures/**"]
-
-[rules.truncating-cast]
-scope = ["fixtures/**"]
-
-[rules.unsafe-audit]
-scope = ["fixtures/**"]
-
-[rules.rng-discipline]
-scope = ["fixtures/**"]
-derivation_roots = ["splitmix64"]
-
-[rules.alloc-discipline]
-scope = ["fixtures/**"]
-allow_calls = ["scratch.extend_from_slice", "out.resize"]
-
-[rules.bounds-provenance]
-scope = ["fixtures/**"]
-bound_hints = ["len", "count"]
-
-[rules.panic-policy]
-scope = ["fixtures/**"]
-{extra}
-"#
-    );
-    Config::from_toml_str(&toml).expect("self-test config parses")
-}
-
-fn lint_fixture(name: &str, cfg: &Config) -> Vec<ag_lint::rules::Finding> {
+fn lint_fixture(name: &str) -> Vec<Finding> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join(name);
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
-    let rel = format!("fixtures/{name}");
-    lint_file(&rel, &scan(&text), cfg).0
+    lint_file(&format!("{AS_IF_IN}/{name}"), &scan(&text)).0
 }
 
-fn lines_for(findings: &[ag_lint::rules::Finding], rule: RuleId) -> Vec<usize> {
+fn lines_for(findings: &[Finding], rule: RuleId) -> Vec<usize> {
     findings
         .iter()
         .filter(|f| f.rule == rule)
@@ -69,46 +32,23 @@ fn lines_for(findings: &[ag_lint::rules::Finding], rule: RuleId) -> Vec<usize> {
 
 #[test]
 fn hash_iteration_fires_on_message_pick_pattern() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_hash_iteration.rs", &cfg);
+    let findings = lint_fixture("bad_hash_iteration.rs");
     let lines = lines_for(&findings, RuleId::HashIteration);
     assert_eq!(lines, vec![15, 21, 29], "iter(), for-loop, retain()");
     assert!(findings
         .iter()
-        .all(|f| f.path == "fixtures/bad_hash_iteration.rs"));
+        .all(|f| f.path == "crates/sim/src/bad_hash_iteration.rs"));
 }
 
 #[test]
 fn keyed_hash_lookup_is_clean() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("good_hash_keyed.rs", &cfg);
+    let findings = lint_fixture("good_hash_keyed.rs");
     assert!(findings.is_empty(), "keyed access must pass: {findings:?}");
 }
 
 #[test]
-fn wall_clock_fires_on_instant_systemtime_env() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_wall_clock.rs", &cfg);
-    let lines = lines_for(&findings, RuleId::WallClock);
-    assert_eq!(lines, vec![5, 8, 11], "Instant, SystemTime, env::var");
-}
-
-#[test]
-fn truncating_cast_fires_but_widening_does_not() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_truncating_cast.rs", &cfg);
-    let lines = lines_for(&findings, RuleId::TruncatingCast);
-    assert_eq!(
-        lines,
-        vec![6, 8],
-        "as u32 and as u8 only — never as u64/usize"
-    );
-}
-
-#[test]
 fn undocumented_unsafe_fires_and_doc_safety_does_not_count() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_unsafe.rs", &cfg);
+    let findings = lint_fixture("bad_unsafe.rs");
     let lines = lines_for(&findings, RuleId::UnsafeAudit);
     assert_eq!(
         lines,
@@ -119,8 +59,7 @@ fn undocumented_unsafe_fires_and_doc_safety_does_not_count() {
 
 #[test]
 fn safety_comments_satisfy_the_unsafe_audit() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("good_unsafe.rs", &cfg);
+    let findings = lint_fixture("good_unsafe.rs");
     assert!(
         findings.is_empty(),
         "documented unsafe must pass: {findings:?}"
@@ -128,49 +67,17 @@ fn safety_comments_satisfy_the_unsafe_audit() {
 }
 
 #[test]
-fn panic_policy_fires_honors_waiver_and_skips_tests() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_panic.rs", &cfg);
-    let lines = lines_for(&findings, RuleId::PanicPolicy);
-    assert_eq!(
-        lines,
-        vec![6, 12],
-        "unwrap and panic! fire; waived unwrap (15), expect (8), \
-         indexing (17) and cfg(test) unwrap do not"
-    );
-}
-
-#[test]
-fn allow_expect_false_and_forbid_indexing_tighten_the_policy() {
-    let cfg =
-        fixture_config("allow_expect = false\nforbid_indexing = true\ninclude_tests = true\n");
-    let findings = lint_fixture("bad_panic.rs", &cfg);
-    let lines = lines_for(&findings, RuleId::PanicPolicy);
-    assert!(lines.contains(&8), "expect fires when allow_expect = false");
-    assert!(
-        lines.contains(&17),
-        "indexing fires when forbid_indexing = true"
-    );
-    assert!(
-        lines.contains(&27),
-        "cfg(test) unwrap fires when include_tests = true"
-    );
-}
-
-#[test]
 fn invalid_waivers_are_findings_and_do_not_suppress() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_waiver.rs", &cfg);
+    let findings = lint_fixture("bad_waiver.rs");
     let invalid = lines_for(&findings, RuleId::InvalidWaiver);
     assert_eq!(invalid, vec![5, 7], "reasonless and unknown-rule waivers");
-    let panics = lines_for(&findings, RuleId::PanicPolicy);
-    assert_eq!(panics, vec![6, 8], "a malformed waiver suppresses nothing");
+    let live = lines_for(&findings, RuleId::HashIteration);
+    assert_eq!(live, vec![6, 8], "a malformed waiver suppresses nothing");
 }
 
 #[test]
 fn rng_discipline_fires_on_ambient_literal_unkeyed_and_captured() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_rng.rs", &cfg);
+    let findings = lint_fixture("bad_rng.rs");
     let lines = lines_for(&findings, RuleId::RngDiscipline);
     assert_eq!(
         lines,
@@ -182,8 +89,7 @@ fn rng_discipline_fires_on_ambient_literal_unkeyed_and_captured() {
 
 #[test]
 fn seedmix_keyed_rngs_are_clean() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("good_rng.rs", &cfg);
+    let findings = lint_fixture("good_rng.rs");
     assert!(
         findings.is_empty(),
         "derivation-keyed RNGs must pass: {findings:?}"
@@ -192,8 +98,7 @@ fn seedmix_keyed_rngs_are_clean() {
 
 #[test]
 fn alloc_discipline_fires_inside_hot_zones_only() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_hot_alloc.rs", &cfg);
+    let findings = lint_fixture("bad_hot_alloc.rs");
     let lines = lines_for(&findings, RuleId::AllocDiscipline);
     assert_eq!(
         lines,
@@ -206,18 +111,16 @@ fn alloc_discipline_fires_inside_hot_zones_only() {
 
 #[test]
 fn scratch_reuse_with_allowlisted_growth_is_clean() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("good_hot_alloc.rs", &cfg);
+    let findings = lint_fixture("good_hot_alloc.rs");
     assert!(
         findings.is_empty(),
-        "receiver-pinned allow_calls must suppress: {findings:?}"
+        "receiver-pinned ALLOW_CALLS must suppress: {findings:?}"
     );
 }
 
 #[test]
 fn bounds_provenance_fires_when_safety_cites_no_bound() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_bounds.rs", &cfg);
+    let findings = lint_fixture("bad_bounds.rs");
     let lines = lines_for(&findings, RuleId::BoundsProvenance);
     assert_eq!(
         lines,
@@ -233,8 +136,7 @@ fn bounds_provenance_fires_when_safety_cites_no_bound() {
 
 #[test]
 fn cited_bounds_satisfy_provenance() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("good_bounds.rs", &cfg);
+    let findings = lint_fixture("good_bounds.rs");
     assert!(
         findings.is_empty(),
         "cited bounds (and ptr-free spans) must pass: {findings:?}"
@@ -243,17 +145,16 @@ fn cited_bounds_satisfy_provenance() {
 
 #[test]
 fn unused_waivers_fire_and_live_ones_stay_silent() {
-    let cfg = fixture_config("");
-    let findings = lint_fixture("bad_unused_waiver.rs", &cfg);
+    let findings = lint_fixture("bad_unused_waiver.rs");
     let unused = lines_for(&findings, RuleId::UnusedWaiver);
     assert_eq!(
         unused,
         vec![6],
-        "the stale waiver fires; the one over the live unwrap does not"
+        "the stale waiver fires; the one over the live iteration does not"
     );
     assert!(
-        lines_for(&findings, RuleId::PanicPolicy).is_empty(),
-        "the live waiver still suppresses its unwrap"
+        lines_for(&findings, RuleId::HashIteration).is_empty(),
+        "the live waiver still suppresses its iteration"
     );
     assert!(
         lines_for(&findings, RuleId::InvalidWaiver).is_empty(),
@@ -263,30 +164,23 @@ fn unused_waivers_fire_and_live_ones_stay_silent() {
 
 #[test]
 fn out_of_scope_files_are_ignored() {
-    let cfg = fixture_config("");
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
         .join("bad_hash_iteration.rs");
     let text = std::fs::read_to_string(path).expect("fixture exists");
-    // Same bad content, but under a path no rule scope matches.
-    let (findings, _) = lint_file("elsewhere/other.rs", &scan(&text), &cfg);
+    // Same bad content, but in a crate the hash-iteration scope leaves out.
+    let (findings, _) = lint_file("crates/gf/src/other.rs", &scan(&text));
     assert!(findings.is_empty(), "out of scope: {findings:?}");
 }
 
 /// The alloc ban must be live on the real tree, not only on fixtures:
-/// injecting an allocation into a really-annotated hot path, under the
-/// real `lint.toml`, is caught.
+/// injecting an allocation into a really-annotated hot path is caught.
 #[test]
 fn injected_allocation_in_real_hot_path_is_caught() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root above crates/lint")
-        .to_path_buf();
-    let cfg = ag_lint::load_config(&root).expect("lint.toml parses");
+    let root = ag_lint::workspace_root();
     let rel = "crates/rlnc/src/decoder.rs";
     let text = std::fs::read_to_string(root.join(rel)).expect("decoder source");
-    let (clean, _) = lint_file(rel, &scan(&text), &cfg);
+    let (clean, _) = lint_file(rel, &scan(&text));
     assert!(clean.is_empty(), "pristine decoder must pass: {clean:?}");
 
     // First statement of the hot-path-annotated receive.
@@ -294,7 +188,7 @@ fn injected_allocation_in_real_hot_path_is_caught() {
         "pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Reception, CodingError> {";
     assert!(text.contains(needle), "try_receive signature moved");
     let sabotaged = text.replace(needle, &format!("{needle}\n        self.audit.push(0u8);"));
-    let (findings, _) = lint_file(rel, &scan(&sabotaged), &cfg);
+    let (findings, _) = lint_file(rel, &scan(&sabotaged));
     assert!(
         findings
             .iter()
@@ -307,19 +201,14 @@ fn injected_allocation_in_real_hot_path_is_caught() {
 /// inventory that matches the unsafe sites actually present.
 #[test]
 fn real_workspace_is_clean_and_inventory_is_current() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root above crates/lint")
-        .to_path_buf();
-    let cfg = ag_lint::load_config(&root).expect("lint.toml parses");
-    let report = ag_lint::run(&root, &cfg).expect("lint pass runs");
+    let root = ag_lint::workspace_root();
+    let report = ag_lint::run(root).expect("lint pass runs");
     assert!(
         report.findings.is_empty(),
         "workspace must be lint-clean: {:?}",
         report.findings
     );
-    let committed = std::fs::read_to_string(root.join(&cfg.inventory_path))
+    let committed = std::fs::read_to_string(root.join(ag_lint::policy::INVENTORY_PATH))
         .expect("UNSAFE_INVENTORY.md is committed");
     assert_eq!(
         committed, report.inventory,

@@ -48,10 +48,11 @@ impl LineSystem {
             .map(|i| if i == 0 { None } else { Some(i - 1) })
             .collect();
         let tree = SpanningTree::from_parents(0, parents).expect("a path is a tree");
+        #[expect(
+            clippy::panic,
+            reason = "constructor contract: the asserts above already validated lmax/placement, so a TreeSystem rejection here is a caller bug, not an input"
+        )]
         let inner = TreeSystem::new(&tree, placement.clone(), mu)
-            // ag-lint: allow(panic-policy) — constructor contract: the
-            // asserts above already validated lmax/placement, so a
-            // TreeSystem rejection here is a caller bug, not an input.
             .unwrap_or_else(|e| panic!("invalid line system: {e}"));
         LineSystem {
             inner,

@@ -170,8 +170,10 @@ impl<F: SlabField> DecoderArena<F> {
     pub fn new(nodes: usize, k: usize, payload_len: usize) -> Self {
         match Self::try_new(nodes, k, payload_len) {
             Ok(arena) => arena,
-            // ag-lint: allow(panic-policy) — documented panicking wrapper;
-            // try_new is the typed-error twin.
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; try_new is the typed-error twin"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

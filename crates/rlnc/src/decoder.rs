@@ -194,8 +194,10 @@ impl<F: SlabField> Decoder<F> {
     pub fn receive(&mut self, packet: Packet<F>) -> Reception {
         match self.try_receive(&packet) {
             Ok(outcome) => outcome,
-            // ag-lint: allow(panic-policy) — documented receive() panic
-            // contract; try_receive is the typed-error twin.
+            #[expect(
+                clippy::panic,
+                reason = "documented receive() panic contract; try_receive is the typed-error twin"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

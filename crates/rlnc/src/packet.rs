@@ -76,22 +76,6 @@ impl<F: Field> Packet<F> {
         row
     }
 
-    /// Rebuilds a packet from an augmented row produced by [`Packet::into_row`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() < k`.
-    #[must_use]
-    pub fn from_row(row: Vec<F>, k: usize) -> Self {
-        assert!(row.len() >= k, "row shorter than generation size");
-        let mut coefficients = row;
-        let payload = coefficients.split_off(k);
-        Packet {
-            coefficients,
-            payload,
-        }
-    }
-
     /// Size of the packet on the wire in bits: `(k + r)·log₂ q`.
     ///
     /// This is the quantity the paper's "bounded message size" premise
@@ -152,14 +136,12 @@ mod tests {
     use ag_gf::{Field, Gf2, Gf256};
 
     #[test]
-    fn round_trip_through_row() {
+    fn into_row_is_coefficients_then_payload() {
         let p = Packet::new(
             vec![Gf256::new(3), Gf256::new(7)],
             vec![Gf256::new(1), Gf256::new(2), Gf256::new(9)],
         );
-        let row = p.clone().into_row();
-        assert_eq!(row.len(), 5);
-        assert_eq!(Packet::from_row(row, 2), p);
+        assert_eq!(p.into_row(), [3, 7, 1, 2, 9].map(Gf256::new));
     }
 
     #[test]
@@ -178,11 +160,5 @@ mod tests {
         // GF(2): log q = 1 bit.
         let b = Packet::new(vec![Gf2::ZERO; 4], vec![Gf2::ZERO; 16]);
         assert_eq!(b.wire_bits(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "row shorter")]
-    fn from_row_validates_length() {
-        let _ = Packet::<Gf256>::from_row(vec![Gf256::ONE], 2);
     }
 }

@@ -139,37 +139,6 @@ impl<'a, F: SlabField> Recoder<'a, F> {
             .arena()
             .emit_packed_row_into(0, Some(density), rng, out)
     }
-
-    /// Emits a packet guaranteed to be *helpful to `target`* whenever the
-    /// node is a helpful node for the target (used by tests and by the
-    /// oracle ablation; real protocols use [`Recoder::emit`], paying the
-    /// `1 − 1/q` helpfulness probability the analysis accounts for).
-    ///
-    /// Returns `None` if no helpful packet exists (i.e. this node's
-    /// subspace is contained in the target's).
-    #[must_use]
-    pub fn emit_helpful<R: Rng + ?Sized>(
-        &self,
-        target: &Decoder<F>,
-        rng: &mut R,
-    ) -> Option<Packet<F>> {
-        // Retry random combinations a few times (succeeds w.p. >= 1 - 1/q
-        // per draw when helpful), then fall back to scanning basis rows.
-        for _ in 0..8 {
-            if let Some(p) = self.emit(rng) {
-                if target.would_help(&p) {
-                    return Some(p);
-                }
-            }
-        }
-        let basis = self.decoder.arena().basis();
-        let mut buf = Vec::new();
-        (0..self.decoder.rank()).find_map(|i| {
-            basis.copy_packed_row_into(0, i, &mut buf);
-            let p = Packet::from_packed_row(&buf, self.decoder.k());
-            target.would_help(&p).then_some(p)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -244,21 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn emit_helpful_always_helps_when_possible() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = Generation::<Gf2>::random(6, 2, &mut rng);
-        let source = Decoder::with_all_messages(&g);
-        let mut sink = Decoder::<Gf2>::new(6, 2);
-        while !sink.is_complete() {
-            let p = Recoder::new(&source)
-                .emit_helpful(&sink, &mut rng)
-                .expect("source is helpful until sink completes");
-            assert!(sink.receive(p).is_innovative());
-        }
-        assert_eq!(sink.decode().unwrap(), g.messages());
-    }
-
-    #[test]
     fn sparse_emit_is_in_span_and_never_zero() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = Generation::<Gf256>::random(6, 2, &mut rng);
@@ -305,16 +259,5 @@ mod tests {
         let g = Generation::<Gf256>::random(2, 0, &mut rng);
         let d = Decoder::with_all_messages(&g);
         let _ = Recoder::new(&d).emit_sparse(0.0, &mut rng);
-    }
-
-    #[test]
-    fn emit_helpful_none_when_subspace_contained() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = Generation::<Gf256>::random(3, 0, &mut rng);
-        let mut a = Decoder::new(3, 0);
-        a.seed_message(&g, 0);
-        let b = Decoder::with_all_messages(&g);
-        // `a` cannot help `b`.
-        assert!(Recoder::new(&a).emit_helpful(&b, &mut rng).is_none());
     }
 }

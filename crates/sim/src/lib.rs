@@ -52,6 +52,20 @@
 //! graphs implement the view with no-ops and keep their exact
 //! pre-abstraction behavior.
 
+// Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
+// an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod comm;
 mod engine;
 mod protocol;

@@ -75,12 +75,6 @@ impl RunStats {
     pub fn messages_sent(&self) -> u64 {
         self.messages_delivered + self.dedup_dropped + self.lost
     }
-
-    /// Messages that were composed but never delivered, for any reason.
-    #[must_use]
-    pub fn messages_dropped(&self) -> u64 {
-        self.dedup_dropped + self.lost
-    }
 }
 
 /// Order-sensitive FNV-1a hash over a sequence of `u64` observations.
@@ -197,6 +191,5 @@ mod tests {
         s.dedup_dropped = 2;
         s.lost = 1;
         assert_eq!(s.messages_sent(), 13);
-        assert_eq!(s.messages_dropped(), 3);
     }
 }

@@ -36,6 +36,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test harness: CI raises the case count through PROPTEST_CASES"
+)]
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

@@ -32,6 +32,10 @@ fn median_rounds(
     Some(rounds[rounds.len() / 2] as f64)
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a command-line example reads its arguments"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(16);

@@ -21,6 +21,10 @@ impl ProptestConfig {
 
     /// The case count after applying the `PROPTEST_CASES` env override.
     #[must_use]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "upstream proptest's API: PROPTEST_CASES overrides the case count"
+    )]
     pub fn effective_cases(&self) -> u32 {
         std::env::var("PROPTEST_CASES")
             .ok()

@@ -54,6 +54,10 @@ pub fn current_num_threads() -> usize {
         .unwrap_or_else(default_num_threads)
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "upstream rayon's API: the pool size comes from RAYON_NUM_THREADS"
+)]
 fn default_num_threads() -> usize {
     std::env::var("RAYON_NUM_THREADS")
         .ok()

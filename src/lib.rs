@@ -17,7 +17,21 @@
 //! | [`protocols`] | `algebraic-gossip` | uniform AG, TAG, BRR, IS |
 //!
 //! See the `examples/` directory for runnable entry points and
-//! `crates/bench` for the table/figure regenerators.
+//! `crates/experiments` for the table/figure regenerators.
+
+// Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
+// an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub use ag_analysis as analysis;
 pub use ag_gf as gf;
