@@ -36,7 +36,10 @@ pub struct AgConfig {
     pub comm_model: CommModel,
     /// PUSH / PULL / EXCHANGE (the paper mostly analyzes EXCHANGE).
     pub action: Action,
-    /// Who initially holds which message.
+    /// Who initially holds which message. A host that is not a node of
+    /// the graph makes the protocol constructors return
+    /// [`GraphError::NodeOutOfRange`], a custom list of the wrong length
+    /// [`GraphError::InvalidSize`].
     pub placement: Placement,
     /// Sparse-recoding density in `(0, 1]`; `1.0` (default) is the
     /// paper's dense combination over all stored rows. A value outside
@@ -148,8 +151,10 @@ impl<F: SlabField> AlgebraicGossip<F, Graph> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `k == 0`, the graph is
-    /// disconnected (dissemination could never complete) or
-    /// `cfg.coding_density` is outside `(0, 1]`.
+    /// disconnected (dissemination could never complete),
+    /// `cfg.coding_density` is outside `(0, 1]` or a custom placement does
+    /// not list `k` hosts, and [`GraphError::NodeOutOfRange`] if
+    /// `cfg.placement` names a host that is not a node.
     pub fn new(graph: &Graph, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         Self::on_topology(graph.clone(), cfg, seed)
     }

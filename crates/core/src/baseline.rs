@@ -89,8 +89,10 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0` or the initial
-    /// view is disconnected.
+    /// Returns [`GraphError::InvalidSize`] if `k == 0`, the initial view
+    /// is disconnected or a custom placement does not list `k` hosts, and
+    /// [`GraphError::NodeOutOfRange`] if `cfg.placement` names a host that
+    /// is not a node.
     pub fn on_topology(topology: T, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         if cfg.k == 0 {
             return Err(GraphError::InvalidSize("k must be positive".into()));
@@ -100,6 +102,7 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
                 "dissemination requires a connected (initial) graph".into(),
             ));
         }
+        cfg.placement.validate(topology.n(), cfg.k)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let generation = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
         let hosts = cfg.placement.assign(topology.n(), cfg.k, &mut rng);

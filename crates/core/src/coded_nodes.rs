@@ -57,7 +57,9 @@ impl<F: SlabField> CodedNodes<F> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `cfg`'s shape does not match
-    /// the generation's or `cfg.coding_density` is outside `(0, 1]`.
+    /// the generation's or `cfg.coding_density` is outside `(0, 1]`, and
+    /// `Placement::validate`'s error for a `cfg.placement` that does not
+    /// fit `n` nodes and `cfg.k` messages.
     pub(crate) fn new(
         n: usize,
         cfg: &AgConfig,
@@ -81,6 +83,9 @@ impl<F: SlabField> CodedNodes<F> {
                 "coding density must be in (0, 1]".into(),
             ));
         }
+        // `placement` is a public field too, and `assign` panics on a host
+        // that is not a node.
+        cfg.placement.validate(n, cfg.k)?;
         // Advance the RNG past the generation draw, so that placement (and
         // whatever the caller draws next) agrees between the random- and
         // given-generation constructors.

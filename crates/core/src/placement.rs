@@ -1,6 +1,6 @@
 //! Initial message placement: which node holds which of the k messages.
 
-use ag_graph::NodeId;
+use ag_graph::{GraphError, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -24,12 +24,40 @@ pub enum Placement {
 }
 
 impl Placement {
+    /// Checks that [`Placement::assign`] can resolve this placement for `k`
+    /// messages on `n` nodes: its panics as typed errors, for the protocol
+    /// constructors, which take the placement from a public config field.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfRange`] for the first host `>= n` and
+    /// [`GraphError::InvalidSize`] if a custom placement does not list
+    /// exactly `k` hosts.
+    pub(crate) fn validate(&self, n: usize, k: usize) -> Result<(), GraphError> {
+        let hosts = match self {
+            Placement::Spread | Placement::Random => &[],
+            Placement::SingleSource(v) => std::slice::from_ref(v),
+            Placement::Custom(hosts) if hosts.len() != k => {
+                return Err(GraphError::InvalidSize(format!(
+                    "custom placement lists {} hosts for k = {k} messages",
+                    hosts.len()
+                )));
+            }
+            Placement::Custom(hosts) => hosts.as_slice(),
+        };
+        match hosts.iter().find(|&&h| h >= n) {
+            Some(&node) => Err(GraphError::NodeOutOfRange { node, n }),
+            None => Ok(()),
+        }
+    }
+
     /// Resolves the placement to a host node per message.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, `k == 0`, a custom placement has the wrong
-    /// length, or any host is out of range.
+    /// length, or any host is out of range. The protocol constructors
+    /// check the last two first and return a typed error instead.
     #[must_use]
     pub fn assign(&self, n: usize, k: usize, rng: &mut StdRng) -> Vec<NodeId> {
         assert!(n > 0 && k > 0, "need positive n and k");

@@ -88,8 +88,8 @@ impl RunSpec {
 ///
 /// # Errors
 ///
-/// Propagates construction errors (disconnected graph, bad root, `k = 0`)
-/// and returns [`GraphError::InvalidSize`] if `spec.engine.loss_prob` is
+/// Propagates construction errors (disconnected graph, bad root, `k = 0`,
+/// a placement that does not fit the graph) and returns [`GraphError::InvalidSize`] if `spec.engine.loss_prob` is
 /// outside `[0, 1]`.
 ///
 /// # Panics
@@ -292,6 +292,68 @@ mod tests {
                 "Engine::new, loss {loss_prob}"
             );
         }
+    }
+
+    /// `AgConfig::placement` is a public field too: a host that is not a
+    /// node, or a custom list of the wrong length, used to panic inside
+    /// `Placement::assign` on its way through every constructor, while a
+    /// bad TAG root on the same call was already a typed error.
+    #[test]
+    fn placement_that_does_not_fit_the_graph_is_a_typed_error() {
+        use crate::{Placement, TreeAg};
+        let g = builders::path(4).unwrap();
+        let tree = g.bfs_tree(0).into_spanning_tree();
+        let brr = || BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
+        let out_of_range = |node| GraphError::NodeOutOfRange { node, n: 4 };
+        let wrong_length = |listed: usize| {
+            GraphError::InvalidSize(format!(
+                "custom placement lists {listed} hosts for k = 3 messages"
+            ))
+        };
+        for (placement, want) in [
+            (Placement::SingleSource(17), out_of_range(17)),
+            (Placement::SingleSource(4), out_of_range(4)),
+            (Placement::Custom(vec![0, 9, 3]), out_of_range(9)),
+            (Placement::Custom(vec![0, 1]), wrong_length(2)),
+            (Placement::Custom(vec![0, 1, 2, 3]), wrong_length(4)),
+        ] {
+            let cfg = AgConfig::new(3).with_placement(placement.clone());
+            assert_eq!(
+                AlgebraicGossip::<Gf256>::new(&g, &cfg, 1).err(),
+                Some(want.clone()),
+                "AlgebraicGossip::new, {placement:?}"
+            );
+            assert_eq!(
+                Tag::<Gf256, _>::new(&g, brr(), &cfg, 1).err(),
+                Some(want.clone()),
+                "Tag::new, {placement:?}"
+            );
+            assert_eq!(
+                TreeAg::<Gf256>::new(&tree, &cfg, 1).err(),
+                Some(want.clone()),
+                "TreeAg::new, {placement:?}"
+            );
+            for kind in [
+                ProtocolKind::UniformAg,
+                ProtocolKind::TagBrr(0),
+                ProtocolKind::UncodedRandom,
+            ] {
+                let mut spec = RunSpec::new(kind, 3).with_seed(1);
+                spec.ag.placement = placement.clone();
+                assert_eq!(
+                    run_protocol::<Gf256>(&g, &spec),
+                    Err(want.clone()),
+                    "run_protocol {kind:?}, {placement:?}"
+                );
+            }
+        }
+        // What fits still builds, and a bad root is still its own error.
+        let fits = AgConfig::new(3).with_placement(Placement::Custom(vec![3, 3, 0]));
+        assert!(AlgebraicGossip::<Gf256>::new(&g, &fits, 1).is_ok());
+        assert_eq!(
+            run_protocol::<Gf256>(&g, &RunSpec::new(ProtocolKind::TagBrr(17), 3)),
+            Err(out_of_range(17))
+        );
     }
 
     #[test]

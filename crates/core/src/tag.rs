@@ -71,8 +71,10 @@ impl<F: SlabField, S: TreeProtocol> Tag<F, S, Graph> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `k == 0`, the graph is
-    /// disconnected, `tree` is for a different node count, or
-    /// `cfg.coding_density` is outside `(0, 1]`.
+    /// disconnected, `tree` is for a different node count,
+    /// `cfg.coding_density` is outside `(0, 1]` or a custom placement does
+    /// not list `k` hosts, and [`GraphError::NodeOutOfRange`] if
+    /// `cfg.placement` names a host that is not a node.
     pub fn new(graph: &Graph, tree: S, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         Self::on_topology(graph.clone(), tree, cfg, seed)
     }

@@ -44,8 +44,10 @@ impl<F: SlabField> TreeAg<F> {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0` or
-    /// `cfg.coding_density` is outside `(0, 1]`.
+    /// Returns [`GraphError::InvalidSize`] if `k == 0`,
+    /// `cfg.coding_density` is outside `(0, 1]` or a custom placement does
+    /// not list `k` hosts, and [`GraphError::NodeOutOfRange`] if
+    /// `cfg.placement` names a host that is not a node.
     pub fn new(tree: &SpanningTree, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
         let generation = CodedNodes::random_generation(cfg, seed)?;
         // EXCHANGE with the parent: two messages per contact.

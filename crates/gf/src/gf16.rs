@@ -7,15 +7,11 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use crate::field::Field;
-use crate::kernel::{select, Rung};
+use crate::kernel::{select, KernelField, Rung};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁴ + x + 1 (0b1_0011), primitive over GF(2).
 const POLY: u16 = 0b1_0011;
-/// GF(2⁴) SWAR needs only four bit steps per word and beats the 16-entry
-/// product row on every measured shape, so it is the kernel of long rows on
-/// CPUs without SIMD — see [`crate::kernel`].
-const SWAR_WINS: bool = true;
 
 /// An element of GF(2⁴), stored in the low nibble of a byte.
 ///
@@ -145,7 +141,7 @@ impl SlabField for Gf16 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        match select(dst.len(), SWAR_WINS) {
+        match select(dst.len(), KernelField::Gf16) {
             Rung::Reference => crate::reference::gf16_mul_slice(c.0, dst),
             Rung::Wide => crate::wide::gf16_mul_slice(c.0, dst),
             Rung::Simd => crate::simd::gf16_mul_slice(c.0, dst),
@@ -153,7 +149,7 @@ impl SlabField for Gf16 {
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match select(dst.len(), SWAR_WINS) {
+        match select(dst.len(), KernelField::Gf16) {
             Rung::Reference => crate::reference::gf16_mul_add_slice(c.0, src, dst),
             Rung::Wide => crate::wide::gf16_mul_add_slice(c.0, src, dst),
             Rung::Simd => crate::simd::gf16_mul_add_slice(c.0, src, dst),

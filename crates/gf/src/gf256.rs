@@ -1,4 +1,12 @@
 //! GF(2⁸): the 256-element binary extension field with log/exp tables.
+//!
+//! Scalar products go through the log/exp tables. The slab operations pick
+//! a kernel per call by the one rule in [`crate::kernel`]: on a CPU with
+//! GFNI every row, of any length, runs `GF2P8MULB` ([`crate::simd`]) and
+//! touches no table; below GFNI rows of at least
+//! [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run the `PSHUFB`
+//! kernels and shorter ones, like every row on a CPU without SIMD, the
+//! product-table kernel ([`crate::reference`]).
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -7,17 +15,13 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use crate::field::Field;
-use crate::kernel::{select, Rung};
+use crate::kernel::{select, KernelField, Rung};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁸ + x⁴ + x³ + x + 1 (0x11B, the AES polynomial).
 const POLY: u16 = 0x11B;
 /// 0x03 = x + 1 is a generator of the multiplicative group for 0x11B.
 const GENERATOR: u8 = 0x03;
-/// Split-nibble SWAR loses to the prebuilt product table at every GF(2⁸) row
-/// length (its per-multiplier table build never amortizes), so without SIMD
-/// every row runs the reference kernel — see [`crate::kernel`].
-const SWAR_WINS: bool = false;
 
 /// An element of GF(2⁸): one byte.
 ///
@@ -120,8 +124,9 @@ impl Field for Gf256 {
 /// reference slab kernels index one 256-byte row per coefficient, turning
 /// each symbol of an axpy into a single dependent load plus an XOR —
 /// versus two table lookups, an add and a zero-test on the scalar log/exp
-/// path. The SIMD kernels (`crate::simd`) replace the row
-/// with per-multiplier 16-entry nibble tables instead.
+/// path. The `PSHUFB` kernels (`crate::simd`) replace the row with
+/// per-multiplier 16-entry nibble tables instead, and the GFNI kernels with
+/// nothing: on such a CPU no slab operation reads this table.
 pub(crate) fn mul_table() -> &'static [[u8; 256]; 256] {
     static FULL: OnceLock<Box<[[u8; 256]; 256]>> = OnceLock::new();
     FULL.get_or_init(|| {
@@ -153,14 +158,14 @@ impl SlabField for Gf256 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        match select(dst.len(), SWAR_WINS) {
+        match select(dst.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_slice(c.0, dst),
             _ => crate::reference::gf256_mul_slice(c.0, dst),
         }
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match select(dst.len(), SWAR_WINS) {
+        match select(dst.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_slice(c.0, src, dst),
             _ => crate::reference::gf256_mul_add_slice(c.0, src, dst),
         }
@@ -178,7 +183,7 @@ impl SlabField for Gf256 {
         // Only the SIMD kernels have a genuinely fused gather (GFNI keeps
         // the destination tile in registers across sources); the reference
         // kernel loops single-row axpys, one product-table row per source.
-        match select(dst.len(), SWAR_WINS) {
+        match select(dst.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
             _ => {
                 for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
@@ -197,7 +202,7 @@ impl SlabField for Gf256 {
         // each loaded source vector across a register panel of destination
         // accumulators); the reference kernel falls back to one gather per
         // destination row.
-        match select(row_bytes, SWAR_WINS) {
+        match select(row_bytes, KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
             _ => {
                 for (panel_row, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(row_bytes))
@@ -217,10 +222,10 @@ impl SlabField for Gf256 {
         if src.is_empty() || factors.is_empty() {
             return;
         }
-        // The SIMD kernels hoist the level dispatch and constant splat out
-        // of the per-row loop — back-substitution scatters one short pivot
-        // row onto every stored row, where per-row dispatch would dominate.
-        match select(src.len(), SWAR_WINS) {
+        // The SIMD kernels hoist the level dispatch out of the per-row loop
+        // — back-substitution scatters one short pivot row onto every
+        // stored row, where per-row dispatch would dominate.
+        match select(src.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
             _ => {
                 for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {

@@ -18,15 +18,18 @@
 //! * three bit-identical GF(2⁸)/GF(2⁴) kernel modules behind it — the
 //!   product-table path ([`mod@reference`]), portable SWAR split-nibble `u64`
 //!   kernels ([`wide`]) and runtime-detected x86-64 SIMD
-//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the row length
-//!   and the CPU by the one rule in [`kernel`].
+//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the field,
+//!   the row length and the CPU by the one rule in [`kernel`]: with GFNI,
+//!   GF(2⁸) rows of every length multiply in hardware; anywhere else rows
+//!   under 64 bytes index the product tables.
 //!
 //! # Choosing a field
 //!
 //! Throughput and overhead pull in opposite directions. [`Gf256`] is the
 //! practical default: symbols align with bytes, redundancy probability is
-//! `1/256`, and the slab kernels reduce an axpy to one table load plus an
-//! XOR per byte. [`Gf2`] symbols cost 8× fewer bits in the paper's
+//! `1/256`, and the slab kernels reduce an axpy to one `GF2P8MULB` per 32
+//! bytes where the CPU has it and to one table load plus an XOR per byte
+//! where it does not. [`Gf2`] symbols cost 8× fewer bits in the paper's
 //! wire-size model (`(k + r)·log₂ q`, see `Packet::wire_bits` in
 //! `ag-rlnc`; in-memory slabs here store one byte per symbol regardless)
 //! and its slabs are pure XOR, but a random combination is redundant with

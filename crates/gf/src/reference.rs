@@ -3,11 +3,13 @@
 //! Byte-at-a-time kernels: one product-table row per multiplier, one
 //! bounds-elided load plus an XOR per byte. They do two jobs:
 //!
-//! 1. **Production** — rows shorter than
-//!    [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) (every rank-only
-//!    simulation) run here on every CPU, and so does every GF(2⁸) row on a
-//!    CPU without SIMD: indexing a prebuilt table beats building nibble
-//!    tables per multiplier.
+//! 1. **Production** — where the alternative builds nibble tables per
+//!    multiplier, indexing a prebuilt table wins on short rows: GF(2⁴) rows
+//!    shorter than [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run
+//!    here on every CPU, and so do GF(2⁸) rows that short on a CPU whose
+//!    SIMD is `PSHUFB`, and every GF(2⁸) row on a CPU without SIMD. A GFNI
+//!    CPU multiplies GF(2⁸) without tables, so there these are the GF(2⁸)
+//!    kernel of no row at all, short or long (see [`crate::kernel`]).
 //! 2. **Differential testing** — the `proptest_kernels` suite replays every
 //!    geometry through these kernels, [`crate::wide`] and [`crate::simd`]
 //!    and asserts bit-identical output.

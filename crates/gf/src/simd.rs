@@ -13,18 +13,28 @@
 //! SSSE3 (see [`crate::kernel`]); called directly there, or on another
 //! architecture, the entry points stay total by delegating to the portable
 //! kernels ([`crate::reference`] for GF(2⁸), [`crate::wide`] for GF(2⁴)).
-//! Sub-block tails (&lt; 16/32 bytes) run through the scalar nibble tables,
-//! which produce bit-identical bytes; `proptest_kernels` and the per-level
-//! lane in this module's tests pin every level to the reference kernel
-//! across every block-boundary geometry.
+//!
+//! What is left of a row after the last whole vector differs by rung. The
+//! `PSHUFB` kernels, which built nibble tables for the multiplier anyway,
+//! finish the sub-block tail (&lt; 16/32 bytes) through those tables in
+//! scalar code. The GFNI kernels have no tables to fall back on and build
+//! none: every one of them finishes in exact-width 32-, 16- and 8-byte
+//! `GF2P8MULB` windows plus a register-assembled remainder under 8 bytes
+//! (`gf256_multi_tail_gfni`, `gf256_mul_gfni`), which is why
+//! [`crate::kernel`] sends GF(2⁸) rows of *every* length here on a GFNI CPU.
+//! All of it produces bit-identical bytes; `proptest_kernels` and the
+//! per-level lane in this module's tests pin every level to the reference
+//! kernel at every row length up to 130 bytes and across the longer
+//! block-boundary geometries.
 //!
 //! The fused gather kernel [`gf256_mul_add_multi`] accumulates many source
 //! rows into one destination per memory pass, keeping a tile of the
 //! destination in vector registers across all sources. On GFNI machines it
-//! runs 128-byte (AVX2) or 256-byte (AVX-512, the `gfni512` level) tiles;
-//! below GFNI it degrades to a loop of single-row axpys, which is already
-//! optimal there because the nibble tables must be rebuilt per source
-//! coefficient anyway.
+//! runs 128-byte (AVX2) or 256-byte (AVX-512, the `gfni512` level) tiles
+//! and the same register-resident accumulator in every narrower window
+//! down to the last byte; below GFNI it degrades to a loop of single-row
+//! axpys, which is already optimal there because the nibble tables must be
+//! rebuilt per source coefficient anyway.
 
 #![allow(
     unsafe_code,
@@ -44,6 +54,21 @@ pub fn supported() -> bool {
 #[must_use]
 pub fn level_name() -> &'static str {
     detail::level_name()
+}
+
+/// Do the GF(2⁸) kernels here run on `GF2P8MULB` (the `gfni` and `gfni512`
+/// levels)? Then no call builds a per-multiplier table, which is what lets
+/// [`crate::kernel`] send rows of every length here.
+pub(crate) fn gf256_is_table_free() -> bool {
+    detail::gf256_is_table_free()
+}
+
+/// Test-only: calls `f` once per instruction level this CPU has, weakest
+/// first and the delegating `"portable"` one included, with that level
+/// forced on the calling thread; `f` receives its [`level_name`].
+#[cfg(test)]
+pub(crate) fn for_each_level(f: impl FnMut(&'static str)) {
+    detail::for_each_level(f);
 }
 
 /// `dst[i] = c · dst[i]` over GF(2⁸), SIMD kernel.
@@ -250,6 +275,29 @@ mod detail {
         level() != Level::None
     }
 
+    pub(super) fn gf256_is_table_free() -> bool {
+        level() >= Level::Gfni
+    }
+
+    #[cfg(test)]
+    pub(super) fn for_each_level(mut f: impl FnMut(&'static str)) {
+        let detected = level();
+        let ladder = [
+            Level::None,
+            Level::Ssse3,
+            Level::Avx2,
+            Level::Gfni,
+            Level::Gfni512,
+        ];
+        // Never above `detected`: a forced level must be one the CPU has.
+        for forced in ladder.into_iter().filter(|&l| l <= detected) {
+            FORCED.set(Some(forced));
+            f(level_name());
+        }
+        // `--test-threads=1` runs the next test on this same thread.
+        FORCED.set(None);
+    }
+
     pub(super) fn level_name() -> &'static str {
         match level() {
             Level::Gfni512 => "gfni512",
@@ -367,7 +415,7 @@ mod detail {
         }
     }
 
-    /// Scalar nibble-table tail shared by every vector path below.
+    /// Scalar nibble-table tail shared by the `PSHUFB` kernels below.
     fn tail_mul_add(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
         for (d, s) in dst.iter_mut().zip(src) {
             *d ^= t.lo[(s & 0xF) as usize] ^ t.hi[(s >> 4) as usize];
@@ -495,12 +543,230 @@ mod detail {
         tail_mul(t, &mut dst[blocks * 16..]);
     }
 
+    /// Width selector of [`load_window`]/[`store_window`] for the last
+    /// `n < 8` bytes of a row, beside the exact widths 32, 16 and 8.
+    const REMAINDER: usize = 0;
+
+    /// Loads the `W`-byte window at `p` (`W` ∈ {32, 16, 8}) or, for
+    /// [`REMAINDER`], the `n < 8` bytes there assembled in a register,
+    /// zero-extended to a ymm either way.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support, and that `W` bytes
+    /// ([`REMAINDER`]: `n` bytes) are readable at `p`.
+    // SAFETY: unaligned loads only, of exactly `W` bytes; the remainder
+    // arm reads 4, 2 and 1 bytes as the bits of `n` say, `n` bytes in all,
+    // and never past `p + n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_window<const W: usize>(p: *const u8, n: usize) -> __m256i {
+        let low = match W {
+            32 => return _mm256_loadu_si256(p.cast()),
+            16 => _mm_loadu_si128(p.cast()),
+            8 => _mm_loadl_epi64(p.cast()),
+            _ => {
+                let (mut v, mut at) = (0u64, 0usize);
+                if n & 4 != 0 {
+                    v = u64::from(p.cast::<u32>().read_unaligned());
+                    at = 4;
+                }
+                if n & 2 != 0 {
+                    v |= u64::from(p.add(at).cast::<u16>().read_unaligned()) << (8 * at);
+                    at += 2;
+                }
+                if n & 1 != 0 {
+                    v |= u64::from(*p.add(at)) << (8 * at);
+                }
+                _mm_cvtsi64_si128(v as i64)
+            }
+        };
+        _mm256_zextsi128_si256(low)
+    }
+
+    /// Stores the low `W` bytes of `v` (for [`REMAINDER`]: its low `n < 8`
+    /// bytes) at `p`: the inverse of [`load_window`], and like it never a
+    /// byte wider than asked, so a window cannot reach into the next row.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified AVX2 support, and that `W` bytes
+    /// ([`REMAINDER`]: `n` bytes) are writable at `p`.
+    // SAFETY: unaligned stores only, of exactly `W` bytes; the remainder
+    // arm writes 4, 2 and 1 bytes as the bits of `n` say, `n` bytes in
+    // all, and never past `p + n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_window<const W: usize>(p: *mut u8, n: usize, v: __m256i) {
+        let low = _mm256_castsi256_si128(v);
+        match W {
+            32 => _mm256_storeu_si256(p.cast(), v),
+            16 => _mm_storeu_si128(p.cast(), low),
+            8 => _mm_storel_epi64(p.cast(), low),
+            _ => {
+                let (mut bits, mut p) = (_mm_cvtsi128_si64(low) as u64, p);
+                if n & 4 != 0 {
+                    p.cast::<u32>().write_unaligned(bits as u32);
+                    bits >>= 32;
+                    p = p.add(4);
+                }
+                if n & 2 != 0 {
+                    p.cast::<u16>().write_unaligned(bits as u16);
+                    bits >>= 16;
+                    p = p.add(2);
+                }
+                if n & 1 != 0 {
+                    *p = bits as u8;
+                }
+            }
+        }
+    }
+
+    /// Walks columns `$base..$len` of a row in the GFNI tail windows —
+    /// 32-byte blocks while they last, then at most one each of 16 bytes,
+    /// 8 bytes and the remainder under 8 — calling `$window::<W>(args..,
+    /// base)` on each. Written once so that every GFNI kernel finishes its
+    /// rows the same table-free way; expands inside an `unsafe fn` only.
+    macro_rules! tail_windows {
+        ($len:expr, $base:expr, $window:ident($($arg:expr),*)) => {{
+            let (len, mut base) = ($len, $base);
+            for _ in 0..(len - base) / 32 {
+                $window::<32>($($arg,)* base);
+                base += 32;
+            }
+            if len - base >= 16 {
+                $window::<16>($($arg,)* base);
+                base += 16;
+            }
+            if len - base >= 8 {
+                $window::<8>($($arg,)* base);
+                base += 8;
+            }
+            if len > base {
+                $window::<REMAINDER>($($arg,)* base);
+            }
+        }};
+    }
+
+    /// One column window of the fused gather, `W` bytes wide at `base`
+    /// ([`REMAINDER`]: from `base` to the row end, under 8 bytes): the
+    /// window of `dst` sits in one register while every source row's window
+    /// is multiplied into it, so `dst` is read and written once whatever
+    /// the number of sources.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support, that `srcs` holds
+    /// `factors.len()` rows of `dst.len()` bytes, and that the window ends
+    /// at or before the row end (`base + W <= dst.len()`; [`REMAINDER`]:
+    /// `dst.len() - base < 8`).
+    // SAFETY: loads/stores through `load_window`/`store_window` only, `W`
+    // (or `rb - base`) bytes at column `base` of `dst` and of source row
+    // `i < factors.len()`, which the caller contract keeps inside one row
+    // of `rb` bytes.
+    #[inline]
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gather_window<const W: usize>(
+        factors: &[u8],
+        srcs: &[u8],
+        dst: &mut [u8],
+        base: usize,
+    ) {
+        let rb = dst.len();
+        let n = rb - base;
+        let dp = dst.as_mut_ptr().add(base);
+        let mut acc = load_window::<W>(dp, n);
+        for (i, &f) in factors.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            let s = load_window::<W>(srcs.as_ptr().add(i * rb + base), n);
+            acc = _mm256_xor_si256(acc, _mm256_gf2p8mul_epi8(s, _mm256_set1_epi8(f as i8)));
+        }
+        store_window::<W>(dp, n, acc);
+    }
+
+    /// One column window of the fused scatter, the mirror image of
+    /// [`gather_window`]: the window of `src` sits in one register while it
+    /// is multiplied into the same window of every destination row. Exact
+    /// widths matter most here: a window reaching into the next row would
+    /// make that row's load wait for this row's store.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support, that `dsts` holds
+    /// `factors.len()` rows of `src.len()` bytes, and that the window ends
+    /// at or before the row end (`base + W <= src.len()`; [`REMAINDER`]:
+    /// `src.len() - base < 8`).
+    // SAFETY: loads/stores through `load_window`/`store_window` only, `W`
+    // (or `rb - base`) bytes at column `base` of `src` and of destination
+    // row `i < factors.len()`, which the caller contract keeps inside one
+    // row of `rb` bytes.
+    #[inline]
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn scatter_window<const W: usize>(
+        factors: &[u8],
+        src: &[u8],
+        dsts: &mut [u8],
+        base: usize,
+    ) {
+        let rb = src.len();
+        let n = rb - base;
+        let s = load_window::<W>(src.as_ptr().add(base), n);
+        for (i, &f) in factors.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            let dp = dsts.as_mut_ptr().add(i * rb + base);
+            let p = _mm256_gf2p8mul_epi8(s, _mm256_set1_epi8(f as i8));
+            store_window::<W>(dp, n, _mm256_xor_si256(load_window::<W>(dp, n), p));
+        }
+    }
+
+    /// One window of the in-place product, `dst[base..] = cv · dst[base..]`
+    /// over `W` bytes ([`REMAINDER`]: to the end of `dst`, under 8 bytes).
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support, and that the window
+    /// ends at or before `dst.len()` as for [`gather_window`].
+    // SAFETY: one `load_window`/`store_window` pair on `W` (or `len -
+    // base`) bytes at offset `base`, inside `dst` per the caller contract.
+    #[inline]
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn mul_window<const W: usize>(cv: __m256i, dst: &mut [u8], base: usize) {
+        let n = dst.len() - base;
+        let p = dst.as_mut_ptr().add(base);
+        store_window::<W>(p, n, _mm256_gf2p8mul_epi8(load_window::<W>(p, n), cv));
+    }
+
+    /// The table-free tail of the GFNI gathers: the fused gather over
+    /// columns `base..` of `dst`, one [`gather_window`] per tail window.
+    /// The axpy finishes its row here with one factor, the two gathers and
+    /// the AVX2 panel with all of theirs; a short row (a `k`-byte
+    /// coefficient row, a 16-byte payload) is nothing but this tail.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have verified GFNI and AVX2 support, and that `srcs`
+    /// holds `factors.len()` rows of `dst.len()` bytes and `base <=
+    /// dst.len()`.
+    // SAFETY: `tail_windows` guards every window by `len - base` before
+    // `gather_window` touches it, and the caller contract above bounds
+    // each source row inside `srcs`.
+    #[inline]
+    #[target_feature(enable = "gfni,avx2")]
+    unsafe fn gf256_multi_tail_gfni(factors: &[u8], srcs: &[u8], dst: &mut [u8], base: usize) {
+        tail_windows!(dst.len(), base, gather_window(factors, srcs, dst));
+    }
+
     /// # Safety
     ///
     /// Caller must have verified GFNI and AVX2 support.
     // SAFETY: unaligned loads/stores only; `sp`/`dp` offsets stay below
-    // `blocks * 32 <= src.len()` and every caller passes equal-length
-    // src/dst (public wrapper asserts it; internal tails re-slice both).
+    // `blocks * 32 <= src.len()` and the public wrapper asserts `src.len()
+    // == dst.len()`, so `src` is the one row of `dst.len()` bytes the
+    // tail's contract asks for.
     #[target_feature(enable = "gfni,avx2")]
     unsafe fn gf256_mul_add_gfni(c: u8, src: &[u8], dst: &mut [u8]) {
         let cv = _mm256_set1_epi8(c as i8);
@@ -511,13 +777,8 @@ mod detail {
             let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
             _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), p));
         }
-        // GF2P8MULB needs no tables — only build them if a tail exists.
         if blocks * 32 < src.len() {
-            tail_mul_add(
-                &gf256_nibble_tables(c),
-                &src[blocks * 32..],
-                &mut dst[blocks * 32..],
-            );
+            gf256_multi_tail_gfni(std::slice::from_ref(&c), src, dst, blocks * 32);
         }
     }
 
@@ -573,49 +834,6 @@ mod detail {
             _mm256_storeu_si256(dp.add(96).cast(), acc3);
         }
         gf256_multi_tail_gfni(factors, srcs, dst, tiles * TILE);
-    }
-
-    /// Fused sub-tile tail shared by both gather kernels: everything past
-    /// `base` in 32-byte ymm chunks kept in an accumulator across all
-    /// sources, then a per-source table tail for the last < 32 bytes.
-    /// Short rows (a `k`-byte coefficient slab row is often smaller than a
-    /// full tile) would otherwise fall back to one axpy pass per source —
-    /// the exact read-`dst`-per-source pattern the fused kernel exists to
-    /// avoid.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, and that `srcs`
-    /// holds `factors.len()` rows of `dst.len()` bytes.
-    // SAFETY: unaligned loads/stores only; the ymm loop guards
-    // `base + 32 <= rb` before touching `dst[base..]` and the caller
-    // contract above bounds each `sp` row pointer inside `srcs`.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_multi_tail_gfni(factors: &[u8], srcs: &[u8], dst: &mut [u8], base: usize) {
-        let rb = dst.len();
-        let mut base = base;
-        while base + 32 <= rb {
-            let dp = dst.as_mut_ptr().add(base);
-            let mut acc = _mm256_loadu_si256(dp.cast());
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm256_set1_epi8(f as i8);
-                let sp = srcs.as_ptr().add(i * rb + base);
-                acc =
-                    _mm256_xor_si256(acc, _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp.cast()), cv));
-            }
-            _mm256_storeu_si256(dp.cast(), acc);
-            base += 32;
-        }
-        if base < rb {
-            for (i, &f) in factors.iter().enumerate() {
-                if f != 0 {
-                    gf256_mul_add_gfni(f, &srcs[i * rb + base..(i + 1) * rb], &mut dst[base..]);
-                }
-            }
-        }
     }
 
     /// As [`gf256_mul_add_multi_gfni`] with 256-byte tiles in four zmm
@@ -970,8 +1188,8 @@ mod detail {
     }
 
     /// As [`gf256_mul_add_block_gfni512`] with four-row × 64-byte ymm
-    /// panels (eight ymm accumulators), a 32-byte column pass, and a
-    /// reference product-table scalar tail for the last `rb % 32` bytes.
+    /// panels (eight ymm accumulators), a 32-byte column pass, and one
+    /// fused gather tail per panel row for the last `rb % 32` bytes.
     ///
     /// # Safety
     ///
@@ -979,10 +1197,11 @@ mod detail {
     /// is `r·c` bytes, `srcs` is `c` rows and `dsts` is `r` rows of `rb`
     /// bytes each (the public wrapper asserts this).
     // SAFETY: unaligned loads/stores only. The tile loops guard
-    // `base + {64,32} <= rb` before touching column `base`; the scalar
-    // tail and the leftover-row gathers use checked slices. Panel row
-    // indices stay `< panels * 4 <= r` and source indices `j < c`, keeping
-    // `dp`/`sp`/`cp` offsets inside their slabs per the caller contract.
+    // `base + {64,32} <= rb` before touching column `base`; the tail and
+    // leftover-row gathers get checked slices of one `rb`-byte row each
+    // beside all `c` sources. Panel row indices stay `< panels * 4 <= r`
+    // and source indices `j < c`, keeping `dp`/`sp`/`cp` offsets inside
+    // their slabs per the caller contract.
     #[target_feature(enable = "gfni,avx2")]
     unsafe fn gf256_mul_add_block_gfni(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], rb: usize) {
         let c = srcs.len() / rb;
@@ -1070,20 +1289,13 @@ mod detail {
             base += 32;
         }
         if base < rb {
-            // Scalar tail through the prebuilt reference product table: no
-            // per-coefficient nibble-table builds for a < 32-byte remnant.
             for i in 0..panels * 4 {
-                let dst = &mut dsts[i * rb + base..(i + 1) * rb];
-                for j in 0..c {
-                    let f = coefs[i * c + j];
-                    if f != 0 {
-                        crate::reference::gf256_mul_add_slice(
-                            f,
-                            &srcs[j * rb + base..(j + 1) * rb],
-                            dst,
-                        );
-                    }
-                }
+                gf256_multi_tail_gfni(
+                    &coefs[i * c..(i + 1) * c],
+                    srcs,
+                    &mut dsts[i * rb..(i + 1) * rb],
+                    base,
+                );
             }
         }
         for i in panels * 4..r {
@@ -1095,88 +1307,94 @@ mod detail {
         }
     }
 
-    /// Fused scatter: each destination row gets `factors[i] · src` in one
-    /// pass with the dispatch and constant splat hoisted out of the row
-    /// loop; `src` stays cache-hot across rows.
+    /// Fused scatter: each destination row gets `factors[i] · src` with
+    /// the dispatch hoisted out of the row loop. Whole 32-byte blocks go
+    /// row by row (`src` stays cache-hot across rows); what is left of the
+    /// rows — all of a short row — goes window by window through
+    /// [`scatter_window`], `src` in a register across all rows.
     ///
     /// # Safety
     ///
-    /// Caller must have verified GFNI and AVX2 support.
+    /// Caller must have verified GFNI and AVX2 support, and that `dsts`
+    /// holds `factors.len()` rows of `src.len()` bytes.
     // SAFETY: unaligned loads/stores only; `sp` stays below `blocks * 32
     // <= src.len()` and `dp` points into `row`, a checked slice of `dsts`
-    // with exactly `rb = src.len()` bytes.
+    // with exactly `rb = src.len()` bytes; `tail_windows` guards every
+    // window by `len - base` and the caller contract bounds its rows.
     #[target_feature(enable = "gfni,avx2")]
     unsafe fn gf256_mul_add_scatter_gfni(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
         let rb = src.len();
         let blocks = rb / 32;
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let cv = _mm256_set1_epi8(f as i8);
-            let row = &mut dsts[i * rb..(i + 1) * rb];
-            for b in 0..blocks {
-                let sp = src.as_ptr().add(b * 32).cast();
-                let dp: *mut __m256i = row.as_mut_ptr().add(b * 32).cast();
-                let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
-                _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp.cast_const()), p));
-            }
-            if blocks * 32 < rb {
-                gf256_mul_add_gfni(f, &src[blocks * 32..], &mut row[blocks * 32..]);
+        if blocks > 0 {
+            for (i, &f) in factors.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                let cv = _mm256_set1_epi8(f as i8);
+                let row = &mut dsts[i * rb..(i + 1) * rb];
+                for b in 0..blocks {
+                    let sp = src.as_ptr().add(b * 32).cast();
+                    let dp: *mut __m256i = row.as_mut_ptr().add(b * 32).cast();
+                    let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
+                    _mm256_storeu_si256(
+                        dp,
+                        _mm256_xor_si256(_mm256_loadu_si256(dp.cast_const()), p),
+                    );
+                }
             }
         }
+        tail_windows!(rb, blocks * 32, scatter_window(factors, src, dsts));
     }
 
     /// As [`gf256_mul_add_scatter_gfni`] with 64-byte zmm blocks.
     ///
     /// # Safety
     ///
-    /// Caller must have verified GFNI, AVX-512F, AVX-512BW and AVX2 support.
+    /// Caller must have verified GFNI, AVX-512F, AVX-512BW and AVX2
+    /// support, and that `dsts` holds `factors.len()` rows of `src.len()`
+    /// bytes.
     // SAFETY: unaligned loads/stores only; `sp` stays below `blocks * 64
     // <= src.len()` and `dp` points into `row`, a checked slice of `dsts`
-    // with exactly `rb = src.len()` bytes.
+    // with exactly `rb = src.len()` bytes; `tail_windows` guards every
+    // window by `len - base` and the caller contract bounds its rows.
     #[target_feature(enable = "gfni,avx512f,avx512bw,avx2")]
     unsafe fn gf256_mul_add_scatter_gfni512(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
         let rb = src.len();
         let blocks = rb / 64;
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let cv = _mm512_set1_epi8(f as i8);
-            let row = &mut dsts[i * rb..(i + 1) * rb];
-            for b in 0..blocks {
-                let sp = src.as_ptr().add(b * 64).cast();
-                let dp = row.as_mut_ptr().add(b * 64);
-                let p = _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp), cv);
-                _mm512_storeu_si512(
-                    dp.cast(),
-                    _mm512_xor_si512(_mm512_loadu_si512(dp.cast()), p),
-                );
-            }
-            if blocks * 64 < rb {
-                gf256_mul_add_gfni(f, &src[blocks * 64..], &mut row[blocks * 64..]);
+        if blocks > 0 {
+            for (i, &f) in factors.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                let cv = _mm512_set1_epi8(f as i8);
+                let row = &mut dsts[i * rb..(i + 1) * rb];
+                for b in 0..blocks {
+                    let sp = src.as_ptr().add(b * 64).cast();
+                    let dp = row.as_mut_ptr().add(b * 64);
+                    let p = _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp), cv);
+                    _mm512_storeu_si512(
+                        dp.cast(),
+                        _mm512_xor_si512(_mm512_loadu_si512(dp.cast()), p),
+                    );
+                }
             }
         }
+        tail_windows!(rb, blocks * 64, scatter_window(factors, src, dsts));
     }
 
+    /// The in-place product, one [`mul_window`] per tail window from the
+    /// first byte on: the 32-byte blocks of a long row are that walk's
+    /// leading loop.
+    ///
     /// # Safety
     ///
     /// Caller must have verified GFNI and AVX2 support.
-    // SAFETY: unaligned loads/stores only; `dp` offsets stay below
-    // `blocks * 32 <= dst.len()`, in-place within the one slice.
+    // SAFETY: `tail_windows` guards every window by `len - base` before
+    // `mul_window` touches it.
     #[target_feature(enable = "gfni,avx2")]
     unsafe fn gf256_mul_gfni(c: u8, dst: &mut [u8]) {
         let cv = _mm256_set1_epi8(c as i8);
-        let blocks = dst.len() / 32;
-        for b in 0..blocks {
-            let dp: *mut __m256i = dst.as_mut_ptr().add(b * 32).cast();
-            let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(dp.cast_const()), cv);
-            _mm256_storeu_si256(dp, p);
-        }
-        if blocks * 32 < dst.len() {
-            tail_mul(&gf256_nibble_tables(c), &mut dst[blocks * 32..]);
-        }
+        tail_windows!(dst.len(), 0, mul_window(cv, dst));
     }
 }
 
@@ -1191,6 +1409,15 @@ mod detail {
 
     pub(super) fn level_name() -> &'static str {
         "portable"
+    }
+
+    pub(super) fn gf256_is_table_free() -> bool {
+        false
+    }
+
+    #[cfg(test)]
+    pub(super) fn for_each_level(mut f: impl FnMut(&'static str)) {
+        f(level_name());
     }
 
     pub(super) fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
@@ -1233,13 +1460,20 @@ mod detail {
 mod tests {
     use super::*;
 
+    /// Every row length from empty through the first whole vectors — each
+    /// exact-width window, every remainder under 8 bytes, and both sides of
+    /// `SHORT_ROW_BYTES` — then the given longer tile-boundary lengths.
+    fn lengths(long: &[usize]) -> impl Iterator<Item = usize> + '_ {
+        (0..=130).chain(long.iter().copied())
+    }
+
     #[test]
-    fn simd_matches_reference_across_block_boundaries() {
+    fn simd_matches_reference_at_every_length() {
         let src: Vec<u8> = (0..200u8)
             .map(|b| b.wrapping_mul(101).wrapping_add(7))
             .collect();
         for c in [0u8, 1, 2, 0x57, 0x8E, 0xFF] {
-            for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 47, 64, 95, 200] {
+            for len in lengths(&[200]) {
                 let mut want = vec![0xC3u8; len];
                 crate::reference::gf256_mul_add_slice(c, &src[..len], &mut want);
                 let mut got = vec![0xC3u8; len];
@@ -1270,16 +1504,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_multi_matches_reference_loop_across_tile_boundaries() {
-        // Row lengths straddle the 128-byte (AVX2) and 256-byte (AVX-512)
-        // tile sizes plus the sub-32-byte scalar tail.
+    fn fused_multi_matches_reference_loop_at_every_length() {
+        // The long row lengths straddle the 128-byte (AVX2) and 256-byte
+        // (AVX-512) tile sizes.
         let factors: Vec<u8> = vec![0x00, 0x01, 0x57, 0x8E, 0xFF, 0x02, 0x00, 0xC3];
         let srcs: Vec<u8> = (0..factors.len() * 520)
             .map(|i| (i as u8).wrapping_mul(167).wrapping_add(13))
             .collect();
-        for rb in [
-            0usize, 1, 31, 32, 33, 127, 128, 129, 255, 256, 257, 300, 511, 512, 520,
-        ] {
+        for rb in lengths(&[255, 256, 257, 300, 511, 512, 520]) {
             let packed: Vec<u8> = srcs
                 .chunks_exact(520)
                 .flat_map(|row| row[..rb].to_vec())
@@ -1295,16 +1527,40 @@ mod tests {
     }
 
     #[test]
-    fn blocked_panel_matches_reference_loop_across_tile_boundaries() {
-        // Panel shapes straddle the 4-row register panel and every column
-        // pass (128/64-byte zmm tiles, 64/32-byte ymm tiles, masked and
-        // scalar tails).
+    fn scatter_matches_reference_loop_at_every_length() {
+        // Each row's neighbours are the next row and, after the last one, a
+        // guard: a window a byte too wide shows up in one or the other.
+        const GUARD: [u8; 8] = [0xEE; 8];
+        let factors: Vec<u8> = vec![0x57, 0x00, 0x01, 0x8E, 0xFF, 0x02, 0xC3, 0x00, 0x1B];
+        let src: Vec<u8> = (0..257usize)
+            .map(|i| (i as u8).wrapping_mul(59).wrapping_add(3))
+            .collect();
+        for rb in lengths(&[191, 192, 193, 256, 257]) {
+            let init: Vec<u8> = (0..factors.len() * rb)
+                .map(|i| (i as u8).wrapping_mul(29).wrapping_add(1))
+                .collect();
+            let mut want = init.clone();
+            for (f, row) in factors.iter().zip(want.chunks_exact_mut(rb.max(1))) {
+                crate::reference::gf256_mul_add_slice(*f, &src[..rb], row);
+            }
+            let mut got = [&init[..], &GUARD[..]].concat();
+            gf256_mul_add_scatter(&factors, &src[..rb], &mut got[..init.len()]);
+            assert_eq!(got[..init.len()], want, "fused scatter rb={rb}");
+            assert_eq!(got[init.len()..], GUARD, "fused scatter overran rb={rb}");
+        }
+    }
+
+    #[test]
+    fn blocked_panel_matches_reference_loop_at_every_length() {
+        // Panel shapes straddle the 4-row register panel; the row lengths
+        // cover every column pass (128/64-byte zmm tiles, 64/32-byte ymm
+        // tiles, the masked pass and the fused gather tail).
         for (r, c) in [(1usize, 1usize), (2, 3), (4, 4), (5, 2), (7, 9), (8, 17)] {
             let coefs: Vec<u8> = (0..r * c)
                 .map(|i| (i as u8).wrapping_mul(73).wrapping_add(5) % 7)
                 .map(|v| if v == 3 { 0 } else { v.wrapping_mul(41) })
                 .collect();
-            for rb in [1usize, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200, 256, 300] {
+            for rb in lengths(&[200, 256, 300]).skip(1) {
                 let srcs: Vec<u8> = (0..c * rb)
                     .map(|i| (i as u8).wrapping_mul(167).wrapping_add(13))
                     .collect();
@@ -1325,34 +1581,24 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn detection_reports_a_level() {
+        // Printed for CI logs (`--nocapture`): which rung this host's
+        // differential lanes exercised.
+        println!("ag-gf simd level: {}", level_name());
         // On any x86-64 made this century there is at least SSSE3.
         assert!(supported(), "no SIMD level detected: {}", level_name());
     }
 
     /// The kernels older CPUs execute, on this CPU: every level up to the
-    /// detected one (the delegating `None` included) is forced in turn on
-    /// this thread and driven through the four block-boundary checks above.
-    #[cfg(target_arch = "x86_64")]
+    /// detected one (the delegating `portable` included) is forced in turn
+    /// on this thread and driven through the every-length checks above.
     #[test]
     fn every_level_the_cpu_has_matches_reference() {
-        use detail::{Level, FORCED};
-        let detected = detail::level();
-        let ladder = [
-            Level::None,
-            Level::Ssse3,
-            Level::Avx2,
-            Level::Gfni,
-            Level::Gfni512,
-        ];
-        // Never above `detected`: a forced level must be one the CPU has.
-        for level in ladder.into_iter().filter(|&l| l <= detected) {
-            FORCED.with(|f| f.set(Some(level)));
-            simd_matches_reference_across_block_boundaries();
+        for_each_level(|_| {
+            simd_matches_reference_at_every_length();
             simd_gf16_matches_reference_with_dirty_high_nibbles();
-            fused_multi_matches_reference_loop_across_tile_boundaries();
-            blocked_panel_matches_reference_loop_across_tile_boundaries();
-        }
-        // `--test-threads=1` runs the next test on this same thread.
-        FORCED.with(|f| f.set(None));
+            fused_multi_matches_reference_loop_at_every_length();
+            scatter_matches_reference_loop_at_every_length();
+            blocked_panel_matches_reference_loop_at_every_length();
+        });
     }
 }

@@ -16,8 +16,13 @@
 //! * for GF(2⁴): non-canonical high nibbles in the source bytes.
 //!
 //! The dispatch lanes go through [`SlabField`] and draw row lengths on both
-//! sides of [`SHORT_ROW_BYTES`], so both arms of the selection rule
-//! (`ag_gf::kernel`) run on any CPU.
+//! sides of [`SHORT_ROW_BYTES`]. Which arms of the selection rule
+//! (`ag_gf::kernel`) that exercises depends on the CPU class: below GFNI a
+//! GF(2⁸) row under the bound takes the reference kernel and a longer one
+//! SIMD, while on a GFNI CPU every GF(2⁸) length is the SIMD arm and only
+//! GF(2⁴) still crosses the bound. The arm a host does not take by itself
+//! is driven by `ag-gf`'s unit tests, which force every level the CPU has
+//! (`simd::tests`, `kernel::tests`).
 //!
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
@@ -532,7 +537,11 @@ proptest! {
 }
 
 /// Deterministic exhaustive pin: every GF(2⁸) multiplier × every source
-/// byte, both kernels and the dispatched op, one 256-byte row.
+/// byte, both kernels and the dispatched op, one 256-byte row — then the
+/// same 256 × 256 products through all five dispatched ops on 3-, 8- and
+/// 16-byte rows, the shapes a GFNI CPU serves from its sub-vector windows
+/// (remainder, 8-byte and 16-byte) and any other CPU from the reference
+/// kernel.
 #[test]
 fn gf256_all_multipliers_all_bytes_all_kernels() {
     let src: Vec<u8> = (0..=255u8).collect();
@@ -550,5 +559,26 @@ fn gf256_all_multipliers_all_bytes_all_kernels() {
         let mut dispatched = vec![0u8; 256];
         Gf256::mul_add_slice(Gf256::new(c), &src, &mut dispatched);
         assert_eq!(dispatched, want, "dispatched c={c}");
+
+        for rb in [3usize, 8, 16] {
+            for (row, want) in src.chunks(rb).zip(want.chunks(rb)) {
+                let n = row.len();
+                let mut axpy = vec![0u8; n];
+                Gf256::mul_add_slice(Gf256::new(c), row, &mut axpy);
+                assert_eq!(axpy, want, "axpy c={c} rb={rb}");
+                let mut mul = row.to_vec();
+                Gf256::mul_slice(Gf256::new(c), &mut mul);
+                assert_eq!(mul, want, "mul c={c} rb={rb}");
+                let mut gather = vec![0u8; n];
+                Gf256::mul_add_multi(&[c], row, &mut gather);
+                assert_eq!(gather, want, "gather c={c} rb={rb}");
+                let mut scatter = vec![0u8; n];
+                Gf256::mul_add_scatter(&[c], row, &mut scatter);
+                assert_eq!(scatter, want, "scatter c={c} rb={rb}");
+                let mut block = vec![0u8; n];
+                Gf256::mul_add_block(&[c], row, &mut block, n);
+                assert_eq!(block, want, "block c={c} rb={rb}");
+            }
+        }
     }
 }

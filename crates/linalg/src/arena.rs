@@ -314,8 +314,10 @@ impl<F: SlabField> BasisArena<F> {
     /// coefficient prefix **in place** in the caller's buffer (which is
     /// clobbered: on return the prefix holds the reduced/normalized
     /// remainder, while the payload tail is untouched — its elimination is
-    /// deferred to the node's log). This is the zero-copy hot path for
-    /// callers that own a reusable row buffer.
+    /// deferred to the node's log). A node already at full rank reduces
+    /// nothing: the verdict is redundant and the buffer is left as passed.
+    /// This is the zero-copy hot path for callers that own a reusable row
+    /// buffer.
     ///
     /// # Panics
     ///
@@ -351,7 +353,7 @@ impl<F: SlabField> BasisArena<F> {
     pub fn would_be_innovative_packed(&self, node: usize, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb, "row shorter than the packed pivot prefix");
-        self.nodes[node].probe::<F>(&mut self.scratch.borrow_mut(), |p| {
+        self.nodes[node].probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
             p.extend_from_slice(&row[..kb]);
         })
     }

@@ -310,8 +310,8 @@ impl<F: SlabField> EchelonBasis<F> {
     /// in the caller's buffer — no copy, no allocation ever. The
     /// coefficient prefix of `row` is clobbered by the elimination (the
     /// payload tail is left untouched; its elimination is deferred to the
-    /// log), so callers that need the original bytes afterwards must keep
-    /// their own copy.
+    /// log) unless the basis is already full, which needs none; callers
+    /// that need the original bytes afterwards must keep their own copy.
     ///
     /// # Errors
     ///
@@ -375,7 +375,9 @@ impl<F: SlabField> EchelonBasis<F> {
         assert!(row.len() >= self.pivot_width);
         let prefix = &row[..self.pivot_width];
         self.node
-            .probe::<F>(&mut self.scratch.borrow_mut(), |p| F::pack_into(prefix, p))
+            .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
+                F::pack_into(prefix, p)
+            })
     }
 
     /// Packed-slab variant of [`EchelonBasis::would_be_innovative`]; `row`
@@ -388,9 +390,10 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn would_be_innovative_packed(&self, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb);
-        self.node.probe::<F>(&mut self.scratch.borrow_mut(), |p| {
-            p.extend_from_slice(&row[..kb]);
-        })
+        self.node
+            .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
+                p.extend_from_slice(&row[..kb]);
+            })
     }
 
     /// True iff `other`'s span contains a vector outside `self`'s span,

@@ -481,7 +481,9 @@ impl NodeBasis {
     /// in the caller's buffer (the payload tail is left exactly as passed:
     /// it is copied raw and its elimination deferred to the log). The one
     /// insert of the workspace, and the one place the row length is
-    /// asserted.
+    /// asserted. A node at full rank answers [`Insertion::Redundant`] from
+    /// its rank alone — its basis spans everything — and leaves the
+    /// caller's bytes untouched.
     ///
     /// # Panics
     ///
@@ -501,6 +503,9 @@ impl NodeBasis {
             row.len()
         );
         let rank = self.rank();
+        if rank == d.pivot_width {
+            return Insertion::Redundant;
+        }
         let (crow, pay_in) = row.split_at_mut(d.kb);
         let Some(pivot_col) =
             core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, crow, &mut sc.factors)
@@ -567,12 +572,17 @@ impl NodeBasis {
 
     /// Would the packed coefficient prefix `fill` writes (into a cleared
     /// scratch row) raise this node's rank? Non-mutating, allocation-free
-    /// once the scratch is warm, and never touches payload state.
+    /// once the scratch is warm, and never touches payload state. A node at
+    /// full rank says no without calling `fill`.
     pub(crate) fn probe<F: SlabField>(
         &self,
+        d: Dims,
         sc: &mut Scratch,
         fill: impl FnOnce(&mut Vec<u8>),
     ) -> bool {
+        if self.rank() == d.pivot_width {
+            return false;
+        }
         let Scratch { factors, probe, .. } = sc;
         probe.clear();
         fill(probe);
@@ -800,6 +810,45 @@ mod tests {
         blocked_matches_rowwise_from_every_frontier::<Gf256>();
         blocked_matches_rowwise_from_every_frontier::<Gf16>();
         blocked_matches_rowwise_from_every_frontier::<Gf2>();
+    }
+
+    /// A node at full rank answers from its rank: any well-formed row is
+    /// redundant and comes back byte for byte (nothing was reduced in it),
+    /// no probe can help, and a malformed row is still refused.
+    fn full_node_answers_from_its_rank<F: SlabField>() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let (k, r) = (6usize, 3usize);
+        let d = Dims::new::<F>(k, k + r);
+        let mut b = random_node::<F>(d, k, &mut rng);
+        let mut sc = Scratch::default();
+        let before = b.clone();
+        for _ in 0..8 {
+            let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
+            let sent = F::pack(&row);
+            let mut buf = sent.clone();
+            assert_eq!(
+                b.insert_packed::<F>(d, &mut buf, &mut sc),
+                Insertion::Redundant
+            );
+            assert_eq!(buf, sent, "a full node must not touch the caller's row");
+            assert!(!b.probe::<F>(d, &mut sc, |p| p.extend_from_slice(&sent[..d.kb])));
+        }
+        assert!(!b.probe::<F>(d, &mut sc, |_| unreachable!(
+            "a full node must not build the probe row"
+        )));
+        assert_eq!(b.rank(), k);
+        assert!(b.same_settled_rows(&before));
+        let refused = std::panic::catch_unwind(move || {
+            b.insert_packed::<F>(d, &mut vec![0u8; d.row_bytes() + 1], &mut sc)
+        });
+        assert!(refused.is_err(), "a malformed row must still be refused");
+    }
+
+    #[test]
+    fn full_node_says_redundant_without_reducing() {
+        full_node_answers_from_its_rank::<Gf2>();
+        full_node_answers_from_its_rank::<Gf16>();
+        full_node_answers_from_its_rank::<Gf256>();
     }
 
     /// What `use_blocked` says for the flushes of the `ag-rlnc`

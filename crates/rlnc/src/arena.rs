@@ -341,9 +341,12 @@ impl<F: SlabField> DecoderArena<F> {
     }
 
     /// Zero-copy receive: reduces the row **in place** in the caller's
-    /// buffer (clobbering it) and stores it on an innovative verdict. The
-    /// engine delivery path uses this with its pooled message buffers so a
-    /// reception touches no scratch copy at all.
+    /// buffer and stores it on an innovative verdict. Whenever a reduction
+    /// runs it overwrites the row's coefficient prefix, so the caller must
+    /// not count on its bytes afterwards; only a node that is already
+    /// complete answers redundant from its rank and leaves them as they
+    /// were. The engine delivery path uses this with its pooled message
+    /// buffers so a reception touches no scratch copy at all.
     ///
     /// # Panics
     ///
