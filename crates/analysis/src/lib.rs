@@ -10,6 +10,7 @@
 //! rates, so [`regression`] provides least-squares and log-log slope fits
 //! to turn sweep measurements into exponents.
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

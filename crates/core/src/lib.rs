@@ -54,6 +54,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

@@ -11,6 +11,7 @@
 //! larger configuration. CI runs `all` at quick scale and diffs the result
 //! against the committed file, the `Suite runtime` line apart.
 
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_methods,
     reason = "a command-line timing harness: it reads its arguments and the wall clock; the ban exists for simulation code"

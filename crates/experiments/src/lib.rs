@@ -12,6 +12,8 @@
 //! and more trials. Set `AG_BENCH_SCALE=full` to upgrade
 //! the binary.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod experiments;
 

@@ -16,7 +16,7 @@ use rand::Rng;
 
 use crate::field::Field;
 use crate::kernel::{select, KernelField, Rung};
-use crate::slab::{xor_slice, SlabField};
+use crate::slab::{self, xor_slice, SlabField};
 
 /// Reduction polynomial x⁸ + x⁴ + x³ + x + 1 (0x11B, the AES polynomial).
 const POLY: u16 = 0x11B;
@@ -171,69 +171,36 @@ impl SlabField for Gf256 {
         }
     }
 
+    // The three fused operations exist as kernels only in `crate::simd`
+    // (which keeps the loop below for the levels that have none). On the
+    // reference rung they are that loop over the product-table axpy, named
+    // directly so the rule is read once per call, not once per row.
     fn mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        assert_eq!(
-            srcs.len(),
-            factors.len() * dst.len(),
-            "srcs must hold exactly one row of dst.len() bytes per factor"
-        );
-        if dst.is_empty() || factors.is_empty() {
-            return;
-        }
-        // Only the SIMD kernels have a genuinely fused gather (GFNI keeps
-        // the destination tile in registers across sources); the reference
-        // kernel loops single-row axpys, one product-table row per source.
         match select(dst.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
-            _ => {
-                for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
-                    crate::reference::gf256_mul_add_slice(f, row, dst);
-                }
-            }
+            _ => slab::multi_by_axpy::<Self>(factors, srcs, dst, reference_axpy),
         }
     }
 
     fn mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes: usize) {
-        let (r, c) = crate::slab::check_block::<Self>(coefs, srcs, dsts, row_bytes);
-        if r == 0 || c == 0 {
-            return;
-        }
-        // Only the SIMD kernels have a genuinely blocked panel (GFNI reuses
-        // each loaded source vector across a register panel of destination
-        // accumulators); the reference kernel falls back to one gather per
-        // destination row.
         match select(row_bytes, KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
-            _ => {
-                for (panel_row, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(row_bytes))
-                {
-                    Self::mul_add_multi(panel_row, srcs, dst);
-                }
-            }
+            _ => slab::block_by_multi::<Self>(coefs, srcs, dsts, row_bytes, Self::mul_add_multi),
         }
     }
 
     fn mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        assert_eq!(
-            dsts.len(),
-            factors.len() * src.len(),
-            "dsts must hold exactly one row of src.len() bytes per factor"
-        );
-        if src.is_empty() || factors.is_empty() {
-            return;
-        }
-        // The SIMD kernels hoist the level dispatch out of the per-row loop
-        // — back-substitution scatters one short pivot row onto every
-        // stored row, where per-row dispatch would dominate.
         match select(src.len(), KernelField::Gf256) {
             Rung::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
-            _ => {
-                for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
-                    crate::reference::gf256_mul_add_slice(f, src, row);
-                }
-            }
+            _ => slab::scatter_by_axpy::<Self>(factors, src, dsts, reference_axpy),
         }
     }
+
+    fn canonicalize_slice(_slab: &mut [u8]) {}
+}
+
+fn reference_axpy(c: Gf256, src: &[u8], dst: &mut [u8]) {
+    crate::reference::gf256_mul_add_slice(c.0, src, dst);
 }
 
 impl fmt::Display for Gf256 {

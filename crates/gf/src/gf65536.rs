@@ -112,6 +112,8 @@ impl SlabField for Gf65536 {
         );
         xor_slice(src, dst);
     }
+
+    fn canonicalize_slice(_slab: &mut [u8]) {}
 }
 
 impl fmt::Display for Gf65536 {

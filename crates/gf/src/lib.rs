@@ -52,6 +52,10 @@
 //! assert_eq!(a * inv, Gf256::ONE);
 //! ```
 
+// The unsafe boundary as a compiler fact: denied here, so that `simd`'s
+// `#![allow(unsafe_code, reason = "..")]` is the one opt-out it says it is;
+// every other crate of the workspace forbids it outright.
+#![deny(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

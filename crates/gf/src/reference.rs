@@ -7,12 +7,20 @@
 //!    multiplier, indexing a prebuilt table wins on short rows: GF(2⁴) rows
 //!    shorter than [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run
 //!    here on every CPU, and so do GF(2⁸) rows that short on a CPU whose
-//!    SIMD is `PSHUFB`, and every GF(2⁸) row on a CPU without SIMD. A GFNI
-//!    CPU multiplies GF(2⁸) without tables, so there these are the GF(2⁸)
+//!    SIMD is `PSHUFB`, the bytes a `PSHUFB` kernel leaves after its last
+//!    whole vector, and every GF(2⁸) row on a CPU without SIMD. A GFNI CPU
+//!    multiplies GF(2⁸) without tables, so there these are the GF(2⁸)
 //!    kernel of no row at all, short or long (see [`crate::kernel`]).
 //! 2. **Differential testing** — the `proptest_kernels` suite replays every
 //!    geometry through these kernels, [`crate::wide`] and [`crate::simd`]
 //!    and asserts bit-identical output.
+//!
+//! Why the module is public: job 1. It is the shipped kernel of every CPU
+//! below GFNI, so it is library code and cannot move to `tests/`; and the
+//! suites of job 2 are integration tests, outside the crate, which reach
+//! the three kernel modules by name to compare them. Were GF(2⁸) ever
+//! table-free everywhere, this would become a test oracle and leave `src/`
+//! as `ag_linalg::Matrix` did.
 //!
 //! Like every kernel module, these functions are total in `c` (the 0 and 1
 //! fast paths live here too, so each module is a complete implementation

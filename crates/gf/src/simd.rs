@@ -1,86 +1,97 @@
 //! The hardware kernels: `PSHUFB` / `GF2P8MULB` slabs.
 //!
-//! This module applies the split-nibble decomposition of [`crate::wide`] —
-//! `c·b = LO[b & 0xF] ^ HI[b >> 4]` — through the instruction built for it:
-//! `PSHUFB` performs sixteen (SSSE3) or thirty-two (AVX2) parallel 16-entry
-//! table lookups per cycle. On CPUs with GFNI, GF(2⁸) skips the tables
-//! entirely: `GF2P8MULB` multiplies bytes directly in GF(2⁸) modulo
-//! `x⁸+x⁴+x³+x+1` (0x11B) — exactly the polynomial [`crate::Gf256`] is
-//! built on, so the instruction *is* the field.
+//! Two x86-64 instructions multiply a whole register of bytes by one field
+//! constant. `PSHUFB` applies the split-nibble decomposition of
+//! [`crate::wide`] — `c·b = LO[b & 0xF] ^ HI[b >> 4]` — as sixteen (SSSE3)
+//! or thirty-two (AVX2) parallel 16-entry table lookups, and serves GF(2⁸)
+//! and GF(2⁴). `GF2P8MULB` (GFNI; 32 bytes with AVX2, 64 with AVX-512)
+//! multiplies bytes directly in GF(2⁸) modulo `x⁸+x⁴+x³+x+1` (0x11B) —
+//! exactly the polynomial [`crate::Gf256`] is built on, so the instruction
+//! *is* the field and no call builds or reads a table.
+//!
+//! # Lanes, one body per operation
+//!
+//! A *lane* (`Lane`) is one of those instructions over one register width:
+//! load, store, xor, prepare a multiplier, multiply by it. The lanes hold
+//! every intrinsic and every pointer of this module, and a lane value is
+//! proof that the CPU has its instructions (see `lane`), so their methods
+//! are safe and each bounds-checks the slice it touches.
+//!
+//! Each slab operation is written once, in safe code generic over the
+//! lane: what it does to one column window of its rows (`row_at`,
+//! `gather_at`, `scatter_at`, `panel_at`), and the walk that covers a row
+//! with windows: tiles of several vectors, single vectors, then the rest of
+//! the row. That rest differs by instruction. `PSHUFB` hands it (under a
+//! vector, of a row [`crate::kernel`] only sends here at 64 bytes or more)
+//! to the product-table kernel, [`crate::reference`]. `GF2P8MULB` has no
+//! table to fall back on and wants none: it finishes in exact-width 16- and
+//! 8-byte windows and a register-assembled remainder under 8 bytes
+//! (`tail_windows!`), never a byte wider than the row. That is why
+//! [`crate::kernel`] sends GF(2⁸) rows of *every* length here on a GFNI
+//! CPU: a `k`-byte coefficient row or a 16-byte payload is nothing but such
+//! windows.
+//!
+//! One `#[target_feature]` function per level names the lanes:
+//!
+//! | level | GF(2⁸) axpy, scale | GF(2⁸) gather, scatter, panel | GF(2⁴) axpy, scale |
+//! |---|---|---|---|
+//! | `ssse3` | `PSHUFB` xmm | loop of axpys | `PSHUFB` xmm |
+//! | `avx2` | `PSHUFB` ymm | loop of axpys | `PSHUFB` ymm |
+//! | `gfni` | `GF2P8MULB` ymm | `GF2P8MULB` ymm | `PSHUFB` ymm |
+//! | `gfni512` | `GF2P8MULB` ymm | `GF2P8MULB` zmm | `PSHUFB` ymm |
+//!
+//! Below GFNI a fused pass buys nothing (the nibble tables are rebuilt per
+//! source coefficient either way), so there the gather, scatter and panel
+//! are the loops of single-row axpys of [`crate::slab`]. Single rows stay
+//! on ymm at `gfni512`: they are memory-bound and immune to zmm frequency
+//! effects.
 //!
 //! Everything is runtime-detected (`is_x86_feature_detected!`) and compiled
-//! only on x86-64. The slab operations never dispatch here on a CPU without
-//! SSSE3 (see [`crate::kernel`]); called directly there, or on another
-//! architecture, the entry points stay total by delegating to the portable
-//! kernels ([`crate::reference`] for GF(2⁸), [`crate::wide`] for GF(2⁴)).
-//!
-//! What is left of a row after the last whole vector differs by rung. The
-//! `PSHUFB` kernels, which built nibble tables for the multiplier anyway,
-//! finish the sub-block tail (&lt; 16/32 bytes) through those tables in
-//! scalar code. The GFNI kernels have no tables to fall back on and build
-//! none: every one of them finishes in exact-width 32-, 16- and 8-byte
-//! `GF2P8MULB` windows plus a register-assembled remainder under 8 bytes
-//! (`gf256_multi_tail_gfni`, `gf256_mul_gfni`), which is why
-//! [`crate::kernel`] sends GF(2⁸) rows of *every* length here on a GFNI CPU.
-//! All of it produces bit-identical bytes; `proptest_kernels` and the
-//! per-level lane in this module's tests pin every level to the reference
-//! kernel at every row length up to 130 bytes and across the longer
-//! block-boundary geometries.
-//!
-//! The fused gather kernel [`gf256_mul_add_multi`] accumulates many source
-//! rows into one destination per memory pass, keeping a tile of the
-//! destination in vector registers across all sources. On GFNI machines it
-//! runs 128-byte (AVX2) or 256-byte (AVX-512, the `gfni512` level) tiles
-//! and the same register-resident accumulator in every narrower window
-//! down to the last byte; below GFNI it degrades to a loop of single-row
-//! axpys, which is already optimal there because the nibble tables must be
-//! rebuilt per source coefficient anyway.
+//! only on x86-64. Called on a CPU without SSSE3 or on another
+//! architecture, where [`crate::kernel`] never dispatches here, the entry
+//! points stay total by delegating to the portable kernels
+//! ([`crate::reference`] for GF(2⁸), [`crate::wide`] for GF(2⁴)). All of it
+//! produces bit-identical bytes; `proptest_kernels` and this module's tests
+//! pin every level to the reference kernel at every row length up to 130
+//! bytes and across the longer tile-boundary geometries.
 
 #![allow(
     unsafe_code,
     reason = "the ISA kernels are this workspace's unsafe surface"
 )]
 
-use crate::slab::xor_slice;
+use crate::slab::{
+    block_by_multi, check_block, check_multi, check_scatter, multi_by_axpy, scatter_by_axpy,
+    xor_slice,
+};
+use crate::{reference, wide, Gf256};
 
 /// Are the SIMD kernels available on this CPU at all (x86-64 with SSSE3+)?
-#[must_use]
-pub fn supported() -> bool {
-    detail::supported()
-}
+pub use detail::supported;
 
 /// The detected instruction level, for benchmark reports: `"gfni512"`,
 /// `"gfni"`, `"avx2"`, `"ssse3"`, or `"portable"` where there is none.
-#[must_use]
-pub fn level_name() -> &'static str {
-    detail::level_name()
-}
+pub use detail::level_name;
 
 /// Do the GF(2⁸) kernels here run on `GF2P8MULB` (the `gfni` and `gfni512`
 /// levels)? Then no call builds a per-multiplier table, which is what lets
 /// [`crate::kernel`] send rows of every length here.
-pub(crate) fn gf256_is_table_free() -> bool {
-    detail::gf256_is_table_free()
-}
+pub(crate) use detail::gf256_is_table_free;
 
 /// Test-only: calls `f` once per instruction level this CPU has, weakest
 /// first and the delegating `"portable"` one included, with that level
 /// forced on the calling thread; `f` receives its [`level_name`].
 #[cfg(test)]
-pub(crate) fn for_each_level(f: impl FnMut(&'static str)) {
-    detail::for_each_level(f);
-}
+pub(crate) use detail::for_each_level;
 
 /// `dst[i] = c · dst[i]` over GF(2⁸), SIMD kernel.
 pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    detail::gf256_mul_slice(c, dst);
+    row::<true>(c, None, dst);
+}
+
+/// `dst[i] = c · dst[i]` over GF(2⁴), SIMD kernel.
+pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
+    row::<false>(c, None, dst);
 }
 
 /// `dst[i] ^= c · src[i]` over GF(2⁸), SIMD kernel.
@@ -89,34 +100,77 @@ pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
 ///
 /// Panics if the slices differ in length.
 pub fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
-    if c == 0 {
+    row::<true>(c, Some(src), dst);
+}
+
+/// `dst[i] ^= c · src[i]` over GF(2⁴), SIMD kernel.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+pub fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
+    row::<false>(c, Some(src), dst);
+}
+
+/// The two single-row operations of both fields: the axpy `dst ^= c · src`
+/// or, with no `src`, the in-place product `dst = c · dst`; over GF(2⁸)
+/// when `SPLIT` (a symbol has bits in both nibbles of its byte), else over
+/// GF(2⁴).
+fn row<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+    if let Some(src) = src {
+        assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
+    }
+    match (c, src) {
+        (0, Some(_)) | (1, None) => return,
+        (0, None) => return dst.fill(0),
+        (1, Some(src)) => return xor_slice(src, dst),
+        _ => {}
+    }
+    #[cfg(target_arch = "x86_64")]
+    if detail::row::<SPLIT>(c, src, dst) {
         return;
     }
-    if c == 1 {
-        xor_slice(src, dst);
-        return;
+    match src {
+        Some(src) if SPLIT => reference::gf256_mul_add_slice(c, src, dst),
+        Some(src) => wide::gf16_mul_add_slice(c, src, dst),
+        None if SPLIT => reference::gf256_mul_slice(c, dst),
+        None => wide::gf16_mul_slice(c, dst),
     }
-    detail::gf256_mul_add_slice(c, src, dst);
+}
+
+/// This module's own axpy as the row kernel of the [`crate::slab`] loops,
+/// which is what a fused operation is at a level with no kernel for it:
+/// each wrapper below runs its kernel on checked shapes where the CPU has
+/// one, and otherwise the loop, which asserts the shapes itself.
+fn axpy_row(c: Gf256, src: &[u8], dst: &mut [u8]) {
+    gf256_mul_add_slice(c.value(), src, dst);
 }
 
 /// Fused gather `dst[j] ^= Σᵢ factors[i] · srcs_row_i[j]` over GF(2⁸),
 /// SIMD kernel. `srcs` holds one contiguous row of `dst.len()` bytes per
 /// factor; zero factors are skipped.
 ///
+/// On GFNI machines a tile of the destination (four ymm or zmm registers,
+/// then narrower windows down to the last byte) stays in registers across
+/// *all* source rows, so `dst` is read and written once per pass instead of
+/// once per source. Below GFNI it is a loop of single-row axpys.
+///
 /// # Panics
 ///
 /// Panics if `srcs.len() != factors.len() * dst.len()`.
 pub fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-    assert_eq!(
-        srcs.len(),
-        factors.len() * dst.len(),
-        "srcs must hold exactly one row of dst.len() bytes per factor"
-    );
-    if dst.is_empty() || factors.is_empty() {
+    #[cfg(target_arch = "x86_64")]
+    if check_multi::<Gf256>(factors, srcs, dst)
+        && detail::fused(detail::Gather {
+            factors,
+            srcs,
+            dst,
+            from: 0,
+        })
+    {
         return;
     }
-    detail::gf256_mul_add_multi(factors, srcs, dst);
+    multi_by_axpy::<Gf256>(factors, srcs, dst, axpy_row);
 }
 
 /// Blocked panel update `dsts_row_i ^= Σⱼ coefs[i·c + j] · srcs_row_j`
@@ -136,100 +190,58 @@ pub fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
 /// Panics if `srcs`/`dsts` are not whole rows or `coefs` is not exactly
 /// `r · c` symbols (`row_bytes == 0` requires all slabs empty).
 pub fn gf256_mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes: usize) {
-    if row_bytes == 0 {
-        assert!(
-            coefs.is_empty() && srcs.is_empty() && dsts.is_empty(),
-            "zero row_bytes requires empty panel slabs"
-        );
+    #[cfg(target_arch = "x86_64")]
+    if check_block::<Gf256>(coefs, srcs, dsts, row_bytes)
+        && detail::fused(detail::Panel {
+            coefs,
+            srcs,
+            dsts,
+            rb: row_bytes,
+        })
+    {
         return;
     }
-    assert!(
-        srcs.len().is_multiple_of(row_bytes) && dsts.len().is_multiple_of(row_bytes),
-        "panel slabs must be whole rows of {row_bytes} bytes"
-    );
-    let c = srcs.len() / row_bytes;
-    let r = dsts.len() / row_bytes;
-    assert_eq!(
-        coefs.len(),
-        r * c,
-        "coefficient panel must be exactly r x c packed symbols"
-    );
-    if r == 0 || c == 0 {
-        return;
-    }
-    detail::gf256_mul_add_block(coefs, srcs, dsts, row_bytes);
+    block_by_multi::<Gf256>(coefs, srcs, dsts, row_bytes, gf256_mul_add_multi);
 }
 
 /// Fused scatter `dsts_row_i ^= factors[i] · src` over GF(2⁸), SIMD kernel.
 /// `dsts` holds one contiguous row of `src.len()` bytes per factor; zero
-/// factors are skipped. Hoists the kernel dispatch and constant splat out
-/// of the per-row loop — back-substitution applies one pivot row to every
-/// stored coefficient row, so on short rows the per-row dispatch of a
-/// plain axpy loop dominates the actual field work.
+/// factors are skipped. Hoists the kernel dispatch out of the per-row loop
+/// — back-substitution applies one pivot row to every stored coefficient
+/// row, so on short rows the per-row dispatch of a plain axpy loop
+/// dominates the actual field work. Below GFNI it is that loop.
 ///
 /// # Panics
 ///
 /// Panics if `dsts.len() != factors.len() * src.len()`.
 pub fn gf256_mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-    assert_eq!(
-        dsts.len(),
-        factors.len() * src.len(),
-        "dsts must hold exactly one row of src.len() bytes per factor"
-    );
-    if src.is_empty() || factors.is_empty() {
+    #[cfg(target_arch = "x86_64")]
+    if check_scatter::<Gf256>(factors, src, dsts)
+        && detail::fused(detail::Scatter { factors, src, dsts })
+    {
         return;
     }
-    detail::gf256_mul_add_scatter(factors, src, dsts);
-}
-
-/// `dst[i] = c · dst[i]` over GF(2⁴), SIMD kernel.
-pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    detail::gf16_mul_slice(c, dst);
-}
-
-/// `dst[i] ^= c · src[i]` over GF(2⁴), SIMD kernel.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(src, dst);
-        return;
-    }
-    detail::gf16_mul_add_slice(c, src, dst);
+    scatter_by_axpy::<Gf256>(factors, src, dsts, axpy_row);
 }
 
 #[cfg(target_arch = "x86_64")]
 mod detail {
-    use std::arch::x86_64::*;
+    use std::arch::x86_64::{__m128i, __m256i, __m512i};
     use std::sync::OnceLock;
 
-    use crate::wide::{self, gf16_nibble_tables, gf256_nibble_tables, NibbleTables};
+    use self::lane::{Gfni, Lane, Pshufb};
+    use crate::reference;
 
     /// Detected instruction level, weakest first.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub(super) enum Level {
-        /// No SSSE3: delegate every call to the portable kernels.
+        /// No SSSE3: every call is handed back to the portable kernels.
         None,
         Ssse3,
         Avx2,
         /// GFNI + AVX2: `GF2P8MULB` for GF(2⁸); GF(2⁴) uses the AVX2 path.
         Gfni,
-        /// GFNI + AVX-512F/BW: 512-bit `GF2P8MULB` for the fused gather
-        /// kernel. Single-row axpys stay on the 256-bit path, where they
-        /// are already memory-bound and immune to zmm frequency effects.
+        /// GFNI + AVX-512F/BW: 512-bit `GF2P8MULB` for the fused kernels.
         Gfni512,
     }
 
@@ -271,16 +283,26 @@ mod detail {
         *LEVEL.get_or_init(detect)
     }
 
-    pub(super) fn supported() -> bool {
+    #[must_use]
+    pub fn supported() -> bool {
         level() != Level::None
     }
 
-    pub(super) fn gf256_is_table_free() -> bool {
+    pub(crate) fn gf256_is_table_free() -> bool {
         level() >= Level::Gfni
     }
 
     #[cfg(test)]
-    pub(super) fn for_each_level(mut f: impl FnMut(&'static str)) {
+    pub(crate) fn for_each_level(mut f: impl FnMut(&'static str)) {
+        /// Unforces the level however `f` leaves: were one level's
+        /// assertion to fail, the thread's later tests (`--test-threads=1`)
+        /// must not inherit it and fail in its wake.
+        struct Unforce;
+        impl Drop for Unforce {
+            fn drop(&mut self) {
+                FORCED.set(None);
+            }
+        }
         let detected = level();
         let ladder = [
             Level::None,
@@ -289,16 +311,16 @@ mod detail {
             Level::Gfni,
             Level::Gfni512,
         ];
+        let _unforce = Unforce;
         // Never above `detected`: a forced level must be one the CPU has.
         for forced in ladder.into_iter().filter(|&l| l <= detected) {
             FORCED.set(Some(forced));
             f(level_name());
         }
-        // `--test-threads=1` runs the next test on this same thread.
-        FORCED.set(None);
     }
 
-    pub(super) fn level_name() -> &'static str {
+    #[must_use]
+    pub fn level_name() -> &'static str {
         match level() {
             Level::Gfni512 => "gfni512",
             Level::Gfni => "gfni",
@@ -308,1151 +330,823 @@ mod detail {
         }
     }
 
-    pub(super) fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-        match level() {
-            // SAFETY: the matched level was runtime-detected (detect()
-            // never reports a level the CPU lacks), so gfni+avx2 are legal.
-            Level::Gfni512 | Level::Gfni => unsafe { gf256_mul_add_gfni(c, src, dst) },
-            // SAFETY: this arm runs only when detect() observed avx2.
-            Level::Avx2 => unsafe { mul_add_avx2::<true>(&gf256_nibble_tables(c), src, dst) },
-            // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { mul_add_ssse3::<true>(&gf256_nibble_tables(c), src, dst) },
-            Level::None => crate::reference::gf256_mul_add_slice(c, src, dst),
-        }
+    /// A fused GF(2⁸) operation, written once over `GF2P8MULB` lanes:
+    /// `wide` is the widest the level has, `ymm` the one whose windows
+    /// finish a row. The implementors' fields are the arguments of the
+    /// public wrapper of the same name, shapes checked (no kernel's memory
+    /// safety rests on that: every access below is a bounds-checked slice).
+    pub(super) trait Fused {
+        fn run<L: Lane>(self, wide: L, ymm: Gfni<__m256i>);
     }
 
-    pub(super) fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-        match level() {
-            // SAFETY: level was runtime-detected, so gfni+avx2 are legal.
-            Level::Gfni512 | Level::Gfni => unsafe { gf256_mul_gfni(c, dst) },
-            // SAFETY: this arm runs only when detect() observed avx2.
-            Level::Avx2 => unsafe { mul_avx2::<true>(&gf256_nibble_tables(c), dst) },
-            // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { mul_ssse3::<true>(&gf256_nibble_tables(c), dst) },
-            Level::None => crate::reference::gf256_mul_slice(c, dst),
-        }
+    pub(super) struct Gather<'a> {
+        pub(super) factors: &'a [u8],
+        pub(super) srcs: &'a [u8],
+        pub(super) dst: &'a mut [u8],
+        /// The first column: 0, but where [`Panel`] finishes ragged rows.
+        pub(super) from: usize,
     }
 
-    pub(super) fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        match level() {
-            // SAFETY: level was runtime-detected; Gfni512 means
-            // avx512f+avx512bw+gfni were all observed.
-            Level::Gfni512 => unsafe { gf256_mul_add_multi_gfni512(factors, srcs, dst) },
-            // SAFETY: this arm runs only when detect() observed gfni+avx2.
-            Level::Gfni => unsafe { gf256_mul_add_multi_gfni(factors, srcs, dst) },
-            // Below GFNI a fused pass buys nothing: the per-coefficient
-            // nibble tables must be rebuilt per source row either way.
-            _ => {
-                for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
-                    if f != 0 {
-                        super::gf256_mul_add_slice(f, row, dst);
-                    }
-                }
-            }
-        }
+    pub(super) struct Scatter<'a> {
+        pub(super) factors: &'a [u8],
+        pub(super) src: &'a [u8],
+        pub(super) dsts: &'a mut [u8],
     }
 
-    pub(super) fn gf256_mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], rb: usize) {
-        match level() {
-            // SAFETY: level was runtime-detected; Gfni512 means
-            // avx512f+avx512bw+gfni were all observed.
-            Level::Gfni512 => unsafe { gf256_mul_add_block_gfni512(coefs, srcs, dsts, rb) },
-            // SAFETY: this arm runs only when detect() observed gfni+avx2.
-            Level::Gfni => unsafe { gf256_mul_add_block_gfni(coefs, srcs, dsts, rb) },
-            // Below GFNI the panel cannot beat one fused gather per
-            // destination row: nibble tables are rebuilt per coefficient
-            // either way, so there is nothing for a register panel to
-            // amortize.
-            _ => {
-                let c = srcs.len() / rb;
-                for (panel, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(rb)) {
-                    super::gf256_mul_add_multi(panel, srcs, dst);
-                }
-            }
-        }
+    pub(super) struct Panel<'a> {
+        pub(super) coefs: &'a [u8],
+        pub(super) srcs: &'a [u8],
+        pub(super) dsts: &'a mut [u8],
+        pub(super) rb: usize,
     }
 
-    pub(super) fn gf256_mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
+    /// Runs a single-row operation (see `super::row`) on this CPU's kernel
+    /// for it and says so, or returns `false` having done nothing at
+    /// [`Level::None`].
+    pub(super) fn row<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) -> bool {
         match level() {
-            // SAFETY: level was runtime-detected; Gfni512 means
-            // avx512f+avx512bw+gfni were all observed.
-            Level::Gfni512 => unsafe { gf256_mul_add_scatter_gfni512(factors, src, dsts) },
-            // SAFETY: this arm runs only when detect() observed gfni+avx2.
-            Level::Gfni => unsafe { gf256_mul_add_scatter_gfni(factors, src, dsts) },
-            // Below GFNI each row needs its per-coefficient nibble tables
-            // built anyway; the plain axpy loop is already optimal.
-            _ => {
-                for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
-                    if f != 0 {
-                        super::gf256_mul_add_slice(f, src, row);
-                    }
-                }
-            }
-        }
-    }
-
-    pub(super) fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-        match level() {
-            // SAFETY: level was runtime-detected; Gfni implies AVX2.
+            // SAFETY: level() never reports a level the CPU lacks, and
+            // detect() puts a CPU at Gfni or above only on observing
+            // gfni+avx2.
+            Level::Gfni512 | Level::Gfni if SPLIT => unsafe { row_gfni(c, src, dst) },
+            // SAFETY: as above; Gfni and Gfni512 include avx2.
             Level::Gfni512 | Level::Gfni | Level::Avx2 => unsafe {
-                mul_add_avx2::<false>(&gf16_nibble_tables(c), src, dst)
+                row_avx2::<SPLIT>(c, src, dst);
             },
             // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { mul_add_ssse3::<false>(&gf16_nibble_tables(c), src, dst) },
-            Level::None => wide::gf16_mul_add_slice(c, src, dst),
+            Level::Ssse3 => unsafe { row_ssse3::<SPLIT>(c, src, dst) },
+            Level::None => return false,
         }
+        true
     }
 
-    pub(super) fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
+    /// Runs a fused operation over the widest `GF2P8MULB` the CPU has and
+    /// says so, or returns `false` having done nothing below GFNI.
+    pub(super) fn fused(op: impl Fused) -> bool {
         match level() {
-            // SAFETY: level was runtime-detected; Gfni implies AVX2.
-            Level::Gfni512 | Level::Gfni | Level::Avx2 => unsafe {
-                mul_avx2::<false>(&gf16_nibble_tables(c), dst)
-            },
-            // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { mul_ssse3::<false>(&gf16_nibble_tables(c), dst) },
-            Level::None => wide::gf16_mul_slice(c, dst),
+            // SAFETY: level() never reports a level the CPU lacks; Gfni512
+            // means gfni+avx512f+avx512bw+avx2 were all observed.
+            Level::Gfni512 => unsafe { fused_gfni512(op) },
+            // SAFETY: this arm runs only when detect() observed gfni+avx2.
+            Level::Gfni => unsafe { fused_gfni(op) },
+            _ => return false,
         }
+        true
     }
 
-    /// Scalar nibble-table tail shared by the `PSHUFB` kernels below.
-    fn tail_mul_add(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d ^= t.lo[(s & 0xF) as usize] ^ t.hi[(s >> 4) as usize];
-        }
-    }
+    // The instantiations: the one place a lane is named and, being
+    // `#[target_feature]` functions, the one place it can be made.
 
-    fn tail_mul(t: &NibbleTables, dst: &mut [u8]) {
-        for d in dst.iter_mut() {
-            *d = t.lo[(*d & 0xF) as usize] ^ t.hi[(*d >> 4) as usize];
-        }
-    }
-
-    /// `HI` (GF(2⁸)) or low-nibble-only (GF(2⁴), canonical packing) product
-    /// of one 256-bit block of source bytes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    // SAFETY: register-only intrinsics — no memory access; the avx2
-    // requirement is discharged by the caller contract above.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn product_block_avx2<const SPLIT: bool>(
-        lo: __m256i,
-        hi: __m256i,
-        mask: __m256i,
-        s: __m256i,
-    ) -> __m256i {
-        let p_lo = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
-        if SPLIT {
-            let hi_idx = _mm256_and_si256(_mm256_srli_epi64::<4>(s), mask);
-            _mm256_xor_si256(p_lo, _mm256_shuffle_epi8(hi, hi_idx))
-        } else {
-            p_lo
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    // SAFETY: unaligned loads/stores only. Table pointers cover the 16-byte
-    // arrays in `t`; `sp`/`dp` offsets stay below `blocks * 32 <= src.len()`
-    // and the public wrapper asserts `src.len() == dst.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_add_avx2<const SPLIT: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast()));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let blocks = src.len() / 32;
-        for b in 0..blocks {
-            let sp = src.as_ptr().add(b * 32).cast();
-            let dp = dst.as_mut_ptr().add(b * 32).cast();
-            let p = product_block_avx2::<SPLIT>(lo, hi, mask, _mm256_loadu_si256(sp));
-            _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), p));
-        }
-        tail_mul_add(t, &src[blocks * 32..], &mut dst[blocks * 32..]);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    // SAFETY: unaligned loads/stores only; `dp` offsets stay below
-    // `blocks * 32 <= dst.len()`, in-place within the one slice.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_avx2<const SPLIT: bool>(t: &NibbleTables, dst: &mut [u8]) {
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast()));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let blocks = dst.len() / 32;
-        for b in 0..blocks {
-            let dp = dst.as_mut_ptr().add(b * 32).cast();
-            let p = product_block_avx2::<SPLIT>(lo, hi, mask, _mm256_loadu_si256(dp));
-            _mm256_storeu_si256(dp, p);
-        }
-        tail_mul(t, &mut dst[blocks * 32..]);
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified SSSE3 support.
-    // SAFETY: unaligned loads/stores only; `sp`/`dp` offsets stay below
-    // `blocks * 16 <= src.len()` and the public wrapper asserts
-    // `src.len() == dst.len()`.
     #[target_feature(enable = "ssse3")]
-    unsafe fn mul_add_ssse3<const SPLIT: bool>(t: &NibbleTables, src: &[u8], dst: &mut [u8]) {
-        let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-        let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let blocks = src.len() / 16;
-        for b in 0..blocks {
-            let sp = src.as_ptr().add(b * 16).cast();
-            let dp = dst.as_mut_ptr().add(b * 16).cast();
-            let s = _mm_loadu_si128(sp);
-            let mut p = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
-            if SPLIT {
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                p = _mm_xor_si128(p, _mm_shuffle_epi8(hi, hi_idx));
-            }
-            _mm_storeu_si128(dp, _mm_xor_si128(_mm_loadu_si128(dp), p));
-        }
-        tail_mul_add(t, &src[blocks * 16..], &mut dst[blocks * 16..]);
+    fn row_ssse3<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        row_pshufb::<_, SPLIT>(Pshufb::<__m128i, SPLIT>::new(), c, src, dst);
     }
 
-    /// # Safety
-    ///
-    /// Caller must have verified SSSE3 support.
-    // SAFETY: unaligned loads/stores only; `dp` offsets stay below
-    // `blocks * 16 <= dst.len()`, in-place within the one slice.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_ssse3<const SPLIT: bool>(t: &NibbleTables, dst: &mut [u8]) {
-        let lo = _mm_loadu_si128(t.lo.as_ptr().cast());
-        let hi = _mm_loadu_si128(t.hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let blocks = dst.len() / 16;
-        for b in 0..blocks {
-            let dp: *mut __m128i = dst.as_mut_ptr().add(b * 16).cast();
-            let s = _mm_loadu_si128(dp.cast_const());
-            let mut p = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
-            if SPLIT {
-                let hi_idx = _mm_and_si128(_mm_srli_epi64::<4>(s), mask);
-                p = _mm_xor_si128(p, _mm_shuffle_epi8(hi, hi_idx));
-            }
-            _mm_storeu_si128(dp, p);
-        }
-        tail_mul(t, &mut dst[blocks * 16..]);
-    }
-
-    /// Width selector of [`load_window`]/[`store_window`] for the last
-    /// `n < 8` bytes of a row, beside the exact widths 32, 16 and 8.
-    const REMAINDER: usize = 0;
-
-    /// Loads the `W`-byte window at `p` (`W` ∈ {32, 16, 8}) or, for
-    /// [`REMAINDER`], the `n < 8` bytes there assembled in a register,
-    /// zero-extended to a ymm either way.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support, and that `W` bytes
-    /// ([`REMAINDER`]: `n` bytes) are readable at `p`.
-    // SAFETY: unaligned loads only, of exactly `W` bytes; the remainder
-    // arm reads 4, 2 and 1 bytes as the bits of `n` say, `n` bytes in all,
-    // and never past `p + n`.
-    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn load_window<const W: usize>(p: *const u8, n: usize) -> __m256i {
-        let low = match W {
-            32 => return _mm256_loadu_si256(p.cast()),
-            16 => _mm_loadu_si128(p.cast()),
-            8 => _mm_loadl_epi64(p.cast()),
-            _ => {
-                let (mut v, mut at) = (0u64, 0usize);
-                if n & 4 != 0 {
-                    v = u64::from(p.cast::<u32>().read_unaligned());
-                    at = 4;
-                }
-                if n & 2 != 0 {
-                    v |= u64::from(p.add(at).cast::<u16>().read_unaligned()) << (8 * at);
-                    at += 2;
-                }
-                if n & 1 != 0 {
-                    v |= u64::from(*p.add(at)) << (8 * at);
-                }
-                _mm_cvtsi64_si128(v as i64)
-            }
-        };
-        _mm256_zextsi128_si256(low)
+    fn row_avx2<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        row_pshufb::<_, SPLIT>(Pshufb::<__m256i, SPLIT>::new(), c, src, dst);
     }
 
-    /// Stores the low `W` bytes of `v` (for [`REMAINDER`]: its low `n < 8`
-    /// bytes) at `p`: the inverse of [`load_window`], and like it never a
-    /// byte wider than asked, so a window cannot reach into the next row.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support, and that `W` bytes
-    /// ([`REMAINDER`]: `n` bytes) are writable at `p`.
-    // SAFETY: unaligned stores only, of exactly `W` bytes; the remainder
-    // arm writes 4, 2 and 1 bytes as the bits of `n` say, `n` bytes in
-    // all, and never past `p + n`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store_window<const W: usize>(p: *mut u8, n: usize, v: __m256i) {
-        let low = _mm256_castsi256_si128(v);
-        match W {
-            32 => _mm256_storeu_si256(p.cast(), v),
-            16 => _mm_storeu_si128(p.cast(), low),
-            8 => _mm_storel_epi64(p.cast(), low),
-            _ => {
-                let (mut bits, mut p) = (_mm_cvtsi128_si64(low) as u64, p);
-                if n & 4 != 0 {
-                    p.cast::<u32>().write_unaligned(bits as u32);
-                    bits >>= 32;
-                    p = p.add(4);
-                }
-                if n & 2 != 0 {
-                    p.cast::<u16>().write_unaligned(bits as u16);
-                    bits >>= 16;
-                    p = p.add(2);
-                }
-                if n & 1 != 0 {
-                    *p = bits as u8;
-                }
-            }
-        }
+    #[target_feature(enable = "gfni,avx2")]
+    fn row_gfni(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        let ymm = Gfni::<__m256i>::new();
+        let cv = ymm.constant(c);
+        let mut at = row_vectors(ymm, cv, src, dst);
+        tail_windows!(ymm, dst.len(), at, |l| row_at(
+            l,
+            cv,
+            columns(src, at..),
+            &mut dst[at..]
+        ));
     }
 
-    /// Walks columns `$base..$len` of a row in the GFNI tail windows —
-    /// 32-byte blocks while they last, then at most one each of 16 bytes,
-    /// 8 bytes and the remainder under 8 — calling `$window::<W>(args..,
-    /// base)` on each. Written once so that every GFNI kernel finishes its
-    /// rows the same table-free way; expands inside an `unsafe fn` only.
+    #[target_feature(enable = "gfni,avx2")]
+    fn fused_gfni(op: impl Fused) {
+        let ymm = Gfni::<__m256i>::new();
+        op.run(ymm, ymm);
+    }
+
+    #[target_feature(enable = "gfni,avx512f,avx512bw,avx2")]
+    fn fused_gfni512(op: impl Fused) {
+        op.run(Gfni::<__m512i>::new(), Gfni::<__m256i>::new());
+    }
+
+    // The walks: how windows cover a row. Safe code, generic over the
+    // lanes, inlined into the instantiation that names them.
+
+    /// Walks columns `$at..$len` of a row in the GFNI tail windows — whole
+    /// ymm vectors while they last, then at most one each of 16 bytes, 8
+    /// bytes and the remainder under 8 — evaluating `$window` for each with
+    /// `$l` bound to the window's lane and `$at` to its first column.
+    /// Written once so that every GFNI kernel finishes its rows the same
+    /// table-free way.
     macro_rules! tail_windows {
-        ($len:expr, $base:expr, $window:ident($($arg:expr),*)) => {{
-            let (len, mut base) = ($len, $base);
-            for _ in 0..(len - base) / 32 {
-                $window::<32>($($arg,)* base);
-                base += 32;
+        ($ymm:expr, $len:expr, $at:ident, |$l:ident| $window:expr) => {{
+            let (ymm, len): (Gfni<__m256i>, usize) = ($ymm, $len);
+            while len - $at >= 32 {
+                let $l = ymm;
+                $window;
+                $at += 32;
             }
-            if len - base >= 16 {
-                $window::<16>($($arg,)* base);
-                base += 16;
+            if len - $at >= 16 {
+                let $l = ymm.window::<16>();
+                $window;
+                $at += 16;
             }
-            if len - base >= 8 {
-                $window::<8>($($arg,)* base);
-                base += 8;
+            if len - $at >= 8 {
+                let $l = ymm.window::<8>();
+                $window;
+                $at += 8;
             }
-            if len > base {
-                $window::<REMAINDER>($($arg,)* base);
+            if len > $at {
+                let $l = ymm.remainder(len - $at);
+                $window;
             }
         }};
     }
+    use tail_windows;
 
-    /// One column window of the fused gather, `W` bytes wide at `base`
-    /// ([`REMAINDER`]: from `base` to the row end, under 8 bytes): the
-    /// window of `dst` sits in one register while every source row's window
-    /// is multiplied into it, so `dst` is read and written once whatever
-    /// the number of sources.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, that `srcs` holds
-    /// `factors.len()` rows of `dst.len()` bytes, and that the window ends
-    /// at or before the row end (`base + W <= dst.len()`; [`REMAINDER`]:
-    /// `dst.len() - base < 8`).
-    // SAFETY: loads/stores through `load_window`/`store_window` only, `W`
-    // (or `rb - base`) bytes at column `base` of `dst` and of source row
-    // `i < factors.len()`, which the caller contract keeps inside one row
-    // of `rb` bytes.
-    #[inline]
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gather_window<const W: usize>(
+    /// A single-row operation over `PSHUFB`: whole vectors through `l`, and
+    /// the bytes after the last one through the product-table kernel, which
+    /// builds nothing per multiplier.
+    #[inline(always)]
+    fn row_pshufb<L: Lane, const SPLIT: bool>(l: L, c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        let whole = row_vectors(l, l.constant(c), src, dst);
+        if whole < dst.len() {
+            let dst = &mut dst[whole..];
+            match columns(src, whole..) {
+                Some(src) if SPLIT => reference::gf256_mul_add_slice(c, src, dst),
+                Some(src) => reference::gf16_mul_add_slice(c, src, dst),
+                None if SPLIT => reference::gf256_mul_slice(c, dst),
+                None => reference::gf16_mul_slice(c, dst),
+            }
+        }
+    }
+
+    /// `src[range]`, if there is a `src`. (Not `Option::map`: a closure in a
+    /// `#[target_feature]` function has its features, the `map` it is
+    /// handed to has not, and so neither is inlined into the other.)
+    #[inline(always)]
+    fn columns<R>(src: Option<&[u8]>, range: R) -> Option<&[u8]>
+    where
+        R: std::slice::SliceIndex<[u8], Output = [u8]>,
+    {
+        match src {
+            Some(src) => Some(&src[range]),
+            None => None,
+        }
+    }
+
+    impl Fused for Gather<'_> {
+        /// Tiles of four, two and one `wide` vectors, then the tail
+        /// windows. A short row is nothing but those.
+        #[inline(always)]
+        fn run<L: Lane>(self, wide: L, ymm: Gfni<__m256i>) {
+            let (factors, srcs, dst) = (self.factors, self.srcs, self.dst);
+            let (rb, w, mut at) = (dst.len(), wide.bytes(), self.from);
+            while rb - at >= 4 * w {
+                gather_at::<L, 4>(wide, factors, srcs, dst, at);
+                at += 4 * w;
+            }
+            if rb - at >= 2 * w {
+                gather_at::<L, 2>(wide, factors, srcs, dst, at);
+                at += 2 * w;
+            }
+            if rb - at >= w {
+                gather_at::<L, 1>(wide, factors, srcs, dst, at);
+                at += w;
+            }
+            tail_windows!(ymm, rb, at, |l| gather_at::<_, 1>(
+                l, factors, srcs, dst, at
+            ));
+        }
+    }
+
+    impl Fused for Scatter<'_> {
+        /// Whole `wide` vectors go row by row (`src` stays cache-hot across
+        /// rows, and the multiplier is prepared once per row); what is
+        /// left of the rows — all of a short row — goes window by window,
+        /// `src` in a register across all rows.
+        #[inline(always)]
+        fn run<L: Lane>(self, wide: L, ymm: Gfni<__m256i>) {
+            let (factors, src, dsts) = (self.factors, self.src, self.dsts);
+            let rb = src.len();
+            let mut at = rb - rb % wide.bytes();
+            if at > 0 {
+                for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(rb)) {
+                    if f != 0 {
+                        row_vectors(wide, wide.constant(f), Some(src), row);
+                    }
+                }
+            }
+            tail_windows!(ymm, rb, at, |l| scatter_at(l, factors, src, dsts, at));
+        }
+    }
+
+    impl Fused for Panel<'_> {
+        /// Destination rows go four at a time; the outer loop walks column
+        /// tiles of two `wide` vectors, then one: one such column of all
+        /// `c` sources (≤ 16 KiB at c = 128) stays L1-resident while every
+        /// four-row panel consumes it. The `r % 4` leftover rows are one
+        /// fused gather each.
+        ///
+        /// Columns past the last whole vector are test-only input. The one
+        /// caller outside tests, the blocked payload replay of `ag-linalg`,
+        /// always passes its `padded_stride`, a whole and odd number of
+        /// 64-byte lines (`ag-linalg` pins that for every payload width),
+        /// so on both lanes the one-vector pass runs once per call and
+        /// nothing is left. Ragged columns therefore get no pass of their
+        /// own: each paneled row finishes as a gather from that column on.
+        #[inline(always)]
+        fn run<L: Lane>(self, wide: L, ymm: Gfni<__m256i>) {
+            let (coefs, srcs, dsts, rb) = (self.coefs, self.srcs, self.dsts, self.rb);
+            let (c, w) = (srcs.len() / rb, wide.bytes());
+            let paneled = dsts.len() / (4 * rb) * 4;
+            let mut at = 0;
+            while rb - at >= 2 * w {
+                let panels = dsts[..paneled * rb].chunks_exact_mut(4 * rb);
+                for (panel, coefs) in panels.zip(coefs.chunks_exact(4 * c)) {
+                    panel_at::<L, 2>(wide, coefs, srcs, panel, at);
+                }
+                at += 2 * w;
+            }
+            if rb - at >= w {
+                let panels = dsts[..paneled * rb].chunks_exact_mut(4 * rb);
+                for (panel, coefs) in panels.zip(coefs.chunks_exact(4 * c)) {
+                    panel_at::<L, 1>(wide, coefs, srcs, panel, at);
+                }
+                at += w;
+            }
+            let rows = dsts.chunks_exact_mut(rb).zip(coefs.chunks_exact(c));
+            for (i, (dst, factors)) in rows.enumerate() {
+                let from = if i < paneled { at } else { 0 };
+                if from < rb {
+                    let rest = Gather {
+                        factors,
+                        srcs,
+                        dst,
+                        from,
+                    };
+                    rest.run(wide, ymm);
+                }
+            }
+        }
+    }
+
+    // The operations: what each does to one window of its rows, through
+    // whatever lane it is given.
+
+    /// One register of a single-row operation, over the first `l.bytes()`
+    /// bytes of its slices: `dst ^= c · src` or, with no `src`,
+    /// `dst = c · dst`.
+    #[inline(always)]
+    fn row_at<L: Lane>(l: L, c: L::C, src: Option<&[u8]>, dst: &mut [u8]) {
+        let v = match src {
+            Some(src) => l.xor(l.load(dst), l.mul(l.load(src), c)),
+            None => l.mul(l.load(dst), c),
+        };
+        l.store(dst, v);
+    }
+
+    /// [`row_at`] over every whole `l` vector of a row; returns the first
+    /// column it left.
+    #[inline(always)]
+    fn row_vectors<L: Lane>(l: L, c: L::C, src: Option<&[u8]>, dst: &mut [u8]) -> usize {
+        let w = l.bytes();
+        match src {
+            Some(src) => {
+                for (s, d) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+                    row_at(l, c, Some(s), d);
+                }
+            }
+            None => {
+                for d in dst.chunks_exact_mut(w) {
+                    row_at(l, c, None, d);
+                }
+            }
+        }
+        dst.len() - dst.len() % w
+    }
+
+    /// One window of the gather, `N` registers wide from column `at`: the
+    /// window of `dst` sits in registers while every source row's window is
+    /// multiplied into it, so `dst` is read and written once whatever the
+    /// number of sources.
+    #[inline(always)]
+    fn gather_at<L: Lane, const N: usize>(
+        l: L,
         factors: &[u8],
         srcs: &[u8],
         dst: &mut [u8],
-        base: usize,
+        at: usize,
     ) {
-        let rb = dst.len();
-        let n = rb - base;
-        let dp = dst.as_mut_ptr().add(base);
-        let mut acc = load_window::<W>(dp, n);
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
+        let mut acc = l.load_n::<N>(&dst[at..]);
+        for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
+            if f != 0 {
+                let cv = l.constant(f);
+                for (a, s) in acc.iter_mut().zip(l.load_n::<N>(&row[at..])) {
+                    *a = l.xor(*a, l.mul(s, cv));
+                }
             }
-            let s = load_window::<W>(srcs.as_ptr().add(i * rb + base), n);
-            acc = _mm256_xor_si256(acc, _mm256_gf2p8mul_epi8(s, _mm256_set1_epi8(f as i8)));
         }
-        store_window::<W>(dp, n, acc);
+        l.store_n(&mut dst[at..], acc);
     }
 
-    /// One column window of the fused scatter, the mirror image of
-    /// [`gather_window`]: the window of `src` sits in one register while it
-    /// is multiplied into the same window of every destination row. Exact
-    /// widths matter most here: a window reaching into the next row would
-    /// make that row's load wait for this row's store.
+    /// One window of the scatter, the mirror image of [`gather_at`]: the
+    /// window of `src` sits in one register while it is multiplied into the
+    /// same window of every destination row. Exact widths matter most here:
+    /// a window reaching into the next row would make that row's load wait
+    /// for this row's store.
+    #[inline(always)]
+    fn scatter_at<L: Lane>(l: L, factors: &[u8], src: &[u8], dsts: &mut [u8], at: usize) {
+        let s = l.load(&src[at..]);
+        for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
+            if f != 0 {
+                let sum = l.xor(l.load(&row[at..]), l.mul(s, l.constant(f)));
+                l.store(&mut row[at..], sum);
+            }
+        }
+    }
+
+    /// One window of the panel, `N` registers wide from column `at`: four
+    /// destination rows × `N` registers live in `4·N` accumulators while
+    /// the `c` source rows stream through, so every loaded source vector
+    /// feeds four multiply-accumulates before it leaves registers. `coefs`
+    /// is the panel's four rows of `c` coefficients and `dsts` its four
+    /// destination rows.
     ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, that `dsts` holds
-    /// `factors.len()` rows of `src.len()` bytes, and that the window ends
-    /// at or before the row end (`base + W <= src.len()`; [`REMAINDER`]:
-    /// `src.len() - base < 8`).
-    // SAFETY: loads/stores through `load_window`/`store_window` only, `W`
-    // (or `rb - base`) bytes at column `base` of `src` and of destination
-    // row `i < factors.len()`, which the caller contract keeps inside one
-    // row of `rb` bytes.
-    #[inline]
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn scatter_window<const W: usize>(
-        factors: &[u8],
-        src: &[u8],
+    /// Sources go two at a time so that each accumulator update is one
+    /// [`Lane::xor3`]: on zmm that is a single `VPTERNLOGD` instead of two
+    /// `VPXORD`s, and `GF2P8MULB`, `VPXORD` and `VPBROADCASTB` all compete
+    /// for the same two vector ports, so halving the xor count lifts the
+    /// port-bound ceiling of the whole panel.
+    #[inline(always)]
+    fn panel_at<L: Lane, const N: usize>(
+        l: L,
+        coefs: &[u8],
+        srcs: &[u8],
         dsts: &mut [u8],
-        base: usize,
+        at: usize,
     ) {
-        let rb = src.len();
-        let n = rb - base;
-        let s = load_window::<W>(src.as_ptr().add(base), n);
-        for (i, &f) in factors.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            let dp = dsts.as_mut_ptr().add(i * rb + base);
-            let p = _mm256_gf2p8mul_epi8(s, _mm256_set1_epi8(f as i8));
-            store_window::<W>(dp, n, _mm256_xor_si256(load_window::<W>(dp, n), p));
+        let (c, rb) = (coefs.len() / 4, dsts.len() / 4);
+        let mut acc = [l.load_n::<N>(&dsts[at..]); 4];
+        for (i, a) in acc.iter_mut().enumerate().skip(1) {
+            *a = l.load_n(&dsts[i * rb + at..]);
         }
-    }
-
-    /// One window of the in-place product, `dst[base..] = cv · dst[base..]`
-    /// over `W` bytes ([`REMAINDER`]: to the end of `dst`, under 8 bytes).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, and that the window
-    /// ends at or before `dst.len()` as for [`gather_window`].
-    // SAFETY: one `load_window`/`store_window` pair on `W` (or `len -
-    // base`) bytes at offset `base`, inside `dst` per the caller contract.
-    #[inline]
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn mul_window<const W: usize>(cv: __m256i, dst: &mut [u8], base: usize) {
-        let n = dst.len() - base;
-        let p = dst.as_mut_ptr().add(base);
-        store_window::<W>(p, n, _mm256_gf2p8mul_epi8(load_window::<W>(p, n), cv));
-    }
-
-    /// The table-free tail of the GFNI gathers: the fused gather over
-    /// columns `base..` of `dst`, one [`gather_window`] per tail window.
-    /// The axpy finishes its row here with one factor, the two gathers and
-    /// the AVX2 panel with all of theirs; a short row (a `k`-byte
-    /// coefficient row, a 16-byte payload) is nothing but this tail.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, and that `srcs`
-    /// holds `factors.len()` rows of `dst.len()` bytes and `base <=
-    /// dst.len()`.
-    // SAFETY: `tail_windows` guards every window by `len - base` before
-    // `gather_window` touches it, and the caller contract above bounds
-    // each source row inside `srcs`.
-    #[inline]
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_multi_tail_gfni(factors: &[u8], srcs: &[u8], dst: &mut [u8], base: usize) {
-        tail_windows!(dst.len(), base, gather_window(factors, srcs, dst));
-    }
-
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support.
-    // SAFETY: unaligned loads/stores only; `sp`/`dp` offsets stay below
-    // `blocks * 32 <= src.len()` and the public wrapper asserts `src.len()
-    // == dst.len()`, so `src` is the one row of `dst.len()` bytes the
-    // tail's contract asks for.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_mul_add_gfni(c: u8, src: &[u8], dst: &mut [u8]) {
-        let cv = _mm256_set1_epi8(c as i8);
-        let blocks = src.len() / 32;
-        for b in 0..blocks {
-            let sp = src.as_ptr().add(b * 32).cast();
-            let dp = dst.as_mut_ptr().add(b * 32).cast();
-            let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
-            _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), p));
-        }
-        if blocks * 32 < src.len() {
-            gf256_multi_tail_gfni(std::slice::from_ref(&c), src, dst, blocks * 32);
-        }
-    }
-
-    /// Fused gather over 128-byte destination tiles: the tile lives in four
-    /// ymm accumulators across *all* source rows, so `dst` is read and
-    /// written once per pass instead of once per source.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support.
-    // SAFETY: unaligned loads/stores only. `dp` tile offsets stay below
-    // `tiles * 128 <= dst.len()`; `sp` row offsets stay inside `srcs`
-    // because the public wrapper asserts `srcs.len() == factors.len() *
-    // dst.len()` and `i < factors.len()`, `base + 127 < rb`.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_mul_add_multi_gfni(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        const TILE: usize = 128;
-        let rb = dst.len();
-        let tiles = rb / TILE;
-        for t in 0..tiles {
-            let base = t * TILE;
-            let dp = dst.as_mut_ptr().add(base);
-            let mut acc0 = _mm256_loadu_si256(dp.cast());
-            let mut acc1 = _mm256_loadu_si256(dp.add(32).cast());
-            let mut acc2 = _mm256_loadu_si256(dp.add(64).cast());
-            let mut acc3 = _mm256_loadu_si256(dp.add(96).cast());
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm256_set1_epi8(f as i8);
-                let sp = srcs.as_ptr().add(i * rb + base);
-                acc0 = _mm256_xor_si256(
-                    acc0,
-                    _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp.cast()), cv),
-                );
-                acc1 = _mm256_xor_si256(
-                    acc1,
-                    _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp.add(32).cast()), cv),
-                );
-                acc2 = _mm256_xor_si256(
-                    acc2,
-                    _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp.add(64).cast()), cv),
-                );
-                acc3 = _mm256_xor_si256(
-                    acc3,
-                    _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp.add(96).cast()), cv),
-                );
-            }
-            _mm256_storeu_si256(dp.cast(), acc0);
-            _mm256_storeu_si256(dp.add(32).cast(), acc1);
-            _mm256_storeu_si256(dp.add(64).cast(), acc2);
-            _mm256_storeu_si256(dp.add(96).cast(), acc3);
-        }
-        gf256_multi_tail_gfni(factors, srcs, dst, tiles * TILE);
-    }
-
-    /// As [`gf256_mul_add_multi_gfni`] with 256-byte tiles in four zmm
-    /// accumulators.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI, AVX-512F, AVX-512BW and AVX2 support.
-    // SAFETY: unaligned loads/stores only. Tile and sub-tile loops guard
-    // `base + {256,128,64} <= rb` before touching `dst[base..]`; `sp` row
-    // offsets stay inside `srcs` (wrapper asserts `srcs.len() ==
-    // factors.len() * dst.len()`); `get_unchecked(i)` has `i < n`.
-    #[target_feature(enable = "gfni,avx512f,avx512bw,avx2")]
-    unsafe fn gf256_mul_add_multi_gfni512(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        const TILE: usize = 256;
-        let rb = dst.len();
-        let tiles = rb / TILE;
-        for t in 0..tiles {
-            let base = t * TILE;
-            let dp = dst.as_mut_ptr().add(base);
-            let mut acc0 = _mm512_loadu_si512(dp.cast());
-            let mut acc1 = _mm512_loadu_si512(dp.add(64).cast());
-            let mut acc2 = _mm512_loadu_si512(dp.add(128).cast());
-            let mut acc3 = _mm512_loadu_si512(dp.add(192).cast());
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm512_set1_epi8(f as i8);
-                let sp = srcs.as_ptr().add(i * rb + base);
-                acc0 = _mm512_xor_si512(
-                    acc0,
-                    _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.cast()), cv),
-                );
-                acc1 = _mm512_xor_si512(
-                    acc1,
-                    _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.add(64).cast()), cv),
-                );
-                acc2 = _mm512_xor_si512(
-                    acc2,
-                    _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.add(128).cast()), cv),
-                );
-                acc3 = _mm512_xor_si512(
-                    acc3,
-                    _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.add(192).cast()), cv),
-                );
-            }
-            _mm512_storeu_si512(dp.cast(), acc0);
-            _mm512_storeu_si512(dp.add(64).cast(), acc1);
-            _mm512_storeu_si512(dp.add(128).cast(), acc2);
-            _mm512_storeu_si512(dp.add(192).cast(), acc3);
-        }
-        // Fused sub-tile tails. Without these, rows shorter than a full
-        // tile would degrade to one axpy pass per source. The 128-byte
-        // block (the whole coefficient row of a k = 128 basis) splits the
-        // sources between two accumulator pairs so the xor chain is half
-        // as deep as a single-accumulator loop.
-        let mut base = tiles * TILE;
-        while base + 128 <= rb {
-            let dp = dst.as_mut_ptr().add(base);
-            let mut a0 = _mm512_loadu_si512(dp.cast());
-            let mut a1 = _mm512_setzero_si512();
-            let mut b0 = _mm512_loadu_si512(dp.add(64).cast());
-            let mut b1 = _mm512_setzero_si512();
-            let n = factors.len();
-            let mut i = 0;
-            while i < n {
-                let f = *factors.get_unchecked(i);
-                if f != 0 {
-                    let cv = _mm512_set1_epi8(f as i8);
-                    let sp = srcs.as_ptr().add(i * rb + base);
-                    a0 = _mm512_xor_si512(
-                        a0,
-                        _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.cast()), cv),
-                    );
-                    b0 = _mm512_xor_si512(
-                        b0,
-                        _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.add(64).cast()), cv),
-                    );
-                }
-                i += 1;
-                if i < n {
-                    let f = *factors.get_unchecked(i);
-                    if f != 0 {
-                        let cv = _mm512_set1_epi8(f as i8);
-                        let sp = srcs.as_ptr().add(i * rb + base);
-                        a1 = _mm512_xor_si512(
-                            a1,
-                            _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.cast()), cv),
-                        );
-                        b1 = _mm512_xor_si512(
-                            b1,
-                            _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.add(64).cast()), cv),
-                        );
-                    }
-                    i += 1;
-                }
-            }
-            _mm512_storeu_si512(dp.cast(), _mm512_xor_si512(a0, a1));
-            _mm512_storeu_si512(dp.add(64).cast(), _mm512_xor_si512(b0, b1));
-            base += 128;
-        }
-        while base + 64 <= rb {
-            let dp = dst.as_mut_ptr().add(base);
-            let mut acc = _mm512_loadu_si512(dp.cast());
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm512_set1_epi8(f as i8);
-                let sp = srcs.as_ptr().add(i * rb + base);
-                acc =
-                    _mm512_xor_si512(acc, _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp.cast()), cv));
-            }
-            _mm512_storeu_si512(dp.cast(), acc);
-            base += 64;
-        }
-        gf256_multi_tail_gfni(factors, srcs, dst, base);
-    }
-
-    /// Register-blocked BLAS-3 panel: four destination rows × 128 payload
-    /// bytes live in eight zmm accumulators while the `c` source rows
-    /// stream through, so every loaded source vector feeds four
-    /// multiply-accumulates before it leaves registers. The outer loop
-    /// walks 128-byte column tiles — one column of all `c` sources
-    /// (≤ 16 KiB at c = 128) stays L1-resident while every destination
-    /// panel consumes it. Ragged columns finish with a 64-byte pass and an
-    /// AVX-512BW byte-masked pass, so no scalar cleanup exists; the `r % 4`
-    /// leftover destination rows fall back to one fused gather each.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI, AVX-512F, AVX-512BW and AVX2
-    /// support, and that `coefs` is `r·c` bytes, `srcs` is `c` rows and
-    /// `dsts` is `r` rows of `rb` bytes each (the public wrapper asserts
-    /// this).
-    // SAFETY: unaligned and byte-masked loads/stores only. The tile loops
-    // guard `base + {128,64} <= rb` before touching column `base`, and the
-    // masked pass clamps every lane at or past `rb - base` via `k0`, so no
-    // access crosses a row end. Panel row indices stay `< panels * 4 <= r`
-    // and source indices `j < c`, keeping `dp`/`sp`/`cp` offsets inside
-    // their slabs per the caller contract above.
-    #[target_feature(enable = "gfni,avx512f,avx512bw,avx2")]
-    unsafe fn gf256_mul_add_block_gfni512(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], rb: usize) {
-        let c = srcs.len() / rb;
-        let r = dsts.len() / rb;
-        let panels = r / 4;
-        let mut base = 0usize;
-        while base + 128 <= rb {
-            for p in 0..panels {
-                let cp = coefs.as_ptr().add(p * 4 * c);
-                let dp = dsts.as_mut_ptr().add(p * 4 * rb + base);
-                let mut a0 = _mm512_loadu_si512(dp.cast());
-                let mut a1 = _mm512_loadu_si512(dp.add(64).cast());
-                let mut b0 = _mm512_loadu_si512(dp.add(rb).cast());
-                let mut b1 = _mm512_loadu_si512(dp.add(rb + 64).cast());
-                let mut c0 = _mm512_loadu_si512(dp.add(2 * rb).cast());
-                let mut c1 = _mm512_loadu_si512(dp.add(2 * rb + 64).cast());
-                let mut d0 = _mm512_loadu_si512(dp.add(3 * rb).cast());
-                let mut d1 = _mm512_loadu_si512(dp.add(3 * rb + 64).cast());
-                // Sources go two at a time so each accumulator update is a
-                // single VPTERNLOGD (acc ^ ma ^ mb, imm 0x96) instead of two
-                // VPXORDs: GF2P8MULB, VPXORD and VPBROADCASTB all compete
-                // for the same two vector ports, so halving the xor count
-                // lifts the port-bound ceiling of the whole panel.
-                let mut j = 0usize;
-                while j + 2 <= c {
-                    let f0a = *cp.add(j);
-                    let f1a = *cp.add(c + j);
-                    let f2a = *cp.add(2 * c + j);
-                    let f3a = *cp.add(3 * c + j);
-                    let f0b = *cp.add(j + 1);
-                    let f1b = *cp.add(c + j + 1);
-                    let f2b = *cp.add(2 * c + j + 1);
-                    let f3b = *cp.add(3 * c + j + 1);
-                    if f0a | f1a | f2a | f3a | f0b | f1b | f2b | f3b == 0 {
-                        j += 2;
-                        continue;
-                    }
-                    let spa = srcs.as_ptr().add(j * rb + base);
-                    let spb = srcs.as_ptr().add((j + 1) * rb + base);
-                    let sa0 = _mm512_loadu_si512(spa.cast());
-                    let sa1 = _mm512_loadu_si512(spa.add(64).cast());
-                    let sb0 = _mm512_loadu_si512(spb.cast());
-                    let sb1 = _mm512_loadu_si512(spb.add(64).cast());
-                    let ca = _mm512_set1_epi8(f0a as i8);
-                    let cb = _mm512_set1_epi8(f0b as i8);
-                    a0 = _mm512_ternarylogic_epi64(
-                        a0,
-                        _mm512_gf2p8mul_epi8(sa0, ca),
-                        _mm512_gf2p8mul_epi8(sb0, cb),
-                        0x96,
-                    );
-                    a1 = _mm512_ternarylogic_epi64(
-                        a1,
-                        _mm512_gf2p8mul_epi8(sa1, ca),
-                        _mm512_gf2p8mul_epi8(sb1, cb),
-                        0x96,
-                    );
-                    let ca = _mm512_set1_epi8(f1a as i8);
-                    let cb = _mm512_set1_epi8(f1b as i8);
-                    b0 = _mm512_ternarylogic_epi64(
-                        b0,
-                        _mm512_gf2p8mul_epi8(sa0, ca),
-                        _mm512_gf2p8mul_epi8(sb0, cb),
-                        0x96,
-                    );
-                    b1 = _mm512_ternarylogic_epi64(
-                        b1,
-                        _mm512_gf2p8mul_epi8(sa1, ca),
-                        _mm512_gf2p8mul_epi8(sb1, cb),
-                        0x96,
-                    );
-                    let ca = _mm512_set1_epi8(f2a as i8);
-                    let cb = _mm512_set1_epi8(f2b as i8);
-                    c0 = _mm512_ternarylogic_epi64(
-                        c0,
-                        _mm512_gf2p8mul_epi8(sa0, ca),
-                        _mm512_gf2p8mul_epi8(sb0, cb),
-                        0x96,
-                    );
-                    c1 = _mm512_ternarylogic_epi64(
-                        c1,
-                        _mm512_gf2p8mul_epi8(sa1, ca),
-                        _mm512_gf2p8mul_epi8(sb1, cb),
-                        0x96,
-                    );
-                    let ca = _mm512_set1_epi8(f3a as i8);
-                    let cb = _mm512_set1_epi8(f3b as i8);
-                    d0 = _mm512_ternarylogic_epi64(
-                        d0,
-                        _mm512_gf2p8mul_epi8(sa0, ca),
-                        _mm512_gf2p8mul_epi8(sb0, cb),
-                        0x96,
-                    );
-                    d1 = _mm512_ternarylogic_epi64(
-                        d1,
-                        _mm512_gf2p8mul_epi8(sa1, ca),
-                        _mm512_gf2p8mul_epi8(sb1, cb),
-                        0x96,
-                    );
-                    j += 2;
-                }
-                if j < c {
-                    let f0 = *cp.add(j);
-                    let f1 = *cp.add(c + j);
-                    let f2 = *cp.add(2 * c + j);
-                    let f3 = *cp.add(3 * c + j);
-                    if f0 | f1 | f2 | f3 != 0 {
-                        let sp = srcs.as_ptr().add(j * rb + base);
-                        let s0 = _mm512_loadu_si512(sp.cast());
-                        let s1 = _mm512_loadu_si512(sp.add(64).cast());
-                        let cv = _mm512_set1_epi8(f0 as i8);
-                        a0 = _mm512_xor_si512(a0, _mm512_gf2p8mul_epi8(s0, cv));
-                        a1 = _mm512_xor_si512(a1, _mm512_gf2p8mul_epi8(s1, cv));
-                        let cv = _mm512_set1_epi8(f1 as i8);
-                        b0 = _mm512_xor_si512(b0, _mm512_gf2p8mul_epi8(s0, cv));
-                        b1 = _mm512_xor_si512(b1, _mm512_gf2p8mul_epi8(s1, cv));
-                        let cv = _mm512_set1_epi8(f2 as i8);
-                        c0 = _mm512_xor_si512(c0, _mm512_gf2p8mul_epi8(s0, cv));
-                        c1 = _mm512_xor_si512(c1, _mm512_gf2p8mul_epi8(s1, cv));
-                        let cv = _mm512_set1_epi8(f3 as i8);
-                        d0 = _mm512_xor_si512(d0, _mm512_gf2p8mul_epi8(s0, cv));
-                        d1 = _mm512_xor_si512(d1, _mm512_gf2p8mul_epi8(s1, cv));
-                    }
-                }
-                _mm512_storeu_si512(dp.cast(), a0);
-                _mm512_storeu_si512(dp.add(64).cast(), a1);
-                _mm512_storeu_si512(dp.add(rb).cast(), b0);
-                _mm512_storeu_si512(dp.add(rb + 64).cast(), b1);
-                _mm512_storeu_si512(dp.add(2 * rb).cast(), c0);
-                _mm512_storeu_si512(dp.add(2 * rb + 64).cast(), c1);
-                _mm512_storeu_si512(dp.add(3 * rb).cast(), d0);
-                _mm512_storeu_si512(dp.add(3 * rb + 64).cast(), d1);
-            }
-            base += 128;
-        }
-        if base + 64 <= rb {
-            for p in 0..panels {
-                let cp = coefs.as_ptr().add(p * 4 * c);
-                let dp = dsts.as_mut_ptr().add(p * 4 * rb + base);
-                let mut a0 = _mm512_loadu_si512(dp.cast());
-                let mut b0 = _mm512_loadu_si512(dp.add(rb).cast());
-                let mut c0 = _mm512_loadu_si512(dp.add(2 * rb).cast());
-                let mut d0 = _mm512_loadu_si512(dp.add(3 * rb).cast());
-                for j in 0..c {
-                    let f0 = *cp.add(j);
-                    let f1 = *cp.add(c + j);
-                    let f2 = *cp.add(2 * c + j);
-                    let f3 = *cp.add(3 * c + j);
-                    if f0 | f1 | f2 | f3 == 0 {
-                        continue;
-                    }
-                    let s0 = _mm512_loadu_si512(srcs.as_ptr().add(j * rb + base).cast());
-                    let cv = _mm512_set1_epi8(f0 as i8);
-                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f1 as i8);
-                    b0 = _mm512_xor_si512(b0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f2 as i8);
-                    c0 = _mm512_xor_si512(c0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f3 as i8);
-                    d0 = _mm512_xor_si512(d0, _mm512_gf2p8mul_epi8(s0, cv));
-                }
-                _mm512_storeu_si512(dp.cast(), a0);
-                _mm512_storeu_si512(dp.add(rb).cast(), b0);
-                _mm512_storeu_si512(dp.add(2 * rb).cast(), c0);
-                _mm512_storeu_si512(dp.add(3 * rb).cast(), d0);
-            }
-            base += 64;
-        }
-        if base < rb {
-            let rem = rb - base; // 1..=63
-            let k0: __mmask64 = (1u64 << rem) - 1;
-            for p in 0..panels {
-                let cp = coefs.as_ptr().add(p * 4 * c);
-                let dp = dsts.as_mut_ptr().add(p * 4 * rb + base);
-                let mut a0 = _mm512_maskz_loadu_epi8(k0, dp.cast());
-                let mut b0 = _mm512_maskz_loadu_epi8(k0, dp.add(rb).cast());
-                let mut c0 = _mm512_maskz_loadu_epi8(k0, dp.add(2 * rb).cast());
-                let mut d0 = _mm512_maskz_loadu_epi8(k0, dp.add(3 * rb).cast());
-                for j in 0..c {
-                    let f0 = *cp.add(j);
-                    let f1 = *cp.add(c + j);
-                    let f2 = *cp.add(2 * c + j);
-                    let f3 = *cp.add(3 * c + j);
-                    if f0 | f1 | f2 | f3 == 0 {
-                        continue;
-                    }
-                    let s0 = _mm512_maskz_loadu_epi8(k0, srcs.as_ptr().add(j * rb + base).cast());
-                    let cv = _mm512_set1_epi8(f0 as i8);
-                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f1 as i8);
-                    b0 = _mm512_xor_si512(b0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f2 as i8);
-                    c0 = _mm512_xor_si512(c0, _mm512_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm512_set1_epi8(f3 as i8);
-                    d0 = _mm512_xor_si512(d0, _mm512_gf2p8mul_epi8(s0, cv));
-                }
-                _mm512_mask_storeu_epi8(dp.cast(), k0, a0);
-                _mm512_mask_storeu_epi8(dp.add(rb).cast(), k0, b0);
-                _mm512_mask_storeu_epi8(dp.add(2 * rb).cast(), k0, c0);
-                _mm512_mask_storeu_epi8(dp.add(3 * rb).cast(), k0, d0);
-            }
-        }
-        for i in panels * 4..r {
-            gf256_mul_add_multi_gfni512(
-                &coefs[i * c..(i + 1) * c],
-                srcs,
-                &mut dsts[i * rb..(i + 1) * rb],
+        // The four coefficient rows, each as pairs of columns and what an
+        // odd `c` leaves; zipped with the pairs of source rows, the loop
+        // below indexes nothing.
+        let [(f0, l0), (f1, l1), (f2, l2), (f3, l3)] =
+            [0, 1, 2, 3].map(|i| coefs[i * c..(i + 1) * c].as_chunks::<2>());
+        let pairs = srcs.chunks_exact(2 * rb);
+        let last = pairs.remainder();
+        for ((((pair, f0), f1), f2), f3) in pairs.zip(f0).zip(f1).zip(f2).zip(f3) {
+            panel_step(
+                l,
+                &mut acc,
+                [*f0, *f1, *f2, *f3],
+                &pair[at..],
+                &pair[rb + at..],
             );
         }
+        if let ([f0], [f1], [f2], [f3]) = (l0, l1, l2, l3) {
+            // An odd last source pairs with itself under a zero factor.
+            let (f, last) = ([[*f0, 0], [*f1, 0], [*f2, 0], [*f3, 0]], &last[at..]);
+            panel_step(l, &mut acc, f, last, last);
+        }
+        for (i, a) in acc.into_iter().enumerate() {
+            l.store_n(&mut dsts[i * rb + at..], a);
+        }
     }
 
-    /// As [`gf256_mul_add_block_gfni512`] with four-row × 64-byte ymm
-    /// panels (eight ymm accumulators), a 32-byte column pass, and one
-    /// fused gather tail per panel row for the last `rb % 32` bytes.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, and that `coefs`
-    /// is `r·c` bytes, `srcs` is `c` rows and `dsts` is `r` rows of `rb`
-    /// bytes each (the public wrapper asserts this).
-    // SAFETY: unaligned loads/stores only. The tile loops guard
-    // `base + {64,32} <= rb` before touching column `base`; the tail and
-    // leftover-row gathers get checked slices of one `rb`-byte row each
-    // beside all `c` sources. Panel row indices stay `< panels * 4 <= r`
-    // and source indices `j < c`, keeping `dp`/`sp`/`cp` offsets inside
-    // their slabs per the caller contract.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_mul_add_block_gfni(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], rb: usize) {
-        let c = srcs.len() / rb;
-        let r = dsts.len() / rb;
-        let panels = r / 4;
-        let mut base = 0usize;
-        while base + 64 <= rb {
-            for p in 0..panels {
-                let cp = coefs.as_ptr().add(p * 4 * c);
-                let dp = dsts.as_mut_ptr().add(p * 4 * rb + base);
-                let mut a0 = _mm256_loadu_si256(dp.cast());
-                let mut a1 = _mm256_loadu_si256(dp.add(32).cast());
-                let mut b0 = _mm256_loadu_si256(dp.add(rb).cast());
-                let mut b1 = _mm256_loadu_si256(dp.add(rb + 32).cast());
-                let mut c0 = _mm256_loadu_si256(dp.add(2 * rb).cast());
-                let mut c1 = _mm256_loadu_si256(dp.add(2 * rb + 32).cast());
-                let mut d0 = _mm256_loadu_si256(dp.add(3 * rb).cast());
-                let mut d1 = _mm256_loadu_si256(dp.add(3 * rb + 32).cast());
-                for j in 0..c {
-                    let f0 = *cp.add(j);
-                    let f1 = *cp.add(c + j);
-                    let f2 = *cp.add(2 * c + j);
-                    let f3 = *cp.add(3 * c + j);
-                    if f0 | f1 | f2 | f3 == 0 {
-                        continue;
+    /// `acc[i] ^= f[i][0] · a ^ f[i][1] · b` over `N` registers of the
+    /// source rows `a` and `b`, for the four rows of a panel; skipped when
+    /// all eight factors are zero.
+    #[inline(always)]
+    fn panel_step<L: Lane, const N: usize>(
+        l: L,
+        acc: &mut [[L::V; N]; 4],
+        f: [[u8; 2]; 4],
+        a: &[u8],
+        b: &[u8],
+    ) {
+        if f == [[0; 2]; 4] {
+            return;
+        }
+        let (sa, sb) = (l.load_n::<N>(a), l.load_n::<N>(b));
+        for (row_acc, [fa, fb]) in acc.iter_mut().zip(f) {
+            let (ca, cb) = (l.constant(fa), l.constant(fb));
+            for ((acc, &sa), &sb) in row_acc.iter_mut().zip(&sa).zip(&sb) {
+                *acc = l.xor3(*acc, l.mul(sa, ca), l.mul(sb, cb));
+            }
+        }
+    }
+
+    /// The lanes: every intrinsic and every pointer of this module. A lane
+    /// value is proof that the CPU has the instructions its methods
+    /// execute: the fields are private to this module, and a lane's
+    /// constructor either is a `#[target_feature]` function — which safe
+    /// code may call only from a function with those features enabled, and
+    /// `unsafe` code (the dispatch above) only on its SAFETY comment's word
+    /// that the level was detected — or takes such a lane. That is what the
+    /// `unsafe` blocks here rest on and why the methods are safe to call:
+    /// with a lane in hand, the only thing left to get wrong is a slice
+    /// length, and `load`/`store` check it.
+    mod lane {
+        use std::arch::x86_64::*;
+        use std::marker::PhantomData;
+
+        use crate::wide::{gf16_nibble_tables, gf256_nibble_tables};
+
+        /// One multiply instruction over one register width.
+        pub(in crate::simd) trait Lane: Copy {
+            /// The register: a vector of integers, so that any bytes are a
+            /// value of it.
+            type V: Copy;
+            /// A multiplier in the form the instruction wants it.
+            type C: Copy;
+
+            /// Bytes one load or store moves.
+            #[inline(always)]
+            fn bytes(self) -> usize {
+                size_of::<Self::V>()
+            }
+
+            /// Loads the first [`Lane::bytes`] bytes of `from`, panicking
+            /// if it is shorter.
+            #[inline(always)]
+            fn load(self, from: &[u8]) -> Self::V {
+                let from = &from[..size_of::<Self::V>()];
+                // SAFETY: an unaligned read of the `size_of::<V>()` bytes
+                // `from` was cut to on the line above, as a type any bytes
+                // are a value of. (It names no instruction; `self` is there
+                // so that it inlines where one register does it.)
+                unsafe { from.as_ptr().cast::<Self::V>().read_unaligned() }
+            }
+
+            /// Stores `v` over the first [`Lane::bytes`] bytes of `to`,
+            /// panicking if it is shorter.
+            #[inline(always)]
+            fn store(self, to: &mut [u8], v: Self::V) {
+                let to = &mut to[..size_of::<Self::V>()];
+                // SAFETY: an unaligned write over the `size_of::<V>()`
+                // bytes `to` was cut to on the line above.
+                unsafe { to.as_mut_ptr().cast::<Self::V>().write_unaligned(v) }
+            }
+
+            /// Loads `N` registers from consecutive windows of `from`.
+            #[inline(always)]
+            fn load_n<const N: usize>(self, from: &[u8]) -> [Self::V; N] {
+                let mut vs = [self.load(from); N];
+                for (j, v) in vs.iter_mut().enumerate().skip(1) {
+                    *v = self.load(&from[j * self.bytes()..]);
+                }
+                vs
+            }
+
+            /// Stores `vs` over consecutive windows of `to`.
+            #[inline(always)]
+            fn store_n<const N: usize>(self, to: &mut [u8], vs: [Self::V; N]) {
+                for (j, v) in vs.into_iter().enumerate() {
+                    self.store(&mut to[j * self.bytes()..], v);
+                }
+            }
+
+            fn xor(self, a: Self::V, b: Self::V) -> Self::V;
+
+            /// `a ^ b ^ c`, in one instruction where the ISA has one.
+            #[inline(always)]
+            fn xor3(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+                self.xor(self.xor(a, b), c)
+            }
+
+            /// Prepares the multiplier `c`.
+            fn constant(self, c: u8) -> Self::C;
+
+            /// `c · v`, byte by byte.
+            fn mul(self, v: Self::V, c: Self::C) -> Self::V;
+        }
+
+        /// `PSHUFB` nibble-table lookups over register `V`. `SPLIT`
+        /// operands carry symbol bits in both nibbles (GF(2⁸)); otherwise
+        /// only the low nibble is looked up (GF(2⁴), whose kernels ignore
+        /// the high one).
+        #[derive(Clone, Copy)]
+        pub(super) struct Pshufb<V, const SPLIT: bool>(PhantomData<V>);
+
+        /// `GF2P8MULB` over register `V`.
+        #[derive(Clone, Copy)]
+        pub(in crate::simd) struct Gfni<V>(PhantomData<V>);
+
+        /// Width selector of [`Window`] for the last `n < 8` bytes of a
+        /// row, beside the exact widths 16 and 8.
+        const REMAINDER: usize = 0;
+
+        /// `GF2P8MULB` over the low `W` bytes of a ymm register (`W` ∈
+        /// {16, 8}) or, for [`REMAINDER`], its low `n < 8` bytes: loaded
+        /// zero-extended and stored never a byte wider than asked, so a
+        /// window cannot reach into the next row. What a GFNI kernel covers
+        /// the end of a row with. (`W` is a type parameter because a window
+        /// that looks at `n` to find its width costs a remainder a third
+        /// more.)
+        #[derive(Clone, Copy)]
+        pub(super) struct Window<const W: usize> {
+            ymm: Gfni<__m256i>,
+            /// `W`, or the remainder's length.
+            n: usize,
+        }
+
+        impl<const SPLIT: bool> Pshufb<__m128i, SPLIT> {
+            #[target_feature(enable = "ssse3")]
+            pub(super) fn new() -> Self {
+                Pshufb(PhantomData)
+            }
+        }
+
+        impl<const SPLIT: bool> Pshufb<__m256i, SPLIT> {
+            #[target_feature(enable = "avx2")]
+            pub(super) fn new() -> Self {
+                Pshufb(PhantomData)
+            }
+        }
+
+        impl Gfni<__m256i> {
+            #[target_feature(enable = "gfni,avx2")]
+            pub(super) fn new() -> Self {
+                Gfni(PhantomData)
+            }
+
+            /// The same instruction over the low `W` bytes of the register.
+            pub(super) fn window<const W: usize>(self) -> Window<W> {
+                Window { ymm: self, n: W }
+            }
+
+            /// The same instruction over the last `n < 8` bytes of a row.
+            pub(super) fn remainder(self, n: usize) -> Window<REMAINDER> {
+                Window { ymm: self, n }
+            }
+        }
+
+        impl Gfni<__m512i> {
+            #[target_feature(enable = "gfni,avx512f")]
+            pub(super) fn new() -> Self {
+                Gfni(PhantomData)
+            }
+        }
+
+        /// The `PSHUFB` multiplier `c`: its low- and high-nibble product
+        /// tables, each twice over because the instruction looks up inside
+        /// every 16-byte half of its register (`l` loads as many halves as
+        /// it has).
+        #[inline(always)]
+        fn nibble_registers<L: Lane, const SPLIT: bool>(l: L, c: u8) -> (L::V, L::V) {
+            let t = if SPLIT {
+                gf256_nibble_tables(c)
+            } else {
+                gf16_nibble_tables(c)
+            };
+            let (lo, hi) = ([t.lo; 2], [t.hi; 2]);
+            (l.load(lo.as_flattened()), l.load(hi.as_flattened()))
+        }
+
+        impl<const SPLIT: bool> Lane for Pshufb<__m128i, SPLIT> {
+            type V = __m128i;
+            type C = (__m128i, __m128i);
+
+            #[inline(always)]
+            fn xor(self, a: __m128i, b: __m128i) -> __m128i {
+                // SAFETY: register-only; SSE2 is part of x86-64.
+                unsafe { _mm_xor_si128(a, b) }
+            }
+
+            #[inline(always)]
+            fn constant(self, c: u8) -> Self::C {
+                nibble_registers::<Self, SPLIT>(self, c)
+            }
+
+            #[inline(always)]
+            fn mul(self, v: __m128i, (lo, hi): Self::C) -> __m128i {
+                // SAFETY: register-only; `self` is proof of SSSE3.
+                unsafe {
+                    let mask = _mm_set1_epi8(0x0F);
+                    let p = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
+                    if SPLIT {
+                        let high = _mm_and_si128(_mm_srli_epi64::<4>(v), mask);
+                        _mm_xor_si128(p, _mm_shuffle_epi8(hi, high))
+                    } else {
+                        p
                     }
-                    let sp = srcs.as_ptr().add(j * rb + base);
-                    let s0 = _mm256_loadu_si256(sp.cast());
-                    let s1 = _mm256_loadu_si256(sp.add(32).cast());
-                    let cv = _mm256_set1_epi8(f0 as i8);
-                    a0 = _mm256_xor_si256(a0, _mm256_gf2p8mul_epi8(s0, cv));
-                    a1 = _mm256_xor_si256(a1, _mm256_gf2p8mul_epi8(s1, cv));
-                    let cv = _mm256_set1_epi8(f1 as i8);
-                    b0 = _mm256_xor_si256(b0, _mm256_gf2p8mul_epi8(s0, cv));
-                    b1 = _mm256_xor_si256(b1, _mm256_gf2p8mul_epi8(s1, cv));
-                    let cv = _mm256_set1_epi8(f2 as i8);
-                    c0 = _mm256_xor_si256(c0, _mm256_gf2p8mul_epi8(s0, cv));
-                    c1 = _mm256_xor_si256(c1, _mm256_gf2p8mul_epi8(s1, cv));
-                    let cv = _mm256_set1_epi8(f3 as i8);
-                    d0 = _mm256_xor_si256(d0, _mm256_gf2p8mul_epi8(s0, cv));
-                    d1 = _mm256_xor_si256(d1, _mm256_gf2p8mul_epi8(s1, cv));
                 }
-                _mm256_storeu_si256(dp.cast(), a0);
-                _mm256_storeu_si256(dp.add(32).cast(), a1);
-                _mm256_storeu_si256(dp.add(rb).cast(), b0);
-                _mm256_storeu_si256(dp.add(rb + 32).cast(), b1);
-                _mm256_storeu_si256(dp.add(2 * rb).cast(), c0);
-                _mm256_storeu_si256(dp.add(2 * rb + 32).cast(), c1);
-                _mm256_storeu_si256(dp.add(3 * rb).cast(), d0);
-                _mm256_storeu_si256(dp.add(3 * rb + 32).cast(), d1);
             }
-            base += 64;
         }
-        if base + 32 <= rb {
-            for p in 0..panels {
-                let cp = coefs.as_ptr().add(p * 4 * c);
-                let dp = dsts.as_mut_ptr().add(p * 4 * rb + base);
-                let mut a0 = _mm256_loadu_si256(dp.cast());
-                let mut b0 = _mm256_loadu_si256(dp.add(rb).cast());
-                let mut c0 = _mm256_loadu_si256(dp.add(2 * rb).cast());
-                let mut d0 = _mm256_loadu_si256(dp.add(3 * rb).cast());
-                for j in 0..c {
-                    let f0 = *cp.add(j);
-                    let f1 = *cp.add(c + j);
-                    let f2 = *cp.add(2 * c + j);
-                    let f3 = *cp.add(3 * c + j);
-                    if f0 | f1 | f2 | f3 == 0 {
-                        continue;
+
+        impl<const SPLIT: bool> Lane for Pshufb<__m256i, SPLIT> {
+            type V = __m256i;
+            type C = (__m256i, __m256i);
+
+            #[inline(always)]
+            fn xor(self, a: __m256i, b: __m256i) -> __m256i {
+                // SAFETY: register-only; `self` is proof of AVX2.
+                unsafe { _mm256_xor_si256(a, b) }
+            }
+
+            #[inline(always)]
+            fn constant(self, c: u8) -> Self::C {
+                nibble_registers::<Self, SPLIT>(self, c)
+            }
+
+            #[inline(always)]
+            fn mul(self, v: __m256i, (lo, hi): Self::C) -> __m256i {
+                // SAFETY: register-only; `self` is proof of AVX2.
+                unsafe {
+                    let mask = _mm256_set1_epi8(0x0F);
+                    let p = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
+                    if SPLIT {
+                        let high = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
+                        _mm256_xor_si256(p, _mm256_shuffle_epi8(hi, high))
+                    } else {
+                        p
                     }
-                    let s0 = _mm256_loadu_si256(srcs.as_ptr().add(j * rb + base).cast());
-                    let cv = _mm256_set1_epi8(f0 as i8);
-                    a0 = _mm256_xor_si256(a0, _mm256_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm256_set1_epi8(f1 as i8);
-                    b0 = _mm256_xor_si256(b0, _mm256_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm256_set1_epi8(f2 as i8);
-                    c0 = _mm256_xor_si256(c0, _mm256_gf2p8mul_epi8(s0, cv));
-                    let cv = _mm256_set1_epi8(f3 as i8);
-                    d0 = _mm256_xor_si256(d0, _mm256_gf2p8mul_epi8(s0, cv));
                 }
-                _mm256_storeu_si256(dp.cast(), a0);
-                _mm256_storeu_si256(dp.add(rb).cast(), b0);
-                _mm256_storeu_si256(dp.add(2 * rb).cast(), c0);
-                _mm256_storeu_si256(dp.add(3 * rb).cast(), d0);
-            }
-            base += 32;
-        }
-        if base < rb {
-            for i in 0..panels * 4 {
-                gf256_multi_tail_gfni(
-                    &coefs[i * c..(i + 1) * c],
-                    srcs,
-                    &mut dsts[i * rb..(i + 1) * rb],
-                    base,
-                );
             }
         }
-        for i in panels * 4..r {
-            gf256_mul_add_multi_gfni(
-                &coefs[i * c..(i + 1) * c],
-                srcs,
-                &mut dsts[i * rb..(i + 1) * rb],
-            );
-        }
-    }
 
-    /// Fused scatter: each destination row gets `factors[i] · src` with
-    /// the dispatch hoisted out of the row loop. Whole 32-byte blocks go
-    /// row by row (`src` stays cache-hot across rows); what is left of the
-    /// rows — all of a short row — goes window by window through
-    /// [`scatter_window`], `src` in a register across all rows.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support, and that `dsts`
-    /// holds `factors.len()` rows of `src.len()` bytes.
-    // SAFETY: unaligned loads/stores only; `sp` stays below `blocks * 32
-    // <= src.len()` and `dp` points into `row`, a checked slice of `dsts`
-    // with exactly `rb = src.len()` bytes; `tail_windows` guards every
-    // window by `len - base` and the caller contract bounds its rows.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_mul_add_scatter_gfni(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        let rb = src.len();
-        let blocks = rb / 32;
-        if blocks > 0 {
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm256_set1_epi8(f as i8);
-                let row = &mut dsts[i * rb..(i + 1) * rb];
-                for b in 0..blocks {
-                    let sp = src.as_ptr().add(b * 32).cast();
-                    let dp: *mut __m256i = row.as_mut_ptr().add(b * 32).cast();
-                    let p = _mm256_gf2p8mul_epi8(_mm256_loadu_si256(sp), cv);
-                    _mm256_storeu_si256(
-                        dp,
-                        _mm256_xor_si256(_mm256_loadu_si256(dp.cast_const()), p),
-                    );
-                }
+        impl Lane for Gfni<__m256i> {
+            type V = __m256i;
+            type C = __m256i;
+
+            #[inline(always)]
+            fn xor(self, a: __m256i, b: __m256i) -> __m256i {
+                // SAFETY: register-only; `self` is proof of AVX2.
+                unsafe { _mm256_xor_si256(a, b) }
+            }
+
+            #[inline(always)]
+            fn constant(self, c: u8) -> __m256i {
+                // SAFETY: register-only; `self` is proof of AVX2.
+                unsafe { _mm256_set1_epi8(c as i8) }
+            }
+
+            #[inline(always)]
+            fn mul(self, v: __m256i, c: __m256i) -> __m256i {
+                // SAFETY: register-only; `self` is proof of GFNI and AVX2.
+                unsafe { _mm256_gf2p8mul_epi8(v, c) }
             }
         }
-        tail_windows!(rb, blocks * 32, scatter_window(factors, src, dsts));
-    }
 
-    /// As [`gf256_mul_add_scatter_gfni`] with 64-byte zmm blocks.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI, AVX-512F, AVX-512BW and AVX2
-    /// support, and that `dsts` holds `factors.len()` rows of `src.len()`
-    /// bytes.
-    // SAFETY: unaligned loads/stores only; `sp` stays below `blocks * 64
-    // <= src.len()` and `dp` points into `row`, a checked slice of `dsts`
-    // with exactly `rb = src.len()` bytes; `tail_windows` guards every
-    // window by `len - base` and the caller contract bounds its rows.
-    #[target_feature(enable = "gfni,avx512f,avx512bw,avx2")]
-    unsafe fn gf256_mul_add_scatter_gfni512(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        let rb = src.len();
-        let blocks = rb / 64;
-        if blocks > 0 {
-            for (i, &f) in factors.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                let cv = _mm512_set1_epi8(f as i8);
-                let row = &mut dsts[i * rb..(i + 1) * rb];
-                for b in 0..blocks {
-                    let sp = src.as_ptr().add(b * 64).cast();
-                    let dp = row.as_mut_ptr().add(b * 64);
-                    let p = _mm512_gf2p8mul_epi8(_mm512_loadu_si512(sp), cv);
-                    _mm512_storeu_si512(
-                        dp.cast(),
-                        _mm512_xor_si512(_mm512_loadu_si512(dp.cast()), p),
-                    );
-                }
+        impl Lane for Gfni<__m512i> {
+            type V = __m512i;
+            type C = __m512i;
+
+            #[inline(always)]
+            fn xor(self, a: __m512i, b: __m512i) -> __m512i {
+                // SAFETY: register-only; `self` is proof of AVX-512F.
+                unsafe { _mm512_xor_si512(a, b) }
+            }
+
+            #[inline(always)]
+            fn xor3(self, a: __m512i, b: __m512i, c: __m512i) -> __m512i {
+                // SAFETY: register-only (`VPTERNLOGD`, truth table 0x96:
+                // the three-way xor); `self` is proof of AVX-512F.
+                unsafe { _mm512_ternarylogic_epi64(a, b, c, 0x96) }
+            }
+
+            #[inline(always)]
+            fn constant(self, c: u8) -> __m512i {
+                // SAFETY: register-only; `self` is proof of AVX-512F.
+                unsafe { _mm512_set1_epi8(c as i8) }
+            }
+
+            #[inline(always)]
+            fn mul(self, v: __m512i, c: __m512i) -> __m512i {
+                // SAFETY: register-only; `self` is proof of GFNI and
+                // AVX-512F.
+                unsafe { _mm512_gf2p8mul_epi8(v, c) }
             }
         }
-        tail_windows!(rb, blocks * 64, scatter_window(factors, src, dsts));
-    }
 
-    /// The in-place product, one [`mul_window`] per tail window from the
-    /// first byte on: the 32-byte blocks of a long row are that walk's
-    /// leading loop.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified GFNI and AVX2 support.
-    // SAFETY: `tail_windows` guards every window by `len - base` before
-    // `mul_window` touches it.
-    #[target_feature(enable = "gfni,avx2")]
-    unsafe fn gf256_mul_gfni(c: u8, dst: &mut [u8]) {
-        let cv = _mm256_set1_epi8(c as i8);
-        tail_windows!(dst.len(), 0, mul_window(cv, dst));
+        /// The bytes of `from`, fewer than 8, as the low bytes of a word: 4,
+        /// 2 and 1 of them as they fit, so that no byte past the slice is
+        /// read and, in a register, none needs masking off.
+        #[inline(always)]
+        fn read_under_8(mut from: &[u8]) -> u64 {
+            let (mut word, mut shift) = (0, 0);
+            if let Some((four, rest)) = from.split_first_chunk() {
+                (word, shift, from) = (u32::from_le_bytes(*four).into(), 32, rest);
+            }
+            if let Some((two, rest)) = from.split_first_chunk() {
+                word |= u64::from(u16::from_le_bytes(*two)) << shift;
+                (shift, from) = (shift + 16, rest);
+            }
+            if let Some(&one) = from.first() {
+                word |= u64::from(one) << shift;
+            }
+            word
+        }
+
+        /// The inverse of [`read_under_8`]: the low `to.len() < 8` bytes of
+        /// `word` over `to`, never a byte wider.
+        #[inline(always)]
+        fn write_under_8(mut to: &mut [u8], mut word: u64) {
+            if let Some(four) = to.split_off_mut(..4) {
+                four.copy_from_slice(&(word as u32).to_le_bytes());
+                word >>= 32;
+            }
+            if let Some(two) = to.split_off_mut(..2) {
+                two.copy_from_slice(&(word as u16).to_le_bytes());
+                word >>= 16;
+            }
+            if let Some(one) = to.first_mut() {
+                *one = word as u8;
+            }
+        }
+
+        impl<const W: usize> Lane for Window<W> {
+            type V = __m256i;
+            type C = __m256i;
+
+            #[inline(always)]
+            fn bytes(self) -> usize {
+                self.n
+            }
+
+            #[inline(always)]
+            fn load(self, from: &[u8]) -> __m256i {
+                let from = &from[..self.n];
+                // SAFETY: the one memory access is the unaligned load of
+                // the 16 bytes `from[..16]` was just cut (and checked) to;
+                // the narrower windows arrive as integers, and the rest is
+                // register-only. `self.ymm` is proof of AVX2.
+                unsafe {
+                    let low = match W {
+                        16 => _mm_loadu_si128(from[..16].as_ptr().cast()),
+                        8 => {
+                            let eight = from[..8].try_into().expect("8 bytes");
+                            _mm_cvtsi64_si128(i64::from_le_bytes(eight))
+                        }
+                        _ => _mm_cvtsi64_si128(read_under_8(from) as i64),
+                    };
+                    _mm256_zextsi128_si256(low)
+                }
+            }
+
+            #[inline(always)]
+            fn store(self, to: &mut [u8], v: __m256i) {
+                let to = &mut to[..self.n];
+                // SAFETY: the one memory access is the unaligned store over
+                // the 16 bytes `to[..16]` was just cut (and checked) to;
+                // the narrower windows leave as integers, and the rest is
+                // register-only. `self.ymm` is proof of AVX2.
+                unsafe {
+                    let low = _mm256_castsi256_si128(v);
+                    match W {
+                        16 => _mm_storeu_si128(to[..16].as_mut_ptr().cast(), low),
+                        8 => to[..8].copy_from_slice(&_mm_cvtsi128_si64(low).to_le_bytes()),
+                        _ => write_under_8(to, _mm_cvtsi128_si64(low) as u64),
+                    }
+                }
+            }
+
+            #[inline(always)]
+            fn xor(self, a: __m256i, b: __m256i) -> __m256i {
+                self.ymm.xor(a, b)
+            }
+
+            #[inline(always)]
+            fn constant(self, c: u8) -> __m256i {
+                self.ymm.constant(c)
+            }
+
+            #[inline(always)]
+            fn mul(self, v: __m256i, c: __m256i) -> __m256i {
+                self.ymm.mul(v, c)
+            }
+        }
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 mod detail {
-    //! Non-x86-64 hosts: every entry point is an alias of a portable kernel.
-    use crate::{reference, wide};
+    //! Non-x86-64 hosts have no level: every public entry point takes its
+    //! portable path.
 
-    pub(super) fn supported() -> bool {
+    #[must_use]
+    pub fn supported() -> bool {
         false
     }
 
-    pub(super) fn level_name() -> &'static str {
+    #[must_use]
+    pub fn level_name() -> &'static str {
         "portable"
     }
 
-    pub(super) fn gf256_is_table_free() -> bool {
+    pub(crate) fn gf256_is_table_free() -> bool {
         false
     }
 
     #[cfg(test)]
-    pub(super) fn for_each_level(mut f: impl FnMut(&'static str)) {
+    pub(crate) fn for_each_level(mut f: impl FnMut(&'static str)) {
         f(level_name());
-    }
-
-    pub(super) fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-        reference::gf256_mul_add_slice(c, src, dst);
-    }
-
-    pub(super) fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-        reference::gf256_mul_slice(c, dst);
-    }
-
-    pub(super) fn gf256_mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        for (&f, row) in factors.iter().zip(srcs.chunks_exact(dst.len())) {
-            reference::gf256_mul_add_slice(f, row, dst);
-        }
-    }
-
-    pub(super) fn gf256_mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        for (&f, row) in factors.iter().zip(dsts.chunks_exact_mut(src.len())) {
-            reference::gf256_mul_add_slice(f, src, row);
-        }
-    }
-
-    pub(super) fn gf256_mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], rb: usize) {
-        let c = srcs.len() / rb;
-        for (panel, dst) in coefs.chunks_exact(c).zip(dsts.chunks_exact_mut(rb)) {
-            gf256_mul_add_multi(panel, srcs, dst);
-        }
-    }
-
-    pub(super) fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-        wide::gf16_mul_add_slice(c, src, dst);
-    }
-
-    pub(super) fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
-        wide::gf16_mul_slice(c, dst);
     }
 }
 
@@ -1552,9 +1246,10 @@ mod tests {
 
     #[test]
     fn blocked_panel_matches_reference_loop_at_every_length() {
-        // Panel shapes straddle the 4-row register panel; the row lengths
-        // cover every column pass (128/64-byte zmm tiles, 64/32-byte ymm
-        // tiles, the masked pass and the fused gather tail).
+        // Panel shapes straddle the 4-row register panel and odd source
+        // counts; the row lengths cover every column pass (128/64-byte zmm
+        // tiles, 64/32-byte ymm tiles) and every ragged end finished as a
+        // gather.
         for (r, c) in [(1usize, 1usize), (2, 3), (4, 4), (5, 2), (7, 9), (8, 17)] {
             let coefs: Vec<u8> = (0..r * c)
                 .map(|i| (i as u8).wrapping_mul(73).wrapping_add(5) % 7)
@@ -1586,6 +1281,16 @@ mod tests {
         println!("ag-gf simd level: {}", level_name());
         // On any x86-64 made this century there is at least SSSE3.
         assert!(supported(), "no SIMD level detected: {}", level_name());
+    }
+
+    /// A level whose checks fail must not stay forced on the thread: the
+    /// tests that run there next would fail in its wake.
+    #[test]
+    fn a_failing_level_does_not_stay_forced() {
+        let detected = level_name();
+        let failed = std::panic::catch_unwind(|| for_each_level(|_| panic!("a level fails")));
+        assert!(failed.is_err());
+        assert_eq!(level_name(), detected);
     }
 
     /// The kernels older CPUs execute, on this CPU: every level up to the

@@ -197,26 +197,7 @@ pub trait SlabField: Field {
     /// Panics if `factors` or `dst` is misaligned, or if
     /// `srcs.len() != n * dst.len()`.
     fn mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        check_one::<Self>(factors);
-        check_one::<Self>(dst);
-        let n = factors.len() / Self::SYMBOL_BYTES;
-        assert_eq!(
-            srcs.len(),
-            n * dst.len(),
-            "srcs must hold exactly one row of dst.len() bytes per factor"
-        );
-        if dst.is_empty() {
-            return;
-        }
-        for (f, row) in factors
-            .chunks_exact(Self::SYMBOL_BYTES)
-            .zip(srcs.chunks_exact(dst.len()))
-        {
-            let c = Self::read_symbol(f);
-            if !c.is_zero() {
-                Self::mul_add_slice(c, row, dst);
-            }
-        }
+        multi_by_axpy::<Self>(factors, srcs, dst, Self::mul_add_slice);
     }
 
     /// Blocked panel update: `dsts_row_i += Σⱼ coefs[i·c + j] · srcs_row_j`
@@ -242,17 +223,7 @@ pub trait SlabField: Field {
     /// number of `row_bytes` rows, or if `coefs` is not exactly `r · c`
     /// packed symbols. `row_bytes == 0` requires all three slabs empty.
     fn mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes: usize) {
-        let (r, c) = check_block::<Self>(coefs, srcs, dsts, row_bytes);
-        if r == 0 || c == 0 {
-            return;
-        }
-        let csb = c * Self::SYMBOL_BYTES;
-        for (panel_row, dst) in coefs
-            .chunks_exact(csb)
-            .zip(dsts.chunks_exact_mut(row_bytes))
-        {
-            Self::mul_add_multi(panel_row, srcs, dst);
-        }
+        block_by_multi::<Self>(coefs, srcs, dsts, row_bytes, Self::mul_add_multi);
     }
 
     /// Fused scatter: `dsts_row_i += factors[i] · src` for every row.
@@ -262,34 +233,30 @@ pub trait SlabField: Field {
     /// `src.len()` bytes each. Rows with a zero factor are untouched.
     ///
     /// This is the back-substitution kernel: one new pivot row is applied to
-    /// every stored row in a single pass. The default loop is kept even by
-    /// fields with SIMD kernels — `src` stays cache-hot across iterations, so fusing the
-    /// writes buys nothing the loop does not already get.
+    /// every stored row in a single pass. `src` stays cache-hot across the
+    /// default loop's iterations, so what a fused kernel saves is the
+    /// per-row kernel selection, which on short rows outweighs the field
+    /// work.
     ///
     /// # Panics
     ///
     /// Panics if `factors` or `src` is misaligned, or if
     /// `dsts.len() != n * src.len()`.
     fn mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        check_one::<Self>(factors);
-        check_one::<Self>(src);
-        let n = factors.len() / Self::SYMBOL_BYTES;
-        assert_eq!(
-            dsts.len(),
-            n * src.len(),
-            "dsts must hold exactly one row of src.len() bytes per factor"
-        );
-        if src.is_empty() {
-            return;
-        }
-        for (f, row) in factors
-            .chunks_exact(Self::SYMBOL_BYTES)
-            .zip(dsts.chunks_exact_mut(src.len()))
-        {
-            let c = Self::read_symbol(f);
-            if !c.is_zero() {
-                Self::mul_add_slice(c, src, row);
-            }
+        scatter_by_axpy::<Self>(factors, src, dsts, Self::mul_add_slice);
+    }
+
+    /// Rewrites every symbol of `slab` in its canonical packed form, so
+    /// that byte equality of slabs is element equality (packing invariant 2)
+    /// even for bytes that did not come from [`SlabField::write_symbol`]: a
+    /// row off the wire. Stored rows are canonicalised once, where they
+    /// enter a basis; the kernels then never see anything else.
+    ///
+    /// A no-op for a field whose symbols fill their bytes (every pattern is
+    /// canonical there). Bytes after the last whole symbol are left alone.
+    fn canonicalize_slice(slab: &mut [u8]) {
+        for symbol in slab.chunks_exact_mut(Self::SYMBOL_BYTES) {
+            Self::read_symbol(symbol).write_symbol(symbol);
         }
     }
 }
@@ -300,21 +267,49 @@ fn check_pair<F: SlabField>(src: &[u8], dst: &mut [u8]) {
     check_one::<F>(dst);
 }
 
-/// Validates the block-panel shapes and returns `(r, c)` — the destination
-/// and source row counts.
+/// Asserts the shapes [`SlabField::mul_add_multi`] documents; `false` when
+/// they hold but leave nothing to accumulate (no factors, or empty rows).
+#[inline]
+pub(crate) fn check_multi<F: SlabField>(factors: &[u8], srcs: &[u8], dst: &[u8]) -> bool {
+    check_one::<F>(factors);
+    check_one::<F>(dst);
+    assert_eq!(
+        srcs.len(),
+        factors.len() / F::SYMBOL_BYTES * dst.len(),
+        "srcs must hold exactly one row of dst.len() bytes per factor"
+    );
+    !(factors.is_empty() || dst.is_empty())
+}
+
+/// Asserts the shapes [`SlabField::mul_add_scatter`] documents; `false`
+/// when they hold but leave nothing to update.
+#[inline]
+pub(crate) fn check_scatter<F: SlabField>(factors: &[u8], src: &[u8], dsts: &[u8]) -> bool {
+    check_one::<F>(factors);
+    check_one::<F>(src);
+    assert_eq!(
+        dsts.len(),
+        factors.len() / F::SYMBOL_BYTES * src.len(),
+        "dsts must hold exactly one row of src.len() bytes per factor"
+    );
+    !(factors.is_empty() || src.is_empty())
+}
+
+/// Asserts the shapes [`SlabField::mul_add_block`] documents; `false` when
+/// they hold but the panel has no destination or no source row.
 #[inline]
 pub(crate) fn check_block<F: SlabField>(
     coefs: &[u8],
     srcs: &[u8],
     dsts: &[u8],
     row_bytes: usize,
-) -> (usize, usize) {
+) -> bool {
     if row_bytes == 0 {
         assert!(
             coefs.is_empty() && srcs.is_empty() && dsts.is_empty(),
             "zero row_bytes requires empty panel slabs"
         );
-        return (0, 0);
+        return false;
     }
     assert!(
         row_bytes.is_multiple_of(F::SYMBOL_BYTES),
@@ -333,7 +328,73 @@ pub(crate) fn check_block<F: SlabField>(
         r * c * F::SYMBOL_BYTES,
         "coefficient panel must be exactly r x c packed symbols"
     );
-    (r, c)
+    r != 0 && c != 0
+}
+
+/// The gather as a loop of single-row axpys, shapes asserted first: what
+/// [`SlabField::mul_add_multi`] means, and what it runs wherever no fused
+/// kernel exists (every field but GF(2⁸), and GF(2⁸) below GFNI, where a
+/// per-multiplier table is built per source row either way). The caller
+/// names the axpy, so a kernel module can stay on its own rung for the
+/// whole loop.
+#[inline]
+pub(crate) fn multi_by_axpy<F: SlabField>(
+    factors: &[u8],
+    srcs: &[u8],
+    dst: &mut [u8],
+    axpy: impl Fn(F, &[u8], &mut [u8]),
+) {
+    if !check_multi::<F>(factors, srcs, dst) {
+        return;
+    }
+    let rows = srcs.chunks_exact(dst.len());
+    for (f, row) in factors.chunks_exact(F::SYMBOL_BYTES).zip(rows) {
+        let c = F::read_symbol(f);
+        if !c.is_zero() {
+            axpy(c, row, dst);
+        }
+    }
+}
+
+/// The scatter as a loop of single-row axpys, the mirror image of
+/// [`multi_by_axpy`].
+#[inline]
+pub(crate) fn scatter_by_axpy<F: SlabField>(
+    factors: &[u8],
+    src: &[u8],
+    dsts: &mut [u8],
+    axpy: impl Fn(F, &[u8], &mut [u8]),
+) {
+    if !check_scatter::<F>(factors, src, dsts) {
+        return;
+    }
+    let rows = dsts.chunks_exact_mut(src.len());
+    for (f, row) in factors.chunks_exact(F::SYMBOL_BYTES).zip(rows) {
+        let c = F::read_symbol(f);
+        if !c.is_zero() {
+            axpy(c, src, row);
+        }
+    }
+}
+
+/// The panel update as one gather per destination row, shapes asserted
+/// first, wherever no register panel exists; the caller names the gather.
+#[inline]
+pub(crate) fn block_by_multi<F: SlabField>(
+    coefs: &[u8],
+    srcs: &[u8],
+    dsts: &mut [u8],
+    row_bytes: usize,
+    multi: impl Fn(&[u8], &[u8], &mut [u8]),
+) {
+    if !check_block::<F>(coefs, srcs, dsts, row_bytes) {
+        return;
+    }
+    let c = srcs.len() / row_bytes;
+    let panel_rows = coefs.chunks_exact(c * F::SYMBOL_BYTES);
+    for (panel_row, dst) in panel_rows.zip(dsts.chunks_exact_mut(row_bytes)) {
+        multi(panel_row, srcs, dst);
+    }
 }
 
 #[inline]
@@ -390,6 +451,33 @@ mod tests {
         // Invariant 1 of the module docs, for the byte-packed fields.
         assert_eq!(Gf256::pack(&[Gf256::ZERO]), vec![0]);
         assert_eq!(Gf2::pack(&[Gf2::ZERO]), vec![0]);
+    }
+
+    #[test]
+    fn canonicalize_slice_rewrites_only_what_is_not_canonical() {
+        use crate::{Gf16, Gf65536, F7};
+        let dirty: Vec<u8> = (0..=255u8).collect();
+        let canonical = |mask: u8| dirty.iter().map(|b| b & mask).collect::<Vec<u8>>();
+        let mut slab = dirty.clone();
+        Gf16::canonicalize_slice(&mut slab);
+        assert_eq!(slab, canonical(0x0F));
+        assert_eq!(
+            Gf16::pack(&Gf16::unpack(&dirty)),
+            slab,
+            "what packing writes"
+        );
+        let mut slab = dirty.clone();
+        Gf2::canonicalize_slice(&mut slab);
+        assert_eq!(slab, canonical(0x01));
+        // Symbols that fill their bytes: every pattern is canonical already.
+        let mut slab = dirty.clone();
+        Gf256::canonicalize_slice(&mut slab);
+        Gf65536::canonicalize_slice(&mut slab);
+        assert_eq!(slab, dirty);
+        // GF(p) reduces each residue; bytes past the last whole symbol stay.
+        let mut slab = [9u64.to_le_bytes().as_slice(), &[0xFF; 3]].concat();
+        F7::canonicalize_slice(&mut slab);
+        assert_eq!(slab, [2u64.to_le_bytes().as_slice(), &[0xFF; 3]].concat());
     }
 
     #[test]

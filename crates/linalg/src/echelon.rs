@@ -309,8 +309,8 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Like [`EchelonBasis::try_insert_packed_slice`] but reducing directly
     /// in the caller's buffer — no copy, no allocation ever. The
     /// coefficient prefix of `row` is clobbered by the elimination (the
-    /// payload tail is left untouched; its elimination is deferred to the
-    /// log) unless the basis is already full, which needs none; callers
+    /// payload tail is only canonicalised; its elimination is deferred to
+    /// the log) unless the basis is already full, which needs none; callers
     /// that need the original bytes afterwards must keep their own copy.
     ///
     /// # Errors
@@ -443,6 +443,45 @@ mod tests {
         }
         assert!(b.is_full());
         assert_eq!(b.rank(), 4);
+    }
+
+    /// A packed row off the wire may be non-canonical: GF(2⁴) high-nibble
+    /// garbage, GF(2) high bits, an out-of-range GF(p) residue. What is
+    /// stored must not depend on the multipliers elimination happens to
+    /// apply: with a pivot that is already 1 the normaliser is a no-op, and
+    /// the garbage used to be stored verbatim, making bases that span the
+    /// same space unequal.
+    fn stores_canonical<F: SlabField>(dirty_row: &[u8], clean_row: &[u8]) {
+        let (mut dirty, mut clean) = (EchelonBasis::<F>::new(2), EchelonBasis::<F>::new(2));
+        assert_eq!(
+            dirty.try_insert_packed_slice(dirty_row),
+            Ok(Insertion::Innovative)
+        );
+        assert_eq!(
+            clean.try_insert_packed_slice(clean_row),
+            Ok(Insertion::Innovative)
+        );
+        let mut stored = Vec::new();
+        dirty.copy_packed_row_into(0, &mut stored);
+        assert_eq!(stored, clean_row, "stored bytes must be canonical");
+        assert!(dirty.coeff_rows().eq(clean.coeff_rows()));
+        assert_eq!(dirty, clean);
+        assert_eq!(dirty.rows(), clean.rows());
+        assert!(!clean.would_be_innovative_packed(dirty_row));
+    }
+
+    #[test]
+    fn noncanonical_packed_rows_are_stored_canonical() {
+        use ag_gf::{Gf16, F7};
+        // Coefficients only, then coefficients and a payload symbol.
+        stores_canonical::<Gf16>(&[0x31, 0x00], &[0x01, 0x00]);
+        stores_canonical::<Gf16>(&[0x31, 0x00, 0xF7], &[0x01, 0x00, 0x07]);
+        stores_canonical::<Gf2>(&[0x03, 0xFE, 0x81], &[0x01, 0x00, 0x01]);
+        // 8 ≡ 1 and 9 ≡ 2 (mod 7).
+        let [one, two, eight, nine] = [1u64, 2, 8, 9].map(u64::to_le_bytes);
+        stores_canonical::<F7>(&[eight, nine].concat(), &[one, two].concat());
+        // A field whose symbols fill their bytes has nothing to canonicalise.
+        stores_canonical::<Gf256>(&[0x01, 0xF7], &[0x01, 0xF7]);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! [`EchelonBasis::try_insert`]) so a shape bug can never corrupt a basis
 //! mid-elimination.
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

@@ -478,12 +478,18 @@ impl NodeBasis {
     }
 
     /// Inserts a packed row, reducing its coefficient prefix **in place**
-    /// in the caller's buffer (the payload tail is left exactly as passed:
-    /// it is copied raw and its elimination deferred to the log). The one
-    /// insert of the workspace, and the one place the row length is
-    /// asserted. A node at full rank answers [`Insertion::Redundant`] from
-    /// its rank alone — its basis spans everything — and leaves the
-    /// caller's bytes untouched.
+    /// in the caller's buffer (the payload tail is only canonicalised: it
+    /// is copied as it is and its elimination deferred to the log). The one
+    /// insert of the workspace, and so the one place the row length is
+    /// asserted and the one place a row's bytes are made canonical
+    /// ([`SlabField::canonicalize_slice`]; free for the fields whose
+    /// symbols fill their bytes): a row off the wire may carry GF(2⁴)
+    /// high-nibble garbage, which the kernels ignore in a source but pass
+    /// through where they copy or XOR — a pivot that is already 1, a
+    /// recode with coefficient 1 — so whether it got stored used to depend
+    /// on the multipliers. A node at full rank answers
+    /// [`Insertion::Redundant`] from its rank alone — its basis spans
+    /// everything — and leaves the caller's bytes untouched.
     ///
     /// # Panics
     ///
@@ -506,6 +512,7 @@ impl NodeBasis {
         if rank == d.pivot_width {
             return Insertion::Redundant;
         }
+        F::canonicalize_slice(row);
         let (crow, pay_in) = row.split_at_mut(d.kb);
         let Some(pivot_col) =
             core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, crow, &mut sc.factors)
@@ -586,6 +593,7 @@ impl NodeBasis {
         let Scratch { factors, probe, .. } = sc;
         probe.clear();
         fill(probe);
+        F::canonicalize_slice(probe);
         core_ops::reduce_coeff::<F>(&self.pivot_cols, &self.coeff, probe, factors).is_some()
     }
 
@@ -866,6 +874,29 @@ mod tests {
             .collect();
         picks.push(core_ops::use_blocked::<F>(k, 0, d.pb, log));
         picks
+    }
+
+    /// The traffic fact the GF(2⁸) panel kernel's tile plan leans on
+    /// (`ag_gf::simd`, `Panel`): the one caller of `mul_add_block` outside
+    /// tests always passes `padded_stride`, and for the one-byte-symbol
+    /// fields that is a whole, odd number of 64-byte lines covering the
+    /// payload. So a panel row is whole zmm (and ymm) vectors, the kernel's
+    /// one-vector column pass runs exactly once per call, and its ragged
+    /// columns are reached by tests only.
+    #[test]
+    fn padded_stride_is_an_odd_number_of_whole_cache_lines() {
+        fn check<F: SlabField>() {
+            for pay_bytes in 1..=4096 {
+                let ps = core_ops::padded_stride::<F>(pay_bytes);
+                assert!(
+                    ps >= pay_bytes && ps.is_multiple_of(64) && (ps / 64) % 2 == 1,
+                    "padded_stride({pay_bytes}) = {ps}"
+                );
+            }
+        }
+        check::<Gf256>();
+        check::<Gf16>();
+        check::<Gf2>();
     }
 
     /// The schedule choice: deterministic in the basis state, row-wise for

@@ -37,6 +37,8 @@
 //! `crates/lint/fixtures/` for the known-good/known-bad examples every
 //! family is self-tested against.
 
+#![forbid(unsafe_code)]
+
 pub mod dataflow;
 pub mod index;
 pub mod inventory;

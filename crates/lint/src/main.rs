@@ -8,6 +8,8 @@
 //! for drift. Exit codes: 0 clean, 1 findings or inventory drift, 2
 //! usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ag_lint::policy::INVENTORY_PATH;

@@ -314,6 +314,38 @@ mod tests {
         )
     }
 
+    /// A packed row with GF(2⁴) high-nibble garbage is received as the
+    /// canonical row it denotes: same verdicts, same decoded messages
+    /// (those were always right) and the same bytes on the wire when the
+    /// node recodes. Coefficient 1 takes the XOR path, which used to pass
+    /// stored garbage through.
+    #[test]
+    fn noncanonical_packed_row_is_received_as_its_canonical_form() {
+        use crate::Recoder;
+        use ag_gf::Gf16;
+        let (mut dirty, mut clean) = (Decoder::<Gf16>::new(2, 1), Decoder::<Gf16>::new(2, 1));
+        assert!(dirty
+            .receive_packed_slice(&[0x31, 0x00, 0xF7])
+            .is_innovative());
+        assert!(clean
+            .receive_packed_slice(&[0x01, 0x00, 0x07])
+            .is_innovative());
+        for seed in 0..64 {
+            let emit = |d: &Decoder<Gf16>| {
+                Recoder::new(d).emit_packed_row(&mut StdRng::seed_from_u64(seed))
+            };
+            assert_eq!(emit(&dirty), emit(&clean), "recoded bytes, seed {seed}");
+        }
+        assert!(!dirty
+            .receive_packed_slice(&[0x02, 0x00, 0x0E])
+            .is_innovative());
+        for d in [&mut dirty, &mut clean] {
+            assert!(d.receive_packed_slice(&[0xA0, 0x51, 0x33]).is_innovative());
+        }
+        assert!(dirty.is_complete());
+        assert_eq!(dirty.decode(), clean.decode());
+    }
+
     #[test]
     fn seeded_source_is_complete() {
         let mut rng = StdRng::seed_from_u64(1);

@@ -45,6 +45,7 @@
 //! assert_eq!(sink.decode().unwrap(), generation.messages());
 //! ```
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

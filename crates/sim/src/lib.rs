@@ -52,6 +52,7 @@
 //! graphs implement the view with no-ops and keep their exact
 //! pre-abstraction behavior.
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

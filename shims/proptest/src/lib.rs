@@ -12,6 +12,8 @@
 //! reproducible because the seed is derived from the test's module path
 //! and name.
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod strategy;
 pub mod test_runner;

@@ -12,6 +12,8 @@
 //! Statistical quality: xoshiro256++ passes BigCrush; integer ranges use
 //! rejection sampling so they are exactly uniform.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod rngs;
 pub mod seq;

@@ -13,6 +13,8 @@
 //! serial loop on the calling thread. A local [`ThreadPool`] overrides
 //! the environment for the code it [`ThreadPool::install`]s, as in rayon.
 
+#![forbid(unsafe_code)]
+
 use std::cell::Cell;
 
 pub mod iter;

@@ -19,6 +19,7 @@
 //! See the `examples/` directory for runnable entry points and
 //! `crates/experiments` for the table/figure regenerators.
 
+#![forbid(unsafe_code)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(
