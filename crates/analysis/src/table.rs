@@ -1,20 +1,23 @@
-//! Plain-text table rendering for the experiment harness output.
+//! Markdown table rendering for the experiment harness output.
 
 use std::fmt::Write as _;
 
-/// Builds aligned plain-text tables (the harness prints the paper's tables
-/// to stdout and into `EXPERIMENTS.md`).
+/// Builds GitHub-flavored Markdown tables (the harness prints the paper's
+/// tables to stdout and into `EXPERIMENTS.md`). Headers and cells are
+/// anything that converts into a `String`, so string literals need no
+/// `.into()`.
 ///
 /// # Examples
 ///
 /// ```
 /// use ag_analysis::TableBuilder;
 ///
-/// let mut t = TableBuilder::new(vec!["graph".into(), "rounds".into()]);
-/// t.row(vec!["line".into(), "42".into()]);
-/// let rendered = t.render();
-/// assert!(rendered.contains("graph"));
-/// assert!(rendered.contains("42"));
+/// let mut t = TableBuilder::new(["graph", "rounds"]);
+/// t.row(["line".to_string(), 42.to_string()]);
+/// assert_eq!(
+///     t.render_markdown(),
+///     "| graph | rounds |\n|---|---|\n| line | 42 |\n"
+/// );
 /// ```
 #[derive(Debug, Clone)]
 pub struct TableBuilder {
@@ -29,7 +32,8 @@ impl TableBuilder {
     ///
     /// Panics if `header` is empty.
     #[must_use]
-    pub fn new(header: Vec<String>) -> Self {
+    pub fn new(header: impl IntoIterator<Item = impl Into<String>>) -> Self {
+        let header: Vec<String> = header.into_iter().map(Into::into).collect();
         assert!(!header.is_empty(), "table needs at least one column");
         TableBuilder {
             header,
@@ -42,7 +46,8 @@ impl TableBuilder {
     /// # Panics
     ///
     /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub fn row(&mut self, cells: impl IntoIterator<Item = impl Into<String>>) -> &mut Self {
+        let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -64,36 +69,6 @@ impl TableBuilder {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Renders with aligned columns and a separator under the header.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let render_row = |out: &mut String, cells: &[String]| {
-            for (i, cell) in cells.iter().enumerate() {
-                let _ = write!(out, "{:<width$}", cell, width = widths[i]);
-                if i + 1 < cols {
-                    out.push_str("  ");
-                }
-            }
-            out.push('\n');
-        };
-        render_row(&mut out, &self.header);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            render_row(&mut out, row);
-        }
-        out
     }
 
     /// Renders as a GitHub-flavored Markdown table.
@@ -122,33 +97,23 @@ mod tests {
     use super::*;
 
     fn sample() -> TableBuilder {
-        let mut t = TableBuilder::new(vec!["a".into(), "bbbb".into()]);
-        t.row(vec!["xxxxx".into(), "1".into()]);
-        t.row(vec!["y".into(), "22".into()]);
+        let mut t = TableBuilder::new(["a", "bbbb"]);
+        t.row(["xxxxx", "1"]);
+        t.row(["y".to_string(), 22.to_string()]);
         t
     }
 
     #[test]
-    fn aligned_rendering() {
-        let s = sample().render();
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // Header and rows share column offsets.
-        assert!(lines[0].starts_with("a    "));
-        assert!(lines[2].starts_with("xxxxx"));
-        assert!(lines[1].chars().all(|c| c == '-'));
-    }
-
-    #[test]
     fn markdown_rendering() {
-        let md = sample().render_markdown();
-        assert!(md.starts_with("| a | bbbb |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| y | 22 |"));
+        assert_eq!(
+            sample().render_markdown(),
+            "| a | bbbb |\n|---|---|\n| xxxxx | 1 |\n| y | 22 |\n"
+        );
     }
 
     #[test]
     fn length_tracking() {
+        assert!(TableBuilder::new(["a"]).is_empty());
         let t = sample();
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
@@ -157,7 +122,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn ragged_row_panics() {
-        let mut t = TableBuilder::new(vec!["a".into()]);
-        t.row(vec!["1".into(), "2".into()]);
+        let mut t = TableBuilder::new(["a"]);
+        t.row(["1", "2"]);
     }
 }

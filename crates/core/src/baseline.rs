@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ag::AgConfig;
+use crate::coded_nodes::check_row_bytes;
 
 /// A raw (uncoded) message in flight: its index and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,7 +91,8 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `k == 0`, the initial view
-    /// is disconnected or a custom placement does not list `k` hosts, and
+    /// is disconnected, a custom placement does not list `k` hosts or
+    /// `cfg.payload_len` is too large to allocate, and
     /// [`GraphError::NodeOutOfRange`] if `cfg.placement` names a host that
     /// is not a node.
     pub fn on_topology(topology: T, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
@@ -103,6 +105,7 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
             ));
         }
         cfg.placement.validate(topology.n(), cfg.k)?;
+        check_row_bytes(cfg, std::mem::size_of::<F>())?;
         let mut rng = StdRng::seed_from_u64(seed);
         let generation = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
         let hosts = cfg.placement.assign(topology.n(), cfg.k, &mut rng);

@@ -31,12 +31,34 @@ pub(crate) struct CodedNodes<F: SlabField> {
     pub(crate) pool_prewarm: usize,
 }
 
+/// Sizes one node's full-rank rows, `k · (k + payload_len) · symbol_bytes`,
+/// before anything is drawn or allocated: `payload_len` is a public field,
+/// and a generation that cannot be allocated aborts the process where a
+/// typed error is owed. The bound is `isize::MAX`, the largest allocation
+/// the language allows.
+///
+/// # Errors
+///
+/// Returns [`GraphError::InvalidSize`] with the byte count (exact, in
+/// `u128`) if it is above that bound.
+pub(crate) fn check_row_bytes(cfg: &AgConfig, symbol_bytes: usize) -> Result<(), GraphError> {
+    let bytes = (cfg.k as u128) * (cfg.k as u128 + cfg.payload_len as u128) * symbol_bytes as u128;
+    if bytes > isize::MAX as u128 {
+        return Err(GraphError::InvalidSize(format!(
+            "k = {} rows of {} + {} symbols need {bytes} bytes per node",
+            cfg.k, cfg.k, cfg.payload_len
+        )));
+    }
+    Ok(())
+}
+
 impl<F: SlabField> CodedNodes<F> {
     /// The random generation of `cfg.k` messages that `seed` stands for.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0`.
+    /// Returns [`GraphError::InvalidSize`] if `k == 0` or one node's rows
+    /// cannot be allocated (see [`check_row_bytes`]).
     pub(crate) fn random_generation(
         cfg: &AgConfig,
         seed: u64,
@@ -44,6 +66,7 @@ impl<F: SlabField> CodedNodes<F> {
         if cfg.k == 0 {
             return Err(GraphError::InvalidSize("k must be positive".into()));
         }
+        check_row_bytes(cfg, F::SYMBOL_BYTES)?;
         let mut rng = StdRng::seed_from_u64(seed);
         Ok(Generation::random(cfg.k, cfg.payload_len, &mut rng))
     }
@@ -59,7 +82,8 @@ impl<F: SlabField> CodedNodes<F> {
     /// Returns [`GraphError::InvalidSize`] if `cfg`'s shape does not match
     /// the generation's or `cfg.coding_density` is outside `(0, 1]`, and
     /// `Placement::validate`'s error for a `cfg.placement` that does not
-    /// fit `n` nodes and `cfg.k` messages.
+    /// fit `n` nodes and `cfg.k` messages, or if the arena's sizing fails
+    /// (an [`ag_rlnc::ArenaError`], reported by its message).
     pub(crate) fn new(
         n: usize,
         cfg: &AgConfig,
@@ -92,7 +116,8 @@ impl<F: SlabField> CodedNodes<F> {
         let mut rng = StdRng::seed_from_u64(seed);
         let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
         let hosts = cfg.placement.assign(n, cfg.k, &mut rng);
-        let mut decoders = DecoderArena::new(n, cfg.k, cfg.payload_len);
+        let mut decoders = DecoderArena::try_new(n, cfg.k, cfg.payload_len)
+            .map_err(|e| GraphError::InvalidSize(e.to_string()))?;
         for (msg, &host) in hosts.iter().enumerate() {
             decoders.seed_message(host, &generation, msg);
         }

@@ -9,6 +9,7 @@
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, SpanningTree};
+use ag_rlnc::Generation;
 use ag_sim::{Engine, EngineConfig, RunStats};
 
 use crate::ag::{AgConfig, AlgebraicGossip};
@@ -89,8 +90,9 @@ impl RunSpec {
 /// # Errors
 ///
 /// Propagates construction errors (disconnected graph, bad root, `k = 0`,
-/// a placement that does not fit the graph) and returns [`GraphError::InvalidSize`] if `spec.engine.loss_prob` is
-/// outside `[0, 1]`.
+/// a placement that does not fit the graph, a `payload_len` whose rows
+/// cannot be allocated) and returns [`GraphError::InvalidSize`] if
+/// `spec.engine.loss_prob` is outside `[0, 1]`.
 ///
 /// # Panics
 ///
@@ -108,18 +110,16 @@ pub fn run_protocol<F: SlabField>(
     }
     let mut engine = Engine::new(spec.engine);
     match spec.kind {
-        ProtocolKind::UniformAg => {
-            let cfg = spec.ag.clone().with_comm_model(CommModel::Uniform);
+        ProtocolKind::UniformAg | ProtocolKind::RoundRobinAg => {
+            let comm = if spec.kind == ProtocolKind::UniformAg {
+                CommModel::Uniform
+            } else {
+                CommModel::RoundRobin
+            };
+            let cfg = spec.ag.clone().with_comm_model(comm);
             let mut proto = AlgebraicGossip::<F>::new(graph, &cfg, spec.seed)?;
             let stats = engine.run_batch(&mut proto);
-            let ok = verify_ag(&proto, &stats);
-            Ok((stats, ok))
-        }
-        ProtocolKind::RoundRobinAg => {
-            let cfg = spec.ag.clone().with_comm_model(CommModel::RoundRobin);
-            let mut proto = AlgebraicGossip::<F>::new(graph, &cfg, spec.seed)?;
-            let stats = engine.run_batch(&mut proto);
-            let ok = verify_ag(&proto, &stats);
+            let ok = verified(&stats, graph.n(), proto.generation(), |v| proto.decoded(v));
             Ok((stats, ok))
         }
         ProtocolKind::TagBrr(root) => {
@@ -141,23 +141,11 @@ pub fn run_protocol<F: SlabField>(
         ProtocolKind::UncodedRandom => {
             let mut proto = RandomMessageGossip::<F>::new(graph, &spec.ag, spec.seed)?;
             let stats = engine.run_batch(&mut proto);
-            let ok = if stats.completed {
-                for v in 0..graph.n() {
-                    let held = proto.messages_of(v);
-                    assert_eq!(held.len(), spec.ag.k, "node {v} missing messages");
-                    for m in held {
-                        assert_eq!(
-                            m.payload,
-                            proto.generation().message(m.index),
-                            "node {v} holds corrupted message {}",
-                            m.index
-                        );
-                    }
-                }
-                true
-            } else {
-                false
-            };
+            // A node that holds all `k` raw messages has "decoded" them.
+            let ok = verified(&stats, graph.n(), proto.generation(), |v| {
+                let held = proto.messages_of(v);
+                (held.len() == spec.ag.k).then(|| held.into_iter().map(|m| m.payload).collect())
+            });
             Ok((stats, ok))
         }
     }
@@ -171,26 +159,24 @@ fn run_tag<F: SlabField, S: TreeProtocol>(
 ) -> Result<(RunStats, bool), GraphError> {
     let mut proto = Tag::<F, S>::new(graph, tree, &spec.ag, spec.seed)?;
     let stats = engine.run_batch(&mut proto);
-    let ok = if stats.completed {
-        let want = proto.generation().messages();
-        for v in 0..graph.n() {
-            let got = proto.decoded(v).expect("completed node must decode");
-            assert_eq!(got, want, "node {v} decoded wrong data — codec bug");
-        }
-        true
-    } else {
-        false
-    };
+    let ok = verified(&stats, graph.n(), proto.generation(), |v| proto.decoded(v));
     Ok((stats, ok))
 }
 
-fn verify_ag<F: SlabField>(proto: &AlgebraicGossip<F>, stats: &RunStats) -> bool {
+/// Whether the run completed, in which case every one of the `n` nodes
+/// must have decoded exactly `generation`.
+fn verified<F: SlabField>(
+    stats: &RunStats,
+    n: usize,
+    generation: &Generation<F>,
+    decoded: impl Fn(NodeId) -> Option<Vec<Vec<F>>>,
+) -> bool {
     if !stats.completed {
         return false;
     }
-    let want = proto.generation().messages();
-    for v in 0..proto.graph().n() {
-        let got = proto.decoded(v).expect("completed node must decode");
+    let want = generation.messages();
+    for v in 0..n {
+        let got = decoded(v).expect("completed node must decode");
         assert_eq!(got, want, "node {v} decoded wrong data — codec bug");
     }
     true
@@ -226,6 +212,7 @@ pub fn measure_tree_protocol<S: TreeProtocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coded_nodes::CodedNodes;
     use ag_gf::Gf256;
     use ag_graph::builders;
     use ag_sim::TimeModel;
@@ -353,6 +340,47 @@ mod tests {
         assert_eq!(
             run_protocol::<Gf256>(&g, &RunSpec::new(ProtocolKind::TagBrr(17), 3)),
             Err(out_of_range(17))
+        );
+    }
+
+    /// `AgConfig::payload_len` is a public field as well: a row that
+    /// cannot be allocated used to abort the process inside
+    /// `Generation::random` (`memory allocation of 9223372036854775807
+    /// bytes failed`), before any arena sizing was consulted.
+    #[test]
+    fn payload_too_large_to_allocate_is_a_typed_error() {
+        let g = builders::path(2).unwrap();
+        for kind in [
+            ProtocolKind::UniformAg,
+            ProtocolKind::RoundRobinAg,
+            ProtocolKind::TagBrr(0),
+            ProtocolKind::TagUniformBroadcast(0),
+            ProtocolKind::TagIs(0),
+            ProtocolKind::TagOracle(0, 3),
+            ProtocolKind::UncodedRandom,
+        ] {
+            for time_model in [TimeModel::Synchronous, TimeModel::Asynchronous] {
+                for k in [1, 2] {
+                    let mut spec = RunSpec::new(kind, k).with_seed(1);
+                    spec.engine.time_model = time_model;
+                    spec.ag.payload_len = usize::MAX / 2;
+                    let err = run_protocol::<Gf256>(&g, &spec).expect_err("must not fit");
+                    assert!(
+                        matches!(&err, GraphError::InvalidSize(m) if m.contains("bytes")),
+                        "{kind:?} {time_model:?} k={k}: {err:?}"
+                    );
+                }
+            }
+        }
+        // The arena's own sizing (n nodes of such rows) is typed too: one
+        // node's rows fit here, 2^44 nodes' do not.
+        let cfg = AgConfig::new(2).with_payload_len(1 << 20);
+        let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
+            .and_then(|generation| CodedNodes::new(1 << 44, &cfg, generation, 1, 2))
+            .expect_err("arena sizing must overflow");
+        assert!(
+            matches!(&err, GraphError::InvalidSize(m) if m.contains("overflows usize")),
+            "{err:?}"
         );
     }
 

@@ -1,79 +1,50 @@
-//! A1–A3 — ablations beyond the paper's defaults: field size q,
-//! loss/dedup, and the communication-model / action choices.
+//! A1–A6 — ablations beyond the paper's defaults: field size q,
+//! loss/dedup, the communication-model / action choices, the coding gain,
+//! recoding density and crashes.
 
 use std::fmt::Write as _;
 
 use ag_analysis::{Summary, TableBuilder};
-use ag_gf::{Gf16, Gf2, Gf256, Gf65536, SlabField, F257};
-use ag_graph::builders;
-use ag_sim::{EngineConfig, TimeModel};
-use algebraic_gossip::{Action, ProtocolKind, RunSpec, TrialPlan};
+use ag_gf::{Gf16, Gf2, Gf256, Gf65536, F257};
+use ag_sim::{Engine, EngineConfig, TimeModel::Synchronous};
+use algebraic_gossip::{
+    Action, AgConfig, AlgebraicGossip, CrashPlan, ProtocolKind, RunSpec, TrialPlan, WithCrashes,
+};
 
-use crate::common::{median_rounds_protocol, ExperimentReport, Scale};
-
-fn median_with<F: SlabField>(
-    g: &ag_graph::Graph,
-    k: usize,
-    trials: u64,
-    seed0: u64,
-    tweak: impl Fn(&mut RunSpec),
-) -> f64 {
-    let mut base = RunSpec::new(ProtocolKind::UniformAg, k);
-    base.engine = EngineConfig::synchronous(0).with_max_rounds(5_000_000);
-    tweak(&mut base);
-    TrialPlan::new(trials, seed0)
-        .run::<F>(g, &base)
-        .expect("valid spec")
-        .expect_all_ok(&format!("ablation on n={} k={k}", g.n()))
-        .median_rounds()
-}
+use crate::common::{median_rounds, run_spec, Family, Scale, Sweep};
 
 /// Runs the ablation suite.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
+pub fn run(scale: Scale) -> String {
     let trials = scale.trials();
-    let n = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 32,
-    };
+    let n = scale.pick(16, 32);
     let k = n;
+    // The spec every ablation starts from and tweaks one field of.
+    let base = run_spec(ProtocolKind::UniformAg, k, Synchronous);
     let mut md = String::new();
 
     // ---- A1: field size q. The helpfulness probability is ≥ 1 − 1/q, so
     // GF(2) pays the largest redundancy penalty; the gain saturates fast.
-    let g = builders::cycle(n).unwrap();
-    let mut t = TableBuilder::new(vec![
-        "field".into(),
-        "q".into(),
-        "median rounds".into(),
-        "vs GF(2)".into(),
-    ]);
-    let q2 = median_with::<Gf2>(&g, k, trials, 1100, |_| {});
+    let g = Family::Ring.build(n, 0);
+    let mut t = TableBuilder::new(["field", "q", "median rounds", "vs GF(2)"]);
+    let q2 = median_rounds::<Gf2>(&g, &base, trials, 1100);
     for (name, q, rounds) in [
         ("GF(2)", 2u64, q2),
-        (
-            "GF(16)",
-            16,
-            median_with::<Gf16>(&g, k, trials, 1100, |_| {}),
-        ),
+        ("GF(16)", 16, median_rounds::<Gf16>(&g, &base, trials, 1100)),
         (
             "GF(256)",
             256,
-            median_with::<Gf256>(&g, k, trials, 1100, |_| {}),
+            median_rounds::<Gf256>(&g, &base, trials, 1100),
         ),
         (
             "GF(65536)",
             65536,
-            median_with::<Gf65536>(&g, k, trials, 1100, |_| {}),
+            median_rounds::<Gf65536>(&g, &base, trials, 1100),
         ),
-        (
-            "F_257",
-            257,
-            median_with::<F257>(&g, k, trials, 1100, |_| {}),
-        ),
+        ("F_257", 257, median_rounds::<F257>(&g, &base, trials, 1100)),
     ] {
-        t.row(vec![
-            name.into(),
+        t.row([
+            name.to_string(),
             q.to_string(),
             format!("{rounds:.0}"),
             format!("{:.2}x", rounds / q2),
@@ -86,13 +57,9 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- A2: loss and dedup. --------------------------------------------
-    let g = builders::grid(4, n / 4).unwrap();
-    let mut t = TableBuilder::new(vec![
-        "configuration".into(),
-        "median rounds".into(),
-        "vs baseline".into(),
-    ]);
-    let base = median_with::<Gf256>(&g, k, trials, 1200, |_| {});
+    let g = Family::GridStrip.build(n, 0);
+    let mut t = TableBuilder::new(["configuration", "median rounds", "vs baseline"]);
+    let lossless = median_rounds::<Gf256>(&g, &base, trials, 1200);
     for (name, loss, dedup) in [
         ("baseline (lossless, dedup on)", 0.0, true),
         ("dedup off", 0.0, false),
@@ -100,13 +67,15 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ("loss 30%", 0.3, true),
         ("loss 50%", 0.5, true),
     ] {
-        let rounds = median_with::<Gf256>(&g, k, trials, 1200, |spec| {
-            spec.engine = spec.engine.with_loss(loss).with_dedup(dedup);
-        });
-        t.row(vec![
-            name.into(),
+        let spec = RunSpec {
+            engine: base.engine.with_loss(loss).with_dedup(dedup),
+            ..base.clone()
+        };
+        let rounds = median_rounds::<Gf256>(&g, &spec, trials, 1200);
+        t.row([
+            name.to_string(),
             format!("{rounds:.0}"),
-            format!("{:.2}x", rounds / base),
+            format!("{:.2}x", rounds / lossless),
         ]);
     }
     let _ = writeln!(
@@ -116,34 +85,26 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- A3: communication model and action. ----------------------------
-    let g = builders::barbell(n).unwrap();
-    let mut t = TableBuilder::new(vec!["variant".into(), "median rounds (barbell)".into()]);
-    let uni = median_rounds_protocol::<Gf256>(
-        &g,
-        ProtocolKind::UniformAg,
-        k,
-        TimeModel::Synchronous,
-        trials,
-        1301,
-    );
-    let rr = median_rounds_protocol::<Gf256>(
-        &g,
-        ProtocolKind::RoundRobinAg,
-        k,
-        TimeModel::Synchronous,
-        trials,
-        1302,
-    );
-    t.row(vec!["uniform EXCHANGE".into(), format!("{uni:.0}")]);
-    t.row(vec![
-        "round-robin EXCHANGE (quasirandom)".into(),
+    let g = Family::Barbell.build(n, 0);
+    let mut t = TableBuilder::new(["variant", "median rounds (barbell)"]);
+    let uni = median_rounds::<Gf256>(&g, &base, trials, 1301);
+    let round_robin = RunSpec {
+        kind: ProtocolKind::RoundRobinAg,
+        ..base.clone()
+    };
+    let rr = median_rounds::<Gf256>(&g, &round_robin, trials, 1302);
+    t.row(["uniform EXCHANGE".to_string(), format!("{uni:.0}")]);
+    t.row([
+        "round-robin EXCHANGE (quasirandom)".to_string(),
         format!("{rr:.0}"),
     ]);
     for action in [Action::Push, Action::Pull] {
-        let rounds = median_with::<Gf256>(&g, k, trials, 1303, |spec| {
-            spec.ag = spec.ag.clone().with_action(action);
-        });
-        t.row(vec![format!("uniform {action:?}"), format!("{rounds:.0}")]);
+        let spec = RunSpec {
+            ag: base.ag.clone().with_action(action),
+            ..base.clone()
+        };
+        let rounds = median_rounds::<Gf256>(&g, &spec, trials, 1303);
+        t.row([format!("uniform {action:?}"), format!("{rounds:.0}")]);
     }
     let _ = writeln!(
         md,
@@ -154,60 +115,44 @@ pub fn run(scale: Scale) -> ExperimentReport {
     // ---- A4: the coding gain — RLNC vs the uncoded store-and-forward
     // baseline (random message selection). The baseline pays a
     // coupon-collector log k factor that widens with k.
-    let mut t = TableBuilder::new(vec![
-        "k (complete graph, n=k)".into(),
-        "uncoded baseline".into(),
-        "RLNC (uniform AG)".into(),
-        "coding gain".into(),
-    ]);
-    let ks: Vec<usize> = match scale {
-        Scale::Quick => vec![8, 16, 32],
-        Scale::Full => vec![8, 16, 32, 64, 128],
-    };
-    for &kk in &ks {
-        let g = builders::complete(kk).unwrap();
-        let rlnc = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UniformAg,
-            kk,
-            TimeModel::Synchronous,
-            trials,
-            1401,
-        );
-        let base = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UncodedRandom,
-            kk,
-            TimeModel::Synchronous,
-            trials,
-            1402,
-        );
-        t.row(vec![
-            kk.to_string(),
-            format!("{base:.0}"),
-            format!("{rlnc:.0}"),
-            format!("{:.2}x", base / rlnc),
-        ]);
-    }
+    let ks: &[usize] = scale.pick(&[8, 16, 32], &[8, 16, 32, 64, 128]);
+    let kinds = [
+        (ProtocolKind::UncodedRandom, 1402),
+        (ProtocolKind::UniformAg, 1401),
+    ];
+    let sweep = Sweep::measure(ks, &kinds, |k, &(kind, seed0)| {
+        let spec = run_spec(kind, k, Synchronous);
+        median_rounds::<Gf256>(&Family::Complete.build(k, 0), &spec, trials, seed0)
+    });
     let _ = writeln!(
         md,
         "### A4 Coding gain: RLNC vs uncoded random-message gossip (K_n, k = n)\n\n{}",
-        t.render_markdown()
+        sweep.table_with(
+            [
+                "k (complete graph, n=k)",
+                "uncoded baseline",
+                "RLNC (uniform AG)",
+                "coding gain"
+            ],
+            |_, row| vec![
+                format!("{:.0}", row[0]),
+                format!("{:.0}", row[1]),
+                format!("{:.2}x", row[0] / row[1]),
+            ]
+        )
     );
 
     // ---- A5: sparse recoding density. -----------------------------------
-    let g = builders::complete(n).unwrap();
-    let mut t = TableBuilder::new(vec![
-        "coding density".into(),
-        "median rounds".into(),
-        "vs dense".into(),
-    ]);
-    let dense = median_with::<Gf256>(&g, k, trials, 1500, |_| {});
+    let g = Family::Complete.build(n, 0);
+    let mut t = TableBuilder::new(["coding density", "median rounds", "vs dense"]);
+    let dense = median_rounds::<Gf256>(&g, &base, trials, 1500);
     for density in [1.0, 0.5, 0.25, 0.1] {
-        let rounds = median_with::<Gf256>(&g, k, trials, 1500, |spec| {
-            spec.ag = spec.ag.clone().with_coding_density(density);
-        });
-        t.row(vec![
+        let spec = RunSpec {
+            ag: base.ag.clone().with_coding_density(density),
+            ..base.clone()
+        };
+        let rounds = median_rounds::<Gf256>(&g, &spec, trials, 1500);
+        t.row([
             format!("{density:.2}"),
             format!("{rounds:.0}"),
             format!("{:.2}x", rounds / dense),
@@ -220,40 +165,35 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- A6: crash robustness. ------------------------------------------
-    let g = builders::complete(n).unwrap();
-    let mut t = TableBuilder::new(vec![
-        "crash fraction @ round 3".into(),
-        "completed runs".into(),
-        "median rounds (completed)".into(),
+    let mut t = TableBuilder::new([
+        "crash fraction @ round 3",
+        "completed runs",
+        "median rounds (completed)",
     ]);
     for frac in [0.0, 0.1, 0.25, 0.4] {
         // Crash injection wraps the protocol, so it cannot be expressed
         // as a RunSpec — route the custom trial body through the plan's
         // map() escape hatch instead (central seeds, parallel execution).
         let outcomes = TrialPlan::new(trials, 1600).map(|s| {
-            let inner = algebraic_gossip::AlgebraicGossip::<Gf256>::new(
-                &g,
-                &algebraic_gossip::AgConfig::new(k),
-                s.protocol,
-            )
-            .expect("valid");
-            let plan = algebraic_gossip::CrashPlan::random_fraction(n, frac, 3, s.protocol);
-            let mut proto = algebraic_gossip::WithCrashes::new(inner, plan);
-            let stats =
-                ag_sim::Engine::new(EngineConfig::synchronous(s.engine).with_max_rounds(100_000))
-                    .run(&mut proto);
+            let inner =
+                AlgebraicGossip::<Gf256>::new(&g, &AgConfig::new(k), s.protocol).expect("valid");
+            let plan = CrashPlan::random_fraction(n, frac, 3, s.protocol);
+            let mut proto = WithCrashes::new(inner, plan);
+            // A crashed run may never complete, and counting those is the
+            // measurement: the stall budget is a parameter of the scenario.
+            let stall = EngineConfig::synchronous(s.engine).with_max_rounds(100_000);
+            let stats = Engine::new(stall).run(&mut proto);
             stats.completed.then_some(stats.rounds)
         });
         let rounds: Vec<u64> = outcomes.iter().copied().flatten().collect();
-        let completed = rounds.len() as u64;
         let median = if rounds.is_empty() {
             "—".to_string()
         } else {
             format!("{:.0}", Summary::of_u64(&rounds).median())
         };
-        t.row(vec![
+        t.row([
             format!("{frac:.2}"),
-            format!("{completed}/{trials}"),
+            format!("{}/{trials}", rounds.len()),
             median,
         ]);
     }
@@ -262,10 +202,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "### A6 Crash-stop robustness (K_{n}, k = {k})\n\n{}",
         t.render_markdown()
     );
-
-    ExperimentReport {
-        id: "A1-A6",
-        title: "Ablations: field, loss, comm model, coding gain, density, crashes",
-        markdown: md,
-    }
+    md
 }

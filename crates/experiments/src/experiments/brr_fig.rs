@@ -4,75 +4,55 @@ use std::fmt::Write as _;
 
 use ag_analysis::{Summary, TableBuilder};
 use ag_graph::{builders, metrics, Graph};
-use ag_sim::EngineConfig;
+use ag_sim::TimeModel::{Asynchronous, Synchronous};
 use algebraic_gossip::{measure_tree_protocol, BroadcastTree, CommModel, TrialPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{ExperimentReport, Scale};
-
-fn broadcast_rounds(g: &Graph, comm: CommModel, sync: bool, seed: u64) -> Option<u64> {
-    let b = BroadcastTree::new(g, 0, comm, seed).ok()?;
-    let cfg = if sync {
-        EngineConfig::synchronous(seed)
-    } else {
-        EngineConfig::asynchronous(seed)
-    }
-    .with_max_rounds(200_000);
-    let (stats, _) = measure_tree_protocol(b, cfg);
-    stats.completed.then_some(stats.rounds)
-}
+use crate::common::{engine, Family, Scale};
 
 /// Runs the broadcast / Lemma 2 experiments.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
-    let seeds: u64 = match scale {
-        Scale::Quick => 5,
-        Scale::Full => 20,
-    };
+pub fn run(scale: Scale) -> String {
+    let seeds: u64 = scale.pick(5, 20);
     let mut md = String::new();
 
     // ---- F3: BRR vs the 3n bound (sync, worst over seeds) and async. ---
-    let ns: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 32, 64],
-        Scale::Full => vec![16, 32, 64, 128, 256],
-    };
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "n".into(),
-        "BRR sync worst".into(),
-        "3n".into(),
-        "BRR async median".into(),
-        "uniform sync worst".into(),
+    let ns: &[usize] = scale.pick(&[16, 32, 64], &[16, 32, 64, 128, 256]);
+    let mut t = TableBuilder::new([
+        "graph",
+        "n",
+        "BRR sync worst",
+        "3n",
+        "BRR async median",
+        "uniform sync worst",
     ]);
-    for &n in &ns {
-        for (name, g) in [
-            ("barbell", builders::barbell(n).unwrap()),
-            ("star", builders::star(n).unwrap()),
-            ("lollipop", builders::lollipop(n / 2, n / 2).unwrap()),
-        ] {
+    for &n in ns {
+        for family in [Family::Barbell, Family::Star, Family::Lollipop] {
+            let g = family.build(n, 0);
             // Tree protocols run standalone (no RunSpec), so each series
             // goes through a TrialPlan's map(): central seeds, parallel
             // trials, deterministic order.
-            let sync_worst = TrialPlan::new(seeds, 0xF3_01)
-                .map(|s| broadcast_rounds(&g, CommModel::RoundRobin, true, s.protocol).unwrap())
-                .into_iter()
-                .max()
-                .unwrap();
-            let asyncs = TrialPlan::new(seeds, 0xF3_02)
-                .map(|s| broadcast_rounds(&g, CommModel::RoundRobin, false, s.protocol).unwrap());
+            let series = |seed0, comm, time| {
+                TrialPlan::new(seeds, seed0).map(|s| {
+                    let tree = BroadcastTree::new(&g, 0, comm, s.protocol).expect("connected");
+                    let (stats, _) = measure_tree_protocol(tree, engine(time, s.protocol));
+                    assert!(stats.completed, "broadcast hit the round budget");
+                    stats.rounds
+                })
+            };
+            let worst = |rounds: Vec<u64>| rounds.into_iter().max().expect("seeds > 0");
+            let sync_worst = worst(series(0xF3_01, CommModel::RoundRobin, Synchronous));
+            let asyncs = series(0xF3_02, CommModel::RoundRobin, Asynchronous);
             let async_median = Summary::of_u64(&asyncs).median();
-            let uni_worst = TrialPlan::new(seeds, 0xF3_03)
-                .map(|s| broadcast_rounds(&g, CommModel::Uniform, true, s.protocol).unwrap())
-                .into_iter()
-                .max()
-                .unwrap();
+            let uni_worst = worst(series(0xF3_03, CommModel::Uniform, Synchronous));
             assert!(
                 sync_worst <= 3 * g.n() as u64,
-                "Theorem 5 violated on {name} n={n}"
+                "Theorem 5 violated on {} n={n}",
+                family.label()
             );
-            t.row(vec![
-                name.into(),
+            t.row([
+                family.label().to_string(),
                 g.n().to_string(),
                 sync_worst.to_string(),
                 (3 * g.n()).to_string(),
@@ -88,23 +68,19 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- F4: Lemma 2 degree sums <= 3n, fixed + random families. -------
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "n".into(),
-        "max Σdeg on shortest path".into(),
-        "3n".into(),
-        "slack".into(),
-    ]);
+    let mut t = TableBuilder::new(["graph", "n", "max Σdeg on shortest path", "3n", "slack"]);
     let mut rng = StdRng::seed_from_u64(0xF4);
-    let mut families: Vec<(String, Graph)> = vec![
-        ("path".into(), builders::path(40).unwrap()),
-        ("barbell".into(), builders::barbell(40).unwrap()),
-        ("star".into(), builders::star(40).unwrap()),
-        ("complete".into(), builders::complete(30).unwrap()),
-        ("binary tree".into(), builders::binary_tree(31).unwrap()),
-        ("hypercube".into(), builders::hypercube(5).unwrap()),
-        ("lollipop".into(), builders::lollipop(20, 20).unwrap()),
-    ];
+    let mut families: Vec<(String, Graph)> = [
+        ("path", builders::path(40)),
+        ("barbell", builders::barbell(40)),
+        ("star", builders::star(40)),
+        ("complete", builders::complete(30)),
+        ("binary tree", builders::binary_tree(31)),
+        ("hypercube", builders::hypercube(5)),
+        ("lollipop", builders::lollipop(20, 20)),
+    ]
+    .map(|(name, g)| (name.to_string(), g.unwrap()))
+    .into();
     for i in 0..3 {
         families.push((
             format!("G(30, 0.2) #{i}"),
@@ -118,7 +94,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
     for (name, g) in &families {
         let m = metrics::max_shortest_path_degree_sum(g);
         assert!(m <= 3 * g.n(), "Lemma 2 violated on {name}");
-        t.row(vec![
+        t.row([
             name.clone(),
             g.n().to_string(),
             m.to_string(),
@@ -131,10 +107,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "### F4 Lemma 2: `Σ deg ≤ 3n` along every shortest path\n\n{}",
         t.render_markdown()
     );
-
-    ExperimentReport {
-        id: "F3/F4",
-        title: "Theorem 5 (B_RR) & Lemma 2 (degree sums)",
-        markdown: md,
-    }
+    md
 }

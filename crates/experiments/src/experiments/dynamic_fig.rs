@@ -36,14 +36,14 @@ use std::fmt::Write as _;
 
 use ag_analysis::{Summary, TableBuilder};
 use ag_gf::Gf256;
-use ag_graph::{builders, ChurnSchedule, Graph, ScheduledTopology, Topology};
-use ag_sim::{Engine, EngineConfig};
+use ag_graph::{ChurnSchedule, Graph, ScheduledTopology, Topology};
+use ag_sim::{Engine, EngineConfig, TimeModel::Synchronous};
 use algebraic_gossip::{
     AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement, RandomMessageGossip,
     Tag, TrialPlan, WithCrashes,
 };
 
-use crate::common::{ExperimentReport, Scale};
+use crate::common::{engine, ratio_table, Family, Scale};
 
 /// Base seed for every F9 schedule and trial plan.
 const F9_SEED: u64 = 0x0F9_0F9;
@@ -51,6 +51,16 @@ const F9_SEED: u64 = 0x0F9_0F9;
 /// The F9a rewire rates (fraction of edges rewired per round), the static
 /// baseline first.
 const REWIRE_RATES: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
+
+/// The ratio-table columns of RLNC against the uncoded baseline (F9a,
+/// F9b), after the row label.
+const RLNC_VS_UNCODED: [&str; 5] = [
+    "RLNC rounds",
+    "RLNC ratio",
+    "uncoded rounds",
+    "uncoded ratio",
+    "uncoded/RLNC",
+];
 
 /// The F9c bridge adversary's up-window, in epochs.
 const BRIDGE_UP: u64 = 2;
@@ -65,9 +75,11 @@ enum DynProto {
     Tag,
 }
 
-/// Median stopping time of `proto` on `graph` under `schedule`, over
-/// `trials` decorrelated trials (synchronous model). Panics if a trial
-/// exhausts the budget — cells are sized to always complete.
+/// The scheduled-topology twin of [`crate::common::median_rounds`]
+/// (`run_protocol` takes a static graph): median stopping time of `proto`
+/// on `graph` under `schedule`, over `trials` decorrelated trials
+/// (synchronous model). Panics if a trial exhausts the budget — cells are
+/// sized to always complete.
 fn median_dynamic_rounds(
     graph: &Graph,
     schedule: &ChurnSchedule,
@@ -77,8 +89,7 @@ fn median_dynamic_rounds(
     seed0: u64,
 ) -> f64 {
     let rounds = TrialPlan::new(trials, seed0).map(|seeds| {
-        let mut engine =
-            Engine::new(EngineConfig::synchronous(seeds.engine).with_max_rounds(20_000_000));
+        let mut engine = Engine::new(engine(Synchronous, seeds.engine));
         let cfg = AgConfig::new(k);
         let topo = ScheduledTopology::new(graph, schedule.clone());
         let pseed = seeds.protocol;
@@ -104,28 +115,6 @@ fn median_dynamic_rounds(
     Summary::of_u64(&rounds).median()
 }
 
-/// One F9a family: label, graph, and the generation size it sweeps at.
-fn f9a_families(scale: Scale) -> Vec<(&'static str, Graph, usize)> {
-    let (ring_n, grid_side, rr_n) = match scale {
-        Scale::Quick => (32, 6, 32),
-        Scale::Full => (64, 8, 64),
-    };
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(F9_SEED);
-    vec![
-        ("ring", builders::cycle(ring_n).expect("cycle"), 4),
-        (
-            "grid",
-            builders::grid(grid_side, grid_side).expect("grid"),
-            4,
-        ),
-        (
-            "random 3-regular",
-            builders::random_regular(rr_n, 3, &mut rng).expect("rr(3)"),
-            4,
-        ),
-    ]
-}
-
 /// F9a: stopping time vs rewire rate, per family, RLNC vs uncoded.
 fn churn_rate_sweep(scale: Scale, md: &mut String) {
     let trials = scale.trials();
@@ -144,18 +133,19 @@ fn churn_rate_sweep(scale: Scale, md: &mut String) {
          hurting. The `uncoded/RLNC` column is the coding gain the churned\n\
          baseline keeps paying at every rate.\n"
     );
-    for (label, graph, k) in f9a_families(scale) {
-        let mut t = TableBuilder::new(vec![
-            "rewire rate".into(),
-            "RLNC rounds".into(),
-            "RLNC ratio".into(),
-            "uncoded rounds".into(),
-            "uncoded ratio".into(),
-            "uncoded/RLNC".into(),
-        ]);
+    let n = scale.pick(32, 64);
+    // The square grid nearest the quick size is 6 × 6.
+    let grid_n = scale.pick(36, 64);
+    let k = 4;
+    let families = [
+        (Family::Ring, n),
+        (Family::GridSquare, grid_n),
+        (Family::RandomRegular, n),
+    ];
+    for (family, n) in families {
+        let graph = family.build(n, F9_SEED);
         // The first rate is 0: the static run every ratio divides by.
-        let mut base: Option<(f64, f64)> = None;
-        for rate in REWIRE_RATES {
+        let rows = REWIRE_RATES.map(|rate| {
             let schedule = if rate == 0.0 {
                 ChurnSchedule::None
             } else {
@@ -163,21 +153,14 @@ fn churn_rate_sweep(scale: Scale, md: &mut String) {
             };
             let rlnc = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
             let unc = median_dynamic_rounds(&graph, &schedule, DynProto::Uncoded, k, trials, seed);
-            let (b_rlnc, b_unc) = *base.get_or_insert((rlnc, unc));
-            t.row(vec![
-                format!("{rate:.2}"),
-                format!("{rlnc:.0}"),
-                format!("{:.2}", rlnc / b_rlnc),
-                format!("{unc:.0}"),
-                format!("{:.2}", unc / b_unc),
-                format!("{:.2}", unc / rlnc),
-            ]);
-        }
+            (format!("{rate:.2}"), rlnc, unc)
+        });
         let _ = writeln!(
             md,
-            "#### F9a {label} (n = {})\n\n{}",
+            "#### F9a {} (n = {})\n\n{}",
+            family.label(),
             graph.n(),
-            t.render_markdown()
+            ratio_table(["rewire rate"].into_iter().chain(RLNC_VS_UNCODED), rows)
         );
     }
 }
@@ -186,45 +169,27 @@ fn churn_rate_sweep(scale: Scale, md: &mut String) {
 fn partition_adversary(scale: Scale, md: &mut String) {
     let trials = scale.trials();
     let seed = F9_SEED ^ 0xB;
-    let n = match scale {
-        Scale::Quick => 24,
-        Scale::Full => 32,
-    };
-    let graph = builders::complete(n).expect("complete");
+    let n = scale.pick(24, 32);
+    let graph = Family::Complete.build(n, 0);
     let k = n; // all-to-all: the regime where the coupon tail bites
-    let blackouts: &[u64] = &[0, 2, 4, 8];
-    let mut t = TableBuilder::new(vec![
-        "blackout len".into(),
-        "RLNC rounds".into(),
-        "RLNC ratio".into(),
-        "uncoded rounds".into(),
-        "uncoded ratio".into(),
-        "uncoded/RLNC".into(),
-    ]);
-    let mut base: Option<(f64, f64)> = None;
-    for &cut in blackouts {
-        let schedule = if cut == 0 {
-            ChurnSchedule::None
-        } else {
-            // Healed 1 epoch, partitioned `cut` epochs, repeating.
-            ChurnSchedule::partition_heal(n / 2, 1, cut)
-        };
+
+    // Healed 1 epoch, partitioned `cut` epochs, repeating.
+    let blackout = |cut| {
+        let schedule = ChurnSchedule::partition_heal(n / 2, 1, cut);
+        (format!("{cut}/1"), schedule)
+    };
+    let schedules = [
+        ("static".to_string(), ChurnSchedule::None),
+        blackout(2),
+        blackout(4),
+        blackout(8),
+    ];
+    let rows = schedules.map(|(label, schedule)| {
         let rlnc = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
         let unc = median_dynamic_rounds(&graph, &schedule, DynProto::Uncoded, k, trials, seed);
-        let (b_rlnc, b_unc) = *base.get_or_insert((rlnc, unc));
-        t.row(vec![
-            if cut == 0 {
-                "static".into()
-            } else {
-                format!("{cut}/1")
-            },
-            format!("{rlnc:.0}"),
-            format!("{:.2}", rlnc / b_rlnc),
-            format!("{unc:.0}"),
-            format!("{:.2}", unc / b_unc),
-            format!("{:.2}", unc / rlnc),
-        ]);
-    }
+        (label, rlnc, unc)
+    });
+    let table = ratio_table(["blackout len"].into_iter().chain(RLNC_VS_UNCODED), rows);
     let _ = writeln!(
         md,
         "### F9b — adversarial partition/heal on K_{n} (k = n)\n\n\
@@ -238,8 +203,7 @@ fn partition_adversary(scale: Scale, md: &mut String) {
          `uncoded/RLNC` multiple behind at every severity: its\n\
          coupon-collector tail — the degradation that coding removes — is\n\
          what it keeps paying whether or not the adversary is active.\n\
-         {trials} trials/cell.\n\n{}",
-        t.render_markdown()
+         {trials} trials/cell.\n\n{table}"
     );
 }
 
@@ -247,46 +211,33 @@ fn partition_adversary(scale: Scale, md: &mut String) {
 fn bridge_and_recovery(scale: Scale, md: &mut String) {
     let trials = scale.trials();
     let seed = F9_SEED ^ 0xC;
-    let n = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 24,
-    };
+    let n = scale.pick(16, 24);
     let up = BRIDGE_UP;
-    let graph = builders::barbell(n).expect("barbell");
+    let graph = Family::Barbell.build(n, 0);
     let bridge = (n / 2 - 1, n / 2);
     let k = n;
-    let cuts: &[u64] = &[0, 2 * up, 8 * up];
-    let mut t = TableBuilder::new(vec![
-        format!("bridge cut (per {up} up)"),
-        "uniform AG rounds".into(),
-        "AG ratio".into(),
-        "TAG(B_RR) rounds".into(),
-        "TAG ratio".into(),
-        "TAG/AG".into(),
-    ]);
-    let mut base: Option<(f64, f64)> = None;
-    for &cut in cuts {
-        let schedule = if cut == 0 {
-            ChurnSchedule::None
-        } else {
-            ChurnSchedule::bridge_cut(bridge, up, cut)
-        };
+    let cut_for = |cut: u64| (cut.to_string(), ChurnSchedule::bridge_cut(bridge, up, cut));
+    let schedules = [
+        ("static".to_string(), ChurnSchedule::None),
+        cut_for(2 * up),
+        cut_for(8 * up),
+    ];
+    let rows = schedules.map(|(label, schedule)| {
         let ag = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
         let tag = median_dynamic_rounds(&graph, &schedule, DynProto::Tag, k, trials, seed);
-        let (b_ag, b_tag) = *base.get_or_insert((ag, tag));
-        t.row(vec![
-            if cut == 0 {
-                "static".into()
-            } else {
-                format!("{cut}")
-            },
-            format!("{ag:.0}"),
-            format!("{:.2}", ag / b_ag),
-            format!("{tag:.0}"),
-            format!("{:.2}", tag / b_tag),
-            format!("{:.2}", tag / ag),
-        ]);
-    }
+        (label, ag, tag)
+    });
+    let table = ratio_table(
+        [
+            format!("bridge cut (per {up} up)").as_str(),
+            "uniform AG rounds",
+            "AG ratio",
+            "TAG(B_RR) rounds",
+            "TAG ratio",
+            "TAG/AG",
+        ],
+        rows,
+    );
     let _ = writeln!(
         md,
         "### F9c — barbell bridge-cut adversary: uniform AG vs TAG\n\n\
@@ -300,52 +251,42 @@ fn bridge_and_recovery(scale: Scale, md: &mut String) {
          which is exactly the erosion claim: the static barbell is where\n\
          TAG's Θ(n) speedup lives, and a dynamic adversary takes that\n\
          regime away (TAG/AG drifts toward parity instead of the paper's\n\
-         n-fold separation). {trials} trials/cell.\n\n{}",
-        t.render_markdown()
+         n-fold separation). {trials} trials/cell.\n\n{table}"
     );
 
     // Crash-then-rewire recovery: stall statically, complete dynamically.
-    let star = builders::star(match scale {
-        Scale::Quick => 10,
-        Scale::Full => 16,
-    })
-    .expect("star");
+    let star = Family::Star.build(scale.pick(10, 16), 0);
     let cfg = AgConfig::new(3).with_placement(Placement::SingleSource(0));
     let plan = CrashPlan::explicit(vec![(0, 2)]);
     let budget = 3_000;
     let seeds = TrialPlan::new(1, seed ^ 0xD).seeds(0);
-    let (pseed, eseed) = (seeds.protocol, seeds.engine);
-    let inner = AlgebraicGossip::<Gf256>::new(&star, &cfg, pseed).expect("static");
+    // Both runs stall or finish under the same engine and stall budget.
+    let stall = EngineConfig::synchronous(seeds.engine).with_max_rounds(budget);
+    let inner = AlgebraicGossip::<Gf256>::new(&star, &cfg, seeds.protocol).expect("static");
     let mut static_run = WithCrashes::new(inner, plan.clone());
-    let s_static =
-        Engine::new(EngineConfig::synchronous(eseed).with_max_rounds(budget)).run(&mut static_run);
+    let s_static = Engine::new(stall).run(&mut static_run);
     let topo = ScheduledTopology::new(&star, ChurnSchedule::rewire(0.2, seed ^ 0xE));
-    let inner = AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, pseed).expect("dynamic");
+    let inner =
+        AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, seeds.protocol).expect("dynamic");
     let mut dynamic_run = WithCrashes::new(inner, plan);
-    let s_dynamic =
-        Engine::new(EngineConfig::synchronous(eseed).with_max_rounds(budget)).run(&mut dynamic_run);
+    let s_dynamic = Engine::new(stall).run(&mut dynamic_run);
     assert!(
         !s_static.completed && s_dynamic.completed,
         "crash-then-rewire recovery scenario regressed"
     );
-    let mut t = TableBuilder::new(vec![
-        "scenario".into(),
-        "completed".into(),
-        "rounds".into(),
-        "surviving ranks".into(),
-    ]);
+    let mut t = TableBuilder::new(["scenario", "completed", "rounds", "surviving ranks"]);
     fn rank_sum<T: Topology>(p: &WithCrashes<AlgebraicGossip<Gf256, T>>) -> String {
         let alive = p.survivors();
         let ranks: usize = alive.iter().map(|&v| p.inner().rank(v)).sum();
         format!("{ranks}/{}", alive.len() * 3)
     }
-    t.row(vec![
+    t.row([
         "static star, hub crash".into(),
         "no (stalled)".into(),
         format!("> {budget}"),
         rank_sum(&static_run),
     ]);
-    t.row(vec![
+    t.row([
         "rewire 0.2, hub crash".into(),
         "yes".into(),
         format!("{}", s_dynamic.rounds),
@@ -366,7 +307,7 @@ fn bridge_and_recovery(scale: Scale, md: &mut String) {
 
 /// Runs the F9 dynamic-topology suite.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
+pub fn run(scale: Scale) -> String {
     let mut md = String::new();
     let _ = writeln!(
         md,
@@ -382,9 +323,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
     churn_rate_sweep(scale, &mut md);
     partition_adversary(scale, &mut md);
     bridge_and_recovery(scale, &mut md);
-    ExperimentReport {
-        id: "F9",
-        title: "Dynamic topologies: churn sweeps, adversarial schedules, recovery",
-        markdown: md,
-    }
+    md
 }

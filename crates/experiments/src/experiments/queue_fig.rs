@@ -11,15 +11,12 @@ use algebraic_gossip::TrialPlan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::common::{ExperimentReport, Scale};
+use crate::common::Scale;
 
 /// Runs the queueing-reduction experiments.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
-    let trials: u64 = match scale {
-        Scale::Quick => 600,
-        Scale::Full => 3000,
-    };
+pub fn run(scale: Scale) -> String {
+    let trials: u64 = scale.pick(600, 3000);
     // Queueing drains are plain sampling functions (no RunSpec), so every
     // series runs through a TrialPlan's map(): one fresh, centrally
     // derived rng per trial, executed in parallel, collected in order.
@@ -49,13 +46,13 @@ pub fn run(scale: Scale) -> ExperimentReport {
     let x_jack = sample(0xF1_04, trials, &|rng| jackson.stopping_time(rng));
 
     let crit = ks_critical_5pct(trials as usize, trials as usize);
-    let mut t = TableBuilder::new(vec![
-        "dominance link (X ⪯ Y)".into(),
-        "mean X".into(),
-        "mean Y".into(),
-        "KS violation".into(),
-        "5% critical".into(),
-        "holds".into(),
+    let mut t = TableBuilder::new([
+        "dominance link (X ⪯ Y)",
+        "mean X",
+        "mean Y",
+        "KS violation",
+        "5% critical",
+        "holds",
     ]);
     for (name, x, y) in [
         ("Q^tree ⪯ Q^line", &x_tree, &x_line),
@@ -63,8 +60,8 @@ pub fn run(scale: Scale) -> ExperimentReport {
         ("Q̂^line ⪯ Jackson(λ=μ/2)", &x_tail, &x_jack),
     ] {
         let v = dominance_violation(x, y);
-        t.row(vec![
-            name.into(),
+        t.row([
+            name.to_string(),
             format!("{:.1}", Summary::of(x).mean()),
             format!("{:.1}", Summary::of(y).mean()),
             format!("{v:.4}"),
@@ -79,7 +76,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- F2: Theorem 2 scaling: drain time linear in k and in l_max. ---
-    let mut t = TableBuilder::new(vec!["k".into(), "mean drain (l=6)".into()]);
+    let mut t = TableBuilder::new(["k", "mean drain (l=6)"]);
     let mut pts_k = Vec::new();
     for k in [5usize, 10, 20, 40] {
         let sys = LineSystem::all_at_tail(6, k, 1.0);
@@ -88,7 +85,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
         });
         let m = Summary::of(&draws).mean();
         pts_k.push((k as f64, m));
-        t.row(vec![k.to_string(), format!("{m:.1}")]);
+        t.row([k.to_string(), format!("{m:.1}")]);
     }
     let fit_k = linear_fit(&pts_k);
     let _ = writeln!(
@@ -99,7 +96,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
         t.render_markdown()
     );
 
-    let mut t = TableBuilder::new(vec!["l_max".into(), "mean drain (k=10)".into()]);
+    let mut t = TableBuilder::new(["l_max", "mean drain (k=10)"]);
     let mut pts_l = Vec::new();
     for l in [2usize, 4, 8, 16, 32] {
         let sys = LineSystem::all_at_tail(l, 10, 1.0);
@@ -108,7 +105,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
         });
         let m = Summary::of(&draws).mean();
         pts_l.push((l as f64, m));
-        t.row(vec![l.to_string(), format!("{m:.1}")]);
+        t.row([l.to_string(), format!("{m:.1}")]);
     }
     let fit_l = linear_fit(&pts_l);
     let _ = writeln!(
@@ -138,10 +135,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "### F2(c) Theorem 2 at the gossip rate μ = 1/(2nΔ)\n\nBound {bound:.0} timeslots; violations {violations}/{} (allowed ≈ 2/n²).\n",
         times.len()
     );
-
-    ExperimentReport {
-        id: "F1/F2",
-        title: "Figure 1 & Theorem 2 — queueing reduction",
-        markdown: md,
-    }
+    md
 }

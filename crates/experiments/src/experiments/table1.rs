@@ -12,63 +12,47 @@ use std::fmt::Write as _;
 
 use ag_analysis::{linear_fit, tag_bound, uniform_ag_bound, TableBuilder};
 use ag_gf::Gf256;
-use ag_graph::{builders, Graph};
-use ag_sim::{EngineConfig, TimeModel};
+use ag_sim::TimeModel::{Asynchronous, Synchronous};
 use algebraic_gossip::{measure_tree_protocol, BroadcastTree, CommModel, ProtocolKind};
 
-use crate::common::{median_rounds_protocol, ExperimentReport, Scale};
+use crate::common::{engine, median_rounds, run_spec, Family, Scale, Sweep};
 
-fn families(n: usize) -> Vec<(&'static str, Graph)> {
-    vec![
-        ("path", builders::path(n).unwrap()),
-        ("grid", builders::grid(4, n / 4).unwrap()),
-        ("binary tree", builders::binary_tree(n).unwrap()),
-        ("barbell", builders::barbell(n).unwrap()),
-        ("complete", builders::complete(n).unwrap()),
-    ]
-}
+/// The "any graph" rows of Table 1.
+const FAMILIES: [Family; 5] = [
+    Family::Path,
+    Family::GridStrip,
+    Family::BinaryTree,
+    Family::Barbell,
+    Family::Complete,
+];
 
 /// Runs the full Table 1 validation.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
-    let n = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 32,
-    };
+pub fn run(scale: Scale) -> String {
+    let n = scale.pick(16, 32);
     let trials = scale.trials();
     let mut md = String::new();
 
     // ---- Row 1: uniform AG on any graph, both time models. -------------
     let k = n / 2;
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "D".into(),
-        "Δ".into(),
-        "sync rounds".into(),
-        "async rounds".into(),
-        "bound".into(),
-        "sync/bound".into(),
+    let sync_spec = run_spec(ProtocolKind::UniformAg, k, Synchronous);
+    let async_spec = run_spec(ProtocolKind::UniformAg, k, Asynchronous);
+    let mut t = TableBuilder::new([
+        "graph",
+        "D",
+        "Δ",
+        "sync rounds",
+        "async rounds",
+        "bound",
+        "sync/bound",
     ]);
-    for (name, g) in families(n) {
-        let sync = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UniformAg,
-            k,
-            TimeModel::Synchronous,
-            trials,
-            101,
-        );
-        let asyn = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UniformAg,
-            k,
-            TimeModel::Asynchronous,
-            trials,
-            102,
-        );
+    for family in FAMILIES {
+        let g = family.build(n, 0);
+        let sync = median_rounds::<Gf256>(&g, &sync_spec, trials, 101);
+        let asyn = median_rounds::<Gf256>(&g, &async_spec, trials, 102);
         let bound = uniform_ag_bound(k, g.n(), g.diameter(), g.max_degree());
-        t.row(vec![
-            name.into(),
+        t.row([
+            family.label().to_string(),
             g.diameter().to_string(),
             g.max_degree().to_string(),
             format!("{sync:.0}"),
@@ -86,64 +70,41 @@ pub fn run(scale: Scale) -> ExperimentReport {
     // ---- Row 2: Θ(k + D) on constant-max-degree graphs. ----------------
     // Sweep k on the path and fit rounds = a + b·(k + D): order-optimality
     // shows up as a good linear fit with a moderate slope.
-    let g = builders::path(n).unwrap();
+    let g = Family::Path.build(n, 0);
     let d = f64::from(g.diameter());
     // Sweep k well past D so the k-term dominates the fit.
-    let ks: Vec<usize> = vec![2, n / 2, n, 2 * n, 4 * n];
-    let mut pts = Vec::new();
-    let mut t = TableBuilder::new(vec!["k".into(), "k+D".into(), "sync rounds".into()]);
-    for &kk in &ks {
-        let r = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UniformAg,
-            kk,
-            TimeModel::Synchronous,
-            trials,
-            103,
-        );
-        pts.push((kk as f64 + d, r));
-        t.row(vec![
-            kk.to_string(),
-            format!("{:.0}", kk as f64 + d),
-            format!("{r:.0}"),
-        ]);
-    }
-    let fit = linear_fit(&pts);
+    let ks = [2, n / 2, n, 2 * n, 4 * n];
+    let sweep = Sweep::measure(&ks, &[Synchronous], |k, &time| {
+        let spec = run_spec(ProtocolKind::UniformAg, k, time);
+        median_rounds::<Gf256>(&g, &spec, trials, 103)
+    });
+    let points: Vec<(f64, f64)> = sweep.points(0).iter().map(|&(k, r)| (k + d, r)).collect();
+    let fit = linear_fit(&points);
     let _ = writeln!(
         md,
         "### T1.2 Constant max degree: `Θ(k + D)` (path, n = {n})\n\nFit: rounds ≈ {:.2}·(k+D) + {:.1}, R² = {:.3}\n\n{}",
         fit.slope,
         fit.intercept,
         fit.r_squared,
-        t.render_markdown()
+        sweep.table_with(["k", "k+D", "sync rounds"], |k, row| vec![
+            format!("{:.0}", k as f64 + d),
+            format!("{:.0}", row[0]),
+        ])
     );
 
     // ---- Row 3: TAG bound O(k + log n + d(S) + t(S)). ------------------
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "t(S) BRR".into(),
-        "d(S)".into(),
-        "TAG rounds".into(),
-        "bound".into(),
-        "ratio".into(),
-    ]);
-    for (name, g) in families(n) {
+    let tag_spec = run_spec(ProtocolKind::TagBrr(0), k, Synchronous);
+    let mut t = TableBuilder::new(["graph", "t(S) BRR", "d(S)", "TAG rounds", "bound", "ratio"]);
+    for family in FAMILIES {
+        let g = family.build(n, 0);
         let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 11).unwrap();
-        let (tstats, tree) =
-            measure_tree_protocol(brr, EngineConfig::synchronous(11).with_max_rounds(100_000));
+        let (tstats, tree) = measure_tree_protocol(brr, engine(Synchronous, 11));
         let tree = tree.expect("BRR completes");
-        let rounds = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::TagBrr(0),
-            k,
-            TimeModel::Synchronous,
-            trials,
-            104,
-        );
+        let rounds = median_rounds::<Gf256>(&g, &tag_spec, trials, 104);
         // TAG runs Phase 1 on alternate wakeups: charge 2·t(S).
         let bound = tag_bound(k, g.n(), tree.tree_diameter(), 2.0 * tstats.rounds as f64);
-        t.row(vec![
-            name.into(),
+        t.row([
+            family.label().to_string(),
             tstats.rounds.to_string(),
             tree.tree_diameter().to_string(),
             format!("{rounds:.0}"),
@@ -158,71 +119,39 @@ pub fn run(scale: Scale) -> ExperimentReport {
     );
 
     // ---- Row 4: k = Ω(n) ⇒ TAG+BRR = Θ(n) on any graph. ----------------
-    let ns: Vec<usize> = match scale {
-        Scale::Quick => vec![12, 24, 48],
-        Scale::Full => vec![16, 32, 64, 128],
-    };
-    let mut t = TableBuilder::new(vec![
-        "n".into(),
-        "path t/n".into(),
-        "barbell t/n".into(),
-        "complete t/n".into(),
-    ]);
-    for &nn in &ns {
-        let mut row = vec![nn.to_string()];
-        for g in [
-            builders::path(nn).unwrap(),
-            builders::barbell(nn).unwrap(),
-            builders::complete(nn).unwrap(),
-        ] {
-            let r = median_rounds_protocol::<Gf256>(
-                &g,
-                ProtocolKind::TagBrr(0),
-                nn, // k = n
-                TimeModel::Synchronous,
-                trials,
-                105,
-            );
-            row.push(format!("{:.2}", r / nn as f64));
-        }
-        t.row(row);
-    }
+    let ns: &[usize] = scale.pick(&[12, 24, 48], &[16, 32, 64, 128]);
+    let families = [Family::Path, Family::Barbell, Family::Complete];
+    let sweep = Sweep::measure(ns, &families, |n, family| {
+        let spec = run_spec(ProtocolKind::TagBrr(0), n, Synchronous); // k = n
+        median_rounds::<Gf256>(&family.build(n, 0), &spec, trials, 105)
+    });
     let _ = writeln!(
         md,
         "### T1.4 `k = Ω(n)` ⇒ TAG+B_RR finishes in `Θ(n)` on any graph\n\n{}",
-        t.render_markdown()
+        sweep.table_with(
+            ["n", "path t/n", "barbell t/n", "complete t/n"],
+            |n, row| row.iter().map(|r| format!("{:.2}", r / n as f64)).collect()
+        )
     );
 
     // ---- Row 5: large weak conductance, k = Ω(polylog) ⇒ Θ(k). ---------
-    let mut t = TableBuilder::new(vec![
-        "n".into(),
-        "k=⌈log²n⌉".into(),
-        "oracle t(IS)".into(),
-        "TAG+oracle t/k".into(),
-        "TAG+IS t/k (facsimile)".into(),
+    let mut t = TableBuilder::new([
+        "n",
+        "k=⌈log²n⌉",
+        "oracle t(IS)",
+        "TAG+oracle t/k",
+        "TAG+IS t/k (facsimile)",
     ]);
-    for &nn in &ns {
-        let g = builders::barbell(nn).unwrap();
+    for &nn in ns {
+        let g = Family::Barbell.build(nn, 0);
         let lg = (nn as f64).log2();
         let kk = (lg * lg).ceil() as usize;
         let t_is = lg.ceil() as u64; // [5]: O(c(log n/Φ_c + c)), c=2, Φ_2=Θ(1)
-        let oracle = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::TagOracle(0, t_is),
-            kk,
-            TimeModel::Synchronous,
-            trials,
-            106,
-        );
-        let is = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::TagIs(0),
-            kk,
-            TimeModel::Synchronous,
-            trials,
-            107,
-        );
-        t.row(vec![
+        let oracle_spec = run_spec(ProtocolKind::TagOracle(0, t_is), kk, Synchronous);
+        let oracle = median_rounds::<Gf256>(&g, &oracle_spec, trials, 106);
+        let is_spec = run_spec(ProtocolKind::TagIs(0), kk, Synchronous);
+        let is = median_rounds::<Gf256>(&g, &is_spec, trials, 107);
+        t.row([
             nn.to_string(),
             kk.to_string(),
             t_is.to_string(),
@@ -235,10 +164,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "### T1.5 Weak conductance: `Θ(k)` with the IS bound (barbell)\n\nThe oracle charges Phase 1 the `O(c(log n/Φ_c + c))` rounds of [5]; the\nconcrete facsimile (no polylog machinery) is honestly Θ(n) — see DESIGN.md §4.\n\n{}",
         t.render_markdown()
     );
-
-    ExperimentReport {
-        id: "T1",
-        title: "Table 1 — main stopping-time results",
-        markdown: md,
-    }
+    md
 }

@@ -5,41 +5,27 @@ use std::fmt::Write as _;
 
 use ag_analysis::{uniform_ag_bound, Table2Family, TableBuilder};
 use ag_gf::Gf256;
-use ag_graph::builders;
 use ag_sim::TimeModel;
 use algebraic_gossip::ProtocolKind;
 
-use crate::common::{median_rounds_protocol, ExperimentReport, Scale};
-
-fn instance(family: Table2Family, n: usize) -> ag_graph::Graph {
-    match family {
-        Table2Family::Line => builders::path(n).unwrap(),
-        Table2Family::Grid => {
-            let side = (n as f64).sqrt().round() as usize;
-            builders::grid(side, side).unwrap()
-        }
-        Table2Family::BinaryTree => builders::binary_tree(n).unwrap(),
-    }
-}
+use crate::common::{median_rounds, run_spec, Family, Scale};
 
 /// Runs the Table 2 comparison.
 #[must_use]
-pub fn run(scale: Scale) -> ExperimentReport {
-    let (n_measure, n_formula) = match scale {
-        Scale::Quick => (36, 1 << 12),
-        Scale::Full => (64, 1 << 16),
-    };
+pub fn run(scale: Scale) -> String {
+    let n_measure = scale.pick(36, 64);
+    let n_formula = scale.pick(1 << 12, 1 << 16);
     let trials = scale.trials();
     let mut md = String::new();
 
     // Formula comparison at large n (the table as printed in the paper).
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "k".into(),
-        "Haeupler [13]".into(),
-        "this paper".into(),
-        "improvement".into(),
-        "paper predicts".into(),
+    let mut t = TableBuilder::new([
+        "graph",
+        "k",
+        "Haeupler [13]",
+        "this paper",
+        "improvement",
+        "paper predicts",
     ]);
     let ln2 = (n_formula as f64).ln().powi(2);
     for family in Table2Family::all() {
@@ -53,8 +39,7 @@ pub fn run(scale: Scale) -> ExperimentReport {
         let h = family.haeupler_column(k, n_formula);
         let ours = family.our_column(k, n_formula);
         let predicted = match family {
-            Table2Family::Line => format!("log²n = {ln2:.0}"),
-            Table2Family::Grid => format!("log²n = {ln2:.0}"),
+            Table2Family::Line | Table2Family::Grid => format!("log²n = {ln2:.0}"),
             Table2Family::BinaryTree => {
                 format!(
                     "Ω(n·ln n/k) = {:.0}",
@@ -62,8 +47,8 @@ pub fn run(scale: Scale) -> ExperimentReport {
                 )
             }
         };
-        t.row(vec![
-            family.name().into(),
+        t.row([
+            family.name().to_string(),
             k.to_string(),
             format!("{h:.3e}"),
             format!("{ours:.3e}"),
@@ -80,34 +65,29 @@ pub fn run(scale: Scale) -> ExperimentReport {
     // Measured uniform AG vs both bounds at simulation scale, with the
     // graph quantities computed exactly: γ via Stoer–Wagner min cut, λ via
     // the BFS-sweep conductance estimate.
-    let mut t = TableBuilder::new(vec![
-        "graph".into(),
-        "n".into(),
-        "k".into(),
-        "γ (min cut)".into(),
-        "λ (sweep est.)".into(),
-        "measured sync".into(),
-        "our bound".into(),
-        "Haeupler bound".into(),
-        "meas/ours".into(),
+    let mut t = TableBuilder::new([
+        "graph",
+        "n",
+        "k",
+        "γ (min cut)",
+        "λ (sweep est.)",
+        "measured sync",
+        "our bound",
+        "Haeupler bound",
+        "meas/ours",
     ]);
-    for family in Table2Family::all() {
-        let g = instance(family, n_measure);
+    let graphs = [Family::Path, Family::GridSquare, Family::BinaryTree];
+    for (family, graph) in Table2Family::all().into_iter().zip(graphs) {
+        let g = graph.build(n_measure, 0);
         let k = (g.n() / 2).max(2);
         let gamma = ag_graph::metrics::global_min_cut(&g);
         let lambda = ag_graph::metrics::conductance_upper_bound(&g);
-        let measured = median_rounds_protocol::<Gf256>(
-            &g,
-            ProtocolKind::UniformAg,
-            k,
-            TimeModel::Synchronous,
-            trials,
-            201,
-        );
+        let spec = run_spec(ProtocolKind::UniformAg, k, TimeModel::Synchronous);
+        let measured = median_rounds::<Gf256>(&g, &spec, trials, 201);
         let bound = uniform_ag_bound(k, g.n(), g.diameter(), g.max_degree());
         let haeupler = ag_analysis::haeupler_bound(k, g.n(), gamma as f64, lambda);
-        t.row(vec![
-            family.name().into(),
+        t.row([
+            family.name().to_string(),
             g.n().to_string(),
             k.to_string(),
             gamma.to_string(),
@@ -126,17 +106,12 @@ pub fn run(scale: Scale) -> ExperimentReport {
 
     // Improvement factor growth across n for the line (should track
     // log² n): the shape of Table 2's "Improvement factor" column.
-    let mut t = TableBuilder::new(vec![
-        "n".into(),
-        "improvement (line)".into(),
-        "log²n".into(),
-        "ratio".into(),
-    ]);
+    let mut t = TableBuilder::new(["n", "improvement (line)", "log²n", "ratio"]);
     for exp in [8u32, 10, 12, 14, 16] {
         let n = 1usize << exp;
         let imp = Table2Family::Line.improvement_factor(n / 4, n);
         let l2 = (n as f64).ln().powi(2);
-        t.row(vec![
+        t.row([
             n.to_string(),
             format!("{imp:.0}"),
             format!("{l2:.0}"),
@@ -148,10 +123,5 @@ pub fn run(scale: Scale) -> ExperimentReport {
         "### T2(c) Improvement factor growth (line, k = n/4)\n\n{}",
         t.render_markdown()
     );
-
-    ExperimentReport {
-        id: "T2",
-        title: "Table 2 — comparison with Haeupler's bound",
-        markdown: md,
-    }
+    md
 }

@@ -65,9 +65,8 @@ fn main() {
          ({} trials/cell)\n",
         trials
     );
-    let mut header = vec!["graph".to_string(), "D".into(), "Δ".into()];
-    header.extend(protocols.iter().map(|(name, _)| (*name).to_string()));
-    let mut table = TableBuilder::new(header);
+    let header = ["graph", "D", "Δ"].into_iter();
+    let mut table = TableBuilder::new(header.chain(protocols.iter().map(|(name, _)| *name)));
     for (name, graph) in &families {
         let mut row = vec![
             (*name).to_string(),
@@ -82,7 +81,7 @@ fn main() {
         }
         table.row(row);
     }
-    println!("{}", table.render());
+    println!("{}", table.render_markdown());
     println!("note: TAG+oracle charges the oracle only ~2·3 rounds of Phase 1;");
     println!("      it models a spanning-tree service with the bound of [5].");
 }
