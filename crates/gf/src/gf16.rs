@@ -7,7 +7,6 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use crate::field::Field;
-use crate::kernel::{select, KernelField, Rung};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁴ + x + 1 (0b1_0011), primitive over GF(2).
@@ -78,12 +77,6 @@ fn carryless_mod(a: u16, b: u16) -> u8 {
     (prod & 0xF) as u8
 }
 
-/// The 16-entry product row for multiplier `c` — the reference kernel's
-/// per-`c` table (`crate::reference::gf16_mul_add_slice`).
-pub(crate) fn mul_row(c: u8) -> &'static [u8; 16] {
-    &tables().mul[(c & 0xF) as usize]
-}
-
 impl Gf16 {
     /// Creates an element from the low nibble of `v`.
     #[must_use]
@@ -140,19 +133,34 @@ impl SlabField for Gf16 {
         xor_slice(src, dst);
     }
 
+    // One kernel at every row length: a load from the multiplier's 16-entry
+    // product row per byte. It reads only the low nibble of a byte; the 0
+    // and 1 fast paths look at no byte at all, so a dirty high nibble
+    // survives `c = 1` (rows are canonicalised where they enter a basis).
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        match select(dst.len(), KernelField::Gf16) {
-            Rung::Reference => crate::reference::gf16_mul_slice(c.0, dst),
-            Rung::Wide => crate::wide::gf16_mul_slice(c.0, dst),
-            Rung::Simd => crate::simd::gf16_mul_slice(c.0, dst),
+        match c.0 {
+            1 => {}
+            0 => dst.fill(0),
+            _ => {
+                let row = &tables().mul[c.0 as usize];
+                for d in dst {
+                    *d = row[(*d & 0xF) as usize];
+                }
+            }
         }
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match select(dst.len(), KernelField::Gf16) {
-            Rung::Reference => crate::reference::gf16_mul_add_slice(c.0, src, dst),
-            Rung::Wide => crate::wide::gf16_mul_add_slice(c.0, src, dst),
-            Rung::Simd => crate::simd::gf16_mul_add_slice(c.0, src, dst),
+        assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
+        match c.0 {
+            0 => {}
+            1 => xor_slice(src, dst),
+            _ => {
+                let row = &tables().mul[c.0 as usize];
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d ^= row[(*s & 0xF) as usize];
+                }
+            }
         }
     }
 }
@@ -245,6 +253,34 @@ mod tests {
         assert_eq!(Gf16::new(3) * Gf16::new(6), Gf16::new(10));
         // x^3 * x = x^4 = x + 1 -> 8 * 2 = 3
         assert_eq!(Gf16::new(8) * Gf16::new(2), Gf16::new(3));
+    }
+
+    #[test]
+    fn slab_kernel_matches_scalar_field_ops() {
+        let src: Vec<u8> = (0..16u8).collect();
+        for c in (0..16u8).map(Gf16::new) {
+            let mut axpy = vec![0x05; 16];
+            Gf16::mul_add_slice(c, &src, &mut axpy);
+            let mut mul = src.clone();
+            Gf16::mul_slice(c, &mut mul);
+            for (i, &s) in src.iter().enumerate() {
+                let prod = (c * Gf16::new(s)).value();
+                assert_eq!(axpy[i], 0x05 ^ prod, "axpy c={c} i={i}");
+                assert_eq!(mul[i], prod, "mul c={c} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn slab_kernel_masks_noncanonical_high_nibbles() {
+        let src = [0xF3u8, 0x2A];
+        let mut dst = [0u8; 2];
+        Gf16::mul_add_slice(Gf16::new(2), &src, &mut dst);
+        assert_eq!(dst[0], (Gf16::new(2) * Gf16::new(3)).value());
+        assert_eq!(dst[1], (Gf16::new(2) * Gf16::new(0xA)).value());
+        let mut one = [0xF3u8, 0x2A];
+        Gf16::mul_slice(Gf16::ONE, &mut one);
+        assert_eq!(one, [0xF3, 0x2A], "c = 1 rewrites nothing");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::OnceLock;
 use rand::Rng;
 
 use crate::field::Field;
-use crate::kernel::{select, KernelField, Rung};
+use crate::kernel::use_simd;
 use crate::slab::{self, xor_slice, SlabField};
 
 /// Reduction polynomial x⁸ + x⁴ + x³ + x + 1 (0x11B, the AES polynomial).
@@ -158,41 +158,46 @@ impl SlabField for Gf256 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        match select(dst.len(), KernelField::Gf256) {
-            Rung::Simd => crate::simd::gf256_mul_slice(c.0, dst),
-            _ => crate::reference::gf256_mul_slice(c.0, dst),
+        if use_simd(dst.len()) {
+            crate::simd::gf256_mul_slice(c.0, dst);
+        } else {
+            crate::reference::gf256_mul_slice(c.0, dst);
         }
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        match select(dst.len(), KernelField::Gf256) {
-            Rung::Simd => crate::simd::gf256_mul_add_slice(c.0, src, dst),
-            _ => crate::reference::gf256_mul_add_slice(c.0, src, dst),
+        if use_simd(dst.len()) {
+            crate::simd::gf256_mul_add_slice(c.0, src, dst);
+        } else {
+            crate::reference::gf256_mul_add_slice(c.0, src, dst);
         }
     }
 
     // The three fused operations exist as kernels only in `crate::simd`
-    // (which keeps the loop below for the levels that have none). On the
-    // reference rung they are that loop over the product-table axpy, named
+    // (which keeps the loop below for the levels that have none). Where the
+    // rule says no they are that loop over the product-table axpy, named
     // directly so the rule is read once per call, not once per row.
     fn mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        match select(dst.len(), KernelField::Gf256) {
-            Rung::Simd => crate::simd::gf256_mul_add_multi(factors, srcs, dst),
-            _ => slab::multi_by_axpy::<Self>(factors, srcs, dst, reference_axpy),
+        if use_simd(dst.len()) {
+            crate::simd::gf256_mul_add_multi(factors, srcs, dst);
+        } else {
+            slab::multi_by_axpy::<Self>(factors, srcs, dst, reference_axpy);
         }
     }
 
     fn mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes: usize) {
-        match select(row_bytes, KernelField::Gf256) {
-            Rung::Simd => crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes),
-            _ => slab::block_by_multi::<Self>(coefs, srcs, dsts, row_bytes, Self::mul_add_multi),
+        if use_simd(row_bytes) {
+            crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes);
+        } else {
+            slab::block_by_multi::<Self>(coefs, srcs, dsts, row_bytes, Self::mul_add_multi);
         }
     }
 
     fn mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        match select(src.len(), KernelField::Gf256) {
-            Rung::Simd => crate::simd::gf256_mul_add_scatter(factors, src, dsts),
-            _ => slab::scatter_by_axpy::<Self>(factors, src, dsts, reference_axpy),
+        if use_simd(src.len()) {
+            crate::simd::gf256_mul_add_scatter(factors, src, dsts);
+        } else {
+            slab::scatter_by_axpy::<Self>(factors, src, dsts, reference_axpy);
         }
     }
 

@@ -15,13 +15,12 @@
 //! * [`Fp`] — prime fields GF(p) for any prime `p < 2³²`,
 //! * [`SlabField`] — bulk row arithmetic over packed byte slabs (the
 //!   [`slab`] module), which is what the decoder and recoder hot paths use,
-//! * three bit-identical GF(2⁸)/GF(2⁴) kernel modules behind it — the
-//!   product-table path ([`mod@reference`]), portable SWAR split-nibble `u64`
-//!   kernels ([`wide`]) and runtime-detected x86-64 SIMD
-//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the field,
-//!   the row length and the CPU by the one rule in [`kernel`]: with GFNI,
-//!   GF(2⁸) rows of every length multiply in hardware; anywhere else rows
-//!   under 64 bytes index the product tables.
+//! * two bit-identical GF(2⁸) kernel modules behind it — the product-table
+//!   path ([`mod@reference`]) and runtime-detected x86-64 SIMD
+//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the row length
+//!   and the CPU by the one rule in [`kernel`]: with GFNI, rows of every
+//!   length multiply in hardware; anywhere else rows under 64 bytes index
+//!   the product tables. Every other field has one kernel.
 //!
 //! # Choosing a field
 //!
@@ -34,9 +33,10 @@
 //! `ag-rlnc`; in-memory slabs here store one byte per symbol regardless)
 //! and its slabs are pure XOR, but a random combination is redundant with
 //! probability `1/2`, so more rounds are needed — it is the paper's worst
-//! case, kept for fidelity. [`Gf16`] sits between the two.
-//! [`Gf65536`] and [`Fp`] exist for the field-size ablation and run on the
-//! scalar slab fallback; do not pick them for throughput.
+//! case, kept for fidelity. [`Gf16`] sits between the two in `1/q` and is an
+//! ablation point like [`Gf65536`] and [`Fp`]: a product-table load per
+//! byte for the one, the scalar slab fallback for the others; do not pick
+//! them for throughput.
 //!
 //! # Examples
 //!
@@ -86,7 +86,6 @@ pub mod reference;
 pub mod simd;
 pub mod slab;
 pub mod symbols;
-pub mod wide;
 
 pub use field::Field;
 pub use fp::{Fp, F13, F257, F65537, F7};

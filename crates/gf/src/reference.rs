@@ -1,24 +1,24 @@
-//! The product-table slab kernels.
+//! The GF(2⁸) product-table slab kernels.
 //!
 //! Byte-at-a-time kernels: one product-table row per multiplier, one
 //! bounds-elided load plus an XOR per byte. They do two jobs:
 //!
 //! 1. **Production** — where the alternative builds nibble tables per
-//!    multiplier, indexing a prebuilt table wins on short rows: GF(2⁴) rows
-//!    shorter than [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run
-//!    here on every CPU, and so do GF(2⁸) rows that short on a CPU whose
-//!    SIMD is `PSHUFB`, the bytes a `PSHUFB` kernel leaves after its last
-//!    whole vector, and every GF(2⁸) row on a CPU without SIMD. A GFNI CPU
-//!    multiplies GF(2⁸) without tables, so there these are the GF(2⁸)
-//!    kernel of no row at all, short or long (see [`crate::kernel`]).
+//!    multiplier, indexing a prebuilt table wins on short rows: on a CPU
+//!    whose SIMD is `PSHUFB`, rows shorter than
+//!    [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run here, and so
+//!    do the bytes a `PSHUFB` kernel leaves after its last whole vector,
+//!    and every row on a CPU without SIMD. A GFNI CPU multiplies without
+//!    tables, so there these are the kernel of no row at all, short or
+//!    long (see [`crate::kernel`]).
 //! 2. **Differential testing** — the `proptest_kernels` suite replays every
-//!    geometry through these kernels, [`crate::wide`] and [`crate::simd`]
-//!    and asserts bit-identical output.
+//!    geometry through these kernels and [`crate::simd`] and asserts
+//!    bit-identical output.
 //!
 //! Why the module is public: job 1. It is the shipped kernel of every CPU
 //! below GFNI, so it is library code and cannot move to `tests/`; and the
 //! suites of job 2 are integration tests, outside the crate, which reach
-//! the three kernel modules by name to compare them. Were GF(2⁸) ever
+//! both kernel modules by name to compare them. Were GF(2⁸) ever
 //! table-free everywhere, this would become a test oracle and leave `src/`
 //! as `ag_linalg::Matrix` did.
 //!
@@ -63,45 +63,10 @@ pub fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// `dst[i] = c · dst[i]` over GF(2⁴) (one symbol per byte, low nibble).
-pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    let row = crate::gf16::mul_row(c);
-    for d in dst.iter_mut() {
-        *d = row[(*d & 0xF) as usize];
-    }
-}
-
-/// `dst[i] ^= c · src[i]` over GF(2⁴).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
-    if c == 0 {
-        return;
-    }
-    if c == 1 {
-        xor_slice(src, dst);
-        return;
-    }
-    let row = crate::gf16::mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= row[(*s & 0xF) as usize];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field, Gf16, Gf256};
+    use crate::Gf256;
 
     #[test]
     fn gf256_kernels_match_scalar_field_ops() {
@@ -120,33 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn gf16_kernels_match_scalar_field_ops() {
-        let src: Vec<u8> = (0..16u8).collect();
-        for c in 0..16u8 {
-            let mut axpy = vec![0x05; 16];
-            gf16_mul_add_slice(c, &src, &mut axpy);
-            let mut mul = src.clone();
-            gf16_mul_slice(c, &mut mul);
-            for (i, &s) in src.iter().enumerate() {
-                let prod = (Gf16::new(c) * Gf16::new(s)).value();
-                assert_eq!(axpy[i], 0x05 ^ prod, "axpy c={c} i={i}");
-                assert_eq!(mul[i], prod, "mul c={c} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn gf16_kernels_mask_noncanonical_high_nibbles() {
-        // These kernels read only the low nibble of each source byte; the
-        // wide and SIMD kernels must match (pinned by proptest_kernels).
-        let src = [0xF3u8, 0x2A];
-        let mut dst = [0u8; 2];
-        gf16_mul_add_slice(2, &src, &mut dst);
-        assert_eq!(dst[0], (Gf16::new(2) * Gf16::new(3)).value());
-        assert_eq!(dst[1], (Gf16::new(2) * Gf16::new(0xA)).value());
-    }
-
-    #[test]
     fn identity_and_annihilator_fast_paths() {
         let src = [7u8, 9];
         let mut dst = [1u8, 2];
@@ -158,8 +96,7 @@ mod tests {
         gf256_mul_slice(0, &mut z);
         assert_eq!(z, [0, 0]);
         let mut one = [3u8, 4];
-        gf16_mul_slice(1, &mut one);
+        gf256_mul_slice(1, &mut one);
         assert_eq!(one, [3, 4]);
-        let _ = Gf256::ONE; // silence unused-import lint paths in cfg(test)
     }
 }

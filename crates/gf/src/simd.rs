@@ -1,13 +1,15 @@
 //! The hardware kernels: `PSHUFB` / `GF2P8MULB` slabs.
 //!
-//! Two x86-64 instructions multiply a whole register of bytes by one field
-//! constant. `PSHUFB` applies the split-nibble decomposition of
-//! [`crate::wide`] — `c·b = LO[b & 0xF] ^ HI[b >> 4]` — as sixteen (SSSE3)
-//! or thirty-two (AVX2) parallel 16-entry table lookups, and serves GF(2⁸)
-//! and GF(2⁴). `GF2P8MULB` (GFNI; 32 bytes with AVX2, 64 with AVX-512)
-//! multiplies bytes directly in GF(2⁸) modulo `x⁸+x⁴+x³+x+1` (0x11B) —
-//! exactly the polynomial [`crate::Gf256`] is built on, so the instruction
-//! *is* the field and no call builds or reads a table.
+//! Two x86-64 instructions multiply a whole register of GF(2⁸) bytes by one
+//! field constant. Multiplication by a fixed `c` is GF(2)-linear in the
+//! operand, so a product splits along the operand's nibbles, `c·b = LO[b &
+//! 0xF] ^ HI[b >> 4]` with `LO[x] = c·x` and `HI[x] = c·(x << 4)`, and
+//! `PSHUFB` applies that pair of per-multiplier tables as sixteen (SSSE3)
+//! or thirty-two (AVX2) parallel 16-entry lookups. `GF2P8MULB` (GFNI; 32
+//! bytes with AVX2, 64 with AVX-512) multiplies bytes directly modulo
+//! `x⁸+x⁴+x³+x+1` (0x11B) — exactly the polynomial [`crate::Gf256`] is
+//! built on, so the instruction *is* the field and no call builds or reads
+//! a table.
 //!
 //! # Lanes, one body per operation
 //!
@@ -33,12 +35,12 @@
 //!
 //! One `#[target_feature]` function per level names the lanes:
 //!
-//! | level | GF(2⁸) axpy, scale | GF(2⁸) gather, scatter, panel | GF(2⁴) axpy, scale |
-//! |---|---|---|---|
-//! | `ssse3` | `PSHUFB` xmm | loop of axpys | `PSHUFB` xmm |
-//! | `avx2` | `PSHUFB` ymm | loop of axpys | `PSHUFB` ymm |
-//! | `gfni` | `GF2P8MULB` ymm | `GF2P8MULB` ymm | `PSHUFB` ymm |
-//! | `gfni512` | `GF2P8MULB` ymm | `GF2P8MULB` zmm | `PSHUFB` ymm |
+//! | level | axpy, scale | gather, scatter, panel |
+//! |---|---|---|
+//! | `ssse3` | `PSHUFB` xmm | loop of axpys |
+//! | `avx2` | `PSHUFB` ymm | loop of axpys |
+//! | `gfni` | `GF2P8MULB` ymm | `GF2P8MULB` ymm |
+//! | `gfni512` | `GF2P8MULB` ymm | `GF2P8MULB` zmm |
 //!
 //! Below GFNI a fused pass buys nothing (the nibble tables are rebuilt per
 //! source coefficient either way), so there the gather, scatter and panel
@@ -49,8 +51,7 @@
 //! Everything is runtime-detected (`is_x86_feature_detected!`) and compiled
 //! only on x86-64. Called on a CPU without SSSE3 or on another
 //! architecture, where [`crate::kernel`] never dispatches here, the entry
-//! points stay total by delegating to the portable kernels
-//! ([`crate::reference`] for GF(2⁸), [`crate::wide`] for GF(2⁴)). All of it
+//! points stay total by delegating to [`crate::reference`]. All of it
 //! produces bit-identical bytes; `proptest_kernels` and this module's tests
 //! pin every level to the reference kernel at every row length up to 130
 //! bytes and across the longer tile-boundary geometries.
@@ -64,7 +65,7 @@ use crate::slab::{
     block_by_multi, check_block, check_multi, check_scatter, multi_by_axpy, scatter_by_axpy,
     xor_slice,
 };
-use crate::{reference, wide, Gf256};
+use crate::{reference, Gf256};
 
 /// Are the SIMD kernels available on this CPU at all (x86-64 with SSSE3+)?
 pub use detail::supported;
@@ -86,12 +87,7 @@ pub(crate) use detail::for_each_level;
 
 /// `dst[i] = c · dst[i]` over GF(2⁸), SIMD kernel.
 pub fn gf256_mul_slice(c: u8, dst: &mut [u8]) {
-    row::<true>(c, None, dst);
-}
-
-/// `dst[i] = c · dst[i]` over GF(2⁴), SIMD kernel.
-pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
-    row::<false>(c, None, dst);
+    row(c, None, dst);
 }
 
 /// `dst[i] ^= c · src[i]` over GF(2⁸), SIMD kernel.
@@ -100,23 +96,12 @@ pub fn gf16_mul_slice(c: u8, dst: &mut [u8]) {
 ///
 /// Panics if the slices differ in length.
 pub fn gf256_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    row::<true>(c, Some(src), dst);
+    row(c, Some(src), dst);
 }
 
-/// `dst[i] ^= c · src[i]` over GF(2⁴), SIMD kernel.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn gf16_mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
-    row::<false>(c, Some(src), dst);
-}
-
-/// The two single-row operations of both fields: the axpy `dst ^= c · src`
-/// or, with no `src`, the in-place product `dst = c · dst`; over GF(2⁸)
-/// when `SPLIT` (a symbol has bits in both nibbles of its byte), else over
-/// GF(2⁴).
-fn row<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+/// The two single-row operations: the axpy `dst ^= c · src` or, with no
+/// `src`, the in-place product `dst = c · dst`.
+fn row(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
     if let Some(src) = src {
         assert_eq!(src.len(), dst.len(), "slab operands must have equal length");
     }
@@ -127,14 +112,18 @@ fn row<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
         _ => {}
     }
     #[cfg(target_arch = "x86_64")]
-    if detail::row::<SPLIT>(c, src, dst) {
+    if detail::row(c, src, dst) {
         return;
     }
+    reference_row(c, src, dst);
+}
+
+/// [`row`] on the product-table kernel: what a level without SIMD runs, and
+/// what a `PSHUFB` level finishes a row with.
+fn reference_row(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
     match src {
-        Some(src) if SPLIT => reference::gf256_mul_add_slice(c, src, dst),
-        Some(src) => wide::gf16_mul_add_slice(c, src, dst),
-        None if SPLIT => reference::gf256_mul_slice(c, dst),
-        None => wide::gf16_mul_slice(c, dst),
+        Some(src) => reference::gf256_mul_add_slice(c, src, dst),
+        None => reference::gf256_mul_slice(c, dst),
     }
 }
 
@@ -230,7 +219,8 @@ mod detail {
     use std::sync::OnceLock;
 
     use self::lane::{Gfni, Lane, Pshufb};
-    use crate::reference;
+    use super::reference_row;
+    use crate::Gf256;
 
     /// Detected instruction level, weakest first.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -239,7 +229,7 @@ mod detail {
         None,
         Ssse3,
         Avx2,
-        /// GFNI + AVX2: `GF2P8MULB` for GF(2⁸); GF(2⁴) uses the AVX2 path.
+        /// GFNI + AVX2: `GF2P8MULB`.
         Gfni,
         /// GFNI + AVX-512F/BW: 512-bit `GF2P8MULB` for the fused kernels.
         Gfni512,
@@ -363,18 +353,16 @@ mod detail {
     /// Runs a single-row operation (see `super::row`) on this CPU's kernel
     /// for it and says so, or returns `false` having done nothing at
     /// [`Level::None`].
-    pub(super) fn row<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) -> bool {
+    pub(super) fn row(c: u8, src: Option<&[u8]>, dst: &mut [u8]) -> bool {
         match level() {
             // SAFETY: level() never reports a level the CPU lacks, and
             // detect() puts a CPU at Gfni or above only on observing
             // gfni+avx2.
-            Level::Gfni512 | Level::Gfni if SPLIT => unsafe { row_gfni(c, src, dst) },
-            // SAFETY: as above; Gfni and Gfni512 include avx2.
-            Level::Gfni512 | Level::Gfni | Level::Avx2 => unsafe {
-                row_avx2::<SPLIT>(c, src, dst);
-            },
+            Level::Gfni512 | Level::Gfni => unsafe { row_gfni(c, src, dst) },
+            // SAFETY: this arm runs only when detect() observed avx2.
+            Level::Avx2 => unsafe { row_avx2(c, src, dst) },
             // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { row_ssse3::<SPLIT>(c, src, dst) },
+            Level::Ssse3 => unsafe { row_ssse3(c, src, dst) },
             Level::None => return false,
         }
         true
@@ -398,13 +386,13 @@ mod detail {
     // `#[target_feature]` functions, the one place it can be made.
 
     #[target_feature(enable = "ssse3")]
-    fn row_ssse3<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
-        row_pshufb::<_, SPLIT>(Pshufb::<__m128i, SPLIT>::new(), c, src, dst);
+    fn row_ssse3(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        row_pshufb(Pshufb::<__m128i>::new(), c, src, dst);
     }
 
     #[target_feature(enable = "avx2")]
-    fn row_avx2<const SPLIT: bool>(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
-        row_pshufb::<_, SPLIT>(Pshufb::<__m256i, SPLIT>::new(), c, src, dst);
+    fn row_avx2(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+        row_pshufb(Pshufb::<__m256i>::new(), c, src, dst);
     }
 
     #[target_feature(enable = "gfni,avx2")]
@@ -470,16 +458,10 @@ mod detail {
     /// the bytes after the last one through the product-table kernel, which
     /// builds nothing per multiplier.
     #[inline(always)]
-    fn row_pshufb<L: Lane, const SPLIT: bool>(l: L, c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
+    fn row_pshufb<L: Lane>(l: L, c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
         let whole = row_vectors(l, l.constant(c), src, dst);
         if whole < dst.len() {
-            let dst = &mut dst[whole..];
-            match columns(src, whole..) {
-                Some(src) if SPLIT => reference::gf256_mul_add_slice(c, src, dst),
-                Some(src) => reference::gf16_mul_add_slice(c, src, dst),
-                None if SPLIT => reference::gf256_mul_slice(c, dst),
-                None => reference::gf16_mul_slice(c, dst),
-            }
+            reference_row(c, columns(src, whole..), &mut dst[whole..]);
         }
     }
 
@@ -742,6 +724,19 @@ mod detail {
         }
     }
 
+    /// The split-nibble tables of multiplier `c`, which the `PSHUFB` lanes
+    /// look up in: `lo[x] = c·x` and `hi[x] = c·(x << 4)`. 30 scalar
+    /// products at the top of a row operation, amortized over its length.
+    pub(super) fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
+        let c = Gf256::new(c);
+        let (mut lo, mut hi) = ([0; 16], [0; 16]);
+        for x in 0..16u8 {
+            lo[x as usize] = (c * Gf256::new(x)).value();
+            hi[x as usize] = (c * Gf256::new(x << 4)).value();
+        }
+        (lo, hi)
+    }
+
     /// The lanes: every intrinsic and every pointer of this module. A lane
     /// value is proof that the CPU has the instructions its methods
     /// execute: the fields are private to this module, and a lane's
@@ -756,7 +751,7 @@ mod detail {
         use std::arch::x86_64::*;
         use std::marker::PhantomData;
 
-        use crate::wide::{gf16_nibble_tables, gf256_nibble_tables};
+        use super::nibble_tables;
 
         /// One multiply instruction over one register width.
         pub(in crate::simd) trait Lane: Copy {
@@ -827,12 +822,9 @@ mod detail {
             fn mul(self, v: Self::V, c: Self::C) -> Self::V;
         }
 
-        /// `PSHUFB` nibble-table lookups over register `V`. `SPLIT`
-        /// operands carry symbol bits in both nibbles (GF(2⁸)); otherwise
-        /// only the low nibble is looked up (GF(2⁴), whose kernels ignore
-        /// the high one).
+        /// `PSHUFB` nibble-table lookups over register `V`.
         #[derive(Clone, Copy)]
-        pub(super) struct Pshufb<V, const SPLIT: bool>(PhantomData<V>);
+        pub(super) struct Pshufb<V>(PhantomData<V>);
 
         /// `GF2P8MULB` over register `V`.
         #[derive(Clone, Copy)]
@@ -856,14 +848,14 @@ mod detail {
             n: usize,
         }
 
-        impl<const SPLIT: bool> Pshufb<__m128i, SPLIT> {
+        impl Pshufb<__m128i> {
             #[target_feature(enable = "ssse3")]
             pub(super) fn new() -> Self {
                 Pshufb(PhantomData)
             }
         }
 
-        impl<const SPLIT: bool> Pshufb<__m256i, SPLIT> {
+        impl Pshufb<__m256i> {
             #[target_feature(enable = "avx2")]
             pub(super) fn new() -> Self {
                 Pshufb(PhantomData)
@@ -894,22 +886,17 @@ mod detail {
             }
         }
 
-        /// The `PSHUFB` multiplier `c`: its low- and high-nibble product
-        /// tables, each twice over because the instruction looks up inside
-        /// every 16-byte half of its register (`l` loads as many halves as
-        /// it has).
+        /// The `PSHUFB` multiplier `c`: its [`nibble_tables`], each twice
+        /// over because the instruction looks up inside every 16-byte half
+        /// of its register (`l` loads as many halves as it has).
         #[inline(always)]
-        fn nibble_registers<L: Lane, const SPLIT: bool>(l: L, c: u8) -> (L::V, L::V) {
-            let t = if SPLIT {
-                gf256_nibble_tables(c)
-            } else {
-                gf16_nibble_tables(c)
-            };
-            let (lo, hi) = ([t.lo; 2], [t.hi; 2]);
+        fn nibble_registers<L: Lane>(l: L, c: u8) -> (L::V, L::V) {
+            let (lo, hi) = nibble_tables(c);
+            let (lo, hi) = ([lo; 2], [hi; 2]);
             (l.load(lo.as_flattened()), l.load(hi.as_flattened()))
         }
 
-        impl<const SPLIT: bool> Lane for Pshufb<__m128i, SPLIT> {
+        impl Lane for Pshufb<__m128i> {
             type V = __m128i;
             type C = (__m128i, __m128i);
 
@@ -921,7 +908,7 @@ mod detail {
 
             #[inline(always)]
             fn constant(self, c: u8) -> Self::C {
-                nibble_registers::<Self, SPLIT>(self, c)
+                nibble_registers(self, c)
             }
 
             #[inline(always)]
@@ -929,18 +916,14 @@ mod detail {
                 // SAFETY: register-only; `self` is proof of SSSE3.
                 unsafe {
                     let mask = _mm_set1_epi8(0x0F);
-                    let p = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-                    if SPLIT {
-                        let high = _mm_and_si128(_mm_srli_epi64::<4>(v), mask);
-                        _mm_xor_si128(p, _mm_shuffle_epi8(hi, high))
-                    } else {
-                        p
-                    }
+                    let low = _mm_and_si128(v, mask);
+                    let high = _mm_and_si128(_mm_srli_epi64::<4>(v), mask);
+                    _mm_xor_si128(_mm_shuffle_epi8(lo, low), _mm_shuffle_epi8(hi, high))
                 }
             }
         }
 
-        impl<const SPLIT: bool> Lane for Pshufb<__m256i, SPLIT> {
+        impl Lane for Pshufb<__m256i> {
             type V = __m256i;
             type C = (__m256i, __m256i);
 
@@ -952,7 +935,7 @@ mod detail {
 
             #[inline(always)]
             fn constant(self, c: u8) -> Self::C {
-                nibble_registers::<Self, SPLIT>(self, c)
+                nibble_registers(self, c)
             }
 
             #[inline(always)]
@@ -960,13 +943,9 @@ mod detail {
                 // SAFETY: register-only; `self` is proof of AVX2.
                 unsafe {
                     let mask = _mm256_set1_epi8(0x0F);
-                    let p = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-                    if SPLIT {
-                        let high = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
-                        _mm256_xor_si256(p, _mm256_shuffle_epi8(hi, high))
-                    } else {
-                        p
-                    }
+                    let low = _mm256_and_si256(v, mask);
+                    let high = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
+                    _mm256_xor_si256(_mm256_shuffle_epi8(lo, low), _mm256_shuffle_epi8(hi, high))
                 }
             }
         }
@@ -1183,16 +1162,14 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn simd_gf16_matches_reference_with_dirty_high_nibbles() {
-        let src: Vec<u8> = (0..=255u8).collect();
-        for c in 0..16u8 {
-            for len in [0usize, 13, 16, 40, 256] {
-                let mut want = vec![0x09u8; len];
-                crate::reference::gf16_mul_add_slice(c, &src[..len], &mut want);
-                let mut got = vec![0x09u8; len];
-                gf16_mul_add_slice(c, &src[..len], &mut got);
-                assert_eq!(got, want, "gf16 axpy c={c} len={len}");
+    fn nibble_tables_recombine_to_full_products() {
+        for c in [2u8, 3, 0x57, 0x8E, 0xFF] {
+            let (lo, hi) = detail::nibble_tables(c);
+            for b in 0..=255u8 {
+                let want = (Gf256::new(c) * Gf256::new(b)).value();
+                assert_eq!(lo[(b & 0xF) as usize] ^ hi[(b >> 4) as usize], want);
             }
         }
     }
@@ -1300,7 +1277,6 @@ mod tests {
     fn every_level_the_cpu_has_matches_reference() {
         for_each_level(|_| {
             simd_matches_reference_at_every_length();
-            simd_gf16_matches_reference_with_dirty_high_nibbles();
             fused_multi_matches_reference_loop_at_every_length();
             scatter_matches_reference_loop_at_every_length();
             blocked_panel_matches_reference_loop_at_every_length();

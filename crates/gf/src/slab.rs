@@ -21,18 +21,17 @@
 //! | Field | packing | fast path |
 //! |---|---|---|
 //! | [`Gf2`](crate::Gf2) | 1 byte/symbol | pure XOR (`u64`-chunked) |
-//! | [`Gf16`](crate::Gf16) | 1 byte/symbol | XOR add + table/SWAR/SIMD multiply |
+//! | [`Gf16`](crate::Gf16) | 1 byte/symbol | XOR add + table multiply |
 //! | [`Gf256`](crate::Gf256) | 1 byte/symbol | XOR add + table/SIMD multiply |
 //! | [`Gf65536`](crate::Gf65536) | 2 bytes/symbol LE | XOR add, scalar multiply |
 //! | [`Fp<P>`](crate::Fp) | 8 bytes/symbol LE | scalar fallback |
 //!
-//! The GF(2⁸)/GF(2⁴) multiply kernels exist three times, bit-identically:
-//! per-`c` product-table loops ([`crate::reference`]), portable split-nibble
-//! SWAR over `u64` words ([`crate::wide`], GF(2⁴) only) and runtime-detected
-//! x86-64 SIMD — `PSHUFB` nibble shuffles or the GFNI `GF2P8MULB`
-//! instruction ([`crate::simd`]). Which one a call runs is decided by the
-//! one rule in [`crate::kernel`] from the row length and the CPU; there is
-//! nothing to configure.
+//! The GF(2⁸) multiply kernels exist twice, bit-identically: per-`c`
+//! product-table loops ([`crate::reference`]) and runtime-detected x86-64
+//! SIMD — `PSHUFB` nibble shuffles or the GFNI `GF2P8MULB` instruction
+//! ([`crate::simd`]). Which one a call runs is decided by the one rule in
+//! [`crate::kernel`] from the row length and the CPU; there is nothing to
+//! configure.
 //!
 //! # Packing invariants
 //!

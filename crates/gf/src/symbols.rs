@@ -5,31 +5,20 @@
 //! the framing used by the examples and the end-to-end integrity tests:
 //! arbitrary bytes in, symbols over the chosen field out, and back.
 //!
-//! For GF(2⁸) the mapping is the identity on bytes. For smaller fields each
-//! byte expands into several symbols; for larger fields several bytes pack
-//! into one symbol. Round-tripping requires remembering the original byte
-//! length because of padding ([`symbols_to_bytes`] takes it explicitly).
+//! A symbol carries `b` bits of the stream, `b` the largest power of two
+//! that fits a symbol (`2ᵇ ≤ q`), at most 16: a power of two so that symbol
+//! and byte boundaries nest, and no more than fit so that every value is a
+//! field element whatever `q` is (a prime field uses `2ᵇ` of its `q`
+//! values). For GF(2⁸) and F₂₅₇ the mapping is the identity on bytes; below
+//! that each byte expands into `8/b` symbols, above it `b/8` bytes pack into
+//! one. Round-tripping requires remembering the original byte length because
+//! of padding ([`symbols_to_bytes`] takes it explicitly).
 
 use crate::field::Field;
 
-/// How many field symbols are needed to carry one byte (for sub-byte
-/// fields), or `1` otherwise.
-fn symbols_per_byte<F: Field>() -> usize {
-    match F::SIZE {
-        2 => 8,
-        4 => 4,
-        16 => 2,
-        _ => 1,
-    }
-}
-
-/// How many whole bytes one symbol can carry (for super-byte fields).
-fn bytes_per_symbol<F: Field>() -> usize {
-    if F::SIZE >= 65536 {
-        2
-    } else {
-        1
-    }
+/// Payload bits one symbol carries: 1, 2, 4, 8 or 16.
+fn symbol_bits<F: Field>() -> usize {
+    (1 << F::SIZE.ilog2().ilog2()).min(16)
 }
 
 /// Number of symbols produced by [`bytes_to_symbols`] for `len` bytes.
@@ -46,12 +35,11 @@ fn bytes_per_symbol<F: Field>() -> usize {
 /// ```
 #[must_use]
 pub fn symbol_len<F: Field>(len: usize) -> usize {
-    let spb = symbols_per_byte::<F>();
-    if spb > 1 {
-        len * spb
+    let bits = symbol_bits::<F>();
+    if bits < 8 {
+        len * (8 / bits)
     } else {
-        let bps = bytes_per_symbol::<F>();
-        len.div_ceil(bps)
+        len.div_ceil(bits / 8)
     }
 }
 
@@ -72,40 +60,25 @@ pub fn symbol_len<F: Field>(len: usize) -> usize {
 /// ```
 #[must_use]
 pub fn bytes_to_symbols<F: Field>(bytes: &[u8]) -> Vec<F> {
-    let spb = symbols_per_byte::<F>();
-    if spb > 1 {
-        // Sub-byte field: split each byte into big-endian chunks.
-        let bits = match F::SIZE {
-            2 => 1,
-            4 => 2,
-            16 => 4,
-            #[expect(
-                clippy::unreachable,
-                reason = "spb > 1 only for the three sub-byte field sizes matched above"
-            )]
-            _ => unreachable!("symbols_per_byte covered these"),
-        };
-        let mask = (1u16 << bits) - 1;
-        let mut out = Vec::with_capacity(bytes.len() * spb);
+    let bits = symbol_bits::<F>();
+    let mut out = Vec::with_capacity(symbol_len::<F>(bytes.len()));
+    if bits < 8 {
+        let mask = (1u8 << bits) - 1;
         for &b in bytes {
-            for i in (0..spb).rev() {
-                let chunk = (u16::from(b) >> (i * bits as usize)) & mask;
-                out.push(F::from_u64(u64::from(chunk)));
+            for shift in (0..8).step_by(bits).rev() {
+                out.push(F::from_u64(u64::from((b >> shift) & mask)));
             }
         }
-        out
     } else {
-        let bps = bytes_per_symbol::<F>();
-        let mut out = Vec::with_capacity(bytes.len().div_ceil(bps));
-        for group in bytes.chunks(bps) {
+        for group in bytes.chunks(bits / 8) {
             let mut v: u64 = 0;
-            for (i, &b) in group.iter().enumerate() {
-                v |= u64::from(b) << (8 * (bps - 1 - i));
+            for (&b, shift) in group.iter().zip((0..bits).step_by(8).rev()) {
+                v |= u64::from(b) << shift;
             }
             out.push(F::from_u64(v));
         }
-        out
     }
+    out
 }
 
 /// Decodes a symbol vector back into `byte_len` bytes.
@@ -124,45 +97,25 @@ pub fn symbols_to_bytes<F: Field>(symbols: &[F], byte_len: usize) -> Vec<u8> {
         symbols.len(),
         byte_len
     );
-    let spb = symbols_per_byte::<F>();
-    let mut out = Vec::with_capacity(byte_len);
-    if spb > 1 {
-        let bits = match F::SIZE {
-            2 => 1,
-            4 => 2,
-            16 => 4,
-            #[expect(
-                clippy::unreachable,
-                reason = "spb > 1 only for the three sub-byte field sizes matched above"
-            )]
-            _ => unreachable!("symbols_per_byte covered these"),
-        };
-        for group in symbols.chunks(spb).take(byte_len) {
-            let mut b: u16 = 0;
-            for &s in group {
-                b = (b << bits) | (s.to_u64() as u16);
-            }
-            out.push(b as u8);
-        }
+    let bits = symbol_bits::<F>();
+    if bits < 8 {
+        let groups = symbols.chunks(8 / bits).take(byte_len);
+        groups
+            .map(|group| group.iter().fold(0, |b, s| (b << bits) | s.to_u64() as u8))
+            .collect()
     } else {
-        let bps = bytes_per_symbol::<F>();
-        'outer: for &s in symbols {
-            let v = s.to_u64();
-            for i in 0..bps {
-                if out.len() == byte_len {
-                    break 'outer;
-                }
-                out.push(((v >> (8 * (bps - 1 - i))) & 0xFF) as u8);
-            }
-        }
+        let shifts = (0..bits).step_by(8).rev();
+        let bytes = symbols
+            .iter()
+            .flat_map(|s| shifts.clone().map(move |shift| (s.to_u64() >> shift) as u8));
+        bytes.take(byte_len).collect()
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf16, Gf2, Gf256, Gf65536, F257};
+    use crate::{Gf16, Gf2, Gf256, Gf65536, F13, F257, F65537, F7};
 
     fn round_trip<F: Field>(data: &[u8]) {
         let syms = bytes_to_symbols::<F>(data);
@@ -179,6 +132,9 @@ mod tests {
         round_trip::<Gf256>(&data);
         round_trip::<Gf65536>(&data);
         round_trip::<F257>(&data);
+        round_trip::<F7>(&data);
+        round_trip::<F13>(&data);
+        round_trip::<F65537>(&data);
     }
 
     #[test]

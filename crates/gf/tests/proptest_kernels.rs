@@ -1,15 +1,14 @@
 //! Kernel differential proptests: every kernel module, every edge geometry.
 //!
-//! The slab-kernel modules — [`ag_gf::reference`] (product tables),
-//! [`ag_gf::wide`] (GF(2⁴) SWAR split-nibble `u64` kernels) and
-//! [`ag_gf::simd`] (runtime-detected `PSHUFB`/`GF2P8MULB`) — must be
+//! The GF(2⁸) slab-kernel modules — [`ag_gf::reference`] (product tables)
+//! and [`ag_gf::simd`] (runtime-detected `PSHUFB`/`GF2P8MULB`) — must be
 //! bit-identical on every input, or simulation trajectories would depend on
-//! the host CPU. These properties drive all of them plus the scalar
-//! [`Field`]-arithmetic oracle over the geometries where wide kernels break
-//! in practice:
+//! the host CPU. These properties drive both, and the one kernel of every
+//! other field, against the scalar [`Field`]-arithmetic oracle over the
+//! geometries where wide kernels break in practice:
 //!
 //! * empty rows and odd lengths,
-//! * sub-8-byte and sub-16/32-byte tails (SWAR word and SIMD block
+//! * sub-8-byte and sub-16/32-byte tails (SIMD window and block
 //!   boundaries),
 //! * slabs starting at every misalignment `0..8` inside a parent buffer,
 //! * coefficients `c ∈ {0, 1, generator, random}`,
@@ -19,15 +18,14 @@
 //! sides of [`SHORT_ROW_BYTES`]. Which arms of the selection rule
 //! (`ag_gf::kernel`) that exercises depends on the CPU class: below GFNI a
 //! GF(2⁸) row under the bound takes the reference kernel and a longer one
-//! SIMD, while on a GFNI CPU every GF(2⁸) length is the SIMD arm and only
-//! GF(2⁴) still crosses the bound. The arm a host does not take by itself
-//! is driven by `ag-gf`'s unit tests, which force every level the CPU has
-//! (`simd::tests`, `kernel::tests`).
+//! SIMD, while on a GFNI CPU every length is the SIMD arm. The arm a host
+//! does not take by itself is driven by `ag-gf`'s unit tests, which force
+//! every level the CPU has (`simd::tests`, `kernel::tests`).
 //!
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
 use ag_gf::kernel::SHORT_ROW_BYTES;
-use ag_gf::{reference, simd, wide, Field, Gf16, Gf256, SlabField};
+use ag_gf::{reference, simd, Field, Gf16, Gf256, SlabField};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,55 +94,42 @@ fn gf256_rungs_agree(seed: u64, len: usize, off: usize, sel: u8) -> Result<(), T
     Ok(())
 }
 
-/// GF(2⁴) analog; `src` deliberately contains non-canonical high nibbles,
-/// which every rung must ignore exactly like the reference kernel does.
-fn gf16_rungs_agree(seed: u64, len: usize, off: usize, sel: u8) -> Result<(), TestCaseError> {
+/// GF(2⁴) analog for its one kernel: `src` and `dst` deliberately contain
+/// non-canonical high nibbles, which the multiply must ignore.
+fn gf16_kernel_matches_scalar(
+    seed: u64,
+    len: usize,
+    off: usize,
+    sel: u8,
+) -> Result<(), TestCaseError> {
     let c = coeff(sel, Gf16::new(2), seed);
     let src_buf = bytes(seed, off + len);
     let dst_buf = bytes(seed ^ 0xD1CE, off + len);
     let src = &src_buf[off..];
 
-    // The c = 1 fast path of every rung XORs whole bytes (dirty high
-    // nibbles included) rather than masking first — harmless on canonical
-    // slabs, and part of the shared kernel contract the rungs must agree on.
+    // The c = 1 fast paths touch whole bytes (the axpy XORs them, the
+    // product leaves them alone) rather than masking first: harmless on
+    // canonical slabs, and part of the kernel contract.
+    let one = c == Gf16::ONE;
     let want_axpy: Vec<u8> = dst_buf[off..]
         .iter()
         .zip(src)
-        .map(|(&d, &s)| {
-            if c == Gf16::ONE {
-                d ^ s
-            } else {
-                d ^ (c * Gf16::new(s)).value()
-            }
-        })
+        .map(|(&d, &s)| d ^ if one { s } else { (c * Gf16::new(s)).value() })
+        .collect();
+    let want_mul: Vec<u8> = dst_buf[off..]
+        .iter()
+        .map(|&d| if one { d } else { (c * Gf16::new(d)).value() })
         .collect();
 
-    type MulAdd = fn(u8, &[u8], &mut [u8]);
-    let rungs: [(&str, MulAdd); 3] = [
-        ("reference", reference::gf16_mul_add_slice),
-        ("swar", wide::gf16_mul_add_slice),
-        ("simd", simd::gf16_mul_add_slice),
-    ];
-    for (name, mul_add) in rungs {
-        let mut axpy = dst_buf.clone();
-        mul_add(c.value(), src, &mut axpy[off..]);
-        prop_assert_eq!(&axpy[off..], &want_axpy[..], "{} axpy", name);
-    }
+    let mut axpy = dst_buf.clone();
+    Gf16::mul_add_slice(c, src, &mut axpy[off..]);
+    prop_assert_eq!(&axpy[off..], &want_axpy[..], "axpy");
+    prop_assert_eq!(&axpy[..off], &dst_buf[..off], "axpy prefix clobbered");
 
-    // mul_slice: only compare rungs to each other on canonical bytes (the
-    // c = 1 early-out skips the low-nibble masking by design, so dirty
-    // high nibbles would survive differently than under c != 1).
-    let canonical: Vec<u8> = src.iter().map(|b| b & 0xF).collect();
-    let mut want_mul = canonical.clone();
-    reference::gf16_mul_slice(c.value(), &mut want_mul);
-    for (name, mul) in [
-        ("swar", wide::gf16_mul_slice as fn(u8, &mut [u8])),
-        ("simd", simd::gf16_mul_slice as fn(u8, &mut [u8])),
-    ] {
-        let mut m = canonical.clone();
-        mul(c.value(), &mut m);
-        prop_assert_eq!(&m, &want_mul, "{} mul", name);
-    }
+    let mut m = dst_buf.clone();
+    Gf16::mul_slice(c, &mut m[off..]);
+    prop_assert_eq!(&m[off..], &want_mul[..], "mul");
+    prop_assert_eq!(&m[..off], &dst_buf[..off], "mul prefix clobbered");
     Ok(())
 }
 
@@ -356,13 +341,14 @@ proptest! {
     }
 
     #[test]
-    fn gf16_kernels_are_bit_identical(
+    fn gf16_kernel_matches_scalar_with_dirty_high_nibbles(
         seed in any::<u64>(),
-        len in 0usize..100,
+        len in 0usize..2 * SHORT_ROW_BYTES,
         off in 0usize..8,
         sel in 0u8..5,
     ) {
-        gf16_rungs_agree(seed, len, off, sel)?;
+        gf16_kernel_matches_scalar(seed, len, off, sel)?;
+        gf16_kernel_matches_scalar(seed, 1024, off, sel)?;
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! when the merge reaches it and the outbox is delivered through `&mut P`,
 //! with no slot plan, per-slot message table or shards. A
 //! [`crate::ShardableProtocol`] may override them to hand the round to the
-//! fan-out in the `sharded` module, which runs both phases on rayon
+//! fan-out in the `fan_out` module, which runs both phases on rayon
 //! workers whenever the round is big enough to pay for it and hands the
 //! merge the same slots.
 //!
@@ -45,8 +45,8 @@ use ag_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fan_out::FanOut;
 use crate::protocol::{ContactIntent, Protocol};
-use crate::sharded::FanOut;
 use crate::stats::RunStats;
 
 /// The paper's two time models (Section 2).

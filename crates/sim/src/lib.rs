@@ -31,7 +31,7 @@
 //! persistent per-round scratch, hash-free same-sender dedup, an
 //! incomplete-node completion sweep, and the observer-free
 //! [`Engine::run_batch`] hot path. A [`ShardableProtocol`] overrides them
-//! to hand the round to the fan-out (the `sharded` module), and [`Engine`]
+//! to hand the round to the fan-out (the `fan_out` module), and [`Engine`]
 //! then runs both phases on the rayon pool on every round big enough to
 //! pay for it. [`Engine`] is the only engine: tests that need a fixed
 //! shard count force one through a hidden builder on it. Wakeups and
@@ -69,12 +69,12 @@
 
 mod comm;
 mod engine;
+mod fan_out;
 mod protocol;
-mod sharded;
 mod stats;
 
 pub use comm::{CommModel, PartnerSelector};
 pub use engine::{Engine, EngineConfig, SyncRound, TimeModel};
+pub use fan_out::{ProtocolShard, ShardableProtocol};
 pub use protocol::{Action, ContactIntent, Protocol};
-pub use sharded::{ProtocolShard, ShardableProtocol};
 pub use stats::{RunStats, TrajectoryHash};

@@ -1,6 +1,6 @@
 //! Collection strategies: `vec(element, size)`.
 
-use core::ops::{Range, RangeInclusive};
+use core::ops::Range;
 
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
@@ -27,16 +27,6 @@ impl From<Range<usize>> for SizeRange {
         SizeRange {
             lo: r.start,
             hi_inclusive: r.end - 1,
-        }
-    }
-}
-
-impl From<RangeInclusive<usize>> for SizeRange {
-    fn from(r: RangeInclusive<usize>) -> Self {
-        assert!(r.start() <= r.end(), "empty size range");
-        SizeRange {
-            lo: *r.start(),
-            hi_inclusive: *r.end(),
         }
     }
 }

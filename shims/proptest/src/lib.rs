@@ -1,9 +1,10 @@
 //! Offline stand-in for the parts of `proptest` this workspace uses.
 //!
 //! The build environment has no crates.io access, so this crate
-//! implements the subset the test suites rely on: the [`proptest!`]
-//! macro (with `#![proptest_config(...)]`), `prop_assert*`,
-//! [`strategy::Strategy`] with `prop_map`, `any::<T>()`, range
+//! implements the subset the test suites rely on and nothing else: the
+//! [`proptest!`] macro (with `#![proptest_config(...)]`), [`prop_assert!`]
+//! and [`prop_assert_eq!`], [`strategy::Strategy`] with `prop_map`,
+//! `any::<T>()` for `u8`, `u16`, `u64` and `bool`, integer and `f64` range
 //! strategies, and `collection::vec`.
 //!
 //! Semantics: pure random sampling with a per-test deterministic seed.
@@ -22,7 +23,7 @@ pub mod prelude {
     //! One-stop imports, mirroring `proptest::prelude::*`.
     pub use crate::strategy::{any, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestCaseResult};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Fails the test case with a message unless `cond` holds.
@@ -55,19 +56,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)*) => {{
         let (left, right) = (&$left, &$right);
         $crate::prop_assert!(*left == *right, $($fmt)*);
-    }};
-}
-
-/// Fails the test case if the two expressions are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left != *right,
-            "assertion failed: `left != right`\n  both: `{:?}`",
-            left
-        );
     }};
 }
 

@@ -72,17 +72,11 @@ macro_rules! impl_arbitrary_uint {
     )*};
 }
 
-impl_arbitrary_uint!(u8, u16, u32, u64, usize);
+impl_arbitrary_uint!(u8, u16, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
-    }
-}
-
-impl Arbitrary for f64 {
-    fn arbitrary(rng: &mut TestRng) -> f64 {
-        rng.unit_f64()
     }
 }
 

@@ -91,8 +91,6 @@ impl TestRng {
 pub enum TestCaseError {
     /// An assertion failed.
     Fail(String),
-    /// The case asked to be discarded (unused here, kept for parity).
-    Reject(String),
 }
 
 impl TestCaseError {
@@ -107,7 +105,6 @@ impl fmt::Display for TestCaseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TestCaseError::Fail(m) => write!(f, "{m}"),
-            TestCaseError::Reject(m) => write!(f, "rejected: {m}"),
         }
     }
 }

@@ -8,8 +8,8 @@ pub trait Distribution<T> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
 }
 
-/// The standard distribution: full range for integers, `[0, 1)` for
-/// floats, fair coin for `bool`.
+/// The standard distribution: full range for `u8`, `u16` and `u64`,
+/// `[0, 1)` for `f64`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Standard;
 
@@ -23,23 +23,11 @@ macro_rules! impl_standard_int {
     )*};
 }
 
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl Distribution<bool> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.next_u64() & 1 == 1
-    }
-}
+impl_standard_int!(u8, u16, u64);
 
 impl Distribution<f64> for Standard {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Distribution<f32> for Standard {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f32 {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }

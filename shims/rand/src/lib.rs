@@ -2,12 +2,16 @@
 //! this workspace uses.
 //!
 //! The build environment has no access to crates.io, so the workspace
-//! vendors exactly the subset it needs: the [`RngCore`] / [`Rng`] /
-//! [`SeedableRng`] traits, a seeded [`rngs::StdRng`] (xoshiro256++
-//! expanded from SplitMix64 — *not* the upstream ChaCha12 stream, which
-//! is fine because every consumer seeds explicitly and nothing in the
-//! repo depends on upstream's exact stream), integer/float sampling, and
-//! `seq::SliceRandom::{choose, shuffle}`.
+//! vendors exactly the subset it needs, and nothing without a caller:
+//!
+//! * [`RngCore`] (`next_u32`, `next_u64`), [`SeedableRng`] (`from_seed`,
+//!   `seed_from_u64`) and a seeded [`rngs::StdRng`] (xoshiro256++ expanded
+//!   from SplitMix64 — *not* the upstream ChaCha12 stream, which is fine
+//!   because every consumer seeds explicitly and nothing in the repo
+//!   depends on upstream's exact stream),
+//! * [`Rng::gen`] for `u8`, `u16`, `u64` and `f64`, [`Rng::gen_bool`], and
+//!   [`Rng::gen_range`] over `a..b` and `a..=b` of `u8`, `u64` and `usize`,
+//! * `seq::SliceRandom::shuffle`.
 //!
 //! Statistical quality: xoshiro256++ passes BigCrush; integer ranges use
 //! rejection sampling so they are exactly uniform.
@@ -26,13 +30,6 @@ pub trait RngCore {
     fn next_u32(&mut self) -> u32;
     /// Next 64 random bits.
     fn next_u64(&mut self) -> u64;
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -41,9 +38,6 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
     }
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest);
     }
 }
 
@@ -161,15 +155,7 @@ macro_rules! impl_int_sample_range {
     )*};
 }
 
-impl_int_sample_range!(u8, u16, u32, u64, usize);
-
-impl SampleRange<f64> for core::ops::Range<f64> {
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
-        assert!(self.start < self.end, "cannot sample empty range");
-        let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.start + u * (self.end - self.start)
-    }
-}
+impl_int_sample_range!(u8, u64, usize);
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! Slice helpers: `choose` and `shuffle`.
+//! Slice helpers: `shuffle`.
 
 use crate::{uniform_below, RngCore};
 
@@ -7,23 +7,12 @@ pub trait SliceRandom {
     /// Element type.
     type Item;
 
-    /// Uniformly random element, `None` on an empty slice.
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
-
     /// Uniform in-place Fisher–Yates shuffle.
     fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R);
 }
 
 impl<T> SliceRandom for [T] {
     type Item = T;
-
-    fn choose<R: RngCore + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[uniform_below(rng, self.len() as u64) as usize])
-        }
-    }
 
     fn shuffle<R: RngCore + ?Sized>(&mut self, rng: &mut R) {
         for i in (1..self.len()).rev() {
@@ -48,14 +37,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(v, sorted, "50 elements almost surely move");
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let empty: [u8; 0] = [];
-        assert!(empty.choose(&mut rng).is_none());
-        let one = [9u8];
-        assert_eq!(one.choose(&mut rng), Some(&9));
     }
 }

@@ -100,52 +100,6 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-macro_rules! impl_into_par_iter_for_range {
-    ($($t:ty),*) => {$(
-        impl IntoParallelIterator for core::ops::Range<$t> {
-            type Item = $t;
-            type Iter = IterPar<$t>;
-
-            fn into_par_iter(self) -> IterPar<$t> {
-                IterPar { items: self.collect() }
-            }
-        }
-    )*};
-}
-
-impl_into_par_iter_for_range!(u32, u64, usize);
-
-/// By-reference conversion into a parallel iterator (`.par_iter()`).
-pub trait IntoParallelRefIterator<'data> {
-    /// Item type (a reference).
-    type Item: Send;
-    /// Iterator type.
-    type Iter: ParallelIterator<Item = Self::Item>;
-
-    /// Converts `&self`.
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Item = &'data T;
-    type Iter = IterPar<&'data T>;
-
-    fn par_iter(&'data self) -> IterPar<&'data T> {
-        IterPar {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Item = &'data T;
-    type Iter = IterPar<&'data T>;
-
-    fn par_iter(&'data self) -> IterPar<&'data T> {
-        self.as_slice().par_iter()
-    }
-}
-
 /// Applies `op` across worker threads via a shared dynamic queue,
 /// returning results in input order.
 fn par_apply<T, R, F>(items: Vec<T>, op: &F) -> Vec<R>
@@ -168,7 +122,7 @@ where
 /// `threads` — sharded-engine merges built on this are pure functions of
 /// their input, never of `RAYON_NUM_THREADS`. Pinned by the
 /// `thread_count_cannot_change_results` test.
-pub fn par_apply_with_threads<T, R, F>(items: Vec<T>, op: &F, threads: usize) -> Vec<R>
+pub(crate) fn par_apply_with_threads<T, R, F>(items: Vec<T>, op: &F, threads: usize) -> Vec<R>
 where
     T: Send,
     R: Send,
