@@ -1,21 +1,23 @@
 //! Counting-allocator audits: what the library promises to do without
 //! touching the heap, checked against this file's own global allocator.
 //!
-//! Three tests share one [`CountingAllocator`]. The counter is per thread,
-//! so they may run concurrently: each reads the allocator entries its own
-//! thread made, and libtest's harness threads (result channels, capture
-//! buffers) never show up in anyone's deltas.
+//! Four tests share one [`CountingAllocator`], which keeps two counters.
+//! The per-thread one lets the three inline audits run concurrently: each
+//! reads the allocator entries its own thread made, and libtest's harness
+//! threads (result channels, capture buffers) never show up in anyone's
+//! deltas. The process-wide one is for the fan-out lane, whose workers are
+//! other threads; it sees everybody, so that lane takes [`QUIET`] for
+//! writing and the inline audits take it for reading.
 //!
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
-//!   allocates for rank growth and for nothing else: the pre-warmed
+//!   allocates for a node's first row and for nothing else: the pre-warmed
 //!   `RowPool` makes the per-message path allocation-free outright, and a
-//!   node's rows live in four growable slabs that are reallocated only when
-//!   an innovative reception outgrows the chunk last reserved. So in every
-//!   round after the first (whose window also carries the engine's
-//!   one-time setup) the allocator is entered at most 4 × (rank gained
-//!   that round) times — zero in a round that gains none — and over the
-//!   whole run at most 4·n·(⌈log₂ k⌉ + 1) times, the chunks being
-//!   geometric.
+//!   node's rows live in four slabs allocated once, at their full-rank
+//!   footprint, by the insert that stores its first row. So in every round
+//!   after the first (whose window also carries the engine's one-time
+//!   setup) the allocator is entered at most 4 × (nodes that stored their
+//!   first row that round) times — zero once every node holds a row — and
+//!   over the whole run at most 4·n times.
 //! * **Crash + loss lane** — the same for a `WithCrashes`-wrapped run under
 //!   loss injection. This is the regression lock for two pooled-row leaks
 //!   the wrapper used to have: it did not forward `Protocol::discard` (so
@@ -23,17 +25,23 @@
 //!   `RowPool` recycle), and it dropped messages delivered to crashed nodes
 //!   on the floor instead of routing them through `inner.discard`. Either
 //!   leak shows up immediately: once the pool drains, every subsequent
-//!   `compose` allocates a fresh buffer, 2n messages a round against a
-//!   handful of innovations.
+//!   `compose` allocates a fresh buffer, 2n messages a round against no
+//!   first row at all.
+//! * **Fan-out lane** — the bare protocol again with the round forced over
+//!   S shards. A fanned-out round allocates per shard by design (the shards
+//!   and their scratch, the job and result lists, the workers), all of it
+//!   outside node storage: once every node holds a row a round enters the
+//!   allocator at most [`FAN_OUT_CALLS_PER_SHARD`] · (S + 1) times, across
+//!   all threads, however many messages it delivers and however much rank
+//!   it gains.
 //! * **Helpfulness probes** — `Decoder::would_help`,
 //!   `Decoder::is_helpful_node` and `BasisArena::would_be_innovative_packed`
 //!   are allocation-free once their scratch buffers have warmed up.
-//!
-//! What the two protocol audits look at is the *inline* round; the rayon
-//! fan-out allocates per shard per round by design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 use ag_gf::{Gf256, SlabField};
 use ag_graph::builders;
@@ -44,8 +52,8 @@ use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCras
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Counts every allocator entry per thread, so a loop can be proven
-/// allocation-free (not just leak-free).
+/// Counts every allocator entry, per thread and process-wide, so a loop
+/// can be proven allocation-free (not just leak-free).
 struct CountingAllocator;
 
 thread_local! {
@@ -53,7 +61,17 @@ thread_local! {
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// Allocator entries made by every thread of the process.
+static PROCESS_ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Held for writing by the one audit that reads [`PROCESS_ALLOC_CALLS`],
+/// for reading by the others: nothing but libtest's own main thread can
+/// allocate next to the former. It guards no data, so a holder that finds
+/// it poisoned by another audit's failure just takes the guard.
+static QUIET: RwLock<()> = RwLock::new(());
+
 fn record_alloc() {
+    PROCESS_ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: TLS is unavailable during thread teardown, and the
     // allocator can be entered from there.
     let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
@@ -64,7 +82,12 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.with(Cell::get)
 }
 
-// SAFETY: delegates verbatim to `System`; the counter is a side channel.
+/// Allocator entries the whole process has made so far.
+fn process_alloc_calls() -> u64 {
+    PROCESS_ALLOC_CALLS.load(Ordering::Relaxed)
+}
+
+// SAFETY: delegates verbatim to `System`; the counters are a side channel.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards `layout` untouched to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -92,69 +115,110 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// One round's window: the allocator entries the calling thread made in
-/// it and the rank the whole network gained in it.
+/// One round's window: the allocator entries made in it, the nodes that
+/// stored their first row in it and the rank the whole network gained.
 #[derive(Debug)]
 struct RoundWindow {
     round: u64,
     allocs: u64,
+    first_rows: u64,
     rank_gained: u64,
 }
 
-/// Runs `proto` on the calling thread and returns the stats plus every
-/// round's window; `total_rank` reads the network's rank off the protocol.
-/// The baseline snapshot taken before the run makes round 1's window
-/// observable too: it carries the engine's one-time per-run setup
-/// (`RunStats` buffers, round scratch), which allocates inside `run` ahead
-/// of the first round.
+/// How many of `n` nodes hold a row, and the rank they hold in total.
+fn holders_and_rank(n: usize, rank: impl Fn(usize) -> usize) -> (u64, u64) {
+    (0..n).map(rank).fold((0, 0), |(holders, total), r| {
+        (holders + u64::from(r > 0), total + r as u64)
+    })
+}
+
+/// Runs `proto` under `engine` on the calling thread and returns the stats
+/// plus every round's window; `calls` is the allocator counter to read and
+/// `progress` reads [`holders_and_rank`] off the protocol. The baseline
+/// snapshot taken before the run makes round 1's window observable too: it
+/// carries the engine's one-time per-run setup (`RunStats` buffers, round
+/// scratch), which allocates inside `run` ahead of the first round.
 fn round_windows<P: Protocol>(
     proto: &mut P,
-    ecfg: EngineConfig,
-    total_rank: impl Fn(&P) -> u64,
+    mut engine: Engine,
+    calls: fn() -> u64,
+    progress: impl Fn(&P) -> (u64, u64),
 ) -> (RunStats, Vec<RoundWindow>) {
     // Preallocated so the observer itself never allocates inside the
     // measured loop.
-    let mut snapshots: Vec<(u64, u64, u64)> = Vec::with_capacity(4096);
-    snapshots.push((0, alloc_calls(), total_rank(proto)));
-    let stats = Engine::new(ecfg).run_observed(proto, |round, p| {
-        snapshots.push((round, alloc_calls(), total_rank(p)));
+    let mut snapshots: Vec<(u64, u64, (u64, u64))> = Vec::with_capacity(4096);
+    snapshots.push((0, calls(), progress(proto)));
+    let stats = engine.run_observed(proto, |round, p| {
+        snapshots.push((round, calls(), progress(p)));
     });
     let windows = snapshots
         .windows(2)
         .map(|w| RoundWindow {
             round: w[1].0,
             allocs: w[1].1 - w[0].1,
-            rank_gained: w[1].2 - w[0].2,
+            first_rows: w[1].2 .0 - w[0].2 .0,
+            rank_gained: w[1].2 .1 - w[0].2 .1,
         })
         .collect();
     (stats, windows)
 }
 
-/// The rank-bounded storage contract over a whole run of `n` nodes and `k`
-/// messages: after round 1 a round enters the allocator at most four times
-/// per rank gained (a node owns four growable slabs), so not at all when
-/// it gains none; and the run, setup included, at most
-/// 4·n·(⌈log₂ k⌉ + 1) times.
-fn assert_allocations_track_rank_growth(windows: &[RoundWindow], n: usize, k: usize) {
+/// The storage contract over a whole inline run of `n` nodes: after round
+/// 1 a round enters the allocator at most four times per node that stored
+/// its first row in it (a node owns four slabs, each allocated once), so
+/// not at all once every node holds one; and the run, setup included, at
+/// most 4·n times.
+fn assert_allocations_are_first_rows_only(windows: &[RoundWindow], n: usize) {
     let leaking: Vec<&RoundWindow> = windows
         .iter()
-        .filter(|w| w.round > 1 && w.allocs > 4 * w.rank_gained)
+        .filter(|w| w.round > 1 && w.allocs > 4 * w.first_rows)
         .collect();
     assert!(
         leaking.is_empty(),
-        "rounds allocating beyond four times their rank growth: {leaking:?}"
+        "rounds allocating beyond four times their first rows: {leaking:?}"
     );
     let total: u64 = windows.iter().map(|w| w.allocs).sum();
-    let chunks_per_slab = u64::from(k.next_power_of_two().ilog2()) + 1;
-    let ceiling = 4 * n as u64 * chunks_per_slab;
+    let ceiling = 4 * n as u64;
     assert!(
         total <= ceiling,
-        "{total} allocator calls over the run; geometric growth allows {ceiling}"
+        "{total} allocator calls over the run; one allocation per slab allows {ceiling}"
     );
+}
+
+/// rr(3) on `n` nodes, k = 32 messages of `r` bytes over GF(2⁸), EXCHANGE:
+/// the protocol and the seed its engine runs on.
+fn payload_protocol(n: usize, r: usize) -> (AlgebraicGossip<Gf256>, u64) {
+    let seed = 0x51AB_51AB;
+    let mut grng = StdRng::seed_from_u64(seed ^ 0xE0);
+    let graph = builders::random_regular(n, 3, &mut grng).expect("rr(3)");
+    let cfg = AgConfig::new(32)
+        .with_payload_len(r)
+        .with_placement(Placement::Spread);
+    let proto = AlgebraicGossip::<Gf256>::new(&graph, &cfg, seed).expect("protocol");
+    (proto, seed ^ 0x1)
+}
+
+/// The audited path is also the correct one: decoded bytes are the
+/// generation's, and the pool ends as pre-warmed.
+fn assert_decoded_and_balanced(proto: &AlgebraicGossip<Gf256>) {
+    let n = proto.num_nodes();
+    assert_eq!(
+        proto.pool_idle(),
+        proto.pool_prewarm(),
+        "pool did not end balanced"
+    );
+    for v in [0, 1, 2, n / 2, n - 1] {
+        assert_eq!(
+            proto.decoded(v).as_deref(),
+            Some(proto.generation().messages()),
+            "node {v} failed to decode — codec bug"
+        );
+    }
 }
 
 #[test]
 fn bare_protocol_allocates_only_for_rank_growth() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
     // A round of the run below moves 2 · 1024 rows of 1056 bytes, above the
     // size from which the default engine fans a round out when rayon has
     // more than one thread — so it sits inside a one-thread pool, where the
@@ -166,41 +230,72 @@ fn bare_protocol_allocates_only_for_rank_growth() {
         .install(bare_protocol_audit);
 }
 
-/// rr(3), k = 32 messages of 1 KiB over GF(2⁸), EXCHANGE.
 fn bare_protocol_audit() {
-    let (n, k, r) = (1024, 32, 1024);
-    let seed = 0x51AB_51AB;
-    let mut grng = StdRng::seed_from_u64(seed ^ 0xE0);
-    let graph = builders::random_regular(n, 3, &mut grng).expect("rr(3)");
-    let cfg = AgConfig::new(k)
-        .with_payload_len(r)
-        .with_placement(Placement::Spread);
-    let mut proto = AlgebraicGossip::<Gf256>::new(&graph, &cfg, seed).expect("protocol");
-    let prewarm = proto.pool_prewarm();
-
-    let ecfg = EngineConfig::synchronous(seed ^ 0x1).with_max_rounds(4000);
-    let (stats, windows) = round_windows(&mut proto, ecfg, |p| p.total_rank() as u64);
+    let n = 1024;
+    let (mut proto, engine_seed) = payload_protocol(n, 1024);
+    let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000));
+    let (stats, windows) = round_windows(&mut proto, engine, alloc_calls, |p| {
+        holders_and_rank(n, |v| p.rank(v))
+    });
     assert!(stats.completed, "completion run hit the round budget");
-    assert_allocations_track_rank_growth(&windows, n, k);
+    assert_allocations_are_first_rows_only(&windows, n);
     assert!(
         stats.rounds >= 6,
         "run too short ({} rounds) to call the loop steady",
         stats.rounds
     );
-    assert_eq!(proto.pool_idle(), prewarm, "pool did not end balanced");
-    // Decoded bytes are the generation's: the audited path is also the
-    // correct one.
-    for v in [0, 1, 2, n / 2, n - 1] {
-        assert_eq!(
-            proto.decoded(v).as_deref(),
-            Some(proto.generation().messages()),
-            "node {v} failed to decode — codec bug"
+    assert_decoded_and_balanced(&proto);
+}
+
+/// Allocator entries a fanned-out round may make once every node holds a
+/// row, over both phases and all threads: this many per shard, and as
+/// many again for the round. A shard costs its scratch (three buffers a
+/// phase, made on the main thread), its stash and residue lists (the
+/// residue doubles up to the shard's deliveries) and the delivery sort's
+/// buffer; a round costs two phases' job and result lists and their
+/// workers, of which there are at most as many as shards. Measured
+/// 45–62 calls at 2 shards and 131–184 at 8, on 1 to 8 threads.
+const FAN_OUT_CALLS_PER_SHARD: u64 = 32;
+
+#[test]
+fn fanned_out_round_allocates_per_shard_once_every_node_holds_a_row() {
+    let _alone = QUIET.write().unwrap_or_else(PoisonError::into_inner);
+    // Shards are forced, so the rows can be short: what a round allocates
+    // does not depend on their length.
+    let n = 1024;
+    for shards in [2, 8] {
+        let (mut proto, engine_seed) = payload_protocol(n, 64);
+        let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000))
+            .with_forced_shards(shards);
+        let (stats, windows) = round_windows(&mut proto, engine, process_alloc_calls, |p| {
+            holders_and_rank(n, |v| p.rank(v))
+        });
+        assert!(stats.completed, "completion run hit the round budget");
+        assert_decoded_and_balanced(&proto);
+
+        let bound = FAN_OUT_CALLS_PER_SHARD * (shards as u64 + 1);
+        let last_first_row = windows.iter().rposition(|w| w.first_rows > 0);
+        let settled = &windows[last_first_row.map_or(0, |i| i + 1)..];
+        assert!(settled.len() >= 6, "only {} settled rounds", settled.len());
+        let over: Vec<&RoundWindow> = settled.iter().filter(|w| w.allocs > bound).collect();
+        assert!(
+            over.is_empty(),
+            "{shards} shards: settled rounds allocating beyond {bound}: {over:?}"
+        );
+        // The bound says something: those rounds deliver and gain several
+        // times more than they may allocate.
+        let busiest = settled.iter().map(|w| w.rank_gained).max().unwrap_or(0);
+        let delivered_per_round = stats.messages_delivered / stats.rounds;
+        assert!(
+            busiest >= 4 * bound && delivered_per_round >= 4 * bound,
+            "{shards} shards: {busiest} rank in a round, {delivered_per_round} messages, bound {bound}"
         );
     }
 }
 
 #[test]
 fn crash_and_loss_run_allocates_only_for_rank_growth() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
     // `WithCrashes` keeps `Protocol`'s default bulk hooks, and 2 · 96 rows
     // of 40 bytes are far below the fan-out size: inline on any rayon pool.
     let n = 96;
@@ -217,16 +312,20 @@ fn crash_and_loss_run_allocates_only_for_rank_growth() {
     let plan = CrashPlan::explicit(vec![(20, 1), (21, 1), (40, 2), (41, 3), (60, 5), (61, 8)]);
     let mut proto = WithCrashes::new(inner, plan);
 
-    let ecfg = EngineConfig::synchronous(seed ^ 0x1)
-        .with_loss(0.3)
-        .with_max_rounds(3_000);
-    let (stats, windows) = round_windows(&mut proto, ecfg, |p| p.inner().total_rank() as u64);
+    let engine = Engine::new(
+        EngineConfig::synchronous(seed ^ 0x1)
+            .with_loss(0.3)
+            .with_max_rounds(3_000),
+    );
+    let (stats, windows) = round_windows(&mut proto, engine, alloc_calls, |p| {
+        holders_and_rank(n, |v| p.inner().rank(v))
+    });
     assert!(stats.completed, "survivors must finish within the budget");
     assert_eq!(proto.crashed_count(), 6);
 
     // No dedup drop, loss drop or delivery to a crashed node may cost an
-    // allocation: only rank growth does.
-    assert_allocations_track_rank_growth(&windows, n, k);
+    // allocation: only a node's first row does.
+    assert_allocations_are_first_rows_only(&windows, n);
     assert!(
         stats.rounds >= 5,
         "run too short ({} rounds) to call the loop steady",
@@ -253,6 +352,7 @@ fn crash_and_loss_run_allocates_only_for_rank_growth() {
 /// recode-emit cycle performs zero allocator calls in steady state.
 #[test]
 fn would_help_heavy_loop_is_allocation_free_after_warmup() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
     let mut rng = StdRng::seed_from_u64(0x5EED_4E1F);
     let k = 16;
     let r = 64;

@@ -1,19 +1,19 @@
-//! A simulation-wide arena of echelon bases: one rank-bounded store per node.
+//! A simulation-wide arena of echelon bases: one store per node.
 //!
-//! A gossip simulation holds one decoder basis per node. Backing each with
-//! its own growing [`EchelonBasis`](crate::EchelonBasis) means `n`
-//! independently reallocating `Vec`s with no shared discipline — fine at
-//! experiment scale, but an allocation storm at `n = 10⁵`. [`BasisArena`]
+//! A gossip simulation holds one decoder basis per node. [`BasisArena`]
 //! owns every node's rows behind one type, and stores what the paper's
-//! node stores: the equations received so far. Each node starts empty and
-//! its coefficient/payload/log storage grows in geometric chunks as its
-//! rank actually grows, capped at the full-rank footprint, so a node
-//! allocates `O(log k)` times over a whole run and never once its rank
-//! has stopped growing. Most nodes sit far below full rank for most of a
-//! run, so the arena's resident footprint tracks `Σ rank(v)` instead of
-//! `n · pivot_width` — the difference between n = 10⁵ and n = 10⁶ fitting
-//! in memory. Rank-only runs (`row_elems == pivot_width`) skip the
-//! elimination log entirely: it would never be replayed.
+//! node stores: the equations received so far. A node holds nothing until
+//! its first row; that insert allocates the node's slabs once, at their
+//! full-rank footprint (`NodeBasis` in the `node` module has the rule),
+//! which every node of a completed run reaches anyway. Until then the
+//! reservation is address space, not memory: the kernel commits a page
+//! when a row is first written into it, so a slab larger than a page
+//! costs memory as `rank(v)` grows, and a slab smaller than a page is
+//! resident in full from the first row. Lazy page commit, not a growth
+//! policy, is what keeps the resident footprint near `Σ rank(v)` instead
+//! of `n · pivot_width` mid-run, and what the case for n = 10⁶ fitting in
+//! memory rests on. Rank-only runs (`row_elems == pivot_width`) have no
+//! payload slab and no elimination log: nothing would ever replay them.
 //!
 //! Each node is the same crate-private store (the `node` module: an
 //! eagerly reduced coefficient slab, raw payload tails and an elimination
@@ -106,9 +106,8 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// All of a simulation's echelon bases, rank-bounded per node: each node's
-/// storage grows in geometric chunks as its rank grows, capped at the
-/// full-rank footprint.
+/// All of a simulation's echelon bases; a node's storage is allocated
+/// once, by its first row (see the module docs).
 ///
 /// Unlike [`EchelonBasis`](crate::EchelonBasis), whose row length is
 /// learned from the first inserted row, an arena fixes `row_elems`
@@ -158,8 +157,8 @@ impl<F: SlabField> BasisArena<F> {
     /// `checked_mul` (returning [`ArenaError::CapacityOverflow`] with the
     /// exact byte count) and reserves the node table and the shared scratch
     /// via `try_reserve` (returning [`ArenaError::AllocationFailure`]
-    /// instead of aborting). Per-node rows are not reserved: they grow with
-    /// each node's rank.
+    /// instead of aborting). Per-node rows are not reserved here: each
+    /// node's first row does that.
     ///
     /// # Panics
     ///
@@ -372,8 +371,8 @@ impl<F: SlabField> BasisArena<F> {
     /// Splits the arena into disjoint contiguous shards for parallel round
     /// execution. `bounds` must partition `0..nodes()` in order:
     /// `[(0, b₁), (b₁, b₂), …, (bₘ₋₁, nodes())]` (empty shards allowed).
-    /// Each shard owns fresh scratch buffers, so shards are independent
-    /// `Send` values; the borrow of `self` ends when they drop.
+    /// Each shard owns fresh scratch (sized here, not by its worker), so shards
+    /// are independent `Send` values; the borrow of `self` ends when they drop.
     ///
     /// # Panics
     ///
@@ -396,7 +395,7 @@ impl<F: SlabField> BasisArena<F> {
                 nodes,
                 start,
                 dims,
-                scratch: Scratch::default(),
+                scratch: Scratch::for_shard(dims),
                 _field: PhantomData,
             });
         }
@@ -604,36 +603,36 @@ mod tests {
         );
     }
 
-    /// Storage is rank-bounded: a node holds nothing before its first row,
-    /// never reserves past its full-rank footprint, and stops growing once
-    /// its rank does.
+    /// A node holds nothing before its first row, exactly its full-rank
+    /// footprint after it, and that for good: no later insert, innovative
+    /// or redundant, changes what the arena has allocated.
     #[test]
     fn node_storage_grows_with_rank_and_stops_at_the_full_rank_footprint() {
         let mut rng = StdRng::seed_from_u64(3);
         let (k, r) = (6, 4);
         let mut arena = BasisArena::<Gf256>::new(2, k, k + r);
-        let headers = arena.allocated_bytes();
-        assert_eq!(headers, 2 * std::mem::size_of::<NodeBasis>());
+        let headers = 2 * std::mem::size_of::<NodeBasis>();
+        assert_eq!(arena.allocated_bytes(), headers);
         // Coefficients, payload, elimination log, pivot map.
         let full_rank = k * k + k * r + k * k + k * std::mem::size_of::<usize>();
-        let mut last = headers;
+        let mut redundant = 0;
         while !arena.is_full(0) || !arena.is_full(1) {
             let node = rng.gen_range(0..2);
-            let row = random_row::<Gf256>(&mut rng, k + r);
-            let grew = arena.insert_packed_slice(node, &row).is_innovative();
-            let now = arena.allocated_bytes();
-            assert!(
-                now >= last && (grew || now == last),
-                "redundant insert grew storage"
-            );
-            last = now;
+            // Every other row repeats the node's span: a redundant insert.
+            let mut row = random_row::<Gf256>(&mut rng, k + r);
+            if arena.rank(node) > 0 && rng.gen_bool(0.5) {
+                arena.copy_packed_row_into(node, 0, &mut row);
+            }
+            redundant += usize::from(!arena.insert_packed_slice(node, &row).is_innovative());
+            let holding = (0..2).filter(|&v| arena.rank(v) > 0).count();
+            assert_eq!(arena.allocated_bytes(), headers + holding * full_rank);
         }
-        assert_eq!(last, headers + 2 * full_rank);
+        assert!(redundant > 0, "the stream must include redundant inserts");
         for node in 0..2 {
             let row = random_row::<Gf256>(&mut rng, k + r);
             assert_eq!(arena.insert_packed_slice(node, &row), Insertion::Redundant);
         }
-        assert_eq!(arena.allocated_bytes(), last);
+        assert_eq!(arena.allocated_bytes(), headers + 2 * full_rank);
     }
 
     #[test]

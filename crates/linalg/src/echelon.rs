@@ -85,8 +85,8 @@ impl Error for BasisError {}
 /// Inserting a row costs `O(rank · pivot_width)` symbol operations over the
 /// coefficient slab plus one payload `memcpy`; the deferred payload
 /// elimination is paid once per stored row when payloads are next observed,
-/// in fused multi-row kernel passes. Storage grows with the rank, in
-/// geometric chunks capped at the full-rank footprint. This is the one-node
+/// in fused multi-row kernel passes. Storage is allocated once, at the
+/// full-rank footprint, by the first stored row. This is the one-node
 /// view of the store a [`crate::BasisArena`] holds per node.
 ///
 /// # Examples

@@ -8,9 +8,9 @@
 //! received equation at a time and reports whether it was innovative (a
 //! "helpful message" in the paper's terminology) — behind two views.
 //! [`EchelonBasis`] holds one node, [`BasisArena`] all of a simulation's,
-//! each node's storage growing with its rank; `Send` [`BasisShard`]s split
-//! the arena for parallel rounds. The dense Gaussian elimination the basis
-//! is checked against is test code (`tests/oracle`).
+//! each node's storage allocated once by its first row; `Send`
+//! [`BasisShard`]s split the arena for parallel rounds. The dense Gaussian
+//! elimination the basis is checked against is test code (`tests/oracle`).
 //!
 //! # The slab layer
 //!

@@ -355,25 +355,6 @@ impl Dims {
     }
 }
 
-/// Smallest chunk a growing slab reserves at a time: below this, geometric
-/// doubling degenerates into per-row reallocation.
-const MIN_CHUNK_BYTES: usize = 64;
-
-/// Grows `vec`'s capacity to hold `needed` bytes, reserving geometrically
-/// (at least doubling, at least [`MIN_CHUNK_BYTES`]) but never past the
-/// `full`-rank footprint. No-op when capacity already suffices.
-fn reserve_chunked(vec: &mut Vec<u8>, needed: usize, full: usize) {
-    debug_assert!(needed <= full, "rank-bounded growth exceeded full rank");
-    if vec.capacity() >= needed {
-        return;
-    }
-    let target = needed
-        .max(vec.capacity().saturating_mul(2))
-        .max(MIN_CHUNK_BYTES)
-        .min(full);
-    vec.reserve_exact(target - vec.len());
-}
-
 /// `try_reserve_exact`, reporting the refused size in bytes.
 fn try_reserve<T>(vec: &mut Vec<T>, additional: usize) -> Result<(), usize> {
     vec.try_reserve_exact(additional)
@@ -400,13 +381,11 @@ pub(crate) struct Scratch {
 }
 
 impl Scratch {
-    /// Reserves every buffer at its full-rank footprint. The row-indexed
-    /// multiplier buffers grow with the highest rank seen so far, which
-    /// crosses `Vec` capacity thresholds mid-run — reserving them (and the
-    /// blocked-replay panels) up front, once per arena, leaves rank growth
-    /// of a node's own slabs as the only thing an insert or a read can
-    /// allocate for. `Err` carries the size in bytes of the reservation
-    /// the allocator refused.
+    /// Reserves every buffer at its full-rank footprint, once per arena, so
+    /// that a node's first row is the only thing an insert or a read can
+    /// allocate for (the row-indexed multiplier buffers would otherwise
+    /// cross `Vec` capacity thresholds mid-run, as ranks grow). `Err`
+    /// carries the size in bytes of the reservation the allocator refused.
     pub(crate) fn try_preallocate<F: SlabField>(&mut self, d: Dims) -> Result<(), usize> {
         let k = d.pivot_width;
         let sb = F::SYMBOL_BYTES;
@@ -419,6 +398,17 @@ impl Scratch {
             try_reserve(&mut self.panel, 2 * k * core_ops::padded_stride::<F>(d.pb))?;
         }
         Ok(())
+    }
+
+    /// A shard's scratch, sized where the shard is made (the main thread,
+    /// not its worker): the two multiplier buffers of an insert, `k` symbols
+    /// each. Replay panels stay lazy: gossip rarely settles a blocked batch.
+    pub(crate) fn for_shard(d: Dims) -> Self {
+        Scratch {
+            factors: Vec::with_capacity(d.kb),
+            back: Vec::with_capacity(d.kb),
+            ..Scratch::default()
+        }
     }
 }
 
@@ -438,10 +428,15 @@ pub(crate) struct Tails {
 
 /// One node's basis: reduced coefficient rows, raw payload tails, and the
 /// elimination log that materializes them on demand. All slabs are exactly
-/// `rank` rows long (the log holds `rank` events). Storage grows in
-/// rank-bounded geometric chunks: four growable slabs (`pivot_cols`,
-/// `coeff`, `pay`, `log`), each reallocated `O(log k)` times on the way to
-/// full rank and never by an insert that gains no rank.
+/// `rank` rows long (the log holds `rank` events).
+///
+/// Storage: four slabs (`pivot_cols`, `coeff`, `pay`, `log`; the last two
+/// only for rows with a payload), each allocated once, at its full-rank
+/// footprint, by the insert that stores the node's first row
+/// ([`NodeBasis::reserve_full_rank`]). No later insert reallocates, moves
+/// or frees a row, so a round's parallel phases never meet the allocator
+/// over node storage (what that costs: the `arena` module docs). A clone
+/// copies the rows, not the reservation, and makes its own at its next row.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeBasis {
     /// Row-indexed pivot map: stored row `i` has pivot column
@@ -475,6 +470,18 @@ impl NodeBasis {
             + tails.pay.capacity()
             + tails.log.capacity()
             + self.pivot_cols.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// The one place node storage is allocated (see [`NodeBasis`]).
+    fn reserve_full_rank<F: SlabField>(&mut self, d: Dims) {
+        let k = d.pivot_width;
+        self.pivot_cols.reserve_exact(k - self.pivot_cols.len());
+        self.coeff.reserve_exact(k * d.kb - self.coeff.len());
+        if d.pb > 0 {
+            let Tails { pay, log, .. } = self.tails.get_mut();
+            pay.reserve_exact(k * d.pb - pay.len());
+            log.reserve_exact(core_ops::log_offset::<F>(k) - log.len());
+        }
     }
 
     /// Inserts a packed row, reducing its coefficient prefix **in place**
@@ -519,14 +526,9 @@ impl NodeBasis {
         else {
             return Insertion::Redundant;
         };
-        let k = d.pivot_width;
-        if self.pivot_cols.capacity() == rank {
-            // Same rank-bounded discipline as the byte slabs: geometric,
-            // never past the full-rank row count.
-            let target = (rank * 2).max(4).min(k).max(rank + 1);
-            self.pivot_cols.reserve_exact(target - rank);
+        if self.pivot_cols.capacity() < d.pivot_width {
+            self.reserve_full_rank::<F>(d);
         }
-        reserve_chunked(&mut self.coeff, (rank + 1) * d.kb, k * d.kb);
         self.coeff.resize((rank + 1) * d.kb, 0);
         let (existing, slot) = self.coeff.split_at_mut(rank * d.kb);
         let pinv = core_ops::normalize_and_back_substitute::<F>(
@@ -541,11 +543,9 @@ impl NodeBasis {
         if d.pb > 0 {
             // Payload: raw memcpy now, elimination deferred to the log.
             let sb = F::SYMBOL_BYTES;
-            reserve_chunked(pay, (rank + 1) * d.pb, k * d.pb);
             pay.extend_from_slice(pay_in);
             let lbase = core_ops::log_offset::<F>(rank);
             let lend = lbase + (2 * rank + 1) * sb;
-            reserve_chunked(log, lend, k * k * sb);
             log.resize(lend, 0);
             log[lbase..lbase + rank * sb].copy_from_slice(&sc.factors);
             pinv.write_symbol(&mut log[lbase + rank * sb..]);
@@ -857,6 +857,79 @@ mod tests {
         full_node_answers_from_its_rank::<Gf2>();
         full_node_answers_from_its_rank::<Gf16>();
         full_node_answers_from_its_rank::<Gf256>();
+    }
+
+    /// Base address and capacity (in elements) of each slab, in the order
+    /// `pivot_cols`, `coeff`, `pay`, `log`.
+    fn slabs(b: &NodeBasis) -> [(usize, usize); 4] {
+        let t = b.tails.borrow();
+        [
+            (b.pivot_cols.as_ptr() as usize, b.pivot_cols.capacity()),
+            (b.coeff.as_ptr() as usize, b.coeff.capacity()),
+            (t.pay.as_ptr() as usize, t.pay.capacity()),
+            (t.log.as_ptr() as usize, t.log.capacity()),
+        ]
+    }
+
+    /// The storage rule: the first stored row puts every slab at its
+    /// full-rank capacity, and from then on up to full rank (redundant
+    /// inserts and settles in between) no slab's base address changes, so
+    /// no stored row ever moves.
+    fn rows_never_move_after_the_first<F: SlabField>(k: usize, r: usize) {
+        let mut rng = StdRng::seed_from_u64(59);
+        let d = Dims::new::<F>(k, k + r);
+        let mut b = NodeBasis::default();
+        let mut sc = Scratch::default();
+        assert_eq!(b.heap_bytes(), 0, "nothing before the first row");
+        let mut pinned = None;
+        while b.rank() < k {
+            let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
+            let packed = F::pack(&row);
+            if b.insert_packed_slice::<F>(d, &packed, &mut sc)
+                .is_innovative()
+            {
+                // The same row again is redundant; then read the payloads.
+                b.insert_packed_slice::<F>(d, &packed, &mut sc);
+                b.rows().settle::<F>(d, &mut sc);
+            }
+            if b.rank() == 0 {
+                continue;
+            }
+            let now = slabs(&b);
+            let (pay, log) = if r > 0 { (k * d.pb, k * d.kb) } else { (0, 0) };
+            assert_eq!(now.map(|(_, cap)| cap), [k, k * d.kb, pay, log]);
+            assert_eq!(*pinned.get_or_insert(now), now, "a slab moved");
+        }
+    }
+
+    #[test]
+    fn slabs_are_allocated_once_and_rows_never_move() {
+        for (k, r) in [(1, 0), (5, 0), (5, 3), (33, 70)] {
+            rows_never_move_after_the_first::<Gf2>(k, r);
+            rows_never_move_after_the_first::<Gf16>(k, r);
+            rows_never_move_after_the_first::<Gf256>(k, r);
+        }
+    }
+
+    /// A clone carries the rows and not the reservation; the next row it
+    /// stores makes it again, whole, instead of growing slab by slab.
+    #[test]
+    fn clone_reserves_again_at_its_next_stored_row() {
+        use ag_gf::Field;
+        let mut rng = StdRng::seed_from_u64(61);
+        let (k, r) = (8, 5);
+        let d = Dims::new::<Gf256>(k, k + r);
+        let original = random_node::<Gf256>(d, k / 2, &mut rng);
+        let full = slabs(&original).map(|(_, cap)| cap);
+        assert_eq!(full, [k, k * d.kb, k * d.pb, k * d.kb]);
+        let mut clone = original.clone();
+        assert!(clone.heap_bytes() < original.heap_bytes());
+        let mut sc = Scratch::default();
+        while clone.rank() == k / 2 {
+            let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
+            clone.insert_packed::<Gf256>(d, &mut Gf256::pack(&row), &mut sc);
+        }
+        assert_eq!(slabs(&clone).map(|(_, cap)| cap), full);
     }
 
     /// What `use_blocked` says for the flushes of the `ag-rlnc`

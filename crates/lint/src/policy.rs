@@ -50,17 +50,16 @@ pub const DERIVATION_ROOTS: [&str; 1] = ["splitmix64"];
 /// `alloc-discipline`: `receiver.method` calls permitted inside hot-path
 /// zones even though the method is in the allocating-method table; the
 /// receiver pins which buffer is sanctioned.
-pub const ALLOW_CALLS: [&str; 10] = [
+pub const ALLOW_CALLS: [&str; 9] = [
     // Preallocated scratch/output buffers resized to the row shape.
     "out.resize",
     "factors.resize",
     "buf.extend_from_slice",
-    // Basis slab growth: capacity is chunk-reserved up front
-    // (`reserve_chunked` / `try_reserve`), so these are amortized writes.
+    // Basis slab writes: every slab is at its full-rank capacity before a
+    // row goes in (`NodeBasis::reserve_full_rank`), so none reallocates.
     "coeff.resize",
     "pay.extend_from_slice",
     "log.resize",
-    "pivot_cols.reserve_exact",
     "pivot_cols.push",
     // Engine round scratch, cleared and reused across rounds.
     "intents.extend",

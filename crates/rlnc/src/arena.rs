@@ -1,15 +1,15 @@
 //! All of a simulation's decoders in one arena: allocation-free RLNC.
 //!
 //! [`DecoderArena`] is the only RLNC decoder state in the workspace: every
-//! node's equations live in one [`ag_linalg::BasisArena`], each node's row
-//! storage growing with its rank. A
+//! node's equations live in one [`ag_linalg::BasisArena`], which allocates
+//! a node's row storage once, when the node stores its first row. A
 //! [`Decoder`](crate::Decoder) is a one-node arena behind the
 //! [`Packet`](crate::Packet) API; the differential suite in
 //! `tests/differential_decoder.rs` pins this one store against the scalar
 //! oracle packet for packet. Combined with the [`crate::RowPool`] message
 //! buffers and the borrowing receive/emit entry points, a simulation's
 //! round loop performs zero per-message heap allocation: a node allocates
-//! only when its rank grows past the chunk it last reserved.
+//! at its first row and never again.
 //!
 //! Recoding lives here too: the dense and the sparse coefficient draws and
 //! the combination that follows are written once (`emit`, below) and serve
@@ -159,9 +159,8 @@ pub struct DecoderArena<F> {
 
 impl<F: SlabField> DecoderArena<F> {
     /// An arena of `nodes` empty decoders for a generation of `k` messages
-    /// of `payload_len` symbols. Row storage is rank-bounded: each node's
-    /// slabs grow in geometric chunks as its rank grows, capped at the
-    /// full-rank footprint.
+    /// of `payload_len` symbols. Nothing is stored per node until its
+    /// first row (see [`BasisArena`]).
     ///
     /// # Panics
     ///
@@ -315,8 +314,8 @@ impl<F: SlabField> DecoderArena<F> {
 
     /// Delivers a packed augmented row to node `node`, reducing it in the
     /// arena's internal scratch so the caller keeps its bytes. A
-    /// *redundant* reception costs zero heap allocations; an innovative
-    /// one only grows the node's storage. Verdicts, rank growth and
+    /// *redundant* reception costs zero heap allocations, and so does an
+    /// innovative one after the node's first. Verdicts, rank growth and
     /// counters behave exactly as [`DecoderArena::receive_packed_mut`].
     ///
     /// # Panics
@@ -412,15 +411,16 @@ impl<F: SlabField> DecoderArena<F> {
     /// Splits the arena into disjoint contiguous [`DecoderShard`]s for
     /// parallel round execution. `bounds` must partition `0..nodes()` in
     /// order (see [`BasisArena::shards_mut`]); each shard is `Send`,
-    /// addresses its nodes by global id, and owns its own emit scratch, so
-    /// shard receive/emit sequences are byte-identical to the serial
-    /// arena's under the same RNG streams.
+    /// addresses its nodes by global id, and owns its own emit scratch
+    /// (sized here, for a full-rank emit, not by the worker), so shard
+    /// receive/emit sequences are byte-identical to the serial arena's
+    /// under the same RNG streams.
     ///
     /// # Panics
     ///
     /// Panics if `bounds` is not an ordered contiguous partition.
     pub fn shards_mut(&mut self, bounds: &[(usize, usize)]) -> Vec<DecoderShard<'_, F>> {
-        let row_bytes = self.row_bytes();
+        let (k, row_bytes) = (self.k, self.row_bytes());
         let mut counts = self.counts.as_mut_slice();
         self.basis
             .shards_mut(bounds)
@@ -433,7 +433,7 @@ impl<F: SlabField> DecoderArena<F> {
                     basis,
                     counts: mine,
                     row_bytes,
-                    factors: Vec::new(),
+                    factors: Vec::with_capacity(k * F::SYMBOL_BYTES),
                 }
             })
             .collect()

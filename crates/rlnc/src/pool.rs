@@ -19,7 +19,7 @@
 //! Messages stay plain `Vec<u8>`s on purpose: an earlier design wrapped
 //! them in a self-returning smart pointer (drop = return to pool), but
 //! threading a `Drop`-glued, refcount-carrying type through the engine's
-//! outbox made the rank-only round loop ~4× slower — the buffer is 4
+//! outbox made the rank-only round loop ~4× slower — the buffer is `k`
 //! bytes there, so per-message bookkeeping *is* the workload. The
 //! explicit take/put discipline keeps the engine's message plumbing
 //! untouched and costs a few nanoseconds per cycle.
