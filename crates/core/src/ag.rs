@@ -128,10 +128,12 @@ impl AgConfig {
 /// and outgoing messages cycle through an [`ag_rlnc::RowPool`] — the RLNC
 /// wiring this protocol shares with [`crate::Tag`] and [`crate::TreeAg`] —
 /// so the engine's round loop performs **zero** per-message heap
-/// allocation: a node allocates its row storage once, at its first row,
-/// and nothing else allocates, which `tests/alloc_audit.rs` bounds round
-/// by round with a counting allocator on a 1 KiB-payload run, inline and
-/// fanned out. The golden-trajectory hashes
+/// allocation: a node allocates once, for its payload rows, at its first
+/// row (coefficient rows are in the arena's slab from construction on, so
+/// a rank-only run allocates nothing), and nothing else allocates, which
+/// `tests/alloc_audit.rs` bounds round by round with a counting allocator
+/// on a 1 KiB-payload run, inline and fanned out, and on a rank-only one.
+/// The golden-trajectory hashes
 /// pin the per-round results of all three protocols end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.

@@ -378,8 +378,25 @@ mod tests {
         let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
             .and_then(|generation| CodedNodes::new(1 << 44, &cfg, generation, 1, 2))
             .expect_err("arena sizing must overflow");
+        // The count it reports is the whole full-rank footprint: per node
+        // a head (pivot map, coefficient rows), a rank, the payload rows
+        // with their alignment slack and the elimination log.
+        let bytes = (1u128 << 44) * (2 * (4 + 2) + 4 + 2 * (1 << 20) + 63 + 2 * 2);
         assert!(
-            matches!(&err, GraphError::InvalidSize(m) if m.contains("overflows usize")),
+            matches!(&err, GraphError::InvalidSize(m)
+                if m.contains("overflows usize") && m.contains(&bytes.to_string())),
+            "{err:?}"
+        );
+        // Rank-only, those nodes are 2^48 bytes of heads and ranks: that
+        // fits `usize` and no machine, and is refused as an error too.
+        let cfg = AgConfig::new(2);
+        let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
+            .and_then(|generation| CodedNodes::new(1 << 44, &cfg, generation, 1, 2))
+            .expect_err("the head slab must be refused");
+        let heads = (1u64 << 44) * 12;
+        assert!(
+            matches!(&err, GraphError::InvalidSize(m)
+                if m.contains(&format!("could not reserve {heads} bytes"))),
             "{err:?}"
         );
     }

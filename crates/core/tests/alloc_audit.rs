@@ -1,8 +1,8 @@
 //! Counting-allocator audits: what the library promises to do without
 //! touching the heap, checked against this file's own global allocator.
 //!
-//! Four tests share one [`CountingAllocator`], which keeps two counters.
-//! The per-thread one lets the three inline audits run concurrently: each
+//! Five tests share one [`CountingAllocator`], which keeps two counters.
+//! The per-thread one lets the four inline audits run concurrently: each
 //! reads the allocator entries its own thread made, and libtest's harness
 //! threads (result channels, capture buffers) never show up in anyone's
 //! deltas. The process-wide one is for the fan-out lane, whose workers are
@@ -11,13 +11,17 @@
 //!
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
 //!   allocates for a node's first row and for nothing else: the pre-warmed
-//!   `RowPool` makes the per-message path allocation-free outright, and a
-//!   node's rows live in four slabs allocated once, at their full-rank
-//!   footprint, by the insert that stores its first row. So in every round
-//!   after the first (whose window also carries the engine's one-time
-//!   setup) the allocator is entered at most 4 × (nodes that stored their
-//!   first row that round) times — zero once every node holds a row — and
-//!   over the whole run at most 4·n times.
+//!   `RowPool` makes the per-message path allocation-free outright, a
+//!   node's coefficient rows live in the arena's slab from construction
+//!   on, and its payload rows and elimination log share one allocation
+//!   made, at its full-rank footprint, by the insert that stores its first
+//!   row. So in every round after the first (whose window also carries the
+//!   engine's one-time setup) the allocator is entered at most once per
+//!   node that stored its first row that round — not at all once every
+//!   node holds a row — and over the whole run at most n times.
+//! * **Rank-only lane** — the same run with no payload (k = 8, the
+//!   `gossip-rank` shape) has nothing to allocate per node: after round 1
+//!   it never enters the allocator.
 //! * **Crash + loss lane** — the same for a `WithCrashes`-wrapped run under
 //!   loss injection. This is the regression lock for two pooled-row leaks
 //!   the wrapper used to have: it did not forward `Protocol::discard` (so
@@ -164,34 +168,33 @@ fn round_windows<P: Protocol>(
 }
 
 /// The storage contract over a whole inline run of `n` nodes: after round
-/// 1 a round enters the allocator at most four times per node that stored
-/// its first row in it (a node owns four slabs, each allocated once), so
+/// 1 a round enters the allocator at most once per node that stored its
+/// first row in it (a node that stores payloads owns one allocation), so
 /// not at all once every node holds one; and the run, setup included, at
-/// most 4·n times.
+/// most n times.
 fn assert_allocations_are_first_rows_only(windows: &[RoundWindow], n: usize) {
     let leaking: Vec<&RoundWindow> = windows
         .iter()
-        .filter(|w| w.round > 1 && w.allocs > 4 * w.first_rows)
+        .filter(|w| w.round > 1 && w.allocs > w.first_rows)
         .collect();
     assert!(
         leaking.is_empty(),
-        "rounds allocating beyond four times their first rows: {leaking:?}"
+        "rounds allocating beyond their first rows: {leaking:?}"
     );
     let total: u64 = windows.iter().map(|w| w.allocs).sum();
-    let ceiling = 4 * n as u64;
     assert!(
-        total <= ceiling,
-        "{total} allocator calls over the run; one allocation per slab allows {ceiling}"
+        total <= n as u64,
+        "{total} allocator calls over the run; one allocation per node allows {n}"
     );
 }
 
-/// rr(3) on `n` nodes, k = 32 messages of `r` bytes over GF(2⁸), EXCHANGE:
+/// rr(3) on `n` nodes, `k` messages of `r` bytes over GF(2⁸), EXCHANGE:
 /// the protocol and the seed its engine runs on.
-fn payload_protocol(n: usize, r: usize) -> (AlgebraicGossip<Gf256>, u64) {
+fn protocol(n: usize, k: usize, r: usize) -> (AlgebraicGossip<Gf256>, u64) {
     let seed = 0x51AB_51AB;
     let mut grng = StdRng::seed_from_u64(seed ^ 0xE0);
     let graph = builders::random_regular(n, 3, &mut grng).expect("rr(3)");
-    let cfg = AgConfig::new(32)
+    let cfg = AgConfig::new(k)
         .with_payload_len(r)
         .with_placement(Placement::Spread);
     let proto = AlgebraicGossip::<Gf256>::new(&graph, &cfg, seed).expect("protocol");
@@ -232,7 +235,7 @@ fn bare_protocol_allocates_only_for_rank_growth() {
 
 fn bare_protocol_audit() {
     let n = 1024;
-    let (mut proto, engine_seed) = payload_protocol(n, 1024);
+    let (mut proto, engine_seed) = protocol(n, 32, 1024);
     let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000));
     let (stats, windows) = round_windows(&mut proto, engine, alloc_calls, |p| {
         holders_and_rank(n, |v| p.rank(v))
@@ -247,6 +250,35 @@ fn bare_protocol_audit() {
     assert_decoded_and_balanced(&proto);
 }
 
+#[test]
+fn rank_only_run_never_allocates_after_setup() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
+    // 2 · 4096 rows of 8 bytes: far below the fan-out size, inline on any
+    // rayon pool.
+    let n = 4096;
+    let (mut proto, engine_seed) = protocol(n, 8, 0);
+    let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000));
+    let (stats, windows) = round_windows(&mut proto, engine, alloc_calls, |p| {
+        holders_and_rank(n, |v| p.rank(v))
+    });
+    assert!(stats.completed, "completion run hit the round budget");
+    let allocating: Vec<&RoundWindow> = windows
+        .iter()
+        .filter(|w| w.round > 1 && w.allocs > 0)
+        .collect();
+    assert!(
+        allocating.is_empty(),
+        "a rank-only node has nothing to allocate: {allocating:?}"
+    );
+    let first_rows: u64 = windows.iter().map(|w| w.first_rows).sum();
+    assert!(
+        stats.rounds >= 6 && first_rows >= (n - 8) as u64,
+        "{} rounds, {first_rows} first rows: not the run this audit is about",
+        stats.rounds
+    );
+    assert_eq!(proto.pool_idle(), proto.pool_prewarm());
+}
+
 /// Allocator entries a fanned-out round may make once every node holds a
 /// row, over both phases and all threads: this many per shard, and as
 /// many again for the round. A shard costs its scratch (three buffers a
@@ -254,7 +286,8 @@ fn bare_protocol_audit() {
 /// residue doubles up to the shard's deliveries) and the delivery sort's
 /// buffer; a round costs two phases' job and result lists and their
 /// workers, of which there are at most as many as shards. Measured
-/// 45–62 calls at 2 shards and 131–184 at 8, on 1 to 8 threads.
+/// 46–62 calls at 2 shards and 132–184 at 8, on 1 to 8 threads; none of
+/// them is node storage, which a settled round has no reason to touch.
 const FAN_OUT_CALLS_PER_SHARD: u64 = 32;
 
 #[test]
@@ -264,7 +297,7 @@ fn fanned_out_round_allocates_per_shard_once_every_node_holds_a_row() {
     // does not depend on their length.
     let n = 1024;
     for shards in [2, 8] {
-        let (mut proto, engine_seed) = payload_protocol(n, 64);
+        let (mut proto, engine_seed) = protocol(n, 32, 64);
         let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000))
             .with_forced_shards(shards);
         let (stats, windows) = round_windows(&mut proto, engine, process_alloc_calls, |p| {

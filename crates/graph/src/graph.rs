@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node in a [`Graph`] (`0..n`).
 pub type NodeId = usize;
@@ -103,7 +104,9 @@ impl ExactSizeIterator for Neighbors<'_> {}
 /// *implicit* representation ([`Graph::complete`]): `N(v)` is computed
 /// arithmetically, so `K_n` costs O(1) memory at any `n` and a uniform
 /// partner pick touches no adjacency memory at all — without it, `K_n` at
-/// n = 10⁵ would need an ~80 GB target array.
+/// n = 10⁵ would need an ~80 GB target array. A graph is immutable once
+/// built and the arrays are shared: a clone (every protocol keeps one of
+/// the caller's graph) costs two reference counts, not a second copy.
 ///
 /// # Examples
 ///
@@ -126,8 +129,8 @@ pub struct Graph {
 enum Repr {
     /// CSR: `targets[offsets[v]..offsets[v + 1]]` is the sorted `N(v)`.
     Csr {
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
+        offsets: Arc<[usize]>,
+        targets: Arc<[NodeId]>,
     },
     /// The complete graph `K_n`, with arithmetic adjacency.
     Complete { n: usize },
@@ -207,7 +210,10 @@ impl Graph {
             offsets.push(targets.len());
         }
         Graph {
-            repr: Repr::Csr { offsets, targets },
+            repr: Repr::Csr {
+                offsets: offsets.into(),
+                targets: targets.into(),
+            },
             num_edges,
         }
     }
@@ -451,6 +457,27 @@ mod tests {
             Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap(),
             implicit
         );
+    }
+
+    /// A clone shares the CSR arrays instead of copying them, and stays
+    /// equal to the original in the semantic sense.
+    #[test]
+    fn clone_shares_the_csr_arrays() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        let c = g.clone();
+        let (
+            Repr::Csr { offsets, targets },
+            Repr::Csr {
+                offsets: co,
+                targets: ct,
+            },
+        ) = (&g.repr, &c.repr)
+        else {
+            panic!("edge-built graphs are CSR");
+        };
+        assert!(Arc::ptr_eq(offsets, co) && Arc::ptr_eq(targets, ct));
+        assert_eq!(g, c);
+        assert_eq!(c.neighbors(2).collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]

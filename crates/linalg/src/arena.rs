@@ -2,33 +2,37 @@
 //!
 //! A gossip simulation holds one decoder basis per node. [`BasisArena`]
 //! owns every node's rows behind one type, and stores what the paper's
-//! node stores: the equations received so far. A node holds nothing until
-//! its first row; that insert allocates the node's slabs once, at their
-//! full-rank footprint (`NodeBasis` in the `node` module has the rule),
-//! which every node of a completed run reaches anyway. Until then the
-//! reservation is address space, not memory: the kernel commits a page
-//! when a row is first written into it, so a slab larger than a page
-//! costs memory as `rank(v)` grows, and a slab smaller than a page is
-//! resident in full from the first row. Lazy page commit, not a growth
-//! policy, is what keeps the resident footprint near `Σ rank(v)` instead
-//! of `n · pivot_width` mid-run, and what the case for n = 10⁶ fitting in
-//! memory rests on. Rank-only runs (`row_elems == pivot_width`) have no
-//! payload slab and no elimination log: nothing would ever replay them.
+//! node stores: the equations received so far. The part of a node every
+//! operation touches is not the node's own: all *heads* (a node's pivot
+//! map, then its reduced coefficient rows) are one slab in node order,
+//! node `v`'s at `v · head_bytes`, and all ranks a dense vector beside it.
+//! Both come zeroed from the allocator at construction, pages untouched,
+//! and are written in place, so a rank-only arena (`row_elems ==
+//! pivot_width`) is `head_bytes + 4` bytes a node (100 at k = 8 over
+//! GF(2⁸)), has no per-node struct and never allocates again.
 //!
-//! Each node is the same crate-private store (the `node` module: an
-//! eagerly reduced coefficient slab, raw payload tails and an elimination
-//! log replayed on demand) that an [`EchelonBasis`](crate::EchelonBasis)
-//! wraps one of. The arena adds indexing and one scratch set shared by all
-//! nodes, reserved at its full-rank size at construction (per arena, not
-//! per node); there is no second elimination, so an arena
-//! node and an owned basis cannot diverge. What the differential suites in
-//! `ag-rlnc` pin is that one implementation against an eager scalar oracle
-//! kept in their test code.
+//! Rows with a payload add one table entry per node and one allocation per
+//! node, made by the insert that stores its first row, at the full-rank
+//! footprint of its elimination log and payload rows (`NodeBasis` in the
+//! `node` module has the rule), which every node of a completed run
+//! reaches anyway. Until then that reservation is address space, not
+//! memory: the kernel commits a page when a row is first written into it.
+//! Lazy page commit, not a growth policy, is what keeps the resident
+//! footprint near `Σ rank(v)` instead of `n · pivot_width` mid-run, and
+//! what the case for n = 10⁶ fitting in memory rests on.
+//!
+//! A node is the same crate-private store (the `node` module) that an
+//! [`EchelonBasis`](crate::EchelonBasis) owns one of. The arena adds
+//! indexing and one scratch set shared by all nodes, reserved at its
+//! full-rank size at construction; there is no second elimination, so an
+//! arena node and an owned basis cannot diverge. What the differential
+//! suites in `ag-rlnc` pin is that one implementation against an eager
+//! scalar oracle kept in their test code.
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
-//! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of nodes,
-//! `Send` without any locking — disjointness is enforced by the slice
-//! split, not at runtime.
+//! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of the
+//! three slabs by node range, `Send` without any locking — disjointness is
+//! enforced by the slice split, not at runtime.
 //!
 //! # Examples
 //!
@@ -45,24 +49,27 @@
 //! assert_eq!(arena.rank(1), 0);
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::fmt;
 use std::marker::PhantomData;
+use std::mem::size_of;
 
 use ag_gf::SlabField;
 
-use crate::node::{Dims, Insertion, NodeBasis, Scratch};
+use crate::node::{Dims, Head, Insertion, NodeBasis, Rows, Scratch, Tails};
 
 /// Typed sizing failures from [`BasisArena::try_new`].
 ///
-/// The capacity math (`nodes · pivot_width · row_elems · SYMBOL_BYTES`
-/// plus the `pivot_width²` log) runs through `checked_mul`, so impossible
-/// shapes surface as [`ArenaError::CapacityOverflow`] with the computed
-/// byte count instead of a silent wrap or an opaque allocator abort, and
-/// failed reservations surface as [`ArenaError::AllocationFailure`].
+/// The capacity math (per node a head, a 4-byte rank and, where rows carry
+/// a payload, `pivot_width` payload rows and the `pivot_width²`-symbol
+/// log) runs in `u128`, so impossible shapes surface as
+/// [`ArenaError::CapacityOverflow`] with the computed byte count instead of
+/// a silent wrap or an opaque allocator abort, and failed reservations
+/// surface as [`ArenaError::AllocationFailure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArenaError {
-    /// The full-rank footprint does not fit in `usize`.
+    /// The full-rank footprint does not fit in `usize`, or the pivot width
+    /// does not fit the 4-byte entries of a node's pivot map.
     CapacityOverflow {
         /// Requested node count.
         nodes: usize,
@@ -70,8 +77,8 @@ pub enum ArenaError {
         pivot_width: usize,
         /// Requested symbols per row.
         row_elems: usize,
-        /// The full-rank footprint that overflowed, in bytes (exact, in
-        /// `u128`).
+        /// The full-rank footprint that overflowed, in bytes (exact in
+        /// `u128`, saturating there).
         bytes: u128,
     },
     /// The allocator refused a reservation of `bytes` bytes.
@@ -91,8 +98,8 @@ impl fmt::Display for ArenaError {
                 bytes,
             } => write!(
                 f,
-                "arena capacity overflows usize: {nodes} nodes × {pivot_width} rows × \
-                 {row_elems} symbols (+ elimination log) = {bytes} bytes"
+                "arena capacity overflows usize: {nodes} nodes × ({pivot_width} rows × \
+                 {row_elems} symbols + elimination log + pivot map + rank) = {bytes} bytes"
             ),
             ArenaError::AllocationFailure { bytes } => {
                 write!(
@@ -106,8 +113,19 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// All of a simulation's echelon bases; a node's storage is allocated
-/// once, by its first row (see the module docs).
+/// `len` zeroed elements whose pages come from the allocator unwritten, or
+/// the size in bytes it refused. `std` has no fallible zeroed allocation
+/// and `vec!` aborts when refused, so the size is tried with a fallible
+/// reservation first, which is handed straight back.
+fn try_zeroed<T: Copy + Default>(len: usize) -> Result<Vec<T>, usize> {
+    Vec::<T>::new()
+        .try_reserve_exact(len)
+        .map_err(|_| len.saturating_mul(size_of::<T>()))?;
+    Ok(vec![T::default(); len])
+}
+
+/// All of a simulation's echelon bases, in slabs indexed by node (see the
+/// module docs).
 ///
 /// Unlike [`EchelonBasis`](crate::EchelonBasis), whose row length is
 /// learned from the first inserted row, an arena fixes `row_elems`
@@ -119,13 +137,16 @@ impl std::error::Error for ArenaError {}
 /// `n`), so [`BasisArena::try_new`] reports them as [`ArenaError`].
 #[derive(Debug, Clone)]
 pub struct BasisArena<F> {
-    /// Per-node bases; shards take disjoint `&mut` slices of this.
-    nodes: Vec<NodeBasis>,
-    /// Pivot (coefficient) width of every basis — also the per-node row
-    /// cap.
-    pivot_width: usize,
-    /// Symbols per row (pivot prefix + augmented tail), fixed up front.
-    row_elems: usize,
+    /// Every node's head (pivot map, then reduced coefficient rows), node
+    /// `v`'s at `v · dims.head_bytes()`; shards take disjoint `&mut`
+    /// slices of this, of `ranks` and of `tails`.
+    heads: Vec<u8>,
+    /// Every node's rank.
+    ranks: Vec<u32>,
+    /// Every node's payload tails; empty when rows carry no payload.
+    tails: Vec<RefCell<Tails>>,
+    /// Row widths and per-node sizes, fixed up front.
+    dims: Dims,
     /// Reusable buffers (transient), shared by all nodes — operations are
     /// serial per arena.
     scratch: RefCell<Scratch>,
@@ -153,12 +174,12 @@ impl<F: SlabField> BasisArena<F> {
         }
     }
 
-    /// Fallible constructor: checks the full-rank capacity math with
-    /// `checked_mul` (returning [`ArenaError::CapacityOverflow`] with the
-    /// exact byte count) and reserves the node table and the shared scratch
-    /// via `try_reserve` (returning [`ArenaError::AllocationFailure`]
-    /// instead of aborting). Per-node rows are not reserved here: each
-    /// node's first row does that.
+    /// Fallible constructor: checks the full-rank capacity math
+    /// (returning [`ArenaError::CapacityOverflow`] with the exact byte
+    /// count) and allocates the head and rank slabs, the table of payload
+    /// tails and the shared scratch fallibly (returning
+    /// [`ArenaError::AllocationFailure`] instead of aborting). Payload
+    /// rows are not reserved here: each node's first row does that.
     ///
     /// # Panics
     ///
@@ -170,81 +191,88 @@ impl<F: SlabField> BasisArena<F> {
             row_elems >= pivot_width,
             "rows must at least cover the pivot prefix"
         );
-        let sb = F::SYMBOL_BYTES;
-        let tail = row_elems - pivot_width;
-        // Full-rank footprint per node, in symbols: k·k coefficients,
-        // k·tail payload, k² log events (only when a payload exists).
-        let log_syms = if tail > 0 {
-            pivot_width * pivot_width
-        } else {
-            0
-        };
-        let overflow = || {
-            let per_node = (pivot_width as u128) * (row_elems as u128) + log_syms as u128;
+        let dims = Dims::sized::<F>(nodes, pivot_width, row_elems).map_err(|bytes| {
             ArenaError::CapacityOverflow {
                 nodes,
                 pivot_width,
                 row_elems,
-                bytes: (nodes as u128) * per_node * sb as u128,
+                bytes,
             }
-        };
-        pivot_width
-            .checked_mul(row_elems)
-            .and_then(|s| s.checked_add(log_syms))
-            .and_then(|s| s.checked_mul(sb))
-            .and_then(|b| b.checked_mul(nodes))
-            .ok_or_else(overflow)?;
+        })?;
         let refused = |bytes| ArenaError::AllocationFailure { bytes };
-        let mut cells = Vec::new();
-        cells
-            .try_reserve_exact(nodes)
-            .map_err(|_| refused(nodes.saturating_mul(std::mem::size_of::<NodeBasis>())))?;
-        cells.resize_with(nodes, NodeBasis::default);
+        let heads = try_zeroed(nodes * dims.head_bytes()).map_err(refused)?;
+        let ranks = try_zeroed(nodes).map_err(refused)?;
+        let mut tails = Vec::new();
+        if dims.pb > 0 {
+            tails
+                .try_reserve_exact(nodes)
+                .map_err(|_| refused(nodes.saturating_mul(size_of::<RefCell<Tails>>())))?;
+            tails.resize_with(nodes, RefCell::default);
+        }
         let mut scratch = Scratch::default();
-        scratch
-            .try_preallocate::<F>(Dims::new::<F>(pivot_width, row_elems))
-            .map_err(refused)?;
+        scratch.try_preallocate::<F>(dims).map_err(refused)?;
         Ok(BasisArena {
-            nodes: cells,
-            pivot_width,
-            row_elems,
+            heads,
+            ranks,
+            tails,
+            dims,
             scratch: RefCell::new(scratch),
             _field: PhantomData,
         })
     }
 
-    #[inline]
-    fn dims(&self) -> Dims {
-        Dims::new::<F>(self.pivot_width, self.row_elems)
+    /// Node `node`'s stored pivots and coefficient rows.
+    fn head(&self, node: usize) -> Head<'_> {
+        let head = &self.heads[self.dims.head_range(node)];
+        Head::new(self.dims, head, self.ranks[node] as usize)
+    }
+
+    /// Node `node`'s rows for a read through `&self`.
+    fn rows(&self, node: usize) -> Rows<'_, RefMut<'_, Tails>> {
+        Rows {
+            head: self.head(node),
+            tails: self.tails.get(node).map(RefCell::borrow_mut),
+        }
+    }
+
+    /// Node `node` assembled for an insert, and the scratch to run it on.
+    fn node_mut(&mut self, node: usize) -> (NodeBasis<'_>, &mut Scratch) {
+        let node = NodeBasis {
+            head: &mut self.heads[self.dims.head_range(node)],
+            rank: &mut self.ranks[node],
+            tails: self.tails.get_mut(node).map(RefCell::get_mut),
+        };
+        (node, self.scratch.get_mut())
     }
 
     /// Number of per-node bases.
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.nodes.len()
+        self.ranks.len()
     }
 
     /// Bytes per row.
     #[must_use]
     pub fn row_bytes(&self) -> usize {
-        self.dims().row_bytes()
+        self.dims.row_bytes()
     }
 
     /// Bytes of the packed coefficient prefix of every row.
     #[must_use]
     pub fn coeff_bytes(&self) -> usize {
-        self.dims().kb
+        self.dims.kb
     }
 
-    /// Heap bytes currently reserved across every node's row storage
-    /// (slab capacities plus per-node headers) — the number the memory
-    /// model in the benches reports per node.
+    /// Heap bytes currently reserved for node state: the head and rank
+    /// slabs and, for rows with a payload, the table of tails and every
+    /// node's own allocation.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.heap_bytes() + std::mem::size_of::<NodeBasis>())
-            .sum()
+        let per_node: usize = self.tails.iter().map(|t| t.borrow().heap_bytes()).sum();
+        self.heads.capacity()
+            + self.ranks.capacity() * size_of::<u32>()
+            + self.tails.capacity() * size_of::<RefCell<Tails>>()
+            + per_node
     }
 
     /// Node `node`'s current rank.
@@ -254,20 +282,20 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn rank(&self, node: usize) -> usize {
-        self.nodes[node].rank()
+        self.ranks[node] as usize
     }
 
     /// True once node `node`'s basis spans the full coefficient space.
     #[must_use]
     pub fn is_full(&self, node: usize) -> bool {
-        self.rank(node) == self.pivot_width
+        self.rank(node) == self.dims.pivot_width
     }
 
     /// Iterates over node `node`'s reduced coefficient prefixes, in
     /// insertion order. Payloads are untouched — the view for helpfulness
     /// scans between nodes.
     pub fn coeff_rows(&self, node: usize) -> impl Iterator<Item = &[u8]> {
-        self.nodes[node].coeff().chunks_exact(self.coeff_bytes())
+        self.head(node).coeff.chunks_exact(self.coeff_bytes())
     }
 
     /// Materializes full row `i` of node `node` (coefficients + reduced
@@ -279,9 +307,8 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `i >= rank(node)`.
     pub fn copy_packed_row_into(&self, node: usize, i: usize, out: &mut Vec<u8>) {
         let mut sc = self.scratch.borrow_mut();
-        self.nodes[node]
-            .rows()
-            .copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
+        self.rows(node)
+            .copy_packed_row_into::<F>(self.dims, i, &mut sc, out);
     }
 
     /// Accumulates `Σᵢ factors[i] · row_i` of node `node`'s stored rows
@@ -296,9 +323,8 @@ impl<F: SlabField> BasisArena<F> {
     /// `out` is not exactly [`BasisArena::row_bytes`] long.
     pub fn accumulate_rows_into(&self, node: usize, factors: &[u8], out: &mut [u8]) {
         let mut sc = self.scratch.borrow_mut();
-        self.nodes[node]
-            .rows()
-            .accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
+        self.rows(node)
+            .accumulate_rows_into::<F>(self.dims, factors, &mut sc, out);
     }
 
     /// Forces node `node`'s deferred payload elimination to settle now
@@ -306,7 +332,7 @@ impl<F: SlabField> BasisArena<F> {
     /// every read path settles on demand anyway.
     pub fn settle(&self, node: usize) {
         let mut sc = self.scratch.borrow_mut();
-        self.nodes[node].rows().settle::<F>(self.dims(), &mut sc);
+        self.rows(node).settle::<F>(self.dims, &mut sc);
     }
 
     /// Inserts a packed row into node `node`'s basis, reducing its
@@ -323,8 +349,9 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
     // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        let dims = self.dims();
-        self.nodes[node].insert_packed::<F>(dims, row, self.scratch.get_mut())
+        let dims = self.dims;
+        let (node, sc) = self.node_mut(node);
+        node.insert_packed::<F>(dims, row, sc)
     }
 
     /// Borrowing variant of [`BasisArena::insert_packed_mut`]: copies the
@@ -336,8 +363,9 @@ impl<F: SlabField> BasisArena<F> {
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
     // ag-lint: hot-path
     pub fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
-        let dims = self.dims();
-        self.nodes[node].insert_packed_slice::<F>(dims, row, self.scratch.get_mut())
+        let dims = self.dims;
+        let (node, sc) = self.node_mut(node);
+        node.insert_packed_slice::<F>(dims, row, sc)
     }
 
     /// Would this packed row raise node `node`'s rank? Non-mutating; `row`
@@ -352,9 +380,10 @@ impl<F: SlabField> BasisArena<F> {
     pub fn would_be_innovative_packed(&self, node: usize, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb, "row shorter than the packed pivot prefix");
-        self.nodes[node].probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
-            p.extend_from_slice(&row[..kb]);
-        })
+        self.head(node)
+            .probe::<F>(self.dims, &mut self.scratch.borrow_mut(), |p| {
+                p.extend_from_slice(&row[..kb]);
+            })
     }
 
     /// Once node `node` is full, extracts its solution exactly as
@@ -365,7 +394,7 @@ impl<F: SlabField> BasisArena<F> {
     #[must_use]
     pub fn solution(&self, node: usize) -> Option<Vec<Vec<F>>> {
         let mut sc = self.scratch.borrow_mut();
-        self.nodes[node].rows().solution::<F>(self.dims(), &mut sc)
+        self.rows(node).solution::<F>(self.dims, &mut sc)
     }
 
     /// Splits the arena into disjoint contiguous shards for parallel round
@@ -378,21 +407,29 @@ impl<F: SlabField> BasisArena<F> {
     ///
     /// Panics if `bounds` is not an ordered contiguous partition.
     pub fn shards_mut(&mut self, bounds: &[(usize, usize)]) -> Vec<BasisShard<'_, F>> {
-        let dims = self.dims();
-        let total = self.nodes.len();
+        let dims = self.dims;
+        let total = self.nodes();
         let mut out = Vec::with_capacity(bounds.len());
-        let mut rest = self.nodes.as_mut_slice();
+        let mut heads = self.heads.as_mut_slice();
+        let mut ranks = self.ranks.as_mut_slice();
+        let mut tails = self.tails.as_mut_slice();
         let mut consumed = 0;
         for &(start, end) in bounds {
             assert!(
                 start == consumed && end >= start && end <= total,
                 "shard bounds must partition the arena contiguously"
             );
-            let (nodes, tail) = rest.split_at_mut(end - start);
-            rest = tail;
+            let len = end - start;
             consumed = end;
             out.push(BasisShard {
-                nodes,
+                heads: heads
+                    .split_off_mut(..len * dims.head_bytes())
+                    .expect("in bounds"),
+                ranks: ranks.split_off_mut(..len).expect("in bounds"),
+                // One per node, or none at all for rank-only rows.
+                tails: tails
+                    .split_off_mut(..len.min(tails.len()))
+                    .expect("in bounds"),
                 start,
                 dims,
                 scratch: Scratch::for_shard(dims),
@@ -406,13 +443,17 @@ impl<F: SlabField> BasisArena<F> {
 
 /// A disjoint contiguous slice of a [`BasisArena`], addressable by the
 /// original (global) node ids. `Send` by construction — per-node state is
-/// reached through a `&mut` slice + `get_mut`, no locks, no aliasing — so
-/// shards can run on worker threads while the arena itself stays single-
-/// threaded. Each shard carries its own scratch buffers.
+/// reached through `&mut` slices of the arena's slabs, no locks, no
+/// aliasing — so shards can run on worker threads while the arena itself
+/// stays single-threaded. Each shard carries its own scratch buffers.
 #[derive(Debug)]
 pub struct BasisShard<'a, F> {
-    nodes: &'a mut [NodeBasis],
-    /// Global id of `nodes[0]`.
+    /// The heads of the shard's nodes: the arena's
+    /// `[start · head_bytes, end · head_bytes)`.
+    heads: &'a mut [u8],
+    ranks: &'a mut [u32],
+    tails: &'a mut [RefCell<Tails>],
+    /// Global id of the shard's first node.
     start: usize,
     dims: Dims,
     scratch: Scratch,
@@ -423,14 +464,25 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Global node ids covered: `start..start + len`.
     #[must_use]
     pub fn node_range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.nodes.len()
+        self.start..self.start + self.ranks.len()
     }
 
     /// Node `node`'s current rank (`node` is a global id inside
     /// [`BasisShard::node_range`]).
     #[must_use]
     pub fn rank(&self, node: usize) -> usize {
-        self.nodes[node - self.start].rank()
+        self.ranks[node - self.start] as usize
+    }
+
+    /// Node `node`'s rows for a read, and the scratch to run it on.
+    fn rows(&mut self, node: usize) -> (Rows<'_, &mut Tails>, &mut Scratch) {
+        let i = node - self.start;
+        let head = &self.heads[self.dims.head_range(i)];
+        let rows = Rows {
+            head: Head::new(self.dims, head, self.ranks[i] as usize),
+            tails: self.tails.get_mut(i).map(RefCell::get_mut),
+        };
+        (rows, &mut self.scratch)
     }
 
     /// Shard-local [`BasisArena::insert_packed_mut`] — same elimination
@@ -441,7 +493,13 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Panics if `node` is outside the shard or the row length mismatches.
     // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        self.nodes[node - self.start].insert_packed::<F>(self.dims, row, &mut self.scratch)
+        let i = node - self.start;
+        let node = NodeBasis {
+            head: &mut self.heads[self.dims.head_range(i)],
+            rank: &mut self.ranks[i],
+            tails: self.tails.get_mut(i).map(RefCell::get_mut),
+        };
+        node.insert_packed::<F>(self.dims, row, &mut self.scratch)
     }
 
     /// Shard-local [`BasisArena::copy_packed_row_into`].
@@ -450,9 +508,9 @@ impl<F: SlabField> BasisShard<'_, F> {
     ///
     /// Panics if `node` is outside the shard or `i >= rank(node)`.
     pub fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
-        self.nodes[node - self.start]
-            .rows_mut()
-            .copy_packed_row_into::<F>(self.dims, i, &mut self.scratch, out);
+        let dims = self.dims;
+        let (mut rows, sc) = self.rows(node);
+        rows.copy_packed_row_into::<F>(dims, i, sc, out);
     }
 
     /// Shard-local [`BasisArena::accumulate_rows_into`].
@@ -462,9 +520,9 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// Panics if `node` is outside the shard, `factors` is not exactly
     /// `rank(node)` packed symbols, or `out` is not one full row.
     pub fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
-        self.nodes[node - self.start]
-            .rows_mut()
-            .accumulate_rows_into::<F>(self.dims, factors, &mut self.scratch, out);
+        let dims = self.dims;
+        let (mut rows, sc) = self.rows(node);
+        rows.accumulate_rows_into::<F>(dims, factors, sc, out);
     }
 }
 
@@ -595,26 +653,54 @@ mod tests {
         assert!(matches!(err, ArenaError::CapacityOverflow { .. }));
         let msg = err.to_string();
         assert!(msg.contains("bytes"), "byte count missing from: {msg}");
-        // The exact u128 byte count appears in the message.
-        let want = (usize::MAX as u128 / 4) * (8 * 16 + 64);
+        // The exact u128 byte count appears in the message: per node a head
+        // (pivot map, coefficient rows), a rank, payload rows and the log.
+        let want = (usize::MAX as u128 / 4) * ((8 * 4 + 8 * 8) + 4 + (8 * 8 + 64 + 63));
         assert!(
             msg.contains(&want.to_string()),
             "computed count missing: {msg}"
         );
+        // A rank-only arena has only the first two terms, and they count.
+        let err = BasisArena::<Gf256>::try_new(usize::MAX / 64, 8, 8).expect_err("must overflow");
+        let want = (usize::MAX as u128 / 64) * (96 + 4);
+        assert!(err.to_string().contains(&want.to_string()), "{err}");
     }
 
-    /// A node holds nothing before its first row, exactly its full-rank
-    /// footprint after it, and that for good: no later insert, innovative
-    /// or redundant, changes what the arena has allocated.
+    /// A pivot column is stored in four bytes: a wider basis is refused by
+    /// the sizing check, whatever the node count, instead of truncated.
     #[test]
-    fn node_storage_grows_with_rank_and_stops_at_the_full_rank_footprint() {
+    fn pivot_width_beyond_u32_is_a_capacity_overflow() {
+        let k = u32::MAX as usize + 1;
+        for nodes in [0, 1] {
+            let err = BasisArena::<Gf2>::try_new(nodes, k, k).expect_err("must not fit");
+            assert!(matches!(err, ArenaError::CapacityOverflow { .. }), "{err}");
+        }
+    }
+
+    /// Slabs that fit `usize` and not the machine are refused with the size
+    /// asked for, not by an allocator abort.
+    #[test]
+    fn refused_slab_is_a_typed_allocation_failure() {
+        let nodes = 1usize << 44;
+        let err = BasisArena::<Gf256>::try_new(nodes, 8, 8).expect_err("1.5 PiB of heads");
+        assert_eq!(err, ArenaError::AllocationFailure { bytes: nodes * 96 });
+    }
+
+    /// With a payload a node holds nothing of its own before its first row,
+    /// exactly one allocation of its full-rank footprint after it, and that
+    /// for good: no later insert, innovative or redundant, changes what the
+    /// arena has allocated.
+    #[test]
+    fn payload_node_storage_is_one_allocation_at_its_first_row() {
         let mut rng = StdRng::seed_from_u64(3);
         let (k, r) = (6, 4);
         let mut arena = BasisArena::<Gf256>::new(2, k, k + r);
-        let headers = 2 * std::mem::size_of::<NodeBasis>();
-        assert_eq!(arena.allocated_bytes(), headers);
-        // Coefficients, payload, elimination log, pivot map.
-        let full_rank = k * k + k * r + k * k + k * std::mem::size_of::<usize>();
+        // Heads (pivot map, coefficients), ranks, and the table of tails.
+        let fixed = 2 * (k * (4 + k) + 4 + size_of::<RefCell<Tails>>());
+        assert!(size_of::<RefCell<Tails>>() <= 48);
+        assert_eq!(arena.allocated_bytes(), fixed);
+        // Elimination log, alignment slack, payload rows.
+        let full_rank = k * k + 63 + k * r;
         let mut redundant = 0;
         while !arena.is_full(0) || !arena.is_full(1) {
             let node = rng.gen_range(0..2);
@@ -625,29 +711,59 @@ mod tests {
             }
             redundant += usize::from(!arena.insert_packed_slice(node, &row).is_innovative());
             let holding = (0..2).filter(|&v| arena.rank(v) > 0).count();
-            assert_eq!(arena.allocated_bytes(), headers + holding * full_rank);
+            assert_eq!(arena.allocated_bytes(), fixed + holding * full_rank);
         }
         assert!(redundant > 0, "the stream must include redundant inserts");
         for node in 0..2 {
             let row = random_row::<Gf256>(&mut rng, k + r);
             assert_eq!(arena.insert_packed_slice(node, &row), Insertion::Redundant);
         }
-        assert_eq!(arena.allocated_bytes(), headers + 2 * full_rank);
+        assert_eq!(arena.allocated_bytes(), fixed + 2 * full_rank);
     }
 
+    /// A rank-only arena is a head and a rank per node from construction
+    /// on: no table of tails, no per-node allocation, and no insert changes
+    /// what it has allocated or where.
     #[test]
-    fn rank_only_arena_skips_payload_and_log_storage() {
+    fn rank_only_arena_is_head_plus_rank_bytes_a_node_throughout() {
         let mut rng = StdRng::seed_from_u64(11);
-        let k = 8;
-        let mut arena = BasisArena::<Gf256>::new(1, k, k);
-        while !arena.is_full(0) {
+        let (k, nodes) = (8, 3);
+        let mut arena = BasisArena::<Gf256>::new(nodes, k, k);
+        let bytes = nodes * (k * (4 + k) + 4);
+        let base = arena.heads.as_ptr();
+        while (0..nodes).any(|v| !arena.is_full(v)) {
+            assert_eq!(arena.allocated_bytes(), bytes);
             let row = random_row::<Gf256>(&mut rng, k);
-            arena.insert_packed_slice(0, &row);
+            arena.insert_packed_slice(rng.gen_range(0..nodes), &row);
         }
-        // Coefficients only: k rows × k bytes, plus the pivot map. No pay,
-        // no log — nothing will ever replay them.
-        assert!(arena.allocated_bytes() < 4 * k * k + 256);
+        assert_eq!(arena.allocated_bytes(), bytes);
+        assert_eq!(arena.heads.as_ptr(), base);
+        assert!(arena.tails.is_empty());
         assert!(arena.solution(0).is_some());
+    }
+
+    /// A shard's slabs are its node range of the arena's: heads
+    /// `[start · head_bytes, end · head_bytes)`, one rank a node, and one
+    /// tails entry a node where rows carry a payload.
+    #[test]
+    fn a_shards_slabs_are_its_node_range_of_the_arenas() {
+        for r in [0, 3] {
+            let k = 5;
+            let mut arena = BasisArena::<Gf256>::new(7, k, k + r);
+            let stride = arena.dims.head_bytes();
+            assert_eq!(stride, k * (4 + k));
+            let heads = arena.heads.as_ptr() as usize;
+            let ranks = arena.ranks.as_ptr() as usize;
+            let bounds = [(0, 2), (2, 2), (2, 6), (6, 7)];
+            for (shard, (start, end)) in arena.shards_mut(&bounds).iter().zip(bounds) {
+                assert_eq!(shard.node_range(), start..end);
+                assert_eq!(shard.heads.as_ptr() as usize, heads + start * stride);
+                assert_eq!(shard.heads.len(), (end - start) * stride);
+                assert_eq!(shard.ranks.as_ptr() as usize, ranks + start * 4);
+                assert_eq!(shard.ranks.len(), end - start);
+                assert_eq!(shard.tails.len(), if r > 0 { end - start } else { 0 });
+            }
+        }
     }
 
     #[test]

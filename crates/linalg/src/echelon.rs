@@ -2,21 +2,22 @@
 //!
 //! The store itself — the coefficient/payload split, the elimination log
 //! and its replay — is described and implemented once, in the
-//! crate-private `node` module. An [`EchelonBasis`] is *one* such node plus
-//! its dimensions and scratch: it learns its row length from the first
-//! stored row and rejects malformed rows with a typed [`BasisError`],
-//! where [`crate::BasisArena`] — the simulation view, a slice of the same
-//! nodes — fixes the row length up front and asserts. An owned basis and
-//! an arena node run the same code on the same layout.
+//! crate-private `node` module. An [`EchelonBasis`] owns the parts of *one*
+//! such node (its head, its rank, its payload tails) plus its dimensions
+//! and scratch: it learns its row length from the first stored row and
+//! rejects malformed rows with a typed [`BasisError`], where
+//! [`crate::BasisArena`] — the simulation view, the same parts in slabs
+//! indexed by node — fixes the row length up front and asserts. An owned
+//! basis and an arena node run the same code on the same layout.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::error::Error;
 use std::fmt;
 use std::marker::PhantomData;
 
 use ag_gf::SlabField;
 
-use crate::node::{Dims, Insertion, NodeBasis, Scratch};
+use crate::node::{Dims, Head, Insertion, NodeBasis, Rows, Scratch, Tails};
 
 /// A malformed row rejected by [`EchelonBasis::try_insert`] before any
 /// elimination ran — the basis is untouched when one of these is returned.
@@ -85,9 +86,10 @@ impl Error for BasisError {}
 /// Inserting a row costs `O(rank · pivot_width)` symbol operations over the
 /// coefficient slab plus one payload `memcpy`; the deferred payload
 /// elimination is paid once per stored row when payloads are next observed,
-/// in fused multi-row kernel passes. Storage is allocated once, at the
-/// full-rank footprint, by the first stored row. This is the one-node
-/// view of the store a [`crate::BasisArena`] holds per node.
+/// in fused multi-row kernel passes. The coefficient rows are allocated at
+/// construction, the payload rows once, at their full-rank footprint, by
+/// the first stored row. This is the one-node view of the store a
+/// [`crate::BasisArena`] holds per node.
 ///
 /// # Examples
 ///
@@ -108,8 +110,13 @@ pub struct EchelonBasis<F> {
     /// Symbols per stored row (pivot prefix + augmented tail); fixed by the
     /// first stored row.
     row_elems: Option<usize>,
-    /// The stored rows.
-    node: NodeBasis,
+    /// The one node's head: pivot map, then reduced coefficient rows.
+    head: Vec<u8>,
+    /// Rows stored.
+    rank: u32,
+    /// Payload rows and elimination log; allocated by the first stored row
+    /// that carries a payload.
+    tails: RefCell<Tails>,
     /// Reusable buffers (excluded from `PartialEq`).
     scratch: RefCell<Scratch>,
     _field: PhantomData<F>,
@@ -125,7 +132,8 @@ impl<F: SlabField> PartialEq for EchelonBasis<F> {
         other.settle();
         self.pivot_width == other.pivot_width
             && self.row_elems == other.row_elems
-            && self.node.same_settled_rows(&other.node)
+            && self.stored() == other.stored()
+            && self.tails.borrow().pay() == other.tails.borrow().pay()
     }
 }
 
@@ -133,13 +141,23 @@ impl<F: SlabField> Eq for EchelonBasis<F> {}
 
 impl<F: SlabField> EchelonBasis<F> {
     /// Creates an empty basis whose rows have `pivot_width` leading
-    /// coefficient entries.
+    /// coefficient entries. Allocates the head (`pivot_width²` symbols and
+    /// a 4-byte pivot entry per row); payload storage waits for the first
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a head of that width cannot be addressed.
     #[must_use]
     pub fn new(pivot_width: usize) -> Self {
+        let d = Dims::sized::<F>(1, pivot_width, pivot_width)
+            .expect("pivot width fits a u32 and its head fits usize");
         EchelonBasis {
             pivot_width,
             row_elems: None,
-            node: NodeBasis::default(),
+            head: vec![0; d.head_bytes()],
+            rank: 0,
+            tails: RefCell::default(),
             scratch: RefCell::default(),
             _field: PhantomData,
         }
@@ -150,10 +168,23 @@ impl<F: SlabField> EchelonBasis<F> {
         Dims::new::<F>(self.pivot_width, self.row_elems.unwrap_or(self.pivot_width))
     }
 
+    /// The stored pivots and coefficient rows.
+    fn stored(&self) -> Head<'_> {
+        Head::new(self.dims(), &self.head, self.rank())
+    }
+
+    /// The stored rows for a read through `&self`.
+    fn unlocked(&self) -> Rows<'_, RefMut<'_, Tails>> {
+        Rows {
+            head: self.stored(),
+            tails: Some(self.tails.borrow_mut()),
+        }
+    }
+
     /// The number of independent rows stored so far.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.node.rank()
+        self.rank as usize
     }
 
     /// The pivot (coefficient) width rows must have at minimum.
@@ -193,7 +224,7 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn coeff_rows(&self) -> impl Iterator<Item = &[u8]> {
         // `max(1)` only matters for a zero-width basis, where coeff is
         // empty anyway.
-        self.node.coeff().chunks_exact(self.coeff_bytes().max(1))
+        self.stored().coeff.chunks_exact(self.coeff_bytes().max(1))
     }
 
     /// Materializes full row `i` (coefficients + reduced payload) into
@@ -204,8 +235,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `i >= rank`.
     pub fn copy_packed_row_into(&self, i: usize, out: &mut Vec<u8>) {
         let mut sc = self.scratch.borrow_mut();
-        self.node
-            .rows()
+        self.unlocked()
             .copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
     }
 
@@ -240,8 +270,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// not exactly [`EchelonBasis::row_bytes`] long.
     pub fn accumulate_rows_into(&self, factors: &[u8], out: &mut [u8]) {
         let mut sc = self.scratch.borrow_mut();
-        self.node
-            .rows()
+        self.unlocked()
             .accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
     }
 
@@ -254,7 +283,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// demand anyway.
     pub fn settle(&self) {
         let mut sc = self.scratch.borrow_mut();
-        self.node.rows().settle::<F>(self.dims(), &mut sc);
+        self.unlocked().settle::<F>(self.dims(), &mut sc);
     }
 
     /// Inserts an equation. Returns whether it was innovative.
@@ -330,7 +359,7 @@ impl<F: SlabField> EchelonBasis<F> {
     fn checked_insert(
         &mut self,
         bytes: usize,
-        insert: impl FnOnce(&mut NodeBasis, Dims, &mut Scratch) -> Insertion,
+        insert: impl FnOnce(NodeBasis<'_>, Dims, &mut Scratch) -> Insertion,
     ) -> Result<Insertion, BasisError> {
         if !bytes.is_multiple_of(F::SYMBOL_BYTES) {
             return Err(BasisError::Misaligned {
@@ -352,7 +381,12 @@ impl<F: SlabField> EchelonBasis<F> {
             });
         }
         let d = Dims::new::<F>(self.pivot_width, elems);
-        let outcome = insert(&mut self.node, d, self.scratch.get_mut());
+        let node = NodeBasis {
+            head: &mut self.head,
+            rank: &mut self.rank,
+            tails: Some(self.tails.get_mut()),
+        };
+        let outcome = insert(node, d, self.scratch.get_mut());
         if outcome.is_innovative() {
             self.row_elems = Some(elems);
         }
@@ -374,7 +408,7 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn would_be_innovative(&self, row: &[F]) -> bool {
         assert!(row.len() >= self.pivot_width);
         let prefix = &row[..self.pivot_width];
-        self.node
+        self.stored()
             .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
                 F::pack_into(prefix, p)
             })
@@ -390,7 +424,7 @@ impl<F: SlabField> EchelonBasis<F> {
     pub fn would_be_innovative_packed(&self, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb);
-        self.node
+        self.stored()
             .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
                 p.extend_from_slice(&row[..kb]);
             })
@@ -417,7 +451,7 @@ impl<F: SlabField> EchelonBasis<F> {
     #[must_use]
     pub fn solution(&self) -> Option<Vec<Vec<F>>> {
         let mut sc = self.scratch.borrow_mut();
-        self.node.rows().solution::<F>(self.dims(), &mut sc)
+        self.unlocked().solution::<F>(self.dims(), &mut sc)
     }
 }
 

@@ -7,15 +7,17 @@
 //! *incremental* row-echelon basis — the decoder hot path that inserts one
 //! received equation at a time and reports whether it was innovative (a
 //! "helpful message" in the paper's terminology) — behind two views.
-//! [`EchelonBasis`] holds one node, [`BasisArena`] all of a simulation's,
-//! each node's storage allocated once by its first row; `Send`
-//! [`BasisShard`]s split the arena for parallel rounds. The dense Gaussian
-//! elimination the basis is checked against is test code (`tests/oracle`).
+//! [`EchelonBasis`] holds one node, [`BasisArena`] all of a simulation's:
+//! pivot maps and coefficient rows in one slab indexed by node, ranks in a
+//! vector beside it, and a node's payload rows in the one allocation its
+//! first row makes. `Send` [`BasisShard`]s split the arena for parallel
+//! rounds. The dense Gaussian elimination the basis is checked against is
+//! test code (`tests/oracle`).
 //!
 //! # The slab layer
 //!
-//! Every node stores its rows as contiguous packed byte slabs and drives
-//! every row operation (normalize, axpy, row-sum) through the
+//! Every node's rows are contiguous packed bytes and every row operation
+//! (normalize, axpy, row-sum) is driven through the
 //! [`ag_gf::SlabField`] bulk kernels. Elimination is
 //! therefore bounds-check-free table streaming for GF(2⁸) and `u64`-chunked
 //! XOR for GF(2), instead of a scalar [`ag_gf::Field`] multiply per symbol.

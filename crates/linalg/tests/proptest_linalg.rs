@@ -2,11 +2,11 @@
 //! the dense-matrix oracle in `tests/oracle` (whole-matrix Gauss–Jordan
 //! elimination, no structure shared with the store under test).
 
-use ag_gf::{Field, Gf16, Gf2, Gf256, SlabField, F257};
+use ag_gf::{Field, Gf16, Gf2, Gf256, Gf65536, SlabField, F257};
 use ag_linalg::{BasisArena, EchelonBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 mod oracle;
 
@@ -69,17 +69,124 @@ fn arena_matches_oracle<F: SlabField>(
         prop_assert!(arena.rank(0) < k, "a full node must have a solution");
         return Ok(());
     };
-    // The kept rows are k independent equations A·X = B; column j of X is
-    // the oracle's solve against column j of B.
+    solution_matches_oracle(&solution, &kept, k)
+}
+
+/// `kept` are the k independent equations A·X = B a full node stored, as
+/// fed; column j of `solution` (X) must be the oracle's solve against
+/// column j of B.
+fn solution_matches_oracle<F: SlabField>(
+    solution: &[Vec<F>],
+    kept: &[Vec<F>],
+    k: usize,
+) -> Result<(), TestCaseError> {
     let coeffs: Vec<Vec<F>> = kept.iter().map(|row| row[..k].to_vec()).collect();
     let a = Matrix::from_rows(&coeffs);
-    for j in 0..r {
+    for j in 0..kept[0].len() - k {
         let b: Vec<F> = kept.iter().map(|row| row[k + j]).collect();
         let x = a.solve(&b).expect("kept rows are independent");
         let got: Vec<F> = solution.iter().map(|message| message[j]).collect();
         prop_assert_eq!(got, x, "payload column {}", j);
     }
     Ok(())
+}
+
+/// The one store behind its three owners: an arena fed through `&mut
+/// self`, a second arena fed through the contiguous sharding `cuts`
+/// describes (any cut points, empty shards included) and one
+/// `EchelonBasis` per node, under one random stream of rows over `nodes`
+/// nodes. They must agree on every verdict and rank as the stream runs and
+/// on coefficient rows, materialized rows and solutions at its end; the
+/// dense oracle says what the ranks and the solutions are.
+fn arena_shards_and_twins_agree<F: SlabField>(
+    seed: u64,
+    nodes: usize,
+    k: usize,
+    r: usize,
+    cuts: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (nodes + 1)).collect();
+    cuts.extend([0, nodes]);
+    cuts.sort_unstable();
+    let bounds: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+
+    let mut arena = BasisArena::<F>::new(nodes, k, k + r);
+    let mut sharded = BasisArena::<F>::new(nodes, k, k + r);
+    let mut twins: Vec<EchelonBasis<F>> = (0..nodes).map(|_| EchelonBasis::new(k)).collect();
+    let mut fed: Vec<Vec<Vec<F>>> = vec![Vec::new(); nodes];
+    let mut kept: Vec<Vec<Vec<F>>> = vec![Vec::new(); nodes];
+    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+    {
+        let mut shards = sharded.shards_mut(&bounds);
+        for _ in 0..nodes * (k + 3) {
+            let node = rng.gen_range(0..nodes);
+            let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
+            let packed = F::pack(&row);
+            let verdict = arena.insert_packed_slice(node, &packed);
+            let shard = shards
+                .iter_mut()
+                .find(|s| s.node_range().contains(&node))
+                .expect("bounds cover every node");
+            prop_assert_eq!(shard.insert_packed_mut(node, &mut packed.clone()), verdict);
+            prop_assert_eq!(twins[node].try_insert_packed_slice(&packed), Ok(verdict));
+            fed[node].push(row[..k].to_vec());
+            if verdict.is_innovative() {
+                kept[node].push(row);
+            }
+            let rank = Matrix::from_rows(&fed[node]).rank();
+            prop_assert_eq!(arena.rank(node), rank);
+            prop_assert_eq!(shard.rank(node), rank);
+            prop_assert_eq!(twins[node].rank(), rank);
+        }
+        // Materialized rows, read through the shards while they live.
+        for shard in &mut shards {
+            for node in shard.node_range() {
+                for i in 0..shard.rank(node) {
+                    shard.copy_packed_row_into(node, i, &mut a);
+                    arena.copy_packed_row_into(node, i, &mut b);
+                    twins[node].copy_packed_row_into(i, &mut c);
+                    prop_assert!(a == b && b == c, "row {} of node {}", i, node);
+                }
+            }
+        }
+    }
+    for (node, twin) in twins.iter().enumerate() {
+        let rows: Vec<&[u8]> = arena.coeff_rows(node).collect();
+        prop_assert_eq!(&rows, &sharded.coeff_rows(node).collect::<Vec<_>>());
+        prop_assert_eq!(&rows, &twin.coeff_rows().collect::<Vec<_>>());
+        let solution = arena.solution(node);
+        prop_assert_eq!(&solution, &sharded.solution(node));
+        prop_assert_eq!(&solution, &twin.solution());
+        prop_assert_eq!(solution.is_some(), kept[node].len() == k);
+        if let Some(solution) = solution {
+            solution_matches_oracle(&solution, &kept[node], k)?;
+        }
+    }
+    Ok(())
+}
+
+/// The layout's footprint, so that it cannot silently fatten again: a
+/// rank-only GF(2⁸) arena at k = 8 (the `gossip-rank` shape) is a 96-byte
+/// head and a 4-byte rank per node, at full rank as at construction.
+#[test]
+fn rank_only_gf256_k8_arena_stays_within_104_bytes_a_node() {
+    let n = 1000;
+    let mut arena = BasisArena::<Gf256>::new(n, 8, 8);
+    let at_construction = arena.allocated_bytes();
+    let mut rng = StdRng::seed_from_u64(8);
+    for node in 0..n {
+        while !arena.is_full(node) {
+            let row: Vec<Gf256> = (0..8).map(|_| Gf256::random(&mut rng)).collect();
+            arena.insert_packed_slice(node, &Gf256::pack(&row));
+        }
+    }
+    assert_eq!(arena.allocated_bytes(), at_construction);
+    assert!(
+        at_construction <= 104 * n,
+        "{} bytes a node",
+        at_construction / n
+    );
 }
 
 proptest! {
@@ -142,6 +249,20 @@ proptest! {
         arena_matches_oracle::<Gf2>(seed, k, r, extra)?;
         arena_matches_oracle::<Gf16>(seed, k, r, extra)?;
         arena_matches_oracle::<Gf256>(seed, k, r, extra)?;
+    }
+
+    #[test]
+    fn arena_any_sharding_and_echelon_twins_agree(
+        seed in any::<u64>(),
+        nodes in 1usize..8,
+        k in 1usize..7,
+        r in 0usize..4,
+        cuts in proptest::collection::vec(0usize..8, 0..4),
+    ) {
+        arena_shards_and_twins_agree::<Gf2>(seed, nodes, k, r, &cuts)?;
+        arena_shards_and_twins_agree::<Gf16>(seed, nodes, k, r, &cuts)?;
+        arena_shards_and_twins_agree::<Gf256>(seed, nodes, k, r, &cuts)?;
+        arena_shards_and_twins_agree::<Gf65536>(seed, nodes, k, r, &cuts)?;
     }
 
     #[test]

@@ -50,17 +50,14 @@ pub const DERIVATION_ROOTS: [&str; 1] = ["splitmix64"];
 /// `alloc-discipline`: `receiver.method` calls permitted inside hot-path
 /// zones even though the method is in the allocating-method table; the
 /// receiver pins which buffer is sanctioned.
-pub const ALLOW_CALLS: [&str; 9] = [
+pub const ALLOW_CALLS: [&str; 6] = [
     // Preallocated scratch/output buffers resized to the row shape.
     "out.resize",
     "factors.resize",
     "buf.extend_from_slice",
-    // Basis slab writes: every slab is at its full-rank capacity before a
-    // row goes in (`NodeBasis::reserve_full_rank`), so none reallocates.
-    "coeff.resize",
-    "pay.extend_from_slice",
-    "log.resize",
-    "pivot_cols.push",
+    // A node's payload rows: the slab is at its full-rank capacity before
+    // a row goes in (`Tails::reserve_full_rank`), so it never reallocates.
+    "slab.extend_from_slice",
     // Engine round scratch, cleared and reused across rounds.
     "intents.extend",
     "outbox.push",

@@ -1,15 +1,16 @@
 //! All of a simulation's decoders in one arena: allocation-free RLNC.
 //!
 //! [`DecoderArena`] is the only RLNC decoder state in the workspace: every
-//! node's equations live in one [`ag_linalg::BasisArena`], which allocates
-//! a node's row storage once, when the node stores its first row. A
-//! [`Decoder`](crate::Decoder) is a one-node arena behind the
+//! node's equations live in one [`ag_linalg::BasisArena`], coefficient rows
+//! in a slab indexed by node that exists from construction on, payload
+//! rows in one allocation per node, made when the node stores its first
+//! row. A [`Decoder`](crate::Decoder) is a one-node arena behind the
 //! [`Packet`](crate::Packet) API; the differential suite in
 //! `tests/differential_decoder.rs` pins this one store against the scalar
 //! oracle packet for packet. Combined with the [`crate::RowPool`] message
 //! buffers and the borrowing receive/emit entry points, a simulation's
 //! round loop performs zero per-message heap allocation: a node allocates
-//! at its first row and never again.
+//! at its first row and never again, and without a payload not at all.
 //!
 //! Recoding lives here too: the dense and the sparse coefficient draws and
 //! the combination that follows are written once (`emit`, below) and serve
@@ -159,8 +160,9 @@ pub struct DecoderArena<F> {
 
 impl<F: SlabField> DecoderArena<F> {
     /// An arena of `nodes` empty decoders for a generation of `k` messages
-    /// of `payload_len` symbols. Nothing is stored per node until its
-    /// first row (see [`BasisArena`]).
+    /// of `payload_len` symbols. Every node's coefficient rows are laid
+    /// out here, as untouched zero pages; payload storage waits for a
+    /// node's first row (see [`BasisArena`]).
     ///
     /// # Panics
     ///

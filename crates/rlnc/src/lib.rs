@@ -16,10 +16,11 @@
 //! For simulations, [`DecoderArena`] holds all `n` nodes' decoders in one
 //! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API) and
 //! [`RowPool`] recycles the packed-row message buffers, together making
-//! the gossip round loop free of per-message heap allocation: a node
-//! allocates its row storage once, at its first row, and nothing else
-//! allocates, which `crates/core/tests/alloc_audit.rs` bounds round by
-//! round.
+//! the gossip round loop free of per-message heap allocation: coefficient
+//! rows live in the arena's slab from construction on, a node makes one
+//! allocation for its payload rows, at its first row (none in a rank-only
+//! run), and nothing else allocates, which
+//! `crates/core/tests/alloc_audit.rs` bounds round by round.
 //!
 //! # Examples
 //!
