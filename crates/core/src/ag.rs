@@ -116,8 +116,8 @@ impl AgConfig {
 /// returns all the original messages.
 ///
 /// Neighbors are read through a [`Topology`] view `T`. The default
-/// `T = Graph` is the static case — zero overhead, bit-identical to the
-/// pre-abstraction protocol (pinned by the golden trajectory hashes). A
+/// `T = Graph` is the static case, at zero overhead (its trajectories
+/// are pinned by the golden hashes). A
 /// [`ag_graph::ScheduledTopology`] makes the same protocol run over a
 /// churning graph: the engines' round-start hook advances the view to
 /// epoch `round − 1`, so partner selection (and nothing else — RLNC state
@@ -306,7 +306,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     /// the difference that lets the payload-carrying sweeps run 10⁵-node
     /// graphs. (Deliberately *not* a self-returning smart-pointer type:
     /// the engine's outbox stays a plain-`Vec` message queue, which is
-    /// what keeps the rank-only loop at its PR 3 speed.)
+    /// what keeps the rank-only loop fast: see `ag_rlnc`'s `pool.rs`.)
     type Msg = Vec<u8>;
 
     fn num_nodes(&self) -> usize {
@@ -361,7 +361,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 /// One shard of [`AlgebraicGossip`] for the engine's fan-out: a
 /// [`DecoderShard`] over a contiguous node range plus a *stash* of message
 /// buffers pre-drawn from the protocol's [`ag_rlnc::RowPool`] on the main thread
-/// (the pool is `Rc`-based and must never cross threads).
+/// (the pool is `!Sync`: workers cannot share it).
 ///
 /// Buffer discipline: `compose` pops one stash buffer per call — the
 /// engine sizes the stash to the shard's exact send count — and every
@@ -570,6 +570,33 @@ mod tests {
         let (_, s1) = run::<Gf256>(&g, &cfg, TimeModel::Asynchronous, 77);
         let (_, s2) = run::<Gf256>(&g, &cfg, TimeModel::Asynchronous, 77);
         assert_eq!(s1, s2);
+    }
+
+    /// A clone takes its state and its own message buffers with it: cloned
+    /// mid-run and finished under equal engine seeds, original and clone
+    /// report the same run and each keeps its own pool balanced.
+    #[test]
+    fn a_clone_finishes_the_same_run_on_its_own_pool() {
+        let g = builders::grid(4, 4).unwrap();
+        let cfg = AgConfig::new(8).with_payload_len(2);
+        let mut original = AlgebraicGossip::<Gf256>::new(&g, &cfg, 5).unwrap();
+        let head = EngineConfig::synchronous(5).with_max_rounds(3);
+        assert!(!Engine::new(head).run(&mut original).completed);
+        let mut clone = original.clone();
+        let finish = |proto: &mut AlgebraicGossip<Gf256>| {
+            let prewarm = proto.pool_prewarm();
+            let mut balanced = true;
+            let tail = EngineConfig::synchronous(6).with_loss(0.2);
+            let stats = Engine::new(tail).run_observed(proto, |_, p| {
+                balanced &= p.pool_idle() == prewarm;
+            });
+            assert!(stats.completed && balanced);
+            stats
+        };
+        assert_eq!(finish(&mut original), finish(&mut clone));
+        for v in 0..g.n() {
+            assert_eq!(clone.decoded(v), original.decoded(v));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! and `O(n)` asynchronous rounds w.h.p.
 
 use ag_graph::{Graph, GraphError, NodeId, Topology};
-use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector};
+use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,9 +24,9 @@ use crate::tree_protocol::TreeProtocol;
 /// an informed partner, which the paper's EXCHANGE variant exploits).
 ///
 /// Neighbors are read through a [`Topology`] view (default: the static
-/// [`Graph`], unchanged behavior); over a `ScheduledTopology` the contact
-/// schedule follows the churn, which is how TAG's Phase 1 degrades under
-/// the F9 bridge-cut adversary.
+/// [`Graph`]); over a `ScheduledTopology` the contact schedule follows the
+/// churn, which is how TAG's Phase 1 degrades under the F9 bridge-cut
+/// adversary.
 #[derive(Debug, Clone)]
 pub struct BroadcastTree<T: Topology = Graph> {
     topology: T,
@@ -107,15 +107,11 @@ impl<T: Topology> BroadcastTree<T> {
     }
 }
 
-impl<T: Topology> TreeProtocol for BroadcastTree<T> {
+impl<T: Topology> Protocol for BroadcastTree<T> {
     type Msg = ();
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
-    }
-
-    fn root(&self) -> NodeId {
-        self.root
     }
 
     fn on_round_start(&mut self, round: u64) {
@@ -133,15 +129,25 @@ impl<T: Topology> TreeProtocol for BroadcastTree<T> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _rng: &mut StdRng) -> Option<()> {
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<()> {
         self.informed[from].then_some(())
     }
 
-    fn deliver(&mut self, from: NodeId, to: NodeId, _msg: ()) {
+    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, _msg: ()) {
         if !self.informed[to] {
             self.informed[to] = true;
             self.parent[to] = Some(from);
         }
+    }
+
+    fn node_complete(&self, node: NodeId) -> bool {
+        self.informed[node]
+    }
+}
+
+impl<T: Topology> TreeProtocol for BroadcastTree<T> {
+    fn root(&self) -> NodeId {
+        self.root
     }
 
     fn parent(&self, node: NodeId) -> Option<NodeId> {
@@ -152,7 +158,6 @@ impl<T: Topology> TreeProtocol for BroadcastTree<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree_protocol::TreeRunner;
     use ag_graph::builders;
     use ag_sim::{Engine, EngineConfig};
 
@@ -161,20 +166,18 @@ mod tests {
         comm: CommModel,
         cfg: EngineConfig,
         seed: u64,
-    ) -> (TreeRunner<BroadcastTree>, ag_sim::RunStats) {
-        let b = BroadcastTree::new(g, 0, comm, seed).unwrap();
-        let mut runner = TreeRunner::new(b);
-        let stats = Engine::new(cfg).run(&mut runner);
-        (runner, stats)
+    ) -> (BroadcastTree, ag_sim::RunStats) {
+        let mut b = BroadcastTree::new(g, 0, comm, seed).unwrap();
+        let stats = Engine::new(cfg).run(&mut b);
+        (b, stats)
     }
 
     #[test]
     fn produces_valid_spanning_tree() {
         let g = builders::grid(4, 4).unwrap();
-        let (runner, stats) =
-            run_broadcast(&g, CommModel::Uniform, EngineConfig::synchronous(3), 3);
+        let (b, stats) = run_broadcast(&g, CommModel::Uniform, EngineConfig::synchronous(3), 3);
         assert!(stats.completed);
-        let tree = runner.inner().spanning_tree().unwrap();
+        let tree = b.spanning_tree().unwrap();
         assert!(tree.is_spanning_tree_of(&g));
         assert_eq!(tree.root(), 0);
     }
@@ -246,8 +249,8 @@ mod tests {
     #[test]
     fn parent_is_always_a_neighbor_and_informed_earlier() {
         let g = builders::binary_tree(31).unwrap();
-        let (runner, _) = run_broadcast(&g, CommModel::Uniform, EngineConfig::asynchronous(9), 9);
-        let tree = runner.inner().spanning_tree().unwrap();
+        let (b, _) = run_broadcast(&g, CommModel::Uniform, EngineConfig::asynchronous(9), 9);
+        let tree = b.spanning_tree().unwrap();
         for (child, parent) in tree.edges() {
             assert!(g.has_edge(child, parent));
         }
@@ -264,11 +267,10 @@ mod tests {
     #[test]
     fn push_only_broadcast_also_completes() {
         let g = builders::cycle(10).unwrap();
-        let b = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 2)
+        let mut b = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 2)
             .unwrap()
             .with_action(Action::Push);
-        let mut runner = TreeRunner::new(b);
-        let stats = Engine::new(EngineConfig::synchronous(2)).run(&mut runner);
+        let stats = Engine::new(EngineConfig::synchronous(2)).run(&mut b);
         assert!(stats.completed);
         assert!(stats.rounds <= 3 * 10);
     }

@@ -19,7 +19,7 @@
 //! EXPERIMENTS.md index).
 
 use ag_graph::{Graph, GraphError, NodeId};
-use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector};
+use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,15 +119,11 @@ impl IsTree {
     }
 }
 
-impl TreeProtocol for IsTree {
+impl Protocol for IsTree {
     type Msg = HeardSet;
 
     fn num_nodes(&self) -> usize {
         self.graph.n()
-    }
-
-    fn root(&self) -> NodeId {
-        self.root
     }
 
     fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
@@ -146,11 +142,11 @@ impl TreeProtocol for IsTree {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _rng: &mut StdRng) -> Option<HeardSet> {
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<HeardSet> {
         Some(self.heard[from].clone())
     }
 
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: HeardSet) {
+    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: HeardSet) {
         // MSB rule: the first message that flips the root's bit from 0 to
         // 1 determines the parent.
         if to != self.root
@@ -163,6 +159,16 @@ impl TreeProtocol for IsTree {
         self.heard[to].union_with(&msg);
     }
 
+    fn node_complete(&self, node: NodeId) -> bool {
+        node == self.root || self.parent[node].is_some()
+    }
+}
+
+impl TreeProtocol for IsTree {
+    fn root(&self) -> NodeId {
+        self.root
+    }
+
     fn parent(&self, node: NodeId) -> Option<NodeId> {
         self.parent[node]
     }
@@ -171,16 +177,14 @@ impl TreeProtocol for IsTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree_protocol::TreeRunner;
     use ag_graph::builders;
     use ag_sim::{Engine, EngineConfig};
 
-    fn build_tree(g: &Graph, seed: u64) -> (TreeRunner<IsTree>, ag_sim::RunStats) {
-        let is = IsTree::new(g, 0, seed).unwrap();
-        let mut runner = TreeRunner::new(is);
+    fn build_tree(g: &Graph, seed: u64) -> (IsTree, ag_sim::RunStats) {
+        let mut is = IsTree::new(g, 0, seed).unwrap();
         let stats =
-            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(50_000)).run(&mut runner);
-        (runner, stats)
+            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(50_000)).run(&mut is);
+        (is, stats)
     }
 
     #[test]
@@ -191,9 +195,9 @@ mod tests {
             builders::complete(10).unwrap(),
             builders::binary_tree(15).unwrap(),
         ] {
-            let (runner, stats) = build_tree(&g, 5);
+            let (is, stats) = build_tree(&g, 5);
             assert!(stats.completed, "IS tree incomplete on n = {}", g.n());
-            let tree = runner.inner().spanning_tree().unwrap();
+            let tree = is.spanning_tree().unwrap();
             assert!(tree.is_spanning_tree_of(&g));
         }
     }
@@ -201,8 +205,7 @@ mod tests {
     #[test]
     fn parent_heard_root_before_child() {
         let g = builders::grid(3, 5).unwrap();
-        let (runner, _) = build_tree(&g, 6);
-        let is = runner.inner();
+        let (is, _) = build_tree(&g, 6);
         // After completion everyone heard the root.
         for v in 0..g.n() {
             assert!(is.heard_root(v));
@@ -215,12 +218,12 @@ mod tests {
         // just verify the sets only grow across two runs of different length.
         let g = builders::cycle(10).unwrap();
         let is = IsTree::new(&g, 0, 7).unwrap();
-        let mut short = TreeRunner::new(is.clone());
+        let mut short = is.clone();
         let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(2)).run(&mut short);
-        let mut long = TreeRunner::new(is);
+        let mut long = is;
         let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(6)).run(&mut long);
         for v in 0..10 {
-            let (early, late) = (&short.inner().heard[v], &long.inner().heard[v]);
+            let (early, late) = (&short.heard[v], &long.heard[v]);
             assert!((0..10).all(|u| !early.contains(u) || late.contains(u)));
         }
     }

@@ -12,7 +12,11 @@
 //! * [`Tag`] — **T**ree-based **A**lgebraic **G**ossip: odd wakeups run a
 //!   pluggable spanning-tree gossip protocol `S`, even wakeups run
 //!   algebraic gossip with the node's tree parent as its fixed partner.
-//!   Theorem 4: `O(k + log n + d(S) + t(S))` rounds w.h.p.
+//!   Theorem 4: `O(k + log n + d(S) + t(S))` rounds w.h.p. `S` is any
+//!   [`TreeProtocol`]: an [`ag_sim::Protocol`] that can also name its
+//!   root and each node's parent, so the three below run standalone
+//!   under the engine (that is how `t(S)` and `d(S)` are measured) as
+//!   well as inside `Tag`.
 //! * [`BroadcastTree`] — spanning-tree construction via 1-dissemination:
 //!   with [`CommModel::RoundRobin`] this is the paper's `B_RR`, which
 //!   finishes in at most `3n` synchronous rounds *deterministically*
@@ -26,13 +30,13 @@
 //! Beyond the paper, the protocols form a **scenario engine**:
 //! [`AlgebraicGossip`], [`RandomMessageGossip`], [`Tag`] and
 //! [`BroadcastTree`] are generic over an [`ag_graph::Topology`] view
-//! (static [`ag_graph::Graph`] by default — zero overhead, bit-identical
-//! to the pre-abstraction behavior — or [`ag_graph::ScheduledTopology`]
-//! with deterministic churn: rewires, flips, bridge cuts, partitions),
-//! and [`WithCrashes`] layers crash-stop failures (including
-//! dead-on-arrival nodes) over any of them, forwarding the pooled-buffer
-//! `discard` discipline so crash scenarios stay allocation-free. The F9
-//! experiment family measures the combinations.
+//! (static [`ag_graph::Graph`] by default, at zero overhead, or
+//! [`ag_graph::ScheduledTopology`] with deterministic churn: rewires,
+//! flips, bridge cuts, partitions), and [`WithCrashes`] layers crash-stop
+//! failures (including dead-on-arrival nodes) over any
+//! [`ag_sim::Protocol`], a tree protocol included, forwarding the
+//! pooled-buffer `discard` discipline so crash scenarios stay
+//! allocation-free. The F9 experiment family measures the combinations.
 //!
 //! # Quickstart
 //!
@@ -96,4 +100,4 @@ pub use plan::{TrialPlan, TrialSeeds, TrialSet};
 pub use runner::{measure_tree_protocol, run_protocol, ProtocolKind, RunSpec};
 pub use tag::{Tag, TagMsg};
 pub use tree_ag::TreeAg;
-pub use tree_protocol::{TreeProtocol, TreeRunner};
+pub use tree_protocol::TreeProtocol;

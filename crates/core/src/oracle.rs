@@ -11,7 +11,7 @@
 //! [`crate::IsTree`].
 
 use ag_graph::{Graph, GraphError, NodeId};
-use ag_sim::ContactIntent;
+use ag_sim::{ContactIntent, Protocol};
 use rand::rngs::StdRng;
 
 use crate::tree_protocol::TreeProtocol;
@@ -68,15 +68,11 @@ impl OracleTree {
     }
 }
 
-impl TreeProtocol for OracleTree {
+impl Protocol for OracleTree {
     type Msg = ();
 
     fn num_nodes(&self) -> usize {
         self.parents.len()
-    }
-
-    fn root(&self) -> NodeId {
-        self.root
     }
 
     fn on_wakeup(&mut self, node: NodeId, _rng: &mut StdRng) -> Option<ContactIntent> {
@@ -84,11 +80,21 @@ impl TreeProtocol for OracleTree {
         None // out-of-band: no gossip traffic
     }
 
-    fn compose(&self, _from: NodeId, _to: NodeId, _rng: &mut StdRng) -> Option<()> {
+    fn compose(&self, _from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<()> {
         None
     }
 
-    fn deliver(&mut self, _from: NodeId, _to: NodeId, _msg: ()) {}
+    fn deliver(&mut self, _from: NodeId, _to: NodeId, _tag: u32, _msg: ()) {}
+
+    fn node_complete(&self, node: NodeId) -> bool {
+        node == self.root || self.parent(node).is_some()
+    }
+}
+
+impl TreeProtocol for OracleTree {
+    fn root(&self) -> NodeId {
+        self.root
+    }
 
     fn parent(&self, node: NodeId) -> Option<NodeId> {
         if self.wakeups[node] >= self.reveal_after {
@@ -102,20 +108,18 @@ impl TreeProtocol for OracleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree_protocol::{TreeProtocol, TreeRunner};
     use ag_graph::builders;
     use ag_sim::{Engine, EngineConfig};
 
     #[test]
     fn reveals_after_threshold_in_sync_rounds() {
         let g = builders::barbell(12).unwrap();
-        let oracle = OracleTree::new(&g, 0, 5).unwrap();
-        let mut runner = TreeRunner::new(oracle);
-        let stats = Engine::new(EngineConfig::synchronous(0)).run(&mut runner);
+        let mut oracle = OracleTree::new(&g, 0, 5).unwrap();
+        let stats = Engine::new(EngineConfig::synchronous(0)).run(&mut oracle);
         assert!(stats.completed);
         // Every node wakes once per round: exactly 5 rounds.
         assert_eq!(stats.rounds, 5);
-        let tree = runner.inner().spanning_tree().unwrap();
+        let tree = oracle.spanning_tree().unwrap();
         assert!(tree.is_spanning_tree_of(&g));
         assert!(tree.depth() <= g.diameter());
     }
@@ -142,10 +146,9 @@ mod tests {
     #[test]
     fn async_reveal_takes_about_threshold_rounds() {
         let g = builders::complete(16).unwrap();
-        let oracle = OracleTree::new(&g, 0, 8).unwrap();
-        let mut runner = TreeRunner::new(oracle);
+        let mut oracle = OracleTree::new(&g, 0, 8).unwrap();
         let stats =
-            Engine::new(EngineConfig::asynchronous(4).with_max_rounds(10_000)).run(&mut runner);
+            Engine::new(EngineConfig::asynchronous(4).with_max_rounds(10_000)).run(&mut oracle);
         assert!(stats.completed);
         // Coupon-collector-ish: every node needs 8 wakeups; expected
         // completion ~ 8 + log n rounds, certainly within 8..64.

@@ -18,7 +18,7 @@ use crate::broadcast::BroadcastTree;
 use crate::is_tree::IsTree;
 use crate::oracle::OracleTree;
 use crate::tag::Tag;
-use crate::tree_protocol::{TreeProtocol, TreeRunner};
+use crate::tree_protocol::TreeProtocol;
 use crate::CommModel;
 
 /// Which protocol configuration to run.
@@ -191,21 +191,14 @@ fn verified<F: SlabField>(
 /// Panics if the protocol completes without producing a valid tree (a
 /// protocol bug).
 pub fn measure_tree_protocol<S: TreeProtocol>(
-    tree: S,
+    mut tree: S,
     engine_cfg: EngineConfig,
 ) -> (RunStats, Option<SpanningTree>) {
-    let mut runner = TreeRunner::new(tree);
-    let stats = Engine::new(engine_cfg).run_batch(&mut runner);
-    let tree = if stats.completed {
-        Some(
-            runner
-                .inner()
-                .spanning_tree()
-                .expect("completed tree protocol must yield a tree"),
-        )
-    } else {
-        None
-    };
+    let stats = Engine::new(engine_cfg).run_batch(&mut tree);
+    let tree = stats.completed.then(|| {
+        tree.spanning_tree()
+            .expect("completed tree protocol must yield a tree")
+    });
     (stats, tree)
 }
 

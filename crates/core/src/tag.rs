@@ -227,15 +227,11 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
     }
 
     fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<Self::Msg> {
-        match tag {
-            TAG_PHASE1 => self.tree.compose(from, to, rng).map(TagMsg::Tree),
-            TAG_PHASE2 => self.nodes.compose(from, rng).map(TagMsg::Ag),
-            #[expect(
-                clippy::unreachable,
-                reason = "the engine only feeds compose() tags that this protocol's own contact() returned, and TAG emits nothing but TAG_PHASE1/TAG_PHASE2"
-            )]
-            other => unreachable!("unknown TAG contact tag {other}"),
+        if tag == TAG_PHASE2 {
+            return self.nodes.compose(from, rng).map(TagMsg::Ag);
         }
+        debug_assert_eq!(tag, TAG_PHASE1, "TAG labels every contact it returns");
+        self.tree.compose(from, to, 0, rng).map(TagMsg::Tree)
     }
 
     fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: Self::Msg) {
@@ -243,14 +239,15 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
         // according to S; else exchange according to algebraic gossip."
         // The message variant itself carries the phase.
         match msg {
-            TagMsg::Tree(m) => self.tree.deliver(from, to, m),
+            TagMsg::Tree(m) => self.tree.deliver(from, to, 0, m),
             TagMsg::Ag(row) => self.nodes.deliver(to, row),
         }
     }
 
     fn discard(&mut self, msg: Self::Msg) {
-        if let TagMsg::Ag(row) = msg {
-            self.nodes.discard(row);
+        match msg {
+            TagMsg::Tree(m) => self.tree.discard(m),
+            TagMsg::Ag(row) => self.nodes.discard(row),
         }
     }
 

@@ -1,46 +1,37 @@
 //! The [`TreeProtocol`] trait: spanning-tree gossip protocols `S`.
 
 use ag_graph::{NodeId, SpanningTree};
-use ag_sim::{ContactIntent, Protocol};
-use rand::rngs::StdRng;
+use ag_sim::Protocol;
 
 /// A *gossip STP protocol* (Section 2): a gossip protocol whose goal is
 /// that "every node, except a node which is the root, will have a single
 /// neighbor called the parent."
 ///
-/// Implementors plug into [`crate::Tag`] as Phase 1 and can also be run
-/// standalone (to measure `t(S)` and `d(S)`) via [`TreeRunner`].
+/// It is an [`ag_sim::Protocol`] like any other, so it runs standalone
+/// under [`ag_sim::Engine`] (which is how `t(S)` and `d(S)` are measured),
+/// under [`crate::WithCrashes`] and under `run_observed`, with
+/// `node_complete(v)` = "`v` is the root or has a parent"; this trait adds
+/// the two questions [`crate::Tag`] asks of its Phase 1. `Tag` relabels a
+/// Phase-1 contact with its own phase tag and hands `S` tag 0, so a tree
+/// protocol's `compose` and `deliver` must not depend on the tag.
 ///
-/// The wakeup/compose/deliver split mirrors [`ag_sim::Protocol`] so the
-/// same synchronous-snapshot discipline applies when TAG interleaves the
-/// phases.
-pub trait TreeProtocol {
-    /// Message type exchanged during tree construction.
-    type Msg;
-
-    /// Number of nodes.
-    fn num_nodes(&self) -> usize;
-
+/// # Examples
+///
+/// ```
+/// use ag_graph::builders;
+/// use ag_sim::{CommModel, Engine, EngineConfig};
+/// use algebraic_gossip::{BroadcastTree, TreeProtocol};
+///
+/// let g = builders::cycle(8).unwrap();
+/// let mut bcast = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
+/// let stats = Engine::new(EngineConfig::synchronous(1)).run(&mut bcast);
+/// assert!(stats.completed);
+/// let tree = bcast.spanning_tree().unwrap();
+/// assert!(tree.is_spanning_tree_of(&g));
+/// ```
+pub trait TreeProtocol: Protocol {
     /// The designated root (the node that never obtains a parent).
     fn root(&self) -> NodeId;
-
-    /// Round-start hook, mirroring [`ag_sim::Protocol::on_round_start`]:
-    /// tree protocols over a dynamic [`ag_graph::Topology`] advance their
-    /// view to epoch `round − 1` here. Default: no-op. [`TreeRunner`]
-    /// forwards the engine hook here, and [`crate::Tag`] forwards its own
-    /// so Phase 1's view advances in lockstep with TAG's.
-    fn on_round_start(&mut self, round: u64) {
-        let _ = round;
-    }
-
-    /// Node `node` takes a Phase-1 step; `None` = idle this wakeup.
-    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent>;
-
-    /// Composes the Phase-1 message `from → to` from committed state.
-    fn compose(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> Option<Self::Msg>;
-
-    /// Delivers a Phase-1 message.
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: Self::Msg);
 
     /// The parent `node` has obtained so far (always `None` for the root).
     fn parent(&self, node: NodeId) -> Option<NodeId>;
@@ -58,77 +49,5 @@ pub trait TreeProtocol {
         }
         let parents = (0..self.num_nodes()).map(|v| self.parent(v)).collect();
         SpanningTree::from_parents(self.root(), parents).ok()
-    }
-}
-
-/// Adapter that runs a [`TreeProtocol`] standalone under the simulation
-/// engine — this is how the experiments measure `t(S)` and `d(S)` before
-/// plugging `S` into TAG.
-///
-/// # Examples
-///
-/// ```
-/// use ag_graph::builders;
-/// use ag_sim::{CommModel, Engine, EngineConfig};
-/// use algebraic_gossip::{BroadcastTree, TreeProtocol, TreeRunner};
-///
-/// let g = builders::cycle(8).unwrap();
-/// let bcast = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
-/// let mut runner = TreeRunner::new(bcast);
-/// let stats = Engine::new(EngineConfig::synchronous(1)).run(&mut runner);
-/// assert!(stats.completed);
-/// let tree = runner.inner().spanning_tree().unwrap();
-/// assert!(tree.is_spanning_tree_of(&g));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TreeRunner<S> {
-    inner: S,
-}
-
-impl<S: TreeProtocol> TreeRunner<S> {
-    /// Wraps a tree protocol for standalone execution.
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        TreeRunner { inner }
-    }
-
-    /// The wrapped protocol.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps the protocol.
-    #[must_use]
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TreeProtocol> Protocol for TreeRunner<S> {
-    type Msg = S::Msg;
-
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-
-    fn on_round_start(&mut self, round: u64) {
-        self.inner.on_round_start(round);
-    }
-
-    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
-        self.inner.on_wakeup(node, rng)
-    }
-
-    fn compose(&self, from: NodeId, to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<S::Msg> {
-        self.inner.compose(from, to, rng)
-    }
-
-    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: S::Msg) {
-        self.inner.deliver(from, to, msg);
-    }
-
-    fn node_complete(&self, node: NodeId) -> bool {
-        node == self.inner.root() || self.inner.parent(node).is_some()
     }
 }

@@ -396,11 +396,11 @@ fn would_help_heavy_loop_is_allocation_free_after_warmup() {
     let mut sink = Decoder::<Gf256>::new(k, r);
     let mut arena = BasisArena::<Gf256>::new(1, k, k + r);
     while sink.rank() < k / 2 {
-        let row = Recoder::new(&source)
+        let mut row = Recoder::new(&source)
             .emit_packed_row(&mut rng)
             .expect("source emits");
         let a = sink.receive_packed_slice(&row).is_innovative();
-        let b = arena.insert_packed_slice(0, &row).is_innovative();
+        let b = arena.insert_packed_mut(0, &mut row).is_innovative();
         assert_eq!(a, b, "packed and arena lanes must agree");
     }
 

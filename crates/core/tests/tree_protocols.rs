@@ -3,12 +3,13 @@
 //! TAG composition with each of them.
 
 use ag_gf::Gf256;
-use ag_graph::{builders, Graph, GraphError};
-use ag_sim::{Engine, EngineConfig};
+use ag_graph::{builders, Graph, GraphError, NodeId};
+use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol};
 use algebraic_gossip::{
-    measure_tree_protocol, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, IsTree, OracleTree,
-    Tag, TreeAg, TreeProtocol, TreeRunner,
+    measure_tree_protocol, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, IsTree,
+    OracleTree, Tag, TreeAg, TreeProtocol, WithCrashes,
 };
+use rand::rngs::StdRng;
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -102,18 +103,146 @@ fn broadcast_finish_time_upper_bounds_tree_depth_sync() {
     // broadcast time (the paper's observation t(B) >= d(B)/2... actually
     // depth grows at most one level per round).
     for (name, g) in graphs() {
-        let b = BroadcastTree::new(&g, 0, CommModel::Uniform, 11).unwrap();
-        let mut runner = TreeRunner::new(b);
-        let stats =
-            Engine::new(EngineConfig::synchronous(11).with_max_rounds(100_000)).run(&mut runner);
+        let mut b = BroadcastTree::new(&g, 0, CommModel::Uniform, 11).unwrap();
+        let stats = Engine::new(EngineConfig::synchronous(11).with_max_rounds(100_000)).run(&mut b);
         assert!(stats.completed);
-        let tree = runner.inner().spanning_tree().unwrap();
+        let tree = b.spanning_tree().unwrap();
         assert!(
             u64::from(tree.depth()) <= stats.rounds,
             "{name}: depth {} exceeded broadcast time {}",
             tree.depth(),
             stats.rounds
         );
+    }
+}
+
+/// A tree protocol is a protocol: the engine drives it directly, with a
+/// node complete once it is informed, and observers see it like any other.
+#[test]
+fn broadcast_tree_runs_under_the_engine_directly() {
+    let g = builders::grid(3, 4).unwrap();
+    for cfg in [EngineConfig::synchronous(4), EngineConfig::asynchronous(4)] {
+        let mut b = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 4).unwrap();
+        let mut informed = vec![1];
+        let stats = Engine::new(cfg).run_observed(&mut b, |_, p| {
+            informed.push((0..g.n()).filter(|&v| p.node_complete(v)).count());
+        });
+        assert!(stats.completed);
+        assert!(informed.is_sorted(), "a node lost its parent: {informed:?}");
+        assert_eq!(informed.last(), Some(&g.n()));
+        assert_eq!(
+            stats.node_completion_rounds[0],
+            Some(0),
+            "the root is born done"
+        );
+        assert!(b.spanning_tree().unwrap().is_spanning_tree_of(&g));
+    }
+}
+
+/// Under `WithCrashes` a dead-on-arrival corner of the grid is excused:
+/// the run completes without it, it never obtains a parent and never
+/// becomes one, and the survivors' parents form a tree on the survivors.
+#[test]
+fn broadcast_tree_under_crashes_spans_the_survivors() {
+    let g = builders::grid(3, 4).unwrap();
+    let dead = g.n() - 1;
+    for cfg in [EngineConfig::synchronous(8), EngineConfig::asynchronous(8)] {
+        let b = BroadcastTree::new(&g, 0, CommModel::Uniform, 8).unwrap();
+        let mut proto = WithCrashes::new(b, CrashPlan::explicit(vec![(dead, 1)]));
+        let stats = Engine::new(cfg.with_max_rounds(10_000)).run(&mut proto);
+        assert!(stats.completed, "the survivors must finish");
+        let b = proto.inner();
+        assert_eq!(b.parent(dead), None);
+        assert!(!b.is_tree_complete() && b.spanning_tree().is_none());
+        for v in proto.survivors() {
+            // Walk up: every hop is a live graph neighbour, and the walk
+            // ends at the root in fewer than n hops.
+            let (mut at, mut hops) = (v, 0);
+            while let Some(p) = b.parent(at) {
+                assert!(g.has_edge(at, p) && !proto.is_crashed(p));
+                at = p;
+                hops += 1;
+                assert!(hops < g.n(), "parent pointers of {v} cycle");
+            }
+            assert_eq!(at, b.root(), "survivor {v} is not under the root");
+        }
+    }
+}
+
+/// A tree protocol that never finds a parent, so TAG's Phase 2 stays idle
+/// and every message in the run is a Phase-1 message: each odd wakeup
+/// EXCHANGEs a token with the next node round the cycle. Counts what the
+/// engine hands back.
+struct Chatter {
+    n: usize,
+    delivered: u64,
+    discarded: u64,
+}
+
+impl Protocol for Chatter {
+    type Msg = ();
+
+    fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    fn on_wakeup(&mut self, node: NodeId, _rng: &mut StdRng) -> Option<ContactIntent> {
+        Some(ContactIntent::exchange((node + 1) % self.n))
+    }
+
+    fn compose(&self, _from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<()> {
+        Some(())
+    }
+
+    fn deliver(&mut self, _from: NodeId, _to: NodeId, _tag: u32, _msg: ()) {
+        self.delivered += 1;
+    }
+
+    fn discard(&mut self, _msg: ()) {
+        self.discarded += 1;
+    }
+
+    fn node_complete(&self, _node: NodeId) -> bool {
+        false
+    }
+}
+
+impl TreeProtocol for Chatter {
+    fn root(&self) -> NodeId {
+        0
+    }
+
+    fn parent(&self, _node: NodeId) -> Option<NodeId> {
+        None
+    }
+}
+
+/// `Tag::discard` hands a dropped Phase-1 message back to `S`, so a tree
+/// protocol that pools its messages stays balanced: under loss (and, on
+/// two nodes, same-sender dedup) `S` sees every message it composed again,
+/// delivered or discarded.
+#[test]
+fn tag_returns_dropped_phase1_messages_to_the_tree_protocol() {
+    for (n, sync) in [(6, true), (6, false), (2, true)] {
+        let g = builders::path(n).unwrap();
+        let chatter = Chatter {
+            n,
+            delivered: 0,
+            discarded: 0,
+        };
+        let mut tag = Tag::<Gf256, _>::new(&g, chatter, &AgConfig::new(2), 1).unwrap();
+        let cfg = if sync {
+            EngineConfig::synchronous(1)
+        } else {
+            EngineConfig::asynchronous(1)
+        };
+        let stats = Engine::new(cfg.with_loss(0.3).with_max_rounds(40)).run(&mut tag);
+        assert!(!stats.completed);
+        assert!(stats.lost > 0, "loss injection never fired");
+        assert_eq!(stats.dedup_dropped > 0, n == 2);
+        let s = tag.tree_protocol();
+        assert_eq!(s.discarded, stats.lost + stats.dedup_dropped);
+        assert_eq!(s.delivered, stats.messages_delivered);
     }
 }
 

@@ -43,8 +43,8 @@
 //! // Two nodes, width-2 bases, rows carry one payload symbol.
 //! let mut arena = BasisArena::<Gf256>::new(2, 2, 3);
 //! let row = Gf256::pack(&[Gf256::ONE, Gf256::ZERO, Gf256::new(9)]);
-//! assert_eq!(arena.insert_packed_slice(0, &row), Insertion::Innovative);
-//! assert_eq!(arena.insert_packed_slice(0, &row), Insertion::Redundant);
+//! assert_eq!(arena.insert_packed_mut(0, &mut row.clone()), Insertion::Innovative);
+//! assert_eq!(arena.insert_packed_mut(0, &mut row.clone()), Insertion::Redundant);
 //! assert_eq!(arena.rank(0), 1);
 //! assert_eq!(arena.rank(1), 0);
 //! ```
@@ -354,20 +354,6 @@ impl<F: SlabField> BasisArena<F> {
         node.insert_packed::<F>(dims, row, sc)
     }
 
-    /// Borrowing variant of [`BasisArena::insert_packed_mut`]: copies the
-    /// row into the arena's internal scratch buffer first. Still
-    /// allocation-free once the scratch has warmed up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or `row.len() != row_bytes()`.
-    // ag-lint: hot-path
-    pub fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
-        let dims = self.dims;
-        let (node, sc) = self.node_mut(node);
-        node.insert_packed_slice::<F>(dims, row, sc)
-    }
-
     /// Would this packed row raise node `node`'s rank? Non-mutating; `row`
     /// may be a pivot-prefix-only slab or a full row — only the prefix is
     /// read, through reusable scratch buffers, so the probe is
@@ -553,7 +539,7 @@ mod tests {
         for _ in 0..6 * k {
             let node = rng.gen_range(0..nodes);
             let row = random_row::<F>(&mut rng, elems);
-            let got = arena.insert_packed_slice(node, &row);
+            let got = arena.insert_packed_mut(node, &mut row.clone());
             let want = bases[node]
                 .try_insert_packed_slice(&row)
                 .expect("shape-valid row");
@@ -612,7 +598,7 @@ mod tests {
         let mut serial = BasisArena::<Gf256>::new(nodes, k, k + r);
         let serial_verdicts: Vec<Insertion> = stream
             .iter()
-            .map(|(node, row)| serial.insert_packed_slice(*node, row))
+            .map(|(node, row)| serial.insert_packed_mut(*node, &mut row.clone()))
             .collect();
         let mut sharded = BasisArena::<Gf256>::new(nodes, k, k + r);
         {
@@ -709,14 +695,17 @@ mod tests {
             if arena.rank(node) > 0 && rng.gen_bool(0.5) {
                 arena.copy_packed_row_into(node, 0, &mut row);
             }
-            redundant += usize::from(!arena.insert_packed_slice(node, &row).is_innovative());
+            redundant += usize::from(!arena.insert_packed_mut(node, &mut row).is_innovative());
             let holding = (0..2).filter(|&v| arena.rank(v) > 0).count();
             assert_eq!(arena.allocated_bytes(), fixed + holding * full_rank);
         }
         assert!(redundant > 0, "the stream must include redundant inserts");
         for node in 0..2 {
-            let row = random_row::<Gf256>(&mut rng, k + r);
-            assert_eq!(arena.insert_packed_slice(node, &row), Insertion::Redundant);
+            let mut row = random_row::<Gf256>(&mut rng, k + r);
+            assert_eq!(
+                arena.insert_packed_mut(node, &mut row),
+                Insertion::Redundant
+            );
         }
         assert_eq!(arena.allocated_bytes(), fixed + 2 * full_rank);
     }
@@ -733,8 +722,8 @@ mod tests {
         let base = arena.heads.as_ptr();
         while (0..nodes).any(|v| !arena.is_full(v)) {
             assert_eq!(arena.allocated_bytes(), bytes);
-            let row = random_row::<Gf256>(&mut rng, k);
-            arena.insert_packed_slice(rng.gen_range(0..nodes), &row);
+            let mut row = random_row::<Gf256>(&mut rng, k);
+            arena.insert_packed_mut(rng.gen_range(0..nodes), &mut row);
         }
         assert_eq!(arena.allocated_bytes(), bytes);
         assert_eq!(arena.heads.as_ptr(), base);
@@ -772,12 +761,12 @@ mod tests {
         let k = 4;
         let mut arena = BasisArena::<Gf256>::new(1, k, k);
         while !arena.is_full(0) {
-            let row = random_row::<Gf256>(&mut rng, k);
-            arena.insert_packed_slice(0, &row);
+            let mut row = random_row::<Gf256>(&mut rng, k);
+            arena.insert_packed_mut(0, &mut row);
         }
         for _ in 0..20 {
-            let row = random_row::<Gf256>(&mut rng, k);
-            assert_eq!(arena.insert_packed_slice(0, &row), Insertion::Redundant);
+            let mut row = random_row::<Gf256>(&mut rng, k);
+            assert_eq!(arena.insert_packed_mut(0, &mut row), Insertion::Redundant);
         }
         assert_eq!(arena.rank(0), k);
     }
@@ -786,10 +775,16 @@ mod tests {
     fn nodes_are_independent() {
         let mut arena = BasisArena::<Gf256>::new(2, 2, 2);
         let e0 = Gf256::pack(&[Gf256::ONE, Gf256::ZERO]);
-        assert_eq!(arena.insert_packed_slice(0, &e0), Insertion::Innovative);
+        assert_eq!(
+            arena.insert_packed_mut(0, &mut e0.clone()),
+            Insertion::Innovative
+        );
         assert_eq!(arena.rank(0), 1);
         assert_eq!(arena.rank(1), 0);
-        assert_eq!(arena.insert_packed_slice(1, &e0), Insertion::Innovative);
+        assert_eq!(
+            arena.insert_packed_mut(1, &mut e0.clone()),
+            Insertion::Innovative
+        );
         assert_eq!(arena.rank(1), 1);
     }
 
@@ -811,9 +806,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut arena = BasisArena::<Gf256>::new(1, 5, 5);
         for _ in 0..30 {
-            let row = random_row::<Gf256>(&mut rng, 5);
+            let mut row = random_row::<Gf256>(&mut rng, 5);
             let predicted = arena.would_be_innovative_packed(0, &row);
-            let actual = arena.insert_packed_slice(0, &row) == Insertion::Innovative;
+            let actual = arena.insert_packed_mut(0, &mut row) == Insertion::Innovative;
             assert_eq!(predicted, actual);
         }
     }
@@ -833,8 +828,8 @@ mod tests {
             let node = rng.gen_range(0..2);
             let row = random_row::<Gf256>(&mut rng, k + r);
             assert_eq!(
-                arena.insert_packed_slice(node, &row),
-                oracle.insert_packed_slice(node, &row)
+                arena.insert_packed_mut(node, &mut row.clone()),
+                oracle.insert_packed_mut(node, &mut row.clone())
             );
             step += 1;
             if step % 3 == 0 && arena.rank(0) > 0 {
@@ -851,7 +846,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn wrong_row_length_panics() {
         let mut arena = BasisArena::<Gf256>::new(1, 2, 3);
-        let _ = arena.insert_packed_slice(0, &[1, 2]);
+        let _ = arena.insert_packed_mut(0, &mut [1, 2]);
     }
 
     #[test]

@@ -75,8 +75,8 @@ impl Error for BasisError {}
 ///
 /// Rows may carry an *augmented tail* (e.g. RLNC payload symbols) beyond the
 /// `pivot_width` leading coefficients: only the leading `pivot_width`
-/// entries participate in pivot selection, and since PR 6 the tails are not
-/// even eliminated eagerly: the elimination applied to the coefficient
+/// entries participate in pivot selection, and the tails are not even
+/// eliminated eagerly: the elimination applied to the coefficient
 /// prefix is logged and replayed onto the payloads only when payload bytes
 /// are observed (row-wise or as one blocked panel multiply, picked per flush
 /// from the pending suffix's shape; both produce the same bytes).
@@ -313,7 +313,8 @@ impl<F: SlabField> EchelonBasis<F> {
     /// [`BasisError::LengthMismatch`] when the length differs from the rows
     /// already stored.
     pub fn try_insert(&mut self, row: Vec<F>) -> Result<Insertion, BasisError> {
-        self.try_insert_packed_mut(&mut F::pack(&row))
+        let row = &mut F::pack(&row);
+        self.checked_insert(row.len(), |node, d, sc| node.insert_packed::<F>(d, row, sc))
     }
 
     /// Like [`EchelonBasis::try_insert`] but *borrowing* an already-packed
@@ -333,23 +334,6 @@ impl<F: SlabField> EchelonBasis<F> {
         self.checked_insert(row.len(), |node, d, sc| {
             node.insert_packed_slice::<F>(d, row, sc)
         })
-    }
-
-    /// Like [`EchelonBasis::try_insert_packed_slice`] but reducing directly
-    /// in the caller's buffer — no copy, no allocation ever. The
-    /// coefficient prefix of `row` is clobbered by the elimination (the
-    /// payload tail is only canonicalised; its elimination is deferred to
-    /// the log) unless the basis is already full, which needs none; callers
-    /// that need the original bytes afterwards must keep their own copy.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the [`EchelonBasis::try_insert_packed_slice`] errors; the
-    /// basis's logical state is unchanged on `Err` and on a redundant
-    /// insert.
-    // ag-lint: hot-path
-    pub fn try_insert_packed_mut(&mut self, row: &mut [u8]) -> Result<Insertion, BasisError> {
-        self.checked_insert(row.len(), |node, d, sc| node.insert_packed::<F>(d, row, sc))
     }
 
     /// Shape-checks a packed row of `bytes` bytes, runs `insert` on the

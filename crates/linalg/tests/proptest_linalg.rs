@@ -59,7 +59,10 @@ fn arena_matches_oracle<F: SlabField>(
     let mut kept: Vec<Vec<F>> = Vec::new();
     for _ in 0..k + extra {
         let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
-        if arena.insert_packed_slice(0, &F::pack(&row)).is_innovative() {
+        if arena
+            .insert_packed_mut(0, &mut F::pack(&row))
+            .is_innovative()
+        {
             kept.push(row.clone());
         }
         fed.push(row[..k].to_vec());
@@ -123,7 +126,7 @@ fn arena_shards_and_twins_agree<F: SlabField>(
             let node = rng.gen_range(0..nodes);
             let row: Vec<F> = (0..k + r).map(|_| F::random(&mut rng)).collect();
             let packed = F::pack(&row);
-            let verdict = arena.insert_packed_slice(node, &packed);
+            let verdict = arena.insert_packed_mut(node, &mut packed.clone());
             let shard = shards
                 .iter_mut()
                 .find(|s| s.node_range().contains(&node))
@@ -178,7 +181,7 @@ fn rank_only_gf256_k8_arena_stays_within_104_bytes_a_node() {
     for node in 0..n {
         while !arena.is_full(node) {
             let row: Vec<Gf256> = (0..8).map(|_| Gf256::random(&mut rng)).collect();
-            arena.insert_packed_slice(node, &Gf256::pack(&row));
+            arena.insert_packed_mut(node, &mut Gf256::pack(&row));
         }
     }
     assert_eq!(arena.allocated_bytes(), at_construction);

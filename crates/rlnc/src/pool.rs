@@ -24,11 +24,10 @@
 //! explicit take/put discipline keeps the engine's message plumbing
 //! untouched and costs a few nanoseconds per cycle.
 //!
-//! The free list is an `Rc<RefCell<_>>`, so a pool (and any protocol
-//! holding one) is single-threaded (`!Send`). The simulation engine is
-//! single-threaded by design, and parallel trial runners construct one
-//! protocol per task, so nothing in the workspace moves one across
-//! threads.
+//! The free list is a `RefCell`, because `compose` takes a buffer through
+//! `&self`: a pool (and any protocol holding one) is `!Sync`. The engine
+//! composes on worker threads only through a protocol's shards, which are
+//! handed buffers drawn on the main thread.
 //!
 //! # Examples
 //!
@@ -44,15 +43,25 @@
 //! ```
 
 use std::cell::RefCell;
-use std::rc::Rc;
 
-/// A shared pool of reusable byte buffers for packed-row messages (the
-/// take/put discipline is described at the top of `pool.rs`).
+/// A pool of reusable byte buffers for packed-row messages (the take/put
+/// discipline is described at the top of `pool.rs`).
 ///
-/// `Clone` is shallow: clones hand out buffers from the same free list.
-#[derive(Debug, Clone, Default)]
+/// A clone owns its own free list: as many idle buffers, of the same
+/// capacities, so a cloned protocol is balanced on its own.
+#[derive(Debug, Default)]
 pub struct RowPool {
-    free: Rc<RefCell<Vec<Vec<u8>>>>,
+    free: RefCell<Vec<Vec<u8>>>,
+}
+
+impl Clone for RowPool {
+    fn clone(&self) -> Self {
+        let free = self.free.borrow();
+        let free = free.iter().map(|buf| Vec::with_capacity(buf.capacity()));
+        RowPool {
+            free: RefCell::new(free.collect()),
+        }
+    }
 }
 
 impl RowPool {
@@ -71,15 +80,10 @@ impl RowPool {
     /// as per-round traffic keeps setting new high-water marks.
     #[must_use]
     pub fn preallocated(count: usize, capacity_bytes: usize) -> Self {
-        let pool = RowPool::default();
-        {
-            let mut free = pool.free.borrow_mut();
-            free.reserve_exact(count);
-            for _ in 0..count {
-                free.push(Vec::with_capacity(capacity_bytes));
-            }
+        let free = (0..count).map(|_| Vec::with_capacity(capacity_bytes));
+        RowPool {
+            free: RefCell::new(free.collect()),
         }
-        pool
     }
 
     /// Takes a cleared buffer out of the pool, allocating a fresh (empty)
@@ -149,12 +153,15 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_free_list() {
-        let pool = RowPool::new();
+    fn a_clone_owns_its_buffers() {
+        let pool = RowPool::preallocated(3, 16);
+        let in_flight = pool.take();
         let clone = pool.clone();
-        pool.put(Vec::new());
-        assert_eq!(clone.idle(), 1);
-        let _ = clone.take();
-        assert_eq!(pool.idle(), 0);
+        assert_eq!(clone.idle(), 2, "as many buffers as rest in the original");
+        let mine = clone.take();
+        assert!(mine.capacity() >= 16, "of the same capacity");
+        assert_eq!(pool.idle(), 2, "a take from the clone leaves the original");
+        pool.put(in_flight);
+        assert_eq!((pool.idle(), clone.idle()), (3, 1));
     }
 }

@@ -83,62 +83,6 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     pub fn emit_packed_row_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u8>) -> bool {
         self.decoder.arena().emit_packed_row_into(0, None, rng, out)
     }
-
-    /// Emits a *sparse* coded packet: each stored row participates with
-    /// probability `density` (with a uniform nonzero coefficient). Sparse
-    /// recoding cuts the combination cost from `rank` to `density·rank`
-    /// row-axpys per packet at the price of a higher redundancy
-    /// probability — the classic sparse-RLNC trade-off, quantified by the
-    /// density ablation experiment.
-    ///
-    /// With `density = 1.0` every row gets a uniform *nonzero*
-    /// coefficient (slightly denser than [`Recoder::emit`], which allows
-    /// zeros). If the sampled combination is empty, one uniformly chosen
-    /// row is sent verbatim so the packet is never informationless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    #[must_use]
-    pub fn emit_sparse<R: Rng + ?Sized>(&self, density: f64, rng: &mut R) -> Option<Packet<F>> {
-        self.emit_sparse_packed_row(density, rng)
-            .map(|acc| Packet::from_packed_row(&acc, self.decoder.k()))
-    }
-
-    /// Packed-row counterpart of [`Recoder::emit_sparse`] (see
-    /// [`Recoder::emit_packed_row`] for why the hot path wants rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    #[must_use]
-    pub fn emit_sparse_packed_row<R: Rng + ?Sized>(
-        &self,
-        density: f64,
-        rng: &mut R,
-    ) -> Option<Vec<u8>> {
-        let mut acc = Vec::new();
-        self.emit_sparse_packed_row_into(density, rng, &mut acc)
-            .then_some(acc)
-    }
-
-    /// Caller-buffer variant of [`Recoder::emit_sparse_packed_row`] (see
-    /// [`Recoder::emit_packed_row_into`] for the buffer contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `density` is not in `(0, 1]`.
-    // ag-lint: hot-path
-    pub fn emit_sparse_packed_row_into<R: Rng + ?Sized>(
-        &self,
-        density: f64,
-        rng: &mut R,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        self.decoder
-            .arena()
-            .emit_packed_row_into(0, Some(density), rng, out)
-    }
 }
 
 #[cfg(test)]
@@ -210,54 +154,5 @@ mod tests {
         // E[total] ~ k + 1.6; a catastrophically bad codec would blow this.
         assert!(total < 100, "took {total} packets to fill rank 8");
         assert!(helpful == 8);
-    }
-
-    #[test]
-    fn sparse_emit_is_in_span_and_never_zero() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = Generation::<Gf256>::random(6, 2, &mut rng);
-        let mut d = Decoder::new(6, 2);
-        d.seed_message(&g, 1);
-        d.seed_message(&g, 4);
-        for density in [0.05, 0.3, 1.0] {
-            for _ in 0..30 {
-                let p = Recoder::new(&d).emit_sparse(density, &mut rng).unwrap();
-                assert!(!p.is_zero(), "density {density} produced a zero packet");
-                assert!(p.coefficients()[0].is_zero());
-                assert!(!d.would_help(&p), "packet left the node's span");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_source_still_fills_sink() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = Generation::<Gf256>::random(8, 1, &mut rng);
-        let source = Decoder::with_all_messages(&g);
-        let mut sink = Decoder::new(8, 1);
-        let mut sent = 0;
-        while !sink.is_complete() {
-            let p = Recoder::new(&source).emit_sparse(0.25, &mut rng).unwrap();
-            sink.receive(p);
-            sent += 1;
-            assert!(sent < 500, "sparse coding failed to converge");
-        }
-        assert_eq!(sink.decode().unwrap(), g.messages());
-    }
-
-    #[test]
-    fn empty_node_emits_nothing_sparse() {
-        let d = Decoder::<Gf256>::new(3, 0);
-        let mut rng = StdRng::seed_from_u64(13);
-        assert!(Recoder::new(&d).emit_sparse(0.5, &mut rng).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "density")]
-    fn zero_density_rejected() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let g = Generation::<Gf256>::random(2, 0, &mut rng);
-        let d = Decoder::with_all_messages(&g);
-        let _ = Recoder::new(&d).emit_sparse(0.0, &mut rng);
     }
 }

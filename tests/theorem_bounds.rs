@@ -7,7 +7,6 @@ use algebraic_gossip_repro::gf::Gf256;
 use algebraic_gossip_repro::graph::{builders, metrics};
 use algebraic_gossip_repro::protocols::{
     measure_tree_protocol, run_protocol, BroadcastTree, CommModel, IsTree, ProtocolKind, RunSpec,
-    TreeRunner,
 };
 use algebraic_gossip_repro::sim::{Engine, EngineConfig};
 
@@ -117,22 +116,20 @@ fn theorem5_brr_broadcast_linear() {
         ] {
             // Synchronous: deterministic 3n bound, any seed.
             for seed in 0..5 {
-                let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, seed).unwrap();
-                let mut runner = TreeRunner::new(brr);
+                let mut brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, seed).unwrap();
                 let stats =
                     Engine::new(EngineConfig::synchronous(seed).with_max_rounds(3 * g.n() as u64))
-                        .run(&mut runner);
+                        .run(&mut brr);
                 assert!(
                     stats.completed,
                     "{name} n={n} seed={seed}: BRR exceeded 3n sync rounds"
                 );
             }
             // Asynchronous: 8n rounds is far beyond the w.h.p. bound.
-            let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 9).unwrap();
-            let mut runner = TreeRunner::new(brr);
+            let mut brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 9).unwrap();
             let stats =
                 Engine::new(EngineConfig::asynchronous(9).with_max_rounds(8 * g.n() as u64))
-                    .run(&mut runner);
+                    .run(&mut brr);
             assert!(
                 stats.completed,
                 "{name} n={n}: async BRR exceeded 8n rounds"
