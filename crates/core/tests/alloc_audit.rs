@@ -1,8 +1,8 @@
 //! Counting-allocator audits: what the library promises to do without
 //! touching the heap, checked against this file's own global allocator.
 //!
-//! Five tests share one [`CountingAllocator`], which keeps two counters.
-//! The per-thread one lets the four inline audits run concurrently: each
+//! Six tests share one [`CountingAllocator`], which keeps two counters.
+//! The per-thread one lets the five inline audits run concurrently: each
 //! reads the allocator entries its own thread made, and libtest's harness
 //! threads (result channels, capture buffers) never show up in anyone's
 //! deltas. The process-wide one is for the fan-out lane, whose workers are
@@ -41,6 +41,12 @@
 //! * **Helpfulness probes** — `Decoder::would_help`,
 //!   `Decoder::is_helpful_node` and `BasisArena::would_be_innovative_packed`
 //!   are allocation-free once their scratch buffers have warmed up.
+//! * **Single sink** — the `decode-stream` shape (k = 128, 1 KiB payloads)
+//!   through `EchelonBasis::try_insert_packed_slice` and through
+//!   `Decoder::try_receive`: each enters the allocator at construction and
+//!   at its first row, and after that only for the messages `solution` /
+//!   `decode` hand back — not as ranks grow, not for the blocked replay of
+//!   a whole log, not for a redundant row.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,7 +55,7 @@ use std::sync::{PoisonError, RwLock};
 
 use ag_gf::{Gf256, SlabField};
 use ag_graph::builders;
-use ag_linalg::BasisArena;
+use ag_linalg::{BasisArena, EchelonBasis};
 use ag_rlnc::{Decoder, Generation, Packet, Recoder};
 use ag_sim::{Engine, EngineConfig, Protocol, RunStats};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
@@ -394,7 +400,7 @@ fn would_help_heavy_loop_is_allocation_free_after_warmup() {
 
     // A partially filled sink: its probes do real elimination work.
     let mut sink = Decoder::<Gf256>::new(k, r);
-    let mut arena = BasisArena::<Gf256>::new(1, k, k + r);
+    let mut arena = BasisArena::<Gf256>::try_new(1, k, k + r).expect("a small arena fits");
     while sink.rank() < k / 2 {
         let mut row = Recoder::new(&source)
             .emit_packed_row(&mut rng)
@@ -458,4 +464,79 @@ fn would_help_heavy_loop_is_allocation_free_after_warmup() {
         "probe workload never predicted an innovative packet"
     );
     assert_eq!(Gf256::SYMBOL_BYTES, 1);
+}
+
+/// Feeds a stream of `len` rows to `sink` through `receive`: up to full
+/// rank every stored row twice (the repeat is redundant and reduced in
+/// full), then `settle` on the whole log, then the rest of the stream.
+/// Over GF(2⁸) from a full-rank source the stream is innovative until the
+/// sink is full, which the callers' decodes confirm. Returns the allocator
+/// calls the first row made and those every later step made.
+fn single_sink_calls<S>(
+    sink: &mut S,
+    len: usize,
+    receive: impl Fn(&mut S, usize) -> bool,
+    settle: impl Fn(&S),
+) -> (u64, u64) {
+    let before = alloc_calls();
+    let mut stored = receive(sink, 0);
+    assert!(stored, "a full source's first row is innovative");
+    let first_row = alloc_calls();
+    let mut next = 0;
+    while stored {
+        assert!(!receive(sink, next), "the same row again is redundant");
+        next += 1;
+        stored = receive(sink, next);
+    }
+    settle(sink);
+    for i in next + 1..len {
+        assert!(!receive(sink, i), "a full sink takes nothing");
+    }
+    (first_row - before, alloc_calls() - first_row)
+}
+
+#[test]
+fn single_sink_allocates_at_construction_and_first_row_only() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
+    let mut rng = StdRng::seed_from_u64(0x51AB_51AB);
+    let (k, r) = (128, 1024);
+    let g = Generation::<Gf256>::random(k, r, &mut rng);
+    let source = Decoder::with_all_messages(&g);
+    let packets: Vec<Packet<Gf256>> = (0..k + 32)
+        .map(|_| Recoder::new(&source).emit(&mut rng).expect("source emits"))
+        .collect();
+    let rows: Vec<Vec<u8>> = packets.iter().map(Packet::to_packed_row).collect();
+
+    let mut basis = EchelonBasis::<Gf256>::new(k);
+    let (first, later) = single_sink_calls(
+        &mut basis,
+        rows.len(),
+        |b, i| {
+            b.try_insert_packed_slice(&rows[i])
+                .expect("stream rows have the basis shape")
+                .is_innovative()
+        },
+        EchelonBasis::settle,
+    );
+    assert!(first > 0, "the first row sizes the store");
+    assert_eq!(later, 0, "EchelonBasis allocated after its first row");
+    assert_eq!(basis.solution().as_deref(), Some(g.messages()));
+
+    let mut sink = Decoder::<Gf256>::new(k, r);
+    let (first, later) = single_sink_calls(
+        &mut sink,
+        packets.len(),
+        |d, i| {
+            d.try_receive(&packets[i])
+                .expect("stream packets have the sink shape")
+                .is_innovative()
+        },
+        Decoder::settle,
+    );
+    assert!(first > 0, "the first row stores a payload");
+    assert_eq!(
+        later, 0,
+        "Decoder::try_receive allocated after its first row"
+    );
+    assert_eq!(sink.decode().as_deref(), Some(g.messages()));
 }

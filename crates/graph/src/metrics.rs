@@ -4,16 +4,9 @@
 //!   quantity of Lemma 2: "the sum of the degrees of the nodes along any
 //!   shortest path between any two nodes is at most 3n". This drives the
 //!   `O(n)` bound for BRR broadcast (Theorem 5).
-//! * [`cut_boundary`] / [`cut_conductance`] — cut-based connectivity
-//!   measures; the barbell's single bridge edge is the canonical low-
-//!   conductance cut that makes uniform gossip slow.
-
-#![allow(
-    clippy::disallowed_types,
-    reason = "`HashSet` node sets: every consumer is keyed (`contains`) or order-independent (the waived sum in `volume`)"
-)]
-
-use std::collections::HashSet;
+//! * [`conductance_upper_bound`] — a sweep-cut bound on the conductance;
+//!   the barbell's single bridge edge is the canonical low-conductance cut
+//!   that makes uniform gossip slow.
 
 use crate::graph::{Graph, NodeId};
 
@@ -51,38 +44,6 @@ pub fn max_shortest_path_degree_sum(g: &Graph) -> usize {
     best
 }
 
-/// Number of edges crossing the cut `(set, V \ set)`.
-#[must_use]
-pub fn cut_boundary(g: &Graph, set: &HashSet<NodeId>) -> usize {
-    g.edges()
-        .filter(|&(u, v)| set.contains(&u) != set.contains(&v))
-        .count()
-}
-
-/// Volume of a node set: the sum of its degrees.
-#[must_use]
-pub fn volume(g: &Graph, set: &HashSet<NodeId>) -> usize {
-    // ag-lint: allow(hash-iteration) — a commutative sum over degrees;
-    // the result is independent of iteration order.
-    set.iter().map(|&v| g.degree(v)).sum()
-}
-
-/// Conductance of the cut `(set, V \ set)`:
-/// `|∂set| / min(vol(set), vol(V\set))`.
-///
-/// Returns `None` when either side has zero volume (degenerate cut).
-#[must_use]
-pub fn cut_conductance(g: &Graph, set: &HashSet<NodeId>) -> Option<f64> {
-    let total: usize = (0..g.n()).map(|v| g.degree(v)).sum();
-    let vol_s = volume(g, set);
-    let vol_rest = total - vol_s;
-    let denom = vol_s.min(vol_rest);
-    if denom == 0 {
-        return None;
-    }
-    Some(cut_boundary(g, set) as f64 / denom as f64)
-}
-
 /// A cheap upper bound on the graph conductance `Φ(G)`: the minimum cut
 /// conductance over BFS-ball sweeps from every node.
 ///
@@ -97,17 +58,27 @@ pub fn cut_conductance(g: &Graph, set: &HashSet<NodeId>) -> Option<f64> {
 #[must_use]
 pub fn conductance_upper_bound(g: &Graph) -> f64 {
     assert!(g.n() >= 2, "conductance needs at least 2 nodes");
+    let total = 2 * g.num_edges();
     let mut best = f64::INFINITY;
+    let mut in_set = vec![false; g.n()];
     for start in 0..g.n() {
-        let bfs = g.bfs_tree(start);
-        let mut set = HashSet::new();
-        for &v in bfs.order() {
-            set.insert(v);
-            if set.len() == g.n() {
-                break;
+        in_set.fill(false);
+        // The cut (S, V \ S) as S grows along the BFS order: adding `v`
+        // moves its edges into S off the boundary and the rest onto it.
+        let (mut boundary, mut volume) = (0, 0);
+        for (i, &v) in g.bfs_tree(start).order().iter().enumerate() {
+            let inside = g.neighbors(v).filter(|&u| in_set[u]).count();
+            in_set[v] = true;
+            boundary = boundary + g.degree(v) - 2 * inside;
+            volume += g.degree(v);
+            if i + 1 == g.n() {
+                break; // S = V: no cut left
             }
-            if let Some(phi) = cut_conductance(g, &set) {
-                best = best.min(phi);
+            // Conductance |∂S| / min(vol(S), vol(V \ S)); a side of zero
+            // volume is a degenerate cut.
+            let denom = volume.min(total - volume);
+            if denom > 0 {
+                best = best.min(boundary as f64 / denom as f64);
             }
         }
     }
@@ -230,16 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn barbell_bridge_cut() {
-        let g = builders::barbell(10).unwrap();
-        let left: HashSet<NodeId> = (0..5).collect();
-        assert_eq!(cut_boundary(&g, &left), 1);
-        // vol(left) = 4*4 + 5 = 21; conductance = 1/21.
-        let phi = cut_conductance(&g, &left).unwrap();
-        assert!((phi - 1.0 / 21.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn conductance_bound_small_on_barbell_large_on_complete() {
         let barbell = builders::barbell(16).unwrap();
         let complete = builders::complete(16).unwrap();
@@ -247,14 +208,10 @@ mod tests {
         let phi_c = conductance_upper_bound(&complete);
         assert!(phi_b < 0.05, "barbell conductance bound {phi_b} too large");
         assert!(phi_c > 0.3, "complete conductance bound {phi_c} too small");
-    }
-
-    #[test]
-    fn degenerate_cut_returns_none() {
-        let g = builders::path(3).unwrap();
-        assert_eq!(cut_conductance(&g, &HashSet::new()), None);
-        let all: HashSet<NodeId> = (0..3).collect();
-        assert_eq!(cut_conductance(&g, &all), None);
+        // The sweep finds the bridge of barbell(10): one edge over
+        // vol(K₅ side) = 4·4 + 5 = 21.
+        let phi = conductance_upper_bound(&builders::barbell(10).unwrap());
+        assert_eq!(phi, 1.0 / 21.0);
     }
 
     #[test]
@@ -290,15 +247,5 @@ mod tests {
     fn min_cut_rejects_disconnected() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let _ = global_min_cut(&g);
-    }
-
-    #[test]
-    fn volume_counts_degrees() {
-        let g = builders::star(5).unwrap();
-        let hub: HashSet<NodeId> = [0].into_iter().collect();
-        assert_eq!(volume(&g, &hub), 4);
-        let leaves: HashSet<NodeId> = (1..5).collect();
-        assert_eq!(volume(&g, &leaves), 4);
-        assert_eq!(cut_boundary(&g, &hub), 4);
     }
 }

@@ -21,13 +21,14 @@
 //! footprint near `Σ rank(v)` instead of `n · pivot_width` mid-run, and
 //! what the case for n = 10⁶ fitting in memory rests on.
 //!
-//! A node is the same crate-private store (the `node` module) that an
-//! [`EchelonBasis`](crate::EchelonBasis) owns one of. The arena adds
-//! indexing and one scratch set shared by all nodes, reserved at its
-//! full-rank size at construction; there is no second elimination, so an
-//! arena node and an owned basis cannot diverge. What the differential
-//! suites in `ag-rlnc` pin is that one implementation against an eager
-//! scalar oracle kept in their test code.
+//! A node is the crate-private store of the `node` module, and this file
+//! is the one place one is assembled from its parts: once for the arena,
+//! once for a shard. The arena adds indexing and one scratch set shared by
+//! all nodes, reserved at its full-rank size at construction. An
+//! [`EchelonBasis`](crate::EchelonBasis) is node 0 of a one-node arena, so
+//! there is one owner of node state and no second elimination. What the
+//! differential suites in `ag-rlnc` pin is that one implementation against
+//! an eager scalar oracle kept in their test code.
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
 //! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of the
@@ -41,7 +42,7 @@
 //! use ag_linalg::{BasisArena, Insertion};
 //!
 //! // Two nodes, width-2 bases, rows carry one payload symbol.
-//! let mut arena = BasisArena::<Gf256>::new(2, 2, 3);
+//! let mut arena = BasisArena::<Gf256>::try_new(2, 2, 3).expect("a small arena fits");
 //! let row = Gf256::pack(&[Gf256::ONE, Gf256::ZERO, Gf256::new(9)]);
 //! assert_eq!(arena.insert_packed_mut(0, &mut row.clone()), Insertion::Innovative);
 //! assert_eq!(arena.insert_packed_mut(0, &mut row.clone()), Insertion::Redundant);
@@ -128,7 +129,7 @@ fn try_zeroed<T: Copy + Default>(len: usize) -> Result<Vec<T>, usize> {
 /// module docs).
 ///
 /// Unlike [`EchelonBasis`](crate::EchelonBasis), whose row length is
-/// learned from the first inserted row, an arena fixes `row_elems`
+/// learned from the first stored row, an arena fixes `row_elems`
 /// (coefficients + augmented tail) at construction; every row must match.
 /// Shape violations are bugs in the caller's wiring, not data-dependent
 /// conditions, so the arena asserts rather than returning typed errors —
@@ -155,38 +156,19 @@ pub struct BasisArena<F> {
 
 impl<F: SlabField> BasisArena<F> {
     /// Creates an arena of `nodes` empty bases with `pivot_width` leading
-    /// coefficients and `row_elems` total symbols per row.
+    /// coefficients and `row_elems` total symbols per row. Checks the
+    /// full-rank capacity math (returning [`ArenaError::CapacityOverflow`]
+    /// with the exact byte count) and allocates the head and rank slabs,
+    /// the table of payload tails and the shared scratch fallibly
+    /// (returning [`ArenaError::AllocationFailure`] instead of aborting).
+    /// Payload rows are not reserved here: each node's first row does that.
     ///
     /// # Panics
     ///
-    /// Panics if `pivot_width == 0`, `row_elems < pivot_width`, or the
-    /// full-rank capacity math fails (see [`BasisArena::try_new`] for the
-    /// non-panicking form).
-    #[must_use]
-    pub fn new(nodes: usize, pivot_width: usize, row_elems: usize) -> Self {
-        match Self::try_new(nodes, pivot_width, row_elems) {
-            Ok(arena) => arena,
-            #[expect(
-                clippy::panic,
-                reason = "documented panicking wrapper; try_new is the typed-error twin"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: checks the full-rank capacity math
-    /// (returning [`ArenaError::CapacityOverflow`] with the exact byte
-    /// count) and allocates the head and rank slabs, the table of payload
-    /// tails and the shared scratch fallibly (returning
-    /// [`ArenaError::AllocationFailure`] instead of aborting). Payload
-    /// rows are not reserved here: each node's first row does that.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pivot_width == 0` or `row_elems < pivot_width` — shape
-    /// bugs, not sizing conditions.
+    /// Panics if `row_elems < pivot_width` — a shape bug, not a sizing
+    /// condition. A zero pivot width is a degenerate store that is full
+    /// from the start.
     pub fn try_new(nodes: usize, pivot_width: usize, row_elems: usize) -> Result<Self, ArenaError> {
-        assert!(pivot_width > 0, "pivot width must be positive");
         assert!(
             row_elems >= pivot_width,
             "rows must at least cover the pivot prefix"
@@ -222,7 +204,7 @@ impl<F: SlabField> BasisArena<F> {
     }
 
     /// Node `node`'s stored pivots and coefficient rows.
-    fn head(&self, node: usize) -> Head<'_> {
+    pub(crate) fn head(&self, node: usize) -> Head<'_> {
         let head = &self.heads[self.dims.head_range(node)];
         Head::new(self.dims, head, self.ranks[node] as usize)
     }
@@ -249,6 +231,11 @@ impl<F: SlabField> BasisArena<F> {
     #[must_use]
     pub fn nodes(&self) -> usize {
         self.ranks.len()
+    }
+
+    /// The pivot (coefficient) width of every row.
+    pub(crate) fn pivot_width(&self) -> usize {
+        self.dims.pivot_width
     }
 
     /// Bytes per row.
@@ -295,7 +282,10 @@ impl<F: SlabField> BasisArena<F> {
     /// insertion order. Payloads are untouched — the view for helpfulness
     /// scans between nodes.
     pub fn coeff_rows(&self, node: usize) -> impl Iterator<Item = &[u8]> {
-        self.head(node).coeff.chunks_exact(self.coeff_bytes())
+        // `max(1)` only matters at pivot width 0, where coeff is empty.
+        self.head(node)
+            .coeff
+            .chunks_exact(self.coeff_bytes().max(1))
     }
 
     /// Materializes full row `i` of node `node` (coefficients + reduced
@@ -354,10 +344,23 @@ impl<F: SlabField> BasisArena<F> {
         node.insert_packed::<F>(dims, row, sc)
     }
 
+    /// [`BasisArena::insert_packed_mut`] on a copy of `row` in the shared
+    /// scratch, so the caller's bytes survive and no insert allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or `row.len() != row_bytes()`.
+    // ag-lint: hot-path
+    pub(crate) fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
+        let dims = self.dims;
+        let (node, sc) = self.node_mut(node);
+        node.insert_packed_slice::<F>(dims, row, sc)
+    }
+
     /// Would this packed row raise node `node`'s rank? Non-mutating; `row`
     /// may be a pivot-prefix-only slab or a full row — only the prefix is
     /// read, through reusable scratch buffers, so the probe is
-    /// allocation-free once warmed up and never touches payload state.
+    /// allocation-free and never touches payload state.
     ///
     /// # Panics
     ///
@@ -366,10 +369,14 @@ impl<F: SlabField> BasisArena<F> {
     pub fn would_be_innovative_packed(&self, node: usize, row: &[u8]) -> bool {
         let kb = self.coeff_bytes();
         assert!(row.len() >= kb, "row shorter than the packed pivot prefix");
+        self.probe(node, |p| p.extend_from_slice(&row[..kb]))
+    }
+
+    /// Would the packed coefficient prefix `fill` writes into the scratch
+    /// probe row raise node `node`'s rank?
+    pub(crate) fn probe(&self, node: usize, fill: impl FnOnce(&mut Vec<u8>)) -> bool {
         self.head(node)
-            .probe::<F>(self.dims, &mut self.scratch.borrow_mut(), |p| {
-                p.extend_from_slice(&row[..kb]);
-            })
+            .probe::<F>(self.dims, &mut self.scratch.borrow_mut(), fill)
     }
 
     /// Once node `node` is full, extracts its solution exactly as
@@ -534,7 +541,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let nodes = 3;
         let elems = k + tail;
-        let mut arena = BasisArena::<F>::new(nodes, k, elems);
+        let mut arena = BasisArena::<F>::try_new(nodes, k, elems).unwrap();
         let mut bases: Vec<EchelonBasis<F>> = (0..nodes).map(|_| EchelonBasis::new(k)).collect();
         for _ in 0..6 * k {
             let node = rng.gen_range(0..nodes);
@@ -595,12 +602,12 @@ mod tests {
                 )
             })
             .collect();
-        let mut serial = BasisArena::<Gf256>::new(nodes, k, k + r);
+        let mut serial = BasisArena::<Gf256>::try_new(nodes, k, k + r).unwrap();
         let serial_verdicts: Vec<Insertion> = stream
             .iter()
             .map(|(node, row)| serial.insert_packed_mut(*node, &mut row.clone()))
             .collect();
-        let mut sharded = BasisArena::<Gf256>::new(nodes, k, k + r);
+        let mut sharded = BasisArena::<Gf256>::try_new(nodes, k, k + r).unwrap();
         {
             let mut shards = sharded.shards_mut(&[(0, 2), (2, 2), (2, nodes)]);
             let mut buf = Vec::new();
@@ -680,7 +687,7 @@ mod tests {
     fn payload_node_storage_is_one_allocation_at_its_first_row() {
         let mut rng = StdRng::seed_from_u64(3);
         let (k, r) = (6, 4);
-        let mut arena = BasisArena::<Gf256>::new(2, k, k + r);
+        let mut arena = BasisArena::<Gf256>::try_new(2, k, k + r).unwrap();
         // Heads (pivot map, coefficients), ranks, and the table of tails.
         let fixed = 2 * (k * (4 + k) + 4 + size_of::<RefCell<Tails>>());
         assert!(size_of::<RefCell<Tails>>() <= 48);
@@ -717,7 +724,7 @@ mod tests {
     fn rank_only_arena_is_head_plus_rank_bytes_a_node_throughout() {
         let mut rng = StdRng::seed_from_u64(11);
         let (k, nodes) = (8, 3);
-        let mut arena = BasisArena::<Gf256>::new(nodes, k, k);
+        let mut arena = BasisArena::<Gf256>::try_new(nodes, k, k).unwrap();
         let bytes = nodes * (k * (4 + k) + 4);
         let base = arena.heads.as_ptr();
         while (0..nodes).any(|v| !arena.is_full(v)) {
@@ -738,7 +745,7 @@ mod tests {
     fn a_shards_slabs_are_its_node_range_of_the_arenas() {
         for r in [0, 3] {
             let k = 5;
-            let mut arena = BasisArena::<Gf256>::new(7, k, k + r);
+            let mut arena = BasisArena::<Gf256>::try_new(7, k, k + r).unwrap();
             let stride = arena.dims.head_bytes();
             assert_eq!(stride, k * (4 + k));
             let heads = arena.heads.as_ptr() as usize;
@@ -759,7 +766,7 @@ mod tests {
     fn full_node_rejects_everything_without_overflow() {
         let mut rng = StdRng::seed_from_u64(9);
         let k = 4;
-        let mut arena = BasisArena::<Gf256>::new(1, k, k);
+        let mut arena = BasisArena::<Gf256>::try_new(1, k, k).unwrap();
         while !arena.is_full(0) {
             let mut row = random_row::<Gf256>(&mut rng, k);
             arena.insert_packed_mut(0, &mut row);
@@ -773,7 +780,7 @@ mod tests {
 
     #[test]
     fn nodes_are_independent() {
-        let mut arena = BasisArena::<Gf256>::new(2, 2, 2);
+        let mut arena = BasisArena::<Gf256>::try_new(2, 2, 2).unwrap();
         let e0 = Gf256::pack(&[Gf256::ONE, Gf256::ZERO]);
         assert_eq!(
             arena.insert_packed_mut(0, &mut e0.clone()),
@@ -790,7 +797,7 @@ mod tests {
 
     #[test]
     fn insert_packed_mut_reduces_in_callers_buffer() {
-        let mut arena = BasisArena::<Gf256>::new(1, 2, 2);
+        let mut arena = BasisArena::<Gf256>::try_new(1, 2, 2).unwrap();
         let mut row = Gf256::pack(&[Gf256::new(2), Gf256::ZERO]);
         assert_eq!(arena.insert_packed_mut(0, &mut row), Insertion::Innovative);
         // The buffer now holds the normalized row (pivot scaled to 1).
@@ -804,7 +811,7 @@ mod tests {
     #[test]
     fn would_be_innovative_matches_insert() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut arena = BasisArena::<Gf256>::new(1, 5, 5);
+        let mut arena = BasisArena::<Gf256>::try_new(1, 5, 5).unwrap();
         for _ in 0..30 {
             let mut row = random_row::<Gf256>(&mut rng, 5);
             let predicted = arena.would_be_innovative_packed(0, &row);
@@ -820,8 +827,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(33);
         let k = 5;
         let r = 4;
-        let mut arena = BasisArena::<Gf256>::new(2, k, k + r);
-        let mut oracle = BasisArena::<Gf256>::new(2, k, k + r);
+        let mut arena = BasisArena::<Gf256>::try_new(2, k, k + r).unwrap();
+        let mut oracle = BasisArena::<Gf256>::try_new(2, k, k + r).unwrap();
         let mut buf = Vec::new();
         let mut step = 0;
         while !(arena.is_full(0) && arena.is_full(1)) {
@@ -845,20 +852,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_row_length_panics() {
-        let mut arena = BasisArena::<Gf256>::new(1, 2, 3);
+        let mut arena = BasisArena::<Gf256>::try_new(1, 2, 3).unwrap();
         let _ = arena.insert_packed_mut(0, &mut [1, 2]);
     }
 
     #[test]
     #[should_panic(expected = "pivot prefix")]
     fn tail_shorter_than_pivot_rejected_at_construction() {
-        let _ = BasisArena::<Gf256>::new(1, 3, 2);
+        let _ = BasisArena::<Gf256>::try_new(1, 3, 2);
     }
 
     #[test]
     #[should_panic(expected = "partition the arena contiguously")]
     fn overlapping_shard_bounds_panic() {
-        let mut arena = BasisArena::<Gf256>::new(4, 2, 2);
+        let mut arena = BasisArena::<Gf256>::try_new(4, 2, 2).unwrap();
         let _ = arena.shards_mut(&[(0, 3), (2, 4)]);
     }
 }

@@ -1,23 +1,22 @@
 //! [`EchelonBasis`]: the single-sink view of the per-node store.
 //!
-//! The store itself — the coefficient/payload split, the elimination log
-//! and its replay — is described and implemented once, in the
-//! crate-private `node` module. An [`EchelonBasis`] owns the parts of *one*
-//! such node (its head, its rank, its payload tails) plus its dimensions
-//! and scratch: it learns its row length from the first stored row and
-//! rejects malformed rows with a typed [`BasisError`], where
-//! [`crate::BasisArena`] — the simulation view, the same parts in slabs
-//! indexed by node — fixes the row length up front and asserts. An owned
-//! basis and an arena node run the same code on the same layout.
+//! The store — the coefficient/payload split, the elimination log and its
+//! replay — is implemented once, in the crate-private `node` module, and a
+//! node of it is assembled in two places only: a [`BasisArena`] and its
+//! shards. An [`EchelonBasis`] is node 0 of a one-node arena, as an
+//! `ag_rlnc::Decoder` is of a one-node decoder arena. What it adds is the
+//! single-sink contract: it learns its row length from the first stored
+//! row (rebuilding its still-empty arena when a row of another length
+//! arrives) and rejects malformed rows with a typed [`BasisError`] where
+//! the arena, whose row length is fixed up front, asserts.
 
-use std::cell::{RefCell, RefMut};
 use std::error::Error;
 use std::fmt;
-use std::marker::PhantomData;
 
 use ag_gf::SlabField;
 
-use crate::node::{Dims, Head, Insertion, NodeBasis, Rows, Scratch, Tails};
+use crate::arena::BasisArena;
+use crate::node::Insertion;
 
 /// A malformed row rejected by [`EchelonBasis::try_insert`] before any
 /// elimination ran — the basis is untouched when one of these is returned.
@@ -86,10 +85,11 @@ impl Error for BasisError {}
 /// Inserting a row costs `O(rank · pivot_width)` symbol operations over the
 /// coefficient slab plus one payload `memcpy`; the deferred payload
 /// elimination is paid once per stored row when payloads are next observed,
-/// in fused multi-row kernel passes. The coefficient rows are allocated at
-/// construction, the payload rows once, at their full-rank footprint, by
-/// the first stored row. This is the one-node view of the store a
-/// [`crate::BasisArena`] holds per node.
+/// in fused multi-row kernel passes. The coefficient rows and scratch are
+/// allocated at construction and again, at their full-rank size, when the
+/// first row of a new length arrives; the payload rows once, at their
+/// full-rank footprint, by the first stored row. Nothing after that
+/// allocates. This is node 0 of a one-node [`BasisArena`].
 ///
 /// # Examples
 ///
@@ -99,41 +99,27 @@ impl Error for BasisError {}
 ///
 /// let mut basis = EchelonBasis::<Gf256>::new(3);
 /// let e0 = vec![Gf256::ONE, Gf256::ZERO, Gf256::ZERO];
-/// assert_eq!(basis.insert(e0.clone()), Insertion::Innovative);
-/// assert_eq!(basis.insert(e0), Insertion::Redundant);
+/// assert_eq!(basis.try_insert(e0.clone()), Ok(Insertion::Innovative));
+/// assert_eq!(basis.try_insert(e0), Ok(Insertion::Redundant));
 /// assert_eq!(basis.rank(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EchelonBasis<F> {
-    /// Width of the pivot (coefficient) prefix of every row.
-    pivot_width: usize,
-    /// Symbols per stored row (pivot prefix + augmented tail); fixed by the
-    /// first stored row.
-    row_elems: Option<usize>,
-    /// The one node's head: pivot map, then reduced coefficient rows.
-    head: Vec<u8>,
-    /// Rows stored.
-    rank: u32,
-    /// Payload rows and elimination log; allocated by the first stored row
-    /// that carries a payload.
-    tails: RefCell<Tails>,
-    /// Reusable buffers (excluded from `PartialEq`).
-    scratch: RefCell<Scratch>,
-    _field: PhantomData<F>,
+    /// The store; this basis is its node 0. While it is empty its rows are
+    /// as long as the last row offered (the pivot prefix before any).
+    arena: BasisArena<F>,
 }
 
 /// Logical-state equality: two bases are equal iff they store the same
 /// rows with the same pivots. Payloads are compared materialized (both
-/// sides are flushed first); the transient scratch buffers and log
-/// histories never participate.
+/// sides are settled first); scratch buffers and log histories never
+/// participate.
 impl<F: SlabField> PartialEq for EchelonBasis<F> {
     fn eq(&self, other: &Self) -> bool {
-        self.settle();
-        other.settle();
-        self.pivot_width == other.pivot_width
-            && self.row_elems == other.row_elems
-            && self.stored() == other.stored()
-            && self.tails.borrow().pay() == other.tails.borrow().pay()
+        self.pivot_width() == other.pivot_width()
+            && self.row_bytes() == other.row_bytes()
+            && self.arena.head(0) == other.arena.head(0)
+            && self.rows() == other.rows()
     }
 }
 
@@ -142,89 +128,58 @@ impl<F: SlabField> Eq for EchelonBasis<F> {}
 impl<F: SlabField> EchelonBasis<F> {
     /// Creates an empty basis whose rows have `pivot_width` leading
     /// coefficient entries. Allocates the head (`pivot_width²` symbols and
-    /// a 4-byte pivot entry per row); payload storage waits for the first
-    /// row.
+    /// a 4-byte pivot entry per row) and scratch; payload storage waits
+    /// for the first row.
     ///
     /// # Panics
     ///
     /// Panics if a head of that width cannot be addressed.
     #[must_use]
     pub fn new(pivot_width: usize) -> Self {
-        let d = Dims::sized::<F>(1, pivot_width, pivot_width)
-            .expect("pivot width fits a u32 and its head fits usize");
         EchelonBasis {
-            pivot_width,
-            row_elems: None,
-            head: vec![0; d.head_bytes()],
-            rank: 0,
-            tails: RefCell::default(),
-            scratch: RefCell::default(),
-            _field: PhantomData,
+            arena: Self::one_node(pivot_width, pivot_width),
         }
     }
 
-    /// Row widths once the first row fixed them; pivot-prefix-only before.
-    fn dims(&self) -> Dims {
-        Dims::new::<F>(self.pivot_width, self.row_elems.unwrap_or(self.pivot_width))
-    }
-
-    /// The stored pivots and coefficient rows.
-    fn stored(&self) -> Head<'_> {
-        Head::new(self.dims(), &self.head, self.rank())
-    }
-
-    /// The stored rows for a read through `&self`.
-    fn unlocked(&self) -> Rows<'_, RefMut<'_, Tails>> {
-        Rows {
-            head: self.stored(),
-            tails: Some(self.tails.borrow_mut()),
-        }
+    /// The one-node store for rows of `row_elems` symbols.
+    fn one_node(pivot_width: usize, row_elems: usize) -> BasisArena<F> {
+        BasisArena::try_new(1, pivot_width, row_elems)
+            .expect("one node's full-rank store for rows that exist is addressable")
     }
 
     /// The number of independent rows stored so far.
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.rank as usize
+        self.arena.rank(0)
     }
 
     /// The pivot (coefficient) width rows must have at minimum.
     #[must_use]
     pub fn pivot_width(&self) -> usize {
-        self.pivot_width
+        self.arena.pivot_width()
     }
 
     /// True once the basis spans the full coefficient space.
     #[must_use]
     pub fn is_full(&self) -> bool {
-        self.rank() == self.pivot_width
+        self.arena.is_full(0)
     }
 
     /// Bytes per stored row (0 before the first row is stored).
     #[must_use]
     pub fn row_bytes(&self) -> usize {
-        self.row_elems.unwrap_or(0) * F::SYMBOL_BYTES
-    }
-
-    /// Bytes of the packed coefficient prefix of every row.
-    #[must_use]
-    pub fn coeff_bytes(&self) -> usize {
-        self.pivot_width * F::SYMBOL_BYTES
-    }
-
-    /// Bytes of the payload tail of every stored row (0 before the first
-    /// row is stored, or when rows are pivot-prefix-only).
-    #[must_use]
-    pub fn pay_bytes(&self) -> usize {
-        self.dims().pb
+        if self.rank() == 0 {
+            0
+        } else {
+            self.arena.row_bytes()
+        }
     }
 
     /// Iterates over the stored rows' reduced coefficient prefixes, in
     /// insertion order. Payloads are untouched — this is the hot-path view
     /// for helpfulness scans.
     pub fn coeff_rows(&self) -> impl Iterator<Item = &[u8]> {
-        // `max(1)` only matters for a zero-width basis, where coeff is
-        // empty anyway.
-        self.stored().coeff.chunks_exact(self.coeff_bytes().max(1))
+        self.arena.coeff_rows(0)
     }
 
     /// Materializes full row `i` (coefficients + reduced payload) into
@@ -234,9 +189,7 @@ impl<F: SlabField> EchelonBasis<F> {
     ///
     /// Panics if `i >= rank`.
     pub fn copy_packed_row_into(&self, i: usize, out: &mut Vec<u8>) {
-        let mut sc = self.scratch.borrow_mut();
-        self.unlocked()
-            .copy_packed_row_into::<F>(self.dims(), i, &mut sc, out);
+        self.arena.copy_packed_row_into(0, i, out);
     }
 
     /// Row `i` decoded back to field elements (materialized).
@@ -269,9 +222,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `factors` is not exactly `rank` packed symbols or `out` is
     /// not exactly [`EchelonBasis::row_bytes`] long.
     pub fn accumulate_rows_into(&self, factors: &[u8], out: &mut [u8]) {
-        let mut sc = self.scratch.borrow_mut();
-        self.unlocked()
-            .accumulate_rows_into::<F>(self.dims(), factors, &mut sc, out);
+        self.arena.accumulate_rows_into(0, factors, out);
     }
 
     /// Forces the deferred payload elimination to settle now instead of at
@@ -282,26 +233,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Idempotent, and invisible to results: every read path flushes on
     /// demand anyway.
     pub fn settle(&self) {
-        let mut sc = self.scratch.borrow_mut();
-        self.unlocked().settle::<F>(self.dims(), &mut sc);
-    }
-
-    /// Inserts an equation. Returns whether it was innovative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() < pivot_width`, or if its length differs from
-    /// previously inserted rows. Use [`EchelonBasis::try_insert`] for a
-    /// typed error instead.
-    pub fn insert(&mut self, row: Vec<F>) -> Insertion {
-        match self.try_insert(row) {
-            Ok(outcome) => outcome,
-            #[expect(
-                clippy::panic,
-                reason = "documented panicking wrapper; try_insert is the typed-error twin"
-            )]
-            Err(e) => panic!("{e}"),
-        }
+        self.arena.settle(0);
     }
 
     /// Inserts an equation, rejecting malformed rows with a typed error
@@ -313,15 +245,15 @@ impl<F: SlabField> EchelonBasis<F> {
     /// [`BasisError::LengthMismatch`] when the length differs from the rows
     /// already stored.
     pub fn try_insert(&mut self, row: Vec<F>) -> Result<Insertion, BasisError> {
-        let row = &mut F::pack(&row);
-        self.checked_insert(row.len(), |node, d, sc| node.insert_packed::<F>(d, row, sc))
+        let mut row = F::pack(&row);
+        self.fit(row.len())?;
+        Ok(self.arena.insert_packed_mut(0, &mut row))
     }
 
     /// Like [`EchelonBasis::try_insert`] but *borrowing* an already-packed
-    /// row slab: the bytes are copied into an internal reusable scratch
-    /// buffer and reduced there, so a redundant insertion costs **zero heap
-    /// allocations** once the scratch has warmed up — the contract the
-    /// engine's redundant-reception path relies on.
+    /// row slab: the bytes are copied into a reusable scratch buffer and
+    /// reduced there, so no insert after the first stored row allocates —
+    /// the contract the engine's redundant-reception path relies on.
     ///
     /// # Errors
     ///
@@ -331,50 +263,38 @@ impl<F: SlabField> EchelonBasis<F> {
     /// is transient) is unchanged on `Err` *and* on a redundant insert.
     // ag-lint: hot-path
     pub fn try_insert_packed_slice(&mut self, row: &[u8]) -> Result<Insertion, BasisError> {
-        self.checked_insert(row.len(), |node, d, sc| {
-            node.insert_packed_slice::<F>(d, row, sc)
-        })
+        self.fit(row.len())?;
+        Ok(self.arena.insert_packed_slice(0, row))
     }
 
-    /// Shape-checks a packed row of `bytes` bytes, runs `insert` on the
-    /// store, and lets the first stored row fix the row length — shared by
-    /// every insertion entry point.
-    // ag-lint: hot-path
-    fn checked_insert(
-        &mut self,
-        bytes: usize,
-        insert: impl FnOnce(NodeBasis<'_>, Dims, &mut Scratch) -> Insertion,
-    ) -> Result<Insertion, BasisError> {
+    /// Shape-checks a packed row of `bytes` bytes and, while the basis is
+    /// empty, rebuilds the arena for rows of that length: the first stored
+    /// row is what fixes it.
+    fn fit(&mut self, bytes: usize) -> Result<(), BasisError> {
         if !bytes.is_multiple_of(F::SYMBOL_BYTES) {
             return Err(BasisError::Misaligned {
                 len: bytes,
                 symbol_bytes: F::SYMBOL_BYTES,
             });
         }
-        let elems = bytes / F::SYMBOL_BYTES;
-        if elems < self.pivot_width {
+        let (elems, pivot_width) = (bytes / F::SYMBOL_BYTES, self.pivot_width());
+        if elems < pivot_width {
             return Err(BasisError::RowTooShort {
                 len: elems,
-                pivot_width: self.pivot_width,
+                pivot_width,
             });
         }
-        if let Some(expected) = self.row_elems.filter(|&e| e != elems) {
-            return Err(BasisError::LengthMismatch {
-                expected,
-                got: elems,
-            });
+        let expected = self.arena.row_bytes() / F::SYMBOL_BYTES;
+        if elems != expected {
+            if self.rank() > 0 {
+                return Err(BasisError::LengthMismatch {
+                    expected,
+                    got: elems,
+                });
+            }
+            self.arena = Self::one_node(pivot_width, elems);
         }
-        let d = Dims::new::<F>(self.pivot_width, elems);
-        let node = NodeBasis {
-            head: &mut self.head,
-            rank: &mut self.rank,
-            tails: Some(self.tails.get_mut()),
-        };
-        let outcome = insert(node, d, self.scratch.get_mut());
-        if outcome.is_innovative() {
-            self.row_elems = Some(elems);
-        }
-        Ok(outcome)
+        Ok(())
     }
 
     /// Would `row` be innovative, without mutating the basis?
@@ -383,19 +303,15 @@ impl<F: SlabField> EchelonBasis<F> {
     /// *helpful node* for node `y` iff some vector in `x`'s subspace is
     /// independent of `y`'s subspace. Only the coefficient prefix is
     /// consulted, through reusable scratch buffers — the probe is
-    /// allocation-free once warmed up and never touches payload state.
+    /// allocation-free and never touches payload state.
     ///
     /// # Panics
     ///
     /// Panics if `row` is shorter than the pivot prefix.
     #[must_use]
     pub fn would_be_innovative(&self, row: &[F]) -> bool {
-        assert!(row.len() >= self.pivot_width);
-        let prefix = &row[..self.pivot_width];
-        self.stored()
-            .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
-                F::pack_into(prefix, p)
-            })
+        let prefix = &row[..self.pivot_width()];
+        self.arena.probe(0, |p| F::pack_into(prefix, p))
     }
 
     /// Packed-slab variant of [`EchelonBasis::would_be_innovative`]; `row`
@@ -406,12 +322,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// Panics if `row` is shorter than the packed pivot prefix.
     #[must_use]
     pub fn would_be_innovative_packed(&self, row: &[u8]) -> bool {
-        let kb = self.coeff_bytes();
-        assert!(row.len() >= kb);
-        self.stored()
-            .probe::<F>(self.dims(), &mut self.scratch.borrow_mut(), |p| {
-                p.extend_from_slice(&row[..kb]);
-            })
+        self.arena.would_be_innovative_packed(0, row)
     }
 
     /// True iff `other`'s span contains a vector outside `self`'s span,
@@ -434,8 +345,7 @@ impl<F: SlabField> EchelonBasis<F> {
     /// every tail, then the rows are read out in pivot order.
     #[must_use]
     pub fn solution(&self) -> Option<Vec<Vec<F>>> {
-        let mut sc = self.scratch.borrow_mut();
-        self.unlocked().solution::<F>(self.dims(), &mut sc)
+        self.arena.solution(0)
     }
 }
 
@@ -445,6 +355,10 @@ mod tests {
     use ag_gf::{Field, Gf2, Gf256};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn insert<F: SlabField>(basis: &mut EchelonBasis<F>, row: Vec<F>) -> Insertion {
+        basis.try_insert(row).expect("well-formed row")
+    }
 
     fn unit(width: usize, i: usize) -> Vec<Gf256> {
         let mut v = vec![Gf256::ZERO; width];
@@ -457,7 +371,7 @@ mod tests {
         let mut b = EchelonBasis::<Gf256>::new(4);
         for i in 0..4 {
             assert!(!b.is_full());
-            assert_eq!(b.insert(unit(4, i)), Insertion::Innovative);
+            assert_eq!(insert(&mut b, unit(4, i)), Insertion::Innovative);
         }
         assert!(b.is_full());
         assert_eq!(b.rank(), 4);
@@ -505,18 +419,18 @@ mod tests {
     #[test]
     fn dependent_row_is_redundant() {
         let mut b = EchelonBasis::<Gf256>::new(3);
-        b.insert(vec![Gf256::new(1), Gf256::new(2), Gf256::new(3)]);
-        b.insert(vec![Gf256::new(0), Gf256::new(1), Gf256::new(1)]);
+        insert(&mut b, vec![Gf256::new(1), Gf256::new(2), Gf256::new(3)]);
+        insert(&mut b, vec![Gf256::new(0), Gf256::new(1), Gf256::new(1)]);
         // Sum of the two inserted rows (GF(2^8) addition = XOR of bytes).
         let dep = vec![Gf256::new(1), Gf256::new(3), Gf256::new(2)];
-        assert_eq!(b.insert(dep), Insertion::Redundant);
+        assert_eq!(insert(&mut b, dep), Insertion::Redundant);
         assert_eq!(b.rank(), 2);
     }
 
     #[test]
     fn zero_row_is_redundant() {
         let mut b = EchelonBasis::<Gf256>::new(3);
-        assert_eq!(b.insert(vec![Gf256::ZERO; 3]), Insertion::Redundant);
+        assert_eq!(insert(&mut b, vec![Gf256::ZERO; 3]), Insertion::Redundant);
         assert_eq!(b.rank(), 0);
     }
 
@@ -526,7 +440,7 @@ mod tests {
         let mut b = EchelonBasis::<Gf2>::new(6);
         for _ in 0..100 {
             let row: Vec<Gf2> = (0..6).map(|_| Gf2::random(&mut rng)).collect();
-            b.insert(row);
+            insert(&mut b, row);
             assert!(b.rank() <= 6);
         }
         assert!(b.is_full(), "100 random GF(2) rows fill rank 6 w.h.p.");
@@ -539,7 +453,7 @@ mod tests {
         for _ in 0..30 {
             let row: Vec<Gf256> = (0..5).map(|_| Gf256::random(&mut rng)).collect();
             let predicted = b.would_be_innovative(&row);
-            let actual = b.insert(row).is_innovative();
+            let actual = insert(&mut b, row).is_innovative();
             assert_eq!(predicted, actual);
         }
     }
@@ -565,7 +479,7 @@ mod tests {
                 }
                 row.push(acc);
             }
-            b.insert(row);
+            insert(&mut b, row);
         }
         assert_eq!(b.solution().unwrap(), msgs);
     }
@@ -574,7 +488,7 @@ mod tests {
     fn solution_none_until_full() {
         let mut b = EchelonBasis::<Gf256>::new(2);
         assert!(b.solution().is_none());
-        b.insert(vec![Gf256::ONE, Gf256::ZERO]);
+        insert(&mut b, vec![Gf256::ONE, Gf256::ZERO]);
         assert!(b.solution().is_none());
     }
 
@@ -582,11 +496,11 @@ mod tests {
     fn helpfulness_between_bases() {
         let mut x = EchelonBasis::<Gf256>::new(3);
         let mut y = EchelonBasis::<Gf256>::new(3);
-        x.insert(unit(3, 0));
-        y.insert(unit(3, 0));
+        insert(&mut x, unit(3, 0));
+        insert(&mut y, unit(3, 0));
         // Equal subspaces: not helpful.
         assert!(!y.is_helped_by(&x));
-        x.insert(unit(3, 1));
+        insert(&mut x, unit(3, 1));
         // x now strictly larger: helpful to y but not vice versa.
         assert!(y.is_helped_by(&x));
         assert!(!x.is_helped_by(&y));
@@ -598,7 +512,7 @@ mod tests {
         let mut b = EchelonBasis::<Gf256>::new(8);
         for _ in 0..40 {
             let row: Vec<Gf256> = (0..8).map(|_| Gf256::random(&mut rng)).collect();
-            b.insert(row);
+            insert(&mut b, row);
         }
         // Every pivot column — a reduced row's leading nonzero — must be
         // zero in all other rows (Gauss-Jordan).
@@ -615,22 +529,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shorter than pivot width")]
-    fn short_row_panics() {
-        let mut b = EchelonBasis::<Gf256>::new(3);
-        b.insert(vec![Gf256::ONE]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn inconsistent_row_length_panics() {
-        let mut b = EchelonBasis::<Gf256>::new(2);
-        b.insert(vec![Gf256::ONE, Gf256::ZERO, Gf256::ONE]);
-        b.insert(vec![Gf256::ONE, Gf256::ZERO]);
-    }
-
-    #[test]
     fn try_insert_reports_typed_errors_and_leaves_basis_intact() {
+        let g = |bytes: &[u8]| bytes.iter().map(|&b| Gf256::new(b)).collect::<Vec<_>>();
         let mut b = EchelonBasis::<Gf256>::new(2);
         assert_eq!(
             b.try_insert(vec![Gf256::ONE]),
@@ -639,42 +539,56 @@ mod tests {
                 pivot_width: 2
             })
         );
-        b.insert(vec![Gf256::ONE, Gf256::ZERO, Gf256::new(9)]);
+        // A redundant first row, of any length, fixes nothing: the row
+        // length is the first *stored* row's.
+        assert_eq!(b.row_bytes(), 0);
+        assert_eq!(insert(&mut b, g(&[0, 0, 5, 5])), Insertion::Redundant);
+        assert_eq!(b.row_bytes(), 0, "no row is stored yet");
+        assert_eq!(b, EchelonBasis::new(2));
+        insert(&mut b, g(&[1, 0, 9]));
+        assert_eq!(b.row_bytes(), 3);
         let before = b.clone();
-        assert_eq!(
-            b.try_insert(vec![Gf256::ONE, Gf256::ONE]),
-            Err(BasisError::LengthMismatch {
-                expected: 3,
-                got: 2
-            })
-        );
-        assert_eq!(b, before, "failed insert must not mutate the basis");
+        for (row, got) in [(g(&[1, 1]), 2), (g(&[1, 1, 1, 1]), 4)] {
+            assert_eq!(
+                b.try_insert(row),
+                Err(BasisError::LengthMismatch { expected: 3, got })
+            );
+            assert_eq!(b, before, "failed insert must not mutate the basis");
+        }
         assert_eq!(
             b.try_insert_packed_slice(&[0u8; 3]),
             Ok(Insertion::Redundant),
             "aligned zero row is simply redundant"
         );
+        // Equality reads settled payloads and the pivots in stored order,
+        // not just the span.
+        let mut other_payload = EchelonBasis::new(2);
+        insert(&mut other_payload, g(&[1, 0, 8]));
+        assert_ne!(b, other_payload);
+        let (mut ab, mut ba) = (EchelonBasis::new(2), EchelonBasis::new(2));
+        for row in [unit(2, 0), unit(2, 1)] {
+            insert(&mut ab, row);
+        }
+        for row in [unit(2, 1), unit(2, 0)] {
+            insert(&mut ba, row);
+        }
+        assert_ne!(ab, ba);
+        assert_eq!(ab.solution(), ba.solution());
     }
 
     #[test]
     fn materialized_rows_round_trip_through_element_view() {
         let mut b = EchelonBasis::<Gf256>::new(3);
         assert_eq!(b.coeff_rows().count(), 0);
-        b.insert(vec![
-            Gf256::new(5),
-            Gf256::new(1),
-            Gf256::new(2),
-            Gf256::new(7),
-        ]);
-        b.insert(vec![
-            Gf256::new(0),
-            Gf256::new(3),
-            Gf256::new(1),
-            Gf256::new(8),
-        ]);
+        insert(
+            &mut b,
+            vec![Gf256::new(5), Gf256::new(1), Gf256::new(2), Gf256::new(7)],
+        );
+        insert(
+            &mut b,
+            vec![Gf256::new(0), Gf256::new(3), Gf256::new(1), Gf256::new(8)],
+        );
         assert_eq!(b.row_bytes(), 4);
-        assert_eq!(b.coeff_bytes(), 3);
-        assert_eq!(b.pay_bytes(), 1);
         let mut buf = Vec::new();
         for i in 0..b.rank() {
             b.copy_packed_row_into(i, &mut buf);
@@ -695,7 +609,7 @@ mod tests {
         let mut lazy = EchelonBasis::<Gf256>::new(k);
         for _ in 0..3 * k {
             let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
-            assert_eq!(eager.insert(row.clone()), lazy.insert(row));
+            assert_eq!(insert(&mut eager, row.clone()), insert(&mut lazy, row));
             // `rows()` settles `eager`'s payload tails every step.
             let _ = eager.rows();
             assert_eq!(eager.rank(), lazy.rank());
@@ -712,7 +626,7 @@ mod tests {
         let mut b = EchelonBasis::<Gf256>::new(k);
         for _ in 0..k {
             let row: Vec<Gf256> = (0..k + r).map(|_| Gf256::random(&mut rng)).collect();
-            b.insert(row);
+            insert(&mut b, row);
         }
         let factors: Vec<Gf256> = (0..b.rank()).map(|_| Gf256::random(&mut rng)).collect();
         let packed_factors = Gf256::pack(&factors);
@@ -747,7 +661,7 @@ mod tests {
                 }
                 row.push(acc);
             }
-            b.insert(row);
+            insert(&mut b, row);
             inserted += 1;
         }
         assert_eq!(b.solution().unwrap(), msgs);

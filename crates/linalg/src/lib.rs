@@ -6,13 +6,16 @@
 //! Section 2). This crate provides exactly that machinery: one
 //! *incremental* row-echelon basis — the decoder hot path that inserts one
 //! received equation at a time and reports whether it was innovative (a
-//! "helpful message" in the paper's terminology) — behind two views.
-//! [`EchelonBasis`] holds one node, [`BasisArena`] all of a simulation's:
-//! pivot maps and coefficient rows in one slab indexed by node, ranks in a
-//! vector beside it, and a node's payload rows in the one allocation its
-//! first row makes. `Send` [`BasisShard`]s split the arena for parallel
-//! rounds. The dense Gaussian elimination the basis is checked against is
-//! test code (`tests/oracle`).
+//! "helpful message" in the paper's terminology) — with one owner.
+//! [`BasisArena`] holds all of a simulation's nodes: pivot maps and
+//! coefficient rows in one slab indexed by node, ranks in a vector beside
+//! it, and a node's payload rows in the one allocation its first row
+//! makes. A node is assembled from those parts in two places, the arena
+//! and the `Send` [`BasisShard`]s that split it for parallel rounds.
+//! [`EchelonBasis`] is node 0 of a one-node arena that learns its row
+//! length from its first stored row and answers malformed rows with a
+//! typed [`BasisError`]. The dense Gaussian elimination the basis is
+//! checked against is test code (`tests/oracle`).
 //!
 //! # The slab layer
 //!

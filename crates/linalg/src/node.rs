@@ -4,13 +4,14 @@
 //! the layout this module defines; nobody here owns one. A node is three
 //! parts: a *head* of [`Dims::head_bytes`] bytes (its pivot map, then its
 //! reduced coefficient rows), a rank, and, where rows carry a payload, its
-//! [`Tails`]. [`crate::BasisArena`] keeps every node's head in one slab
-//! indexed by node, the ranks in a dense vector beside it and the tails in
-//! a third; a [`crate::BasisShard`] borrows a node range of the three;
-//! [`crate::EchelonBasis`] owns one node's worth. Each assembles the
-//! borrowed views below per call. Insert, flush, probe, row copy, recode
-//! gather and solution are each written once, on those views, over the
-//! pure slab functions in [`core_ops`].
+//! [`Tails`]. Their one owner is [`crate::BasisArena`], which keeps every
+//! node's head in one slab indexed by node, the ranks in a dense vector
+//! beside it and the tails in a third ([`crate::EchelonBasis`] is a
+//! one-node arena). The two assemblers of the borrowed views below are the
+//! arena and a [`crate::BasisShard`], which borrows a node range of the
+//! three slabs; each assembles them per call. Insert, flush, probe, row
+//! copy, recode gather and solution are each written once, on those
+//! views, over the pure slab functions in [`core_ops`].
 //!
 //! # The coefficient/payload split
 //!
@@ -47,19 +48,21 @@
 //! owner, so `&self` read paths can settle payloads on demand while pivots
 //! and coefficient rows stay plainly borrowable. [`Rows`] takes it either
 //! way: a `RefMut` taken through `&self` (one borrow-flag check: the serial
-//! arena and `EchelonBasis`) or a plain `&mut` (none: the shards).
+//! arena) or a plain `&mut` (none: the shards).
 
 use std::ops::DerefMut;
 
 use ag_gf::SlabField;
 
-/// Outcome of inserting one equation into an
-/// [`EchelonBasis`](crate::EchelonBasis) or a [`crate::BasisArena`] node.
+/// Outcome of inserting one equation into a node of the store — and so of
+/// delivering a packet to an `ag_rlnc` decoder, which re-exports it.
 ///
 /// In the paper's vocabulary (Definition 3), an [`Insertion::Innovative`]
 /// row is a *helpful message*: it increased the rank of the node that
 /// received it. A [`Insertion::Redundant`] row was already in the span and
-/// is discarded.
+/// is discarded, as the protocol has it: "a received message will be
+/// appended to the node's stored messages only if it is independent … and
+/// otherwise ignored."
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Insertion {
     /// The row increased the rank of the basis.
@@ -365,7 +368,7 @@ pub(crate) struct Dims {
 
 impl Dims {
     /// Widths for rows of `row_elems >= pivot_width` symbols over `F`, for a
-    /// shape [`Dims::sized`] has accepted (or whose rows exist).
+    /// shape [`Dims::sized`] has accepted.
     pub(crate) fn new<F: SlabField>(pivot_width: usize, row_elems: usize) -> Self {
         let kb = pivot_width * F::SYMBOL_BYTES;
         let pb = (row_elems - pivot_width) * F::SYMBOL_BYTES;
@@ -443,8 +446,8 @@ fn try_reserve<T>(vec: &mut Vec<T>, additional: usize) -> Result<(), usize> {
 }
 
 /// Reusable scratch buffers; transient, never part of logical state. One
-/// set per view: per `EchelonBasis`, per arena (shared by its nodes —
-/// operations are serial per arena), per shard.
+/// set per arena (shared by its nodes — operations are serial per arena)
+/// and one per shard.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Scratch {
     /// Row-indexed reduction multipliers (`rank` symbols).
@@ -525,11 +528,6 @@ impl Tails {
         }
     }
 
-    /// The payload rows stored so far, settled or not.
-    pub(crate) fn pay(&self) -> &[u8] {
-        &self.slab[self.pay_at..]
-    }
-
     /// Heap bytes reserved.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slab.capacity()
@@ -585,9 +583,9 @@ impl<'a> Head<'a> {
     }
 }
 
-/// One node's basis, assembled for an insert from wherever its parts live:
-/// its head ([`Dims::head_bytes`] of an arena's slab or an `EchelonBasis`'s
-/// own), its rank, and — when rows carry a payload — its [`Tails`].
+/// One node's basis, assembled for an insert from the arena's (or a
+/// shard's) slabs: its head ([`Dims::head_bytes`] of the slab of heads),
+/// its rank, and — when rows carry a payload — its [`Tails`].
 ///
 /// Storage: the head exists from construction and is written in place, so
 /// rank-only rows never meet the allocator. A node that stores payloads
@@ -701,8 +699,7 @@ impl NodeBasis<'_> {
 /// store (settle, row copy, recode gather, solution), written once for
 /// both ways of reaching the tails: a `RefMut` taken through `&self` (one
 /// borrow-flag check, which panics if a [`Rows`] of the node is still
-/// alive: the serial arena and `EchelonBasis`) and a plain `&mut` (none:
-/// the shards). `tails` is `None` where rows carry no payload. Every
+/// alive: the serial arena) and a plain `&mut` (none: the shards). `tails` is `None` where rows carry no payload. Every
 /// method settles pending payload elimination first.
 pub(crate) struct Rows<'a, T> {
     pub(crate) head: Head<'a>,
@@ -830,7 +827,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// One node that owns its parts, as an `EchelonBasis` does.
+    /// One node that owns its parts, so the tests below can reach its slab.
     #[derive(Clone)]
     struct Owned {
         head: Vec<u8>,

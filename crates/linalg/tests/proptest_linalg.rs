@@ -54,7 +54,7 @@ fn arena_matches_oracle<F: SlabField>(
     extra: usize,
 ) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut arena = BasisArena::<F>::new(1, k, k + r);
+    let mut arena = BasisArena::<F>::try_new(1, k, k + r).unwrap();
     let mut fed: Vec<Vec<F>> = Vec::new();
     let mut kept: Vec<Vec<F>> = Vec::new();
     for _ in 0..k + extra {
@@ -94,10 +94,10 @@ fn solution_matches_oracle<F: SlabField>(
     Ok(())
 }
 
-/// The one store behind its three owners: an arena fed through `&mut
-/// self`, a second arena fed through the contiguous sharding `cuts`
+/// The one store through its three entry points: an arena fed through
+/// `&mut self`, a second arena fed through the contiguous sharding `cuts`
 /// describes (any cut points, empty shards included) and one
-/// `EchelonBasis` per node, under one random stream of rows over `nodes`
+/// `EchelonBasis` (a one-node arena) per node, under one random stream of rows over `nodes`
 /// nodes. They must agree on every verdict and rank as the stream runs and
 /// on coefficient rows, materialized rows and solutions at its end; the
 /// dense oracle says what the ranks and the solutions are.
@@ -114,8 +114,8 @@ fn arena_shards_and_twins_agree<F: SlabField>(
     cuts.sort_unstable();
     let bounds: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
 
-    let mut arena = BasisArena::<F>::new(nodes, k, k + r);
-    let mut sharded = BasisArena::<F>::new(nodes, k, k + r);
+    let mut arena = BasisArena::<F>::try_new(nodes, k, k + r).unwrap();
+    let mut sharded = BasisArena::<F>::try_new(nodes, k, k + r).unwrap();
     let mut twins: Vec<EchelonBasis<F>> = (0..nodes).map(|_| EchelonBasis::new(k)).collect();
     let mut fed: Vec<Vec<Vec<F>>> = vec![Vec::new(); nodes];
     let mut kept: Vec<Vec<Vec<F>>> = vec![Vec::new(); nodes];
@@ -175,7 +175,7 @@ fn arena_shards_and_twins_agree<F: SlabField>(
 #[test]
 fn rank_only_gf256_k8_arena_stays_within_104_bytes_a_node() {
     let n = 1000;
-    let mut arena = BasisArena::<Gf256>::new(n, 8, 8);
+    let mut arena = BasisArena::<Gf256>::try_new(n, 8, 8).unwrap();
     let at_construction = arena.allocated_bytes();
     let mut rng = StdRng::seed_from_u64(8);
     for node in 0..n {
@@ -215,7 +215,7 @@ proptest! {
         let m = Matrix::from_rows(&rows);
         let mut basis = EchelonBasis::<Gf256>::new(5);
         for r in rows {
-            basis.insert(r);
+            basis.try_insert(r).unwrap();
         }
         prop_assert_eq!(basis.rank(), m.rank());
     }
@@ -225,7 +225,7 @@ proptest! {
         let mut basis = EchelonBasis::<Gf256>::new(4);
         for r in rows {
             let before = basis.rank();
-            let innovative = basis.insert(r).is_innovative();
+            let innovative = basis.try_insert(r).unwrap().is_innovative();
             let after = basis.rank();
             prop_assert_eq!(innovative, after == before + 1);
         }
@@ -237,7 +237,7 @@ proptest! {
         let m = Matrix::from_rows(&rows);
         let mut basis = EchelonBasis::<Gf2>::new(6);
         for r in rows {
-            basis.insert(r);
+            basis.try_insert(r).unwrap();
         }
         prop_assert_eq!(basis.rank(), m.rank());
     }
@@ -280,7 +280,7 @@ proptest! {
             let mut row = vec![Gf256::ZERO; 3];
             row[i] = Gf256::ONE;
             row.extend(p.iter().copied());
-            basis.insert(row);
+            basis.try_insert(row).unwrap();
         }
         // Extra dependent rows from seed_rows-combinations must not corrupt.
         for coeffs in &seed_rows {
@@ -292,7 +292,7 @@ proptest! {
                 }
                 row.push(acc);
             }
-            basis.insert(row);
+            basis.try_insert(row).unwrap();
         }
         prop_assert_eq!(basis.solution().unwrap(), payload);
     }

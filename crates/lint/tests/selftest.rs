@@ -185,7 +185,7 @@ fn injected_allocation_in_real_hot_path_is_caught() {
 
     // First statement of the hot-path-annotated receive.
     let needle =
-        "pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Reception, CodingError> {";
+        "pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Insertion, CodingError> {";
     assert!(text.contains(needle), "try_receive signature moved");
     let sabotaged = text.replace(needle, &format!("{needle}\n        self.audit.push(0u8);"));
     let (findings, _) = lint_file(rel, &scan(&sabotaged));

@@ -38,22 +38,20 @@ impl LineSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `lmax == 0`, `placement.len() != lmax`, or `mu <= 0`.
+    /// Panics if `lmax == 0`, `placement.len() != lmax`, or `mu` is not
+    /// positive (NaN included).
     #[must_use]
     pub fn new(lmax: usize, placement: Vec<usize>, mu: f64) -> Self {
         assert!(lmax > 0, "need at least one queue");
         assert_eq!(placement.len(), lmax, "placement length must equal lmax");
+        assert!(mu > 0.0, "service rate must be positive");
         // Path rooted at node 0 (the exit): parent(i) = i - 1.
         let parents = (0..lmax)
             .map(|i| if i == 0 { None } else { Some(i - 1) })
             .collect();
         let tree = SpanningTree::from_parents(0, parents).expect("a path is a tree");
-        #[expect(
-            clippy::panic,
-            reason = "constructor contract: the asserts above already validated lmax/placement, so a TreeSystem rejection here is a caller bug, not an input"
-        )]
         let inner = TreeSystem::new(&tree, placement.clone(), mu)
-            .unwrap_or_else(|e| panic!("invalid line system: {e}"));
+            .expect("the asserts above are every TreeSystem precondition");
         LineSystem {
             inner,
             lmax,
@@ -188,5 +186,11 @@ mod tests {
     #[should_panic(expected = "placement length")]
     fn bad_placement_length_panics() {
         let _ = LineSystem::new(3, vec![1], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "service rate must be positive")]
+    fn nan_service_rate_panics() {
+        let _ = LineSystem::new(2, vec![1, 0], f64::NAN);
     }
 }

@@ -44,7 +44,7 @@ impl TreeSystem {
     /// # Errors
     ///
     /// Returns a descriptive error if the placement length differs from the
-    /// tree size or `mu <= 0`.
+    /// tree size or `mu` is not positive (NaN included).
     pub fn new(tree: &SpanningTree, initial: Vec<usize>, mu: f64) -> Result<Self, String> {
         if initial.len() != tree.n() {
             return Err(format!(
@@ -53,7 +53,8 @@ impl TreeSystem {
                 tree.n()
             ));
         }
-        if mu <= 0.0 {
+        // `mu <= 0.0` alone is false for NaN, whose drain times are NaN.
+        if mu.is_nan() || mu <= 0.0 {
             return Err(format!("service rate must be positive, got {mu}"));
         }
         Ok(TreeSystem {
@@ -184,6 +185,8 @@ mod tests {
         assert!(TreeSystem::new(&tree, vec![1], 1.0).is_err());
         assert!(TreeSystem::new(&tree, vec![1, 0], 0.0).is_err());
         assert!(TreeSystem::new(&tree, vec![1, 0], -1.0).is_err());
+        // NaN compares false both ways: refused, not drained in NaN time.
+        assert!(TreeSystem::new(&tree, vec![1, 0], f64::NAN).is_err());
     }
 
     #[test]

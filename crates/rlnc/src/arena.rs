@@ -23,7 +23,6 @@ use ag_gf::SlabField;
 use ag_linalg::{ArenaError, BasisArena, BasisShard, Insertion};
 use rand::Rng;
 
-use crate::decoder::Reception;
 use crate::generation::Generation;
 
 /// One node's reception counters (seeds excluded).
@@ -34,18 +33,14 @@ struct Counts {
 }
 
 impl Counts {
-    /// Counts one delivered row by the basis's verdict on it.
-    fn record(&mut self, outcome: Insertion) -> Reception {
+    /// Counts one delivered row by the basis's verdict on it, and passes
+    /// the verdict on.
+    fn record(&mut self, outcome: Insertion) -> Insertion {
         match outcome {
-            Insertion::Innovative => {
-                self.innovative += 1;
-                Reception::Innovative
-            }
-            Insertion::Redundant => {
-                self.redundant += 1;
-                Reception::Redundant
-            }
+            Insertion::Innovative => self.innovative += 1,
+            Insertion::Redundant => self.redundant += 1,
         }
+        outcome
     }
 }
 
@@ -131,12 +126,12 @@ fn emit<F: SlabField, R: Rng + ?Sized>(
 ///
 /// ```
 /// use ag_gf::Gf256;
-/// use ag_rlnc::{DecoderArena, Generation, Reception};
+/// use ag_rlnc::{DecoderArena, Generation};
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let g = Generation::<Gf256>::random(4, 2, &mut rng);
-/// let mut arena = DecoderArena::new(2, 4, 2);
+/// let mut arena = DecoderArena::try_new(2, 4, 2).expect("a small arena fits");
 /// arena.seed_all_messages(0, &g); // node 0 is the source
 /// let mut buf = Vec::new();
 /// while !arena.is_complete(1) {
@@ -162,26 +157,10 @@ impl<F: SlabField> DecoderArena<F> {
     /// An arena of `nodes` empty decoders for a generation of `k` messages
     /// of `payload_len` symbols. Every node's coefficient rows are laid
     /// out here, as untouched zero pages; payload storage waits for a
-    /// node's first row (see [`BasisArena`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or on [`ArenaError`].
-    #[must_use]
-    pub fn new(nodes: usize, k: usize, payload_len: usize) -> Self {
-        match Self::try_new(nodes, k, payload_len) {
-            Ok(arena) => arena,
-            #[expect(
-                clippy::panic,
-                reason = "documented panicking wrapper; try_new is the typed-error twin"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: overflowing capacity math and refused
-    /// reservations surface as a typed [`ArenaError`] (with the computed
-    /// byte count) instead of a silent wrap or allocator abort.
+    /// node's first row (see [`BasisArena`]). Overflowing capacity math
+    /// and refused reservations surface as a typed [`ArenaError`] (with
+    /// the computed byte count) instead of a silent wrap or allocator
+    /// abort.
     ///
     /// # Panics
     ///
@@ -325,7 +304,7 @@ impl<F: SlabField> DecoderArena<F> {
     /// Panics if the row's byte length differs from
     /// [`DecoderArena::row_bytes`].
     // ag-lint: hot-path
-    pub fn receive_packed_slice(&mut self, node: usize, row: &[u8]) -> Reception {
+    pub fn receive_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
         self.receive_built(node, |buf| buf.extend_from_slice(row))
     }
 
@@ -336,7 +315,7 @@ impl<F: SlabField> DecoderArena<F> {
         &mut self,
         node: usize,
         build: impl FnOnce(&mut Vec<u8>),
-    ) -> Reception {
+    ) -> Insertion {
         let outcome = self.insert_built(node, build);
         self.counts[node].record(outcome)
     }
@@ -354,7 +333,7 @@ impl<F: SlabField> DecoderArena<F> {
     /// Panics if the row's byte length differs from
     /// [`DecoderArena::row_bytes`].
     // ag-lint: hot-path
-    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Reception {
+    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
         let outcome = self.basis.insert_packed_mut(node, row);
         self.counts[node].record(outcome)
     }
@@ -480,7 +459,7 @@ impl<F: SlabField> DecoderShard<'_, F> {
     ///
     /// Panics if `node` is outside the shard or the row length mismatches.
     // ag-lint: hot-path
-    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Reception {
+    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
         let outcome = self.basis.insert_packed_mut(node, row);
         self.counts[node - self.basis.node_range().start].record(outcome)
     }
@@ -524,7 +503,7 @@ mod tests {
         let nodes = 4;
         let g = Generation::<Gf256>::random(k, r, &mut setup_rng);
 
-        let mut arena = DecoderArena::<Gf256>::new(nodes, k, r);
+        let mut arena = DecoderArena::<Gf256>::try_new(nodes, k, r).unwrap();
         let mut decoders: Vec<Decoder<Gf256>> = (0..nodes).map(|_| Decoder::new(k, r)).collect();
         for (msg, node) in [(0usize, 0usize), (1, 1), (2, 2), (3, 3), (4, 0)] {
             arena.seed_message(node, &g, msg);
@@ -563,7 +542,7 @@ mod tests {
     fn sparse_emit_makes_the_documented_draws() {
         let mut setup_rng = StdRng::seed_from_u64(3);
         let g = Generation::<Gf256>::random(6, 2, &mut setup_rng);
-        let mut arena = DecoderArena::<Gf256>::new(1, 6, 2);
+        let mut arena = DecoderArena::<Gf256>::try_new(1, 6, 2).unwrap();
         arena.seed_all_messages(0, &g);
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
@@ -599,7 +578,7 @@ mod tests {
     fn sparse_emit_is_in_span_and_never_zero() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = Generation::<Gf256>::random(6, 2, &mut rng);
-        let mut arena = DecoderArena::<Gf256>::new(1, 6, 2);
+        let mut arena = DecoderArena::<Gf256>::try_new(1, 6, 2).unwrap();
         arena.seed_message(0, &g, 1);
         arena.seed_message(0, &g, 4);
         let mut buf = Vec::new();
@@ -621,7 +600,7 @@ mod tests {
     fn sparse_source_still_fills_sink() {
         let mut rng = StdRng::seed_from_u64(12);
         let g = Generation::<Gf256>::random(8, 1, &mut rng);
-        let mut arena = DecoderArena::<Gf256>::new(2, 8, 1);
+        let mut arena = DecoderArena::<Gf256>::try_new(2, 8, 1).unwrap();
         arena.seed_all_messages(0, &g);
         let mut buf = Vec::new();
         let mut sent = 0;
@@ -636,7 +615,7 @@ mod tests {
 
     #[test]
     fn empty_node_emits_nothing_sparse() {
-        let arena = DecoderArena::<Gf256>::new(1, 3, 0);
+        let arena = DecoderArena::<Gf256>::try_new(1, 3, 0).unwrap();
         let mut rng = StdRng::seed_from_u64(13);
         assert!(!arena.emit_packed_row_into(0, Some(0.5), &mut rng, &mut Vec::new()));
     }
@@ -646,7 +625,7 @@ mod tests {
     fn zero_density_rejected() {
         let mut rng = StdRng::seed_from_u64(14);
         let g = Generation::<Gf256>::random(2, 0, &mut rng);
-        let mut arena = DecoderArena::<Gf256>::new(1, 2, 0);
+        let mut arena = DecoderArena::<Gf256>::try_new(1, 2, 0).unwrap();
         arena.seed_all_messages(0, &g);
         let _ = arena.emit_packed_row_into(0, Some(0.0), &mut rng, &mut Vec::new());
     }
@@ -655,7 +634,7 @@ mod tests {
     fn source_to_sink_completes_and_decodes() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = Generation::<Gf2>::random(8, 4, &mut rng);
-        let mut arena = DecoderArena::<Gf2>::new(2, 8, 4);
+        let mut arena = DecoderArena::<Gf2>::try_new(2, 8, 4).unwrap();
         arena.seed_all_messages(0, &g);
         assert!(arena.is_complete(0));
         assert_eq!(arena.innovative_count(0), 0, "seeding is not traffic");
@@ -673,7 +652,7 @@ mod tests {
 
     #[test]
     fn empty_node_emits_nothing() {
-        let arena = DecoderArena::<Gf256>::new(1, 3, 1);
+        let arena = DecoderArena::<Gf256>::try_new(1, 3, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut buf = vec![1, 2, 3];
         assert!(!arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
@@ -684,7 +663,7 @@ mod tests {
     fn receive_packed_mut_consumes_callers_buffer() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = Generation::<Gf256>::random(2, 1, &mut rng);
-        let mut arena = DecoderArena::<Gf256>::new(2, 2, 1);
+        let mut arena = DecoderArena::<Gf256>::try_new(2, 2, 1).unwrap();
         arena.seed_all_messages(0, &g);
         let mut buf = Vec::new();
         assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
@@ -696,7 +675,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn shape_mismatch_panics() {
-        let mut arena = DecoderArena::<Gf256>::new(1, 3, 1);
+        let mut arena = DecoderArena::<Gf256>::try_new(1, 3, 1).unwrap();
         let _ = arena.receive_packed_slice(0, &[1, 2]);
     }
 
@@ -709,8 +688,8 @@ mod tests {
         let r = 3;
         let nodes = 5;
         let g = Generation::<Gf256>::random(k, r, &mut setup_rng);
-        let mut serial = DecoderArena::<Gf256>::new(nodes, k, r);
-        let mut sharded = DecoderArena::<Gf256>::new(nodes, k, r);
+        let mut serial = DecoderArena::<Gf256>::try_new(nodes, k, r).unwrap();
+        let mut sharded = DecoderArena::<Gf256>::try_new(nodes, k, r).unwrap();
         for v in 0..nodes {
             serial.seed_message(v, &g, v % k);
             sharded.seed_message(v, &g, v % k);

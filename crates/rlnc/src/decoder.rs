@@ -2,7 +2,8 @@
 //!
 //! A [`Decoder`] is the single-sink library view of the workspace's one
 //! RLNC store: a one-node [`DecoderArena`] behind the [`Packet`] API, with
-//! typed shape errors where untrusted packets enter. Receptions and
+//! typed shape errors where untrusted packets enter. A reception's verdict
+//! is the store's own [`Insertion`]. Receptions and
 //! helpfulness queries ([`Decoder::would_help`],
 //! [`Decoder::is_helpful_node`]) read and reduce only the `k`-symbol
 //! coefficient headers — allocation-free through reusable scratch — while
@@ -18,29 +19,11 @@ use std::fmt;
 
 use ag_gf::SlabField;
 
+use ag_linalg::Insertion;
+
 use crate::arena::DecoderArena;
 use crate::generation::Generation;
 use crate::packet::Packet;
-
-/// Outcome of delivering a packet to a [`Decoder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Reception {
-    /// The packet raised the node's rank — a *helpful message* in the
-    /// paper's Definition 3.
-    Innovative,
-    /// The packet was already in the node's span and was ignored, matching
-    /// the protocol: "a received message will be appended to the node's
-    /// stored messages only if it is independent … and otherwise ignored."
-    Redundant,
-}
-
-impl Reception {
-    /// True for [`Reception::Innovative`].
-    #[must_use]
-    pub fn is_innovative(self) -> bool {
-        matches!(self, Reception::Innovative)
-    }
-}
 
 /// A packet whose shape does not match the decoder it was delivered to.
 ///
@@ -98,12 +81,12 @@ impl Error for CodingError {}
 ///
 /// ```
 /// use ag_gf::Gf256;
-/// use ag_rlnc::{Decoder, Packet, Reception};
+/// use ag_rlnc::{Decoder, Insertion, Packet};
 ///
 /// let mut d = Decoder::new(2, 1);
 /// let p1 = Packet::new(vec![Gf256::new(1), Gf256::new(1)], vec![Gf256::new(7)]);
-/// assert_eq!(d.receive(p1.clone()), Reception::Innovative);
-/// assert_eq!(d.receive(p1), Reception::Redundant);
+/// assert_eq!(d.try_receive(&p1), Ok(Insertion::Innovative));
+/// assert_eq!(d.try_receive(&p1), Ok(Insertion::Redundant));
 /// assert_eq!(d.rank(), 1);
 /// assert!(!d.is_complete());
 /// ```
@@ -119,11 +102,18 @@ impl<F: SlabField> Decoder<F> {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0`.
+    /// Panics if `k == 0` or on the [`crate::ArenaError`] of
+    /// [`DecoderArena::try_new`] — the one panicking constructor of the
+    /// store, kept because this signature is frozen.
     #[must_use]
     pub fn new(k: usize, payload_len: usize) -> Self {
-        Decoder {
-            arena: DecoderArena::new(1, k, payload_len),
+        match DecoderArena::try_new(1, k, payload_len) {
+            Ok(arena) => Decoder { arena },
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking constructor over DecoderArena::try_new"
+            )]
+            Err(e) => panic!("{e}"),
         }
     }
 
@@ -184,24 +174,6 @@ impl<F: SlabField> Decoder<F> {
         self.arena.redundant_count(0)
     }
 
-    /// Delivers a packet; reports whether it was helpful.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet shape does not match the decoder's `(k, r)`;
-    /// use [`Decoder::try_receive`] for a typed error instead.
-    // ag-lint: hot-path
-    pub fn receive(&mut self, packet: Packet<F>) -> Reception {
-        match self.try_receive(&packet) {
-            Ok(outcome) => outcome,
-            #[expect(
-                clippy::panic,
-                reason = "documented receive() panic contract; try_receive is the typed-error twin"
-            )]
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Is `packet` coded for this decoder's `(k, r)`?
     fn check_shape(&self, packet: &Packet<F>) -> Result<(), CodingError> {
         if packet.generation_size() != self.k() {
@@ -219,8 +191,9 @@ impl<F: SlabField> Decoder<F> {
         Ok(())
     }
 
-    /// Delivers a packet, rejecting shape mismatches with a typed error —
-    /// the decoder's state (basis, rank, counters) is untouched on `Err`.
+    /// Delivers a packet and reports whether it was helpful, rejecting
+    /// shape mismatches with a typed error — the decoder's state (basis,
+    /// rank, counters) is untouched on `Err`.
     /// The packet is packed into a reusable row buffer and reduced there,
     /// so a reception performs no heap allocation beyond the growth of the
     /// stored rows themselves.
@@ -231,7 +204,7 @@ impl<F: SlabField> Decoder<F> {
     /// [`CodingError::PayloadLengthMismatch`] when the packet was coded for
     /// a different `(k, r)` than this decoder's.
     // ag-lint: hot-path
-    pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Reception, CodingError> {
+    pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Insertion, CodingError> {
         self.check_shape(packet)?;
         Ok(self
             .arena
@@ -243,15 +216,15 @@ impl<F: SlabField> Decoder<F> {
     /// The row is reduced in an internal reusable buffer, so the caller
     /// keeps (and can recycle) its bytes, and a *redundant* reception costs
     /// zero heap allocations. Elimination, rank growth and the
-    /// innovative/redundant counters behave exactly as [`Decoder::receive`]
-    /// on the equivalent [`Packet`].
+    /// innovative/redundant counters behave exactly as
+    /// [`Decoder::try_receive`] on the equivalent [`Packet`].
     ///
     /// # Panics
     ///
     /// Panics if the row's byte length does not match this decoder's
     /// `(k + r) · SYMBOL_BYTES` shape.
     // ag-lint: hot-path
-    pub fn receive_packed_slice(&mut self, row: &[u8]) -> Reception {
+    pub fn receive_packed_slice(&mut self, row: &[u8]) -> Insertion {
         self.arena.receive_packed_slice(0, row)
     }
 
@@ -306,6 +279,10 @@ mod tests {
     use ag_gf::{Field, Gf2, Gf256};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn receive<F: SlabField>(d: &mut Decoder<F>, packet: Packet<F>) -> Insertion {
+        d.try_receive(&packet).expect("shape-valid packet")
+    }
 
     fn pkt(coeffs: &[u8], payload: &[u8]) -> Packet<Gf256> {
         Packet::new(
@@ -371,9 +348,9 @@ mod tests {
     #[test]
     fn reception_counters() {
         let mut d = Decoder::new(2, 1);
-        assert!(d.receive(pkt(&[1, 0], &[9])).is_innovative());
-        assert!(!d.receive(pkt(&[2, 0], &[18])).is_innovative()); // dependent
-        assert!(d.receive(pkt(&[0, 1], &[5])).is_innovative());
+        assert!(receive(&mut d, pkt(&[1, 0], &[9])).is_innovative());
+        assert!(!receive(&mut d, pkt(&[2, 0], &[18])).is_innovative()); // dependent
+        assert!(receive(&mut d, pkt(&[0, 1], &[5])).is_innovative());
         assert_eq!(d.innovative_count(), 2);
         assert_eq!(d.redundant_count(), 1);
         assert!(d.is_complete());
@@ -383,8 +360,8 @@ mod tests {
     fn decode_recovers_exact_messages() {
         // x0 = [7], x1 = [5]; equations x0+x1=[2] and x1=[5] (GF(256): XOR).
         let mut d = Decoder::new(2, 1);
-        d.receive(pkt(&[1, 1], &[2]));
-        d.receive(pkt(&[0, 1], &[5]));
+        receive(&mut d, pkt(&[1, 1], &[2]));
+        receive(&mut d, pkt(&[0, 1], &[5]));
         let decoded = d.decode().unwrap();
         assert_eq!(decoded, vec![vec![Gf256::new(7)], vec![Gf256::new(5)]]);
     }
@@ -414,7 +391,7 @@ mod tests {
             let coeffs: Vec<Gf2> = (0..6).map(|_| Gf2::random(&mut rng)).collect();
             let p = Packet::new(coeffs, vec![]);
             let predicted = d.would_help(&p);
-            let got = d.receive(p).is_innovative();
+            let got = receive(&mut d, p).is_innovative();
             assert_eq!(predicted, got);
         }
     }
@@ -423,7 +400,7 @@ mod tests {
     fn zero_packet_is_redundant() {
         let mut d = Decoder::<Gf256>::new(3, 0);
         let z = Packet::new(vec![Gf256::ZERO; 3], vec![]);
-        assert_eq!(d.receive(z), Reception::Redundant);
+        assert_eq!(receive(&mut d, z), Insertion::Redundant);
     }
 
     /// Regression test for the borrowing receive path: a redundant packed
@@ -436,11 +413,11 @@ mod tests {
         let p2 = pkt(&[0, 1, 1], &[4, 5]);
         assert_eq!(
             d.receive_packed_slice(&p1.to_packed_row()),
-            Reception::Innovative
+            Insertion::Innovative
         );
         assert_eq!(
             d.receive_packed_slice(&p2.to_packed_row()),
-            Reception::Innovative
+            Insertion::Innovative
         );
         let stored_rows = |d: &Decoder<Gf256>| -> Vec<Vec<u8>> {
             (0..d.rank())
@@ -457,7 +434,7 @@ mod tests {
         let dep = pkt(&[1, 3, 2], &[3, 12]);
         assert_eq!(
             d.receive_packed_slice(&dep.to_packed_row()),
-            Reception::Redundant
+            Insertion::Redundant
         );
         assert_eq!(d.rank(), 2);
         assert_eq!(d.redundant_count(), 1);
@@ -473,7 +450,7 @@ mod tests {
     /// *is* helpful, so a `false` is the shape check and not the span.
     fn assert_would_help_rejects(bad: Packet<Gf256>) {
         let mut d = Decoder::<Gf256>::new(3, 1);
-        d.receive(pkt(&[1, 0, 0], &[9]));
+        receive(&mut d, pkt(&[1, 0, 0], &[9]));
         assert!(d.would_help(&pkt(&[0, 1, 0], &[5])), "in-shape twin helps");
         assert!(d.clone().try_receive(&bad).is_err());
         assert!(!d.would_help(&bad));
@@ -497,13 +474,6 @@ mod tests {
         assert_would_help_rejects(pkt(&[0, 1, 0], &[5, 6]));
     }
 
-    #[test]
-    #[should_panic(expected = "generation size mismatch")]
-    fn shape_mismatch_panics() {
-        let mut d = Decoder::<Gf256>::new(3, 0);
-        d.receive(Packet::new(vec![Gf256::ONE; 2], vec![]));
-    }
-
     /// Regression test for the typed-error path: a payload-length-mismatched
     /// packet must be rejected with [`CodingError::PayloadLengthMismatch`]
     /// before elimination, leaving the decoder bit-identical — previously
@@ -511,7 +481,7 @@ mod tests {
     #[test]
     fn try_receive_rejects_mismatches_without_corrupting_state() {
         let mut d = Decoder::<Gf256>::new(2, 1);
-        d.receive(pkt(&[1, 1], &[2]));
+        receive(&mut d, pkt(&[1, 1], &[2]));
         let before_rank = d.rank();
         let before = d.clone();
 
@@ -538,7 +508,7 @@ mod tests {
         // The decoder still works normally afterwards.
         assert_eq!(
             d.try_receive(&pkt(&[0, 1], &[5])),
-            Ok(Reception::Innovative)
+            Ok(Insertion::Innovative)
         );
         assert_eq!(
             d.decode().unwrap(),

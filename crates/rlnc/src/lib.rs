@@ -7,7 +7,9 @@
 //! combined payload, i.e. one linear equation over the unknowns. A node
 //! accumulates equations in a [`Decoder`]; a received packet is *helpful*
 //! (innovative) iff it raises the decoder's rank, and once the rank reaches
-//! `k` the node solves the system and recovers every message.
+//! `k` the node solves the system and recovers every message. The verdict
+//! has one type, the store's [`Insertion`], re-exported here: a reception
+//! is an insertion into the node's basis, whichever entry point it took.
 //!
 //! [`Recoder`] produces outgoing packets as fresh random combinations of
 //! *everything the node currently stores* — the defining feature of RLNC
@@ -42,7 +44,7 @@
 //! let mut sink = Decoder::new(3, 4);
 //! while !sink.is_complete() {
 //!     let pkt = Recoder::new(&source).emit(&mut rng).expect("source has data");
-//!     sink.receive(pkt);
+//!     sink.try_receive(&pkt).expect("the source's packets fit the sink");
 //! }
 //! assert_eq!(sink.decode().unwrap(), generation.messages());
 //! ```
@@ -70,10 +72,10 @@ mod packet;
 mod pool;
 mod recoder;
 
-pub use ag_linalg::ArenaError;
+pub use ag_linalg::{ArenaError, Insertion};
 pub use arena::{DecoderArena, DecoderShard};
 pub use block::{BlockDecoder, BlockEncoder};
-pub use decoder::{CodingError, Decoder, Reception};
+pub use decoder::{CodingError, Decoder};
 pub use generation::{Generation, GenerationError};
 pub use packet::Packet;
 pub use pool::RowPool;

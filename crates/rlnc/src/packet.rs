@@ -68,14 +68,6 @@ impl<F: Field> Packet<F> {
         self.coefficients.iter().all(|c| c.is_zero())
     }
 
-    /// The packet as one augmented equation row `[coefficients | payload]`.
-    #[must_use]
-    pub fn into_row(self) -> Vec<F> {
-        let mut row = self.coefficients;
-        row.extend(self.payload);
-        row
-    }
-
     /// Size of the packet on the wire in bits: `(k + r)·log₂ q`.
     ///
     /// This is the quantity the paper's "bounded message size" premise
@@ -134,15 +126,6 @@ impl<F: SlabField> Packet<F> {
 mod tests {
     use super::*;
     use ag_gf::{Field, Gf2, Gf256};
-
-    #[test]
-    fn into_row_is_coefficients_then_payload() {
-        let p = Packet::new(
-            vec![Gf256::new(3), Gf256::new(7)],
-            vec![Gf256::new(1), Gf256::new(2), Gf256::new(9)],
-        );
-        assert_eq!(p.into_row(), [3, 7, 1, 2, 9].map(Gf256::new));
-    }
 
     #[test]
     fn zero_detection() {

@@ -147,7 +147,7 @@ mod tests {
         while !sink.is_complete() {
             let p = Recoder::new(&source).emit(&mut rng).unwrap();
             total += 1;
-            if sink.receive(p).is_innovative() {
+            if sink.try_receive(&p).unwrap().is_innovative() {
                 helpful += 1;
             }
         }

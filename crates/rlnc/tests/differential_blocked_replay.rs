@@ -50,7 +50,7 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
 
     let mut packed = [Decoder::<F>::new(k, r), Decoder::<F>::new(k, r)];
     let mut scalar = [ScalarDecoder::<F>::new(k, r), ScalarDecoder::<F>::new(k, r)];
-    let mut arena = DecoderArena::<F>::new(2, k, r);
+    let mut arena = DecoderArena::<F>::try_new(2, k, r).expect("a small arena fits");
 
     let mut emit_a = StdRng::seed_from_u64(seed ^ 0xB10C);
     let mut emit_b = emit_a.clone();

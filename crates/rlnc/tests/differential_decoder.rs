@@ -8,7 +8,7 @@
 //! implementations (including an [`ag_rlnc::DecoderArena`] slot, the
 //! arena-backed storage the engine hot path uses) and asserts they agree on
 //!
-//! * the per-packet [`Reception`] verdict,
+//! * the per-packet [`ag_rlnc::Insertion`] verdict,
 //! * the full rank trajectory (rank after every delivery),
 //! * helpfulness queries, and
 //! * the decoded messages once rank `k` is reached.
@@ -44,7 +44,7 @@ fn differential_stream<F: SlabField>(
     let mut scalar = ScalarDecoder::<F>::new(k, r);
     // Third lane: the same node as slot 0 of a DecoderArena — the
     // simulation-wide storage must not change a single verdict.
-    let mut arena = DecoderArena::<F>::new(1, k, r);
+    let mut arena = DecoderArena::<F>::try_new(1, k, r).expect("a small arena fits");
 
     for step in 0..steps {
         // Mix of streams: recodings of the full source, raw random rows
@@ -120,7 +120,7 @@ fn lazy_interleaved_stream<F: SlabField>(
     // receives node 0's recodings (built from a partially-eliminated basis).
     let mut packed = [Decoder::<F>::new(k, r), Decoder::<F>::new(k, r)];
     let mut scalar = [ScalarDecoder::<F>::new(k, r), ScalarDecoder::<F>::new(k, r)];
-    let mut arena = DecoderArena::<F>::new(2, k, r);
+    let mut arena = DecoderArena::<F>::try_new(2, k, r).expect("a small arena fits");
 
     // All three lanes draw their recoding coefficients from identically
     // seeded RNG streams, so equal draw *sequences* imply equal bytes.
@@ -293,7 +293,7 @@ proptest! {
                 false,
                 "a source combination can never help the source"
             );
-            let a = sink.receive(p.clone());
+            let a = sink.try_receive(&p).expect("shape-valid packet");
             let b = scalar_sink.receive(p);
             prop_assert_eq!(a, b);
             guard += 1;

@@ -16,7 +16,7 @@
 
 use ag_gf::{Field, SlabField};
 use ag_linalg::Insertion;
-use ag_rlnc::{Generation, Packet, Reception};
+use ag_rlnc::{Generation, Packet};
 use rand::rngs::StdRng;
 
 /// A growing row-echelon basis with scalar (element-at-a-time) elimination.
@@ -202,16 +202,15 @@ impl<F: Field> ScalarDecoder<F> {
         let _ = self.basis.insert(row);
     }
 
-    /// Scalar mirror of `Decoder::receive`; packets are assumed
-    /// shape-valid (the differential drivers check shapes up front,
-    /// exactly like `Decoder::try_receive`).
-    pub fn receive(&mut self, packet: Packet<F>) -> Reception {
+    /// Scalar mirror of `Decoder::try_receive`; packets are assumed
+    /// shape-valid (the differential drivers check shapes up front, as
+    /// `try_receive` does).
+    pub fn receive(&mut self, packet: Packet<F>) -> Insertion {
         assert_eq!(packet.generation_size(), self.k);
         assert_eq!(packet.payload_len(), self.payload_len);
-        match self.basis.insert(packet.into_row()) {
-            Insertion::Innovative => Reception::Innovative,
-            Insertion::Redundant => Reception::Redundant,
-        }
+        let mut row = packet.coefficients().to_vec();
+        row.extend_from_slice(packet.payload());
+        self.basis.insert(row)
     }
 
     pub fn rank(&self) -> usize {

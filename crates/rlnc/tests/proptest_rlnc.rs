@@ -31,7 +31,7 @@ proptest! {
         let mut steps = 0;
         while !sink.is_complete() {
             if let Some(p) = Recoder::new(&source).emit(&mut rng) {
-                sink.receive(p);
+                sink.try_receive(&p).unwrap();
             }
             steps += 1;
             prop_assert!(steps < 50 * (k + 2), "decode did not converge");
@@ -50,7 +50,7 @@ proptest! {
         let mut prev = partial.rank();
         for _ in 0..3 * k {
             if let Some(p) = Recoder::new(&source).emit(&mut rng) {
-                let innovative = partial.receive(p).is_innovative();
+                let innovative = partial.try_receive(&p).unwrap().is_innovative();
                 let now = partial.rank();
                 prop_assert!(now >= prev);
                 prop_assert_eq!(innovative, now == prev + 1);
@@ -86,10 +86,10 @@ proptest! {
         let mut steps = 0;
         while !sink.is_complete() {
             if let Some(p) = Recoder::new(&source).emit(&mut rng) {
-                relay.receive(p);
+                relay.try_receive(&p).unwrap();
             }
             if let Some(p) = Recoder::new(&relay).emit(&mut rng) {
-                sink.receive(p);
+                sink.try_receive(&p).unwrap();
             }
             steps += 1;
             prop_assert!(steps < 100 * (k + 2), "relay chain did not converge");

@@ -51,7 +51,10 @@ mod tests {
         use crate::gf::Field;
         let _ = crate::gf::Gf256::ONE;
         let mut basis = crate::linalg::EchelonBasis::<crate::gf::Gf2>::new(2);
-        assert!(basis.insert(vec![crate::gf::Gf2::ONE; 2]).is_innovative());
+        assert_eq!(
+            basis.try_insert(vec![crate::gf::Gf2::ONE; 2]),
+            Ok(crate::linalg::Insertion::Innovative)
+        );
         assert_eq!(basis.rank(), 1);
         let g = crate::graph::builders::path(3).unwrap();
         assert_eq!(g.n(), 3);
