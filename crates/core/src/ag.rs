@@ -3,10 +3,7 @@
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, Topology};
 use ag_rlnc::{DecoderShard, Generation};
-use ag_sim::{
-    Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard, ShardableProtocol,
-    SyncRound,
-};
+use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard};
 use rand::rngs::StdRng;
 
 use crate::coded_nodes::CodedNodes;
@@ -132,7 +129,7 @@ impl AgConfig {
 /// row (coefficient rows are in the arena's slab from construction on, so
 /// a rank-only run allocates nothing), and nothing else allocates, which
 /// `tests/alloc_audit.rs` bounds round by round with a counting allocator
-/// on a 1 KiB-payload run, inline and fanned out, and on a rank-only one.
+/// on a 1 KiB-payload run, serial and sharded, and on a rank-only one.
 /// The golden-trajectory hashes
 /// pin the per-round results of all three protocols end to end.
 ///
@@ -305,7 +302,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     /// pool, so a contact costs **zero** heap allocations end to end —
     /// the difference that lets the payload-carrying sweeps run 10⁵-node
     /// graphs. (Deliberately *not* a self-returning smart-pointer type:
-    /// the engine's outbox stays a plain-`Vec` message queue, which is
+    /// the engine's slot table stays a table of plain `Vec`s, which is
     /// what keeps the rank-only loop fast: see `ag_rlnc`'s `pool.rs`.)
     type Msg = Vec<u8>;
 
@@ -341,16 +338,38 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     }
 
     /// Every message is one packed row, so a round moves planned slots ×
-    /// `row_bytes`: the engine fans it out over the rayon pool when that
-    /// is worth a second core (1 KiB payloads from a few thousand nodes
-    /// up; rank-only rounds stay inline).
-    fn compose_round(&mut self, round: &mut SyncRound<Vec<u8>>) {
-        let row_bytes = self.nodes.decoders.row_bytes();
-        round.fan_out_compose(self, row_bytes);
+    /// `row_bytes`: the engine shards it over the rayon pool when that is
+    /// worth a second core (1 KiB payloads from a few thousand nodes up;
+    /// rank-only rounds stay serial).
+    fn msg_bytes(&self) -> usize {
+        self.nodes.decoders.row_bytes()
     }
 
-    fn deliver_round(&mut self, round: &mut SyncRound<Vec<u8>>) {
-        round.fan_out_deliver(self);
+    fn shards(
+        &mut self,
+        bounds: &[(usize, usize)],
+        send_counts: &[usize],
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = Vec<u8>> + '_>>> {
+        let CodedNodes {
+            decoders,
+            density,
+            pool,
+            ..
+        } = &mut self.nodes;
+        let density = *density;
+        let shards = decoders.shards_mut(bounds).into_iter().zip(send_counts);
+        Some(
+            shards
+                .map(|(dec, &count)| {
+                    Box::new(AgShard {
+                        dec,
+                        density,
+                        stash: (0..count).map(|_| pool.take()).collect(),
+                        residue: Vec::new(),
+                    }) as Box<dyn ProtocolShard<Msg = Vec<u8>> + '_>
+                })
+                .collect(),
+        )
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
@@ -358,7 +377,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     }
 }
 
-/// One shard of [`AlgebraicGossip`] for the engine's fan-out: a
+/// One shard of [`AlgebraicGossip`] for a sharded round: a
 /// [`DecoderShard`] over a contiguous node range plus a *stash* of message
 /// buffers pre-drawn from the protocol's [`ag_rlnc::RowPool`] on the main thread
 /// (the pool is `!Sync`: workers cannot share it).
@@ -370,14 +389,14 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 /// [`Protocol::discard`]. The stash ceiling is the same one-buffer-per-
 /// contact-direction bound the pool was pre-warmed with, so
 /// `pool_idle == pool_prewarm` still holds at every round boundary.
-pub struct AgShard<'a, F: SlabField> {
+struct AgShard<'a, F: SlabField> {
     dec: DecoderShard<'a, F>,
     density: Option<f64>,
     stash: Vec<Vec<u8>>,
     residue: Vec<Vec<u8>>,
 }
 
-impl<F: SlabField + Send> ProtocolShard for AgShard<'_, F> {
+impl<F: SlabField> ProtocolShard for AgShard<'_, F> {
     type Msg = Vec<u8>;
 
     fn compose(
@@ -409,41 +428,9 @@ impl<F: SlabField + Send> ProtocolShard for AgShard<'_, F> {
         self.residue.push(msg);
     }
 
-    fn into_residue(mut self) -> Vec<Vec<u8>> {
+    fn into_residue(mut self: Box<Self>) -> Vec<Vec<u8>> {
         self.residue.append(&mut self.stash);
         self.residue
-    }
-}
-
-impl<F: SlabField + Send, T: Topology> ShardableProtocol for AlgebraicGossip<F, T> {
-    type Shard<'a>
-        = AgShard<'a, F>
-    where
-        Self: 'a;
-
-    fn make_shards(
-        &mut self,
-        bounds: &[(usize, usize)],
-        send_counts: &[usize],
-    ) -> Vec<AgShard<'_, F>> {
-        let CodedNodes {
-            decoders,
-            density,
-            pool,
-            ..
-        } = &mut self.nodes;
-        let density = *density;
-        decoders
-            .shards_mut(bounds)
-            .into_iter()
-            .zip(send_counts)
-            .map(|(dec, &count)| AgShard {
-                dec,
-                density,
-                stash: (0..count).map(|_| pool.take()).collect(),
-                residue: Vec::new(),
-            })
-            .collect()
     }
 }
 
@@ -596,6 +583,32 @@ mod tests {
         assert_eq!(finish(&mut original), finish(&mut clone));
         for v in 0..g.n() {
             assert_eq!(clone.decoded(v), original.decoded(v));
+        }
+    }
+
+    /// A topology that is never connected after epoch 0 spends the whole
+    /// round budget, under both time models, instead of panicking: the
+    /// far half of the barbell never completes, and every pooled buffer
+    /// comes home.
+    #[test]
+    fn a_partition_that_never_heals_spends_the_round_budget() {
+        use ag_graph::{ChurnSchedule, ScheduledTopology};
+        let g = builders::barbell(16).unwrap();
+        let cfg = AgConfig::new(4).with_placement(Placement::Custom(vec![0, 1, 2, 3]));
+        let max_rounds = 200;
+        for ecfg in [EngineConfig::synchronous(9), EngineConfig::asynchronous(9)] {
+            let topo = ScheduledTopology::new(&g, ChurnSchedule::partition_heal(8, 1, u64::MAX));
+            let mut proto = AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, 9).unwrap();
+            let stats = Engine::new(ecfg.with_max_rounds(max_rounds)).run(&mut proto);
+            let model = ecfg.time_model;
+            assert!(!stats.completed, "{model:?}");
+            assert_eq!(stats.rounds, max_rounds, "{model:?}");
+            assert_eq!(stats.timeslots, max_rounds * 16, "{model:?}");
+            for v in 8..16 {
+                assert!(!proto.node_complete(v), "{model:?}: far node {v} completed");
+                assert_eq!(stats.node_completion_rounds[v], None, "{model:?}");
+            }
+            assert_eq!(proto.pool_idle(), proto.pool_prewarm(), "{model:?}");
         }
     }
 

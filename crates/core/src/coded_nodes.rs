@@ -23,8 +23,9 @@ pub(crate) struct CodedNodes<F: SlabField> {
     /// Sparse-recoding density; `None` is the paper's dense combination
     /// (`cfg.coding_density == 1.0`).
     pub(crate) density: Option<f64>,
-    /// Recycles outgoing packed-row buffers through compose → outbox →
-    /// deliver (or dedup/loss drop) → back to the pool.
+    /// Recycles outgoing packed-row buffers through compose → the
+    /// engine's slot table → deliver (or dedup/loss drop) → back to the
+    /// pool.
     pub(crate) pool: RowPool,
     /// How many buffers `pool` was pre-warmed with (recorded at
     /// construction so the balance diagnostics never re-derive it).

@@ -5,9 +5,9 @@
 //! any `k` independent equations suffice, no matter which nodes vanish.
 //! [`WithCrashes`] wraps any [`Protocol`]: crashed nodes stop initiating
 //! contacts, stop responding, and drop incoming messages. Completion is
-//! then defined over the *surviving* nodes. The wrapper keeps
-//! [`Protocol`]'s default bulk hooks, so a wrapped run always takes the
-//! engine's inline round, through the `compose` and `deliver` below.
+//! then defined over the *surviving* nodes. The wrapper offers no
+//! [`Protocol::shards`], so the engine composes and delivers a wrapped
+//! round serially, through the `compose` and `deliver` below.
 //!
 //! Note that survivors can only finish if the initial messages remain
 //! collectively reachable: if every holder of some message crashes before

@@ -88,7 +88,7 @@ mod tag;
 mod tree_ag;
 mod tree_protocol;
 
-pub use ag::{AgConfig, AgShard, AlgebraicGossip};
+pub use ag::{AgConfig, AlgebraicGossip};
 pub use ag_sim::{Action, CommModel, TimeModel};
 pub use baseline::{RandomMessageGossip, RawMsg};
 pub use broadcast::BroadcastTree;

@@ -2,12 +2,12 @@
 //! touching the heap, checked against this file's own global allocator.
 //!
 //! Six tests share one [`CountingAllocator`], which keeps two counters.
-//! The per-thread one lets the five inline audits run concurrently: each
+//! The per-thread one lets the five serial audits run concurrently: each
 //! reads the allocator entries its own thread made, and libtest's harness
 //! threads (result channels, capture buffers) never show up in anyone's
 //! deltas. The process-wide one is for the fan-out lane, whose workers are
 //! other threads; it sees everybody, so that lane takes [`QUIET`] for
-//! writing and the inline audits take it for reading.
+//! writing and the serial audits take it for reading.
 //!
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
 //!   allocates for a node's first row and for nothing else: the pre-warmed
@@ -32,7 +32,7 @@
 //!   `compose` allocates a fresh buffer, 2n messages a round against no
 //!   first row at all.
 //! * **Fan-out lane** — the bare protocol again with the round forced over
-//!   S shards. A fanned-out round allocates per shard by design (the shards
+//!   S shards. A sharded round allocates per shard by design (the shards
 //!   and their scratch, the job and result lists, the workers), all of it
 //!   outside node storage: once every node holds a row a round enters the
 //!   allocator at most [`FAN_OUT_CALLS_PER_SHARD`] · (S + 1) times, across
@@ -173,7 +173,7 @@ fn round_windows<P: Protocol>(
     (stats, windows)
 }
 
-/// The storage contract over a whole inline run of `n` nodes: after round
+/// The storage contract over a whole serial run of `n` nodes: after round
 /// 1 a round enters the allocator at most once per node that stored its
 /// first row in it (a node that stores payloads owns one allocation), so
 /// not at all once every node holds one; and the run, setup included, at
@@ -229,9 +229,9 @@ fn assert_decoded_and_balanced(proto: &AlgebraicGossip<Gf256>) {
 fn bare_protocol_allocates_only_for_rank_growth() {
     let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
     // A round of the run below moves 2 · 1024 rows of 1056 bytes, above the
-    // size from which the default engine fans a round out when rayon has
+    // size from which the default engine shards a round when rayon has
     // more than one thread — so it sits inside a one-thread pool, where the
-    // engine's rule picks the inline round on any machine.
+    // engine's rule picks the serial round on any machine.
     rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -259,7 +259,7 @@ fn bare_protocol_audit() {
 #[test]
 fn rank_only_run_never_allocates_after_setup() {
     let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
-    // 2 · 4096 rows of 8 bytes: far below the fan-out size, inline on any
+    // 2 · 4096 rows of 8 bytes: far below the fan-out size, serial on any
     // rayon pool.
     let n = 4096;
     let (mut proto, engine_seed) = protocol(n, 8, 0);
@@ -285,15 +285,16 @@ fn rank_only_run_never_allocates_after_setup() {
     assert_eq!(proto.pool_idle(), proto.pool_prewarm());
 }
 
-/// Allocator entries a fanned-out round may make once every node holds a
+/// Allocator entries a sharded round may make once every node holds a
 /// row, over both phases and all threads: this many per shard, and as
-/// many again for the round. A shard costs its scratch (three buffers a
-/// phase, made on the main thread), its stash and residue lists (the
-/// residue doubles up to the shard's deliveries) and the delivery sort's
-/// buffer; a round costs two phases' job and result lists and their
-/// workers, of which there are at most as many as shards. Measured
-/// 46–62 calls at 2 shards and 132–184 at 8, on 1 to 8 threads; none of
-/// them is node storage, which a settled round has no reason to touch.
+/// many again for the round. A shard costs its box and scratch (four
+/// allocations a phase, made on the main thread), its stash and residue
+/// lists (the residue doubles up to the shard's deliveries) and the
+/// delivery sort's buffer; a round costs two phases' job and result lists
+/// and their workers, of which there are at most as many as shards.
+/// Measured 47–64 calls at 2 shards and 145–198 at 8, on 1 to 8 threads;
+/// none of them is node storage, which a settled round has no reason to
+/// touch.
 const FAN_OUT_CALLS_PER_SHARD: u64 = 32;
 
 #[test]
@@ -335,8 +336,8 @@ fn fanned_out_round_allocates_per_shard_once_every_node_holds_a_row() {
 #[test]
 fn crash_and_loss_run_allocates_only_for_rank_growth() {
     let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
-    // `WithCrashes` keeps `Protocol`'s default bulk hooks, and 2 · 96 rows
-    // of 40 bytes are far below the fan-out size: inline on any rayon pool.
+    // `WithCrashes` offers no shards, and 2 · 96 rows of 40 bytes are far
+    // below the fan-out size: serial on any rayon pool.
     let n = 96;
     let k = 8;
     let seed = 0xC4A5_4E57;

@@ -23,7 +23,7 @@ use algebraic_gossip::{
 };
 
 /// Pinned hash of the UniformAg rank trajectory for the run below: one
-/// value for the inline round and for the fan-out forced over every shard
+/// value for the serial round and for the fan-out forced over every shard
 /// count, at every thread count (CI re-runs this file under
 /// `RAYON_NUM_THREADS=1` and `=4`).
 const GOLDEN_SHARDED_AG_TRAJECTORY: u64 = 0xC2B0_ECC9_946E_1A35;
@@ -39,7 +39,7 @@ const GOLDEN_TREE_AG_TRAJECTORY: u64 = 0xBC79_2DE0_03D1_CB50;
 /// One AG protocol: uniform algebraic gossip over GF(256) on a 4×4 grid,
 /// k = 8 with payloads, synchronous rounds, all seeds fixed. `shards`
 /// forces every round through the fan-out over that many shards; `None`
-/// leaves the engine to its own rule, which keeps a run this small inline.
+/// leaves the engine to its own rule, which keeps a run this small serial.
 fn ag_trajectory(shards: Option<usize>) -> (u64, bool) {
     let g = builders::grid(4, 4).expect("grid");
     let cfg = AgConfig::new(8)
@@ -160,7 +160,7 @@ fn golden_ag_rank_trajectory_is_pinned() {
     assert_eq!(
         hash, GOLDEN_SHARDED_AG_TRAJECTORY,
         "UniformAg per-round rank trajectory changed: got {hash:#018X} — \
-         the inline round no longer matches the sharded pin"
+         the serial round no longer matches the sharded pin"
     );
 }
 
@@ -177,7 +177,7 @@ fn golden_baseline_trajectory_is_pinned() {
 #[test]
 fn golden_sharded_trajectory_is_pinned_at_every_shard_count() {
     // Every shard count (including more shards than would ever be useful
-    // at n = 16) must reproduce the inline round's pinned value
+    // at n = 16) must reproduce the serial round's pinned value
     // bit-for-bit — the determinism contract, pinned.
     for shards in [1usize, 2, 4, 16] {
         let (hash, completed) = ag_trajectory(Some(shards));

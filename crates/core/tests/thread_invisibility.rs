@@ -1,11 +1,11 @@
-//! The default engine picks its executor per round from the rayon thread
+//! The default engine picks a round's shard count from the rayon thread
 //! count and the bytes the round moves; none of that may be visible in a
 //! result.
 //!
 //! Every lane here runs real algebraic gossip at a size *above* the
 //! fan-out's byte rule, through the default entry points
 //! (`Engine::run_observed`, `TrialPlan::run`) and inside local rayon pools:
-//! one thread keeps every round inline, two and four fan it out over 16
+//! one thread keeps every round serial, two and four shard it over 16
 //! and 32 shards. All lanes must agree on the whole [`RunStats`], the
 //! per-round trajectory hash and the decoded bytes, with the message pool
 //! balanced at every round boundary.
@@ -47,8 +47,8 @@ fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
 }
 
 /// Forwards every required `Protocol` method, the round-start hook and
-/// `discard`, and leaves the two bulk hooks at their defaults: the shape
-/// of the benchmark's `Traced` wrapper.
+/// `discard`, and leaves `msg_bytes` and `shards` at their defaults: the
+/// shape of the benchmark's `Traced` wrapper.
 struct Forwarding<P>(P);
 
 impl<P: Protocol> Protocol for Forwarding<P> {
@@ -137,18 +137,18 @@ fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> (RunStats
 
 fn thread_count_is_invisible<F: SlabField>() {
     let graph = graph();
-    let inline = lane::<F>(&graph, 1, false);
+    let serial = lane::<F>(&graph, 1, false);
     for threads in [2, 4] {
         assert_eq!(
             lane::<F>(&graph, threads, false),
-            inline,
+            serial,
             "{threads} threads"
         );
     }
-    // A wrapper that keeps the default hooks runs inline on any pool, and
-    // must equal the fanned-out run of the protocol it wraps: what the
+    // A wrapper that offers no shards runs serially on any pool, and must
+    // equal the sharded run of the protocol it wraps: what the
     // benchmark's traced-versus-untraced check relies on.
-    assert_eq!(lane::<F>(&graph, 2, true), inline, "hooks not forwarded");
+    assert_eq!(lane::<F>(&graph, 2, true), serial, "shards not forwarded");
 }
 
 #[test]
@@ -162,7 +162,7 @@ fn engine_results_do_not_depend_on_the_thread_count_gf2() {
 }
 
 /// Nested fan-out: `TrialPlan::run` spreads the trials over the rayon
-/// pool, and each synchronous trial above the rule fans its rounds out
+/// pool, and each synchronous trial above the rule shards its rounds
 /// from inside a trial worker.
 #[test]
 fn trial_plan_results_do_not_depend_on_the_thread_count() {

@@ -183,7 +183,8 @@ pub enum ChurnSchedule {
     },
     /// Adversarial bridge cut: `edge` cycles through `up_len` epochs
     /// present then `cut_len` epochs absent (epoch 0 starts an up
-    /// window). Aimed at the barbell bridge.
+    /// window). Aimed at the barbell bridge. `cut_len = u64::MAX` cuts
+    /// it for good.
     BridgeCut {
         /// The targeted edge.
         edge: (NodeId, NodeId),
@@ -195,7 +196,8 @@ pub enum ChurnSchedule {
     /// Adversarial partition/heal: every edge crossing the node cut
     /// `[0, boundary) | [boundary, n)` cycles through `heal_len` epochs
     /// present then `cut_len` epochs removed (epoch 0 starts healed).
-    /// Removed edges are stashed and restored verbatim on heal.
+    /// Removed edges are stashed and restored verbatim on heal;
+    /// `cut_len = u64::MAX` never heals.
     PartitionHeal {
         /// First node of the right-hand side.
         boundary: NodeId,
@@ -214,11 +216,7 @@ impl ChurnSchedule {
     /// Panics if `rate` is not in `[0, 1]`.
     #[must_use]
     pub fn rewire(rate: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "rewire rate must be in [0, 1], got {rate}"
-        );
-        ChurnSchedule::Rewire { rate, seed }
+        ChurnSchedule::Rewire { rate, seed }.validated()
     }
 
     /// [`ChurnSchedule::BridgeCut`] with validation.
@@ -228,12 +226,12 @@ impl ChurnSchedule {
     /// Panics if either window length is zero.
     #[must_use]
     pub fn bridge_cut(edge: (NodeId, NodeId), up_len: u64, cut_len: u64) -> Self {
-        assert!(up_len > 0 && cut_len > 0, "window lengths must be positive");
         ChurnSchedule::BridgeCut {
             edge,
             up_len,
             cut_len,
         }
+        .validated()
     }
 
     /// [`ChurnSchedule::PartitionHeal`] with validation.
@@ -243,16 +241,48 @@ impl ChurnSchedule {
     /// Panics if either window length is zero.
     #[must_use]
     pub fn partition_heal(boundary: NodeId, heal_len: u64, cut_len: u64) -> Self {
-        assert!(
-            heal_len > 0 && cut_len > 0,
-            "window lengths must be positive"
-        );
         ChurnSchedule::PartitionHeal {
             boundary,
             heal_len,
             cut_len,
         }
+        .validated()
     }
+
+    /// The schedule, once its parameters are checked: the variants are
+    /// public, so the constructors above are not the only way in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rewire rate is not in `[0, 1]` or a window length is
+    /// zero.
+    fn validated(self) -> Self {
+        match self {
+            ChurnSchedule::Rewire { rate, .. } => assert!(
+                (0.0..=1.0).contains(&rate),
+                "rewire rate must be in [0, 1], got {rate}"
+            ),
+            ChurnSchedule::BridgeCut {
+                up_len: on,
+                cut_len: off,
+                ..
+            }
+            | ChurnSchedule::PartitionHeal {
+                heal_len: on,
+                cut_len: off,
+                ..
+            } => assert!(on > 0 && off > 0, "window lengths must be positive"),
+            ChurnSchedule::None | ChurnSchedule::Flip { .. } => {}
+        }
+        self
+    }
+}
+
+/// Whether `epoch` falls in the first `on` epochs of a window that
+/// repeats every `on + off` epochs. The sum is taken in `u128`, so a
+/// window of `u64::MAX` epochs, which never ends, cannot overflow it.
+fn in_on_window(epoch: u64, on: u64, off: u64) -> bool {
+    u128::from(epoch) % (u128::from(on) + u128::from(off)) < u128::from(on)
 }
 
 /// An epoch-based time-varying graph: a seed [`Graph`] plus a
@@ -304,10 +334,13 @@ impl ScheduledTopology {
     /// # Panics
     ///
     /// Panics if a [`ChurnSchedule::BridgeCut`] edge is not an edge of
-    /// `graph`, or a [`ChurnSchedule::PartitionHeal`] boundary is not in
-    /// `1..n` (both sides must be nonempty).
+    /// `graph`, a [`ChurnSchedule::PartitionHeal`] boundary is not in
+    /// `1..n` (both sides must be nonempty), or the schedule fails its
+    /// constructor's check (a rewire rate outside `[0, 1]`, a zero window
+    /// length).
     #[must_use]
     pub fn new(graph: &Graph, schedule: ChurnSchedule) -> Self {
+        let schedule = schedule.validated();
         match &schedule {
             ChurnSchedule::BridgeCut { edge: (u, v), .. } => {
                 assert!(
@@ -408,7 +441,7 @@ impl ScheduledTopology {
                 let mut rng = epoch_rng(seed, epoch);
                 #[expect(
                     clippy::cast_possible_truncation,
-                    reason = "a float-to-int `as` saturates, and `rewire` keeps rate in [0, 1], so count <= edge count"
+                    reason = "a float-to-int `as` saturates, and `new` keeps rate in [0, 1], so count <= edge count"
                 )]
                 let count = (rate * self.edges.len() as f64).round() as usize;
                 let n = self.adj.len();
@@ -450,7 +483,7 @@ impl ScheduledTopology {
                 up_len,
                 cut_len,
             } => {
-                if (epoch % (up_len + cut_len)) < up_len {
+                if in_on_window(epoch, up_len, cut_len) {
                     self.add_edge(u, v);
                 } else {
                     self.remove_edge(u, v);
@@ -461,7 +494,7 @@ impl ScheduledTopology {
                 heal_len,
                 cut_len,
             } => {
-                let cut = (epoch % (heal_len + cut_len)) >= heal_len;
+                let cut = !in_on_window(epoch, heal_len, cut_len);
                 if cut && !self.partitioned {
                     let crossing: Vec<(NodeId, NodeId)> = self
                         .edges
@@ -669,6 +702,52 @@ mod tests {
     fn partition_validates_boundary() {
         let g = builders::path(4).unwrap();
         let _ = ScheduledTopology::new(&g, ChurnSchedule::partition_heal(0, 1, 1));
+    }
+
+    /// Regression: `heal_len + cut_len` overflowed at the first epoch
+    /// advance (a debug panic, a zero divisor in release).
+    #[test]
+    fn partition_that_never_heals_stays_cut() {
+        let g = builders::barbell(16).unwrap();
+        let mut t = ScheduledTopology::new(&g, ChurnSchedule::partition_heal(8, 1, u64::MAX));
+        assert!(t.is_connected_now(), "epoch 0 starts healed");
+        for e in 1..=64 {
+            t.advance_to_epoch(e);
+            assert!(!t.is_connected_now(), "epoch {e}");
+        }
+    }
+
+    /// Regression: the same overflow in `up_len + cut_len`.
+    #[test]
+    fn bridge_that_is_never_back_up_stays_cut() {
+        let g = builders::barbell(8).unwrap();
+        let mut t = ScheduledTopology::new(&g, ChurnSchedule::bridge_cut((3, 4), 1, u64::MAX));
+        assert!(t.has_edge(3, 4), "epoch 0 starts up");
+        for e in 1..=64 {
+            t.advance_to_epoch(e);
+            assert!(!t.has_edge(3, 4), "epoch {e}");
+        }
+    }
+
+    /// A directly built variant is checked too: zero windows used to
+    /// divide by zero at the first epoch advance.
+    #[test]
+    #[should_panic(expected = "window lengths must be positive")]
+    fn zero_windows_are_rejected_however_built() {
+        let g = builders::barbell(8).unwrap();
+        let schedule = ChurnSchedule::BridgeCut {
+            edge: (3, 4),
+            up_len: 0,
+            cut_len: 0,
+        };
+        let _ = ScheduledTopology::new(&g, schedule);
+    }
+
+    #[test]
+    #[should_panic(expected = "rewire rate")]
+    fn a_directly_built_rewire_rate_is_checked() {
+        let g = builders::cycle(8).unwrap();
+        let _ = ScheduledTopology::new(&g, ChurnSchedule::Rewire { rate: 2.0, seed: 1 });
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub const DERIVATION_ROOTS: [&str; 1] = ["splitmix64"];
 /// `alloc-discipline`: `receiver.method` calls permitted inside hot-path
 /// zones even though the method is in the allocating-method table; the
 /// receiver pins which buffer is sanctioned.
-pub const ALLOW_CALLS: [&str; 6] = [
+pub const ALLOW_CALLS: [&str; 5] = [
     // Preallocated scratch/output buffers resized to the row shape.
     "out.resize",
     "factors.resize",
@@ -60,7 +60,6 @@ pub const ALLOW_CALLS: [&str; 6] = [
     "slab.extend_from_slice",
     // Engine round scratch, cleared and reused across rounds.
     "intents.extend",
-    "outbox.push",
 ];
 
 /// `bounds-provenance`: what makes an identifier count as a length/bound

@@ -6,7 +6,7 @@
 //! [`ag_linalg::BasisArena`] — at `n = 10⁵` nodes that is hundreds of
 //! thousands of malloc/free pairs per round. [`RowPool`] removes it: a
 //! protocol [`take`](RowPool::take)s a buffer in `compose`, the engine
-//! carries it through its outbox as a plain `Vec<u8>`, and the protocol
+//! carries it in its slot table as a plain `Vec<u8>`, and the protocol
 //! [`put`](RowPool::put)s it back wherever the message ends its life —
 //! in `deliver` after the row is consumed, or in the `Protocol::discard`
 //! hook the engines invoke for messages they drop without delivering
@@ -19,7 +19,7 @@
 //! Messages stay plain `Vec<u8>`s on purpose: an earlier design wrapped
 //! them in a self-returning smart pointer (drop = return to pool), but
 //! threading a `Drop`-glued, refcount-carrying type through the engine's
-//! outbox made the rank-only round loop ~4× slower — the buffer is `k`
+//! message queue made the rank-only round loop ~4× slower — the buffer is `k`
 //! bytes there, so per-message bookkeeping *is* the workload. The
 //! explicit take/put discipline keeps the engine's message plumbing
 //! untouched and costs a few nanoseconds per cycle.

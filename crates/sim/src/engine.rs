@@ -2,30 +2,26 @@
 //!
 //! The paper's synchronous round (every node wakes, messages are composed
 //! from start-of-round state, delivery happens at the round boundary) is
-//! written once, in `Engine::sync_round`. That function owns everything
-//! that *orders* a round: the round-start hook, the wakeups, the
-//! ascending-slot merge with same-sender dedup, loss injection, the
-//! [`RunStats`] accounting and the completion sweep. The two data-parallel
-//! phases, composing the slots and applying the surviving messages, are
-//! reached through the protocol's bulk hooks,
-//! [`Protocol::compose_round`] and [`Protocol::deliver_round`]. Their
-//! defaults run the phases *inline*: each slot is composed through `&P`
-//! when the merge reaches it and the outbox is delivered through `&mut P`,
-//! with no slot plan, per-slot message table or shards. A
-//! [`crate::ShardableProtocol`] may override them to hand the round to the
-//! fan-out in the `fan_out` module, which runs both phases on rayon
-//! workers whenever the round is big enough to pay for it and hands the
-//! merge the same slots.
+//! written once, in `Engine::sync_round`, over one slot table: slot `2v`
+//! holds node `v`'s forward message and slot `2v + 1` its backward one.
+//! A round fills every planned slot, merges the table in ascending slot
+//! order (empty sends, same-sender dedup and loss are settled in place),
+//! and delivers what survived in slot order. Compose and delivery run
+//! serially through [`Protocol::compose`] and [`Protocol::deliver`], or,
+//! when the protocol offers [`Protocol::shards`] and the round is big
+//! enough to pay for it, on the rayon pool (the `fan_out` module). The
+//! round-start hook, the wakeups, the merge, the [`RunStats`] accounting
+//! and the completion sweep are serial at every shard count.
 //!
 //! Wakeups and loss draws come from the engine's main RNG, in node order
-//! and in outbox order. Every composition *slot* draws from its own
+//! and in slot order. Every composition *slot* draws from its own
 //! `slot_rng`, a pure function of `(seed, round, slot)`: a message's
 //! randomness never depends on which other messages were composed, by
-//! whom, or in what order. That makes inline and fanned-out rounds
-//! bit-identical and a trajectory mismatch localisable to a
-//! `(round, slot)`. The
-//! asynchronous loop (one wakeup per timeslot, immediate delivery) is
-//! inherently sequential and draws everything from the main RNG.
+//! whom, or in what order. That makes a round bit-identical at every
+//! shard count and a trajectory mismatch localisable to a
+//! `(round, slot)`. The asynchronous loop (one wakeup per timeslot,
+//! immediate delivery) is inherently sequential and draws everything from
+//! the main RNG.
 //!
 //! The round loop is built for large `n`: all per-round scratch lives in
 //! buffers reused across rounds, same-sender dedup is resolved
@@ -45,7 +41,7 @@ use ag_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fan_out::FanOut;
+use crate::fan_out::{shard_count, FanOut};
 use crate::protocol::{ContactIntent, Protocol};
 use crate::stats::RunStats;
 
@@ -176,8 +172,6 @@ impl<P: Protocol, F: FnMut(u64, &P)> Observe<P> for FnObserver<F> {
     }
 }
 
-/// One routed message: `(from, to, tag, msg)`.
-pub(crate) type Delivery<M> = (NodeId, NodeId, u32, M);
 /// One planned composition: `(slot, from, to, tag)`.
 pub(crate) type Planned = (usize, NodeId, NodeId, u32);
 
@@ -205,61 +199,48 @@ pub(crate) fn slot_plan(v: NodeId, intent: ContactIntent) -> [Option<Planned>; 2
     ]
 }
 
-/// One synchronous round's engine-owned state, as the bulk hooks
-/// [`Protocol::compose_round`] and [`Protocol::deliver_round`] see it: the
-/// start-of-round contact intents, the outbox of surviving messages and,
-/// from the first fanned-out round on, the fan-out's scratch. Opaque
-/// outside this crate; a [`crate::ShardableProtocol`] passes it to
-/// [`SyncRound::fan_out_compose`] and [`SyncRound::fan_out_deliver`].
-///
-/// Allocated once per run and reused by every round, so the steady-state
-/// inline loop performs no engine-side heap allocation (messages
-/// themselves are owned by the protocol).
+/// Every composition a round's intents ask for, in ascending slot order.
+#[inline]
+pub(crate) fn planned(intents: &[Option<ContactIntent>]) -> impl Iterator<Item = Planned> + '_ {
+    intents
+        .iter()
+        .enumerate()
+        .flat_map(|(v, intent)| intent.map_or([None, None], |i| slot_plan(v, i)))
+        .flatten()
+}
+
+/// One synchronous round's engine-owned scratch, allocated once per run
+/// and reused by every round, so a steady-state serial round performs no
+/// engine-side heap allocation (messages themselves are owned by the
+/// protocol).
 #[derive(Debug)]
-pub struct SyncRound<M> {
-    /// Start-of-round contact intents, one slot per node.
-    pub(crate) intents: Vec<Option<ContactIntent>>,
-    /// Messages that survived dedup and loss, awaiting delivery.
-    pub(crate) outbox: Vec<Delivery<M>>,
+struct SyncRound<M> {
+    /// Start-of-round contact intents, one per node.
+    intents: Vec<Option<ContactIntent>>,
+    /// The round's messages, indexed by slot ([`slot_plan`]); all `None`
+    /// between rounds.
+    table: Vec<Option<M>>,
     /// `fwd_live[v]`: v's forward message took its `(from, to)` pair.
     fwd_live: Vec<bool>,
     /// `bwd_live[w]`: w's backward message took its `(from, to)` pair.
     bwd_live: Vec<bool>,
-    /// The engine seed and the 1-based round: with a slot, the key of
-    /// every compose RNG.
-    pub(crate) seed: u64,
-    pub(crate) round: u64,
-    /// The fan-out's partition and scratch; `None` until a round fans out.
-    pub(crate) fan: Option<FanOut<M>>,
-    /// This round's slots were composed into `fan`'s table.
-    pub(crate) fanned: bool,
+    /// The fan-out's partition and scratch; `None` until a round is
+    /// sharded.
+    fan: Option<FanOut<M>>,
     /// The shard count [`Engine::with_forced_shards`] forces on every
-    /// fan-out; `None` lets the fan-out's own rule decide, round by round.
-    pub(crate) forced_shards: Option<usize>,
+    /// round; `None` lets the fan-out's rule decide, round by round.
+    forced_shards: Option<usize>,
 }
 
 impl<M> SyncRound<M> {
-    fn new(n: usize, seed: u64, forced_shards: Option<usize>) -> Self {
+    fn new(n: usize, forced_shards: Option<usize>) -> Self {
         SyncRound {
             intents: Vec::with_capacity(n),
-            outbox: Vec::with_capacity(2 * n),
+            table: std::iter::repeat_with(|| None).take(2 * n).collect(),
             fwd_live: vec![false; n],
             bwd_live: vec![false; n],
-            seed,
-            round: 0,
             fan: None,
-            fanned: false,
             forced_shards,
-        }
-    }
-
-    /// The inline delivery phase: every outbox message through
-    /// [`Protocol::deliver`], in outbox (ascending-slot) order.
-    // ag-lint: hot-path
-    #[inline]
-    pub(crate) fn deliver_inline<P: Protocol<Msg = M> + ?Sized>(&mut self, proto: &mut P) {
-        for (from, to, tag, msg) in self.outbox.drain(..) {
-            proto.deliver(from, to, tag, msg);
         }
     }
 }
@@ -324,11 +305,11 @@ impl Engine {
         }
     }
 
-    /// Test seam: every synchronous round a protocol hands to the fan-out
-    /// runs over exactly `shards` shards (clamped to `[1, n]`), whatever
-    /// the round moves and however many threads there are. Results are
-    /// bit-identical with and without it; a protocol that keeps the
-    /// default bulk hooks never reaches the fan-out and is unaffected.
+    /// Test seam: every synchronous round runs over exactly `shards`
+    /// shards (clamped to `[1, n]`; 1 is serial), whatever the round
+    /// moves and however many threads there are. Results are
+    /// bit-identical with and without it; a protocol whose
+    /// [`Protocol::shards`] is `None` runs serially regardless.
     #[doc(hidden)]
     #[must_use]
     pub fn with_forced_shards(mut self, shards: usize) -> Self {
@@ -399,7 +380,7 @@ impl Engine {
                 // The incomplete set as an explicit list: the per-round
                 // completion sweep touches only these nodes, not all n.
                 let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
-                let mut scratch = SyncRound::new(n, self.config.seed, self.forced_shards);
+                let mut scratch = SyncRound::new(n, self.forced_shards);
                 while stats.rounds < self.config.max_rounds {
                     self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
                     if O::ENABLED {
@@ -440,12 +421,12 @@ impl Engine {
         stats
     }
 
-    /// One synchronous round: wakeups → every slot composed from pre-round
-    /// state → merge (dedup, loss) in ascending slot order → deliver →
-    /// completion sweep. The protocol's bulk hooks decide only *where*
-    /// slots are composed and messages applied: they may not touch the
-    /// engine RNG or the stats, and must compose slot `s` of round `r` from
-    /// pre-round state with `slot_rng(seed, r, s)` and nothing else.
+    /// One synchronous round: wakeups → every planned slot composed from
+    /// pre-round state → merge (dedup, loss) in ascending slot order →
+    /// deliver → completion sweep. Shards decide only *where* slots are
+    /// composed and messages applied: slot `s` of round `r` is composed
+    /// from pre-round state with `slot_rng(seed, r, s)` and nothing else,
+    /// and every receiver takes its messages in slot order.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
     /// `(from, to)` can occur at most twice — once as the *forward*
@@ -457,8 +438,8 @@ impl Engine {
     /// `dedup_dropped` or as `empty_sends` depends on what it composed.
     ///
     /// Loss is drawn on the main RNG as each dedup survivor is merged, so
-    /// the draws follow outbox order and the outbox holds only messages
-    /// that will be delivered.
+    /// the draws follow slot order and the table keeps only messages that
+    /// will be delivered.
     // ag-lint: hot-path
     fn sync_round<P: Protocol>(
         &mut self,
@@ -469,36 +450,38 @@ impl Engine {
     ) {
         let n = proto.num_nodes();
         let round = stats.rounds + 1;
+        let seed = self.config.seed;
+        let SyncRound {
+            intents,
+            table,
+            fwd_live,
+            bwd_live,
+            fan,
+            forced_shards,
+        } = scratch;
         // 0. Round-start hook (epoch advance for dynamic topologies).
         proto.on_round_start(round);
         // 1. Every node wakes and declares its contact: serial, in node
         //    order, on the main RNG.
-        let intents = &mut scratch.intents;
         intents.clear();
         intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
-        scratch.round = round;
-        scratch.fanned = false;
-        proto.compose_round(scratch);
-        let SyncRound {
-            intents,
-            outbox,
-            fwd_live,
-            bwd_live,
-            fan,
-            fanned,
-            ..
-        } = scratch;
-        // A fanned-out compose filed every planned slot in its table; the
-        // inline one leaves each slot to be composed when the merge
-        // reaches it. The merge asks for every planned slot exactly once.
-        let mut table = fan.as_mut().filter(|_| *fanned).map(FanOut::table);
-        let seed = self.config.seed;
-        let mut take_slot = |proto: &P, (slot, from, to, tag): Planned| match &mut table {
-            Some(table) => table[slot].take(),
-            None => proto.compose(from, to, tag, &mut slot_rng(seed, round, slot)),
-        };
-        // 2. Merge the slots in ascending order against the (still
-        //    unmodified) round-start data state.
+        // 2. Compose every planned slot from round-start state: through
+        //    the protocol's shards if the round is worth them and it offers
+        //    them, serially otherwise.
+        let shards = shard_count(intents, proto.msg_bytes(), *forced_shards);
+        let mut sharded = None;
+        if shards > 1 {
+            let fan = fan.get_or_insert_with(|| FanOut::new(n, shards));
+            if fan.compose(proto, intents, table, seed, round) {
+                sharded = Some(fan);
+            }
+        }
+        if sharded.is_none() {
+            for (slot, from, to, tag) in planned(intents) {
+                table[slot] = proto.compose(from, to, tag, &mut slot_rng(seed, round, slot));
+            }
+        }
+        // 3. Merge the slots in ascending order.
         let dedup = self.config.dedup_same_sender;
         fwd_live.fill(false);
         bwd_live.fill(false);
@@ -511,21 +494,23 @@ impl Engine {
                 dedup && u < v && live[u] && matches!(intents[u], Some(i) if i.partner == v)
             };
             let [forward, backward] = slot_plan(v, intent);
-            if let Some(planned) = forward {
+            if let Some((slot, ..)) = forward {
                 // (v → u) is taken iff u's intent emitted it backward.
-                let msg = take_slot(proto, planned);
-                fwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(bwd_live));
+                fwd_live[v] = self.admit(proto, stats, &mut table[slot], || taken_by(bwd_live));
             }
-            if let Some(planned) = backward {
+            if let Some((slot, ..)) = backward {
                 // (u → v) is taken iff u's intent emitted it forward.
-                let msg = take_slot(proto, planned);
-                bwd_live[v] = self.admit(proto, stats, outbox, planned, msg, || taken_by(fwd_live));
+                bwd_live[v] = self.admit(proto, stats, &mut table[slot], || taken_by(fwd_live));
             }
         }
-        // 3. Delivery.
-        stats.messages_delivered += outbox.len() as u64;
-        proto.deliver_round(scratch);
-        debug_assert!(scratch.outbox.is_empty(), "deliver phase left messages");
+        // 4. Delivery, every receiver's messages in slot order.
+        if !sharded.is_some_and(|fan| fan.deliver(proto, intents, table)) {
+            for (slot, from, to, tag) in planned(intents) {
+                if let Some(msg) = table[slot].take() {
+                    proto.deliver(from, to, tag, msg);
+                }
+            }
+        }
         stats.rounds += 1;
         stats.timeslots += n as u64;
         // 4. Completion sweep over the still-incomplete nodes only (all of
@@ -540,23 +525,22 @@ impl Engine {
         });
     }
 
-    /// Merge-time accounting for one composed slot: nothing composed is an
+    /// Merge-time accounting for one planned slot: nothing composed is an
     /// empty send, a same-sender duplicate is a dedup drop, a survivor
-    /// that fails the loss draw is lost, and everything else joins the
-    /// outbox. Returns whether the message took its `(from, to)` pair for
-    /// the round, i.e. survived dedup, lost or not.
+    /// that fails the loss draw is lost, and everything else stays in the
+    /// slot to be delivered. Dropped messages leave the slot through
+    /// [`Protocol::discard`]. Returns whether the message took its
+    /// `(from, to)` pair for the round, i.e. survived dedup, lost or not.
     // ag-lint: hot-path
     #[inline]
     fn admit<P: Protocol>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
-        outbox: &mut Vec<Delivery<P::Msg>>,
-        (_, from, to, tag): Planned,
-        msg: Option<P::Msg>,
+        slot: &mut Option<P::Msg>,
         dup: impl FnOnce() -> bool,
     ) -> bool {
-        let Some(msg) = msg else {
+        let Some(msg) = slot.take() else {
             stats.empty_sends += 1;
             return false;
         };
@@ -569,7 +553,8 @@ impl Engine {
             stats.lost += 1;
             proto.discard(msg);
         } else {
-            outbox.push((from, to, tag, msg));
+            stats.messages_delivered += 1;
+            *slot = Some(msg);
         }
         true
     }

@@ -1,27 +1,27 @@
-//! The fan-out of the synchronous round: compose and deliver in parallel,
-//! merge deterministically.
+//! The sharded phases of the synchronous round: compose and deliver on
+//! the rayon pool, through the engine's one slot table.
 //!
-//! # Who fans out
+//! # When a round is sharded
 //!
-//! A [`ShardableProtocol`] overrides the bulk hooks
-//! [`Protocol::compose_round`] / [`Protocol::deliver_round`] to call
-//! [`SyncRound::fan_out_compose`] / [`SyncRound::fan_out_deliver`], and
-//! from then on the default [`crate::Engine`] decides round by round: a
-//! round fans out when it moves at least `FAN_OUT_MIN_ROUND_BYTES`
-//! (planned slots × bytes per message) and the rayon pool has more than
-//! one thread, over `SHARDS_PER_THREAD` shards per thread; any other round
-//! runs inline and the fan-out's scratch is never allocated. Tests force
-//! the shard count instead, on every round, through the hidden
-//! `Engine::with_forced_shards` seam.
+//! A protocol offers shards through [`Protocol::shards`] and says what a
+//! message weighs through [`Protocol::msg_bytes`]. The default
+//! [`crate::Engine`] then decides round by round: a round is sharded when
+//! it moves at least `FAN_OUT_MIN_ROUND_BYTES` (planned slots × bytes per
+//! message) and the rayon pool has more than one thread, over
+//! `SHARDS_PER_THREAD` shards per thread. Any other round, and every
+//! round of a protocol whose `shards` is `None`, is composed and delivered
+//! serially; the fan-out's scratch is allocated by the first sharded round
+//! only. Tests force the shard count instead, on every round, through the
+//! hidden `Engine::with_forced_shards` seam.
 //!
 //! # Determinism contract
 //!
-//! A fanned-out round is the same round as an inline one: the round body
-//! in the `engine` module, serial on the main engine RNG. Only *where* the
-//! two data-parallel phases run changes: the node set is partitioned into
-//! contiguous shards, message *composition* is grouped by sender shard and
-//! message *delivery* by receiver shard, and both fan out over rayon
-//! workers.
+//! A sharded round is the same round as a serial one: the round body in
+//! the `engine` module, which merges the slot table serially on the main
+//! engine RNG. Only *where* the two data-parallel phases run changes: the
+//! node set is partitioned into contiguous shards, message *composition*
+//! is grouped by sender shard and message *delivery* by receiver shard,
+//! and both fan out over rayon workers.
 //!
 //! Every composition slot draws from its own RNG, a pure function of
 //! `(seed, round, slot)`, so a message's randomness does not depend on
@@ -35,15 +35,13 @@
 //! instead of once per message, which on the payload-bearing benchmark
 //! shape is worth about as much again as the second thread.
 //!
-//! Consequently the output is **bit-identical to the inline round at
-//! every shard count and thread count**, on every [`ShardableProtocol`]
-//! whose shards compose and deliver what the protocol itself would:
+//! Consequently the output is **bit-identical to the serial round at
+//! every shard count and thread count**, for every protocol whose shards
+//! compose and deliver what the protocol itself would:
 //! `differential_sharded`, the golden trajectory, `thread_invisibility`
-//! and the unit tests below assert inline ≡ 1 shard ≡ S shards.
+//! and the unit tests below assert serial ≡ S shards.
 //!
-//! Protocols opt in by implementing [`ShardableProtocol`]: splitting their
-//! per-node state into [`ProtocolShard`]s that are `Send` and own disjoint
-//! contiguous node ranges. Message buffers flow out of shards through
+//! Message buffers flow out of shards through
 //! [`ProtocolShard::into_residue`] and back into the protocol through
 //! [`Protocol::discard`], so pooled-buffer protocols stay balanced at
 //! every round boundary.
@@ -52,62 +50,13 @@
 //! delivery — inherently sequential — so it never fans out.
 
 use ag_graph::NodeId;
-use rand::rngs::StdRng;
 use rayon::prelude::*;
 
-use crate::engine::{slot_plan, slot_rng, Delivery, Planned, SyncRound};
+use crate::engine::{planned, slot_rng, Planned};
 use crate::protocol::{ContactIntent, Protocol};
 
-/// One shard's view of a [`ShardableProtocol`]: exclusive ownership of a
-/// contiguous node range, movable to a worker thread.
-///
-/// All node ids passed to shard methods are **global**; the engine
-/// guarantees `from` lies in this shard's range for [`ProtocolShard::compose`]
-/// and `to` lies in it for [`ProtocolShard::deliver`].
-pub trait ProtocolShard: Send {
-    /// Message type, matching the parent protocol's.
-    type Msg: Send;
-
-    /// Composes the message `from → to` from pre-round data state.
-    /// `rng` is the slot's private RNG — fresh per `(seed, round, slot)`.
-    fn compose(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        tag: u32,
-        rng: &mut StdRng,
-    ) -> Option<Self::Msg>;
-
-    /// Delivers a message into `to`'s data state. Spent message buffers
-    /// that should return to a pool go into the shard's residue.
-    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg);
-
-    /// Tears the shard down, returning every message buffer it still
-    /// holds (unconsumed emit stash, spent delivery buffers). The engine
-    /// hands each one back through [`Protocol::discard`] on the main
-    /// thread, where pooled protocols recycle it.
-    fn into_residue(self) -> Vec<Self::Msg>;
-}
-
-/// A [`Protocol`] whose synchronous round can be sharded.
-pub trait ShardableProtocol: Protocol<Msg: Send> {
-    /// The shard type borrowing from `self`.
-    type Shard<'a>: ProtocolShard<Msg = Self::Msg>
-    where
-        Self: 'a;
-
-    /// Splits the protocol into shards over the given contiguous node
-    /// ranges (`bounds[s] = (start, end)`, covering `0..n` in order).
-    /// `send_counts[s]` is the number of messages shard `s` will be asked
-    /// to compose this phase — pooled protocols pre-draw that many
-    /// buffers from their pool into the shard (0 for the delivery phase).
-    fn make_shards(
-        &mut self,
-        bounds: &[(usize, usize)],
-        send_counts: &[usize],
-    ) -> Vec<Self::Shard<'_>>;
-}
-
+/// One routed message: `(from, to, tag, msg)`.
+type Delivery<M> = (NodeId, NodeId, u32, M);
 /// One sender shard's composed slots, in the order it composed them.
 type Composed<M> = Vec<(usize, Option<M>)>;
 /// A compose shard's return: its (refilled) result list plus
@@ -117,7 +66,7 @@ type ComposeResult<M> = (Composed<M>, Vec<M>);
 /// capacity is reused) plus residue.
 type DeliverResult<M> = (Vec<Delivery<M>>, Vec<M>);
 
-/// A round fans out only if it moves at least this many bytes (planned
+/// A round is sharded only if it moves at least this many bytes (planned
 /// slots × bytes per message). On the measured ladder (CHANGES.md, PR 14)
 /// every shape from 2 MiB up wins 14–43 % of its wall time on 2 threads
 /// for 2–3 % more peak memory. Below it the picture is mixed: at half a
@@ -126,23 +75,47 @@ type DeliverResult<M> = (Vec<Delivery<M>>, Vec<M>);
 /// fan-out's per-node scratch with 15–77 % of their peak memory.
 const FAN_OUT_MIN_ROUND_BYTES: usize = 2 << 20;
 
-/// Shards per rayon thread of a fanned-out round: enough that the shared
+/// Shards per rayon thread of a sharded round: enough that the shared
 /// work queue evens out shards of unequal rank, few enough that a shard
 /// amortises its setup. The ladder is flat from 2 to 64 shards on 2
 /// threads and slower from 256 up.
 const SHARDS_PER_THREAD: usize = 8;
 
+/// The shard count of a round with these intents, in `[1, n]`, 1 meaning
+/// serial: the count a test forced, else the rule in the module docs. The
+/// byte test comes first: it is the one most rounds fail, and it reads
+/// nothing but the intents.
+pub(crate) fn shard_count(
+    intents: &[Option<ContactIntent>],
+    msg_bytes: usize,
+    forced: Option<usize>,
+) -> usize {
+    let n = intents.len();
+    if let Some(shards) = forced {
+        return shards.clamp(1, n);
+    }
+    if planned(intents).count().saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
+        return 1;
+    }
+    let threads = rayon::current_num_threads();
+    if threads > 1 {
+        (threads * SHARDS_PER_THREAD).min(n)
+    } else {
+        1
+    }
+}
+
 #[cfg(test)]
 thread_local! {
     /// How many times this thread allocated a [`FanOut`]: lets the tests
-    /// assert that an inline run never touches the fan-out's scratch.
+    /// assert that a serial run never touches the fan-out's scratch.
     static FAN_OUT_ALLOCATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The fan-out's partition plus per-round scratch, allocated by the first
-/// fanned-out round of a run and reused by every later one: a fanned-out
-/// round allocates per shard (the shards themselves, the job and result
-/// lists), never per message.
+/// sharded round of a run and reused by every later one: a sharded round
+/// allocates per shard (the shards themselves, the job and result lists),
+/// never per message.
 #[derive(Debug)]
 pub(crate) struct FanOut<M> {
     /// `bounds[s] = (start, end)`: shard `s`'s contiguous node range.
@@ -152,24 +125,22 @@ pub(crate) struct FanOut<M> {
     /// Per-sender-shard compose worklists; each worker sorts its own by
     /// sender.
     worklists: Vec<Vec<Planned>>,
-    /// `send_counts[s] = worklists[s].len()`, for `make_shards`.
+    /// `send_counts[s] = worklists[s].len()`, for [`Protocol::shards`].
     send_counts: Vec<usize>,
     /// All zero: the delivery phase composes nothing.
     zero_counts: Vec<usize>,
     /// Per-sender-shard result lists, lent to the workers and handed back.
     outs: Vec<Composed<M>>,
-    /// Composed messages, indexed by slot; all `None` between rounds (the
-    /// merge takes every slot `compose` files).
-    composed: Vec<Option<M>>,
-    /// Per-receiver-shard delivery lists, in outbox (slot) order.
+    /// Per-receiver-shard delivery lists, in slot order.
     delivery: Vec<Vec<Delivery<M>>>,
 }
 
-impl<M> FanOut<M> {
-    fn new(n: usize, num_shards: usize) -> Self {
+impl<M: Send> FanOut<M> {
+    /// The partition of `n` nodes into `shards` contiguous ranges
+    /// (`shards` in `[1, n]`).
+    pub(crate) fn new(n: usize, shards: usize) -> Self {
         #[cfg(test)]
         FAN_OUT_ALLOCATIONS.with(|c| c.set(c.get() + 1));
-        let shards = num_shards.clamp(1, n.max(1));
         let bounds: Vec<(usize, usize)> = (0..shards)
             .map(|s| (s * n / shards, (s + 1) * n / shards))
             .collect();
@@ -183,44 +154,37 @@ impl<M> FanOut<M> {
             zero_counts: vec![0; shards],
             outs: bounds.iter().map(|_| Vec::new()).collect(),
             delivery: bounds.iter().map(|_| Vec::new()).collect(),
-            composed: (0..2 * n).map(|_| None).collect(),
             bounds,
             node_shard,
         }
     }
 
-    /// The slot-indexed table the merge takes a fanned-out round's
-    /// messages from.
-    pub(crate) fn table(&mut self) -> &mut [Option<M>] {
-        &mut self.composed
-    }
-}
-
-impl<M: Send> FanOut<M> {
     /// Parallel compose: groups the round's slots by sender shard, lets
     /// each shard walk its worklist, sender by sender, with per-slot RNGs,
-    /// and files the results by slot for the merge.
-    fn compose<P: ShardableProtocol<Msg = M>>(
+    /// and files the results in `table` by slot. Returns `false`, with
+    /// `table` untouched, if the protocol offers no shards.
+    pub(crate) fn compose<P: Protocol<Msg = M>>(
         &mut self,
         proto: &mut P,
         intents: &[Option<ContactIntent>],
+        table: &mut [Option<M>],
         seed: u64,
         round: u64,
-    ) {
+    ) -> bool {
         for wl in &mut self.worklists {
             wl.clear();
         }
-        for (v, intent) in intents.iter().enumerate() {
-            let Some(intent) = *intent else { continue };
-            for planned @ (_, from, ..) in slot_plan(v, intent).into_iter().flatten() {
-                self.worklists[self.node_shard[from]].push(planned);
-            }
+        for planned @ (_, from, ..) in planned(intents) {
+            self.worklists[self.node_shard[from]].push(planned);
         }
         self.send_counts.clear();
         self.send_counts.extend(self.worklists.iter().map(Vec::len));
+        let Some(shards) = proto.shards(&self.bounds, &self.send_counts) else {
+            return false;
+        };
+        debug_assert_eq!(shards.len(), self.bounds.len(), "one shard per range");
         // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
-        let jobs: Vec<(P::Shard<'_>, &mut Vec<Planned>, Composed<M>)> = proto
-            .make_shards(&self.bounds, &self.send_counts)
+        let jobs: Vec<_> = shards
             .into_iter()
             .zip(&mut self.worklists)
             .zip(&mut self.outs)
@@ -244,7 +208,7 @@ impl<M: Send> FanOut<M> {
         // ag-lint: sharded-phase(end)
         for (s, (mut out, residue)) in results.into_iter().enumerate() {
             for (slot, msg) in out.drain(..) {
-                self.composed[slot] = msg;
+                table[slot] = msg;
             }
             // Hand the (drained) list back so its capacity is reused.
             self.outs[s] = out;
@@ -252,22 +216,29 @@ impl<M: Send> FanOut<M> {
                 proto.discard(msg);
             }
         }
+        true
     }
 
-    /// Parallel delivery: partitions the outbox by receiver shard, each
-    /// shard applying its list receiver by receiver, every receiver's
-    /// messages in outbox (slot) order.
-    fn deliver<P: ShardableProtocol<Msg = M>>(
+    /// Parallel delivery: takes every message left in `table` into its
+    /// receiver shard's list, in slot order, and lets each shard apply its
+    /// list receiver by receiver. Returns `false`, with `table` untouched,
+    /// if the protocol offers no shards.
+    pub(crate) fn deliver<P: Protocol<Msg = M>>(
         &mut self,
         proto: &mut P,
-        outbox: &mut Vec<Delivery<M>>,
-    ) {
-        for (from, to, tag, msg) in outbox.drain(..) {
-            self.delivery[self.node_shard[to]].push((from, to, tag, msg));
+        intents: &[Option<ContactIntent>],
+        table: &mut [Option<M>],
+    ) -> bool {
+        let Some(shards) = proto.shards(&self.bounds, &self.zero_counts) else {
+            return false;
+        };
+        for (slot, from, to, tag) in planned(intents) {
+            if let Some(msg) = table[slot].take() {
+                self.delivery[self.node_shard[to]].push((from, to, tag, msg));
+            }
         }
         // ag-lint: sharded-phase(begin) — delivery draws no randomness
-        let jobs: Vec<_> = proto
-            .make_shards(&self.bounds, &self.zero_counts)
+        let jobs: Vec<_> = shards
             .into_iter()
             .zip(self.delivery.iter_mut().map(std::mem::take))
             .collect();
@@ -275,7 +246,7 @@ impl<M: Send> FanOut<M> {
             .into_par_iter()
             .map(|(mut shard, mut list)| {
                 // Receiver-major, for the same reason; the sort is stable,
-                // so each receiver still sees its messages in outbox order.
+                // so each receiver still sees its messages in slot order.
                 list.sort_by_key(|&(_, to, ..)| to);
                 for (from, to, tag, msg) in list.drain(..) {
                     shard.deliver(from, to, tag, msg);
@@ -291,60 +262,7 @@ impl<M: Send> FanOut<M> {
                 proto.discard(msg);
             }
         }
-    }
-}
-
-impl<M: Send> SyncRound<M> {
-    /// The shard count this round fans out over, or `None` to run it
-    /// inline: the count a test forced, else the rule in the module
-    /// docs. The byte test comes first: it is the one most rounds
-    /// fail, and it reads nothing but the intents.
-    fn fan_out_shards(&self, msg_bytes: usize) -> Option<usize> {
-        if self.forced_shards.is_some() {
-            return self.forced_shards;
-        }
-        let planned: usize = self
-            .intents
-            .iter()
-            .flatten()
-            .map(|i| usize::from(i.action.sends_forward()) + usize::from(i.action.sends_backward()))
-            .sum();
-        if planned.saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
-            return None;
-        }
-        let threads = rayon::current_num_threads();
-        (threads > 1).then(|| threads * SHARDS_PER_THREAD)
-    }
-
-    /// The body of a [`ShardableProtocol`]'s [`Protocol::compose_round`]:
-    /// composes every planned slot of the round on the rayon pool, through
-    /// `proto`'s shards, if the round is worth fanning out — it moves
-    /// enough bytes at `msg_bytes` per message and the pool has a second
-    /// thread — and otherwise does nothing, leaving the slots to the
-    /// inline merge. The results are bit-identical either way.
-    pub fn fan_out_compose<P: ShardableProtocol<Msg = M>>(
-        &mut self,
-        proto: &mut P,
-        msg_bytes: usize,
-    ) {
-        let Some(shards) = self.fan_out_shards(msg_bytes) else {
-            return;
-        };
-        let n = self.intents.len();
-        self.fan
-            .get_or_insert_with(|| FanOut::new(n, shards))
-            .compose(proto, &self.intents, self.seed, self.round);
-        self.fanned = true;
-    }
-
-    /// The body of a [`ShardableProtocol`]'s [`Protocol::deliver_round`]:
-    /// applies the outbox on the rayon pool if this round's compose fanned
-    /// out, inline otherwise.
-    pub fn fan_out_deliver<P: ShardableProtocol<Msg = M>>(&mut self, proto: &mut P) {
-        match &mut self.fan {
-            Some(fan) if self.fanned => fan.deliver(proto, &mut self.outbox),
-            _ => self.deliver_inline(proto),
-        }
+        true
     }
 }
 
@@ -352,8 +270,9 @@ impl<M: Send> SyncRound<M> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::protocol::Action;
+    use crate::protocol::{Action, ProtocolShard};
     use crate::stats::RunStats;
+    use rand::rngs::StdRng;
     use rand::Rng;
 
     /// The default engine with the fan-out forced over `shards` shards.
@@ -370,8 +289,8 @@ mod tests {
         /// Compose returns None once a node's value exceeds this (so the
         /// empty-send path and residue path both run).
         saturation: u64,
-        /// What the bulk hooks tell the fan-out rule one message weighs;
-        /// 0 keeps the default engine inline.
+        /// What `msg_bytes` tells the sharding rule one message weighs;
+        /// 0 keeps the default engine serial.
         msg_bytes: usize,
     }
 
@@ -418,13 +337,31 @@ mod tests {
             self.values[to] = self.values[to].max(msg).wrapping_add(1);
         }
 
-        fn compose_round(&mut self, round: &mut SyncRound<u64>) {
-            let msg_bytes = self.msg_bytes;
-            round.fan_out_compose(self, msg_bytes);
+        fn msg_bytes(&self) -> usize {
+            self.msg_bytes
         }
 
-        fn deliver_round(&mut self, round: &mut SyncRound<u64>) {
-            round.fan_out_deliver(self);
+        fn shards(
+            &mut self,
+            bounds: &[(usize, usize)],
+            _send_counts: &[usize],
+        ) -> Option<Vec<Box<dyn ProtocolShard<Msg = u64> + '_>>> {
+            let saturation = self.saturation;
+            let mut rest: &mut [u64] = &mut self.values;
+            let mut taken = 0;
+            let mut shards: Vec<Box<dyn ProtocolShard<Msg = u64> + '_>> = Vec::new();
+            for &(start, end) in bounds {
+                assert_eq!(start, taken, "bounds must be contiguous");
+                let (head, tail) = rest.split_at_mut(end - start);
+                shards.push(Box::new(NoisyShard {
+                    values: head,
+                    start,
+                    saturation,
+                }));
+                rest = tail;
+                taken = end;
+            }
+            Some(shards)
         }
 
         fn node_complete(&self, node: NodeId) -> bool {
@@ -460,35 +397,8 @@ mod tests {
             *v = (*v).max(msg).wrapping_add(1);
         }
 
-        fn into_residue(self) -> Vec<u64> {
+        fn into_residue(self: Box<Self>) -> Vec<u64> {
             Vec::new()
-        }
-    }
-
-    impl ShardableProtocol for NoisyExchange {
-        type Shard<'a> = NoisyShard<'a>;
-
-        fn make_shards(
-            &mut self,
-            bounds: &[(usize, usize)],
-            _send_counts: &[usize],
-        ) -> Vec<NoisyShard<'_>> {
-            let saturation = self.saturation;
-            let mut rest: &mut [u64] = &mut self.values;
-            let mut taken = 0;
-            let mut shards = Vec::with_capacity(bounds.len());
-            for &(start, end) in bounds {
-                assert_eq!(start, taken, "bounds must be contiguous");
-                let (head, tail) = rest.split_at_mut(end - start);
-                shards.push(NoisyShard {
-                    values: head,
-                    start,
-                    saturation,
-                });
-                rest = tail;
-                taken = end;
-            }
-            shards
         }
     }
 
@@ -496,7 +406,7 @@ mod tests {
     fn noisy_protocol_matches_serial_engine_exactly() {
         // Random partners (main RNG) + random payload contents (per-slot
         // RNGs) + exchange dedup + loss: the full merge surface. The
-        // inline round and every forced shard count (0 clamps to 1, 64 to
+        // serial round and every forced shard count (0 clamps to 1, 64 to
         // n) agree on stats and state.
         let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
@@ -518,7 +428,7 @@ mod tests {
             .with_max_rounds(400)
     }
 
-    /// One default-engine run of the hook-overriding protocol inside a
+    /// One default-engine run of the shard-offering protocol inside a
     /// local pool: how many times it allocated the fan-out's scratch, and
     /// what it computed.
     fn engine_run(threads: usize, msg_bytes: usize) -> (usize, RunStats, Vec<u64>) {
@@ -541,14 +451,14 @@ mod tests {
         // 23 nodes, all EXCHANGE: 46 planned slots every round.
         let at_rule = FAN_OUT_MIN_ROUND_BYTES.div_ceil(46);
         let (allocated, want_stats, want_values) = engine_run(1, at_rule);
-        assert_eq!(allocated, 0, "one thread: inline whatever the round moves");
+        assert_eq!(allocated, 0, "one thread: serial whatever the round moves");
         assert!(want_stats.completed && want_stats.rounds > 1);
         for (threads, msg_bytes, want_allocated) in [
             // Below the rule the fan-out's scratch is never touched…
             (2, 0, 0),
             (2, at_rule - 1, 0),
             (4, at_rule - 1, 0),
-            // …at it, the first fanned-out round allocates it, once per run.
+            // …at it, the first sharded round allocates it, once per run.
             (2, at_rule, 1),
             (4, at_rule, 1),
         ] {
@@ -584,8 +494,8 @@ mod tests {
 
     #[test]
     fn empty_sends_are_counted_once_per_silent_direction() {
-        // Saturated nodes stop composing; a fanned-out round must count
-        // those the way the inline merge would.
+        // Saturated nodes stop composing; a sharded round must count
+        // those the way the serial merge would.
         let run = |shards: usize| {
             let cfg = EngineConfig::synchronous(3).with_max_rounds(50);
             let mut proto = NoisyExchange::new(9);

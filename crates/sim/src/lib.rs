@@ -23,22 +23,20 @@
 //! paper's lossless model), and returns [`RunStats`] with split drop
 //! accounting (`dedup_dropped` vs `lost`).
 //!
-//! The synchronous round is written once (in the `engine` module). Its
-//! two data-parallel phases, composing the slots and applying the
-//! surviving messages, are reached through the bulk hooks
-//! [`Protocol::compose_round`] and [`Protocol::deliver_round`]. By default
-//! they run inline, slot by slot, in a loop built for large-n sweeps —
+//! The synchronous round is written once (in the `engine` module), over
+//! one slot-indexed message table, in a loop built for large-n sweeps —
 //! persistent per-round scratch, hash-free same-sender dedup, an
 //! incomplete-node completion sweep, and the observer-free
-//! [`Engine::run_batch`] hot path. A [`ShardableProtocol`] overrides them
-//! to hand the round to the fan-out (the `fan_out` module), and [`Engine`]
-//! then runs both phases on the rayon pool on every round big enough to
-//! pay for it. [`Engine`] is the only engine: tests that need a fixed
-//! shard count force one through a hidden builder on it. Wakeups and
-//! loss draw from the engine's main RNG; every composed message draws
-//! from an RNG private to `(seed, round, slot)`.
-//! Inline and fanned-out rounds are therefore bit-identical, at every
-//! shard count and thread count, and both are differentially tested
+//! [`Engine::run_batch`] hot path. The engine composes the slots and
+//! delivers the survivors itself: serially through [`Protocol::compose`]
+//! and [`Protocol::deliver`], or, for a protocol that splits into
+//! [`ProtocolShard`]s through [`Protocol::shards`], on the rayon pool on
+//! every round big enough to pay for it (the `fan_out` module).
+//! [`Engine`] is the only engine: tests that need a fixed shard count
+//! force one through a hidden builder on it. Wakeups and loss draw from
+//! the engine's main RNG; every composed message draws from an RNG
+//! private to `(seed, round, slot)`. A round is therefore bit-identical
+//! at every shard count and thread count, and is differentially tested
 //! against a structurally different oracle loop that lives in
 //! `tests/oracle`.
 //!
@@ -74,7 +72,6 @@ mod protocol;
 mod stats;
 
 pub use comm::{CommModel, PartnerSelector};
-pub use engine::{Engine, EngineConfig, SyncRound, TimeModel};
-pub use fan_out::{ProtocolShard, ShardableProtocol};
-pub use protocol::{Action, ContactIntent, Protocol};
+pub use engine::{Engine, EngineConfig, TimeModel};
+pub use protocol::{Action, ContactIntent, Protocol, ProtocolShard};
 pub use stats::{RunStats, TrajectoryHash};

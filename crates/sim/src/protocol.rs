@@ -1,9 +1,9 @@
-//! The [`Protocol`] trait: what a gossip protocol must provide.
+//! The [`Protocol`] trait: what a gossip protocol must provide, and the
+//! [`ProtocolShard`]s it may split into so the engine can run a
+//! synchronous round's compose and deliver phases on the rayon pool.
 
 use ag_graph::NodeId;
 use rand::rngs::StdRng;
-
-use crate::engine::SyncRound;
 
 /// The direction(s) of a gossip contact, from the initiator's viewpoint.
 ///
@@ -73,8 +73,9 @@ impl ContactIntent {
 /// in a round is available only from the next round, exactly as the paper
 /// assumes.
 pub trait Protocol {
-    /// Message type carried between nodes.
-    type Msg;
+    /// Message type carried between nodes. `Send`, because a sharded
+    /// round moves messages between the rayon workers.
+    type Msg: Send;
 
     /// Number of nodes.
     fn num_nodes(&self) -> usize;
@@ -127,34 +128,31 @@ pub trait Protocol {
         drop(msg);
     }
 
-    /// Bulk hook for the compose phase of a synchronous round: the engine
-    /// calls it once per round, after every wakeup and before the merge.
-    /// The default does nothing, which leaves every slot to be composed
-    /// inline through [`Protocol::compose`] at the moment the merge
-    /// reaches it. A [`crate::ShardableProtocol`] overrides it with one
-    /// line, `round.fan_out_compose(self, bytes_per_message)`, to let the
-    /// engine compose the round on the rayon pool when the round is big
-    /// enough to pay for it ([`SyncRound::fan_out_compose`] decides; the
-    /// results are bit-identical either way).
-    ///
-    /// Wrapper protocols need not forward this hook or
-    /// [`Protocol::deliver_round`]: a wrapper that keeps the defaults
-    /// stays correct and runs inline, through its own `compose` and
-    /// `deliver`, with the same results. It must not forward them to an
-    /// inner protocol unless its `compose`/`deliver` add nothing to the
-    /// inner ones, since the inner fan-out would bypass them.
-    fn compose_round(&mut self, round: &mut SyncRound<Self::Msg>) {
-        let _ = round;
+    /// Bytes one message moves, which the engine's sharding rule reads: a
+    /// synchronous round is split over shards only if its planned slots
+    /// times this reach 2 MiB. The default, 0, keeps every round serial.
+    fn msg_bytes(&self) -> usize {
+        0
     }
 
-    /// Bulk hook for the delivery phase of a synchronous round: applies
-    /// the round's surviving messages, each receiver seeing its messages
-    /// in outbox (ascending-slot) order. The default delivers them one by
-    /// one through [`Protocol::deliver`]; a [`crate::ShardableProtocol`]
-    /// that overrides [`Protocol::compose_round`] overrides this with
-    /// `round.fan_out_deliver(self)`.
-    fn deliver_round(&mut self, round: &mut SyncRound<Self::Msg>) {
-        round.deliver_inline(self);
+    /// Splits the protocol into shards over the contiguous node ranges
+    /// `bounds[s] = (start, end)`, which cover `0..n` in order, so the
+    /// engine can run a synchronous round's compose and deliver phases on
+    /// the rayon pool. `send_counts[s]` is how many messages shard `s`
+    /// will be asked to compose (all 0 for the delivery phase); pooled
+    /// protocols pre-draw that many buffers into the shard.
+    ///
+    /// The default, `None`, has the engine compose and deliver serially
+    /// through [`Protocol::compose`] and [`Protocol::deliver`], with the
+    /// same results. A wrapper whose `compose` or `deliver` adds to its
+    /// inner protocol's must keep the default: forwarding would bypass it.
+    fn shards(
+        &mut self,
+        bounds: &[(usize, usize)],
+        send_counts: &[usize],
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = Self::Msg> + '_>>> {
+        let _ = (bounds, send_counts);
+        None
     }
 
     /// Has this node individually completed its task? Used for per-node
@@ -165,6 +163,38 @@ pub trait Protocol {
     fn is_complete(&self) -> bool {
         (0..self.num_nodes()).all(|v| self.node_complete(v))
     }
+}
+
+/// One shard of a [`Protocol`] (see [`Protocol::shards`]): exclusive
+/// ownership of a contiguous node range, movable to a worker thread.
+///
+/// All node ids passed to shard methods are **global**; the engine
+/// guarantees `from` lies in this shard's range for [`ProtocolShard::compose`]
+/// and `to` lies in it for [`ProtocolShard::deliver`]. A shard must compose
+/// and deliver exactly what its protocol would.
+pub trait ProtocolShard: Send {
+    /// Message type, matching the parent protocol's.
+    type Msg: Send;
+
+    /// Composes the message `from → to` from pre-round data state.
+    /// `rng` is the slot's private RNG — fresh per `(seed, round, slot)`.
+    fn compose(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        tag: u32,
+        rng: &mut StdRng,
+    ) -> Option<Self::Msg>;
+
+    /// Delivers a message into `to`'s data state. Spent message buffers
+    /// that should return to a pool go into the shard's residue.
+    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg);
+
+    /// Tears the shard down, returning every message buffer it still
+    /// holds (unconsumed emit stash, spent delivery buffers). The engine
+    /// hands each one back through [`Protocol::discard`] on the main
+    /// thread, where pooled protocols recycle it.
+    fn into_residue(self: Box<Self>) -> Vec<Self::Msg>;
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! Differential lock for the fan-out: a synchronous round forced over S
-//! shards must produce results bit-identical to the inline round, at
+//! shards must produce results bit-identical to the serial round, at
 //! every S.
 //!
 //! The reference lane is the default [`Engine`], which at these sizes
-//! keeps every round inline and composes through
+//! keeps every round serial and composes through
 //! `AlgebraicGossip::compose`; the forced lanes (`with_forced_shards`, the
-//! hidden test seam) go through `AgShard::compose`, so the comparison also
-//! locks the shard type to the protocol it splits. Each lane runs the real
+//! hidden test seam) with S > 1 go through the protocol's shards, so the
+//! comparison also locks the shard type to the protocol it splits. Each
+//! lane runs the real
 //! pooled algebraic-gossip protocol (the dev-only dependency cycle that
 //! also powers `proptest_engine_invariants`) over random connected
 //! graphs, both communication models, GF(256) and GF(2) (at q = 2 about
@@ -21,16 +22,18 @@
 //!   by the end of the round,
 //! * identical decoded messages on completed runs.
 //!
-//! A protocol that keeps `Protocol`'s default bulk hooks never reaches the
-//! fan-out, so the seam must be inert on it: the crash wrapper lane pins
-//! that.
+//! A protocol that offers no shards (`Protocol::shards` is `None`) runs
+//! serially whatever the seam or the sharding rule asks for, so both must
+//! be inert on it: the crash wrapper lane pins that for a protocol that
+//! keeps the defaults, and the unsharded lane for one that reports
+//! messages big enough for the rule.
 //!
 //! CI runs this suite with `PROPTEST_CASES=256` under
 //! `RAYON_NUM_THREADS ∈ {1, 4}`; the case count honors that env var.
 
 use ag_gf::{Gf2, Gf256, SlabField};
-use ag_graph::builders;
-use ag_sim::{CommModel, Engine, EngineConfig, Protocol, RunStats, TrajectoryHash};
+use ag_graph::{builders, NodeId};
+use ag_sim::{CommModel, ContactIntent, Engine, EngineConfig, Protocol, RunStats, TrajectoryHash};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,7 +79,7 @@ fn engine(cfg: EngineConfig, shards: Option<usize>) -> Engine {
 type Lane = (RunStats, u64, Vec<(u64, u64)>);
 
 /// Runs `proto` to completion, forced over `shards` shards (`Some(s)`) or
-/// left to the engine's own rule (`None`: inline at these sizes), tracing
+/// left to the engine's own rule (`None`: serial at these sizes), tracing
 /// (round, total rank) and asserting pool balance at every round boundary
 /// and at the end. `ag` finds the algebraic-gossip protocol inside `proto`.
 fn traced_run<F: SlabField, P: Protocol>(
@@ -107,8 +110,8 @@ fn traced_run<F: SlabField, P: Protocol>(
     (stats, hash.finish(), trace)
 }
 
-/// One full run of bare algebraic gossip, which overrides the bulk hooks;
-/// also checks the decoded messages.
+/// One full run of bare algebraic gossip, which offers shards; also
+/// checks the decoded messages.
 fn run_lane<F: SlabField + Send>(
     n: usize,
     ag_cfg: &AgConfig,
@@ -130,9 +133,9 @@ fn run_lane<F: SlabField + Send>(
     lane
 }
 
-/// The same run under the crash wrapper, which keeps the default bulk
-/// hooks: a deterministic fraction crashes at staggered wakeups, and the
-/// survivors must still account for every pooled buffer.
+/// The same run under the crash wrapper, which offers no shards: a
+/// deterministic fraction crashes at staggered wakeups, and the survivors
+/// must still account for every pooled buffer.
 fn run_crash_lane(
     n: usize,
     ag_cfg: &AgConfig,
@@ -145,10 +148,74 @@ fn run_crash_lane(
     traced_run(&mut proto, cfg, shards, WithCrashes::inner)
 }
 
+/// A wrapper that forwards everything but [`Protocol::shards`] and weighs
+/// every message at 2 MiB: the sharding rule asks for shards on every
+/// round, and the protocol has none to give.
+struct Unsharded<P>(P);
+
+impl<P> Unsharded<P> {
+    fn inner(&self) -> &P {
+        &self.0
+    }
+}
+
+impl<P: Protocol> Protocol for Unsharded<P> {
+    type Msg = P::Msg;
+
+    fn num_nodes(&self) -> usize {
+        self.0.num_nodes()
+    }
+
+    fn on_round_start(&mut self, round: u64) {
+        self.0.on_round_start(round);
+    }
+
+    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
+        self.0.on_wakeup(node, rng)
+    }
+
+    fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<P::Msg> {
+        self.0.compose(from, to, tag, rng)
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: P::Msg) {
+        self.0.deliver(from, to, tag, msg);
+    }
+
+    fn discard(&mut self, msg: P::Msg) {
+        self.0.discard(msg);
+    }
+
+    fn msg_bytes(&self) -> usize {
+        2 << 20
+    }
+
+    fn node_complete(&self, node: NodeId) -> bool {
+        self.0.node_complete(node)
+    }
+}
+
+/// Bare algebraic gossip behind [`Unsharded`], inside a two-thread pool so
+/// the rule would shard too: it must run serially.
+fn run_unsharded_lane(
+    n: usize,
+    ag_cfg: &AgConfig,
+    cfg: EngineConfig,
+    proto_seed: u64,
+    shards: Option<usize>,
+) -> Lane {
+    let mut proto = Unsharded(protocol::<Gf256>(n, ag_cfg, proto_seed));
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .expect("local pool")
+        .install(|| traced_run(&mut proto, cfg, shards, Unsharded::inner))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// The tentpole lock: every shard count reproduces the inline round
+    /// The tentpole lock: every shard count reproduces the serial round
     /// bit-for-bit — stats, trace, hash — over random graphs × both comm
     /// models × both fields × loss.
     #[test]
@@ -179,10 +246,10 @@ proptest! {
         }
     }
 
-    /// The seam is inert on a protocol with default hooks: a crash-wrapped
+    /// The seam is inert on a protocol without shards: a crash-wrapped
     /// run is the same run, pool balance included, with and without it.
     #[test]
-    fn forced_shards_are_inert_under_default_hooks(
+    fn forced_shards_are_inert_without_shards(
         seed in any::<u64>(),
         n in 6usize..20,
         k in 2usize..6,
@@ -196,5 +263,27 @@ proptest! {
         let ag = ag_cfg(k, CommModel::Uniform);
         let lane = |shards| run_crash_lane(n, &ag, cfg, seed ^ 0xC4, shards);
         prop_assert_eq!(lane(Some(shards)), lane(None));
+    }
+
+    /// The serial fallback: a protocol whose messages clear the sharding
+    /// rule but which offers no shards, forced over S shards or left to
+    /// the rule on two threads, is the plain serial run bit for bit.
+    #[test]
+    fn a_protocol_without_shards_falls_back_to_the_serial_round(
+        seed in any::<u64>(),
+        n in 6usize..20,
+        k in 2usize..6,
+        shards in 2usize..8,
+        lossy in any::<bool>(),
+    ) {
+        let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
+        if lossy {
+            cfg = cfg.with_loss(0.2);
+        }
+        let ag = ag_cfg(k, CommModel::Uniform);
+        let want = run_lane::<Gf256>(n, &ag, cfg, seed ^ 0x5E, None);
+        for lane in [Some(shards), None] {
+            prop_assert_eq!(&run_unsharded_lane(n, &ag, cfg, seed ^ 0x5E, lane), &want);
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! The oracle round loop for `differential_engine`: test-only, and
 //! deliberately *not* the engine's structure.
 //!
-//! [`ReferenceEngine`] allocates a fresh intent `Vec`, outbox `Vec` and
-//! dedup `HashSet` every synchronous round, composes every slot before it
-//! looks at any of them, resolves same-sender dedup by hashing `(from, to)`
-//! at delivery time, and sweeps all `n` completion flags each round. It
+//! [`ReferenceEngine`] allocates a fresh intent `Vec`, message queue and
+//! dedup `HashSet` every synchronous round, queues only composed messages
+//! (no slot table), resolves same-sender dedup by hashing `(from, to)` at
+//! delivery time, delivers each survivor as soon as its loss draw passes,
+//! and sweeps all `n` completion flags each round. It
 //! shares only the *contract* with [`ag_sim::Engine`]: wakeups and loss on
 //! the main RNG, every composed message on an RNG private to
 //! `(seed, round, slot)`, the `dedup_dropped`/`lost` counter split, the
@@ -138,20 +139,20 @@ impl ReferenceEngine {
                 round_key ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA),
             ))
         };
-        let mut outbox: Vec<(NodeId, NodeId, u32, P::Msg)> = Vec::new();
+        let mut queue: Vec<(NodeId, NodeId, u32, P::Msg)> = Vec::new();
         for (v, intent) in intents.iter().enumerate() {
             let Some(intent) = intent else { continue };
             let u = intent.partner;
             debug_assert_ne!(u, v, "self-contact");
             if intent.action.sends_forward() {
                 match proto.compose(v, u, intent.tag, &mut keyed(2 * v)) {
-                    Some(m) => outbox.push((v, u, intent.tag, m)),
+                    Some(m) => queue.push((v, u, intent.tag, m)),
                     None => stats.empty_sends += 1,
                 }
             }
             if intent.action.sends_backward() {
                 match proto.compose(u, v, intent.tag, &mut keyed(2 * v + 1)) {
-                    Some(m) => outbox.push((u, v, intent.tag, m)),
+                    Some(m) => queue.push((u, v, intent.tag, m)),
                     None => stats.empty_sends += 1,
                 }
             }
@@ -161,7 +162,7 @@ impl ReferenceEngine {
         #[allow(clippy::disallowed_types)]
         let mut seen: std::collections::HashSet<(NodeId, NodeId)> =
             std::collections::HashSet::new();
-        for (from, to, tag, msg) in outbox {
+        for (from, to, tag, msg) in queue {
             if self.config.dedup_same_sender && !seen.insert((from, to)) {
                 stats.dedup_dropped += 1;
                 // Not an optimization — the same discard hook the fast
