@@ -34,7 +34,8 @@ pub enum CommModel {
 /// `static_round_robin_sequences_are_unchanged` below.
 ///
 /// For [`CommModel::Uniform`] each call samples fresh from the current
-/// neighbor view.
+/// neighbor view; the selector keeps no per-node state and draws nothing
+/// when it is built.
 ///
 /// # Examples
 ///
@@ -54,26 +55,26 @@ pub enum CommModel {
 #[derive(Debug, Clone)]
 pub struct PartnerSelector {
     model: CommModel,
-    /// Absolute round-robin contact counter per node (unused for
+    /// Absolute round-robin contact counter per node (empty for
     /// Uniform); reduced modulo the current degree at each pick.
     cursor: Vec<u64>,
 }
 
 impl PartnerSelector {
     /// Creates a selector; round-robin counters start at random offsets
-    /// within the node's initial degree.
+    /// within the node's initial degree. A uniform selector leaves `rng`
+    /// untouched.
     #[must_use]
     pub fn new<T: Topology + ?Sized>(topology: &T, model: CommModel, rng: &mut StdRng) -> Self {
-        let cursor = (0..topology.n())
-            .map(|v| {
-                let d = topology.degree(v);
-                if d == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..d) as u64
-                }
-            })
-            .collect();
+        let cursor = match model {
+            CommModel::Uniform => Vec::new(),
+            CommModel::RoundRobin => (0..topology.n())
+                .map(|v| match topology.degree(v) {
+                    0 => 0,
+                    d => rng.gen_range(0..d) as u64,
+                })
+                .collect(),
+        };
         PartnerSelector { model, cursor }
     }
 
@@ -233,6 +234,17 @@ mod tests {
         }
         assert_eq!(seen.len(), 7);
         assert!(!seen.contains(&3), "never selects itself");
+    }
+
+    #[test]
+    fn uniform_selector_leaves_the_rng_where_it_found_it() {
+        let g = builders::grid(4, 4).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut untouched = StdRng::seed_from_u64(6);
+        let sel = PartnerSelector::new(&g, CommModel::Uniform, &mut rng);
+        assert!(sel.cursor.is_empty(), "no per-node state");
+        let next: [u64; 4] = std::array::from_fn(|_| rng.gen());
+        assert_eq!(next, std::array::from_fn(|_| untouched.gen()));
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //! from start-of-round state, delivery happens at the round boundary) is
 //! written once, in `Engine::sync_round`, over one slot table: slot `2v`
 //! holds node `v`'s forward message and slot `2v + 1` its backward one.
-//! A round fills every planned slot, merges the table in ascending slot
-//! order (empty sends, same-sender dedup and loss are settled in place),
-//! and delivers what survived in slot order. Compose and delivery run
+//! A round fills every planned slot, then walks the table once in
+//! ascending slot order: each message meets its fate in `Engine::admit`
+//! (empty send, same-sender dedup drop, loss, or delivery), and each
+//! survivor goes straight to its receiver. Compose and delivery run
 //! serially through [`Protocol::compose`] and [`Protocol::deliver`], or,
 //! when the protocol offers [`Protocol::shards`] and the round is big
-//! enough to pay for it, on the rayon pool (the `fan_out` module). The
-//! round-start hook, the wakeups, the merge, the [`RunStats`] accounting
-//! and the completion sweep are serial at every shard count.
+//! enough to pay for it, on the rayon pool (the `fan_out` module; the
+//! walk then queues each survivor on its receiver's shard). The
+//! round-start hook, the wakeups, the merge walk, the [`RunStats`]
+//! accounting and the completion sweep are serial at every shard count.
+//! An asynchronous timeslot settles its two messages through the same
+//! `admit`.
 //!
 //! Wakeups and loss draws come from the engine's main RNG, in node order
 //! and in slot order. Every composition *slot* draws from its own
@@ -220,27 +224,21 @@ struct SyncRound<M> {
     /// The round's messages, indexed by slot ([`slot_plan`]); all `None`
     /// between rounds.
     table: Vec<Option<M>>,
-    /// `fwd_live[v]`: v's forward message took its `(from, to)` pair.
-    fwd_live: Vec<bool>,
-    /// `bwd_live[w]`: w's backward message took its `(from, to)` pair.
-    bwd_live: Vec<bool>,
+    /// `live[d][v]`: v's message in direction `d` (0 forward, 1
+    /// backward) took its `(from, to)` pair.
+    live: [Vec<bool>; 2],
     /// The fan-out's partition and scratch; `None` until a round is
     /// sharded.
     fan: Option<FanOut<M>>,
-    /// The shard count [`Engine::with_forced_shards`] forces on every
-    /// round; `None` lets the fan-out's rule decide, round by round.
-    forced_shards: Option<usize>,
 }
 
 impl<M> SyncRound<M> {
-    fn new(n: usize, forced_shards: Option<usize>) -> Self {
+    fn new(n: usize) -> Self {
         SyncRound {
             intents: Vec::with_capacity(n),
             table: std::iter::repeat_with(|| None).take(2 * n).collect(),
-            fwd_live: vec![false; n],
-            bwd_live: vec![false; n],
+            live: [vec![false; n], vec![false; n]],
             fan: None,
-            forced_shards,
         }
     }
 }
@@ -380,7 +378,7 @@ impl Engine {
                 // The incomplete set as an explicit list: the per-round
                 // completion sweep touches only these nodes, not all n.
                 let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
-                let mut scratch = SyncRound::new(n, self.forced_shards);
+                let mut scratch = SyncRound::new(n);
                 while stats.rounds < self.config.max_rounds {
                     self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
                     if O::ENABLED {
@@ -422,11 +420,15 @@ impl Engine {
     }
 
     /// One synchronous round: wakeups → every planned slot composed from
-    /// pre-round state → merge (dedup, loss) in ascending slot order →
-    /// deliver → completion sweep. Shards decide only *where* slots are
-    /// composed and messages applied: slot `s` of round `r` is composed
-    /// from pre-round state with `slot_rng(seed, r, s)` and nothing else,
-    /// and every receiver takes its messages in slot order.
+    /// pre-round state → one merge walk in ascending slot order, which
+    /// settles each message through [`Engine::admit`] and hands each
+    /// survivor to its receiver → completion sweep. Shards decide only
+    /// *where* slots are composed and messages applied: slot `s` of round
+    /// `r` is composed from pre-round state with `slot_rng(seed, r, s)`
+    /// and nothing else, and every receiver takes its messages in slot
+    /// order. Delivering inside the merge changes nothing the merge reads:
+    /// it reads the intents and its own `live` flags, never protocol
+    /// state.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
     /// `(from, to)` can occur at most twice — once as the *forward*
@@ -436,10 +438,8 @@ impl Engine {
     /// per pair" reduces to two O(1) lookups against the intent table. A
     /// duplicate's slot is still taken: whether it counts as
     /// `dedup_dropped` or as `empty_sends` depends on what it composed.
-    ///
     /// Loss is drawn on the main RNG as each dedup survivor is merged, so
-    /// the draws follow slot order and the table keeps only messages that
-    /// will be delivered.
+    /// the draws follow slot order.
     // ag-lint: hot-path
     fn sync_round<P: Protocol>(
         &mut self,
@@ -454,10 +454,8 @@ impl Engine {
         let SyncRound {
             intents,
             table,
-            fwd_live,
-            bwd_live,
+            live,
             fan,
-            forced_shards,
         } = scratch;
         // 0. Round-start hook (epoch advance for dynamic topologies).
         proto.on_round_start(round);
@@ -468,7 +466,7 @@ impl Engine {
         // 2. Compose every planned slot from round-start state: through
         //    the protocol's shards if the round is worth them and it offers
         //    them, serially otherwise.
-        let shards = shard_count(intents, proto.msg_bytes(), *forced_shards);
+        let shards = shard_count(intents, proto.msg_bytes(), self.forced_shards);
         let mut sharded = None;
         if shards > 1 {
             let fan = fan.get_or_insert_with(|| FanOut::new(n, shards));
@@ -481,39 +479,40 @@ impl Engine {
                 table[slot] = proto.compose(from, to, tag, &mut slot_rng(seed, round, slot));
             }
         }
-        // 3. Merge the slots in ascending order.
+        // 3. Merge the slots in ascending order; each survivor goes
+        //    straight to its receiver, or onto its receiver's shard.
         let dedup = self.config.dedup_same_sender;
-        fwd_live.fill(false);
-        bwd_live.fill(false);
+        live.iter_mut().for_each(|l| l.fill(false));
         for v in 0..n {
             let Some(intent) = intents[v] else { continue };
             let u = intent.partner;
-            // One of v's two pairs can already be taken only by an earlier
-            // node that contacted v back; asked only of composed messages.
-            let taken_by = |live: &[bool]| {
-                dedup && u < v && live[u] && matches!(intents[u], Some(i) if i.partner == v)
-            };
-            let [forward, backward] = slot_plan(v, intent);
-            if let Some((slot, ..)) = forward {
-                // (v → u) is taken iff u's intent emitted it backward.
-                fwd_live[v] = self.admit(proto, stats, &mut table[slot], || taken_by(bwd_live));
-            }
-            if let Some((slot, ..)) = backward {
-                // (u → v) is taken iff u's intent emitted it forward.
-                bwd_live[v] = self.admit(proto, stats, &mut table[slot], || taken_by(fwd_live));
-            }
-        }
-        // 4. Delivery, every receiver's messages in slot order.
-        if !sharded.is_some_and(|fan| fan.deliver(proto, intents, table)) {
-            for (slot, from, to, tag) in planned(intents) {
-                if let Some(msg) = table[slot].take() {
-                    proto.deliver(from, to, tag, msg);
+            for (slot, from, to, tag) in slot_plan(v, intent).into_iter().flatten() {
+                let d = slot % 2; // 0 forward, 1 backward
+                let msg = table[slot].take();
+                // The pair can already be taken only by an earlier node u
+                // that contacted v back: (v → u) by u's backward message,
+                // (u → v) by its forward one. Asked of composed messages.
+                let dup = dedup
+                    && msg.is_some()
+                    && u < v
+                    && live[1 - d][u]
+                    && matches!(intents[u], Some(i) if i.partner == v);
+                live[d][v] = msg.is_some() && !dup;
+                if let Some(msg) = self.admit(proto, stats, msg, dup) {
+                    match sharded.as_mut() {
+                        Some(fan) => fan.queue(from, to, tag, msg),
+                        None => proto.deliver(from, to, tag, msg),
+                    }
                 }
             }
         }
+        // 4. A sharded round applies its queued survivors shard by shard.
+        if let Some(fan) = sharded {
+            fan.deliver(proto);
+        }
         stats.rounds += 1;
         stats.timeslots += n as u64;
-        // 4. Completion sweep over the still-incomplete nodes only (all of
+        // 5. Completion sweep over the still-incomplete nodes only (all of
         //    them are dirty: every node woke, and any may have received).
         pending.retain(|&v| {
             if proto.node_complete(v) {
@@ -525,43 +524,41 @@ impl Engine {
         });
     }
 
-    /// Merge-time accounting for one planned slot: nothing composed is an
-    /// empty send, a same-sender duplicate is a dedup drop, a survivor
-    /// that fails the loss draw is lost, and everything else stays in the
-    /// slot to be delivered. Dropped messages leave the slot through
-    /// [`Protocol::discard`]. Returns whether the message took its
-    /// `(from, to)` pair for the round, i.e. survived dedup, lost or not.
+    /// The fate of one composed message, under both time models: nothing
+    /// composed is an empty send, a same-sender duplicate (`dup`) is a
+    /// dedup drop, a message that fails the loss draw is lost, and
+    /// anything else is delivered. Drops go back through
+    /// [`Protocol::discard`]; the survivor is returned for its receiver.
     // ag-lint: hot-path
     #[inline]
     fn admit<P: Protocol>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
-        slot: &mut Option<P::Msg>,
-        dup: impl FnOnce() -> bool,
-    ) -> bool {
-        let Some(msg) = slot.take() else {
+        msg: Option<P::Msg>,
+        dup: bool,
+    ) -> Option<P::Msg> {
+        let Some(msg) = msg else {
             stats.empty_sends += 1;
-            return false;
+            return None;
         };
-        if dup() {
+        if dup {
             stats.dedup_dropped += 1;
             proto.discard(msg);
-            return false;
+            return None;
         }
         if self.config.loss_prob > 0.0 && self.rng.gen_bool(self.config.loss_prob) {
             stats.lost += 1;
             proto.discard(msg);
-        } else {
-            stats.messages_delivered += 1;
-            *slot = Some(msg);
+            return None;
         }
-        true
+        stats.messages_delivered += 1;
+        Some(msg)
     }
 
     /// One asynchronous timeslot: a uniformly random node wakes; both
-    /// directions of its contact are composed from pre-contact state and
-    /// then delivered.
+    /// directions of its contact are composed from pre-contact state on
+    /// the main RNG, then settled through [`Engine::admit`] and delivered.
     // ag-lint: hot-path
     fn async_slot<P: Protocol>(
         &mut self,
@@ -572,58 +569,32 @@ impl Engine {
         n: usize,
     ) {
         stats.timeslots += 1;
-        let round_now = stats.timeslots.div_ceil(n as u64);
-        let refresh = |proto: &P,
-                       node: NodeId,
-                       complete: &mut [bool],
-                       incomplete: &mut usize,
-                       stats: &mut RunStats| {
+        let v = self.rng.gen_range(0..n);
+        let intent = proto.on_wakeup(v, &mut self.rng);
+        if let Some(intent) = intent {
+            // Compose both directions before either delivery: a node cannot
+            // receive two messages from the same node in one timeslot, and
+            // the reply must not depend on the just-received message.
+            let composed = slot_plan(v, intent).map(|plan| {
+                plan.map(|(_, from, to, tag)| {
+                    (from, to, tag, proto.compose(from, to, tag, &mut self.rng))
+                })
+            });
+            for (from, to, tag, msg) in composed.into_iter().flatten() {
+                if let Some(msg) = self.admit(proto, stats, msg, false) {
+                    proto.deliver(from, to, tag, msg);
+                }
+            }
+        }
+        // Either participant may have completed: on receipt, or on its own
+        // wakeup (oracle protocols).
+        for node in [Some(v), intent.map(|i| i.partner)].into_iter().flatten() {
             if !complete[node] && proto.node_complete(node) {
                 complete[node] = true;
-                stats.node_completion_rounds[node] = Some(round_now);
+                stats.node_completion_rounds[node] = Some(stats.timeslots.div_ceil(n as u64));
                 *incomplete -= 1;
             }
-        };
-        let v = self.rng.gen_range(0..n);
-        let Some(intent) = proto.on_wakeup(v, &mut self.rng) else {
-            // The wakeup itself may complete the node (oracle protocols).
-            refresh(proto, v, complete, incomplete, stats);
-            return;
-        };
-        let u = intent.partner;
-        debug_assert_ne!(u, v, "self-contact");
-        // Compose both directions before either delivery: a node cannot
-        // receive two messages from the same node in one timeslot, and the
-        // reply must not depend on the just-received message.
-        let forward = if intent.action.sends_forward() {
-            proto.compose(v, u, intent.tag, &mut self.rng)
-        } else {
-            None
-        };
-        let backward = if intent.action.sends_backward() {
-            proto.compose(u, v, intent.tag, &mut self.rng)
-        } else {
-            None
-        };
-        if intent.action.sends_forward() && forward.is_none() {
-            stats.empty_sends += 1;
         }
-        if intent.action.sends_backward() && backward.is_none() {
-            stats.empty_sends += 1;
-        }
-        for (from, to, msg) in [(v, u, forward), (u, v, backward)] {
-            let Some(msg) = msg else { continue };
-            if self.config.loss_prob > 0.0 && self.rng.gen_bool(self.config.loss_prob) {
-                stats.lost += 1;
-                proto.discard(msg);
-                continue;
-            }
-            proto.deliver(from, to, intent.tag, msg);
-            stats.messages_delivered += 1;
-        }
-        // Either participant may have completed (receipt or own wakeup).
-        refresh(proto, v, complete, incomplete, stats);
-        refresh(proto, u, complete, incomplete, stats);
     }
 }
 

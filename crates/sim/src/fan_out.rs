@@ -1,5 +1,5 @@
 //! The sharded phases of the synchronous round: compose and deliver on
-//! the rayon pool, through the engine's one slot table.
+//! the rayon pool, around the engine's one merge walk.
 //!
 //! # When a round is sharded
 //!
@@ -8,8 +8,9 @@
 //! [`crate::Engine`] then decides round by round: a round is sharded when
 //! it moves at least `FAN_OUT_MIN_ROUND_BYTES` (planned slots × bytes per
 //! message) and the rayon pool has more than one thread, over
-//! `SHARDS_PER_THREAD` shards per thread. Any other round, and every
-//! round of a protocol whose `shards` is `None`, is composed and delivered
+//! `SHARDS_PER_THREAD` shards per thread. Any other round, every round of
+//! a protocol whose `shards` is `None`, and every round whose shard list
+//! does not match the ranges one to one, is composed and delivered
 //! serially; the fan-out's scratch is allocated by the first sharded round
 //! only. Tests force the shard count instead, on every round, through the
 //! hidden `Engine::with_forced_shards` seam.
@@ -17,17 +18,19 @@
 //! # Determinism contract
 //!
 //! A sharded round is the same round as a serial one: the round body in
-//! the `engine` module, which merges the slot table serially on the main
-//! engine RNG. Only *where* the two data-parallel phases run changes: the
-//! node set is partitioned into contiguous shards, message *composition*
-//! is grouped by sender shard and message *delivery* by receiver shard,
-//! and both fan out over rayon workers.
+//! the `engine` module, whose one merge walk settles every slot serially
+//! on the main engine RNG. Only *where* the two data-parallel phases run
+//! changes: the node set is partitioned into contiguous shards, message
+//! *composition* is grouped by sender shard, the merge queues each
+//! survivor on its receiver's shard ([`FanOut::queue`]) instead of
+//! delivering it, and both phases fan out over rayon workers.
 //!
 //! Every composition slot draws from its own RNG, a pure function of
 //! `(seed, round, slot)`, so a message's randomness does not depend on
 //! which worker composed it, when, or on how many workers exist. The merge
-//! takes the slots in ascending order whoever composed them, and every
-//! receiver is handed its messages in that same order.
+//! takes the slots in ascending order whoever composed them, so every
+//! receiver's queue, and so every receiver, sees its messages in that same
+//! order.
 //!
 //! Within a shard the work is ordered node by node: a worker composes all
 //! of one sender's messages back to back, and applies all of one
@@ -53,18 +56,10 @@ use ag_graph::NodeId;
 use rayon::prelude::*;
 
 use crate::engine::{planned, slot_rng, Planned};
-use crate::protocol::{ContactIntent, Protocol};
+use crate::protocol::{ContactIntent, Protocol, ProtocolShard};
 
-/// One routed message: `(from, to, tag, msg)`.
+/// One queued survivor: `(from, to, tag, msg)`.
 type Delivery<M> = (NodeId, NodeId, u32, M);
-/// One sender shard's composed slots, in the order it composed them.
-type Composed<M> = Vec<(usize, Option<M>)>;
-/// A compose shard's return: its (refilled) result list plus
-/// pooled-buffer residue for the main thread to discard.
-type ComposeResult<M> = (Composed<M>, Vec<M>);
-/// A delivery shard's return: the drained input list (handed back so its
-/// capacity is reused) plus residue.
-type DeliverResult<M> = (Vec<Delivery<M>>, Vec<M>);
 
 /// A round is sharded only if it moves at least this many bytes (planned
 /// slots × bytes per message). On the measured ladder (CHANGES.md, PR 14)
@@ -114,26 +109,25 @@ thread_local! {
 
 /// The fan-out's partition plus per-round scratch, allocated by the first
 /// sharded round of a run and reused by every later one: a sharded round
-/// allocates per shard (the shards themselves, the job and result lists),
-/// never per message.
+/// allocates per shard (the shards themselves, the job and residue
+/// lists), never per message.
 #[derive(Debug)]
 pub(crate) struct FanOut<M> {
     /// `bounds[s] = (start, end)`: shard `s`'s contiguous node range.
     bounds: Vec<(usize, usize)>,
     /// `node_shard[v]`: the shard owning node `v`.
     node_shard: Vec<usize>,
-    /// Per-sender-shard compose worklists; each worker sorts its own by
-    /// sender.
-    worklists: Vec<Vec<Planned>>,
-    /// `send_counts[s] = worklists[s].len()`, for [`Protocol::shards`].
+    /// What each shard will compose (all 0 to deliver), for
+    /// [`Protocol::shards`].
     send_counts: Vec<usize>,
-    /// All zero: the delivery phase composes nothing.
-    zero_counts: Vec<usize>,
-    /// Per-sender-shard result lists, lent to the workers and handed back.
-    outs: Vec<Composed<M>>,
-    /// Per-receiver-shard delivery lists, in slot order.
-    delivery: Vec<Vec<Delivery<M>>>,
+    /// Each shard's lists, lent to its worker.
+    lists: Vec<ShardLists<M>>,
 }
+
+/// One shard's per-round lists, reused across rounds: the slots it
+/// composes, each entry carrying its own result, and the merged survivors
+/// it receives, in slot order.
+type ShardLists<M> = (Vec<(Planned, Option<M>)>, Vec<Delivery<M>>);
 
 impl<M: Send> FanOut<M> {
     /// The partition of `n` nodes into `shards` contiguous ranges
@@ -149,20 +143,18 @@ impl<M: Send> FanOut<M> {
             node_shard[start..end].fill(s);
         }
         FanOut {
-            worklists: bounds.iter().map(|_| Vec::new()).collect(),
             send_counts: Vec::with_capacity(shards),
-            zero_counts: vec![0; shards],
-            outs: bounds.iter().map(|_| Vec::new()).collect(),
-            delivery: bounds.iter().map(|_| Vec::new()).collect(),
+            lists: bounds.iter().map(|_| (Vec::new(), Vec::new())).collect(),
             bounds,
             node_shard,
         }
     }
 
     /// Parallel compose: groups the round's slots by sender shard, lets
-    /// each shard walk its worklist, sender by sender, with per-slot RNGs,
+    /// each shard compose its list, sender by sender, with per-slot RNGs,
     /// and files the results in `table` by slot. Returns `false`, with
-    /// `table` untouched, if the protocol offers no shards.
+    /// `table` untouched, if the protocol offers no shards or not exactly
+    /// one per range.
     pub(crate) fn compose<P: Protocol<Msg = M>>(
         &mut self,
         proto: &mut P,
@@ -171,98 +163,93 @@ impl<M: Send> FanOut<M> {
         seed: u64,
         round: u64,
     ) -> bool {
-        for wl in &mut self.worklists {
-            wl.clear();
+        for (worklist, _) in &mut self.lists {
+            worklist.clear();
         }
         for planned @ (_, from, ..) in planned(intents) {
-            self.worklists[self.node_shard[from]].push(planned);
+            self.lists[self.node_shard[from]].0.push((planned, None));
         }
         self.send_counts.clear();
-        self.send_counts.extend(self.worklists.iter().map(Vec::len));
+        self.send_counts
+            .extend(self.lists.iter().map(|(w, _)| w.len()));
+        // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
+        let sharded = self.run_shards(proto, |shard, (worklist, _)| {
+            // Sender-major: a node's messages (its own and its replies to
+            // whoever contacted it) are composed back to back, so all but
+            // the first find its rows in cache. Any order is the same
+            // round: each slot has its own RNG.
+            worklist.sort_unstable_by_key(|&((slot, from, ..), _)| (from, slot));
+            for ((slot, from, to, tag), msg) in worklist.iter_mut() {
+                let mut slot_rng = slot_rng(seed, round, *slot);
+                *msg = shard.compose(*from, *to, *tag, &mut slot_rng);
+            }
+        });
+        // ag-lint: sharded-phase(end)
+        if sharded {
+            for ((slot, ..), msg) in self.lists.iter_mut().flat_map(|(w, _)| w.drain(..)) {
+                table[slot] = msg;
+            }
+        }
+        sharded
+    }
+
+    /// Queues a merged survivor on its receiver's shard; the merge calls
+    /// this in slot order.
+    pub(crate) fn queue(&mut self, from: NodeId, to: NodeId, tag: u32, msg: M) {
+        self.lists[self.node_shard[to]].1.push((from, to, tag, msg));
+    }
+
+    /// Parallel delivery: lets each shard apply its queue receiver by
+    /// receiver. If the protocol offers no shards, or not exactly one per
+    /// range, the queues are drained serially instead.
+    pub(crate) fn deliver<P: Protocol<Msg = M>>(&mut self, proto: &mut P) {
+        self.send_counts.fill(0);
+        // ag-lint: sharded-phase(begin) — delivery draws no randomness
+        let sharded = self.run_shards(proto, |shard, (_, queue)| {
+            // Receiver-major, for the same reason; the sort is stable, so
+            // each receiver still sees its messages in slot order.
+            queue.sort_by_key(|&(_, to, ..)| to);
+            for (from, to, tag, msg) in queue.drain(..) {
+                shard.deliver(from, to, tag, msg);
+            }
+        });
+        // ag-lint: sharded-phase(end)
+        if !sharded {
+            for (from, to, tag, msg) in self.lists.iter_mut().flat_map(|(_, q)| q.drain(..)) {
+                proto.deliver(from, to, tag, msg);
+            }
+        }
+    }
+
+    /// Runs `work` on every shard of `proto` with that shard's own lists,
+    /// on the rayon pool, then hands every shard's residue back through
+    /// [`Protocol::discard`] in shard order. Returns `false`, having run
+    /// nothing, if the protocol offers no shards or not exactly one per
+    /// range.
+    fn run_shards<P: Protocol<Msg = M>>(
+        &mut self,
+        proto: &mut P,
+        work: impl Fn(&mut dyn ProtocolShard<Msg = M>, &mut ShardLists<M>) + Sync,
+    ) -> bool {
         let Some(shards) = proto.shards(&self.bounds, &self.send_counts) else {
             return false;
         };
-        debug_assert_eq!(shards.len(), self.bounds.len(), "one shard per range");
-        // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
-        let jobs: Vec<_> = shards
-            .into_iter()
-            .zip(&mut self.worklists)
-            .zip(&mut self.outs)
-            .map(|((shard, worklist), out)| (shard, worklist, std::mem::take(out)))
-            .collect();
-        let results: Vec<ComposeResult<M>> = jobs
-            .into_par_iter()
-            .map(|(mut shard, worklist, mut out)| {
-                // Sender-major: a node's messages (its own and its replies
-                // to whoever contacted it) are composed back to back, so
-                // all but the first find its rows in cache. Any order is
-                // the same round: each slot has its own RNG.
-                worklist.sort_unstable_by_key(|&(slot, from, ..)| (from, slot));
-                for &(slot, from, to, tag) in worklist.iter() {
-                    let mut slot_rng = slot_rng(seed, round, slot);
-                    out.push((slot, shard.compose(from, to, tag, &mut slot_rng)));
-                }
-                (out, shard.into_residue())
-            })
-            .collect();
-        // ag-lint: sharded-phase(end)
-        for (s, (mut out, residue)) in results.into_iter().enumerate() {
-            for (slot, msg) in out.drain(..) {
-                table[slot] = msg;
-            }
-            // Hand the (drained) list back so its capacity is reused.
-            self.outs[s] = out;
-            for msg in residue {
-                proto.discard(msg);
-            }
-        }
-        true
-    }
-
-    /// Parallel delivery: takes every message left in `table` into its
-    /// receiver shard's list, in slot order, and lets each shard apply its
-    /// list receiver by receiver. Returns `false`, with `table` untouched,
-    /// if the protocol offers no shards.
-    pub(crate) fn deliver<P: Protocol<Msg = M>>(
-        &mut self,
-        proto: &mut P,
-        intents: &[Option<ContactIntent>],
-        table: &mut [Option<M>],
-    ) -> bool {
-        let Some(shards) = proto.shards(&self.bounds, &self.zero_counts) else {
-            return false;
+        let matched = shards.len() == self.lists.len();
+        let residue: Vec<Vec<M>> = if matched {
+            let jobs: Vec<_> = shards.into_iter().zip(&mut self.lists).collect();
+            jobs.into_par_iter()
+                .map(|(mut shard, lists)| {
+                    work(&mut *shard, lists);
+                    shard.into_residue()
+                })
+                .collect()
+        } else {
+            shards.into_iter().map(|s| s.into_residue()).collect()
         };
-        for (slot, from, to, tag) in planned(intents) {
-            if let Some(msg) = table[slot].take() {
-                self.delivery[self.node_shard[to]].push((from, to, tag, msg));
-            }
+        for msg in residue.into_iter().flatten() {
+            proto.discard(msg);
         }
-        // ag-lint: sharded-phase(begin) — delivery draws no randomness
-        let jobs: Vec<_> = shards
-            .into_iter()
-            .zip(self.delivery.iter_mut().map(std::mem::take))
-            .collect();
-        let results: Vec<DeliverResult<M>> = jobs
-            .into_par_iter()
-            .map(|(mut shard, mut list)| {
-                // Receiver-major, for the same reason; the sort is stable,
-                // so each receiver still sees its messages in slot order.
-                list.sort_by_key(|&(_, to, ..)| to);
-                for (from, to, tag, msg) in list.drain(..) {
-                    shard.deliver(from, to, tag, msg);
-                }
-                (list, shard.into_residue())
-            })
-            .collect();
-        // ag-lint: sharded-phase(end)
-        for (s, (list, residue)) in results.into_iter().enumerate() {
-            // Hand the (drained) list back so its capacity is reused.
-            self.delivery[s] = list;
-            for msg in residue {
-                proto.discard(msg);
-            }
-        }
-        true
+        matched
     }
 }
 
@@ -270,7 +257,7 @@ impl<M: Send> FanOut<M> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::protocol::{Action, ProtocolShard};
+    use crate::protocol::Action;
     use crate::stats::RunStats;
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -292,6 +279,9 @@ mod tests {
         /// What `msg_bytes` tells the sharding rule one message weighs;
         /// 0 keeps the default engine serial.
         msg_bytes: usize,
+        /// `short[phase]`: `shards` returns one shard too few in that
+        /// phase (0 compose, 1 delivery), breaking its contract.
+        short: [bool; 2],
     }
 
     impl NoisyExchange {
@@ -300,6 +290,7 @@ mod tests {
                 values: (0..n as u64).collect(),
                 saturation: u64::MAX,
                 msg_bytes: 0,
+                short: [false; 2],
             }
         }
 
@@ -344,8 +335,11 @@ mod tests {
         fn shards(
             &mut self,
             bounds: &[(usize, usize)],
-            _send_counts: &[usize],
+            send_counts: &[usize],
         ) -> Option<Vec<Box<dyn ProtocolShard<Msg = u64> + '_>>> {
+            // Every round plans 2n slots, so only delivery asks for none.
+            let phase = usize::from(send_counts.iter().all(|&c| c == 0));
+            let short = self.short[phase];
             let saturation = self.saturation;
             let mut rest: &mut [u64] = &mut self.values;
             let mut taken = 0;
@@ -360,6 +354,9 @@ mod tests {
                 }));
                 rest = tail;
                 taken = end;
+            }
+            if short {
+                shards.pop();
             }
             Some(shards)
         }
@@ -419,6 +416,25 @@ mod tests {
             let got = forced(cfg, shards).run(&mut proto);
             assert_eq!(got, want, "shards = {shards}");
             assert_eq!(proto.values, serial.values, "shards = {shards}");
+        }
+    }
+
+    #[test]
+    fn a_short_shard_list_runs_its_phase_serially() {
+        // A `shards` that returns fewer shards than ranges must not count
+        // the missing ranges' slots as empty sends, nor strand the
+        // messages queued for them: the phase runs serially instead.
+        let cfg = lossy_cfg();
+        let mut serial = NoisyExchange::new(23);
+        let want = Engine::new(cfg).run(&mut serial);
+        for short in [[true, true], [true, false], [false, true]] {
+            for shards in [2, 5] {
+                let mut proto = NoisyExchange::new(23);
+                proto.short = short;
+                let got = forced(cfg, shards).run(&mut proto);
+                assert_eq!(got, want, "short = {short:?}, shards = {shards}");
+                assert_eq!(proto.values, serial.values, "short = {short:?}");
+            }
         }
     }
 

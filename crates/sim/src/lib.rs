@@ -27,9 +27,10 @@
 //! one slot-indexed message table, in a loop built for large-n sweeps —
 //! persistent per-round scratch, hash-free same-sender dedup, an
 //! incomplete-node completion sweep, and the observer-free
-//! [`Engine::run_batch`] hot path. The engine composes the slots and
-//! delivers the survivors itself: serially through [`Protocol::compose`]
-//! and [`Protocol::deliver`], or, for a protocol that splits into
+//! [`Engine::run_batch`] hot path. The engine composes the slots, settles
+//! each message's fate in one merge walk and hands each survivor to its
+//! receiver there: serially through [`Protocol::compose`] and
+//! [`Protocol::deliver`], or, for a protocol that splits into
 //! [`ProtocolShard`]s through [`Protocol::shards`], on the rayon pool on
 //! every round big enough to pay for it (the `fan_out` module).
 //! [`Engine`] is the only engine: tests that need a fixed shard count

@@ -155,11 +155,13 @@ pub trait Protocol {
         None
     }
 
-    /// Has this node individually completed its task? Used for per-node
-    /// completion-time metrics; the run stops when [`Protocol::is_complete`].
+    /// Has this node individually completed its task? The engine records
+    /// each node's completion round from it and stops the run once every
+    /// node reports `true`; it assumes a node, once complete, stays so.
     fn node_complete(&self, node: NodeId) -> bool;
 
-    /// Global termination predicate (default: every node complete).
+    /// Whether every node is complete. The engine never calls this; the
+    /// method stays only because `benchmark/src/trace.rs` implements it.
     fn is_complete(&self) -> bool {
         (0..self.num_nodes()).all(|v| self.node_complete(v))
     }

@@ -4,6 +4,7 @@
 use ag_graph::NodeId;
 use ag_sim::{Action, ContactIntent, Engine, EngineConfig, Protocol};
 use rand::rngs::StdRng;
+use rand::Rng;
 
 /// A probe protocol: node 0 contacts node 1 every wakeup with a fixed
 /// action; both nodes record what they receive. Everyone else idles.
@@ -204,4 +205,92 @@ fn completion_round_zero_for_pre_complete_nodes() {
     // The active pair completes at round 2 (one push per round).
     assert_eq!(stats.node_completion_rounds[0], Some(2));
     assert_eq!(stats.node_completion_rounds[1], Some(2));
+}
+
+/// What happened to one message: `(from, to, delivered)`.
+type Fate = (NodeId, NodeId, bool);
+
+/// Every node EXCHANGEs with a random other node each round; the
+/// protocol logs each round's intents and, in call order, every
+/// `deliver` and `discard`. Messages carry their `(from, to)` pair so a
+/// discarded one can be told apart.
+struct FateLog {
+    n: usize,
+    /// Per round: the intents filed, and the fates in call order.
+    rounds: Vec<(Vec<Option<ContactIntent>>, Vec<Fate>)>,
+}
+
+impl Protocol for FateLog {
+    type Msg = (NodeId, NodeId);
+
+    fn num_nodes(&self) -> usize {
+        self.n
+    }
+
+    fn on_round_start(&mut self, _round: u64) {
+        self.rounds.push((vec![None; self.n], Vec::new()));
+    }
+
+    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
+        let intent = ContactIntent::exchange((node + rng.gen_range(1..self.n)) % self.n);
+        self.rounds.last_mut().expect("round started").0[node] = Some(intent);
+        Some(intent)
+    }
+
+    fn compose(&self, from: NodeId, to: NodeId, _: u32, _: &mut StdRng) -> Option<Self::Msg> {
+        Some((from, to))
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, _: u32, msg: Self::Msg) {
+        assert_eq!(msg, (from, to), "a message reaches its own receiver");
+        self.rounds
+            .last_mut()
+            .expect("round started")
+            .1
+            .push((from, to, true));
+    }
+
+    fn discard(&mut self, (from, to): Self::Msg) {
+        self.rounds
+            .last_mut()
+            .expect("round started")
+            .1
+            .push((from, to, false));
+    }
+
+    fn node_complete(&self, _: NodeId) -> bool {
+        false
+    }
+}
+
+#[test]
+fn survivors_and_drops_meet_their_fate_in_slot_order() {
+    let mut p = FateLog {
+        n: 5,
+        rounds: Vec::new(),
+    };
+    let cfg = EngineConfig::synchronous(11)
+        .with_loss(0.3)
+        .with_max_rounds(60);
+    let stats = Engine::new(cfg).run(&mut p);
+    assert!(stats.dedup_dropped > 0 && stats.lost > 0 && stats.messages_delivered > 0);
+    let mut drop_after_delivery = false;
+    for (round, (intents, fates)) in p.rounds.iter().enumerate() {
+        // Slot 2v is v's forward message, 2v + 1 its backward one.
+        let planned: Vec<(NodeId, NodeId)> = intents
+            .iter()
+            .enumerate()
+            .flat_map(|(v, i)| {
+                let u = i.expect("every node contacts").partner;
+                [(v, u), (u, v)]
+            })
+            .collect();
+        let order: Vec<(NodeId, NodeId)> = fates.iter().map(|&(f, t, _)| (f, t)).collect();
+        assert_eq!(order, planned, "round {}", round + 1);
+        drop_after_delivery |= fates.windows(2).any(|w| w[0].2 && !w[1].2);
+    }
+    assert!(
+        drop_after_delivery,
+        "deliveries and drops never interleaved"
+    );
 }

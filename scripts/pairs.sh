@@ -1,0 +1,108 @@
+#!/bin/sh
+# Alternating-pairs comparison of two built `ag-benchmark` binaries on one
+# workload: the protocol the CHANGES.md measurement tables follow.
+#
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS
+#
+# Pair i runs both binaries once each with seed 0x51AB51AB and the trace
+# off, the parent first in odd pairs and the change first in even ones,
+# so a drift of the host over time falls on both sides alike. It prints
+# one line per run (the four end-to-end metrics, `correct` and `failed`),
+# then per metric: both medians, the change relative to the parent's
+# median, the parent's interquartile range, and in how many pairs the
+# change read better. It only reads what the binaries print.
+set -eu
+usage() {
+    echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS" >&2
+    exit 2
+}
+[ $# -eq 5 ] || usage
+parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5
+case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+for bin in "$parent" "$change"; do
+    [ -x "$bin" ] || { echo "pairs.sh: $bin is not an executable" >&2; exit 2; }
+done
+runs=$(mktemp) err=$(mktemp)
+trap 'rm -f "$runs" "$err"' EXIT
+
+# run PAIR SIDE BIN: one benchmark process; appends its row to $runs.
+run() {
+    if ! out=$("$3" --workload "$workload" --seed 0x51AB51AB --seconds "$seconds" \
+        --trace 0 2>"$err"); then
+        echo "pairs.sh: the $2 run of pair $1 failed:" >&2
+        cat "$err" >&2
+        exit 1
+    fi
+    printf '%s\n' "$out" | awk -v pair="$1" -v side="$2" '
+        function field(key,    at) {
+            if (!match($0, "\"" key "\":(\\{\"value\":)?[^,}]*")) return "?"
+            at = substr($0, RSTART, RLENGTH)
+            sub(/.*:/, "", at)
+            return at
+        }
+        /^\{/ {
+            printf "%s %s %s %s %s %s %s %s\n", pair, side, field("wall_s"),
+                field("slots_per_s"), field("setup_s"), field("peak_rss_mib"),
+                field("correct"), field("failed")
+            found = 1
+        }
+        END { if (!found) exit 1 }' >>"$runs" || {
+        echo "pairs.sh: the $2 run of pair $1 printed no result line" >&2
+        exit 1
+    }
+    tail -n 1 "$runs" | awk '{ printf "%4s  %-6s  %10.4f  %14.1f  %10.6f  %12.2f  %-7s  %s\n",
+        $1, $2, $3, $4, $5, $6, $7, $8 }'
+}
+
+printf '%4s  %-6s  %10s  %14s  %10s  %12s  %-7s  %s\n' \
+    pair run wall_s slots_per_s setup_s peak_rss_mib correct failed
+i=1
+while [ "$i" -le "$pairs" ]; do
+    if [ $((i % 2)) -eq 1 ]; then
+        run "$i" parent "$parent"
+        run "$i" change "$change"
+    else
+        run "$i" change "$change"
+        run "$i" parent "$parent"
+    fi
+    i=$((i + 1))
+done
+
+echo
+awk -v pairs="$pairs" '
+    # Sorts a[1..n] ascending (insertion sort: a few dozen values).
+    function sort(a, n,    i, j, x) {
+        for (i = 2; i <= n; i++) {
+            x = a[i]
+            for (j = i - 1; j > 0 && a[j] > x; j--) a[j + 1] = a[j]
+            a[j + 1] = x
+        }
+    }
+    # The q-quantile of sorted a[1..n], linearly interpolated.
+    function quantile(a, n, q,    h, lo) {
+        h = (n - 1) * q + 1
+        lo = int(h)
+        return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+    }
+    { for (m = 1; m <= 4; m++) v[$2, $1, m] = $(m + 2) }
+    END {
+        split("wall_s slots_per_s setup_s peak_rss_mib", name, " ")
+        split("lower higher lower lower", better, " ")
+        printf "%-13s  %14s  %14s  %8s  %12s  %s\n", "metric", "parent_median",
+            "change_median", "change", "parent_iqr", "change_better"
+        for (m = 1; m <= 4; m++) {
+            wins = 0
+            for (p = 1; p <= pairs; p++) {
+                par[p] = v["parent", p, m]
+                chg[p] = v["change", p, m]
+                if (better[m] == "lower" ? chg[p] < par[p] : chg[p] > par[p]) wins++
+            }
+            sort(par, pairs)
+            sort(chg, pairs)
+            pm = quantile(par, pairs, 0.5)
+            cm = quantile(chg, pairs, 0.5)
+            rel = pm == 0 ? 0 : 100 * (cm - pm) / pm
+            printf "%-13s  %14.6g  %14.6g  %+7.1f%%  %12.6g  %d/%d\n", name[m], pm, cm,
+                rel, quantile(par, pairs, 0.75) - quantile(par, pairs, 0.25), wins, pairs
+        }
+    }' "$runs"
