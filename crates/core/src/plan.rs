@@ -116,7 +116,8 @@ impl TrialPlan {
     }
 
     /// Runs an arbitrary per-trial function across threads, returning the
-    /// results **in trial order** (bit-identical to [`Self::map_serial`]).
+    /// results **in trial order**: bit-identical to mapping `f` over
+    /// [`Self::seed_list`] on one thread.
     ///
     /// This is the escape hatch for trials that are not a plain
     /// `run_protocol` call — tree-protocol measurements, queueing drains,
@@ -130,16 +131,9 @@ impl TrialPlan {
         self.seed_list().into_par_iter().map(f).collect()
     }
 
-    /// Serial reference implementation of [`Self::map`].
-    pub fn map_serial<T, F>(&self, f: F) -> Vec<T>
-    where
-        F: Fn(TrialSeeds) -> T,
-    {
-        self.seed_list().into_iter().map(f).collect()
-    }
-
     /// Runs `base` once per trial across threads and collects the stats
-    /// in trial order.
+    /// in trial order: bit-identical to [`run_protocol`] over
+    /// [`Self::specs`] on one thread.
     ///
     /// # Errors
     ///
@@ -150,25 +144,6 @@ impl TrialPlan {
             .specs(base)
             .into_par_iter()
             .map(|spec| run_protocol::<F>(graph, &spec))
-            .collect();
-        Ok(TrialSet { results: results? })
-    }
-
-    /// Serial reference implementation of [`Self::run`]: same trials,
-    /// same seeds, same order, one thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first construction error.
-    pub fn run_serial<F: SlabField>(
-        &self,
-        graph: &Graph,
-        base: &RunSpec,
-    ) -> Result<TrialSet, GraphError> {
-        let results: Result<Vec<_>, GraphError> = self
-            .specs(base)
-            .iter()
-            .map(|spec| run_protocol::<F>(graph, spec))
             .collect();
         Ok(TrialSet { results: results? })
     }
@@ -302,16 +277,24 @@ mod tests {
         base.engine.max_rounds = 1_000_000;
         let plan = TrialPlan::new(6, 99);
         let parallel = plan.run::<Gf256>(&g, &base).unwrap();
-        let serial = plan.run_serial::<Gf256>(&g, &base).unwrap();
-        assert_eq!(parallel, serial);
+        let serial: Vec<_> = plan
+            .specs(&base)
+            .iter()
+            .map(|spec| run_protocol::<Gf256>(&g, spec).unwrap())
+            .collect();
+        assert_eq!(parallel.results(), serial);
         assert!(parallel.all_ok());
     }
 
     #[test]
-    fn map_matches_map_serial() {
+    fn map_matches_a_serial_map() {
         let plan = TrialPlan::new(64, 5);
         let par = plan.map(|s| s.protocol ^ s.engine);
-        let ser = plan.map_serial(|s| s.protocol ^ s.engine);
+        let ser: Vec<_> = plan
+            .seed_list()
+            .into_iter()
+            .map(|s| s.protocol ^ s.engine)
+            .collect();
         assert_eq!(par, ser);
     }
 

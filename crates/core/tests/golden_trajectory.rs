@@ -18,8 +18,8 @@ use ag_gf::Gf256;
 use ag_graph::builders;
 use ag_sim::{CommModel, Engine, EngineConfig, TrajectoryHash};
 use algebraic_gossip::{
-    AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind, RandomMessageGossip,
-    RunSpec, Tag, TreeAg, TrialPlan,
+    run_protocol, AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind,
+    RandomMessageGossip, RunSpec, Tag, TreeAg, TrialPlan,
 };
 
 /// Pinned hash of the UniformAg rank trajectory for the run below: one
@@ -208,7 +208,11 @@ fn parallel_trials_match_serial() {
     base.engine = EngineConfig::synchronous(0).with_max_rounds(500_000);
     let plan = TrialPlan::new(8, 0x51AB);
     let parallel = plan.run::<Gf256>(&g, &base).expect("parallel");
-    let serial = plan.run_serial::<Gf256>(&g, &base).expect("serial");
-    assert_eq!(parallel, serial);
+    let serial: Vec<_> = plan
+        .specs(&base)
+        .iter()
+        .map(|spec| run_protocol::<Gf256>(&g, spec).expect("serial"))
+        .collect();
+    assert_eq!(parallel.results(), serial);
     assert!(parallel.all_ok());
 }

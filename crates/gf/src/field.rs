@@ -110,3 +110,67 @@ pub trait Field:
         self == Self::ZERO
     }
 }
+
+/// The operators the characteristic-2 fields share, for a tuple struct over
+/// the element's bit pattern: `+` and `-` are both XOR, every element is
+/// its own negative, and `*=` is the field's own `Mul`, the one operator
+/// each field writes itself.
+macro_rules! char2_ops {
+    ($t:ident) => {
+        #[expect(
+            clippy::suspicious_arithmetic_impl,
+            reason = "XOR is addition in characteristic 2"
+        )]
+        impl ::std::ops::Add for $t {
+            type Output = Self;
+            fn add(self, rhs: Self) -> Self {
+                $t(self.0 ^ rhs.0)
+            }
+        }
+
+        #[expect(
+            clippy::suspicious_op_assign_impl,
+            reason = "XOR is addition in characteristic 2"
+        )]
+        impl ::std::ops::AddAssign for $t {
+            fn add_assign(&mut self, rhs: Self) {
+                self.0 ^= rhs.0;
+            }
+        }
+
+        #[expect(
+            clippy::suspicious_arithmetic_impl,
+            reason = "subtraction is addition in characteristic 2"
+        )]
+        impl ::std::ops::Sub for $t {
+            type Output = Self;
+            fn sub(self, rhs: Self) -> Self {
+                $t(self.0 ^ rhs.0)
+            }
+        }
+
+        #[expect(
+            clippy::suspicious_op_assign_impl,
+            reason = "subtraction is addition in characteristic 2"
+        )]
+        impl ::std::ops::SubAssign for $t {
+            fn sub_assign(&mut self, rhs: Self) {
+                self.0 ^= rhs.0;
+            }
+        }
+
+        impl ::std::ops::MulAssign for $t {
+            fn mul_assign(&mut self, rhs: Self) {
+                *self = *self * rhs;
+            }
+        }
+
+        impl ::std::ops::Neg for $t {
+            type Output = Self;
+            fn neg(self) -> Self {
+                self
+            }
+        }
+    };
+}
+pub(crate) use char2_ops;

@@ -14,12 +14,6 @@ use crate::slab::SlabField;
 /// ablation include non-power-of-two `q` (e.g. q = 257 just above one byte).
 /// The representation is the canonical residue in `0..P`.
 ///
-/// # Panics
-///
-/// Field operations `debug_assert` that `P` is actually prime the first time
-/// an inverse is computed; constructing `Fp` with composite `P` yields a ring
-/// in which [`Field::inv`] may return `None` for nonzero elements.
-///
 /// # Examples
 ///
 /// ```
@@ -30,8 +24,38 @@ use crate::slab::SlabField;
 /// assert_eq!(a * a.inv().unwrap(), F11::ONE);
 /// assert_eq!(F11::from_u64(8) + F11::from_u64(5), F11::from_u64(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+///
+/// Any other `P` fails the build: a composite one is no field (a nonzero
+/// element has no inverse), and from 2³² on a product overflows `u64`.
+///
+/// ```compile_fail
+/// use ag_gf::{Field, Fp};
+///
+/// let _ = Fp::<15>::ONE;
+/// ```
+///
+/// ```compile_fail
+/// use ag_gf::Fp;
+///
+/// let _ = Fp::<{ (1 << 32) + 15 }>::new(3);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fp<const P: u64>(u64);
+
+/// Is `p` a prime below 2³²? Trial division, run at compile time.
+const fn is_prime_below_2_32(p: u64) -> bool {
+    if p < 2 || p >= 1 << 32 {
+        return false;
+    }
+    let mut d = 2;
+    while d * d <= p {
+        if p.is_multiple_of(d) {
+            return false;
+        }
+        d += 1;
+    }
+    true
+}
 
 /// GF(7): tiny prime field (exhaustively testable).
 pub type F7 = Fp<7>;
@@ -44,9 +68,14 @@ pub type F257 = Fp<257>;
 pub type F65537 = Fp<65537>;
 
 impl<const P: u64> Fp<P> {
+    /// Fails the build where it is evaluated, unless `P` is a prime below
+    /// 2³². Every way to make an element evaluates it.
+    const PRIME: () = assert!(is_prime_below_2_32(P), "Fp<P> needs a prime P below 2^32");
+
     /// Creates an element from any integer by reducing mod `P`.
     #[must_use]
     pub fn new(v: u64) -> Self {
+        let () = Self::PRIME;
         Fp(v % P)
     }
 
@@ -68,18 +97,21 @@ impl<const P: u64> Fp<P> {
             (old_r, r) = (r, old_r - q * r);
             (old_t, t) = (t, old_t - q * t);
         }
-        if old_r != 1 {
-            // gcd != 1: only possible when P is composite.
-            return None;
-        }
+        // P is prime, so gcd(P, a) = old_r = 1 and old_t is the inverse.
         let p = i128::from(P);
         Some((((old_t % p) + p) % p) as u64)
     }
 }
 
 impl<const P: u64> Field for Fp<P> {
-    const ZERO: Self = Fp(0);
-    const ONE: Self = Fp(1 % P);
+    const ZERO: Self = {
+        let () = Self::PRIME;
+        Fp(0)
+    };
+    const ONE: Self = {
+        let () = Self::PRIME;
+        Fp(1)
+    };
     const SIZE: u64 = P;
 
     fn inv(self) -> Option<Self> {
@@ -87,11 +119,12 @@ impl<const P: u64> Field for Fp<P> {
     }
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        let () = Self::PRIME;
         Fp(rng.gen_range(0..P))
     }
 
     fn from_u64(v: u64) -> Self {
-        Fp(v % P)
+        Self::new(v)
     }
 
     fn to_u64(self) -> u64 {
@@ -111,7 +144,13 @@ impl<const P: u64> SlabField for Fp<P> {
     }
 
     fn read_symbol(src: &[u8]) -> Self {
-        Fp(u64::from_le_bytes(src[..8].try_into().expect("8 bytes")) % P)
+        Self::new(u64::from_le_bytes(src[..8].try_into().expect("8 bytes")))
+    }
+}
+
+impl<const P: u64> Default for Fp<P> {
+    fn default() -> Self {
+        Self::ZERO
     }
 }
 
@@ -212,11 +251,17 @@ mod tests {
     }
 
     #[test]
-    fn composite_modulus_is_not_a_field() {
-        // 4 is not prime: 2 has no inverse mod 4.
-        type R4 = Fp<4>;
-        assert!(R4::from_u64(2).inv().is_none());
-        // ...but units still invert.
-        assert_eq!(R4::from_u64(3).inv(), Some(R4::from_u64(3)));
+    fn modulus_check_accepts_exactly_the_primes_below_2_32() {
+        let primes: Vec<u64> = (0..60).filter(|&p| is_prime_below_2_32(p)).collect();
+        assert_eq!(
+            primes,
+            [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+        );
+        for p in [257, 65537, (1 << 32) - 5] {
+            assert!(is_prime_below_2_32(p), "{p}");
+        }
+        for p in [65535, 1 << 32, (1 << 32) + 15, u64::MAX] {
+            assert!(!is_prime_below_2_32(p), "{p}");
+        }
     }
 }

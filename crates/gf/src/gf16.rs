@@ -1,12 +1,12 @@
 //! GF(2⁴): the 16-element binary extension field.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::Mul;
 use std::sync::OnceLock;
 
 use rand::Rng;
 
-use crate::field::Field;
+use crate::field::{char2_ops, Field};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁴ + x + 1 (0b1_0011), primitive over GF(2).
@@ -171,49 +171,12 @@ impl fmt::Display for Gf16 {
     }
 }
 
-impl Add for Gf16 {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        Gf16(self.0 ^ rhs.0)
-    }
-}
-
-impl AddAssign for Gf16 {
-    fn add_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf16 {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        Gf16(self.0 ^ rhs.0)
-    }
-}
-
-impl SubAssign for Gf16 {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
+char2_ops!(Gf16);
 
 impl Mul for Gf16 {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
         Gf16(tables().mul[self.0 as usize][rhs.0 as usize])
-    }
-}
-
-impl MulAssign for Gf16 {
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
-
-impl Neg for Gf16 {
-    type Output = Self;
-    fn neg(self) -> Self {
-        self
     }
 }
 

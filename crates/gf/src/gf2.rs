@@ -1,11 +1,11 @@
 //! The binary field GF(2).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::Mul;
 
 use rand::Rng;
 
-use crate::field::Field;
+use crate::field::{char2_ops, Field};
 use crate::slab::{xor_slice, SlabField};
 
 /// An element of GF(2): a single bit.
@@ -111,50 +111,16 @@ impl fmt::Display for Gf2 {
     }
 }
 
-impl Add for Gf2 {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        Gf2(self.0 ^ rhs.0)
-    }
-}
+char2_ops!(Gf2);
 
-impl AddAssign for Gf2 {
-    fn add_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf2 {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        // Characteristic 2: subtraction is addition.
-        Gf2(self.0 ^ rhs.0)
-    }
-}
-
-impl SubAssign for Gf2 {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
-
+#[expect(
+    clippy::suspicious_arithmetic_impl,
+    reason = "AND is multiplication in GF(2)"
+)]
 impl Mul for Gf2 {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
         Gf2(self.0 & rhs.0)
-    }
-}
-
-impl MulAssign for Gf2 {
-    fn mul_assign(&mut self, rhs: Self) {
-        self.0 &= rhs.0;
-    }
-}
-
-impl Neg for Gf2 {
-    type Output = Self;
-    fn neg(self) -> Self {
-        self
     }
 }
 

@@ -1,22 +1,22 @@
 //! GF(2⁸): the 256-element binary extension field with log/exp tables.
 //!
-//! Scalar products go through the log/exp tables. The slab operations pick
-//! a kernel per call by the one rule in [`crate::kernel`]: on a CPU with
-//! GFNI every row, of any length, runs `GF2P8MULB` ([`crate::simd`]) and
-//! touches no table; below GFNI rows of at least
-//! [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run the `PSHUFB`
+//! Scalar products go through the log/exp tables. Each slab operation is
+//! one call into [`crate::simd`], which picks the kernel from the row
+//! length and the CPU: on a CPU with GFNI every row, of any length, runs
+//! `GF2P8MULB` and touches no table; below GFNI rows of at least
+//! [`SHORT_ROW_BYTES`](crate::simd::SHORT_ROW_BYTES) run the `PSHUFB`
 //! kernels and shorter ones, like every row on a CPU without SIMD, the
 //! product-table kernel ([`crate::reference`]).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::Mul;
 use std::sync::OnceLock;
 
 use rand::Rng;
 
-use crate::field::Field;
-use crate::kernel::use_simd;
-use crate::slab::{self, xor_slice, SlabField};
+use crate::field::{char2_ops, Field};
+use crate::simd;
+use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x⁸ + x⁴ + x³ + x + 1 (0x11B, the AES polynomial).
 const POLY: u16 = 0x11B;
@@ -158,54 +158,26 @@ impl SlabField for Gf256 {
     }
 
     fn mul_slice(c: Self, dst: &mut [u8]) {
-        if use_simd(dst.len()) {
-            crate::simd::gf256_mul_slice(c.0, dst);
-        } else {
-            crate::reference::gf256_mul_slice(c.0, dst);
-        }
+        simd::gf256_mul_slice(c.0, dst);
     }
 
     fn mul_add_slice(c: Self, src: &[u8], dst: &mut [u8]) {
-        if use_simd(dst.len()) {
-            crate::simd::gf256_mul_add_slice(c.0, src, dst);
-        } else {
-            crate::reference::gf256_mul_add_slice(c.0, src, dst);
-        }
+        simd::gf256_mul_add_slice(c.0, src, dst);
     }
 
-    // The three fused operations exist as kernels only in `crate::simd`
-    // (which keeps the loop below for the levels that have none). Where the
-    // rule says no they are that loop over the product-table axpy, named
-    // directly so the rule is read once per call, not once per row.
     fn mul_add_multi(factors: &[u8], srcs: &[u8], dst: &mut [u8]) {
-        if use_simd(dst.len()) {
-            crate::simd::gf256_mul_add_multi(factors, srcs, dst);
-        } else {
-            slab::multi_by_axpy::<Self>(factors, srcs, dst, reference_axpy);
-        }
+        simd::gf256_mul_add_multi(factors, srcs, dst);
     }
 
     fn mul_add_block(coefs: &[u8], srcs: &[u8], dsts: &mut [u8], row_bytes: usize) {
-        if use_simd(row_bytes) {
-            crate::simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes);
-        } else {
-            slab::block_by_multi::<Self>(coefs, srcs, dsts, row_bytes, Self::mul_add_multi);
-        }
+        simd::gf256_mul_add_block(coefs, srcs, dsts, row_bytes);
     }
 
     fn mul_add_scatter(factors: &[u8], src: &[u8], dsts: &mut [u8]) {
-        if use_simd(src.len()) {
-            crate::simd::gf256_mul_add_scatter(factors, src, dsts);
-        } else {
-            slab::scatter_by_axpy::<Self>(factors, src, dsts, reference_axpy);
-        }
+        simd::gf256_mul_add_scatter(factors, src, dsts);
     }
 
     fn canonicalize_slice(_slab: &mut [u8]) {}
-}
-
-fn reference_axpy(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    crate::reference::gf256_mul_add_slice(c.0, src, dst);
 }
 
 impl fmt::Display for Gf256 {
@@ -214,31 +186,7 @@ impl fmt::Display for Gf256 {
     }
 }
 
-impl Add for Gf256 {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        Gf256(self.0 ^ rhs.0)
-    }
-}
-
-impl AddAssign for Gf256 {
-    fn add_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf256 {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        Gf256(self.0 ^ rhs.0)
-    }
-}
-
-impl SubAssign for Gf256 {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
+char2_ops!(Gf256);
 
 impl Mul for Gf256 {
     type Output = Self;
@@ -249,19 +197,6 @@ impl Mul for Gf256 {
         let t = tables();
         let idx = t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize;
         Gf256(t.exp[idx])
-    }
-}
-
-impl MulAssign for Gf256 {
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
-
-impl Neg for Gf256 {
-    type Output = Self;
-    fn neg(self) -> Self {
-        self
     }
 }
 

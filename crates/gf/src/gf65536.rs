@@ -1,11 +1,11 @@
 //! GF(2¹⁶): the 65536-element binary extension field.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::Mul;
 
 use rand::Rng;
 
-use crate::field::Field;
+use crate::field::{char2_ops, Field};
 use crate::slab::{xor_slice, SlabField};
 
 /// Reduction polynomial x¹⁶ + x¹² + x³ + x + 1 (0x1100B), primitive.
@@ -122,49 +122,12 @@ impl fmt::Display for Gf65536 {
     }
 }
 
-impl Add for Gf65536 {
-    type Output = Self;
-    fn add(self, rhs: Self) -> Self {
-        Gf65536(self.0 ^ rhs.0)
-    }
-}
-
-impl AddAssign for Gf65536 {
-    fn add_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
-
-impl Sub for Gf65536 {
-    type Output = Self;
-    fn sub(self, rhs: Self) -> Self {
-        Gf65536(self.0 ^ rhs.0)
-    }
-}
-
-impl SubAssign for Gf65536 {
-    fn sub_assign(&mut self, rhs: Self) {
-        self.0 ^= rhs.0;
-    }
-}
+char2_ops!(Gf65536);
 
 impl Mul for Gf65536 {
     type Output = Self;
     fn mul(self, rhs: Self) -> Self {
         Gf65536(clmul_reduce(self.0, rhs.0))
-    }
-}
-
-impl MulAssign for Gf65536 {
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
-
-impl Neg for Gf65536 {
-    type Output = Self;
-    fn neg(self) -> Self {
-        self
     }
 }
 

@@ -17,10 +17,10 @@
 //!   [`slab`] module), which is what the decoder and recoder hot paths use,
 //! * two bit-identical GF(2⁸) kernel modules behind it — the product-table
 //!   path ([`mod@reference`]) and runtime-detected x86-64 SIMD
-//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — chosen per call from the row length
-//!   and the CPU by the one rule in [`kernel`]: with GFNI, rows of every
-//!   length multiply in hardware; anywhere else rows under 64 bytes index
-//!   the product tables. Every other field has one kernel.
+//!   (`PSHUFB`/`GF2P8MULB`, [`simd`]) — where [`simd`] alone picks one per
+//!   call from the row length and the CPU: with GFNI, rows of every length
+//!   multiply in hardware; anywhere else rows under 64 bytes index the
+//!   product tables. Every other field has one kernel.
 //!
 //! # Choosing a field
 //!
@@ -69,11 +69,6 @@
         clippy::allow_attributes_without_reason
     )
 )]
-#![allow(
-    clippy::suspicious_arithmetic_impl,
-    clippy::suspicious_op_assign_impl,
-    reason = "in characteristic-2 fields XOR is addition and carry-less AND-style products are multiplication"
-)]
 
 mod field;
 mod fp;
@@ -81,7 +76,6 @@ mod gf16;
 mod gf2;
 mod gf256;
 mod gf65536;
-pub mod kernel;
 pub mod reference;
 pub mod simd;
 pub mod slab;
@@ -123,6 +117,16 @@ mod axiom_tests {
                 assert_eq!(a * b, b * a);
                 // Subtraction is the inverse of addition.
                 assert_eq!((a + b) - b, a);
+                // Compound assignment is the binary operator.
+                let mut x = a;
+                x += b;
+                assert_eq!(x, a + b);
+                let mut x = a;
+                x -= b;
+                assert_eq!(x, a - b);
+                let mut x = a;
+                x *= b;
+                assert_eq!(x, a * b);
                 for &c in elems {
                     // Associativity.
                     assert_eq!((a + b) + c, a + (b + c));

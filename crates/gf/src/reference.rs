@@ -5,12 +5,11 @@
 //!
 //! 1. **Production** — where the alternative builds nibble tables per
 //!    multiplier, indexing a prebuilt table wins on short rows: on a CPU
-//!    whose SIMD is `PSHUFB`, rows shorter than
-//!    [`SHORT_ROW_BYTES`](crate::kernel::SHORT_ROW_BYTES) run here, and so
-//!    do the bytes a `PSHUFB` kernel leaves after its last whole vector,
-//!    and every row on a CPU without SIMD. A GFNI CPU multiplies without
-//!    tables, so there these are the kernel of no row at all, short or
-//!    long (see [`crate::kernel`]).
+//!    whose SIMD is `PSHUFB`, [`crate::simd`] runs here the rows shorter
+//!    than [`SHORT_ROW_BYTES`](crate::simd::SHORT_ROW_BYTES) and the bytes
+//!    a `PSHUFB` kernel leaves after its last whole vector; it runs every
+//!    row here on a CPU without SIMD. A GFNI CPU multiplies without tables, so
+//!    there these are the kernel of no row at all, short or long.
 //! 2. **Differential testing** — the `proptest_kernels` suite replays every
 //!    geometry through these kernels and [`crate::simd`] and asserts
 //!    bit-identical output.

@@ -11,6 +11,10 @@
 //! built on, so the instruction *is* the field and no call builds or reads
 //! a table.
 //!
+//! The entry points below are [`crate::Gf256`]'s slab operations, and this
+//! module is the one place a GF(2⁸) kernel is picked: per call, from the
+//! row length and the detected level.
+//!
 //! # Lanes, one body per operation
 //!
 //! A *lane* (`Lane`) is one of those instructions over one register width:
@@ -24,14 +28,13 @@
 //! `gather_at`, `scatter_at`, `panel_at`), and the walk that covers a row
 //! with windows: tiles of several vectors, single vectors, then the rest of
 //! the row. That rest differs by instruction. `PSHUFB` hands it (under a
-//! vector, of a row [`crate::kernel`] only sends here at 64 bytes or more)
-//! to the product-table kernel, [`crate::reference`]. `GF2P8MULB` has no
-//! table to fall back on and wants none: it finishes in exact-width 16- and
-//! 8-byte windows and a register-assembled remainder under 8 bytes
-//! (`tail_windows!`), never a byte wider than the row. That is why
-//! [`crate::kernel`] sends GF(2⁸) rows of *every* length here on a GFNI
-//! CPU: a `k`-byte coefficient row or a 16-byte payload is nothing but such
-//! windows.
+//! vector) to the product-table kernel, [`crate::reference`], and so it
+//! does a whole row under [`SHORT_ROW_BYTES`]. `GF2P8MULB` has no table to
+//! fall back on and wants none: it finishes in exact-width 16- and 8-byte
+//! windows and a register-assembled remainder under 8 bytes
+//! (`tail_windows!`), never a byte wider than the row. That is why a GFNI
+//! level runs GF(2⁸) rows of *every* length itself: a `k`-byte coefficient
+//! row or a 16-byte payload is nothing but such windows.
 //!
 //! One `#[target_feature]` function per level names the lanes:
 //!
@@ -49,12 +52,11 @@
 //! effects.
 //!
 //! Everything is runtime-detected (`is_x86_feature_detected!`) and compiled
-//! only on x86-64. Called on a CPU without SSSE3 or on another
-//! architecture, where [`crate::kernel`] never dispatches here, the entry
-//! points stay total by delegating to [`crate::reference`]. All of it
-//! produces bit-identical bytes; `proptest_kernels` and this module's tests
-//! pin every level to the reference kernel at every row length up to 130
-//! bytes and across the longer tile-boundary geometries.
+//! only on x86-64. On a CPU without SSSE3 or on another architecture every
+//! entry point runs [`crate::reference`]. All of it produces bit-identical
+//! bytes; `proptest_kernels` and this module's tests pin every level to the
+//! reference kernel at every row length up to 130 bytes and across the
+//! longer tile-boundary geometries.
 
 #![allow(
     unsafe_code,
@@ -67,17 +69,16 @@ use crate::slab::{
 };
 use crate::{reference, Gf256};
 
-/// Are the SIMD kernels available on this CPU at all (x86-64 with SSSE3+)?
-pub use detail::supported;
-
 /// The detected instruction level, for benchmark reports: `"gfni512"`,
 /// `"gfni"`, `"avx2"`, `"ssse3"`, or `"portable"` where there is none.
 pub use detail::level_name;
 
-/// Do the GF(2⁸) kernels here run on `GF2P8MULB` (the `gfni` and `gfni512`
-/// levels)? Then no call builds a per-multiplier table, which is what lets
-/// [`crate::kernel`] send rows of every length here.
-pub(crate) use detail::gf256_is_table_free;
+/// Rows shorter than this skip the `PSHUFB` kernels for the product-table
+/// kernel: the per-multiplier nibble-table build (~30 scalar products) only
+/// amortizes over longer rows, while [`crate::reference`] just indexes a
+/// prebuilt product row. `GF2P8MULB` builds nothing, so a GFNI level runs
+/// rows of every length itself.
+pub const SHORT_ROW_BYTES: usize = 64;
 
 /// Test-only: calls `f` once per instruction level this CPU has, weakest
 /// first and the delegating `"portable"` one included, with that level
@@ -111,11 +112,9 @@ fn row(c: u8, src: Option<&[u8]>, dst: &mut [u8]) {
         (1, Some(src)) => return xor_slice(src, dst),
         _ => {}
     }
-    #[cfg(target_arch = "x86_64")]
-    if detail::row(c, src, dst) {
-        return;
+    if !detail::row(c, src, dst) {
+        reference_row(c, src, dst);
     }
-    reference_row(c, src, dst);
 }
 
 /// [`row`] on the product-table kernel: what a level without SIMD runs, and
@@ -273,15 +272,6 @@ mod detail {
         *LEVEL.get_or_init(detect)
     }
 
-    #[must_use]
-    pub fn supported() -> bool {
-        level() != Level::None
-    }
-
-    pub(crate) fn gf256_is_table_free() -> bool {
-        level() >= Level::Gfni
-    }
-
     #[cfg(test)]
     pub(crate) fn for_each_level(mut f: impl FnMut(&'static str)) {
         /// Unforces the level however `f` leaves: were one level's
@@ -350,20 +340,23 @@ mod detail {
         pub(super) rb: usize,
     }
 
-    /// Runs a single-row operation (see `super::row`) on this CPU's kernel
-    /// for it and says so, or returns `false` having done nothing at
-    /// [`Level::None`].
+    /// Runs a single-row operation (see `super::row`) on this CPU's vector
+    /// kernel for it and says so, or returns `false` having done nothing:
+    /// at [`Level::None`], and at a `PSHUFB` level for a row under
+    /// [`SHORT_ROW_BYTES`](super::SHORT_ROW_BYTES), which the product-table
+    /// kernel runs instead.
     pub(super) fn row(c: u8, src: Option<&[u8]>, dst: &mut [u8]) -> bool {
+        let long = dst.len() >= super::SHORT_ROW_BYTES;
         match level() {
             // SAFETY: level() never reports a level the CPU lacks, and
             // detect() puts a CPU at Gfni or above only on observing
             // gfni+avx2.
             Level::Gfni512 | Level::Gfni => unsafe { row_gfni(c, src, dst) },
             // SAFETY: this arm runs only when detect() observed avx2.
-            Level::Avx2 => unsafe { row_avx2(c, src, dst) },
+            Level::Avx2 if long => unsafe { row_avx2(c, src, dst) },
             // SAFETY: this arm runs only when detect() observed ssse3.
-            Level::Ssse3 => unsafe { row_ssse3(c, src, dst) },
-            Level::None => return false,
+            Level::Ssse3 if long => unsafe { row_ssse3(c, src, dst) },
+            Level::Avx2 | Level::Ssse3 | Level::None => return false,
         }
         true
     }
@@ -1110,16 +1103,11 @@ mod detail {
     //! portable path.
 
     #[must_use]
-    pub fn supported() -> bool {
-        false
-    }
-
-    #[must_use]
     pub fn level_name() -> &'static str {
         "portable"
     }
 
-    pub(crate) fn gf256_is_table_free() -> bool {
+    pub(super) fn row(_c: u8, _src: Option<&[u8]>, _dst: &mut [u8]) -> bool {
         false
     }
 
@@ -1257,7 +1245,32 @@ mod tests {
         // differential lanes exercised.
         println!("ag-gf simd level: {}", level_name());
         // On any x86-64 made this century there is at least SSSE3.
-        assert!(supported(), "no SIMD level detected: {}", level_name());
+        assert_ne!(level_name(), "portable", "no SIMD level detected");
+    }
+
+    /// The kernel rule as the dispatch applies it, at every level the CPU
+    /// has: GFNI runs every row, `PSHUFB` rows of at least
+    /// `SHORT_ROW_BYTES`, and everything else is the product-table kernel.
+    #[test]
+    fn rule_reads_only_row_length_and_cpu() {
+        for_each_level(|level| {
+            let short = matches!(level, "gfni" | "gfni512");
+            let long = level != "portable";
+            for len in [0, 1, SHORT_ROW_BYTES - 1] {
+                assert_eq!(
+                    detail::row(2, None, &mut vec![0; len]),
+                    short,
+                    "{level} len={len}"
+                );
+            }
+            for len in [SHORT_ROW_BYTES, 1024, 1 << 20] {
+                assert_eq!(
+                    detail::row(2, None, &mut vec![0; len]),
+                    long,
+                    "{level} len={len}"
+                );
+            }
+        });
     }
 
     /// A level whose checks fail must not stay forced on the thread: the

@@ -29,9 +29,8 @@
 //! The GF(2⁸) multiply kernels exist twice, bit-identically: per-`c`
 //! product-table loops ([`crate::reference`]) and runtime-detected x86-64
 //! SIMD — `PSHUFB` nibble shuffles or the GFNI `GF2P8MULB` instruction
-//! ([`crate::simd`]). Which one a call runs is decided by the one rule in
-//! [`crate::kernel`] from the row length and the CPU; there is nothing to
-//! configure.
+//! ([`crate::simd`]). Which one a call runs is decided in [`crate::simd`]
+//! from the row length and the CPU; there is nothing to configure.
 //!
 //! # Packing invariants
 //!

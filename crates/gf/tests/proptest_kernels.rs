@@ -15,16 +15,16 @@
 //! * for GF(2⁴): non-canonical high nibbles in the source bytes.
 //!
 //! The dispatch lanes go through [`SlabField`] and draw row lengths on both
-//! sides of [`SHORT_ROW_BYTES`]. Which arms of the selection rule
-//! (`ag_gf::kernel`) that exercises depends on the CPU class: below GFNI a
-//! GF(2⁸) row under the bound takes the reference kernel and a longer one
-//! SIMD, while on a GFNI CPU every length is the SIMD arm. The arm a host
-//! does not take by itself is driven by `ag-gf`'s unit tests, which force
-//! every level the CPU has (`simd::tests`, `kernel::tests`).
+//! sides of [`SHORT_ROW_BYTES`]. Which arms of the selection rule (in
+//! `ag_gf::simd`'s level dispatch) that exercises depends on the CPU class:
+//! below GFNI a GF(2⁸) row under the bound takes the reference kernel and a
+//! longer one SIMD, while on a GFNI CPU every length is the SIMD arm. The
+//! arm a host does not take by itself is driven by `ag-gf`'s unit tests,
+//! which force every level the CPU has (`simd::tests`).
 //!
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
-use ag_gf::kernel::SHORT_ROW_BYTES;
+use ag_gf::simd::SHORT_ROW_BYTES;
 use ag_gf::{reference, simd, Field, Gf16, Gf256, SlabField};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

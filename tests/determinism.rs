@@ -85,9 +85,16 @@ fn parallel_trial_plan_is_bit_identical_to_serial() {
         base.engine = EngineConfig::asynchronous(0).with_max_rounds(2_000_000);
         let plan = TrialPlan::new(7, 0xD37);
         let parallel = plan.run::<Gf256>(&g, &base).unwrap();
-        let serial = plan.run_serial::<Gf256>(&g, &base).unwrap();
-        assert_eq!(parallel, serial, "{kind:?} diverged under parallelism");
-        assert_eq!(parallel.median_rounds(), serial.median_rounds());
+        let serial: Vec<_> = plan
+            .specs(&base)
+            .iter()
+            .map(|spec| run_protocol::<Gf256>(&g, spec).unwrap())
+            .collect();
+        assert_eq!(
+            parallel.results(),
+            serial,
+            "{kind:?} diverged under parallelism"
+        );
         assert!(parallel.all_ok(), "{kind:?} had failed trials");
     }
 }
@@ -98,7 +105,11 @@ fn trial_plan_map_is_order_deterministic() {
     // must also collect in trial order regardless of thread count.
     let plan = TrialPlan::new(100, 7);
     let par = plan.map(|s| (s.trial, s.protocol.wrapping_mul(s.engine)));
-    let ser = plan.map_serial(|s| (s.trial, s.protocol.wrapping_mul(s.engine)));
+    let ser: Vec<_> = plan
+        .seed_list()
+        .into_iter()
+        .map(|s| (s.trial, s.protocol.wrapping_mul(s.engine)))
+        .collect();
     assert_eq!(par, ser);
     assert_eq!(par[0].0, 0);
     assert_eq!(par[99].0, 99);
