@@ -2,7 +2,7 @@
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, Topology};
-use ag_rlnc::{DecoderShard, Generation};
+use ag_rlnc::Generation;
 use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard};
 use rand::rngs::StdRng;
 
@@ -122,15 +122,15 @@ impl AgConfig {
 /// the F9 experiments measure) follows the schedule.
 ///
 /// All `n` decoders live in one simulation-owned [`ag_rlnc::DecoderArena`]
-/// and outgoing messages cycle through an [`ag_rlnc::RowPool`] — the RLNC
-/// wiring this protocol shares with [`crate::Tag`] and [`crate::TreeAg`] —
-/// so the engine's round loop performs **zero** per-message heap
-/// allocation: a node allocates once, for its payload rows, at its first
-/// row (coefficient rows are in the arena's slab from construction on, so
-/// a rank-only run allocates nothing), and nothing else allocates, which
-/// `tests/alloc_audit.rs` bounds round by round with a counting allocator
-/// on a 1 KiB-payload run, serial and sharded, and on a rank-only one.
-/// The golden-trajectory hashes
+/// and a round's messages are rows of one slab sized to the round's
+/// ceiling — the RLNC wiring this protocol shares with [`crate::Tag`] and
+/// [`crate::TreeAg`] — so the engine's round loop performs **zero**
+/// per-message heap allocation: a node allocates once, for its payload
+/// rows, at its first row (coefficient rows are in the arena's slab from
+/// construction on, so a rank-only run allocates nothing), and nothing
+/// else allocates, which `tests/alloc_audit.rs` bounds round by round with
+/// a counting allocator on a 1 KiB-payload run, serial and sharded, on a
+/// rank-only one and on asynchronous ones. The golden-trajectory hashes
 /// pin the per-round results of all three protocols end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.
@@ -272,45 +272,23 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     pub fn topology(&self) -> &T {
         &self.topology
     }
-
-    /// Message buffers currently resting in the [`ag_rlnc::RowPool`] — the
-    /// pool-balance diagnostic. Between rounds no message is in flight,
-    /// so this must equal the preallocated in-flight ceiling
-    /// ([`AlgebraicGossip::pool_prewarm`]) for the entire run; a shrinking
-    /// value means some wrapper dropped a pooled buffer instead of
-    /// routing it back through `deliver`/`discard`.
-    #[must_use]
-    pub fn pool_idle(&self) -> usize {
-        self.nodes.pool.idle()
-    }
-
-    /// The number of buffers the pool was pre-warmed with (one per
-    /// contact direction per node, recorded at construction).
-    #[must_use]
-    pub fn pool_prewarm(&self) -> usize {
-        self.nodes.pool_prewarm
-    }
 }
 
 impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
-    /// Messages travel as packed augmented rows (the
-    /// [`ag_rlnc::Recoder::emit_packed_row`] wire format), in plain
-    /// `Vec<u8>` buffers borrowed from the protocol's [`ag_rlnc::RowPool`] at
-    /// `compose` and returned at `deliver` — or at
-    /// [`Protocol::discard`] when the engine drops a message to
-    /// same-sender dedup or loss. Every buffer's life ends back in the
-    /// pool, so a contact costs **zero** heap allocations end to end —
-    /// the difference that lets the payload-carrying sweeps run 10⁵-node
-    /// graphs. (Deliberately *not* a self-returning smart-pointer type:
-    /// the engine's slot table stays a table of plain `Vec`s, which is
-    /// what keeps the rank-only loop fast: see `ag_rlnc`'s `pool.rs`.)
-    type Msg = Vec<u8>;
+    /// A message is the index of its packed augmented row (the
+    /// [`ag_rlnc::Recoder::emit_packed_row`] wire format) in the protocol's
+    /// slab of the round's messages, which `on_round_start` rewinds. A
+    /// contact costs **zero** heap allocations end to end, and a message
+    /// the engine drops frees nothing — the difference that lets the
+    /// payload-carrying sweeps run 10⁵-node graphs.
+    type Msg = u32;
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
     }
 
     fn on_round_start(&mut self, round: u64) {
+        self.nodes.rewind();
         // Round r runs on epoch r − 1 (epoch 0 = initial graph). A no-op
         // for `T = Graph`, so the static path is unchanged.
         self.topology.advance_to_epoch(round.saturating_sub(1));
@@ -325,16 +303,12 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<Vec<u8>> {
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
         self.nodes.compose(from, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Vec<u8>) {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
         self.nodes.deliver(to, msg);
-    }
-
-    fn discard(&mut self, msg: Vec<u8>) {
-        self.nodes.discard(msg);
     }
 
     /// Every message is one packed row, so a round moves planned slots ×
@@ -349,88 +323,17 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         &mut self,
         bounds: &[(usize, usize)],
         send_counts: &[usize],
-    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = Vec<u8>> + '_>>> {
-        let CodedNodes {
-            decoders,
-            density,
-            pool,
-            ..
-        } = &mut self.nodes;
-        let density = *density;
-        let shards = decoders.shards_mut(bounds).into_iter().zip(send_counts);
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = u32> + '_>>> {
+        let shards = self.nodes.shards(bounds, send_counts);
         Some(
             shards
-                .map(|(dec, &count)| {
-                    Box::new(AgShard {
-                        dec,
-                        density,
-                        stash: (0..count).map(|_| pool.take()).collect(),
-                        residue: Vec::new(),
-                    }) as Box<dyn ProtocolShard<Msg = Vec<u8>> + '_>
-                })
+                .map(|s| Box::new(s) as Box<dyn ProtocolShard<Msg = u32> + '_>)
                 .collect(),
         )
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
         self.nodes.decoders.is_complete(node)
-    }
-}
-
-/// One shard of [`AlgebraicGossip`] for a sharded round: a
-/// [`DecoderShard`] over a contiguous node range plus a *stash* of message
-/// buffers pre-drawn from the protocol's [`ag_rlnc::RowPool`] on the main thread
-/// (the pool is `!Sync`: workers cannot share it).
-///
-/// Buffer discipline: `compose` pops one stash buffer per call — the
-/// engine sizes the stash to the shard's exact send count — and every
-/// buffer the shard is left holding (unemitted stash, spent delivery
-/// rows) comes back through [`AgShard::into_residue`] to be re-pooled via
-/// [`Protocol::discard`]. The stash ceiling is the same one-buffer-per-
-/// contact-direction bound the pool was pre-warmed with, so
-/// `pool_idle == pool_prewarm` still holds at every round boundary.
-struct AgShard<'a, F: SlabField> {
-    dec: DecoderShard<'a, F>,
-    density: Option<f64>,
-    stash: Vec<Vec<u8>>,
-    residue: Vec<Vec<u8>>,
-}
-
-impl<F: SlabField> ProtocolShard for AgShard<'_, F> {
-    type Msg = Vec<u8>;
-
-    fn compose(
-        &mut self,
-        from: NodeId,
-        _to: NodeId,
-        _tag: u32,
-        rng: &mut StdRng,
-    ) -> Option<Vec<u8>> {
-        let mut row = self
-            .stash
-            .pop()
-            .expect("stash holds one buffer per planned send");
-        if self
-            .dec
-            .emit_packed_row_into(from, self.density, rng, &mut row)
-        {
-            Some(row)
-        } else {
-            // Rank-0 node: nothing to say; the buffer rides the residue
-            // back to the pool.
-            self.residue.push(row);
-            None
-        }
-    }
-
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, mut msg: Vec<u8>) {
-        let _ = self.dec.receive_packed_mut(to, &mut msg);
-        self.residue.push(msg);
-    }
-
-    fn into_residue(mut self: Box<Self>) -> Vec<Vec<u8>> {
-        self.residue.append(&mut self.stash);
-        self.residue
     }
 }
 
@@ -559,11 +462,11 @@ mod tests {
         assert_eq!(s1, s2);
     }
 
-    /// A clone takes its state and its own message buffers with it: cloned
+    /// A clone takes its state and its own message slab with it: cloned
     /// mid-run and finished under equal engine seeds, original and clone
-    /// report the same run and each keeps its own pool balanced.
+    /// report the same run.
     #[test]
-    fn a_clone_finishes_the_same_run_on_its_own_pool() {
+    fn a_clone_finishes_the_same_run_on_its_own() {
         let g = builders::grid(4, 4).unwrap();
         let cfg = AgConfig::new(8).with_payload_len(2);
         let mut original = AlgebraicGossip::<Gf256>::new(&g, &cfg, 5).unwrap();
@@ -571,13 +474,9 @@ mod tests {
         assert!(!Engine::new(head).run(&mut original).completed);
         let mut clone = original.clone();
         let finish = |proto: &mut AlgebraicGossip<Gf256>| {
-            let prewarm = proto.pool_prewarm();
-            let mut balanced = true;
             let tail = EngineConfig::synchronous(6).with_loss(0.2);
-            let stats = Engine::new(tail).run_observed(proto, |_, p| {
-                balanced &= p.pool_idle() == prewarm;
-            });
-            assert!(stats.completed && balanced);
+            let stats = Engine::new(tail).run(proto);
+            assert!(stats.completed);
             stats
         };
         assert_eq!(finish(&mut original), finish(&mut clone));
@@ -588,8 +487,7 @@ mod tests {
 
     /// A topology that is never connected after epoch 0 spends the whole
     /// round budget, under both time models, instead of panicking: the
-    /// far half of the barbell never completes, and every pooled buffer
-    /// comes home.
+    /// far half of the barbell never completes.
     #[test]
     fn a_partition_that_never_heals_spends_the_round_budget() {
         use ag_graph::{ChurnSchedule, ScheduledTopology};
@@ -608,7 +506,6 @@ mod tests {
                 assert!(!proto.node_complete(v), "{model:?}: far node {v} completed");
                 assert_eq!(stats.node_completion_rounds[v], None, "{model:?}");
             }
-            assert_eq!(proto.pool_idle(), proto.pool_prewarm(), "{model:?}");
         }
     }
 

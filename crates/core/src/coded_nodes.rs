@@ -1,8 +1,11 @@
 //! The RLNC state every gossip protocol in this crate shares.
 
+use std::cell::{Cell, RefCell};
+
 use ag_gf::SlabField;
 use ag_graph::{GraphError, NodeId};
-use ag_rlnc::{DecoderArena, Generation, RowPool};
+use ag_rlnc::{DecoderArena, DecoderShard, Generation};
+use ag_sim::ProtocolShard;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -10,10 +13,18 @@ use crate::ag::AgConfig;
 
 /// The RLNC half of every gossip protocol in this crate: the ground-truth
 /// generation, all `n` nodes' decoders in one [`DecoderArena`], and the
-/// [`RowPool`] their packed-row messages cycle through.
-/// [`crate::AlgebraicGossip`], [`crate::Tag`] and [`crate::TreeAg`] differ
-/// only in who talks to whom; what is said and how it is received is this,
-/// once.
+/// round's messages in one slab. [`crate::AlgebraicGossip`],
+/// [`crate::Tag`] and [`crate::TreeAg`] differ only in who talks to whom;
+/// what is said and how it is received is this, once.
+///
+/// A message is the index of its packed row in the slab. `compose` writes
+/// rows one after another from the start of the slab, and the protocol
+/// rewinds it in its round-start hook: no message outlives its round,
+/// under either time model (a synchronous round delivers or drops all it
+/// composed; an asynchronous timeslot settles its two messages at once).
+/// A round composes at most one message per contact direction per node,
+/// so the slab is sized to that ceiling up front and a round never
+/// allocates; dropping an index frees nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct CodedNodes<F: SlabField> {
     /// The ground-truth generation.
@@ -23,13 +34,11 @@ pub(crate) struct CodedNodes<F: SlabField> {
     /// Sparse-recoding density; `None` is the paper's dense combination
     /// (`cfg.coding_density == 1.0`).
     pub(crate) density: Option<f64>,
-    /// Recycles outgoing packed-row buffers through compose → the
-    /// engine's slot table → deliver (or dedup/loss drop) → back to the
-    /// pool.
-    pub(crate) pool: RowPool,
-    /// How many buffers `pool` was pre-warmed with (recorded at
-    /// construction so the balance diagnostics never re-derive it).
-    pub(crate) pool_prewarm: usize,
+    /// The round's messages, one packed row each, row `i` at
+    /// `i · row_bytes`: `directions × n` rows from construction on.
+    slab: RefCell<Vec<u8>>,
+    /// Rows composed since the last rewind.
+    composed: Cell<usize>,
 }
 
 /// Sizes one node's full-rank rows, `k · (k + payload_len) · symbol_bytes`,
@@ -74,17 +83,20 @@ impl<F: SlabField> CodedNodes<F> {
 
     /// Seeds `n` empty decoders with `generation` per `cfg.placement`.
     /// `directions` is how many messages one contact moves (2 for
-    /// EXCHANGE). Also returns the `seed` RNG positioned after the
-    /// placement draw, for the caller's own seeded state — the same
-    /// stream whether the generation was drawn from `seed` or given.
+    /// EXCHANGE), which sizes the message slab to `directions × n` rows.
+    /// Also returns the `seed` RNG positioned after the placement draw, for
+    /// the caller's own seeded state — the same stream whether the
+    /// generation was drawn from `seed` or given.
     ///
     /// # Errors
     ///
     /// Returns [`GraphError::InvalidSize`] if `cfg`'s shape does not match
-    /// the generation's or `cfg.coding_density` is outside `(0, 1]`, and
-    /// `Placement::validate`'s error for a `cfg.placement` that does not
-    /// fit `n` nodes and `cfg.k` messages, or if the arena's sizing fails
-    /// (an [`ag_rlnc::ArenaError`], reported by its message).
+    /// the generation's or `cfg.coding_density` is outside `(0, 1]`, if
+    /// `directions × n` rows do not fit a `u32` row index, if the arena's
+    /// sizing fails (an [`ag_rlnc::ArenaError`], reported by its message)
+    /// or the allocator refuses the slab, and `Placement::validate`'s error
+    /// for a `cfg.placement` that does not fit `n` nodes and `cfg.k`
+    /// messages.
     pub(crate) fn new(
         n: usize,
         cfg: &AgConfig,
@@ -117,53 +129,169 @@ impl<F: SlabField> CodedNodes<F> {
         let mut rng = StdRng::seed_from_u64(seed);
         let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
         let hosts = cfg.placement.assign(n, cfg.k, &mut rng);
+        let rows = directions.saturating_mul(n);
+        if u32::try_from(rows.saturating_sub(1)).is_err() {
+            return Err(GraphError::InvalidSize(format!(
+                "{directions} × {n} message rows do not fit a u32 row index"
+            )));
+        }
         let mut decoders = DecoderArena::try_new(n, cfg.k, cfg.payload_len)
             .map_err(|e| GraphError::InvalidSize(e.to_string()))?;
+        let slab = slab_of(rows, decoders.row_bytes())?;
         for (msg, &host) in hosts.iter().enumerate() {
             decoders.seed_message(host, &generation, msg);
         }
-        // Pre-warm the message pool to the synchronous-round in-flight
-        // ceiling (one buffer per contact direction per node), so the
-        // round loop never allocates — not even while early-round traffic
-        // is still ramping up to its high-water mark.
-        let pool_prewarm = directions * n;
-        let pool = RowPool::preallocated(pool_prewarm, decoders.row_bytes());
         let nodes = CodedNodes {
             generation,
             decoders,
             density: (cfg.coding_density < 1.0).then_some(cfg.coding_density),
-            pool,
-            pool_prewarm,
+            slab: RefCell::new(slab),
+            composed: Cell::new(0),
         };
         Ok((nodes, rng))
     }
 
+    /// Starts a new round: every row of the slab is free again.
+    pub(crate) fn rewind(&mut self) {
+        self.composed.set(0);
+    }
+
     /// One coded message from `from`: a fresh random combination of
-    /// everything it stores, as a packed row in a pooled buffer — which
-    /// goes straight back to the pool for a rank-0 node, which has nothing
-    /// to say.
-    pub(crate) fn compose(&self, from: NodeId, rng: &mut StdRng) -> Option<Vec<u8>> {
-        let mut row = self.pool.take();
-        if self
-            .decoders
-            .emit_packed_row_into(from, self.density, rng, &mut row)
-        {
-            Some(row)
-        } else {
-            self.pool.put(row);
-            None
+    /// everything it stores, written into the slab's next free row, whose
+    /// index it returns. `None` for a rank-0 node, which has nothing to
+    /// say, and takes no row. A round that outgrows the slab's ceiling
+    /// (a caller that composes without ever starting a round) grows it,
+    /// and one whose row index outgrows a `u32` composes nothing.
+    pub(crate) fn compose(&self, from: NodeId, rng: &mut StdRng) -> Option<u32> {
+        let rb = self.decoders.row_bytes();
+        let row = self.composed.get();
+        let index = u32::try_from(row).ok()?;
+        let mut slab = self.slab.borrow_mut();
+        let at = row * rb;
+        if slab.len() < at + rb {
+            slab.resize(at + rb, 0);
         }
+        let out = &mut slab[at..at + rb];
+        if !self
+            .decoders
+            .emit_packed_row_into(from, self.density, rng, out)
+        {
+            return None;
+        }
+        self.composed.set(row + 1);
+        Some(index)
     }
 
-    /// Delivers a composed message to `to`: reduced in place in the
-    /// message buffer — no scratch copy — which then returns to the pool.
-    pub(crate) fn deliver(&mut self, to: NodeId, mut msg: Vec<u8>) {
-        let _ = self.decoders.receive_packed_mut(to, &mut msg);
-        self.pool.put(msg);
+    /// Delivers the message at slab row `msg` to `to`.
+    pub(crate) fn deliver(&mut self, to: NodeId, msg: u32) {
+        let rb = self.decoders.row_bytes();
+        let at = msg as usize * rb;
+        let _ = self
+            .decoders
+            .receive_packed_slice(to, &self.slab.get_mut()[at..at + rb]);
     }
 
-    /// Reclaims a composed message the engine dropped undelivered.
-    pub(crate) fn discard(&self, msg: Vec<u8>) {
-        self.pool.put(msg);
+    /// Splits the nodes into one [`CodedShard`] per range of `bounds` for a
+    /// sharded round (see [`ag_sim::Protocol::shards`]). Shard `s` gets the
+    /// next `send_counts[s]` free rows of the slab to compose into, and
+    /// every shard reads the rows composed before this call, which is what
+    /// a delivery phase (all counts 0) delivers.
+    pub(crate) fn shards<'s, 'c>(
+        &'s mut self,
+        bounds: &[(usize, usize)],
+        send_counts: &'c [usize],
+    ) -> impl Iterator<Item = CodedShard<'s, F>> + use<'s, 'c, F> {
+        let rb = self.decoders.row_bytes();
+        let first = self.composed.get();
+        let end = first + send_counts.iter().sum::<usize>();
+        self.composed.set(end);
+        let slab = self.slab.get_mut();
+        if slab.len() < end * rb {
+            slab.resize(end * rb, 0);
+        }
+        let (composed, free) = slab.split_at_mut(first * rb);
+        let composed: &[u8] = composed;
+        let mut free = &mut free[..(end - first) * rb];
+        let mut next = first;
+        let density = self.density;
+        self.decoders
+            .shards_mut(bounds)
+            .into_iter()
+            .zip(send_counts)
+            .map(move |(dec, &count)| {
+                let (mine, rest) = std::mem::take(&mut free).split_at_mut(count * rb);
+                free = rest;
+                let shard = CodedShard {
+                    dec,
+                    density,
+                    row_bytes: rb,
+                    composed,
+                    free: mine,
+                    next,
+                };
+                next += count;
+                shard
+            })
+    }
+}
+
+/// `rows` zeroed packed rows of `row_bytes` each, or the typed error for a
+/// slab that does not fit `usize` or that the allocator refuses. The
+/// allocation is tried fallibly first (`vec!` aborts when refused) and
+/// handed straight back, so the pages come from the allocator unwritten.
+fn slab_of(rows: usize, row_bytes: usize) -> Result<Vec<u8>, GraphError> {
+    let refused = |bytes: u128| {
+        GraphError::InvalidSize(format!(
+            "{rows} message rows of {row_bytes} bytes: could not reserve {bytes} bytes"
+        ))
+    };
+    let bytes = rows
+        .checked_mul(row_bytes)
+        .ok_or_else(|| refused(rows as u128 * row_bytes as u128))?;
+    Vec::<u8>::new()
+        .try_reserve_exact(bytes)
+        .map_err(|_| refused(bytes as u128))?;
+    Ok(vec![0; bytes])
+}
+
+/// One shard of [`CodedNodes`] for a sharded round: a [`DecoderShard`]
+/// over a contiguous node range, the slab rows reserved for what it
+/// composes, and the rows composed before its phase, for what it delivers.
+/// Disjoint by construction, so no lock is taken.
+pub(crate) struct CodedShard<'a, F: SlabField> {
+    dec: DecoderShard<'a, F>,
+    density: Option<f64>,
+    row_bytes: usize,
+    /// Rows composed before this phase began.
+    composed: &'a [u8],
+    /// This shard's free rows, one per planned send.
+    free: &'a mut [u8],
+    /// The slab index of `free`'s first row.
+    next: usize,
+}
+
+impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
+    type Msg = u32;
+
+    /// Takes the shard's next free row whatever it composes (the rows were
+    /// reserved per planned send); a shard asked for more than it was
+    /// planned composes nothing.
+    fn compose(&mut self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
+        let rb = self.row_bytes;
+        let (out, rest) = std::mem::take(&mut self.free).split_at_mut_checked(rb)?;
+        self.free = rest;
+        let index = u32::try_from(self.next).ok()?;
+        self.next += 1;
+        self.dec
+            .emit_packed_row_into(from, self.density, rng, out)
+            .then_some(index)
+    }
+
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
+        let rb = self.row_bytes;
+        let at = msg as usize * rb;
+        let _ = self
+            .dec
+            .receive_packed_slice(to, &self.composed[at..at + rb]);
     }
 }

@@ -192,11 +192,8 @@ impl<P: Protocol> Protocol for WithCrashes<P> {
 
     fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: P::Msg) {
         if self.crashed[to] {
-            // Messages to the dead are dropped — but through the inner
-            // protocol's `discard`, not a plain `drop`: pooled message
-            // buffers (algebraic gossip's `RowPool`) must be recycled or
-            // every contact with a dead node would leak one buffer out of
-            // the pool and re-introduce steady-state allocations.
+            // Messages to the dead are dropped, through the inner
+            // protocol's `discard` like every other undelivered message.
             self.inner.discard(msg);
             return;
         }
@@ -204,8 +201,8 @@ impl<P: Protocol> Protocol for WithCrashes<P> {
     }
 
     fn discard(&mut self, msg: P::Msg) {
-        // Forward the engine's dedup/loss drops; the default (plain drop)
-        // would silently break the inner protocol's pool discipline.
+        // Forward the engine's dedup/loss drops: the inner protocol sees
+        // every fate it would see unwrapped.
         self.inner.discard(msg);
     }
 
@@ -326,20 +323,16 @@ mod tests {
         }
     }
 
-    /// Regression for the pooled-row leaks: dedup/loss drops (engine →
-    /// `discard`) and deliveries to crashed nodes must both route the
-    /// buffer back to the inner `RowPool`. The pool-balance invariant —
-    /// between rounds every preallocated buffer is idle in the pool — must
-    /// hold for the whole run, under loss and crashes, in both time
-    /// models.
+    /// Crashes and loss together, under both time models: dedup and loss
+    /// drops (engine → `discard`) and deliveries to crashed nodes all
+    /// settle a message without delivering it, and the survivors still
+    /// finish and decode.
     #[test]
-    fn crash_and_loss_run_keeps_the_pool_balanced() {
+    fn crash_and_loss_run_completes_in_both_time_models() {
         let g = builders::complete(12).unwrap();
         let cfg = AgConfig::new(6).with_payload_len(4);
         for (sync, seed) in [(true, 3u64), (false, 4u64)] {
             let inner = AlgebraicGossip::<Gf256>::new(&g, &cfg, seed).unwrap();
-            let prewarm = inner.pool_prewarm();
-            assert_eq!(inner.pool_idle(), prewarm);
             // Crash only nodes that hold no initial message (spread
             // placement seeds 0..6), so the survivors can still finish.
             let plan = CrashPlan::explicit(vec![(7, 1), (8, 2), (9, 4)]);
@@ -351,20 +344,16 @@ mod tests {
             }
             .with_loss(0.3)
             .with_max_rounds(200_000);
-            let mut balanced = true;
-            let stats = Engine::new(ecfg).run_observed(&mut proto, |_, p| {
-                balanced &= p.inner().pool_idle() == prewarm;
-            });
+            let stats = Engine::new(ecfg).run(&mut proto);
             assert!(stats.completed, "sync={sync}: survivors must finish");
-            assert!(
-                balanced,
-                "sync={sync}: a pooled buffer leaked mid-run (idle != prewarm at a round boundary)"
-            );
-            assert_eq!(
-                proto.inner().pool_idle(),
-                prewarm,
-                "sync={sync}: pool did not end balanced"
-            );
+            assert!(stats.lost > 0, "sync={sync}: loss never fired");
+            for v in proto.survivors() {
+                assert_eq!(
+                    proto.inner().decoded(v).as_deref(),
+                    Some(proto.inner().generation().messages()),
+                    "sync={sync}: survivor {v} decoded wrong bytes"
+                );
+            }
         }
     }
 

@@ -35,8 +35,9 @@
 //! flips, bridge cuts, partitions), and [`WithCrashes`] layers crash-stop
 //! failures (including dead-on-arrival nodes) over any
 //! [`ag_sim::Protocol`], a tree protocol included, forwarding the
-//! pooled-buffer `discard` discipline so crash scenarios stay
-//! allocation-free. The F9 experiment family measures the combinations.
+//! round-start hook and `discard` so the wrapped protocol sees what it
+//! would see unwrapped. The F9 experiment family measures the
+//! combinations.
 //!
 //! # Quickstart
 //!

@@ -365,28 +365,45 @@ mod tests {
                 }
             }
         }
-        // The arena's own sizing (n nodes of such rows) is typed too: one
-        // node's rows fit here, 2^44 nodes' do not.
-        let cfg = AgConfig::new(2).with_payload_len(1 << 20);
+        // The message slab's row index is a u32: 2^31 nodes' two messages
+        // a contact index to 2^32 − 1, one node more does not fit, and is
+        // refused before anything is allocated.
+        let cfg = AgConfig::new(1);
+        let build = |n: usize| {
+            CodedNodes::<Gf256>::random_generation(&cfg, 1)
+                .and_then(|generation| CodedNodes::new(n, &cfg, generation, 1, 2))
+        };
+        let err = build((1 << 31) + 1).expect_err("the slab index must overflow");
+        assert_eq!(
+            err,
+            GraphError::InvalidSize(format!(
+                "2 × {} message rows do not fit a u32 row index",
+                (1u64 << 31) + 1
+            ))
+        );
+        // The arena's own sizing is typed too. At 2^31 nodes the slab's
+        // rows fit, and nodes of k = 2^17 one-symbol messages overflow
+        // `usize`. The count reported is the whole full-rank footprint: per
+        // node a head (pivot map, coefficient rows), a rank, the payload
+        // rows with their alignment slack and the elimination log.
+        let k: u128 = 1 << 17;
+        let cfg = AgConfig::new(1 << 17).with_payload_len(1);
         let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
-            .and_then(|generation| CodedNodes::new(1 << 44, &cfg, generation, 1, 2))
+            .and_then(|generation| CodedNodes::new(1 << 31, &cfg, generation, 1, 2))
             .expect_err("arena sizing must overflow");
-        // The count it reports is the whole full-rank footprint: per node
-        // a head (pivot map, coefficient rows), a rank, the payload rows
-        // with their alignment slack and the elimination log.
-        let bytes = (1u128 << 44) * (2 * (4 + 2) + 4 + 2 * (1 << 20) + 63 + 2 * 2);
+        let bytes = (1u128 << 31) * (k * (4 + k) + 4 + k + 63 + k * k);
         assert!(
             matches!(&err, GraphError::InvalidSize(m)
                 if m.contains("overflows usize") && m.contains(&bytes.to_string())),
             "{err:?}"
         );
-        // Rank-only, those nodes are 2^48 bytes of heads and ranks: that
-        // fits `usize` and no machine, and is refused as an error too.
-        let cfg = AgConfig::new(2);
+        // At k = 512 those nodes are 2^31 heads of 264,192 bytes: that fits
+        // `usize` and no machine, and is refused as an error too.
+        let cfg = AgConfig::new(512);
         let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
-            .and_then(|generation| CodedNodes::new(1 << 44, &cfg, generation, 1, 2))
+            .and_then(|generation| CodedNodes::new(1 << 31, &cfg, generation, 1, 2))
             .expect_err("the head slab must be refused");
-        let heads = (1u64 << 44) * 12;
+        let heads = (1u64 << 31) * 512 * (4 + 512);
         assert!(
             matches!(&err, GraphError::InvalidSize(m)
                 if m.contains(&format!("could not reserve {heads} bytes"))),

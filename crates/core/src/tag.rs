@@ -15,9 +15,10 @@ use crate::tree_protocol::TreeProtocol;
 pub enum TagMsg<M> {
     /// A spanning-tree protocol message.
     Tree(M),
-    /// An algebraic-gossip coded message: a packed row in a pooled buffer,
-    /// exactly as [`crate::AlgebraicGossip`] moves them.
-    Ag(Vec<u8>),
+    /// An algebraic-gossip coded message: the index of its packed row in
+    /// the round's message slab, exactly as [`crate::AlgebraicGossip`]
+    /// moves them.
+    Ag(u32),
 }
 
 /// Contact tags distinguishing TAG's phases inside the engine.
@@ -196,6 +197,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
     }
 
     fn on_round_start(&mut self, round: u64) {
+        self.nodes.rewind();
         // Advance both views in lockstep (no-ops for static topologies).
         self.topology.advance_to_epoch(round.saturating_sub(1));
         self.tree.on_round_start(round);
@@ -245,9 +247,8 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
     }
 
     fn discard(&mut self, msg: Self::Msg) {
-        match msg {
-            TagMsg::Tree(m) => self.tree.discard(m),
-            TagMsg::Ag(row) => self.nodes.discard(row),
+        if let TagMsg::Tree(m) = msg {
+            self.tree.discard(m);
         }
     }
 

@@ -78,11 +78,16 @@ impl<F: SlabField> TreeAg<F> {
 }
 
 impl<F: SlabField> Protocol for TreeAg<F> {
-    /// Packed rows in pooled buffers, as in [`crate::AlgebraicGossip`].
-    type Msg = Vec<u8>;
+    /// Row indices into the round's message slab, as in
+    /// [`crate::AlgebraicGossip`].
+    type Msg = u32;
 
     fn num_nodes(&self) -> usize {
         self.tree.n()
+    }
+
+    fn on_round_start(&mut self, _round: u64) {
+        self.nodes.rewind();
     }
 
     fn on_wakeup(&mut self, node: NodeId, _rng: &mut StdRng) -> Option<ContactIntent> {
@@ -94,16 +99,12 @@ impl<F: SlabField> Protocol for TreeAg<F> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<Vec<u8>> {
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
         self.nodes.compose(from, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Vec<u8>) {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
         self.nodes.deliver(to, msg);
-    }
-
-    fn discard(&mut self, msg: Vec<u8>) {
-        self.nodes.discard(msg);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {

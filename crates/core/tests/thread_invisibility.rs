@@ -7,8 +7,7 @@
 //! (`Engine::run_observed`, `TrialPlan::run`) and inside local rayon pools:
 //! one thread keeps every round serial, two and four shard it over 16
 //! and 32 shards. All lanes must agree on the whole [`RunStats`], the
-//! per-round trajectory hash and the decoded bytes, with the message pool
-//! balanced at every round boundary.
+//! per-round trajectory hash and the decoded bytes.
 //!
 //! CI re-runs this file under `RAYON_NUM_THREADS ∈ {1, 4}`: the local
 //! pools make the lanes independent of it, so it varies only what runs
@@ -85,33 +84,23 @@ impl<P: Protocol> Protocol for Forwarding<P> {
 
 /// One observed run on the default engine, lossy and with dedup on,
 /// inside a pool of `threads`: the stats and the per-round (round, total
-/// rank) hash. `wrapped` runs it through [`Forwarding`]. Checks the pool
-/// balance at every round boundary and every node's decoded bytes.
+/// rank) hash. `wrapped` runs it through [`Forwarding`]. Checks every
+/// node's decoded bytes.
 fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> (RunStats, u64) {
     in_pool(threads, || {
         let mut proto = AlgebraicGossip::<F>::new(graph, &ag_config(), 0xA6).expect("protocol");
         // The precondition the file is named for: at this size the rule
-        // asks for the fan-out. Node 0 holds a message under `Spread`.
-        let row = proto
-            .compose(0, 1, 0, &mut StdRng::seed_from_u64(0))
-            .expect("node 0 is seeded");
+        // asks for the fan-out.
         assert!(
-            2 * N * row.len() >= FAN_OUT_FROM_BYTES,
+            2 * N * proto.msg_bytes() >= FAN_OUT_FROM_BYTES,
             "lane below the rule"
         );
-        proto.discard(row);
-        let prewarm = proto.pool_prewarm();
         let cfg = EngineConfig::synchronous(0x51AB)
             .with_loss(0.2)
             .with_dedup(true)
             .with_max_rounds(10_000);
         let mut hash = TrajectoryHash::new();
         let mut observe = |round: u64, p: &AlgebraicGossip<F>| {
-            assert_eq!(
-                p.pool_idle(),
-                prewarm,
-                "pool unbalanced after round {round}"
-            );
             hash.observe(round);
             hash.observe(p.total_rank() as u64);
         };

@@ -7,10 +7,10 @@
 //! row. A [`Decoder`](crate::Decoder) is a one-node arena behind the
 //! [`Packet`](crate::Packet) API; the differential suite in
 //! `tests/differential_decoder.rs` pins this one store against the scalar
-//! oracle packet for packet. Combined with the [`crate::RowPool`] message
-//! buffers and the borrowing receive/emit entry points, a simulation's
-//! round loop performs zero per-message heap allocation: a node allocates
-//! at its first row and never again, and without a payload not at all.
+//! oracle packet for packet. Emits write into a row the caller owns and
+//! receptions read one, so a simulation that keeps its messages in storage
+//! of its own performs no per-message heap allocation: a node allocates at
+//! its first row and never again, and without a payload not at all.
 //!
 //! Recoding lives here too: the dense and the sparse coefficient draws and
 //! the combination that follows are written once (`emit`, below) and serve
@@ -50,7 +50,6 @@ impl Counts {
 trait StoredRows {
     fn rank(&self, node: usize) -> usize;
     fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]);
-    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>);
 }
 
 impl<F: SlabField> StoredRows for &BasisArena<F> {
@@ -59,9 +58,6 @@ impl<F: SlabField> StoredRows for &BasisArena<F> {
     }
     fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
         BasisArena::accumulate_rows_into(self, node, factors, out);
-    }
-    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
-        BasisArena::copy_packed_row_into(self, node, i, out);
     }
 }
 
@@ -72,9 +68,6 @@ impl<F: SlabField> StoredRows for BasisShard<'_, F> {
     fn accumulate_rows_into(&mut self, node: usize, factors: &[u8], out: &mut [u8]) {
         BasisShard::accumulate_rows_into(self, node, factors, out);
     }
-    fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
-        BasisShard::copy_packed_row_into(self, node, i, out);
-    }
 }
 
 /// The one recode-emit, behind [`DecoderArena::emit_packed_row_into`] (which
@@ -84,17 +77,15 @@ impl<F: SlabField> StoredRows for BasisShard<'_, F> {
 fn emit<F: SlabField, R: Rng + ?Sized>(
     rows: &mut impl StoredRows,
     node: usize,
-    row_bytes: usize,
     density: Option<f64>,
     factors: &mut Vec<u8>,
     rng: &mut R,
-    out: &mut Vec<u8>,
+    out: &mut [u8],
 ) -> bool {
     assert!(
         density.is_none_or(|p| p > 0.0 && p <= 1.0),
         "coding density must be in (0, 1]"
     );
-    out.clear();
     let rank = rows.rank(node);
     if rank == 0 {
         return false;
@@ -110,13 +101,13 @@ fn emit<F: SlabField, R: Rng + ?Sized>(
         }
         picked_any = true;
     }
-    if picked_any {
-        out.resize(row_bytes, 0);
-        rows.accumulate_rows_into(node, factors, out);
-    } else {
-        // Degenerate sparse draw: forward one stored row unmodified.
-        rows.copy_packed_row_into(node, rng.gen_range(0..rank), out);
+    if !picked_any {
+        // Degenerate sparse draw: forward one stored row unmodified, as
+        // the combination with a single unit factor.
+        F::ONE.write_symbol(&mut factors[rng.gen_range(0..rank) * F::SYMBOL_BYTES..]);
     }
+    out.fill(0);
+    rows.accumulate_rows_into(node, factors, out);
     true
 }
 
@@ -133,7 +124,7 @@ fn emit<F: SlabField, R: Rng + ?Sized>(
 /// let g = Generation::<Gf256>::random(4, 2, &mut rng);
 /// let mut arena = DecoderArena::try_new(2, 4, 2).expect("a small arena fits");
 /// arena.seed_all_messages(0, &g); // node 0 is the source
-/// let mut buf = Vec::new();
+/// let mut buf = vec![0; arena.row_bytes()];
 /// while !arena.is_complete(1) {
 ///     assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
 ///     arena.receive_packed_slice(1, &buf);
@@ -294,10 +285,9 @@ impl<F: SlabField> DecoderArena<F> {
     }
 
     /// Delivers a packed augmented row to node `node`, reducing it in the
-    /// arena's internal scratch so the caller keeps its bytes. A
-    /// *redundant* reception costs zero heap allocations, and so does an
-    /// innovative one after the node's first. Verdicts, rank growth and
-    /// counters behave exactly as [`DecoderArena::receive_packed_mut`].
+    /// arena's internal scratch so the caller keeps its bytes, and stores
+    /// it on an innovative verdict. A *redundant* reception costs zero heap
+    /// allocations, and so does an innovative one after the node's first.
     ///
     /// # Panics
     ///
@@ -320,24 +310,6 @@ impl<F: SlabField> DecoderArena<F> {
         self.counts[node].record(outcome)
     }
 
-    /// Zero-copy receive: reduces the row **in place** in the caller's
-    /// buffer and stores it on an innovative verdict. Whenever a reduction
-    /// runs it overwrites the row's coefficient prefix, so the caller must
-    /// not count on its bytes afterwards; only a node that is already
-    /// complete answers redundant from its rank and leaves them as they
-    /// were. The engine delivery path uses this with its pooled message
-    /// buffers so a reception touches no scratch copy at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row's byte length differs from
-    /// [`DecoderArena::row_bytes`].
-    // ag-lint: hot-path
-    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        let outcome = self.basis.insert_packed_mut(node, row);
-        self.counts[node].record(outcome)
-    }
-
     /// Would a packet with these `k` coefficients raise node `node`'s
     /// rank? Non-mutating and allocation-free; payload state is untouched.
     pub(crate) fn would_help(&self, node: usize, coefficients: &[F]) -> bool {
@@ -347,9 +319,9 @@ impl<F: SlabField> DecoderArena<F> {
         self.basis.would_be_innovative_packed(node, &prefix)
     }
 
-    /// Emits one coded packed row from node `node` into `out` (cleared and
-    /// sized to the row width): a fresh random combination over everything
-    /// the node stores. Returns `false` — leaving `out` empty — when the
+    /// Emits one coded packed row from node `node` into `out`, one row
+    /// wide, whatever it held: a fresh random combination over everything
+    /// the node stores. Returns `false`, leaving `out` untouched, when the
     /// node stores nothing yet. Settles any payload elimination the node
     /// had deferred.
     ///
@@ -364,25 +336,18 @@ impl<F: SlabField> DecoderArena<F> {
     ///
     /// # Panics
     ///
-    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`, or if the
+    /// node stores a row and `out` is not [`DecoderArena::row_bytes`] long.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(
         &self,
         node: usize,
         density: Option<f64>,
         rng: &mut R,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) -> bool {
         let factors = &mut self.ksyms.borrow_mut();
-        emit::<F, R>(
-            &mut &self.basis,
-            node,
-            self.row_bytes(),
-            density,
-            factors,
-            rng,
-            out,
-        )
+        emit::<F, R>(&mut &self.basis, node, density, factors, rng, out)
     }
 
     /// Solves node `node`'s system once complete; `None` before rank `k`.
@@ -394,16 +359,16 @@ impl<F: SlabField> DecoderArena<F> {
     /// Splits the arena into disjoint contiguous [`DecoderShard`]s for
     /// parallel round execution. `bounds` must partition `0..nodes()` in
     /// order (see [`BasisArena::shards_mut`]); each shard is `Send`,
-    /// addresses its nodes by global id, and owns its own emit scratch
-    /// (sized here, for a full-rank emit, not by the worker), so shard
-    /// receive/emit sequences are byte-identical to the serial arena's
-    /// under the same RNG streams.
+    /// addresses its nodes by global id, and owns one scratch row (sized
+    /// here, not by the worker) for its emits' factors and its receptions'
+    /// row copies, so shard receive/emit sequences are byte-identical to
+    /// the serial arena's under the same RNG streams.
     ///
     /// # Panics
     ///
     /// Panics if `bounds` is not an ordered contiguous partition.
     pub fn shards_mut(&mut self, bounds: &[(usize, usize)]) -> Vec<DecoderShard<'_, F>> {
-        let (k, row_bytes) = (self.k, self.row_bytes());
+        let row_bytes = self.row_bytes();
         let mut counts = self.counts.as_mut_slice();
         self.basis
             .shards_mut(bounds)
@@ -415,8 +380,7 @@ impl<F: SlabField> DecoderArena<F> {
                 DecoderShard {
                     basis,
                     counts: mine,
-                    row_bytes,
-                    factors: Vec::with_capacity(k * F::SYMBOL_BYTES),
+                    scratch: Vec::with_capacity(row_bytes),
                 }
             })
             .collect()
@@ -433,9 +397,9 @@ pub struct DecoderShard<'a, F> {
     basis: BasisShard<'a, F>,
     /// Counters of the shard's nodes, indexed from the shard's first node.
     counts: &'a mut [Counts],
-    row_bytes: usize,
-    /// Shard-local packed recoding-factor buffer.
-    factors: Vec<u8>,
+    /// One row wide: an emit's packed recoding factors (`rank` symbols, at
+    /// most `k`), or the copy of a received row its reduction runs in.
+    scratch: Vec<u8>,
 }
 
 impl<F: SlabField> DecoderShard<'_, F> {
@@ -452,15 +416,18 @@ impl<F: SlabField> DecoderShard<'_, F> {
         self.basis.rank(node)
     }
 
-    /// Shard-local [`DecoderArena::receive_packed_mut`]: same verdicts,
-    /// same counters.
+    /// Shard-local [`DecoderArena::receive_packed_slice`]: same verdicts,
+    /// same counters, and the caller keeps its bytes.
     ///
     /// # Panics
     ///
     /// Panics if `node` is outside the shard or the row length mismatches.
     // ag-lint: hot-path
-    pub fn receive_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
-        let outcome = self.basis.insert_packed_mut(node, row);
+    pub fn receive_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
+        let buf = &mut self.scratch;
+        buf.clear();
+        buf.extend_from_slice(row);
+        let outcome = self.basis.insert_packed_mut(node, buf);
         self.counts[node - self.basis.node_range().start].record(outcome)
     }
 
@@ -469,18 +436,17 @@ impl<F: SlabField> DecoderShard<'_, F> {
     ///
     /// # Panics
     ///
-    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`, or if the
+    /// node stores a row and `out` is not one row long.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(
         &mut self,
         node: usize,
         density: Option<f64>,
         rng: &mut R,
-        out: &mut Vec<u8>,
+        out: &mut [u8],
     ) -> bool {
-        let row_bytes = self.row_bytes;
-        let factors = &mut self.factors;
-        emit::<F, R>(&mut self.basis, node, row_bytes, density, factors, rng, out)
+        emit::<F, R>(&mut self.basis, node, density, &mut self.scratch, rng, out)
     }
 }
 
@@ -512,7 +478,7 @@ mod tests {
 
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         let mut traffic_rng = StdRng::seed_from_u64(13);
         for _ in 0..200 {
             let from = traffic_rng.gen_range(0..nodes);
@@ -546,7 +512,7 @@ mod tests {
         arena.seed_all_messages(0, &g);
         let mut rng_a = StdRng::seed_from_u64(99);
         let mut rng_b = StdRng::seed_from_u64(99);
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         for density in [0.05, 0.4, 1.0] {
             for _ in 0..20 {
                 assert!(arena.emit_packed_row_into(0, Some(density), &mut rng_a, &mut buf));
@@ -581,7 +547,7 @@ mod tests {
         let mut arena = DecoderArena::<Gf256>::try_new(1, 6, 2).unwrap();
         arena.seed_message(0, &g, 1);
         arena.seed_message(0, &g, 4);
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         for density in [0.05, 0.3, 1.0] {
             for _ in 0..30 {
                 assert!(arena.emit_packed_row_into(0, Some(density), &mut rng, &mut buf));
@@ -602,7 +568,7 @@ mod tests {
         let g = Generation::<Gf256>::random(8, 1, &mut rng);
         let mut arena = DecoderArena::<Gf256>::try_new(2, 8, 1).unwrap();
         arena.seed_all_messages(0, &g);
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         let mut sent = 0;
         while !arena.is_complete(1) {
             assert!(arena.emit_packed_row_into(0, Some(0.25), &mut rng, &mut buf));
@@ -638,7 +604,7 @@ mod tests {
         arena.seed_all_messages(0, &g);
         assert!(arena.is_complete(0));
         assert_eq!(arena.innovative_count(0), 0, "seeding is not traffic");
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         let mut sent = 0;
         while !arena.is_complete(1) {
             assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
@@ -654,22 +620,22 @@ mod tests {
     fn empty_node_emits_nothing() {
         let arena = DecoderArena::<Gf256>::try_new(1, 3, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut buf = vec![1, 2, 3];
+        let mut buf = [1, 2, 3, 4];
         assert!(!arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
-        assert!(buf.is_empty(), "failed emit must leave the buffer cleared");
+        assert_eq!(buf, [1, 2, 3, 4], "a failed emit leaves the row alone");
     }
 
     #[test]
-    fn receive_packed_mut_consumes_callers_buffer() {
+    fn receive_packed_slice_leaves_the_callers_row() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = Generation::<Gf256>::random(2, 1, &mut rng);
         let mut arena = DecoderArena::<Gf256>::try_new(2, 2, 1).unwrap();
         arena.seed_all_messages(0, &g);
-        let mut buf = Vec::new();
+        let mut buf = vec![0; arena.row_bytes()];
         assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
         let before = buf.clone();
-        let _ = arena.receive_packed_mut(1, &mut buf);
-        assert_eq!(buf.len(), before.len(), "length preserved for reuse");
+        assert!(arena.receive_packed_slice(1, &buf).is_innovative());
+        assert_eq!(buf, before, "the reduction ran in the arena's scratch");
     }
 
     #[test]
@@ -697,8 +663,8 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(8);
         let mut rng_b = StdRng::seed_from_u64(8);
         let mut traffic = StdRng::seed_from_u64(5);
-        let mut buf_a = Vec::new();
-        let mut buf_b = Vec::new();
+        let mut buf_a = vec![0; serial.row_bytes()];
+        let mut buf_b = vec![0; serial.row_bytes()];
         {
             let mut shards = sharded.shards_mut(&[(0, 2), (2, nodes)]);
             for _ in 0..300 {
@@ -716,12 +682,12 @@ mod tests {
                 if !a {
                     continue;
                 }
-                let want = serial.receive_packed_mut(to, &mut buf_a);
+                let want = serial.receive_packed_slice(to, &buf_a);
                 let st = shards
                     .iter_mut()
                     .position(|s| s.node_range().contains(&to))
                     .unwrap();
-                let got = shards[st].receive_packed_mut(to, &mut buf_b);
+                let got = shards[st].receive_packed_slice(to, &buf_b);
                 assert_eq!(got, want, "verdict diverged");
             }
         }

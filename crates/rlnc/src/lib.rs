@@ -16,13 +16,13 @@
 //! gossip (as opposed to store-and-forward rumor spreading).
 //!
 //! For simulations, [`DecoderArena`] holds all `n` nodes' decoders in one
-//! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API) and
-//! [`RowPool`] recycles the packed-row message buffers, together making
-//! the gossip round loop free of per-message heap allocation: coefficient
-//! rows live in the arena's slab from construction on, a node makes one
-//! allocation for its payload rows, at its first row (none in a rank-only
-//! run), and nothing else allocates, which
-//! `crates/core/tests/alloc_audit.rs` bounds round by round.
+//! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API). It
+//! emits into and receives from packed rows the caller owns, so a gossip
+//! round loop that keeps its messages in one slab of its own is free of
+//! per-message heap allocation: coefficient rows live in the arena's slab
+//! from construction on, a node makes one allocation for its payload rows,
+//! at its first row (none in a rank-only run), and nothing else allocates,
+//! which `crates/core/tests/alloc_audit.rs` bounds round by round.
 //!
 //! # Examples
 //!
@@ -69,7 +69,6 @@ mod block;
 mod decoder;
 mod generation;
 mod packet;
-mod pool;
 mod recoder;
 
 pub use ag_linalg::{ArenaError, Insertion};
@@ -78,5 +77,4 @@ pub use block::{BlockDecoder, BlockEncoder};
 pub use decoder::{CodingError, Decoder};
 pub use generation::{Generation, GenerationError};
 pub use packet::Packet;
-pub use pool::RowPool;
 pub use recoder::Recoder;

@@ -70,10 +70,10 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     }
 
     /// Like [`Recoder::emit_packed_row`] but writing into a caller-provided
-    /// reusable buffer (cleared and sized to the row width), so the
-    /// steady-state emit path performs no heap allocation once `out` has
-    /// warmed up to capacity. Returns `false` — leaving `out` empty — when
-    /// the node stores nothing yet. Draws the same coefficients as
+    /// reusable buffer (sized to the row width), so the steady-state emit
+    /// path performs no heap allocation once `out` has warmed up to
+    /// capacity. Returns `false` — leaving `out` empty — when the node
+    /// stores nothing yet. Draws the same coefficients as
     /// [`Recoder::emit`] under the same RNG state.
     ///
     /// This is the dense [`crate::DecoderArena::emit_packed_row_into`] on
@@ -81,7 +81,13 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     /// elimination the node had deferred.
     // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u8>) -> bool {
-        self.decoder.arena().emit_packed_row_into(0, None, rng, out)
+        let arena = self.decoder.arena();
+        if arena.rank(0) == 0 {
+            out.clear();
+            return false;
+        }
+        out.resize(arena.row_bytes(), 0);
+        arena.emit_packed_row_into(0, None, rng, out)
     }
 }
 

@@ -55,7 +55,7 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
     let mut emit_a = StdRng::seed_from_u64(seed ^ 0xB10C);
     let mut emit_b = emit_a.clone();
     let mut emit_c = emit_a.clone();
-    let mut buf = Vec::new();
+    let mut buf = vec![0; arena.row_bytes()];
 
     let mut guard = 0usize;
     while !packed[1].is_complete() {

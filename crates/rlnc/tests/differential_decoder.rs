@@ -127,7 +127,7 @@ fn lazy_interleaved_stream<F: SlabField>(
     let mut emit_a = StdRng::seed_from_u64(seed ^ 0xE717);
     let mut emit_b = emit_a.clone();
     let mut emit_c = emit_a.clone();
-    let mut buf = Vec::new();
+    let mut buf = vec![0; arena.row_bytes()];
 
     for step in 0..steps {
         match step % 5 {

@@ -32,8 +32,7 @@
 //! analytically from the intent table instead of hashing `(from, to)`
 //! pairs, and the completion sweep walks an explicit list of
 //! still-incomplete nodes. Messages the engine decides not to deliver are
-//! handed back through [`Protocol::discard`], so protocols that pool their
-//! message buffers stay allocation-free even on rounds with drops.
+//! handed back through [`Protocol::discard`].
 //! `tests/differential_engine.rs` checks the loop against a structurally
 //! different oracle that derives the slot keys on its own.
 

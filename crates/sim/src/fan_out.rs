@@ -44,10 +44,9 @@
 //! `differential_sharded`, the golden trajectory, `thread_invisibility`
 //! and the unit tests below assert serial ≡ S shards.
 //!
-//! Message buffers flow out of shards through
-//! [`ProtocolShard::into_residue`] and back into the protocol through
-//! [`Protocol::discard`], so pooled-buffer protocols stay balanced at
-//! every round boundary.
+//! A shard owns nothing when its phase ends: the engine drops it, and what
+//! a message refers to (algebraic gossip's rows) stays with the protocol,
+//! which rewinds it at the next round start.
 //!
 //! The asynchronous time model wakes one node per timeslot with immediate
 //! delivery — inherently sequential — so it never fans out.
@@ -109,8 +108,8 @@ thread_local! {
 
 /// The fan-out's partition plus per-round scratch, allocated by the first
 /// sharded round of a run and reused by every later one: a sharded round
-/// allocates per shard (the shards themselves, the job and residue
-/// lists), never per message.
+/// allocates per shard (the shards themselves and the job list), never per
+/// message.
 #[derive(Debug)]
 pub(crate) struct FanOut<M> {
     /// `bounds[s] = (start, end)`: shard `s`'s contiguous node range.
@@ -222,10 +221,8 @@ impl<M: Send> FanOut<M> {
     }
 
     /// Runs `work` on every shard of `proto` with that shard's own lists,
-    /// on the rayon pool, then hands every shard's residue back through
-    /// [`Protocol::discard`] in shard order. Returns `false`, having run
-    /// nothing, if the protocol offers no shards or not exactly one per
-    /// range.
+    /// on the rayon pool. Returns `false`, having run nothing, if the
+    /// protocol offers no shards or not exactly one per range.
     fn run_shards<P: Protocol<Msg = M>>(
         &mut self,
         proto: &mut P,
@@ -234,22 +231,13 @@ impl<M: Send> FanOut<M> {
         let Some(shards) = proto.shards(&self.bounds, &self.send_counts) else {
             return false;
         };
-        let matched = shards.len() == self.lists.len();
-        let residue: Vec<Vec<M>> = if matched {
-            let jobs: Vec<_> = shards.into_iter().zip(&mut self.lists).collect();
-            jobs.into_par_iter()
-                .map(|(mut shard, lists)| {
-                    work(&mut *shard, lists);
-                    shard.into_residue()
-                })
-                .collect()
-        } else {
-            shards.into_iter().map(|s| s.into_residue()).collect()
-        };
-        for msg in residue.into_iter().flatten() {
-            proto.discard(msg);
+        if shards.len() != self.lists.len() {
+            return false;
         }
-        matched
+        let jobs: Vec<_> = shards.into_iter().zip(&mut self.lists).collect();
+        jobs.into_par_iter()
+            .for_each(|(mut shard, lists)| work(&mut *shard, lists));
+        true
     }
 }
 
@@ -270,11 +258,11 @@ mod tests {
     /// A randomized exchange protocol exercising every seam the merge has
     /// to keep deterministic: random partners (wakeup RNG), random
     /// message content (compose RNG), EXCHANGE contacts (dedup pairs),
-    /// and pooled-style residue accounting via an emit budget.
+    /// and empty sends via an emit budget.
     struct NoisyExchange {
         values: Vec<u64>,
         /// Compose returns None once a node's value exceeds this (so the
-        /// empty-send path and residue path both run).
+        /// empty-send path runs).
         saturation: u64,
         /// What `msg_bytes` tells the sharding rule one message weighs;
         /// 0 keeps the default engine serial.
@@ -392,10 +380,6 @@ mod tests {
         fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u64) {
             let v = &mut self.values[to - self.start];
             *v = (*v).max(msg).wrapping_add(1);
-        }
-
-        fn into_residue(self: Box<Self>) -> Vec<u64> {
-            Vec::new()
         }
     }
 

@@ -86,12 +86,14 @@ pub trait Protocol {
     /// group. This is the epoch-advance point for dynamic topologies:
     /// protocols over an [`ag_graph::Topology`] advance their view to
     /// epoch `round − 1` here, so round 1 always runs on the initial
-    /// graph. The default is a no-op (and a static topology's advance is
-    /// itself a no-op), so static protocols pay nothing. Must not touch
-    /// any engine-provided RNG — topology schedules carry their own
-    /// seeded streams — so the engine's draw sequence is independent of
-    /// whether a protocol overrides this. Wrapper protocols must forward
-    /// it to their inner protocol.
+    /// graph. It is also where a protocol that keeps a round's messages
+    /// in storage of its own frees it: no message outlives its round under
+    /// either time model. The default is a no-op (and a static topology's
+    /// advance is itself a no-op), so static protocols pay nothing. Must
+    /// not touch any engine-provided RNG — topology schedules carry their
+    /// own seeded streams — so the engine's draw sequence is independent
+    /// of whether a protocol overrides this. Wrapper protocols must
+    /// forward it to their inner protocol.
     fn on_round_start(&mut self, round: u64) {
         let _ = round;
     }
@@ -117,13 +119,13 @@ pub trait Protocol {
     /// Delivers a previously composed message into `to`'s data state.
     fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg);
 
-    /// Reclaims a composed message the engine decided **not** to deliver —
-    /// same-sender dedup or loss injection. The default just drops it;
-    /// protocols that pool their message buffers (e.g. algebraic gossip's
-    /// `RowPool`) override this to recycle the allocation, which is what
-    /// keeps their round loop allocation-free even on rounds with dropped
-    /// messages. Must not mutate any state the simulation can observe:
-    /// drop accounting lives in the engine's `RunStats`.
+    /// Hands back a composed message the engine decided **not** to
+    /// deliver — same-sender dedup or loss injection. The default just
+    /// drops it, which is all a message that owns nothing (a value, or an
+    /// index into storage the protocol rewinds each round) needs; a
+    /// wrapper forwards it so the protocol inside sees its messages' fates.
+    /// Must not mutate any state the simulation can observe: drop
+    /// accounting lives in the engine's `RunStats`.
     fn discard(&mut self, msg: Self::Msg) {
         drop(msg);
     }
@@ -139,8 +141,9 @@ pub trait Protocol {
     /// `bounds[s] = (start, end)`, which cover `0..n` in order, so the
     /// engine can run a synchronous round's compose and deliver phases on
     /// the rayon pool. `send_counts[s]` is how many messages shard `s`
-    /// will be asked to compose (all 0 for the delivery phase); pooled
-    /// protocols pre-draw that many buffers into the shard.
+    /// will be asked to compose (all 0 for the delivery phase), so a
+    /// protocol that writes its messages into storage of its own can hand
+    /// each shard a disjoint part of it sized up front.
     ///
     /// The default, `None`, has the engine compose and deliver serially
     /// through [`Protocol::compose`] and [`Protocol::deliver`], with the
@@ -188,15 +191,8 @@ pub trait ProtocolShard: Send {
         rng: &mut StdRng,
     ) -> Option<Self::Msg>;
 
-    /// Delivers a message into `to`'s data state. Spent message buffers
-    /// that should return to a pool go into the shard's residue.
+    /// Delivers a message into `to`'s data state.
     fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg);
-
-    /// Tears the shard down, returning every message buffer it still
-    /// holds (unconsumed emit stash, spent delivery buffers). The engine
-    /// hands each one back through [`Protocol::discard`] on the main
-    /// thread, where pooled protocols recycle it.
-    fn into_residue(self: Box<Self>) -> Vec<Self::Msg>;
 }
 
 #[cfg(test)]

@@ -7,19 +7,16 @@
 //! `AlgebraicGossip::compose`; the forced lanes (`with_forced_shards`, the
 //! hidden test seam) with S > 1 go through the protocol's shards, so the
 //! comparison also locks the shard type to the protocol it splits. Each
-//! lane runs the real
-//! pooled algebraic-gossip protocol (the dev-only dependency cycle that
-//! also powers `proptest_engine_invariants`) over random connected
-//! graphs, both communication models, GF(256) and GF(2) (at q = 2 about
-//! half of all coefficient draws are unhelpful, so the rank trace moves
-//! with any change to a compose stream), loss on/off, and asserts:
+//! lane runs the real algebraic-gossip protocol (the dev-only dependency
+//! cycle that also powers `proptest_engine_invariants`) over random
+//! connected graphs, both communication models, GF(256) and GF(2) (at
+//! q = 2 about half of all coefficient draws are unhelpful, so the rank
+//! trace moves with any change to a compose stream), loss on/off, and
+//! asserts:
 //!
 //! * identical [`RunStats`],
 //! * identical per-round observer traces (round, total rank) and their
 //!   [`TrajectoryHash`],
-//! * the pool-balance invariant `pool_idle == pool_prewarm` at **every**
-//!   round boundary — per-shard emit stashes must hand every buffer back
-//!   by the end of the round,
 //! * identical decoded messages on completed runs.
 //!
 //! A protocol that offers no shards (`Protocol::shards` is `None`) runs
@@ -80,33 +77,22 @@ type Lane = (RunStats, u64, Vec<(u64, u64)>);
 
 /// Runs `proto` to completion, forced over `shards` shards (`Some(s)`) or
 /// left to the engine's own rule (`None`: serial at these sizes), tracing
-/// (round, total rank) and asserting pool balance at every round boundary
-/// and at the end. `ag` finds the algebraic-gossip protocol inside `proto`.
+/// (round, total rank). `ag` finds the algebraic-gossip protocol inside
+/// `proto`.
 fn traced_run<F: SlabField, P: Protocol>(
     proto: &mut P,
     cfg: EngineConfig,
     shards: Option<usize>,
     ag: impl Fn(&P) -> &AlgebraicGossip<F>,
 ) -> Lane {
-    let prewarm = ag(proto).pool_prewarm();
     let mut hash = TrajectoryHash::new();
     let mut trace = Vec::new();
     let stats = engine(cfg, shards).run_observed(proto, |round, p| {
-        assert_eq!(
-            ag(p).pool_idle(),
-            prewarm,
-            "shards = {shards:?}: pooled buffer leaked by round {round}"
-        );
         let rank = ag(p).total_rank() as u64;
         hash.observe(round);
         hash.observe(rank);
         trace.push((round, rank));
     });
-    assert_eq!(
-        ag(proto).pool_idle(),
-        prewarm,
-        "shards = {shards:?}: pool did not end balanced"
-    );
     (stats, hash.finish(), trace)
 }
 
@@ -134,8 +120,7 @@ fn run_lane<F: SlabField + Send>(
 }
 
 /// The same run under the crash wrapper, which offers no shards: a
-/// deterministic fraction crashes at staggered wakeups, and the survivors
-/// must still account for every pooled buffer.
+/// deterministic fraction crashes at staggered wakeups.
 fn run_crash_lane(
     n: usize,
     ag_cfg: &AgConfig,
@@ -247,7 +232,7 @@ proptest! {
     }
 
     /// The seam is inert on a protocol without shards: a crash-wrapped
-    /// run is the same run, pool balance included, with and without it.
+    /// run is the same run with and without it.
     #[test]
     fn forced_shards_are_inert_without_shards(
         seed in any::<u64>(),

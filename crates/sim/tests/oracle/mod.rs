@@ -166,8 +166,8 @@ impl ReferenceEngine {
             if self.config.dedup_same_sender && !seen.insert((from, to)) {
                 stats.dedup_dropped += 1;
                 // Not an optimization — the same discard hook the fast
-                // engine invokes, so pooled protocols behave identically
-                // under both loops.
+                // engine invokes, so a protocol sees the same fates under
+                // both loops.
                 proto.discard(msg);
                 continue;
             }

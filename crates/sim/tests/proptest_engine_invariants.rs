@@ -10,12 +10,6 @@
 //! 3. **Completion monotonicity**: observed through `run_observed`, a
 //!    node that reports complete never reverts, and the recorded
 //!    per-node completion rounds never exceed `stats.rounds`.
-//! 4. **Pool balance**: for the pooled algebraic-gossip protocol — bare
-//!    or wrapped in `WithCrashes` — pooled + in-flight message buffers
-//!    stay constant across rounds: at every round boundary no message is
-//!    in flight, so the pool's idle count must equal its preallocated
-//!    ceiling for the whole run, whatever the engine drops to dedup,
-//!    loss, or crashed receivers.
 
 use std::cell::Cell;
 
@@ -203,58 +197,5 @@ proptest! {
         prop_assert_eq!(prev_round, stats.rounds);
         // The final observation saw every node complete.
         prop_assert!(prev_complete.iter().all(|&c| c));
-    }
-
-    /// Pool balance over the real pooled protocol: at every observed
-    /// round boundary (and at the end of the run) the `RowPool`'s idle
-    /// count equals the preallocated in-flight ceiling — no buffer is
-    /// ever leaked to a drop path (dedup, loss, crashed receiver) and
-    /// none is held across a boundary. Runs bare and `WithCrashes`-
-    /// wrapped, both time models, loss ∈ {0, 0.3}.
-    #[test]
-    fn pool_balance_is_invariant(
-        seed in any::<u64>(),
-        n in 6usize..20,
-        sync in any::<bool>(),
-        lossy in any::<bool>(),
-        with_crashes in any::<bool>(),
-    ) {
-        use ag_gf::Gf256;
-        use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, WithCrashes};
-
-        let graph = random_graph(seed, n, false);
-        let cfg = AgConfig::new(4).with_payload_len(2);
-        let proto = AlgebraicGossip::<Gf256>::new(&graph, &cfg, seed ^ 0x9001)
-            .expect("connected graph");
-        let prewarm = proto.pool_prewarm();
-        prop_assert_eq!(proto.pool_idle(), prewarm);
-        let mut ecfg = if sync {
-            EngineConfig::synchronous(seed)
-        } else {
-            EngineConfig::asynchronous(seed)
-        }
-        // Completion is NOT asserted (crashes may strand messages); the
-        // budget only bounds the observation window.
-        .with_max_rounds(300);
-        if lossy {
-            ecfg = ecfg.with_loss(0.3);
-        }
-        let mut balanced = true;
-        let final_idle = if with_crashes {
-            let plan = CrashPlan::random_fraction(graph.n(), 0.25, 2, seed ^ 0xC4A5);
-            let mut wrapped = WithCrashes::new(proto, plan);
-            let _ = Engine::new(ecfg).run_observed(&mut wrapped, |_, p| {
-                balanced &= p.inner().pool_idle() == prewarm;
-            });
-            wrapped.inner().pool_idle()
-        } else {
-            let mut bare = proto;
-            let _ = Engine::new(ecfg).run_observed(&mut bare, |_, p| {
-                balanced &= p.pool_idle() == prewarm;
-            });
-            bare.pool_idle()
-        };
-        prop_assert!(balanced, "pool idle diverged from {prewarm} at a round boundary");
-        prop_assert_eq!(final_idle, prewarm, "pool did not end balanced");
     }
 }

@@ -2,22 +2,25 @@
 # Alternating-pairs comparison of two built `ag-benchmark` binaries on one
 # workload: the protocol the CHANGES.md measurement tables follow.
 #
-#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS [SEED]
 #
-# Pair i runs both binaries once each with seed 0x51AB51AB and the trace
+# Pair i runs both binaries once each with the benchmark seed SEED
+# (default 0x51AB51AB, the benchmark's own default) and the trace
 # off, the parent first in odd pairs and the change first in even ones,
 # so a drift of the host over time falls on both sides alike. It prints
 # one line per run (the four end-to-end metrics, `correct` and `failed`),
 # then per metric: both medians, the change relative to the parent's
 # median, the parent's interquartile range, and in how many pairs the
-# change read better. It only reads what the binaries print.
+# change read better. It only reads what the binaries print. A claimed
+# gain should also hold on a seed the change was not tuned on: pass one
+# as SEED.
 set -eu
 usage() {
-    echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS" >&2
+    echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS [SEED]" >&2
     exit 2
 }
-[ $# -eq 5 ] || usage
-parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5
+[ $# -eq 5 ] || [ $# -eq 6 ] || usage
+parent=$1 change=$2 workload=$3 pairs=$4 seconds=$5 seed=${6:-0x51AB51AB}
 case $pairs in '' | *[!0-9]* | 0) usage ;; esac
 for bin in "$parent" "$change"; do
     [ -x "$bin" ] || { echo "pairs.sh: $bin is not an executable" >&2; exit 2; }
@@ -27,7 +30,7 @@ trap 'rm -f "$runs" "$err"' EXIT
 
 # run PAIR SIDE BIN: one benchmark process; appends its row to $runs.
 run() {
-    if ! out=$("$3" --workload "$workload" --seed 0x51AB51AB --seconds "$seconds" \
+    if ! out=$("$3" --workload "$workload" --seed "$seed" --seconds "$seconds" \
         --trace 0 2>"$err"); then
         echo "pairs.sh: the $2 run of pair $1 failed:" >&2
         cat "$err" >&2

@@ -19,6 +19,14 @@ pub trait ParallelIterator: Sized {
         Map { base: self, op }
     }
 
+    /// Applies `op` to every item, in parallel, for its effect alone.
+    fn for_each<F>(self, op: F)
+    where
+        F: Fn(Self::Item) + Sync + Send,
+    {
+        self.map(op).drive();
+    }
+
     /// Executes the pipeline and collects the results.
     fn collect<C>(self) -> C
     where
