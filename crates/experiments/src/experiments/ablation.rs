@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use ag_analysis::{Summary, TableBuilder};
-use ag_gf::{Gf16, Gf2, Gf256, Gf65536, F257};
+use ag_gf::{Gf2, Gf256, F13, F257, F65537};
 use ag_sim::{Engine, EngineConfig, TimeModel::Synchronous};
 use algebraic_gossip::{
     Action, AgConfig, AlgebraicGossip, CrashPlan, ProtocolKind, RunSpec, TrialPlan, WithCrashes,
@@ -25,23 +25,25 @@ pub fn run(scale: Scale) -> String {
 
     // ---- A1: field size q. The helpfulness probability is ≥ 1 − 1/q, so
     // GF(2) pays the largest redundancy penalty; the gain saturates fast.
+    // q enters only through 1/q, never the characteristic, so binary and
+    // prime fields interleave on one axis.
     let g = Family::Ring.build(n, 0);
     let mut t = TableBuilder::new(["field", "q", "median rounds", "vs GF(2)"]);
     let q2 = median_rounds::<Gf2>(&g, &base, trials, 1100);
     for (name, q, rounds) in [
         ("GF(2)", 2u64, q2),
-        ("GF(16)", 16, median_rounds::<Gf16>(&g, &base, trials, 1100)),
+        ("F_13", 13, median_rounds::<F13>(&g, &base, trials, 1100)),
         (
             "GF(256)",
             256,
             median_rounds::<Gf256>(&g, &base, trials, 1100),
         ),
-        (
-            "GF(65536)",
-            65536,
-            median_rounds::<Gf65536>(&g, &base, trials, 1100),
-        ),
         ("F_257", 257, median_rounds::<F257>(&g, &base, trials, 1100)),
+        (
+            "F_65537",
+            65537,
+            median_rounds::<F65537>(&g, &base, trials, 1100),
+        ),
     ] {
         t.row([
             name.to_string(),

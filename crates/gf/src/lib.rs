@@ -9,9 +9,7 @@
 //!
 //! * [`Field`] — the trait every coefficient type implements,
 //! * [`Gf2`] — the binary field (q = 2, the paper's worst case),
-//! * [`Gf16`] — GF(2⁴), nibble-sized symbols,
 //! * [`Gf256`] — GF(2⁸) with log/exp tables (the practical RLNC default),
-//! * [`Gf65536`] — GF(2¹⁶) via carry-less multiplication,
 //! * [`Fp`] — prime fields GF(p) for any prime `p < 2³²`,
 //! * [`SlabField`] — bulk row arithmetic over packed byte slabs (the
 //!   [`slab`] module), which is what the decoder and recoder hot paths use,
@@ -33,10 +31,10 @@
 //! `ag-rlnc`; in-memory slabs here store one byte per symbol regardless)
 //! and its slabs are pure XOR, but a random combination is redundant with
 //! probability `1/2`, so more rounds are needed — it is the paper's worst
-//! case, kept for fidelity. [`Gf16`] sits between the two in `1/q` and is an
-//! ablation point like [`Gf65536`] and [`Fp`]: a product-table load per
-//! byte for the one, the scalar slab fallback for the others; do not pick
-//! them for throughput.
+//! case, kept for fidelity. [`Fp`] spans the rest of `q` for the
+//! field-size ablation (F₁₃ below GF(2⁸), F₂₅₇ and F₆₅₅₃₇ above it; the
+//! stopping time sees `q` only through `1/q`, never the characteristic).
+//! Its slabs take the scalar fallback; do not pick it for throughput.
 //!
 //! # Examples
 //!
@@ -72,10 +70,8 @@
 
 mod field;
 mod fp;
-mod gf16;
 mod gf2;
 mod gf256;
-mod gf65536;
 pub mod reference;
 pub mod simd;
 pub mod slab;
@@ -83,10 +79,8 @@ pub mod symbols;
 
 pub use field::Field;
 pub use fp::{Fp, F13, F257, F65537, F7};
-pub use gf16::Gf16;
 pub use gf2::Gf2;
 pub use gf256::Gf256;
-pub use gf65536::Gf65536;
 pub use slab::SlabField;
 
 #[cfg(test)]
@@ -153,19 +147,8 @@ mod axiom_tests {
     }
 
     #[test]
-    fn gf16_axioms_exhaustive() {
-        let all: Vec<Gf16> = (0..16u8).map(Gf16::new).collect();
-        check_axioms_sample(&all);
-    }
-
-    #[test]
     fn gf256_axioms_sampled() {
         check_axioms_sample::<Gf256>(&sample(12, 0xA11CE));
-    }
-
-    #[test]
-    fn gf65536_axioms_sampled() {
-        check_axioms_sample::<Gf65536>(&sample(10, 0xB0B));
     }
 
     #[test]
@@ -187,9 +170,7 @@ mod axiom_tests {
     #[test]
     fn field_sizes_are_correct() {
         assert_eq!(Gf2::SIZE, 2);
-        assert_eq!(Gf16::SIZE, 16);
         assert_eq!(Gf256::SIZE, 256);
-        assert_eq!(Gf65536::SIZE, 65536);
         assert_eq!(F257::SIZE, 257);
         assert_eq!(F65537::SIZE, 65537);
     }
@@ -222,14 +203,8 @@ mod axiom_tests {
         for v in 0..2 {
             assert_eq!(Gf2::from_u64(v).to_u64(), v);
         }
-        for v in 0..16 {
-            assert_eq!(Gf16::from_u64(v).to_u64(), v);
-        }
         for v in [0u64, 1, 17, 200, 255] {
             assert_eq!(Gf256::from_u64(v).to_u64(), v);
-        }
-        for v in [0u64, 1, 65535] {
-            assert_eq!(Gf65536::from_u64(v).to_u64(), v);
         }
         for v in [0u64, 1, 256] {
             assert_eq!(F257::from_u64(v).to_u64(), v);

@@ -21,9 +21,7 @@
 //! | Field | packing | fast path |
 //! |---|---|---|
 //! | [`Gf2`](crate::Gf2) | 1 byte/symbol | pure XOR (`u64`-chunked) |
-//! | [`Gf16`](crate::Gf16) | 1 byte/symbol | XOR add + table multiply |
 //! | [`Gf256`](crate::Gf256) | 1 byte/symbol | XOR add + table/SIMD multiply |
-//! | [`Gf65536`](crate::Gf65536) | 2 bytes/symbol LE | XOR add, scalar multiply |
 //! | [`Fp<P>`](crate::Fp) | 8 bytes/symbol LE | scalar fallback |
 //!
 //! The GF(2⁸) multiply kernels exist twice, bit-identically: per-`c`
@@ -453,24 +451,16 @@ mod tests {
 
     #[test]
     fn canonicalize_slice_rewrites_only_what_is_not_canonical() {
-        use crate::{Gf16, Gf65536, F7};
+        use crate::F7;
         let dirty: Vec<u8> = (0..=255u8).collect();
         let canonical = |mask: u8| dirty.iter().map(|b| b & mask).collect::<Vec<u8>>();
         let mut slab = dirty.clone();
-        Gf16::canonicalize_slice(&mut slab);
-        assert_eq!(slab, canonical(0x0F));
-        assert_eq!(
-            Gf16::pack(&Gf16::unpack(&dirty)),
-            slab,
-            "what packing writes"
-        );
-        let mut slab = dirty.clone();
         Gf2::canonicalize_slice(&mut slab);
         assert_eq!(slab, canonical(0x01));
+        assert_eq!(Gf2::pack(&Gf2::unpack(&dirty)), slab, "what packing writes");
         // Symbols that fill their bytes: every pattern is canonical already.
         let mut slab = dirty.clone();
         Gf256::canonicalize_slice(&mut slab);
-        Gf65536::canonicalize_slice(&mut slab);
         assert_eq!(slab, dirty);
         // GF(p) reduces each residue; bytes past the last whole symbol stay.
         let mut slab = [9u64.to_le_bytes().as_slice(), &[0xFF; 3]].concat();
@@ -579,9 +569,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a multiple")]
     fn misaligned_multibyte_slab_panics() {
-        // 3 bytes is not a whole number of 2-byte GF(2^16) symbols; the
-        // fast-path override must uphold the trait's alignment contract.
+        // 3 bytes is not a whole number of 8-byte GF(p) symbols; the
+        // scalar fallback must uphold the trait's alignment contract.
         let mut dst = vec![0u8; 3];
-        crate::Gf65536::add_slice(&[1, 2, 3], &mut dst);
+        crate::F257::add_slice(&[1, 2, 3], &mut dst);
     }
 }

@@ -26,12 +26,12 @@ fn symbol_bits<F: Field>() -> usize {
 /// # Examples
 ///
 /// ```
-/// use ag_gf::{Gf2, Gf256, Gf65536};
+/// use ag_gf::{Gf2, Gf256, F65537};
 /// use ag_gf::symbols::symbol_len;
 ///
 /// assert_eq!(symbol_len::<Gf256>(10), 10);
 /// assert_eq!(symbol_len::<Gf2>(10), 80);
-/// assert_eq!(symbol_len::<Gf65536>(10), 5);
+/// assert_eq!(symbol_len::<F65537>(10), 5);
 /// ```
 #[must_use]
 pub fn symbol_len<F: Field>(len: usize) -> usize {
@@ -115,7 +115,7 @@ pub fn symbols_to_bytes<F: Field>(symbols: &[F], byte_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf16, Gf2, Gf256, Gf65536, F13, F257, F65537, F7};
+    use crate::{Gf2, Gf256, F13, F257, F65537, F7};
 
     fn round_trip<F: Field>(data: &[u8]) {
         let syms = bytes_to_symbols::<F>(data);
@@ -128,9 +128,7 @@ mod tests {
     fn round_trip_all_fields() {
         let data: Vec<u8> = (0..=255).collect();
         round_trip::<Gf2>(&data);
-        round_trip::<Gf16>(&data);
         round_trip::<Gf256>(&data);
-        round_trip::<Gf65536>(&data);
         round_trip::<F257>(&data);
         round_trip::<F7>(&data);
         round_trip::<F13>(&data);
@@ -142,7 +140,7 @@ mod tests {
         for len in [0usize, 1, 3, 7, 255] {
             let data: Vec<u8> = (0..len).map(|i| (i * 31 % 256) as u8).collect();
             round_trip::<Gf2>(&data);
-            round_trip::<Gf65536>(&data);
+            round_trip::<F65537>(&data);
             round_trip::<Gf256>(&data);
         }
     }
@@ -155,8 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn gf65536_packs_two_bytes_big_endian() {
-        let syms = bytes_to_symbols::<Gf65536>(&[0x12, 0x34, 0x56]);
+    fn f65537_packs_two_bytes_big_endian() {
+        let syms = bytes_to_symbols::<F65537>(&[0x12, 0x34, 0x56]);
         assert_eq!(syms.len(), 2);
         assert_eq!(syms[0].to_u64(), 0x1234);
         assert_eq!(syms[1].to_u64(), 0x5600); // padded

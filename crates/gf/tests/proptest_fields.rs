@@ -1,7 +1,7 @@
 //! Property-based tests of the field axioms over randomly drawn elements.
 
 use ag_gf::symbols::{bytes_to_symbols, symbols_to_bytes};
-use ag_gf::{Field, Gf16, Gf2, Gf256, Gf65536, F257};
+use ag_gf::{Field, Gf2, Gf256, F257, F65537};
 use proptest::prelude::*;
 
 /// Asserts the axioms that bind three arbitrary elements together.
@@ -37,9 +37,7 @@ macro_rules! field_axiom_suite {
 }
 
 field_axiom_suite!(gf2_axioms, Gf2);
-field_axiom_suite!(gf16_axioms, Gf16);
 field_axiom_suite!(gf256_axioms, Gf256);
-field_axiom_suite!(gf65536_axioms, Gf65536);
 field_axiom_suite!(f257_axioms, F257);
 
 proptest! {
@@ -69,8 +67,8 @@ proptest! {
     }
 
     #[test]
-    fn symbol_round_trip_gf65536(data in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let syms = bytes_to_symbols::<Gf65536>(&data);
-        prop_assert_eq!(symbols_to_bytes::<Gf65536>(&syms, data.len()), data);
+    fn symbol_round_trip_f65537(data in proptest::collection::vec(any::<u8>(), 0..128)) {
+        let syms = bytes_to_symbols::<F65537>(&data);
+        prop_assert_eq!(symbols_to_bytes::<F65537>(&syms, data.len()), data);
     }
 }

@@ -11,8 +11,7 @@
 //! * sub-8-byte and sub-16/32-byte tails (SIMD window and block
 //!   boundaries),
 //! * slabs starting at every misalignment `0..8` inside a parent buffer,
-//! * coefficients `c ∈ {0, 1, generator, random}`,
-//! * for GF(2⁴): non-canonical high nibbles in the source bytes.
+//! * coefficients `c ∈ {0, 1, generator, random}`.
 //!
 //! The dispatch lanes go through [`SlabField`] and draw row lengths on both
 //! sides of [`SHORT_ROW_BYTES`]. Which arms of the selection rule (in
@@ -25,7 +24,7 @@
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
 use ag_gf::simd::SHORT_ROW_BYTES;
-use ag_gf::{reference, simd, Field, Gf16, Gf256, SlabField};
+use ag_gf::{reference, simd, Field, Gf256, SlabField};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,45 +90,6 @@ fn gf256_rungs_agree(seed: u64, len: usize, off: usize, sel: u8) -> Result<(), T
         prop_assert_eq!(&m[off..], &want_mul[..], "{} mul", name);
         prop_assert_eq!(&m[..off], &dst_buf[..off], "{} mul prefix clobbered", name);
     }
-    Ok(())
-}
-
-/// GF(2⁴) analog for its one kernel: `src` and `dst` deliberately contain
-/// non-canonical high nibbles, which the multiply must ignore.
-fn gf16_kernel_matches_scalar(
-    seed: u64,
-    len: usize,
-    off: usize,
-    sel: u8,
-) -> Result<(), TestCaseError> {
-    let c = coeff(sel, Gf16::new(2), seed);
-    let src_buf = bytes(seed, off + len);
-    let dst_buf = bytes(seed ^ 0xD1CE, off + len);
-    let src = &src_buf[off..];
-
-    // The c = 1 fast paths touch whole bytes (the axpy XORs them, the
-    // product leaves them alone) rather than masking first: harmless on
-    // canonical slabs, and part of the kernel contract.
-    let one = c == Gf16::ONE;
-    let want_axpy: Vec<u8> = dst_buf[off..]
-        .iter()
-        .zip(src)
-        .map(|(&d, &s)| d ^ if one { s } else { (c * Gf16::new(s)).value() })
-        .collect();
-    let want_mul: Vec<u8> = dst_buf[off..]
-        .iter()
-        .map(|&d| if one { d } else { (c * Gf16::new(d)).value() })
-        .collect();
-
-    let mut axpy = dst_buf.clone();
-    Gf16::mul_add_slice(c, src, &mut axpy[off..]);
-    prop_assert_eq!(&axpy[off..], &want_axpy[..], "axpy");
-    prop_assert_eq!(&axpy[..off], &dst_buf[..off], "axpy prefix clobbered");
-
-    let mut m = dst_buf.clone();
-    Gf16::mul_slice(c, &mut m[off..]);
-    prop_assert_eq!(&m[off..], &want_mul[..], "mul");
-    prop_assert_eq!(&m[..off], &dst_buf[..off], "mul prefix clobbered");
     Ok(())
 }
 
@@ -341,17 +301,6 @@ proptest! {
     }
 
     #[test]
-    fn gf16_kernel_matches_scalar_with_dirty_high_nibbles(
-        seed in any::<u64>(),
-        len in 0usize..2 * SHORT_ROW_BYTES,
-        off in 0usize..8,
-        sel in 0u8..5,
-    ) {
-        gf16_kernel_matches_scalar(seed, len, off, sel)?;
-        gf16_kernel_matches_scalar(seed, 1024, off, sel)?;
-    }
-
-    #[test]
     fn fused_multi_matches_loop_gf256(
         seed in any::<u64>(),
         n in 0usize..20,
@@ -360,16 +309,6 @@ proptest! {
         zero_mask in any::<u8>(),
     ) {
         fused_multi_matches_loop::<Gf256>(seed, n, len, zero_mask)?;
-    }
-
-    #[test]
-    fn fused_multi_matches_loop_gf16(
-        seed in any::<u64>(),
-        n in 0usize..12,
-        len in 0usize..2 * SHORT_ROW_BYTES,
-        zero_mask in any::<u8>(),
-    ) {
-        fused_multi_matches_loop::<Gf16>(seed, n, len, zero_mask)?;
     }
 
     #[test]
@@ -408,18 +347,6 @@ proptest! {
     ) {
         let shapes = [1usize, 2, 3, 8, 17];
         block_matches_axpy_loop::<Gf256>(seed, shapes[ri], shapes[ci], len, force_mask)?;
-    }
-
-    #[test]
-    fn block_matches_axpy_loop_gf16(
-        seed in any::<u64>(),
-        ri in 0usize..5,
-        ci in 0usize..5,
-        len in 1usize..2 * SHORT_ROW_BYTES,
-        force_mask in any::<u16>(),
-    ) {
-        let shapes = [1usize, 2, 3, 8, 17];
-        block_matches_axpy_loop::<Gf16>(seed, shapes[ri], shapes[ci], len, force_mask)?;
     }
 
     #[test]
@@ -468,15 +395,6 @@ proptest! {
     }
 
     #[test]
-    fn scatter_matches_loop_gf16(
-        seed in any::<u64>(),
-        n in 0usize..10,
-        len in 0usize..2 * SHORT_ROW_BYTES,
-    ) {
-        scatter_matches_loop::<Gf16>(seed, n, len)?;
-    }
-
-    #[test]
     fn dispatch_matches_scalar_gf2(
         seed in any::<u64>(),
         len in 0usize..2 * SHORT_ROW_BYTES,
@@ -486,30 +404,12 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_matches_scalar_gf16(
-        seed in any::<u64>(),
-        len in 0usize..2 * SHORT_ROW_BYTES,
-        sel in 0u8..4,
-    ) {
-        dispatch_matches_scalar::<Gf16>(seed, len, sel)?;
-    }
-
-    #[test]
     fn dispatch_matches_scalar_gf256(
         seed in any::<u64>(),
         len in 0usize..2 * SHORT_ROW_BYTES,
         sel in 0u8..4,
     ) {
         dispatch_matches_scalar::<Gf256>(seed, len, sel)?;
-    }
-
-    #[test]
-    fn dispatch_matches_scalar_gf65536(
-        seed in any::<u64>(),
-        len in 0usize..2 * SHORT_ROW_BYTES,
-        sel in 0u8..4,
-    ) {
-        dispatch_matches_scalar::<ag_gf::Gf65536>(seed, len, sel)?;
     }
 
     #[test]

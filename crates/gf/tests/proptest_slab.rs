@@ -5,7 +5,7 @@
 //! empty and odd-length slices (lengths are drawn from `0..67`, which covers
 //! both sides of the 8-byte XOR chunking boundary).
 
-use ag_gf::{Gf16, Gf2, Gf256, Gf65536, SlabField, F257};
+use ag_gf::{Gf2, Gf256, SlabField, F257};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,18 +63,8 @@ proptest! {
     }
 
     #[test]
-    fn gf16_slab_laws(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
-        check_laws::<Gf16>(seed, len, sel)?;
-    }
-
-    #[test]
     fn gf256_slab_laws(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
         check_laws::<Gf256>(seed, len, sel)?;
-    }
-
-    #[test]
-    fn gf65536_slab_laws(seed in any::<u64>(), len in 0usize..67, sel in 0u8..4) {
-        check_laws::<Gf65536>(seed, len, sel)?;
     }
 
     #[test]

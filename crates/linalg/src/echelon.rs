@@ -377,8 +377,8 @@ mod tests {
         assert_eq!(b.rank(), 4);
     }
 
-    /// A packed row off the wire may be non-canonical: GF(2⁴) high-nibble
-    /// garbage, GF(2) high bits, an out-of-range GF(p) residue. What is
+    /// A packed row off the wire may be non-canonical: GF(2) high bits, an
+    /// out-of-range GF(p) residue. What is
     /// stored must not depend on the multipliers elimination happens to
     /// apply: with a pivot that is already 1 the normaliser is a no-op, and
     /// the garbage used to be stored verbatim, making bases that span the
@@ -404,10 +404,7 @@ mod tests {
 
     #[test]
     fn noncanonical_packed_rows_are_stored_canonical() {
-        use ag_gf::{Gf16, F7};
-        // Coefficients only, then coefficients and a payload symbol.
-        stores_canonical::<Gf16>(&[0x31, 0x00], &[0x01, 0x00]);
-        stores_canonical::<Gf16>(&[0x31, 0x00, 0xF7], &[0x01, 0x00, 0x07]);
+        use ag_gf::F7;
         stores_canonical::<Gf2>(&[0x03, 0xFE, 0x81], &[0x01, 0x00, 0x01]);
         // 8 ≡ 1 and 9 ≡ 2 (mod 7).
         let [one, two, eight, nine] = [1u64, 2, 8, 9].map(u64::to_le_bytes);

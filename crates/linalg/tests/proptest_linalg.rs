@@ -2,7 +2,7 @@
 //! the dense-matrix oracle in `tests/oracle` (whole-matrix Gauss–Jordan
 //! elimination, no structure shared with the store under test).
 
-use ag_gf::{Field, Gf16, Gf2, Gf256, Gf65536, SlabField, F257};
+use ag_gf::{Field, Gf2, Gf256, SlabField, F13, F257, F7};
 use ag_linalg::{BasisArena, EchelonBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -250,7 +250,7 @@ proptest! {
         extra in 0usize..6,
     ) {
         arena_matches_oracle::<Gf2>(seed, k, r, extra)?;
-        arena_matches_oracle::<Gf16>(seed, k, r, extra)?;
+        arena_matches_oracle::<F13>(seed, k, r, extra)?;
         arena_matches_oracle::<Gf256>(seed, k, r, extra)?;
     }
 
@@ -263,9 +263,9 @@ proptest! {
         cuts in proptest::collection::vec(0usize..8, 0..4),
     ) {
         arena_shards_and_twins_agree::<Gf2>(seed, nodes, k, r, &cuts)?;
-        arena_shards_and_twins_agree::<Gf16>(seed, nodes, k, r, &cuts)?;
+        arena_shards_and_twins_agree::<F13>(seed, nodes, k, r, &cuts)?;
         arena_shards_and_twins_agree::<Gf256>(seed, nodes, k, r, &cuts)?;
-        arena_shards_and_twins_agree::<Gf65536>(seed, nodes, k, r, &cuts)?;
+        arena_shards_and_twins_agree::<F7>(seed, nodes, k, r, &cuts)?;
     }
 
     #[test]

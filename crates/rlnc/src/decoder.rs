@@ -291,30 +291,30 @@ mod tests {
         )
     }
 
-    /// A packed row with GF(2⁴) high-nibble garbage is received as the
+    /// A packed row with GF(2) high-bit garbage is received as the
     /// canonical row it denotes: same verdicts, same decoded messages
     /// (those were always right) and the same bytes on the wire when the
-    /// node recodes. Coefficient 1 takes the XOR path, which used to pass
-    /// stored garbage through.
+    /// node recodes. Every nonzero GF(2) coefficient is 1 and takes the XOR
+    /// path, which used to pass stored garbage through.
     #[test]
     fn noncanonical_packed_row_is_received_as_its_canonical_form() {
         use crate::Recoder;
-        use ag_gf::Gf16;
-        let (mut dirty, mut clean) = (Decoder::<Gf16>::new(2, 1), Decoder::<Gf16>::new(2, 1));
+        use ag_gf::Gf2;
+        let (mut dirty, mut clean) = (Decoder::<Gf2>::new(2, 1), Decoder::<Gf2>::new(2, 1));
         assert!(dirty
-            .receive_packed_slice(&[0x31, 0x00, 0xF7])
+            .receive_packed_slice(&[0x03, 0xFE, 0x81])
             .is_innovative());
         assert!(clean
-            .receive_packed_slice(&[0x01, 0x00, 0x07])
+            .receive_packed_slice(&[0x01, 0x00, 0x01])
             .is_innovative());
         for seed in 0..64 {
-            let emit = |d: &Decoder<Gf16>| {
+            let emit = |d: &Decoder<Gf2>| {
                 Recoder::new(d).emit_packed_row(&mut StdRng::seed_from_u64(seed))
             };
             assert_eq!(emit(&dirty), emit(&clean), "recoded bytes, seed {seed}");
         }
         assert!(!dirty
-            .receive_packed_slice(&[0x02, 0x00, 0x0E])
+            .receive_packed_slice(&[0xFF, 0x10, 0x03])
             .is_innovative());
         for d in [&mut dirty, &mut clean] {
             assert!(d.receive_packed_slice(&[0xA0, 0x51, 0x33]).is_innovative());

@@ -13,12 +13,12 @@
 //! * helpfulness queries, and
 //! * the decoded messages once rank `k` is reached.
 //!
-//! Streams are exercised over `Gf2` (pure-XOR fast path), `Gf16` (nibble
-//! table fast path) and `Gf256` (full-table fast path), with shape-mismatch
-//! packets injected to pin the typed-error path too. Run with
-//! `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
+//! Streams are exercised over `Gf2` (pure-XOR fast path), `F13` (a prime
+//! field's scalar slab fallback) and `Gf256` (full-table fast path), with
+//! shape-mismatch packets injected to pin the typed-error path too. Run
+//! with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
-use ag_gf::{Field, Gf16, Gf2, Gf256, SlabField};
+use ag_gf::{Field, Gf2, Gf256, SlabField, F13};
 use ag_rlnc::{CodingError, Decoder, DecoderArena, Generation, Packet, Recoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -231,12 +231,12 @@ proptest! {
     }
 
     #[test]
-    fn gf16_packed_decoder_matches_scalar(
+    fn f13_packed_decoder_matches_scalar(
         seed in any::<u64>(),
         k in 1usize..10,
         r in 0usize..6,
     ) {
-        differential_stream::<Gf16>(seed, k, r, 4 * k + 6)?;
+        differential_stream::<F13>(seed, k, r, 4 * k + 6)?;
     }
 
     #[test]
@@ -258,12 +258,12 @@ proptest! {
     }
 
     #[test]
-    fn gf16_lazy_interleaved_matches_scalar(
+    fn f13_lazy_interleaved_matches_scalar(
         seed in any::<u64>(),
         k in 1usize..9,
         r in 0usize..6,
     ) {
-        lazy_interleaved_stream::<Gf16>(seed, k, r, 8 * k + 10)?;
+        lazy_interleaved_stream::<F13>(seed, k, r, 8 * k + 10)?;
     }
 
     #[test]

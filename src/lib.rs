@@ -7,7 +7,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`gf`] | `ag-gf` | finite fields GF(2) … GF(2¹⁶), GF(p) |
+//! | [`gf`] | `ag-gf` | finite fields GF(2), GF(2⁸), GF(p) |
 //! | [`linalg`] | `ag-linalg` | incremental echelon bases, one node or all |
 //! | [`rlnc`] | `ag-rlnc` | coded packets, decoders, recoding |
 //! | [`graph`] | `ag-graph` | topologies, BFS, spanning trees, metrics |

@@ -1,7 +1,7 @@
 //! Real-data integrity: byte blobs survive chunking → gossip → decode →
 //! reassembly bit-exactly, across fields and protocols.
 
-use algebraic_gossip_repro::gf::{Gf2, Gf256, Gf65536, SlabField};
+use algebraic_gossip_repro::gf::{Gf2, Gf256, SlabField, F65537};
 use algebraic_gossip_repro::graph::builders;
 use algebraic_gossip_repro::protocols::{
     AgConfig, AlgebraicGossip, BroadcastTree, CommModel, Placement, Tag,
@@ -44,8 +44,9 @@ fn gf2_blob_round_trip() {
 }
 
 #[test]
-fn gf65536_blob_round_trip() {
-    disseminate_and_verify::<Gf65536>(&blob(500), 5, 3);
+fn f65537_blob_round_trip() {
+    // Two-byte symbol groups, end to end.
+    disseminate_and_verify::<F65537>(&blob(500), 5, 3);
 }
 
 #[test]

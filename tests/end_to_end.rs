@@ -1,7 +1,7 @@
 //! End-to-end integration: every protocol × topology × time model × field
 //! combination completes and decodes correct data.
 
-use algebraic_gossip_repro::gf::{Gf16, Gf2, Gf256, F257};
+use algebraic_gossip_repro::gf::{Gf2, Gf256, F13, F257};
 use algebraic_gossip_repro::graph::{builders, Graph};
 use algebraic_gossip_repro::protocols::{run_protocol, Placement, ProtocolKind, RunSpec};
 use algebraic_gossip_repro::sim::EngineConfig;
@@ -91,8 +91,8 @@ fn all_fields_complete_on_the_grid() {
     spec.engine = EngineConfig::synchronous(12).with_max_rounds(2_000_000);
     let (s, ok) = run_protocol::<Gf2>(&g, &spec).unwrap();
     assert!(s.completed && ok, "GF(2)");
-    let (s, ok) = run_protocol::<Gf16>(&g, &spec).unwrap();
-    assert!(s.completed && ok, "GF(16)");
+    let (s, ok) = run_protocol::<F13>(&g, &spec).unwrap();
+    assert!(s.completed && ok, "F13");
     let (s, ok) = run_protocol::<Gf256>(&g, &spec).unwrap();
     assert!(s.completed && ok, "GF(256)");
     let (s, ok) = run_protocol::<F257>(&g, &spec).unwrap();
