@@ -419,6 +419,15 @@ mod tests {
         assert!(AlgebraicGossip::<Gf256>::new(&g, &AgConfig::new(2), 0).is_err());
     }
 
+    /// The implicit `K_n` needs no connectivity walk, so construction
+    /// accepts it at the sizes its docs promise.
+    #[test]
+    fn accepts_a_large_complete_graph() {
+        let g = builders::complete(100_000).unwrap();
+        let proto = AlgebraicGossip::<Gf256>::new(&g, &AgConfig::new(2), 0).unwrap();
+        assert_eq!(proto.graph().n(), 100_000);
+    }
+
     #[test]
     fn rejects_zero_k() {
         let g = builders::path(3).unwrap();

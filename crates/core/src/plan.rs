@@ -213,22 +213,20 @@ impl TrialSet {
     }
 }
 
-// Test-only duplicate probes: insert/contains, order never observed.
-#[allow(clippy::disallowed_types)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::ProtocolKind;
     use ag_gf::Gf256;
     use ag_graph::builders;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn seed_pairs_never_collide_within_or_across_plans() {
         // Within one plan: guaranteed by bijectivity (splitmix64 of an
         // odd-stride arithmetic progression). Across the plans below the
         // strides cannot alias either; the test pins both properties.
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
+        let mut seen: BTreeSet<(u64, u64)> = BTreeSet::new();
         for seed0 in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
             let plan = TrialPlan::new(2048, seed0);
             for t in 0..plan.trials() {

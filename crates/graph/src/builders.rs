@@ -7,7 +7,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::graph::{Graph, GraphError, NodeId};
+use crate::graph::{Graph, GraphError};
 
 /// The path ("line") graph `P_n`: constant `Δ = 2`, diameter `n − 1`.
 ///
@@ -59,14 +59,10 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::InvalidSize`] if either dimension is 0.
+/// Returns [`GraphError::InvalidSize`] if either dimension is 0 or
+/// `rows · cols` overflows `usize`.
 pub fn grid(rows: usize, cols: usize) -> Result<Graph, GraphError> {
-    if rows == 0 || cols == 0 {
-        return Err(GraphError::InvalidSize(format!(
-            "grid needs positive dimensions, got {rows}x{cols}"
-        )));
-    }
-    let n = rows * cols;
+    let n = cells("grid", rows, cols, 1)?;
     let id = |r: usize, c: usize| r * cols + c;
     let mut edges = Vec::new();
     for r in 0..rows {
@@ -87,13 +83,10 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::InvalidSize`] if either dimension is `< 3`.
+/// Returns [`GraphError::InvalidSize`] if either dimension is `< 3` or
+/// `rows · cols` overflows `usize`.
 pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
-    if rows < 3 || cols < 3 {
-        return Err(GraphError::InvalidSize(format!(
-            "torus needs dimensions >= 3, got {rows}x{cols}"
-        )));
-    }
+    let n = cells("torus", rows, cols, 3)?;
     let id = |r: usize, c: usize| r * cols + c;
     let mut edges = Vec::new();
     for r in 0..rows {
@@ -102,7 +95,17 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
             edges.push((id(r, c), id((r + 1) % rows, c)));
         }
     }
-    Graph::from_edges(rows * cols, &edges)
+    Graph::from_edges(n, &edges)
+}
+
+/// The node count `rows · cols` of a `family` with sides of at least `min`.
+fn cells(family: &str, rows: usize, cols: usize, min: usize) -> Result<usize, GraphError> {
+    let n = rows.checked_mul(cols).filter(|_| rows.min(cols) >= min);
+    n.ok_or_else(|| {
+        GraphError::InvalidSize(format!(
+            "{family} needs sides >= {min} with a representable product, got {rows}x{cols}"
+        ))
+    })
 }
 
 /// The complete binary tree on `n` nodes (heap-indexed): `Δ ≤ 3`, diameter
@@ -271,44 +274,40 @@ pub fn erdos_renyi_connected<R: Rng + ?Sized>(
 /// resampled until simple and connected. Random regular graphs are
 /// expanders w.h.p. — the "good" end of the spectrum for uniform gossip.
 ///
+/// An attempt shuffles the `n·d` stubs and pairs them in order, O(n·d);
+/// a self-loop, a [`GraphError::DuplicateEdge`] from [`Graph::from_edges`]
+/// or a no from [`Graph::is_connected`] rejects it for a fresh shuffle.
+///
 /// # Errors
 ///
-/// Returns [`GraphError::InvalidSize`] if `n·d` is odd, `d >= n`, or no
-/// simple connected sample was found in 200 attempts.
+/// Returns [`GraphError::InvalidSize`] if `n·d` is odd or overflows,
+/// `d == 0`, `d >= n`, or no simple connected sample was found in 200
+/// attempts.
 pub fn random_regular<R: Rng + ?Sized>(
     n: usize,
     d: usize,
     rng: &mut R,
 ) -> Result<Graph, GraphError> {
-    if n == 0 || d == 0 || d >= n || !(n * d).is_multiple_of(2) {
-        return Err(GraphError::InvalidSize(format!(
-            "random_regular needs n*d even and 0 < d < n, got n={n}, d={d}"
-        )));
-    }
-    'attempt: for _ in 0..200 {
-        // Pairing model: n*d half-edges ("stubs"), shuffled and paired.
-        let mut stubs: Vec<NodeId> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
+    let stub_count = n
+        .checked_mul(d)
+        .filter(|s| d > 0 && d < n && s.is_multiple_of(2));
+    let stub_count = stub_count.ok_or_else(|| {
+        GraphError::InvalidSize(format!(
+            "random_regular needs n*d even and representable and 0 < d < n, got n={n}, d={d}"
+        ))
+    })?;
+    for _ in 0..200 {
+        let mut stubs: Vec<_> = (0..stub_count).map(|i| i / d).collect();
         stubs.shuffle(rng);
-        let mut edges = Vec::with_capacity(n * d / 2);
-        #[allow(
-            clippy::disallowed_types,
-            reason = "insert-only duplicate-edge probe: order is never observed"
-        )]
-        let mut seen = std::collections::HashSet::new();
-        for pair in stubs.chunks(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v {
-                continue 'attempt; // self-loop: resample
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue 'attempt; // parallel edge: resample
-            }
-            edges.push(key);
+        let edges: Vec<_> = stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        if edges.iter().any(|&(u, v)| u == v) {
+            continue; // self-loop: resample
         }
-        let g = Graph::from_edges(n, &edges)?;
-        if g.is_connected() {
-            return Ok(g);
+        match Graph::from_edges(n, &edges) {
+            Ok(g) if g.is_connected() => return Ok(g),
+            // Disconnected, or a parallel edge: resample.
+            Ok(_) | Err(GraphError::DuplicateEdge(..)) => {}
+            Err(e) => return Err(e),
         }
     }
     Err(GraphError::InvalidSize(format!(
@@ -356,8 +355,6 @@ pub fn dumbbell(clique: usize, bridge_len: usize) -> Result<Graph, GraphError> {
     Graph::from_edges(n, &edges)
 }
 
-// Test-only duplicate probes: insert/contains, order never observed.
-#[allow(clippy::disallowed_types)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,5 +491,18 @@ mod tests {
         // Odd n*d impossible.
         assert!(random_regular(5, 3, &mut rng).is_err());
         assert!(random_regular(4, 4, &mut rng).is_err());
+    }
+
+    /// A size whose node or stub count overflows `usize` is a typed error,
+    /// returned before anything is allocated or looped over.
+    #[test]
+    fn oversized_inputs_are_typed_errors() {
+        let invalid = |r: Result<Graph, GraphError>| matches!(r, Err(GraphError::InvalidSize(_)));
+        assert!(invalid(grid(1 << 33, 1 << 33)));
+        assert!(invalid(torus(1 << 33, 1 << 33)));
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(invalid(random_regular(usize::MAX / 2, 4, &mut rng)));
+        assert!(invalid(Graph::from_edges(usize::MAX, &[])));
+        assert!(invalid(complete(1 << 33)));
     }
 }

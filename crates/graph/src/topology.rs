@@ -12,7 +12,7 @@
 //! Two implementations:
 //!
 //! * [`StaticTopology`] (an alias for [`Graph`]) — today's CSR graph. Every
-//!   trait method delegates to the corresponding inherent method and epoch
+//!   accessor delegates to the corresponding inherent method and epoch
 //!   advancement is a no-op, so static runs compile to exactly the code
 //!   they ran before the abstraction existed (the golden trajectory hashes
 //!   pin this bit-for-bit).
@@ -87,29 +87,31 @@ pub trait Topology {
     /// entirely.
     fn advance_to_epoch(&mut self, epoch: u64);
 
-    /// Is the *current* view connected? Default: BFS over the trait's own
-    /// neighbor accessors. Construction-time validation only — not a hot
-    /// path.
+    /// Is the *current* view connected? A walk from node 0 over the
+    /// trait's own neighbor accessors (seen flags and a stack): O(n + m),
+    /// and O(1) when node 0 neighbors every other node, as on `K_n`.
+    /// Construction-time validation only — not a hot path.
     fn is_connected_now(&self) -> bool {
         let n = self.n();
         if n == 0 {
             return false;
         }
+        if self.degree(0) == n - 1 {
+            return true;
+        }
         let mut seen = vec![false; n];
-        let mut queue = vec![0usize];
         seen[0] = true;
-        let mut reached = 1usize;
-        while let Some(v) = queue.pop() {
+        let mut stack = vec![0];
+        while let Some(v) = stack.pop() {
             for i in 0..self.degree(v) {
                 let u = self.neighbor_at(v, i);
                 if !seen[u] {
                     seen[u] = true;
-                    reached += 1;
-                    queue.push(u);
+                    stack.push(u);
                 }
             }
         }
-        reached == n
+        seen.into_iter().all(|s| s)
     }
 }
 
@@ -141,10 +143,6 @@ impl Topology for Graph {
 
     #[inline]
     fn advance_to_epoch(&mut self, _epoch: u64) {}
-
-    fn is_connected_now(&self) -> bool {
-        self.is_connected()
-    }
 }
 
 /// The static topology: the plain CSR [`Graph`], unchanged. The alias

@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use crate::graph::{Graph, NodeId};
+use crate::topology::Topology;
 use crate::tree::SpanningTree;
 
 /// The result of a BFS from a root: parents, distances, visit order.
@@ -123,10 +124,11 @@ impl Graph {
         }
     }
 
-    /// True when every node is reachable from node 0.
+    /// True when every node is reachable from node 0, by the crate's one
+    /// walk ([`Topology::is_connected_now`]): O(n + m), O(1) on `K_n`.
     #[must_use]
     pub fn is_connected(&self) -> bool {
-        self.bfs_tree(0).reached() == self.n()
+        self.is_connected_now()
     }
 
     /// The eccentricity of `v`: the largest hop distance from `v`.
@@ -247,6 +249,14 @@ mod tests {
     fn into_spanning_tree_panics_when_disconnected() {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         let _ = g.bfs_tree(0).into_spanning_tree();
+    }
+
+    /// The implicit `K_n` is answered without a walk: at n = 2²⁰ a
+    /// neighbor-by-neighbor walk would visit ~10¹² entries.
+    #[test]
+    fn complete_graph_connectivity_is_constant_time() {
+        assert!(builders::complete(1 << 20).unwrap().is_connected());
+        assert!(builders::complete(1).unwrap().is_connected());
     }
 
     #[test]

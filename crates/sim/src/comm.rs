@@ -108,8 +108,6 @@ impl PartnerSelector {
     }
 }
 
-// Test-only duplicate probes: insert/contains, order never observed.
-#[allow(clippy::disallowed_types)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +119,7 @@ mod tests {
         let g = builders::star(6).unwrap(); // hub 0 with 5 leaves
         let mut rng = StdRng::seed_from_u64(1);
         let mut sel = PartnerSelector::new(&g, CommModel::RoundRobin, &mut rng);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..5 {
             seen.insert(sel.next_partner(&g, 0, &mut rng).unwrap());
         }
@@ -228,7 +226,7 @@ mod tests {
         let g = builders::complete(8).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut sel = PartnerSelector::new(&g, CommModel::Uniform, &mut rng);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..300 {
             seen.insert(sel.next_partner(&g, 3, &mut rng).unwrap());
         }

@@ -2,8 +2,8 @@
 //! deliberately *not* the engine's structure.
 //!
 //! [`ReferenceEngine`] allocates a fresh intent `Vec`, message queue and
-//! dedup `HashSet` every synchronous round, queues only composed messages
-//! (no slot table), resolves same-sender dedup by hashing `(from, to)` at
+//! dedup `BTreeSet` every synchronous round, queues only composed messages
+//! (no slot table), resolves same-sender dedup by looking `(from, to)` up at
 //! delivery time, delivers each survivor as soon as its loss draw passes,
 //! and sweeps all `n` completion flags each round. It
 //! shares only the *contract* with [`ag_sim::Engine`]: wakeups and loss on
@@ -158,10 +158,7 @@ impl ReferenceEngine {
             }
         }
         // 3. Same-sender dedup (keep the first per (from, to) pair).
-        // Insert-only membership probe: order is never observed.
-        #[allow(clippy::disallowed_types)]
-        let mut seen: std::collections::HashSet<(NodeId, NodeId)> =
-            std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (from, to, tag, msg) in queue {
             if self.config.dedup_same_sender && !seen.insert((from, to)) {
                 stats.dedup_dropped += 1;
