@@ -50,6 +50,11 @@
 //!   `decode` hand back — not as ranks grow, not for the blocked replay of
 //!   a whole log, not for a redundant row.
 
+// The counting allocator is this file's one unsafe surface: each block in
+// it states why it is sound, and an `unsafe fn` body is no unsafe block.
+#![warn(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_op_in_unsafe_fn)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,26 +108,26 @@ fn process_alloc_calls() -> u64 {
 
 // SAFETY: delegates verbatim to `System`; the counters are a side channel.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards `layout` untouched to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record_alloc();
-        System.alloc(layout)
+        // SAFETY: forwards `layout` untouched to `System.alloc`.
+        unsafe { System.alloc(layout) }
     }
-    // SAFETY: forwards `layout` untouched to `System.alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         record_alloc();
-        System.alloc_zeroed(layout)
+        // SAFETY: forwards `layout` untouched to `System.alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
     }
-    // SAFETY: forwards the caller's `ptr`/`layout`/`new_size` (valid per
-    // the GlobalAlloc contract) untouched to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         record_alloc();
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards the caller's `ptr`/`layout`/`new_size` (valid per
+        // the GlobalAlloc contract) untouched to `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
-    // SAFETY: forwards the caller's `ptr`/`layout` (valid per the
-    // GlobalAlloc contract) untouched to `System.dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: forwards the caller's `ptr`/`layout` (valid per the
+        // GlobalAlloc contract) untouched to `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 

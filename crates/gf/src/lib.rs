@@ -52,8 +52,10 @@
 
 // The unsafe boundary as a compiler fact: denied here, so that `simd`'s
 // `#![allow(unsafe_code, reason = "..")]` is the one opt-out it says it is;
-// every other crate of the workspace forbids it outright.
+// every other crate of the workspace forbids it outright. Every unsafe
+// block it opens carries a `// SAFETY:` comment.
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(

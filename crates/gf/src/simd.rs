@@ -57,6 +57,28 @@
 //! bytes; `proptest_kernels` and this module's tests pin every level to the
 //! reference kernel at every row length up to 130 bytes and across the
 //! longer tile-boundary geometries.
+//!
+//! # Unsafe
+//!
+//! This module is the workspace's one `unsafe` outside tests: `ag-gf`
+//! denies `unsafe_code` and only this module allows it, and every other
+//! crate forbids it. Each block carries a `// SAFETY:` comment, which
+//! clippy's `undocumented_unsafe_blocks` requires. By function, the blocks
+//! are of three kinds:
+//!
+//! * **Level dispatch** — one per arm of `detail::row` and
+//!   `detail::fused`: each calls the `#[target_feature]` function of the
+//!   level `level()` reports, and `detect()` reports a level only on
+//!   observing its features.
+//! * **Register-only lane intrinsics** — `xor`, `xor3`, `constant` and
+//!   `mul` of the lanes `Pshufb<__m128i>`, `Pshufb<__m256i>`,
+//!   `Gfni<__m256i>` and `Gfni<__m512i>`: no memory is touched, and the
+//!   lane value is proof that the CPU has the instruction.
+//! * **Slice-bounded loads and stores** — the four blocks that touch
+//!   memory: `Lane::load` and `Lane::store` (an unaligned read or write of
+//!   `size_of::<V>()` bytes) and `Window::load` and `Window::store` (16
+//!   bytes). Each first cuts its slice to exactly the bytes it touches, so
+//!   a short slice panics there, before a pointer is made.
 
 #![allow(
     unsafe_code,

@@ -47,11 +47,7 @@
 // Seed-keying code: a narrowing `as` would collapse distinct seed domains.
 #![warn(clippy::cast_possible_truncation)]
 
-#[allow(
-    clippy::disallowed_types,
-    reason = "keyed lookup only, never iterated (ag-lint `hash-iteration` checks that)"
-)]
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -288,10 +284,10 @@ fn in_on_window(epoch: u64, on: u64, off: u64) -> bool {
 ///
 /// Storage is mutable sorted adjacency lists (so [`Topology::neighbor_at`]
 /// stays an O(1) indexed load and round-robin partner order stays
-/// deterministic) plus an edge list with a position index (so random
-/// schedules sample and remove edges in O(1) expected). Per-epoch cost is
-/// O(changes · Δ); reads between epochs cost the same as a `Vec`-of-`Vec`
-/// graph.
+/// deterministic) plus an edge list with an ordered position index (so
+/// random schedules sample an edge in O(1) and remove it in O(log m)).
+/// Per-epoch cost is O(changes · (Δ + log m)); reads between epochs cost
+/// the same as a `Vec`-of-`Vec` graph.
 ///
 /// # Examples
 ///
@@ -308,17 +304,13 @@ fn in_on_window(epoch: u64, on: u64, off: u64) -> bool {
 /// assert!(topo.has_edge(3, 4)); // healed again
 /// ```
 #[derive(Debug, Clone)]
-#[allow(
-    clippy::disallowed_types,
-    reason = "`edge_pos` is keyed lookup only, never iterated"
-)]
 pub struct ScheduledTopology {
     /// Sorted neighbor lists of the current epoch's view.
     adj: Vec<Vec<NodeId>>,
     /// Current edges as `(u, v)` with `u < v`, in arbitrary order.
     edges: Vec<(NodeId, NodeId)>,
-    /// Position of each edge in `edges` (for O(1) removal).
-    edge_pos: HashMap<(NodeId, NodeId), usize>,
+    /// Position of each edge in `edges` (for O(log m) removal).
+    edge_pos: BTreeMap<(NodeId, NodeId), usize>,
     /// Crossing edges removed by an active partition window.
     stash: Vec<(NodeId, NodeId)>,
     partitioned: bool,
@@ -746,6 +738,57 @@ mod tests {
     fn a_directly_built_rewire_rate_is_checked() {
         let g = builders::cycle(8).unwrap();
         let _ = ScheduledTopology::new(&g, ChurnSchedule::Rewire { rate: 2.0, seed: 1 });
+    }
+
+    /// FNV-1a over a view's CSR arrays: the degree prefix sums from 0,
+    /// then the neighbor lists in node order, each as a little-endian
+    /// `u64` (the hash `ag-graph`'s `proptest_graph` pins builders with).
+    fn csr_hash(g: &Graph) -> u64 {
+        let ends = g.nodes().scan(0, |end, v| {
+            *end += Graph::degree(g, v);
+            Some(*end)
+        });
+        let targets = g.nodes().flat_map(|v| g.neighbors(v));
+        let words = std::iter::once(0).chain(ends).chain(targets);
+        words.fold(0xCBF2_9CE4_8422_2325, |h, x| {
+            (x as u64).to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        })
+    }
+
+    /// Every schedule's view after 64 epochs, pinned: a change to how the
+    /// edge list or its position index is kept must not move a single
+    /// edge. `Rewire` picks edges by their position in `edges`, so a
+    /// reordering of that list shows here.
+    #[test]
+    fn views_after_64_epochs_are_pinned() {
+        let grid = builders::grid(8, 8).unwrap();
+        let barbell = builders::barbell(16).unwrap();
+        let cases = [
+            (&grid, ChurnSchedule::rewire(0.25, 5), 0x413A_74BC_5888_236F),
+            (
+                &grid,
+                ChurnSchedule::Flip { count: 6, seed: 9 },
+                0x5D41_79ED_5FC7_B37E,
+            ),
+            (
+                &barbell,
+                ChurnSchedule::bridge_cut((7, 8), 3, 2),
+                0x0AF8_4E59_7EA8_3A85,
+            ),
+            (
+                &grid,
+                ChurnSchedule::partition_heal(32, 2, 3),
+                0x5773_462A_DABB_9FC5,
+            ),
+        ];
+        for (g, schedule, want) in cases {
+            let mut t = ScheduledTopology::new(g, schedule.clone());
+            t.advance_to_epoch(64);
+            let got = csr_hash(&t.snapshot());
+            assert_eq!(got, want, "{schedule:?}: {got:#018X}");
+        }
     }
 
     #[test]

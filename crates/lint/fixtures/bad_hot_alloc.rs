@@ -1,6 +1,6 @@
-//! Known-bad hot-path allocations: macros, path constructors and
-//! allocating method calls inside `// ag-lint: hot-path` zones, plus a
-//! region boundary check (allocations after `(end)` are legal).
+//! Known-bad hot-path allocations: macros, path constructors (turbofish
+//! and qualified too) and allocating method calls inside hot-path zones,
+//! plus a region boundary check (allocations after `(end)` are legal).
 
 // ag-lint: hot-path
 fn receive(buf: &mut Vec<u8>, row: &[u8]) {
@@ -25,4 +25,12 @@ fn mixed(n: usize) {
     // ag-lint: hot-path(end)
     let tail: Vec<usize> = (0..n).collect();
     let _ = (acc, tail);
+}
+
+// ag-lint: hot-path
+fn qualified() {
+    let a = Vec::<u8>::with_capacity(4);
+    let b = Box::<u8>::new(1);
+    let c: Vec<u8> = std::vec::Vec::new();
+    drop((a, b, c));
 }

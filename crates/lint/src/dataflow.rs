@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use crate::index::Span;
-use crate::scan::{is_ident_char, ScannedFile};
+use crate::scan::{is_ident_char, token_positions, ScannedFile};
 
 /// Iterate the identifiers in a code/comment string.
 pub fn idents(text: &str) -> Vec<&str> {
@@ -213,17 +213,7 @@ pub fn region_bindings(file: &ScannedFile, span: Span) -> BTreeSet<String> {
 
 /// Byte offset of `needle` as a standalone token in `code`.
 fn find_token(code: &str, needle: &str) -> Option<usize> {
-    let mut start = 0usize;
-    while let Some(pos) = code[start..].find(needle) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '));
-        let after = code[at + needle.len()..].chars().next().unwrap_or(' ');
-        if before_ok && !is_ident_char(after) {
-            return Some(at);
-        }
-        start = at + needle.len();
-    }
-    None
+    token_positions(code, needle).first().copied()
 }
 
 #[cfg(test)]

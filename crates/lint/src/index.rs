@@ -1,14 +1,12 @@
 //! Phase 1 of the two-phase analyzer: a per-file symbol/region index.
 //!
-//! The original rule families were pure line scanners; the cross-file
-//! families added in v2 (`rng-discipline`, `alloc-discipline`,
-//! `bounds-provenance`) need to know *where they are*: which function a
+//! Both rule families need to know *where they are*: which function a
 //! line belongs to, which functions/regions carry an
-//! `// ag-lint: hot-path` annotation, which spans are inside `unsafe`,
-//! and which functions each body calls (so seed-derivation helpers can be
-//! resolved transitively across files). This module builds that index
-//! from the [`crate::scan::ScannedFile`] alone — brace-depth structure,
-//! no type information — and phase 2 ([`crate::rules`]) consumes it.
+//! `// ag-lint: hot-path` annotation, and which functions each body calls
+//! (so seed-derivation helpers can be resolved transitively across
+//! files). This module builds that index from the
+//! [`crate::scan::ScannedFile`] alone — brace-depth structure, no type
+//! information — and phase 2 ([`crate::rules`]) consumes it.
 //!
 //! Annotation grammar (plain `//` comments only, never doc text):
 //!
@@ -47,24 +45,12 @@ pub struct FnSpan {
     /// Body span: the line holding the opening `{` through the line
     /// holding its matching `}`.
     pub body: Span,
-    /// Declared `unsafe fn`? (The body is then an unsafe span.)
-    pub is_unsafe: bool,
     /// Carries an `// ag-lint: hot-path` annotation?
     pub hot_path: bool,
     /// Names called as `name(…)` anywhere in the body (methods and free
     /// functions alike) — the raw material for the cross-file
     /// seed-derivation fixpoint.
     pub calls: BTreeSet<String>,
-}
-
-/// One `unsafe` span: a block, or the body of an `unsafe fn`.
-#[derive(Debug, Clone, Copy)]
-pub struct UnsafeSpan {
-    /// 0-based line of the `unsafe` keyword — matches the 1-based
-    /// `line - 1` of the corresponding [`crate::rules::UnsafeSite`].
-    pub kw_line: usize,
-    /// The braced span the keyword governs.
-    pub body: Span,
 }
 
 /// The per-file index.
@@ -75,8 +61,6 @@ pub struct FileIndex {
     pub hot_regions: Vec<Span>,
     /// `sharded-phase(begin)`/`(end)` regions, in source order.
     pub sharded_regions: Vec<Span>,
-    /// `unsafe` blocks and `unsafe fn` bodies.
-    pub unsafe_spans: Vec<UnsafeSpan>,
 }
 
 impl FileIndex {
@@ -106,7 +90,9 @@ impl FileIndex {
     }
 }
 
-/// Marker names recognized after `ag-lint:` besides `allow(…)` waivers.
+/// What opens an annotation in a plain comment.
+pub const MARK: &str = "ag-lint:";
+/// Marker names recognized after [`MARK`].
 pub const ANNOTATION_HOT: &str = "hot-path";
 pub const ANNOTATION_SHARDED: &str = "sharded-phase";
 
@@ -120,9 +106,8 @@ pub enum Annotation {
     ShardedEnd,
 }
 
-/// Parse the text following `ag-lint:` as an annotation (not a waiver).
-/// Returns `None` when the text is not a recognized annotation — the
-/// waiver parser then decides whether it is an `allow(…)` or malformed.
+/// Parse the text following `ag-lint:` as an annotation; `None` when it
+/// is none (an `unknown-annotation` finding).
 #[must_use]
 pub fn parse_annotation(text: &str) -> Option<Annotation> {
     let text = text.trim_start();
@@ -154,17 +139,12 @@ fn arg_terminates(rest: &str) -> bool {
     rest.is_empty() || rest.starts_with(['—', '–', '-'])
 }
 
-/// Annotations in one plain-comment string.
-fn annotations_in(comment: &str) -> Vec<Annotation> {
-    let mut out = Vec::new();
-    let mut rest = comment;
-    while let Some(pos) = rest.find("ag-lint:") {
-        rest = &rest[pos + "ag-lint:".len()..];
-        if let Some(a) = parse_annotation(rest) {
-            out.push(a);
-        }
-    }
-    out
+/// Each [`MARK`] in one comment string, parsed: `None` where the text
+/// after it is no annotation.
+pub fn annotations(comment: &str) -> impl Iterator<Item = Option<Annotation>> + '_ {
+    comment
+        .match_indices(MARK)
+        .map(|(at, _)| parse_annotation(&comment[at + MARK.len()..]))
 }
 
 /// Build the index for one scanned file.
@@ -178,7 +158,7 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
     let mut hot_open: Option<usize> = None;
     let mut sharded_open: Option<usize> = None;
     for (i, line) in file.lines.iter().enumerate() {
-        for a in annotations_in(&line.plain_comment) {
+        for a in annotations(&line.comment).flatten() {
             match a {
                 Annotation::HotBegin => hot_open = hot_open.or(Some(i)),
                 Annotation::HotEnd => {
@@ -204,18 +184,12 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
         idx.sharded_regions.push(Span { start, end: eof });
     }
 
-    // Function and unsafe-span structure: one brace-depth walk.
+    // Function structure: one brace-depth walk.
     let mut depth: i64 = 0;
-    // (name, sig_line, is_unsafe) awaiting its opening brace.
-    let mut pending_fn: Option<(String, usize, bool)> = None;
-    // Was the previous token on this walk `unsafe` with no item keyword
-    // after it (i.e. an `unsafe { … }` block, brace possibly on the next
-    // line)?
-    let mut pending_unsafe_block: Option<usize> = None;
+    // (name, sig_line) awaiting its opening brace.
+    let mut pending_fn: Option<(String, usize)> = None;
     // Open fn bodies: (partial FnSpan, depth of their opening brace).
     let mut open_fns: Vec<(FnSpan, i64)> = Vec::new();
-    // Open unsafe blocks: (kw_line, open_line, depth).
-    let mut open_unsafe: Vec<(usize, usize, i64)> = Vec::new();
     // Paren/bracket depth so `;` inside `fn f(x: [u8; 32])` does not
     // cancel the pending fn.
     let mut nest: i64 = 0;
@@ -250,17 +224,7 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
                             j += 1;
                         }
                         if !name.is_empty() {
-                            let was_unsafe = pending_unsafe_block.take().is_some();
-                            pending_fn = Some((name, i, was_unsafe));
-                        }
-                    }
-                    "unsafe" => {
-                        // Peek: `unsafe fn/impl/trait` are handled as
-                        // items; anything else is a block.
-                        let rest: String = chars[c..].iter().collect();
-                        let rest = rest.trim_start();
-                        if !rest.starts_with("impl") && !rest.starts_with("trait") {
-                            pending_unsafe_block = Some(i);
+                            pending_fn = Some((name, i));
                         }
                     }
                     _ => {
@@ -285,27 +249,20 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
             match ch {
                 '(' | '[' => nest += 1,
                 ')' | ']' => nest -= 1,
-                ';' if nest == 0 => {
-                    pending_fn = None;
-                    pending_unsafe_block = None;
-                }
+                ';' if nest == 0 => pending_fn = None,
                 '{' => {
                     depth += 1;
-                    if let Some((name, sig_line, is_unsafe)) = pending_fn.take() {
-                        pending_unsafe_block = None;
+                    if let Some((name, sig_line)) = pending_fn.take() {
                         open_fns.push((
                             FnSpan {
                                 name,
                                 sig_line,
                                 body: Span { start: i, end: i },
-                                is_unsafe,
                                 hot_path: false,
                                 calls: BTreeSet::new(),
                             },
                             depth,
                         ));
-                    } else if let Some(kw) = pending_unsafe_block.take() {
-                        open_unsafe.push((kw, i, depth));
                     }
                     nest = 0;
                 }
@@ -314,26 +271,8 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
                         if *d == depth {
                             let mut f = f.clone();
                             f.body.end = i;
-                            if f.is_unsafe {
-                                idx.unsafe_spans.push(UnsafeSpan {
-                                    kw_line: f.sig_line,
-                                    body: f.body,
-                                });
-                            }
                             idx.fns.push(f);
                             open_fns.pop();
-                        }
-                    }
-                    if let Some((kw, open, d)) = open_unsafe.last().copied() {
-                        if d == depth {
-                            idx.unsafe_spans.push(UnsafeSpan {
-                                kw_line: kw,
-                                body: Span {
-                                    start: open,
-                                    end: i,
-                                },
-                            });
-                            open_unsafe.pop();
                         }
                     }
                     depth -= 1;
@@ -346,29 +285,12 @@ pub fn index_file(file: &ScannedFile) -> FileIndex {
     // Unclosed bodies (truncated input): close at end of file.
     for (mut f, _) in open_fns {
         f.body.end = eof;
-        if f.is_unsafe {
-            idx.unsafe_spans.push(UnsafeSpan {
-                kw_line: f.sig_line,
-                body: f.body,
-            });
-        }
         idx.fns.push(f);
     }
-    for (kw, open, _) in open_unsafe {
-        idx.unsafe_spans.push(UnsafeSpan {
-            kw_line: kw,
-            body: Span {
-                start: open,
-                end: eof,
-            },
-        });
-    }
     idx.fns.sort_by_key(|f| f.sig_line);
-    idx.unsafe_spans.sort_by_key(|u| u.kw_line);
 
     // `hot-path` fn annotations: on the signature line, or on directly
-    // preceding comment-only / attribute-only lines (same lookback rule
-    // as waivers and SAFETY comments).
+    // preceding comment-only / attribute-only lines.
     for f in &mut idx.fns {
         f.hot_path = fn_has_hot_annotation(file, f.sig_line);
     }
@@ -406,7 +328,7 @@ pub fn derivation_fixpoint(indexes: &[&FileIndex]) -> BTreeSet<String> {
 
 fn fn_has_hot_annotation(file: &ScannedFile, sig_line: usize) -> bool {
     let holds =
-        |i: usize| annotations_in(&file.lines[i].plain_comment).contains(&Annotation::HotFn);
+        |i: usize| annotations(&file.lines[i].comment).any(|a| a == Some(Annotation::HotFn));
     if holds(sig_line) {
         return true;
     }
@@ -476,24 +398,6 @@ mod tests {
         assert!(idx.fns.iter().any(|f| f.name == "hot" && f.hot_path));
         assert!(idx.fns.iter().any(|f| f.name == "cold" && !f.hot_path));
         assert_eq!(idx.hot_regions, vec![Span { start: 4, end: 6 }]);
-    }
-
-    #[test]
-    fn unsafe_blocks_and_unsafe_fns_become_spans() {
-        let src = concat!(
-            "fn f(p: *const u8) -> u8 {\n",
-            "    unsafe { *p }\n",
-            "}\n",
-            "unsafe fn g(p: *const u8) -> u8 {\n",
-            "    *p\n",
-            "}\n",
-            "unsafe impl Send for X {}\n",
-        );
-        let idx = index_file(&scan(src));
-        assert_eq!(idx.unsafe_spans.len(), 2, "{:?}", idx.unsafe_spans);
-        assert_eq!(idx.unsafe_spans[0].kw_line, 1);
-        assert_eq!(idx.unsafe_spans[1].kw_line, 3);
-        assert_eq!(idx.unsafe_spans[1].body, Span { start: 3, end: 5 });
     }
 
     #[test]

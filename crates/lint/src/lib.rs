@@ -6,42 +6,37 @@
 //! reruns. Runtime tests (golden pins, differential suites) defend that
 //! claim after the fact; static checks defend it before the code runs.
 //! Each policy has exactly one checker. Clippy owns the ones a stock lint
-//! states exactly (wall-clock and environment reads, truncating casts in
+//! states (wall-clock and environment reads, hash-ordered collections,
+//! `// SAFETY:` comments on unsafe blocks, truncating casts in
 //! seed-keying code, the no-`unwrap`/`panic!` policy; see `clippy.toml`,
-//! the library roots' `#![warn(clippy::…)]` heads and the README table).
-//! This crate owns the five that need this codebase's own structure:
+//! the crate roots' lint heads and the README table). This crate owns the
+//! two that need this codebase's own structure:
 //!
-//! * `hash-iteration` — iteration over hash-ordered collections (the
-//!   exact latent bug PR 1 fixed in `RandomMessageGossip`, where `HashSet`
-//!   iteration order leaked into message picks); clippy can ban naming
-//!   the type, not iterating a field whose type was allowed,
-//! * `unsafe-audit` — every `unsafe` site carries a `// SAFETY:`
-//!   justification and is listed in a committed, drift-checked
-//!   `UNSAFE_INVENTORY.md`,
-//! * `rng-discipline` — every RNG keyed through the `seedmix` chain,
+//! * `rng-discipline` — every RNG keyed through the `seedmix` chain, and
+//!   sharded phases drawing only from RNGs bound inside them,
 //! * `alloc-discipline` — no allocating constructs inside
 //!   `// ag-lint: hot-path` zones,
-//! * `bounds-provenance` — pointer-arithmetic SAFETY comments must cite a
-//!   real len/bound from the enclosing scope.
+//!
+//! plus one check on its own annotations: an `ag-lint:` comment that is
+//! no known annotation is a finding, so a typo cannot switch a zone off.
 //!
 //! It is a two-phase analyzer. Phase 1 ([`index`]) builds a per-file
-//! symbol/region index (fn boundaries, call sites, annotated regions,
-//! unsafe spans) and a cross-file seed-derivation fixpoint; phase 2
-//! ([`rules`]) runs the families over it.
+//! symbol/region index (fn boundaries, call sites, annotated regions) and
+//! a cross-file seed-derivation fixpoint; phase 2 ([`rules`]) runs the
+//! families over it.
 //!
 //! Everything is pure `std` (the container is offline), driven by a
 //! lightweight lexer/line scanner — no `syn`, no type information. There
-//! is no configuration: scopes and vocabularies are the constants in
-//! [`policy`], and the tool lints the workspace it was built in. See the
-//! README's static-analysis section for the policy table and
-//! `crates/lint/fixtures/` for the known-good/known-bad examples every
-//! family is self-tested against.
+//! is no configuration and no command-line option: scopes and
+//! vocabularies are the constants in [`policy`], and the tool lints the
+//! workspace it was built in. See the README's static-analysis section for
+//! the policy table and `crates/lint/fixtures/` for the known-good and
+//! known-bad examples every family is self-tested against.
 
 #![forbid(unsafe_code)]
 
 pub mod dataflow;
 pub mod index;
-pub mod inventory;
 pub mod policy;
 pub mod rules;
 pub mod scan;
@@ -61,10 +56,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Waivers that suppressed at least one finding.
-    pub waivers_honored: usize,
-    /// Rendered `UNSAFE_INVENTORY.md` content for this tree.
-    pub inventory: String,
 }
 
 /// The workspace this tool was built in: two levels above `crates/lint`.
@@ -99,22 +90,14 @@ pub fn run(root: &Path) -> io::Result<Report> {
     let derivation = index::derivation_fixpoint(&indexes);
 
     // Phase 2: run the rule families per file against the shared context.
-    let mut findings = Vec::new();
-    let mut waivers_honored = 0usize;
-    for (rel, file, idx) in &scanned {
-        let (mut file_findings, honored) = rules::lint_file_indexed(rel, file, idx, &derivation);
-        findings.append(&mut file_findings);
-        waivers_honored += honored;
-    }
-
-    let inventory = inventory::render(&scanned);
-
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    // Files come in path order and each file's findings in line order.
+    let findings = scanned
+        .iter()
+        .flat_map(|(rel, file, idx)| rules::lint_file_indexed(rel, file, idx, &derivation))
+        .collect();
     Ok(Report {
         findings,
         files_scanned: paths.len(),
-        waivers_honored,
-        inventory,
     })
 }
 

@@ -13,11 +13,8 @@ pub const SOURCE_ROOTS: [&str; 5] = ["crates", "shims", "src", "tests", "example
 /// crate's self-tests; never linted as workspace code.
 pub const EXCLUDE: &str = "crates/lint/fixtures/**";
 
-/// Path (workspace-relative) of the generated unsafe inventory.
-pub const INVENTORY_PATH: &str = "UNSAFE_INVENTORY.md";
-
-/// Scope of `hash-iteration` and `rng-discipline`: the crates whose
-/// behavior feeds the seeded simulation.
+/// Scope of `rng-discipline`: the crates whose behavior feeds the seeded
+/// simulation.
 pub const SEEDED: [&str; 4] = [
     "crates/graph/src/**",
     "crates/sim/src/**",
@@ -33,9 +30,6 @@ pub const HOT: [&str; 4] = [
     "crates/sim/src/**",
     "crates/gf/src/**",
 ];
-
-// `unsafe-audit` and `bounds-provenance` cover every scanned file, the
-// test-only global allocator included.
 
 /// Does the workspace-relative `path` match one of `scope`'s globs?
 #[must_use]
@@ -60,15 +54,6 @@ pub const ALLOW_CALLS: [&str; 5] = [
     "slab.extend_from_slice",
     // Engine round scratch, cleared and reused across rounds.
     "intents.extend",
-];
-
-/// `bounds-provenance`: what makes an identifier count as a length/bound
-/// when a SAFETY comment cites it. Entries of at most 2 characters match
-/// exactly, longer ones as substrings. `rb` is the row-bytes bound of the
-/// GF kernels.
-pub const BOUND_HINTS: [&str; 21] = [
-    "len", "cap", "capacity", "count", "size", "stride", "bytes", "rank", "rows", "cols", "width",
-    "end", "lanes", "dim", "limbs", "chunks", "blocks", "tiles", "n", "k", "rb",
 ];
 
 /// Match a `/`-separated glob against a `/`-separated relative path:

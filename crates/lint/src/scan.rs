@@ -2,11 +2,11 @@
 //!
 //! The rules in [`crate::rules`] are substring matchers, which is only
 //! sound if the substrings they look for cannot hide inside string
-//! literals or comments (`"call set.iter() here"` in a doc string must not
-//! fire `hash-iteration`). This module does the one pass of real lexing
-//! the tool needs: it splits every source line into *code text* (with
-//! comment bodies and literal contents blanked out) and *comment text*
-//! (where waivers and `// SAFETY:` justifications live), and tracks which
+//! literals or comments (`"call buf.push(x) here"` in a doc string must
+//! not fire `alloc-discipline`). This module does the one pass of real
+//! lexing the tool needs: it splits every source line into *code text*
+//! (with comment bodies and literal contents blanked out) and plain
+//! *comment text* (where `ag-lint:` annotations live), and tracks which
 //! lines sit inside a `#[cfg(test)]` item so rules can ignore test code.
 //!
 //! The lexer understands line and (nested) block comments, string
@@ -23,15 +23,11 @@ pub struct ScannedLine {
     /// char delimiters are kept (so `.expect("msg")` stays recognizable
     /// as `.expect("")`), comment spans collapse to a single space.
     pub code: String,
-    /// Concatenated comment text on this line, with the `//`/`///`/`//!`
-    /// and block markers stripped.
+    /// Plain comment text on this line, with the `//` and block markers
+    /// stripped: the only place `ag-lint:` annotations are honored. Doc
+    /// comments (`///`, `//!`) are left out, so doc text *talking about*
+    /// an annotation never opens a zone or reads as a misspelt one.
     pub comment: String,
-    /// Comment text excluding doc comments (`///`, `//!`): the only place
-    /// `ag-lint:` waivers and annotations are honored. Doc text *talking
-    /// about* the waiver syntax (module docs, examples) must never parse
-    /// as a live waiver — a doc example would otherwise register as an
-    /// unused waiver, or worse, silently suppress a finding below it.
-    pub plain_comment: String,
     /// True when the line is inside (or is the attribute line of) a
     /// `#[cfg(test)]` item.
     pub in_test: bool,
@@ -45,8 +41,8 @@ impl ScannedLine {
     }
 
     /// Is the line's code only an attribute (possibly a fragment of a
-    /// multi-line attribute)? Lookback scans (waivers, SAFETY comments)
-    /// skip attribute lines between a comment and the item it documents.
+    /// multi-line attribute)? The `hot-path` lookback skips attribute
+    /// lines between an annotation and the `fn` it marks.
     #[must_use]
     pub fn is_attr_only(&self) -> bool {
         let t = self.code.trim();
@@ -81,7 +77,6 @@ pub fn scan(src: &str) -> ScannedFile {
         let chars: Vec<char> = raw.chars().collect();
         let mut code = String::new();
         let mut comment = String::new();
-        let mut plain_comment = String::new();
         let mut i = 0usize;
         while i < chars.len() {
             match state {
@@ -99,7 +94,6 @@ pub fn scan(src: &str) -> ScannedFile {
                         i += 2;
                     } else {
                         comment.push(chars[i]);
-                        plain_comment.push(chars[i]);
                         i += 1;
                     }
                 }
@@ -132,10 +126,8 @@ pub fn scan(src: &str) -> ScannedFile {
                         while chars.get(j) == Some(&'/') || chars.get(j) == Some(&'!') {
                             j += 1;
                         }
-                        let text: String = chars[j..].iter().collect();
-                        comment.push_str(&text);
                         if !is_doc {
-                            plain_comment.push_str(&text);
+                            comment.extend(&chars[j..]);
                         }
                         code.push(' ');
                         i = chars.len();
@@ -172,7 +164,6 @@ pub fn scan(src: &str) -> ScannedFile {
         lines.push(ScannedLine {
             code,
             comment,
-            plain_comment,
             in_test: false,
         });
     }
@@ -250,6 +241,24 @@ fn char_literal_end(chars: &[char], i: usize) -> Option<usize> {
 #[must_use]
 pub fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
+}
+
+/// Byte offsets where `needle` occurs in `code` as a standalone token
+/// (not embedded in a longer identifier).
+#[must_use]
+pub fn token_positions(code: &str, needle: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    while let Some(pos) = code[start..].find(needle) {
+        let at = start + pos;
+        let before_ok = at == 0 || !is_ident_char(code[..at].chars().next_back().unwrap_or(' '));
+        let after = code[at + needle.len()..].chars().next().unwrap_or(' ');
+        if before_ok && !is_ident_char(after) {
+            out.push(at);
+        }
+        start = at + needle.len();
+    }
+    out
 }
 
 /// Mark every line inside a `#[cfg(test)]` item. An attribute arms a
@@ -366,19 +375,18 @@ mod tests {
     }
 
     #[test]
-    fn doc_comments_are_excluded_from_plain_comment_text() {
+    fn doc_comments_are_excluded_from_comment_text() {
         let f = scan(concat!(
-            "//! for example `// ag-lint: allow(hash-iteration) — doc text`\n",
+            "//! for example `// ag-lint: hot-path — doc text`\n",
             "/// ag-lint: hot-path — also just documentation\n",
-            "// ag-lint: allow(hash-iteration) — a live waiver\n",
+            "// ag-lint: hot-path — a live annotation\n",
             "let x = 1; /* block ag-lint: text */\n",
         ));
-        assert!(f.lines[0].comment.contains("ag-lint:"));
-        assert!(!f.lines[0].plain_comment.contains("ag-lint:"));
-        assert!(!f.lines[1].plain_comment.contains("ag-lint:"));
-        assert!(f.lines[2].plain_comment.contains("a live waiver"));
+        assert!(f.lines[0].comment.is_empty());
+        assert!(f.lines[1].comment.is_empty());
+        assert!(f.lines[2].comment.contains("a live annotation"));
         assert!(
-            f.lines[3].plain_comment.contains("ag-lint:"),
+            f.lines[3].comment.contains("ag-lint:"),
             "block comments are plain"
         );
     }

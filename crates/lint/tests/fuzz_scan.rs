@@ -54,17 +54,14 @@ const TOKENS: &[&str] = &[
     "// ag-lint: sharded-phase(begin)",
     "// ag-lint: sharded-phase(end)",
     "// ag-lint: allow(hash-iteration) — soup",
-    "// SAFETY: len is checked",
-    "set: HashSet<u8>",
-    "set.iter()",
+    "// ag-lint: hot-paht",
     ".push(x)",
     "vec![0]",
     "Vec::new()",
+    "Vec::<u8>::with_capacity",
+    "::<Vec<u8>",
     "seed_from_u64",
     "from_entropy",
-    "get_unchecked",
-    ".add(1)",
-    "let len = xs.len()",
     "let mut rng",
     "splitmix64(seed)",
     // Separators masquerading as tokens keep the generator one-dimensional.
@@ -97,8 +94,6 @@ proptest! {
                 line.code,
                 src
             );
-            // Doc text is a subset of comment text by construction.
-            prop_assert!(line.comment.len() >= line.plain_comment.len());
         }
 
         // Deterministic: scanning is a pure function of the source.
@@ -114,14 +109,10 @@ proptest! {
             prop_assert!(span.start <= span.end);
             prop_assert!(span.end < file.lines.len().max(1));
         }
-        for us in &idx.unsafe_spans {
-            prop_assert!(us.kw_line < file.lines.len().max(1));
-            prop_assert!(us.body.start <= us.body.end);
-        }
 
         // Every rule family survives the soup (findings are fine; panics
         // and non-termination are not): `ag-sim`'s sources are inside
         // every family's scope.
-        let (_findings, _waivers) = lint_file("crates/sim/src/soup.rs", &file);
+        let _findings = lint_file("crates/sim/src/soup.rs", &file);
     }
 }

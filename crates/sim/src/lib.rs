@@ -52,6 +52,9 @@
 //! pre-abstraction behavior.
 
 #![forbid(unsafe_code)]
+// Seeded crate: no hash-ordered collection (clippy.toml's type ban), and
+// no item-level `allow` can reopen one.
+#![forbid(clippy::disallowed_types)]
 // Panic policy (README, "Static analysis"): typed errors or `.expect("<invariant>")`;
 // an exception is an `#[expect(clippy::…, reason = "…")]` at its site.
 #![cfg_attr(
