@@ -275,13 +275,16 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
 }
 
 impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
-    /// A message is the index of its packed augmented row (the
+    /// A message is `Some` index of its packed augmented row (the
     /// [`ag_rlnc::Recoder::emit_packed_row`] wire format) in the protocol's
-    /// slab of the round's messages, which `on_round_start` rewinds. A
-    /// contact costs **zero** heap allocations end to end, and a message
+    /// slab of the round's messages, which `on_round_start` rewinds, or
+    /// `None` when its receiver was already full at compose: a full node
+    /// can never be helped, so that message makes the same coefficient
+    /// draws, carries no row and is delivered as one redundant reception.
+    /// A contact costs **zero** heap allocations end to end, and a message
     /// the engine drops frees nothing — the difference that lets the
     /// payload-carrying sweeps run 10⁵-node graphs.
-    type Msg = u32;
+    type Msg = Option<u32>;
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
@@ -303,11 +306,17 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
-        self.nodes.compose(from, rng)
+    fn compose(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        _tag: u32,
+        rng: &mut StdRng,
+    ) -> Option<Option<u32>> {
+        self.nodes.compose(from, to, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
         self.nodes.deliver(to, msg);
     }
 
@@ -323,11 +332,11 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         &mut self,
         bounds: &[(usize, usize)],
         send_counts: &[usize],
-    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = u32> + '_>>> {
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = Option<u32>> + '_>>> {
         let shards = self.nodes.shards(bounds, send_counts);
         Some(
             shards
-                .map(|s| Box::new(s) as Box<dyn ProtocolShard<Msg = u32> + '_>)
+                .map(|s| Box::new(s) as Box<dyn ProtocolShard<Msg = Option<u32>> + '_>)
                 .collect(),
         )
     }

@@ -17,14 +17,24 @@ use crate::ag::AgConfig;
 /// [`crate::Tag`] and [`crate::TreeAg`] differ only in who talks to whom;
 /// what is said and how it is received is this, once.
 ///
-/// A message is the index of its packed row in the slab. `compose` writes
-/// rows one after another from the start of the slab, and the protocol
-/// rewinds it in its round-start hook: no message outlives its round,
-/// under either time model (a synchronous round delivers or drops all it
-/// composed; an asynchronous timeslot settles its two messages at once).
-/// A round composes at most one message per contact direction per node,
-/// so the slab is sized to that ceiling up front and a round never
-/// allocates; dropping an index frees nothing.
+/// A message is `Some` index of its packed row in the slab, or `None`: a
+/// message to a receiver that is full when it is composed carries no row.
+/// A full node can never be helped, so such a message makes the
+/// coefficient draws a real emit makes (the RNG stream is unchanged) but
+/// skips the combination, takes no slab row, and its delivery counts one
+/// redundant reception without touching the receiver's basis. The serial
+/// path reads the receiver's live rank, which during a compose phase is
+/// its round-start rank; a [`CodedShard`] cannot see a receiver in another
+/// shard, so it reads a bit set of the full nodes, taken when the round's
+/// compose phase is split.
+///
+/// `compose` writes rows one after another from the start of the slab,
+/// and the protocol rewinds it in its round-start hook: no message
+/// outlives its round, under either time model (a synchronous round
+/// delivers or drops all it composed; an asynchronous timeslot settles its
+/// two messages at once). A round composes at most one message per
+/// contact direction per node, so the slab is sized to that ceiling up
+/// front and a round never allocates; dropping an index frees nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct CodedNodes<F: SlabField> {
     /// The ground-truth generation.
@@ -39,6 +49,10 @@ pub(crate) struct CodedNodes<F: SlabField> {
     slab: RefCell<Vec<u8>>,
     /// Rows composed since the last rewind.
     composed: Cell<usize>,
+    /// Bit `v % 64` of word `v / 64` is set when node `v` is full: `n`
+    /// bits from construction on, rewritten each time a compose phase is
+    /// split into shards, which read it in place of ranks they cannot see.
+    full: Vec<u64>,
 }
 
 /// Sizes one node's full-rank rows, `k · (k + payload_len) · symbol_bytes`,
@@ -147,6 +161,7 @@ impl<F: SlabField> CodedNodes<F> {
             density: (cfg.coding_density < 1.0).then_some(cfg.coding_density),
             slab: RefCell::new(slab),
             composed: Cell::new(0),
+            full: vec![0; n.div_ceil(64)],
         };
         Ok((nodes, rng))
     }
@@ -156,13 +171,26 @@ impl<F: SlabField> CodedNodes<F> {
         self.composed.set(0);
     }
 
-    /// One coded message from `from`: a fresh random combination of
-    /// everything it stores, written into the slab's next free row, whose
-    /// index it returns. `None` for a rank-0 node, which has nothing to
-    /// say, and takes no row. A round that outgrows the slab's ceiling
-    /// (a caller that composes without ever starting a round) grows it,
-    /// and one whose row index outgrows a `u32` composes nothing.
-    pub(crate) fn compose(&self, from: NodeId, rng: &mut StdRng) -> Option<u32> {
+    /// One coded message `from → to`: a fresh random combination of
+    /// everything `from` stores, written into the slab's next free row,
+    /// whose index it returns. `None` for a rank-0 node, which has nothing
+    /// to say, and takes no row. A receiver that is already full gets the
+    /// same draws and no row (`Some(None)`). A round that outgrows the
+    /// slab's ceiling (a caller that composes without ever starting a
+    /// round) grows it, and one whose row index outgrows a `u32` composes
+    /// nothing.
+    pub(crate) fn compose(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        rng: &mut StdRng,
+    ) -> Option<Option<u32>> {
+        if self.decoders.is_complete(to) {
+            return self
+                .decoders
+                .skip_emit(from, self.density, rng)
+                .then_some(None);
+        }
         let rb = self.decoders.row_bytes();
         let row = self.composed.get();
         let index = u32::try_from(row).ok()?;
@@ -179,11 +207,16 @@ impl<F: SlabField> CodedNodes<F> {
             return None;
         }
         self.composed.set(row + 1);
-        Some(index)
+        Some(Some(index))
     }
 
-    /// Delivers the message at slab row `msg` to `to`.
-    pub(crate) fn deliver(&mut self, to: NodeId, msg: u32) {
+    /// Delivers the message at slab row `msg` to `to`; a message with no
+    /// row is one redundant reception.
+    pub(crate) fn deliver(&mut self, to: NodeId, msg: Option<u32>) {
+        let Some(msg) = msg else {
+            self.decoders.count_redundant(to);
+            return;
+        };
         let rb = self.decoders.row_bytes();
         let at = msg as usize * rb;
         let _ = self
@@ -195,7 +228,8 @@ impl<F: SlabField> CodedNodes<F> {
     /// sharded round (see [`ag_sim::Protocol::shards`]). Shard `s` gets the
     /// next `send_counts[s]` free rows of the slab to compose into, and
     /// every shard reads the rows composed before this call, which is what
-    /// a delivery phase (all counts 0) delivers.
+    /// a delivery phase (all counts 0) delivers. A compose phase first
+    /// rewrites the set of full nodes the shards read.
     pub(crate) fn shards<'s, 'c>(
         &'s mut self,
         bounds: &[(usize, usize)],
@@ -203,7 +237,11 @@ impl<F: SlabField> CodedNodes<F> {
     ) -> impl Iterator<Item = CodedShard<'s, F>> + use<'s, 'c, F> {
         let rb = self.decoders.row_bytes();
         let first = self.composed.get();
-        let end = first + send_counts.iter().sum::<usize>();
+        let sends = send_counts.iter().sum::<usize>();
+        if sends > 0 {
+            self.mark_full();
+        }
+        let end = first + sends;
         self.composed.set(end);
         let slab = self.slab.get_mut();
         if slab.len() < end * rb {
@@ -214,6 +252,7 @@ impl<F: SlabField> CodedNodes<F> {
         let mut free = &mut free[..(end - first) * rb];
         let mut next = first;
         let density = self.density;
+        let full: &[u64] = &self.full;
         self.decoders
             .shards_mut(bounds)
             .into_iter()
@@ -223,6 +262,7 @@ impl<F: SlabField> CodedNodes<F> {
                 free = rest;
                 let shard = CodedShard {
                     dec,
+                    full,
                     density,
                     row_bytes: rb,
                     composed,
@@ -232,6 +272,17 @@ impl<F: SlabField> CodedNodes<F> {
                 next += count;
                 shard
             })
+    }
+
+    /// Rewrites the set of full nodes from the live ranks.
+    fn mark_full(&mut self) {
+        let decoders = &self.decoders;
+        for (w, word) in self.full.iter_mut().enumerate() {
+            let nodes = w * 64..(w * 64 + 64).min(decoders.nodes());
+            *word = nodes
+                .filter(|&v| decoders.is_complete(v))
+                .fold(0, |bits, v| bits | 1 << (v % 64));
+        }
     }
 }
 
@@ -257,9 +308,12 @@ fn slab_of(rows: usize, row_bytes: usize) -> Result<Vec<u8>, GraphError> {
 /// One shard of [`CodedNodes`] for a sharded round: a [`DecoderShard`]
 /// over a contiguous node range, the slab rows reserved for what it
 /// composes, and the rows composed before its phase, for what it delivers.
-/// Disjoint by construction, so no lock is taken.
+/// Disjoint by construction, so no lock is taken. A receiver outside the
+/// shard's range is read from the set of full nodes all shards share.
 pub(crate) struct CodedShard<'a, F: SlabField> {
     dec: DecoderShard<'a, F>,
+    /// [`CodedNodes`]' set of full nodes, as of the round's compose phase.
+    full: &'a [u64],
     density: Option<f64>,
     row_bytes: usize,
     /// Rows composed before this phase began.
@@ -271,27 +325,94 @@ pub(crate) struct CodedShard<'a, F: SlabField> {
 }
 
 impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
-    type Msg = u32;
+    type Msg = Option<u32>;
 
     /// Takes the shard's next free row whatever it composes (the rows were
-    /// reserved per planned send); a shard asked for more than it was
-    /// planned composes nothing.
-    fn compose(&mut self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
+    /// reserved per planned send), and leaves it unwritten for a full
+    /// receiver; a shard asked for more than it was planned composes
+    /// nothing.
+    fn compose(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        _tag: u32,
+        rng: &mut StdRng,
+    ) -> Option<Option<u32>> {
         let rb = self.row_bytes;
         let (out, rest) = std::mem::take(&mut self.free).split_at_mut_checked(rb)?;
         self.free = rest;
         let index = u32::try_from(self.next).ok()?;
         self.next += 1;
+        if self.full[to / 64] >> (to % 64) & 1 == 1 {
+            return self.dec.skip_emit(from, self.density, rng).then_some(None);
+        }
         self.dec
             .emit_packed_row_into(from, self.density, rng, out)
-            .then_some(index)
+            .then_some(Some(index))
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
+        let Some(msg) = msg else {
+            self.dec.count_redundant(to);
+            return;
+        };
         let rb = self.row_bytes;
         let at = msg as usize * rb;
         let _ = self
             .dec
             .receive_packed_slice(to, &self.composed[at..at + rb]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::placement::Placement;
+    use ag_gf::Gf256;
+    use rand::RngCore;
+
+    /// A message to a full receiver makes the draws a real one makes,
+    /// takes no slab row and writes no byte, serially and in a shard;
+    /// delivered, it is one redundant reception and nothing else.
+    #[test]
+    fn a_full_receiver_is_sent_no_row() {
+        // Nodes 0 and 2 full, node 1 empty.
+        let cfg = AgConfig::new(4)
+            .with_payload_len(2)
+            .with_placement(Placement::SingleSource(0));
+        let generation = CodedNodes::<Gf256>::random_generation(&cfg, 1).unwrap();
+        let (mut nodes, _) = CodedNodes::new(3, &cfg, generation.clone(), 1, 2).unwrap();
+        nodes.decoders.seed_all_messages(2, &generation);
+        let rb = nodes.decoders.row_bytes();
+
+        let mut skip = StdRng::seed_from_u64(5);
+        let mut real = skip.clone();
+        assert_eq!(nodes.compose(0, 2, &mut skip), Some(None));
+        assert_eq!(nodes.composed.get(), 0, "a row was taken");
+        assert!(nodes.slab.borrow().iter().all(|&b| b == 0), "written");
+        assert_eq!(nodes.compose(0, 1, &mut real), Some(Some(0)));
+        assert_eq!(skip.next_u64(), real.next_u64());
+        assert_eq!(nodes.compose(1, 2, &mut skip), None, "rank 0 says nothing");
+        nodes.deliver(2, None);
+        assert_eq!(nodes.decoders.redundant_count(2), 1);
+
+        nodes.rewind();
+        let row_0 = nodes.slab.borrow()[..rb].to_vec();
+        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 3)], &[2, 0]).collect();
+        assert_eq!(shards[0].compose(0, 2, 0, &mut skip), Some(None));
+        assert_eq!(shards[0].compose(0, 1, 0, &mut real), Some(Some(1)));
+        assert_eq!(skip.next_u64(), real.next_u64());
+        drop(shards);
+        assert_eq!(
+            nodes.slab.borrow()[..rb],
+            row_0,
+            "the reserved row was written"
+        );
+        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 3)], &[0, 0]).collect();
+        shards[1].deliver(0, 2, 0, None);
+        drop(shards);
+        assert_eq!(nodes.decoders.redundant_count(2), 2);
+        assert_eq!(nodes.decoders.total_innovative(), 0);
+        assert_eq!(nodes.decoders.rank(2), 4);
     }
 }

@@ -16,9 +16,10 @@ pub enum TagMsg<M> {
     /// A spanning-tree protocol message.
     Tree(M),
     /// An algebraic-gossip coded message: the index of its packed row in
-    /// the round's message slab, exactly as [`crate::AlgebraicGossip`]
-    /// moves them.
-    Ag(u32),
+    /// the round's message slab, or `None` for a receiver already full at
+    /// compose (no row, one redundant reception on delivery), exactly as
+    /// [`crate::AlgebraicGossip`] moves them.
+    Ag(Option<u32>),
 }
 
 /// Contact tags distinguishing TAG's phases inside the engine.
@@ -230,7 +231,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
 
     fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<Self::Msg> {
         if tag == TAG_PHASE2 {
-            return self.nodes.compose(from, rng).map(TagMsg::Ag);
+            return self.nodes.compose(from, to, rng).map(TagMsg::Ag);
         }
         debug_assert_eq!(tag, TAG_PHASE1, "TAG labels every contact it returns");
         self.tree.compose(from, to, 0, rng).map(TagMsg::Tree)

@@ -78,9 +78,9 @@ impl<F: SlabField> TreeAg<F> {
 }
 
 impl<F: SlabField> Protocol for TreeAg<F> {
-    /// Row indices into the round's message slab, as in
-    /// [`crate::AlgebraicGossip`].
-    type Msg = u32;
+    /// Row indices into the round's message slab, or no row for a full
+    /// receiver, as in [`crate::AlgebraicGossip`].
+    type Msg = Option<u32>;
 
     fn num_nodes(&self) -> usize {
         self.tree.n()
@@ -99,11 +99,17 @@ impl<F: SlabField> Protocol for TreeAg<F> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<u32> {
-        self.nodes.compose(from, rng)
+    fn compose(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        _tag: u32,
+        rng: &mut StdRng,
+    ) -> Option<Option<u32>> {
+        self.nodes.compose(from, to, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: u32) {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
         self.nodes.deliver(to, msg);
     }
 

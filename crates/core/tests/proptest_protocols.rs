@@ -1,9 +1,9 @@
 //! Property-based tests across the protocol layer.
 
-use ag_gf::{Gf2, Gf256};
+use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::builders;
-use ag_sim::{EngineConfig, TimeModel};
-use algebraic_gossip::{run_protocol, Placement, ProtocolKind, RunSpec};
+use ag_sim::{Engine, EngineConfig, TimeModel};
+use algebraic_gossip::{run_protocol, AgConfig, AlgebraicGossip, Placement, ProtocolKind, RunSpec};
 use proptest::prelude::*;
 
 /// Small connected graphs drawn from the evaluation families.
@@ -18,8 +18,73 @@ fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
     }
 }
 
+/// Runs uniform AG with a 3-symbol payload to completion under `engine`
+/// (lane 0 synchronous and serial, 1 synchronous forced over 3 shards, 2
+/// asynchronous) and checks the reception accounting against the run's
+/// own counters: every delivered message is exactly one helpful or one
+/// redundant reception, including those that carry no row because their
+/// receiver was already full; every helpful one raises a rank by one above
+/// the `k` seeds; and every node decodes the generation.
+fn accounting_holds<F: SlabField>(
+    graph: &ag_graph::Graph,
+    k: usize,
+    seed: u64,
+    lane: usize,
+    loss: f64,
+) -> Result<(), TestCaseError> {
+    let cfg = AgConfig::new(k).with_payload_len(3);
+    let mut proto = AlgebraicGossip::<F>::new(graph, &cfg, seed).unwrap();
+    let ecfg = if lane == 2 {
+        EngineConfig::asynchronous(seed)
+    } else {
+        EngineConfig::synchronous(seed)
+    }
+    .with_loss(loss)
+    .with_max_rounds(1_000_000);
+    let engine = Engine::new(ecfg);
+    let mut engine = if lane == 1 {
+        engine.with_forced_shards(3)
+    } else {
+        engine
+    };
+    let stats = engine.run(&mut proto);
+    prop_assert!(stats.completed, "lane {lane} did not complete");
+    let (helpful, redundant) = (proto.helpful_receptions(), proto.redundant_receptions());
+    prop_assert_eq!(
+        helpful + redundant,
+        stats.messages_delivered,
+        "lane {}",
+        lane
+    );
+    prop_assert_eq!(helpful as usize, proto.total_rank() - k, "lane {}", lane);
+    for v in 0..graph.n() {
+        let decoded = proto.decoded(v);
+        prop_assert_eq!(decoded.as_deref(), Some(proto.generation().messages()));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The accounting oracle: helpful + redundant receptions equal the
+    /// deliveries and helpful ones equal the rank gained, over GF(256) and
+    /// GF(2), serial, sharded and asynchronous, with and without loss.
+    #[test]
+    fn accounting_oracle(
+        seed in any::<u64>(),
+        gidx in 0usize..5,
+        n in 4usize..12,
+        k in 1usize..8,
+        lossy in any::<bool>(),
+    ) {
+        let g = small_graph(gidx, n);
+        let loss = if lossy { 0.2 } else { 0.0 };
+        for lane in 0..3 {
+            accounting_holds::<Gf256>(&g, k, seed, lane, loss)?;
+            accounting_holds::<Gf2>(&g, k, seed, lane, loss)?;
+        }
+    }
 
     /// Uniform AG completes and decodes on every family, any seed, any k,
     /// both time models.

@@ -467,6 +467,12 @@ impl<F: SlabField> BasisShard<'_, F> {
         self.ranks[node - self.start] as usize
     }
 
+    /// Shard-local [`BasisArena::is_full`].
+    #[must_use]
+    pub fn is_full(&self, node: usize) -> bool {
+        self.rank(node) == self.dims.pivot_width
+    }
+
     /// Node `node`'s rows for a read, and the scratch to run it on.
     fn rows(&mut self, node: usize) -> (Rows<'_, &mut Tails>, &mut Scratch) {
         let i = node - self.start;

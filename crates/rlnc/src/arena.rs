@@ -71,8 +71,9 @@ impl<F: SlabField> StoredRows for BasisShard<'_, F> {
 }
 
 /// The one recode-emit, behind [`DecoderArena::emit_packed_row_into`] (which
-/// documents the draws) and its shard twin. `factors` is the caller's
-/// reusable packed-coefficient buffer.
+/// documents the draws), [`DecoderArena::skip_emit`] and their shard twins.
+/// `factors` is the caller's reusable packed-coefficient buffer. With no
+/// `out` row it makes the draws and combines nothing.
 // ag-lint: hot-path
 fn emit<F: SlabField, R: Rng + ?Sized>(
     rows: &mut impl StoredRows,
@@ -80,7 +81,7 @@ fn emit<F: SlabField, R: Rng + ?Sized>(
     density: Option<f64>,
     factors: &mut Vec<u8>,
     rng: &mut R,
-    out: &mut [u8],
+    out: Option<&mut [u8]>,
 ) -> bool {
     assert!(
         density.is_none_or(|p| p > 0.0 && p <= 1.0),
@@ -106,8 +107,10 @@ fn emit<F: SlabField, R: Rng + ?Sized>(
         // the combination with a single unit factor.
         F::ONE.write_symbol(&mut factors[rng.gen_range(0..rank) * F::SYMBOL_BYTES..]);
     }
-    out.fill(0);
-    rows.accumulate_rows_into(node, factors, out);
+    if let Some(out) = out {
+        out.fill(0);
+        rows.accumulate_rows_into(node, factors, out);
+    }
     true
 }
 
@@ -298,6 +301,15 @@ impl<F: SlabField> DecoderArena<F> {
         self.receive_built(node, |buf| buf.extend_from_slice(row))
     }
 
+    /// Counts one redundant reception at node `node`, which must be full:
+    /// the delivery of a message that carries no row, because its sender
+    /// saw the receiver full when composing it (see
+    /// [`DecoderArena::skip_emit`]). The basis is not touched.
+    pub fn count_redundant(&mut self, node: usize) {
+        debug_assert!(self.is_complete(node), "only a full node is sent no row");
+        self.counts[node].record(Insertion::Redundant);
+    }
+
     /// [`DecoderArena::receive_packed_slice`] for a row `build` writes
     /// straight into the arena's buffer (a packet being packed).
     // ag-lint: hot-path
@@ -347,7 +359,28 @@ impl<F: SlabField> DecoderArena<F> {
         out: &mut [u8],
     ) -> bool {
         let factors = &mut self.ksyms.borrow_mut();
-        emit::<F, R>(&mut &self.basis, node, density, factors, rng, out)
+        emit::<F, R>(&mut &self.basis, node, density, factors, rng, Some(out))
+    }
+
+    /// Makes exactly the draws [`DecoderArena::emit_packed_row_into`] makes
+    /// from node `node`, and combines and writes nothing: the emit of a
+    /// message whose receiver is already full and would discard the row.
+    /// `rng` ends where the full emit leaves it, so skipping the
+    /// combination moves no later draw. Returns `false` when the node
+    /// stores nothing yet, as the emit does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
+    // ag-lint: hot-path
+    pub fn skip_emit<R: Rng + ?Sized>(
+        &self,
+        node: usize,
+        density: Option<f64>,
+        rng: &mut R,
+    ) -> bool {
+        let factors = &mut self.ksyms.borrow_mut();
+        emit::<F, R>(&mut &self.basis, node, density, factors, rng, None)
     }
 
     /// Solves node `node`'s system once complete; `None` before rank `k`.
@@ -417,18 +450,33 @@ impl<F: SlabField> DecoderShard<'_, F> {
     }
 
     /// Shard-local [`DecoderArena::receive_packed_slice`]: same verdicts,
-    /// same counters, and the caller keeps its bytes.
+    /// same counters, and the caller keeps its bytes. A full receiver is
+    /// answered from its rank before the row is copied.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is outside the shard or the row length mismatches.
+    /// Panics if `node` is outside the shard, or if it is not full and the
+    /// row length mismatches.
     // ag-lint: hot-path
     pub fn receive_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
+        if self.basis.is_full(node) {
+            return self.counts[node - self.basis.node_range().start].record(Insertion::Redundant);
+        }
         let buf = &mut self.scratch;
         buf.clear();
         buf.extend_from_slice(row);
         let outcome = self.basis.insert_packed_mut(node, buf);
         self.counts[node - self.basis.node_range().start].record(outcome)
+    }
+
+    /// Shard-local [`DecoderArena::count_redundant`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the shard.
+    pub fn count_redundant(&mut self, node: usize) {
+        debug_assert!(self.basis.is_full(node), "only a full node is sent no row");
+        self.counts[node - self.basis.node_range().start].record(Insertion::Redundant);
     }
 
     /// Shard-local [`DecoderArena::emit_packed_row_into`] — the same
@@ -446,7 +494,29 @@ impl<F: SlabField> DecoderShard<'_, F> {
         rng: &mut R,
         out: &mut [u8],
     ) -> bool {
-        emit::<F, R>(&mut self.basis, node, density, &mut self.scratch, rng, out)
+        emit::<F, R>(
+            &mut self.basis,
+            node,
+            density,
+            &mut self.scratch,
+            rng,
+            Some(out),
+        )
+    }
+
+    /// Shard-local [`DecoderArena::skip_emit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`.
+    // ag-lint: hot-path
+    pub fn skip_emit<R: Rng + ?Sized>(
+        &mut self,
+        node: usize,
+        density: Option<f64>,
+        rng: &mut R,
+    ) -> bool {
+        emit::<F, R>(&mut self.basis, node, density, &mut self.scratch, rng, None)
     }
 }
 
@@ -456,7 +526,7 @@ mod tests {
     use crate::{Decoder, Packet, Recoder};
     use ag_gf::{Field, Gf2, Gf256};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Node `v` of an n-node arena and a one-node `Decoder` (the same store
     /// behind the `Packet` API) must agree bit for bit when both consume
@@ -643,6 +713,108 @@ mod tests {
     fn shape_mismatch_panics() {
         let mut arena = DecoderArena::<Gf256>::try_new(1, 3, 1).unwrap();
         let _ = arena.receive_packed_slice(0, &[1, 2]);
+    }
+
+    /// Every stored row of node `v`, coefficients and settled payload.
+    fn stored_rows(arena: &DecoderArena<Gf256>, v: usize) -> Vec<Vec<u8>> {
+        (0..arena.rank(v))
+            .map(|i| {
+                let mut row = Vec::new();
+                arena.basis().copy_packed_row_into(v, i, &mut row);
+                row
+            })
+            .collect()
+    }
+
+    /// A row delivered to a node that is already full, through the arena
+    /// (the insert answers) and through a shard (answered before the row
+    /// is copied): redundant, counted once, and the node's stored bytes
+    /// stay as they were.
+    #[test]
+    fn a_full_receiver_answers_from_its_rank() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (k, r) = (4, 3);
+        let g = Generation::<Gf256>::random(k, r, &mut rng);
+        let mut arena = DecoderArena::<Gf256>::try_new(3, k, r).unwrap();
+        arena.seed_all_messages(0, &g);
+        let mut buf = vec![0; arena.row_bytes()];
+        while !arena.is_complete(1) {
+            assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
+            arena.receive_packed_slice(1, &buf);
+        }
+        // Node 2 stays empty, so the shard split below has two ranges.
+        let before = stored_rows(&arena, 1);
+        assert!(arena.emit_packed_row_into(0, None, &mut rng, &mut buf));
+        let redundant = arena.redundant_count(1);
+        assert_eq!(arena.receive_packed_slice(1, &buf), Insertion::Redundant);
+        assert_eq!(arena.redundant_count(1), redundant + 1);
+        assert_eq!(stored_rows(&arena, 1), before, "arena");
+        {
+            let mut shards = arena.shards_mut(&[(0, 2), (2, 3)]);
+            assert_eq!(
+                shards[0].receive_packed_slice(1, &buf),
+                Insertion::Redundant
+            );
+        }
+        assert_eq!(arena.redundant_count(1), redundant + 2);
+        assert_eq!(arena.innovative_count(1), k as u64);
+        assert_eq!(stored_rows(&arena, 1), before, "shard");
+        assert_eq!(arena.decode(1).unwrap(), g.messages());
+    }
+
+    /// An emit whose combination is skipped makes exactly the draws of the
+    /// full emit, dense, sparse and at a density so low that nearly every
+    /// draw forwards one stored row (the degenerate branch): an equally
+    /// seeded RNG is left where the full emit leaves it, through the arena
+    /// and through a shard, and an empty node draws nothing either way.
+    #[test]
+    fn a_skipped_emit_makes_the_full_emits_draws() {
+        let mut setup = StdRng::seed_from_u64(17);
+        let (k, r) = (6, 2);
+        let g = Generation::<Gf256>::random(k, r, &mut setup);
+        let mut arena = DecoderArena::<Gf256>::try_new(3, k, r).unwrap();
+        arena.seed_all_messages(0, &g);
+        for msg in [1, 3, 4] {
+            arena.seed_message(1, &g, msg);
+        }
+        let mut buf = vec![0; arena.row_bytes()];
+        let mut forwarded = 0;
+        for (seed, density) in [None, Some(0.4), Some(1e-9)].into_iter().enumerate() {
+            let mut full = StdRng::seed_from_u64(seed as u64);
+            let mut skip = full.clone();
+            for step in 0..40 {
+                let node = step % 3;
+                let emitted = arena.emit_packed_row_into(node, density, &mut full, &mut buf);
+                assert_eq!(arena.skip_emit(node, density, &mut skip), emitted);
+                assert_eq!(full.next_u64(), skip.next_u64(), "{density:?}, step {step}");
+                // Node 0 stores unit equations: a forwarded row has one
+                // nonzero coefficient.
+                let one = buf[..k].iter().filter(|&&c| c != 0).count() == 1;
+                if density == Some(1e-9) && node == 0 && one {
+                    forwarded += 1;
+                }
+            }
+            let mut shards = arena.shards_mut(&[(0, 1), (1, 3)]);
+            for step in 0..40 {
+                let (shard, node) = if step % 2 == 0 {
+                    (0, 0)
+                } else {
+                    (1, 1 + step % 4 / 2)
+                };
+                let shard = &mut shards[shard];
+                let emitted = shard.emit_packed_row_into(node, density, &mut full, &mut buf);
+                assert_eq!(shard.skip_emit(node, density, &mut skip), emitted);
+                assert_eq!(
+                    full.next_u64(),
+                    skip.next_u64(),
+                    "{density:?}, shard step {step}"
+                );
+            }
+        }
+        assert!(
+            forwarded >= 10,
+            "the degenerate branch ran {forwarded} times"
+        );
     }
 
     /// Shard receive/emit must be byte-identical to the serial arena under
