@@ -18,15 +18,21 @@ use crate::ag::AgConfig;
 /// what is said and how it is received is this, once.
 ///
 /// A message is `Some` index of its packed row in the slab, or `None`: a
-/// message to a receiver that is full when it is composed carries no row.
-/// A full node can never be helped, so such a message makes the
-/// coefficient draws a real emit makes (the RNG stream is unchanged) but
-/// skips the combination, takes no slab row, and its delivery counts one
-/// redundant reception without touching the receiver's basis. The serial
-/// path reads the receiver's live rank, which during a compose phase is
-/// its round-start rank; a [`CodedShard`] cannot see a receiver in another
-/// shard, so it reads a bit set of the full nodes, taken when the round's
-/// compose phase is split.
+/// message carries no row when, as it is composed, its receiver's span
+/// already contains its sender's. A message helps only if its coefficient
+/// vector lies outside the receiver's span, and every row the sender can
+/// draw lies inside it, so such a message makes the coefficient draws a
+/// real emit makes (the RNG stream is unchanged) but skips the
+/// combination, takes no slab row, and its delivery counts one redundant
+/// reception without touching the receiver's basis. Spans only grow, so a
+/// synchronous receiver that gains rows before the delivery still finds
+/// the row it was not sent redundant. The serial path skips a receiver
+/// that is full or whose span equals the sender's
+/// ([`DecoderArena::same_span`], usually two loads), read live, which
+/// during a compose phase is the round-start state; a [`CodedShard`]
+/// cannot see a receiver in another shard, so it reads a bit set of the
+/// full nodes, taken when the round's compose phase is split, and skips
+/// only those.
 ///
 /// `compose` writes rows one after another from the start of the slab,
 /// and the protocol rewinds it in its round-start hook: no message
@@ -174,18 +180,18 @@ impl<F: SlabField> CodedNodes<F> {
     /// One coded message `from → to`: a fresh random combination of
     /// everything `from` stores, written into the slab's next free row,
     /// whose index it returns. `None` for a rank-0 node, which has nothing
-    /// to say, and takes no row. A receiver that is already full gets the
-    /// same draws and no row (`Some(None)`). A round that outgrows the
-    /// slab's ceiling (a caller that composes without ever starting a
-    /// round) grows it, and one whose row index outgrows a `u32` composes
-    /// nothing.
+    /// to say, and takes no row. A receiver that is already full, or spans
+    /// exactly what `from` does, gets the same draws and no row
+    /// (`Some(None)`). A round that outgrows the slab's ceiling (a caller
+    /// that composes without ever starting a round) grows it, and one whose
+    /// row index outgrows a `u32` composes nothing.
     pub(crate) fn compose(
         &self,
         from: NodeId,
         to: NodeId,
         rng: &mut StdRng,
     ) -> Option<Option<u32>> {
-        if self.decoders.is_complete(to) {
+        if self.decoders.is_complete(to) || self.decoders.same_span(from, to) {
             return self
                 .decoders
                 .skip_emit(from, self.density, rng)
@@ -371,18 +377,26 @@ mod tests {
     use ag_gf::Gf256;
     use rand::RngCore;
 
-    /// A message to a full receiver makes the draws a real one makes,
-    /// takes no slab row and writes no byte, serially and in a shard;
-    /// delivered, it is one redundant reception and nothing else.
+    /// A message to a full receiver, or to one whose span is the sender's,
+    /// makes the draws a real one makes, takes no slab row and writes no
+    /// byte, serially and (for a full receiver) in a shard; delivered,
+    /// serially or in a shard, it is one redundant reception and nothing
+    /// else.
     #[test]
     fn a_full_receiver_is_sent_no_row() {
-        // Nodes 0 and 2 full, node 1 empty.
+        // Nodes 0 and 2 full, node 1 empty; nodes 3 and 4 hold one span,
+        // messages 1 and 3, stored in opposite orders.
         let cfg = AgConfig::new(4)
             .with_payload_len(2)
             .with_placement(Placement::SingleSource(0));
         let generation = CodedNodes::<Gf256>::random_generation(&cfg, 1).unwrap();
-        let (mut nodes, _) = CodedNodes::new(3, &cfg, generation.clone(), 1, 2).unwrap();
+        let (mut nodes, _) = CodedNodes::new(5, &cfg, generation.clone(), 1, 2).unwrap();
         nodes.decoders.seed_all_messages(2, &generation);
+        for (node, messages) in [(3, [1, 3]), (4, [3, 1])] {
+            for m in messages {
+                nodes.decoders.seed_message(node, &generation, m);
+            }
+        }
         let rb = nodes.decoders.row_bytes();
 
         let mut skip = StdRng::seed_from_u64(5);
@@ -396,9 +410,38 @@ mod tests {
         nodes.deliver(2, None);
         assert_eq!(nodes.decoders.redundant_count(2), 1);
 
+        // Equal spans, neither full. A fixed emit from the receiver reads
+        // its stored rows before and after.
+        let emit_4 = |nodes: &CodedNodes<Gf256>| {
+            let mut row = vec![0; rb];
+            let mut rng = StdRng::seed_from_u64(9);
+            assert!(nodes
+                .decoders
+                .emit_packed_row_into(4, None, &mut rng, &mut row));
+            row
+        };
+        let rows_4 = emit_4(&nodes);
+        let slab = nodes.slab.borrow().clone();
+        assert!(!nodes.decoders.is_complete(4));
+        assert_eq!(nodes.compose(3, 4, &mut skip), Some(None), "equal spans");
+        assert_eq!(nodes.composed.get(), 1, "a row was taken");
+        assert_eq!(*nodes.slab.borrow(), slab, "written");
+        assert_eq!(nodes.compose(3, 1, &mut real), Some(Some(1)));
+        assert_eq!(skip.next_u64(), real.next_u64());
+        let mut other = StdRng::seed_from_u64(6);
+        assert_eq!(nodes.compose(4, 3, &mut other), Some(None), "either way");
+        nodes.deliver(4, None);
+        assert_eq!(nodes.decoders.redundant_count(4), 1);
+        assert_eq!(nodes.decoders.rank(4), 2);
+        assert_eq!(emit_4(&nodes), rows_4, "the receiver's rows changed");
+        // The row node 3 did compose is redundant at node 4 too.
+        nodes.deliver(4, Some(1));
+        assert_eq!(nodes.decoders.redundant_count(4), 2);
+        assert_eq!(emit_4(&nodes), rows_4);
+
         nodes.rewind();
         let row_0 = nodes.slab.borrow()[..rb].to_vec();
-        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 3)], &[2, 0]).collect();
+        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 5)], &[2, 0]).collect();
         assert_eq!(shards[0].compose(0, 2, 0, &mut skip), Some(None));
         assert_eq!(shards[0].compose(0, 1, 0, &mut real), Some(Some(1)));
         assert_eq!(skip.next_u64(), real.next_u64());
@@ -408,11 +451,16 @@ mod tests {
             row_0,
             "the reserved row was written"
         );
-        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 3)], &[0, 0]).collect();
+        // A shard's `count_redundant` keeps the arena's contract: any
+        // receiver that holds the sender's span, full or not.
+        let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 5)], &[0, 0]).collect();
         shards[1].deliver(0, 2, 0, None);
+        shards[1].deliver(3, 4, 0, None);
         drop(shards);
         assert_eq!(nodes.decoders.redundant_count(2), 2);
+        assert_eq!(nodes.decoders.redundant_count(4), 3);
         assert_eq!(nodes.decoders.total_innovative(), 0);
         assert_eq!(nodes.decoders.rank(2), 4);
+        assert_eq!(emit_4(&nodes), rows_4);
     }
 }

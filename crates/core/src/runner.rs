@@ -384,14 +384,15 @@ mod tests {
         // The arena's own sizing is typed too. At 2^31 nodes the slab's
         // rows fit, and nodes of k = 2^17 one-symbol messages overflow
         // `usize`. The count reported is the whole full-rank footprint: per
-        // node a head (pivot map, coefficient rows), a rank, the payload
-        // rows with their alignment slack and the elimination log.
+        // node a head (pivot map, coefficient rows), a rank, a span class,
+        // the payload rows with their alignment slack and the elimination
+        // log.
         let k: u128 = 1 << 17;
         let cfg = AgConfig::new(1 << 17).with_payload_len(1);
         let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
             .and_then(|generation| CodedNodes::new(1 << 31, &cfg, generation, 1, 2))
             .expect_err("arena sizing must overflow");
-        let bytes = (1u128 << 31) * (k * (4 + k) + 4 + k + 63 + k * k);
+        let bytes = (1u128 << 31) * (k * (4 + k) + 4 + 4 + k + 63 + k * k);
         assert!(
             matches!(&err, GraphError::InvalidSize(m)
                 if m.contains("overflows usize") && m.contains(&bytes.to_string())),

@@ -5,11 +5,19 @@
 //! node stores: the equations received so far. The part of a node every
 //! operation touches is not the node's own: all *heads* (a node's pivot
 //! map, then its reduced coefficient rows) are one slab in node order,
-//! node `v`'s at `v · head_bytes`, and all ranks a dense vector beside it.
-//! Both come zeroed from the allocator at construction, pages untouched,
-//! and are written in place, so a rank-only arena (`row_elems ==
-//! pivot_width`) is `head_bytes + 4` bytes a node (100 at k = 8 over
-//! GF(2⁸)), has no per-node struct and never allocates again.
+//! node `v`'s at `v · head_bytes`, and all ranks and all span classes are
+//! dense vectors beside it. A node is a head, a rank, a class and, where
+//! rows carry a payload, tails. The heads and ranks come zeroed from the
+//! allocator at construction, pages untouched, the classes zeroed, and all
+//! are written in place, so a rank-only arena (`row_elems == pivot_width`)
+//! is `head_bytes + 8` bytes a node (104 at k = 8 over GF(2⁸)), has no
+//! per-node struct and never allocates again.
+//!
+//! A class (the `node` module has the invariant) makes
+//! [`BasisArena::same_span`] usually one load per node: two nodes of equal
+//! rank and class span the same subspace, and two found equal row by row
+//! share a class from then on. Class ids are node ids in a `u32`, so an
+//! arena holds at most 2³² nodes.
 //!
 //! Rows with a payload add one table entry per node and one allocation per
 //! node, made by the insert that stores its first row, at the full-rank
@@ -32,7 +40,7 @@
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
 //! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of the
-//! three slabs by node range, `Send` without any locking — disjointness is
+//! four slabs by node range, `Send` without any locking — disjointness is
 //! enforced by the slice split, not at runtime.
 //!
 //! # Examples
@@ -50,7 +58,7 @@
 //! assert_eq!(arena.rank(1), 0);
 //! ```
 
-use std::cell::{RefCell, RefMut};
+use std::cell::{Cell, RefCell, RefMut};
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem::size_of;
@@ -61,16 +69,17 @@ use crate::node::{Dims, Head, Insertion, NodeBasis, Rows, Scratch, Tails};
 
 /// Typed sizing failures from [`BasisArena::try_new`].
 ///
-/// The capacity math (per node a head, a 4-byte rank and, where rows carry
-/// a payload, `pivot_width` payload rows and the `pivot_width²`-symbol
-/// log) runs in `u128`, so impossible shapes surface as
+/// The capacity math (per node a head, a 4-byte rank, a 4-byte span class
+/// and, where rows carry a payload, `pivot_width` payload rows and the
+/// `pivot_width²`-symbol log) runs in `u128`, so impossible shapes surface as
 /// [`ArenaError::CapacityOverflow`] with the computed byte count instead of
 /// a silent wrap or an opaque allocator abort, and failed reservations
 /// surface as [`ArenaError::AllocationFailure`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArenaError {
-    /// The full-rank footprint does not fit in `usize`, or the pivot width
-    /// does not fit the 4-byte entries of a node's pivot map.
+    /// The full-rank footprint does not fit in `usize`, the pivot width
+    /// does not fit the 4-byte entries of a node's pivot map, or the node
+    /// count exceeds the 2³² ids a 4-byte span class can name.
     CapacityOverflow {
         /// Requested node count.
         nodes: usize,
@@ -100,7 +109,7 @@ impl fmt::Display for ArenaError {
             } => write!(
                 f,
                 "arena capacity overflows usize: {nodes} nodes × ({pivot_width} rows × \
-                 {row_elems} symbols + elimination log + pivot map + rank) = {bytes} bytes"
+                 {row_elems} symbols + elimination log + pivot map + rank + class) = {bytes} bytes"
             ),
             ArenaError::AllocationFailure { bytes } => {
                 write!(
@@ -140,10 +149,13 @@ fn try_zeroed<T: Copy + Default>(len: usize) -> Result<Vec<T>, usize> {
 pub struct BasisArena<F> {
     /// Every node's head (pivot map, then reduced coefficient rows), node
     /// `v`'s at `v · dims.head_bytes()`; shards take disjoint `&mut`
-    /// slices of this, of `ranks` and of `tails`.
+    /// slices of this, of `ranks`, of `classes` and of `tails`.
     heads: Vec<u8>,
     /// Every node's rank.
     ranks: Vec<u32>,
+    /// Every node's span class (see the module docs); a `Cell`, because
+    /// [`BasisArena::same_span`] records what it found through `&self`.
+    classes: Vec<Cell<u32>>,
     /// Every node's payload tails; empty when rows carry no payload.
     tails: Vec<RefCell<Tails>>,
     /// Row widths and per-node sizes, fixed up front.
@@ -158,10 +170,11 @@ impl<F: SlabField> BasisArena<F> {
     /// Creates an arena of `nodes` empty bases with `pivot_width` leading
     /// coefficients and `row_elems` total symbols per row. Checks the
     /// full-rank capacity math (returning [`ArenaError::CapacityOverflow`]
-    /// with the exact byte count) and allocates the head and rank slabs,
-    /// the table of payload tails and the shared scratch fallibly
-    /// (returning [`ArenaError::AllocationFailure`] instead of aborting).
-    /// Payload rows are not reserved here: each node's first row does that.
+    /// with the exact byte count; also for more than 2³² nodes) and
+    /// allocates the head, rank and class slabs, the table of payload tails
+    /// and the shared scratch fallibly (returning
+    /// [`ArenaError::AllocationFailure`] instead of aborting). Payload rows
+    /// are not reserved here: each node's first row does that.
     ///
     /// # Panics
     ///
@@ -184,6 +197,11 @@ impl<F: SlabField> BasisArena<F> {
         let refused = |bytes| ArenaError::AllocationFailure { bytes };
         let heads = try_zeroed(nodes * dims.head_bytes()).map_err(refused)?;
         let ranks = try_zeroed(nodes).map_err(refused)?;
+        let mut classes = Vec::new();
+        classes
+            .try_reserve_exact(nodes)
+            .map_err(|_| refused(nodes.saturating_mul(size_of::<Cell<u32>>())))?;
+        classes.resize_with(nodes, Cell::default);
         let mut tails = Vec::new();
         if dims.pb > 0 {
             tails
@@ -196,6 +214,7 @@ impl<F: SlabField> BasisArena<F> {
         Ok(BasisArena {
             heads,
             ranks,
+            classes,
             tails,
             dims,
             scratch: RefCell::new(scratch),
@@ -222,6 +241,8 @@ impl<F: SlabField> BasisArena<F> {
         let node = NodeBasis {
             head: &mut self.heads[self.dims.head_range(node)],
             rank: &mut self.ranks[node],
+            class: self.classes[node].get_mut(),
+            id: node,
             tails: self.tails.get_mut(node).map(RefCell::get_mut),
         };
         (node, self.scratch.get_mut())
@@ -250,14 +271,15 @@ impl<F: SlabField> BasisArena<F> {
         self.dims.kb
     }
 
-    /// Heap bytes currently reserved for node state: the head and rank
-    /// slabs and, for rows with a payload, the table of tails and every
-    /// node's own allocation.
+    /// Heap bytes currently reserved for node state: the head, rank and
+    /// class slabs and, for rows with a payload, the table of tails and
+    /// every node's own allocation.
     #[must_use]
     pub fn allocated_bytes(&self) -> usize {
         let per_node: usize = self.tails.iter().map(|t| t.borrow().heap_bytes()).sum();
         self.heads.capacity()
             + self.ranks.capacity() * size_of::<u32>()
+            + self.classes.capacity() * size_of::<Cell<u32>>()
             + self.tails.capacity() * size_of::<RefCell<Tails>>()
             + per_node
     }
@@ -276,6 +298,35 @@ impl<F: SlabField> BasisArena<F> {
     #[must_use]
     pub fn is_full(&self, node: usize) -> bool {
         self.rank(node) == self.dims.pivot_width
+    }
+
+    /// Do nodes `a` and `b` span the same subspace? Exact, and allocation
+    /// free. `false` unless their ranks are equal and nonzero (so never for
+    /// two empty nodes); `true` at once when they share a span class (see
+    /// the module docs); otherwise their reduced coefficient rows are
+    /// compared, and when they match `b` takes `a`'s class, so that the
+    /// next call on the pair answers from the classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is out of range.
+    #[must_use]
+    pub fn same_span(&self, a: usize, b: usize) -> bool {
+        let rank = self.ranks[a];
+        if rank == 0 || rank != self.ranks[b] {
+            return false;
+        }
+        let class = self.classes[a].get();
+        if class == self.classes[b].get() {
+            return true;
+        }
+        let same = self
+            .head(a)
+            .same_rows(self.head(b), self.dims, &mut self.scratch.borrow_mut());
+        if same {
+            self.classes[b].set(class);
+        }
+        same
     }
 
     /// Iterates over node `node`'s reduced coefficient prefixes, in
@@ -405,6 +456,7 @@ impl<F: SlabField> BasisArena<F> {
         let mut out = Vec::with_capacity(bounds.len());
         let mut heads = self.heads.as_mut_slice();
         let mut ranks = self.ranks.as_mut_slice();
+        let mut classes = self.classes.as_mut_slice();
         let mut tails = self.tails.as_mut_slice();
         let mut consumed = 0;
         for &(start, end) in bounds {
@@ -419,6 +471,7 @@ impl<F: SlabField> BasisArena<F> {
                     .split_off_mut(..len * dims.head_bytes())
                     .expect("in bounds"),
                 ranks: ranks.split_off_mut(..len).expect("in bounds"),
+                classes: classes.split_off_mut(..len).expect("in bounds"),
                 // One per node, or none at all for rank-only rows.
                 tails: tails
                     .split_off_mut(..len.min(tails.len()))
@@ -445,6 +498,8 @@ pub struct BasisShard<'a, F> {
     /// `[start · head_bytes, end · head_bytes)`.
     heads: &'a mut [u8],
     ranks: &'a mut [u32],
+    /// The span classes of the shard's nodes, kept by its inserts.
+    classes: &'a mut [Cell<u32>],
     tails: &'a mut [RefCell<Tails>],
     /// Global id of the shard's first node.
     start: usize,
@@ -496,6 +551,8 @@ impl<F: SlabField> BasisShard<'_, F> {
         let node = NodeBasis {
             head: &mut self.heads[self.dims.head_range(i)],
             rank: &mut self.ranks[i],
+            class: self.classes[i].get_mut(),
+            id: node,
             tails: self.tails.get_mut(i).map(RefCell::get_mut),
         };
         node.insert_packed::<F>(self.dims, row, &mut self.scratch)
@@ -653,15 +710,16 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("bytes"), "byte count missing from: {msg}");
         // The exact u128 byte count appears in the message: per node a head
-        // (pivot map, coefficient rows), a rank, payload rows and the log.
-        let want = (usize::MAX as u128 / 4) * ((8 * 4 + 8 * 8) + 4 + (8 * 8 + 64 + 63));
+        // (pivot map, coefficient rows), a rank, a class, payload rows and
+        // the log.
+        let want = (usize::MAX as u128 / 4) * ((8 * 4 + 8 * 8) + 4 + 4 + (8 * 8 + 64 + 63));
         assert!(
             msg.contains(&want.to_string()),
             "computed count missing: {msg}"
         );
-        // A rank-only arena has only the first two terms, and they count.
+        // A rank-only arena has only the first three terms, and they count.
         let err = BasisArena::<Gf256>::try_new(usize::MAX / 64, 8, 8).expect_err("must overflow");
-        let want = (usize::MAX as u128 / 64) * (96 + 4);
+        let want = (usize::MAX as u128 / 64) * (96 + 4 + 4);
         assert!(err.to_string().contains(&want.to_string()), "{err}");
     }
 
@@ -676,13 +734,29 @@ mod tests {
         }
     }
 
+    /// A span class names a node in a `u32`: an arena of more than 2³²
+    /// nodes is refused by the sizing check, even where its slabs would fit.
+    #[test]
+    fn more_than_two_to_the_32_nodes_is_a_capacity_overflow() {
+        let nodes = u32::MAX as usize + 2;
+        let err = BasisArena::<Gf2>::try_new(nodes, 1, 1).expect_err("must not fit");
+        assert!(matches!(err, ArenaError::CapacityOverflow { .. }), "{err}");
+    }
+
     /// Slabs that fit `usize` and not the machine are refused with the size
-    /// asked for, not by an allocator abort.
+    /// asked for, not by an allocator abort. 2³² nodes, the most a class
+    /// can name, pass the sizing check.
     #[test]
     fn refused_slab_is_a_typed_allocation_failure() {
-        let nodes = 1usize << 44;
-        let err = BasisArena::<Gf256>::try_new(nodes, 8, 8).expect_err("1.5 PiB of heads");
-        assert_eq!(err, ArenaError::AllocationFailure { bytes: nodes * 96 });
+        let (nodes, k) = (1usize << 32, 1024);
+        let err = BasisArena::<Gf256>::try_new(nodes, k, k).expect_err("4 PiB of heads");
+        let head = k * (4 + k);
+        assert_eq!(
+            err,
+            ArenaError::AllocationFailure {
+                bytes: nodes * head
+            }
+        );
     }
 
     /// With a payload a node holds nothing of its own before its first row,
@@ -694,8 +768,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let (k, r) = (6, 4);
         let mut arena = BasisArena::<Gf256>::try_new(2, k, k + r).unwrap();
-        // Heads (pivot map, coefficients), ranks, and the table of tails.
-        let fixed = 2 * (k * (4 + k) + 4 + size_of::<RefCell<Tails>>());
+        // Heads (pivot map, coefficients), ranks, classes, and the table of
+        // tails.
+        let fixed = 2 * (k * (4 + k) + 4 + 4 + size_of::<RefCell<Tails>>());
         assert!(size_of::<RefCell<Tails>>() <= 48);
         assert_eq!(arena.allocated_bytes(), fixed);
         // Elimination log, alignment slack, payload rows.
@@ -723,15 +798,15 @@ mod tests {
         assert_eq!(arena.allocated_bytes(), fixed + 2 * full_rank);
     }
 
-    /// A rank-only arena is a head and a rank per node from construction
-    /// on: no table of tails, no per-node allocation, and no insert changes
-    /// what it has allocated or where.
+    /// A rank-only arena is a head, a rank and a class per node from
+    /// construction on: no table of tails, no per-node allocation, and no
+    /// insert changes what it has allocated or where.
     #[test]
-    fn rank_only_arena_is_head_plus_rank_bytes_a_node_throughout() {
+    fn rank_only_arena_is_head_rank_and_class_bytes_a_node_throughout() {
         let mut rng = StdRng::seed_from_u64(11);
         let (k, nodes) = (8, 3);
         let mut arena = BasisArena::<Gf256>::try_new(nodes, k, k).unwrap();
-        let bytes = nodes * (k * (4 + k) + 4);
+        let bytes = nodes * (k * (4 + k) + 4 + 4);
         let base = arena.heads.as_ptr();
         while (0..nodes).any(|v| !arena.is_full(v)) {
             assert_eq!(arena.allocated_bytes(), bytes);
@@ -745,8 +820,8 @@ mod tests {
     }
 
     /// A shard's slabs are its node range of the arena's: heads
-    /// `[start · head_bytes, end · head_bytes)`, one rank a node, and one
-    /// tails entry a node where rows carry a payload.
+    /// `[start · head_bytes, end · head_bytes)`, one rank and one class a
+    /// node, and one tails entry a node where rows carry a payload.
     #[test]
     fn a_shards_slabs_are_its_node_range_of_the_arenas() {
         for r in [0, 3] {
@@ -756,6 +831,7 @@ mod tests {
             assert_eq!(stride, k * (4 + k));
             let heads = arena.heads.as_ptr() as usize;
             let ranks = arena.ranks.as_ptr() as usize;
+            let classes = arena.classes.as_ptr() as usize;
             let bounds = [(0, 2), (2, 2), (2, 6), (6, 7)];
             for (shard, (start, end)) in arena.shards_mut(&bounds).iter().zip(bounds) {
                 assert_eq!(shard.node_range(), start..end);
@@ -763,6 +839,8 @@ mod tests {
                 assert_eq!(shard.heads.len(), (end - start) * stride);
                 assert_eq!(shard.ranks.as_ptr() as usize, ranks + start * 4);
                 assert_eq!(shard.ranks.len(), end - start);
+                assert_eq!(shard.classes.as_ptr() as usize, classes + start * 4);
+                assert_eq!(shard.classes.len(), end - start);
                 assert_eq!(shard.tails.len(), if r > 0 { end - start } else { 0 });
             }
         }

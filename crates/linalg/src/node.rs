@@ -1,17 +1,30 @@
 //! The one per-node RLNC store: [`NodeBasis`] and its read side, [`Rows`].
 //!
 //! A node's learned subspace is held exactly once in this workspace, in
-//! the layout this module defines; nobody here owns one. A node is three
+//! the layout this module defines; nobody here owns one. A node is four
 //! parts: a *head* of [`Dims::head_bytes`] bytes (its pivot map, then its
-//! reduced coefficient rows), a rank, and, where rows carry a payload, its
-//! [`Tails`]. Their one owner is [`crate::BasisArena`], which keeps every
-//! node's head in one slab indexed by node, the ranks in a dense vector
-//! beside it and the tails in a third ([`crate::EchelonBasis`] is a
-//! one-node arena). The two assemblers of the borrowed views below are the
-//! arena and a [`crate::BasisShard`], which borrows a node range of the
-//! three slabs; each assembles them per call. Insert, flush, probe, row
-//! copy, recode gather and solution are each written once, on those
-//! views, over the pure slab functions in [`core_ops`].
+//! reduced coefficient rows), a rank, a span *class* and, where rows carry
+//! a payload, its [`Tails`]. Their one owner is [`crate::BasisArena`],
+//! which keeps every node's head in one slab indexed by node, the ranks and
+//! the classes in dense vectors beside it and the tails in a fourth
+//! ([`crate::EchelonBasis`] is a one-node arena). The two assemblers of the
+//! borrowed views below are the arena and a [`crate::BasisShard`], which
+//! borrows a node range of the four; each assembles them per call. Insert,
+//! flush, probe, row copy, recode gather, span comparison and solution are
+//! each written once, on those views, over the pure slab functions in
+//! [`core_ops`].
+//!
+//! # Span classes
+//!
+//! A node's class is a node id `c` with one meaning: the node's span is
+//! the span node `c` had when `c`'s rank was the node's rank now. Spans
+//! only grow, one dimension per innovative insert, so node `c`'s span at
+//! a given rank is one fixed subspace, and two nodes of equal rank and
+//! equal class hold the same span. The class is written where the rank
+//! changes, in [`NodeBasis::insert_packed`]: an innovative insert makes
+//! the node its own class. The arena's span comparison (`same_span`) adds
+//! the other write: two nodes found equal row by row share a class from
+//! then on, so the next comparison of the pair is one load each.
 //!
 //! # The coefficient/payload split
 //!
@@ -382,10 +395,11 @@ impl Dims {
     }
 
     /// [`Dims::new`] for a shape nobody has vetted. `Err` carries the
-    /// full-rank footprint of `nodes` such nodes in bytes (a head, a rank
-    /// and [`Dims::tail_bytes`] each; exact in `u128`, saturating there)
-    /// when it does not fit `usize` or a pivot column would not fit its
-    /// [`PIVOT_BYTES`] entry.
+    /// full-rank footprint of `nodes` such nodes in bytes (a head, a rank,
+    /// a class and [`Dims::tail_bytes`] each; exact in `u128`, saturating
+    /// there) when it does not fit `usize`, a pivot column would not fit
+    /// its [`PIVOT_BYTES`] entry, or a node id would not fit a `u32` span
+    /// class (more than 2³² nodes).
     pub(crate) fn sized<F: SlabField>(
         nodes: usize,
         pivot_width: usize,
@@ -399,9 +413,12 @@ impl Dims {
         let slack = if tail > 0 { PAY_ALIGN - 1 } else { 0 };
         let bytes = k
             .saturating_mul(row_syms.saturating_mul(sb) + PIVOT_BYTES as u128)
-            .saturating_add((std::mem::size_of::<u32>() + slack) as u128)
+            .saturating_add((2 * std::mem::size_of::<u32>() + slack) as u128)
             .saturating_mul(nodes as u128);
-        if u32::try_from(pivot_width).is_err() || usize::try_from(bytes).is_err() {
+        if u32::try_from(pivot_width).is_err()
+            || u32::try_from(nodes.saturating_sub(1)).is_err()
+            || usize::try_from(bytes).is_err()
+        {
             return Err(bytes);
         }
         Ok(Self::new::<F>(pivot_width, row_elems))
@@ -462,6 +479,9 @@ pub(crate) struct Scratch {
     transform: Vec<u8>,
     /// Blocked-replay stride-padded source/destination payload panels.
     panel: Vec<u8>,
+    /// Column → stored-row map (`pivot_width` entries) for a span
+    /// comparison.
+    row_of_col: Vec<usize>,
 }
 
 impl Scratch {
@@ -476,6 +496,7 @@ impl Scratch {
         try_reserve(&mut self.back, d.kb)?;
         try_reserve(&mut self.probe, d.kb)?;
         try_reserve(&mut self.insert, d.row_bytes())?;
+        try_reserve(&mut self.row_of_col, k)?;
         if d.pb > 0 {
             try_reserve(&mut self.transform, d.lb)?;
             try_reserve(&mut self.panel, 2 * k * core_ops::padded_stride::<F>(d.pb))?;
@@ -581,11 +602,35 @@ impl<'a> Head<'a> {
         F::canonicalize_slice(probe);
         core_ops::reduce_coeff::<F>(self.pivots, self.coeff, probe, factors).is_some()
     }
+
+    /// Do this head and `other`, of equal rank, store the same reduced
+    /// rows in whatever order, and so span the same subspace? Both are in
+    /// Gauss–Jordan form, which a subspace has exactly one of: the spans
+    /// are equal exactly when the pivot sets are and each pivot's row
+    /// matches byte for byte (stored symbols are canonical). Matches rows
+    /// through the scratch's column map, so nothing allocates.
+    pub(crate) fn same_rows(self, other: Head<'_>, d: Dims, sc: &mut Scratch) -> bool {
+        debug_assert_eq!(self.rank(), other.rank(), "compare equal ranks only");
+        let row_of_col = &mut sc.row_of_col;
+        row_of_col.clear();
+        row_of_col.resize(d.pivot_width, usize::MAX);
+        for (ri, c) in core_ops::pivot_cols(self.pivots).enumerate() {
+            row_of_col[c] = ri;
+        }
+        // `max(1)` only matters at pivot width 0, where both are empty.
+        core_ops::pivot_cols(other.pivots)
+            .zip(other.coeff.chunks_exact(d.kb.max(1)))
+            .all(|(c, row)| {
+                let ri = row_of_col[c];
+                ri != usize::MAX && self.coeff[ri * d.kb..][..d.kb] == *row
+            })
+    }
 }
 
 /// One node's basis, assembled for an insert from the arena's (or a
 /// shard's) slabs: its head ([`Dims::head_bytes`] of the slab of heads),
-/// its rank, and — when rows carry a payload — its [`Tails`].
+/// its rank, its span class and id (see the module docs), and — when rows
+/// carry a payload — its [`Tails`].
 ///
 /// Storage: the head exists from construction and is written in place, so
 /// rank-only rows never meet the allocator. A node that stores payloads
@@ -596,6 +641,9 @@ impl<'a> Head<'a> {
 pub(crate) struct NodeBasis<'a> {
     pub(crate) head: &'a mut [u8],
     pub(crate) rank: &'a mut u32,
+    pub(crate) class: &'a mut u32,
+    /// The node's own id: its class after an innovative insert.
+    pub(crate) id: usize,
     pub(crate) tails: Option<&'a mut Tails>,
 }
 
@@ -612,7 +660,9 @@ impl NodeBasis<'_> {
     /// garbage would pass through every copy and XOR; canonicalising here
     /// is the one place it is cleaned. A node at full rank answers
     /// [`Insertion::Redundant`] from its rank alone — its basis spans
-    /// everything — and leaves the caller's bytes untouched.
+    /// everything — and leaves the caller's bytes untouched. An innovative
+    /// insert makes the node its own span class: the one place a rank, and
+    /// so a class, changes.
     ///
     /// # Panics
     ///
@@ -672,6 +722,7 @@ impl NodeBasis<'_> {
         let entry = u32::try_from(pivot_col).expect("construction bounds the pivot width");
         map[rank * PIVOT_BYTES..][..PIVOT_BYTES].copy_from_slice(&entry.to_le_bytes());
         *self.rank += 1;
+        *self.class = u32::try_from(self.id).expect("construction bounds the node count");
         Insertion::Innovative
     }
 
@@ -832,6 +883,7 @@ mod tests {
     struct Owned {
         head: Vec<u8>,
         rank: u32,
+        class: u32,
         tails: Tails,
     }
 
@@ -840,6 +892,7 @@ mod tests {
             Owned {
                 head: vec![0; d.head_bytes()],
                 rank: 0,
+                class: 0,
                 tails: Tails::default(),
             }
         }
@@ -852,6 +905,8 @@ mod tests {
             NodeBasis {
                 head: &mut self.head,
                 rank: &mut self.rank,
+                class: &mut self.class,
+                id: 0,
                 tails: Some(&mut self.tails),
             }
         }

@@ -169,9 +169,122 @@ fn arena_shards_and_twins_agree<F: SlabField>(
     Ok(())
 }
 
+/// A random combination of `rows` (whole augmented rows), or a uniformly
+/// random row when there are none.
+fn combination<F: SlabField>(rows: &[Vec<F>], elems: usize, rng: &mut StdRng) -> Vec<F> {
+    if rows.is_empty() {
+        return (0..elems).map(|_| F::random(rng)).collect();
+    }
+    let mut out = vec![F::ZERO; elems];
+    for row in rows {
+        let c = F::random(rng);
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o += c * x;
+        }
+    }
+    out
+}
+
+/// Do the coefficient rows `a` and `b` span one subspace? The oracle's
+/// test: rank A = rank B = rank [A; B].
+fn oracle_same_span<F: SlabField>(a: &[Vec<F>], b: &[Vec<F>]) -> bool {
+    let rank = |rows: &[Vec<F>]| Matrix::from_rows(rows).rank();
+    let both: Vec<Vec<F>> = a.iter().chain(b).cloned().collect();
+    let r = rank(a);
+    r == rank(b) && r == rank(&both)
+}
+
+/// Inserts `row` into `node`, through the arena or through the shard of
+/// `bounds` that holds it, and records it as fed.
+fn feed<F: SlabField>(
+    arena: &mut BasisArena<F>,
+    fed: &mut [Vec<Vec<F>>],
+    node: usize,
+    row: Vec<F>,
+    through: Option<&[(usize, usize)]>,
+) {
+    let mut packed = F::pack(&row);
+    if let Some(bounds) = through {
+        let mut shards = arena.shards_mut(bounds);
+        let shard = shards
+            .iter_mut()
+            .find(|s| s.node_range().contains(&node))
+            .expect("bounds cover every node");
+        shard.insert_packed_mut(node, &mut packed);
+    } else {
+        arena.insert_packed_mut(node, &mut packed);
+    }
+    fed[node].push(row);
+}
+
+/// `BasisArena::same_span` is exact. Node 0 takes random rows and nodes 1
+/// and 2 random combinations of what node 0 was fed, in their own order,
+/// so pairs often share a span; then every step inserts into one node a
+/// combination of another's rows or a random row, through the arena or
+/// through a shard of the split `cut` describes, and ordered pairs (a node
+/// with itself included) are asked again in a random order, so that
+/// classes are adopted in both directions. Each answer must be the
+/// oracle's: equal nonzero ranks and one span.
+fn same_span_matches_oracle<F: SlabField>(
+    seed: u64,
+    k: usize,
+    r: usize,
+    cut: usize,
+    steps: usize,
+) -> Result<(), TestCaseError> {
+    const NODES: usize = 3;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let elems = k + r;
+    let mut arena = BasisArena::<F>::try_new(NODES, k, elems).unwrap();
+    let cut = cut % (NODES + 1);
+    let bounds = [(0, cut), (cut, NODES)];
+    let mut fed: Vec<Vec<Vec<F>>> = vec![Vec::new(); NODES];
+    for _ in 0..rng.gen_range(1..=k + 1) {
+        let row = combination::<F>(&[], elems, &mut rng);
+        feed(&mut arena, &mut fed, 0, row, None);
+    }
+    let source = fed[0].clone();
+    for node in 1..NODES {
+        for _ in 0..rng.gen_range(0..=k + 1) {
+            let row = combination(&source, elems, &mut rng);
+            feed(&mut arena, &mut fed, node, row, None);
+        }
+    }
+    for step in 0..=steps {
+        if step > 0 {
+            let (node, other) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+            let row = if rng.gen_bool(0.7) {
+                combination(&fed[other], elems, &mut rng)
+            } else {
+                combination::<F>(&[], elems, &mut rng)
+            };
+            let through = rng.gen_bool(0.5).then_some(&bounds[..]);
+            feed(&mut arena, &mut fed, node, row, through);
+        }
+        let coeffs: Vec<Vec<Vec<F>>> = fed
+            .iter()
+            .map(|rows| rows.iter().map(|row| row[..k].to_vec()).collect())
+            .collect();
+        for _ in 0..NODES * NODES {
+            let (a, b) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+            let want = arena.rank(a) > 0 && oracle_same_span(&coeffs[a], &coeffs[b]);
+            prop_assert_eq!(
+                arena.same_span(a, b),
+                want,
+                "step {}, nodes {} {}",
+                step,
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
 /// The layout's footprint, so that it cannot silently fatten again: a
 /// rank-only GF(2⁸) arena at k = 8 (the `gossip-rank` shape) is a 96-byte
-/// head and a 4-byte rank per node, at full rank as at construction.
+/// head, a 4-byte rank and a 4-byte span class per node, at full rank as at
+/// construction.
 #[test]
 fn rank_only_gf256_k8_arena_stays_within_104_bytes_a_node() {
     let n = 1000;
@@ -266,6 +379,19 @@ proptest! {
         arena_shards_and_twins_agree::<F13>(seed, nodes, k, r, &cuts)?;
         arena_shards_and_twins_agree::<Gf256>(seed, nodes, k, r, &cuts)?;
         arena_shards_and_twins_agree::<F7>(seed, nodes, k, r, &cuts)?;
+    }
+
+    /// `same_span` against the oracle, over GF(2), F₁₃ and GF(2⁸).
+    #[test]
+    fn same_span_is_exact(
+        seed in any::<u64>(),
+        k in 1usize..7,
+        r in 0usize..3,
+        cut in 0usize..4,
+    ) {
+        same_span_matches_oracle::<Gf2>(seed, k, r, cut, 12)?;
+        same_span_matches_oracle::<F13>(seed, k, r, cut, 12)?;
+        same_span_matches_oracle::<Gf256>(seed, k, r, cut, 12)?;
     }
 
     #[test]

@@ -209,6 +209,16 @@ impl<F: SlabField> DecoderArena<F> {
         self.basis.is_full(node)
     }
 
+    /// Do nodes `a` and `b` span the same subspace? Exact; `false` unless
+    /// both hold the same nonzero rank. Usually answered from the two
+    /// nodes' span classes, and a match found row by row makes `b` share
+    /// `a`'s class (see [`ag_linalg::BasisArena::same_span`]). A message
+    /// between two such nodes can never help its receiver.
+    #[must_use]
+    pub fn same_span(&self, a: usize, b: usize) -> bool {
+        self.basis.same_span(a, b)
+    }
+
     /// Node `node`'s innovative receptions so far (excluding seeds).
     #[must_use]
     pub fn innovative_count(&self, node: usize) -> u64 {
@@ -301,12 +311,20 @@ impl<F: SlabField> DecoderArena<F> {
         self.receive_built(node, |buf| buf.extend_from_slice(row))
     }
 
-    /// Counts one redundant reception at node `node`, which must be full:
-    /// the delivery of a message that carries no row, because its sender
-    /// saw the receiver full when composing it (see
-    /// [`DecoderArena::skip_emit`]). The basis is not touched.
+    /// Counts one redundant reception at node `node`: the delivery of a
+    /// message that carries no row (see [`DecoderArena::skip_emit`]). The
+    /// caller's contract is that the receiver's span contained the
+    /// sender's when the message was composed (it was full, or its span
+    /// was the sender's, see [`DecoderArena::same_span`]), so any row the
+    /// sender could have drawn is in the receiver's span now. The basis is
+    /// not touched. Only the part of the contract that survives until
+    /// delivery is asserted: a synchronous receiver may have grown since,
+    /// and its sender too, but a node that held a nonzero span still does.
     pub fn count_redundant(&mut self, node: usize) {
-        debug_assert!(self.is_complete(node), "only a full node is sent no row");
+        debug_assert!(
+            self.rank(node) > 0,
+            "a no-row message went to an empty node"
+        );
         self.counts[node].record(Insertion::Redundant);
     }
 
@@ -364,7 +382,8 @@ impl<F: SlabField> DecoderArena<F> {
 
     /// Makes exactly the draws [`DecoderArena::emit_packed_row_into`] makes
     /// from node `node`, and combines and writes nothing: the emit of a
-    /// message whose receiver is already full and would discard the row.
+    /// message whose receiver is already full, or already spans what `node`
+    /// does, and would discard the row.
     /// `rng` ends where the full emit leaves it, so skipping the
     /// combination moves no later draw. Returns `false` when the node
     /// stores nothing yet, as the emit does.
@@ -475,7 +494,10 @@ impl<F: SlabField> DecoderShard<'_, F> {
     ///
     /// Panics if `node` is outside the shard.
     pub fn count_redundant(&mut self, node: usize) {
-        debug_assert!(self.basis.is_full(node), "only a full node is sent no row");
+        debug_assert!(
+            self.basis.rank(node) > 0,
+            "a no-row message went to an empty node"
+        );
         self.counts[node - self.basis.node_range().start].record(Insertion::Redundant);
     }
 

@@ -14,6 +14,16 @@
 # change read better. It only reads what the binaries print. A claimed
 # gain should also hold on a seed the change was not tuned on: pass one
 # as SEED.
+#
+# First it prints, for each binary, where the byte-compare loop inside the
+# benchmark's `undecoded_nodes` (the `[Gf256]` `!=` that checks every
+# node's decoded bytes after a gossip run, one byte an iteration: 32 KiB a
+# node on `gossip-payload`) was placed: its address, length and offset in
+# its 64-byte line, and whether it straddles two lines. That loop's
+# placement alone has moved `core.verify_s` by half and `gossip-payload`
+# `wall_s` by about 12 %, so a difference there between two binaries that
+# place it differently is a layout reading until shown otherwise. It needs
+# `nm` and `objdump`, and says so when either is missing.
 set -eu
 usage() {
     echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS [SEED]" >&2
@@ -27,6 +37,52 @@ for bin in "$parent" "$change"; do
 done
 runs=$(mktemp) err=$(mktemp)
 trap 'rm -f "$runs" "$err"' EXIT
+
+# verify_loop SIDE BIN: where BIN placed the byte loop of `undecoded_nodes`:
+# the first backward jump in that function whose target loads a byte.
+verify_loop() {
+    if ! command -v nm >/dev/null || ! command -v objdump >/dev/null; then
+        echo "verify loop  $1: needs nm and objdump"
+        return
+    fi
+    sym=$(nm -S "$2" 2>/dev/null | awk '/undecoded_nodes/ { print $1, $2; exit }')
+    if [ -z "$sym" ]; then
+        echo "verify loop  $1: no undecoded_nodes symbol"
+        return
+    fi
+    # shellcheck disable=SC2086 # two words: address and size
+    set -- "$1" "$2" $sym
+    objdump -d --no-show-raw-insn --start-address="$((0x$3))" \
+        --stop-address="$((0x$3 + 0x$4))" "$2" | awk -v side="$1" '
+        function hex(s,    n, i) {
+            n = 0
+            for (i = 1; i <= length(s); i++)
+                n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+            return n
+        }
+        /^ *[0-9a-f]+:\t/ {
+            split($0, f, "\t")
+            sub(/^ */, "", f[1])
+            addr = hex(substr(f[1], 1, length(f[1]) - 1))
+            if (open) { end = addr; open = 0 }
+            split(f[2], w, " ")
+            op[addr] = w[1]
+            if (!start && w[1] ~ /^j/ && w[2] ~ /^[0-9a-f]+$/) {
+                to = hex(w[2])
+                if (to < addr && op[to] ~ /^movzb/) { start = to; open = 1 }
+            }
+        }
+        END {
+            if (!end) { printf "verify loop  %s: not found\n", side; exit }
+            line = start % 64
+            fits = line + end - start <= 64 ? "within one line" : "STRADDLES a 64-byte line"
+            printf "verify loop  %-6s  0x%x  %d bytes  line offset 0x%02x  %s\n", side,
+                start, end - start, line, fits
+        }'
+}
+verify_loop parent "$parent"
+verify_loop change "$change"
+echo
 
 # run PAIR SIDE BIN: one benchmark process; appends its row to $runs.
 run() {
