@@ -278,9 +278,10 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     /// A message is `Some` index of its packed augmented row (the
     /// [`ag_rlnc::Recoder::emit_packed_row`] wire format) in the protocol's
     /// slab of the round's messages, which `on_round_start` rewinds, or
-    /// `None` when its receiver was already full at compose: a full node
-    /// can never be helped, so that message makes the same coefficient
-    /// draws, carries no row and is delivered as one redundant reception.
+    /// `None` when its receiver's span contained the sender's at compose
+    /// (the no-row contract of `CodedNodes`, in `coded_nodes.rs`): such a
+    /// message makes the same coefficient draws, carries no row and is
+    /// delivered as one redundant reception.
     /// A contact costs **zero** heap allocations end to end, and a message
     /// the engine drops frees nothing — the difference that lets the
     /// payload-carrying sweeps run 10⁵-node graphs.
@@ -316,8 +317,8 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         self.nodes.compose(from, to, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
-        self.nodes.deliver(to, msg);
+    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
+        self.nodes.deliver(from, to, msg);
     }
 
     /// Every message is one packed row, so a round moves planned slots ×

@@ -1,4 +1,42 @@
 //! The RLNC state every gossip protocol in this crate shares.
+//!
+//! # The pair ledger
+//!
+//! A message helps only if its row lies outside the receiver's span, so a
+//! sender whose span the receiver's already contains need not combine one
+//! (see [`CodedNodes`]). Proving span(x) ⊆ span(y) in general takes an
+//! elimination; the pair ledger proves it for the first partner each node
+//! exchanges a helpful row with, in two loads. Node `v` has one slot: a
+//! partner id (or none) and `h`, the number of helpful (innovative)
+//! receptions between `v` and that partner, in either direction, since `v`
+//! claimed the slot. An innovative delivery adds 1 to `h` at each endpoint
+//! whose slot names the other, and an endpoint with a free slot claims it
+//! for the other with `h = 1`. A slot is never evicted. Compose skips the
+//! row when `rank(x) ≤ h`, with `h` from whichever endpoint's slot names
+//! the other (the larger if both do).
+//!
+//! *Why it is exact.* Write D(x, y) = dim((span x + span y) / span y), the
+//! part of x's span that y lacks. For a slot naming the pair {x, y} the
+//! ledger keeps D(x, y) ≤ rank(x) − h, and by symmetry D(y, x) ≤ rank(y) −
+//! h. At the claim it holds with `h = 1`: D was at most rank(x) before the
+//! claiming event, and that event either raises rank(x) and leaves D as it
+//! was (case 1 below) or lowers D by one (case 3). After it, event by
+//! event:
+//!
+//! 1. x gains a row from y: both sides stay the same, because the row lay
+//!    in y's span at compose, and spans only grow.
+//! 2. x gains a row from another node: the right side grows by 1, and D
+//!    grows by at most 1.
+//! 3. y gains a row from x: the right side falls by 1, and so does D,
+//!    exactly: the row lies in span(x) and outside span(y).
+//! 4. y gains a row from another node: the right side stays the same, and
+//!    D cannot grow.
+//!
+//! So rank(x) ≤ h gives D(x, y) = 0, that is span(x) ⊆ span(y). Each slot
+//! keeps the bound on its own, so the larger of two is sound, and their
+//! sum is not. A missed event only lowers `h`, which keeps the bound: that
+//! is why a [`CodedShard`] neither reads nor writes the ledger, and the
+//! helpful receptions of a sharded phase are simply not counted.
 
 use std::cell::{Cell, RefCell};
 
@@ -17,22 +55,24 @@ use crate::ag::AgConfig;
 /// [`crate::Tag`] and [`crate::TreeAg`] differ only in who talks to whom;
 /// what is said and how it is received is this, once.
 ///
-/// A message is `Some` index of its packed row in the slab, or `None`: a
-/// message carries no row when, as it is composed, its receiver's span
-/// already contains its sender's. A message helps only if its coefficient
-/// vector lies outside the receiver's span, and every row the sender can
-/// draw lies inside it, so such a message makes the coefficient draws a
-/// real emit makes (the RNG stream is unchanged) but skips the
-/// combination, takes no slab row, and its delivery counts one redundant
-/// reception without touching the receiver's basis. Spans only grow, so a
-/// synchronous receiver that gains rows before the delivery still finds
-/// the row it was not sent redundant. The serial path skips a receiver
-/// that is full or whose span equals the sender's
-/// ([`DecoderArena::same_span`], usually two loads), read live, which
-/// during a compose phase is the round-start state; a [`CodedShard`]
-/// cannot see a receiver in another shard, so it reads a bit set of the
-/// full nodes, taken when the round's compose phase is split, and skips
-/// only those.
+/// A message is `Some` index of its packed row in the slab, or `None`.
+///
+/// **The no-row contract:** a message carries no row only when, as it is
+/// composed, its receiver's span contains its sender's. A message helps
+/// only if its coefficient vector lies outside the receiver's span, and
+/// every row the sender can draw lies inside it, so such a message makes
+/// the coefficient draws a real emit makes (the RNG stream is unchanged)
+/// but skips the combination, takes no slab row, and its delivery counts
+/// one redundant reception without touching the receiver's basis. Spans
+/// only grow, so a synchronous receiver that gains rows before the
+/// delivery still finds the row it was not sent redundant. The serial path
+/// skips a receiver that is full, one the pair ledger (see the module
+/// docs) proves contains the sender's span, and one whose span equals the
+/// sender's ([`DecoderArena::same_span`], usually two loads), all read
+/// live, which during a compose phase is the round-start state; a
+/// [`CodedShard`] cannot see a receiver in another shard, so it reads a
+/// bit set of the full nodes, taken when the round's compose phase is
+/// split, and skips only those.
 ///
 /// `compose` writes rows one after another from the start of the slab,
 /// and the protocol rewinds it in its round-start hook: no message
@@ -59,6 +99,44 @@ pub(crate) struct CodedNodes<F: SlabField> {
     /// bits from construction on, rewritten each time a compose phase is
     /// split into shards, which read it in place of ranks they cannot see.
     full: Vec<u64>,
+    /// The pair ledger (see the module docs): one slot per node.
+    ledger: Vec<Slot>,
+}
+
+/// One node's slot of the pair ledger: the partner it claimed and the
+/// helpful receptions between the two since. A slot is free while it has
+/// counted nothing (the default), so its first count is its claim and a
+/// free slot names no partner whatever its `partner` field holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    partner: u32,
+    helpful: u32,
+}
+
+impl Slot {
+    /// The helpful receptions this slot has counted between its node and
+    /// `other`: 0 unless it names `other`.
+    fn helpful_with(self, other: NodeId) -> u32 {
+        if self.partner as usize == other {
+            self.helpful
+        } else {
+            0
+        }
+    }
+
+    /// Counts one helpful reception between the slot's node and `other`,
+    /// claiming the slot for `other` if it is free.
+    fn record(&mut self, other: NodeId) {
+        // `CodedNodes::new` bounds `n` by its `u32` row index.
+        let other = other as u32;
+        if self.helpful == 0 {
+            self.partner = other;
+        }
+        if self.partner == other {
+            // Saturating undercounts, which the ledger allows.
+            self.helpful = self.helpful.saturating_add(1);
+        }
+    }
 }
 
 /// Sizes one node's full-rank rows, `k · (k + payload_len) · symbol_bytes`,
@@ -158,6 +236,7 @@ impl<F: SlabField> CodedNodes<F> {
         let mut decoders = DecoderArena::try_new(n, cfg.k, cfg.payload_len)
             .map_err(|e| GraphError::InvalidSize(e.to_string()))?;
         let slab = slab_of(rows, decoders.row_bytes())?;
+        let ledger = ledger_of(n)?;
         for (msg, &host) in hosts.iter().enumerate() {
             decoders.seed_message(host, &generation, msg);
         }
@@ -168,6 +247,7 @@ impl<F: SlabField> CodedNodes<F> {
             slab: RefCell::new(slab),
             composed: Cell::new(0),
             full: vec![0; n.div_ceil(64)],
+            ledger,
         };
         Ok((nodes, rng))
     }
@@ -180,18 +260,22 @@ impl<F: SlabField> CodedNodes<F> {
     /// One coded message `from → to`: a fresh random combination of
     /// everything `from` stores, written into the slab's next free row,
     /// whose index it returns. `None` for a rank-0 node, which has nothing
-    /// to say, and takes no row. A receiver that is already full, or spans
-    /// exactly what `from` does, gets the same draws and no row
-    /// (`Some(None)`). A round that outgrows the slab's ceiling (a caller
-    /// that composes without ever starting a round) grows it, and one whose
-    /// row index outgrows a `u32` composes nothing.
+    /// to say, and takes no row. A receiver that is already full, that the
+    /// pair ledger proves contains `from`'s span, or that spans exactly
+    /// what `from` does, gets the same draws and no row (`Some(None)`). A
+    /// round that outgrows the slab's ceiling (a caller that composes
+    /// without ever starting a round) grows it, and one whose row index
+    /// outgrows a `u32` composes nothing.
     pub(crate) fn compose(
         &self,
         from: NodeId,
         to: NodeId,
         rng: &mut StdRng,
     ) -> Option<Option<u32>> {
-        if self.decoders.is_complete(to) || self.decoders.same_span(from, to) {
+        if self.decoders.is_complete(to)
+            || self.ledger_contains(from, to)
+            || self.decoders.same_span(from, to)
+        {
             return self
                 .decoders
                 .skip_emit(from, self.density, rng)
@@ -216,18 +300,38 @@ impl<F: SlabField> CodedNodes<F> {
         Some(Some(index))
     }
 
-    /// Delivers the message at slab row `msg` to `to`; a message with no
-    /// row is one redundant reception.
-    pub(crate) fn deliver(&mut self, to: NodeId, msg: Option<u32>) {
+    /// Does the pair ledger prove span(`from`) ⊆ span(`to`)? Sound, not
+    /// complete (see the module docs): `rank(from) ≤ h`. A containment
+    /// needs `rank(from) ≤ rank(to)`, so a sender of higher rank is
+    /// answered from the two ranks, without the two slots.
+    fn ledger_contains(&self, from: NodeId, to: NodeId) -> bool {
+        let rank = self.decoders.rank(from);
+        if rank > self.decoders.rank(to) {
+            return false;
+        }
+        let h = self.ledger[from]
+            .helpful_with(to)
+            .max(self.ledger[to].helpful_with(from));
+        rank <= h as usize
+    }
+
+    /// Delivers `from`'s message at slab row `msg` to `to`; a message with
+    /// no row is one redundant reception. A helpful one is counted in the
+    /// pair ledger.
+    pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, msg: Option<u32>) {
         let Some(msg) = msg else {
             self.decoders.count_redundant(to);
             return;
         };
         let rb = self.decoders.row_bytes();
         let at = msg as usize * rb;
-        let _ = self
+        let verdict = self
             .decoders
             .receive_packed_slice(to, &self.slab.get_mut()[at..at + rb]);
+        if verdict.is_innovative() {
+            self.ledger[to].record(from);
+            self.ledger[from].record(to);
+        }
     }
 
     /// Splits the nodes into one [`CodedShard`] per range of `bounds` for a
@@ -311,6 +415,20 @@ fn slab_of(rows: usize, row_bytes: usize) -> Result<Vec<u8>, GraphError> {
     Ok(vec![0; bytes])
 }
 
+/// `n` free slots of the pair ledger, or the typed error for a ledger the
+/// allocator refuses.
+fn ledger_of(n: usize) -> Result<Vec<Slot>, GraphError> {
+    let mut ledger = Vec::new();
+    ledger.try_reserve_exact(n).map_err(|_| {
+        GraphError::InvalidSize(format!(
+            "a pair ledger of {n} nodes: could not reserve {} bytes",
+            n as u128 * size_of::<Slot>() as u128
+        ))
+    })?;
+    ledger.resize(n, Slot::default());
+    Ok(ledger)
+}
+
 /// One shard of [`CodedNodes`] for a sharded round: a [`DecoderShard`]
 /// over a contiguous node range, the slab rows reserved for what it
 /// composes, and the rows composed before its phase, for what it delivers.
@@ -374,8 +492,9 @@ impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
 mod tests {
     use super::*;
     use crate::placement::Placement;
-    use ag_gf::Gf256;
-    use rand::RngCore;
+    use ag_gf::{Field, Gf2, Gf256, F13};
+    use proptest::prelude::*;
+    use rand::{Rng, RngCore};
 
     /// A message to a full receiver, or to one whose span is the sender's,
     /// makes the draws a real one makes, takes no slab row and writes no
@@ -407,7 +526,7 @@ mod tests {
         assert_eq!(nodes.compose(0, 1, &mut real), Some(Some(0)));
         assert_eq!(skip.next_u64(), real.next_u64());
         assert_eq!(nodes.compose(1, 2, &mut skip), None, "rank 0 says nothing");
-        nodes.deliver(2, None);
+        nodes.deliver(0, 2, None);
         assert_eq!(nodes.decoders.redundant_count(2), 1);
 
         // Equal spans, neither full. A fixed emit from the receiver reads
@@ -430,12 +549,12 @@ mod tests {
         assert_eq!(skip.next_u64(), real.next_u64());
         let mut other = StdRng::seed_from_u64(6);
         assert_eq!(nodes.compose(4, 3, &mut other), Some(None), "either way");
-        nodes.deliver(4, None);
+        nodes.deliver(3, 4, None);
         assert_eq!(nodes.decoders.redundant_count(4), 1);
         assert_eq!(nodes.decoders.rank(4), 2);
         assert_eq!(emit_4(&nodes), rows_4, "the receiver's rows changed");
         // The row node 3 did compose is redundant at node 4 too.
-        nodes.deliver(4, Some(1));
+        nodes.deliver(3, 4, Some(1));
         assert_eq!(nodes.decoders.redundant_count(4), 2);
         assert_eq!(emit_4(&nodes), rows_4);
 
@@ -462,5 +581,133 @@ mod tests {
         assert_eq!(nodes.decoders.total_innovative(), 0);
         assert_eq!(nodes.decoders.rank(2), 4);
         assert_eq!(emit_4(&nodes), rows_4);
+    }
+
+    /// The rank of `rows` over `F`: the dense oracle, whole-matrix
+    /// Gauss–Jordan elimination that shares nothing with the arena.
+    fn dense_rank<F: Field>(mut rows: Vec<Vec<F>>) -> usize {
+        let width = rows.first().map_or(0, Vec::len);
+        let mut rank = 0;
+        for col in 0..width {
+            let Some(p) = (rank..rows.len()).find(|&i| !rows[i][col].is_zero()) else {
+                continue;
+            };
+            rows.swap(rank, p);
+            let inv = rows[rank][col].inv().expect("a nonzero pivot");
+            let pivot: Vec<F> = rows[rank].iter().map(|&x| x * inv).collect();
+            for row in &mut rows {
+                let f = row[col];
+                for (x, &y) in row.iter_mut().zip(&pivot) {
+                    *x -= f * y;
+                }
+            }
+            rows[rank] = pivot;
+            rank += 1;
+        }
+        rank
+    }
+
+    /// One lane of the pair ledger's soundness check: `steps` contacts
+    /// among `n` nodes that hold `k` unit messages at random hosts, between
+    /// random pairs or, with `path`, between neighbours on the path
+    /// `0 – 1 – … – n−1`. A contact is one message or an exchange (both
+    /// composed before either is delivered, as an asynchronous timeslot
+    /// does). Before each compose a verdict of containment is checked
+    /// against the dense oracle on every coefficient row each node was ever
+    /// given: rank [B; A] = rank B. Returns how often the ledger proved a
+    /// nonzero sender contained in a receiver that is not full, where
+    /// compose would act on it.
+    fn ledger_lane<F: SlabField>(
+        seed: u64,
+        n: usize,
+        k: usize,
+        steps: usize,
+        path: bool,
+    ) -> Result<usize, TestCaseError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hosts: Vec<NodeId> = (0..k).map(|_| rng.gen_range(0..n)).collect();
+        let cfg = AgConfig::new(k)
+            .with_payload_len(1)
+            .with_placement(Placement::Custom(hosts.clone()));
+        let generation = CodedNodes::<F>::random_generation(&cfg, seed).unwrap();
+        let (mut nodes, _) = CodedNodes::new(n, &cfg, generation, seed, 2).unwrap();
+        let mut given: Vec<Vec<Vec<F>>> = vec![Vec::new(); n];
+        for (m, &host) in hosts.iter().enumerate() {
+            let mut unit = vec![F::ZERO; k];
+            unit[m] = F::ONE;
+            given[host].push(unit);
+        }
+        let coeff_bytes = k * F::SYMBOL_BYTES;
+        let mut fired = 0;
+        for step in 0..steps {
+            let (a, b) = if path {
+                let a = rng.gen_range(0..n - 1);
+                (a, a + 1)
+            } else {
+                let a = rng.gen_range(0..n);
+                (a, (a + rng.gen_range(1..n)) % n)
+            };
+            let contacts = if rng.gen_bool(0.5) {
+                &[(a, b), (b, a)][..]
+            } else {
+                &[(a, b)][..]
+            };
+            let mut composed = Vec::new();
+            for &(from, to) in contacts {
+                if nodes.ledger_contains(from, to) {
+                    let both = given[to].iter().chain(&given[from]).cloned().collect();
+                    prop_assert_eq!(
+                        dense_rank(both),
+                        dense_rank(given[to].clone()),
+                        "step {}: span({}) is not inside span({})",
+                        step,
+                        from,
+                        to
+                    );
+                    let acts = nodes.decoders.rank(from) > 0 && !nodes.decoders.is_complete(to);
+                    fired += usize::from(acts);
+                }
+                if let Some(msg) = nodes.compose(from, to, &mut rng) {
+                    composed.push((from, to, msg));
+                }
+            }
+            for (from, to, msg) in composed {
+                if let Some(row) = msg {
+                    let at = row as usize * nodes.decoders.row_bytes();
+                    given[to].push(F::unpack(&nodes.slab.borrow()[at..at + coeff_bytes]));
+                }
+                nodes.deliver(from, to, msg);
+            }
+            nodes.rewind();
+        }
+        Ok(fired)
+    }
+
+    proptest! {
+        /// The pair ledger is sound over GF(2), F₁₃ and GF(2⁸): every
+        /// containment it proves holds (see `ledger_lane`), on random
+        /// pairs and on a path.
+        #[test]
+        fn ledger_is_sound(seed in any::<u64>(), n in 4usize..7, k in 2usize..7) {
+            for path in [false, true] {
+                ledger_lane::<Gf2>(seed, n, k, 48, path)?;
+                ledger_lane::<F13>(seed, n, k, 48, path)?;
+                ledger_lane::<Gf256>(seed, n, k, 48, path)?;
+            }
+        }
+    }
+
+    /// On a path, where a parent and child exchange over one edge, the
+    /// ledger proves containments compose acts on, in every field.
+    #[test]
+    fn ledger_fires_between_parent_and_child() {
+        let fired = |lane: fn(u64, usize, usize, usize, bool) -> Result<usize, TestCaseError>| {
+            (0..8)
+                .map(|seed| lane(seed, 4, 6, 48, true).unwrap())
+                .sum::<usize>()
+        };
+        assert!(fired(ledger_lane::<Gf2>) > 0, "GF(2)");
+        assert!(fired(ledger_lane::<F13>) > 0, "F13");
+        assert!(fired(ledger_lane::<Gf256>) > 0, "GF(2^8)");
     }
 }

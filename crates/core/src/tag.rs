@@ -16,9 +16,9 @@ pub enum TagMsg<M> {
     /// A spanning-tree protocol message.
     Tree(M),
     /// An algebraic-gossip coded message: the index of its packed row in
-    /// the round's message slab, or `None` for a receiver already full at
-    /// compose (no row, one redundant reception on delivery), exactly as
-    /// [`crate::AlgebraicGossip`] moves them.
+    /// the round's message slab, or `None` for a receiver whose span
+    /// contained the sender's at compose (no row, one redundant reception
+    /// on delivery), exactly as [`crate::AlgebraicGossip`] moves them.
     Ag(Option<u32>),
 }
 
@@ -243,7 +243,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
         // The message variant itself carries the phase.
         match msg {
             TagMsg::Tree(m) => self.tree.deliver(from, to, 0, m),
-            TagMsg::Ag(row) => self.nodes.deliver(to, row),
+            TagMsg::Ag(row) => self.nodes.deliver(from, to, row),
         }
     }
 

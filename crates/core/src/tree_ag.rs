@@ -78,8 +78,9 @@ impl<F: SlabField> TreeAg<F> {
 }
 
 impl<F: SlabField> Protocol for TreeAg<F> {
-    /// Row indices into the round's message slab, or no row for a full
-    /// receiver, as in [`crate::AlgebraicGossip`].
+    /// Row indices into the round's message slab, or no row for a
+    /// receiver whose span contained the sender's at compose, as in
+    /// [`crate::AlgebraicGossip`].
     type Msg = Option<u32>;
 
     fn num_nodes(&self) -> usize {
@@ -109,8 +110,8 @@ impl<F: SlabField> Protocol for TreeAg<F> {
         self.nodes.compose(from, to, rng)
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
-        self.nodes.deliver(to, msg);
+    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
+        self.nodes.deliver(from, to, msg);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {

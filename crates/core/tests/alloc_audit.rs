@@ -12,8 +12,8 @@
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
 //!   allocates for a node's first row and for nothing else: a message is a
 //!   row of the protocol's message slab, sized to a round's ceiling at
-//!   construction, or no row at all for a receiver that is already full,
-//!   so the per-message path is allocation-free outright; a
+//!   construction, or no row at all for a receiver whose span contains
+//!   the sender's, so the per-message path is allocation-free outright; a
 //!   node's coefficient rows live in the arena's slab from construction
 //!   on, and its payload rows and elimination log share one allocation
 //!   made, at its full-rank footprint, by the insert that stores its first

@@ -23,8 +23,8 @@ fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
 /// asynchronous) and checks the reception accounting against the run's
 /// own counters: every delivered message is exactly one helpful or one
 /// redundant reception, including those that carry no row because their
-/// receiver was already full; every helpful one raises a rank by one above
-/// the `k` seeds; and every node decodes the generation.
+/// receiver's span contained the sender's; every helpful one raises a
+/// rank by one above the `k` seeds; and every node decodes the generation.
 fn accounting_holds<F: SlabField>(
     graph: &ag_graph::Graph,
     k: usize,

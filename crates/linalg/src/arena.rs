@@ -16,8 +16,9 @@
 //! A class (the `node` module has the invariant) makes
 //! [`BasisArena::same_span`] usually one load per node: two nodes of equal
 //! rank and class span the same subspace, and two found equal row by row
-//! share a class from then on. Class ids are node ids in a `u32`, so an
-//! arena holds at most 2³² nodes.
+//! both take the smaller of their classes, so a group of equal spans
+//! converges on one class and stops paying for row compares. Class ids
+//! are node ids in a `u32`, so an arena holds at most 2³² nodes.
 //!
 //! Rows with a payload add one table entry per node and one allocation per
 //! node, made by the insert that stores its first row, at the full-rank
@@ -304,8 +305,9 @@ impl<F: SlabField> BasisArena<F> {
     /// free. `false` unless their ranks are equal and nonzero (so never for
     /// two empty nodes); `true` at once when they share a span class (see
     /// the module docs); otherwise their reduced coefficient rows are
-    /// compared, and when they match `b` takes `a`'s class, so that the
-    /// next call on the pair answers from the classes.
+    /// compared, and when they match both take the smaller of their two
+    /// classes, so that the next call on the pair answers from the classes
+    /// and nodes found equal pairwise converge on one class.
     ///
     /// # Panics
     ///
@@ -316,17 +318,32 @@ impl<F: SlabField> BasisArena<F> {
         if rank == 0 || rank != self.ranks[b] {
             return false;
         }
-        let class = self.classes[a].get();
-        if class == self.classes[b].get() {
+        let (class_a, class_b) = (self.classes[a].get(), self.classes[b].get());
+        if class_a == class_b {
             return true;
         }
         let same = self
             .head(a)
             .same_rows(self.head(b), self.dims, &mut self.scratch.borrow_mut());
         if same {
+            let class = class_a.min(class_b);
+            self.classes[a].set(class);
             self.classes[b].set(class);
         }
         same
+    }
+
+    /// Node `node`'s span class (see the module docs): what the property
+    /// suite reads to pin which class [`BasisArena::same_span`] leaves a
+    /// matched pair in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn span_class(&self, node: usize) -> u32 {
+        self.classes[node].get()
     }
 
     /// Iterates over node `node`'s reduced coefficient prefixes, in

@@ -23,8 +23,11 @@
 //! equal class hold the same span. The class is written where the rank
 //! changes, in [`NodeBasis::insert_packed`]: an innovative insert makes
 //! the node its own class. The arena's span comparison (`same_span`) adds
-//! the other write: two nodes found equal row by row share a class from
-//! then on, so the next comparison of the pair is one load each.
+//! the other write: two nodes found equal row by row both take the smaller
+//! of their two classes, so the next comparison of the pair is one load
+//! each, and nodes of one span compared pairwise converge on one class.
+//! Either class is a valid one for both (each names a node whose span at
+//! this rank was the common span), so the smaller one is too.
 //!
 //! # The coefficient/payload split
 //!

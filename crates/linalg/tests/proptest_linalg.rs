@@ -224,7 +224,9 @@ fn feed<F: SlabField>(
 /// through a shard of the split `cut` describes, and ordered pairs (a node
 /// with itself included) are asked again in a random order, so that
 /// classes are adopted in both directions. Each answer must be the
-/// oracle's: equal nonzero ranks and one span.
+/// oracle's: equal nonzero ranks and one span. After each `true` both nodes
+/// must hold the smaller of the two classes they held before the call, and
+/// every later answer, read from those classes, must stay exact.
 fn same_span_matches_oracle<F: SlabField>(
     seed: u64,
     k: usize,
@@ -268,6 +270,7 @@ fn same_span_matches_oracle<F: SlabField>(
         for _ in 0..NODES * NODES {
             let (a, b) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
             let want = arena.rank(a) > 0 && oracle_same_span(&coeffs[a], &coeffs[b]);
+            let before = arena.span_class(a).min(arena.span_class(b));
             prop_assert_eq!(
                 arena.same_span(a, b),
                 want,
@@ -276,6 +279,16 @@ fn same_span_matches_oracle<F: SlabField>(
                 a,
                 b
             );
+            if want {
+                prop_assert_eq!(
+                    (arena.span_class(a), arena.span_class(b)),
+                    (before, before),
+                    "step {}, nodes {} {}: not the smaller class",
+                    step,
+                    a,
+                    b
+                );
+            }
         }
     }
     Ok(())

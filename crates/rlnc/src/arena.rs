@@ -211,9 +211,9 @@ impl<F: SlabField> DecoderArena<F> {
 
     /// Do nodes `a` and `b` span the same subspace? Exact; `false` unless
     /// both hold the same nonzero rank. Usually answered from the two
-    /// nodes' span classes, and a match found row by row makes `b` share
-    /// `a`'s class (see [`ag_linalg::BasisArena::same_span`]). A message
-    /// between two such nodes can never help its receiver.
+    /// nodes' span classes, and a match found row by row gives both the
+    /// smaller of their classes (see [`ag_linalg::BasisArena::same_span`]).
+    /// A message between two such nodes can never help its receiver.
     #[must_use]
     pub fn same_span(&self, a: usize, b: usize) -> bool {
         self.basis.same_span(a, b)
@@ -314,12 +314,13 @@ impl<F: SlabField> DecoderArena<F> {
     /// Counts one redundant reception at node `node`: the delivery of a
     /// message that carries no row (see [`DecoderArena::skip_emit`]). The
     /// caller's contract is that the receiver's span contained the
-    /// sender's when the message was composed (it was full, or its span
-    /// was the sender's, see [`DecoderArena::same_span`]), so any row the
-    /// sender could have drawn is in the receiver's span now. The basis is
-    /// not touched. Only the part of the contract that survives until
-    /// delivery is asserted: a synchronous receiver may have grown since,
-    /// and its sender too, but a node that held a nonzero span still does.
+    /// sender's when the message was composed (for instance it was full,
+    /// or its span was the sender's, see [`DecoderArena::same_span`]), so
+    /// any row the sender could have drawn is in the receiver's span now.
+    /// The basis is not touched. Only the part of the contract that
+    /// survives until delivery is asserted: a synchronous receiver may have
+    /// grown since, and its sender too, but a node that held a nonzero span
+    /// still does.
     pub fn count_redundant(&mut self, node: usize) {
         debug_assert!(
             self.rank(node) > 0,
@@ -382,8 +383,8 @@ impl<F: SlabField> DecoderArena<F> {
 
     /// Makes exactly the draws [`DecoderArena::emit_packed_row_into`] makes
     /// from node `node`, and combines and writes nothing: the emit of a
-    /// message whose receiver is already full, or already spans what `node`
-    /// does, and would discard the row.
+    /// message whose receiver's span already contains `node`'s, and would
+    /// find the row redundant.
     /// `rng` ends where the full emit leaves it, so skipping the
     /// combination moves no later draw. Returns `false` when the node
     /// stores nothing yet, as the emit does.

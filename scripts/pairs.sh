@@ -15,15 +15,19 @@
 # gain should also hold on a seed the change was not tuned on: pass one
 # as SEED.
 #
-# First it prints, for each binary, where the byte-compare loop inside the
-# benchmark's `undecoded_nodes` (the `[Gf256]` `!=` that checks every
-# node's decoded bytes after a gossip run, one byte an iteration: 32 KiB a
-# node on `gossip-payload`) was placed: its address, length and offset in
-# its 64-byte line, and whether it straddles two lines. That loop's
-# placement alone has moved `core.verify_s` by half and `gossip-payload`
-# `wall_s` by about 12 %, so a difference there between two binaries that
-# place it differently is a layout reading until shown otherwise. It needs
-# `nm` and `objdump`, and says so when either is missing.
+# First it prints, for each binary, where two byte-compare loops of the
+# benchmark were placed: the one inside `undecoded_nodes` (the `[Gf256]`
+# `!=` that checks every node's decoded bytes after a gossip run, one byte
+# an iteration: 32 KiB a node on `gossip-payload`), and the one inside
+# `Workload::pass` (the same `!=` on each `decode-stream` operation's
+# decoded generation, 128 KiB an operation). For each: its address, length
+# and offset in its 64-byte line, and whether it straddles two lines. The
+# first loop's placement alone has moved `core.verify_s` by half and
+# `gossip-payload` `wall_s` by about 12 %, and the second's `decode-stream`
+# `wall_s` by about 20 %, so a difference on those workloads between two
+# binaries that place a loop differently is a layout reading until shown
+# otherwise. It needs `nm` and `objdump`, and says so when either is
+# missing.
 set -eu
 usage() {
     echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS [SEED]" >&2
@@ -38,22 +42,23 @@ done
 runs=$(mktemp) err=$(mktemp)
 trap 'rm -f "$runs" "$err"' EXIT
 
-# verify_loop SIDE BIN: where BIN placed the byte loop of `undecoded_nodes`:
-# the first backward jump in that function whose target loads a byte.
+# verify_loop SIDE BIN SYMBOL LABEL: where BIN placed the byte loop of the
+# function whose symbol matches SYMBOL: the first backward jump in that
+# function whose target loads a byte. LABEL names the loop in the output.
 verify_loop() {
     if ! command -v nm >/dev/null || ! command -v objdump >/dev/null; then
-        echo "verify loop  $1: needs nm and objdump"
+        echo "$4  $1: needs nm and objdump"
         return
     fi
-    sym=$(nm -S "$2" 2>/dev/null | awk '/undecoded_nodes/ { print $1, $2; exit }')
+    sym=$(nm -S "$2" 2>/dev/null | awk -v pat="$3" '$0 ~ pat { print $1, $2; exit }')
     if [ -z "$sym" ]; then
-        echo "verify loop  $1: no undecoded_nodes symbol"
+        echo "$4  $1: no $3 symbol"
         return
     fi
     # shellcheck disable=SC2086 # two words: address and size
-    set -- "$1" "$2" $sym
+    set -- "$1" "$2" $sym "$4"
     objdump -d --no-show-raw-insn --start-address="$((0x$3))" \
-        --stop-address="$((0x$3 + 0x$4))" "$2" | awk -v side="$1" '
+        --stop-address="$((0x$3 + 0x$4))" "$2" | awk -v side="$1" -v label="$5" '
         function hex(s,    n, i) {
             n = 0
             for (i = 1; i <= length(s); i++)
@@ -73,15 +78,17 @@ verify_loop() {
             }
         }
         END {
-            if (!end) { printf "verify loop  %s: not found\n", side; exit }
+            if (!end) { printf "%s  %s: not found\n", label, side; exit }
             line = start % 64
             fits = line + end - start <= 64 ? "within one line" : "STRADDLES a 64-byte line"
-            printf "verify loop  %-6s  0x%x  %d bytes  line offset 0x%02x  %s\n", side,
+            printf "%s  %-6s  0x%x  %d bytes  line offset 0x%02x  %s\n", label, side,
                 start, end - start, line, fits
         }'
 }
-verify_loop parent "$parent"
-verify_loop change "$change"
+verify_loop parent "$parent" undecoded_nodes "verify loop"
+verify_loop change "$change" undecoded_nodes "verify loop"
+verify_loop parent "$parent" Workload4pass "decode loop"
+verify_loop change "$change" Workload4pass "decode loop"
 echo
 
 # run PAIR SIDE BIN: one benchmark process; appends its row to $runs.
