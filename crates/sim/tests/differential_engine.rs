@@ -9,8 +9,8 @@
 //! round, composes everything first, dedups through a hash set at delivery
 //! time and sweeps all `n` flags. None of that may be visible in the
 //! results. The oracle also derives the per-slot compose keys on its own,
-//! so the [`AlgebraicGossip`] lane below (whose `compose` draws
-//! coefficients) fails if either side's keying drifts. This suite is the
+//! so the [`AlgebraicGossip`] lanes below (whose `compose` draws
+//! coefficients) fail if either side's keying drifts. This suite is the
 //! engine-level analogue of `crates/rlnc/tests/differential_decoder.rs`.
 
 mod oracle;
@@ -20,7 +20,7 @@ use ag_graph::{builders, ChurnSchedule, Graph, NodeId, ScheduledTopology, Topolo
 use ag_sim::{
     Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol, RunStats,
 };
-use algebraic_gossip::{AgConfig, AlgebraicGossip};
+use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
 use oracle::ReferenceEngine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -329,4 +329,55 @@ fn compose_drawing_protocol_matches_reference() {
     }
     assert!(total_dedup_drops > 0, "dedup must be exercised");
     assert!(total_lost > 0, "loss must be exercised");
+}
+
+/// Algebraic gossip over GF(2) under the crash wrapper, which silences
+/// crashed nodes, drops what is delivered to them and forwards the
+/// engine's drops to the protocol inside: a deterministic fifth of the
+/// nodes crashes at their third wakeup.
+fn crash_wrapped_ag(n: usize, k: usize, seed: u64) -> WithCrashes<AlgebraicGossip<Gf2>> {
+    let mut graph_rng = StdRng::seed_from_u64(seed);
+    let graph = builders::erdos_renyi_connected(n, 0.4, &mut graph_rng)
+        .unwrap_or_else(|_| builders::cycle(n.max(3)).unwrap());
+    let ag_cfg = AgConfig::new(k)
+        .with_payload_len(2)
+        .with_placement(Placement::Spread);
+    let inner = AlgebraicGossip::<Gf2>::new(&graph, &ag_cfg, seed).expect("ag");
+    WithCrashes::new(inner, CrashPlan::random_fraction(n, 0.2, 3, seed ^ 0xDEAD))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The crash lane: a crash-wrapped algebraic-gossip run, under both
+    /// time models, with and without loss, is the same run under both
+    /// loops.
+    #[test]
+    fn crash_wrapped_protocol_matches_reference(
+        seed in any::<u64>(),
+        n in 6usize..20,
+        k in 2usize..6,
+        sync in any::<bool>(),
+        lossy in any::<bool>(),
+    ) {
+        let mut cfg = if sync {
+            EngineConfig::synchronous(seed)
+        } else {
+            EngineConfig::asynchronous(seed)
+        }
+        .with_max_rounds(5_000);
+        if lossy {
+            cfg = cfg.with_loss(0.2);
+        }
+        let rank = |p: &WithCrashes<AlgebraicGossip<Gf2>>| p.inner().total_rank() as u64;
+        let (mut fast_proto, mut ref_proto) =
+            (crash_wrapped_ag(n, k, seed), crash_wrapped_ag(n, k, seed));
+        let (mut fast_trace, mut ref_trace) = (Trace::new(), Trace::new());
+        let fast = Engine::new(cfg)
+            .run_observed(&mut fast_proto, |r, p| fast_trace.push((r, rank(p))));
+        let slow = ReferenceEngine::new(cfg)
+            .run_observed(&mut ref_proto, |r, p| ref_trace.push((r, rank(p))));
+        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fast_trace, ref_trace);
+    }
 }
