@@ -121,16 +121,16 @@ impl AgConfig {
 /// is topology-oblivious, which is exactly the Haeupler-style robustness
 /// the F9 experiments measure) follows the schedule.
 ///
-/// All `n` decoders live in one simulation-owned [`ag_rlnc::DecoderArena`]
-/// and a round's messages are rows of one slab sized to the round's
-/// ceiling — the RLNC wiring this protocol shares with [`crate::Tag`] and
-/// [`crate::TreeAg`] — so the engine's round loop performs **zero**
-/// per-message heap allocation: a node allocates once, for its payload
-/// rows, at its first row (coefficient rows are in the arena's slab from
-/// construction on, so a rank-only run allocates nothing), and nothing
-/// else allocates, which `tests/alloc_audit.rs` bounds round by round with
-/// a counting allocator on a 1 KiB-payload run, serial and sharded, on a
-/// rank-only one and on asynchronous ones. The golden-trajectory hashes
+/// All `n` nodes' equations live in one simulation-owned
+/// [`ag_linalg::BasisArena`] and a round's messages are rows of one slab
+/// sized to the round's ceiling — the RLNC wiring this protocol shares
+/// with [`crate::Tag`] and [`crate::TreeAg`] — so the engine's round loop
+/// performs **zero** per-message heap allocation: a node allocates once,
+/// for its payload rows, at its first row (coefficient rows are in the
+/// arena's slab from construction on, so a rank-only run allocates
+/// nothing), and nothing else allocates, which `tests/alloc_audit.rs`
+/// bounds round by round with a counting allocator on a 1 KiB-payload run,
+/// serial and sharded, on a rank-only one and on asynchronous ones. The golden-trajectory hashes
 /// pin the per-round results of all three protocols end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.
@@ -240,31 +240,34 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.nodes.decoders.rank(v)
+        self.nodes.basis.rank(v)
     }
 
     /// The sum of all node ranks — a convenient global progress measure.
     #[must_use]
     pub fn total_rank(&self) -> usize {
-        self.nodes.decoders.total_rank()
+        let basis = &self.nodes.basis;
+        (0..basis.nodes()).map(|v| basis.rank(v)).sum()
     }
 
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.nodes.decoders.decode(v)
+        self.nodes.basis.solution(v)
     }
 
-    /// Total innovative (helpful) receptions across all nodes.
+    /// Total innovative (helpful) receptions across all nodes: the rank
+    /// gained over the `k` seeds, since each raises one rank by one.
     #[must_use]
     pub fn helpful_receptions(&self) -> u64 {
-        self.nodes.decoders.total_innovative()
+        (self.total_rank() - self.nodes.generation.k()) as u64
     }
 
-    /// Total redundant receptions across all nodes.
+    /// Total redundant receptions across all nodes, each counted by its
+    /// verdict as it is delivered (a message with no row included).
     #[must_use]
     pub fn redundant_receptions(&self) -> u64 {
-        self.nodes.decoders.total_redundant()
+        self.nodes.redundant_receptions()
     }
 
     /// The topology view partners are drawn from.
@@ -326,7 +329,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     /// worth a second core (1 KiB payloads from a few thousand nodes up;
     /// rank-only rounds stay serial).
     fn msg_bytes(&self) -> usize {
-        self.nodes.decoders.row_bytes()
+        self.nodes.basis.row_bytes()
     }
 
     fn shards(
@@ -343,7 +346,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.nodes.decoders.is_complete(node)
+        self.nodes.basis.is_full(node)
     }
 }
 

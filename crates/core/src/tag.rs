@@ -180,13 +180,13 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.nodes.decoders.rank(v)
+        self.nodes.basis.rank(v)
     }
 
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.nodes.decoders.decode(v)
+        self.nodes.basis.solution(v)
     }
 }
 
@@ -254,7 +254,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Protocol for Tag<F, S, T> {
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.nodes.decoders.is_complete(node)
+        self.nodes.basis.is_full(node)
     }
 }
 

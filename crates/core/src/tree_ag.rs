@@ -67,13 +67,13 @@ impl<F: SlabField> TreeAg<F> {
     /// Node `v`'s decoded messages once complete.
     #[must_use]
     pub fn decoded(&self, v: NodeId) -> Option<Vec<Vec<F>>> {
-        self.nodes.decoders.decode(v)
+        self.nodes.basis.solution(v)
     }
 
     /// Node `v`'s current rank.
     #[must_use]
     pub fn rank(&self, v: NodeId) -> usize {
-        self.nodes.decoders.rank(v)
+        self.nodes.basis.rank(v)
     }
 }
 
@@ -115,7 +115,7 @@ impl<F: SlabField> Protocol for TreeAg<F> {
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.nodes.decoders.is_complete(node)
+        self.nodes.basis.is_full(node)
     }
 }
 

@@ -25,6 +25,9 @@ fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
 /// redundant reception, including those that carry no row because their
 /// receiver's span contained the sender's; every helpful one raises a
 /// rank by one above the `k` seeds; and every node decodes the generation.
+/// Helpful receptions are read from the ranks and redundant ones are
+/// counted by verdict at delivery, so the first identity is an independent
+/// check that each delivery that raised no rank is counted exactly once.
 fn accounting_holds<F: SlabField>(
     graph: &ag_graph::Graph,
     k: usize,

@@ -34,10 +34,11 @@
 //! is the one place one is assembled from its parts: once for the arena,
 //! once for a shard. The arena adds indexing and one scratch set shared by
 //! all nodes, reserved at its full-rank size at construction. An
-//! [`EchelonBasis`](crate::EchelonBasis) is node 0 of a one-node arena, so
-//! there is one owner of node state and no second elimination. What the
-//! differential suites in `ag-rlnc` pin is that one implementation against
-//! an eager scalar oracle kept in their test code.
+//! [`EchelonBasis`](crate::EchelonBasis) and an `ag_rlnc::Decoder` are node
+//! 0 of a one-node arena, and a simulation's nodes are one arena its
+//! protocol owns, so there is one owner of node state and no second
+//! elimination. What the differential suites in `ag-rlnc` pin is that one
+//! implementation against an eager scalar oracle kept in their test code.
 //!
 //! For parallel round execution, [`BasisArena::shards_mut`] splits the
 //! arena into disjoint contiguous [`BasisShard`]s: `&mut` slices of the
@@ -419,7 +420,7 @@ impl<F: SlabField> BasisArena<F> {
     ///
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
     // ag-lint: hot-path
-    pub(crate) fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
+    pub fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
         let dims = self.dims;
         let (node, sc) = self.node_mut(node);
         node.insert_packed_slice::<F>(dims, row, sc)

@@ -4,7 +4,7 @@
 //! replay — is implemented once, in the crate-private `node` module, and a
 //! node of it is assembled in two places only: a [`BasisArena`] and its
 //! shards. An [`EchelonBasis`] is node 0 of a one-node arena, as an
-//! `ag_rlnc::Decoder` is of a one-node decoder arena. What it adds is the
+//! `ag_rlnc::Decoder` is. What it adds is the
 //! single-sink contract: it learns its row length from the first stored
 //! row (rebuilding its still-empty arena when a row of another length
 //! arrives) and rejects malformed rows with a typed [`BasisError`] where

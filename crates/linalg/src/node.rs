@@ -7,7 +7,9 @@
 //! a payload, its [`Tails`]. Their one owner is [`crate::BasisArena`],
 //! which keeps every node's head in one slab indexed by node, the ranks and
 //! the classes in dense vectors beside it and the tails in a fourth
-//! ([`crate::EchelonBasis`] is a one-node arena). The two assemblers of the
+//! ([`crate::EchelonBasis`] and `ag_rlnc::Decoder` are one-node arenas, and
+//! a simulation holds its nodes in one arena with nothing per node beside
+//! it: a reception count is the rank gained). The two assemblers of the
 //! borrowed views below are the arena and a [`crate::BasisShard`], which
 //! borrows a node range of the four; each assembles them per call. Insert,
 //! flush, probe, row copy, recode gather, span comparison and solution are
@@ -41,7 +43,7 @@
 //!   Inserts and probes touch only the head, so a reception costs
 //!   `O(rank · k)` regardless of payload size — and a *redundant* reception
 //!   does **zero** payload work. Rank-only rows have nothing else: such a
-//!   node is `head_bytes + 4` bytes of two slabs and never allocates.
+//!   node is `head_bytes + 8` bytes of three slabs and never allocates.
 //! * **payload rows + elimination log** ([`Tails`]) — payload tails are
 //!   appended verbatim (one `memcpy`) and the elimination applied to the
 //!   coefficient prefix is recorded instead of executed: per innovative

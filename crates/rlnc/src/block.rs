@@ -7,6 +7,9 @@
 //! reassembles the blob from its decoded generation. Used by the
 //! `file_dissemination` example and the end-to-end integrity tests.
 
+use std::error::Error;
+use std::fmt;
+
 use ag_gf::symbols::{bytes_to_symbols, symbol_len, symbols_to_bytes};
 use ag_gf::Field;
 
@@ -25,7 +28,7 @@ use crate::generation::Generation;
 /// let gen = enc.generation();
 /// assert_eq!(gen.k(), 5);
 /// let back = BlockDecoder::new(blob.len(), 5).reassemble(gen.messages());
-/// assert_eq!(back, blob);
+/// assert_eq!(back.as_deref(), Ok(&blob[..]));
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockEncoder<F> {
@@ -78,6 +81,50 @@ impl<F: Field> BlockEncoder<F> {
     }
 }
 
+/// Decoded messages that do not have the shape of the blob a
+/// [`BlockDecoder`] reassembles. They are a decoder's output, so a wrong
+/// shape is reported, not asserted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockError {
+    /// There are not `k` messages.
+    MessageCount {
+        /// The reassembler's `k`.
+        expected: usize,
+        /// The number of messages given.
+        got: usize,
+    },
+    /// A message holds fewer symbols than its chunk needs.
+    MessageTooShort {
+        /// The first such message.
+        index: usize,
+        /// Symbols a chunk needs.
+        expected: usize,
+        /// Symbols the message holds.
+        got: usize,
+    },
+}
+
+impl fmt::Display for BlockError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            BlockError::MessageCount { expected, got } => write!(
+                f,
+                "wrong number of decoded messages: {got}, expected {expected}"
+            ),
+            BlockError::MessageTooShort {
+                index,
+                expected,
+                got,
+            } => write!(
+                f,
+                "decoded message {index} too short: {got} symbols, expected {expected}"
+            ),
+        }
+    }
+}
+
+impl Error for BlockError {}
+
 /// Reassembles the original byte blob from decoded messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockDecoder {
@@ -99,30 +146,43 @@ impl BlockDecoder {
 
     /// Stitches decoded messages back into the original bytes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `messages.len() != k` or a message is too short for its
-    /// chunk.
-    #[must_use]
-    pub fn reassemble<F: Field>(&self, messages: &[Vec<F>]) -> Vec<u8> {
-        assert_eq!(messages.len(), self.k, "wrong number of decoded messages");
+    /// [`BlockError::MessageCount`] unless there are exactly `k` messages,
+    /// and [`BlockError::MessageTooShort`] for the first message with
+    /// fewer symbols than a chunk.
+    pub fn reassemble<F: Field>(&self, messages: &[Vec<F>]) -> Result<Vec<u8>, BlockError> {
+        if messages.len() != self.k {
+            return Err(BlockError::MessageCount {
+                expected: self.k,
+                got: messages.len(),
+            });
+        }
         let chunk_bytes = self.byte_len.div_ceil(self.k).max(1);
-        let expected_syms = symbol_len::<F>(chunk_bytes);
+        let expected = symbol_len::<F>(chunk_bytes);
+        if let Some((index, msg)) = messages
+            .iter()
+            .enumerate()
+            .find(|(_, m)| m.len() < expected)
+        {
+            return Err(BlockError::MessageTooShort {
+                index,
+                expected,
+                got: msg.len(),
+            });
+        }
         let mut out = Vec::with_capacity(self.byte_len);
         for (i, msg) in messages.iter().enumerate() {
-            assert!(
-                msg.len() >= expected_syms,
-                "decoded message {i} too short: {} symbols, expected {expected_syms}",
-                msg.len()
-            );
-            let remaining = self.byte_len.saturating_sub(i * chunk_bytes);
-            let take = remaining.min(chunk_bytes);
+            let take = self
+                .byte_len
+                .saturating_sub(i * chunk_bytes)
+                .min(chunk_bytes);
             if take == 0 {
                 break;
             }
             out.extend(symbols_to_bytes::<F>(msg, chunk_bytes)[..take].iter());
         }
-        out
+        Ok(out)
     }
 }
 
@@ -134,7 +194,7 @@ mod tests {
     fn round_trip<F: Field>(data: &[u8], k: usize) {
         let enc = BlockEncoder::<F>::new(data, k);
         let back = BlockDecoder::new(data.len(), k).reassemble(enc.generation().messages());
-        assert_eq!(back, data, "q = {}, k = {k}", F::SIZE);
+        assert_eq!(back.as_deref(), Ok(data), "q = {}, k = {k}", F::SIZE);
     }
 
     #[test]
@@ -165,9 +225,41 @@ mod tests {
         assert_eq!(enc.byte_len(), 10);
     }
 
+    /// Fewer or more messages than `k` are refused, not stitched.
     #[test]
-    #[should_panic(expected = "wrong number of decoded messages")]
-    fn reassemble_validates_count() {
-        let _ = BlockDecoder::new(10, 3).reassemble::<Gf256>(&[vec![]]);
+    fn reassemble_refuses_a_wrong_message_count() {
+        let dec = BlockDecoder::new(10, 3);
+        let chunk = vec![Gf256::ZERO; 4];
+        for got in [0, 1, 2, 4] {
+            let err = dec.reassemble(&vec![chunk.clone(); got]).unwrap_err();
+            assert_eq!(err, BlockError::MessageCount { expected: 3, got });
+            assert!(err.to_string().contains("wrong number of decoded messages"));
+        }
+        assert!(dec.reassemble(&vec![chunk; 3]).is_ok());
+    }
+
+    /// A message shorter than its chunk is refused, and so is one past the
+    /// blob's last byte, whose chunk is padding only.
+    #[test]
+    fn reassemble_refuses_a_message_shorter_than_its_chunk() {
+        let dec = BlockDecoder::new(2, 5);
+        let full = vec![Gf256::new(7)];
+        for index in [0, 4] {
+            let mut messages = vec![full.clone(); 5];
+            messages[index].clear();
+            let err = dec.reassemble(&messages).unwrap_err();
+            assert_eq!(
+                err,
+                BlockError::MessageTooShort {
+                    index,
+                    expected: 1,
+                    got: 0
+                }
+            );
+            assert!(err
+                .to_string()
+                .contains(&format!("message {index} too short")));
+        }
+        assert_eq!(dec.reassemble(&vec![full; 5]), Ok(vec![7, 7]));
     }
 }

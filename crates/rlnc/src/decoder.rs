@@ -1,9 +1,10 @@
 //! The progressive Gauss–Jordan decoder: a node's stored equations.
 //!
 //! A [`Decoder`] is the single-sink library view of the workspace's one
-//! RLNC store: a one-node [`DecoderArena`] behind the [`Packet`] API, with
-//! typed shape errors where untrusted packets enter. A reception's verdict
-//! is the store's own [`Insertion`]. Receptions and
+//! RLNC store: node 0 of a one-node [`BasisArena`] behind the [`Packet`]
+//! API, with typed shape errors where untrusted packets enter and its own
+//! reception counters. A reception's verdict is the store's own
+//! [`Insertion`]. Receptions and
 //! helpfulness queries ([`Decoder::would_help`],
 //! [`Decoder::is_helpful_node`]) read and reduce only the `k`-symbol
 //! coefficient headers — allocation-free through reusable scratch — while
@@ -14,14 +15,14 @@
 //! against the scalar oracle); only the *when* and the *grouping* of the
 //! payload arithmetic change.
 
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
 use ag_gf::SlabField;
 
-use ag_linalg::Insertion;
+use ag_linalg::{BasisArena, Insertion};
 
-use crate::arena::DecoderArena;
 use crate::generation::Generation;
 use crate::packet::Packet;
 
@@ -73,7 +74,7 @@ impl Error for CodingError {}
 /// The decoder accepts [`Packet`]s, tracks its rank, answers the paper's
 /// helpfulness queries, and solves for the source messages once the rank
 /// reaches `k`. Internally the equations live in a one-node
-/// [`DecoderArena`] — the same packed store, growing with the rank, that a
+/// [`BasisArena`] — the same packed store, growing with the rank, that a
 /// simulation holds for all its nodes — so every elimination runs on the
 /// [`SlabField`] bulk kernels.
 ///
@@ -93,7 +94,14 @@ impl Error for CodingError {}
 #[derive(Debug, Clone)]
 pub struct Decoder<F> {
     /// The store; this decoder is its node 0.
-    arena: DecoderArena<F>,
+    pub(crate) basis: BasisArena<F>,
+    k: usize,
+    payload_len: usize,
+    innovative: u64,
+    redundant: u64,
+    /// One row wide from construction on: a packet packed for an insert,
+    /// a coefficient prefix for a probe, or an emit's recoding factors.
+    pub(crate) scratch: RefCell<Vec<u8>>,
 }
 
 impl<F: SlabField> Decoder<F> {
@@ -103,15 +111,23 @@ impl<F: SlabField> Decoder<F> {
     /// # Panics
     ///
     /// Panics if `k == 0` or on the [`crate::ArenaError`] of
-    /// [`DecoderArena::try_new`] — the one panicking constructor of the
+    /// [`BasisArena::try_new`] — the one panicking constructor of the
     /// store, kept because this signature is frozen.
     #[must_use]
     pub fn new(k: usize, payload_len: usize) -> Self {
-        match DecoderArena::try_new(1, k, payload_len) {
-            Ok(arena) => Decoder { arena },
+        assert!(k > 0, "generation size must be positive");
+        match BasisArena::try_new(1, k, k + payload_len) {
+            Ok(basis) => Decoder {
+                scratch: RefCell::new(Vec::with_capacity(basis.row_bytes())),
+                basis,
+                k,
+                payload_len,
+                innovative: 0,
+                redundant: 0,
+            },
             #[expect(
                 clippy::panic,
-                reason = "documented panicking constructor over DecoderArena::try_new"
+                reason = "documented panicking constructor over BasisArena::try_new"
             )]
             Err(e) => panic!("{e}"),
         }
@@ -122,7 +138,9 @@ impl<F: SlabField> Decoder<F> {
     #[must_use]
     pub fn with_all_messages(generation: &Generation<F>) -> Self {
         let mut d = Decoder::new(generation.k(), generation.message_len());
-        d.arena.seed_all_messages(0, generation);
+        for i in 0..generation.k() {
+            d.seed_message(generation, i);
+        }
         d
     }
 
@@ -135,43 +153,60 @@ impl<F: SlabField> Decoder<F> {
     /// Panics if `index >= k` or the generation shape differs from the
     /// decoder's.
     pub fn seed_message(&mut self, generation: &Generation<F>, index: usize) {
-        self.arena.seed_message(0, generation, index);
+        assert_eq!(generation.k(), self.k, "generation size mismatch");
+        assert_eq!(
+            generation.message_len(),
+            self.payload_len,
+            "payload length mismatch"
+        );
+        let row = self.scratch.get_mut();
+        generation.seed_row_into(index, row);
+        let _ = self.basis.insert_packed_mut(0, row);
     }
 
     /// The generation size `k`.
     #[must_use]
     pub fn k(&self) -> usize {
-        self.arena.k()
+        self.k
     }
 
     /// Payload length `r` in symbols.
     #[must_use]
     pub fn payload_len(&self) -> usize {
-        self.arena.payload_len()
+        self.payload_len
     }
 
     /// Current rank (the "dimension of the node" in the paper).
     #[must_use]
     pub fn rank(&self) -> usize {
-        self.arena.rank(0)
+        self.basis.rank(0)
     }
 
     /// True once the node can decode every message (rank = k).
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.arena.is_complete(0)
+        self.basis.is_full(0)
     }
 
     /// Number of innovative receptions so far (excluding seeds).
     #[must_use]
     pub fn innovative_count(&self) -> u64 {
-        self.arena.innovative_count(0)
+        self.innovative
     }
 
     /// Number of redundant receptions so far.
     #[must_use]
     pub fn redundant_count(&self) -> u64 {
-        self.arena.redundant_count(0)
+        self.redundant
+    }
+
+    /// Counts one reception by its verdict, and passes the verdict on.
+    fn record(&mut self, verdict: Insertion) -> Insertion {
+        match verdict {
+            Insertion::Innovative => self.innovative += 1,
+            Insertion::Redundant => self.redundant += 1,
+        }
+        verdict
     }
 
     /// Is `packet` coded for this decoder's `(k, r)`?
@@ -206,9 +241,11 @@ impl<F: SlabField> Decoder<F> {
     // ag-lint: hot-path
     pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Insertion, CodingError> {
         self.check_shape(packet)?;
-        Ok(self
-            .arena
-            .receive_built(0, |row| packet.write_packed_row_into(row)))
+        let row = self.scratch.get_mut();
+        row.clear();
+        packet.write_packed_row_into(row);
+        let verdict = self.basis.insert_packed_mut(0, row);
+        Ok(self.record(verdict))
     }
 
     /// Delivers an already-packed augmented row (the output of
@@ -225,7 +262,8 @@ impl<F: SlabField> Decoder<F> {
     /// `(k + r) · SYMBOL_BYTES` shape.
     // ag-lint: hot-path
     pub fn receive_packed_slice(&mut self, row: &[u8]) -> Insertion {
-        self.arena.receive_packed_slice(0, row)
+        let verdict = self.basis.insert_packed_slice(0, row);
+        self.record(verdict)
     }
 
     /// Would this packet be helpful, without consuming it? `false` for
@@ -233,7 +271,13 @@ impl<F: SlabField> Decoder<F> {
     /// for another `(k, r)` cannot help this decoder. Allocation-free.
     #[must_use]
     pub fn would_help(&self, packet: &Packet<F>) -> bool {
-        self.check_shape(packet).is_ok() && self.arena.would_help(0, packet.coefficients())
+        if self.check_shape(packet).is_err() {
+            return false;
+        }
+        let mut prefix = self.scratch.borrow_mut();
+        prefix.clear();
+        F::pack_into(packet.coefficients(), &mut prefix);
+        self.basis.would_be_innovative_packed(0, &prefix)
     }
 
     /// The paper's Definition 3: is node `other` a *helpful node* for
@@ -242,17 +286,10 @@ impl<F: SlabField> Decoder<F> {
     /// Touches only coefficient headers on both sides.
     #[must_use]
     pub fn is_helpful_node(&self, other: &Decoder<F>) -> bool {
-        let mine = self.arena.basis();
         other
-            .arena
-            .basis()
+            .basis
             .coeff_rows(0)
-            .any(|row| mine.would_be_innovative_packed(0, row))
-    }
-
-    /// The one-node store, exposed for recoding.
-    pub(crate) fn arena(&self) -> &DecoderArena<F> {
-        &self.arena
+            .any(|row| self.basis.would_be_innovative_packed(0, row))
     }
 
     /// Forces the deferred payload elimination to settle now instead of at
@@ -261,7 +298,7 @@ impl<F: SlabField> Decoder<F> {
     /// pending suffix is deep and dense — during idle time off the receive
     /// path. Idempotent and invisible to results.
     pub fn settle(&self) {
-        self.arena.basis().settle(0);
+        self.basis.settle(0);
     }
 
     /// Solves the system once complete; `None` before rank `k`.
@@ -269,7 +306,7 @@ impl<F: SlabField> Decoder<F> {
     /// Row `i` of the output is source message `x_i`.
     #[must_use]
     pub fn decode(&self) -> Option<Vec<Vec<F>>> {
-        self.arena.decode(0)
+        self.basis.solution(0)
     }
 }
 
@@ -423,7 +460,7 @@ mod tests {
             (0..d.rank())
                 .map(|i| {
                     let mut row = Vec::new();
-                    d.arena().basis().copy_packed_row_into(0, i, &mut row);
+                    d.basis.copy_packed_row_into(0, i, &mut row);
                     row
                 })
                 .collect()

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use ag_gf::Field;
+use ag_gf::{Field, SlabField};
 
 /// Error constructing a [`Generation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,6 +129,24 @@ impl<F: Field> Generation<F> {
     #[must_use]
     pub fn message(&self, i: usize) -> &[F] {
         &self.messages[i]
+    }
+}
+
+impl<F: SlabField> Generation<F> {
+    /// Writes the packed seed row of message `index` into `row`, replacing
+    /// what it held: the unit equation `e_index · x = x_index`, `k`
+    /// coefficients and then the message. Inserting it into a node's basis
+    /// is how a node is given a source message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= k`.
+    pub fn seed_row_into(&self, index: usize, row: &mut Vec<u8>) {
+        let message = self.message(index);
+        row.clear();
+        row.resize(self.k() * F::SYMBOL_BYTES, 0);
+        F::ONE.write_symbol(&mut row[index * F::SYMBOL_BYTES..]);
+        F::pack_into(message, row);
     }
 }
 

@@ -15,14 +15,19 @@
 //! *everything the node currently stores* — the defining feature of RLNC
 //! gossip (as opposed to store-and-forward rumor spreading).
 //!
-//! For simulations, [`DecoderArena`] holds all `n` nodes' decoders in one
-//! arena (a [`Decoder`] is a one-node arena behind the [`Packet`] API). It
-//! emits into and receives from packed rows the caller owns, so a gossip
-//! round loop that keeps its messages in one slab of its own is free of
-//! per-message heap allocation: coefficient rows live in the arena's slab
-//! from construction on, a node makes one allocation for its payload rows,
-//! at its first row (none in a rank-only run), and nothing else allocates,
-//! which `crates/core/tests/alloc_audit.rs` bounds round by round.
+//! For simulations, every node's equations live in one
+//! [`ag_linalg::BasisArena`] the caller owns (a [`Decoder`] is node 0 of a
+//! one-node arena behind the [`Packet`] API), and [`recode`] is the one
+//! coefficient draw and combination, over that arena or one of its
+//! [`ag_linalg::BasisShard`]s. It emits into and receives from packed rows
+//! the caller owns, so a gossip round loop that keeps its messages in one
+//! slab of its own is free of per-message heap allocation: coefficient
+//! rows live in the arena's slab from construction on, a node makes one
+//! allocation for its payload rows, at its first row (none in a rank-only
+//! run), and nothing else allocates, which
+//! `crates/core/tests/alloc_audit.rs` bounds round by round.
+//! [`Generation::seed_row_into`] writes the row that gives a node a source
+//! message.
 //!
 //! # Examples
 //!
@@ -67,7 +72,6 @@
     )
 )]
 
-mod arena;
 mod block;
 mod decoder;
 mod generation;
@@ -75,9 +79,8 @@ mod packet;
 mod recoder;
 
 pub use ag_linalg::{ArenaError, Insertion};
-pub use arena::{DecoderArena, DecoderShard};
-pub use block::{BlockDecoder, BlockEncoder};
+pub use block::{BlockDecoder, BlockEncoder, BlockError};
 pub use decoder::{CodingError, Decoder};
 pub use generation::{Generation, GenerationError};
 pub use packet::Packet;
-pub use recoder::Recoder;
+pub use recoder::{recode, Recoder, StoredRows};

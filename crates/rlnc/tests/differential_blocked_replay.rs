@@ -23,7 +23,8 @@
 //! Run with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
 use ag_gf::{Gf2, Gf256, SlabField};
-use ag_rlnc::{Decoder, DecoderArena, Generation, Recoder};
+use ag_linalg::BasisArena;
+use ag_rlnc::{recode, Decoder, Generation, Recoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +43,7 @@ const BURST: usize = 16;
 /// node 0 is complete it keeps feeding node 1 until that completes too.
 /// Node 1 is never read before its final decode, which therefore settles
 /// its whole log in one flush. Three lanes in lockstep: `Decoder`s, a
-/// `DecoderArena`, and the scalar oracle.
+/// `BasisArena` recoded by `ag_rlnc::recode`, and the scalar oracle.
 fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let generation = Generation::<F>::random(k, r, &mut rng);
@@ -50,7 +51,8 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
 
     let mut packed = [Decoder::<F>::new(k, r), Decoder::<F>::new(k, r)];
     let mut scalar = [ScalarDecoder::<F>::new(k, r), ScalarDecoder::<F>::new(k, r)];
-    let mut arena = DecoderArena::<F>::try_new(2, k, r).expect("a small arena fits");
+    let mut arena = BasisArena::<F>::try_new(2, k, k + r).expect("a small arena fits");
+    let mut factors = Vec::new();
 
     let mut emit_a = StdRng::seed_from_u64(seed ^ 0xB10C);
     let mut emit_b = emit_a.clone();
@@ -66,7 +68,7 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
         while packed[0].rank() < target {
             let p = Recoder::new(&source).emit(&mut rng).expect("source emits");
             let va = packed[0].try_receive(&p).expect("shape-valid packet");
-            let vb = arena.receive_packed_slice(0, &p.to_packed_row());
+            let vb = arena.insert_packed_slice(0, &p.to_packed_row());
             let vc = scalar[0].receive(p);
             prop_assert_eq!(va, vc, "verdict diverged at rank {}", scalar[0].rank());
             prop_assert_eq!(vb, vc, "arena verdict diverged");
@@ -77,7 +79,14 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
             let row_a = Recoder::new(&packed[0])
                 .emit_packed_row(&mut emit_a)
                 .expect("node 0 has rank");
-            prop_assert!(arena.emit_packed_row_into(0, None, &mut emit_b, &mut buf));
+            prop_assert!(recode(
+                &mut &arena,
+                0,
+                None,
+                &mut factors,
+                &mut emit_b,
+                Some(&mut buf)
+            ));
             let pkt_c = scalar_emit::<F>(scalar[0].rows(), k, r, &mut emit_c).expect("has rank");
             prop_assert_eq!(&row_a, &buf, "arena emit bytes diverged");
             prop_assert_eq!(
@@ -87,7 +96,7 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
                 scalar[0].rank()
             );
             let va = packed[1].receive_packed_slice(&row_a);
-            let vb = arena.receive_packed_slice(1, &row_a);
+            let vb = arena.insert_packed_slice(1, &row_a);
             let vc = scalar[1].receive(pkt_c);
             prop_assert_eq!(va, vc, "relay verdict diverged");
             prop_assert_eq!(vb, vc, "relay arena verdict diverged");
@@ -102,7 +111,7 @@ fn burst_stream<F: SlabField>(seed: u64, k: usize, r: usize) -> Result<(), TestC
     for node in 0..2 {
         let want = scalar[node].decode();
         prop_assert_eq!(packed[node].decode(), want.clone(), "node {} decode", node);
-        prop_assert_eq!(arena.decode(node), want, "arena node {} decode", node);
+        prop_assert_eq!(arena.solution(node), want, "arena node {} decode", node);
         prop_assert_eq!(
             packed[node].decode().expect("both nodes completed"),
             generation.messages().to_vec()

@@ -1,12 +1,14 @@
 //! Differential test harness: the packed slab decoder vs the scalar
-//! reference (and the simulation-wide decoder arena), locked step for step.
+//! reference (and the simulation-wide basis arena with the public recode
+//! draw), locked step for step.
 //!
 //! The shared `oracle` module (`tests/oracle/mod.rs`) wraps `ScalarBasis` —
 //! the pre-slab element-at-a-time elimination, preserved verbatim — in a
 //! decoder with the same receive/decode semantics as [`ag_rlnc::Decoder`].
 //! Every property replays one random packet stream through all
-//! implementations (including an [`ag_rlnc::DecoderArena`] slot, the
-//! arena-backed storage the engine hot path uses) and asserts they agree on
+//! implementations (including an [`ag_linalg::BasisArena`] node, the
+//! storage the engine hot path uses, recoded by [`ag_rlnc::recode`]) and
+//! asserts they agree on
 //!
 //! * the per-packet [`ag_rlnc::Insertion`] verdict,
 //! * the full rank trajectory (rank after every delivery),
@@ -19,7 +21,8 @@
 //! with `PROPTEST_CASES=256` in CI for the elevated-coverage pass.
 
 use ag_gf::{Field, Gf2, Gf256, SlabField, F13};
-use ag_rlnc::{CodingError, Decoder, DecoderArena, Generation, Packet, Recoder};
+use ag_linalg::BasisArena;
+use ag_rlnc::{recode, CodingError, Decoder, Generation, Packet, Recoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,9 +45,9 @@ fn differential_stream<F: SlabField>(
 
     let mut packed = Decoder::<F>::new(k, r);
     let mut scalar = ScalarDecoder::<F>::new(k, r);
-    // Third lane: the same node as slot 0 of a DecoderArena — the
+    // Third lane: the same node as node 0 of a BasisArena — the
     // simulation-wide storage must not change a single verdict.
-    let mut arena = DecoderArena::<F>::try_new(1, k, r).expect("a small arena fits");
+    let mut arena = BasisArena::<F>::try_new(1, k, k + r).expect("a small arena fits");
 
     for step in 0..steps {
         // Mix of streams: recodings of the full source, raw random rows
@@ -70,7 +73,7 @@ fn differential_stream<F: SlabField>(
         let verdict = packed
             .try_receive(&packet)
             .expect("shape-valid packet must be accepted");
-        let arena_verdict = arena.receive_packed_slice(0, &packet.to_packed_row());
+        let arena_verdict = arena.insert_packed_slice(0, &packet.to_packed_row());
         let want = scalar.receive(packet);
         prop_assert_eq!(verdict, want, "verdict diverged at step {}", step);
         prop_assert_eq!(
@@ -87,7 +90,7 @@ fn differential_stream<F: SlabField>(
         );
         prop_assert_eq!(arena.rank(0), scalar.rank());
         prop_assert_eq!(packed.is_complete(), scalar.is_complete());
-        prop_assert_eq!(arena.is_complete(0), scalar.is_complete());
+        prop_assert_eq!(arena.is_full(0), scalar.is_complete());
     }
 
     // Decoded output must be identical whenever available. (It need not
@@ -95,7 +98,7 @@ fn differential_stream<F: SlabField>(
     // equations by construction — `full_decode_agrees` covers ground-truth
     // correctness on consistent streams.)
     prop_assert_eq!(packed.decode(), scalar.decode());
-    prop_assert_eq!(arena.decode(0), scalar.decode());
+    prop_assert_eq!(arena.solution(0), scalar.decode());
     Ok(())
 }
 
@@ -120,7 +123,8 @@ fn lazy_interleaved_stream<F: SlabField>(
     // receives node 0's recodings (built from a partially-eliminated basis).
     let mut packed = [Decoder::<F>::new(k, r), Decoder::<F>::new(k, r)];
     let mut scalar = [ScalarDecoder::<F>::new(k, r), ScalarDecoder::<F>::new(k, r)];
-    let mut arena = DecoderArena::<F>::try_new(2, k, r).expect("a small arena fits");
+    let mut arena = BasisArena::<F>::try_new(2, k, k + r).expect("a small arena fits");
+    let mut factors = Vec::new();
 
     // All three lanes draw their recoding coefficients from identically
     // seeded RNG streams, so equal draw *sequences* imply equal bytes.
@@ -141,7 +145,7 @@ fn lazy_interleaved_stream<F: SlabField>(
                     step
                 );
                 let va = packed[0].try_receive(&p).expect("shape-valid packet");
-                let vb = arena.receive_packed_slice(0, &p.to_packed_row());
+                let vb = arena.insert_packed_slice(0, &p.to_packed_row());
                 let vc = scalar[0].receive(p);
                 prop_assert_eq!(va, vc, "verdict diverged at step {}", step);
                 prop_assert_eq!(vb, vc, "arena verdict diverged at step {}", step);
@@ -151,7 +155,14 @@ fn lazy_interleaved_stream<F: SlabField>(
             // events; the bytes must still match the scalar recombination.
             2 | 3 => {
                 let row_a = Recoder::new(&packed[0]).emit_packed_row(&mut emit_a);
-                let emitted_b = arena.emit_packed_row_into(0, None, &mut emit_b, &mut buf);
+                let emitted_b = recode(
+                    &mut &arena,
+                    0,
+                    None,
+                    &mut factors,
+                    &mut emit_b,
+                    Some(&mut buf),
+                );
                 let pkt_c = scalar_emit::<F>(scalar[0].rows(), k, r, &mut emit_c);
                 prop_assert_eq!(row_a.is_some(), emitted_b);
                 prop_assert_eq!(row_a.is_some(), pkt_c.is_some());
@@ -172,7 +183,7 @@ fn lazy_interleaved_stream<F: SlabField>(
                     step
                 );
                 let va = packed[1].receive_packed_slice(&row_a);
-                let vb = arena.receive_packed_slice(1, &row_a);
+                let vb = arena.insert_packed_slice(1, &row_a);
                 let vc = scalar[1].receive(pkt_c);
                 prop_assert_eq!(va, vc, "relay verdict diverged at step {}", step);
                 prop_assert_eq!(vb, vc, "relay arena verdict diverged at step {}", step);
@@ -187,7 +198,7 @@ fn lazy_interleaved_stream<F: SlabField>(
                         "mid-stream decode diverged at step {}",
                         step
                     );
-                    prop_assert_eq!(arena.decode(node), scalar[node].decode());
+                    prop_assert_eq!(arena.solution(node), scalar[node].decode());
                 }
                 prop_assert_eq!(
                     packed[1].is_helpful_node(&packed[0]),
@@ -207,7 +218,7 @@ fn lazy_interleaved_stream<F: SlabField>(
     // messages, so a completed node must decode the generation exactly.
     for node in 0..2 {
         prop_assert_eq!(packed[node].decode(), scalar[node].decode());
-        prop_assert_eq!(arena.decode(node), scalar[node].decode());
+        prop_assert_eq!(arena.solution(node), scalar[node].decode());
         if packed[node].is_complete() {
             prop_assert_eq!(
                 packed[node].decode().expect("complete"),

@@ -17,7 +17,7 @@ proptest! {
     ) {
         let enc = BlockEncoder::<Gf256>::new(&data, k);
         let back = BlockDecoder::new(data.len(), k).reassemble(enc.generation().messages());
-        prop_assert_eq!(back, data);
+        prop_assert_eq!(back, Ok(data));
     }
 
     /// Source-to-sink transfer over a lossless link decodes exactly, for any

@@ -61,7 +61,9 @@ fn main() {
     let mut verified = 0;
     for v in 0..graph.n() {
         let decoded = tag.decoded(v).expect("completed peers decode");
-        let bytes = reassembler.reassemble(&decoded);
+        let bytes = reassembler
+            .reassemble(&decoded)
+            .expect("a decoded generation has the blob's shape");
         assert_eq!(bytes, file, "peer {v} reassembled a corrupted file");
         verified += 1;
     }

@@ -28,7 +28,19 @@
 # binaries that place a loop differently is a layout reading until shown
 # otherwise. It needs `nm` and `objdump`, and says so when either is
 # missing.
+#
+# It refuses to run when RAYON_NUM_THREADS is set: the benchmark sets it to
+# 2 at startup (benchmark/src/env.rs) over whatever the caller exported, so
+# a comparison that relies on the caller's value compares a binary with
+# itself.
 set -eu
+if [ -n "${RAYON_NUM_THREADS+set}" ]; then
+    echo "pairs.sh: RAYON_NUM_THREADS is set ('$RAYON_NUM_THREADS'), but the benchmark" \
+        "pins it to 2 at startup (benchmark/src/env.rs) whatever the caller set, so" \
+        "both sides would run 2 threads; unset it, and build a variant binary to" \
+        "compare thread counts" >&2
+    exit 2
+fi
 usage() {
     echo "usage: scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD PAIRS SECONDS [SEED]" >&2
     exit 2

@@ -29,7 +29,11 @@ fn disseminate_and_verify<F: SlabField>(data: &[u8], k: usize, seed: u64) {
     let dec = BlockDecoder::new(data.len(), k);
     for v in 0..g.n() {
         let msgs = proto.decoded(v).expect("complete");
-        assert_eq!(dec.reassemble(&msgs), data, "node {v} corrupted the blob");
+        assert_eq!(
+            dec.reassemble(&msgs).as_deref(),
+            Ok(data),
+            "node {v} corrupted the blob"
+        );
     }
 }
 
@@ -72,7 +76,10 @@ fn tag_disseminates_real_data() {
     assert!(stats.completed);
     let dec = BlockDecoder::new(data.len(), k);
     for v in 0..g.n() {
-        assert_eq!(dec.reassemble(&tag.decoded(v).unwrap()), data);
+        assert_eq!(
+            dec.reassemble(&tag.decoded(v).unwrap()).as_deref(),
+            Ok(&data[..])
+        );
     }
 }
 
@@ -95,7 +102,10 @@ fn lossy_network_still_delivers_exact_data() {
     assert!(stats.lost > 0, "loss injection must be active");
     let dec = BlockDecoder::new(data.len(), k);
     for v in 0..g.n() {
-        assert_eq!(dec.reassemble(&proto.decoded(v).unwrap()), data);
+        assert_eq!(
+            dec.reassemble(&proto.decoded(v).unwrap()).as_deref(),
+            Ok(&data[..])
+        );
     }
 }
 
