@@ -6,7 +6,7 @@ use ag_rlnc::Generation;
 use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard};
 use rand::rngs::StdRng;
 
-use crate::coded_nodes::CodedNodes;
+use crate::coded_nodes::{require_connected, CodedNodes};
 use crate::placement::Placement;
 
 /// Configuration for an [`AlgebraicGossip`] instance.
@@ -119,19 +119,22 @@ impl AgConfig {
 /// churning graph: the engines' round-start hook advances the view to
 /// epoch `round − 1`, so partner selection (and nothing else — RLNC state
 /// is topology-oblivious, which is exactly the Haeupler-style robustness
-/// the F9 experiments measure) follows the schedule.
+/// the F9 experiments measure) follows the schedule. Over
+/// [`ag_graph::ParentLinks`] each node's one contact is its tree parent:
+/// Lemma 1's setting, run with EXCHANGE and [`CommModel::RoundRobin`].
 ///
 /// All `n` nodes' equations live in one simulation-owned
 /// [`ag_linalg::BasisArena`] and a round's messages are rows of one slab
 /// sized to the round's ceiling — the RLNC wiring this protocol shares
-/// with [`crate::Tag`] and [`crate::TreeAg`] — so the engine's round loop
+/// with [`crate::Tag`] — so the engine's round loop
 /// performs **zero** per-message heap allocation: a node allocates once,
 /// for its payload rows, at its first row (coefficient rows are in the
 /// arena's slab from construction on, so a rank-only run allocates
 /// nothing), and nothing else allocates, which `tests/alloc_audit.rs`
 /// bounds round by round with a counting allocator on a 1 KiB-payload run,
-/// serial and sharded, on a rank-only one and on asynchronous ones. The golden-trajectory hashes
-/// pin the per-round results of all three protocols end to end.
+/// serial and sharded, on a rank-only one and on asynchronous ones. The
+/// golden-trajectory hashes pin the per-round results of both protocols
+/// end to end.
 ///
 /// Drive it with [`ag_sim::Engine`] under either time model.
 #[derive(Debug, Clone)]
@@ -176,12 +179,6 @@ impl<F: SlabField> AlgebraicGossip<F, Graph> {
     ) -> Result<Self, GraphError> {
         Self::on_topology_with_generation(graph.clone(), cfg, generation, seed)
     }
-
-    /// The underlying graph.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.topology
-    }
 }
 
 impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
@@ -198,8 +195,7 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
     /// disconnect freely — surviving that is the point of the dynamic
     /// scenarios.
     pub fn on_topology(topology: T, cfg: &AgConfig, seed: u64) -> Result<Self, GraphError> {
-        let generation = CodedNodes::random_generation(cfg, seed)?;
-        Self::on_topology_with_generation(topology, cfg, generation, seed)
+        Self::build(topology, cfg, None, seed)
     }
 
     /// [`AlgebraicGossip::on_topology`] with the *given* generation.
@@ -214,14 +210,22 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
         generation: Generation<F>,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        if !topology.is_connected_now() {
-            return Err(GraphError::InvalidSize(
-                "dissemination requires a connected (initial) graph".into(),
-            ));
-        }
+        Self::build(topology, cfg, Some(generation), seed)
+    }
+
+    /// Both constructors: `generation`, or the random one `seed` draws.
+    fn build(
+        topology: T,
+        cfg: &AgConfig,
+        generation: Option<Generation<F>>,
+        seed: u64,
+    ) -> Result<Self, GraphError> {
         let directions =
             usize::from(cfg.action.sends_forward()) + usize::from(cfg.action.sends_backward());
-        let (nodes, mut rng) = CodedNodes::new(topology.n(), cfg, generation, seed, directions)?;
+        let (nodes, mut rng) =
+            CodedNodes::new(topology.n(), cfg, generation, seed, directions, || {
+                require_connected(&topology)
+            })?;
         let selector = PartnerSelector::new(&topology, cfg.comm_model, &mut rng);
         Ok(AlgebraicGossip {
             topology,
@@ -354,7 +358,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 mod tests {
     use super::*;
     use ag_gf::{Gf2, Gf256};
-    use ag_graph::builders;
+    use ag_graph::{builders, ParentLinks, SpanningTree};
     use ag_sim::{Engine, EngineConfig, TimeModel};
 
     fn run<F: SlabField>(
@@ -438,7 +442,7 @@ mod tests {
     fn accepts_a_large_complete_graph() {
         let g = builders::complete(100_000).unwrap();
         let proto = AlgebraicGossip::<Gf256>::new(&g, &AgConfig::new(2), 0).unwrap();
-        assert_eq!(proto.graph().n(), 100_000);
+        assert_eq!(proto.topology().n(), 100_000);
     }
 
     #[test]
@@ -529,6 +533,67 @@ mod tests {
                 assert_eq!(stats.node_completion_rounds[v], None, "{model:?}");
             }
         }
+    }
+
+    /// Lemma 1's setting: round-robin EXCHANGE over `tree`'s parent links,
+    /// synchronous.
+    fn run_on_tree(
+        tree: &SpanningTree,
+        cfg: &AgConfig,
+        seed: u64,
+    ) -> (AlgebraicGossip<Gf256, ParentLinks>, ag_sim::RunStats) {
+        let cfg = cfg.clone().with_comm_model(CommModel::RoundRobin);
+        let mut proto = AlgebraicGossip::on_topology(ParentLinks::new(tree), &cfg, seed).unwrap();
+        let ecfg = EngineConfig::synchronous(seed).with_max_rounds(200_000);
+        let stats = Engine::new(ecfg).run(&mut proto);
+        (proto, stats)
+    }
+
+    #[test]
+    fn all_to_all_on_path_tree() {
+        let tree = builders::path(10).unwrap().bfs_tree(0).into_spanning_tree();
+        let (proto, stats) = run_on_tree(&tree, &AgConfig::new(10).with_payload_len(1), 5);
+        assert!(stats.completed);
+        for v in 0..10 {
+            assert_eq!(proto.decoded(v).unwrap(), proto.generation().messages());
+        }
+    }
+
+    #[test]
+    fn lemma1_scaling_k_dominates_on_shallow_trees() {
+        // On a star (depth 1), time is Θ(k): doubling k roughly doubles
+        // rounds.
+        let tree = builders::star(16).unwrap().bfs_tree(0).into_spanning_tree();
+        let cfg = |k| AgConfig::new(k).with_placement(Placement::Random);
+        let (_, s1) = run_on_tree(&tree, &cfg(8), 7);
+        let (_, s2) = run_on_tree(&tree, &cfg(32), 7);
+        assert!(s1.completed && s2.completed);
+        let ratio = s2.rounds as f64 / s1.rounds as f64;
+        assert!(
+            (1.5..10.0).contains(&ratio),
+            "4x k scaled rounds by {ratio} ({} -> {})",
+            s1.rounds,
+            s2.rounds
+        );
+    }
+
+    #[test]
+    fn bidirectional_flow_reaches_leaves() {
+        // Seed everything at a leaf: messages must flow up AND back down.
+        let tree = builders::path(6).unwrap().bfs_tree(0).into_spanning_tree();
+        let cfg = AgConfig::new(3).with_placement(Placement::SingleSource(5));
+        let (proto, stats) = run_on_tree(&tree, &cfg, 3);
+        assert!(stats.completed);
+        assert_eq!(proto.decoded(0).unwrap(), proto.generation().messages());
+    }
+
+    #[test]
+    fn root_only_node_is_trivially_special() {
+        // Single-node tree with k messages at the root: complete at t=0.
+        let tree = SpanningTree::from_parents(0, vec![None]).unwrap();
+        let (_, stats) = run_on_tree(&tree, &AgConfig::new(3), 1);
+        assert!(stats.completed);
+        assert_eq!(stats.rounds, 0);
     }
 
     #[test]

@@ -23,9 +23,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ag::AgConfig;
-use crate::coded_nodes::check_row_bytes;
+use crate::coded_nodes::{check_row_bytes, require_connected};
 
-/// A raw (uncoded) message in flight: its index and payload.
+/// A raw (uncoded) message a node holds: its index and payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawMsg<F> {
     /// Which of the `k` source messages this is.
@@ -99,11 +99,7 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
         if cfg.k == 0 {
             return Err(GraphError::InvalidSize("k must be positive".into()));
         }
-        if !topology.is_connected_now() {
-            return Err(GraphError::InvalidSize(
-                "dissemination requires a connected (initial) graph".into(),
-            ));
-        }
+        require_connected(&topology)?;
         cfg.placement.validate(topology.n(), cfg.k)?;
         check_row_bytes(cfg, std::mem::size_of::<F>())?;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -139,9 +135,9 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
     /// index — all `k` of them once the node is complete.
     #[must_use]
     pub fn messages_of(&self, v: NodeId) -> Vec<RawMsg<F>> {
-        let idx: Vec<usize> = self.holdings[v].iter().copied().collect();
-        idx.into_iter()
-            .map(|index| RawMsg {
+        self.holdings[v]
+            .iter()
+            .map(|&index| RawMsg {
                 index,
                 payload: self.generation.message(index).to_vec(),
             })
@@ -150,7 +146,10 @@ impl<F: Field, T: Topology> RandomMessageGossip<F, T> {
 }
 
 impl<F: Field, T: Topology> Protocol for RandomMessageGossip<F, T> {
-    type Msg = RawMsg<F>;
+    /// The index of the message sent. Payloads are read from the one
+    /// ground-truth generation ([`RandomMessageGossip::messages_of`]), so
+    /// none travels.
+    type Msg = usize;
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
@@ -169,7 +168,7 @@ impl<F: Field, T: Topology> Protocol for RandomMessageGossip<F, T> {
         })
     }
 
-    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<RawMsg<F>> {
+    fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<usize> {
         let held = &self.holdings[from];
         if held.is_empty() {
             return None;
@@ -177,15 +176,11 @@ impl<F: Field, T: Topology> Protocol for RandomMessageGossip<F, T> {
         // Uniform random message selection (the sender does not know what
         // the receiver is missing — same information model as RLNC).
         let pick = rng.gen_range(0..held.len());
-        let index = *held.iter().nth(pick).expect("pick < len");
-        Some(RawMsg {
-            index,
-            payload: self.generation.message(index).to_vec(),
-        })
+        held.iter().nth(pick).copied()
     }
 
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: RawMsg<F>) {
-        self.holdings[to].insert(msg.index);
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, index: usize) {
+        self.holdings[to].insert(index);
     }
 
     fn node_complete(&self, node: NodeId) -> bool {

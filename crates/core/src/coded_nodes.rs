@@ -47,7 +47,7 @@
 use std::cell::{Cell, RefCell};
 
 use ag_gf::SlabField;
-use ag_graph::{GraphError, NodeId};
+use ag_graph::{GraphError, NodeId, Topology};
 use ag_linalg::{BasisArena, BasisShard, Insertion};
 use ag_rlnc::{recode, Generation};
 use ag_sim::ProtocolShard;
@@ -58,9 +58,9 @@ use crate::ag::AgConfig;
 
 /// The RLNC half of every gossip protocol in this crate: the ground-truth
 /// generation, all `n` nodes' stored equations in one [`BasisArena`], and
-/// the round's messages in one slab. [`crate::AlgebraicGossip`],
-/// [`crate::Tag`] and [`crate::TreeAg`] differ only in who talks to whom;
-/// what is said and how it is received is this, once.
+/// the round's messages in one slab. [`crate::AlgebraicGossip`] and
+/// [`crate::Tag`] differ only in who talks to whom; what is said and how
+/// it is received is this, once.
 ///
 /// A message is `Some` index of its packed row in the slab, or `None`.
 ///
@@ -176,56 +176,61 @@ pub(crate) fn check_row_bytes(cfg: &AgConfig, symbol_bytes: usize) -> Result<(),
     Ok(())
 }
 
-impl<F: SlabField> CodedNodes<F> {
-    /// The random generation of `cfg.k` messages that `seed` stands for.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidSize`] if `k == 0` or one node's rows
-    /// cannot be allocated (see [`check_row_bytes`]).
-    pub(crate) fn random_generation(
-        cfg: &AgConfig,
-        seed: u64,
-    ) -> Result<Generation<F>, GraphError> {
-        if cfg.k == 0 {
-            return Err(GraphError::InvalidSize("k must be positive".into()));
-        }
-        check_row_bytes(cfg, F::SYMBOL_BYTES)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok(Generation::random(cfg.k, cfg.payload_len, &mut rng))
+/// The error every dissemination protocol here returns for a topology
+/// whose initial view is disconnected: it could never complete.
+pub(crate) fn require_connected(topology: &impl Topology) -> Result<(), GraphError> {
+    if topology.is_connected_now() {
+        Ok(())
+    } else {
+        Err(GraphError::InvalidSize(
+            "dissemination requires a connected (initial) graph".into(),
+        ))
     }
+}
 
-    /// Seeds `n` empty nodes with `generation` per `cfg.placement`.
-    /// `directions` is how many messages one contact moves (2 for
-    /// EXCHANGE), which sizes the message slab to `directions × n` rows.
-    /// Also returns the `seed` RNG positioned after the placement draw, for
-    /// the caller's own seeded state — the same stream whether the
-    /// generation was drawn from `seed` or given.
+impl<F: SlabField> CodedNodes<F> {
+    /// Seeds `n` empty nodes per `cfg.placement` with `generation`, or with
+    /// the random one `seed` stands for when it is `None`. That one is drawn
+    /// either way, so the placement drawn after it, and the `seed` RNG
+    /// returned for the caller's own seeded state, are one stream whether
+    /// the generation was drawn or given. `directions` is how many messages
+    /// one contact moves (2 for EXCHANGE): the slab holds `directions × n`.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidSize`] if `cfg`'s shape does not match
-    /// the generation's or `cfg.coding_density` is outside `(0, 1]`, if
-    /// `directions × n` rows do not fit a `u32` row index, if the arena's
-    /// sizing fails (an [`ag_rlnc::ArenaError`], reported by its message)
-    /// or the allocator refuses the slab, and `Placement::validate`'s error
-    /// for a `cfg.placement` that does not fit `n` nodes and `cfg.k`
-    /// messages.
+    /// In this order: for a generation to draw, [`GraphError::InvalidSize`]
+    /// if `k == 0` or one node's rows cannot be allocated
+    /// ([`check_row_bytes`]); `graph`'s error (the caller's checks of its
+    /// topology); [`GraphError::InvalidSize`] if a given generation's shape
+    /// is not `cfg`'s or `cfg.coding_density` is outside `(0, 1]`;
+    /// `Placement::validate`'s; and [`GraphError::InvalidSize`] if
+    /// `directions × n` rows do not fit a `u32` row index or the arena's
+    /// sizing or the slab's allocation fails.
     pub(crate) fn new(
         n: usize,
         cfg: &AgConfig,
-        generation: Generation<F>,
+        generation: Option<Generation<F>>,
         seed: u64,
         directions: usize,
+        graph: impl FnOnce() -> Result<(), GraphError>,
     ) -> Result<(Self, StdRng), GraphError> {
-        if cfg.k != generation.k() || cfg.payload_len != generation.message_len() {
-            return Err(GraphError::InvalidSize(format!(
-                "config shape (k={}, r={}) does not match generation (k={}, r={})",
-                cfg.k,
-                cfg.payload_len,
-                generation.k(),
-                generation.message_len()
-            )));
+        if generation.is_none() {
+            if cfg.k == 0 {
+                return Err(GraphError::InvalidSize("k must be positive".into()));
+            }
+            check_row_bytes(cfg, F::SYMBOL_BYTES)?;
+        }
+        graph()?;
+        if let Some(given) = &generation {
+            if cfg.k != given.k() || cfg.payload_len != given.message_len() {
+                return Err(GraphError::InvalidSize(format!(
+                    "config shape (k={}, r={}) does not match generation (k={}, r={})",
+                    cfg.k,
+                    cfg.payload_len,
+                    given.k(),
+                    given.message_len()
+                )));
+            }
         }
         // `coding_density` is a public field, so `with_coding_density`'s
         // assert is not the only way in (NaN fails both comparisons).
@@ -237,11 +242,9 @@ impl<F: SlabField> CodedNodes<F> {
         // `placement` is a public field too, and `assign` panics on a host
         // that is not a node.
         cfg.placement.validate(n, cfg.k)?;
-        // Advance the RNG past the generation draw, so that placement (and
-        // whatever the caller draws next) agrees between the random- and
-        // given-generation constructors.
         let mut rng = StdRng::seed_from_u64(seed);
-        let _ = Generation::<F>::random(cfg.k, cfg.payload_len, &mut rng);
+        let drawn = Generation::random(cfg.k, cfg.payload_len, &mut rng);
+        let generation = generation.unwrap_or(drawn);
         let hosts = cfg.placement.assign(n, cfg.k, &mut rng);
         let rows = directions.saturating_mul(n);
         if u32::try_from(rows.saturating_sub(1)).is_err() {
@@ -562,8 +565,7 @@ mod tests {
         let cfg = AgConfig::new(4)
             .with_payload_len(2)
             .with_placement(Placement::SingleSource(0));
-        let generation = CodedNodes::<Gf256>::random_generation(&cfg, 1).unwrap();
-        let (mut nodes, _) = CodedNodes::new(5, &cfg, generation, 1, 2).unwrap();
+        let (mut nodes, _) = CodedNodes::<Gf256>::new(5, &cfg, None, 1, 2, || Ok(())).unwrap();
         for msg in 0..4 {
             seed(&mut nodes, 2, msg);
         }
@@ -687,9 +689,10 @@ mod tests {
     #[test]
     fn a_rank_only_node_holds_head_ledger_slot_and_two_slab_rows() {
         let cfg = AgConfig::new(8);
-        let store = |n: usize| {
-            let generation = CodedNodes::<Gf256>::random_generation(&cfg, 3).unwrap();
-            CodedNodes::new(n, &cfg, generation, 3, 2).unwrap().0
+        let store = |n| {
+            CodedNodes::<Gf256>::new(n, &cfg, None, 3, 2, || Ok(()))
+                .unwrap()
+                .0
         };
         let (small, large) = (640, 1280);
         let (mut a, mut b) = (store(small), store(large));
@@ -781,8 +784,7 @@ mod tests {
         let cfg = AgConfig::new(k)
             .with_payload_len(1)
             .with_placement(Placement::Custom(hosts.clone()));
-        let generation = CodedNodes::<F>::random_generation(&cfg, seed).unwrap();
-        let (mut nodes, _) = CodedNodes::new(n, &cfg, generation, seed, 2).unwrap();
+        let (mut nodes, _) = CodedNodes::<F>::new(n, &cfg, None, seed, 2, || Ok(())).unwrap();
         let mut given: Vec<Vec<Vec<F>>> = vec![Vec::new(); n];
         for (m, &host) in hosts.iter().enumerate() {
             let mut unit = vec![F::ZERO; k];
@@ -861,5 +863,58 @@ mod tests {
         assert!(fired(ledger_lane::<Gf2>) > 0, "GF(2)");
         assert!(fired(ledger_lane::<F13>) > 0, "F13");
         assert!(fired(ledger_lane::<Gf256>) > 0, "GF(2^8)");
+    }
+
+    /// `CodedNodes::new` draws a generation from `seed` whether it keeps it
+    /// or is given one, so the placement drawn next is the same: a protocol
+    /// given the generation its seed draws runs as the one that drew it.
+    /// Pinned for AG and for TAG + B_RR under both time models, with a
+    /// random placement (drawn after the generation) and a payload.
+    #[test]
+    fn a_given_generation_sees_the_placement_stream_of_a_drawn_one() {
+        use crate::{AlgebraicGossip, BroadcastTree, Tag};
+        use ag_graph::builders;
+        use ag_sim::{CommModel, Engine, EngineConfig, Protocol, RunStats};
+
+        fn run(engine: EngineConfig, proto: &mut impl Protocol) -> RunStats {
+            let stats = Engine::new(engine.with_max_rounds(100_000)).run(proto);
+            assert!(stats.completed, "{:?}", engine.time_model);
+            stats
+        }
+        let g = builders::barbell(10).unwrap();
+        let cfg = AgConfig::new(6)
+            .with_payload_len(3)
+            .with_placement(Placement::Random);
+        let brr = || BroadcastTree::new(&g, 0, CommModel::RoundRobin, 7).unwrap();
+        for engine in [EngineConfig::synchronous(4), EngineConfig::asynchronous(4)] {
+            let model = engine.time_model;
+            let mut drawn = AlgebraicGossip::<Gf256>::new(&g, &cfg, 7).unwrap();
+            let generation = drawn.generation().clone();
+            let mut given =
+                AlgebraicGossip::<Gf256>::new_with_generation(&g, &cfg, generation, 7).unwrap();
+            let stats = run(engine, &mut drawn);
+            assert_eq!(stats, run(engine, &mut given), "AG, {model:?}");
+            for v in 0..g.n() {
+                assert_eq!(
+                    drawn.decoded(v),
+                    given.decoded(v),
+                    "AG, {model:?}, node {v}"
+                );
+            }
+
+            let mut drawn = Tag::<Gf256, _>::new(&g, brr(), &cfg, 7).unwrap();
+            let generation = drawn.generation().clone();
+            let mut given =
+                Tag::<Gf256, _>::new_with_generation(&g, brr(), &cfg, generation, 7).unwrap();
+            let stats = run(engine, &mut drawn);
+            assert_eq!(stats, run(engine, &mut given), "TAG, {model:?}");
+            for v in 0..g.n() {
+                assert_eq!(
+                    drawn.decoded(v),
+                    given.decoded(v),
+                    "TAG, {model:?}, node {v}"
+                );
+            }
+        }
     }
 }

@@ -27,6 +27,11 @@
 //!   parent rule; and [`OracleTree`] — an oracle standing in for the exact
 //!   IS protocol, delivering a BFS tree after a configurable `t(S)`.
 //!
+//! Lemma 1's setting, EXCHANGE with each node's partner fixed to its tree
+//! parent, is [`AlgebraicGossip`] over [`ag_graph::ParentLinks`] with
+//! [`CommModel::RoundRobin`] (a one-contact node then draws nothing to
+//! pick its partner).
+//!
 //! Beyond the paper, the protocols form a **scenario engine**:
 //! [`AlgebraicGossip`], [`RandomMessageGossip`], [`Tag`] and
 //! [`BroadcastTree`] are generic over an [`ag_graph::Topology`] view
@@ -89,7 +94,6 @@ mod plan;
 mod runner;
 pub mod seeding;
 mod tag;
-mod tree_ag;
 mod tree_protocol;
 
 pub use ag::{AgConfig, AlgebraicGossip};
@@ -103,5 +107,4 @@ pub use placement::Placement;
 pub use plan::{TrialPlan, TrialSeeds, TrialSet};
 pub use runner::{measure_tree_protocol, run_protocol, ProtocolKind, RunSpec};
 pub use tag::{Tag, TagMsg};
-pub use tree_ag::TreeAg;
 pub use tree_protocol::TreeProtocol;

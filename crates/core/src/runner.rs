@@ -280,9 +280,8 @@ mod tests {
     /// bad TAG root on the same call was already a typed error.
     #[test]
     fn placement_that_does_not_fit_the_graph_is_a_typed_error() {
-        use crate::{Placement, TreeAg};
+        use crate::Placement;
         let g = builders::path(4).unwrap();
-        let tree = g.bfs_tree(0).into_spanning_tree();
         let brr = || BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
         let out_of_range = |node| GraphError::NodeOutOfRange { node, n: 4 };
         let wrong_length = |listed: usize| {
@@ -307,11 +306,6 @@ mod tests {
                 Tag::<Gf256, _>::new(&g, brr(), &cfg, 1).err(),
                 Some(want.clone()),
                 "Tag::new, {placement:?}"
-            );
-            assert_eq!(
-                TreeAg::<Gf256>::new(&tree, &cfg, 1).err(),
-                Some(want.clone()),
-                "TreeAg::new, {placement:?}"
             );
             for kind in [
                 ProtocolKind::UniformAg,
@@ -369,11 +363,8 @@ mod tests {
         // a contact index to 2^32 − 1, one node more does not fit, and is
         // refused before anything is allocated.
         let cfg = AgConfig::new(1);
-        let build = |n: usize| {
-            CodedNodes::<Gf256>::random_generation(&cfg, 1)
-                .and_then(|generation| CodedNodes::new(n, &cfg, generation, 1, 2))
-        };
-        let err = build((1 << 31) + 1).expect_err("the slab index must overflow");
+        let err = CodedNodes::<Gf256>::new((1 << 31) + 1, &cfg, None, 1, 2, || Ok(()))
+            .expect_err("the slab index must overflow");
         assert_eq!(
             err,
             GraphError::InvalidSize(format!(
@@ -389,8 +380,7 @@ mod tests {
         // log.
         let k: u128 = 1 << 17;
         let cfg = AgConfig::new(1 << 17).with_payload_len(1);
-        let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
-            .and_then(|generation| CodedNodes::new(1 << 31, &cfg, generation, 1, 2))
+        let err = CodedNodes::<Gf256>::new(1 << 31, &cfg, None, 1, 2, || Ok(()))
             .expect_err("arena sizing must overflow");
         let bytes = (1u128 << 31) * (k * (4 + k) + 4 + 4 + k + 63 + k * k);
         assert!(
@@ -401,8 +391,7 @@ mod tests {
         // At k = 512 those nodes are 2^31 heads of 264,192 bytes: that fits
         // `usize` and no machine, and is refused as an error too.
         let cfg = AgConfig::new(512);
-        let err = CodedNodes::<Gf256>::random_generation(&cfg, 1)
-            .and_then(|generation| CodedNodes::new(1 << 31, &cfg, generation, 1, 2))
+        let err = CodedNodes::<Gf256>::new(1 << 31, &cfg, None, 1, 2, || Ok(()))
             .expect_err("the head slab must be refused");
         let heads = (1u64 << 31) * 512 * (4 + 512);
         assert!(

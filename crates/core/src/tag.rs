@@ -7,7 +7,7 @@ use ag_sim::{Action, ContactIntent, Protocol};
 use rand::rngs::StdRng;
 
 use crate::ag::AgConfig;
-use crate::coded_nodes::CodedNodes;
+use crate::coded_nodes::{require_connected, CodedNodes};
 use crate::tree_protocol::TreeProtocol;
 
 /// The message type of [`Tag`]: Phase-1 (spanning tree) or Phase-2 (RLNC).
@@ -119,8 +119,7 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
         cfg: &AgConfig,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        let generation = CodedNodes::random_generation(cfg, seed)?;
-        Self::on_topology_with_generation(topology, tree, cfg, generation, seed)
+        Self::build(topology, tree, cfg, None, seed)
     }
 
     /// [`Tag::on_topology`] with the *given* generation.
@@ -136,20 +135,29 @@ impl<F: SlabField, S: TreeProtocol, T: Topology> Tag<F, S, T> {
         generation: Generation<F>,
         seed: u64,
     ) -> Result<Self, GraphError> {
-        if !topology.is_connected_now() {
-            return Err(GraphError::InvalidSize(
-                "dissemination requires a connected (initial) graph".into(),
-            ));
-        }
-        if tree.num_nodes() != topology.n() {
-            return Err(GraphError::InvalidSize(format!(
-                "tree protocol covers {} nodes but graph has {}",
-                tree.num_nodes(),
-                topology.n()
-            )));
-        }
+        Self::build(topology, tree, cfg, Some(generation), seed)
+    }
+
+    /// Both constructors: `generation`, or the random one `seed` draws.
+    fn build(
+        topology: T,
+        tree: S,
+        cfg: &AgConfig,
+        generation: Option<Generation<F>>,
+        seed: u64,
+    ) -> Result<Self, GraphError> {
         // Phase 2 is EXCHANGE: two messages per contact.
-        let (nodes, _) = CodedNodes::new(topology.n(), cfg, generation, seed, 2)?;
+        let (nodes, _) = CodedNodes::new(topology.n(), cfg, generation, seed, 2, || {
+            require_connected(&topology)?;
+            if tree.num_nodes() != topology.n() {
+                return Err(GraphError::InvalidSize(format!(
+                    "tree protocol covers {} nodes but graph has {}",
+                    tree.num_nodes(),
+                    topology.n()
+                )));
+            }
+            Ok(())
+        })?;
         let wakeups = vec![0; topology.n()];
         Ok(Tag {
             topology,

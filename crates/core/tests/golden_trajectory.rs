@@ -15,11 +15,11 @@
 //! serial for the trial runner on top of the engine-level pins.
 
 use ag_gf::Gf256;
-use ag_graph::builders;
+use ag_graph::{builders, ParentLinks};
 use ag_sim::{CommModel, Engine, EngineConfig, TrajectoryHash};
 use algebraic_gossip::{
     run_protocol, AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind,
-    RandomMessageGossip, RunSpec, Tag, TreeAg, TrialPlan,
+    RandomMessageGossip, RunSpec, Tag, TrialPlan,
 };
 
 /// Pinned hash of the UniformAg rank trajectory for the run below: one
@@ -30,8 +30,8 @@ const GOLDEN_SHARDED_AG_TRAJECTORY: u64 = 0xC2B0_ECC9_946E_1A35;
 /// Pinned hash of the UncodedRandom holdings trajectory for the run below.
 const GOLDEN_BASELINE_TRAJECTORY: u64 = 0x8C88_73B0_963D_BC23;
 /// Pinned hashes of the TAG + B_RR rank trajectory on `barbell(12)`,
-/// synchronous and asynchronous, and of TreeAg on a BFS tree of the 3×5
-/// grid.
+/// synchronous and asynchronous, and of AG over the parent links of a BFS
+/// tree of the 3×5 grid (Lemma 1's setting).
 const GOLDEN_TAG_SYNC_TRAJECTORY: u64 = 0xA14C_8C82_F834_4F5A;
 const GOLDEN_TAG_ASYNC_TRAJECTORY: u64 = 0x5224_9EE2_CFBD_7B5D;
 const GOLDEN_TREE_AG_TRAJECTORY: u64 = 0xBC79_2DE0_03D1_CB50;
@@ -106,22 +106,27 @@ fn tag_trajectory(engine: EngineConfig) -> u64 {
     hash.finish()
 }
 
-/// TreeAg (Lemma 1's fixed-parent EXCHANGE) on the BFS tree of a 3×5 grid,
-/// k = 6 with payloads, synchronous rounds, all seeds fixed.
+/// Lemma 1's fixed-parent EXCHANGE: AG over the parent links of the BFS
+/// tree of a 3×5 grid, round-robin, k = 6 with payloads, synchronous
+/// rounds, all seeds fixed.
 fn tree_ag_trajectory() -> u64 {
     let tree = builders::grid(3, 5)
         .expect("grid")
         .bfs_tree(0)
         .into_spanning_tree();
-    let cfg = AgConfig::new(6).with_payload_len(4);
-    let mut proto = TreeAg::<Gf256>::new(&tree, &cfg, 0xA11CE).expect("protocol");
+    let cfg = AgConfig::new(6)
+        .with_payload_len(4)
+        .with_comm_model(CommModel::RoundRobin);
+    let mut proto =
+        AlgebraicGossip::<Gf256, _>::on_topology(ParentLinks::new(&tree), &cfg, 0xA11CE)
+            .expect("protocol");
     let mut hash = TrajectoryHash::new();
     let stats = Engine::new(EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000))
         .run_observed(&mut proto, |round, p| {
             hash.observe(round);
             hash.observe((0..tree.n()).map(|v| p.rank(v) as u64).sum());
         });
-    assert!(stats.completed, "golden TreeAg run must complete");
+    assert!(stats.completed, "golden parent-links AG run must complete");
     for v in 0..tree.n() {
         assert_eq!(
             proto.decoded(v).expect("complete node decodes"),
@@ -144,7 +149,11 @@ fn golden_tag_and_tree_ag_trajectories_are_pinned() {
             tag_trajectory(EngineConfig::asynchronous(0xBEEF)),
             GOLDEN_TAG_ASYNC_TRAJECTORY,
         ),
-        ("TreeAg", tree_ag_trajectory(), GOLDEN_TREE_AG_TRAJECTORY),
+        (
+            "AG over parent links",
+            tree_ag_trajectory(),
+            GOLDEN_TREE_AG_TRAJECTORY,
+        ),
     ] {
         assert_eq!(
             hash, want,

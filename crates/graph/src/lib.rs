@@ -13,8 +13,9 @@
 //! * [`metrics`] — degree sums along shortest paths (Lemma 2), cut
 //!   boundaries and cut conductance,
 //! * [`Topology`] — the (possibly time-varying) neighbor view gossip
-//!   protocols read: [`StaticTopology`] is the plain [`Graph`],
-//!   [`ScheduledTopology`] applies a deterministic [`ChurnSchedule`]
+//!   protocols read: the static [`Graph`] and [`ParentLinks`] (a tree's
+//!   child-to-parent contacts, Lemma 1's fixed partners), and
+//!   [`ScheduledTopology`], which applies a deterministic [`ChurnSchedule`]
 //!   (random rewires/flips, adversarial bridge cuts and partitions) one
 //!   epoch per simulation round.
 //!
@@ -57,6 +58,6 @@ mod traversal;
 mod tree;
 
 pub use graph::{Graph, GraphError, Neighbors, NodeId};
-pub use topology::{ChurnSchedule, ScheduledTopology, StaticTopology, Topology};
+pub use topology::{ChurnSchedule, ScheduledTopology, Topology};
 pub use traversal::BfsResult;
-pub use tree::{SpanningTree, TreeError};
+pub use tree::{ParentLinks, SpanningTree, TreeError};

@@ -9,13 +9,15 @@
 //! through a [`Topology`] view instead of a pinned [`Graph`] snapshot, and
 //! the simulation engines advance the view once per round.
 //!
-//! Two implementations:
+//! Three implementations:
 //!
-//! * [`StaticTopology`] (an alias for [`Graph`]) — today's CSR graph. Every
-//!   accessor delegates to the corresponding inherent method and epoch
-//!   advancement is a no-op, so static runs compile to exactly the code
-//!   they ran before the abstraction existed (the golden trajectory hashes
-//!   pin this bit-for-bit).
+//! * [`Graph`] — the static CSR graph. Every accessor delegates to the
+//!   corresponding inherent method and epoch advancement is a no-op, so
+//!   static runs compile to exactly the code they ran before the
+//!   abstraction existed (the golden trajectory hashes pin this
+//!   bit-for-bit).
+//! * [`crate::ParentLinks`] — a spanning tree's parent links, static: each
+//!   node's only contact is its parent, Lemma 1's fixed partner.
 //! * [`ScheduledTopology`] — an epoch-based time-varying graph driven by a
 //!   deterministic, seeded [`ChurnSchedule`]: random per-epoch edge
 //!   rewires or flips at a configurable rate, plus adversarial schedules
@@ -57,8 +59,9 @@ use crate::graph::{Graph, NodeId};
 /// A (possibly time-varying) gossip topology: the neighbor view protocols
 /// and partner selectors read, plus an epoch clock the engines advance.
 ///
-/// [`Graph`] implements this trait with no-op epoch methods, so every
-/// static call site keeps its exact pre-abstraction behavior and cost.
+/// The epoch methods default to a static view (epoch 0, never advanced),
+/// which [`Graph`] and [`crate::ParentLinks`] are, so every static call
+/// site keeps its exact pre-abstraction behavior and cost.
 pub trait Topology {
     /// Number of nodes (fixed for the lifetime of the topology — churn
     /// rewires edges, it does not add or remove nodes).
@@ -75,13 +78,15 @@ pub trait Topology {
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
 
     /// The epoch the view currently reflects (0 = initial graph).
-    fn epoch(&self) -> u64;
+    fn epoch(&self) -> u64 {
+        0
+    }
 
     /// Advances the view to `epoch`, applying every scheduled change in
     /// `(self.epoch(), epoch]`. Calls with `epoch <= self.epoch()` are
     /// no-ops (epochs never rewind); static topologies ignore this
     /// entirely.
-    fn advance_to_epoch(&mut self, epoch: u64);
+    fn advance_to_epoch(&mut self, _epoch: u64) {}
 
     /// Is the *current* view connected? A walk from node 0 over the
     /// trait's own neighbor accessors (seen flags and a stack): O(n + m),
@@ -131,20 +136,7 @@ impl Topology for Graph {
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         Graph::has_edge(self, u, v)
     }
-
-    #[inline]
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    #[inline]
-    fn advance_to_epoch(&mut self, _epoch: u64) {}
 }
-
-/// The static topology: the plain CSR [`Graph`], unchanged. The alias
-/// exists so scenario code can say what it means (`StaticTopology` vs
-/// `ScheduledTopology`) without a wrapper type costing anything.
-pub type StaticTopology = Graph;
 
 use crate::seedmix::{splitmix64, GOLDEN_GAMMA};
 

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::graph::NodeId;
+use crate::topology::Topology;
 
 /// Error constructing a [`SpanningTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,6 +224,50 @@ impl SpanningTree {
     }
 }
 
+/// A tree's parent links as a static [`Topology`]: each node's only
+/// contact is its parent (degree 1, and 0 at the root), Lemma 1's "the
+/// communication partner of a node is fixed to be its parent in `T_n`".
+/// Run it with EXCHANGE: over parent links PUSH moves messages only up the
+/// tree and PULL only down. `has_edge` answers for a tree edge either way
+/// round, the view is connected, and epochs are no-ops.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParentLinks(Vec<Option<NodeId>>);
+
+impl ParentLinks {
+    /// The parent links of `tree`.
+    #[must_use]
+    pub fn new(tree: &SpanningTree) -> Self {
+        ParentLinks(tree.parents().to_vec())
+    }
+}
+
+impl Topology for ParentLinks {
+    fn n(&self) -> usize {
+        self.0.len()
+    }
+
+    fn degree(&self, v: NodeId) -> usize {
+        usize::from(self.0[v].is_some())
+    }
+
+    fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
+        self.0[v]
+            .filter(|_| i == 0)
+            .expect("an index below the degree")
+    }
+
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        let parent = |x: NodeId| self.0.get(x).copied().flatten();
+        parent(u) == Some(v) || parent(v) == Some(u)
+    }
+
+    /// A tree is connected, though a walk over parent links alone reaches
+    /// only the root.
+    fn is_connected_now(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,5 +343,34 @@ mod tests {
         assert_eq!(t.depth(), 0);
         assert_eq!(t.tree_diameter(), 0);
         assert_eq!(t.children(0), &[] as &[NodeId]);
+    }
+
+    /// Parent links on a tree rooted mid-path: one contact a node, the
+    /// root's none; edges either way round; connected; epochs change
+    /// nothing.
+    #[test]
+    fn parent_links_give_each_node_its_parent_alone() {
+        // 0 - 1 - 2 - 3 rooted at 1.
+        let t = SpanningTree::from_parents(1, vec![Some(1), None, Some(1), Some(2)]).unwrap();
+        let mut links = ParentLinks::new(&t);
+        for _ in 0..2 {
+            assert_eq!(links.n(), 4);
+            assert_eq!(
+                (0..4).map(|v| links.degree(v)).collect::<Vec<_>>(),
+                [1, 0, 1, 1]
+            );
+            assert_eq!([0, 2, 3].map(|v| links.neighbor_at(v, 0)), [1, 1, 2]);
+            for (u, v) in t.edges() {
+                assert!(links.has_edge(u, v) && links.has_edge(v, u), "{u}-{v}");
+            }
+            assert!(!links.has_edge(0, 2) && !links.has_edge(1, 3) && !links.has_edge(1, 9));
+            assert!(links.is_connected_now());
+            assert_eq!(links.epoch(), 0);
+            links.advance_to_epoch(7);
+        }
+        assert!(
+            ParentLinks::new(&SpanningTree::from_parents(0, vec![None]).unwrap())
+                .is_connected_now()
+        );
     }
 }
