@@ -357,6 +357,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::completion::run_with_completion;
     use ag_gf::{Gf2, Gf256};
     use ag_graph::{builders, ParentLinks, SpanningTree};
     use ag_sim::{Engine, EngineConfig, TimeModel};
@@ -523,15 +524,16 @@ mod tests {
         for ecfg in [EngineConfig::synchronous(9), EngineConfig::asynchronous(9)] {
             let topo = ScheduledTopology::new(&g, ChurnSchedule::partition_heal(8, 1, u64::MAX));
             let mut proto = AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, 9).unwrap();
-            let stats = Engine::new(ecfg.with_max_rounds(max_rounds)).run(&mut proto);
+            let mut engine = Engine::new(ecfg.with_max_rounds(max_rounds));
+            let (stats, finished) = run_with_completion(&mut engine, &mut proto, |_, _| {});
             let model = ecfg.time_model;
             assert!(!stats.completed, "{model:?}");
             assert_eq!(stats.rounds, max_rounds, "{model:?}");
             assert_eq!(stats.timeslots, max_rounds * 16, "{model:?}");
             for v in 8..16 {
                 assert!(!proto.node_complete(v), "{model:?}: far node {v} completed");
-                assert_eq!(stats.node_completion_rounds[v], None, "{model:?}");
             }
+            assert_eq!(finished[8..], [None; 8], "{model:?}");
         }
     }
 

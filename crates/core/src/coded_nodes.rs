@@ -518,12 +518,11 @@ impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
         recode(&mut self.basis, from, self.density, factors, rng, Some(out)).then_some(Some(index))
     }
 
-    /// A receiver that is full is answered from its rank, before the row
-    /// is copied.
+    /// Reduces a copy of the row; the insert answers a full receiver from
+    /// its rank.
     fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
         let verdict = match msg {
             None => no_row(self.basis.rank(to)),
-            Some(_) if self.basis.is_full(to) => Insertion::Redundant,
             Some(msg) => {
                 let rb = self.row_bytes;
                 let at = msg as usize * rb;

@@ -96,6 +96,11 @@ pub mod seeding;
 mod tag;
 mod tree_protocol;
 
+// The unit tests share `ag-sim`'s per-node completion observer.
+#[cfg(test)]
+#[path = "../../sim/tests/completion/mod.rs"]
+mod completion;
+
 pub use ag::{AgConfig, AlgebraicGossip};
 pub use ag_sim::{Action, CommModel, TimeModel};
 pub use baseline::{RandomMessageGossip, RawMsg};

@@ -2,6 +2,9 @@
 //! protocol against every topology, Theorem-4 quantity extraction, and
 //! TAG composition with each of them.
 
+#[path = "../../sim/tests/completion/mod.rs"]
+mod completion;
+
 use ag_gf::Gf256;
 use ag_graph::{builders, Graph, GraphError, NodeId};
 use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol};
@@ -9,6 +12,7 @@ use algebraic_gossip::{
     measure_tree_protocol, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, IsTree,
     OracleTree, Tag, TreeProtocol, WithCrashes,
 };
+use completion::run_with_completion;
 use rand::rngs::StdRng;
 
 fn graphs() -> Vec<(&'static str, Graph)> {
@@ -124,17 +128,13 @@ fn broadcast_tree_runs_under_the_engine_directly() {
     for cfg in [EngineConfig::synchronous(4), EngineConfig::asynchronous(4)] {
         let mut b = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 4).unwrap();
         let mut informed = vec![1];
-        let stats = Engine::new(cfg).run_observed(&mut b, |_, p| {
+        let (stats, finished) = run_with_completion(&mut Engine::new(cfg), &mut b, |_, p| {
             informed.push((0..g.n()).filter(|&v| p.node_complete(v)).count());
         });
         assert!(stats.completed);
         assert!(informed.is_sorted(), "a node lost its parent: {informed:?}");
         assert_eq!(informed.last(), Some(&g.n()));
-        assert_eq!(
-            stats.node_completion_rounds[0],
-            Some(0),
-            "the root is born done"
-        );
+        assert_eq!(finished[0], Some(0), "the root is born done");
         assert!(b.spanning_tree().unwrap().is_spanning_tree_of(&g));
     }
 }

@@ -43,7 +43,7 @@ use algebraic_gossip::{
     Tag, TrialPlan, WithCrashes,
 };
 
-use crate::common::{engine, ratio_table, Family, Scale};
+use crate::common::{engine, ratio_table, Family, Scale, ROUND_BUDGET};
 
 /// Base seed for every F9 schedule and trial plan.
 const F9_SEED: u64 = 0x0F9_0F9;
@@ -65,6 +65,15 @@ const RLNC_VS_UNCODED: [&str; 5] = [
 /// The F9c bridge adversary's up-window, in epochs.
 const BRIDGE_UP: u64 = 2;
 
+/// The seed of F9c's trial plans.
+const F9C_SEED: u64 = F9_SEED ^ 0xC;
+
+/// The stall budget of F9c's TAG cells, in rounds: 35 times the slowest
+/// TAG trial that finishes at either scale (280 rounds). At full scale some
+/// trials never finish, a resonance of the bridge adversary's period with
+/// `B_RR`'s round-robin pointers that the F9c text explains.
+const TAG_STALL_BUDGET: u64 = 10_000;
+
 /// Which protocol an F9 cell runs. The dynamic lanes construct protocols
 /// directly, since `TrialPlan::run` is graph-typed, and take their seeds
 /// and their threads from `TrialPlan::map` like every other experiment.
@@ -75,21 +84,20 @@ enum DynProto {
     Tag,
 }
 
-/// The scheduled-topology twin of [`crate::common::median_rounds`]
-/// (`run_protocol` takes a static graph): median stopping time of `proto`
-/// on `graph` under `schedule`, over `trials` decorrelated trials
-/// (synchronous model). Panics if a trial exhausts the budget — cells are
-/// sized to always complete.
-fn median_dynamic_rounds(
+/// The stopping time of `proto` on `graph` under `schedule` in each of
+/// `trials` decorrelated trials (synchronous model), `None` for a trial
+/// still running after `budget` rounds.
+fn dynamic_rounds(
     graph: &Graph,
     schedule: &ChurnSchedule,
     proto: DynProto,
     k: usize,
     trials: u64,
     seed0: u64,
-) -> f64 {
-    let rounds = TrialPlan::new(trials, seed0).map(|seeds| {
-        let mut engine = Engine::new(engine(Synchronous, seeds.engine));
+    budget: u64,
+) -> Vec<Option<u64>> {
+    TrialPlan::new(trials, seed0).map(|seeds| {
+        let mut engine = Engine::new(engine(Synchronous, seeds.engine).with_max_rounds(budget));
         let cfg = AgConfig::new(k);
         let topo = ScheduledTopology::new(graph, schedule.clone());
         let pseed = seeds.protocol;
@@ -109,10 +117,25 @@ fn median_dynamic_rounds(
                 )
             }
         };
-        assert!(stats.completed, "F9 trial hit the round budget");
-        stats.rounds
-    });
-    Summary::of_u64(&rounds).median()
+        stats.completed.then_some(stats.rounds)
+    })
+}
+
+/// The scheduled-topology twin of [`crate::common::median_rounds`]
+/// (`run_protocol` takes a static graph): the median of
+/// [`dynamic_rounds`] under the one [`ROUND_BUDGET`]. Panics if a trial
+/// exhausts the budget — cells are sized to always complete.
+fn median_dynamic_rounds(
+    graph: &Graph,
+    schedule: &ChurnSchedule,
+    proto: DynProto,
+    k: usize,
+    trials: u64,
+    seed0: u64,
+) -> f64 {
+    let rounds = dynamic_rounds(graph, schedule, proto, k, trials, seed0, ROUND_BUDGET);
+    let rounds: Option<Vec<u64>> = rounds.into_iter().collect();
+    Summary::of_u64(&rounds.expect("F9 trial hit the round budget")).median()
 }
 
 /// F9a: stopping time vs rewire rate, per family, RLNC vs uncoded.
@@ -207,24 +230,55 @@ fn partition_adversary(scale: Scale, md: &mut String) {
     );
 }
 
-/// F9c: bridge-cut adversary (uniform AG vs TAG) + crash-then-rewire.
-fn bridge_and_recovery(scale: Scale, md: &mut String) {
-    let trials = scale.trials();
-    let seed = F9_SEED ^ 0xC;
+/// F9c's barbell at `scale` and its three schedules: static, then the
+/// bridge cut for `2·up` and `8·up` epochs per [`BRIDGE_UP`] epochs up.
+fn bridge_schedules(scale: Scale) -> (Graph, [(String, ChurnSchedule); 3]) {
     let n = scale.pick(16, 24);
     let up = BRIDGE_UP;
-    let graph = Family::Barbell.build(n, 0);
     let bridge = (n / 2 - 1, n / 2);
-    let k = n;
     let cut_for = |cut: u64| (cut.to_string(), ChurnSchedule::bridge_cut(bridge, up, cut));
     let schedules = [
         ("static".to_string(), ChurnSchedule::None),
         cut_for(2 * up),
         cut_for(8 * up),
     ];
+    (Family::Barbell.build(n, 0), schedules)
+}
+
+/// One F9c TAG cell at `scale` (k = n): each trial's stopping time, `None`
+/// for a trial stalled at `budget` rounds.
+fn tag_bridge_rounds(
+    graph: &Graph,
+    schedule: &ChurnSchedule,
+    scale: Scale,
+    budget: u64,
+) -> Vec<Option<u64>> {
+    let (k, trials) = (graph.n(), scale.trials());
+    dynamic_rounds(graph, schedule, DynProto::Tag, k, trials, F9C_SEED, budget)
+}
+
+/// F9c: bridge-cut adversary (uniform AG vs TAG) + crash-then-rewire.
+fn bridge_and_recovery(scale: Scale, md: &mut String) {
+    let trials = scale.trials();
+    let seed = F9C_SEED;
+    let up = BRIDGE_UP;
+    let (graph, schedules) = bridge_schedules(scale);
+    let k = graph.n();
+    let mut stalls = 0;
     let rows = schedules.map(|(label, schedule)| {
         let ag = median_dynamic_rounds(&graph, &schedule, DynProto::Rlnc, k, trials, seed);
-        let tag = median_dynamic_rounds(&graph, &schedule, DynProto::Tag, k, trials, seed);
+        let tag = tag_bridge_rounds(&graph, &schedule, scale, TAG_STALL_BUDGET);
+        let done: Vec<u64> = tag.iter().copied().flatten().collect();
+        let stalled = tag.len() - done.len();
+        stalls += stalled;
+        let label = match stalled {
+            0 => label,
+            _ => format!("{label} (TAG {stalled}/{trials} stalled)"),
+        };
+        let tag = match done.as_slice() {
+            [] => f64::NAN,
+            _ => Summary::of_u64(&done).median(),
+        };
         (label, ag, tag)
     });
     let table = ratio_table(
@@ -253,6 +307,22 @@ fn bridge_and_recovery(scale: Scale, md: &mut String) {
          regime away (TAG/AG drifts toward parity instead of the paper's\n\
          n-fold separation). {trials} trials/cell.\n\n{table}"
     );
+    if stalls > 0 {
+        let _ = writeln!(
+            md,
+            "A row marked *stalled* counts the TAG trials still running after\n\
+             {TAG_STALL_BUDGET} rounds; its TAG median is over the trials that\n\
+             finished. Those trials never finish: Phase 1 runs on odd wakeups,\n\
+             so between two up-window picks a bridge endpoint's `B_RR` pointer\n\
+             moves `({up} + cut)/2` steps, and where that step shares a factor\n\
+             with the endpoint's degree ({} here) the pointer reaches the\n\
+             bridge from one class of start offsets only. A trial whose two\n\
+             endpoints both start outside it never builds its tree across the\n\
+             bridge: a resonance of the adversary's period with round-robin,\n\
+             not a stopping time.\n",
+            graph.max_degree()
+        );
+    }
 
     // Crash-then-rewire recovery: stall statically, complete dynamically.
     let star = Family::Star.build(scale.pick(10, 16), 0);
@@ -324,4 +394,31 @@ pub fn run(scale: Scale) -> String {
     partition_adversary(scale, &mut md);
     bridge_and_recovery(scale, &mut md);
     md
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// F9c's TAG cells return under a stall budget and count the trials
+    /// the bridge resonance stalls: some in both cut schedules at
+    /// `barbell(24)`, none at `barbell(16)` and none on the static graph.
+    #[test]
+    fn bridge_cut_tag_cells_report_their_stalls() {
+        for scale in [Scale::Full, Scale::Quick] {
+            let (graph, schedules) = bridge_schedules(scale);
+            let stalled = schedules.map(|(_, schedule)| {
+                let rounds = tag_bridge_rounds(&graph, &schedule, scale, 1_000);
+                assert_eq!(rounds.len() as u64, scale.trials());
+                rounds.iter().filter(|r| r.is_none()).count()
+            });
+            match scale {
+                Scale::Full => assert!(
+                    stalled[0] == 0 && stalled[1] > 0 && stalled[2] > 0,
+                    "{stalled:?}"
+                ),
+                Scale::Quick => assert_eq!(stalled, [0; 3]),
+            }
+        }
+    }
 }

@@ -237,54 +237,6 @@ impl Graph {
         })
     }
 
-    /// Builds a graph from per-node adjacency lists (the form
-    /// [`ScheduledTopology`](crate::ScheduledTopology) maintains), with the
-    /// invariants of [`Graph::from_edges`] enforced in O(n + m·log Δ):
-    /// every list must be strictly ascending (sorted, no duplicates),
-    /// contain no self-reference, stay in range, and be symmetric
-    /// (`v ∈ adj[u] ⇔ u ∈ adj[v]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError`] on a violated invariant, mapped onto the
-    /// same variants `from_edges` uses (`DuplicateEdge` doubles as the
-    /// unsorted/asymmetric report, naming the offending pair).
-    pub fn from_adjacency(adj: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
-        let n = adj.len();
-        if n == 0 {
-            return Err(bad_node_count(n));
-        }
-        for (u, list) in adj.iter().enumerate() {
-            for (i, &v) in list.iter().enumerate() {
-                if v >= n {
-                    return Err(GraphError::NodeOutOfRange { node: v, n });
-                }
-                if v == u {
-                    return Err(GraphError::SelfLoop(u));
-                }
-                if i > 0 && list[i - 1] >= v {
-                    return Err(GraphError::DuplicateEdge(u, v));
-                }
-                // Symmetry: the mirror entry must exist.
-                if adj[v].binary_search(&u).is_err() {
-                    return Err(GraphError::DuplicateEdge(u.min(v), u.max(v)));
-                }
-            }
-        }
-        let ends = adj.iter().scan(0, |end, list| {
-            *end += list.len();
-            Some(*end)
-        });
-        let offsets: Arc<[usize]> = std::iter::once(0).chain(ends).collect();
-        Ok(Graph {
-            num_edges: offsets[n] / 2,
-            repr: Repr::Csr {
-                offsets,
-                targets: adj.concat().into(),
-            },
-        })
-    }
-
     /// Number of nodes `n`.
     #[must_use]
     pub fn n(&self) -> usize {
@@ -511,44 +463,6 @@ mod tests {
         assert!(implicit.has_edge(0, 5) && !implicit.has_edge(3, 3));
         assert!(implicit.is_connected());
         assert_eq!(implicit.diameter(), 1);
-    }
-
-    #[test]
-    fn from_adjacency_matches_from_edges() {
-        let edges = [(0, 1), (2, 1), (3, 0), (2, 3)];
-        let via_edges = Graph::from_edges(4, &edges).unwrap();
-        let via_adj =
-            Graph::from_adjacency(vec![vec![1, 3], vec![0, 2], vec![1, 3], vec![0, 2]]).unwrap();
-        assert_eq!(via_edges, via_adj);
-        assert_eq!(via_adj.num_edges(), 4);
-    }
-
-    #[test]
-    fn from_adjacency_rejects_invariant_violations() {
-        // Empty.
-        assert!(matches!(
-            Graph::from_adjacency(vec![]),
-            Err(GraphError::InvalidSize(_))
-        ));
-        // Out of range.
-        assert_eq!(
-            Graph::from_adjacency(vec![vec![2], vec![0]]),
-            Err(GraphError::NodeOutOfRange { node: 2, n: 2 })
-        );
-        // Self-loop.
-        assert_eq!(
-            Graph::from_adjacency(vec![vec![0, 1], vec![0]]),
-            Err(GraphError::SelfLoop(0))
-        );
-        // Unsorted list.
-        assert!(Graph::from_adjacency(vec![vec![2, 1], vec![0], vec![0]]).is_err());
-        // Duplicate entry.
-        assert!(Graph::from_adjacency(vec![vec![1, 1], vec![0]]).is_err());
-        // Asymmetric: 0 lists 1, but 1 does not list 0.
-        assert_eq!(
-            Graph::from_adjacency(vec![vec![1], vec![]]),
-            Err(GraphError::DuplicateEdge(0, 1))
-        );
     }
 
     #[test]

@@ -367,15 +367,17 @@ impl ScheduledTopology {
         self.edges.len()
     }
 
-    /// Materializes the current view as a [`Graph`] (diagnostics; O(m)).
+    /// Materializes the current view's edge list as a [`Graph`]
+    /// (diagnostics; O(n + m log Δ)).
     ///
     /// # Panics
     ///
-    /// Never — the maintained adjacency always satisfies the `Graph`
-    /// invariants.
+    /// Never — the maintained edge list holds each edge once, in range and
+    /// without self-loops.
     #[must_use]
     pub fn snapshot(&self) -> Graph {
-        Graph::from_adjacency(self.adj.clone()).expect("maintained adjacency is always valid")
+        Graph::from_edges(self.adj.len(), &self.edges)
+            .expect("maintained edge list is always valid")
     }
 
     /// Adds `(u, v)` if absent; true on change.
@@ -579,9 +581,11 @@ mod tests {
         assert_eq!(t.edge_count(), g.num_edges());
     }
 
-    /// The invariants every epoch's view must uphold: sorted adjacency,
-    /// symmetry, edge list in sync with the lists — `snapshot` re-checks
-    /// them all through `Graph::from_adjacency`.
+    /// The invariants every epoch's view must uphold: the snapshot is
+    /// built from the edge list (`from_edges` rejects a repeated edge),
+    /// and every node's `neighbor_at` view must equal its sorted neighbor
+    /// list there, so the adjacency is sorted, symmetric, free of
+    /// duplicates and in sync with the edges.
     #[test]
     fn views_stay_valid_under_every_schedule() {
         let g = builders::barbell(12).unwrap();
@@ -595,8 +599,12 @@ mod tests {
             let mut t = ScheduledTopology::new(&g, schedule.clone());
             for e in 1..=20 {
                 t.advance_to_epoch(e);
-                let snap = t.snapshot(); // panics if invariants broke
+                let snap = t.snapshot(); // panics if the edge list broke
                 assert_eq!(snap.num_edges(), t.edge_count(), "{schedule:?}");
+                for v in 0..t.n() {
+                    let view: Vec<_> = (0..t.degree(v)).map(|i| t.neighbor_at(v, i)).collect();
+                    assert_eq!(view, snap.neighbors(v).collect::<Vec<_>>(), "{schedule:?}");
+                }
             }
         }
     }

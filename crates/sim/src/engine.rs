@@ -336,7 +336,9 @@ impl Engine {
 
     /// Like [`Engine::run`] but invokes `observer(round, proto)` after
     /// every completed round (under both time models) — used to trace rank
-    /// growth for the figures.
+    /// growth for the figures, or, through [`Protocol::node_complete`],
+    /// the round each node finished in (the engine records no per-node
+    /// completion).
     ///
     /// Under the asynchronous model the observer also fires one final time
     /// when a run completes *mid-round*, with the ceiling round number
@@ -358,16 +360,9 @@ impl Engine {
     fn run_with<P: Protocol, O: Observe<P>>(&mut self, proto: &mut P, mut obs: O) -> RunStats {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
-        let mut stats = RunStats::new(n);
-        let mut complete = vec![false; n];
-        let mut incomplete = n;
-        for (v, flag) in complete.iter_mut().enumerate() {
-            if proto.node_complete(v) {
-                stats.node_completion_rounds[v] = Some(0);
-                *flag = true;
-                incomplete -= 1;
-            }
-        }
+        let mut stats = RunStats::default();
+        let mut complete: Vec<bool> = (0..n).map(|v| proto.node_complete(v)).collect();
+        let mut incomplete = complete.iter().filter(|&&done| !done).count();
         if incomplete == 0 {
             stats.completed = true;
             return stats;
@@ -513,14 +508,7 @@ impl Engine {
         stats.timeslots += n as u64;
         // 5. Completion sweep over the still-incomplete nodes only (all of
         //    them are dirty: every node woke, and any may have received).
-        pending.retain(|&v| {
-            if proto.node_complete(v) {
-                stats.node_completion_rounds[v] = Some(round);
-                false
-            } else {
-                true
-            }
-        });
+        pending.retain(|&v| !proto.node_complete(v));
     }
 
     /// The fate of one composed message, under both time models: nothing
@@ -590,7 +578,6 @@ impl Engine {
         for node in [Some(v), intent.map(|i| i.partner)].into_iter().flatten() {
             if !complete[node] && proto.node_complete(node) {
                 complete[node] = true;
-                stats.node_completion_rounds[node] = Some(stats.timeslots.div_ceil(n as u64));
                 *incomplete -= 1;
             }
         }
@@ -600,6 +587,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::completion::run_with_completion;
     use crate::protocol::{Action, ContactIntent};
 
     /// A deterministic "hot potato" counter: node v always pushes to
@@ -652,13 +640,14 @@ mod tests {
         // 6 nodes in a directed relay ring: the paper's snapshot rule means
         // the hot value advances exactly one node per round => 5 rounds.
         let mut proto = Relay::new(6);
-        let stats = Engine::new(EngineConfig::synchronous(1)).run(&mut proto);
+        let mut engine = Engine::new(EngineConfig::synchronous(1));
+        let (stats, finished) = run_with_completion(&mut engine, &mut proto, |_, _| {});
         assert!(stats.completed);
         assert_eq!(stats.rounds, 5);
         // Every node pushes every round: 6 messages per round.
         assert_eq!(stats.messages_delivered, 5 * 6);
         // Completion rounds are exactly the hop distances.
-        for (v, r) in stats.node_completion_rounds.iter().enumerate() {
+        for (v, r) in finished.iter().enumerate() {
             assert_eq!(r.unwrap(), v as u64);
         }
     }
@@ -692,12 +681,13 @@ mod tests {
     #[test]
     fn budget_exhaustion_reports_incomplete() {
         let mut proto = Relay::new(10);
-        let cfg = EngineConfig::synchronous(3).with_max_rounds(3);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let mut engine = Engine::new(EngineConfig::synchronous(3).with_max_rounds(3));
+        let (stats, finished) = run_with_completion(&mut engine, &mut proto, |_, _| {});
         assert!(!stats.completed);
         assert_eq!(stats.rounds, 3);
-        assert_eq!(stats.last_completion_round(), None);
-        assert_eq!(stats.first_completion_round(), Some(0)); // node 0 starts hot
+        // Node 0 starts hot; the value gets three hops further, no more.
+        let hops = (0..4).map(Some).chain([None; 6]);
+        assert_eq!(finished, hops.collect::<Vec<_>>());
     }
 
     #[test]
@@ -922,15 +912,17 @@ mod tests {
         for (target, want_rounds) in [(n * m, m), (n * m + 1, m + 1)] {
             let mut proto = SlotCounter { slots: 0, target };
             let mut last_observed = None;
-            let stats = Engine::new(EngineConfig::asynchronous(1))
-                .run_observed(&mut proto, |round, _p| last_observed = Some(round));
+            let mut engine = Engine::new(EngineConfig::asynchronous(1));
+            let (stats, finished) = run_with_completion(&mut engine, &mut proto, |round, _| {
+                last_observed = Some(round);
+            });
             assert!(stats.completed);
             assert_eq!(stats.timeslots, target, "completion slot must be exact");
             assert_eq!(stats.rounds, want_rounds, "target {target}");
             assert_eq!(stats.rounds, stats.timeslots.div_ceil(n));
             assert_eq!(last_observed, Some(want_rounds));
-            for r in &stats.node_completion_rounds {
-                assert_eq!(*r, Some(want_rounds));
+            for r in finished {
+                assert_eq!(r, Some(want_rounds));
             }
         }
     }

@@ -79,3 +79,11 @@ pub use comm::{CommModel, PartnerSelector};
 pub use engine::{Engine, EngineConfig, TimeModel};
 pub use protocol::{Action, ContactIntent, Protocol, ProtocolShard};
 pub use stats::{RunStats, TrajectoryHash};
+
+// The unit tests share the integration tests' completion observer, which
+// names this crate by its external name.
+#[cfg(test)]
+extern crate self as ag_sim;
+#[cfg(test)]
+#[path = "../tests/completion/mod.rs"]
+mod completion;

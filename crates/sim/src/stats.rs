@@ -5,7 +5,7 @@
 /// Times are reported in *rounds* under both time models (the paper's
 /// convention: 1 round = n asynchronous timeslots); `timeslots` carries the
 /// raw slot count for asynchronous runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunStats {
     /// Whether the protocol reached global completion within the budget.
     pub completed: bool,
@@ -14,10 +14,12 @@ pub struct RunStats {
     /// **Asynchronous convention:** always `ceil(timeslots / n)` — a
     /// partially elapsed round counts as a full round. The same ceiling
     /// convention is used everywhere rounds are derived from timeslots:
-    /// this field, the per-node [`RunStats::node_completion_rounds`], and
-    /// the round number passed to `run_observed` observers. A run that
-    /// completes at exactly `m·n` timeslots therefore reports `m` rounds,
-    /// and one that completes at `m·n + 1` reports `m + 1`.
+    /// this field and the round number passed to `run_observed`
+    /// observers. A run that completes at exactly `m·n` timeslots
+    /// therefore reports `m` rounds, and one that completes at `m·n + 1`
+    /// reports `m + 1`. Per-node completion is not recorded: an observer
+    /// that reads [`crate::Protocol::node_complete`] sees each node finish
+    /// at the ceiling round of the slot it finished in.
     pub rounds: u64,
     /// Raw timeslots (asynchronous model; equals `rounds * n` for the
     /// synchronous model).
@@ -35,40 +37,9 @@ pub struct RunStats {
     /// Contacts where the chosen direction produced no message (e.g. an
     /// RLNC node with rank 0 has nothing to send).
     pub empty_sends: u64,
-    /// Round at which each node first reported completion (`None` = never).
-    pub node_completion_rounds: Vec<Option<u64>>,
 }
 
 impl RunStats {
-    pub(crate) fn new(n: usize) -> Self {
-        RunStats {
-            completed: false,
-            rounds: 0,
-            timeslots: 0,
-            messages_delivered: 0,
-            dedup_dropped: 0,
-            lost: 0,
-            empty_sends: 0,
-            node_completion_rounds: vec![None; n],
-        }
-    }
-
-    /// The round the last node finished, if all finished.
-    #[must_use]
-    pub fn last_completion_round(&self) -> Option<u64> {
-        self.node_completion_rounds
-            .iter()
-            .copied()
-            .collect::<Option<Vec<u64>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0))
-    }
-
-    /// The round the first node finished, if any did.
-    #[must_use]
-    pub fn first_completion_round(&self) -> Option<u64> {
-        self.node_completion_rounds.iter().flatten().copied().min()
-    }
-
     /// Total messages that entered the network
     /// (delivered + dedup-dropped + lost).
     #[must_use]
@@ -172,24 +143,13 @@ mod tests {
     }
 
     #[test]
-    fn completion_round_helpers() {
-        let mut s = RunStats::new(3);
-        assert_eq!(s.last_completion_round(), None);
-        assert_eq!(s.first_completion_round(), None);
-        s.node_completion_rounds = vec![Some(4), Some(2), Some(9)];
-        assert_eq!(s.last_completion_round(), Some(9));
-        assert_eq!(s.first_completion_round(), Some(2));
-        s.node_completion_rounds[1] = None;
-        assert_eq!(s.last_completion_round(), None);
-        assert_eq!(s.first_completion_round(), Some(4));
-    }
-
-    #[test]
     fn messages_sent_sums() {
-        let mut s = RunStats::new(1);
-        s.messages_delivered = 10;
-        s.dedup_dropped = 2;
-        s.lost = 1;
+        let s = RunStats {
+            messages_delivered: 10,
+            dedup_dropped: 2,
+            lost: 1,
+            ..RunStats::default()
+        };
         assert_eq!(s.messages_sent(), 13);
     }
 }

@@ -1,7 +1,9 @@
 //! Differential lock for the round loop: [`Engine`] and the test-only
 //! oracle loop in `oracle/` ([`ReferenceEngine`]) must produce
-//! bit-identical [`RunStats`] and observer traces for every protocol,
-//! graph, time model, action, loss rate and dedup setting.
+//! bit-identical [`RunStats`], observer traces and per-node completion
+//! rounds for every protocol, graph, time model, action, loss rate and
+//! dedup setting. The engine keeps no per-node record: its side is what
+//! an observer sees (`completion/`), the oracle's is its own record.
 //!
 //! The engine keeps persistent scratch, resolves same-sender dedup with an
 //! analytic rule over the intent table while it merges, composes slot by
@@ -13,6 +15,7 @@
 //! coefficients) fail if either side's keying drifts. This suite is the
 //! engine-level analogue of `crates/rlnc/tests/differential_decoder.rs`.
 
+mod completion;
 mod oracle;
 
 use ag_gf::Gf2;
@@ -21,6 +24,7 @@ use ag_sim::{
     Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol, RunStats,
 };
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
+use completion::run_with_completion;
 use oracle::ReferenceEngine;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -101,17 +105,22 @@ fn run_both_on<T: Topology + Clone>(
 ) -> ((RunStats, Trace), (RunStats, Trace)) {
     let mut fast_proto = Flood::new(topology.clone(), action, comm, proto_seed);
     let mut fast_trace = Trace::new();
-    let fast = Engine::new(cfg).run_observed(&mut fast_proto, |r, p| {
-        fast_trace.push((r, flood_fingerprint(p)));
-    });
+    let (fast, fast_finished) =
+        run_with_completion(&mut Engine::new(cfg), &mut fast_proto, |r, p| {
+            fast_trace.push((r, flood_fingerprint(p)));
+        });
     let mut ref_proto = Flood::new(topology.clone(), action, comm, proto_seed);
     let mut ref_trace = Trace::new();
-    let slow = ReferenceEngine::new(cfg).run_observed(&mut ref_proto, |r, p| {
+    let (slow, ref_finished) = ReferenceEngine::new(cfg).run_observed(&mut ref_proto, |r, p| {
         ref_trace.push((r, flood_fingerprint(p)));
     });
     assert_eq!(
         fast_proto.informed, ref_proto.informed,
         "final state diverged"
+    );
+    assert_eq!(
+        fast_finished, ref_finished,
+        "per-node completion rounds diverged"
     );
     assert_eq!(
         fast_proto.topology.epoch(),
@@ -313,13 +322,19 @@ fn compose_drawing_protocol_matches_reference() {
             let build = || AlgebraicGossip::<Gf2>::new(graph, &ag_cfg, seed ^ 0xC0DE).expect("ag");
             let (mut fast_proto, mut ref_proto) = (build(), build());
             let (mut fast_trace, mut ref_trace) = (AgTrace::new(), AgTrace::new());
-            let fast = Engine::new(cfg)
-                .run_observed(&mut fast_proto, |r, p| fast_trace.push((r, fingerprint(p))));
-            let slow = ReferenceEngine::new(cfg)
+            let (fast, fast_finished) =
+                run_with_completion(&mut Engine::new(cfg), &mut fast_proto, |r, p| {
+                    fast_trace.push((r, fingerprint(p)));
+                });
+            let (slow, ref_finished) = ReferenceEngine::new(cfg)
                 .run_observed(&mut ref_proto, |r, p| ref_trace.push((r, fingerprint(p))));
             assert!(fast.completed, "AG must finish at seed {seed}");
             assert_eq!(fast, slow, "stats diverged at seed {seed}");
             assert_eq!(fast_trace, ref_trace, "traces diverged at seed {seed}");
+            assert_eq!(
+                fast_finished, ref_finished,
+                "completion diverged at seed {seed}"
+            );
             for v in 0..graph.n() {
                 assert_eq!(fast_proto.decoded(v), ref_proto.decoded(v));
             }
@@ -373,11 +388,14 @@ proptest! {
         let (mut fast_proto, mut ref_proto) =
             (crash_wrapped_ag(n, k, seed), crash_wrapped_ag(n, k, seed));
         let (mut fast_trace, mut ref_trace) = (Trace::new(), Trace::new());
-        let fast = Engine::new(cfg)
-            .run_observed(&mut fast_proto, |r, p| fast_trace.push((r, rank(p))));
-        let slow = ReferenceEngine::new(cfg)
+        let (fast, fast_finished) =
+            run_with_completion(&mut Engine::new(cfg), &mut fast_proto, |r, p| {
+                fast_trace.push((r, rank(p)));
+            });
+        let (slow, ref_finished) = ReferenceEngine::new(cfg)
             .run_observed(&mut ref_proto, |r, p| ref_trace.push((r, rank(p))));
         prop_assert_eq!(fast, slow);
         prop_assert_eq!(fast_trace, ref_trace);
+        prop_assert_eq!(fast_finished, ref_finished);
     }
 }

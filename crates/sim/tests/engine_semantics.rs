@@ -1,8 +1,11 @@
 //! Extra engine-semantics tests: direction handling, accounting, and the
 //! paper's model rules, exercised through a purpose-built probe protocol.
 
+mod completion;
+
 use ag_graph::NodeId;
 use ag_sim::{Action, ContactIntent, Engine, EngineConfig, Protocol};
+use completion::run_with_completion;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -197,14 +200,12 @@ fn completion_round_zero_for_pre_complete_nodes() {
         received: vec![Vec::new(); 4],
         target_msgs: 2,
     };
-    let stats = Engine::new(EngineConfig::synchronous(0).with_max_rounds(100)).run(&mut p);
+    let mut engine = Engine::new(EngineConfig::synchronous(0).with_max_rounds(100));
+    let (stats, finished) = run_with_completion(&mut engine, &mut p, |_, _| {});
     assert!(stats.completed);
-    // Idle nodes 2, 3 complete at time 0.
-    assert_eq!(stats.node_completion_rounds[2], Some(0));
-    assert_eq!(stats.node_completion_rounds[3], Some(0));
-    // The active pair completes at round 2 (one push per round).
-    assert_eq!(stats.node_completion_rounds[0], Some(2));
-    assert_eq!(stats.node_completion_rounds[1], Some(2));
+    // Idle nodes 2, 3 complete at time 0; the active pair at round 2 (one
+    // push per round).
+    assert_eq!(finished, [Some(2), Some(2), Some(0), Some(0)]);
 }
 
 /// What happened to one message: `(from, to, delivered)`.

@@ -11,7 +11,10 @@
 //! `(seed, round, slot)`, the `dedup_dropped`/`lost` counter split, the
 //! ceiling rounds convention, and the final mid-round observation under
 //! the asynchronous model. For any protocol and seed it must therefore
-//! produce bit-identical [`RunStats`] and observer traces.
+//! produce bit-identical [`RunStats`] and observer traces. It also keeps
+//! the per-node completion record the engine does not: the round each
+//! node finished in, which a test compares with what an observer of the
+//! engine sees.
 //!
 //! The slot key is derived here, from the public seed-mixing primitives,
 //! not through the engine's private `slot_rng`: a keying bug in the engine
@@ -46,12 +49,14 @@ impl ReferenceEngine {
     /// Runs the protocol to completion or budget, invoking
     /// `observer(round, proto)` after every completed round, with the same
     /// final mid-round observation contract as
-    /// [`ag_sim::Engine::run_observed`].
+    /// [`ag_sim::Engine::run_observed`]. Returns the stats beside the round
+    /// each node finished in (0 if it was complete before round 1, `None`
+    /// if it never finished).
     pub fn run_observed<P: Protocol>(
         &mut self,
         proto: &mut P,
         mut observer: impl FnMut(u64, &P),
-    ) -> RunStats {
+    ) -> (RunStats, Vec<Option<u64>>) {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
         let mut stats = RunStats {
@@ -62,25 +67,23 @@ impl ReferenceEngine {
             dedup_dropped: 0,
             lost: 0,
             empty_sends: 0,
-            node_completion_rounds: vec![None; n],
         };
-        let mut complete = vec![false; n];
+        let mut finished = vec![None; n];
         let mut incomplete = n;
-        for (v, flag) in complete.iter_mut().enumerate() {
+        for (v, at) in finished.iter_mut().enumerate() {
             if proto.node_complete(v) {
-                stats.node_completion_rounds[v] = Some(0);
-                *flag = true;
+                *at = Some(0);
                 incomplete -= 1;
             }
         }
         if incomplete == 0 {
             stats.completed = true;
-            return stats;
+            return (stats, finished);
         }
         match self.config.time_model {
             TimeModel::Synchronous => {
                 while stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &mut stats, &mut complete, &mut incomplete);
+                    self.sync_round(proto, &mut stats, &mut finished, &mut incomplete);
                     observer(stats.rounds, proto);
                     if incomplete == 0 {
                         stats.completed = true;
@@ -94,7 +97,7 @@ impl ReferenceEngine {
                     if stats.timeslots.is_multiple_of(n as u64) {
                         proto.on_round_start(stats.timeslots / n as u64 + 1);
                     }
-                    self.async_slot(proto, &mut stats, &mut complete, &mut incomplete, n);
+                    self.async_slot(proto, &mut stats, &mut finished, &mut incomplete, n);
                     if stats.timeslots.is_multiple_of(n as u64) {
                         stats.rounds = stats.timeslots / n as u64;
                         observer(stats.rounds, proto);
@@ -110,7 +113,7 @@ impl ReferenceEngine {
                 }
             }
         }
-        stats
+        (stats, finished)
     }
 
     /// One synchronous round: fresh per-round allocations, hash-set dedup
@@ -119,7 +122,7 @@ impl ReferenceEngine {
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
-        complete: &mut [bool],
+        finished: &mut [Option<u64>],
         incomplete: &mut usize,
     ) {
         let n = proto.num_nodes();
@@ -180,11 +183,10 @@ impl ReferenceEngine {
         }
         stats.rounds += 1;
         stats.timeslots += n as u64;
-        // 6. Completion sweep over every node's flag.
-        for (v, flag) in complete.iter_mut().enumerate() {
-            if !*flag && proto.node_complete(v) {
-                *flag = true;
-                stats.node_completion_rounds[v] = Some(stats.rounds);
+        // 6. Completion sweep over every node's record.
+        for (v, at) in finished.iter_mut().enumerate() {
+            if at.is_none() && proto.node_complete(v) {
+                *at = Some(stats.rounds);
                 *incomplete -= 1;
             }
         }
@@ -195,26 +197,22 @@ impl ReferenceEngine {
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
-        complete: &mut [bool],
+        finished: &mut [Option<u64>],
         incomplete: &mut usize,
         n: usize,
     ) {
         stats.timeslots += 1;
         let round_now = stats.timeslots.div_ceil(n as u64);
-        let refresh = |proto: &P,
-                       node: NodeId,
-                       complete: &mut [bool],
-                       incomplete: &mut usize,
-                       stats: &mut RunStats| {
-            if !complete[node] && proto.node_complete(node) {
-                complete[node] = true;
-                stats.node_completion_rounds[node] = Some(round_now);
-                *incomplete -= 1;
-            }
-        };
+        let refresh =
+            |proto: &P, node: NodeId, finished: &mut [Option<u64>], incomplete: &mut usize| {
+                if finished[node].is_none() && proto.node_complete(node) {
+                    finished[node] = Some(round_now);
+                    *incomplete -= 1;
+                }
+            };
         let v = self.rng.gen_range(0..n);
         let Some(intent) = proto.on_wakeup(v, &mut self.rng) else {
-            refresh(proto, v, complete, incomplete, stats);
+            refresh(proto, v, finished, incomplete);
             return;
         };
         let u = intent.partner;
@@ -245,7 +243,7 @@ impl ReferenceEngine {
             proto.deliver(from, to, intent.tag, msg);
             stats.messages_delivered += 1;
         }
-        refresh(proto, v, complete, incomplete, stats);
-        refresh(proto, u, complete, incomplete, stats);
+        refresh(proto, v, finished, incomplete);
+        refresh(proto, u, finished, incomplete);
     }
 }

@@ -1,8 +1,11 @@
 //! Property-based tests of the engine's invariants under a randomized
 //! flooding protocol.
 
+mod completion;
+
 use ag_graph::{builders, Graph, NodeId};
 use ag_sim::{Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol};
+use completion::run_with_completion;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,15 +84,15 @@ proptest! {
             EngineConfig::asynchronous(seed)
         }
         .with_max_rounds(500_000);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let (stats, finished) = run_with_completion(&mut Engine::new(cfg), &mut proto, |_, _| {});
         prop_assert!(stats.completed);
-        // Every node's completion round is recorded and the source is 0.
-        prop_assert_eq!(stats.node_completion_rounds[0], Some(0));
-        prop_assert!(stats.node_completion_rounds.iter().all(Option::is_some));
+        // Every node finished, the source at round 0.
+        prop_assert_eq!(finished[0], Some(0));
+        prop_assert!(finished.iter().all(Option::is_some));
         // Bookkeeping identities.
         prop_assert_eq!(stats.messages_sent(),
                         stats.messages_delivered + stats.dedup_dropped + stats.lost);
-        prop_assert_eq!(stats.last_completion_round().unwrap() <= stats.rounds, true);
+        prop_assert_eq!(finished.iter().flatten().max(), Some(&stats.rounds));
     }
 
     /// In the synchronous model information travels at most one hop per
@@ -99,13 +102,11 @@ proptest! {
         let g = builders::path(n).unwrap();
         let bfs = g.bfs_tree(0);
         let mut proto = Flood::new(g.clone(), Action::Exchange, seed);
-        let stats = Engine::new(
-            EngineConfig::synchronous(seed).with_max_rounds(500_000),
-        )
-        .run(&mut proto);
+        let mut engine = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(500_000));
+        let (stats, finished) = run_with_completion(&mut engine, &mut proto, |_, _| {});
         prop_assert!(stats.completed);
-        for v in 0..n {
-            let round = stats.node_completion_rounds[v].unwrap();
+        for (v, round) in finished.into_iter().enumerate() {
+            let round = round.unwrap();
             prop_assert!(
                 round >= u64::from(bfs.dist(v).unwrap()),
                 "node {v} informed at round {round}, below its distance"
