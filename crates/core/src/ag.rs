@@ -6,7 +6,7 @@ use ag_rlnc::Generation;
 use ag_sim::{Action, CommModel, ContactIntent, PartnerSelector, Protocol, ProtocolShard};
 use rand::rngs::StdRng;
 
-use crate::coded_nodes::{require_connected, CodedNodes};
+use crate::coded_nodes::{require_connected, CodedMsg, CodedNodes};
 use crate::placement::Placement;
 
 /// Configuration for an [`AlgebraicGossip`] instance.
@@ -282,17 +282,17 @@ impl<F: SlabField, T: Topology> AlgebraicGossip<F, T> {
 }
 
 impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
-    /// A message is `Some` index of its packed augmented row (the
-    /// [`ag_rlnc::Recoder::emit_packed_row`] wire format) in the protocol's
-    /// slab of the round's messages, which `on_round_start` rewinds, or
-    /// `None` when its receiver's span contained the sender's at compose
-    /// (the no-row contract of `CodedNodes`, in `coded_nodes.rs`): such a
-    /// message makes the same coefficient draws, carries no row and is
-    /// delivered as one redundant reception.
+    /// A message is a [`CodedMsg`]: the index of its packed augmented row
+    /// in the protocol's slab of the round's messages, which
+    /// `on_round_start` rewinds, or no row when its receiver's span
+    /// contained the sender's at compose (the no-row contract of
+    /// `CodedNodes`, in `coded_nodes.rs`): such a message makes the same
+    /// coefficient draws, carries no row and is delivered as one redundant
+    /// reception.
     /// A contact costs **zero** heap allocations end to end, and a message
     /// the engine drops frees nothing — the difference that lets the
     /// payload-carrying sweeps run 10⁵-node graphs.
-    type Msg = Option<u32>;
+    type Msg = CodedMsg;
 
     fn num_nodes(&self) -> usize {
         self.topology.n()
@@ -314,17 +314,11 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         })
     }
 
-    fn compose(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        _tag: u32,
-        rng: &mut StdRng,
-    ) -> Option<Option<u32>> {
+    fn compose(&self, from: NodeId, to: NodeId, _tag: u32, rng: &mut StdRng) -> Option<CodedMsg> {
         self.nodes.compose(from, to, rng)
     }
 
-    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
+    fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, msg: CodedMsg) {
         self.nodes.deliver(from, to, msg);
     }
 
@@ -340,11 +334,11 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
         &mut self,
         bounds: &[(usize, usize)],
         send_counts: &[usize],
-    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = Option<u32>> + '_>>> {
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = CodedMsg> + '_>>> {
         let shards = self.nodes.shards(bounds, send_counts);
         Some(
             shards
-                .map(|s| Box::new(s) as Box<dyn ProtocolShard<Msg = Option<u32>> + '_>)
+                .map(|s| Box::new(s) as Box<dyn ProtocolShard<Msg = CodedMsg> + '_>)
                 .collect(),
         )
     }

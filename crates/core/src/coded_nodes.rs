@@ -45,6 +45,7 @@
 //! helpful receptions of a sharded phase are simply not counted in it.
 
 use std::cell::{Cell, RefCell};
+use std::num::NonZeroU32;
 
 use ag_gf::SlabField;
 use ag_graph::{GraphError, NodeId, Topology};
@@ -62,7 +63,8 @@ use crate::ag::AgConfig;
 /// [`crate::Tag`] differ only in who talks to whom; what is said and how
 /// it is received is this, once.
 ///
-/// A message is `Some` index of its packed row in the slab, or `None`.
+/// A message is a [`CodedMsg`]: the index of its packed row in the slab,
+/// or no row.
 ///
 /// **The no-row contract:** a message carries no row only when, as it is
 /// composed, its receiver's span contains its sender's. A message helps
@@ -119,6 +121,39 @@ pub(crate) struct CodedNodes<F: SlabField> {
     shard_redundant: Vec<u64>,
 }
 
+/// A coded message of [`crate::AlgebraicGossip`] and [`crate::Tag`]: the
+/// index of its packed row (the [`ag_rlnc::Recoder::emit_packed_row`] wire
+/// format) in the protocol's slab of the round's messages, or no row, for
+/// a receiver whose span contained the sender's at compose (the no-row
+/// contract of the protocols' shared node store), which is delivered as one
+/// redundant reception. A row index `i` is stored as `i + 1` and no row as
+/// `u32::MAX`, so the message is four bytes and never zero, and an
+/// `Option<CodedMsg>`, an entry of the engine's slot table, is four bytes
+/// too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodedMsg(NonZeroU32);
+
+impl CodedMsg {
+    /// The message that carries no row.
+    pub(crate) const NO_ROW: Self = CodedMsg(NonZeroU32::MAX);
+
+    /// The message carrying slab row `index`, or `None` for an index the
+    /// encoding cannot hold (`u32::MAX − 1` or more).
+    pub(crate) fn row(index: usize) -> Option<Self> {
+        u32::try_from(index)
+            .ok()
+            .and_then(|i| i.checked_add(1))
+            .filter(|&raw| raw != u32::MAX)
+            .and_then(NonZeroU32::new)
+            .map(CodedMsg)
+    }
+
+    /// The slab row the message carries, or `None` for no row.
+    pub(crate) fn row_index(self) -> Option<usize> {
+        (self != Self::NO_ROW).then(|| self.0.get() as usize - 1)
+    }
+}
+
 /// One node's slot of the pair ledger: the partner it claimed and the
 /// helpful receptions between the two since. A slot is free while it has
 /// counted nothing (the default), so its first count is its claim and a
@@ -143,7 +178,7 @@ impl Slot {
     /// Counts one helpful reception between the slot's node and `other`,
     /// claiming the slot for `other` if it is free.
     fn record(&mut self, other: NodeId) {
-        // `CodedNodes::new` bounds `n` by its `u32` row index.
+        // `CodedNodes::new` bounds `n` by its `CodedMsg` row index.
         let other = other as u32;
         if self.helpful == 0 {
             self.partner = other;
@@ -204,7 +239,7 @@ impl<F: SlabField> CodedNodes<F> {
     /// topology); [`GraphError::InvalidSize`] if a given generation's shape
     /// is not `cfg`'s or `cfg.coding_density` is outside `(0, 1]`;
     /// `Placement::validate`'s; and [`GraphError::InvalidSize`] if
-    /// `directions × n` rows do not fit a `u32` row index or the arena's
+    /// `directions × n` rows do not fit a [`CodedMsg`] row index or the arena's
     /// sizing or the slab's allocation fails.
     pub(crate) fn new(
         n: usize,
@@ -247,9 +282,9 @@ impl<F: SlabField> CodedNodes<F> {
         let generation = generation.unwrap_or(drawn);
         let hosts = cfg.placement.assign(n, cfg.k, &mut rng);
         let rows = directions.saturating_mul(n);
-        if u32::try_from(rows.saturating_sub(1)).is_err() {
+        if CodedMsg::row(rows.saturating_sub(1)).is_none() {
             return Err(GraphError::InvalidSize(format!(
-                "{directions} × {n} message rows do not fit a u32 row index"
+                "{directions} × {n} message rows do not fit a coded message's row index"
             )));
         }
         let mut basis = BasisArena::try_new(n, cfg.k, cfg.k + cfg.payload_len)
@@ -286,23 +321,19 @@ impl<F: SlabField> CodedNodes<F> {
     /// whose index it returns. `None` for a rank-0 node, which has nothing
     /// to say, and takes no row. A receiver that is already full, that the
     /// pair ledger proves contains `from`'s span, or that spans exactly
-    /// what `from` does, gets the same draws and no row (`Some(None)`). A
-    /// round that outgrows the slab's ceiling (a caller that composes
-    /// without ever starting a round) grows it, and one whose row index
-    /// outgrows a `u32` composes nothing.
-    pub(crate) fn compose(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        rng: &mut StdRng,
-    ) -> Option<Option<u32>> {
+    /// what `from` does, gets the same draws and no row
+    /// ([`CodedMsg::NO_ROW`]). A round that outgrows the slab's ceiling (a
+    /// caller that composes without ever starting a round) grows it, and
+    /// one whose row index outgrows a [`CodedMsg`] composes nothing.
+    pub(crate) fn compose(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> Option<CodedMsg> {
         let (mut basis, factors) = (&self.basis, &mut self.factors.borrow_mut());
         if basis.is_full(to) || self.ledger_contains(from, to) || basis.same_span(from, to) {
-            return recode(&mut basis, from, self.density, factors, rng, None).then_some(None);
+            return recode(&mut basis, from, self.density, factors, rng, None)
+                .then_some(CodedMsg::NO_ROW);
         }
         let rb = basis.row_bytes();
         let row = self.composed.get();
-        let index = u32::try_from(row).ok()?;
+        let msg = CodedMsg::row(row)?;
         let mut slab = self.slab.borrow_mut();
         let at = row * rb;
         if slab.len() < at + rb {
@@ -313,7 +344,7 @@ impl<F: SlabField> CodedNodes<F> {
             return None;
         }
         self.composed.set(row + 1);
-        Some(Some(index))
+        Some(msg)
     }
 
     /// Does the pair ledger prove span(`from`) ⊆ span(`to`)? Sound, not
@@ -334,12 +365,12 @@ impl<F: SlabField> CodedNodes<F> {
     /// Delivers `from`'s message at slab row `msg` to `to`, reducing a
     /// copy of the row. A helpful one is counted in the pair ledger; a
     /// redundant one, or a message with no row, in the redundant count.
-    pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, msg: Option<u32>) {
-        let verdict = match msg {
+    pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, msg: CodedMsg) {
+        let verdict = match msg.row_index() {
             None => no_row(self.basis.rank(to)),
-            Some(msg) => {
+            Some(row) => {
                 let rb = self.basis.row_bytes();
-                let at = msg as usize * rb;
+                let at = row * rb;
                 self.basis
                     .insert_packed_slice(to, &self.slab.get_mut()[at..at + rb])
             }
@@ -493,7 +524,7 @@ pub(crate) struct CodedShard<'a, F: SlabField> {
 }
 
 impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
-    type Msg = Option<u32>;
+    type Msg = CodedMsg;
 
     /// Takes the shard's next free row whatever it composes (the rows were
     /// reserved per planned send), and leaves it unwritten for a full
@@ -505,27 +536,28 @@ impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
         to: NodeId,
         _tag: u32,
         rng: &mut StdRng,
-    ) -> Option<Option<u32>> {
+    ) -> Option<CodedMsg> {
         let rb = self.row_bytes;
         let (out, rest) = std::mem::take(&mut self.free).split_at_mut_checked(rb)?;
         self.free = rest;
-        let index = u32::try_from(self.next).ok()?;
+        let msg = CodedMsg::row(self.next)?;
         self.next += 1;
         let factors = &mut self.scratch;
         if self.full[to / 64] >> (to % 64) & 1 == 1 {
-            return recode(&mut self.basis, from, self.density, factors, rng, None).then_some(None);
+            return recode(&mut self.basis, from, self.density, factors, rng, None)
+                .then_some(CodedMsg::NO_ROW);
         }
-        recode(&mut self.basis, from, self.density, factors, rng, Some(out)).then_some(Some(index))
+        recode(&mut self.basis, from, self.density, factors, rng, Some(out)).then_some(msg)
     }
 
     /// Reduces a copy of the row; the insert answers a full receiver from
     /// its rank.
-    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: Option<u32>) {
-        let verdict = match msg {
+    fn deliver(&mut self, _from: NodeId, to: NodeId, _tag: u32, msg: CodedMsg) {
+        let verdict = match msg.row_index() {
             None => no_row(self.basis.rank(to)),
-            Some(msg) => {
+            Some(row) => {
                 let rb = self.row_bytes;
-                let at = msg as usize * rb;
+                let at = row * rb;
                 self.scratch.clear();
                 self.scratch.extend_from_slice(&self.composed[at..at + rb]);
                 self.basis.insert_packed_mut(to, &mut self.scratch)
@@ -580,13 +612,13 @@ mod tests {
 
         let mut skip = StdRng::seed_from_u64(5);
         let mut real = skip.clone();
-        assert_eq!(nodes.compose(0, 2, &mut skip), Some(None));
+        assert_eq!(nodes.compose(0, 2, &mut skip), Some(CodedMsg::NO_ROW));
         assert_eq!(nodes.composed.get(), 0, "a row was taken");
         assert!(nodes.slab.borrow().iter().all(|&b| b == 0), "written");
-        assert_eq!(nodes.compose(0, 1, &mut real), Some(Some(0)));
+        assert_eq!(nodes.compose(0, 1, &mut real), CodedMsg::row(0));
         assert_eq!(skip.next_u64(), real.next_u64());
         assert_eq!(nodes.compose(1, 2, &mut skip), None, "rank 0 says nothing");
-        nodes.deliver(0, 2, None);
+        nodes.deliver(0, 2, CodedMsg::NO_ROW);
         assert_eq!(nodes.redundant_receptions(), 1);
 
         // Equal spans, neither full. A fixed emit from the receiver reads
@@ -607,27 +639,38 @@ mod tests {
         let rows_4 = emit_4(&nodes);
         let slab = nodes.slab.borrow().clone();
         assert!(!nodes.basis.is_full(4));
-        assert_eq!(nodes.compose(3, 4, &mut skip), Some(None), "equal spans");
+        assert_eq!(
+            nodes.compose(3, 4, &mut skip),
+            Some(CodedMsg::NO_ROW),
+            "equal spans"
+        );
         assert_eq!(nodes.composed.get(), 1, "a row was taken");
         assert_eq!(*nodes.slab.borrow(), slab, "written");
-        assert_eq!(nodes.compose(3, 1, &mut real), Some(Some(1)));
+        assert_eq!(nodes.compose(3, 1, &mut real), CodedMsg::row(1));
         assert_eq!(skip.next_u64(), real.next_u64());
         let mut other = StdRng::seed_from_u64(6);
-        assert_eq!(nodes.compose(4, 3, &mut other), Some(None), "either way");
-        nodes.deliver(3, 4, None);
+        assert_eq!(
+            nodes.compose(4, 3, &mut other),
+            Some(CodedMsg::NO_ROW),
+            "either way"
+        );
+        nodes.deliver(3, 4, CodedMsg::NO_ROW);
         assert_eq!(nodes.redundant_receptions(), 2);
         assert_eq!(nodes.basis.rank(4), 2);
         assert_eq!(emit_4(&nodes), rows_4, "the receiver's rows changed");
         // The row node 3 did compose is redundant at node 4 too.
-        nodes.deliver(3, 4, Some(1));
+        nodes.deliver(3, 4, CodedMsg::row(1).unwrap());
         assert_eq!(nodes.redundant_receptions(), 3);
         assert_eq!(emit_4(&nodes), rows_4);
 
         nodes.rewind();
         let row_0 = nodes.slab.borrow()[..rb].to_vec();
         let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 5)], &[2, 0]).collect();
-        assert_eq!(shards[0].compose(0, 2, 0, &mut skip), Some(None));
-        assert_eq!(shards[0].compose(0, 1, 0, &mut real), Some(Some(1)));
+        assert_eq!(
+            shards[0].compose(0, 2, 0, &mut skip),
+            Some(CodedMsg::NO_ROW)
+        );
+        assert_eq!(shards[0].compose(0, 1, 0, &mut real), CodedMsg::row(1));
         assert_eq!(skip.next_u64(), real.next_u64());
         drop(shards);
         assert_eq!(
@@ -639,14 +682,31 @@ mod tests {
         // receiver that holds the sender's span, full or not; and a row to
         // a full receiver too.
         let mut shards: Vec<_> = nodes.shards(&[(0, 1), (1, 5)], &[0, 0]).collect();
-        shards[1].deliver(0, 2, 0, None);
-        shards[1].deliver(3, 4, 0, None);
-        shards[1].deliver(0, 2, 0, Some(0));
+        shards[1].deliver(0, 2, 0, CodedMsg::NO_ROW);
+        shards[1].deliver(3, 4, 0, CodedMsg::NO_ROW);
+        shards[1].deliver(0, 2, 0, CodedMsg::row(0).unwrap());
         drop(shards);
         assert_eq!(nodes.shard_redundant, [0, 3]);
         assert_eq!(nodes.redundant_receptions(), 6);
         assert_eq!(ranks(&nodes), seeded, "no rank moved");
         assert_eq!(emit_4(&nodes), rows_4);
+    }
+
+    /// A coded message holds rows `0..=u32::MAX − 2` and no row, each
+    /// distinct, and an index beyond that range is refused rather than
+    /// wrapped into another message.
+    #[test]
+    fn a_coded_message_is_a_row_index_or_no_row() {
+        let last = u32::MAX as usize - 2;
+        for index in [0, 1, 1 << 31, last] {
+            let msg = CodedMsg::row(index).expect("the index fits");
+            assert_eq!(msg.row_index(), Some(index));
+            assert_ne!(msg, CodedMsg::NO_ROW);
+        }
+        assert_eq!(CodedMsg::NO_ROW.row_index(), None);
+        for index in [last + 1, last + 2, usize::MAX] {
+            assert_eq!(CodedMsg::row(index), None, "{index}");
+        }
     }
 
     /// Bytes `nodes` holds on the heap, field by field. The destructuring
@@ -680,7 +740,7 @@ mod tests {
     }
 
     /// The node store's footprint: a rank-only GF(2⁸) node at k = 8 holds
-    /// its arena head, rank and class (104 B), its ledger slot (8 B), two
+    /// its arena head, rank and class (88 B), its ledger slot (8 B), two
     /// message-slab rows (16 B) and its bit of the full set, at
     /// construction and after serial and sharded rounds. Measured as the
     /// growth from 640 to 1,280 nodes, so what does not scale with `n`
@@ -695,7 +755,7 @@ mod tests {
         };
         let (small, large) = (640, 1280);
         let (mut a, mut b) = (store(small), store(large));
-        let per_node_eighths = 8 * (104 + 8 + 16) + 1;
+        let per_node_eighths = 8 * (88 + 8 + 16) + 1;
         let mut rng = StdRng::seed_from_u64(4);
         for round in 0..4 {
             for nodes in [&mut a, &mut b] {
@@ -825,8 +885,8 @@ mod tests {
                 }
             }
             for (from, to, msg) in composed {
-                if let Some(row) = msg {
-                    let at = row as usize * nodes.basis.row_bytes();
+                if let Some(row) = msg.row_index() {
+                    let at = row * nodes.basis.row_bytes();
                     given[to].push(F::unpack(&nodes.slab.borrow()[at..at + coeff_bytes]));
                 }
                 nodes.deliver(from, to, msg);

@@ -105,6 +105,7 @@ pub use ag::{AgConfig, AlgebraicGossip};
 pub use ag_sim::{Action, CommModel, TimeModel};
 pub use baseline::{RandomMessageGossip, RawMsg};
 pub use broadcast::BroadcastTree;
+pub use coded_nodes::CodedMsg;
 pub use crash::{CrashPlan, WithCrashes};
 pub use is_tree::{HeardSet, IsTree};
 pub use oracle::OracleTree;

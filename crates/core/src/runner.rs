@@ -359,41 +359,41 @@ mod tests {
                 }
             }
         }
-        // The message slab's row index is a u32: 2^31 nodes' two messages
-        // a contact index to 2^32 − 1, one node more does not fit, and is
-        // refused before anything is allocated.
+        // A message names its slab row in a `CodedMsg`, which holds rows
+        // up to 2^32 − 3: 2^31 − 1 nodes' two messages a contact fit, one
+        // node more does not, and is refused before anything is allocated.
         let cfg = AgConfig::new(1);
-        let err = CodedNodes::<Gf256>::new((1 << 31) + 1, &cfg, None, 1, 2, || Ok(()))
+        let err = CodedNodes::<Gf256>::new(1 << 31, &cfg, None, 1, 2, || Ok(()))
             .expect_err("the slab index must overflow");
         assert_eq!(
             err,
             GraphError::InvalidSize(format!(
-                "2 × {} message rows do not fit a u32 row index",
-                (1u64 << 31) + 1
+                "2 × {} message rows do not fit a coded message's row index",
+                1u64 << 31
             ))
         );
-        // The arena's own sizing is typed too. At 2^31 nodes the slab's
-        // rows fit, and nodes of k = 2^17 one-symbol messages overflow
-        // `usize`. The count reported is the whole full-rank footprint: per
-        // node a head (pivot map, coefficient rows), a rank, a span class,
-        // the payload rows with their alignment slack and the elimination
-        // log.
-        let k: u128 = 1 << 17;
-        let cfg = AgConfig::new(1 << 17).with_payload_len(1);
-        let err = CodedNodes::<Gf256>::new(1 << 31, &cfg, None, 1, 2, || Ok(()))
+        // The arena's own sizing is typed too. At 2^31 − 1 nodes the slab's
+        // rows fit, and nodes of k = 2^16 one-symbol messages (the widest
+        // pivot map there is) overflow `usize`. The count reported is the
+        // whole full-rank footprint: per node a head (pivot map, coefficient
+        // rows), a rank, a span class, the payload rows with their
+        // alignment slack and the elimination log.
+        let k: u128 = 1 << 16;
+        let cfg = AgConfig::new(1 << 16).with_payload_len(1);
+        let err = CodedNodes::<Gf256>::new((1 << 31) - 1, &cfg, None, 1, 2, || Ok(()))
             .expect_err("arena sizing must overflow");
-        let bytes = (1u128 << 31) * (k * (4 + k) + 4 + 4 + k + 63 + k * k);
+        let bytes = ((1u128 << 31) - 1) * (k * (2 + k) + 4 + 4 + k + 63 + k * k);
         assert!(
             matches!(&err, GraphError::InvalidSize(m)
                 if m.contains("overflows usize") && m.contains(&bytes.to_string())),
             "{err:?}"
         );
-        // At k = 512 those nodes are 2^31 heads of 264,192 bytes: that fits
-        // `usize` and no machine, and is refused as an error too.
+        // At k = 512 those nodes are 2^31 − 1 heads of 263,168 bytes: that
+        // fits `usize` and no machine, and is refused as an error too.
         let cfg = AgConfig::new(512);
-        let err = CodedNodes::<Gf256>::new(1 << 31, &cfg, None, 1, 2, || Ok(()))
+        let err = CodedNodes::<Gf256>::new((1 << 31) - 1, &cfg, None, 1, 2, || Ok(()))
             .expect_err("the head slab must be refused");
-        let heads = (1u64 << 31) * 512 * (4 + 512);
+        let heads = ((1u64 << 31) - 1) * 512 * (2 + 512);
         assert!(
             matches!(&err, GraphError::InvalidSize(m)
                 if m.contains(&format!("could not reserve {heads} bytes"))),

@@ -7,7 +7,7 @@ use ag_sim::{Action, ContactIntent, Protocol};
 use rand::rngs::StdRng;
 
 use crate::ag::AgConfig;
-use crate::coded_nodes::{require_connected, CodedNodes};
+use crate::coded_nodes::{require_connected, CodedMsg, CodedNodes};
 use crate::tree_protocol::TreeProtocol;
 
 /// The message type of [`Tag`]: Phase-1 (spanning tree) or Phase-2 (RLNC).
@@ -15,11 +15,9 @@ use crate::tree_protocol::TreeProtocol;
 pub enum TagMsg<M> {
     /// A spanning-tree protocol message.
     Tree(M),
-    /// An algebraic-gossip coded message: the index of its packed row in
-    /// the round's message slab, or `None` for a receiver whose span
-    /// contained the sender's at compose (no row, one redundant reception
-    /// on delivery), exactly as [`crate::AlgebraicGossip`] moves them.
-    Ag(Option<u32>),
+    /// An algebraic-gossip coded message, exactly as
+    /// [`crate::AlgebraicGossip`] moves them.
+    Ag(CodedMsg),
 }
 
 /// Contact tags distinguishing TAG's phases inside the engine.

@@ -1,13 +1,15 @@
 //! Counting-allocator audits: what the library promises to do without
 //! touching the heap, checked against this file's own global allocator.
 //!
-//! Seven tests share one [`CountingAllocator`], which keeps two counters.
-//! The per-thread one lets the six serial audits run concurrently: each
-//! reads the allocator entries its own thread made, and libtest's harness
-//! threads (result channels, capture buffers) never show up in anyone's
-//! deltas. The process-wide one is for the fan-out lane, whose workers are
-//! other threads; it sees everybody, so that lane takes [`QUIET`] for
-//! writing and the serial audits take it for reading.
+//! Eight tests share one [`CountingAllocator`], which counts allocator
+//! entries twice and tracks live bytes once. The per-thread call count
+//! lets the serial audits run concurrently: each reads the allocator
+//! entries its own thread made, and libtest's harness threads (result
+//! channels, capture buffers) never show up in anyone's deltas. The
+//! process-wide one is for the fan-out lane, whose workers are other
+//! threads; it sees everybody, so that lane takes [`QUIET`] for writing
+//! and the serial audits take it for reading. The per-thread live and
+//! peak-live byte counts are for the footprint lane.
 //!
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
 //!   allocates for a node's first row and for nothing else: a message is a
@@ -24,6 +26,11 @@
 //! * **Rank-only lane** — the same run with no payload (k = 8, the
 //!   `gossip-rank` shape) has nothing to allocate per node: after round 1
 //!   it never enters the allocator.
+//! * **Footprint lane** — that rank-only run's peak live heap, graph,
+//!   protocol and engine round scratch together, grows by at most
+//!   [`RANK_ONLY_NODE_EIGHTHS`] eighths of a byte per node, a sum of
+//!   named parts, measured between two node counts so that what does not
+//!   scale with `n` cancels.
 //! * **Crash + loss lane** — the same for a `WithCrashes`-wrapped run under
 //!   loss injection: no dedup drop, loss drop or delivery to a crashed node
 //!   costs an allocation.
@@ -65,7 +72,7 @@ use ag_gf::{Gf256, SlabField};
 use ag_graph::builders;
 use ag_linalg::{BasisArena, EchelonBasis};
 use ag_rlnc::{Decoder, Generation, Packet, Recoder};
-use ag_sim::{Engine, EngineConfig, Protocol, RunStats};
+use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol, RunStats};
 use algebraic_gossip::{
     AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement, Tag, WithCrashes,
 };
@@ -79,6 +86,11 @@ struct CountingAllocator;
 thread_local! {
     /// Allocator entries (alloc, alloc_zeroed, realloc) made by this thread.
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed (a block freed
+    /// on another thread than the one that allocated it counts there).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The most [`LIVE_BYTES`] has held since [`peak_growth`] last reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Allocator entries made by every thread of the process.
@@ -90,11 +102,36 @@ static PROCESS_ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 /// it poisoned by another audit's failure just takes the guard.
 static QUIET: RwLock<()> = RwLock::new(());
 
-fn record_alloc() {
+/// Counts one allocator entry that changed this thread's live bytes by
+/// `grown` (negative for a shrinking realloc).
+fn record_alloc(grown: i64) {
     PROCESS_ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: TLS is unavailable during thread teardown, and the
     // allocator can be entered from there.
     let _ = ALLOC_CALLS.try_with(|calls| calls.set(calls.get() + 1));
+    record_bytes(grown);
+}
+
+/// Moves this thread's live bytes by `grown`, raising its peak with them.
+fn record_bytes(grown: i64) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + grown);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// The bytes a block of `size` bytes counts for.
+fn bytes(size: usize) -> i64 {
+    i64::try_from(size).unwrap_or(i64::MAX)
+}
+
+/// How far `f` raised the calling thread's live heap above where it stood
+/// when `f` began, at the highest point.
+fn peak_growth(f: impl FnOnce()) -> i64 {
+    let base = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(base));
+    f();
+    PEAK_BYTES.with(Cell::get) - base
 }
 
 /// Allocator entries the calling thread has made so far.
@@ -110,22 +147,23 @@ fn process_alloc_calls() -> u64 {
 // SAFETY: delegates verbatim to `System`; the counters are a side channel.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record_alloc();
+        record_alloc(bytes(layout.size()));
         // SAFETY: forwards `layout` untouched to `System.alloc`.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record_alloc();
+        record_alloc(bytes(layout.size()));
         // SAFETY: forwards `layout` untouched to `System.alloc_zeroed`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record_alloc();
+        record_alloc(bytes(new_size) - bytes(layout.size()));
         // SAFETY: forwards the caller's `ptr`/`layout`/`new_size` (valid per
         // the GlobalAlloc contract) untouched to `System.realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record_bytes(-bytes(layout.size()));
         // SAFETY: forwards the caller's `ptr`/`layout` (valid per the
         // GlobalAlloc contract) untouched to `System.dealloc`.
         unsafe { System.dealloc(ptr, layout) }
@@ -286,6 +324,77 @@ fn rank_only_run_never_allocates_after_setup() {
         stats.rounds >= 6 && first_rows >= (n - 8) as u64,
         "{} rounds, {first_rows} first rows: not the run this audit is about",
         stats.rounds
+    );
+}
+
+/// What a node of the rank-only run (k = 8 over GF(2⁸), EXCHANGE on a
+/// random 3-regular graph) holds at the run's peak, in bytes, part by
+/// part. The graph's CSR: one `u32` offset and three `u32` targets.
+const CSR_BYTES: usize = 4 + 3 * 4;
+/// The arena: a head of eight 2-byte pivot-map entries and eight 8-byte
+/// coefficient rows, a `u32` rank and a `u32` span class.
+const HEAD_RANK_CLASS_BYTES: usize = 8 * (2 + 8) + 4 + 4;
+/// The pair ledger's slot: a partner and a count, `u32` each.
+const LEDGER_SLOT_BYTES: usize = 8;
+/// The message slab: one 8-byte row per contact direction.
+const SLAB_ROW_BYTES: usize = 2 * 8;
+/// The engine's round scratch: the node's contact intent, its two
+/// slot-table entries (an `Option` of the protocol's message each), its
+/// byte of `live` flags and its `u32` entry in the list of incomplete
+/// nodes.
+const INTENT_BYTES: usize = 16;
+const SLOT_BYTES: usize = 2 * 4;
+const LIVE_FLAG_BYTES: usize = 1;
+const PENDING_BYTES: usize = 4;
+/// The protocol's bit in its set of full nodes, in eighths of a byte.
+const FULL_BIT_EIGHTHS: usize = 1;
+
+/// The sum of the named parts, in eighths of a byte.
+const RANK_ONLY_NODE_EIGHTHS: usize = 8
+    * (CSR_BYTES
+        + HEAD_RANK_CLASS_BYTES
+        + LEDGER_SLOT_BYTES
+        + SLAB_ROW_BYTES
+        + INTENT_BYTES
+        + SLOT_BYTES
+        + LIVE_FLAG_BYTES
+        + PENDING_BYTES)
+    + FULL_BIT_EIGHTHS;
+
+// The parts that are the size of a type, checked against it.
+const _: () = assert!(size_of::<Option<ContactIntent>>() == INTENT_BYTES);
+const _: () =
+    assert!(2 * size_of::<Option<<AlgebraicGossip<Gf256> as Protocol>::Msg>>() == SLOT_BYTES);
+
+/// The footprint lane: from `SMALL` to `LARGE` nodes the rank-only run's
+/// peak live heap, the graph's construction, the protocol's and a whole run
+/// included, grows by the named parts per node and by no more than one byte
+/// less: the bound is the footprint, not headroom.
+#[test]
+fn rank_only_peak_heap_is_the_named_parts_per_node() {
+    let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
+    // Powers of two: the list of incomplete nodes is collected from a
+    // filter, which grows its capacity by doubling.
+    const SMALL: usize = 4096;
+    const LARGE: usize = 16384;
+    let peak = |n| {
+        peak_growth(|| {
+            let (mut proto, engine_seed) = protocol(n, 8, 0);
+            let stats = Engine::new(EngineConfig::synchronous(engine_seed)).run(&mut proto);
+            assert!(stats.completed, "completion run hit the round budget");
+        })
+    };
+    let (small, large) = (peak(SMALL), peak(LARGE));
+    let grown = usize::try_from(large - small).expect("a larger run peaks higher");
+    let nodes = LARGE - SMALL;
+    assert!(
+        8 * grown <= nodes * RANK_ONLY_NODE_EIGHTHS,
+        "{grown} B for {nodes} more nodes; the named parts allow {} eighths a node",
+        RANK_ONLY_NODE_EIGHTHS
+    );
+    assert!(
+        8 * grown > nodes * (RANK_ONLY_NODE_EIGHTHS - 8),
+        "{grown} B for {nodes} more nodes: a named part is no longer held"
     );
 }
 

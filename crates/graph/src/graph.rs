@@ -45,6 +45,30 @@ fn bad_node_count(n: usize) -> GraphError {
     GraphError::InvalidSize(format!("n = {n} is 0 or too large for a graph"))
 }
 
+/// Checks that a CSR of `n` nodes and `edges` undirected edges fits its
+/// `u32` arrays: at most 2³² nodes, so every id is a `u32` target, and at
+/// most `u32::MAX` adjacency entries (two per edge), so every offset is a
+/// `u32`.
+///
+/// # Errors
+///
+/// [`GraphError::InvalidSize`] for `n == 0` or either bound exceeded.
+fn check_csr_size(n: usize, edges: usize) -> Result<(), GraphError> {
+    if n == 0 || u32::try_from(n - 1).is_err() {
+        return Err(bad_node_count(n));
+    }
+    if edges
+        .checked_mul(2)
+        .is_none_or(|entries| u32::try_from(entries).is_err())
+    {
+        return Err(GraphError::InvalidSize(format!(
+            "{edges} edges exceed the {} adjacency entries of a graph",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// Iterator over a node's sorted neighbor list (see [`Graph::neighbors`]).
 #[derive(Debug, Clone)]
 pub struct Neighbors<'a> {
@@ -53,7 +77,7 @@ pub struct Neighbors<'a> {
 
 #[derive(Debug, Clone)]
 enum NeighborsInner<'a> {
-    Csr(std::slice::Iter<'a, NodeId>),
+    Csr(std::slice::Iter<'a, u32>),
     Complete {
         next: NodeId,
         skip: NodeId,
@@ -66,7 +90,7 @@ impl Iterator for Neighbors<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         match &mut self.inner {
-            NeighborsInner::Csr(it) => it.next().copied(),
+            NeighborsInner::Csr(it) => it.next().map(|&u| u as NodeId),
             NeighborsInner::Complete { next, skip, n } => {
                 if next == skip {
                     *next += 1;
@@ -102,7 +126,9 @@ impl ExactSizeIterator for Neighbors<'_> {}
 /// the paper: "a fixed, cyclic list of the node's neighbors").
 ///
 /// Storage is CSR (compressed sparse row): one flat target array plus
-/// per-node offsets. [`Graph::neighbor_at`] — the innermost call of every
+/// per-node offsets, both `u32` (so a CSR graph has at most 2³² nodes and
+/// `u32::MAX` adjacency entries, 12 bytes a node on a 3-regular graph).
+/// [`Graph::neighbor_at`] — the innermost call of every
 /// partner selection, at `n` calls per synchronous round — is a single
 /// bounds-checked load from contiguous memory instead of a pointer chase
 /// through per-node heap `Vec`s. The complete graph additionally has an
@@ -134,8 +160,8 @@ pub struct Graph {
 enum Repr {
     /// CSR: `targets[offsets[v]..offsets[v + 1]]` is the sorted `N(v)`.
     Csr {
-        offsets: Arc<[usize]>,
-        targets: Arc<[NodeId]>,
+        offsets: Arc<[u32]>,
+        targets: Arc<[u32]>,
     },
     /// The complete graph `K_n`, with arithmetic adjacency.
     Complete { n: usize },
@@ -172,15 +198,14 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// [`GraphError::InvalidSize`] for `n == 0` or `n == usize::MAX`; else
-    /// the first bad edge in list order (an endpoint `>= n`, `u` before `v`,
+    /// [`GraphError::InvalidSize`], before anything is allocated, for
+    /// `n == 0`, `n > 2³²` or more than `u32::MAX / 2` edges; else the
+    /// first bad edge in list order (an endpoint `>= n`, `u` before `v`,
     /// then a self-loop); else [`GraphError::DuplicateEdge`] naming the
     /// lowest node with a repeated neighbor, and the smallest such neighbor.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        if n == 0 || n == usize::MAX {
-            return Err(bad_node_count(n));
-        }
-        let mut offsets: Arc<[usize]> = std::iter::repeat_n(0, n + 1).collect();
+        check_csr_size(n, edges.len())?;
+        let mut offsets: Arc<[u32]> = std::iter::repeat_n(0, n + 1).collect();
         let ends = Arc::make_mut(&mut offsets);
         for &(u, v) in edges {
             if let Some(node) = [u, v].into_iter().find(|&x| x >= n) {
@@ -193,26 +218,27 @@ impl Graph {
             ends[v] += 1;
         }
         // Inclusive prefix sum: `ends[v]` is where row `v` ends, and the
-        // trailing slot (count 0) is the total.
+        // trailing slot (count 0) is the total. `check_csr_size` keeps
+        // every count, sum and node id within a `u32`.
         let mut total = 0;
         for end in ends.iter_mut() {
             total += *end;
             *end = total;
         }
         // Rows fill from their ends back, leaving `ends[v]` at row `v`'s start.
-        let mut targets: Arc<[NodeId]> = std::iter::repeat_n(0, total).collect();
+        let mut targets: Arc<[u32]> = std::iter::repeat_n(0, total as usize).collect();
         let slots = Arc::make_mut(&mut targets);
         for &(u, v) in edges {
             ends[u] -= 1;
-            slots[ends[u]] = v;
+            slots[ends[u] as usize] = v as u32;
             ends[v] -= 1;
-            slots[ends[v]] = u;
+            slots[ends[v] as usize] = u as u32;
         }
         for u in 0..n {
-            let row = &mut slots[ends[u]..ends[u + 1]];
+            let row = &mut slots[ends[u] as usize..ends[u + 1] as usize];
             row.sort_unstable();
             if let Some(w) = row.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::DuplicateEdge(u, w[0]));
+                return Err(GraphError::DuplicateEdge(u, w[0] as NodeId));
             }
         }
         Ok(Graph {
@@ -265,7 +291,7 @@ impl Graph {
     pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
         let inner = match &self.repr {
             Repr::Csr { offsets, targets } => {
-                NeighborsInner::Csr(targets[offsets[v]..offsets[v + 1]].iter())
+                NeighborsInner::Csr(targets[offsets[v] as usize..offsets[v + 1] as usize].iter())
             }
             Repr::Complete { n } => {
                 assert!(v < *n, "node out of range");
@@ -290,9 +316,9 @@ impl Graph {
     pub fn neighbor_at(&self, v: NodeId, i: usize) -> NodeId {
         match &self.repr {
             Repr::Csr { offsets, targets } => {
-                let (start, end) = (offsets[v], offsets[v + 1]);
+                let (start, end) = (offsets[v] as usize, offsets[v + 1] as usize);
                 assert!(i < end - start, "neighbor index out of range");
-                targets[start + i]
+                targets[start + i] as NodeId
             }
             Repr::Complete { n } => {
                 assert!(v < *n && i < *n - 1, "neighbor index out of range");
@@ -314,7 +340,7 @@ impl Graph {
     #[must_use]
     pub fn degree(&self, v: NodeId) -> usize {
         match &self.repr {
-            Repr::Csr { offsets, .. } => offsets[v + 1] - offsets[v],
+            Repr::Csr { offsets, .. } => (offsets[v + 1] - offsets[v]) as usize,
             Repr::Complete { n } => {
                 assert!(v < *n, "node out of range");
                 *n - 1
@@ -346,9 +372,11 @@ impl Graph {
         match &self.repr {
             Repr::Csr { offsets, targets } => {
                 u < self.n()
-                    && targets[offsets[u]..offsets[u + 1]]
-                        .binary_search(&v)
-                        .is_ok()
+                    && u32::try_from(v).is_ok_and(|v| {
+                        targets[offsets[u] as usize..offsets[u + 1] as usize]
+                            .binary_search(&v)
+                            .is_ok()
+                    })
             }
             Repr::Complete { n } => u < *n && v < *n && u != v,
         }
@@ -389,6 +417,27 @@ mod tests {
     fn rejects_zero_nodes() {
         assert!(matches!(
             Graph::from_edges(0, &[]),
+            Err(GraphError::InvalidSize(_))
+        ));
+    }
+
+    /// The CSR arrays are `u32`: up to 2³² nodes and `u32::MAX` adjacency
+    /// entries fit, one more of either is refused before anything is
+    /// allocated. (A real 2³¹-edge list cannot be built in a test, so the
+    /// check `from_edges` runs first is tested on its own.)
+    #[test]
+    fn csr_size_check_bounds_nodes_and_adjacency_by_u32() {
+        let nodes = 1usize << 32;
+        let edges = (u32::MAX / 2) as usize;
+        assert_eq!(check_csr_size(nodes, edges), Ok(()));
+        for (n, m) in [(0, 0), (nodes + 1, 0), (1, edges + 1), (1, usize::MAX)] {
+            assert!(
+                matches!(check_csr_size(n, m), Err(GraphError::InvalidSize(_))),
+                "n = {n}, {m} edges"
+            );
+        }
+        assert!(matches!(
+            Graph::from_edges(nodes + 1, &[]),
             Err(GraphError::InvalidSize(_))
         ));
     }

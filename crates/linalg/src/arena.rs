@@ -10,7 +10,7 @@
 //! rows carry a payload, tails. The heads and ranks come zeroed from the
 //! allocator at construction, pages untouched, the classes zeroed, and all
 //! are written in place, so a rank-only arena (`row_elems == pivot_width`)
-//! is `head_bytes + 8` bytes a node (104 at k = 8 over GF(2⁸)), has no
+//! is `head_bytes + 8` bytes a node (88 at k = 8 over GF(2⁸)), has no
 //! per-node struct and never allocates again.
 //!
 //! A class (the `node` module has the invariant) makes
@@ -80,8 +80,9 @@ use crate::node::{Dims, Head, Insertion, NodeBasis, Rows, Scratch, Tails};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArenaError {
     /// The full-rank footprint does not fit in `usize`, the pivot width
-    /// does not fit the 4-byte entries of a node's pivot map, or the node
-    /// count exceeds the 2³² ids a 4-byte span class can name.
+    /// exceeds the 65,536 columns the 2-byte entries of a node's pivot map
+    /// can name, or the node count exceeds the 2³² ids a 4-byte span class
+    /// can name.
     CapacityOverflow {
         /// Requested node count.
         nodes: usize,
@@ -730,26 +731,29 @@ mod tests {
         // The exact u128 byte count appears in the message: per node a head
         // (pivot map, coefficient rows), a rank, a class, payload rows and
         // the log.
-        let want = (usize::MAX as u128 / 4) * ((8 * 4 + 8 * 8) + 4 + 4 + (8 * 8 + 64 + 63));
+        let want = (usize::MAX as u128 / 4) * ((8 * 2 + 8 * 8) + 4 + 4 + (8 * 8 + 64 + 63));
         assert!(
             msg.contains(&want.to_string()),
             "computed count missing: {msg}"
         );
         // A rank-only arena has only the first three terms, and they count.
         let err = BasisArena::<Gf256>::try_new(usize::MAX / 64, 8, 8).expect_err("must overflow");
-        let want = (usize::MAX as u128 / 64) * (96 + 4 + 4);
+        let want = (usize::MAX as u128 / 64) * (80 + 4 + 4);
         assert!(err.to_string().contains(&want.to_string()), "{err}");
     }
 
-    /// A pivot column is stored in four bytes: a wider basis is refused by
-    /// the sizing check, whatever the node count, instead of truncated.
+    /// A pivot column is stored in two bytes: a basis wider than 65,536
+    /// columns is refused by the sizing check, whatever the node count,
+    /// instead of truncated, and the widest one a `u16` names passes it.
     #[test]
-    fn pivot_width_beyond_u32_is_a_capacity_overflow() {
-        let k = u32::MAX as usize + 1;
+    fn pivot_width_beyond_u16_is_a_capacity_overflow() {
+        let k = usize::from(u16::MAX) + 2;
         for nodes in [0, 1] {
             let err = BasisArena::<Gf2>::try_new(nodes, k, k).expect_err("must not fit");
             assert!(matches!(err, ArenaError::CapacityOverflow { .. }), "{err}");
         }
+        let widest = Dims::sized::<Gf2>(1, k - 1, k - 1).expect("65,536 columns fit");
+        assert_eq!(widest.pivot_width, 65_536);
     }
 
     /// A span class names a node in a `u32`: an arena of more than 2³²
@@ -768,7 +772,7 @@ mod tests {
     fn refused_slab_is_a_typed_allocation_failure() {
         let (nodes, k) = (1usize << 32, 1024);
         let err = BasisArena::<Gf256>::try_new(nodes, k, k).expect_err("4 PiB of heads");
-        let head = k * (4 + k);
+        let head = k * (2 + k);
         assert_eq!(
             err,
             ArenaError::AllocationFailure {
@@ -788,7 +792,7 @@ mod tests {
         let mut arena = BasisArena::<Gf256>::try_new(2, k, k + r).unwrap();
         // Heads (pivot map, coefficients), ranks, classes, and the table of
         // tails.
-        let fixed = 2 * (k * (4 + k) + 4 + 4 + size_of::<RefCell<Tails>>());
+        let fixed = 2 * (k * (2 + k) + 4 + 4 + size_of::<RefCell<Tails>>());
         assert!(size_of::<RefCell<Tails>>() <= 48);
         assert_eq!(arena.allocated_bytes(), fixed);
         // Elimination log, alignment slack, payload rows.
@@ -824,7 +828,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let (k, nodes) = (8, 3);
         let mut arena = BasisArena::<Gf256>::try_new(nodes, k, k).unwrap();
-        let bytes = nodes * (k * (4 + k) + 4 + 4);
+        let bytes = nodes * (k * (2 + k) + 4 + 4);
         let base = arena.heads.as_ptr();
         while (0..nodes).any(|v| !arena.is_full(v)) {
             assert_eq!(arena.allocated_bytes(), bytes);
@@ -846,7 +850,7 @@ mod tests {
             let k = 5;
             let mut arena = BasisArena::<Gf256>::try_new(7, k, k + r).unwrap();
             let stride = arena.dims.head_bytes();
-            assert_eq!(stride, k * (4 + k));
+            assert_eq!(stride, k * (2 + k));
             let heads = arena.heads.as_ptr() as usize;
             let ranks = arena.ranks.as_ptr() as usize;
             let classes = arena.classes.as_ptr() as usize;

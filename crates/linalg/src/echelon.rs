@@ -128,7 +128,7 @@ impl<F: SlabField> Eq for EchelonBasis<F> {}
 impl<F: SlabField> EchelonBasis<F> {
     /// Creates an empty basis whose rows have `pivot_width` leading
     /// coefficient entries. Allocates the head (`pivot_width²` symbols and
-    /// a 4-byte pivot entry per row) and scratch; payload storage waits
+    /// a 2-byte pivot entry per row) and scratch; payload storage waits
     /// for the first row.
     ///
     /// # Panics

@@ -107,7 +107,7 @@ pub(crate) mod core_ops {
     /// The columns a packed pivot map names, in stored-row order.
     pub(crate) fn pivot_cols(pivots: &[u8]) -> impl Iterator<Item = usize> + '_ {
         let (entries, _) = pivots.as_chunks::<PIVOT_BYTES>();
-        entries.iter().map(|&c| u32::from_le_bytes(c) as usize)
+        entries.iter().map(|&c| usize::from(u16::from_le_bytes(c)))
     }
 
     /// Reads the symbol in column `c` of a packed row.
@@ -361,8 +361,9 @@ pub(crate) mod core_ops {
 }
 
 /// Bytes of one pivot-map entry in a node's head: a column index as a
-/// little-endian `u32` (a wider pivot width is refused at construction).
-pub(crate) const PIVOT_BYTES: usize = 4;
+/// little-endian `u16`, so a pivot width is at most 65,536 columns (a
+/// wider one is refused at construction).
+pub(crate) const PIVOT_BYTES: usize = 2;
 
 /// A node's payload rows start on a cache line (and stay on one where `pb`
 /// is a multiple of it): rows that straddle lines cost the wide kernels a
@@ -420,7 +421,7 @@ impl Dims {
             .saturating_mul(row_syms.saturating_mul(sb) + PIVOT_BYTES as u128)
             .saturating_add((2 * std::mem::size_of::<u32>() + slack) as u128)
             .saturating_mul(nodes as u128);
-        if u32::try_from(pivot_width).is_err()
+        if u16::try_from(pivot_width.saturating_sub(1)).is_err()
             || u32::try_from(nodes.saturating_sub(1)).is_err()
             || usize::try_from(bytes).is_err()
         {
@@ -566,7 +567,7 @@ impl Tails {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Head<'a> {
     /// Row-indexed pivot map: stored row `i` has pivot column
-    /// `pivots[i]`, a little-endian `u32`.
+    /// `pivots[i]`, a little-endian `u16`.
     pivots: &'a [u8],
     /// Reduced coefficient prefixes, `kb` bytes per row, fully reduced
     /// (Gauss–Jordan) at all times, in insertion order.
@@ -724,7 +725,7 @@ impl NodeBasis<'_> {
             event[(rank + 1) * sb..].copy_from_slice(&sc.back);
             slab.extend_from_slice(pay_in);
         }
-        let entry = u32::try_from(pivot_col).expect("construction bounds the pivot width");
+        let entry = u16::try_from(pivot_col).expect("construction bounds the pivot width");
         map[rank * PIVOT_BYTES..][..PIVOT_BYTES].copy_from_slice(&entry.to_le_bytes());
         *self.rank += 1;
         *self.class = u32::try_from(self.id).expect("construction bounds the node count");

@@ -223,9 +223,10 @@ struct SyncRound<M> {
     /// The round's messages, indexed by slot ([`slot_plan`]); all `None`
     /// between rounds.
     table: Vec<Option<M>>,
-    /// `live[d][v]`: v's message in direction `d` (0 forward, 1
-    /// backward) took its `(from, to)` pair.
-    live: [Vec<bool>; 2],
+    /// Bit `d` of `live[v]`: v's message in direction `d` (0 forward, 1
+    /// backward) took its `(from, to)` pair. Written for every node by
+    /// each round's merge walk, so never cleared.
+    live: Vec<u8>,
     /// The fan-out's partition and scratch; `None` until a round is
     /// sharded.
     fan: Option<FanOut<M>>,
@@ -236,7 +237,7 @@ impl<M> SyncRound<M> {
         SyncRound {
             intents: Vec::with_capacity(n),
             table: std::iter::repeat_with(|| None).take(2 * n).collect(),
-            live: [vec![false; n], vec![false; n]],
+            live: vec![0; n],
             fan: None,
         }
     }
@@ -360,18 +361,23 @@ impl Engine {
     fn run_with<P: Protocol, O: Observe<P>>(&mut self, proto: &mut P, mut obs: O) -> RunStats {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
+        assert!(
+            u32::try_from(n - 1).is_ok(),
+            "a protocol has at most 2^32 nodes"
+        );
         let mut stats = RunStats::default();
-        let mut complete: Vec<bool> = (0..n).map(|v| proto.node_complete(v)).collect();
-        let mut incomplete = complete.iter().filter(|&&done| !done).count();
-        if incomplete == 0 {
-            stats.completed = true;
-            return stats;
-        }
         match self.config.time_model {
             TimeModel::Synchronous => {
                 // The incomplete set as an explicit list: the per-round
                 // completion sweep touches only these nodes, not all n.
-                let mut pending: Vec<NodeId> = (0..n).filter(|&v| !complete[v]).collect();
+                let mut pending: Vec<u32> = (0..=u32::MAX)
+                    .take(n)
+                    .filter(|&v| !proto.node_complete(v as NodeId))
+                    .collect();
+                if pending.is_empty() {
+                    stats.completed = true;
+                    return stats;
+                }
                 let mut scratch = SyncRound::new(n);
                 while stats.rounds < self.config.max_rounds {
                     self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
@@ -385,6 +391,12 @@ impl Engine {
                 }
             }
             TimeModel::Asynchronous => {
+                let mut complete: Vec<bool> = (0..n).map(|v| proto.node_complete(v)).collect();
+                let mut incomplete = complete.iter().filter(|&&done| !done).count();
+                if incomplete == 0 {
+                    stats.completed = true;
+                    return stats;
+                }
                 let max_slots = self.config.max_rounds.saturating_mul(n as u64);
                 while stats.timeslots < max_slots {
                     if stats.timeslots.is_multiple_of(n as u64) {
@@ -440,7 +452,7 @@ impl Engine {
         proto: &mut P,
         stats: &mut RunStats,
         scratch: &mut SyncRound<P::Msg>,
-        pending: &mut Vec<NodeId>,
+        pending: &mut Vec<u32>,
     ) {
         let n = proto.num_nodes();
         let round = stats.rounds + 1;
@@ -476,8 +488,8 @@ impl Engine {
         // 3. Merge the slots in ascending order; each survivor goes
         //    straight to its receiver, or onto its receiver's shard.
         let dedup = self.config.dedup_same_sender;
-        live.iter_mut().for_each(|l| l.fill(false));
         for v in 0..n {
+            live[v] = 0;
             let Some(intent) = intents[v] else { continue };
             let u = intent.partner;
             for (slot, from, to, tag) in slot_plan(v, intent).into_iter().flatten() {
@@ -489,9 +501,9 @@ impl Engine {
                 let dup = dedup
                     && msg.is_some()
                     && u < v
-                    && live[1 - d][u]
+                    && live[u] >> (1 - d) & 1 == 1
                     && matches!(intents[u], Some(i) if i.partner == v);
-                live[d][v] = msg.is_some() && !dup;
+                live[v] |= u8::from(msg.is_some() && !dup) << d;
                 if let Some(msg) = self.admit(proto, stats, msg, dup) {
                     match sharded.as_mut() {
                         Some(fan) => fan.queue(from, to, tag, msg),
@@ -508,7 +520,7 @@ impl Engine {
         stats.timeslots += n as u64;
         // 5. Completion sweep over the still-incomplete nodes only (all of
         //    them are dirty: every node woke, and any may have received).
-        pending.retain(|&v| !proto.node_complete(v));
+        pending.retain(|&v| !proto.node_complete(v as NodeId));
     }
 
     /// The fate of one composed message, under both time models: nothing

@@ -111,21 +111,28 @@ pub(crate) fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    // 2^64 mod bound values at the top would bias `% bound`; reject them.
-    // rem = 2^64 mod bound, computed branchily from u64::MAX % bound so the
-    // common path pays two divisions total, not three.
+    // 2^64 mod bound values at the top would bias `% bound`; they are
+    // rejected. That remainder is below `bound`, so a draw at most
+    // 2^64 − bound lies under the threshold whatever it is: such a draw (all
+    // but a bound/2^64 share of them) is accepted after one division, and
+    // only a draw above it pays for the exact threshold.
+    let mut x = rng.next_u64();
+    if x <= u64::MAX - (bound - 1) {
+        return x % bound;
+    }
+    // rem = 2^64 mod bound, computed branchily from u64::MAX % bound; the
+    // threshold `top` is inclusive: exactly a multiple of `bound` values
+    // lie at or below it.
     let max_rem = u64::MAX % bound;
-    let rem = if max_rem + 1 == bound { 0 } else { max_rem + 1 };
-    if rem == 0 {
-        return rng.next_u64() % bound;
+    let top = if max_rem + 1 == bound {
+        u64::MAX
+    } else {
+        u64::MAX - (max_rem + 1)
+    };
+    while x > top {
+        x = rng.next_u64();
     }
-    let top = u64::MAX - rem; // inclusive: exactly a multiple of `bound` values below
-    loop {
-        let x = rng.next_u64();
-        if x <= top {
-            return x % bound;
-        }
-    }
+    x % bound
 }
 
 /// Range types `gen_range` accepts, mirroring `rand::distributions::uniform::SampleRange`.
@@ -214,7 +221,27 @@ mod tests {
 
     #[test]
     fn uniform_below_fast_paths_are_bit_identical() {
-        for bound in [0u64, 1, 2, 3, 4, 5, 7, 8, 16, 100, 9_999, 1 << 33, u64::MAX] {
+        // (1 << 63) + 1 takes the exact-threshold path on about half its
+        // draws, and rejects about half of those.
+        let bounds = [
+            0u64,
+            1,
+            2,
+            3,
+            4,
+            5,
+            7,
+            8,
+            16,
+            31,
+            63,
+            100,
+            9_999,
+            1 << 33,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for bound in bounds {
             let mut fast = StdRng::seed_from_u64(0xFEED ^ bound);
             let mut reference = StdRng::seed_from_u64(0xFEED ^ bound);
             for _ in 0..2_000 {
