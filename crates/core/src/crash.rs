@@ -402,6 +402,12 @@ mod tests {
     }
 
     #[test]
+    fn random_fraction_depends_on_the_seed() {
+        let plan = |seed| CrashPlan::random_fraction(100, 0.3, 5, seed);
+        assert_ne!(plan(42), plan(43));
+    }
+
+    #[test]
     #[should_panic(expected = "out of")]
     fn plan_validates_node_range() {
         let g = builders::path(3).unwrap();

@@ -229,6 +229,21 @@ mod tests {
     }
 
     #[test]
+    fn tree_depends_on_the_protocol_seed() {
+        // One engine seed: only the round-robin start pointers, drawn from
+        // the protocol seed, tell the two runs apart.
+        let g = builders::grid(4, 4).unwrap();
+        let parents = |seed| {
+            let mut is = IsTree::new(&g, 0, seed).unwrap();
+            let stats =
+                Engine::new(EngineConfig::synchronous(9).with_max_rounds(50_000)).run(&mut is);
+            assert!(stats.completed);
+            is.parent
+        };
+        assert_ne!(parents(1), parents(2));
+    }
+
+    #[test]
     fn fast_on_complete_graph() {
         // On K_n the heard-sets double per round: O(log n) completion.
         let g = builders::complete(64).unwrap();

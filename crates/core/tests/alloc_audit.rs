@@ -11,6 +11,15 @@
 //! and the serial audits take it for reading. The per-thread live and
 //! peak-live byte counts are for the footprint lane.
 //!
+//! Each lane below names the library functions it holds allocation-free,
+//! and this list is the one place that says which functions are: an
+//! allocation added to any of them fails its lanes (`tests/mutants/alloc-*`
+//! are those mutants; `scripts/mutants.sh` runs them against this file).
+//! Every lane but the footprint one also holds the node store's insert
+//! path in `ag-linalg`'s `node.rs`: `NodeBasis::insert_packed` or
+//! `NodeBasis::insert_packed_slice`, `Rows::settle`, and
+//! `core_ops::flush_pending` wherever rows carry a payload.
+//!
 //! * **Bare protocol** — an `AlgebraicGossip` run with real payloads
 //!   allocates for a node's first row and for nothing else: a message is a
 //!   row of the protocol's message slab, sized to a round's ceiling at
@@ -22,10 +31,12 @@
 //!   row. So in every round after the first (whose window also carries the
 //!   engine's one-time setup) the allocator is entered at most once per
 //!   node that stored its first row that round — not at all once every
-//!   node holds a row — and over the whole run at most n times.
+//!   node holds a row — and over the whole run at most n times. Holds
+//!   `Engine::sync_round`, `Engine::admit`, `recode` and
+//!   `BasisArena::insert_packed_slice`.
 //! * **Rank-only lane** — the same run with no payload (k = 8, the
 //!   `gossip-rank` shape) has nothing to allocate per node: after round 1
-//!   it never enters the allocator.
+//!   it never enters the allocator. Holds the bare lane's functions.
 //! * **Footprint lane** — that rank-only run's peak live heap, graph,
 //!   protocol and engine round scratch together, grows by at most
 //!   [`RANK_ONLY_NODE_EIGHTHS`] eighths of a byte per node, a sum of
@@ -33,30 +44,37 @@
 //!   scale with `n` cancels.
 //! * **Crash + loss lane** — the same for a `WithCrashes`-wrapped run under
 //!   loss injection: no dedup drop, loss drop or delivery to a crashed node
-//!   costs an allocation.
+//!   costs an allocation. Holds the bare lane's functions.
 //! * **Asynchronous lane** — the `trial-sweep` shape (barbell(16), k = n,
 //!   16-byte payloads) under uniform AG and under TAG with `B_RR`, one
 //!   contact per timeslot. Every node holds a row from construction on, so
 //!   no round after the first may enter the allocator at all. This is the
 //!   lane that catches a protocol that forgets to rewind its message slab
 //!   in `on_round_start`: an asynchronous round composes up to the slab's
-//!   whole ceiling, so the next one would have to grow it.
+//!   whole ceiling, so the next one would have to grow it. Holds
+//!   `Engine::async_slot`, `Engine::admit`, `recode` and
+//!   `BasisArena::insert_packed_slice`.
 //! * **Fan-out lane** — the bare protocol again with the round forced over
 //!   S shards, on S threads. A sharded round allocates per shard by design
 //!   (the shards and their scratch, the job lists, the workers), all of it
 //!   outside node storage: once every node holds a row a round enters the
 //!   allocator at most [`FAN_OUT_CALLS_PER_SHARD`] · (S + 1) times, across
 //!   all threads, however many messages it delivers and however much rank
-//!   it gains.
+//!   it gains. Holds `BasisShard::insert_packed_mut`, `Engine::admit` and
+//!   `recode`.
 //! * **Helpfulness probes** — `Decoder::would_help`,
 //!   `Decoder::is_helpful_node` and `BasisArena::would_be_innovative_packed`
-//!   are allocation-free once their scratch buffers have warmed up.
+//!   are allocation-free once their scratch buffers have warmed up. Holds
+//!   `Recoder::emit_packed_row_into`, `Decoder::receive_packed_slice`,
+//!   `recode` and `BasisArena::insert_packed_slice`.
 //! * **Single sink** — the `decode-stream` shape (k = 128, 1 KiB payloads)
 //!   through `EchelonBasis::try_insert_packed_slice` and through
 //!   `Decoder::try_receive`: each enters the allocator at construction and
 //!   at its first row, and after that only for the messages `solution` /
 //!   `decode` hand back — not as ranks grow, not for the blocked replay of
-//!   a whole log, not for a redundant row.
+//!   a whole log, not for a redundant row. Holds
+//!   `EchelonBasis::try_insert_packed_slice`, `Decoder::try_receive`,
+//!   `BasisArena::insert_packed_mut` and `BasisArena::insert_packed_slice`.
 
 // The counting allocator is this file's one unsafe surface: each block in
 // it states why it is sound, and an `unsafe fn` body is no unsafe block.

@@ -407,7 +407,6 @@ impl<F: SlabField> BasisArena<F> {
     /// # Panics
     ///
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
-    // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
         let dims = self.dims;
         let (node, sc) = self.node_mut(node);
@@ -420,7 +419,6 @@ impl<F: SlabField> BasisArena<F> {
     /// # Panics
     ///
     /// Panics if `node` is out of range or `row.len() != row_bytes()`.
-    // ag-lint: hot-path
     pub fn insert_packed_slice(&mut self, node: usize, row: &[u8]) -> Insertion {
         let dims = self.dims;
         let (node, sc) = self.node_mut(node);
@@ -564,7 +562,6 @@ impl<F: SlabField> BasisShard<'_, F> {
     /// # Panics
     ///
     /// Panics if `node` is outside the shard or the row length mismatches.
-    // ag-lint: hot-path
     pub fn insert_packed_mut(&mut self, node: usize, row: &mut [u8]) -> Insertion {
         let i = node - self.start;
         let node = NodeBasis {

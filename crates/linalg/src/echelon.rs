@@ -261,7 +261,6 @@ impl<F: SlabField> EchelonBasis<F> {
     /// [`BasisError::Misaligned`] when `row.len()` is not a multiple of
     /// [`SlabField::SYMBOL_BYTES`]. The basis (its logical state — scratch
     /// is transient) is unchanged on `Err` *and* on a redundant insert.
-    // ag-lint: hot-path
     pub fn try_insert_packed_slice(&mut self, row: &[u8]) -> Result<Insertion, BasisError> {
         self.fit(row.len())?;
         Ok(self.arena.insert_packed_slice(0, row))

@@ -335,7 +335,6 @@ pub(crate) mod core_ops {
     /// Settles every pending elimination event onto `pay` on the schedule
     /// [`use_blocked`] picks, leaving `flushed == rank`. `pay` must be
     /// exactly `rank` rows.
-    // ag-lint: hot-path
     pub(crate) fn flush_pending<F: SlabField>(
         pay: &mut [u8],
         log: &[u8],
@@ -673,7 +672,6 @@ impl NodeBasis<'_> {
     /// # Panics
     ///
     /// Panics if `row` is not exactly one full row.
-    // ag-lint: hot-path
     pub(crate) fn insert_packed<F: SlabField>(
         self,
         d: Dims,
@@ -736,7 +734,6 @@ impl NodeBasis<'_> {
     /// into the scratch's reusable buffer and reduced there, so the
     /// caller's bytes survive and a redundant insert costs zero heap
     /// allocations once the scratch has warmed up.
-    // ag-lint: hot-path
     pub(crate) fn insert_packed_slice<F: SlabField>(
         self,
         d: Dims,
@@ -770,7 +767,6 @@ impl<T: DerefMut<Target = Tails>> Rows<'_, T> {
     /// payload rows are exactly what eager elimination would have produced
     /// — both schedules are bit-identical. Idempotent; trivial when nothing
     /// is pending or rows carry no payload.
-    // ag-lint: hot-path
     pub(crate) fn settle<F: SlabField>(&mut self, d: Dims, sc: &mut Scratch) -> &[u8] {
         let Some(tails) = self.tails.as_deref_mut().filter(|_| d.pb > 0) else {
             return &[];

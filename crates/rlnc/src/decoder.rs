@@ -238,7 +238,6 @@ impl<F: SlabField> Decoder<F> {
     /// [`CodingError::GenerationSizeMismatch`] or
     /// [`CodingError::PayloadLengthMismatch`] when the packet was coded for
     /// a different `(k, r)` than this decoder's.
-    // ag-lint: hot-path
     pub fn try_receive(&mut self, packet: &Packet<F>) -> Result<Insertion, CodingError> {
         self.check_shape(packet)?;
         let row = self.scratch.get_mut();
@@ -260,7 +259,6 @@ impl<F: SlabField> Decoder<F> {
     ///
     /// Panics if the row's byte length does not match this decoder's
     /// `(k + r) · SYMBOL_BYTES` shape.
-    // ag-lint: hot-path
     pub fn receive_packed_slice(&mut self, row: &[u8]) -> Insertion {
         let verdict = self.basis.insert_packed_slice(0, row);
         self.record(verdict)

@@ -72,7 +72,6 @@ impl<F: SlabField> StoredRows for BasisShard<'_, F> {
 ///
 /// Panics if `density` is `Some(p)` with `p` not in `(0, 1]`, or if the
 /// node stores a row and `out` is not one row long.
-// ag-lint: hot-path
 pub fn recode<F: SlabField, S: StoredRows<Field = F> + ?Sized, R: Rng + ?Sized>(
     rows: &mut S,
     node: usize,
@@ -185,7 +184,6 @@ impl<'a, F: SlabField> Recoder<'a, F> {
     ///
     /// This is the dense [`recode`] on the decoder's one-node store, which
     /// also settles any payload elimination the node had deferred.
-    // ag-lint: hot-path
     pub fn emit_packed_row_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<u8>) -> bool {
         let d = self.decoder;
         if d.rank() == 0 {

@@ -446,7 +446,6 @@ impl Engine {
     /// `dedup_dropped` or as `empty_sends` depends on what it composed.
     /// Loss is drawn on the main RNG as each dedup survivor is merged, so
     /// the draws follow slot order.
-    // ag-lint: hot-path
     fn sync_round<P: Protocol>(
         &mut self,
         proto: &mut P,
@@ -528,7 +527,6 @@ impl Engine {
     /// dedup drop, a message that fails the loss draw is lost, and
     /// anything else is delivered. Drops go back through
     /// [`Protocol::discard`]; the survivor is returned for its receiver.
-    // ag-lint: hot-path
     #[inline]
     fn admit<P: Protocol>(
         &mut self,
@@ -558,7 +556,6 @@ impl Engine {
     /// One asynchronous timeslot: a uniformly random node wakes; both
     /// directions of its contact are composed from pre-contact state on
     /// the main RNG, then settled through [`Engine::admit`] and delivered.
-    // ag-lint: hot-path
     fn async_slot<P: Protocol>(
         &mut self,
         proto: &mut P,

@@ -171,7 +171,6 @@ impl<M: Send> FanOut<M> {
         self.send_counts.clear();
         self.send_counts
             .extend(self.lists.iter().map(|(w, _)| w.len()));
-        // ag-lint: sharded-phase(begin) — only per-slot-keyed RNGs below
         let sharded = self.run_shards(proto, |shard, (worklist, _)| {
             // Sender-major: a node's messages (its own and its replies to
             // whoever contacted it) are composed back to back, so all but
@@ -183,7 +182,6 @@ impl<M: Send> FanOut<M> {
                 *msg = shard.compose(*from, *to, *tag, &mut slot_rng);
             }
         });
-        // ag-lint: sharded-phase(end)
         if sharded {
             for ((slot, ..), msg) in self.lists.iter_mut().flat_map(|(w, _)| w.drain(..)) {
                 table[slot] = msg;
@@ -203,7 +201,6 @@ impl<M: Send> FanOut<M> {
     /// range, the queues are drained serially instead.
     pub(crate) fn deliver<P: Protocol<Msg = M>>(&mut self, proto: &mut P) {
         self.send_counts.fill(0);
-        // ag-lint: sharded-phase(begin) — delivery draws no randomness
         let sharded = self.run_shards(proto, |shard, (_, queue)| {
             // Receiver-major, for the same reason; the sort is stable, so
             // each receiver still sees its messages in slot order.
@@ -212,7 +209,6 @@ impl<M: Send> FanOut<M> {
                 shard.deliver(from, to, tag, msg);
             }
         });
-        // ag-lint: sharded-phase(end)
         if !sharded {
             for (from, to, tag, msg) in self.lists.iter_mut().flat_map(|(_, q)| q.drain(..)) {
                 proto.deliver(from, to, tag, msg);
