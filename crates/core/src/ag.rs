@@ -351,7 +351,7 @@ impl<F: SlabField, T: Topology> Protocol for AlgebraicGossip<F, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::completion::run_with_completion;
+    use crate::probes::run_with_completion;
     use ag_gf::{Gf2, Gf256};
     use ag_graph::{builders, ParentLinks, SpanningTree};
     use ag_sim::{Engine, EngineConfig, TimeModel};
@@ -368,7 +368,7 @@ mod tests {
             TimeModel::Asynchronous => EngineConfig::asynchronous(seed),
         }
         .with_max_rounds(200_000);
-        let stats = Engine::new(ecfg).run(&mut proto);
+        let stats = Engine::new(ecfg).run_batch(&mut proto);
         (proto, stats)
     }
 
@@ -492,11 +492,11 @@ mod tests {
         let cfg = AgConfig::new(8).with_payload_len(2);
         let mut original = AlgebraicGossip::<Gf256>::new(&g, &cfg, 5).unwrap();
         let head = EngineConfig::synchronous(5).with_max_rounds(3);
-        assert!(!Engine::new(head).run(&mut original).completed);
+        assert!(!Engine::new(head).run_batch(&mut original).completed);
         let mut clone = original.clone();
         let finish = |proto: &mut AlgebraicGossip<Gf256>| {
             let tail = EngineConfig::synchronous(6).with_loss(0.2);
-            let stats = Engine::new(tail).run(proto);
+            let stats = Engine::new(tail).run_batch(proto);
             assert!(stats.completed);
             stats
         };
@@ -541,7 +541,7 @@ mod tests {
         let cfg = cfg.clone().with_comm_model(CommModel::RoundRobin);
         let mut proto = AlgebraicGossip::on_topology(ParentLinks::new(tree), &cfg, seed).unwrap();
         let ecfg = EngineConfig::synchronous(seed).with_max_rounds(200_000);
-        let stats = Engine::new(ecfg).run(&mut proto);
+        let stats = Engine::new(ecfg).run_batch(&mut proto);
         (proto, stats)
     }
 

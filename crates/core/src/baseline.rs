@@ -52,7 +52,7 @@ pub struct RawMsg<F> {
 /// let mut proto =
 ///     RandomMessageGossip::<Gf256>::new(&g, &AgConfig::new(8), 3).unwrap();
 /// let stats = Engine::new(EngineConfig::synchronous(3).with_max_rounds(100_000))
-///     .run(&mut proto);
+///     .run_batch(&mut proto);
 /// assert!(stats.completed);
 /// assert_eq!(proto.held(0), 8);
 /// ```
@@ -198,8 +198,8 @@ mod tests {
 
     fn run(g: &Graph, cfg: &AgConfig, seed: u64) -> (RandomMessageGossip<Gf256>, ag_sim::RunStats) {
         let mut proto = RandomMessageGossip::<Gf256>::new(g, cfg, seed).unwrap();
-        let stats =
-            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(1_000_000)).run(&mut proto);
+        let stats = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(1_000_000))
+            .run_batch(&mut proto);
         (proto, stats)
     }
 
@@ -235,7 +235,7 @@ mod tests {
             base_total += s.rounds;
             let mut ag = AlgebraicGossip::<Gf256>::new(&g, &cfg, seed).unwrap();
             let s2 = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(1_000_000))
-                .run(&mut ag);
+                .run_batch(&mut ag);
             assert!(s2.completed);
             rlnc_total += s2.rounds;
         }

@@ -168,7 +168,7 @@ mod tests {
         seed: u64,
     ) -> (BroadcastTree, ag_sim::RunStats) {
         let mut b = BroadcastTree::new(g, 0, comm, seed).unwrap();
-        let stats = Engine::new(cfg).run(&mut b);
+        let stats = Engine::new(cfg).run_batch(&mut b);
         (b, stats)
     }
 
@@ -270,7 +270,7 @@ mod tests {
         let mut b = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 2)
             .unwrap()
             .with_action(Action::Push);
-        let stats = Engine::new(EngineConfig::synchronous(2)).run(&mut b);
+        let stats = Engine::new(EngineConfig::synchronous(2)).run_batch(&mut b);
         assert!(stats.completed);
         assert!(stats.rounds <= 3 * 10);
     }

@@ -936,7 +936,7 @@ mod tests {
         use ag_sim::{CommModel, Engine, EngineConfig, Protocol, RunStats};
 
         fn run(engine: EngineConfig, proto: &mut impl Protocol) -> RunStats {
-            let stats = Engine::new(engine.with_max_rounds(100_000)).run(proto);
+            let stats = Engine::new(engine.with_max_rounds(100_000)).run_batch(proto);
             assert!(stats.completed, "{:?}", engine.time_model);
             stats
         }

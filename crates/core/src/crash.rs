@@ -83,7 +83,7 @@ impl CrashPlan {
 /// // Node 7 crashes at its 4th wakeup.
 /// let mut proto = WithCrashes::new(inner, CrashPlan::explicit(vec![(7, 4)]));
 /// let stats = Engine::new(EngineConfig::synchronous(3).with_max_rounds(100_000))
-///     .run(&mut proto);
+///     .run_batch(&mut proto);
 /// assert!(stats.completed); // the 9 survivors all decode
 /// assert!(proto.is_crashed(7));
 /// ```
@@ -230,8 +230,8 @@ mod tests {
         // time every message has been forwarded at least once w.h.p.).
         let plan = CrashPlan::explicit(vec![(1, 3), (5, 3), (9, 3)]);
         let mut proto = WithCrashes::new(inner, plan);
-        let stats =
-            Engine::new(EngineConfig::synchronous(7).with_max_rounds(200_000)).run(&mut proto);
+        let stats = Engine::new(EngineConfig::synchronous(7).with_max_rounds(200_000))
+            .run_batch(&mut proto);
         assert!(stats.completed);
         assert_eq!(proto.crashed_count(), 3);
         for v in proto.survivors() {
@@ -250,8 +250,8 @@ mod tests {
         let g = builders::complete(6).unwrap();
         let inner = AlgebraicGossip::<Gf256>::new(&g, &AgConfig::new(3), 2).unwrap();
         let mut proto = WithCrashes::new(inner, CrashPlan::explicit(vec![(5, 1)]));
-        let stats =
-            Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000)).run(&mut proto);
+        let stats = Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000))
+            .run_batch(&mut proto);
         assert!(stats.completed);
         assert!(proto.is_crashed(5));
         // The crashed node never gained any rank: it was dead on arrival.
@@ -266,7 +266,8 @@ mod tests {
         let cfg = AgConfig::new(2).with_placement(Placement::SingleSource(3));
         let inner = AlgebraicGossip::<Gf256>::new(&g, &cfg, 3).unwrap();
         let mut proto = WithCrashes::new(inner, CrashPlan::explicit(vec![(3, 1)]));
-        let stats = Engine::new(EngineConfig::synchronous(3).with_max_rounds(500)).run(&mut proto);
+        let stats =
+            Engine::new(EngineConfig::synchronous(3).with_max_rounds(500)).run_batch(&mut proto);
         assert!(
             !stats.completed,
             "messages were lost; survivors cannot finish"
@@ -289,8 +290,8 @@ mod tests {
             let inner = AlgebraicGossip::<Gf256>::new(&g, &cfg, seed).unwrap();
             let mut proto = WithCrashes::new(inner, CrashPlan::explicit(vec![(1, 1)]));
             assert!(proto.is_crashed(1), "DOA node must be dead at construction");
-            let stats =
-                Engine::new(EngineConfig::asynchronous(seed).with_max_rounds(50)).run(&mut proto);
+            let stats = Engine::new(EngineConfig::asynchronous(seed).with_max_rounds(50))
+                .run_batch(&mut proto);
             assert!(!stats.completed, "seed {seed}: information was conjured");
             for v in [0, 2, 3] {
                 assert_eq!(
@@ -313,8 +314,8 @@ mod tests {
             let doa = 5; // spread placement on k=3 seeds nodes 0, 1, 2
             let seeded_rank = inner.rank(doa);
             let mut proto = WithCrashes::new(inner, CrashPlan::explicit(vec![(doa, 1)]));
-            let _ =
-                Engine::new(EngineConfig::asynchronous(seed).with_max_rounds(200)).run(&mut proto);
+            let _ = Engine::new(EngineConfig::asynchronous(seed).with_max_rounds(200))
+                .run_batch(&mut proto);
             assert_eq!(
                 proto.inner().rank(doa),
                 seeded_rank,
@@ -344,7 +345,7 @@ mod tests {
             }
             .with_loss(0.3)
             .with_max_rounds(200_000);
-            let stats = Engine::new(ecfg).run(&mut proto);
+            let stats = Engine::new(ecfg).run_batch(&mut proto);
             assert!(stats.completed, "sync={sync}: survivors must finish");
             assert!(stats.lost > 0, "sync={sync}: loss never fired");
             for v in proto.survivors() {
@@ -375,7 +376,7 @@ mod tests {
         let inner = AlgebraicGossip::<Gf256>::new(&g, &cfg, seed).unwrap();
         let mut static_run = WithCrashes::new(inner, plan.clone());
         let s_static = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(3_000))
-            .run(&mut static_run);
+            .run_batch(&mut static_run);
         assert!(
             !s_static.completed,
             "static star with a dead hub must stall"
@@ -384,7 +385,7 @@ mod tests {
         let inner = AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, seed).unwrap();
         let mut dynamic_run = WithCrashes::new(inner, plan);
         let s_dynamic = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(3_000))
-            .run(&mut dynamic_run);
+            .run_batch(&mut dynamic_run);
         assert!(
             s_dynamic.completed,
             "rewiring should reconnect the survivors"

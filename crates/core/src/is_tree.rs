@@ -183,7 +183,7 @@ mod tests {
     fn build_tree(g: &Graph, seed: u64) -> (IsTree, ag_sim::RunStats) {
         let mut is = IsTree::new(g, 0, seed).unwrap();
         let stats =
-            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(50_000)).run(&mut is);
+            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(50_000)).run_batch(&mut is);
         (is, stats)
     }
 
@@ -219,9 +219,9 @@ mod tests {
         let g = builders::cycle(10).unwrap();
         let is = IsTree::new(&g, 0, 7).unwrap();
         let mut short = is.clone();
-        let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(2)).run(&mut short);
+        let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(2)).run_batch(&mut short);
         let mut long = is;
-        let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(6)).run(&mut long);
+        let _ = Engine::new(EngineConfig::synchronous(7).with_max_rounds(6)).run_batch(&mut long);
         for v in 0..10 {
             let (early, late) = (&short.heard[v], &long.heard[v]);
             assert!((0..10).all(|u| !early.contains(u) || late.contains(u)));
@@ -235,8 +235,8 @@ mod tests {
         let g = builders::grid(4, 4).unwrap();
         let parents = |seed| {
             let mut is = IsTree::new(&g, 0, seed).unwrap();
-            let stats =
-                Engine::new(EngineConfig::synchronous(9).with_max_rounds(50_000)).run(&mut is);
+            let stats = Engine::new(EngineConfig::synchronous(9).with_max_rounds(50_000))
+                .run_batch(&mut is);
             assert!(stats.completed);
             is.parent
         };

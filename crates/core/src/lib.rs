@@ -56,7 +56,7 @@
 //! let graph = builders::grid(4, 4).unwrap();
 //! let cfg = AgConfig::new(8).with_payload_len(4);
 //! let mut proto = AlgebraicGossip::<Gf256>::new(&graph, &cfg, 7).unwrap();
-//! let stats = Engine::new(EngineConfig::synchronous(7)).run(&mut proto);
+//! let stats = Engine::new(EngineConfig::synchronous(7)).run_batch(&mut proto);
 //! assert!(stats.completed);
 //! // Every node decoded every message:
 //! for v in 0..16 {
@@ -96,10 +96,10 @@ pub mod seeding;
 mod tag;
 mod tree_protocol;
 
-// The unit tests share `ag-sim`'s per-node completion observer.
+// The unit tests share `ag-sim`'s test-side probes.
 #[cfg(test)]
-#[path = "../../sim/tests/completion/mod.rs"]
-mod completion;
+#[path = "../../sim/tests/probes/mod.rs"]
+mod probes;
 
 pub use ag::{AgConfig, AlgebraicGossip};
 pub use ag_sim::{Action, CommModel, TimeModel};

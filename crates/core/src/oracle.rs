@@ -115,7 +115,7 @@ mod tests {
     fn reveals_after_threshold_in_sync_rounds() {
         let g = builders::barbell(12).unwrap();
         let mut oracle = OracleTree::new(&g, 0, 5).unwrap();
-        let stats = Engine::new(EngineConfig::synchronous(0)).run(&mut oracle);
+        let stats = Engine::new(EngineConfig::synchronous(0)).run_batch(&mut oracle);
         assert!(stats.completed);
         // Every node wakes once per round: exactly 5 rounds.
         assert_eq!(stats.rounds, 5);
@@ -147,8 +147,8 @@ mod tests {
     fn async_reveal_takes_about_threshold_rounds() {
         let g = builders::complete(16).unwrap();
         let mut oracle = OracleTree::new(&g, 0, 8).unwrap();
-        let stats =
-            Engine::new(EngineConfig::asynchronous(4).with_max_rounds(10_000)).run(&mut oracle);
+        let stats = Engine::new(EngineConfig::asynchronous(4).with_max_rounds(10_000))
+            .run_batch(&mut oracle);
         assert!(stats.completed);
         // Coupon-collector-ish: every node needs 8 wakeups; expected
         // completion ~ 8 + log n rounds, certainly within 8..64.

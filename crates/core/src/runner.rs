@@ -3,9 +3,9 @@
 //! The bench harness, the examples and the integration tests all drive the
 //! protocols through this module so that every experiment applies identical
 //! seeding, verification and accounting rules. Runs go through
-//! [`Engine::run_batch`] — the observer-free hot path — since nothing at
-//! this level asks for per-round traces; figures that do trace rank growth
-//! call [`Engine::run_observed`] on a protocol directly.
+//! [`Engine::run_batch`], whose disabled probe compiles out; a figure that
+//! traces rank growth passes an [`ag_sim::Probe`] to
+//! [`Engine::run_observed`] itself.
 
 use ag_gf::SlabField;
 use ag_graph::{Graph, GraphError, NodeId, SpanningTree};

@@ -48,7 +48,7 @@ const TAG_PHASE2: u32 = 2;
 /// let cfg = AgConfig::new(12); // k = n: all-to-all
 /// let mut tag = Tag::<Gf256, _>::new(&g, brr, &cfg, 5).unwrap();
 /// let stats = Engine::new(EngineConfig::synchronous(5).with_max_rounds(100_000))
-///     .run(&mut tag);
+///     .run_batch(&mut tag);
 /// assert!(stats.completed);
 /// ```
 #[derive(Debug, Clone)]
@@ -287,7 +287,7 @@ mod tests {
             TimeModel::Asynchronous => EngineConfig::asynchronous(seed),
         }
         .with_max_rounds(500_000);
-        let stats = Engine::new(ecfg).run(&mut tag);
+        let stats = Engine::new(ecfg).run_batch(&mut tag);
         (tag, stats)
     }
 
@@ -328,7 +328,7 @@ mod tests {
         let cfg = AgConfig::new(8).with_placement(Placement::Random);
         let mut tag = Tag::<Gf256, _>::new(&g, oracle, &cfg, 2).unwrap();
         let stats =
-            Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000)).run(&mut tag);
+            Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000)).run_batch(&mut tag);
         assert!(stats.completed);
         let tree = tag.spanning_tree().unwrap();
         assert!(tree.is_spanning_tree_of(&g));
@@ -376,7 +376,7 @@ mod tests {
         let oracle = OracleTree::new(&g, 0, 1_000).unwrap();
         let cfg = AgConfig::new(8);
         let mut tag = Tag::<Gf256, _>::new(&g, oracle, &cfg, 3).unwrap();
-        let _ = Engine::new(EngineConfig::synchronous(3).with_max_rounds(10)).run(&mut tag);
+        let _ = Engine::new(EngineConfig::synchronous(3).with_max_rounds(10)).run_batch(&mut tag);
         for v in 0..8 {
             assert_eq!(tag.rank(v), 1, "node {v} gained rank before Phase 1 ended");
         }

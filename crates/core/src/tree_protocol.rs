@@ -9,7 +9,7 @@ use ag_sim::Protocol;
 ///
 /// It is an [`ag_sim::Protocol`] like any other, so it runs standalone
 /// under [`ag_sim::Engine`] (which is how `t(S)` and `d(S)` are measured),
-/// under [`crate::WithCrashes`] and under `run_observed`, with
+/// under [`crate::WithCrashes`] and under any [`ag_sim::Probe`], with
 /// `node_complete(v)` = "`v` is the root or has a parent"; this trait adds
 /// the two questions [`crate::Tag`] asks of its Phase 1. `Tag` relabels a
 /// Phase-1 contact with its own phase tag and hands `S` tag 0, so a tree
@@ -24,7 +24,7 @@ use ag_sim::Protocol;
 ///
 /// let g = builders::cycle(8).unwrap();
 /// let mut bcast = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
-/// let stats = Engine::new(EngineConfig::synchronous(1)).run(&mut bcast);
+/// let stats = Engine::new(EngineConfig::synchronous(1)).run_batch(&mut bcast);
 /// assert!(stats.completed);
 /// let tree = bcast.spanning_tree().unwrap();
 /// assert!(tree.is_spanning_tree_of(&g));

@@ -224,7 +224,7 @@ fn round_windows<P: Protocol>(
     // measured loop.
     let mut snapshots: Vec<(u64, u64, (u64, u64))> = Vec::with_capacity(4096);
     snapshots.push((0, calls(), progress(proto)));
-    let stats = engine.run_observed(proto, |round, p| {
+    let stats = engine.run_observed(proto, &mut |round, p: &P| {
         snapshots.push((round, calls(), progress(p)));
     });
     let windows = snapshots
@@ -398,7 +398,7 @@ fn rank_only_peak_heap_is_the_named_parts_per_node() {
     let peak = |n| {
         peak_growth(|| {
             let (mut proto, engine_seed) = protocol(n, 8, 0);
-            let stats = Engine::new(EngineConfig::synchronous(engine_seed)).run(&mut proto);
+            let stats = Engine::new(EngineConfig::synchronous(engine_seed)).run_batch(&mut proto);
             assert!(stats.completed, "completion run hit the round budget");
         })
     };

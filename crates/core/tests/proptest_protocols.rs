@@ -1,8 +1,8 @@
 //! Property-based tests across the protocol layer.
 
 use ag_gf::{Gf2, Gf256, SlabField};
-use ag_graph::builders;
-use ag_sim::{Engine, EngineConfig, TimeModel};
+use ag_graph::{builders, NodeId};
+use ag_sim::{Engine, EngineConfig, Fate, Probe, TimeModel};
 use algebraic_gossip::{run_protocol, AgConfig, AlgebraicGossip, Placement, ProtocolKind, RunSpec};
 use proptest::prelude::*;
 
@@ -18,6 +18,26 @@ fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
     }
 }
 
+/// Per round: the rank the network gained and the messages the engine
+/// reported `Delivered`.
+struct Receptions {
+    rank: usize,
+    delivered: u64,
+    rounds: Vec<(u64, u64)>,
+}
+
+impl<F: SlabField> Probe<AlgebraicGossip<F>> for Receptions {
+    fn round_end(&mut self, _: u64, p: &AlgebraicGossip<F>) {
+        let before = std::mem::replace(&mut self.rank, p.total_rank());
+        let delivered = std::mem::take(&mut self.delivered);
+        self.rounds.push(((self.rank - before) as u64, delivered));
+    }
+
+    fn admitted(&mut self, _: u64, _: usize, _: NodeId, _: NodeId, fate: Fate) {
+        self.delivered += u64::from(fate == Fate::Delivered);
+    }
+}
+
 /// Runs uniform AG with a 3-symbol payload to completion under `engine`
 /// (lane 0 synchronous and serial, 1 synchronous forced over 3 shards, 2
 /// asynchronous) and checks the reception accounting against the run's
@@ -28,6 +48,10 @@ fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
 /// Helpful receptions are read from the ranks and redundant ones are
 /// counted by verdict at delivery, so the first identity is an independent
 /// check that each delivery that raised no rank is counted exactly once.
+/// A probe repeats both identities round by round from the engine's own
+/// events: the rank gained per round sums to the helpful receptions and
+/// never exceeds that round's `Delivered` messages, and the deliveries
+/// beyond it sum to the redundant ones.
 fn accounting_holds<F: SlabField>(
     graph: &ag_graph::Graph,
     k: usize,
@@ -50,9 +74,19 @@ fn accounting_holds<F: SlabField>(
     } else {
         engine
     };
-    let stats = engine.run(&mut proto);
+    let mut probe = Receptions {
+        rank: proto.total_rank(),
+        delivered: 0,
+        rounds: Vec::new(),
+    };
+    let stats = engine.run_observed(&mut proto, &mut probe);
     prop_assert!(stats.completed, "lane {lane} did not complete");
     let (helpful, redundant) = (proto.helpful_receptions(), proto.redundant_receptions());
+    let gained: u64 = probe.rounds.iter().map(|r| r.0).sum();
+    let delivered: u64 = probe.rounds.iter().map(|r| r.1).sum();
+    prop_assert!(probe.rounds.iter().all(|&(gain, got)| gain <= got));
+    prop_assert_eq!(gained, helpful, "lane {}", lane);
+    prop_assert_eq!(delivered - gained, redundant, "lane {}", lane);
     prop_assert_eq!(
         helpful + redundant,
         stats.messages_delivered,
@@ -71,8 +105,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The accounting oracle: helpful + redundant receptions equal the
-    /// deliveries and helpful ones equal the rank gained, over GF(256) and
-    /// GF(2), serial, sharded and asynchronous, with and without loss.
+    /// deliveries and helpful ones equal the rank gained, in total and
+    /// round by round, over GF(256) and GF(2), serial, sharded and
+    /// asynchronous, with and without loss.
     #[test]
     fn accounting_oracle(
         seed in any::<u64>(),

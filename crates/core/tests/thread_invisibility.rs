@@ -7,7 +7,9 @@
 //! (`Engine::run_observed`, `TrialPlan::run`) and inside local rayon pools:
 //! one thread keeps every round serial, two and four shard it over 16
 //! and 32 shards. All lanes must agree on the whole [`RunStats`], the
-//! per-round trajectory hash and the decoded bytes.
+//! per-round trajectory hash, every message's fate (the engine's
+//! `admitted` stream, event for event; a mismatch names its first
+//! diverging event) and the decoded bytes.
 //!
 //! CI re-runs this file under `RAYON_NUM_THREADS ∈ {1, 4}`: the local
 //! pools make the lanes independent of it, so it varies only what runs
@@ -15,10 +17,14 @@
 
 use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::{builders, Graph, NodeId};
-use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol, RunStats, TrajectoryHash};
+use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, Placement, ProtocolKind, RunSpec, TrialPlan};
+use probes::{record, Recorded};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "../../sim/tests/probes/mod.rs"]
+mod probes;
 
 /// The shape every lane runs: 2 · 360 planned slots of 3003-byte rows is
 /// 2.06 MiB a round, just above the 2 MiB from which the engine fans out.
@@ -82,11 +88,10 @@ impl<P: Protocol> Protocol for Forwarding<P> {
     }
 }
 
-/// One observed run on the default engine, lossy and with dedup on,
-/// inside a pool of `threads`: the stats and the per-round (round, total
-/// rank) hash. `wrapped` runs it through [`Forwarding`]. Checks every
-/// node's decoded bytes.
-fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> (RunStats, u64) {
+/// One recorded run on the default engine, lossy and with dedup on,
+/// inside a pool of `threads`, tracing (round, total rank). `wrapped`
+/// runs it through [`Forwarding`]. Checks every node's decoded bytes.
+fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> Recorded {
     in_pool(threads, || {
         let mut proto = AlgebraicGossip::<F>::new(graph, &ag_config(), 0xA6).expect("protocol");
         // The precondition the file is named for: at this size the rule
@@ -95,23 +100,20 @@ fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> (RunStats
             2 * N * proto.msg_bytes() >= FAN_OUT_FROM_BYTES,
             "lane below the rule"
         );
-        let cfg = EngineConfig::synchronous(0x51AB)
-            .with_loss(0.2)
-            .with_dedup(true)
-            .with_max_rounds(10_000);
-        let mut hash = TrajectoryHash::new();
-        let mut observe = |round: u64, p: &AlgebraicGossip<F>| {
-            hash.observe(round);
-            hash.observe(p.total_rank() as u64);
-        };
-        let (stats, proto) = if wrapped {
+        let engine = Engine::new(
+            EngineConfig::synchronous(0x51AB)
+                .with_loss(0.2)
+                .with_dedup(true)
+                .with_max_rounds(10_000),
+        );
+        let (run, proto) = if wrapped {
             let mut wrapper = Forwarding(proto);
-            let stats = Engine::new(cfg).run_observed(&mut wrapper, |r, w| observe(r, &w.0));
-            (stats, wrapper.0)
+            let run = record(engine, &mut wrapper, |w| w.0.total_rank() as u64);
+            (run, wrapper.0)
         } else {
-            let stats = Engine::new(cfg).run_observed(&mut proto, &mut observe);
-            (stats, proto)
+            (record(engine, &mut proto, |p| p.total_rank() as u64), proto)
         };
+        let stats = &run.stats;
         assert!(stats.completed && stats.lost > 0 && stats.dedup_dropped > 0);
         for v in 0..N {
             assert_eq!(
@@ -120,7 +122,7 @@ fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> (RunStats
                 "node {v} decoded wrong bytes on {threads} thread(s)"
             );
         }
-        (stats, hash.finish())
+        run
     })
 }
 
@@ -128,16 +130,12 @@ fn thread_count_is_invisible<F: SlabField>() {
     let graph = graph();
     let serial = lane::<F>(&graph, 1, false);
     for threads in [2, 4] {
-        assert_eq!(
-            lane::<F>(&graph, threads, false),
-            serial,
-            "{threads} threads"
-        );
+        lane::<F>(&graph, threads, false).assert_same_run(&serial, &format!("{threads} threads"));
     }
     // A wrapper that offers no shards runs serially on any pool, and must
     // equal the sharded run of the protocol it wraps: what the
     // benchmark's traced-versus-untraced check relies on.
-    assert_eq!(lane::<F>(&graph, 2, true), serial, "shards not forwarded");
+    lane::<F>(&graph, 2, true).assert_same_run(&serial, "shards not forwarded");
 }
 
 #[test]

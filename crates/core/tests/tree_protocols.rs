@@ -2,8 +2,8 @@
 //! protocol against every topology, Theorem-4 quantity extraction, and
 //! TAG composition with each of them.
 
-#[path = "../../sim/tests/completion/mod.rs"]
-mod completion;
+#[path = "../../sim/tests/probes/mod.rs"]
+mod probes;
 
 use ag_gf::Gf256;
 use ag_graph::{builders, Graph, GraphError, NodeId};
@@ -12,7 +12,7 @@ use algebraic_gossip::{
     measure_tree_protocol, AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, IsTree,
     OracleTree, Tag, TreeProtocol, WithCrashes,
 };
-use completion::run_with_completion;
+use probes::run_with_completion;
 use rand::rngs::StdRng;
 
 fn graphs() -> Vec<(&'static str, Graph)> {
@@ -87,17 +87,17 @@ fn tag_composes_with_every_tree_protocol_on_torus() {
     // BRR
     let t1 = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 1).unwrap();
     let mut tag = Tag::<Gf256, _>::new(&g, t1, &cfg, 1).unwrap();
-    let s = Engine::new(EngineConfig::synchronous(1).with_max_rounds(100_000)).run(&mut tag);
+    let s = Engine::new(EngineConfig::synchronous(1).with_max_rounds(100_000)).run_batch(&mut tag);
     assert!(s.completed);
     // IS
     let t2 = IsTree::new(&g, 0, 2).unwrap();
     let mut tag = Tag::<Gf256, _>::new(&g, t2, &cfg, 2).unwrap();
-    let s = Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000)).run(&mut tag);
+    let s = Engine::new(EngineConfig::synchronous(2).with_max_rounds(100_000)).run_batch(&mut tag);
     assert!(s.completed);
     // Oracle
     let t3 = OracleTree::new(&g, 0, 3).unwrap();
     let mut tag = Tag::<Gf256, _>::new(&g, t3, &cfg, 3).unwrap();
-    let s = Engine::new(EngineConfig::synchronous(3).with_max_rounds(100_000)).run(&mut tag);
+    let s = Engine::new(EngineConfig::synchronous(3).with_max_rounds(100_000)).run_batch(&mut tag);
     assert!(s.completed);
 }
 
@@ -108,7 +108,8 @@ fn broadcast_finish_time_upper_bounds_tree_depth_sync() {
     // depth grows at most one level per round).
     for (name, g) in graphs() {
         let mut b = BroadcastTree::new(&g, 0, CommModel::Uniform, 11).unwrap();
-        let stats = Engine::new(EngineConfig::synchronous(11).with_max_rounds(100_000)).run(&mut b);
+        let stats =
+            Engine::new(EngineConfig::synchronous(11).with_max_rounds(100_000)).run_batch(&mut b);
         assert!(stats.completed);
         let tree = b.spanning_tree().unwrap();
         assert!(
@@ -149,7 +150,7 @@ fn broadcast_tree_under_crashes_spans_the_survivors() {
     for cfg in [EngineConfig::synchronous(8), EngineConfig::asynchronous(8)] {
         let b = BroadcastTree::new(&g, 0, CommModel::Uniform, 8).unwrap();
         let mut proto = WithCrashes::new(b, CrashPlan::explicit(vec![(dead, 1)]));
-        let stats = Engine::new(cfg.with_max_rounds(10_000)).run(&mut proto);
+        let stats = Engine::new(cfg.with_max_rounds(10_000)).run_batch(&mut proto);
         assert!(stats.completed, "the survivors must finish");
         let b = proto.inner();
         assert_eq!(b.parent(dead), None);
@@ -236,7 +237,7 @@ fn tag_returns_dropped_phase1_messages_to_the_tree_protocol() {
         } else {
             EngineConfig::asynchronous(1)
         };
-        let stats = Engine::new(cfg.with_loss(0.3).with_max_rounds(40)).run(&mut tag);
+        let stats = Engine::new(cfg.with_loss(0.3).with_max_rounds(40)).run_batch(&mut tag);
         assert!(!stats.completed);
         assert!(stats.lost > 0, "loss injection never fired");
         assert_eq!(stats.dedup_dropped > 0, n == 2);

@@ -184,7 +184,7 @@ pub fn run(scale: Scale) -> String {
             // A crashed run may never complete, and counting those is the
             // measurement: the stall budget is a parameter of the scenario.
             let stall = EngineConfig::synchronous(s.engine).with_max_rounds(100_000);
-            let stats = Engine::new(stall).run(&mut proto);
+            let stats = Engine::new(stall).run_batch(&mut proto);
             stats.completed.then_some(stats.rounds)
         });
         let rounds: Vec<u64> = outcomes.iter().copied().flatten().collect();

@@ -334,12 +334,12 @@ fn bridge_and_recovery(scale: Scale, md: &mut String) {
     let stall = EngineConfig::synchronous(seeds.engine).with_max_rounds(budget);
     let inner = AlgebraicGossip::<Gf256>::new(&star, &cfg, seeds.protocol).expect("static");
     let mut static_run = WithCrashes::new(inner, plan.clone());
-    let s_static = Engine::new(stall).run(&mut static_run);
+    let s_static = Engine::new(stall).run_batch(&mut static_run);
     let topo = ScheduledTopology::new(&star, ChurnSchedule::rewire(0.2, seed ^ 0xE));
     let inner =
         AlgebraicGossip::<Gf256, _>::on_topology(topo, &cfg, seeds.protocol).expect("dynamic");
     let mut dynamic_run = WithCrashes::new(inner, plan);
-    let s_dynamic = Engine::new(stall).run(&mut dynamic_run);
+    let s_dynamic = Engine::new(stall).run_batch(&mut dynamic_run);
     assert!(
         !s_static.completed && s_dynamic.completed,
         "crash-then-rewire recovery scenario regressed"

@@ -24,18 +24,22 @@ pub fn run(scale: Scale) -> String {
     let cfg = AgConfig::new(k);
     let mut uniform = AlgebraicGossip::<Gf256>::new(&g, &cfg, 71).unwrap();
     let mut trace_u = Vec::new();
-    let stats_u = Engine::new(engine(Synchronous, 71)).run_observed(&mut uniform, |_, p| {
-        trace_u.push(p.total_rank() as f64 / full_rank);
-    });
+    let stats_u = Engine::new(engine(Synchronous, 71)).run_observed(
+        &mut uniform,
+        &mut |_, p: &AlgebraicGossip<Gf256>| {
+            trace_u.push(p.total_rank() as f64 / full_rank);
+        },
+    );
 
     // Trace TAG+BRR.
     let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 71).unwrap();
     let mut tag = Tag::<Gf256, _>::new(&g, brr, &cfg, 71).unwrap();
     let mut trace_t = Vec::new();
-    let stats_t = Engine::new(engine(Synchronous, 71)).run_observed(&mut tag, |_, p| {
-        let total: usize = (0..n).map(|v| p.rank(v)).sum();
-        trace_t.push(total as f64 / full_rank);
-    });
+    let stats_t =
+        Engine::new(engine(Synchronous, 71)).run_observed(&mut tag, &mut |_, p: &Tag<Gf256, _>| {
+            let total: usize = (0..n).map(|v| p.rank(v)).sum();
+            trace_t.push(total as f64 / full_rank);
+        });
 
     let spark_u = sparkline(&downsample(&trace_u, width));
     let spark_t = sparkline(&downsample(&trace_t, width));

@@ -45,6 +45,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fan_out::{shard_count, FanOut};
+use crate::probe::{Fate, Probe};
 use crate::protocol::{ContactIntent, Protocol};
 use crate::stats::RunStats;
 
@@ -145,36 +146,6 @@ impl EngineConfig {
     }
 }
 
-/// Per-round observation hook, monomorphized so the no-observer path
-/// compiles to nothing (no closure call, no round bookkeeping between
-/// asynchronous round boundaries).
-trait Observe<P: Protocol> {
-    /// Whether observations are wanted at all. `false` lets the loop skip
-    /// observation-only work entirely.
-    const ENABLED: bool;
-    fn observe(&mut self, round: u64, proto: &P);
-}
-
-/// The [`Engine::run_batch`] hot path: observations statically disabled.
-struct NoObserver;
-
-impl<P: Protocol> Observe<P> for NoObserver {
-    const ENABLED: bool = false;
-    #[inline]
-    fn observe(&mut self, _round: u64, _proto: &P) {}
-}
-
-/// Adapter for the `run_observed` closure.
-struct FnObserver<F>(F);
-
-impl<P: Protocol, F: FnMut(u64, &P)> Observe<P> for FnObserver<F> {
-    const ENABLED: bool = true;
-    #[inline]
-    fn observe(&mut self, round: u64, proto: &P) {
-        (self.0)(round, proto);
-    }
-}
-
 /// One planned composition: `(slot, from, to, tag)`.
 pub(crate) type Planned = (usize, NodeId, NodeId, u32);
 
@@ -246,15 +217,11 @@ impl<M> SyncRound<M> {
 /// Drives a [`Protocol`] to completion (or budget exhaustion).
 ///
 /// The engine assumes node completion is *monotone* (once
-/// [`Protocol::node_complete`] returns true for a node it stays true) —
-/// which holds for every protocol in this workspace since decoder ranks and
-/// heard-sets only grow. Completion is re-checked once per still-incomplete
-/// node per synchronous round (every node wakes each round, so the set of
-/// nodes whose status may have changed — the "dirty" set — is exactly the
-/// incomplete set), and per contact participant per asynchronous slot (the
-/// two contact participants are the only dirty nodes of a slot: a node's
-/// status can change on receipt *or* on its own wakeup, e.g. under an
-/// oracle tree protocol).
+/// [`Protocol::node_complete`] returns true for a node it stays true), as
+/// decoder ranks and heard-sets are in this workspace. It re-checks every
+/// still-incomplete node after each synchronous round (all of them woke)
+/// and both participants of each asynchronous timeslot (a node can
+/// complete on receipt or on its own wakeup, e.g. an oracle tree's).
 ///
 /// # Examples
 ///
@@ -272,7 +239,7 @@ impl<M> SyncRound<M> {
 /// #     fn deliver(&mut self, _: NodeId, _: NodeId, _: u32, _: ()) {}
 /// #     fn node_complete(&self, _: NodeId) -> bool { true }
 /// # }
-/// let stats = Engine::new(EngineConfig::synchronous(42)).run(&mut Noop);
+/// let stats = Engine::new(EngineConfig::synchronous(42)).run_batch(&mut Noop);
 /// assert!(stats.completed);
 /// assert_eq!(stats.rounds, 0); // complete before any round ran
 /// ```
@@ -315,50 +282,23 @@ impl Engine {
         self
     }
 
-    /// Runs the protocol to completion or budget; returns statistics.
-    ///
-    /// Equivalent to [`Engine::run_batch`] — same seed, same results.
-    pub fn run<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_batch(proto)
-    }
-
-    /// The no-trace hot path: like [`Engine::run`] but named for what the
-    /// trial runner wants — large batches of runs where nobody asks for a
-    /// per-round trace. Observation support is compiled out entirely
-    /// (statically, via a disabled observer type), so the round loop pays
-    /// no closure call and, under the asynchronous model, skips the
-    /// round-boundary bookkeeping that only exists to feed observers.
-    ///
-    /// Produces bit-identical [`RunStats`] to [`Engine::run_observed`]
-    /// under the same seed: observers never touch engine randomness.
+    /// Runs the protocol to completion or budget; returns statistics. The
+    /// hot path: [`Engine::run_observed`] with the disabled probe `()`,
+    /// which compiles every event out and, under the asynchronous model,
+    /// the round-end bookkeeping that exists only to feed a probe.
     pub fn run_batch<P: Protocol>(&mut self, proto: &mut P) -> RunStats {
-        self.run_with(proto, NoObserver)
+        self.run_observed(proto, &mut ())
     }
 
-    /// Like [`Engine::run`] but invokes `observer(round, proto)` after
-    /// every completed round (under both time models) — used to trace rank
-    /// growth for the figures, or, through [`Protocol::node_complete`],
-    /// the round each node finished in (the engine records no per-node
-    /// completion).
-    ///
-    /// Under the asynchronous model the observer also fires one final time
-    /// when a run completes *mid-round*, with the ceiling round number
-    /// (see [`RunStats::rounds`]), so the trace always ends with the
-    /// completed state — a run finishing at `m·n + j` timeslots
-    /// (`0 < j < n`) is observed at rounds `1, …, m, m+1`, not truncated
-    /// at `m`.
-    pub fn run_observed<P: Protocol>(
+    /// Runs the protocol to completion or budget, reporting every round
+    /// end, node completion and message fate to `probe` (see [`Probe`]).
+    /// The stats are those of [`Engine::run_batch`] under the same seed: a
+    /// probe never touches engine randomness.
+    pub fn run_observed<P: Protocol, Q: Probe<P>>(
         &mut self,
         proto: &mut P,
-        observer: impl FnMut(u64, &P),
+        probe: &mut Q,
     ) -> RunStats {
-        self.run_with(proto, FnObserver(observer))
-    }
-
-    /// The one outer loop: initial completion scan, then synchronous
-    /// rounds or asynchronous timeslots, until every node is complete or
-    /// the budget is spent.
-    fn run_with<P: Protocol, O: Observe<P>>(&mut self, proto: &mut P, mut obs: O) -> RunStats {
         let n = proto.num_nodes();
         assert!(n > 0, "protocol must have at least one node");
         assert!(
@@ -372,53 +312,38 @@ impl Engine {
                 // completion sweep touches only these nodes, not all n.
                 let mut pending: Vec<u32> = (0..=u32::MAX)
                     .take(n)
-                    .filter(|&v| !proto.node_complete(v as NodeId))
+                    .filter(|&v| !completes(proto, probe, 0, v as NodeId))
                     .collect();
-                if pending.is_empty() {
-                    stats.completed = true;
-                    return stats;
-                }
                 let mut scratch = SyncRound::new(n);
-                while stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &mut stats, &mut scratch, &mut pending);
-                    if O::ENABLED {
-                        obs.observe(stats.rounds, proto);
-                    }
-                    if pending.is_empty() {
-                        stats.completed = true;
-                        break;
-                    }
+                while !pending.is_empty() && stats.rounds < self.config.max_rounds {
+                    self.sync_round(proto, &mut stats, probe, &mut scratch, &mut pending);
+                    probe.round_end(stats.rounds, proto);
                 }
+                stats.completed = pending.is_empty();
             }
             TimeModel::Asynchronous => {
-                let mut complete: Vec<bool> = (0..n).map(|v| proto.node_complete(v)).collect();
+                let mut complete: Vec<bool> =
+                    (0..n).map(|v| completes(proto, probe, 0, v)).collect();
                 let mut incomplete = complete.iter().filter(|&&done| !done).count();
-                if incomplete == 0 {
-                    stats.completed = true;
-                    return stats;
-                }
                 let max_slots = self.config.max_rounds.saturating_mul(n as u64);
-                while stats.timeslots < max_slots {
+                while incomplete > 0 && stats.timeslots < max_slots {
                     if stats.timeslots.is_multiple_of(n as u64) {
                         // A new round group of n timeslots begins.
                         proto.on_round_start(stats.timeslots / n as u64 + 1);
                     }
-                    self.async_slot(proto, &mut stats, &mut complete, &mut incomplete, n);
-                    if O::ENABLED && stats.timeslots.is_multiple_of(n as u64) {
+                    self.async_slot(proto, &mut stats, probe, &mut complete, &mut incomplete, n);
+                    if Q::ENABLED && stats.timeslots.is_multiple_of(n as u64) {
                         stats.rounds = stats.timeslots / n as u64;
-                        obs.observe(stats.rounds, proto);
-                    }
-                    if incomplete == 0 {
-                        stats.completed = true;
-                        break;
+                        probe.round_end(stats.rounds, proto);
                     }
                 }
+                stats.completed = incomplete == 0;
                 // One rounds convention everywhere: ceil(timeslots / n).
                 stats.rounds = stats.timeslots.div_ceil(n as u64);
-                if O::ENABLED && stats.completed && !stats.timeslots.is_multiple_of(n as u64) {
-                    // The run completed mid-round; the round-boundary
-                    // observation above never saw the final state.
-                    obs.observe(stats.rounds, proto);
+                if Q::ENABLED && stats.completed && !stats.timeslots.is_multiple_of(n as u64) {
+                    // The run completed mid-round; the round-end call
+                    // above never saw the final state.
+                    probe.round_end(stats.rounds, proto);
                 }
             }
         }
@@ -446,10 +371,11 @@ impl Engine {
     /// `dedup_dropped` or as `empty_sends` depends on what it composed.
     /// Loss is drawn on the main RNG as each dedup survivor is merged, so
     /// the draws follow slot order.
-    fn sync_round<P: Protocol>(
+    fn sync_round<P: Protocol, Q: Probe<P>>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
+        probe: &mut Q,
         scratch: &mut SyncRound<P::Msg>,
         pending: &mut Vec<u32>,
     ) {
@@ -503,7 +429,8 @@ impl Engine {
                     && live[u] >> (1 - d) & 1 == 1
                     && matches!(intents[u], Some(i) if i.partner == v);
                 live[v] |= u8::from(msg.is_some() && !dup) << d;
-                if let Some(msg) = self.admit(proto, stats, msg, dup) {
+                let at = (round, slot, from, to);
+                if let Some(msg) = self.admit(proto, stats, probe, at, msg, dup) {
                     match sharded.as_mut() {
                         Some(fan) => fan.queue(from, to, tag, msg),
                         None => proto.deliver(from, to, tag, msg),
@@ -519,52 +446,62 @@ impl Engine {
         stats.timeslots += n as u64;
         // 5. Completion sweep over the still-incomplete nodes only (all of
         //    them are dirty: every node woke, and any may have received).
-        pending.retain(|&v| !proto.node_complete(v as NodeId));
+        pending.retain(|&v| !completes(proto, probe, round, v as NodeId));
     }
 
     /// The fate of one composed message, under both time models: nothing
     /// composed is an empty send, a same-sender duplicate (`dup`) is a
     /// dedup drop, a message that fails the loss draw is lost, and
-    /// anything else is delivered. Drops go back through
-    /// [`Protocol::discard`]; the survivor is returned for its receiver.
+    /// anything else is delivered. The probe hears the fate at `at` (round,
+    /// slot, from, to); drops go back through [`Protocol::discard`], and
+    /// the survivor is returned for its receiver.
     #[inline]
-    fn admit<P: Protocol>(
+    fn admit<P: Protocol, Q: Probe<P>>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
+        probe: &mut Q,
+        (round, slot, from, to): (u64, usize, NodeId, NodeId),
         msg: Option<P::Msg>,
         dup: bool,
     ) -> Option<P::Msg> {
+        let mut report = |fate| probe.admitted(round, slot, from, to, fate);
         let Some(msg) = msg else {
             stats.empty_sends += 1;
+            report(Fate::Empty);
             return None;
         };
         if dup {
             stats.dedup_dropped += 1;
+            report(Fate::Deduped);
             proto.discard(msg);
             return None;
         }
         if self.config.loss_prob > 0.0 && self.rng.gen_bool(self.config.loss_prob) {
             stats.lost += 1;
+            report(Fate::Lost);
             proto.discard(msg);
             return None;
         }
         stats.messages_delivered += 1;
+        report(Fate::Delivered);
         Some(msg)
     }
 
     /// One asynchronous timeslot: a uniformly random node wakes; both
     /// directions of its contact are composed from pre-contact state on
     /// the main RNG, then settled through [`Engine::admit`] and delivered.
-    fn async_slot<P: Protocol>(
+    fn async_slot<P: Protocol, Q: Probe<P>>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
+        probe: &mut Q,
         complete: &mut [bool],
         incomplete: &mut usize,
         n: usize,
     ) {
         stats.timeslots += 1;
+        let round = stats.timeslots.div_ceil(n as u64);
         let v = self.rng.gen_range(0..n);
         let intent = proto.on_wakeup(v, &mut self.rng);
         if let Some(intent) = intent {
@@ -577,7 +514,9 @@ impl Engine {
                 })
             });
             for (from, to, tag, msg) in composed.into_iter().flatten() {
-                if let Some(msg) = self.admit(proto, stats, msg, false) {
+                // Slot 2v is v's forward message, 2v + 1 (to v) its backward.
+                let at = (round, 2 * v + usize::from(to == v), from, to);
+                if let Some(msg) = self.admit(proto, stats, probe, at, msg, false) {
                     proto.deliver(from, to, tag, msg);
                 }
             }
@@ -585,7 +524,7 @@ impl Engine {
         // Either participant may have completed: on receipt, or on its own
         // wakeup (oracle protocols).
         for node in [Some(v), intent.map(|i| i.partner)].into_iter().flatten() {
-            if !complete[node] && proto.node_complete(node) {
+            if !complete[node] && completes(proto, probe, round, node) {
                 complete[node] = true;
                 *incomplete -= 1;
             }
@@ -593,10 +532,20 @@ impl Engine {
     }
 }
 
+/// Whether `node` is complete; if it is, the probe hears so at `round`.
+#[inline]
+fn completes<P: Protocol, Q: Probe<P>>(proto: &P, probe: &mut Q, round: u64, node: NodeId) -> bool {
+    let done = proto.node_complete(node);
+    if done {
+        probe.node_complete(round, node);
+    }
+    done
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::completion::run_with_completion;
+    use crate::probes::run_with_completion;
     use crate::protocol::{Action, ContactIntent};
 
     /// A deterministic "hot potato" counter: node v always pushes to
@@ -667,7 +616,7 @@ mod tests {
         // slots, but never backwards; completion takes SOME slots and the
         // round count is ceil(slots / n).
         let mut proto = Relay::new(4);
-        let stats = Engine::new(EngineConfig::asynchronous(7)).run(&mut proto);
+        let stats = Engine::new(EngineConfig::asynchronous(7)).run_batch(&mut proto);
         assert!(stats.completed);
         assert_eq!(stats.rounds, stats.timeslots.div_ceil(4));
         assert!(proto.values.iter().all(|&v| v == 1));
@@ -679,7 +628,7 @@ mod tests {
         let cfg = EngineConfig::synchronous(3)
             .with_loss(1.0)
             .with_max_rounds(50);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let stats = Engine::new(cfg).run_batch(&mut proto);
         assert!(!stats.completed);
         assert_eq!(stats.messages_delivered, 0);
         // Relay pairs are unique within a round: everything is loss.
@@ -718,7 +667,7 @@ mod tests {
                 true
             }
         }
-        let stats = Engine::new(EngineConfig::synchronous(0)).run(&mut Done);
+        let stats = Engine::new(EngineConfig::synchronous(0)).run_batch(&mut Done);
         assert!(stats.completed);
         assert_eq!(stats.rounds, 0);
         assert_eq!(stats.timeslots, 0);
@@ -762,7 +711,7 @@ mod tests {
             delivered: vec![0, 0],
         };
         let cfg = EngineConfig::synchronous(0).with_max_rounds(1);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let stats = Engine::new(cfg).run_batch(&mut proto);
         assert_eq!(stats.messages_delivered, 2);
         assert_eq!(stats.dedup_dropped, 2);
         assert_eq!(proto.delivered, vec![1, 1]);
@@ -779,7 +728,7 @@ mod tests {
         };
         let cfg = EngineConfig::synchronous(9).with_max_rounds(3);
         assert_eq!(cfg.loss_prob, 0.0);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let stats = Engine::new(cfg).run_batch(&mut proto);
         assert!(stats.dedup_dropped > 0, "dedup must be active");
         assert_eq!(stats.lost, 0, "no loss was configured");
         assert_eq!(
@@ -796,7 +745,7 @@ mod tests {
         let cfg = EngineConfig::synchronous(0)
             .with_dedup(false)
             .with_max_rounds(1);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let stats = Engine::new(cfg).run_batch(&mut proto);
         assert!(stats.completed);
         assert_eq!(stats.messages_delivered, 4);
         assert_eq!(stats.dedup_dropped, 0);
@@ -807,7 +756,7 @@ mod tests {
     fn identical_seeds_identical_runs() {
         let run = |seed| {
             let mut p = Relay::new(8);
-            Engine::new(EngineConfig::asynchronous(seed)).run(&mut p)
+            Engine::new(EngineConfig::asynchronous(seed)).run_batch(&mut p)
         };
         let a = run(99);
         let b = run(99);
@@ -818,14 +767,52 @@ mod tests {
 
     #[test]
     fn run_batch_and_run_observed_agree() {
-        // Observers must not perturb the run: all three entry points
-        // produce the same stats under the same seed, both time models.
+        // A probe must not perturb the run: the disabled probe, a closure
+        // and a probe of completions produce the same stats under the same
+        // seed, both time models.
         for cfg in [EngineConfig::synchronous(5), EngineConfig::asynchronous(5)] {
             let batch = Engine::new(cfg).run_batch(&mut Relay::new(7));
-            let plain = Engine::new(cfg).run(&mut Relay::new(7));
-            let observed = Engine::new(cfg).run_observed(&mut Relay::new(7), |_, _| {});
-            assert_eq!(batch, plain);
+            let observed =
+                Engine::new(cfg).run_observed(&mut Relay::new(7), &mut |_, _: &Relay| {});
+            let (probed, _) =
+                run_with_completion(&mut Engine::new(cfg), &mut Relay::new(7), |_, _| {});
             assert_eq!(batch, observed);
+            assert_eq!(batch, probed);
+        }
+    }
+
+    /// Counts the `admitted` events of each fate.
+    #[derive(Default)]
+    struct Tally([u64; 4]);
+
+    impl<P: Protocol> Probe<P> for Tally {
+        fn admitted(&mut self, _: u64, _: usize, _: NodeId, _: NodeId, fate: Fate) {
+            self.0[fate as usize] += 1;
+        }
+    }
+
+    #[test]
+    fn every_message_meets_one_fate() {
+        // Each counter of RunStats is the number of events of its fate:
+        // dedup drops (mutual EXCHANGE), losses and deliveries under the
+        // synchronous model, losses and deliveries under the asynchronous.
+        for cfg in [EngineConfig::synchronous(4), EngineConfig::asynchronous(4)] {
+            let cfg = cfg.with_loss(0.3).with_max_rounds(20);
+            let mut tally = Tally::default();
+            let stats = Engine::new(cfg).run_observed(
+                &mut MutualExchange {
+                    delivered: vec![0, 0],
+                },
+                &mut tally,
+            );
+            let want = [
+                stats.empty_sends,
+                stats.dedup_dropped,
+                stats.lost,
+                stats.messages_delivered,
+            ];
+            assert_eq!(tally.0, want, "{:?}", cfg.time_model);
+            assert!(stats.lost > 0 && stats.messages_delivered > 0);
         }
     }
 
@@ -834,7 +821,7 @@ mod tests {
         let mut proto = Relay::new(5);
         let mut rounds_seen = Vec::new();
         let mut engine = Engine::new(EngineConfig::synchronous(0));
-        engine.run_observed(&mut proto, |r, _p| rounds_seen.push(r));
+        engine.run_observed(&mut proto, &mut |r, _: &Relay| rounds_seen.push(r));
         assert_eq!(rounds_seen, vec![1, 2, 3, 4]);
     }
 
@@ -850,7 +837,7 @@ mod tests {
             let mut trace: Vec<(u64, bool)> = Vec::new();
             let stats = Engine::new(EngineConfig::asynchronous(seed)).run_observed(
                 &mut proto,
-                |round, p| {
+                &mut |round, p: &Relay| {
                     trace.push((round, p.values.iter().all(|&v| v == 1)));
                 },
             );

@@ -387,13 +387,13 @@ mod tests {
         // n) agree on stats and state.
         let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
-        let want = Engine::new(cfg).run(&mut serial);
+        let want = Engine::new(cfg).run_batch(&mut serial);
         assert!(want.completed);
         assert!(want.dedup_dropped > 0, "dedup must be exercised");
         assert!(want.lost > 0, "loss must be exercised");
         for shards in [0, 1, 2, 3, 7, 23, 64] {
             let mut proto = NoisyExchange::new(23);
-            let got = forced(cfg, shards).run(&mut proto);
+            let got = forced(cfg, shards).run_batch(&mut proto);
             assert_eq!(got, want, "shards = {shards}");
             assert_eq!(proto.values, serial.values, "shards = {shards}");
         }
@@ -406,12 +406,12 @@ mod tests {
         // messages queued for them: the phase runs serially instead.
         let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
-        let want = Engine::new(cfg).run(&mut serial);
+        let want = Engine::new(cfg).run_batch(&mut serial);
         for short in [[true, true], [true, false], [false, true]] {
             for shards in [2, 5] {
                 let mut proto = NoisyExchange::new(23);
                 proto.short = short;
-                let got = forced(cfg, shards).run(&mut proto);
+                let got = forced(cfg, shards).run_batch(&mut proto);
                 assert_eq!(got, want, "short = {short:?}, shards = {shards}");
                 assert_eq!(proto.values, serial.values, "short = {short:?}");
             }
@@ -436,7 +436,7 @@ mod tests {
             let mut proto = NoisyExchange::new(23);
             proto.msg_bytes = msg_bytes;
             let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
-            let stats = Engine::new(lossy_cfg()).run(&mut proto);
+            let stats = Engine::new(lossy_cfg()).run_batch(&mut proto);
             let allocated = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get) - before;
             (allocated, stats, proto.values)
         })
@@ -466,7 +466,7 @@ mod tests {
         }
         // The forced fan-out agrees, and needs no second thread.
         let mut proto = NoisyExchange::new(23);
-        assert_eq!(forced(lossy_cfg(), 5).run(&mut proto), want_stats);
+        assert_eq!(forced(lossy_cfg(), 5).run_batch(&mut proto), want_stats);
         assert_eq!(proto.values, want_values);
     }
 
@@ -476,9 +476,10 @@ mod tests {
             let cfg = EngineConfig::synchronous(7).with_max_rounds(300);
             let mut proto = NoisyExchange::new(11);
             let mut rounds = Vec::new();
-            let stats = forced(cfg, shards).run_observed(&mut proto, |round, p| {
-                rounds.push((round, p.values.iter().sum::<u64>()));
-            });
+            let stats =
+                forced(cfg, shards).run_observed(&mut proto, &mut |round, p: &NoisyExchange| {
+                    rounds.push((round, p.values.iter().sum::<u64>()));
+                });
             (stats, rounds)
         };
         let want = trace(1);
@@ -496,7 +497,7 @@ mod tests {
             let cfg = EngineConfig::synchronous(3).with_max_rounds(50);
             let mut proto = NoisyExchange::new(9);
             proto.saturation = 40;
-            let stats = forced(cfg, shards).run(&mut proto);
+            let stats = forced(cfg, shards).run_batch(&mut proto);
             (stats, proto.values)
         };
         let want = run(1);
@@ -513,11 +514,11 @@ mod tests {
     fn async_model_never_fans_out() {
         let cfg = EngineConfig::asynchronous(5).with_max_rounds(400);
         let mut serial = NoisyExchange::new(8);
-        let want = Engine::new(cfg).run(&mut serial);
+        let want = Engine::new(cfg).run_batch(&mut serial);
         assert!(want.completed);
         let mut proto = NoisyExchange::new(8);
         let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
-        let got = forced(cfg, 4).run(&mut proto);
+        let got = forced(cfg, 4).run_batch(&mut proto);
         assert_eq!(FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get), before);
         assert_eq!(got, want);
         assert_eq!(proto.values, serial.values);
@@ -527,7 +528,8 @@ mod tests {
     fn run_batch_and_run_observed_agree() {
         let cfg = EngineConfig::synchronous(5).with_max_rounds(200);
         let batch = forced(cfg, 3).run_batch(&mut NoisyExchange::new(10));
-        let observed = forced(cfg, 3).run_observed(&mut NoisyExchange::new(10), |_, _| {});
+        let observed = forced(cfg, 3)
+            .run_observed(&mut NoisyExchange::new(10), &mut |_, _: &NoisyExchange| {});
         assert_eq!(batch, observed);
     }
 
@@ -536,7 +538,7 @@ mod tests {
         let mut proto = NoisyExchange::new(4);
         let target = proto.target();
         proto.values.fill(target);
-        let stats = forced(EngineConfig::synchronous(0), 4).run(&mut proto);
+        let stats = forced(EngineConfig::synchronous(0), 4).run_batch(&mut proto);
         assert!(stats.completed);
         assert_eq!(stats.rounds, 0);
     }

@@ -21,25 +21,23 @@
 //! Protocols implement the [`Protocol`] trait; [`Engine`] drives them under
 //! either time model, injects optional message loss (an ablation beyond the
 //! paper's lossless model), and returns [`RunStats`] with split drop
-//! accounting (`dedup_dropped` vs `lost`).
+//! accounting (`dedup_dropped` vs `lost`). A [`Probe`] passed to
+//! [`Engine::run_observed`] hears what the counters sum up: every round
+//! end, every node's completion round and every message's [`Fate`];
+//! [`Engine::run_batch`] runs the disabled probe `()`, which compiles out.
 //!
 //! The synchronous round is written once (in the `engine` module), over
-//! one slot-indexed message table, in a loop built for large-n sweeps —
-//! persistent per-round scratch, hash-free same-sender dedup, an
-//! incomplete-node completion sweep, and the observer-free
-//! [`Engine::run_batch`] hot path. The engine composes the slots, settles
-//! each message's fate in one merge walk and hands each survivor to its
-//! receiver there: serially through [`Protocol::compose`] and
+//! one slot-indexed message table, with persistent per-round scratch,
+//! hash-free same-sender dedup and an incomplete-node completion sweep.
+//! Each survivor goes to its receiver in one merge walk: serially through
 //! [`Protocol::deliver`], or, for a protocol that splits into
 //! [`ProtocolShard`]s through [`Protocol::shards`], on the rayon pool on
-//! every round big enough to pay for it (the `fan_out` module).
-//! [`Engine`] is the only engine: tests that need a fixed shard count
-//! force one through a hidden builder on it. Wakeups and loss draw from
-//! the engine's main RNG; every composed message draws from an RNG
-//! private to `(seed, round, slot)`. A round is therefore bit-identical
-//! at every shard count and thread count, and is differentially tested
-//! against a structurally different oracle loop that lives in
-//! `tests/oracle`.
+//! every round big enough to pay for it (the `fan_out` module; tests force
+//! a shard count through a hidden builder on [`Engine`]). Wakeups and loss
+//! draw from the engine's main RNG; every composed message draws from an
+//! RNG private to `(seed, round, slot)`. A round is therefore
+//! bit-identical at every shard and thread count, and is differentially
+//! tested against a structurally different oracle loop in `tests/oracle`.
 //!
 //! The engine calls [`Protocol::on_round_start`] once before every round
 //! (and at every n-timeslot boundary of the asynchronous model) — the
@@ -72,18 +70,20 @@
 mod comm;
 mod engine;
 mod fan_out;
+mod probe;
 mod protocol;
 mod stats;
 
 pub use comm::{CommModel, PartnerSelector};
 pub use engine::{Engine, EngineConfig, TimeModel};
+pub use probe::{Fate, Probe};
 pub use protocol::{Action, ContactIntent, Protocol, ProtocolShard};
 pub use stats::{RunStats, TrajectoryHash};
 
-// The unit tests share the integration tests' completion observer, which
+// The unit tests share the integration tests' probe module, which
 // names this crate by its external name.
 #[cfg(test)]
 extern crate self as ag_sim;
 #[cfg(test)]
-#[path = "../tests/completion/mod.rs"]
-mod completion;
+#[path = "../tests/probes/mod.rs"]
+mod probes;

@@ -158,9 +158,10 @@ pub trait Protocol {
         None
     }
 
-    /// Has this node individually completed its task? The engine records
-    /// each node's completion round from it and stops the run once every
-    /// node reports `true`; it assumes a node, once complete, stays so.
+    /// Has this node individually completed its task? The engine reports
+    /// each node's completion round from it to a [`crate::Probe`] and stops
+    /// the run once every node reports `true`; it assumes a node, once
+    /// complete, stays so.
     fn node_complete(&self, node: NodeId) -> bool;
 
     /// Whether every node is complete. The engine never calls this; the

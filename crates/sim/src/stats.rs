@@ -14,12 +14,11 @@ pub struct RunStats {
     /// **Asynchronous convention:** always `ceil(timeslots / n)` — a
     /// partially elapsed round counts as a full round. The same ceiling
     /// convention is used everywhere rounds are derived from timeslots:
-    /// this field and the round number passed to `run_observed`
-    /// observers. A run that completes at exactly `m·n` timeslots
-    /// therefore reports `m` rounds, and one that completes at `m·n + 1`
-    /// reports `m + 1`. Per-node completion is not recorded: an observer
-    /// that reads [`crate::Protocol::node_complete`] sees each node finish
-    /// at the ceiling round of the slot it finished in.
+    /// this field and the round of every [`crate::Probe`] event. A run
+    /// that completes at exactly `m·n` timeslots therefore reports `m`
+    /// rounds, and one that completes at `m·n + 1` reports `m + 1`.
+    /// Per-node completion is not recorded here: a probe hears each node
+    /// finish through [`crate::Probe::node_complete`].
     pub rounds: u64,
     /// Raw timeslots (asynchronous model; equals `rounds * n` for the
     /// synchronous model).
@@ -51,7 +50,7 @@ impl RunStats {
 /// Order-sensitive FNV-1a hash over a sequence of `u64` observations.
 ///
 /// Used to *pin* per-round trajectories (e.g. the total decoder rank after
-/// every round, fed from [`crate::Engine::run_observed`]) in golden tests:
+/// every round, fed from a [`crate::Probe`]'s `round_end`) in golden tests:
 /// a refactor of the arithmetic hot path must reproduce the exact same
 /// trajectory hash or the simulation output changed. The hash is a pure
 /// function of the observed values and their order — no platform-dependent
@@ -65,11 +64,9 @@ impl RunStats {
 /// let mut h = TrajectoryHash::new();
 /// h.observe(3);
 /// h.observe(7);
-/// let mut g = TrajectoryHash::new();
-/// g.observe_slice(&[3, 7]);
-/// assert_eq!(h.finish(), g.finish());
 /// let mut swapped = TrajectoryHash::new();
-/// swapped.observe_slice(&[7, 3]);
+/// swapped.observe(7);
+/// swapped.observe(3);
 /// assert_ne!(h.finish(), swapped.finish());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +94,6 @@ impl TrajectoryHash {
         }
     }
 
-    /// Feeds a slice of observations in order.
-    pub fn observe_slice(&mut self, values: &[u64]) {
-        for &v in values {
-            self.observe(v);
-        }
-    }
-
     /// The current digest. The hasher can keep observing afterwards.
     #[must_use]
     pub fn finish(&self) -> u64 {
@@ -123,18 +113,17 @@ mod tests {
 
     #[test]
     fn trajectory_hash_is_order_sensitive_and_stable() {
-        let mut h = TrajectoryHash::new();
-        h.observe_slice(&[1, 2, 3]);
+        let hash = |values: [u64; 3]| {
+            let mut h = TrajectoryHash::new();
+            for v in values {
+                h.observe(v);
+            }
+            h.finish()
+        };
         // Same observations in the same order give the same digest…
-        let mut h2 = TrajectoryHash::new();
-        h2.observe(1);
-        h2.observe(2);
-        h2.observe(3);
-        assert_eq!(h.finish(), h2.finish());
+        assert_eq!(hash([1, 2, 3]), hash([1, 2, 3]));
         // …and swapping the order changes it.
-        let mut g = TrajectoryHash::new();
-        g.observe_slice(&[3, 2, 1]);
-        assert_ne!(h.finish(), g.finish());
+        assert_ne!(hash([1, 2, 3]), hash([3, 2, 1]));
         // Empty hasher has the offset basis; observing zero changes it.
         let mut z = TrajectoryHash::new();
         let empty = z.finish();

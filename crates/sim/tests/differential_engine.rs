@@ -1,9 +1,9 @@
 //! Differential lock for the round loop: [`Engine`] and the test-only
 //! oracle loop in `oracle/` ([`ReferenceEngine`]) must produce
-//! bit-identical [`RunStats`], observer traces and per-node completion
+//! bit-identical [`RunStats`], round-end traces and per-node completion
 //! rounds for every protocol, graph, time model, action, loss rate and
-//! dedup setting. The engine keeps no per-node record: its side is what
-//! an observer sees (`completion/`), the oracle's is its own record.
+//! dedup setting. The engine's completion rounds are its `node_complete`
+//! events (`probes/`), the oracle's are its own record.
 //!
 //! The engine keeps persistent scratch, resolves same-sender dedup with an
 //! analytic rule over the intent table while it merges, composes slot by
@@ -15,8 +15,8 @@
 //! coefficients) fail if either side's keying drifts. This suite is the
 //! engine-level analogue of `crates/rlnc/tests/differential_decoder.rs`.
 
-mod completion;
 mod oracle;
+mod probes;
 
 use ag_gf::Gf2;
 use ag_graph::{builders, ChurnSchedule, Graph, NodeId, ScheduledTopology, Topology};
@@ -24,8 +24,8 @@ use ag_sim::{
     Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol, RunStats,
 };
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
-use completion::run_with_completion;
 use oracle::ReferenceEngine;
+use probes::run_with_completion;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,7 @@ impl<T: Topology> Protocol for Flood<T> {
     }
 }
 
-/// Observer trace entry: round number plus a state fingerprint.
+/// Round-end trace entry: round number plus a state fingerprint.
 type Trace = Vec<(u64, u64)>;
 
 fn flood_fingerprint<T: Topology>(p: &Flood<T>) -> u64 {

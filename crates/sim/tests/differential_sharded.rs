@@ -15,8 +15,9 @@
 //! asserts:
 //!
 //! * identical [`RunStats`],
-//! * identical per-round observer traces (round, total rank) and their
-//!   [`TrajectoryHash`],
+//! * an identical hash of the per-round trace (round, total rank),
+//! * an identical fate for every message, the engine's `admitted` stream
+//!   (a mismatch names its first diverging event),
 //! * identical decoded messages on completed runs.
 //!
 //! A protocol that offers no shards (`Protocol::shards` is `None`) runs
@@ -30,11 +31,14 @@
 
 use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::{builders, NodeId};
-use ag_sim::{CommModel, ContactIntent, Engine, EngineConfig, Protocol, RunStats, TrajectoryHash};
+use ag_sim::{CommModel, ContactIntent, Engine, EngineConfig, Protocol};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
+use probes::{record, Recorded};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod probes;
 
 #[allow(
     clippy::disallowed_methods,
@@ -72,28 +76,17 @@ fn engine(cfg: EngineConfig, shards: Option<usize>) -> Engine {
     }
 }
 
-/// What a lane reports: stats, the hashed trace and the raw trace.
-type Lane = (RunStats, u64, Vec<(u64, u64)>);
-
 /// Runs `proto` to completion, forced over `shards` shards (`Some(s)`) or
-/// left to the engine's own rule (`None`: serial at these sizes), tracing
-/// (round, total rank). `ag` finds the algebraic-gossip protocol inside
-/// `proto`.
+/// left to the engine's own rule (`None`: serial at these sizes),
+/// recording (round, total rank). `ag` finds the algebraic-gossip protocol
+/// inside `proto`.
 fn traced_run<F: SlabField, P: Protocol>(
     proto: &mut P,
     cfg: EngineConfig,
     shards: Option<usize>,
     ag: impl Fn(&P) -> &AlgebraicGossip<F>,
-) -> Lane {
-    let mut hash = TrajectoryHash::new();
-    let mut trace = Vec::new();
-    let stats = engine(cfg, shards).run_observed(proto, |round, p| {
-        let rank = ag(p).total_rank() as u64;
-        hash.observe(round);
-        hash.observe(rank);
-        trace.push((round, rank));
-    });
-    (stats, hash.finish(), trace)
+) -> Recorded {
+    record(engine(cfg, shards), proto, |p| ag(p).total_rank() as u64)
 }
 
 /// One full run of bare algebraic gossip, which offers shards; also
@@ -104,10 +97,10 @@ fn run_lane<F: SlabField + Send>(
     cfg: EngineConfig,
     proto_seed: u64,
     shards: Option<usize>,
-) -> Lane {
+) -> Recorded {
     let mut proto = protocol::<F>(n, ag_cfg, proto_seed);
     let lane = traced_run(&mut proto, cfg, shards, |p| p);
-    if lane.0.completed {
+    if lane.stats.completed {
         for v in 0..n {
             assert_eq!(
                 proto.decoded(v).expect("complete node decodes"),
@@ -127,7 +120,7 @@ fn run_crash_lane(
     cfg: EngineConfig,
     proto_seed: u64,
     shards: Option<usize>,
-) -> Lane {
+) -> Recorded {
     let plan = CrashPlan::random_fraction(n, 0.2, 3, proto_seed ^ 0xDEAD);
     let mut proto = WithCrashes::new(protocol::<Gf256>(n, ag_cfg, proto_seed), plan);
     traced_run(&mut proto, cfg, shards, WithCrashes::inner)
@@ -188,7 +181,7 @@ fn run_unsharded_lane(
     cfg: EngineConfig,
     proto_seed: u64,
     shards: Option<usize>,
-) -> Lane {
+) -> Recorded {
     let mut proto = Unsharded(protocol::<Gf256>(n, ag_cfg, proto_seed));
     rayon::ThreadPoolBuilder::new()
         .num_threads(2)
@@ -201,8 +194,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The tentpole lock: every shard count reproduces the serial round
-    /// bit-for-bit — stats, trace, hash — over random graphs × both comm
-    /// models × both fields × loss.
+    /// bit-for-bit — stats, trace hash, admitted stream — over random
+    /// graphs × both comm models × both fields × loss.
     #[test]
     fn shard_count_is_invisible(
         seed in any::<u64>(),
@@ -224,10 +217,7 @@ proptest! {
         };
         let want = lane(None);
         for shards in [1usize, 3, 7] {
-            let got = lane(Some(shards));
-            prop_assert_eq!(&got.0, &want.0, "stats diverged at {} shards", shards);
-            prop_assert_eq!(got.1, want.1, "trajectory hash diverged at {} shards", shards);
-            prop_assert_eq!(&got.2, &want.2, "trace diverged at {} shards", shards);
+            lane(Some(shards)).assert_same_run(&want, &format!("seed {seed:#x}, {shards} shards"));
         }
     }
 
@@ -247,7 +237,7 @@ proptest! {
         }
         let ag = ag_cfg(k, CommModel::Uniform);
         let lane = |shards| run_crash_lane(n, &ag, cfg, seed ^ 0xC4, shards);
-        prop_assert_eq!(lane(Some(shards)), lane(None));
+        lane(Some(shards)).assert_same_run(&lane(None), &format!("seed {seed:#x}, crash lane"));
     }
 
     /// The serial fallback: a protocol whose messages clear the sharding
@@ -268,7 +258,8 @@ proptest! {
         let ag = ag_cfg(k, CommModel::Uniform);
         let want = run_lane::<Gf256>(n, &ag, cfg, seed ^ 0x5E, None);
         for lane in [Some(shards), None] {
-            prop_assert_eq!(&run_unsharded_lane(n, &ag, cfg, seed ^ 0x5E, lane), &want);
+            run_unsharded_lane(n, &ag, cfg, seed ^ 0x5E, lane)
+                .assert_same_run(&want, &format!("seed {seed:#x}, unsharded {lane:?}"));
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Extra engine-semantics tests: direction handling, accounting, and the
 //! paper's model rules, exercised through a purpose-built probe protocol.
 
-mod completion;
+mod probes;
 
 use ag_graph::NodeId;
-use ag_sim::{Action, ContactIntent, Engine, EngineConfig, Protocol};
-use completion::run_with_completion;
+use ag_sim::{Action, ContactIntent, Engine, EngineConfig, Fate, Protocol, TimeModel};
+use probes::{record, run_with_completion, trace_diff};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -63,7 +63,7 @@ fn probe(action: Action, rounds: u64) -> Probe {
         target_msgs: u32::MAX, // run until budget
     };
     let cfg = EngineConfig::synchronous(1).with_max_rounds(rounds);
-    let _ = Engine::new(cfg).run(&mut p);
+    let _ = Engine::new(cfg).run_batch(&mut p);
     p
 }
 
@@ -113,7 +113,7 @@ fn empty_sends_are_counted_not_delivered() {
         }
     }
     let cfg = EngineConfig::synchronous(1).with_max_rounds(3);
-    let stats = Engine::new(cfg).run(&mut Silent);
+    let stats = Engine::new(cfg).run_batch(&mut Silent);
     assert_eq!(stats.messages_delivered, 0);
     // EXCHANGE attempts 2 sends per round, both empty: 3 rounds * 2.
     assert_eq!(stats.empty_sends, 6);
@@ -141,7 +141,7 @@ fn async_round_accounting_is_ceil_of_slots() {
         }
     }
     let cfg = EngineConfig::asynchronous(2).with_max_rounds(7);
-    let stats = Engine::new(cfg).run(&mut Idle);
+    let stats = Engine::new(cfg).run_batch(&mut Idle);
     assert!(!stats.completed);
     assert_eq!(stats.timeslots, 7 * 5);
     assert_eq!(stats.rounds, 7);
@@ -168,7 +168,7 @@ fn observer_fires_once_per_round_in_async_mode() {
     }
     let mut rounds_seen = Vec::new();
     let cfg = EngineConfig::asynchronous(3).with_max_rounds(4);
-    Engine::new(cfg).run_observed(&mut Idle, |r, _p| rounds_seen.push(r));
+    Engine::new(cfg).run_observed(&mut Idle, &mut |r, _: &Idle| rounds_seen.push(r));
     assert_eq!(rounds_seen, vec![1, 2, 3, 4]);
 }
 
@@ -185,7 +185,7 @@ fn loss_applies_per_direction_of_exchange() {
     let cfg = EngineConfig::synchronous(1)
         .with_max_rounds(4)
         .with_loss(1.0);
-    let stats = Engine::new(cfg).run(&mut p);
+    let stats = Engine::new(cfg).run_batch(&mut p);
     assert_eq!(stats.messages_delivered, 0);
     assert_eq!(stats.lost, 4 * 2);
     assert_eq!(stats.dedup_dropped, 0);
@@ -209,7 +209,7 @@ fn completion_round_zero_for_pre_complete_nodes() {
 }
 
 /// What happened to one message: `(from, to, delivered)`.
-type Fate = (NodeId, NodeId, bool);
+type Logged = (NodeId, NodeId, bool);
 
 /// Every node EXCHANGEs with a random other node each round; the
 /// protocol logs each round's intents and, in call order, every
@@ -218,7 +218,7 @@ type Fate = (NodeId, NodeId, bool);
 struct FateLog {
     n: usize,
     /// Per round: the intents filed, and the fates in call order.
-    rounds: Vec<(Vec<Option<ContactIntent>>, Vec<Fate>)>,
+    rounds: Vec<(Vec<Option<ContactIntent>>, Vec<Logged>)>,
 }
 
 impl Protocol for FateLog {
@@ -273,10 +273,12 @@ fn survivors_and_drops_meet_their_fate_in_slot_order() {
     let cfg = EngineConfig::synchronous(11)
         .with_loss(0.3)
         .with_max_rounds(60);
-    let stats = Engine::new(cfg).run(&mut p);
+    let run = record(Engine::new(cfg), &mut p, |_| 0);
+    let stats = run.stats;
     assert!(stats.dedup_dropped > 0 && stats.lost > 0 && stats.messages_delivered > 0);
     let mut drop_after_delivery = false;
-    for (round, (intents, fates)) in p.rounds.iter().enumerate() {
+    let mut logged = Vec::new();
+    for (round, (intents, fates)) in (1..).zip(&p.rounds) {
         // Slot 2v is v's forward message, 2v + 1 its backward one.
         let planned: Vec<(NodeId, NodeId)> = intents
             .iter()
@@ -287,11 +289,114 @@ fn survivors_and_drops_meet_their_fate_in_slot_order() {
             })
             .collect();
         let order: Vec<(NodeId, NodeId)> = fates.iter().map(|&(f, t, _)| (f, t)).collect();
-        assert_eq!(order, planned, "round {}", round + 1);
+        assert_eq!(order, planned, "round {round}");
         drop_after_delivery |= fates.windows(2).any(|w| w[0].2 && !w[1].2);
+        logged.extend(
+            (0..)
+                .zip(fates)
+                .map(|(slot, &(f, t, d))| (round, slot, f, t, d)),
+        );
     }
     assert!(
         drop_after_delivery,
         "deliveries and drops never interleaved"
     );
+    // The engine's admitted stream is the protocol's own record, event for
+    // event: `Delivered` is a `deliver`, `Deduped` and `Lost` a `discard`
+    // (every node composes, so no slot is `Empty`).
+    assert!(run.events.iter().all(|e| e.4 != Fate::Empty));
+    let admitted: Vec<_> = run
+        .events
+        .iter()
+        .map(|&(round, slot, from, to, fate)| (round, slot, from, to, fate == Fate::Delivered))
+        .collect();
+    assert_eq!(admitted, logged);
+}
+
+/// [`FateLog`] with one composition withheld: `compose` answers `None`
+/// for the pair `from → to` in round `round`.
+struct Withhold {
+    log: FateLog,
+    round: u64,
+    pair: (NodeId, NodeId),
+    now: u64,
+}
+
+impl Protocol for Withhold {
+    type Msg = (NodeId, NodeId);
+
+    fn num_nodes(&self) -> usize {
+        self.log.num_nodes()
+    }
+
+    fn on_round_start(&mut self, round: u64) {
+        self.now = round;
+        self.log.on_round_start(round);
+    }
+
+    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
+        self.log.on_wakeup(node, rng)
+    }
+
+    fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<Self::Msg> {
+        if (self.now, (from, to)) == (self.round, self.pair) {
+            return None;
+        }
+        self.log.compose(from, to, tag, rng)
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: Self::Msg) {
+        self.log.deliver(from, to, tag, msg);
+    }
+
+    fn discard(&mut self, msg: Self::Msg) {
+        self.log.discard(msg);
+    }
+
+    fn node_complete(&self, _: NodeId) -> bool {
+        false
+    }
+}
+
+/// `trace_diff` localises a divergence: withholding one composition of a
+/// run makes the first differing event exactly that message, now `Empty`,
+/// under both time models.
+#[test]
+fn trace_diff_names_the_withheld_composition() {
+    for cfg in [EngineConfig::synchronous(5), EngineConfig::asynchronous(5)] {
+        let cfg = cfg.with_loss(0.2).with_max_rounds(12);
+        let run = |round, pair| {
+            let log = FateLog {
+                n: 6,
+                rounds: Vec::new(),
+            };
+            let mut proto = Withhold {
+                log,
+                round,
+                pair,
+                now: 0,
+            };
+            record(Engine::new(cfg), &mut proto, |_| 0).events
+        };
+        let want = run(0, (0, 0));
+        // A delivered message of round 5 whose pair is that round's only
+        // one of its kind: withholding the pair hits that slot alone.
+        let in_round = |r: u64| want.iter().filter(move |e| e.0 == r);
+        let (at, &event) = (0..)
+            .zip(&want)
+            .find(|&(_, &(r, _, from, to, fate))| {
+                r == 5
+                    && fate == Fate::Delivered
+                    && in_round(5).filter(|e| (e.2, e.3) == (from, to)).count() == 1
+            })
+            .expect("round 5 delivers a message of a unique pair");
+        let (round, slot, from, to, _) = event;
+        let got = run(round, (from, to));
+        let model: TimeModel = cfg.time_model;
+        assert_eq!(
+            trace_diff(&want, &got),
+            Some((at, Some(event), Some((round, slot, from, to, Fate::Empty)))),
+            "{model:?}"
+        );
+    }
 }

@@ -11,10 +11,9 @@
 //! `(seed, round, slot)`, the `dedup_dropped`/`lost` counter split, the
 //! ceiling rounds convention, and the final mid-round observation under
 //! the asynchronous model. For any protocol and seed it must therefore
-//! produce bit-identical [`RunStats`] and observer traces. It also keeps
-//! the per-node completion record the engine does not: the round each
-//! node finished in, which a test compares with what an observer of the
-//! engine sees.
+//! produce bit-identical [`RunStats`] and round-end traces. It also keeps
+//! its own per-node completion record: the round each node finished in,
+//! which a test compares with the engine's `node_complete` events.
 //!
 //! The slot key is derived here, from the public seed-mixing primitives,
 //! not through the engine's private `slot_rng`: a keying bug in the engine
@@ -48,7 +47,7 @@ impl ReferenceEngine {
 
     /// Runs the protocol to completion or budget, invoking
     /// `observer(round, proto)` after every completed round, with the same
-    /// final mid-round observation contract as
+    /// final mid-round call as [`ag_sim::Probe::round_end`] under
     /// [`ag_sim::Engine::run_observed`]. Returns the stats beside the round
     /// each node finished in (0 if it was complete before round 1, `None`
     /// if it never finished).

@@ -1,11 +1,11 @@
 //! Property-based tests of the engine's invariants under a randomized
 //! flooding protocol.
 
-mod completion;
+mod probes;
 
 use ag_graph::{builders, Graph, NodeId};
 use ag_sim::{Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol};
-use completion::run_with_completion;
+use probes::run_with_completion;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,7 +125,7 @@ proptest! {
         let cfg = EngineConfig::synchronous(seed)
             .with_loss(loss)
             .with_max_rounds(500_000);
-        let stats = Engine::new(cfg).run(&mut proto);
+        let stats = Engine::new(cfg).run_batch(&mut proto);
         prop_assert!(stats.completed);
         prop_assert_eq!(stats.messages_sent(),
                         stats.messages_delivered + stats.dedup_dropped + stats.lost);

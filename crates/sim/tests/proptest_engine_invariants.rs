@@ -7,11 +7,11 @@
 //! 2. **Loss attribution**: `lost == 0` whenever `loss_prob == 0`, and
 //!    `dedup_dropped == 0` whenever dedup is disabled or the model is
 //!    asynchronous.
-//! 3. **Completion monotonicity**: observed through `run_observed`, a
+//! 3. **Completion monotonicity**: observed at every round end, a
 //!    node that reports complete never reverts, and the observed
 //!    per-node completion rounds never exceed `stats.rounds`.
 
-mod completion;
+mod probes;
 
 use std::cell::Cell;
 
@@ -19,7 +19,7 @@ use ag_graph::{builders, Graph, NodeId};
 use ag_sim::{
     Action, CommModel, ContactIntent, Engine, EngineConfig, PartnerSelector, Protocol, TimeModel,
 };
-use completion::run_with_completion;
+use probes::run_with_completion;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -182,7 +182,7 @@ proptest! {
         let mut prev_complete = vec![false; n_nodes];
         let mut prev_round = 0u64;
         let mut violations = Vec::new();
-        let stats = Engine::new(cfg).run_observed(&mut proto, |round, p| {
+        let stats = Engine::new(cfg).run_observed(&mut proto, &mut |round, p: &CountingFlood| {
             if round <= prev_round && prev_round != 0 {
                 violations.push(format!("round went {prev_round} -> {round}"));
             }

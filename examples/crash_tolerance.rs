@@ -30,8 +30,8 @@ fn main() {
             AlgebraicGossip::<Gf256>::new(&graph, &AgConfig::new(k), seed).expect("valid setup");
         let plan = CrashPlan::random_fraction(n, 0.3, 4, seed);
         let mut proto = WithCrashes::new(inner, plan);
-        let stats =
-            Engine::new(EngineConfig::synchronous(seed).with_max_rounds(10_000)).run(&mut proto);
+        let stats = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(10_000))
+            .run_batch(&mut proto);
         let crashed = proto.crashed_count();
         println!(
             "{seed:>6}  {crashed:>8}  {:>9}  {:>10}  {:>10}",

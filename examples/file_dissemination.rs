@@ -49,7 +49,8 @@ fn main() {
     let mut tag = Tag::<Gf256, _>::new_with_generation(&graph, brr, &cfg, generation.clone(), 7)
         .expect("valid TAG setup");
 
-    let stats = Engine::new(EngineConfig::synchronous(7).with_max_rounds(100_000)).run(&mut tag);
+    let stats =
+        Engine::new(EngineConfig::synchronous(7).with_max_rounds(100_000)).run_batch(&mut tag);
     println!(
         "dissemination: {} rounds, {} packets delivered",
         stats.rounds, stats.messages_delivered

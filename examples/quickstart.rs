@@ -29,9 +29,12 @@ fn main() {
     let mut protocol =
         AlgebraicGossip::<Gf256>::new(&graph, &cfg, 42).expect("connected graph, k > 0");
 
-    // Synchronous EXCHANGE gossip, seeded for reproducibility.
+    // Synchronous EXCHANGE gossip, seeded for reproducibility. A closure
+    // is a probe that sees the protocol at every round end; a struct
+    // implementing `ag_sim::Probe` also hears each message's fate and
+    // each node's completion.
     let mut engine = Engine::new(EngineConfig::synchronous(42));
-    let stats = engine.run_observed(&mut protocol, |round, p| {
+    let stats = engine.run_observed(&mut protocol, &mut |round, p: &AlgebraicGossip<Gf256>| {
         if round % 10 == 0 {
             println!(
                 "  round {round:>4}: total rank {}/{}",

@@ -55,7 +55,7 @@ fn main() {
             TimeModel::Asynchronous => EngineConfig::asynchronous(99),
         }
         .with_max_rounds(1_000_000);
-        let stats = Engine::new(ecfg).run(&mut proto);
+        let stats = Engine::new(ecfg).run_batch(&mut proto);
         assert!(stats.completed);
 
         // Every sensor can now reconstruct the full temperature map.

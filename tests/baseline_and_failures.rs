@@ -61,7 +61,8 @@ fn crashes_in_async_model() {
     // regardless of the async wakeup order the seed produces.
     let plan = CrashPlan::explicit(vec![(3, 2), (12, 2)]);
     let mut proto = WithCrashes::new(inner, plan);
-    let stats = Engine::new(EngineConfig::asynchronous(9).with_max_rounds(100_000)).run(&mut proto);
+    let stats =
+        Engine::new(EngineConfig::asynchronous(9).with_max_rounds(100_000)).run_batch(&mut proto);
     assert!(stats.completed);
     assert_eq!(proto.crashed_count(), 2);
     for v in proto.survivors() {
@@ -84,7 +85,7 @@ fn crashes_plus_loss_combined() {
             .with_loss(0.1)
             .with_max_rounds(100_000),
     )
-    .run(&mut proto);
+    .run_batch(&mut proto);
     assert!(stats.completed);
     assert!(stats.lost > 0);
 }

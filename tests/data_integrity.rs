@@ -23,8 +23,8 @@ fn disseminate_and_verify<F: SlabField>(data: &[u8], k: usize, seed: u64) {
         .with_payload_len(generation.message_len())
         .with_placement(Placement::SingleSource(0));
     let mut proto = AlgebraicGossip::<F>::new_with_generation(&g, &cfg, generation, seed).unwrap();
-    let stats =
-        Engine::new(EngineConfig::synchronous(seed).with_max_rounds(1_000_000)).run(&mut proto);
+    let stats = Engine::new(EngineConfig::synchronous(seed).with_max_rounds(1_000_000))
+        .run_batch(&mut proto);
     assert!(stats.completed);
     let dec = BlockDecoder::new(data.len(), k);
     for v in 0..g.n() {
@@ -72,7 +72,8 @@ fn tag_disseminates_real_data() {
         .with_placement(Placement::Random);
     let brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 7).unwrap();
     let mut tag = Tag::<Gf256, _>::new_with_generation(&g, brr, &cfg, generation, 7).unwrap();
-    let stats = Engine::new(EngineConfig::synchronous(7).with_max_rounds(1_000_000)).run(&mut tag);
+    let stats =
+        Engine::new(EngineConfig::synchronous(7).with_max_rounds(1_000_000)).run_batch(&mut tag);
     assert!(stats.completed);
     let dec = BlockDecoder::new(data.len(), k);
     for v in 0..g.n() {
@@ -97,7 +98,7 @@ fn lossy_network_still_delivers_exact_data() {
             .with_loss(0.3)
             .with_max_rounds(1_000_000),
     )
-    .run(&mut proto);
+    .run_batch(&mut proto);
     assert!(stats.completed);
     assert!(stats.lost > 0, "loss injection must be active");
     let dec = BlockDecoder::new(data.len(), k);

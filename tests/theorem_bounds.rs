@@ -119,7 +119,7 @@ fn theorem5_brr_broadcast_linear() {
                 let mut brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, seed).unwrap();
                 let stats =
                     Engine::new(EngineConfig::synchronous(seed).with_max_rounds(3 * g.n() as u64))
-                        .run(&mut brr);
+                        .run_batch(&mut brr);
                 assert!(
                     stats.completed,
                     "{name} n={n} seed={seed}: BRR exceeded 3n sync rounds"
@@ -129,7 +129,7 @@ fn theorem5_brr_broadcast_linear() {
             let mut brr = BroadcastTree::new(&g, 0, CommModel::RoundRobin, 9).unwrap();
             let stats =
                 Engine::new(EngineConfig::asynchronous(9).with_max_rounds(8 * g.n() as u64))
-                    .run(&mut brr);
+                    .run_batch(&mut brr);
             assert!(
                 stats.completed,
                 "{name} n={n}: async BRR exceeded 8n rounds"
