@@ -319,13 +319,16 @@ impl<F: SlabField> CodedNodes<F> {
     /// One coded message `from → to`: a fresh random combination of
     /// everything `from` stores, written into the slab's next free row,
     /// whose index it returns. `None` for a rank-0 node, which has nothing
-    /// to say, and takes no row. A receiver that is already full, that the
-    /// pair ledger proves contains `from`'s span, or that spans exactly
-    /// what `from` does, gets the same draws and no row
-    /// ([`CodedMsg::NO_ROW`]). A round that outgrows the slab's ceiling (a
+    /// to say: it takes no row and reads nothing of the receiver. A
+    /// receiver that is already full, that the pair ledger proves contains
+    /// `from`'s span, or that spans exactly what `from` does, gets the
+    /// same draws and no row ([`CodedMsg::NO_ROW`]). A round that outgrows the slab's ceiling (a
     /// caller that composes without ever starting a round) grows it, and
     /// one whose row index outgrows a [`CodedMsg`] composes nothing.
     pub(crate) fn compose(&self, from: NodeId, to: NodeId, rng: &mut StdRng) -> Option<CodedMsg> {
+        if self.basis.rank(from) == 0 {
+            return None;
+        }
         let (mut basis, factors) = (&self.basis, &mut self.factors.borrow_mut());
         if basis.is_full(to) || self.ledger_contains(from, to) || basis.same_span(from, to) {
             return recode(&mut basis, from, self.density, factors, rng, None)
@@ -527,9 +530,9 @@ impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
     type Msg = CodedMsg;
 
     /// Takes the shard's next free row whatever it composes (the rows were
-    /// reserved per planned send), and leaves it unwritten for a full
-    /// receiver; a shard asked for more than it was planned composes
-    /// nothing.
+    /// reserved per planned send), and leaves it unwritten for a rank-0
+    /// sender (which reads nothing of the receiver) or a full receiver; a
+    /// shard asked for more than it was planned composes nothing.
     fn compose(
         &mut self,
         from: NodeId,
@@ -542,6 +545,9 @@ impl<F: SlabField> ProtocolShard for CodedShard<'_, F> {
         self.free = rest;
         let msg = CodedMsg::row(self.next)?;
         self.next += 1;
+        if self.basis.rank(from) == 0 {
+            return None;
+        }
         let factors = &mut self.scratch;
         if self.full[to / 64] >> (to % 64) & 1 == 1 {
             return recode(&mut self.basis, from, self.density, factors, rng, None)

@@ -90,7 +90,7 @@ use ag_gf::{Gf256, SlabField};
 use ag_graph::builders;
 use ag_linalg::{BasisArena, EchelonBasis};
 use ag_rlnc::{Decoder, Generation, Packet, Recoder};
-use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol, RunStats};
+use ag_sim::{Contact, Engine, EngineConfig, Protocol, RunStats};
 use algebraic_gossip::{
     AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement, Tag, WithCrashes,
 };
@@ -356,14 +356,14 @@ const HEAD_RANK_CLASS_BYTES: usize = 8 * (2 + 8) + 4 + 4;
 const LEDGER_SLOT_BYTES: usize = 8;
 /// The message slab: one 8-byte row per contact direction.
 const SLAB_ROW_BYTES: usize = 2 * 8;
-/// The engine's round scratch: the node's contact intent, its two
-/// slot-table entries (an `Option` of the protocol's message each), its
-/// byte of `live` flags and its `u32` entry in the list of incomplete
-/// nodes.
-const INTENT_BYTES: usize = 16;
+/// The engine's per-node state: the node's 8-byte contact entry (a `u32`
+/// partner and a `u32` tag), its two slot-table entries (an `Option` of
+/// the protocol's message each) and its flag byte (send, live and
+/// completion bits). No list of incomplete nodes: the completion sweep
+/// walks the flag bytes.
+const CONTACT_BYTES: usize = 8;
 const SLOT_BYTES: usize = 2 * 4;
-const LIVE_FLAG_BYTES: usize = 1;
-const PENDING_BYTES: usize = 4;
+const FLAG_BYTES: usize = 1;
 /// The protocol's bit in its set of full nodes, in eighths of a byte.
 const FULL_BIT_EIGHTHS: usize = 1;
 
@@ -373,14 +373,13 @@ const RANK_ONLY_NODE_EIGHTHS: usize = 8
         + HEAD_RANK_CLASS_BYTES
         + LEDGER_SLOT_BYTES
         + SLAB_ROW_BYTES
-        + INTENT_BYTES
+        + CONTACT_BYTES
         + SLOT_BYTES
-        + LIVE_FLAG_BYTES
-        + PENDING_BYTES)
+        + FLAG_BYTES)
     + FULL_BIT_EIGHTHS;
 
 // The parts that are the size of a type, checked against it.
-const _: () = assert!(size_of::<Option<ContactIntent>>() == INTENT_BYTES);
+const _: () = assert!(size_of::<Contact>() == CONTACT_BYTES);
 const _: () =
     assert!(2 * size_of::<Option<<AlgebraicGossip<Gf256> as Protocol>::Msg>>() == SLOT_BYTES);
 
@@ -391,8 +390,7 @@ const _: () =
 #[test]
 fn rank_only_peak_heap_is_the_named_parts_per_node() {
     let _shared = QUIET.read().unwrap_or_else(PoisonError::into_inner);
-    // Powers of two: the list of incomplete nodes is collected from a
-    // filter, which grows its capacity by doubling.
+    // Multiples of 64: the set of full nodes is whole `u64` words.
     const SMALL: usize = 4096;
     const LARGE: usize = 16384;
     let peak = |n| {

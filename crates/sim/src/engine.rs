@@ -19,7 +19,8 @@
 //!
 //! Wakeups and loss draws come from the engine's main RNG, in node order
 //! and in slot order. Every composition *slot* draws from its own
-//! `slot_rng`, a pure function of `(seed, round, slot)`: a message's
+//! `slot_rng`, a pure function of `(seed, round, slot)` (the round's part
+//! of the key, `round_key`, is derived once a round): a message's
 //! randomness never depends on which other messages were composed, by
 //! whom, or in what order. That makes a round bit-identical at every
 //! shard count and a trajectory mismatch localisable to a
@@ -27,12 +28,14 @@
 //! immediate delivery) is inherently sequential and draws everything from
 //! the main RNG.
 //!
-//! The round loop is built for large `n`: all per-round scratch lives in
-//! buffers reused across rounds, same-sender dedup is resolved
-//! analytically from the intent table instead of hashing `(from, to)`
-//! pairs, and the completion sweep walks an explicit list of
-//! still-incomplete nodes. Messages the engine decides not to deliver are
-//! handed back through [`Protocol::discard`].
+//! The round loop is built for large `n`: its per-node state, allocated
+//! once a run, is two slot-table entries, an 8-byte contact entry and one
+//! flag byte (send directions, merge-walk live bits, completion; `Nodes`).
+//! Same-sender dedup is resolved analytically from that table instead of
+//! hashing `(from, to)` pairs, and completion, under both time models, is
+//! the flag bytes' completion bits and a count of incomplete nodes.
+//! Messages the engine decides not to deliver are handed back through
+//! [`Protocol::discard`].
 //! `tests/differential_engine.rs` checks the loop against a structurally
 //! different oracle that derives the slot keys on its own.
 
@@ -46,7 +49,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fan_out::{shard_count, FanOut};
 use crate::probe::{Fate, Probe};
-use crate::protocol::{ContactIntent, Protocol};
+use crate::protocol::{Action, ContactIntent, Protocol};
 use crate::stats::RunStats;
 
 /// The paper's two time models (Section 2).
@@ -149,55 +152,174 @@ impl EngineConfig {
 /// One planned composition: `(slot, from, to, tag)`.
 pub(crate) type Planned = (usize, NodeId, NodeId, u32);
 
-/// The private RNG of one composition slot: a pure function of
-/// `(seed, round, slot)`, and the only place that key is derived.
+/// The key every slot of round `round` derives its RNG from: a pure
+/// function of `(seed, round)`, derived once a round.
 #[inline]
-pub(crate) fn slot_rng(seed: u64, round: u64, slot: usize) -> StdRng {
-    let round_key = splitmix64(seed ^ round.wrapping_mul(GOLDEN_GAMMA));
+pub(crate) fn round_key(seed: u64, round: u64) -> u64 {
+    splitmix64(seed ^ round.wrapping_mul(GOLDEN_GAMMA))
+}
+
+/// The private RNG of one composition slot: a pure function of
+/// `(round_key, slot)`, so of `(seed, round, slot)`, and the only place a
+/// slot's key is derived.
+#[inline]
+pub(crate) fn slot_rng(round_key: u64, slot: usize) -> StdRng {
     StdRng::seed_from_u64(splitmix64(
         round_key ^ (slot as u64).wrapping_mul(GOLDEN_GAMMA),
     ))
 }
 
-/// The compositions node `v`'s intent asks for: slot `2v` carries the
-/// forward message `v → partner`, slot `2v + 1` the backward message
-/// `partner → v`; `None` where the action does not send that way.
-/// Ascending slot order is the round's one message order.
+/// Bit `d` of a node's flag byte: its contact sends in direction `d` (0
+/// forward, 1 backward). Both clear: the node is idle this round.
+const SENDS: u8 = 0b0011;
+/// Bit `LIVE + d`: the node's message in direction `d` took its
+/// `(from, to)` pair in this round's merge walk.
+const LIVE: usize = 2;
+/// The node is complete.
+const COMPLETE: u8 = 0b1_0000;
+
+/// The send bits of an action.
 #[inline]
-pub(crate) fn slot_plan(v: NodeId, intent: ContactIntent) -> [Option<Planned>; 2] {
-    let (u, action, tag) = (intent.partner, intent.action, intent.tag);
-    debug_assert_ne!(u, v, "self-contact");
+fn send_bits(action: Action) -> u8 {
+    u8::from(action.sends_forward()) | u8::from(action.sends_backward()) << 1
+}
+
+/// The compositions a contact of node `v` with `partner` asks for: slot
+/// `2v` carries the forward message `v → partner` (send bit 0), slot
+/// `2v + 1` the backward message `partner → v` (send bit 1); `None` where
+/// the contact does not send that way (both, for an idle node). Ascending
+/// slot order is the round's one message order.
+#[inline]
+fn slot_plan(v: NodeId, partner: NodeId, tag: u32, sends: u8) -> [Option<Planned>; 2] {
+    debug_assert!(sends == 0 || partner != v, "self-contact");
     [
-        action.sends_forward().then_some((2 * v, v, u, tag)),
-        action.sends_backward().then_some((2 * v + 1, u, v, tag)),
+        (sends & 1 != 0).then_some((2 * v, v, partner, tag)),
+        (sends & 2 != 0).then_some((2 * v + 1, partner, v, tag)),
     ]
 }
 
-/// Every composition a round's intents ask for, in ascending slot order.
-#[inline]
-pub(crate) fn planned(intents: &[Option<ContactIntent>]) -> impl Iterator<Item = Planned> + '_ {
-    intents
-        .iter()
-        .enumerate()
-        .flat_map(|(v, intent)| intent.map_or([None, None], |i| slot_plan(v, i)))
-        .flatten()
+/// A node's start-of-round contact in 8 bytes: the partner, narrowed to
+/// `u32` (a run has at most 2³² nodes), and the protocol's tag. Its
+/// directions are the send bits of the node's flag byte.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Contact {
+    partner: u32,
+    tag: u32,
 }
 
-/// One synchronous round's engine-owned scratch, allocated once per run
-/// and reused by every round, so a steady-state serial round performs no
-/// engine-side heap allocation (messages themselves are owned by the
-/// protocol).
+/// The engine's per-node state: one flag byte a node (send and live bits
+/// in a synchronous round, the completion bit under both time models), a
+/// [`Contact`] a node in a synchronous run, and the incomplete count.
+#[derive(Debug)]
+pub(crate) struct Nodes {
+    contacts: Vec<Contact>,
+    flags: Vec<u8>,
+    incomplete: usize,
+}
+
+impl Nodes {
+    /// Every node's completion at round 0, reported to the probe, and
+    /// `contacts` blank contact entries.
+    fn new<P: Protocol, Q: Probe<P>>(proto: &P, probe: &mut Q, contacts: usize) -> Self {
+        let flags: Vec<u8> = (0..proto.num_nodes())
+            .map(|v| COMPLETE * u8::from(completes(proto, probe, 0, v)))
+            .collect();
+        Nodes {
+            contacts: vec![Contact::default(); contacts],
+            incomplete: flags.iter().filter(|&&f| f & COMPLETE == 0).count(),
+            flags,
+        }
+    }
+
+    /// The number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.flags.len()
+    }
+
+    /// Files node `v`'s contact for this round (`None`: idle), clearing
+    /// its send and live bits from the round before.
+    #[inline]
+    fn file(&mut self, v: NodeId, intent: Option<ContactIntent>) {
+        let mut flags = self.flags[v] & COMPLETE;
+        if let Some(intent) = intent {
+            self.contacts[v] = Contact {
+                partner: u32::try_from(intent.partner).expect("a partner is a node id below n"),
+                tag: intent.tag,
+            };
+            flags |= send_bits(intent.action);
+        }
+        self.flags[v] = flags;
+    }
+
+    /// Node `v`'s partner this round; meaningful only if it sends.
+    #[inline]
+    fn partner(&self, v: NodeId) -> NodeId {
+        self.contacts[v].partner as NodeId
+    }
+
+    /// The compositions node `v`'s filed contact asks for ([`slot_plan`]).
+    #[inline]
+    fn slot_plan(&self, v: NodeId) -> [Option<Planned>; 2] {
+        let c = self.contacts[v];
+        slot_plan(v, c.partner as NodeId, c.tag, self.flags[v] & SENDS)
+    }
+
+    /// Every composition the round's contacts ask for, in ascending slot
+    /// order.
+    #[inline]
+    pub(crate) fn planned(&self) -> impl Iterator<Item = Planned> + '_ {
+        let contacts = self.flags.iter().zip(&self.contacts).enumerate();
+        contacts
+            .flat_map(|(v, (&f, c))| slot_plan(v, c.partner as NodeId, c.tag, f & SENDS))
+            .flatten()
+    }
+
+    /// How many compositions the round's contacts ask for.
+    pub(crate) fn planned_count(&self) -> usize {
+        let sends = self
+            .flags
+            .iter()
+            .map(|&f| (f & SENDS).count_ones() as usize);
+        sends.sum()
+    }
+
+    /// Whether node `v`'s message in direction `d` repeats a pair already
+    /// taken this round. It can be taken only by an earlier node `u` that
+    /// contacted `v` back: `(v → u)` by `u`'s backward message, `(u → v)`
+    /// by its forward one.
+    #[inline]
+    fn taken(&self, v: NodeId, d: usize) -> bool {
+        let u = self.partner(v);
+        u < v && self.flags[u] >> (LIVE + 1 - d) & 1 == 1 && self.partner(u) == v
+    }
+
+    /// Node `v`'s message in direction `d` took its pair.
+    #[inline]
+    fn take(&mut self, v: NodeId, d: usize) {
+        self.flags[v] |= 1 << (LIVE + d);
+    }
+
+    /// Re-checks node `v` unless it is already complete; the probe hears
+    /// a new completion at `round`.
+    #[inline]
+    fn check<P: Protocol, Q: Probe<P>>(&mut self, proto: &P, probe: &mut Q, round: u64, v: NodeId) {
+        if self.flags[v] & COMPLETE == 0 && completes(proto, probe, round, v) {
+            self.flags[v] |= COMPLETE;
+            self.incomplete -= 1;
+        }
+    }
+}
+
+/// One synchronous round's engine-owned message scratch, allocated once
+/// per run and reused by every round, so a steady-state serial round
+/// performs no engine-side heap allocation (messages themselves are owned
+/// by the protocol).
 #[derive(Debug)]
 struct SyncRound<M> {
-    /// Start-of-round contact intents, one per node.
-    intents: Vec<Option<ContactIntent>>,
     /// The round's messages, indexed by slot ([`slot_plan`]); all `None`
     /// between rounds.
     table: Vec<Option<M>>,
-    /// Bit `d` of `live[v]`: v's message in direction `d` (0 forward, 1
-    /// backward) took its `(from, to)` pair. Written for every node by
-    /// each round's merge walk, so never cleared.
-    live: Vec<u8>,
     /// The fan-out's partition and scratch; `None` until a round is
     /// sharded.
     fan: Option<FanOut<M>>,
@@ -206,9 +328,7 @@ struct SyncRound<M> {
 impl<M> SyncRound<M> {
     fn new(n: usize) -> Self {
         SyncRound {
-            intents: Vec::with_capacity(n),
             table: std::iter::repeat_with(|| None).take(2 * n).collect(),
-            live: vec![0; n],
             fan: None,
         }
     }
@@ -308,36 +428,29 @@ impl Engine {
         let mut stats = RunStats::default();
         match self.config.time_model {
             TimeModel::Synchronous => {
-                // The incomplete set as an explicit list: the per-round
-                // completion sweep touches only these nodes, not all n.
-                let mut pending: Vec<u32> = (0..=u32::MAX)
-                    .take(n)
-                    .filter(|&v| !completes(proto, probe, 0, v as NodeId))
-                    .collect();
+                let mut nodes = Nodes::new(proto, probe, n);
                 let mut scratch = SyncRound::new(n);
-                while !pending.is_empty() && stats.rounds < self.config.max_rounds {
-                    self.sync_round(proto, &mut stats, probe, &mut scratch, &mut pending);
+                while nodes.incomplete > 0 && stats.rounds < self.config.max_rounds {
+                    self.sync_round(proto, &mut stats, probe, &mut nodes, &mut scratch);
                     probe.round_end(stats.rounds, proto);
                 }
-                stats.completed = pending.is_empty();
+                stats.completed = nodes.incomplete == 0;
             }
             TimeModel::Asynchronous => {
-                let mut complete: Vec<bool> =
-                    (0..n).map(|v| completes(proto, probe, 0, v)).collect();
-                let mut incomplete = complete.iter().filter(|&&done| !done).count();
+                let mut nodes = Nodes::new(proto, probe, 0);
                 let max_slots = self.config.max_rounds.saturating_mul(n as u64);
-                while incomplete > 0 && stats.timeslots < max_slots {
+                while nodes.incomplete > 0 && stats.timeslots < max_slots {
                     if stats.timeslots.is_multiple_of(n as u64) {
                         // A new round group of n timeslots begins.
                         proto.on_round_start(stats.timeslots / n as u64 + 1);
                     }
-                    self.async_slot(proto, &mut stats, probe, &mut complete, &mut incomplete, n);
+                    self.async_slot(proto, &mut stats, probe, &mut nodes, n);
                     if Q::ENABLED && stats.timeslots.is_multiple_of(n as u64) {
                         stats.rounds = stats.timeslots / n as u64;
                         probe.round_end(stats.rounds, proto);
                     }
                 }
-                stats.completed = incomplete == 0;
+                stats.completed = nodes.incomplete == 0;
                 // One rounds convention everywhere: ceil(timeslots / n).
                 stats.rounds = stats.timeslots.div_ceil(n as u64);
                 if Q::ENABLED && stats.completed && !stats.timeslots.is_multiple_of(n as u64) {
@@ -355,80 +468,69 @@ impl Engine {
     /// settles each message through [`Engine::admit`] and hands each
     /// survivor to its receiver → completion sweep. Shards decide only
     /// *where* slots are composed and messages applied: slot `s` of round
-    /// `r` is composed from pre-round state with `slot_rng(seed, r, s)`
-    /// and nothing else, and every receiver takes its messages in slot
-    /// order. Delivering inside the merge changes nothing the merge reads:
-    /// it reads the intents and its own `live` flags, never protocol
-    /// state.
+    /// `r` is composed from pre-round state with `slot_rng` keyed by
+    /// `(seed, r, s)` and nothing else, and every receiver takes its
+    /// messages in slot order. Delivering inside the merge changes nothing
+    /// the merge reads: it reads the contact table and its own live bits,
+    /// never protocol state.
     ///
     /// Same-sender dedup needs no hash set: within one round a pair
     /// `(from, to)` can occur at most twice — once as the *forward*
-    /// message of `from`'s own intent and once as the *backward* message
-    /// of `to`'s intent (each node files exactly one intent). The merge
+    /// message of `from`'s own contact and once as the *backward* message
+    /// of `to`'s contact (each node files exactly one contact). The merge
     /// runs in node order with forward before backward, so "keep the first
-    /// per pair" reduces to two O(1) lookups against the intent table. A
-    /// duplicate's slot is still taken: whether it counts as
-    /// `dedup_dropped` or as `empty_sends` depends on what it composed.
-    /// Loss is drawn on the main RNG as each dedup survivor is merged, so
-    /// the draws follow slot order.
+    /// per pair" reduces to two O(1) lookups in the contact table
+    /// (`Nodes::taken`). A duplicate's slot is still taken: whether it
+    /// counts as `dedup_dropped` or as `empty_sends` depends on what it
+    /// composed. Loss is drawn on the main RNG as each dedup survivor is
+    /// merged, so the draws follow slot order.
     fn sync_round<P: Protocol, Q: Probe<P>>(
         &mut self,
         proto: &mut P,
         stats: &mut RunStats,
         probe: &mut Q,
+        nodes: &mut Nodes,
         scratch: &mut SyncRound<P::Msg>,
-        pending: &mut Vec<u32>,
     ) {
         let n = proto.num_nodes();
         let round = stats.rounds + 1;
-        let seed = self.config.seed;
-        let SyncRound {
-            intents,
-            table,
-            live,
-            fan,
-        } = scratch;
+        let key = round_key(self.config.seed, round);
+        let SyncRound { table, fan } = scratch;
         // 0. Round-start hook (epoch advance for dynamic topologies).
         proto.on_round_start(round);
-        // 1. Every node wakes and declares its contact: serial, in node
+        // 1. Every node wakes and files its contact: serial, in node
         //    order, on the main RNG.
-        intents.clear();
-        intents.extend((0..n).map(|v| proto.on_wakeup(v, &mut self.rng)));
+        for v in 0..n {
+            nodes.file(v, proto.on_wakeup(v, &mut self.rng));
+        }
         // 2. Compose every planned slot from round-start state: through
         //    the protocol's shards if the round is worth them and it offers
         //    them, serially otherwise.
-        let shards = shard_count(intents, proto.msg_bytes(), self.forced_shards);
+        let shards = shard_count(nodes, proto.msg_bytes(), self.forced_shards);
         let mut sharded = None;
         if shards > 1 {
             let fan = fan.get_or_insert_with(|| FanOut::new(n, shards));
-            if fan.compose(proto, intents, table, seed, round) {
+            if fan.compose(proto, nodes, table, key) {
                 sharded = Some(fan);
             }
         }
         if sharded.is_none() {
-            for (slot, from, to, tag) in planned(intents) {
-                table[slot] = proto.compose(from, to, tag, &mut slot_rng(seed, round, slot));
+            for (slot, from, to, tag) in nodes.planned() {
+                table[slot] = proto.compose(from, to, tag, &mut slot_rng(key, slot));
             }
         }
         // 3. Merge the slots in ascending order; each survivor goes
         //    straight to its receiver, or onto its receiver's shard.
         let dedup = self.config.dedup_same_sender;
         for v in 0..n {
-            live[v] = 0;
-            let Some(intent) = intents[v] else { continue };
-            let u = intent.partner;
-            for (slot, from, to, tag) in slot_plan(v, intent).into_iter().flatten() {
+            for (slot, from, to, tag) in nodes.slot_plan(v).into_iter().flatten() {
                 let d = slot % 2; // 0 forward, 1 backward
                 let msg = table[slot].take();
-                // The pair can already be taken only by an earlier node u
-                // that contacted v back: (v → u) by u's backward message,
-                // (u → v) by its forward one. Asked of composed messages.
-                let dup = dedup
-                    && msg.is_some()
-                    && u < v
-                    && live[u] >> (1 - d) & 1 == 1
-                    && matches!(intents[u], Some(i) if i.partner == v);
-                live[v] |= u8::from(msg.is_some() && !dup) << d;
+                // Asked of composed messages only.
+                let dup = dedup && msg.is_some() && nodes.taken(v, d);
+                if msg.is_some() && !dup {
+                    nodes.take(v, d);
+                }
                 let at = (round, slot, from, to);
                 if let Some(msg) = self.admit(proto, stats, probe, at, msg, dup) {
                     match sharded.as_mut() {
@@ -444,9 +546,11 @@ impl Engine {
         }
         stats.rounds += 1;
         stats.timeslots += n as u64;
-        // 5. Completion sweep over the still-incomplete nodes only (all of
-        //    them are dirty: every node woke, and any may have received).
-        pending.retain(|&v| !completes(proto, probe, round, v as NodeId));
+        // 5. Completion sweep over the flag bytes: every incomplete node
+        //    is dirty (every node woke, and any may have received).
+        for v in 0..n {
+            nodes.check(proto, probe, round, v);
+        }
     }
 
     /// The fate of one composed message, under both time models: nothing
@@ -496,8 +600,7 @@ impl Engine {
         proto: &mut P,
         stats: &mut RunStats,
         probe: &mut Q,
-        complete: &mut [bool],
-        incomplete: &mut usize,
+        nodes: &mut Nodes,
         n: usize,
     ) {
         stats.timeslots += 1;
@@ -508,7 +611,8 @@ impl Engine {
             // Compose both directions before either delivery: a node cannot
             // receive two messages from the same node in one timeslot, and
             // the reply must not depend on the just-received message.
-            let composed = slot_plan(v, intent).map(|plan| {
+            let sends = send_bits(intent.action);
+            let composed = slot_plan(v, intent.partner, intent.tag, sends).map(|plan| {
                 plan.map(|(_, from, to, tag)| {
                     (from, to, tag, proto.compose(from, to, tag, &mut self.rng))
                 })
@@ -524,10 +628,7 @@ impl Engine {
         // Either participant may have completed: on receipt, or on its own
         // wakeup (oracle protocols).
         for node in [Some(v), intent.map(|i| i.partner)].into_iter().flatten() {
-            if !complete[node] && completes(proto, probe, round, node) {
-                complete[node] = true;
-                *incomplete -= 1;
-            }
+            nodes.check(proto, probe, round, node);
         }
     }
 }
@@ -546,7 +647,6 @@ fn completes<P: Protocol, Q: Probe<P>>(proto: &P, probe: &mut Q, round: u64, nod
 mod tests {
     use super::*;
     use crate::probes::run_with_completion;
-    use crate::protocol::{Action, ContactIntent};
 
     /// A deterministic "hot potato" counter: node v always pushes to
     /// v+1 mod n; the message is the sender's current value; receivers

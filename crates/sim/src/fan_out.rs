@@ -54,8 +54,8 @@
 use ag_graph::NodeId;
 use rayon::prelude::*;
 
-use crate::engine::{planned, slot_rng, Planned};
-use crate::protocol::{ContactIntent, Protocol, ProtocolShard};
+use crate::engine::{slot_rng, Nodes, Planned};
+use crate::protocol::{Protocol, ProtocolShard};
 
 /// One queued survivor: `(from, to, tag, msg)`.
 type Delivery<M> = (NodeId, NodeId, u32, M);
@@ -75,20 +75,16 @@ const FAN_OUT_MIN_ROUND_BYTES: usize = 2 << 20;
 /// threads and slower from 256 up.
 const SHARDS_PER_THREAD: usize = 8;
 
-/// The shard count of a round with these intents, in `[1, n]`, 1 meaning
+/// The shard count of a round with these contacts, in `[1, n]`, 1 meaning
 /// serial: the count a test forced, else the rule in the module docs. The
 /// byte test comes first: it is the one most rounds fail, and it reads
-/// nothing but the intents.
-pub(crate) fn shard_count(
-    intents: &[Option<ContactIntent>],
-    msg_bytes: usize,
-    forced: Option<usize>,
-) -> usize {
-    let n = intents.len();
+/// nothing but the send bits of the nodes' flag bytes.
+pub(crate) fn shard_count(nodes: &Nodes, msg_bytes: usize, forced: Option<usize>) -> usize {
+    let n = nodes.len();
     if let Some(shards) = forced {
         return shards.clamp(1, n);
     }
-    if planned(intents).count().saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
+    if nodes.planned_count().saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
         return 1;
     }
     let threads = rayon::current_num_threads();
@@ -150,22 +146,21 @@ impl<M: Send> FanOut<M> {
     }
 
     /// Parallel compose: groups the round's slots by sender shard, lets
-    /// each shard compose its list, sender by sender, with per-slot RNGs,
-    /// and files the results in `table` by slot. Returns `false`, with
-    /// `table` untouched, if the protocol offers no shards or not exactly
-    /// one per range.
+    /// each shard compose its list, sender by sender, with per-slot RNGs
+    /// under the round's key, and files the results in `table` by slot.
+    /// Returns `false`, with `table` untouched, if the protocol offers no
+    /// shards or not exactly one per range.
     pub(crate) fn compose<P: Protocol<Msg = M>>(
         &mut self,
         proto: &mut P,
-        intents: &[Option<ContactIntent>],
+        nodes: &Nodes,
         table: &mut [Option<M>],
-        seed: u64,
-        round: u64,
+        round_key: u64,
     ) -> bool {
         for (worklist, _) in &mut self.lists {
             worklist.clear();
         }
-        for planned @ (_, from, ..) in planned(intents) {
+        for planned @ (_, from, ..) in nodes.planned() {
             self.lists[self.node_shard[from]].0.push((planned, None));
         }
         self.send_counts.clear();
@@ -178,7 +173,7 @@ impl<M: Send> FanOut<M> {
             // round: each slot has its own RNG.
             worklist.sort_unstable_by_key(|&((slot, from, ..), _)| (from, slot));
             for ((slot, from, to, tag), msg) in worklist.iter_mut() {
-                let mut slot_rng = slot_rng(seed, round, *slot);
+                let mut slot_rng = slot_rng(round_key, *slot);
                 *msg = shard.compose(*from, *to, *tag, &mut slot_rng);
             }
         });
@@ -241,7 +236,7 @@ impl<M: Send> FanOut<M> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::protocol::Action;
+    use crate::protocol::{Action, ContactIntent};
     use crate::stats::RunStats;
     use rand::rngs::StdRng;
     use rand::Rng;

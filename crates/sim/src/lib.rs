@@ -27,8 +27,11 @@
 //! [`Engine::run_batch`] runs the disabled probe `()`, which compiles out.
 //!
 //! The synchronous round is written once (in the `engine` module), over
-//! one slot-indexed message table, with persistent per-round scratch,
-//! hash-free same-sender dedup and an incomplete-node completion sweep.
+//! one slot-indexed message table and a compact per-node table allocated
+//! once a run: an 8-byte contact entry and one flag byte a node (send
+//! directions, live bits, completion). Same-sender dedup reads that table
+//! instead of hashing pairs, and the completion sweep walks the flag bytes
+//! with a running count of incomplete nodes.
 //! Each survivor goes to its receiver in one merge walk: serially through
 //! [`Protocol::deliver`], or, for a protocol that splits into
 //! [`ProtocolShard`]s through [`Protocol::shards`], on the rayon pool on
@@ -75,6 +78,8 @@ mod protocol;
 mod stats;
 
 pub use comm::{CommModel, PartnerSelector};
+#[doc(hidden)]
+pub use engine::Contact;
 pub use engine::{Engine, EngineConfig, TimeModel};
 pub use probe::{Fate, Probe};
 pub use protocol::{Action, ContactIntent, Protocol, ProtocolShard};

@@ -6,10 +6,10 @@
 //! events (`probes/`), the oracle's are its own record.
 //!
 //! The engine keeps persistent scratch, resolves same-sender dedup with an
-//! analytic rule over the intent table while it merges, composes slot by
-//! slot, and sweeps an incomplete-node list; the oracle allocates per
-//! round, composes everything first, dedups through a hash set at delivery
-//! time and sweeps all `n` flags. None of that may be visible in the
+//! analytic rule over its compact contact table while it merges, composes
+//! slot by slot, and keeps completion in the flag byte of each node; the
+//! oracle allocates per round, composes everything first, dedups through a
+//! hash set at delivery time and sweeps all `n` flags. None of that may be visible in the
 //! results. The oracle also derives the per-slot compose keys on its own,
 //! so the [`AlgebraicGossip`] lanes below (whose `compose` draws
 //! coefficients) fail if either side's keying drifts. This suite is the

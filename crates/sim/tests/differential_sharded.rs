@@ -222,7 +222,10 @@ proptest! {
     }
 
     /// The seam is inert on a protocol without shards: a crash-wrapped
-    /// run is the same run with and without it.
+    /// run is the same run with and without it. The budget is a few
+    /// hundred rounds: a completing case takes about 8, and one whose
+    /// survivors can never decode (a source crashed before it shared)
+    /// spends the whole budget on both sides.
     #[test]
     fn forced_shards_are_inert_without_shards(
         seed in any::<u64>(),
@@ -231,7 +234,7 @@ proptest! {
         shards in 1usize..8,
         lossy in any::<bool>(),
     ) {
-        let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(20_000);
+        let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(300);
         if lossy {
             cfg = cfg.with_loss(0.2);
         }

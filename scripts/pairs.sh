@@ -10,8 +10,11 @@
 # so a drift of the host over time falls on both sides alike. It prints
 # one line per run (the four end-to-end metrics, `correct` and `failed`),
 # then per metric: both medians, the change relative to the parent's
-# median, the parent's interquartile range, and in how many pairs the
-# change read better. It only reads what the binaries print. A claimed
+# median, the parent's interquartile range, in how many pairs the change
+# read better, and each side's best reading (the minimum, or for
+# `slots_per_s` the maximum): on a host whose run-to-run spread swamps a
+# median, a best-of-N reading can still resolve a difference. It only
+# reads what the binaries print. A claimed
 # gain should also hold on a seed the change was not tuned on: pass one
 # as SEED.
 #
@@ -166,8 +169,9 @@ awk -v pairs="$pairs" '
     END {
         split("wall_s slots_per_s setup_s peak_rss_mib", name, " ")
         split("lower higher lower lower", better, " ")
-        printf "%-13s  %14s  %14s  %8s  %12s  %s\n", "metric", "parent_median",
-            "change_median", "change", "parent_iqr", "change_better"
+        printf "%-13s  %14s  %14s  %8s  %12s  %13s  %12s  %12s\n", "metric",
+            "parent_median", "change_median", "change", "parent_iqr", "change_better",
+            "parent_best", "change_best"
         for (m = 1; m <= 4; m++) {
             wins = 0
             for (p = 1; p <= pairs; p++) {
@@ -180,7 +184,12 @@ awk -v pairs="$pairs" '
             pm = quantile(par, pairs, 0.5)
             cm = quantile(chg, pairs, 0.5)
             rel = pm == 0 ? 0 : 100 * (cm - pm) / pm
-            printf "%-13s  %14.6g  %14.6g  %+7.1f%%  %12.6g  %d/%d\n", name[m], pm, cm,
-                rel, quantile(par, pairs, 0.75) - quantile(par, pairs, 0.25), wins, pairs
+            # The best reading: the minimum, or the maximum of a metric
+            # where higher is better.
+            pb = better[m] == "lower" ? par[1] : par[pairs]
+            cb = better[m] == "lower" ? chg[1] : chg[pairs]
+            printf "%-13s  %14.6g  %14.6g  %+7.1f%%  %12.6g  %13s  %12.6g  %12.6g\n",
+                name[m], pm, cm, rel, quantile(par, pairs, 0.75) - quantile(par, pairs, 0.25),
+                wins "/" pairs, pb, cb
         }
     }' "$runs"
