@@ -31,7 +31,6 @@ use crate::tree_protocol::TreeProtocol;
 pub struct BroadcastTree<T: Topology = Graph> {
     topology: T,
     root: NodeId,
-    informed: Vec<bool>,
     parent: Vec<Option<NodeId>>,
     selector: PartnerSelector,
     action: Action,
@@ -85,13 +84,10 @@ impl<T: Topology> BroadcastTree<T> {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let selector = PartnerSelector::new(&topology, comm, &mut rng);
-        let mut informed = vec![false; topology.n()];
-        informed[root] = true;
         let parent = vec![None; topology.n()];
         Ok(BroadcastTree {
             topology,
             root,
-            informed,
             parent,
             selector,
             action: Action::Exchange,
@@ -104,6 +100,10 @@ impl<T: Topology> BroadcastTree<T> {
     pub fn with_action(mut self, action: Action) -> Self {
         self.action = action;
         self
+    }
+
+    fn informed(&self, node: NodeId) -> bool {
+        node == self.root || self.parent[node].is_some()
     }
 }
 
@@ -130,18 +130,17 @@ impl<T: Topology> Protocol for BroadcastTree<T> {
     }
 
     fn compose(&self, from: NodeId, _to: NodeId, _tag: u32, _rng: &mut StdRng) -> Option<()> {
-        self.informed[from].then_some(())
+        self.informed(from).then_some(())
     }
 
     fn deliver(&mut self, from: NodeId, to: NodeId, _tag: u32, _msg: ()) {
-        if !self.informed[to] {
-            self.informed[to] = true;
+        if !self.informed(to) {
             self.parent[to] = Some(from);
         }
     }
 
     fn node_complete(&self, node: NodeId) -> bool {
-        self.informed[node]
+        self.informed(node)
     }
 }
 

@@ -54,14 +54,15 @@
 //!   whole ceiling, so the next one would have to grow it. Holds
 //!   `Engine::async_slot`, `Engine::admit`, `recode` and
 //!   `BasisArena::insert_packed_slice`.
-//! * **Fan-out lane** — the bare protocol again with the round forced over
-//!   S shards, on S threads. A sharded round allocates per shard by design
-//!   (the shards and their scratch, the job lists, the workers), all of it
-//!   outside node storage: once every node holds a row a round enters the
-//!   allocator at most [`FAN_OUT_CALLS_PER_SHARD`] · (S + 1) times, across
-//!   all threads, however many messages it delivers and however much rank
-//!   it gains. Holds `BasisShard::insert_packed_mut`, `Engine::admit` and
-//!   `recode`.
+//! * **Fan-out lane** — the bare protocol again behind the probes'
+//!   `Heavy`, whose messages clear the byte rule, in a pool of S threads:
+//!   every round over S shards. A sharded round allocates per shard by
+//!   design (the shards and their scratch, the job lists, the workers),
+//!   all of it outside node storage: once every node holds a row a round
+//!   enters the allocator at most [`FAN_OUT_CALLS_PER_SHARD`] · (S + 1)
+//!   times, across all threads, however many messages it delivers and
+//!   however much rank it gains. Holds `BasisShard::insert_packed_mut`,
+//!   `Engine::admit` and `recode`.
 //! * **Helpfulness probes** — `Decoder::would_help`,
 //!   `Decoder::is_helpful_node` and `BasisArena::would_be_innovative_packed`
 //!   are allocation-free once their scratch buffers have warmed up. Holds
@@ -94,8 +95,12 @@ use ag_sim::{Contact, Engine, EngineConfig, Protocol, RunStats};
 use algebraic_gossip::{
     AgConfig, AlgebraicGossip, BroadcastTree, CommModel, CrashPlan, Placement, Tag, WithCrashes,
 };
+use probes::{in_pool, Heavy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "../../sim/tests/probes/mod.rs"]
+mod probes;
 
 /// Counts every allocator entry, per thread and process-wide, so a loop
 /// can be proven allocation-free (not just leak-free).
@@ -293,11 +298,7 @@ fn bare_protocol_allocates_only_for_rank_growth() {
     // size from which the default engine shards a round when rayon has
     // more than one thread — so it sits inside a one-thread pool, where the
     // engine's rule picks the serial round on any machine.
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("one-thread pool")
-        .install(bare_protocol_audit);
+    in_pool(1, bare_protocol_audit);
 }
 
 fn bare_protocol_audit() {
@@ -431,26 +432,25 @@ const FAN_OUT_CALLS_PER_SHARD: u64 = 20;
 #[test]
 fn fanned_out_round_allocates_per_shard_once_every_node_holds_a_row() {
     let _alone = QUIET.write().unwrap_or_else(PoisonError::into_inner);
-    // Shards are forced, so the rows can be short: what a round allocates
-    // does not depend on their length.
+    // `Heavy` puts every round over the byte rule, so the rows can be
+    // short: what a round allocates does not depend on their length.
     let n = 1024;
     for shards in [2, 8] {
-        let (mut proto, engine_seed) = protocol(n, 32, 64);
-        let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000))
-            .with_forced_shards(shards);
-        // As many threads as shards: each phase spawns a worker per shard,
-        // the most a round can, whatever `RAYON_NUM_THREADS` says.
-        let (stats, windows) = rayon::ThreadPoolBuilder::new()
-            .num_threads(shards)
-            .build()
-            .expect("local pool")
-            .install(|| {
-                round_windows(&mut proto, engine, process_alloc_calls, |p| {
-                    holders_and_rank(n, |v| p.rank(v))
-                })
-            });
+        let (proto, engine_seed) = protocol(n, 32, 64);
+        let engine = Engine::new(EngineConfig::synchronous(engine_seed).with_max_rounds(4000));
+        let mut heavy = Heavy {
+            proto,
+            shards: true,
+        };
+        // As many threads as shards, whatever `RAYON_NUM_THREADS` says:
+        // each phase spawns a worker per shard.
+        let (stats, windows) = in_pool(shards, || {
+            round_windows(&mut heavy, engine, process_alloc_calls, |h| {
+                holders_and_rank(n, |v| h.proto.rank(v))
+            })
+        });
         assert!(stats.completed, "completion run hit the round budget");
-        assert_decoded(&proto);
+        assert_decoded(&heavy.proto);
 
         let bound = FAN_OUT_CALLS_PER_SHARD * (shards as u64 + 1);
         let last_first_row = windows.iter().rposition(|w| w.first_rows > 0);

@@ -21,14 +21,14 @@ use algebraic_gossip::{
     run_protocol, AgConfig, AlgebraicGossip, BroadcastTree, Placement, ProtocolKind,
     RandomMessageGossip, RunSpec, Tag, TrialPlan,
 };
-use probes::{record, Recorded};
+use probes::{in_pool, record, Heavy, Recorded};
 
 #[path = "../../sim/tests/probes/mod.rs"]
 mod probes;
 
 /// Pinned hash of the UniformAg rank trajectory for the run below: one
-/// value for the serial round and for the fan-out forced over every shard
-/// count, at every thread count (CI re-runs this file under
+/// value for the serial round and for the fan-out over every shard count,
+/// at every ambient thread count (CI re-runs this file under
 /// `RAYON_NUM_THREADS=1` and `=4`).
 const GOLDEN_SHARDED_AG_TRAJECTORY: u64 = 0xC2B0_ECC9_946E_1A35;
 /// Pinned hash of the UncodedRandom holdings trajectory for the run below.
@@ -42,20 +42,27 @@ const GOLDEN_TREE_AG_TRAJECTORY: u64 = 0xBC79_2DE0_03D1_CB50;
 
 /// One AG protocol: uniform algebraic gossip over GF(256) on a 4×4 grid,
 /// k = 8 with payloads, synchronous rounds, all seeds fixed. `shards`
-/// forces every round through the fan-out over that many shards; `None`
-/// leaves the engine to its own rule, which keeps a run this small serial.
+/// runs it behind [`Heavy`] in a pool of that many threads, which puts
+/// every round through the fan-out over that many shards; `None` leaves
+/// the engine to its own rule, which keeps a run this small serial.
 fn ag_trajectory(shards: Option<usize>) -> Recorded {
     let g = builders::grid(4, 4).expect("grid");
     let cfg = AgConfig::new(8)
         .with_payload_len(4)
         .with_placement(Placement::Spread);
-    let mut proto = AlgebraicGossip::<Gf256>::new(&g, &cfg, 0xA11CE).expect("protocol");
+    let proto = AlgebraicGossip::<Gf256>::new(&g, &cfg, 0xA11CE).expect("protocol");
     let engine = Engine::new(EngineConfig::synchronous(0xBEEF).with_max_rounds(100_000));
-    let engine = match shards {
-        Some(s) => engine.with_forced_shards(s),
-        None => engine,
+    let mut heavy = Heavy {
+        proto,
+        shards: true,
     };
-    let run = record(engine, &mut proto, |p| p.total_rank() as u64);
+    let run = match shards {
+        Some(threads) => in_pool(threads, || {
+            record(engine, &mut heavy, |h| h.proto.total_rank() as u64)
+        }),
+        None => record(engine, &mut heavy.proto, |p| p.total_rank() as u64),
+    };
+    let proto = heavy.proto;
     assert!(run.stats.completed, "golden AG run must complete");
     // Completed runs must also decode correctly — a hash collision can in
     // principle hide a wrong trajectory, but not wrong decoded bytes too.

@@ -4,7 +4,11 @@ use ag_gf::{Gf2, Gf256, SlabField};
 use ag_graph::{builders, NodeId};
 use ag_sim::{Engine, EngineConfig, Fate, Probe, TimeModel};
 use algebraic_gossip::{run_protocol, AgConfig, AlgebraicGossip, Placement, ProtocolKind, RunSpec};
+use probes::{in_pool, Heavy};
 use proptest::prelude::*;
+
+#[path = "../../sim/tests/probes/mod.rs"]
+mod probes;
 
 /// Small connected graphs drawn from the evaluation families.
 fn small_graph(idx: usize, n: usize) -> ag_graph::Graph {
@@ -26,9 +30,9 @@ struct Receptions {
     rounds: Vec<(u64, u64)>,
 }
 
-impl<F: SlabField> Probe<AlgebraicGossip<F>> for Receptions {
-    fn round_end(&mut self, _: u64, p: &AlgebraicGossip<F>) {
-        let before = std::mem::replace(&mut self.rank, p.total_rank());
+impl<F: SlabField> Probe<Heavy<AlgebraicGossip<F>>> for Receptions {
+    fn round_end(&mut self, _: u64, h: &Heavy<AlgebraicGossip<F>>) {
+        let before = std::mem::replace(&mut self.rank, h.proto.total_rank());
         let delivered = std::mem::take(&mut self.delivered);
         self.rounds.push(((self.rank - before) as u64, delivered));
     }
@@ -38,13 +42,14 @@ impl<F: SlabField> Probe<AlgebraicGossip<F>> for Receptions {
     }
 }
 
-/// Runs uniform AG with a 3-symbol payload to completion under `engine`
-/// (lane 0 synchronous and serial, 1 synchronous forced over 3 shards, 2
-/// asynchronous) and checks the reception accounting against the run's
-/// own counters: every delivered message is exactly one helpful or one
-/// redundant reception, including those that carry no row because their
-/// receiver's span contained the sender's; every helpful one raises a
-/// rank by one above the `k` seeds; and every node decodes the generation.
+/// Runs uniform AG with a 3-symbol payload to completion in `lane` (0
+/// synchronous and serial, 1 synchronous over 3 shards: behind [`Heavy`]
+/// in a pool of 3 threads, 2 asynchronous) and checks the reception
+/// accounting against the run's own counters: every delivered message is
+/// exactly one helpful or one redundant reception, including those that
+/// carry no row because their receiver's span contained the sender's;
+/// every helpful one raises a rank by one above the `k` seeds; and every
+/// node decodes the generation.
 /// Helpful receptions are read from the ranks and redundant ones are
 /// counted by verdict at delivery, so the first identity is an independent
 /// check that each delivery that raised no rank is counted exactly once.
@@ -60,7 +65,7 @@ fn accounting_holds<F: SlabField>(
     loss: f64,
 ) -> Result<(), TestCaseError> {
     let cfg = AgConfig::new(k).with_payload_len(3);
-    let mut proto = AlgebraicGossip::<F>::new(graph, &cfg, seed).unwrap();
+    let proto = AlgebraicGossip::<F>::new(graph, &cfg, seed).unwrap();
     let ecfg = if lane == 2 {
         EngineConfig::asynchronous(seed)
     } else {
@@ -68,18 +73,22 @@ fn accounting_holds<F: SlabField>(
     }
     .with_loss(loss)
     .with_max_rounds(1_000_000);
-    let engine = Engine::new(ecfg);
-    let mut engine = if lane == 1 {
-        engine.with_forced_shards(3)
-    } else {
-        engine
-    };
     let mut probe = Receptions {
         rank: proto.total_rank(),
         delivered: 0,
         rounds: Vec::new(),
     };
-    let stats = engine.run_observed(&mut proto, &mut probe);
+    // The serial lanes run in a one-thread pool, where `Heavy` changes
+    // nothing; the sharded lane in a pool of 3 threads, one a shard.
+    let mut heavy = Heavy {
+        proto,
+        shards: true,
+    };
+    let threads = if lane == 1 { 3 } else { 1 };
+    let stats = in_pool(threads, || {
+        Engine::new(ecfg).run_observed(&mut heavy, &mut probe)
+    });
+    let proto = heavy.proto;
     prop_assert!(stats.completed, "lane {lane} did not complete");
     let (helpful, redundant) = (proto.helpful_receptions(), proto.redundant_receptions());
     let gained: u64 = probe.rounds.iter().map(|r| r.0).sum();

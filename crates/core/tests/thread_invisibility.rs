@@ -5,21 +5,21 @@
 //! Every lane here runs real algebraic gossip at a size *above* the
 //! fan-out's byte rule, through the default entry points
 //! (`Engine::run_observed`, `TrialPlan::run`) and inside local rayon pools:
-//! one thread keeps every round serial, two and four shard it over 16
-//! and 32 shards. All lanes must agree on the whole [`RunStats`], the
-//! per-round trajectory hash, every message's fate (the engine's
-//! `admitted` stream, event for event; a mismatch names its first
-//! diverging event) and the decoded bytes.
+//! one thread keeps every round serial, two and four shard it over 2 and
+//! 4 shards, one a thread. All lanes must agree on the whole
+//! [`RunStats`], the per-round trajectory hash, every message's fate (the
+//! engine's `admitted` stream, event for event; a mismatch names its
+//! first diverging event) and the decoded bytes.
 //!
 //! CI re-runs this file under `RAYON_NUM_THREADS ∈ {1, 4}`: the local
 //! pools make the lanes independent of it, so it varies only what runs
 //! outside them (the ambient `TrialPlan::run` lane).
 
 use ag_gf::{Gf2, Gf256, SlabField};
-use ag_graph::{builders, Graph, NodeId};
-use ag_sim::{ContactIntent, Engine, EngineConfig, Protocol};
+use ag_graph::{builders, Graph};
+use ag_sim::{Engine, EngineConfig, Protocol};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, Placement, ProtocolKind, RunSpec, TrialPlan};
-use probes::{record, Recorded};
+use probes::{in_pool, record, Heavy, Recorded};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,54 +43,10 @@ fn ag_config() -> AgConfig {
         .with_placement(Placement::Spread)
 }
 
-fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("local pool")
-        .install(op)
-}
-
-/// Forwards every required `Protocol` method, the round-start hook and
-/// `discard`, and leaves `msg_bytes` and `shards` at their defaults: the
-/// shape of the benchmark's `Traced` wrapper.
-struct Forwarding<P>(P);
-
-impl<P: Protocol> Protocol for Forwarding<P> {
-    type Msg = P::Msg;
-
-    fn num_nodes(&self) -> usize {
-        self.0.num_nodes()
-    }
-
-    fn on_round_start(&mut self, round: u64) {
-        self.0.on_round_start(round);
-    }
-
-    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
-        self.0.on_wakeup(node, rng)
-    }
-
-    fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<P::Msg> {
-        self.0.compose(from, to, tag, rng)
-    }
-
-    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: P::Msg) {
-        self.0.deliver(from, to, tag, msg);
-    }
-
-    fn discard(&mut self, msg: P::Msg) {
-        self.0.discard(msg);
-    }
-
-    fn node_complete(&self, node: NodeId) -> bool {
-        self.0.node_complete(node)
-    }
-}
-
 /// One recorded run on the default engine, lossy and with dedup on,
 /// inside a pool of `threads`, tracing (round, total rank). `wrapped`
-/// runs it through [`Forwarding`]. Checks every node's decoded bytes.
+/// runs it through a [`Heavy`] that does not forward the shards, the
+/// fan-out's serial fallback. Checks every node's decoded bytes.
 fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> Recorded {
     in_pool(threads, || {
         let mut proto = AlgebraicGossip::<F>::new(graph, &ag_config(), 0xA6).expect("protocol");
@@ -107,9 +63,12 @@ fn lane<F: SlabField>(graph: &Graph, threads: usize, wrapped: bool) -> Recorded 
                 .with_max_rounds(10_000),
         );
         let (run, proto) = if wrapped {
-            let mut wrapper = Forwarding(proto);
-            let run = record(engine, &mut wrapper, |w| w.0.total_rank() as u64);
-            (run, wrapper.0)
+            let mut wrapper = Heavy {
+                proto,
+                shards: false,
+            };
+            let run = record(engine, &mut wrapper, |w| w.proto.total_rank() as u64);
+            (run, wrapper.proto)
         } else {
             (record(engine, &mut proto, |p| p.total_rank() as u64), proto)
         };

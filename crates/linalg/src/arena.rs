@@ -574,17 +574,6 @@ impl<F: SlabField> BasisShard<'_, F> {
         node.insert_packed::<F>(self.dims, row, &mut self.scratch)
     }
 
-    /// Shard-local [`BasisArena::copy_packed_row_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the shard or `i >= rank(node)`.
-    pub fn copy_packed_row_into(&mut self, node: usize, i: usize, out: &mut Vec<u8>) {
-        let dims = self.dims;
-        let (mut rows, sc) = self.rows(node);
-        rows.copy_packed_row_into::<F>(dims, i, sc, out);
-    }
-
     /// Shard-local [`BasisArena::accumulate_rows_into`].
     ///
     /// # Panics

@@ -367,7 +367,6 @@ impl<M> SyncRound<M> {
 pub struct Engine {
     config: EngineConfig,
     rng: StdRng,
-    forced_shards: Option<usize>,
 }
 
 impl Engine {
@@ -386,20 +385,7 @@ impl Engine {
         Engine {
             rng: StdRng::seed_from_u64(config.seed),
             config,
-            forced_shards: None,
         }
-    }
-
-    /// Test seam: every synchronous round runs over exactly `shards`
-    /// shards (clamped to `[1, n]`; 1 is serial), whatever the round
-    /// moves and however many threads there are. Results are
-    /// bit-identical with and without it; a protocol whose
-    /// [`Protocol::shards`] is `None` runs serially regardless.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_forced_shards(mut self, shards: usize) -> Self {
-        self.forced_shards = Some(shards);
-        self
     }
 
     /// Runs the protocol to completion or budget; returns statistics. The
@@ -506,7 +492,7 @@ impl Engine {
         // 2. Compose every planned slot from round-start state: through
         //    the protocol's shards if the round is worth them and it offers
         //    them, serially otherwise.
-        let shards = shard_count(nodes, proto.msg_bytes(), self.forced_shards);
+        let shards = shard_count(nodes, proto.msg_bytes());
         let mut sharded = None;
         if shards > 1 {
             let fan = fan.get_or_insert_with(|| FanOut::new(n, shards));

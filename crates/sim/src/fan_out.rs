@@ -7,13 +7,13 @@
 //! message weighs through [`Protocol::msg_bytes`]. The default
 //! [`crate::Engine`] then decides round by round: a round is sharded when
 //! it moves at least `FAN_OUT_MIN_ROUND_BYTES` (planned slots × bytes per
-//! message) and the rayon pool has more than one thread, over
-//! `SHARDS_PER_THREAD` shards per thread. Any other round, every round of
-//! a protocol whose `shards` is `None`, and every round whose shard list
-//! does not match the ranges one to one, is composed and delivered
-//! serially; the fan-out's scratch is allocated by the first sharded round
-//! only. Tests force the shard count instead, on every round, through the
-//! hidden `Engine::with_forced_shards` seam.
+//! message) and the rayon pool has T > 1 threads, over `min(T, n)`
+//! shards, one a thread. Any other round, every round of a protocol whose
+//! `shards` is `None`, and every round whose shard list does not match
+//! the ranges one to one, is composed and delivered serially; the
+//! fan-out's scratch is allocated by the first sharded round only. Tests
+//! pick a shard count the way production does: a local pool of that many
+//! threads, and messages heavy enough for the byte rule.
 //!
 //! # Determinism contract
 //!
@@ -69,30 +69,15 @@ type Delivery<M> = (NodeId, NodeId, u32, M);
 /// fan-out's per-node scratch with 15–77 % of their peak memory.
 const FAN_OUT_MIN_ROUND_BYTES: usize = 2 << 20;
 
-/// Shards per rayon thread of a sharded round: enough that the shared
-/// work queue evens out shards of unequal rank, few enough that a shard
-/// amortises its setup. The ladder is flat from 2 to 64 shards on 2
-/// threads and slower from 256 up.
-const SHARDS_PER_THREAD: usize = 8;
-
 /// The shard count of a round with these contacts, in `[1, n]`, 1 meaning
-/// serial: the count a test forced, else the rule in the module docs. The
-/// byte test comes first: it is the one most rounds fail, and it reads
-/// nothing but the send bits of the nodes' flag bytes.
-pub(crate) fn shard_count(nodes: &Nodes, msg_bytes: usize, forced: Option<usize>) -> usize {
-    let n = nodes.len();
-    if let Some(shards) = forced {
-        return shards.clamp(1, n);
-    }
+/// serial: the rule in the module docs. The byte test comes first: it is
+/// the one most rounds fail, and it reads nothing but the send bits of the
+/// nodes' flag bytes.
+pub(crate) fn shard_count(nodes: &Nodes, msg_bytes: usize) -> usize {
     if nodes.planned_count().saturating_mul(msg_bytes) < FAN_OUT_MIN_ROUND_BYTES {
         return 1;
     }
-    let threads = rayon::current_num_threads();
-    if threads > 1 {
-        (threads * SHARDS_PER_THREAD).min(n)
-    } else {
-        1
-    }
+    rayon::current_num_threads().min(nodes.len())
 }
 
 #[cfg(test)]
@@ -236,14 +221,18 @@ impl<M: Send> FanOut<M> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
+    use crate::probes::in_pool;
     use crate::protocol::{Action, ContactIntent};
     use crate::stats::RunStats;
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// The default engine with the fan-out forced over `shards` shards.
-    fn forced(cfg: EngineConfig, shards: usize) -> Engine {
-        Engine::new(cfg).with_forced_shards(shards)
+    /// Runs `proto` on the default engine inside a pool of `threads`, its
+    /// messages weighed at the whole byte rule: every round is sharded
+    /// over `min(threads, n)` shards, or serial on one thread.
+    fn sharded(cfg: EngineConfig, threads: usize, proto: &mut NoisyExchange) -> RunStats {
+        proto.msg_bytes = FAN_OUT_MIN_ROUND_BYTES;
+        in_pool(threads, || Engine::new(cfg).run_batch(proto))
     }
 
     /// A randomized exchange protocol exercising every seam the merge has
@@ -261,6 +250,8 @@ mod tests {
         /// `short[phase]`: `shards` returns one shard too few in that
         /// phase (0 compose, 1 delivery), breaking its contract.
         short: [bool; 2],
+        /// `bounds.len()` of every `shards` call.
+        shard_counts: Vec<usize>,
     }
 
     impl NoisyExchange {
@@ -270,6 +261,7 @@ mod tests {
                 saturation: u64::MAX,
                 msg_bytes: 0,
                 short: [false; 2],
+                shard_counts: Vec::new(),
             }
         }
 
@@ -316,6 +308,7 @@ mod tests {
             bounds: &[(usize, usize)],
             send_counts: &[usize],
         ) -> Option<Vec<Box<dyn ProtocolShard<Msg = u64> + '_>>> {
+            self.shard_counts.push(bounds.len());
             // Every round plans 2n slots, so only delivery asks for none.
             let phase = usize::from(send_counts.iter().all(|&c| c == 0));
             let short = self.short[phase];
@@ -378,19 +371,19 @@ mod tests {
     fn noisy_protocol_matches_serial_engine_exactly() {
         // Random partners (main RNG) + random payload contents (per-slot
         // RNGs) + exchange dedup + loss: the full merge surface. The
-        // serial round and every forced shard count (0 clamps to 1, 64 to
-        // n) agree on stats and state.
+        // serial round and the round over every pool's shard count, one a
+        // thread (64 threads clamp to n), agree on stats and state.
         let cfg = lossy_cfg();
         let mut serial = NoisyExchange::new(23);
         let want = Engine::new(cfg).run_batch(&mut serial);
         assert!(want.completed);
         assert!(want.dedup_dropped > 0, "dedup must be exercised");
         assert!(want.lost > 0, "loss must be exercised");
-        for shards in [0, 1, 2, 3, 7, 23, 64] {
+        for threads in [1, 2, 3, 7, 23, 64] {
             let mut proto = NoisyExchange::new(23);
-            let got = forced(cfg, shards).run_batch(&mut proto);
-            assert_eq!(got, want, "shards = {shards}");
-            assert_eq!(proto.values, serial.values, "shards = {shards}");
+            let got = sharded(cfg, threads, &mut proto);
+            assert_eq!(got, want, "{threads} threads");
+            assert_eq!(proto.values, serial.values, "{threads} threads");
         }
     }
 
@@ -403,11 +396,11 @@ mod tests {
         let mut serial = NoisyExchange::new(23);
         let want = Engine::new(cfg).run_batch(&mut serial);
         for short in [[true, true], [true, false], [false, true]] {
-            for shards in [2, 5] {
+            for threads in [2, 5] {
                 let mut proto = NoisyExchange::new(23);
                 proto.short = short;
-                let got = forced(cfg, shards).run_batch(&mut proto);
-                assert_eq!(got, want, "short = {short:?}, shards = {shards}");
+                let got = sharded(cfg, threads, &mut proto);
+                assert_eq!(got, want, "short = {short:?}, {threads} threads");
                 assert_eq!(proto.values, serial.values, "short = {short:?}");
             }
         }
@@ -420,20 +413,16 @@ mod tests {
     }
 
     /// One default-engine run of the shard-offering protocol inside a
-    /// local pool: how many times it allocated the fan-out's scratch, and
-    /// what it computed.
-    fn engine_run(threads: usize, msg_bytes: usize) -> (usize, RunStats, Vec<u64>) {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("local pool");
-        pool.install(|| {
+    /// local pool: how many times it allocated the fan-out's scratch, the
+    /// shard counts it asked the protocol for, and what it computed.
+    fn engine_run(threads: usize, msg_bytes: usize) -> (usize, Vec<usize>, RunStats, Vec<u64>) {
+        in_pool(threads, || {
             let mut proto = NoisyExchange::new(23);
             proto.msg_bytes = msg_bytes;
             let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
             let stats = Engine::new(lossy_cfg()).run_batch(&mut proto);
             let allocated = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get) - before;
-            (allocated, stats, proto.values)
+            (allocated, proto.shard_counts, stats, proto.values)
         })
     }
 
@@ -441,46 +430,52 @@ mod tests {
     fn default_engine_fans_out_by_the_rule_and_allocates_scratch_only_then() {
         // 23 nodes, all EXCHANGE: 46 planned slots every round.
         let at_rule = FAN_OUT_MIN_ROUND_BYTES.div_ceil(46);
-        let (allocated, want_stats, want_values) = engine_run(1, at_rule);
-        assert_eq!(allocated, 0, "one thread: serial whatever the round moves");
+        let (allocated, shards, want_stats, want_values) = engine_run(1, at_rule);
+        let serial = "one thread: serial whatever the round moves";
+        assert_eq!((allocated, shards.len()), (0, 0), "{serial}");
         assert!(want_stats.completed && want_stats.rounds > 1);
-        for (threads, msg_bytes, want_allocated) in [
-            // Below the rule the fan-out's scratch is never touched…
+        for (threads, msg_bytes, want_shards) in [
+            // Below the rule the fan-out is never entered…
             (2, 0, 0),
             (2, at_rule - 1, 0),
-            (4, at_rule - 1, 0),
-            // …at it, the first sharded round allocates it, once per run.
-            (2, at_rule, 1),
-            (4, at_rule, 1),
+            (5, at_rule - 1, 0),
+            // …at it, every round splits into one shard a thread, at most
+            // one a node, and the first one allocates the fan-out's
+            // scratch, once per run.
+            (2, at_rule, 2),
+            (3, at_rule, 3),
+            (5, at_rule, 5),
+            (64, at_rule, 23),
         ] {
-            let (allocated, stats, values) = engine_run(threads, msg_bytes);
+            let (allocated, shards, stats, values) = engine_run(threads, msg_bytes);
             let lane = format!("{threads} threads, {msg_bytes} B/message");
-            assert_eq!(allocated, want_allocated, "{lane}");
+            let rounds = if want_shards > 0 { stats.rounds } else { 0 };
+            // Both phases of a sharded round ask for the shards.
+            assert_eq!(shards, vec![want_shards; 2 * rounds as usize], "{lane}");
+            assert_eq!(allocated, usize::from(want_shards > 0), "{lane}");
             assert_eq!(stats, want_stats, "{lane}");
             assert_eq!(values, want_values, "{lane}");
         }
-        // The forced fan-out agrees, and needs no second thread.
-        let mut proto = NoisyExchange::new(23);
-        assert_eq!(forced(lossy_cfg(), 5).run_batch(&mut proto), want_stats);
-        assert_eq!(proto.values, want_values);
     }
 
     #[test]
     fn observed_traces_match_across_shard_counts() {
-        let trace = |shards: usize| {
+        let trace = |threads: usize| {
             let cfg = EngineConfig::synchronous(7).with_max_rounds(300);
             let mut proto = NoisyExchange::new(11);
+            proto.msg_bytes = FAN_OUT_MIN_ROUND_BYTES;
             let mut rounds = Vec::new();
-            let stats =
-                forced(cfg, shards).run_observed(&mut proto, &mut |round, p: &NoisyExchange| {
+            let stats = in_pool(threads, || {
+                Engine::new(cfg).run_observed(&mut proto, &mut |round, p: &NoisyExchange| {
                     rounds.push((round, p.values.iter().sum::<u64>()));
-                });
+                })
+            });
             (stats, rounds)
         };
         let want = trace(1);
         assert!(want.0.completed);
-        for shards in [2, 5] {
-            assert_eq!(trace(shards), want, "shards = {shards}");
+        for threads in [2, 5] {
+            assert_eq!(trace(threads), want, "{threads} threads");
         }
     }
 
@@ -488,11 +483,11 @@ mod tests {
     fn empty_sends_are_counted_once_per_silent_direction() {
         // Saturated nodes stop composing; a sharded round must count
         // those the way the serial merge would.
-        let run = |shards: usize| {
+        let run = |threads: usize| {
             let cfg = EngineConfig::synchronous(3).with_max_rounds(50);
             let mut proto = NoisyExchange::new(9);
             proto.saturation = 40;
-            let stats = forced(cfg, shards).run_batch(&mut proto);
+            let stats = sharded(cfg, threads, &mut proto);
             (stats, proto.values)
         };
         let want = run(1);
@@ -500,8 +495,8 @@ mod tests {
             want.0.empty_sends > 0,
             "saturation must trigger empty sends"
         );
-        for shards in [2, 4] {
-            assert_eq!(run(shards), want, "shards = {shards}");
+        for threads in [2, 4] {
+            assert_eq!(run(threads), want, "{threads} threads");
         }
     }
 
@@ -513,7 +508,7 @@ mod tests {
         assert!(want.completed);
         let mut proto = NoisyExchange::new(8);
         let before = FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get);
-        let got = forced(cfg, 4).run_batch(&mut proto);
+        let got = sharded(cfg, 4, &mut proto);
         assert_eq!(FAN_OUT_ALLOCATIONS.with(std::cell::Cell::get), before);
         assert_eq!(got, want);
         assert_eq!(proto.values, serial.values);
@@ -522,9 +517,12 @@ mod tests {
     #[test]
     fn run_batch_and_run_observed_agree() {
         let cfg = EngineConfig::synchronous(5).with_max_rounds(200);
-        let batch = forced(cfg, 3).run_batch(&mut NoisyExchange::new(10));
-        let observed = forced(cfg, 3)
-            .run_observed(&mut NoisyExchange::new(10), &mut |_, _: &NoisyExchange| {});
+        let batch = sharded(cfg, 3, &mut NoisyExchange::new(10));
+        let mut proto = NoisyExchange::new(10);
+        proto.msg_bytes = FAN_OUT_MIN_ROUND_BYTES;
+        let observed = in_pool(3, || {
+            Engine::new(cfg).run_observed(&mut proto, &mut |_, _: &NoisyExchange| {})
+        });
         assert_eq!(batch, observed);
     }
 
@@ -533,7 +531,7 @@ mod tests {
         let mut proto = NoisyExchange::new(4);
         let target = proto.target();
         proto.values.fill(target);
-        let stats = forced(EngineConfig::synchronous(0), 4).run_batch(&mut proto);
+        let stats = sharded(EngineConfig::synchronous(0), 4, &mut proto);
         assert!(stats.completed);
         assert_eq!(stats.rounds, 0);
     }

@@ -35,11 +35,11 @@
 //! Each survivor goes to its receiver in one merge walk: serially through
 //! [`Protocol::deliver`], or, for a protocol that splits into
 //! [`ProtocolShard`]s through [`Protocol::shards`], on the rayon pool on
-//! every round big enough to pay for it (the `fan_out` module; tests force
-//! a shard count through a hidden builder on [`Engine`]). Wakeups and loss
-//! draw from the engine's main RNG; every composed message draws from an
-//! RNG private to `(seed, round, slot)`. A round is therefore
-//! bit-identical at every shard and thread count, and is differentially
+//! every round big enough to pay for it, one shard per pool thread (the
+//! `fan_out` module). Wakeups and loss draw from the engine's main RNG;
+//! every composed message draws from an RNG private to
+//! `(seed, round, slot)`. A round is therefore bit-identical at every
+//! thread count, and so at every shard count, and is differentially
 //! tested against a structurally different oracle loop in `tests/oracle`.
 //!
 //! The engine calls [`Protocol::on_round_start`] once before every round

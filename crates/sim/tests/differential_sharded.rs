@@ -1,18 +1,19 @@
-//! Differential lock for the fan-out: a synchronous round forced over S
+//! Differential lock for the fan-out: a synchronous round sharded over S
 //! shards must produce results bit-identical to the serial round, at
 //! every S.
 //!
 //! The reference lane is the default [`Engine`], which at these sizes
 //! keeps every round serial and composes through
-//! `AlgebraicGossip::compose`; the forced lanes (`with_forced_shards`, the
-//! hidden test seam) with S > 1 go through the protocol's shards, so the
-//! comparison also locks the shard type to the protocol it splits. Each
-//! lane runs the real algebraic-gossip protocol (the dev-only dependency
-//! cycle that also powers `proptest_engine_invariants`) over random
-//! connected graphs, both communication models, GF(256) and GF(2) (at
-//! q = 2 about half of all coefficient draws are unhelpful, so the rank
-//! trace moves with any change to a compose stream), loss on/off, and
-//! asserts:
+//! `AlgebraicGossip::compose`. The sharded lanes run the protocol behind
+//! the probes' [`Heavy`] wrapper, whose messages clear the engine's byte
+//! rule, inside a local pool of S threads: with S > 1 every round goes
+//! through the protocol's S shards, so the comparison also locks the shard
+//! type to the protocol it splits. Each lane runs the real
+//! algebraic-gossip protocol (the dev-only dependency cycle that also
+//! powers `proptest_engine_invariants`) over random connected graphs,
+//! both communication models, GF(256) and GF(2) (at q = 2 about half of
+//! all coefficient draws are unhelpful, so the rank trace moves with any
+//! change to a compose stream), loss on/off, and asserts:
 //!
 //! * identical [`RunStats`],
 //! * an identical hash of the per-round trace (round, total rank),
@@ -21,19 +22,19 @@
 //! * identical decoded messages on completed runs.
 //!
 //! A protocol that offers no shards (`Protocol::shards` is `None`) runs
-//! serially whatever the seam or the sharding rule asks for, so both must
-//! be inert on it: the crash wrapper lane pins that for a protocol that
-//! keeps the defaults, and the unsharded lane for one that reports
-//! messages big enough for the rule.
+//! serially whatever the pool and the sharding rule ask for: the crash
+//! wrapper lane pins that for a protocol that keeps the default, and the
+//! unsharded lane for a `Heavy` that does not forward the shards.
 //!
-//! CI runs this suite with `PROPTEST_CASES=256` under
-//! `RAYON_NUM_THREADS ∈ {1, 4}`; the case count honors that env var.
+//! Every lane but the reference sets its own pool, and the reference
+//! stays under the byte rule at any thread count, so CI runs this suite
+//! once, with `PROPTEST_CASES=256`; the case count honors that env var.
 
 use ag_gf::{Gf2, Gf256, SlabField};
-use ag_graph::{builders, NodeId};
-use ag_sim::{CommModel, ContactIntent, Engine, EngineConfig, Protocol};
+use ag_graph::builders;
+use ag_sim::{CommModel, Engine, EngineConfig, Protocol};
 use algebraic_gossip::{AgConfig, AlgebraicGossip, CrashPlan, Placement, WithCrashes};
-use probes::{record, Recorded};
+use probes::{in_pool, record, Heavy, Recorded};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,26 +68,33 @@ fn protocol<F: SlabField>(n: usize, ag_cfg: &AgConfig, proto_seed: u64) -> Algeb
     AlgebraicGossip::<F>::new(&graph, ag_cfg, proto_seed).expect("protocol")
 }
 
-/// The default engine, with the fan-out forced over `shards` shards if
-/// given.
-fn engine(cfg: EngineConfig, shards: Option<usize>) -> Engine {
-    match shards {
-        Some(s) => Engine::new(cfg).with_forced_shards(s),
-        None => Engine::new(cfg),
-    }
-}
+/// Where a lane runs: `None` is the default engine at the ambient thread
+/// count (serial at these sizes); `Some((threads, shards))` is behind
+/// [`Heavy`], forwarding the protocol's shards or not, in a pool of
+/// `threads`.
+type Pool = Option<(usize, bool)>;
 
-/// Runs `proto` to completion, forced over `shards` shards (`Some(s)`) or
-/// left to the engine's own rule (`None`: serial at these sizes),
-/// recording (round, total rank). `ag` finds the algebraic-gossip protocol
+/// Runs `proto` to completion in `pool`, recording (round, total rank);
+/// hands the protocol back. `ag` finds the algebraic-gossip protocol
 /// inside `proto`.
-fn traced_run<F: SlabField, P: Protocol>(
-    proto: &mut P,
+fn traced_run<F: SlabField, P: Protocol + Send>(
+    proto: P,
     cfg: EngineConfig,
-    shards: Option<usize>,
-    ag: impl Fn(&P) -> &AlgebraicGossip<F>,
-) -> Recorded {
-    record(engine(cfg, shards), proto, |p| ag(p).total_rank() as u64)
+    pool: Pool,
+    ag: impl Fn(&P) -> &AlgebraicGossip<F> + Sync,
+) -> (Recorded, P) {
+    let Some((threads, shards)) = pool else {
+        let mut proto = proto;
+        let run = record(Engine::new(cfg), &mut proto, |p| ag(p).total_rank() as u64);
+        return (run, proto);
+    };
+    in_pool(threads, || {
+        let mut heavy = Heavy { proto, shards };
+        let run = record(Engine::new(cfg), &mut heavy, |h| {
+            ag(&h.proto).total_rank() as u64
+        });
+        (run, heavy.proto)
+    })
 }
 
 /// One full run of bare algebraic gossip, which offers shards; also
@@ -96,16 +104,16 @@ fn run_lane<F: SlabField + Send>(
     ag_cfg: &AgConfig,
     cfg: EngineConfig,
     proto_seed: u64,
-    shards: Option<usize>,
+    pool: Pool,
 ) -> Recorded {
-    let mut proto = protocol::<F>(n, ag_cfg, proto_seed);
-    let lane = traced_run(&mut proto, cfg, shards, |p| p);
+    let proto = protocol::<F>(n, ag_cfg, proto_seed);
+    let (lane, proto) = traced_run(proto, cfg, pool, |p| p);
     if lane.stats.completed {
         for v in 0..n {
             assert_eq!(
                 proto.decoded(v).expect("complete node decodes"),
                 proto.generation().messages(),
-                "shards = {shards:?}: node {v} decoded wrong messages"
+                "pool {pool:?}: node {v} decoded wrong messages"
             );
         }
     }
@@ -119,75 +127,11 @@ fn run_crash_lane(
     ag_cfg: &AgConfig,
     cfg: EngineConfig,
     proto_seed: u64,
-    shards: Option<usize>,
+    pool: Pool,
 ) -> Recorded {
     let plan = CrashPlan::random_fraction(n, 0.2, 3, proto_seed ^ 0xDEAD);
-    let mut proto = WithCrashes::new(protocol::<Gf256>(n, ag_cfg, proto_seed), plan);
-    traced_run(&mut proto, cfg, shards, WithCrashes::inner)
-}
-
-/// A wrapper that forwards everything but [`Protocol::shards`] and weighs
-/// every message at 2 MiB: the sharding rule asks for shards on every
-/// round, and the protocol has none to give.
-struct Unsharded<P>(P);
-
-impl<P> Unsharded<P> {
-    fn inner(&self) -> &P {
-        &self.0
-    }
-}
-
-impl<P: Protocol> Protocol for Unsharded<P> {
-    type Msg = P::Msg;
-
-    fn num_nodes(&self) -> usize {
-        self.0.num_nodes()
-    }
-
-    fn on_round_start(&mut self, round: u64) {
-        self.0.on_round_start(round);
-    }
-
-    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
-        self.0.on_wakeup(node, rng)
-    }
-
-    fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<P::Msg> {
-        self.0.compose(from, to, tag, rng)
-    }
-
-    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: P::Msg) {
-        self.0.deliver(from, to, tag, msg);
-    }
-
-    fn discard(&mut self, msg: P::Msg) {
-        self.0.discard(msg);
-    }
-
-    fn msg_bytes(&self) -> usize {
-        2 << 20
-    }
-
-    fn node_complete(&self, node: NodeId) -> bool {
-        self.0.node_complete(node)
-    }
-}
-
-/// Bare algebraic gossip behind [`Unsharded`], inside a two-thread pool so
-/// the rule would shard too: it must run serially.
-fn run_unsharded_lane(
-    n: usize,
-    ag_cfg: &AgConfig,
-    cfg: EngineConfig,
-    proto_seed: u64,
-    shards: Option<usize>,
-) -> Recorded {
-    let mut proto = Unsharded(protocol::<Gf256>(n, ag_cfg, proto_seed));
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("local pool")
-        .install(|| traced_run(&mut proto, cfg, shards, Unsharded::inner))
+    let proto = WithCrashes::new(protocol::<Gf256>(n, ag_cfg, proto_seed), plan);
+    traced_run(proto, cfg, pool, WithCrashes::inner).0
 }
 
 proptest! {
@@ -217,21 +161,22 @@ proptest! {
         };
         let want = lane(None);
         for shards in [1usize, 3, 7] {
-            lane(Some(shards)).assert_same_run(&want, &format!("seed {seed:#x}, {shards} shards"));
+            lane(Some((shards, true)))
+                .assert_same_run(&want, &format!("seed {seed:#x}, {shards} shards"));
         }
     }
 
-    /// The seam is inert on a protocol without shards: a crash-wrapped
-    /// run is the same run with and without it. The budget is a few
-    /// hundred rounds: a completing case takes about 8, and one whose
-    /// survivors can never decode (a source crashed before it shared)
-    /// spends the whole budget on both sides.
+    /// The pool is inert on a protocol without shards: a crash-wrapped
+    /// run behind `Heavy` in a pool of S threads is the same run as the
+    /// reference. The budget is a few hundred rounds: a completing case
+    /// takes about 8, and one whose survivors can never decode (a source
+    /// crashed before it shared) spends the whole budget on both sides.
     #[test]
-    fn forced_shards_are_inert_without_shards(
+    fn pool_is_inert_without_shards(
         seed in any::<u64>(),
         n in 6usize..20,
         k in 2usize..6,
-        shards in 1usize..8,
+        threads in 1usize..8,
         lossy in any::<bool>(),
     ) {
         let mut cfg = EngineConfig::synchronous(seed).with_max_rounds(300);
@@ -239,13 +184,14 @@ proptest! {
             cfg = cfg.with_loss(0.2);
         }
         let ag = ag_cfg(k, CommModel::Uniform);
-        let lane = |shards| run_crash_lane(n, &ag, cfg, seed ^ 0xC4, shards);
-        lane(Some(shards)).assert_same_run(&lane(None), &format!("seed {seed:#x}, crash lane"));
+        let lane = |pool| run_crash_lane(n, &ag, cfg, seed ^ 0xC4, pool);
+        lane(Some((threads, true)))
+            .assert_same_run(&lane(None), &format!("seed {seed:#x}, crash lane"));
     }
 
     /// The serial fallback: a protocol whose messages clear the sharding
-    /// rule but which offers no shards, forced over S shards or left to
-    /// the rule on two threads, is the plain serial run bit for bit.
+    /// rule but which offers no shards, in a pool of S threads or of two,
+    /// is the plain serial run bit for bit.
     #[test]
     fn a_protocol_without_shards_falls_back_to_the_serial_round(
         seed in any::<u64>(),
@@ -260,9 +206,9 @@ proptest! {
         }
         let ag = ag_cfg(k, CommModel::Uniform);
         let want = run_lane::<Gf256>(n, &ag, cfg, seed ^ 0x5E, None);
-        for lane in [Some(shards), None] {
-            run_unsharded_lane(n, &ag, cfg, seed ^ 0x5E, lane)
-                .assert_same_run(&want, &format!("seed {seed:#x}, unsharded {lane:?}"));
+        for threads in [shards, 2] {
+            run_lane::<Gf256>(n, &ag, cfg, seed ^ 0x5E, Some((threads, false)))
+                .assert_same_run(&want, &format!("seed {seed:#x}, unsharded on {threads}"));
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Test-side [`Probe`]s: per-node completion rounds, a recorder of a
 //! run's trajectory and message fates, and [`trace_diff`], which names the
-//! first event where two recorded runs part.
+//! first event where two recorded runs part; and [`Heavy`], the wrapper
+//! through which a test reaches the sharded round, run [`in_pool`].
 //!
 //! Shared by the engine's unit tests, the `ag-sim` integration tests and
 //! the `algebraic-gossip` tests (each includes this file as a module, and
@@ -8,7 +9,10 @@
 #![allow(dead_code, reason = "each including test uses part of the module")]
 
 use ag_graph::NodeId;
-use ag_sim::{Engine, Fate, Probe, Protocol, RunStats, TrajectoryHash};
+use ag_sim::{
+    ContactIntent, Engine, Fate, Probe, Protocol, ProtocolShard, RunStats, TrajectoryHash,
+};
+use rand::rngs::StdRng;
 
 /// Records the round each node completed in, from the engine's
 /// `node_complete` events, and passes round ends on to a closure.
@@ -118,4 +122,74 @@ pub fn trace_diff(
 ) -> Option<(usize, Option<Admitted>, Option<Admitted>)> {
     let at = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))?;
     Some((at, a.get(at).copied(), b.get(at).copied()))
+}
+
+/// Runs `op` inside a local rayon pool of `threads` threads: the shard
+/// count of every round [`Heavy`] puts over the engine's byte rule.
+pub fn in_pool<R: Send>(threads: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("local pool")
+        .install(op)
+}
+
+/// Forwards every [`Protocol`] method to `proto` but weighs each message
+/// at 2 MiB, the engine's fan-out rule, so every round with a contact
+/// clears it: on a pool of T > 1 threads the round splits into
+/// `min(T, n)` shards, as a production round over the rule does, and on
+/// one thread it is serial. `shards` says whether [`Protocol::shards`] is
+/// forwarded too; without it the fan-out has no shards to run and the
+/// round falls back to the serial one.
+pub struct Heavy<P> {
+    pub proto: P,
+    pub shards: bool,
+}
+
+impl<P: Protocol> Protocol for Heavy<P> {
+    type Msg = P::Msg;
+
+    fn num_nodes(&self) -> usize {
+        self.proto.num_nodes()
+    }
+
+    fn on_round_start(&mut self, round: u64) {
+        self.proto.on_round_start(round);
+    }
+
+    fn on_wakeup(&mut self, node: NodeId, rng: &mut StdRng) -> Option<ContactIntent> {
+        self.proto.on_wakeup(node, rng)
+    }
+
+    fn compose(&self, from: NodeId, to: NodeId, tag: u32, rng: &mut StdRng) -> Option<P::Msg> {
+        self.proto.compose(from, to, tag, rng)
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, tag: u32, msg: P::Msg) {
+        self.proto.deliver(from, to, tag, msg);
+    }
+
+    fn discard(&mut self, msg: P::Msg) {
+        self.proto.discard(msg);
+    }
+
+    fn msg_bytes(&self) -> usize {
+        2 << 20
+    }
+
+    fn shards(
+        &mut self,
+        bounds: &[(usize, usize)],
+        send_counts: &[usize],
+    ) -> Option<Vec<Box<dyn ProtocolShard<Msg = P::Msg> + '_>>> {
+        if self.shards {
+            self.proto.shards(bounds, send_counts)
+        } else {
+            None
+        }
+    }
+
+    fn node_complete(&self, node: NodeId) -> bool {
+        self.proto.node_complete(node)
+    }
 }
